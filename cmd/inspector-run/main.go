@@ -12,7 +12,7 @@
 //	inspector-run -app histogram [-native] [-threads 4] [-size medium]
 //	              [-cpg out.gob] [-cpgfile out.cpg] [-dot out.dot]
 //	              [-json out.json] [-decode] [-verify] [-live-stats]
-//	              [-seed 1]
+//	              [-journal DIR] [-stream URL] [-epoch-every 1] [-seed 1]
 //
 // -live-stats turns on the live analysis pipeline for the run: the CPG
 // is folded into queryable epochs while the workload executes, progress
@@ -23,7 +23,7 @@
 // -faults executes the run under a deterministic fault-injection
 // schedule (internal/faultinject): "aux-loss" truncates PT sink writes
 // like an overrunning AUX ring, "panic" crashes the workload at a commit
-// boundary, "slow-fold" delays live analysis folds from inside the fold
+// boundary, "slow-fold" delays the epoch folds from inside the fold
 // workers (-fold-workers sets the fan-out). The run completes
 // (artifacts are still exported), the report names the faults that
 // fired, and the recorded CPG carries its trace gaps and completeness —
@@ -43,6 +43,10 @@
 // deterministic (app-tN-sSEED) and shared with -journal, so after a
 // recorder crash `inspector-recover -stream URL` re-feeds the journal
 // and the aggregator converges on the identical graph.
+//
+// However many of -journal, -stream and -live-stats are on, the run
+// folds each epoch once, every -epoch-every sealed sub-computations:
+// journal record k, wire frame k and live epoch k are the same cut.
 package main
 
 import (
@@ -58,6 +62,7 @@ import (
 	"github.com/repro/inspector/internal/atomicio"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/threading"
@@ -89,14 +94,13 @@ func run(args []string) error {
 	decode := fs.Bool("decode", false, "decode all PT traces and report event counts")
 	verify := fs.Bool("verify", false, "check the recorded CPG's structural invariants before exporting")
 	liveStats := fs.Bool("live-stats", false, "fold the CPG incrementally during the run and stream per-epoch stats")
-	foldWorkers := fs.Int("fold-workers", 0, "worker cap for live/journal fold derivation (0 = GOMAXPROCS, 1 = serial)")
+	foldWorkers := fs.Int("fold-workers", 0, "worker cap for epoch fold derivation (0 = GOMAXPROCS, 1 = serial)")
 	faults := fs.String("faults", "", `deterministic fault-injection schedule, e.g. "aux-loss:after=20,every=7;panic:count=1"`)
 	journalDir := fs.String("journal", "", "write-ahead journal directory: every sealed epoch is appended crash-durably; recover with inspector-recover")
 	journalFsync := fs.String("journal-fsync", "always", `journal fsync policy: always|interval[:N]|none`)
-	journalEvery := fs.Int("journal-every", 1, "journal one epoch each N sealed sub-computations")
 	streamURL := fs.String("stream", "", "stream sealed epochs to a provenance aggregator (inspector-serve -ingest) at this base URL")
 	streamID := fs.String("stream-id", "", "aggregator source name (default: the run id, app-tN-sSEED)")
-	streamEvery := fs.Int("stream-every", 1, "stream one epoch each N sealed sub-computations")
+	epochEvery := fs.Uint64("epoch-every", 1, "with -journal or -stream: fold one epoch each N sealed sub-computations (journal, stream and live stats share it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -158,11 +162,25 @@ func run(args []string) error {
 	// be resumed: the journal header and the aggregator's source binding
 	// name the same run, and inspector-recover -stream re-feeds under it.
 	runID := fmt.Sprintf("%s-t%d-s%d", *app, *threads, *seed)
-	var jrec *journal.Recorder
-	if *journalDir != "" {
-		if mode != threading.ModeInspector {
-			return fmt.Errorf("-journal records the provenance pipeline; it needs INSPECTOR mode (drop -native)")
+	eopts := provenance.EngineOptions{FoldWorkers: *foldWorkers}
+	if injector != nil {
+		// The slow-fold point fires inside the fold's derivation workers
+		// (one hit per worker per fold), so an injected delay stalls the
+		// parallel path itself, not just the fold entry.
+		eopts.FoldWorkerHook = func(int) {
+			if injector.Fire(faultinject.SlowFold) {
+				time.Sleep(time.Millisecond)
+			}
 		}
+	}
+	if mode != threading.ModeInspector && (*journalDir != "" || *streamURL != "") {
+		return fmt.Errorf("-journal and -stream record the provenance pipeline; they need INSPECTOR mode (drop -native)")
+	}
+	// One fold per epoch feeds every consumer the flags ask for, listed
+	// journal, live feed, stream: an epoch is durable before it is
+	// observable, here or on the aggregator.
+	var sinks []epoch.Sink
+	if *journalDir != "" {
 		policy, syncEvery, err := journal.ParsePolicy(*journalFsync)
 		if err != nil {
 			return err
@@ -177,45 +195,59 @@ func run(args []string) error {
 		if *streamURL != "" {
 			jopts.RunID = runID
 		}
-		w, err := journal.Create(jopts)
+		jw, err := journal.Create(jopts)
 		if err != nil {
 			return err
 		}
-		jrec = journal.NewRecorder(rt.Graph(), w, *journalEvery)
-		jrec.SetFoldWorkers(*foldWorkers)
-		// Registered before the fault hooks on purpose: commit hooks run
-		// in registration order, so by the time an injected crash kills
-		// the process, the epoch sealed by this very commit is already
-		// on the journal — the kill-recover sweep's determinism anchor.
-		rt.RegisterCommitHook(jrec.CommitHook())
+		sinks = append(sinks, jw)
 	}
-	var srec *provenance.StreamRecorder
+	var feed *provenance.Feed
+	if *liveStats && (*journalDir != "" || *streamURL != "") {
+		feed = provenance.NewFeed(rt.Graph().Threads(), eopts)
+		sinks = append(sinks, feed.Sink())
+	}
+	var up *provenance.Uploader
 	streamSource := *streamID
 	if *streamURL != "" {
-		if mode != threading.ModeInspector {
-			return fmt.Errorf("-stream uploads the provenance pipeline; it needs INSPECTOR mode (drop -native)")
-		}
 		if streamSource == "" {
 			streamSource = runID
 		}
 		var err error
-		srec, err = provenance.NewStreamRecorder(rt.Graph(), &provenance.Client{
+		up, err = provenance.NewUploader(&provenance.Client{
 			BaseURL:    *streamURL,
 			MaxRetries: 8,
-		}, provenance.StreamOptions{
+		}, rt.Graph().Threads(), provenance.StreamOptions{
 			Source: streamSource,
 			RunID:  runID,
 			App:    *app,
-			Every:  uint64(*streamEvery),
 		})
 		if err != nil {
 			return err
 		}
-		// Like the journal hook: registered before the fault hooks so the
-		// epoch sealed by a crashing commit is already folded and queued.
-		// The upload itself is asynchronous — the journal, not the wire,
-		// is the durability anchor.
-		rt.RegisterCommitHook(srec.CommitHook())
+		sinks = append(sinks, up)
+	}
+	// A journal or stream keeps the fold on the sealing thread (the
+	// durability contract: the epoch sealed by a crashing commit is
+	// already appended and queued). Live stats alone fold off it.
+	var drv *epoch.Driver
+	closeEpochs := func() error { return nil }
+	switch {
+	case len(sinks) > 0:
+		drv = epoch.NewDriver(rt.Graph(), epoch.Options{
+			Every:       *epochEvery,
+			FoldWorkers: *foldWorkers,
+			WorkerHook:  eopts.FoldWorkerHook,
+		}, sinks...)
+		// Registered before the fault hooks on purpose: commit hooks run
+		// in registration order, so by the time an injected crash kills
+		// the process, the epoch sealed by this very commit is already
+		// on the journal — the kill-recover sweep's determinism anchor.
+		rt.RegisterCommitHook(drv.CommitHook())
+		closeEpochs = drv.Close
+	case *liveStats && mode == threading.ModeInspector:
+		live := provenance.NewLiveEngine(rt.Graph(), eopts)
+		rt.RegisterCommitHook(func(core.SubID) { live.Notify() })
+		feed, closeEpochs = live.Feed, live.Close
 	}
 	if injector != nil {
 		rt.RegisterCommitHook(func(id core.SubID) {
@@ -231,29 +263,15 @@ func run(args []string) error {
 			}
 		})
 	}
-	var live *provenance.LiveEngine
 	stopWatch := func() {}
-	if *liveStats && mode == threading.ModeInspector {
-		eopts := provenance.EngineOptions{FoldWorkers: *foldWorkers}
-		if injector != nil {
-			// The slow-fold point fires inside the fold's derivation
-			// workers (one hit per worker per fold), so an injected delay
-			// stalls the parallel path itself, not just the fold entry.
-			eopts.FoldWorkerHook = func(int) {
-				if injector.Fire(faultinject.SlowFold) {
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}
-		live = provenance.NewLiveEngine(rt.Graph(), eopts)
-		rt.RegisterCommitHook(func(core.SubID) { live.Notify() })
+	if feed != nil {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		watcherDone := make(chan struct{})
 		stopWatch = func() { cancel(); <-watcherDone }
 		go func() {
 			defer close(watcherDone)
-			watchEpochs(ctx, live)
+			watchEpochs(ctx, feed)
 		}()
 	}
 	// Under -faults an erroring run (an injected panic) still reports and
@@ -267,36 +285,31 @@ func run(args []string) error {
 		}
 		fmt.Printf("workload error:   %v (continuing under -faults)\n", runErr)
 	}
-	if live != nil {
-		cerr := live.Close()
-		// Stop the sampler before the summary so progress lines cannot
-		// interleave with the report.
-		stopWatch()
-		if cerr != nil {
-			return cerr
-		}
-		st, err := liveStatsSummary(live)
-		if err != nil {
-			return err
-		}
+	// The final fold, then each sink's finish (journal seal, stream seal).
+	cerr := closeEpochs()
+	// Stop the sampler before the summary so progress lines cannot
+	// interleave with the report.
+	stopWatch()
+	if cerr != nil {
+		return cerr
+	}
+	if feed != nil {
+		info := feed.Info()
 		fmt.Printf("live analysis:    %d epochs folded; final epoch saw %d sub-computations, %d edges\n",
-			live.Epoch(), st.SubComputations, st.ControlEdges+st.SyncEdges+st.DataEdges)
+			info.Epoch, info.SubComputations, info.Edges)
 	}
-	if jrec != nil {
-		if err := jrec.Close(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		fmt.Printf("journal:          %d epochs sealed in %s\n", jrec.Epoch(), *journalDir)
+	if *journalDir != "" {
+		fmt.Printf("journal:          %d epochs sealed in %s\n", drv.Epoch(), *journalDir)
 	}
-	if srec != nil {
+	if up != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		serr := srec.Close(ctx)
+		serr := up.Wait(ctx)
 		cancel()
 		switch {
 		case serr == nil:
 			fmt.Printf("stream:           %d epochs shipped to %s (source %s)\n",
-				srec.Epoch(), *streamURL, streamSource)
-		case jrec != nil:
+				drv.Epoch(), *streamURL, streamSource)
+		case *journalDir != "":
 			// The journal holds every epoch; the aggregator catches up via
 			// inspector-recover -stream. A dead sink degrades the stream,
 			// not the run.
@@ -371,10 +384,7 @@ func run(args []string) error {
 		fmt.Printf("wrote CPG:        %s\n", *cpgOut)
 	}
 	if *cpgfileOut != "" {
-		meta := cpgfile.Meta{
-			RunID: fmt.Sprintf("%s-t%d-s%d", *app, *threads, *seed),
-			App:   *app,
-		}
+		meta := cpgfile.Meta{RunID: runID, App: *app}
 		analysis := rt.Graph().Analyze()
 		err := writeFile(*cpgfileOut, func(w io.Writer) error {
 			return cpgfile.Encode(w, analysis, meta)
@@ -419,7 +429,7 @@ func run(args []string) error {
 // It samples rather than subscribing per epoch: folds can seal hundreds
 // of epochs per second, and one line per sample keeps the output
 // readable for any workload size.
-func watchEpochs(ctx context.Context, live *provenance.LiveEngine) {
+func watchEpochs(ctx context.Context, live *provenance.Feed) {
 	tick := time.NewTicker(250 * time.Millisecond)
 	defer tick.Stop()
 	var last uint64
@@ -429,27 +439,14 @@ func watchEpochs(ctx context.Context, live *provenance.LiveEngine) {
 			return
 		case <-tick.C:
 		}
-		epoch := live.Epoch()
-		if epoch == last {
+		info := live.Info()
+		if info.Epoch == last {
 			continue
 		}
-		last = epoch
-		st, err := liveStatsSummary(live)
-		if err != nil {
-			continue
-		}
+		last = info.Epoch
 		fmt.Printf("live: epoch %d: %d sub-computations, %d edges (queryable mid-run)\n",
-			epoch, st.SubComputations, st.ControlEdges+st.SyncEdges+st.DataEdges)
+			info.Epoch, info.SubComputations, info.Edges)
 	}
-}
-
-// liveStatsSummary runs a stats query against the newest epoch.
-func liveStatsSummary(live *provenance.LiveEngine) (*provenance.Stats, error) {
-	res, err := live.Engine().Execute(context.Background(), provenance.Query{Kind: provenance.KindStats})
-	if err != nil {
-		return nil, err
-	}
-	return res.Stats, nil
 }
 
 // writeFile exports one artifact crash-atomically: a run killed or

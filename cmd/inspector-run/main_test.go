@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
-
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/repro/inspector/internal/journal"
@@ -111,5 +111,53 @@ func TestRunJournalRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-app", "histogram", "-journal", t.TempDir(), "-journal-fsync", "sometimes"}); err == nil {
 		t.Error("bad -journal-fsync accepted")
+	}
+}
+
+// TestRunEpochEvery: one cadence flag paces the run's one fold. The
+// journal of an every-N run holds fewer, larger epochs that replay to
+// the same CPG; the per-consumer cadence flags it replaced are gone.
+func TestRunEpochEvery(t *testing.T) {
+	dir := t.TempDir()
+	epochs := map[string]uint64{}
+	for _, every := range []string{"1", "5"} {
+		jdir := filepath.Join(dir, "journal-"+every)
+		jsn := filepath.Join(dir, "run-"+every+".json")
+		err := run([]string{
+			"-app", "histogram", "-threads", "1", "-size", "small", "-live-stats",
+			"-journal", jdir, "-journal-fsync", "none", "-epoch-every", every, "-json", jsn,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := journal.Recover(jdir, journal.RecoverOptions{})
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if !rep.Sealed || rep.Degraded() {
+			t.Fatalf("-epoch-every %s journal: sealed=%v degraded=%v", every, rep.Sealed, rep.Degraded())
+		}
+		var buf bytes.Buffer
+		if err := rep.Graph.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(jsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("-epoch-every %s: journal-recovered CPG diverges from the run's -json export", every)
+		}
+		epochs[every] = rep.Epoch
+	}
+	// Seals / 5 rounded up, plus at most the final fold.
+	if lo := (epochs["1"] + 4) / 5; epochs["5"] < lo || epochs["5"] > lo+1 {
+		t.Fatalf("every-1 journaled %d epochs, every-5 %d; want about a fifth", epochs["1"], epochs["5"])
+	}
+	for _, old := range []string{"-journal-every", "-stream-every"} {
+		err := run([]string{"-app", "histogram", "-journal", filepath.Join(dir, "never"), old, "2"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want it rejected as an unknown flag", old, err)
+		}
 	}
 }

@@ -245,7 +245,7 @@ func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget i
 	workload string, threads int, sizeFlag string, seed int64,
 	live bool, liveSlowdown time.Duration, lenient bool,
 	sopts provenance.ServerOptions, eopts provenance.EngineOptions) (*provenance.Server, func(), error) {
-	sources := map[string]provenance.EngineSource{}
+	sources := map[string]provenance.Source{}
 	if cpgDir != "" {
 		store, err := provenance.OpenDir(cpgDir, provenance.StoreOptions{
 			ResidentBudget:      residentBudget,

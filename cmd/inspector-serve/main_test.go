@@ -344,22 +344,28 @@ func TestCorruptGobRefused(t *testing.T) {
 	}
 }
 
-// gateSource holds resolution until released, pinning one request
+// gateSource holds queries until released, pinning one request
 // in-flight so the drain test can observe it.
 type gateSource struct {
-	e    *provenance.Engine
+	provenance.Source
 	gate chan struct{}
 }
 
-func (g gateSource) Engine() *provenance.Engine { <-g.gate; return g.e }
+func (g gateSource) Query(ctx context.Context, q provenance.Query) (*provenance.Result, error) {
+	<-g.gate
+	return g.Source.Query(ctx, q)
+}
 
 // TestServeGracefulDrain drives the daemon loop through its shutdown
 // path: SIGTERM stops accepting, the in-flight request completes, and
 // serve returns nil (the process would exit 0).
 func TestServeGracefulDrain(t *testing.T) {
 	gate := make(chan struct{})
-	srv := provenance.NewServerSources(map[string]provenance.EngineSource{
-		"slow": gateSource{e: provenance.NewEngine(buildGraph(t).Analyze(), provenance.EngineOptions{}), gate: gate},
+	srv := provenance.NewServerSources(map[string]provenance.Source{
+		"slow": gateSource{
+			Source: provenance.StaticSource(provenance.NewEngine(buildGraph(t).Analyze(), provenance.EngineOptions{})),
+			gate:   gate,
+		},
 	}, provenance.ServerOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -57,6 +57,7 @@ import (
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/mem"
 	"github.com/repro/inspector/internal/perf"
@@ -146,14 +147,16 @@ type Options struct {
 	// Live folds the CPG incrementally while the workload executes, so
 	// Query answers against the newest completed epoch *during* Run
 	// instead of only after it returns — the paper's online-provenance
-	// property. Epoch and WaitEpoch expose the fold progress.
+	// property. Epoch and WaitEpoch expose the fold progress. On its own
+	// it folds on a background goroutine; with Journal set it publishes
+	// the journal's folds.
 	// Incompatible with Native (there is no graph to fold).
 	Live bool
 	// FoldWorkers caps the worker goroutines each incremental fold (the
-	// Live pipeline's epochs and the Journal recorder's delta folds)
-	// fans data-edge derivation across. 0 means GOMAXPROCS, 1 forces
-	// serial folds; negative values are rejected. Small epochs use fewer
-	// workers regardless. Meaningless without Live or Journal.
+	// epochs Live and Journal share) fans data-edge derivation across. 0
+	// means GOMAXPROCS, 1 forces serial folds; negative values are
+	// rejected. Small epochs use fewer workers regardless. Meaningless
+	// without Live or Journal.
 	FoldWorkers int
 	// Journal, when set, makes recording crash-durable: every sealed
 	// epoch is appended to a write-ahead journal in this directory as a
@@ -170,9 +173,10 @@ type Options struct {
 	// or "none" (leave flushing to the OS; a machine crash may lose the
 	// tail, a process crash does not). Empty means "interval".
 	JournalFsync string
-	// JournalEverySeals folds one journal epoch each N sealed
-	// sub-computations (default 1: every commit boundary journals an
-	// epoch — the tightest recovery point at the highest write rate).
+	// JournalEverySeals is the epoch cadence of a journaled run: one
+	// epoch each N sealed sub-computations (default 1: every commit
+	// boundary journals an epoch — the tightest recovery point at the
+	// highest write rate). It paces Live too when both are set.
 	JournalEverySeals int
 }
 
@@ -181,14 +185,14 @@ type Runtime struct {
 	rt    *threading.Runtime
 	snaps *snapshot.Snapshotter
 
-	// live is the epoch-folding analysis pipeline (Options.Live); when
+	// feed publishes the epoch pipeline's folds (Options.Live); when
 	// set, Query serves the newest epoch instead of the lazy post-Run
 	// engine.
-	live *provenance.LiveEngine
+	feed *provenance.Feed
 
-	// jrec journals epoch deltas at commit boundaries (Options.Journal);
-	// Run seals the journal when the workload completes.
-	jrec *journal.Recorder
+	// closeEpochs ends the epoch pipeline (Options.Live, Journal) after
+	// the workload: the final fold, the journal's seal.
+	closeEpochs func() error
 
 	engineOnce sync.Once
 	engine     *provenance.Engine
@@ -266,7 +270,8 @@ func New(opts Options) (*Runtime, error) {
 		return nil, err
 	}
 	rt := &Runtime{rt: inner}
-	if opts.Journal != "" && !opts.Native {
+	switch {
+	case opts.Journal != "":
 		policy, syncEvery, err := journal.ParsePolicy(opts.JournalFsync)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
@@ -281,12 +286,30 @@ func New(opts Options) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.jrec = journal.NewRecorder(inner.Graph(), w, opts.JournalEverySeals)
-		rt.jrec.SetFoldWorkers(opts.FoldWorkers)
-		// The journal hook registers first: an epoch must be durable
-		// before any later hook (fault injection in the harness kills
-		// the process from a commit hook) can observe its seal.
-		inner.RegisterCommitHook(rt.jrec.CommitHook())
+		// One fold per epoch, on the sealing thread (the journal's
+		// durability contract), feeds the journal and then the live feed:
+		// durable before observable.
+		sinks := []epoch.Sink{w}
+		if opts.Live {
+			rt.feed = provenance.NewFeed(inner.Graph().Threads(), provenance.EngineOptions{})
+			sinks = append(sinks, rt.feed.Sink())
+		}
+		drv := epoch.NewDriver(inner.Graph(), epoch.Options{
+			Every:       uint64(opts.JournalEverySeals),
+			FoldWorkers: opts.FoldWorkers,
+		}, sinks...)
+		// Registered first: an epoch must be durable before any later
+		// hook (fault injection in the harness kills the process from a
+		// commit hook) can observe its seal.
+		inner.RegisterCommitHook(drv.CommitHook())
+		rt.closeEpochs = drv.Close
+	case opts.Live:
+		// Nothing needs the fold on the sealing thread: keep it off.
+		live := provenance.NewLiveEngine(inner.Graph(), provenance.EngineOptions{
+			FoldWorkers: opts.FoldWorkers,
+		})
+		inner.RegisterCommitHook(func(core.SubID) { live.Notify() })
+		rt.feed, rt.closeEpochs = live.Feed, live.Close
 	}
 	if opts.SnapshotMode && !opts.Native {
 		every := opts.SnapshotEverySyncs
@@ -303,12 +326,6 @@ func New(opts Options) (*Runtime, error) {
 		rt.snaps = s
 		inner.RegisterSnapshotHook(s.Hook())
 	}
-	if opts.Live && !opts.Native {
-		rt.live = provenance.NewLiveEngine(inner.Graph(), provenance.EngineOptions{
-			FoldWorkers: opts.FoldWorkers,
-		})
-		inner.RegisterCommitHook(func(core.SubID) { rt.live.Notify() })
-	}
 	return rt, nil
 }
 
@@ -318,16 +335,11 @@ func New(opts Options) (*Runtime, error) {
 // afterwards always see the complete graph.
 func (r *Runtime) Run(main func(*Thread)) (*Report, error) {
 	rep, err := r.rt.Run(main)
-	if r.live != nil {
-		if cerr := r.live.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if r.jrec != nil {
+	if r.closeEpochs != nil {
 		// A clean close folds the final epoch and seals the journal;
 		// recovery then reads it as complete rather than cut short.
-		if jerr := r.jrec.Close(); jerr != nil && err == nil {
-			err = fmt.Errorf("journal: %w", jerr)
+		if cerr := r.closeEpochs(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	return rep, err
@@ -376,8 +388,8 @@ func (r *Runtime) CPG() *CPG { return r.rt.Graph() }
 // carry the epoch id (QueryResult.Epoch). Cursors are valid against the
 // epoch that issued them; WaitEpoch subscribes to fold progress.
 func (r *Runtime) Query(ctx context.Context, q Query) (*QueryResult, error) {
-	if r.live != nil {
-		return r.live.Engine().Execute(ctx, q)
+	if r.feed != nil {
+		return r.feed.Query(ctx, q)
 	}
 	r.engineOnce.Do(func() {
 		r.engine = provenance.NewEngine(r.rt.Graph().Analyze(), provenance.EngineOptions{})
@@ -390,13 +402,15 @@ func (r *Runtime) Query(ctx context.Context, q Query) (*QueryResult, error) {
 var ErrNotLive = errors.New("inspector: runtime not in live mode (set Options.Live)")
 
 // Epoch returns the newest completed analysis epoch (≥ 1 once the
-// runtime exists; the pipeline folds epoch 1 eagerly). It requires
-// Options.Live and returns 0 otherwise.
+// runtime exists — the pipeline folds epoch 1 eagerly — unless
+// Options.Journal is also set: then epoch k is journal record k, 0
+// until the first seal). It requires Options.Live and returns 0
+// otherwise.
 func (r *Runtime) Epoch() uint64 {
-	if r.live == nil {
+	if r.feed == nil {
 		return 0
 	}
-	return r.live.Epoch()
+	return r.feed.Epoch()
 }
 
 // WaitEpoch blocks until the live analysis has folded epoch min (or
@@ -406,10 +420,10 @@ func (r *Runtime) Epoch() uint64 {
 // error if the context ends first, and with provenance.ErrLiveClosed if
 // the final epoch has been folded and still falls short of min.
 func (r *Runtime) WaitEpoch(ctx context.Context, min uint64) (uint64, error) {
-	if r.live == nil {
+	if r.feed == nil {
 		return 0, ErrNotLive
 	}
-	return r.live.WaitEpoch(ctx, min)
+	return r.feed.WaitEpoch(ctx, min)
 }
 
 // WriteDOT renders the CPG in Graphviz form.

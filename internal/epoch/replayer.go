@@ -1,0 +1,56 @@
+package epoch
+
+import "github.com/repro/inspector/internal/core"
+
+// Replayer rebuilds a recording from its epoch deltas: a fresh graph,
+// the analyzer folding it, and the last appended lens. One Fold per
+// Append keeps analyzer epochs and delta epochs in step, which is why a
+// replay reproduces the recording's per-epoch Analyses byte for byte.
+// Methods are not goroutine-safe; callers serialize.
+type Replayer struct {
+	g    *core.Graph
+	inc  *core.IncrementalAnalyzer
+	lens []int
+}
+
+// NewReplayer prepares an empty replay of a threads-wide graph
+// (foldWorkers: the folds' derivation fan-out, 0 = GOMAXPROCS).
+func NewReplayer(threads, foldWorkers int) *Replayer {
+	g := core.NewGraph(threads)
+	inc := core.NewIncrementalAnalyzer(g)
+	inc.SetFoldWorkers(foldWorkers)
+	return &Replayer{g: g, inc: inc}
+}
+
+// Graph returns the graph being rebuilt.
+func (r *Replayer) Graph() *core.Graph { return r.g }
+
+// Append adds d to the graph without folding it. The append is atomic
+// (core.ApplyDelta validates before it mutates), so after an error the
+// graph still ends exactly at the previous delta.
+func (r *Replayer) Append(d *core.EpochDelta) error {
+	if err := core.ApplyDelta(r.g, d); err != nil {
+		return err
+	}
+	r.lens = d.Lens
+	return nil
+}
+
+// Fold seals everything appended since the last fold into one epoch.
+func (r *Replayer) Fold() *core.Analysis { return r.inc.Fold() }
+
+// Truncate is the fold that ends a replay cut short: it first marks, on
+// every thread that has vertices, that an arbitrary suffix may be
+// missing after the last appended delta (anchored on the last replayed
+// vertex so prefix-scoped completeness retains the interval), so the
+// epoch it returns reports degraded. Journal recovery truncates instead
+// of folding its last delta; a poisoned ingest source, which already
+// published that epoch, truncates into one more.
+func (r *Replayer) Truncate() *core.Analysis {
+	for t, n := range r.lens {
+		if n > 0 {
+			r.g.AddGap(t, core.Gap{FromAlpha: uint64(n - 1), ToAlpha: uint64(n), Kind: core.GapTruncated})
+		}
+	}
+	return r.Fold()
+}

@@ -13,15 +13,19 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/faultinject"
+	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/wire"
 	"github.com/repro/inspector/internal/workloads"
@@ -40,10 +44,9 @@ func (fc *fabricCapture) finalEpoch() uint64 {
 	return fc.deltas[len(fc.deltas)-1].Epoch
 }
 
-// captureFabricRun executes one workload with a fold-every-few-seals
-// commit hook — the exact discipline provenance.StreamRecorder uses —
-// and keeps the delta stream plus the final fold's export bytes.
-func captureFabricRun(t *testing.T, app string, threads int) *fabricCapture {
+// fabricRuntime prepares one small workload under INSPECTOR and the
+// stream identity its run goes by.
+func fabricRuntime(t *testing.T, app string, threads int) (*threading.Runtime, func() error, wire.Hello) {
 	t.Helper()
 	w, err := workloads.Get(app)
 	if err != nil {
@@ -58,34 +61,35 @@ func captureFabricRun(t *testing.T, app string, threads int) *fabricCapture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := &fabricCapture{hello: wire.Hello{
-		RunID:   fmt.Sprintf("%s-t%d-s1", app, threads),
-		App:     app,
-		Threads: rt.Graph().Threads(),
-	}}
-	inc := core.NewIncrementalAnalyzer(rt.Graph())
-	var mu sync.Mutex
-	seals := 0
-	rt.RegisterCommitHook(func(core.SubID) {
-		mu.Lock()
-		defer mu.Unlock()
-		seals++
-		if seals%4 == 0 {
-			_, d := inc.FoldDelta()
-			fc.deltas = append(fc.deltas, d)
-		}
-	})
-	if err := w.Run(rt, cfg); err != nil {
+	hello := wire.Hello{RunID: fmt.Sprintf("%s-t%d-s1", app, threads), App: app, Threads: rt.Graph().Threads()}
+	return rt, func() error { return w.Run(rt, cfg) }, hello
+}
+
+// deltaCapture is an epoch.Sink that keeps the delta stream.
+type deltaCapture struct{ deltas []*core.EpochDelta }
+
+func (c *deltaCapture) Emit(_ *core.Analysis, d *core.EpochDelta) error {
+	c.deltas = append(c.deltas, d)
+	return nil
+}
+func (c *deltaCapture) Finish(uint64) error { return nil }
+
+// captureFabricRun executes one workload under the product epoch driver
+// at a fold-every-4-seals cadence, with a sink that keeps the delta
+// stream, plus the final fold's export bytes.
+func captureFabricRun(t *testing.T, app string, threads int) *fabricCapture {
+	t.Helper()
+	rt, run, hello := fabricRuntime(t, app, threads)
+	var sink deltaCapture
+	drv := epoch.NewDriver(rt.Graph(), epoch.Options{Every: 4}, &sink)
+	rt.RegisterCommitHook(drv.CommitHook())
+	if err := run(); err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
-	a, d := inc.FoldDelta()
-	fc.deltas = append(fc.deltas, d)
-	var buf bytes.Buffer
-	if err := a.ExportJSON(&buf); err != nil {
+	if err := drv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fc.export = buf.Bytes()
-	return fc
+	return &fabricCapture{hello: hello, deltas: sink.deltas, export: exportAnalysisJSON(t, drv.Analysis())}
 }
 
 // newAggregator stands up an ingest-mode server.
@@ -183,5 +187,110 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// killSwitch lets a recorder's first n requests through and fails every
+// one after: from the aggregator's side, a recorder SIGKILLed mid-stream.
+type killSwitch struct{ left atomic.Int64 }
+
+func (k *killSwitch) RoundTrip(r *http.Request) (*http.Response, error) {
+	if k.left.Add(-1) < 0 {
+		return nil, errors.New("recorder killed")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestFabricKillRefeedMultiThread is the crash-resume path at the thread
+// counts where it used to break: a multi-threaded run journals and
+// streams at once, the stream dies after a random prefix, and the
+// journal is re-fed from epoch 1 (what inspector-recover -stream does).
+// Journal and stream are sinks of one fold, so the journal's record k is
+// the cut the aggregator already holds as epoch k: the prefix dedups, the
+// tail applies, and the export matches the uninterrupted run's own fold.
+// With a private analyzer per recorder (as before the epoch pipeline)
+// the two cut about one epoch in six differently at >1 thread, and a
+// re-feed over such a prefix was answered HTTP 400 and poisoned the
+// source — so one run streams to several sources, each killed at its
+// own prefix.
+func TestFabricKillRefeedMultiThread(t *testing.T) {
+	const streams = 12
+	r := rand.New(rand.NewSource(12))
+	for _, threads := range []int{2, 4} {
+		t.Run(fmt.Sprintf("word_count-t%d", threads), func(t *testing.T) {
+			rt, run, hello := fabricRuntime(t, "word_count", threads)
+			ts := newAggregator(t)
+			dir := t.TempDir()
+			jw, err := journal.Create(journal.Options{
+				Dir: dir, Threads: hello.Threads, App: hello.App, RunID: hello.RunID, Fsync: journal.PolicyNone,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sinks := []epoch.Sink{jw}
+			ups := make([]*provenance.Uploader, streams)
+			for i := range ups {
+				kill := &killSwitch{}
+				kill.left.Store(1 + r.Int63n(12))
+				ups[i], err = provenance.NewUploader(
+					&provenance.Client{BaseURL: ts.URL, HTTPClient: &http.Client{Transport: kill}},
+					hello.Threads,
+					provenance.StreamOptions{Source: fmt.Sprintf("w%d", i), RunID: hello.RunID, App: hello.App, Batch: 2, MaxResyncs: 1},
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sinks = append(sinks, ups[i])
+			}
+			drv := epoch.NewDriver(rt.Graph(), epoch.Options{}, sinks...)
+			rt.RegisterCommitHook(drv.CommitHook())
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := drv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := exportAnalysisJSON(t, drv.Analysis())
+			rep, err := journal.Recover(dir, journal.RecoverOptions{KeepDeltas: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Sealed || rep.Epoch != drv.Epoch() {
+				t.Fatalf("journal sealed=%v at epoch %d, run folded %d", rep.Sealed, rep.Epoch, drv.Epoch())
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			c := &provenance.Client{BaseURL: ts.URL}
+			for i, up := range ups {
+				source := fmt.Sprintf("w%d", i)
+				if err := up.Wait(ctx); err == nil {
+					t.Fatalf("%s: the killed stream reported a clean flush", source)
+				}
+				off, found, err := c.IngestOffset(ctx, source)
+				if err != nil || !found {
+					t.Fatalf("%s: offset after the kill: found=%v err=%v", source, found, err)
+				}
+				prefix := int(off.NextEpoch - 1)
+				if prefix == 0 || uint64(prefix) >= rep.Epoch {
+					t.Fatalf("%s: stream died with %d of %d epochs on the aggregator; want a proper prefix", source, prefix, rep.Epoch)
+				}
+				st, err := provenance.UploadDeltas(ctx, c, source, hello, rep.Deltas, 64, &wire.Seal{FinalEpoch: rep.Epoch})
+				if err != nil {
+					t.Fatalf("%s: re-feed from epoch 1 over a %d-epoch prefix: %v", source, prefix, err)
+				}
+				if st.Duplicates != prefix || st.Degraded || !st.Sealed || st.NextEpoch != rep.Epoch+1 {
+					t.Fatalf("%s: re-feed status = %+v, want %d duplicates, sealed at next=%d, not degraded",
+						source, st, prefix, rep.Epoch+1)
+				}
+				got, err := c.Export(ctx, source)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: re-fed aggregator export != the uninterrupted run's own fold", source)
+				}
+			}
+		})
 	}
 }

@@ -224,9 +224,6 @@ func Create(opts Options) (*Writer, error) {
 // RunID returns the journal's run identity.
 func (w *Writer) RunID() string { return w.opts.RunID }
 
-// Err returns the latched error, if any.
-func (w *Writer) Err() error { return w.err }
-
 // openSegment creates segment seq and writes magic, version, and the
 // header record.
 func (w *Writer) openSegment(seq, baseEpoch uint64) error {

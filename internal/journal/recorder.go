@@ -1,113 +1,62 @@
 package journal
 
 import (
-	"sync"
-
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 )
 
-// Recorder drives journaling from the runtime's commit hook: every N
-// sealed sub-computations it folds one epoch (FoldDelta) and appends
-// the delta to the Writer, synchronously on the sealing thread. The
-// synchronous discipline is the durability contract — under
-// PolicyAlways a workload cannot proceed past a seal whose epoch is not
-// on stable storage — and it makes single-thread runs journal
-// deterministically, which the kill-recover chaos sweep leans on.
-//
-// A journal write error latches: recording continues unharmed (the
-// journal is an observer, never a gate on the workload), no further
-// appends are attempted, and Err surfaces the failure at close.
+// Emit appends the epoch's delta: with Finish it makes a Writer an
+// epoch.Sink. List it first, so an epoch is on the journal before any
+// later sink can observe it. The driver calls Emit synchronously on the
+// sealing thread, which is the durability contract: under PolicyAlways
+// a workload cannot proceed past a seal whose epoch is not on stable
+// storage. A write error latches the sink only (the journal observes
+// the workload, never gates it) and surfaces from the driver's Close.
+func (w *Writer) Emit(_ *core.Analysis, d *core.EpochDelta) error { return w.Append(d) }
+
+// Finish seals the journal after the final epoch — the clean-close
+// marker recovery uses to tell a finished run from a killed one. After
+// a latched error it closes the file without sealing: the journal then
+// truthfully reads as cut short.
+func (w *Writer) Finish(final uint64) error {
+	if w.err != nil {
+		return w.Close()
+	}
+	return w.Seal(final)
+}
+
+// Recorder is the stand-alone journaling pipeline: an epoch.Driver
+// (CommitHook, Epoch, Close) whose only sink is its Writer plus the
+// OnEpoch observer.
 type Recorder struct {
 	// OnEpoch, when set before recording starts, observes every
 	// journaled epoch (tests use it to capture the in-process analyses
-	// the recovery property compares against). Called with the
-	// recorder's lock held; keep it cheap.
+	// the recovery property compares against). Called on the sealing
+	// thread with the driver's lock held; keep it cheap.
 	OnEpoch func(*core.Analysis, *core.EpochDelta)
 
-	mu    sync.Mutex
-	inc   *core.IncrementalAnalyzer
-	w     *Writer
-	every uint64
-	seals uint64
-	err   error
+	*epoch.Driver
+	w *Writer
 }
 
 // NewRecorder prepares a recorder folding g into w every `every` seals
 // (minimum 1: every seal journals an epoch).
 func NewRecorder(g *core.Graph, w *Writer, every int) *Recorder {
-	if every < 1 {
-		every = 1
-	}
-	return &Recorder{inc: core.NewIncrementalAnalyzer(g), w: w, every: uint64(every)}
+	r := &Recorder{w: w}
+	r.Driver = epoch.NewDriver(g, epoch.Options{Every: uint64(max(every, 1))}, r)
+	return r
 }
 
-// SetFoldWorkers caps the fold's data-edge derivation fan-out (0 =
-// GOMAXPROCS, 1 = serial; see core.IncrementalAnalyzer.SetFoldWorkers).
-// Call it before recording starts.
-func (r *Recorder) SetFoldWorkers(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.inc.SetFoldWorkers(n)
-}
-
-// CommitHook returns the callback to pass to RegisterCommitHook.
-func (r *Recorder) CommitHook() func(core.SubID) {
-	return func(core.SubID) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.err != nil {
-			return
-		}
-		r.seals++
-		if r.seals%r.every == 0 {
-			r.foldLocked()
-		}
-	}
-}
-
-// foldLocked seals one epoch and appends its delta.
-func (r *Recorder) foldLocked() {
-	a, d := r.inc.FoldDelta()
+// Emit appends the epoch and reports it to OnEpoch (epoch.Sink).
+func (r *Recorder) Emit(a *core.Analysis, d *core.EpochDelta) error {
 	if err := r.w.Append(d); err != nil {
-		r.err = err
-		return
+		return err
 	}
 	if r.OnEpoch != nil {
 		r.OnEpoch(a, d)
 	}
+	return nil
 }
 
-// Epoch returns the number of journaled epochs so far.
-func (r *Recorder) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inc.Epoch()
-}
-
-// Err returns the latched journal error, if any.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// Close folds a final epoch covering everything sealed since the last
-// append and seals the journal (the clean-close marker recovery uses to
-// distinguish a finished run from a killed one). On a latched error it
-// closes the file without sealing — the journal then truthfully reads
-// as cut short — and returns the original error.
-func (r *Recorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.err == nil {
-		r.foldLocked()
-	}
-	if r.err != nil {
-		r.w.Close()
-		return r.err
-	}
-	if err := r.w.Seal(r.inc.Epoch()); err != nil {
-		r.err = err
-	}
-	return r.err
-}
+// Finish is the Writer's (epoch.Sink).
+func (r *Recorder) Finish(final uint64) error { return r.w.Finish(final) }

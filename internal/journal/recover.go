@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
 
@@ -50,10 +51,6 @@ type RecoverOptions struct {
 	// and everything after it in its segment, plus any later segments.
 	// A subsequent Recover sees a clean (if unsealed) journal.
 	Truncate bool
-	// FoldWorkers caps the replay folds' data-edge derivation fan-out
-	// (0 = GOMAXPROCS, 1 = serial). Replay is equivalent either way; the
-	// knob only trades recovery latency against CPU.
-	FoldWorkers int
 	// KeepDeltas retains the replayed delta records on Recovery.Deltas,
 	// in epoch order — the re-streaming path: feeding a recovered
 	// journal back to an aggregator after the recorder died.
@@ -288,76 +285,48 @@ scan:
 		return nil, fmt.Errorf("journal: %s has no usable header: %s", dir, reason)
 	}
 
-	// Semantic validation pass on a throwaway graph: a record that
-	// passed its CRC can still be forged or stale; finding the first
-	// bad one here lets the real replay below mark the truncation gap
-	// *before* its final fold, so the last Analysis carries the
-	// degraded completeness.
-	probe := core.NewGraph(rep.Header.Threads)
-	for i, r := range recs {
-		if err := core.ApplyDelta(probe, r.delta); err != nil {
-			rep.Torn = &TornInfo{
-				Segment: r.seg,
-				Offset:  r.off,
-				Reason:  fmt.Sprintf("invalid delta: %v", err),
-				Epoch:   r.delta.Epoch - 1,
-			}
-			rep.Sealed = false
-			recs = recs[:i]
+	// Replay: one fold per record, so the Analysis epoch counter lands
+	// exactly on the recovered epoch. A record that passed its CRC can
+	// still be forged or stale, so each is validated against the graph
+	// while its predecessor's fold is still pending: the replay learns
+	// which record is the last good one *before* folding it, and an
+	// unsealed or torn journal gets its truncated gap under that final
+	// fold rather than in an extra epoch.
+	rp := epoch.NewReplayer(rep.Header.Threads, 0)
+	n := 0
+	for ; n < len(recs); n++ {
+		r := recs[n]
+		if err := core.ValidateDelta(rp.Graph(), r.delta); err != nil {
+			torn(r.seg, r.off, fmt.Sprintf("invalid delta: %v", err))
+			rep.Torn.Epoch, rep.Sealed = uint64(n), false
 			break
 		}
+		if n > 0 {
+			rp.Fold()
+		}
+		if err := rp.Append(r.delta); err != nil {
+			// Validation just passed; failing here is a bug.
+			return nil, fmt.Errorf("journal: replay diverged from validation: %w", err)
+		}
+		if opts.KeepDeltas {
+			rep.Deltas = append(rep.Deltas, r.delta)
+		}
 	}
-
+	switch {
+	case n == 0:
+		rep.Analysis = rp.Graph().Analyze()
+	case !rep.Sealed && (rep.Torn != nil || !rep.Stopped):
+		rep.Analysis = rp.Truncate()
+	default:
+		rep.Analysis = rp.Fold()
+	}
 	if opts.Truncate && rep.Torn != nil {
 		if err := truncateTail(segs, rep.Torn); err != nil {
 			return nil, err
 		}
 	}
-
-	// Replay for real: apply + fold per record, so the Analysis epoch
-	// counter lands exactly on the recovered epoch. An unsealed or torn
-	// journal gets its truncated gap *before* the final fold.
-	g := core.NewGraph(rep.Header.Threads)
-	inc := core.NewIncrementalAnalyzer(g)
-	inc.SetFoldWorkers(opts.FoldWorkers)
-	mark := !rep.Sealed && (rep.Torn != nil || !rep.Stopped)
-	for i, r := range recs {
-		if err := core.ApplyDelta(g, r.delta); err != nil {
-			// The probe pass vetted every record; failing here is a bug.
-			return nil, fmt.Errorf("journal: replay diverged from validation: %w", err)
-		}
-		if i == len(recs)-1 && mark {
-			markTruncated(g, r.delta.Lens)
-		}
-		rep.Analysis = inc.Fold()
-		if opts.KeepDeltas {
-			rep.Deltas = append(rep.Deltas, r.delta)
-		}
-	}
-	rep.Graph = g
-	rep.Records = len(recs)
-	rep.Epoch = inc.Epoch()
-	if rep.Analysis == nil {
-		rep.Analysis = g.Analyze()
-	}
+	rep.Graph, rep.Records, rep.Epoch = rp.Graph(), n, uint64(n)
 	return rep, nil
-}
-
-// markTruncated records the everything-after-here uncertainty on every
-// thread that has vertices: the run continued past the last durable
-// epoch (or would have), so each thread's recording may be missing an
-// arbitrary suffix. The interval is anchored on the last recovered
-// vertex so prefix-scoped completeness (gapsForPrefix) retains it.
-func markTruncated(g *core.Graph, lens []int) {
-	for t, n := range lens {
-		if n > 0 {
-			g.AddGap(t, core.Gap{
-				FromAlpha: uint64(n - 1),
-				ToAlpha:   uint64(n),
-				Kind:      core.GapTruncated,
-			})
-		}
-	}
 }
 
 // truncateTail physically removes the torn tail identified by ti: later

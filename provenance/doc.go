@@ -31,17 +31,19 @@
 //
 // # Live graphs
 //
-// Queries do not require the traced execution to have finished. A
-// LiveEngine folds a still-recording graph into successive immutable
-// epoch Analyses (core.IncrementalAnalyzer) and always serves the
-// newest one; Result.Epoch says which epoch answered, and cursors are
-// valid against exactly that epoch. The Server resolves one engine per
-// request (EngineSource), so a request is pinned to one epoch however
-// far the fold advances while it executes. Post-mortem engines report
-// epoch 0 and omit the field on the wire — the live additions are
-// strictly backward compatible within provenance/v1.
+// Queries do not require the traced execution to have finished. The
+// epoch pipeline (internal/epoch) folds a still-recording graph into
+// successive immutable epoch Analyses and a Feed publishes each — a
+// LiveEngine's, folded off the recording path, or an IngestSource's,
+// replayed from a recorder's streamed deltas. Result.Epoch says which
+// epoch answered, and cursors are valid against exactly that epoch. The
+// Server resolves one engine per request from its Source, so a request
+// is pinned to one epoch however far the fold advances while it
+// executes. Post-mortem engines report epoch 0 and omit the field on
+// the wire — the live additions are strictly backward compatible
+// within provenance/v1.
 //
 // See DESIGN.md, sections "The query API & service" (grammar, cursor
 // contract, wire format) and "The live pipeline" (epoch model,
-// equivalence guarantee).
+// equivalence guarantee, the epoch pipeline's sink order and numbering).
 package provenance

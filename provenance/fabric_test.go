@@ -10,6 +10,7 @@ package provenance
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -259,7 +260,7 @@ func TestIngestConformanceRandomSchedules(t *testing.T) {
 // truncation gaps marked, per the degraded-trace rules.
 func TestIngestDegradedSource(t *testing.T) {
 	run := recordFabric(t, 2, 24, 3)
-	_, ts := newFabricServer(t, IngestOptions{})
+	hub, ts := newFabricServer(t, IngestOptions{})
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
@@ -281,24 +282,54 @@ func TestIngestDegradedSource(t *testing.T) {
 	if _, err := post(t, c, "w", run.hello, run.deltas[2:3], nil); serverStatus(err) != http.StatusConflict {
 		t.Fatalf("post after poison err = %v, want HTTP 409", err)
 	}
-	// Queries still serve, flagged degraded, and the push wire reports
-	// the source closed.
+	// The resume offset still names the last applied delta; the degraded
+	// republish was one more fold, so the source's published epoch is one
+	// past it — and every epoch surface reports that one number.
+	applied := run.deltas[1].Epoch
+	if off.NextEpoch != applied+1 {
+		t.Fatalf("offset after poison: next epoch %d, want %d", off.NextEpoch, applied+1)
+	}
+	src, _ := hub.Source("w")
+	published := src.Epoch()
+	if published != applied+1 {
+		t.Fatalf("published epoch after poison = %d, want %d (one degraded fold past %d)", published, applied+1, applied)
+	}
+	// Queries still serve, flagged degraded.
 	res, err := c.Stats(ctx, "w")
-	if err != nil || !res.Degraded {
-		t.Fatalf("stats after poison = %+v err=%v, want degraded result", res, err)
+	if err != nil || !res.Degraded || res.Epoch != published {
+		t.Fatalf("stats after poison = %+v err=%v, want degraded result at epoch %d", res, err, published)
 	}
-	if _, err := c.Export(ctx, "w"); err != nil {
-		t.Fatalf("export after poison: %v", err)
+	resp, err := http.Get(ts.URL + "/v1/cpgs/w/export")
+	if err != nil {
+		t.Fatal(err)
 	}
-	est, err := c.WaitEpoch(ctx, "w", run.deltas[1].Epoch+5, 2*time.Second)
-	if err != nil || !est.Closed {
-		t.Fatalf("watch after poison = %+v err=%v, want closed", est, err)
+	resp.Body.Close()
+	if got := resp.Header.Get("Inspector-Epoch"); resp.StatusCode != http.StatusOK || got != fmt.Sprint(published) {
+		t.Fatalf("export after poison: status %d, Inspector-Epoch %q, want 200 at epoch %d", resp.StatusCode, got, published)
+	}
+	// The push wire reports the source closed at that epoch, asked
+	// without a wait or parked above it.
+	for _, wait := range []time.Duration{0, 2 * time.Second} {
+		est, err := c.WaitEpoch(ctx, "w", published+5, wait)
+		if err != nil || est.Epoch != published || (wait > 0 && !est.Closed) {
+			t.Fatalf("watch (wait %v) after poison = %+v err=%v, want epoch %d, closed once parked", wait, est, err, published)
+		}
+	}
+	resp, err = http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ready ReadyStatus
+	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil || ready.Epochs["w"] != published {
+		t.Fatalf("/readyz after poison = %+v err=%v, want w at epoch %d", ready, err, published)
 	}
 }
 
 // TestWaitEpochPush exercises the long-poll: a watcher parked above the
-// current epoch wakes when ingest publishes it, and learns Closed from
-// the seal.
+// current epoch wakes when ingest publishes it, and a zero wait answers
+// at once. (What a closed source answers is TestFeedWaitEpochContract's,
+// and its mapping onto the wire TestIngestDegradedSource's.)
 func TestWaitEpochPush(t *testing.T) {
 	run := recordFabric(t, 2, 24, 5)
 	_, ts := newFabricServer(t, IngestOptions{})
@@ -334,15 +365,6 @@ func TestWaitEpochPush(t *testing.T) {
 	st, err := c.WaitEpoch(ctx, "w", target+100, 0)
 	if err != nil || st.Epoch != target || st.Closed {
 		t.Fatalf("immediate poll = %+v err=%v, want epoch %d open", st, err, target)
-	}
-
-	// Finish the stream; a watcher above the final epoch learns Closed.
-	if _, err := post(t, c, "w", run.hello, run.deltas[2:], &wire.Seal{FinalEpoch: run.finalEpoch()}); err != nil {
-		t.Fatal(err)
-	}
-	st, err = c.WaitEpoch(ctx, "w", run.finalEpoch()+1, 5*time.Second)
-	if err != nil || !st.Closed || st.Epoch != run.finalEpoch() {
-		t.Fatalf("post-seal watch = %+v err=%v, want closed at %d", st, err, run.finalEpoch())
 	}
 }
 

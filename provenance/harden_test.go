@@ -96,7 +96,7 @@ func TestDegradedOnTheWire(t *testing.T) {
 func TestHealthAndReady(t *testing.T) {
 	liveSrc := NewLiveEngine(core.NewGraph(1), EngineOptions{})
 	defer liveSrc.Close()
-	srv := NewServerSources(map[string]EngineSource{
+	srv := NewServerSources(map[string]Source{
 		"fig1": StaticSource(NewEngine(figure1(t), EngineOptions{})),
 		"live": liveSrc,
 	}, ServerOptions{})
@@ -148,14 +148,16 @@ func TestHealthAndReady(t *testing.T) {
 	}
 }
 
-// panicSource explodes on resolution, standing in for any handler bug.
-type panicSource struct{}
+// panicSource explodes on queries, standing in for any handler bug.
+type panicSource struct{ Source }
 
-func (panicSource) Engine() *Engine { panic("injected handler panic") }
+func (panicSource) Query(context.Context, Query) (*Result, error) {
+	panic("injected handler panic")
+}
 
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	srv := NewServerSources(map[string]EngineSource{
-		"boom": panicSource{},
+	srv := NewServerSources(map[string]Source{
+		"boom": panicSource{StaticSource(NewEngine(figure1(t), EngineOptions{}))},
 		"fig1": StaticSource(NewEngine(figure1(t), EngineOptions{})),
 	}, ServerOptions{Logf: func(string, ...any) {}})
 	ts := httptest.NewServer(srv)
@@ -182,19 +184,22 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// gateSource blocks resolution until released, pinning a request
+// gateSource blocks queries until released, pinning a request
 // in-flight for as long as a test needs.
 type gateSource struct {
-	e    *Engine
+	Source
 	gate chan struct{}
 }
 
-func (g gateSource) Engine() *Engine { <-g.gate; return g.e }
+func (g gateSource) Query(ctx context.Context, q Query) (*Result, error) {
+	<-g.gate
+	return g.Source.Query(ctx, q)
+}
 
 func TestMaxInflightSheds(t *testing.T) {
 	gate := make(chan struct{})
-	srv := NewServerSources(map[string]EngineSource{
-		"slow": gateSource{e: NewEngine(figure1(t), EngineOptions{}), gate: gate},
+	srv := NewServerSources(map[string]Source{
+		"slow": gateSource{Source: StaticSource(NewEngine(figure1(t), EngineOptions{})), gate: gate},
 	}, ServerOptions{MaxInflight: 1, RetryAfter: 2 * time.Second})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

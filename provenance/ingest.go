@@ -1,24 +1,24 @@
 package provenance
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
 
 // The ingest side of the distributed fabric: recorder processes stream
 // CRC-checksummed epoch-delta frames (the journal's record format, see
 // internal/wire) over HTTP, and the aggregator folds each source's
-// deltas through the same IncrementalAnalyzer path a local recording
-// uses. The correctness anchor is replay equivalence: the per-source
-// CPG served here is byte-for-byte the one the recorder's own fold
-// produced at the same epoch.
+// deltas through the same incremental fold a local recording uses (an
+// epoch.Replayer, shared with journal recovery). The correctness anchor
+// is replay equivalence: the per-source CPG served here is
+// byte-for-byte the one the recorder's own fold produced at the same
+// epoch.
 //
 // The resume contract, pinned by the conformance tests:
 //
@@ -30,8 +30,8 @@ import (
 //   - A delta that skips ahead is rejected with 409 and applies
 //     nothing; the client re-reads the offset and resumes.
 //   - A delta that fails validation poisons the source: the last good
-//     epoch stays served, marked degraded, and every later ingest is
-//     refused. Malformed input is never silently wrong.
+//     epoch is republished as one final epoch marked degraded, and every
+//     later ingest is refused. Malformed input is never silently wrong.
 
 // Ingest error classes, surfaced as typed errors so the HTTP layer maps
 // them to distinct statuses (and clients can tell retryable from
@@ -185,63 +185,32 @@ func (h *IngestHub) bind(name string, hello wire.Hello) (*IngestSource, error) {
 	return src, nil
 }
 
-// IngestSource is one recorder's CPG as the aggregator rebuilds it:
-// a graph plus an IncrementalAnalyzer fed by ApplyDelta, folded once
-// per applied delta so analyzer epochs and delta epochs coincide — the
-// invariant behind byte-identical exports.
+// IngestSource is one recorder's CPG as the aggregator rebuilds it: an
+// epoch.Replayer fed one delta at a time, each applied epoch published
+// through the embedded Feed (which makes it a Source).
 type IngestSource struct {
+	*Feed
 	name  string
 	hello wire.Hello
-	eopts EngineOptions
 
-	// cur is the newest published epoch's engine; epoch mirrors the
-	// last applied delta epoch for lock-free hinting.
-	cur   atomic.Pointer[Engine]
-	epoch atomic.Uint64
-
-	mu       sync.Mutex
-	g        *core.Graph
-	inc      *core.IncrementalAnalyzer
-	lastLens []int
-	sealed   bool
-	poison   error
-	// watch is replaced (and the old one closed) on every publish;
-	// closed is closed once no further epochs can arrive (seal or
-	// poison). Mirrors LiveEngine's subscription machinery.
-	watch     chan struct{}
-	closedCh  chan struct{}
-	closeOnce sync.Once
+	mu sync.Mutex
+	rp *epoch.Replayer
+	// applied is the last applied delta epoch — the resume offset. It is
+	// the published epoch too, until a poisoning delta: the degraded
+	// republish is one more fold, so it carries applied+1.
+	applied uint64
+	sealed  bool
+	poison  error
 }
 
 func newIngestSource(name string, hello wire.Hello, eopts EngineOptions) *IngestSource {
-	g := core.NewGraph(hello.Threads)
-	inc := core.NewIncrementalAnalyzer(g)
-	inc.SetFoldWorkers(eopts.FoldWorkers)
-	s := &IngestSource{
-		name:     name,
-		hello:    hello,
-		eopts:    eopts,
-		g:        g,
-		inc:      inc,
-		watch:    make(chan struct{}),
-		closedCh: make(chan struct{}),
+	return &IngestSource{
+		Feed:  NewFeed(hello.Threads, eopts),
+		name:  name,
+		hello: hello,
+		rp:    epoch.NewReplayer(hello.Threads, eopts.FoldWorkers),
 	}
-	// Serve an empty epoch-0 analysis until the first delta arrives, so
-	// Engine never returns nil. The analyzer itself stays at epoch 0:
-	// its first fold must land on delta epoch 1.
-	s.cur.Store(NewEngine(core.NewGraph(hello.Threads).Analyze(), eopts))
-	return s
 }
-
-// Engine returns the newest published epoch's engine (EngineSource).
-func (s *IngestSource) Engine() *Engine { return s.cur.Load() }
-
-// EpochHint returns the last applied delta epoch without materializing
-// anything (epochHinter).
-func (s *IngestSource) EpochHint() uint64 { return s.epoch.Load() }
-
-// RunID returns the run identity the source is bound to.
-func (s *IngestSource) RunID() string { return s.hello.RunID }
 
 // Status summarizes the source for the offset endpoint.
 func (s *IngestSource) Status() IngestStatus {
@@ -251,7 +220,7 @@ func (s *IngestSource) Status() IngestStatus {
 		Version:   Version,
 		Source:    s.name,
 		RunID:     s.hello.RunID,
-		NextEpoch: s.epoch.Load() + 1,
+		NextEpoch: s.applied + 1,
 		Sealed:    s.sealed,
 		Degraded:  s.poison != nil,
 	}
@@ -269,37 +238,29 @@ func (s *IngestSource) apply(d *core.EpochDelta) (applied bool, err error) {
 	if s.poison != nil {
 		return false, fmt.Errorf("%w: %v", ErrSourceDegraded, s.poison)
 	}
-	cur := s.epoch.Load()
-	if d.Epoch <= cur {
+	if d.Epoch <= s.applied {
 		// Duplicate delivery (a replayed prefix, a retried batch): the
 		// epoch is already durable here; first write wins.
 		return false, nil
 	}
 	if s.sealed {
-		return false, fmt.Errorf("%w: source %q sealed at epoch %d", ErrSourceSealed, s.name, cur)
+		return false, fmt.Errorf("%w: source %q sealed at epoch %d", ErrSourceSealed, s.name, s.applied)
 	}
-	if d.Epoch != cur+1 {
-		return false, fmt.Errorf("%w: got epoch %d, want %d", ErrEpochGap, d.Epoch, cur+1)
+	if d.Epoch != s.applied+1 {
+		return false, fmt.Errorf("%w: got epoch %d, want %d", ErrEpochGap, d.Epoch, s.applied+1)
 	}
-	if err := core.ApplyDelta(s.g, d); err != nil {
-		// ApplyDelta is atomic, so the graph still holds exactly the
-		// last good epoch. Latch the poison, mark the loss the way
-		// journal recovery marks a torn tail, and publish the degraded
-		// epoch so queries stop claiming completeness.
+	if err := s.rp.Append(d); err != nil {
+		// The append is atomic, so the graph still holds exactly the last
+		// good epoch. Latch the poison, mark the loss the way journal
+		// recovery marks a torn tail, and publish the degraded fold as
+		// the source's final epoch so queries stop claiming completeness.
 		s.poison = err
-		for t, n := range s.lastLens {
-			if n > 0 {
-				s.g.AddGap(t, core.Gap{FromAlpha: uint64(n - 1), ToAlpha: uint64(n), Kind: core.GapTruncated})
-			}
-		}
-		s.publishLocked(s.inc.Fold())
-		s.closeOnce.Do(func() { close(s.closedCh) })
+		s.publish(s.rp.Truncate())
+		s.shut()
 		return false, err
 	}
-	a := s.inc.Fold()
-	s.lastLens = d.Lens
-	s.epoch.Store(d.Epoch)
-	s.publishLocked(a)
+	s.applied = d.Epoch
+	s.publish(s.rp.Fold())
 	return true, nil
 }
 
@@ -311,48 +272,10 @@ func (s *IngestSource) seal(finalEpoch uint64) error {
 	if s.poison != nil {
 		return fmt.Errorf("%w: %v", ErrSourceDegraded, s.poison)
 	}
-	cur := s.epoch.Load()
-	if finalEpoch != cur {
-		return fmt.Errorf("%w: seal names epoch %d, source is at %d", ErrEpochGap, finalEpoch, cur)
-	}
-	if s.sealed {
-		return nil
+	if finalEpoch != s.applied {
+		return fmt.Errorf("%w: seal names epoch %d, source is at %d", ErrEpochGap, finalEpoch, s.applied)
 	}
 	s.sealed = true
-	s.closeOnce.Do(func() { close(s.closedCh) })
+	s.shut()
 	return nil
-}
-
-// publishLocked installs the engine for a freshly folded epoch and
-// wakes WaitEpoch callers. Callers hold s.mu.
-func (s *IngestSource) publishLocked(a *core.Analysis) {
-	s.cur.Store(NewEngine(a, s.eopts))
-	close(s.watch)
-	s.watch = make(chan struct{})
-}
-
-// WaitEpoch blocks until the published epoch reaches min (returning the
-// epoch that satisfied it) or ctx is done (returning the newest epoch
-// alongside ctx's error). Once the source is sealed or poisoned it
-// returns ErrLiveClosed for epochs that will never arrive — the same
-// contract as LiveEngine.WaitEpoch, so the push wire serves both.
-func (s *IngestSource) WaitEpoch(ctx context.Context, min uint64) (uint64, error) {
-	for {
-		s.mu.Lock()
-		w := s.watch
-		s.mu.Unlock()
-		if e := s.epoch.Load(); e >= min {
-			return e, nil
-		}
-		select {
-		case <-w:
-		case <-ctx.Done():
-			return s.epoch.Load(), ctx.Err()
-		case <-s.closedCh:
-			if e := s.epoch.Load(); e >= min {
-				return e, nil
-			}
-			return s.epoch.Load(), ErrLiveClosed
-		}
-	}
 }

@@ -103,10 +103,114 @@ func TestLiveEngineCloseFoldsFinalEpoch(t *testing.T) {
 	}
 	// Idempotent.
 	live.Close()
+}
 
-	// WaitEpoch for an epoch that can never come fails with ErrLiveClosed.
-	if _, err := live.WaitEpoch(context.Background(), live.Epoch()+100); err != ErrLiveClosed {
-		t.Fatalf("WaitEpoch after close = %v, want ErrLiveClosed", err)
+// TestFeedWaitEpochContract pins the WaitEpoch contract once, against
+// the Feed, with its two embedders as inputs: satisfied, ctx done (an
+// already-done ctx never parks), and closed-then-recheck.
+func TestFeedWaitEpochContract(t *testing.T) {
+	type subject struct {
+		feed *Feed
+		// advance publishes one more epoch; finish publishes a last one
+		// and closes the feed behind it.
+		advance, finish func()
+	}
+	subjects := map[string]func(t *testing.T) subject{
+		"LiveEngine": func(t *testing.T) subject {
+			f := newLiveFixture(t)
+			live := NewLiveEngine(f.g, EngineOptions{})
+			t.Cleanup(func() { live.Close() })
+			return subject{
+				feed:    live.Feed,
+				advance: func() { f.seal(t, 1); live.Notify() },
+				// Sealed but never notified: only Close's final fold
+				// publishes it.
+				finish: func() { f.seal(t, 2); live.Close() },
+			}
+		},
+		"IngestSource": func(t *testing.T) subject {
+			run := recordFabric(t, 2, 24, 7)
+			src := newIngestSource("w", run.hello, EngineOptions{})
+			apply := func() {
+				if _, err := src.apply(run.deltas[src.Epoch()]); err != nil {
+					t.Error(err)
+				}
+			}
+			apply()
+			return subject{
+				feed:    src.Feed,
+				advance: apply,
+				finish: func() {
+					apply()
+					if err := src.seal(src.Epoch()); err != nil {
+						t.Error(err)
+					}
+				},
+			}
+		},
+	}
+	type outcome struct {
+		epoch uint64
+		err   error
+	}
+	// park starts a waiter on its own goroutine.
+	park := func(ctx context.Context, f *Feed, min uint64) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			e, err := f.WaitEpoch(ctx, min)
+			out <- outcome{e, err}
+		}()
+		return out
+	}
+	for name, build := range subjects {
+		t.Run(name, func(t *testing.T) {
+			s := build(t)
+			cur := s.feed.Epoch()
+			if cur < 1 {
+				t.Fatalf("fixture starts at epoch %d, want >= 1", cur)
+			}
+			done, cancel := context.WithCancel(context.Background())
+			cancel()
+
+			// Satisfied wins over a done ctx; unsatisfied, a done ctx
+			// answers at once with the newest epoch.
+			if e, err := s.feed.WaitEpoch(done, cur); e != cur || err != nil {
+				t.Fatalf("WaitEpoch(done ctx, %d) = %d, %v; want satisfied", cur, e, err)
+			}
+			if e, err := s.feed.WaitEpoch(done, cur+1); e != cur || err != context.Canceled {
+				t.Fatalf("WaitEpoch(done ctx, %d) = %d, %v; want %d, context.Canceled", cur+1, e, err, cur)
+			}
+
+			// A parked waiter gives up with its ctx...
+			ctx, cancel := context.WithCancel(context.Background())
+			parked := park(ctx, s.feed, cur+100)
+			cancel()
+			if got := <-parked; got.epoch != cur || got.err != context.Canceled {
+				t.Fatalf("cancelled waiter = %+v, want epoch %d, context.Canceled", got, cur)
+			}
+			// ...and wakes on the publish that satisfies it.
+			parked = park(context.Background(), s.feed, cur+1)
+			s.advance()
+			if got := <-parked; got.epoch != cur+1 || got.err != nil {
+				t.Fatalf("woken waiter = %+v, want epoch %d", got, cur+1)
+			}
+
+			// An epoch published together with the close still satisfies;
+			// one that can no longer arrive is ErrLiveClosed, alongside
+			// the final epoch.
+			met := park(context.Background(), s.feed, cur+2)
+			short := park(context.Background(), s.feed, cur+3)
+			s.finish()
+			if got := <-met; got.epoch != cur+2 || got.err != nil {
+				t.Fatalf("waiter for the final epoch = %+v, want epoch %d", got, cur+2)
+			}
+			if got := <-short; got.epoch != cur+2 || got.err != ErrLiveClosed {
+				t.Fatalf("waiter past the final epoch = %+v, want epoch %d, ErrLiveClosed", got, cur+2)
+			}
+			if e, err := s.feed.WaitEpoch(context.Background(), cur+3); e != cur+2 || err != ErrLiveClosed {
+				t.Fatalf("WaitEpoch on a closed feed = %d, %v; want %d, ErrLiveClosed", e, err, cur+2)
+			}
+		})
 	}
 }
 
@@ -118,7 +222,7 @@ func TestServerPinsEpochPerRequest(t *testing.T) {
 	f := newLiveFixture(t)
 	live := NewLiveEngine(f.g, EngineOptions{})
 	defer live.Close()
-	srv := NewServerSources(map[string]EngineSource{"live": live}, ServerOptions{})
+	srv := NewServerSources(map[string]Source{"live": live}, ServerOptions{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -81,34 +81,58 @@ type ServerOptions struct {
 	WatchTimeout time.Duration
 }
 
-// The server consults richer source surfaces when a source offers
-// them, so directory-backed (lazy) CPGs are never decoded just to be
-// listed or probed. All three are optional per source; EngineSource
-// alone remains sufficient.
-type (
-	// queryRunner executes a query itself — e.g. through a result
-	// cache — instead of handing out an engine.
-	queryRunner interface {
-		RunQuery(ctx context.Context, q Query) (*Result, error)
+// Source is one served CPG. A request resolves its source once and asks
+// it for everything, so each kind — a completed analysis (StaticSource),
+// a graph still growing behind a Feed (LiveEngine, IngestSource), a
+// lazily decoded file (Store.Sources) — answers its own cheapest way and
+// no handler asks which kind it holds.
+type Source interface {
+	// Engine pins the newest epoch's engine: cursors, totals and ordering
+	// all refer to that epoch's immutable Analysis, however far a live
+	// fold moves on meanwhile. A lazy source materializes its graph here.
+	Engine() *Engine
+	// Query executes q against the newest epoch (through the source's
+	// result cache, if it has one).
+	Query(ctx context.Context, q Query) (*Result, error)
+	// Info describes the CPG for the listing without materializing it.
+	// The Server fills in the ID.
+	Info() CPGInfo
+	// Epoch is the newest published epoch (0 for a post-mortem graph),
+	// without materializing.
+	Epoch() uint64
+	// WaitEpoch follows Feed.WaitEpoch; a source that cannot advance is
+	// closed (ErrLiveClosed) from the start.
+	WaitEpoch(ctx context.Context, min uint64) (uint64, error)
+}
+
+// staticSource pins one completed engine forever.
+type staticSource struct{ e *Engine }
+
+func (s staticSource) Engine() *Engine { return s.e }
+func (s staticSource) Query(ctx context.Context, q Query) (*Result, error) {
+	return s.e.Execute(ctx, q)
+}
+func (s staticSource) Info() CPGInfo { return s.e.info() }
+func (s staticSource) Epoch() uint64 { return s.e.Epoch() }
+func (s staticSource) WaitEpoch(context.Context, uint64) (uint64, error) {
+	return s.e.Epoch(), ErrLiveClosed
+}
+
+// StaticSource wraps a completed Engine as a Source.
+func StaticSource(e *Engine) Source { return staticSource{e: e} }
+
+// info describes the engine's analysis for the listing (stats are
+// cached, so repeated listings of one epoch stay O(1)).
+func (e *Engine) info() CPGInfo {
+	st := e.stats()
+	return CPGInfo{
+		SubComputations: st.SubComputations,
+		Threads:         st.Threads,
+		Edges:           st.ControlEdges + st.SyncEdges + st.DataEdges,
+		Epoch:           e.Epoch(),
+		Degraded:        e.a.Degraded(),
 	}
-	// infoProvider describes its CPG for the listing without
-	// materializing it.
-	infoProvider interface {
-		Info() CPGInfo
-	}
-	// epochHinter reports its current epoch without materializing.
-	epochHinter interface {
-		EpochHint() uint64
-	}
-	// epochWaiter blocks until a minimum epoch is published —
-	// LiveEngine and IngestSource both satisfy it, so the push wire
-	// (GET /v1/cpgs/{id}/epochs) serves local live folds and ingested
-	// streams identically. ErrLiveClosed means the awaited epoch will
-	// never arrive.
-	epochWaiter interface {
-		WaitEpoch(ctx context.Context, min uint64) (uint64, error)
-	}
-)
+}
 
 // Server is the provenance/v1 HTTP API over a set of graphs:
 //
@@ -116,7 +140,7 @@ type (
 //	GET  /v1/cpgs/{id}/stats  summary of one graph
 //	POST /v1/cpgs/{id}/query  execute a Query (JSON body) against one graph
 //
-// Each id is backed by an EngineSource: a static source for a completed
+// Each id is backed by a Source: a static source for a completed
 // (post-mortem) graph, or a LiveEngine for an execution still being
 // recorded. A request resolves its source exactly once, so every request
 // is pinned to one immutable epoch Analysis — concurrent clients need no
@@ -125,7 +149,7 @@ type (
 // daemon; httptest wraps it in tests; cpg-query -remote speaks to
 // either.
 type Server struct {
-	sources map[string]EngineSource
+	sources map[string]Source
 	ids     []string
 	opts    ServerOptions
 	mux     *http.ServeMux
@@ -141,7 +165,7 @@ type Server struct {
 // (the id segment of the URL paths) — the post-mortem form. Use
 // NewServerSources to mix in live graphs.
 func NewServer(engines map[string]*Engine, opts ServerOptions) *Server {
-	sources := make(map[string]EngineSource, len(engines))
+	sources := make(map[string]Source, len(engines))
 	for id, eng := range engines {
 		sources[id] = StaticSource(eng)
 	}
@@ -150,7 +174,7 @@ func NewServer(engines map[string]*Engine, opts ServerOptions) *Server {
 
 // NewServerSources builds the handler over engine sources, keyed by CPG
 // id. The listing is sorted by id.
-func NewServerSources(sources map[string]EngineSource, opts ServerOptions) *Server {
+func NewServerSources(sources map[string]Source, opts ServerOptions) *Server {
 	s := &Server{sources: sources, opts: opts, mux: http.NewServeMux()}
 	for id := range sources {
 		s.ids = append(s.ids, id)
@@ -260,13 +284,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		var e uint64
-		if eh, ok := src.(epochHinter); ok {
-			e = eh.EpochHint()
-		} else {
-			e = src.Engine().Epoch()
-		}
-		if e > 0 {
+		if e := src.Epoch(); e > 0 {
 			if st.Epochs == nil {
 				st.Epochs = make(map[string]uint64)
 			}
@@ -295,9 +313,7 @@ func (s *Server) IDs() []string {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	// The listing is assembled per request: live sources advance between
-	// requests, and each entry must describe one pinned epoch. Static
-	// engines cache their stats, so repeated listings of post-mortem
-	// graphs stay O(1) per graph.
+	// requests, and each entry must describe one pinned epoch.
 	ids := s.IDs()
 	infos := make([]CPGInfo, 0, len(ids))
 	for _, id := range ids {
@@ -305,22 +321,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		// Lazy (directory-backed) sources describe themselves from
-		// their stats section; listing never decodes a graph.
-		if ip, ok := src.(infoProvider); ok {
-			infos = append(infos, ip.Info())
-			continue
-		}
-		eng := src.Engine()
-		st := eng.stats()
-		infos = append(infos, CPGInfo{
-			ID:              id,
-			SubComputations: st.SubComputations,
-			Threads:         st.Threads,
-			Edges:           st.ControlEdges + st.SyncEdges + st.DataEdges,
-			Epoch:           eng.Epoch(),
-			Degraded:        eng.a.Degraded(),
-		})
+		info := src.Info()
+		info.ID = id
+		infos = append(infos, info)
 	}
 	writeJSON(w, http.StatusOK, CPGList{Version: Version, CPGs: infos})
 }
@@ -328,7 +331,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // source looks an id up across the static sources and (when
 // aggregating) the ingest hub. Static registrations win name clashes;
 // the ingest path refuses to bind a statically served name.
-func (s *Server) source(id string) (EngineSource, bool) {
+func (s *Server) source(id string) (Source, bool) {
 	if src, ok := s.sources[id]; ok {
 		return src, true
 	}
@@ -340,10 +343,8 @@ func (s *Server) source(id string) (EngineSource, bool) {
 	return nil, false
 }
 
-// resolve finds the request's source. Engine resolution (which pins
-// one epoch, and for lazy sources may decode) is deferred to execute,
-// so sources that answer without an engine never materialize one.
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (EngineSource, bool) {
+// resolve finds the request's source.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (Source, bool) {
 	src, ok := s.source(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown cpg " + r.PathValue("id")})
@@ -375,23 +376,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // execute runs one query under the request context (plus the
-// server-imposed deadline) and writes the wire result. A source that
-// runs queries itself (the store's cached path) is preferred over
-// resolving an engine.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, src EngineSource, q Query) {
+// server-imposed deadline) and writes the wire result.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, src Source, q Query) {
 	ctx := r.Context()
 	if s.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.Timeout)
 		defer cancel()
 	}
-	var res *Result
-	var err error
-	if qr, ok := src.(queryRunner); ok {
-		res, err = qr.RunQuery(ctx, q)
-	} else {
-		res, err = src.Engine().Execute(ctx, q)
-	}
+	res, err := src.Query(ctx, q)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, res)

@@ -60,18 +60,13 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 		wait = maxWait
 	}
 
-	id := r.PathValue("id")
-	waiter, live := src.(epochWaiter)
-	cur := src.Engine().Epoch()
-	if !live || wait <= 0 || cur >= min {
-		writeJSON(w, http.StatusOK, EpochStatus{Version: Version, ID: id, Epoch: cur, Closed: !live})
-		return
-	}
+	// A zero wait is an already-expired deadline: WaitEpoch never parks.
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	e, err := waiter.WaitEpoch(ctx, min)
-	st := EpochStatus{Version: Version, ID: id, Epoch: e, Closed: errors.Is(err, ErrLiveClosed)}
-	writeJSON(w, http.StatusOK, st)
+	e, err := src.WaitEpoch(ctx, min)
+	writeJSON(w, http.StatusOK, EpochStatus{
+		Version: Version, ID: r.PathValue("id"), Epoch: e, Closed: errors.Is(err, ErrLiveClosed),
+	})
 }
 
 // handleExport streams the pinned epoch's deterministic analysis

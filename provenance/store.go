@@ -91,7 +91,6 @@ type Store struct {
 // storeEntry is one served file. eng/bytes/elem are guarded by the
 // store mutex; m has its own synchronization.
 type storeEntry struct {
-	id    string
 	m     *cpgfile.Mapped
 	eng   *Engine
 	bytes int64
@@ -145,7 +144,7 @@ func OpenDir(dir string, opts StoreOptions) (*Store, error) {
 			s.Close()
 			return nil, fmt.Errorf("%s: duplicate cpg id %q", path, id)
 		}
-		s.entries[id] = &storeEntry{id: id, m: m}
+		s.entries[id] = &storeEntry{m: m}
 	}
 	return s, nil
 }
@@ -169,9 +168,9 @@ func (s *Store) IDs() []string {
 	return ids
 }
 
-// Sources returns one EngineSource per served CPG, for NewServerSources.
-func (s *Store) Sources() map[string]EngineSource {
-	out := make(map[string]EngineSource, len(s.entries))
+// Sources returns one Source per served CPG, for NewServerSources.
+func (s *Store) Sources() map[string]Source {
+	out := make(map[string]Source, len(s.entries))
 	for id, e := range s.entries {
 		out[id] = storeSource{s: s, e: e}
 	}
@@ -186,7 +185,7 @@ func (s *Store) Query(ctx context.Context, id string, q Query) (*Result, error) 
 	if !ok {
 		return nil, fmt.Errorf("provenance: no cpg %q in store", id)
 	}
-	return storeSource{s: s, e: e}.RunQuery(ctx, q)
+	return storeSource{s: s, e: e}.Query(ctx, q)
 }
 
 // Stats snapshots the store counters.
@@ -307,20 +306,18 @@ func (s *Store) cacheKey(e *storeEntry, q Query) (string, bool) {
 	return e.hashKey + string(enc), true
 }
 
-// storeSource adapts one store entry to the server's source surface:
-// EngineSource for the generic path, plus the lazy fast paths — cached
-// query execution, listing info from the stats section, and the epoch
-// hint from the header — that answer without materializing the graph.
+// storeSource is one store entry as a Source. Only Engine materializes
+// the graph unconditionally; queries go through the result cache,
+// listing info comes from the stats section and the epoch from the
+// header.
 type storeSource struct {
 	s *Store
 	e *storeEntry
 }
 
-// Engine materializes the entry's engine. The server's richer paths
-// (RunQuery, Info, EpochHint) avoid this; it exists to satisfy
-// EngineSource. A decode failure here has no error channel, so it
-// panics — the server's recovery envelope turns that into a logged
-// 500 instead of a crash.
+// Engine materializes the entry's engine. A decode failure here has no
+// error channel, so it panics — the server's recovery envelope turns
+// that into a logged 500 instead of a crash.
 func (ss storeSource) Engine() *Engine {
 	eng, err := ss.s.engine(ss.e)
 	if err != nil {
@@ -329,8 +326,8 @@ func (ss storeSource) Engine() *Engine {
 	return eng
 }
 
-// RunQuery executes one query with result caching.
-func (ss storeSource) RunQuery(ctx context.Context, q Query) (*Result, error) {
+// Query executes one query with result caching.
+func (ss storeSource) Query(ctx context.Context, q Query) (*Result, error) {
 	key, cacheable := ss.s.cacheKey(ss.e, q)
 	if cacheable {
 		if res, ok := ss.s.cache.get(key); ok {
@@ -352,7 +349,7 @@ func (ss storeSource) RunQuery(ctx context.Context, q Query) (*Result, error) {
 // header — no graph decode.
 func (ss storeSource) Info() CPGInfo {
 	hdr := ss.e.m.Header()
-	info := CPGInfo{ID: ss.e.id, Epoch: hdr.Epoch, Degraded: hdr.Degraded}
+	info := CPGInfo{Epoch: hdr.Epoch, Degraded: hdr.Degraded}
 	st, err := ss.e.m.Stats()
 	if err != nil {
 		ss.s.logf("provenance: %s: stats section unreadable: %v", ss.e.m.Path(), err)
@@ -364,8 +361,13 @@ func (ss storeSource) Info() CPGInfo {
 	return info
 }
 
-// EpochHint reports the file's epoch from the header alone.
-func (ss storeSource) EpochHint() uint64 { return ss.e.m.Header().Epoch }
+// Epoch reports the file's epoch from the header alone.
+func (ss storeSource) Epoch() uint64 { return ss.e.m.Header().Epoch }
+
+// WaitEpoch never waits: a file's epoch is final.
+func (ss storeSource) WaitEpoch(context.Context, uint64) (uint64, error) {
+	return ss.Epoch(), ErrLiveClosed
+}
 
 // resultCache is a capacity-bounded LRU of query results. Cached
 // *Result values are shared read-only — every consumer (the server's

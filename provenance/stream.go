@@ -4,22 +4,24 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
 
-// The recorder side of the fabric: a StreamRecorder hangs off the
-// threading runtime's commit hook exactly like journal.Recorder — fold
-// an epoch delta every N seals — but ships the deltas to an aggregator
-// instead of (or alongside) a local journal. Recording never blocks on
-// the network: folds enqueue, a sender goroutine batches uploads, and a
-// dead aggregator costs queue memory, not workload progress. The
-// journal stays the durability anchor — after a recorder SIGKILL,
-// inspector-recover -stream replays the journal's deltas and the
-// aggregator's dedup makes the resend converge.
+// The recorder side of the fabric: an Uploader is the epoch pipeline's
+// stream sink — it ships each folded epoch's delta to an aggregator
+// instead of (or, listed after it, alongside) a local journal.
+// Recording never blocks on the network: epochs enqueue, a sender
+// goroutine batches uploads, and a dead aggregator costs queue memory,
+// not workload progress. The journal stays the durability anchor: it is
+// fed the very same deltas, so after a recorder SIGKILL
+// inspector-recover -stream replays them and the aggregator's dedup
+// makes the resend converge.
 
 // EncodeFrames builds one ingest request body: the hello, then the
 // deltas in epoch order, then the optional seal. BaseEpoch is stamped
@@ -55,20 +57,11 @@ func UploadDeltas(ctx context.Context, c *Client, source string, hello wire.Hell
 	if batch <= 0 {
 		batch = 64
 	}
-	if len(deltas) == 0 {
-		frames, err := EncodeFrames(hello, nil, seal)
-		if err != nil {
-			return nil, err
-		}
-		return c.Ingest(ctx, source, frames)
-	}
-	var last *IngestStatus
 	var accepted, dups int
-	for start := 0; start < len(deltas); start += batch {
-		end := start + batch
-		if end > len(deltas) {
-			end = len(deltas)
-		}
+	for start := 0; ; start += batch {
+		// The last batch (the only one, possibly empty, when there are no
+		// deltas) carries the seal.
+		end := min(start+batch, len(deltas))
 		var s *wire.Seal
 		if end == len(deltas) {
 			s = seal
@@ -77,17 +70,20 @@ func UploadDeltas(ctx context.Context, c *Client, source string, hello wire.Hell
 		if err != nil {
 			return nil, err
 		}
-		if last, err = c.Ingest(ctx, source, frames); err != nil {
+		st, err := c.Ingest(ctx, source, frames)
+		if err != nil {
 			return nil, err
 		}
-		accepted += last.Accepted
-		dups += last.Duplicates
+		accepted += st.Accepted
+		dups += st.Duplicates
+		if end == len(deltas) {
+			st.Accepted, st.Duplicates = accepted, dups
+			return st, nil
+		}
 	}
-	last.Accepted, last.Duplicates = accepted, dups
-	return last, nil
 }
 
-// StreamOptions configure a StreamRecorder.
+// StreamOptions configure an Uploader (and a StreamRecorder around it).
 type StreamOptions struct {
 	// Source names the per-source CPG on the aggregator (required;
 	// [A-Za-z0-9._-]{1,128}).
@@ -98,7 +94,8 @@ type StreamOptions struct {
 	RunID string
 	// App names the workload (informational).
 	App string
-	// Every folds an epoch delta every N commit seals (default 1).
+	// Every is a stand-alone StreamRecorder's cadence: one epoch every N
+	// commit seals (default 1). A shared driver's Uploader follows it.
 	Every uint64
 	// Batch bounds deltas per POST (default 64).
 	Batch int
@@ -109,229 +106,165 @@ type StreamOptions struct {
 	// RequestTimeout bounds one upload attempt including the client's
 	// internal retries (default 60s).
 	RequestTimeout time.Duration
-	// OnEpoch observes every folded epoch (analysis + delta), before it
-	// is queued for upload. Runs on the recording goroutine.
-	OnEpoch func(*core.Analysis, *core.EpochDelta)
 }
 
-func (o StreamOptions) every() uint64 {
-	if o.Every > 0 {
-		return o.Every
-	}
-	return 1
-}
-
-func (o StreamOptions) batch() int {
-	if o.Batch > 0 {
-		return o.Batch
-	}
-	return 64
-}
-
-func (o StreamOptions) maxResyncs() int {
-	if o.MaxResyncs > 0 {
-		return o.MaxResyncs
-	}
-	return 8
-}
-
-func (o StreamOptions) requestTimeout() time.Duration {
-	if o.RequestTimeout > 0 {
-		return o.RequestTimeout
-	}
-	return 60 * time.Second
-}
-
-// StreamRecorder folds the live graph into epoch deltas on the commit
-// path and uploads them asynchronously. Its own IncrementalAnalyzer
-// makes it the in-process reference for the aggregator's folds: after
-// Close, Analysis() is byte-for-byte what the aggregator serves at the
-// same epoch.
-type StreamRecorder struct {
+// Uploader is the stream sink. Upload errors latch in its sender and
+// surface from Wait, never from Emit: a dead aggregator must not stop
+// the fold.
+type Uploader struct {
 	c     *Client
 	opts  StreamOptions
 	hello wire.Hello
 
 	mu      sync.Mutex
-	inc     *core.IncrementalAnalyzer
-	seals   uint64
-	epoch   uint64
-	lastA   *core.Analysis
 	pending []*core.EpochDelta
 	sendErr error
-	closed  bool
 
 	notify     chan struct{}
-	done       chan struct{}
+	done       chan uint64 // Finish sends the seal's epoch, once
 	senderDone chan struct{}
 	ctx        context.Context
 	cancel     context.CancelFunc
 }
 
-// NewStreamRecorder builds a recorder streaming g's epoch deltas to c's
-// aggregator and starts its sender goroutine.
-func NewStreamRecorder(g *core.Graph, c *Client, opts StreamOptions) (*StreamRecorder, error) {
+// NewUploader builds the sink streaming a threads-wide graph's epoch
+// deltas to c's aggregator and starts its sender goroutine (Wait stops
+// it).
+func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) {
 	if !validSourceName(opts.Source) {
 		return nil, fmt.Errorf("provenance: bad stream source name %q", opts.Source)
 	}
 	if opts.RunID == "" {
 		return nil, fmt.Errorf("provenance: stream needs a run id")
 	}
-	r := &StreamRecorder{
-		c:    c,
-		opts: opts,
-		hello: wire.Hello{
-			RunID:   opts.RunID,
-			App:     opts.App,
-			Threads: g.Threads(),
-		},
-		inc:        core.NewIncrementalAnalyzer(g),
+	if opts.Batch <= 0 {
+		opts.Batch = 64
+	}
+	if opts.MaxResyncs <= 0 {
+		opts.MaxResyncs = 8
+	}
+	if opts.RequestTimeout <= 0 {
+		opts.RequestTimeout = 60 * time.Second
+	}
+	u := &Uploader{
+		c:          c,
+		opts:       opts,
+		hello:      wire.Hello{RunID: opts.RunID, App: opts.App, Threads: threads},
 		notify:     make(chan struct{}, 1),
-		done:       make(chan struct{}),
+		done:       make(chan uint64, 1),
 		senderDone: make(chan struct{}),
 	}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
-	go r.sender()
-	return r, nil
+	u.ctx, u.cancel = context.WithCancel(context.Background())
+	go u.sender()
+	return u, nil
 }
 
-// CommitHook returns the function to register with
-// threading.Runtime.RegisterCommitHook: every opts.Every seals it folds
-// one epoch delta and queues it for upload.
-func (r *StreamRecorder) CommitHook() func(core.SubID) {
-	every := r.opts.every()
-	return func(core.SubID) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.closed {
-			return
-		}
-		r.seals++
-		if r.seals%every == 0 {
-			r.foldLocked()
-		}
-	}
-}
-
-// foldLocked captures one epoch and wakes the sender. Callers hold r.mu.
-func (r *StreamRecorder) foldLocked() {
-	a, d := r.inc.FoldDelta()
-	r.lastA, r.epoch = a, d.Epoch
-	r.pending = append(r.pending, d)
-	if r.opts.OnEpoch != nil {
-		r.opts.OnEpoch(a, d)
-	}
+// Emit queues one epoch's delta and wakes the sender (epoch.Sink).
+func (u *Uploader) Emit(_ *core.Analysis, d *core.EpochDelta) error {
+	u.mu.Lock()
+	u.pending = append(u.pending, d)
+	u.mu.Unlock()
 	select {
-	case r.notify <- struct{}{}:
+	case u.notify <- struct{}{}:
 	default:
 	}
+	return nil
 }
 
-// Analysis returns the newest folded epoch's analysis (nil before the
-// first fold) — the byte-identity reference for the aggregator.
-func (r *StreamRecorder) Analysis() *core.Analysis {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastA
-}
-
-// Epoch returns the newest folded epoch.
-func (r *StreamRecorder) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
+// Finish tells the sender the stream ends at epoch final: drain, upload
+// the seal frame, exit (epoch.Sink). It does not wait for that; Wait does.
+func (u *Uploader) Finish(final uint64) error {
+	u.done <- final
+	return nil
 }
 
 // Err returns the sender's latched terminal error, if any. Recording
 // itself never fails on upload errors; the journal (when present)
 // still holds every epoch.
-func (r *StreamRecorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sendErr
+func (u *Uploader) Err() error {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.sendErr
 }
 
-// Pending returns the count of folded-but-unacknowledged epochs.
-func (r *StreamRecorder) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pending)
+// Pending returns the count of queued-but-unacknowledged epochs.
+func (u *Uploader) Pending() int {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return len(u.pending)
 }
 
 // sender is the upload goroutine: batch, POST, prune acknowledged.
-func (r *StreamRecorder) sender() {
-	defer close(r.senderDone)
+func (u *Uploader) sender() {
+	defer close(u.senderDone)
 	for {
 		select {
-		case <-r.notify:
-			r.drain(false)
-		case <-r.done:
-			r.drain(true)
+		case <-u.notify:
+			u.drain(nil)
+		case final := <-u.done:
+			u.drain(&wire.Seal{FinalEpoch: final})
 			return
 		}
 	}
 }
 
 // latch records the first terminal sender error.
-func (r *StreamRecorder) latch(err error) {
-	r.mu.Lock()
-	if r.sendErr == nil {
-		r.sendErr = err
+func (u *Uploader) latch(err error) {
+	u.mu.Lock()
+	if u.sendErr == nil {
+		u.sendErr = err
 	}
-	r.mu.Unlock()
+	u.mu.Unlock()
 }
 
 // snapshot copies up to one batch of pending deltas.
-func (r *StreamRecorder) snapshot() []*core.EpochDelta {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.pending)
-	if max := r.opts.batch(); n > max {
-		n = max
-	}
-	out := make([]*core.EpochDelta, n)
-	copy(out, r.pending[:n])
-	return out
+func (u *Uploader) snapshot() []*core.EpochDelta {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return slices.Clone(u.pending[:min(len(u.pending), u.opts.Batch)])
 }
 
 // ack drops pending deltas the aggregator acknowledged (epoch <
 // nextEpoch).
-func (r *StreamRecorder) ack(nextEpoch uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (u *Uploader) ack(nextEpoch uint64) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
 	keep := 0
-	for keep < len(r.pending) && r.pending[keep].Epoch < nextEpoch {
+	for keep < len(u.pending) && u.pending[keep].Epoch < nextEpoch {
 		keep++
 	}
-	r.pending = r.pending[keep:]
+	u.pending = u.pending[keep:]
 }
 
-// drain ships pending batches until the queue is empty (then, when
-// final, the seal) or a terminal error latches. Upload failures trigger
+// drain ships pending batches until the queue is empty (then the seal,
+// if any) or a terminal error latches. Upload failures trigger
 // an offset resync: re-read the aggregator's next expected epoch, drop
 // what it already holds, and try again — a reconnecting recorder never
 // re-sends an acknowledged epoch and never skips one.
-func (r *StreamRecorder) drain(final bool) {
+func (u *Uploader) drain(seal *wire.Seal) {
 	resyncs := 0
 	for {
-		if r.Err() != nil {
+		if u.Err() != nil {
 			return
 		}
-		batch := r.snapshot()
+		batch := u.snapshot()
 		if len(batch) == 0 {
-			if final {
-				r.sendSeal()
+			if seal != nil {
+				// The stream is cleanly finished.
+				if _, err := u.ship(nil, seal); err != nil {
+					u.latch(fmt.Errorf("provenance: seal upload: %w", err))
+				}
 			}
 			return
 		}
-		st, err := r.ship(batch, nil)
+		st, err := u.ship(batch, nil)
 		if err == nil {
 			resyncs = 0
-			r.ack(st.NextEpoch)
+			u.ack(st.NextEpoch)
 			continue
 		}
-		if r.ctx.Err() != nil {
-			r.latch(err)
+		if u.ctx.Err() != nil {
+			u.latch(err)
 			return
 		}
 		// Conflicts (the aggregator is ahead, or bound to another run)
@@ -339,25 +272,25 @@ func (r *StreamRecorder) drain(final bool) {
 		// input (400) is terminal — re-sending it cannot help.
 		if code := serverStatus(err); code != 0 && code != http.StatusConflict &&
 			code != http.StatusBadGateway && code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout {
-			r.latch(err)
+			u.latch(err)
 			return
 		}
-		if resyncs++; resyncs > r.opts.maxResyncs() {
-			r.latch(fmt.Errorf("provenance: stream upload failed after %d resyncs: %w", resyncs-1, err))
+		if resyncs++; resyncs > u.opts.MaxResyncs {
+			u.latch(fmt.Errorf("provenance: stream upload failed after %d resyncs: %w", resyncs-1, err))
 			return
 		}
-		if rerr := r.resync(); rerr != nil {
-			r.latch(rerr)
+		if rerr := u.resync(); rerr != nil {
+			u.latch(rerr)
 			return
 		}
 	}
 }
 
 // resync re-reads the resume offset and reconciles the queue with it.
-func (r *StreamRecorder) resync() error {
-	ctx, cancel := context.WithTimeout(r.ctx, r.opts.requestTimeout())
+func (u *Uploader) resync() error {
+	ctx, cancel := context.WithTimeout(u.ctx, u.opts.RequestTimeout)
 	defer cancel()
-	st, found, err := r.c.IngestOffset(ctx, r.opts.Source)
+	st, found, err := u.c.IngestOffset(ctx, u.opts.Source)
 	if err != nil {
 		return nil // transient: the retry loop will come back around
 	}
@@ -365,76 +298,86 @@ func (r *StreamRecorder) resync() error {
 		// The aggregator has no state for the source. Everything still
 		// queued uploads from its own epoch; that only works if nothing
 		// acknowledged-and-pruned is missing.
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if len(r.pending) > 0 && r.pending[0].Epoch > 1 {
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		if len(u.pending) > 0 && u.pending[0].Epoch > 1 {
 			return fmt.Errorf("provenance: aggregator lost source %s (wants epoch 1, oldest queued is %d); re-feed from the journal",
-				r.opts.Source, r.pending[0].Epoch)
+				u.opts.Source, u.pending[0].Epoch)
 		}
 		return nil
 	}
-	if st.RunID != r.hello.RunID {
+	if st.RunID != u.hello.RunID {
 		return fmt.Errorf("%w: source %s bound to run %s, this recorder is run %s",
-			ErrRunConflict, r.opts.Source, st.RunID, r.hello.RunID)
+			ErrRunConflict, u.opts.Source, st.RunID, u.hello.RunID)
 	}
-	r.ack(st.NextEpoch)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.pending) > 0 && r.pending[0].Epoch > st.NextEpoch {
+	u.ack(st.NextEpoch)
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if len(u.pending) > 0 && u.pending[0].Epoch > st.NextEpoch {
 		return fmt.Errorf("provenance: aggregator lost epochs [%d,%d) of source %s; re-feed from the journal",
-			st.NextEpoch, r.pending[0].Epoch, r.opts.Source)
+			st.NextEpoch, u.pending[0].Epoch, u.opts.Source)
 	}
 	return nil
 }
 
 // ship uploads one batch (and/or seal) under the per-request timeout.
-func (r *StreamRecorder) ship(batch []*core.EpochDelta, seal *wire.Seal) (*IngestStatus, error) {
-	frames, err := EncodeFrames(r.hello, batch, seal)
+func (u *Uploader) ship(batch []*core.EpochDelta, seal *wire.Seal) (*IngestStatus, error) {
+	frames, err := EncodeFrames(u.hello, batch, seal)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(r.ctx, r.opts.requestTimeout())
+	ctx, cancel := context.WithTimeout(u.ctx, u.opts.RequestTimeout)
 	defer cancel()
-	return r.c.Ingest(ctx, r.opts.Source, frames)
+	return u.c.Ingest(ctx, u.opts.Source, frames)
 }
 
-// sendSeal marks the stream cleanly finished.
-func (r *StreamRecorder) sendSeal() {
-	r.mu.Lock()
-	final := r.epoch
-	r.mu.Unlock()
-	if _, err := r.ship(nil, &wire.Seal{FinalEpoch: final}); err != nil {
-		r.latch(fmt.Errorf("provenance: seal upload: %w", err))
-	}
-}
-
-// Close folds the final epoch, flushes the queue (seal included), and
-// stops the sender. ctx bounds the flush: on expiry the in-flight
-// upload is aborted and Close returns with the queue possibly
-// non-empty — the journal, when present, still has everything. Close
-// returns the sender's first terminal error, if any.
-func (r *StreamRecorder) Close(ctx context.Context) error {
-	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		r.foldLocked()
-		close(r.done)
-	}
-	r.mu.Unlock()
+// Wait flushes the queue (seal included) and stops the sender. Call it
+// after the driver's Close (which is what calls Finish). ctx bounds the
+// flush: on expiry the in-flight upload is aborted and Wait returns
+// with the queue possibly non-empty — the journal, when present, still
+// has everything. Wait returns the sender's first terminal error, if
+// any.
+func (u *Uploader) Wait(ctx context.Context) error {
 	select {
-	case <-r.senderDone:
+	case <-u.senderDone:
 	case <-ctx.Done():
-		r.cancel()
-		<-r.senderDone
+		u.cancel()
+		<-u.senderDone
 	}
-	r.cancel()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sendErr != nil {
-		return r.sendErr
+	u.cancel()
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.sendErr != nil {
+		return u.sendErr
 	}
-	if n := len(r.pending); n > 0 {
+	if n := len(u.pending); n > 0 {
 		return fmt.Errorf("provenance: stream closed with %d epochs unshipped", n)
 	}
 	return nil
+}
+
+// StreamRecorder is the stand-alone streaming pipeline: an epoch.Driver
+// (CommitHook, Epoch, Analysis) with one Uploader as its only sink.
+// After Close, Analysis() is byte-for-byte what the aggregator serves
+// at the same epoch.
+type StreamRecorder struct {
+	*epoch.Driver
+	*Uploader
+}
+
+// NewStreamRecorder builds a recorder streaming g's epoch deltas to c's
+// aggregator, one every opts.Every seals.
+func NewStreamRecorder(g *core.Graph, c *Client, opts StreamOptions) (*StreamRecorder, error) {
+	u, err := NewUploader(c, g.Threads(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return &StreamRecorder{epoch.NewDriver(g, epoch.Options{Every: opts.Every}, u), u}, nil
+}
+
+// Close folds the final epoch, flushes the queue bounded by ctx (see
+// Uploader.Wait), and stops the sender.
+func (r *StreamRecorder) Close(ctx context.Context) error {
+	r.Driver.Close()
+	return r.Wait(ctx)
 }

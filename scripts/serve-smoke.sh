@@ -328,10 +328,10 @@ wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
 # Ingest round: the distributed fabric. An aggregator accepts streamed
-# epoch-delta frames; a clean streaming run must leave it holding the
-# byte-identical analysis of the same recording's journal, and a
-# SIGKILLed streaming run resumed via inspector-recover -stream must
-# converge on the reference bytes at the killed run's durable epoch.
+# epoch-delta frames; a clean 4-thread journaled + streamed run must
+# leave it holding the byte-identical analysis of that run's journal,
+# and a SIGKILLed one resumed via inspector-recover -stream must
+# converge on its journal's bytes at the durable epoch.
 "$workdir/inspector-serve" -ingest -addr 127.0.0.1:0 >"$workdir/ingest.log" 2>&1 &
 serve_pid=$!
 
@@ -346,33 +346,49 @@ for _ in $(seq 1 100); do
 done
 [ -n "$addr" ] || { echo "serve-smoke: ingest daemon never became ready" >&2; cat "$workdir/ingest.log" >&2; exit 1; }
 
-# Clean streaming run under a distinct source name; the reference is the
-# uninterrupted journal (jref) replayed in full — same run, same
-# epoch-per-seal cadence, so the analyses must match byte for byte.
-"$workdir/inspector-run" -app histogram -threads 1 -size small -seed 1 \
-  -stream "http://$addr" -stream-id clean >"$workdir/stream-clean.out"
+# Clean 4-thread run with journal, stream and live stats all on: they
+# are sinks of one fold, so the run reports one epoch count for all
+# three and the aggregator must hold the byte-identical analysis of the
+# run's own journal replayed in full. (At >1 thread two runs never cut
+# the same epochs, so the run's own journal is the only reference.)
+jclean="$workdir/jclean"
+"$workdir/inspector-run" -app histogram -threads 4 -size small -seed 1 \
+  -journal "$jclean" -stream "http://$addr" -stream-id clean -live-stats >"$workdir/stream-clean.out"
 grep -q 'epochs shipped' "$workdir/stream-clean.out" || {
   echo "serve-smoke: clean streaming run never shipped" >&2
   cat "$workdir/stream-clean.out" >&2
   exit 1
 }
-"$workdir/inspector-recover" -journal "$jref" -q -analysis "$workdir/ref-full.json"
+counts=$(sed -n -e 's/^live analysis: *\([0-9]*\) epochs folded.*/\1/p' \
+  -e 's/^journal: *\([0-9]*\) epochs sealed.*/\1/p' \
+  -e 's/^stream: *\([0-9]*\) epochs shipped.*/\1/p' "$workdir/stream-clean.out" | sort -u | tr '\n' ' ')
+[ "$(echo $counts | wc -w)" -eq 1 ] || {
+  echo "serve-smoke: journal, stream and live stats disagree on the epoch count: $counts" >&2
+  cat "$workdir/stream-clean.out" >&2
+  exit 1
+}
+[ "$(grep -c -e '^live analysis:' -e '^journal:' -e '^stream:' "$workdir/stream-clean.out")" -eq 3 ] || {
+  echo "serve-smoke: clean run did not report all three sinks" >&2
+  cat "$workdir/stream-clean.out" >&2
+  exit 1
+}
+"$workdir/inspector-recover" -journal "$jclean" -q -analysis "$workdir/ref-full.json"
 curl -fsS "http://$addr/v1/cpgs/clean/export" >"$workdir/agg-clean.json"
 diff -u "$workdir/ref-full.json" "$workdir/agg-clean.json" || {
   echo "serve-smoke: clean stream's aggregator export diverges from the journal replay" >&2
   exit 1
 }
 
-# SIGKILL a streaming recorder mid-run (crash fires at a commit
-# boundary, after the stream hook queued that very epoch), then re-feed
-# the journal: dedup absorbs whatever prefix made it onto the wire
-# before the kill, and the aggregator lands exactly on the journal's
-# durable epoch.
+# SIGKILL a 4-thread streaming recorder mid-run (crash fires at a commit
+# boundary, after the fold journaled and queued that very epoch), then
+# re-feed the journal: its record k is the very delta the wire carried
+# as frame k, so dedup absorbs whatever prefix made it out before the
+# kill and the aggregator lands exactly on the journal's durable epoch.
 jskill="$workdir/jskill"
 rc=0
-( "$workdir/inspector-run" -app histogram -threads 1 -size small -seed 1 \
+( "$workdir/inspector-run" -app histogram -threads 4 -size small -seed 1 \
   -journal "$jskill" -stream "http://$addr" \
-  -faults "crash:after=1,count=1"; exit $? ) >/dev/null 2>&1 || rc=$?
+  -faults "crash:after=8,count=1"; exit $? ) >/dev/null 2>&1 || rc=$?
 [ "$rc" -ne 0 ] || { echo "serve-smoke: crash fault did not kill the streaming run" >&2; exit 1; }
 
 skill_summary=$("$workdir/inspector-recover" -journal "$jskill" -summary-json)
@@ -381,7 +397,7 @@ skill_source=$(echo "$skill_summary" | sed -n 's/.*"run_id":"\([^"]*\)".*/\1/p')
 [ -n "$skill_epoch" ] && [ "$skill_epoch" -ge 1 ] || {
   echo "serve-smoke: killed streaming journal has no durable epoch: $skill_summary" >&2; exit 1;
 }
-[ "$skill_source" = "histogram-t1-s1" ] || {
+[ "$skill_source" = "histogram-t4-s1" ] || {
   echo "serve-smoke: streaming run id not deterministic: $skill_summary" >&2; exit 1;
 }
 
@@ -391,11 +407,14 @@ grep -q 'aggregator at epoch' "$workdir/restream.out" || {
   cat "$workdir/restream.out" >&2
   exit 1
 }
-"$workdir/inspector-recover" -journal "$jref" -q -epoch "$skill_epoch" \
+# The reference is the killed run's own journal, replayed as a
+# deliberate prefix (no truncation mark: the aggregator's source is
+# merely unsealed, not cut short).
+"$workdir/inspector-recover" -journal "$jskill" -q -epoch "$skill_epoch" \
   -analysis "$workdir/ref-at-kill.json"
 curl -fsS "http://$addr/v1/cpgs/$skill_source/export" >"$workdir/agg-resumed.json"
 diff -u "$workdir/ref-at-kill.json" "$workdir/agg-resumed.json" || {
-  echo "serve-smoke: resumed stream diverges from the clean journal at epoch $skill_epoch" >&2
+  echo "serve-smoke: resumed stream diverges from the journal at epoch $skill_epoch" >&2
   exit 1
 }
 echo "serve-smoke: ingest round passed (clean stream byte-identical; SIGKILL at epoch $skill_epoch resumed byte-identical)"
