@@ -9,7 +9,6 @@ package core_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -26,26 +25,11 @@ func dumpJSON(t *testing.T, g *core.Graph) []byte {
 	return buf.Bytes()
 }
 
-// gobRoundTrip pushes a delta through gob, the journal's record payload
-// encoding, so replay sees exactly what a recovered record would carry.
-func gobRoundTrip(t *testing.T, d *core.EpochDelta) *core.EpochDelta {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		t.Fatalf("encode delta: %v", err)
-	}
-	out := new(core.EpochDelta)
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatalf("decode delta: %v", err)
-	}
-	return out
-}
-
 // TestIncrementalDeltaReplayMatchesFold is the replay-equivalence
 // property, across 1 and 4 threads and random fold prefixes: each
 // FoldDelta's Analysis must export byte-identically to the Analysis a
-// replica produces by ApplyDelta + Fold of the (gob round-tripped)
-// delta, and after the final epoch the replica graph's dump must match
+// replica produces by ApplyDelta + Fold of the delta as its binary
+// form carries it (wireRoundTrip), and after the final epoch the replica graph's dump must match
 // the original's.
 func TestIncrementalDeltaReplayMatchesFold(t *testing.T) {
 	for _, threads := range []int{1, 4} {
@@ -64,7 +48,7 @@ func TestIncrementalDeltaReplayMatchesFold(t *testing.T) {
 					t.Fatalf("threads=%d seed=%d step=%d: delta epoch %d, analysis epoch %d",
 						threads, seed, s, d.Epoch, a.Epoch())
 				}
-				if err := core.ApplyDelta(replica, gobRoundTrip(t, d)); err != nil {
+				if err := core.ApplyDelta(replica, wireRoundTrip(t, d)); err != nil {
 					t.Fatalf("threads=%d seed=%d step=%d: ApplyDelta: %v", threads, seed, s, err)
 				}
 				ra := rinc.Fold()
@@ -173,14 +157,7 @@ func TestApplyDeltaRejectsMalformed(t *testing.T) {
 	}
 
 	corrupt := func(mutate func(*core.EpochDelta)) error {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(deltas[0]); err != nil {
-			t.Fatal(err)
-		}
-		d := new(core.EpochDelta)
-		if err := gob.NewDecoder(&buf).Decode(d); err != nil {
-			t.Fatal(err)
-		}
+		d := wireRoundTrip(t, deltas[0]) // a deep copy
 		mutate(d)
 		return apply(t, d)
 	}

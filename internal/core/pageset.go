@@ -180,58 +180,84 @@ func pageSetFromSorted(pages []uint64) PageSet {
 	return s
 }
 
-// GobEncode encodes the set canonically: a uvarint count, the first page
-// as a uvarint, then uvarint deltas between consecutive (strictly
-// ascending) pages. Deterministic and compact, unlike the map reference
-// form whose gob bytes depended on iteration order.
-func (s PageSet) GobEncode() ([]byte, error) {
-	pages := s.view()
-	buf := make([]byte, 0, 2+2*len(pages))
-	buf = binary.AppendUvarint(buf, uint64(len(pages)))
+// AppendPages appends a strictly ascending page list in the one
+// canonical form every serialization of a page set shares (gob, the
+// .cpg sections, epoch-delta records): a uvarint count, the first page
+// as a uvarint, then the strictly positive uvarint deltas between
+// consecutive pages.
+func AppendPages(b []byte, pages []uint64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(pages)))
 	prev := uint64(0)
-	for i, p := range pages {
-		if i == 0 {
-			buf = binary.AppendUvarint(buf, p)
-		} else {
-			buf = binary.AppendUvarint(buf, p-prev)
-		}
+	for _, p := range pages {
+		b = binary.AppendUvarint(b, p-prev)
 		prev = p
 	}
-	return buf, nil
+	return b
+}
+
+// ParsePages parses one AppendPages list from the front of b, appending
+// the pages to dst, and returns them with the number of bytes consumed.
+// b is untrusted: the count is checked against the bytes that remain
+// before dst grows (every page costs at least one byte), and a
+// truncated or overlong uvarint, a zero delta or an overflowing one is
+// an error. The result never aliases b, and an empty list leaves dst as
+// it was (nil stays nil).
+func ParsePages(dst []uint64, b []byte) (pages []uint64, n int, err error) {
+	count, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, 0, fmt.Errorf("core: page list: truncated or overlong count")
+	}
+	if count > uint64(len(b)-n) {
+		return nil, 0, fmt.Errorf("core: page list: count %d cannot fit in the %d bytes that remain", count, len(b)-n)
+	}
+	// Bounded by the bytes present, but not trusted for one big
+	// allocation either: past the hint the list grows by append.
+	dst = slices.Grow(dst, int(min(count, 1024)))
+	prev := uint64(0)
+	for i := uint64(0); i < count; i++ {
+		d, k := binary.Uvarint(b[n:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("core: page list: truncated or overlong entry %d", i)
+		}
+		n += k
+		if i > 0 && d == 0 {
+			return nil, 0, fmt.Errorf("core: page list: zero page delta at entry %d (pages not strictly ascending)", i)
+		}
+		if prev+d < prev {
+			return nil, 0, fmt.Errorf("core: page list: page delta overflow at entry %d", i)
+		}
+		prev += d
+		dst = append(dst, prev)
+	}
+	return dst, n, nil
+}
+
+// parsePageSet parses one page list into a set that owns its storage:
+// inline up to pageSetInline pages (no allocation), spilled beyond.
+func parsePageSet(b []byte) (PageSet, int, error) {
+	var scratch [pageSetInline]uint64
+	pages, n, err := ParsePages(scratch[:0], b)
+	if err != nil {
+		return PageSet{}, 0, err
+	}
+	return pageSetFromSorted(pages), n, nil
+}
+
+// GobEncode encodes the set in the AppendPages form. Deterministic and
+// compact, unlike the map reference form whose gob bytes depended on
+// iteration order.
+func (s PageSet) GobEncode() ([]byte, error) {
+	pages := s.view()
+	return AppendPages(make([]byte, 0, 2+2*len(pages)), pages), nil
 }
 
 // GobDecode reads the GobEncode form.
 func (s *PageSet) GobDecode(data []byte) error {
-	*s = PageSet{}
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return fmt.Errorf("core: corrupt PageSet encoding")
+	ps, _, err := parsePageSet(data)
+	if err != nil {
+		*s = PageSet{}
+		return fmt.Errorf("core: corrupt PageSet encoding: %w", err)
 	}
-	data = data[k:]
-	// Every encoded page costs at least one byte, so a count beyond the
-	// remaining payload is corrupt — reject it before allocating (a
-	// forged count must not panic make).
-	if n > uint64(len(data)) {
-		return fmt.Errorf("core: corrupt PageSet encoding: count %d exceeds payload", n)
-	}
-	pages := make([]uint64, 0, n)
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, k := binary.Uvarint(data)
-		if k <= 0 {
-			return fmt.Errorf("core: corrupt PageSet encoding")
-		}
-		data = data[k:]
-		if i == 0 {
-			prev = d
-		} else {
-			if d == 0 || prev+d < prev {
-				return fmt.Errorf("core: corrupt PageSet encoding: non-ascending pages")
-			}
-			prev += d
-		}
-		pages = append(pages, prev)
-	}
-	*s = pageSetFromSorted(pages)
+	*s = ps
 	return nil
 }

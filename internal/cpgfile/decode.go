@@ -466,40 +466,14 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 	return a, footprint, nil
 }
 
-// decodePages reads one canonical uvarint-delta page list: count,
-// first page, strictly-positive deltas.
+// decodePages reads one canonical page list (core.AppendPages form)
+// into fresh memory; an empty list is nil.
 func decodePages(r *reader) ([]uint64, error) {
-	n, err := r.uvarint()
+	pages, n, err := core.ParsePages(nil, r.b[r.off:])
 	if err != nil {
-		return nil, err
+		return nil, corruptf(r.sec, "at byte %d: %v", r.off, err)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.remaining())+1 {
-		return nil, corruptf(r.sec, "page list of %d entries exceeds the section's %d bytes", n, r.remaining())
-	}
-	pages := make([]uint64, 0, capHint(n))
-	var prev uint64
-	for i := uint64(0); i < n; i++ {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			prev = v
-		} else {
-			if v == 0 {
-				return nil, corruptf(r.sec, "zero page delta at entry %d", i)
-			}
-			next := prev + v
-			if next < prev {
-				return nil, corruptf(r.sec, "page delta overflow at entry %d", i)
-			}
-			prev = next
-		}
-		pages = append(pages, prev)
-	}
+	r.off += n
 	return pages, nil
 }
 

@@ -83,12 +83,12 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	// uvarint-delta PageSet per vertex in the same order.
 	b = nil
 	for _, sc := range subs {
-		b = appendPages(b, sc.ReadSet.Sorted())
+		b = core.AppendPages(b, sc.ReadSet.Sorted())
 	}
 	sections = append(sections, b)
 	b = nil
 	for _, sc := range subs {
-		b = appendPages(b, sc.WriteSet.Sorted())
+		b = core.AppendPages(b, sc.WriteSet.Sorted())
 	}
 	sections = append(sections, b)
 
@@ -130,7 +130,7 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	for i := range dataEdges {
 		b = appendSubID(b, dataEdges[i].From)
 		b = appendSubID(b, dataEdges[i].To)
-		b = appendPages(b, dataEdges[i].Pages)
+		b = core.AppendPages(b, dataEdges[i].Pages)
 	}
 	sections = append(sections, b)
 
@@ -204,20 +204,6 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 		}
 	}
 	return nil
-}
-
-// appendPages appends a page list in the canonical PageSet wire form:
-// count, first page, then strictly-positive deltas.
-func appendPages(b []byte, pages []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(pages)))
-	for i, p := range pages {
-		if i == 0 {
-			b = binary.AppendUvarint(b, p)
-		} else {
-			b = binary.AppendUvarint(b, p-pages[i-1])
-		}
-	}
-	return b
 }
 
 // appendSubID appends a vertex id as thread, alpha.

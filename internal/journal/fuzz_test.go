@@ -6,7 +6,13 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/journal"
+	"github.com/repro/inspector/internal/wire"
 )
+
+// rawBody is a record body built by hand: AppendFrame frames it as is.
+type rawBody []byte
+
+func (r rawBody) AppendWire(b []byte) ([]byte, error) { return append(b, r...), nil }
 
 // FuzzJournalRecords throws arbitrary bytes at the segment decoder as a
 // lone journal-000001.isj. The contract under attack: Recover never
@@ -35,6 +41,22 @@ func FuzzJournalRecords(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("INSPISJ1"))
 	f.Add([]byte{})
+	// Well-framed delta records whose bodies claim counts nothing backs
+	// (lens, then vertices), after the genuine preamble and header.
+	_, _, hdrLen, err := wire.ParseFrame(valid[wire.PreambleLen:], 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []rawBody{
+		{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
+		{1, 2, 0, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
+	} {
+		seg := append([]byte(nil), valid[:wire.PreambleLen+int(hdrLen)]...)
+		if seg, err = wire.AppendFrame(seg, wire.KindDelta, body); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seg)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -11,13 +11,19 @@
 //	[uint32 payload length | uint32 CRC-32C of payload | payload]
 //
 // The payload's first byte is the record kind (header, epoch delta,
-// seal); the rest is a self-contained gob stream. Every record carries
-// its own gob type definitions on purpose: records stay independently
-// decodable, so a torn tail never poisons the frames before it. The
-// first frame of every segment is a header naming the run (random run
-// id, app, thread capacity, segment sequence number, first epoch), so
-// recovery detects mixed, reordered, or missing segments instead of
-// splicing unrelated runs together.
+// seal); the rest is the record's own binary form (format version 2:
+// uvarint fields, see internal/wire and core.EpochDelta.AppendWire).
+// A record refers to nothing outside itself, so records stay
+// independently decodable and a torn tail never poisons the frames
+// before it. The first frame of every segment is a header naming the
+// run (random run id, app, thread capacity, segment sequence number,
+// first epoch), so recovery detects mixed, reordered, or missing
+// segments instead of splicing unrelated runs together.
+//
+// A journal is a per-run crash artifact, written and recovered by the
+// same build: Recover refuses a segment of another format version by
+// name (version 1 payloads were gob) rather than carrying a second
+// reader for it.
 //
 // Epoch-delta payloads are core.EpochDelta values — exactly what
 // IncrementalAnalyzer.FoldDelta emits — and recovery replays them
@@ -31,11 +37,14 @@ package journal
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/wire"
@@ -97,8 +106,9 @@ func ParsePolicy(s string) (p Policy, every int, err error) {
 		return PolicyNone, 0, nil
 	case s == "interval" || s == "":
 		return PolicyInterval, 0, nil
-	case len(s) > len("interval:") && s[:len("interval:")] == "interval:":
-		if _, err := fmt.Sscanf(s[len("interval:"):], "%d", &every); err != nil || every < 1 {
+	case strings.HasPrefix(s, "interval:"):
+		every, err := strconv.Atoi(strings.TrimPrefix(s, "interval:"))
+		if err != nil || every < 1 {
 			return 0, 0, fmt.Errorf("journal: bad fsync interval %q", s)
 		}
 		return PolicyInterval, every, nil
@@ -131,10 +141,27 @@ type Header struct {
 	BaseEpoch uint64
 }
 
-// sealRecord is the clean-close marker.
-type sealRecord struct {
-	// FinalEpoch must match the last delta's epoch.
-	FinalEpoch uint64
+// AppendWire appends the header's binary form (a wire.AppendFrame
+// payload): RunID, App, Threads, Segment, BaseEpoch.
+func (h *Header) AppendWire(b []byte) ([]byte, error) {
+	b = wire.AppendString(b, h.RunID)
+	b = wire.AppendString(b, h.App)
+	b = binary.AppendUvarint(b, uint64(h.Threads))
+	b = binary.AppendUvarint(b, h.Segment)
+	return binary.AppendUvarint(b, h.BaseEpoch), nil
+}
+
+// ParseWire reads the AppendWire form.
+func (h *Header) ParseWire(body []byte) error {
+	c := wire.NewCursor(body)
+	*h = Header{
+		RunID:     c.String("header.run_id"),
+		App:       c.String("header.app"),
+		Threads:   c.Int("header.threads"),
+		Segment:   c.Uvarint("header.segment"),
+		BaseEpoch: c.Uvarint("header.base_epoch"),
+	}
+	return c.Done()
 }
 
 // Options configures a Writer.
@@ -338,7 +365,7 @@ func (w *Writer) Seal(finalEpoch uint64) error {
 		w.err = fmt.Errorf("journal: seal epoch %d, last appended %d", finalEpoch, w.epoch)
 		return w.err
 	}
-	if err := w.appendRecord(recSeal, &sealRecord{FinalEpoch: finalEpoch}); err != nil {
+	if err := w.appendRecord(recSeal, wire.Seal{FinalEpoch: finalEpoch}); err != nil {
 		return err
 	}
 	if w.opts.Fsync != PolicyNone {

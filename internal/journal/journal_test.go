@@ -2,6 +2,7 @@ package journal_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // liveRecording drives a deterministic random multithreaded recording
@@ -117,6 +119,29 @@ func writeJournal(t testing.TB, dir string, threads, steps int, seed int64, opts
 	return lr.g, exports
 }
 
+// segmentBytesFor returns a roll threshold that splits the journal
+// writeJournal(threads, steps, seed) produces into at least n segments.
+// It is measured from an unrolled recording of the same (seeded,
+// deterministic) run, so the rolling tests do not depend on what a
+// record happens to weigh in the current format.
+func segmentBytesFor(t testing.TB, threads, steps int, seed int64, n int) int64 {
+	t.Helper()
+	dir := t.TempDir()
+	writeJournal(t, dir, threads, steps, seed, journal.Options{})
+	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.isj"))
+	if len(segs) != 1 {
+		t.Fatalf("unrolled reference journal has %d segments, want 1", len(segs))
+	}
+	st, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A segment rolls at the first append past the threshold, so every
+	// closed segment holds at least that much: size/(n+1) leaves room
+	// for the records that straddle a threshold.
+	return st.Size() / int64(n+1)
+}
+
 func TestRoundTripSealed(t *testing.T) {
 	dir := t.TempDir()
 	g, exports := writeJournal(t, dir, 2, 40, 1, journal.Options{App: "unit"})
@@ -170,13 +195,14 @@ func TestRecoverMaxEpochMatchesEveryPrefix(t *testing.T) {
 
 func TestSegmentRolling(t *testing.T) {
 	dir := t.TempDir()
-	g, exports := writeJournal(t, dir, 2, 60, 3, journal.Options{SegmentBytes: 2 << 10})
+	threshold := segmentBytesFor(t, 2, 60, 3, 3)
+	g, exports := writeJournal(t, dir, 2, 60, 3, journal.Options{SegmentBytes: threshold})
 	rep, err := journal.Recover(dir, journal.RecoverOptions{})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	if len(rep.Segments) < 3 {
-		t.Fatalf("only %d segments with a 2KiB threshold", len(rep.Segments))
+		t.Fatalf("only %d segments with a %d-byte threshold", len(rep.Segments), threshold)
 	}
 	if !rep.Sealed || rep.Epoch != uint64(len(exports)) {
 		t.Fatalf("sealed=%v epoch=%d, want true/%d", rep.Sealed, rep.Epoch, len(exports))
@@ -321,7 +347,7 @@ func TestBitFlipStopsReplayAtCorruptRecord(t *testing.T) {
 
 func TestTruncateRemovesTornTailPhysically(t *testing.T) {
 	dir := t.TempDir()
-	writeJournal(t, dir, 2, 40, 7, journal.Options{SegmentBytes: 2 << 10})
+	writeJournal(t, dir, 2, 40, 7, journal.Options{SegmentBytes: segmentBytesFor(t, 2, 40, 7, 3)})
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.isj"))
 	if len(segs) < 3 {
@@ -377,6 +403,31 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 	}
 	if _, err := journal.Recover(dir, journal.RecoverOptions{}); err == nil {
 		t.Error("garbage segment 1 accepted")
+	}
+}
+
+// TestRecoverRefusesOtherFormatVersions pins the version policy on
+// disk: a segment of another format version is refused by name — the
+// preamble says which version wrote it, the error says which this build
+// reads — and is never handed to the record decoder.
+func TestRecoverRefusesOtherFormatVersions(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir, 1, 5, 8, journal.Options{})
+	seg := filepath.Join(dir, "journal-000001.isj")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != wire.Version {
+		t.Fatalf("fresh segment carries version %d, want %d", v, wire.Version)
+	}
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = journal.Recover(dir, journal.RecoverOptions{})
+	if err == nil || !strings.Contains(err.Error(), "format version 1, want 2") {
+		t.Fatalf("Recover of a version-1 segment: err = %v, want it to name versions 1 and 2", err)
 	}
 }
 
@@ -449,6 +500,12 @@ func TestParsePolicy(t *testing.T) {
 		{"interval:4", journal.PolicyInterval, 4, true},
 		{"interval:0", 0, 0, false},
 		{"interval:x", 0, 0, false},
+		{"interval:", 0, 0, false},
+		{"interval:-3", 0, 0, false},
+		// Trailing garbage used to parse as its numeric prefix.
+		{"interval:5x", 0, 0, false},
+		{"interval:7 9", 0, 0, false},
+		{"interval: 4", 0, 0, false},
 		{"sometimes", 0, 0, false},
 	}
 	for _, c := range cases {

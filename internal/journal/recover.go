@@ -242,7 +242,7 @@ scan:
 					break scan
 				}
 			case kind == recSeal:
-				var s sealRecord
+				var s wire.Seal
 				if err := wire.Decode(body, &s); err != nil {
 					torn(path, off, fmt.Sprintf("seal decode: %v", err))
 					break scan

@@ -4,28 +4,41 @@
 //	[uint32 payload length | uint32 CRC-32C of payload | payload]
 //
 // little-endian, where the payload's first byte is the record kind and
-// the rest is a self-contained gob stream. Every record carries its own
-// gob type definitions on purpose: records stay independently decodable,
-// so a torn tail (disk) or a cut connection (network) never poisons the
-// frames before it.
+// the rest is the record's own binary form (format version 2): uvarint
+// and length-prefixed fields written by the payload type's AppendWire
+// and read back, bounds-checked, by its ParseWire through a Cursor.
+// A record refers to nothing outside itself — no shared type table, no
+// dictionary carried across frames — so records stay independently
+// decodable and a torn tail (disk) or a cut connection (network) never
+// poisons the frames before it. Version 1 payloads were self-contained
+// gob streams; this build refuses them by version, it does not read
+// them (DESIGN.md, "Durability").
 //
-// The package is a leaf (stdlib only). The journal writes frames into
-// segment files behind a magic/version preamble; the ingest path writes
-// the same frames into an HTTP request body with no preamble — the URL
-// names the source, and every body restates its run identity in a
-// header frame, so a reconnecting recorder's next POST is
-// self-describing.
+// A frame body is untrusted (a recovered disk, an HTTP request), so the
+// decode rules are the package's contract: every count is checked
+// against the bytes that remain before anything is allocated, nothing a
+// parsed value holds points into the body (Reader.Next reuses its
+// buffer), a zero-length field parses to nil, and every rejection is a
+// *PayloadError naming the field.
+//
+// The package is a leaf (stdlib only): it knows the Hello and Seal
+// records and dispatches every other payload on the two one-method
+// interfaces AppendFrame and Decode document. The journal writes frames
+// into segment files behind a magic/version preamble; the ingest path
+// writes the same frames into an HTTP request body with no preamble —
+// the URL names the source, and every body restates its wire version
+// and run identity in a header frame, so a reconnecting recorder's next
+// POST is self-describing.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 const (
@@ -33,8 +46,9 @@ const (
 	// journal. Network streams do not carry it; HTTP already frames the
 	// conversation.
 	Magic = "INSPISJ1"
-	// Version is the frame format version.
-	Version = 1
+	// Version is the frame format version: 2 since payloads are the
+	// records' own binary forms (1 was gob).
+	Version = 2
 	// PreambleLen is the segment preamble size: magic + LE uint32
 	// version.
 	PreambleLen = 12
@@ -81,35 +95,37 @@ var (
 	ErrFrameTooLarge = errors.New("frame exceeds size limit")
 )
 
-// AppendFrame frames one record onto buf: gob-encode the payload behind
-// the kind byte, checksum, and prepend the length/CRC header. The frame
-// is appended as a contiguous region so callers can issue it as a
-// single write.
+// AppendFrame frames one record onto buf: the kind byte, then the
+// payload's own binary form, checksummed behind the length/CRC header.
+// The payload must implement
+//
+//	AppendWire(b []byte) ([]byte, error)
+//
+// (append the record's fields to b); a payload without a binary form is
+// an error — there is no generic fallback encoding. The frame is
+// appended as a contiguous region so callers can issue it as a single
+// write.
 func AppendFrame(buf []byte, kind byte, payload any) ([]byte, error) {
+	p, ok := payload.(interface {
+		AppendWire(b []byte) ([]byte, error)
+	})
+	if !ok {
+		return buf, fmt.Errorf("wire: encode record: %T has no binary form", payload)
+	}
 	base := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	buf = append(buf, kind)
-	sw := sliceWriter(buf)
-	if err := gob.NewEncoder(&sw).Encode(payload); err != nil {
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, kind) // frame header placeholder, kind
+	buf, err := p.AppendWire(buf)
+	if err != nil {
 		return buf[:base], fmt.Errorf("wire: encode record: %w", err)
 	}
-	buf = []byte(sw)
 	body := buf[base+FrameOverhead:]
 	binary.LittleEndian.PutUint32(buf[base:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(buf[base+4:], CRC(body))
 	return buf, nil
 }
 
-// sliceWriter lets gob append directly to the frame buffer.
-type sliceWriter []byte
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	*s = append(*s, p...)
-	return len(p), nil
-}
-
 // ParseFrame parses the first frame in data. It returns the record kind,
-// the gob body (payload minus the kind byte, aliasing data), and the
+// the record body (payload minus the kind byte, aliasing data), and the
 // total frame length. maxPayload, when non-zero, bounds the payload
 // length before any allocation or checksum work.
 func ParseFrame(data []byte, maxPayload uint32) (kind byte, body []byte, frameLen int64, err error) {
@@ -134,10 +150,19 @@ func ParseFrame(data []byte, maxPayload uint32) (kind byte, body []byte, frameLe
 	return payload[0], payload[1:], FrameOverhead + int64(plen), nil
 }
 
-// Decode gob-decodes a frame body (as returned by ParseFrame or
-// Reader.Next) into v.
+// Decode parses a frame body (as returned by ParseFrame or Reader.Next)
+// into v, which must implement
+//
+//	ParseWire(body []byte) error
+//
+// under the package's decode rules: v keeps nothing that points into
+// body, and a malformed body is a *PayloadError.
 func Decode(body []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+	p, ok := v.(interface{ ParseWire(body []byte) error })
+	if !ok {
+		return fmt.Errorf("wire: decode record: %T has no binary form", v)
+	}
+	return p.ParseWire(body)
 }
 
 // Reader reads a sequence of frames from an untrusted stream (an HTTP
@@ -157,6 +182,10 @@ func NewReader(r io.Reader, maxPayload uint32) *Reader {
 	return &Reader{r: bufio.NewReader(r), max: maxPayload}
 }
 
+// readChunk is how far Reader.Next lets its buffer run ahead of the
+// bytes that have actually arrived.
+const readChunk = 64 << 10
+
 // Next reads one frame. It returns io.EOF when the stream ends exactly
 // on a frame boundary; a stream cut inside a frame yields ErrShortHeader
 // or ErrShortFrame, and a corrupt frame yields ErrEmptyFrame, ErrBadCRC,
@@ -169,31 +198,41 @@ func (fr *Reader) Next() (kind byte, body []byte, err error) {
 	if _, err := io.ReadFull(fr.r, hdr[1:]); err != nil {
 		return 0, nil, ErrShortHeader
 	}
-	plen := binary.LittleEndian.Uint32(hdr[:])
+	plen := int(binary.LittleEndian.Uint32(hdr[:]))
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
 	if plen == 0 {
 		return 0, nil, ErrEmptyFrame
 	}
-	if plen > fr.max {
+	if uint32(plen) > fr.max {
 		return 0, nil, ErrFrameTooLarge
 	}
-	if uint32(cap(fr.buf)) < plen {
-		fr.buf = make([]byte, plen)
+	// The length is only a claim until the bytes arrive: past the buffer
+	// it already owns the reader grows a chunk at a time, so a short body
+	// behind a giant prefix costs what was read, not what was promised.
+	payload := fr.buf[:0]
+	for len(payload) < plen {
+		n := min(plen-len(payload), max(readChunk, cap(payload)-len(payload)))
+		payload = slices.Grow(payload, n)[:len(payload)+n]
+		if _, err := io.ReadFull(fr.r, payload[len(payload)-n:]); err != nil {
+			return 0, nil, ErrShortFrame
+		}
 	}
-	payload := fr.buf[:plen]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return 0, nil, ErrShortFrame
-	}
+	fr.buf = payload
 	if CRC(payload) != wantCRC {
 		return 0, nil, ErrBadCRC
 	}
 	return payload[0], payload[1:], nil
 }
 
+// ErrVersion reports a header frame written in another format version.
+var ErrVersion = errors.New("wire: unsupported format version")
+
 // Hello is the first frame of every ingest request body: the stream
 // analogue of the journal segment header. It binds the request to a run
 // identity so the aggregator detects a different run re-using a source
-// name instead of splicing unrelated runs together.
+// name instead of splicing unrelated runs together. On the wire it
+// opens with the format version — a request body has no preamble to
+// carry it — then RunID, App, Threads, BaseEpoch.
 type Hello struct {
 	// RunID ties a run's uploads together. The aggregator rejects a
 	// hello whose RunID differs from the source's bound identity.
@@ -208,9 +247,52 @@ type Hello struct {
 	BaseEpoch uint64
 }
 
-// Seal is the clean-close marker: the recorder finished and no further
-// epochs will arrive for the source.
+// AppendWire appends the hello's binary form.
+func (h Hello) AppendWire(b []byte) ([]byte, error) {
+	if h.Threads < 0 {
+		return b, fmt.Errorf("hello: negative thread capacity %d", h.Threads)
+	}
+	b = binary.AppendUvarint(b, Version)
+	b = AppendString(b, h.RunID)
+	b = AppendString(b, h.App)
+	b = binary.AppendUvarint(b, uint64(h.Threads))
+	return binary.AppendUvarint(b, h.BaseEpoch), nil
+}
+
+// ParseWire reads the AppendWire form. A body that does not open with
+// this build's Version is refused with ErrVersion before anything else
+// is read: a version-1 recorder's gob stream opens with its first
+// message's length, which is never 2.
+func (h *Hello) ParseWire(body []byte) error {
+	c := NewCursor(body)
+	if v := c.Uvarint("hello.version"); c.Err() == nil && v != Version {
+		return fmt.Errorf("%w: hello opens with %d, this build speaks version %d (version 1 was gob-framed and is refused, not read)",
+			ErrVersion, v, Version)
+	}
+	*h = Hello{
+		RunID:     c.String("hello.run_id"),
+		App:       c.String("hello.app"),
+		Threads:   c.Int("hello.threads"),
+		BaseEpoch: c.Uvarint("hello.base_epoch"),
+	}
+	return c.Done()
+}
+
+// Seal is the clean-close marker, on the stream and in the journal: the
+// recorder finished and no further epochs will arrive.
 type Seal struct {
-	// FinalEpoch must match the last streamed delta's epoch.
+	// FinalEpoch must match the last delta's epoch.
 	FinalEpoch uint64
+}
+
+// AppendWire appends the seal's binary form: the final epoch.
+func (s Seal) AppendWire(b []byte) ([]byte, error) {
+	return binary.AppendUvarint(b, s.FinalEpoch), nil
+}
+
+// ParseWire reads the AppendWire form.
+func (s *Seal) ParseWire(body []byte) error {
+	c := NewCursor(body)
+	s.FinalEpoch = c.Uvarint("seal.final_epoch")
+	return c.Done()
 }

@@ -10,6 +10,8 @@ package provenance
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -165,6 +167,68 @@ func TestIngestOffsetContract(t *testing.T) {
 	other.RunID = "impostor"
 	if _, err := post(t, c, "src", other, nil, nil); serverStatus(err) != http.StatusConflict {
 		t.Fatalf("run-conflict post err = %v, want HTTP 409", err)
+	}
+}
+
+// rawBody is a record body built by hand: AppendFrame frames it as is.
+type rawBody []byte
+
+func (r rawBody) AppendWire(b []byte) ([]byte, error) { return append(b, r...), nil }
+
+// gobFrame frames v the way a version-1 recorder did: a self-contained
+// gob stream behind the kind byte.
+func gobFrame(t *testing.T, kind byte, v any) []byte {
+	t.Helper()
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendFrame(nil, kind, rawBody(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestIngestRefusesMalformedPayloads pins the decode half of the trust
+// boundary, before validation ever sees a delta: a version-1 (gob)
+// recorder is told so by version in a 400 and binds nothing; a delta
+// body that lies about its shape is a 400 naming the field, and —
+// unlike a delta that parses and then fails validation — leaves the
+// source healthy at its last good epoch.
+func TestIngestRefusesMalformedPayloads(t *testing.T) {
+	hub, ts := newFabricServer(t, IngestOptions{})
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	run := recordFabric(t, 2, 24, 5)
+
+	_, err := c.Ingest(ctx, "old", gobFrame(t, wire.KindHeader, &run.hello))
+	if serverStatus(err) != http.StatusBadRequest ||
+		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("gob hello err = %v, want HTTP 400 naming versions 1 and 2", err)
+	}
+	if _, bound := hub.Source("old"); bound {
+		t.Fatal("a refused hello bound a source")
+	}
+
+	if _, err := post(t, c, "w", run.hello, run.deltas[:2], nil); err != nil {
+		t.Fatal(err)
+	}
+	// The next epoch with a lens count no body backs, correctly framed.
+	body, err := EncodeFrames(run.hello, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := binary.AppendUvarint(binary.AppendUvarint(nil, run.deltas[2].Epoch), 1<<40)
+	if body, err = wire.AppendFrame(body, wire.KindDelta, rawBody(forged)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Ingest(ctx, "w", body)
+	if serverStatus(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "delta.lens") {
+		t.Fatalf("forged-count delta err = %v, want HTTP 400 naming delta.lens", err)
+	}
+	if st, err := post(t, c, "w", run.hello, run.deltas[2:3], nil); err != nil || st.Accepted != 1 || st.Degraded {
+		t.Fatalf("genuine delta after the refused one = %+v err=%v, want it applied to a healthy source", st, err)
 	}
 }
 

@@ -35,6 +35,21 @@ func FuzzIngestFrames(f *testing.F) {
 	f.Add([]byte("not frames at all"))
 	// A hostile length prefix: claims a giant frame.
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	// Well-framed deltas whose bodies claim counts nothing backs (lens,
+	// then vertices), behind a genuine hello.
+	for _, body := range []rawBody{
+		{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
+		{1, 2, 0, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
+	} {
+		hostile, err := EncodeFrames(wire.Hello{RunID: "r", App: "fuzz", Threads: 2}, nil, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if hostile, err = wire.AppendFrame(hostile, wire.KindDelta, body); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(hostile)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		hub := NewIngestHub(IngestOptions{MaxFrameBytes: 1 << 20, MaxBodyBytes: 1 << 20})
