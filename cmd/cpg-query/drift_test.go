@@ -31,6 +31,7 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/workloads"
 )
@@ -56,9 +57,9 @@ type cliDriftFile struct {
 	Entries []cliDriftEntry `json:"entries"`
 }
 
-// buildWorkloadCPG records app single-threaded and writes its gob export,
-// returning the file path and the decoded graph for target derivation.
-func buildWorkloadCPG(t *testing.T, dir, app string) (string, *core.Graph) {
+// recordCPGFile records app single-threaded and writes its .cpg file,
+// returning the file path and the recorded graph for target derivation.
+func recordCPGFile(t *testing.T, dir, app string) (string, *core.Graph) {
 	t.Helper()
 	w, err := workloads.Get(app)
 	if err != nil {
@@ -76,15 +77,8 @@ func buildWorkloadCPG(t *testing.T, dir, app string) (string, *core.Graph) {
 	if err := w.Run(rt, cfg); err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
-	path := filepath.Join(dir, app+".gob")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Graph().EncodeGob(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(dir, app+".cpg")
+	if err := cpgfile.Write(path, rt.Graph().Analyze(), cpgfile.Meta{App: app}); err != nil {
 		t.Fatal(err)
 	}
 	return path, rt.Graph()
@@ -162,7 +156,7 @@ func TestCLIOutputDriftAgainstSeed(t *testing.T) {
 			Seed:    1,
 		}
 		for _, app := range workloads.Names() {
-			cpgPath, g := buildWorkloadCPG(t, dir, app)
+			cpgPath, g := recordCPGFile(t, dir, app)
 			for _, args := range driftInvocations(g) {
 				df.Entries = append(df.Entries, cliDriftEntry{
 					App:  app,
@@ -201,7 +195,7 @@ func TestCLIOutputDriftAgainstSeed(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cpgPath, ok := cpgPaths[want.App]
 			if !ok {
-				cpgPath, _ = buildWorkloadCPG(t, dir, want.App)
+				cpgPath, _ = recordCPGFile(t, dir, want.App)
 				cpgPaths[want.App] = cpgPath
 			}
 			if got := cliSHA(t, cpgPath, want.Args); got != want.SHA {

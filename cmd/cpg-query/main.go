@@ -1,24 +1,19 @@
 // Command cpg-query runs provenance queries against a Concurrent
-// Provenance Graph saved by inspector-run (gob format or the columnar
-// on-disk .cpg format, detected by magic), or against a running
-// inspector-serve daemon.
+// Provenance Graph saved by inspector-run -cpg (the columnar .cpg
+// format, internal/cpgfile), or against a running inspector-serve
+// daemon.
 //
 // Usage:
 //
-//	cpg-query -cpg run.gob stats
-//	cpg-query -cpg run.gob verify
-//	cpg-query -cpg run.gob [-format json] slice T1.3
-//	cpg-query -cpg run.gob [-format json] taint T0.0
-//	cpg-query -cpg run.gob lineage <page> T1.3
-//	cpg-query -cpg run.gob [-format json] edges [control|sync|data]
-//	cpg-query -cpg run.gob [-format json] path T0.0 T1.3
-//	cpg-query -cpg run.gob export run.cpg
+//	cpg-query -cpg run.cpg stats
+//	cpg-query -cpg run.cpg verify
+//	cpg-query -cpg run.cpg [-format json] slice T1.3
+//	cpg-query -cpg run.cpg [-format json] taint T0.0
+//	cpg-query -cpg run.cpg lineage <page> T1.3
+//	cpg-query -cpg run.cpg [-format json] edges [control|sync|data]
+//	cpg-query -cpg run.cpg [-format json] path T0.0 T1.3
 //	cpg-query -remote http://localhost:7070 [-id run] slice T1.3
 //	cpg-query -remote http://localhost:7070 [-id run] watch
-//
-// export converts a CPG to the columnar on-disk format that
-// inspector-serve -cpgdir serves with bounded memory; the other
-// subcommands accept either format transparently.
 //
 // watch follows a live or ingested CPG's epoch push: it long-polls
 // GET /v1/cpgs/{id}/epochs, prints one line per epoch advance, and
@@ -48,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -148,7 +142,7 @@ func printIDs(w io.Writer, ids []string, asJSON bool) error {
 
 func run(args []string, w io.Writer) error {
 	fs := newFlagSet()
-	cpgPath := fs.String("cpg", "", "CPG gob file written by inspector-run -cpg")
+	cpgPath := fs.String("cpg", "", ".cpg file written by inspector-run -cpg")
 	format := fs.String("format", "text", "output format: text|json")
 	remote := fs.String("remote", "", "inspector-serve base URL (query remotely instead of -cpg)")
 	cpgID := fs.String("id", "", "served CPG id for -remote (defaults to the only one)")
@@ -156,7 +150,7 @@ func run(args []string, w io.Writer) error {
 		return &usageError{err: err}
 	}
 	if (*cpgPath == "" && *remote == "") || fs.NArg() < 1 {
-		return usagef("usage: cpg-query {-cpg file.{gob|cpg} | -remote url [-id cpg]} [-format json] <stats|verify|slice|taint|lineage|edges|path|export> [args]")
+		return usagef("usage: cpg-query {-cpg file.cpg | -remote url [-id cpg]} [-format json] <stats|verify|slice|taint|lineage|edges|path|watch> [args]")
 	}
 	asJSON := false
 	switch *format {
@@ -176,16 +170,6 @@ func run(args []string, w io.Writer) error {
 		}
 		return runWatch(context.Background(), *remote, *cpgID, w, asJSON)
 	}
-	if fs.Arg(0) == "export" {
-		if *remote != "" {
-			return usagef("export converts a local file; use -cpg, not -remote")
-		}
-		if fs.NArg() != 2 {
-			return usagef("usage: cpg-query -cpg in.gob export <out.cpg>")
-		}
-		return runExport(*cpgPath, fs.Arg(1), w)
-	}
-
 	q, err := buildQuery(fs.Arg(0), fs.Args()[1:])
 	if err != nil {
 		return err
@@ -261,56 +245,14 @@ func buildQuery(cmd string, args []string) (provenance.Query, error) {
 	}
 }
 
-// runLocal executes the query in process over a local CPG file of
-// either format.
+// runLocal executes the query in process over a local .cpg file.
 func runLocal(ctx context.Context, cpgPath string, q provenance.Query) (*provenance.Result, error) {
-	a, err := loadLocalAnalysis(cpgPath)
+	a, _, err := cpgfile.Load(cpgPath)
 	if err != nil {
 		return nil, err
 	}
 	eng := provenance.NewEngine(a, provenance.EngineOptions{})
 	return eng.Execute(ctx, q)
-}
-
-// loadLocalAnalysis opens a local CPG of either format, sniffing the
-// 8-byte magic: the columnar on-disk format decodes directly, anything
-// else is treated as an inspector-run gob.
-func loadLocalAnalysis(cpgPath string) (*core.Analysis, error) {
-	f, err := os.Open(cpgPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	magic := make([]byte, len(cpgfile.Magic))
-	if n, _ := io.ReadFull(f, magic); n == len(magic) && string(magic) == cpgfile.Magic {
-		a, _, err := cpgfile.Load(cpgPath)
-		return a, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	g, err := core.DecodeGob(f)
-	if err != nil {
-		return nil, err
-	}
-	return g.Analyze(), nil
-}
-
-// runExport converts a local CPG (gob or columnar) to the columnar
-// on-disk format — the archival step between inspector-run -cpg and
-// inspector-serve -cpgdir.
-func runExport(cpgPath, outPath string, w io.Writer) error {
-	a, err := loadLocalAnalysis(cpgPath)
-	if err != nil {
-		return err
-	}
-	base := filepath.Base(cpgPath)
-	meta := cpgfile.Meta{RunID: strings.TrimSuffix(base, filepath.Ext(base))}
-	if err := cpgfile.Write(outPath, a, meta); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote CPG file: %s\n", outPath)
-	return nil
 }
 
 // runRemote sends the query to an inspector-serve daemon, following the

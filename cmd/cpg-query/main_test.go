@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -45,7 +48,7 @@ func TestRunRequiresArgs(t *testing.T) {
 	if err := run(nil, io.Discard); err == nil {
 		t.Error("no args accepted")
 	}
-	if err := run([]string{"-cpg", "/nonexistent/file.gob", "stats"}, io.Discard); err == nil {
+	if err := run([]string{"-cpg", "/nonexistent/file.cpg", "stats"}, io.Discard); err == nil {
 		t.Error("missing file accepted")
 	}
 	if err := run([]string{"-cpg", "x", "-format", "yaml", "stats"}, io.Discard); err == nil {
@@ -68,6 +71,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-cpg", cpg, "-bogus", "stats"}, 2},
 		{"unknown format", []string{"-cpg", cpg, "-format", "yaml", "stats"}, 2},
 		{"unknown subcommand", []string{"-cpg", cpg, "frobnicate"}, 2},
+		{"export is gone", []string{"-cpg", cpg, "export", "out.cpg"}, 2},
 		{"slice missing target", []string{"-cpg", cpg, "slice"}, 2},
 		{"slice bad target", []string{"-cpg", cpg, "slice", "banana"}, 2},
 		{"taint bad target", []string{"-cpg", cpg, "taint", "T0"}, 2},
@@ -76,7 +80,7 @@ func TestExitCodes(t *testing.T) {
 		{"edges unknown kind", []string{"-cpg", cpg, "edges", "banana"}, 2},
 		{"path missing to", []string{"-cpg", cpg, "path", "T0.0"}, 2},
 		{"path bad endpoint", []string{"-cpg", cpg, "path", "nope", "T0.1"}, 2},
-		{"missing file", []string{"-cpg", "/nonexistent/file.gob", "stats"}, 1},
+		{"missing file", []string{"-cpg", "/nonexistent/file.cpg", "stats"}, 1},
 		{"no dependency chain", []string{"-cpg", cpg, "path", "T0.1", "T0.0"}, 1},
 		{"unreachable server", []string{"-remote", "http://127.0.0.1:1", "stats"}, 1},
 	}
@@ -90,23 +94,51 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestRefusesWhatIsNotACPGFile pins the one-format rule: -cpg reads
+// .cpg and nothing else. A gob artifact from an older build (any other
+// bytes, to this build) is refused by magic with its path named, and a
+// damaged .cpg names the section.
+func TestRefusesWhatIsNotACPGFile(t *testing.T) {
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(map[string]int{"Threads": 2}); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(t.TempDir(), "run.gob")
+	if err := os.WriteFile(stale, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-cpg", stale, "stats"}, io.Discard)
+	if !errors.Is(err, cpgfile.ErrBadMagic) || !strings.Contains(err.Error(), stale) || exitCode(err) != 1 {
+		t.Errorf("gob file: err = %v (exit %d), want ErrBadMagic naming %s, exit 1", err, exitCode(err), stale)
+	}
+
+	good, err := os.ReadFile(writeTestCPG(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(t.TempDir(), "torn.cpg")
+	if err := os.WriteFile(torn, good[:len(good)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-cpg", torn, "stats"}, io.Discard)
+	var ce *cpgfile.CorruptError
+	if !errors.As(err, &ce) || ce.Section == "" || !strings.Contains(err.Error(), torn) {
+		t.Errorf("torn file: err = %v, want a *cpgfile.CorruptError naming a section and %s", err, torn)
+	}
+}
+
 // TestRemoteMatchesLocal holds the acceptance bar: remote mode against
 // an inspector-serve handler produces byte-identical output to local
 // mode, for every subcommand, in both formats — including when the
 // server paginates and the client has to follow cursors.
 func TestRemoteMatchesLocal(t *testing.T) {
 	cpgPath := writeTestCPG(t)
-	f, err := os.Open(cpgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := core.DecodeGob(f)
-	f.Close()
+	a, _, err := cpgfile.Load(cpgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, maxResults := range []int{0, 1} {
-		eng := provenance.NewEngine(g.Analyze(), provenance.EngineOptions{MaxResults: maxResults})
+		eng := provenance.NewEngine(a, provenance.EngineOptions{MaxResults: maxResults})
 		ts := httptest.NewServer(provenance.NewServer(
 			map[string]*provenance.Engine{"cpg": eng}, provenance.ServerOptions{}))
 		defer ts.Close()
@@ -152,7 +184,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 }
 
 // writeTestCPG records the paper's Figure 1 execution (lock handoff
-// T0.0 -> T1.0 -> T0.1 with data flow on pages 100/101) into a gob file.
+// T0.0 -> T1.0 -> T0.1 with data flow on pages 100/101) into a .cpg file.
 func writeTestCPG(t *testing.T) string {
 	t.Helper()
 	g := core.NewGraph(2)
@@ -191,13 +223,8 @@ func writeTestCPG(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "cpg.gob")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := g.EncodeGob(f); err != nil {
+	path := filepath.Join(t.TempDir(), "run.cpg")
+	if err := cpgfile.Write(path, g.Analyze(), cpgfile.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -55,7 +55,7 @@ func runCPGBench(w io.Writer, outPath, baselinePath string) error {
 	// The Store rows (cold decode-under-eviction vs warm result-cache
 	// hit over 16- and 256-file fleets) likewise have no baseline
 	// counterpart: before the on-disk columnar format existed, serving a
-	// directory of CPGs meant eagerly decoding every gob up front.
+	// directory of CPGs meant eagerly decoding every file up front.
 	for _, c := range storebench.Cases() {
 		cases = append(cases, benchCase{name: c.Name, bytes: c.Bytes, fn: c.Fn})
 	}

@@ -13,8 +13,8 @@
 // Usage:
 //
 //	inspector-recover -journal DIR [-epoch N] [-truncate]
-//	                  [-cpg out.gob] [-cpgfile out.cpg] [-json out.json]
-//	                  [-dot out.dot] [-analysis out.json] [-q]
+//	                  [-cpg out.cpg] [-json out.json] [-dot out.dot]
+//	                  [-analysis out.json] [-q]
 //
 // -epoch stops the replay at epoch N (a time-travel debugging aid; the
 // result is not marked degraded — the cut was asked for). -truncate
@@ -58,8 +58,7 @@ func run(args []string, out io.Writer) error {
 	dir := fs.String("journal", "", "journal directory to recover (required)")
 	epoch := fs.Uint64("epoch", 0, "stop the replay at this epoch (0 = replay everything durable)")
 	truncate := fs.Bool("truncate", false, "physically remove the torn tail after recovery")
-	cpgOut := fs.String("cpg", "", "write the recovered CPG (gob) to this file")
-	cpgfileOut := fs.String("cpgfile", "", "write the recovered CPG in the columnar on-disk format to this file")
+	cpgOut := fs.String("cpg", "", "write the recovered CPG in the columnar .cpg format (for cpg-query and inspector-serve) to this file")
 	jsonOut := fs.String("json", "", "write the recovered CPG (JSON) to this file")
 	dotOut := fs.String("dot", "", "write the recovered CPG (Graphviz DOT) to this file")
 	analysisOut := fs.String("analysis", "", "write the recovered analysis (JSON: thread lens + edges) to this file")
@@ -129,14 +128,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *cpgOut != "" {
-		if err := write(out, *cpgOut, "CPG", *quiet, rep.Graph.EncodeGob); err != nil {
-			return err
-		}
-	}
-	if *cpgfileOut != "" {
 		meta := cpgfile.Meta{RunID: rep.Header.RunID, App: rep.Header.App}
 		enc := func(w io.Writer) error { return cpgfile.Encode(w, rep.Analysis, meta) }
-		if err := write(out, *cpgfileOut, "CPG file", *quiet, enc); err != nil {
+		if err := write(out, *cpgOut, "CPG", *quiet, enc); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/journal"
 )
 
@@ -77,7 +78,7 @@ func TestRecoverExportsMatchInProcessFold(t *testing.T) {
 	exports := record(t, jdir, 12, true)
 	outDir := t.TempDir()
 	analysis := filepath.Join(outDir, "a.json")
-	cpg := filepath.Join(outDir, "g.gob")
+	cpg := filepath.Join(outDir, "g.cpg")
 	dot := filepath.Join(outDir, "g.dot")
 	jsn := filepath.Join(outDir, "g.json")
 
@@ -98,10 +99,35 @@ func TestRecoverExportsMatchInProcessFold(t *testing.T) {
 	if !bytes.Equal(got, exports[len(exports)-1]) {
 		t.Fatal("-analysis export diverges from the final in-process fold")
 	}
-	for _, p := range []string{cpg, dot, jsn} {
+	for _, p := range []string{dot, jsn} {
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Errorf("artifact %s: %v", p, err)
 		}
+	}
+	// -cpg holds the recovered analysis itself, under the journal's run
+	// identity: it reloads to the final fold without re-deriving it.
+	rep, err := journal.Recover(jdir, journal.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, hdr, err := cpgfile.Load(cpg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.RunID != rep.Header.RunID || hdr.App != rep.Header.App || hdr.Epoch != rep.Epoch {
+		t.Errorf("-cpg header = %+v, journal header %+v at epoch %d", hdr, rep.Header, rep.Epoch)
+	}
+	var reloaded bytes.Buffer
+	if err := loaded.ExportJSON(&reloaded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reloaded.Bytes(), exports[len(exports)-1]) {
+		t.Fatal("-cpg reloads to something other than the final in-process fold")
+	}
+
+	err = run([]string{"-journal", jdir, "-q", "-cpgfile", filepath.Join(outDir, "h.cpg")}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-cpgfile: err = %v, want it rejected as an unknown flag", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command inspector-run executes one of the twelve benchmark workloads
 // under INSPECTOR (or natively) and reports the run: timing, work, fault
 // and trace statistics, and optionally the recorded Concurrent Provenance
-// Graph as a gob file, JSON, or Graphviz DOT.
+// Graph as a columnar .cpg file (what cpg-query and inspector-serve
+// read), or rendered as JSON or Graphviz DOT.
 //
 // It is the equivalent of the paper's LD_PRELOAD deployment: the same
 // program runs unmodified in either mode, and in INSPECTOR mode the CPG
@@ -10,8 +11,8 @@
 // Usage:
 //
 //	inspector-run -app histogram [-native] [-threads 4] [-size medium]
-//	              [-cpg out.gob] [-cpgfile out.cpg] [-dot out.dot]
-//	              [-json out.json] [-decode] [-verify] [-live-stats]
+//	              [-cpg out.cpg] [-dot out.dot] [-json out.json]
+//	              [-decode] [-verify] [-live-stats]
 //	              [-journal DIR] [-stream URL] [-epoch-every 1] [-seed 1]
 //
 // -live-stats turns on the live analysis pipeline for the run: the CPG
@@ -85,8 +86,7 @@ func run(args []string) error {
 	threads := fs.Int("threads", 4, "worker thread count")
 	sizeFlag := fs.String("size", "medium", "input size: small|medium|large")
 	seed := fs.Int64("seed", 1, "input generation seed")
-	cpgOut := fs.String("cpg", "", "write the CPG (gob) to this file")
-	cpgfileOut := fs.String("cpgfile", "", "write the CPG in the columnar on-disk format (inspector-serve -cpgdir, cpg-query) to this file")
+	cpgOut := fs.String("cpg", "", "write the analyzed CPG in the columnar .cpg format (for cpg-query and inspector-serve) to this file")
 	dotOut := fs.String("dot", "", "write the CPG (Graphviz DOT) to this file")
 	jsonOut := fs.String("json", "", "write the CPG (JSON) to this file")
 	perfOut := fs.String("perfdata", "", "write the perf session (for pt-dump) to this file")
@@ -175,6 +175,9 @@ func run(args []string) error {
 	}
 	if mode != threading.ModeInspector && (*journalDir != "" || *streamURL != "") {
 		return fmt.Errorf("-journal and -stream record the provenance pipeline; they need INSPECTOR mode (drop -native)")
+	}
+	if mode != threading.ModeInspector && (*cpgOut != "" || *jsonOut != "" || *dotOut != "") {
+		return fmt.Errorf("-cpg, -json and -dot export the recorded CPG; they need INSPECTOR mode (drop -native)")
 	}
 	// One fold per epoch feeds every consumer the flags ask for, listed
 	// journal, live feed, stream: an epoch is durable before it is
@@ -352,8 +355,13 @@ func run(args []string) error {
 		}
 	}
 
-	if *verify && mode == threading.ModeInspector {
-		switch err := rt.Graph().Analyze().Verify(); {
+	// One batch analysis serves both the check and the file.
+	var analysis *core.Analysis
+	if mode == threading.ModeInspector && (*verify || *cpgOut != "") {
+		analysis = rt.Graph().Analyze()
+	}
+	if *verify && analysis != nil {
+		switch err := analysis.Verify(); {
 		case err == nil:
 			fmt.Println("CPG verified:    happens-before DAG, edge pages contained in recorded sets")
 		case errors.Is(err, core.ErrUnverifiable):
@@ -378,21 +386,14 @@ func run(args []string) error {
 	}
 
 	if *cpgOut != "" {
-		if err := writeFile(*cpgOut, rt.Graph().EncodeGob); err != nil {
-			return err
-		}
-		fmt.Printf("wrote CPG:        %s\n", *cpgOut)
-	}
-	if *cpgfileOut != "" {
 		meta := cpgfile.Meta{RunID: runID, App: *app}
-		analysis := rt.Graph().Analyze()
-		err := writeFile(*cpgfileOut, func(w io.Writer) error {
+		err := writeFile(*cpgOut, func(w io.Writer) error {
 			return cpgfile.Encode(w, analysis, meta)
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("wrote CPG file:   %s\n", *cpgfileOut)
+		fmt.Printf("wrote CPG:        %s\n", *cpgOut)
 	}
 	if *dotOut != "" {
 		if err := writeFile(*dotOut, rt.Graph().WriteDOT); err != nil {

@@ -7,18 +7,19 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/journal"
 )
 
 func TestRunEndToEndWithArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	cpg := filepath.Join(dir, "run.gob")
+	cpg := filepath.Join(dir, "run.cpg")
 	dot := filepath.Join(dir, "run.dot")
 	jsn := filepath.Join(dir, "run.json")
 	perfdata := filepath.Join(dir, "run.perfdata")
 
 	err := run([]string{
-		"-app", "histogram", "-threads", "2", "-size", "small", "-decode",
+		"-app", "histogram", "-threads", "2", "-size", "small", "-decode", "-verify",
 		"-cpg", cpg, "-dot", dot, "-json", jsn, "-perfdata", perfdata,
 	})
 	if err != nil {
@@ -33,6 +34,47 @@ func TestRunEndToEndWithArtifacts(t *testing.T) {
 		if st.Size() == 0 {
 			t.Errorf("artifact %s is empty", p)
 		}
+	}
+	// -cpg is the columnar file, carrying the run's identity, and holds
+	// the graph the JSON export renders.
+	a, hdr, err := cpgfile.Load(cpg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.RunID != "histogram-t2-s1" || hdr.App != "histogram" {
+		t.Errorf("-cpg header = %+v, want run histogram-t2-s1 of histogram", hdr)
+	}
+	var rendered bytes.Buffer
+	if err := a.Graph().EncodeJSON(&rendered); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := os.ReadFile(jsn); !bytes.Equal(rendered.Bytes(), want) {
+		t.Error("the graph in the -cpg file diverges from the run's -json export")
+	}
+}
+
+// TestRunNativeRefusesCPGExports: a native run records no CPG, so asking
+// for one is refused like -journal and -stream are, not answered with a
+// valid file holding an empty graph.
+func TestRunNativeRefusesCPGExports(t *testing.T) {
+	for _, flag := range []string{"-cpg", "-json", "-dot"} {
+		out := filepath.Join(t.TempDir(), "out")
+		err := run([]string{"-app", "histogram", "-threads", "2", "-size", "small", "-native", flag, out})
+		if err == nil || !strings.Contains(err.Error(), "need INSPECTOR mode (drop -native)") {
+			t.Errorf("-native %s: err = %v, want it refused", flag, err)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("-native %s still wrote %s", flag, out)
+		}
+	}
+}
+
+// TestRunRejectsCPGFileFlag: -cpg is the one snapshot flag; the second
+// spelling it replaced is gone.
+func TestRunRejectsCPGFileFlag(t *testing.T) {
+	err := run([]string{"-app", "histogram", "-cpgfile", filepath.Join(t.TempDir(), "run.cpg")})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-cpgfile: err = %v, want it rejected as an unknown flag", err)
 	}
 }
 

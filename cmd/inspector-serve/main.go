@@ -1,12 +1,12 @@
 // Command inspector-serve is the provenance query daemon: it loads one
-// or more Concurrent Provenance Graphs (gob files written by
+// or more Concurrent Provenance Graphs (.cpg files written by
 // inspector-run -cpg, or a workload recorded on the spot with -workload)
 // and serves the provenance/v1 HTTP API to any number of concurrent
 // clients off a shared immutable analysis.
 //
 // Usage:
 //
-//	inspector-serve -cpg run.gob [-cpg other.gob] [-addr :7070]
+//	inspector-serve -cpg run.cpg [-cpg other.cpg] [-addr :7070]
 //	inspector-serve -cpgdir cpgs/ [-resident-budget 67108864] [-result-cache 1024]
 //	inspector-serve -workload histogram [-threads 4] [-size small] [-seed 1]
 //	inspector-serve -workload histogram -live [-live-slowdown 10ms]
@@ -15,11 +15,11 @@
 //	GET  /v1/cpgs/{id}/stats   summary of one graph
 //	POST /v1/cpgs/{id}/query   run a provenance/v1 Query (JSON body)
 //
-// Each -cpg file is served under the id of its base name without the
-// extension (run.gob -> "run"); -workload serves under the workload
-// name. -cpgdir serves every *.cpg file in a directory (the columnar
-// format written by inspector-run -cpgfile or cpg-query export) without
-// loading them up front: files are mmapped, listed from their stats
+// Each -cpg file is decoded at startup and served under the id of its
+// base name without the extension (run.cpg -> "run"); -workload serves
+// under the workload name. -cpgdir serves every *.cpg file in a
+// directory without loading them up front: files are mmapped, listed
+// from their stats
 // sections, decoded only when queried, and evicted LRU once the decoded
 // graphs exceed -resident-budget bytes — thousands of CPGs serve under
 // a fixed memory ceiling. Repeated queries are answered from a
@@ -79,6 +79,7 @@ import (
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/workloads"
@@ -101,7 +102,7 @@ func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 func run(args []string) error {
 	fs := flag.NewFlagSet("inspector-serve", flag.ContinueOnError)
 	var cpgPaths multiFlag
-	fs.Var(&cpgPaths, "cpg", "CPG gob file to serve (repeatable)")
+	fs.Var(&cpgPaths, "cpg", ".cpg file to decode at startup and serve (repeatable)")
 	var journalDirs multiFlag
 	fs.Var(&journalDirs, "journal", "write-ahead journal directory to recover and serve (repeatable; id = directory basename)")
 	cpgDir := fs.String("cpgdir", "", "directory of columnar .cpg files to serve lazily with bounded memory (id = file basename)")
@@ -137,7 +138,7 @@ func run(args []string) error {
 	}
 
 	// Bind before loading anything: /healthz answers (and /readyz says
-	// not-ready) while big gob files decode, so orchestrators probing the
+	// not-ready) while big CPG files decode, so orchestrators probing the
 	// daemon distinguish "starting" from "dead". -addr :0 (tests, smoke
 	// scripts) still prints the actual port with the announce line.
 	ln, err := net.Listen("tcp", *addr)
@@ -231,16 +232,16 @@ func serve(ln net.Listener, build func() (*provenance.Server, func(), error),
 	}
 }
 
-// buildServer assembles the engine sources from gob files and/or a
+// buildServer assembles the engine sources from .cpg files and/or a
 // recorded workload. The post-mortem sources are immutable; a live
 // source publishes a new immutable epoch per fold, and each request pins
 // one epoch — either way the handler is safe for arbitrary client
 // concurrency. The returned start function (nil unless live) launches
 // the workload recording; call it once the listener is up.
 //
-// A corrupt or truncated gob file fails startup with the offending path
-// named; with lenient it is logged and skipped so the healthy graphs
-// still serve.
+// A file that does not decode — torn, flipped, or not a .cpg at all —
+// fails startup with the offending path and section named; with lenient
+// it is logged and skipped so the healthy graphs still serve.
 func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget int64, resultCache int,
 	workload string, threads int, sizeFlag string, seed int64,
 	live bool, liveSlowdown time.Duration, lenient bool,
@@ -299,15 +300,15 @@ func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget i
 		if _, dup := sources[id]; dup {
 			return nil, nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, path)
 		}
-		g, err := loadCPG(path)
+		a, _, err := cpgfile.Load(path)
 		if err != nil {
 			if lenient {
-				fmt.Fprintf(os.Stderr, "inspector-serve: skipping %v (-lenient)\n", err)
+				fmt.Fprintf(os.Stderr, "inspector-serve: skipping cpg %v (-lenient)\n", err)
 				continue
 			}
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("cpg %w", err)
 		}
-		sources[id] = provenance.StaticSource(provenance.NewEngine(g.Analyze(), eopts))
+		sources[id] = provenance.StaticSource(provenance.NewEngine(a, eopts))
 	}
 	var start func()
 	if workload != "" {
@@ -350,21 +351,6 @@ func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget i
 		return nil, nil, fmt.Errorf("nothing to serve (need -cpg, -cpgdir, -journal, -workload, or -ingest)")
 	}
 	return provenance.NewServerSources(sources, sopts), start, nil
-}
-
-// loadCPG decodes one gob file, naming the file in every failure so a
-// corrupt artifact among many is immediately identifiable.
-func loadCPG(path string) (*core.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cpg %s: %w", path, err)
-	}
-	defer f.Close()
-	g, err := core.DecodeGob(f)
-	if err != nil {
-		return nil, fmt.Errorf("cpg %s: corrupt or truncated: %w", path, err)
-	}
-	return g, nil
 }
 
 // workloadRuntime prepares (but does not run) one workload under

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -19,16 +22,10 @@ import (
 	"github.com/repro/inspector/provenance"
 )
 
-// writeGob records a tiny two-thread execution and writes its gob.
-func writeGob(t *testing.T, path string) {
+// writeCPG records a tiny two-thread execution and writes its .cpg file.
+func writeCPG(t *testing.T, path string) {
 	t.Helper()
-	g := buildGraph(t)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := g.EncodeGob(f); err != nil {
+	if err := cpgfile.Write(path, buildGraph(t).Analyze(), cpgfile.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,12 +61,12 @@ func buildGraph(t *testing.T) *core.Graph {
 	return g
 }
 
-func TestBuildServerFromGobs(t *testing.T) {
+func TestBuildServerFromCPGFiles(t *testing.T) {
 	dir := t.TempDir()
-	a := filepath.Join(dir, "alpha.gob")
-	b := filepath.Join(dir, "beta.gob")
-	writeGob(t, a)
-	writeGob(t, b)
+	a := filepath.Join(dir, "alpha.cpg")
+	b := filepath.Join(dir, "beta.cpg")
+	writeCPG(t, a)
+	writeCPG(t, b)
 
 	srv, _, err := buildServer([]string{a, b}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
 		provenance.ServerOptions{}, provenance.EngineOptions{})
@@ -91,13 +88,13 @@ func TestBuildServerFromGobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.IDs) == 0 {
-		t.Error("no taint flow served from gob-loaded graph")
+		t.Error("no taint flow served from a -cpg graph")
 	}
 }
 
 // TestBuildServerFromCPGDir pins the -cpgdir path: columnar files served
 // lazily through the Store, with /v1/store reporting cache counters and
-// query answers matching the eager gob path.
+// query answers matching the eager -cpg path.
 func TestBuildServerFromCPGDir(t *testing.T) {
 	dir := t.TempDir()
 	a := buildGraph(t).Analyze()
@@ -149,8 +146,8 @@ func TestBuildServerFromCPGDir(t *testing.T) {
 
 func TestBuildServerErrors(t *testing.T) {
 	dir := t.TempDir()
-	a := filepath.Join(dir, "x.gob")
-	writeGob(t, a)
+	a := filepath.Join(dir, "x.cpg")
+	writeCPG(t, a)
 
 	if _, _, err := buildServer(nil, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
 		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
@@ -161,14 +158,14 @@ func TestBuildServerErrors(t *testing.T) {
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	b := filepath.Join(sub, "x.gob")
-	writeGob(t, b)
+	b := filepath.Join(sub, "x.cpg")
+	writeCPG(t, b)
 	if _, _, err := buildServer([]string{a, b}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
 		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
 		t.Error("duplicate ids accepted")
 	}
 	// Missing file.
-	if _, _, err := buildServer([]string{filepath.Join(dir, "absent.gob")}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
+	if _, _, err := buildServer([]string{filepath.Join(dir, "absent.cpg")}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
 		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
 		t.Error("missing file accepted")
 	}
@@ -309,32 +306,45 @@ func TestBuildServerLiveWorkload(t *testing.T) {
 	}
 }
 
-// TestCorruptGobRefused is the satellite check for corrupt artifacts: a
-// truncated gob fails startup with the offending file named, and
-// -lenient skips it while the healthy graphs still serve.
+// TestCorruptGobRefused is the check for artifacts -cpg cannot serve: a
+// bit-flipped .cpg fails startup naming the file and the damaged section,
+// a gob file from an older build is refused by magic, and -lenient
+// skips both while the healthy graph still serves.
 func TestCorruptGobRefused(t *testing.T) {
 	dir := t.TempDir()
-	good := filepath.Join(dir, "good.gob")
-	writeGob(t, good)
+	good := filepath.Join(dir, "good.cpg")
+	writeCPG(t, good)
 	data, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(dir, "bad.gob")
-	if err := os.WriteFile(bad, data[:len(data)/3], 0o644); err != nil {
+	bad := filepath.Join(dir, "bad.cpg")
+	data[len(data)-2] ^= 0x10 // inside the last section, stats
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(map[string]int{"Threads": 2}); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, "stale.gob")
+	if err := os.WriteFile(stale, old.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	_, _, err = buildServer([]string{good, bad}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
 		provenance.ServerOptions{}, provenance.EngineOptions{})
-	if err == nil {
-		t.Fatal("truncated gob accepted")
+	var ce *cpgfile.CorruptError
+	if !errors.As(err, &ce) || ce.Section != "stats" || !strings.Contains(err.Error(), bad) {
+		t.Errorf("flipped .cpg: err = %v, want a *cpgfile.CorruptError for the stats section naming %s", err, bad)
 	}
-	if !strings.Contains(err.Error(), "bad.gob") || !strings.Contains(err.Error(), "corrupt or truncated") {
-		t.Errorf("error does not name the broken file: %v", err)
+	_, _, err = buildServer([]string{good, stale}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
+		provenance.ServerOptions{}, provenance.EngineOptions{})
+	if !errors.Is(err, cpgfile.ErrBadMagic) || !strings.Contains(err.Error(), stale) {
+		t.Errorf("gob file: err = %v, want ErrBadMagic naming %s", err, stale)
 	}
 
-	srv, _, err := buildServer([]string{good, bad}, nil, "", 0, 0, "", 0, "", 0, false, 0, true,
+	srv, _, err := buildServer([]string{good, bad, stale}, nil, "", 0, 0, "", 0, "", 0, false, 0, true,
 		provenance.ServerOptions{}, provenance.EngineOptions{})
 	if err != nil {
 		t.Fatalf("-lenient still refused: %v", err)
@@ -442,7 +452,7 @@ func TestServeNotReadyWhileLoading(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() {
 		serveDone <- serve(ln, func() (*provenance.Server, func(), error) {
-			<-loading // a big gob decoding
+			<-loading // a big .cpg decoding
 			return srv, nil, nil
 		}, sig, time.Second, out)
 	}()

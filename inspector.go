@@ -57,6 +57,7 @@ import (
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/mem"
@@ -183,6 +184,7 @@ type Options struct {
 // Runtime is one provenance-recording execution context.
 type Runtime struct {
 	rt    *threading.Runtime
+	app   string
 	snaps *snapshot.Snapshotter
 
 	// feed publishes the epoch pipeline's folds (Options.Live); when
@@ -269,7 +271,7 @@ func New(opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{rt: inner}
+	rt := &Runtime{rt: inner, app: opts.AppName}
 	switch {
 	case opts.Journal != "":
 		policy, syncEvery, err := journal.ParsePolicy(opts.JournalFsync)
@@ -429,8 +431,12 @@ func (r *Runtime) WaitEpoch(ctx context.Context, min uint64) (uint64, error) {
 // WriteDOT renders the CPG in Graphviz form.
 func (r *Runtime) WriteDOT(w io.Writer) error { return r.rt.Graph().WriteDOT(w) }
 
-// WriteCPG serializes the CPG (gob) for offline analysis with cpg-query.
-func (r *Runtime) WriteCPG(w io.Writer) error { return r.rt.Graph().EncodeGob(w) }
+// WriteCPG analyzes the recorded CPG and serializes it in the columnar
+// .cpg format (internal/cpgfile) — the file cpg-query -cpg and
+// inspector-serve -cpg/-cpgdir read. Call it after Run returns.
+func (r *Runtime) WriteCPG(w io.Writer) error {
+	return cpgfile.Encode(w, r.rt.Graph().Analyze(), cpgfile.Meta{App: r.app})
+}
 
 // DecodeTraces decodes every thread's PT trace against the program image,
 // returning per-PID reconstructed branch-event counts. It fails if any

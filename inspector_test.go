@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	inspector "github.com/repro/inspector"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/journal"
 )
 
@@ -83,12 +84,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if !strings.Contains(dot.String(), "digraph CPG") {
 		t.Error("DOT output malformed")
 	}
-	var gob bytes.Buffer
-	if err := rt.WriteCPG(&gob); err != nil {
+	var file bytes.Buffer
+	if err := rt.WriteCPG(&file); err != nil {
 		t.Fatal(err)
 	}
-	if gob.Len() == 0 {
-		t.Error("empty CPG serialization")
+	if !bytes.HasPrefix(file.Bytes(), []byte(cpgfile.Magic)) {
+		t.Error("WriteCPG did not write a .cpg file")
 	}
 }
 

@@ -296,27 +296,28 @@ func TestDeltaCodecRejectsHostileBodies(t *testing.T) {
 		{"oversized lens", "delta.lens", cat(uv(7, 1, 1<<31), uv(1, 0), tail)},
 		{"lens that would go negative", "delta.lens", cat(uv(7, 1, 1<<63), uv(1, 0), tail)},
 		{"symbol base over 32 bits", "delta.sym_base", cat(uv(7, 1, 0, 1<<32))},
-		{"symbol count beyond the body", "delta.symbols", cat(uv(7, 1, 0, 1), huge)},
-		{"symbol longer than the body", "delta.symbol", cat(uv(7, 1, 0, 1, 1, 9), []byte("abc"))},
+		{"symbol count beyond the body", "symbols", cat(uv(7, 1, 0, 1), huge)},
+		{"symbol longer than the body", "symbol", cat(uv(7, 1, 0, 1, 1, 9), []byte("abc"))},
 		{"sub count beyond the body", "delta.subs", cat(head, uv(3), sub, uv(0), tail)},
 		{"oversized thread slot", "delta.sub.id", cat(head, uv(1), uv(1<<31, 0), clock, scalars, sets, uv(0), tail)},
-		{"clock count beyond the body", "delta.sub.clock", cat(head, uv(1), subID, huge, make([]byte, 16))},
-		{"sync kind byte out of range", "delta.sub.end.kind", cat(head, uv(1), subID, clock, []byte{3}, uv(0, 10, 20, 30), sets, uv(0), tail)},
-		{"object ref over 32 bits", "delta.sub.end.object", cat(head, uv(1), subID, clock, []byte{2}, uv(1<<32, 10, 20, 30), sets, uv(0), tail)},
+		{"clock count beyond the body", "vertex.clock", cat(head, uv(1), subID, huge, make([]byte, 16))},
+		{"sync kind byte out of range", "vertex.end.kind", cat(head, uv(1), subID, clock, []byte{3}, uv(0, 10, 20, 30), sets, uv(0), tail)},
+		{"object ref over 32 bits", "vertex.end.object", cat(head, uv(1), subID, clock, []byte{2}, uv(1<<32, 10, 20, 30), sets, uv(0), tail)},
 		{"page count beyond the body", "delta.sub.read_set", cat(head, uv(1), subID, clock, scalars, huge)},
 		{"pages not ascending", "delta.sub.read_set", cat(head, uv(1), subID, clock, scalars, uv(2, 5, 0), uv(0), uv(0), tail)},
 		{"page delta overflow", "delta.sub.write_set", cat(head, uv(1), subID, clock, scalars, uv(0), uv(2, 1<<63, 1<<63), uv(0), tail)},
 		{"truncated page list", "delta.sub.write_set", cat(head, uv(1), subID, clock, scalars, uv(0), uv(3, 1, 1))},
-		{"thunk count beyond the body", "delta.sub.thunks", cat(head, uv(1), sub, uv(9), thunk, tail)},
-		{"thunk flags over 3", "delta.sub.thunk.flags", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{4}, uv(0, 5), tail)},
-		{"thunk site over 32 bits", "delta.sub.thunk.site", cat(head, uv(1), sub, uv(1), uv(0, 1<<32), []byte{1}, uv(0, 5), tail)},
-		{"thunk target over 32 bits", "delta.sub.thunk.target", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{2}, uv(1<<32, 5), tail)},
+		{"thunk count beyond the body", "thunks", cat(head, uv(1), sub, uv(9), thunk, tail)},
+		{"thunk flags over 3", "thunk.flags", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{4}, uv(0, 5), tail)},
+		{"thunk site over 32 bits", "thunk.site", cat(head, uv(1), sub, uv(1), uv(0, 1<<32), []byte{1}, uv(0, 5), tail)},
+		{"thunk target over 32 bits", "thunk.target", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{2}, uv(1<<32, 5), tail)},
 		{"sync count beyond the body", "delta.sync", cat(head, uv(0), huge)},
 		{"sync object over 32 bits", "delta.sync.object", cat(head, uv(0), uv(1, 0, 0, 1, 0, 1<<32), uv(0))},
 		{"gap count beyond the body", "delta.gaps", cat(head, uv(0, 0), huge)},
-		{"gap kind byte out of range", "delta.gap.kind", cat(head, uv(0, 0, 1), uv(0, 0, 0), []byte{4}, uv(0))},
-		{"cut mid-uvarint", "delta.sub.thunk.instructions", valid[:len(valid)-len(tail)-1]},
-		{"cut between fields", "delta.sub.thunks", valid[:len(valid)-len(tail)-2]},
+		{"gap kind byte out of range", "gap.kind", cat(head, uv(0, 0, 1), uv(0, 0, 0), []byte{4}, uv(0))},
+		{"gap kind byte zero", "gap.kind", cat(head, uv(0, 0, 1), uv(0, 0, 0), []byte{0}, uv(0))},
+		{"cut mid-uvarint", "thunk.instructions", valid[:len(valid)-len(tail)-1]},
+		{"cut between fields", "thunks", valid[:len(valid)-len(tail)-2]},
 		{"trailing bytes", "end of record", cat(valid, []byte{0})},
 	}
 	for _, row := range rows {

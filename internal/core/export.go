@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"github.com/repro/inspector/internal/vclock"
@@ -17,27 +15,14 @@ func (s PageSet) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.Sorted())
 }
 
-// UnmarshalJSON reads the array form back into a set.
-func (s *PageSet) UnmarshalJSON(data []byte) error {
-	var pages []uint64
-	if err := json.Unmarshal(data, &pages); err != nil {
-		return err
-	}
-	out := NewPageSet()
-	for _, p := range pages {
-		out.Add(p)
-	}
-	*s = out
-	return nil
-}
-
-// The wire types below are the serialized forms of the graph. They mirror
-// the in-memory structures field for field but materialize every interned
-// ref as its string — refs are process-local, strings are the contract.
-// Field names and order reproduce the pre-columnar export exactly, so the
-// JSON artifacts are byte-identical to the seed implementation's; the gob
-// artifacts additionally became deterministic (the seed's map-backed page
-// sets encoded in random iteration order).
+// The wire types below are the rendered form of the graph: the JSON and
+// DOT exports are for people and downstream tools, nothing here reads
+// them back (the snapshot a run is reloaded from is the .cpg file,
+// internal/cpgfile). They mirror the in-memory structures field for
+// field but materialize every interned ref as its string — refs are
+// process-local, strings are the contract. Field names and order
+// reproduce the pre-columnar export exactly, so the JSON artifacts are
+// byte-identical to the seed implementation's.
 
 // wireThunk is the serialized Thunk, with materialized site labels.
 type wireThunk struct {
@@ -119,93 +104,8 @@ func (g *Graph) Dump() *Dump {
 	}
 }
 
-// FromDump reconstructs a Graph, re-interning every symbol.
-func FromDump(d *Dump) (*Graph, error) {
-	g := NewGraph(d.Threads)
-	subs := make([]*wireSub, len(d.Subs))
-	copy(subs, d.Subs)
-	sort.Slice(subs, func(i, j int) bool { return subs[i].ID.Less(subs[j].ID) })
-	for _, ws := range subs {
-		sc := &SubComputation{
-			ID:           ws.ID,
-			Clock:        ws.Clock,
-			ReadSet:      pageSetFromSorted(sortedPages(ws.ReadSet)),
-			WriteSet:     pageSetFromSorted(sortedPages(ws.WriteSet)),
-			End:          SyncEvent{Kind: ws.End.Kind, Object: g.InternObject(ws.End.Object)},
-			Start:        ws.Start,
-			Finish:       ws.Finish,
-			Instructions: ws.Instructions,
-		}
-		if len(ws.Thunks) > 0 {
-			sc.Thunks = make([]Thunk, len(ws.Thunks))
-			for j, th := range ws.Thunks {
-				sc.Thunks[j] = Thunk{
-					Index:        th.Index,
-					Site:         g.InternSite(th.Site),
-					Taken:        th.Taken,
-					Indirect:     th.Indirect,
-					Target:       g.InternSite(th.Target),
-					Instructions: th.Instructions,
-				}
-			}
-		}
-		if err := g.add(sc); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range d.SyncEdges {
-		if g.shard(e.To.Thread) == nil {
-			return nil, fmt.Errorf("core: sync edge to out-of-range thread %d", e.To.Thread)
-		}
-		g.addSyncEdge(e.From, e.To, g.InternObject(e.Object))
-	}
-	for _, tg := range d.Gaps {
-		if g.shard(tg.Thread) == nil {
-			return nil, fmt.Errorf("core: gap on out-of-range thread %d", tg.Thread)
-		}
-		for _, gp := range tg.Gaps {
-			g.AddGap(tg.Thread, gp)
-		}
-	}
-	return g, nil
-}
-
-// sortedPages returns pages sorted and deduplicated (wire input from our
-// own encoders is already both; tolerate hand-edited files).
-func sortedPages(pages []uint64) []uint64 {
-	strict := true
-	for i := 1; i < len(pages); i++ {
-		if pages[i] <= pages[i-1] {
-			strict = false
-			break
-		}
-	}
-	if strict {
-		return pages
-	}
-	out := slices.Clone(pages)
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// EncodeGob serializes the graph in gob format.
-func (g *Graph) EncodeGob(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(g.Dump()); err != nil {
-		return fmt.Errorf("core: encode CPG: %w", err)
-	}
-	return nil
-}
-
-// DecodeGob reads a graph serialized by EncodeGob.
-func DecodeGob(r io.Reader) (*Graph, error) {
-	var d Dump
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("core: decode CPG: %w", err)
-	}
-	return FromDump(&d)
-}
-
-// EncodeJSON serializes the graph as JSON (for cpg-query and debugging).
+// EncodeJSON renders the graph as JSON (for debugging and downstream
+// tools).
 func (g *Graph) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -213,15 +113,6 @@ func (g *Graph) EncodeJSON(w io.Writer) error {
 		return fmt.Errorf("core: encode CPG json: %w", err)
 	}
 	return nil
-}
-
-// DecodeJSON reads a graph serialized by EncodeJSON.
-func DecodeJSON(r io.Reader) (*Graph, error) {
-	var d Dump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("core: decode CPG json: %w", err)
-	}
-	return FromDump(&d)
 }
 
 // WriteDOT renders the CPG in Graphviz DOT form: one cluster per thread,

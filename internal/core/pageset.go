@@ -2,8 +2,9 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
+
+	"github.com/repro/inspector/internal/wire"
 )
 
 // pageSetInline is the number of pages a PageSet holds without allocating.
@@ -24,7 +25,7 @@ const pageSetInline = 6
 // so membership is a short scan or binary search, set iteration is already
 // sorted (DataEdges consumes it directly), and serialization is canonical
 // — unlike the retained map reference form, PageSetMap, whose iteration
-// (and therefore gob encoding) order is randomized.
+// order is randomized.
 //
 // Inserting out of ascending order into a spilled set pays a memmove, so
 // a sub-computation touching k pages in random order costs O(k²/2) word
@@ -181,9 +182,9 @@ func pageSetFromSorted(pages []uint64) PageSet {
 }
 
 // AppendPages appends a strictly ascending page list in the one
-// canonical form every serialization of a page set shares (gob, the
-// .cpg sections, epoch-delta records): a uvarint count, the first page
-// as a uvarint, then the strictly positive uvarint deltas between
+// canonical form every serialization of a page set shares (the .cpg
+// sections, epoch-delta records): a uvarint count, the first page as a
+// uvarint, then the strictly positive uvarint deltas between
 // consecutive pages.
 func AppendPages(b []byte, pages []uint64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(pages)))
@@ -195,69 +196,37 @@ func AppendPages(b []byte, pages []uint64) []byte {
 	return b
 }
 
-// ParsePages parses one AppendPages list from the front of b, appending
-// the pages to dst, and returns them with the number of bytes consumed.
-// b is untrusted: the count is checked against the bytes that remain
-// before dst grows (every page costs at least one byte), and a
-// truncated or overlong uvarint, a zero delta or an overflowing one is
-// an error. The result never aliases b, and an empty list leaves dst as
-// it was (nil stays nil).
-func ParsePages(dst []uint64, b []byte) (pages []uint64, n int, err error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("core: page list: truncated or overlong count")
-	}
-	if count > uint64(len(b)-n) {
-		return nil, 0, fmt.Errorf("core: page list: count %d cannot fit in the %d bytes that remain", count, len(b)-n)
-	}
-	// Bounded by the bytes present, but not trusted for one big
-	// allocation either: past the hint the list grows by append.
-	dst = slices.Grow(dst, int(min(count, 1024)))
+// ParsePages reads one AppendPages list at the cursor, appending the
+// pages to dst (fresh memory when dst is nil; an empty list leaves dst
+// as it was, nil stays nil). It follows the field codecs' rules
+// (fieldcodec.go): the count is checked against the bytes that remain
+// — every page costs at least one — before dst grows by it, and a zero
+// delta or an overflowing one fails the cursor under field.
+func ParsePages(c *wire.Cursor, field string, dst []uint64) []uint64 {
+	n := c.Count(field, 1)
+	dst = slices.Grow(dst, n)
 	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		d, k := binary.Uvarint(b[n:])
-		if k <= 0 {
-			return nil, 0, fmt.Errorf("core: page list: truncated or overlong entry %d", i)
-		}
-		n += k
-		if i > 0 && d == 0 {
-			return nil, 0, fmt.Errorf("core: page list: zero page delta at entry %d (pages not strictly ascending)", i)
-		}
-		if prev+d < prev {
-			return nil, 0, fmt.Errorf("core: page list: page delta overflow at entry %d", i)
+	for i := 0; i < n; i++ {
+		d := c.Uvarint(field)
+		switch {
+		case c.Err() != nil:
+			return nil
+		case i > 0 && d == 0:
+			c.Fail(field, "zero page delta (pages not strictly ascending)")
+			return nil
+		case prev+d < prev:
+			c.Fail(field, "page delta overflow")
+			return nil
 		}
 		prev += d
 		dst = append(dst, prev)
 	}
-	return dst, n, nil
+	return dst
 }
 
-// parsePageSet parses one page list into a set that owns its storage:
+// ParsePageSet reads one page list into a set that owns its storage:
 // inline up to pageSetInline pages (no allocation), spilled beyond.
-func parsePageSet(b []byte) (PageSet, int, error) {
+func ParsePageSet(c *wire.Cursor, field string) PageSet {
 	var scratch [pageSetInline]uint64
-	pages, n, err := ParsePages(scratch[:0], b)
-	if err != nil {
-		return PageSet{}, 0, err
-	}
-	return pageSetFromSorted(pages), n, nil
-}
-
-// GobEncode encodes the set in the AppendPages form. Deterministic and
-// compact, unlike the map reference form whose gob bytes depended on
-// iteration order.
-func (s PageSet) GobEncode() ([]byte, error) {
-	pages := s.view()
-	return AppendPages(make([]byte, 0, 2+2*len(pages)), pages), nil
-}
-
-// GobDecode reads the GobEncode form.
-func (s *PageSet) GobDecode(data []byte) error {
-	ps, _, err := parsePageSet(data)
-	if err != nil {
-		*s = PageSet{}
-		return fmt.Errorf("core: corrupt PageSet encoding: %w", err)
-	}
-	*s = ps
-	return nil
+	return pageSetFromSorted(ParsePages(c, field, scratch[:0]))
 }

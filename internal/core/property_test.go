@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -188,25 +189,36 @@ func TestQuickSliceContainsDataAncestors(t *testing.T) {
 	}
 }
 
+// TestQuickExportRoundTripPreservesEdges rebuilds random graphs through
+// the section surface a .cpg load uses (sections.go) — restored
+// vertices, the sync-edge log, an Analysis assembled over the stored
+// edge sections — and wants the same graph and the same edges back.
 func TestQuickExportRoundTripPreservesEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomExecution(t, r, 3, 2, 100)
-		d := g.Dump()
-		g2, err := FromDump(d)
-		if err != nil {
-			return false
+		a := g.Analyze()
+		syncEdges, dataEdges := a.EdgeSections()
+
+		g2 := NewGraph(g.Threads())
+		for _, s := range g.Symbols() {
+			g2.InternSite(s) // same table, so refs carry over as they are
 		}
-		e1, e2 := g.Edges(), g2.Edges()
-		if len(e1) != len(e2) {
-			return false
-		}
-		for i := range e1 {
-			if e1[i].From != e2[i].From || e1[i].To != e2[i].To || e1[i].Kind != e2[i].Kind {
+		for _, sc := range a.Subs() {
+			cp := *sc
+			if err := g2.AppendSub(&cp); err != nil {
 				return false
 			}
 		}
-		return true
+		for _, e := range syncEdges {
+			g2.RestoreSyncEdge(e.From, e.To, g2.InternObject(e.Object))
+		}
+		a2, err := NewAnalysisFromSections(g2, a.ThreadLens(), a.Epoch(), syncEdges, dataEdges)
+		if err != nil {
+			return false
+		}
+		assertGraphsEqual(t, g, g2)
+		return reflect.DeepEqual(a.Edges(), a2.Edges())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -107,25 +107,6 @@ func TestVerifyRejectsEmptyDataEdge(t *testing.T) {
 	}
 }
 
-func TestFromDumpValidatesThreads(t *testing.T) {
-	d := &Dump{
-		Threads: 1,
-		Subs: []*wireSub{
-			{ID: SubID{Thread: 3, Alpha: 0}},
-		},
-	}
-	if _, err := FromDump(d); err == nil {
-		t.Error("out-of-range sub thread accepted")
-	}
-	d = &Dump{
-		Threads:   1,
-		SyncEdges: []Edge{{From: SubID{}, To: SubID{Thread: 5}, Kind: EdgeSync}},
-	}
-	if _, err := FromDump(d); err == nil {
-		t.Error("out-of-range sync edge accepted")
-	}
-}
-
 func TestInterner(t *testing.T) {
 	in := NewInterner()
 	a := in.Intern("alpha")

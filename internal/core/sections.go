@@ -40,7 +40,7 @@ func (a *Analysis) EdgeSections() (syncEdges, dataEdges []Edge) {
 
 // AppendSub appends a restored sub-computation to its thread's shard —
 // the deserialization mirror of the EndSub append path. Alphas must
-// arrive dense and in order per thread, exactly as FromDump feeds them.
+// arrive dense and in order per thread.
 func (g *Graph) AppendSub(sc *SubComputation) error { return g.add(sc) }
 
 // RestoreSyncEdge re-records a release -> acquire schedule dependency in
@@ -48,19 +48,6 @@ func (g *Graph) AppendSub(sc *SubComputation) error { return g.add(sc) }
 // must come from this graph's interner).
 func (g *Graph) RestoreSyncEdge(from, to SubID, object ObjRef) {
 	g.addSyncEdge(from, to, object)
-}
-
-// PageSetFromSorted builds a PageSet from pages in strictly ascending
-// order — the deserialization fast path, exported for section decoders.
-// Non-ascending input is rejected rather than repaired: on-disk sections
-// are canonical by construction, so disorder means corruption.
-func PageSetFromSorted(pages []uint64) (PageSet, error) {
-	for i := 1; i < len(pages); i++ {
-		if pages[i] <= pages[i-1] {
-			return PageSet{}, fmt.Errorf("core: pages not strictly ascending at index %d", i)
-		}
-	}
-	return pageSetFromSorted(pages), nil
 }
 
 // EdgeCanonicalLess reports the canonical edge order — (From, To,

@@ -17,7 +17,12 @@
 // become a table of len-prefixed strings, PageSets serialize in their
 // canonical uvarint-delta form, and the sync/data adjacency is stored
 // as the already-derived canonical edge sections, so loading never
-// re-derives anything. Two read paths share one parser: Load fully
+// re-derives anything. How each field is spelled is not decided here:
+// the encoder and decoder lay out internal/core's field codecs
+// (fieldcodec.go, the ones the epoch delta writes row-wise) column by
+// column, and every section is read through a wire.Cursor, which owns
+// the rule for how an untrusted count may allocate. Two read paths
+// share one parser: Load fully
 // decodes a file into a core.Analysis, and Mapped keeps the file
 // mmapped, answering header/stats queries straight from their sections
 // and materializing the full analysis only on demand (and dropping it

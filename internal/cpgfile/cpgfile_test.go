@@ -2,10 +2,13 @@ package cpgfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -291,6 +294,60 @@ func TestCorruptionIsTypedAndNamed(t *testing.T) {
 			t.Fatal("no offsets exercised")
 		}
 	})
+	t.Run("forged counts name the section and allocate little", func(t *testing.T) {
+		lay, err := parseFile(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Where each count sits: the index of its uvarint from the start
+		// of its section (the vertices section opens with the thread
+		// count and one length per thread; the gaps section with the
+		// thread-group count and the first group's thread).
+		threads := lay.hdr.Threads
+		rows := []struct {
+			name  string
+			kind  uint32
+			index int
+		}{
+			{"symbol count", secSymbols, 0},
+			{"layout thread count", secVertices, 0},
+			{"vertex count of thread 0", secVertices, 1},
+			{"clock count of the first vertex", secVertices, 1 + threads},
+			{"read-set page count", secReadSets, 0},
+			{"write-set page count", secWriteSets, 0},
+			{"thunk count", secThunks, 0},
+			{"sync edge count", secSyncEdges, 0},
+			{"data edge count", secDataEdges, 0},
+			{"gap thread count", secGaps, 0},
+			{"gap interval count", secGaps, 2},
+		}
+		// What refusing a forged file may cost: the file read plus the
+		// sections decoded before the lie, which an intact load of this
+		// file bounds, plus at most 16 bytes per byte of the lying
+		// section (a core.Edge per minEdgeBytes, the widest element per
+		// narrowest encoding).
+		intact := allocatedBy(func() { load(t, good) })
+		for _, row := range rows {
+			s := lay.secs[row.kind]
+			sec := good[s.off : s.off+s.length]
+			for _, lie := range []uint64{1 << 40, uint64(len(sec)) / 8, uint64(len(sec))} {
+				if lie == uvarintAt(t, sec, row.index) {
+					lie++ // not a lie otherwise
+				}
+				forged := restamp(t, good, lay, row.kind, forgeUvarint(t, sec, row.index, lie))
+				var err error
+				got := allocatedBy(func() { err = load(t, forged) })
+				var ce *CorruptError
+				if !errors.As(err, &ce) || ce.Section != sectionName(row.kind) {
+					t.Errorf("%s = %d: err = %v, want a *CorruptError naming %q", row.name, lie, err, sectionName(row.kind))
+				}
+				if limit := intact + 16*uint64(len(sec)) + 64<<10; got > limit {
+					t.Errorf("%s = %d: refusing allocated %d bytes, limit %d (file %d bytes, intact load %d)",
+						row.name, lie, got, limit, len(forged), intact)
+				}
+			}
+		}
+	})
 	t.Run("verify checksums catches section damage", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[len(b)-2] ^= 0x10
@@ -309,4 +366,76 @@ func TestCorruptionIsTypedAndNamed(t *testing.T) {
 			t.Fatalf("VerifyChecksums = %v, want corrupt stats section", err)
 		}
 	})
+}
+
+// allocatedBy returns the heap bytes f allocated.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// uvarintSpan locates the index-th leading uvarint of sec.
+func uvarintSpan(t *testing.T, sec []byte, index int) (off, n int) {
+	t.Helper()
+	for i := 0; ; i++ {
+		if _, n = binary.Uvarint(sec[off:]); n <= 0 {
+			t.Fatalf("section has no uvarint %d", i)
+		}
+		if i == index {
+			return off, n
+		}
+		off += n
+	}
+}
+
+// uvarintAt returns the index-th leading uvarint of sec.
+func uvarintAt(t *testing.T, sec []byte, index int) uint64 {
+	t.Helper()
+	off, _ := uvarintSpan(t, sec, index)
+	v, _ := binary.Uvarint(sec[off:])
+	return v
+}
+
+// forgeUvarint returns sec with its index-th leading uvarint replaced
+// by v.
+func forgeUvarint(t *testing.T, sec []byte, index int, v uint64) []byte {
+	t.Helper()
+	off, n := uvarintSpan(t, sec, index)
+	out := append([]byte(nil), sec[:off]...)
+	out = binary.AppendUvarint(out, v)
+	return append(out, sec[off+n:]...)
+}
+
+// restamp returns file with section kind replaced by sec and the header
+// brought back in line — the section's length and CRC, the offsets of
+// the sections behind it, the header's own CRC — so the only thing
+// wrong with the result is what sec says.
+func restamp(t *testing.T, file []byte, lay *fileLayout, kind uint32, sec []byte) []byte {
+	t.Helper()
+	old := lay.secs[kind]
+	out := append([]byte(nil), file[:old.off]...)
+	out = append(out, sec...)
+	out = append(out, file[old.off+old.length:]...)
+
+	hdrLen := int(binary.LittleEndian.Uint32(out[len(Magic)+4:]))
+	hdr := out[preambleLen : preambleLen+hdrLen]
+	table := hdr[len(hdr)-numSections*tableEntryLen:]
+	for k := kind; k <= numSections; k++ {
+		entry := table[(k-1)*tableEntryLen:]
+		if k == kind {
+			binary.LittleEndian.PutUint64(entry[12:], uint64(len(sec)))
+			binary.LittleEndian.PutUint32(entry[20:], crc32.Checksum(sec, castagnoli))
+			continue
+		}
+		off := binary.LittleEndian.Uint64(entry[4:])
+		binary.LittleEndian.PutUint64(entry[4:], off-old.length+uint64(len(sec)))
+	}
+	binary.LittleEndian.PutUint32(out[len(Magic)+8:], crc32.Checksum(hdr, castagnoli))
+	if _, err := parseFile(out); err != nil {
+		t.Fatalf("restamped file has a bad header: %v", err)
+	}
+	return out
 }

@@ -7,19 +7,24 @@ import (
 	"os"
 
 	"github.com/repro/inspector/internal/core"
-	"github.com/repro/inspector/internal/vclock"
-	"github.com/repro/inspector/internal/vtime"
+	"github.com/repro/inspector/internal/wire"
 )
 
-// Decoder hard limits. A CPG file is untrusted input (fuzzed,
-// potentially torn or flipped on disk), so no count read from the file
-// is ever trusted for an allocation: counts are bounded by the bytes
-// that could plausibly back them, and slices grow by append beyond a
-// small cap hint.
+// A CPG file is untrusted input (fuzzed, potentially torn or flipped on
+// disk). Every section is read through a wire.Cursor with internal/core's
+// field codecs — the decoder the ingest endpoint already trusts with
+// hostile bodies — so one rule covers how a count may allocate: only
+// after it fits the bytes that remain. The limits below bound what the
+// header alone may claim.
 const (
 	maxThreads   = 1 << 20
 	maxHeaderLen = 1 << 24
-	capHintMax   = 1024
+)
+
+// Least bytes one element of this file's own lists can occupy.
+const (
+	minEdgeBytes      = 2*core.MinSubIDBytes + 1 // + object ref or page count
+	minGapThreadBytes = 2                        // thread, interval count
 )
 
 // Rough per-object resident sizes used for the decoded-footprint
@@ -34,14 +39,6 @@ const (
 	fpPerSymbol = 48
 )
 
-// capHint bounds an up-front slice capacity for an untrusted count.
-func capHint(n uint64) int {
-	if n > capHintMax {
-		return capHintMax
-	}
-	return int(n)
-}
-
 // span locates one section inside the file.
 type span struct {
 	off, length uint64
@@ -55,48 +52,13 @@ type fileLayout struct {
 	secs [numSections + 1]span
 }
 
-// reader is a bounds-checked cursor over one section's bytes. Every
-// failure is a CorruptError naming the section.
-type reader struct {
-	b   []byte
-	off int
-	sec uint32
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, corruptf(r.sec, "truncated or overlong uvarint at byte %d", r.off)
+// inSection turns a section cursor's failure, if any, into the
+// CorruptError naming that section (0 is the header).
+func inSection(kind uint32, err error) error {
+	if err == nil {
+		return nil
 	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) byte() (byte, error) {
-	if r.off >= len(r.b) {
-		return 0, corruptf(r.sec, "truncated at byte %d", r.off)
-	}
-	b := r.b[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) take(n uint64) ([]byte, error) {
-	if n > uint64(r.remaining()) {
-		return nil, corruptf(r.sec, "field of %d bytes exceeds the %d remaining", n, r.remaining())
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
-func (r *reader) expectDone() error {
-	if r.remaining() != 0 {
-		return corruptf(r.sec, "%d trailing bytes", r.remaining())
-	}
-	return nil
+	return &CorruptError{Section: sectionName(kind), Err: err}
 }
 
 // parseFile validates the preamble and header and returns the layout.
@@ -122,58 +84,32 @@ func parseFile(data []byte) (*fileLayout, error) {
 		return nil, corruptHeaderf("header CRC mismatch: stored %08x, computed %08x", hdrCRC, got)
 	}
 
+	// The header is its identity fields, then the fixed-width section
+	// table: the table's size is known, so the fields are what precedes it.
+	const tableLen = numSections * tableEntryLen
+	if len(hdr) < tableLen {
+		return nil, corruptHeaderf("header of %d bytes cannot hold the %d-byte section table", len(hdr), tableLen)
+	}
 	lay := &fileLayout{hdr: Header{Version: version}}
-	r := &reader{b: hdr, sec: 0} // section 0 renders as the header
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	c := wire.NewCursor(hdr[:len(hdr)-tableLen])
+	lay.hdr.RunID = c.String("run_id")
+	lay.hdr.App = c.String("app")
+	lay.hdr.Threads = c.Int("threads")
+	lay.hdr.Epoch = c.Uvarint("epoch")
+	lay.hdr.Degraded = c.Byte("degraded", 1) == 1
+	count := c.Uvarint("sections")
+	if err := c.Done(); err != nil {
+		return nil, inSection(0, err)
 	}
-	runID, err := r.take(n)
-	if err != nil {
-		return nil, err
-	}
-	lay.hdr.RunID = string(runID)
-	if n, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	app, err := r.take(n)
-	if err != nil {
-		return nil, err
-	}
-	lay.hdr.App = string(app)
-	threads, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if threads > maxThreads {
-		return nil, corruptHeaderf("thread count %d exceeds limit %d", threads, maxThreads)
-	}
-	lay.hdr.Threads = int(threads)
-	if lay.hdr.Epoch, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	degraded, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if degraded > 1 {
-		return nil, corruptHeaderf("degraded flag byte %d is not 0 or 1", degraded)
-	}
-	lay.hdr.Degraded = degraded == 1
-
-	count, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	if lay.hdr.Threads > maxThreads {
+		return nil, corruptHeaderf("thread count %d exceeds limit %d", lay.hdr.Threads, maxThreads)
 	}
 	if count != numSections {
 		return nil, corruptHeaderf("section table holds %d entries, format v1 requires %d", count, numSections)
 	}
 	end := uint64(preambleLen) + uint64(hdrLen)
-	for i := 0; i < numSections; i++ {
-		entry, err := r.take(tableEntryLen)
-		if err != nil {
-			return nil, err
-		}
+	for i, table := 0, hdr[len(hdr)-tableLen:]; i < numSections; i++ {
+		entry := table[i*tableEntryLen:]
 		kind := binary.LittleEndian.Uint32(entry)
 		off := binary.LittleEndian.Uint64(entry[4:])
 		length := binary.LittleEndian.Uint64(entry[12:])
@@ -192,9 +128,6 @@ func parseFile(data []byte) (*fileLayout, error) {
 		lay.secs[kind] = span{off: off, length: length, crc: crc}
 		end = off + length
 	}
-	if err := r.expectDone(); err != nil {
-		return nil, err
-	}
 	if end != uint64(len(data)) {
 		return nil, corruptHeaderf("%d bytes past the last section", uint64(len(data))-end)
 	}
@@ -202,22 +135,32 @@ func parseFile(data []byte) (*fileLayout, error) {
 }
 
 // section verifies one section's CRC and returns a cursor over it.
-func (lay *fileLayout) section(data []byte, kind uint32) (*reader, error) {
+func (lay *fileLayout) section(data []byte, kind uint32) (wire.Cursor, error) {
 	s := lay.secs[kind]
 	b := data[s.off : s.off+s.length]
 	if got := crc32.Checksum(b, castagnoli); got != s.crc {
-		return nil, corruptf(kind, "CRC mismatch: stored %08x, computed %08x", s.crc, got)
+		return wire.Cursor{}, corruptf(kind, "CRC mismatch: stored %08x, computed %08x", s.crc, got)
 	}
-	return &reader{b: b, sec: kind}, nil
+	return wire.NewCursor(b), nil
 }
 
 // Load fully decodes the CPG file at path. The returned analysis owns
-// all of its memory — nothing aliases the file.
+// all of its memory — nothing aliases the file. A file that does not
+// decode is reported with its path.
 func Load(path string) (*core.Analysis, Header, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, Header{}, err
 	}
+	a, hdr, err := decodeFile(data)
+	if err != nil {
+		return nil, Header{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return a, hdr, nil
+}
+
+// decodeFile is Load over the file's bytes.
+func decodeFile(data []byte) (*core.Analysis, Header, error) {
 	lay, err := parseFile(data)
 	if err != nil {
 		return nil, Header{}, err
@@ -241,206 +184,101 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 
 	// Symbols: re-intern through a remap table. Refs in the file index
 	// this table; nothing trusts them as in-memory refs directly.
-	rs, err := lay.section(data, secSymbols)
+	cs, err := lay.section(data, secSymbols)
 	if err != nil {
 		return nil, 0, err
 	}
-	symCount, err := rs.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if symCount > uint64(rs.remaining())+1 {
-		return nil, 0, corruptf(secSymbols, "symbol count %d exceeds the section's %d bytes", symCount, rs.remaining())
+	syms := core.ParseSymbols(&cs)
+	if err := cs.Done(); err != nil {
+		return nil, 0, inSection(secSymbols, err)
 	}
 	g := core.NewGraph(lay.hdr.Threads)
-	remap := make([]uint32, 0, capHint(symCount))
-	for i := uint64(0); i < symCount; i++ {
-		n, err := rs.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		sym, err := rs.take(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		remap = append(remap, uint32(g.InternSite(string(sym))))
-		footprint += fpPerSymbol + int64(n)
+	remap := make([]uint32, len(syms))
+	for i, s := range syms {
+		remap[i] = uint32(g.InternSite(s))
+		footprint += fpPerSymbol + int64(len(s))
 	}
-	if err := rs.expectDone(); err != nil {
-		return nil, 0, err
-	}
-	mapRef := func(sec uint32, ref uint64) (uint32, error) {
-		if ref >= uint64(len(remap)) {
-			return 0, corruptf(sec, "symbol ref %d outside the %d-entry table", ref, len(remap))
+	// mapRef resolves a stored ref, failing the cursor it was read from
+	// when it points outside the table.
+	mapRef := func(c *wire.Cursor, field string, ref uint32) uint32 {
+		if uint64(ref) >= uint64(len(remap)) {
+			c.Fail(field, fmt.Sprintf("symbol ref %d outside the %d-entry table", ref, len(remap)))
+			return 0
 		}
-		return remap[ref], nil
+		return remap[ref]
 	}
 
 	// Vertices + per-vertex columns: four cursors advance in lockstep,
 	// one vertex at a time, in (thread, alpha) order.
-	rv, err := lay.section(data, secVertices)
-	if err != nil {
-		return nil, 0, err
+	columns := [...]struct {
+		kind uint32
+		c    wire.Cursor
+	}{{kind: secVertices}, {kind: secReadSets}, {kind: secWriteSets}, {kind: secThunks}}
+	for i := range columns {
+		if columns[i].c, err = lay.section(data, columns[i].kind); err != nil {
+			return nil, 0, err
+		}
 	}
-	rr, err := lay.section(data, secReadSets)
-	if err != nil {
-		return nil, 0, err
-	}
-	rw, err := lay.section(data, secWriteSets)
-	if err != nil {
-		return nil, 0, err
-	}
-	rt, err := lay.section(data, secThunks)
-	if err != nil {
-		return nil, 0, err
-	}
-	nthreads, err := rv.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if nthreads != uint64(lay.hdr.Threads) {
-		return nil, 0, corruptf(secVertices, "vertex layout covers %d threads, header says %d", nthreads, lay.hdr.Threads)
+	cv, cr, cw, ct := &columns[0].c, &columns[1].c, &columns[2].c, &columns[3].c
+	intact := func() bool { return cv.Err() == nil && cr.Err() == nil && cw.Err() == nil && ct.Err() == nil }
+
+	nthreads := cv.Count("layout.threads", 1)
+	if cv.Err() == nil && nthreads != lay.hdr.Threads {
+		cv.Fail("layout.threads", fmt.Sprintf("vertex layout covers %d threads, header says %d", nthreads, lay.hdr.Threads))
 	}
 	lens := make([]int, nthreads)
-	var total uint64
 	for t := range lens {
-		n, err := rv.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		total += n
-		// Each vertex costs ≥ 6 bytes in this section, so an absurd
-		// length is rejected before any per-vertex work.
-		if total > uint64(rv.remaining())/6+1 {
-			return nil, 0, corruptf(secVertices, "%d vertices cannot fit in the section's %d bytes", total, rv.remaining())
-		}
-		lens[t] = int(n)
+		lens[t] = cv.Count("layout.len", core.MinVertexBytes)
 	}
 	for t, n := range lens {
-		for alpha := 0; alpha < n; alpha++ {
+		for alpha := 0; alpha < n && intact(); alpha++ {
 			sc := &core.SubComputation{ID: core.SubID{Thread: t, Alpha: uint64(alpha)}}
-			cn, err := rv.uvarint()
-			if err != nil {
-				return nil, 0, err
+			core.ParseVertex(cv, sc)
+			sc.End.Object = core.ObjRef(mapRef(cv, "vertex.end.object", uint32(sc.End.Object)))
+			sc.ReadSet = core.ParsePageSet(cr, "read_set")
+			sc.WriteSet = core.ParsePageSet(cw, "write_set")
+			sc.Thunks = core.ParseThunks(ct)
+			for i := range sc.Thunks {
+				th := &sc.Thunks[i]
+				th.Site = core.SiteRef(mapRef(ct, "thunk.site", uint32(th.Site)))
+				th.Target = core.SiteRef(mapRef(ct, "thunk.target", uint32(th.Target)))
 			}
-			if cn > uint64(rv.remaining())+1 {
-				return nil, 0, corruptf(secVertices, "clock of %d entries exceeds the section's %d bytes", cn, rv.remaining())
-			}
-			clock := make(vclock.Clock, 0, capHint(cn))
-			for i := uint64(0); i < cn; i++ {
-				v, err := rv.uvarint()
-				if err != nil {
-					return nil, 0, err
-				}
-				clock = append(clock, v)
-			}
-			sc.Clock = clock
-			kind, err := rv.byte()
-			if err != nil {
-				return nil, 0, err
-			}
-			if kind > uint8(core.SyncRelease) {
-				return nil, 0, corruptf(secVertices, "vertex %v has sync kind byte %d", sc.ID, kind)
-			}
-			sc.End.Kind = core.SyncOpKind(kind)
-			objRef, err := rv.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			obj, err := mapRef(secVertices, objRef)
-			if err != nil {
-				return nil, 0, err
-			}
-			sc.End.Object = core.ObjRef(obj)
-			start, err := rv.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			finish, err := rv.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			sc.Start, sc.Finish = vtime.Cycles(start), vtime.Cycles(finish)
-			if sc.Instructions, err = rv.uvarint(); err != nil {
-				return nil, 0, err
-			}
-
-			pages, err := decodePages(rr)
-			if err != nil {
-				return nil, 0, err
-			}
-			if sc.ReadSet, err = pageSet(secReadSets, pages); err != nil {
-				return nil, 0, err
-			}
-			if pages, err = decodePages(rw); err != nil {
-				return nil, 0, err
-			}
-			if sc.WriteSet, err = pageSet(secWriteSets, pages); err != nil {
-				return nil, 0, err
+			if !intact() {
+				break
 			}
 			footprint += fpPerWord * int64(len(sc.Clock)+sc.ReadSet.Len()+sc.WriteSet.Len())
-
-			tn, err := rt.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			if tn > uint64(rt.remaining())/5+1 {
-				return nil, 0, corruptf(secThunks, "%d thunks cannot fit in the section's %d bytes", tn, rt.remaining())
-			}
-			thunks := make([]core.Thunk, 0, capHint(tn))
-			for i := uint64(0); i < tn; i++ {
-				var th core.Thunk
-				if th.Index, err = rt.uvarint(); err != nil {
-					return nil, 0, err
-				}
-				site, err := rt.uvarint()
-				if err != nil {
-					return nil, 0, err
-				}
-				ref, err := mapRef(secThunks, site)
-				if err != nil {
-					return nil, 0, err
-				}
-				th.Site = core.SiteRef(ref)
-				flags, err := rt.byte()
-				if err != nil {
-					return nil, 0, err
-				}
-				if flags > 3 {
-					return nil, 0, corruptf(secThunks, "vertex %v thunk %d has flags byte %d", sc.ID, i, flags)
-				}
-				th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
-				target, err := rt.uvarint()
-				if err != nil {
-					return nil, 0, err
-				}
-				if ref, err = mapRef(secThunks, target); err != nil {
-					return nil, 0, err
-				}
-				th.Target = core.SiteRef(ref)
-				if th.Instructions, err = rt.uvarint(); err != nil {
-					return nil, 0, err
-				}
-				thunks = append(thunks, th)
-			}
-			sc.Thunks = thunks
-			footprint += fpPerSub + fpPerThunk*int64(len(thunks))
+			footprint += fpPerSub + fpPerThunk*int64(len(sc.Thunks))
 			if err := g.AppendSub(sc); err != nil {
-				return nil, 0, corruptf(secVertices, "vertex %v rejected: %v", sc.ID, err)
+				cv.Fail("vertex", fmt.Sprintf("%v rejected: %v", sc.ID, err))
 			}
 		}
 	}
-	for _, r := range []*reader{rv, rr, rw, rt} {
-		if err := r.expectDone(); err != nil {
-			return nil, 0, err
+	// The column that failed is the damaged one; the others merely
+	// stopped early. Only an intact walk owes every column its last byte.
+	for i := range columns {
+		if err := columns[i].c.Err(); err != nil {
+			return nil, 0, inSection(columns[i].kind, err)
+		}
+	}
+	for i := range columns {
+		if err := columns[i].c.Done(); err != nil {
+			return nil, 0, inSection(columns[i].kind, err)
 		}
 	}
 
-	syncEdges, err := decodeSyncEdges(lay, data, g, lens, mapRef)
+	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge) {
+		obj := core.ObjRef(mapRef(c, "edge.object", c.Uint32("edge.object")))
+		if c.Err() == nil {
+			g.RestoreSyncEdge(e.From, e.To, obj)
+			e.Kind, e.Object = core.EdgeSync, g.ObjectName(obj)
+		}
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	dataEdges, err := decodeDataEdges(lay, data, lens)
+	dataEdges, err := decodeEdges(lay, data, secDataEdges, lens, func(c *wire.Cursor, e *core.Edge) {
+		e.Kind, e.Pages = core.EdgeData, core.ParsePages(c, "edge.pages", nil)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -466,197 +304,72 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 	return a, footprint, nil
 }
 
-// decodePages reads one canonical page list (core.AppendPages form)
-// into fresh memory; an empty list is nil.
-func decodePages(r *reader) ([]uint64, error) {
-	pages, n, err := core.ParsePages(nil, r.b[r.off:])
-	if err != nil {
-		return nil, corruptf(r.sec, "at byte %d: %v", r.off, err)
-	}
-	r.off += n
-	return pages, nil
-}
-
-// pageSet converts a decoded page list to the in-memory PageSet.
-func pageSet(sec uint32, pages []uint64) (core.PageSet, error) {
-	ps, err := core.PageSetFromSorted(pages)
-	if err != nil {
-		return core.PageSet{}, corruptf(sec, "%v", err)
-	}
-	return ps, nil
-}
-
-// decodeSubID reads a vertex id and bounds-checks it against the
-// vertex layout.
-func decodeSubID(r *reader, lens []int) (core.SubID, error) {
-	t, err := r.uvarint()
-	if err != nil {
-		return core.SubID{}, err
-	}
-	if t >= uint64(len(lens)) {
-		return core.SubID{}, corruptf(r.sec, "edge endpoint thread %d outside the %d-thread layout", t, len(lens))
-	}
-	alpha, err := r.uvarint()
-	if err != nil {
-		return core.SubID{}, err
-	}
-	if alpha >= uint64(lens[t]) {
-		return core.SubID{}, corruptf(r.sec, "edge endpoint T%d.%d outside the thread's %d vertices", t, alpha, lens[t])
-	}
-	return core.SubID{Thread: int(t), Alpha: alpha}, nil
-}
-
-// decodeSyncEdges reads the canonical sync-edge section, restoring the
-// graph's per-thread sync-edge log as it goes.
-func decodeSyncEdges(lay *fileLayout, data []byte, g *core.Graph, lens []int, mapRef func(uint32, uint64) (uint32, error)) ([]core.Edge, error) {
-	r, err := lay.section(data, secSyncEdges)
+// decodeEdges reads one canonical edge section — sync or data: a count,
+// then per edge its two endpoints (each inside the vertex layout) and
+// the payload that rest reads into it — and checks the stored order.
+func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, rest func(*wire.Cursor, *core.Edge)) ([]core.Edge, error) {
+	c, err := lay.section(data, kind)
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.remaining())/5+1 {
-		return nil, corruptf(secSyncEdges, "%d edges cannot fit in the section's %d bytes", n, r.remaining())
-	}
-	edges := make([]core.Edge, 0, capHint(n))
-	for i := uint64(0); i < n; i++ {
-		from, err := decodeSubID(r, lens)
-		if err != nil {
-			return nil, err
+	endpoint := func() core.SubID {
+		id := core.ParseSubID(&c, "edge.endpoint")
+		if c.Err() == nil && (id.Thread >= len(lens) || id.Alpha >= uint64(lens[id.Thread])) {
+			c.Fail("edge.endpoint", fmt.Sprintf("%v outside the vertex layout", id))
 		}
-		to, err := decodeSubID(r, lens)
-		if err != nil {
-			return nil, err
-		}
-		objRef, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		obj, err := mapRef(secSyncEdges, objRef)
-		if err != nil {
-			return nil, err
-		}
-		g.RestoreSyncEdge(from, to, core.ObjRef(obj))
-		e := core.Edge{From: from, To: to, Kind: core.EdgeSync, Object: g.ObjectName(core.ObjRef(obj))}
-		if len(edges) > 0 && core.EdgeCanonicalLess(e, edges[len(edges)-1]) {
-			return nil, corruptf(secSyncEdges, "edge %d out of canonical order", i)
-		}
-		edges = append(edges, e)
+		return id
 	}
-	if err := r.expectDone(); err != nil {
-		return nil, err
-	}
-	return edges, nil
-}
-
-// decodeDataEdges reads the derived data-edge section.
-func decodeDataEdges(lay *fileLayout, data []byte, lens []int) ([]core.Edge, error) {
-	r, err := lay.section(data, secDataEdges)
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.remaining())/5+1 {
-		return nil, corruptf(secDataEdges, "%d edges cannot fit in the section's %d bytes", n, r.remaining())
-	}
-	edges := make([]core.Edge, 0, capHint(n))
-	for i := uint64(0); i < n; i++ {
-		from, err := decodeSubID(r, lens)
-		if err != nil {
-			return nil, err
+	edges := make([]core.Edge, c.Count("edges", minEdgeBytes))
+	for i := range edges {
+		e := &edges[i]
+		e.From, e.To = endpoint(), endpoint()
+		rest(&c, e)
+		if c.Err() != nil {
+			break
 		}
-		to, err := decodeSubID(r, lens)
-		if err != nil {
-			return nil, err
+		if i > 0 && core.EdgeCanonicalLess(*e, edges[i-1]) {
+			c.Fail("edge", fmt.Sprintf("edge %d out of canonical order", i))
 		}
-		pages, err := decodePages(r)
-		if err != nil {
-			return nil, err
-		}
-		e := core.Edge{From: from, To: to, Kind: core.EdgeData, Pages: pages}
-		if len(edges) > 0 && core.EdgeCanonicalLess(e, edges[len(edges)-1]) {
-			return nil, corruptf(secDataEdges, "edge %d out of canonical order", i)
-		}
-		edges = append(edges, e)
 	}
-	if err := r.expectDone(); err != nil {
-		return nil, err
-	}
-	return edges, nil
+	return edges, inSection(kind, c.Done())
 }
 
 // decodeGaps restores the per-thread trace-loss intervals.
 func decodeGaps(lay *fileLayout, data []byte, g *core.Graph, lens []int) error {
-	r, err := lay.section(data, secGaps)
+	c, err := lay.section(data, secGaps)
 	if err != nil {
 		return err
 	}
-	nt, err := r.uvarint()
-	if err != nil {
-		return err
+	nt := c.Count("gaps.threads", minGapThreadBytes)
+	if nt > len(lens) {
+		c.Fail("gaps.threads", fmt.Sprintf("%d gap threads exceed the %d-thread layout", nt, len(lens)))
 	}
-	if nt > uint64(len(lens)) {
-		return corruptf(secGaps, "%d gap threads exceed the %d-thread layout", nt, len(lens))
-	}
-	for i := uint64(0); i < nt; i++ {
-		t, err := r.uvarint()
-		if err != nil {
-			return err
+	for i := 0; i < nt && c.Err() == nil; i++ {
+		t := c.Int("gaps.thread")
+		if t >= len(lens) {
+			c.Fail("gaps.thread", fmt.Sprintf("gap thread %d outside the %d-thread layout", t, len(lens)))
 		}
-		if t >= uint64(len(lens)) {
-			return corruptf(secGaps, "gap thread %d outside the %d-thread layout", t, len(lens))
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(r.remaining())/4+1 {
-			return corruptf(secGaps, "%d gaps cannot fit in the section's %d bytes", n, r.remaining())
-		}
-		for j := uint64(0); j < n; j++ {
-			var gp core.Gap
-			if gp.FromAlpha, err = r.uvarint(); err != nil {
-				return err
+		for n := c.Count("gaps.intervals", core.MinGapBytes); n > 0; n-- {
+			if gp := core.ParseGap(&c); c.Err() == nil {
+				g.AddGap(t, gp)
 			}
-			if gp.ToAlpha, err = r.uvarint(); err != nil {
-				return err
-			}
-			kind, err := r.byte()
-			if err != nil {
-				return err
-			}
-			if kind == 0 || kind > uint8(core.GapPanic) {
-				return corruptf(secGaps, "thread %d gap %d has kind byte %d", t, j, kind)
-			}
-			gp.Kind = core.GapKind(kind)
-			if gp.Bytes, err = r.uvarint(); err != nil {
-				return err
-			}
-			g.AddGap(int(t), gp)
 		}
 	}
-	return r.expectDone()
+	return inSection(secGaps, c.Done())
 }
 
 // decodeStats reads the precomputed stats section.
 func decodeStats(data []byte, lay *fileLayout) (Stats, error) {
-	r, err := lay.section(data, secStats)
+	c, err := lay.section(data, secStats)
 	if err != nil {
 		return Stats{}, err
 	}
 	var v [11]uint64
 	for i := range v {
-		if v[i], err = r.uvarint(); err != nil {
-			return Stats{}, err
-		}
+		v[i] = c.Uvarint("stats")
 	}
-	if err := r.expectDone(); err != nil {
-		return Stats{}, err
+	if err := c.Done(); err != nil {
+		return Stats{}, inSection(secStats, err)
 	}
 	return Stats{
 		SubComputations: int(v[0]), Threads: int(v[1]), Thunks: int(v[2]),

@@ -7,6 +7,7 @@ import (
 
 	"github.com/repro/inspector/internal/atomicio"
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // preambleLen is the fixed prefix before the header payload: magic,
@@ -48,34 +49,23 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 
 	sections := make([][]byte, 0, numSections)
 
+	// Every field below is spelled by internal/core's field codecs, the
+	// ones the epoch delta uses row-wise; this file only chooses the
+	// columns.
+
 	// Section 1: symbols — the interner snapshot in ref order, so a
 	// serialized ref r names the r'th string of this table.
-	var b []byte
-	syms := g.Symbols()
-	b = binary.AppendUvarint(b, uint64(len(syms)))
-	for _, s := range syms {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	sections = append(sections, b)
+	sections = append(sections, core.AppendSymbols(nil, g.Symbols()))
 
 	// Section 2: vertices — the per-thread layout, then each vertex's
 	// scalar columns in (thread, alpha) order.
-	b = nil
+	var b []byte
 	b = binary.AppendUvarint(b, uint64(len(lens)))
 	for _, n := range lens {
 		b = binary.AppendUvarint(b, uint64(n))
 	}
 	for _, sc := range subs {
-		b = binary.AppendUvarint(b, uint64(len(sc.Clock)))
-		for _, v := range sc.Clock {
-			b = binary.AppendUvarint(b, v)
-		}
-		b = append(b, byte(sc.End.Kind))
-		b = binary.AppendUvarint(b, uint64(sc.End.Object))
-		b = binary.AppendUvarint(b, uint64(sc.Start))
-		b = binary.AppendUvarint(b, uint64(sc.Finish))
-		b = binary.AppendUvarint(b, sc.Instructions)
+		b = core.AppendVertex(b, sc)
 	}
 	sections = append(sections, b)
 
@@ -95,21 +85,7 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	// Section 5: thunks — the control-path column.
 	b = nil
 	for _, sc := range subs {
-		b = binary.AppendUvarint(b, uint64(len(sc.Thunks)))
-		for _, th := range sc.Thunks {
-			b = binary.AppendUvarint(b, th.Index)
-			b = binary.AppendUvarint(b, uint64(th.Site))
-			var flags byte
-			if th.Taken {
-				flags |= 1
-			}
-			if th.Indirect {
-				flags |= 2
-			}
-			b = append(b, flags)
-			b = binary.AppendUvarint(b, uint64(th.Target))
-			b = binary.AppendUvarint(b, th.Instructions)
-		}
+		b = core.AppendThunks(b, sc.Thunks)
 	}
 	sections = append(sections, b)
 
@@ -117,8 +93,8 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	b = nil
 	b = binary.AppendUvarint(b, uint64(len(syncEdges)))
 	for i := range syncEdges {
-		b = appendSubID(b, syncEdges[i].From)
-		b = appendSubID(b, syncEdges[i].To)
+		b = core.AppendSubID(b, syncEdges[i].From)
+		b = core.AppendSubID(b, syncEdges[i].To)
 		b = binary.AppendUvarint(b, uint64(syncObjRefs[i]))
 	}
 	sections = append(sections, b)
@@ -128,8 +104,8 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	b = nil
 	b = binary.AppendUvarint(b, uint64(len(dataEdges)))
 	for i := range dataEdges {
-		b = appendSubID(b, dataEdges[i].From)
-		b = appendSubID(b, dataEdges[i].To)
+		b = core.AppendSubID(b, dataEdges[i].From)
+		b = core.AppendSubID(b, dataEdges[i].To)
 		b = core.AppendPages(b, dataEdges[i].Pages)
 	}
 	sections = append(sections, b)
@@ -141,10 +117,7 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 		b = binary.AppendUvarint(b, uint64(tg.Thread))
 		b = binary.AppendUvarint(b, uint64(len(tg.Gaps)))
 		for _, gp := range tg.Gaps {
-			b = binary.AppendUvarint(b, gp.FromAlpha)
-			b = binary.AppendUvarint(b, gp.ToAlpha)
-			b = append(b, byte(gp.Kind))
-			b = binary.AppendUvarint(b, gp.Bytes)
+			b = core.AppendGap(b, gp)
 		}
 	}
 	sections = append(sections, b)
@@ -165,11 +138,8 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 
 	// Header payload: identity fields, then the fixed-width section
 	// table with absolute offsets.
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(len(meta.RunID)))
-	hdr = append(hdr, meta.RunID...)
-	hdr = binary.AppendUvarint(hdr, uint64(len(meta.App)))
-	hdr = append(hdr, meta.App...)
+	hdr := wire.AppendString(nil, meta.RunID)
+	hdr = wire.AppendString(hdr, meta.App)
 	hdr = binary.AppendUvarint(hdr, uint64(g.Threads()))
 	hdr = binary.AppendUvarint(hdr, a.Epoch())
 	if a.Degraded() {
@@ -204,12 +174,6 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 		}
 	}
 	return nil
-}
-
-// appendSubID appends a vertex id as thread, alpha.
-func appendSubID(b []byte, id core.SubID) []byte {
-	b = binary.AppendUvarint(b, uint64(id.Thread))
-	return binary.AppendUvarint(b, id.Alpha)
 }
 
 // statsOf computes the stats section's numbers with the query engine's

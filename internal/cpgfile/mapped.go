@@ -2,7 +2,6 @@ package cpgfile
 
 import (
 	"crypto/sha256"
-	"hash/crc32"
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
@@ -74,9 +73,8 @@ func (m *Mapped) Stats() (Stats, error) {
 // returns the first mismatch as a *CorruptError naming the section.
 func (m *Mapped) VerifyChecksums() error {
 	for kind := uint32(1); kind <= numSections; kind++ {
-		s := m.lay.secs[kind]
-		if got := crc32.Checksum(m.data[s.off:s.off+s.length], castagnoli); got != s.crc {
-			return corruptf(kind, "CRC mismatch: stored %08x, computed %08x", s.crc, got)
+		if _, err := m.lay.section(m.data, kind); err != nil {
+			return err
 		}
 	}
 	return nil

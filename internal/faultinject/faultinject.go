@@ -11,7 +11,6 @@
 //     exactly as an overrunning AUX ring does, so injected loss flows
 //     through the same LostBytes accounting as genuine loss;
 //   - WrapWriter fails io.Writer writes (export sinks);
-//   - WrapReader corrupts bytes on an io.Reader (gob load paths);
 //   - Fire is the generic hook for call-site faults (workload panics at
 //     commit boundaries, slowed analysis folds).
 package faultinject
@@ -40,8 +39,6 @@ const (
 	SinkError Point = "sink-error"
 	// WorkloadPanic panics on the recording thread at a commit boundary.
 	WorkloadPanic Point = "panic"
-	// GobCorrupt flips a byte on a wrapped reader (CPG load paths).
-	GobCorrupt Point = "gob-corrupt"
 	// SlowFold delays a live analysis fold. It fires inside the fold's
 	// data-edge derivation workers (one hit per worker per fold), so a
 	// parallel fold can stall on any subset of its workers.
@@ -73,7 +70,7 @@ const (
 // every existing seed's schedule for the older points unchanged.
 func Points() []Point {
 	return []Point{
-		AuxLoss, SinkError, WorkloadPanic, GobCorrupt, SlowFold,
+		AuxLoss, SinkError, WorkloadPanic, SlowFold,
 		Crash, JournalTorn, JournalShortPrefix, JournalBitFlip, JournalFsyncError,
 		CPGFileTorn, CPGFileBitFlip,
 		NetDisconnect, NetDuplicate, NetReorder, NetSlow,
@@ -346,26 +343,6 @@ func (f *failingWriter) Write(b []byte) (int, error) {
 		return 0, fmt.Errorf("%w: sink write error", ErrInjected)
 	}
 	return f.inner.Write(b)
-}
-
-// WrapReader interposes the gob-corrupt point on an io.Reader: when the
-// point fires, the first byte of the chunk read is flipped — the
-// smallest corruption a decoder must survive gracefully.
-func (in *Injector) WrapReader(r io.Reader) io.Reader {
-	return &corruptReader{inner: r, in: in}
-}
-
-type corruptReader struct {
-	inner io.Reader
-	in    *Injector
-}
-
-func (c *corruptReader) Read(b []byte) (int, error) {
-	n, err := c.inner.Read(b)
-	if n > 0 && c.in.Fire(GobCorrupt) {
-		b[0] ^= 0xFF
-	}
-	return n, err
 }
 
 // WrapJournalFile interposes the journal crash points on a journal

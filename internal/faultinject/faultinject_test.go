@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -122,21 +121,6 @@ func TestWrapWriterFails(t *testing.T) {
 	}
 	if out.String() != "okok2" {
 		t.Errorf("inner writer saw %q", out.String())
-	}
-}
-
-func TestWrapReaderCorrupts(t *testing.T) {
-	in := New(Schedule{Rules: []Rule{{Point: GobCorrupt, Count: 1}}})
-	r := in.WrapReader(strings.NewReader("abcd"))
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, []byte("abcd")) {
-		t.Error("reader did not corrupt the stream")
-	}
-	if in.Fired(GobCorrupt) != 1 {
-		t.Errorf("Fired = %d, want 1", in.Fired(GobCorrupt))
 	}
 }
 

@@ -16,12 +16,11 @@ package harness
 //     exports legitimately differ run to run. The update mode runs every
 //     configuration three times and byte-pins only the stable ones; unstable
 //     configurations are pinned on their deterministic counters (vertex
-//     count) and still get the gob self-consistency checks.
-//   - The gob artifact cannot be byte-pinned against the seed at all: the
-//     seed's map-backed PageSet made gob bytes depend on map iteration order.
-//     The refactor fixes that (sorted page sets encode canonically); here gob
-//     is held to byte-determinism across encodes and to decoding back to
-//     exactly the JSON-pinned content.
+//     count) and still get the .cpg self-consistency checks.
+//   - The snapshot a run is reloaded from, the .cpg file, is not pinned
+//     against the seed (the seed had no such format). It is held to
+//     decoding back to exactly the JSON-pinned content and to
+//     byte-determinism: re-encoding the loaded analysis reproduces the file.
 //
 // Regenerate after an intentional format change with:
 //
@@ -39,6 +38,7 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/workloads"
 )
@@ -68,9 +68,9 @@ type driftFile struct {
 	Entries []driftEntry `json:"entries"`
 }
 
-// exportCPG runs one configuration under INSPECTOR and returns the three
-// export artifacts plus the vertex count.
-func exportCPG(t *testing.T, app string, threads int) (jsonB, dotB, gobB []byte, subs int) {
+// exportCPG runs one configuration under INSPECTOR and returns the two
+// rendered exports plus the recorded graph.
+func exportCPG(t *testing.T, app string, threads int) (jsonB, dotB []byte, g *core.Graph) {
 	t.Helper()
 	w, err := workloads.Get(app)
 	if err != nil {
@@ -88,17 +88,14 @@ func exportCPG(t *testing.T, app string, threads int) (jsonB, dotB, gobB []byte,
 	if err := w.Run(rt, cfg); err != nil {
 		t.Fatalf("%s t=%d: %v", app, threads, err)
 	}
-	var jw, dw, gw bytes.Buffer
+	var jw, dw bytes.Buffer
 	if err := rt.Graph().EncodeJSON(&jw); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Graph().WriteDOT(&dw); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Graph().EncodeGob(&gw); err != nil {
-		t.Fatal(err)
-	}
-	return jw.Bytes(), dw.Bytes(), gw.Bytes(), rt.Graph().NumSubs()
+	return jw.Bytes(), dw.Bytes(), rt.Graph()
 }
 
 func sha(b []byte) string {
@@ -118,8 +115,8 @@ func updateDriftFile(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			ent := driftEntry{App: app, Threads: threads, Stable: true}
 			for rep := 0; rep < 3; rep++ {
-				jsonB, dotB, _, subs := exportCPG(t, app, threads)
-				js, ds := sha(jsonB), sha(dotB)
+				jsonB, dotB, g := exportCPG(t, app, threads)
+				js, ds, subs := sha(jsonB), sha(dotB), g.NumSubs()
 				if rep == 0 {
 					ent.JSONSHA, ent.DOTSHA, ent.Subs = js, ds, subs
 					continue
@@ -178,8 +175,8 @@ func TestCPGExportDriftAgainstSeed(t *testing.T) {
 	for _, want := range df.Entries {
 		want := want
 		t.Run(want.App+"/t"+strconv.Itoa(want.Threads), func(t *testing.T) {
-			jsonB, dotB, gobB, subs := exportCPG(t, want.App, want.Threads)
-			if subs != want.Subs {
+			jsonB, dotB, g := exportCPG(t, want.App, want.Threads)
+			if subs := g.NumSubs(); subs != want.Subs {
 				t.Errorf("sub-computations = %d, seed recorded %d", subs, want.Subs)
 			}
 			if want.Stable {
@@ -190,26 +187,34 @@ func TestCPGExportDriftAgainstSeed(t *testing.T) {
 					t.Errorf("DOT export drifted from seed: sha %s, want %s", got, want.DOTSHA)
 				}
 			}
-			// Gob must decode back to exactly this run's content...
-			g, err := core.DecodeGob(bytes.NewReader(gobB))
+			// The .cpg file must load back to exactly this run's content...
+			var file bytes.Buffer
+			if err := cpgfile.Encode(&file, g.Analyze(), cpgfile.Meta{App: want.App}); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "run.cpg")
+			if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, _, err := cpgfile.Load(path)
 			if err != nil {
-				t.Fatalf("decode gob: %v", err)
+				t.Fatalf("load .cpg: %v", err)
 			}
 			var rejson bytes.Buffer
-			if err := g.EncodeJSON(&rejson); err != nil {
+			if err := loaded.Graph().EncodeJSON(&rejson); err != nil {
 				t.Fatal(err)
 			}
-			if got := sha(rejson.Bytes()); got != sha(jsonB) {
-				t.Errorf("gob round-trip disagrees with the JSON export")
+			if !bytes.Equal(rejson.Bytes(), jsonB) {
+				t.Errorf(".cpg round-trip disagrees with the JSON export")
 			}
-			// ...and, unlike the seed's map-backed encoding, be deterministic:
-			// re-encoding the decoded graph reproduces the bytes exactly.
-			var regob bytes.Buffer
-			if err := g.EncodeGob(&regob); err != nil {
+			// ...and be deterministic: re-encoding the loaded analysis
+			// reproduces the file exactly.
+			var again bytes.Buffer
+			if err := cpgfile.Encode(&again, loaded, cpgfile.Meta{App: want.App}); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(gobB, regob.Bytes()) {
-				t.Error("gob export is not byte-deterministic")
+			if !bytes.Equal(file.Bytes(), again.Bytes()) {
+				t.Error(".cpg export is not byte-deterministic")
 			}
 		})
 	}

@@ -1,9 +1,9 @@
 package harness
 
 // Round-trip property tests for the on-disk columnar CPG format: for
-// every workload the gob artifact and the cpgfile artifact must describe
-// the same graph — gob -> DecodeGob -> Analyze -> cpgfile.Write ->
-// {Load, Mapped} must export a byte-identical analysis document. The
+// every workload the file must describe the graph the run recorded —
+// Analyze -> cpgfile.Write -> {Load, Mapped} must export an analysis
+// document byte-identical to the in-memory analysis's. The
 // chaos round proves the serving path's -lenient contract against files
 // damaged through the faultinject cpgfile points.
 
@@ -69,9 +69,9 @@ func roundTripCPGFile(t *testing.T, a *core.Analysis, label string) {
 }
 
 // TestCPGFileRoundTripAcrossWorkloads sweeps every workload, single- and
-// multi-thread: the gob export decodes, analyzes, serializes to the
-// columnar format, and reads back identically through both paths — then
-// again with gaps recorded, so degraded graphs survive the format too.
+// multi-thread: the recorded graph analyzes, serializes to the columnar
+// format, and reads back identically through both paths — then again
+// with gaps recorded, so degraded graphs survive the format too.
 func TestCPGFileRoundTripAcrossWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
@@ -79,11 +79,7 @@ func TestCPGFileRoundTripAcrossWorkloads(t *testing.T) {
 	for _, app := range workloads.Names() {
 		for _, threads := range []int{1, 4} {
 			t.Run(app+"/t"+strconv.Itoa(threads), func(t *testing.T) {
-				_, _, gobB, _ := exportCPG(t, app, threads)
-				g, err := core.DecodeGob(bytes.NewReader(gobB))
-				if err != nil {
-					t.Fatalf("decode gob: %v", err)
-				}
+				_, _, g := exportCPG(t, app, threads)
 				roundTripCPGFile(t, g.Analyze(), app)
 
 				g.AddGap(0, core.Gap{FromAlpha: 0, ToAlpha: 1, Kind: core.GapAuxLoss, Bytes: 64})
@@ -121,11 +117,7 @@ func writeCPGThrough(t *testing.T, path string, a *core.Analysis, in *faultinjec
 // engines built directly from the source analyses.
 func TestChaosCPGFileLenientSkipsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
-	_, _, gobB, _ := exportCPG(t, "histogram", 1)
-	g, err := core.DecodeGob(bytes.NewReader(gobB))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, g := exportCPG(t, "histogram", 1)
 	a := g.Analyze()
 
 	healthy := []string{"run-a", "run-b", "run-c"}

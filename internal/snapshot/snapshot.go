@@ -18,10 +18,8 @@
 package snapshot
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
@@ -286,22 +284,4 @@ func (c *Cut) Validate(g *core.Graph) error {
 		}
 	}
 	return nil
-}
-
-// EncodeGob serializes a snapshot for offline analysis (the "user
-// collects the snapshot and reuses the slot" flow of §VI).
-func (s *Snapshot) EncodeGob(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
-	}
-	return nil
-}
-
-// DecodeGob reads a snapshot serialized by EncodeGob.
-func DecodeGob(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	return &s, nil
 }

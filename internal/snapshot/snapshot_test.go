@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -307,38 +306,6 @@ func TestQuickCutAlwaysConsistent(t *testing.T) {
 		return cut.Validate(g) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSnapshotGobRoundTrip(t *testing.T) {
-	g := buildGraph(t)
-	sess := perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot, AuxSize: 64})
-	st, _ := sess.Attach(1)
-	st.WriteTrace([]byte{1, 2, 3})
-	src := &fakeSource{g: g, sess: sess, seq: 9}
-	s, err := New(src, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := s.TakeSnapshot()
-
-	var buf bytes.Buffer
-	if err := snap.EncodeGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cut.Seq != 9 || len(got.Subs) != len(snap.Subs) {
-		t.Errorf("round trip: seq=%d subs=%d", got.Cut.Seq, len(got.Subs))
-	}
-	if string(got.PTWindows[1]) != string(snap.PTWindows[1]) {
-		t.Error("PT window lost in round trip")
-	}
-	// The cut must still validate against the original graph.
-	if err := got.Cut.Validate(g); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,12 +1,13 @@
 package threading
 
 import (
-	"bytes"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/faultinject"
 )
 
@@ -102,20 +103,20 @@ func TestInjectedAuxLossMarksGaps(t *testing.T) {
 	if !a.Degraded() || a.Completeness().GapIntervals != comp.GapIntervals {
 		t.Errorf("analysis completeness %+v disagrees with graph %+v", a.Completeness(), comp)
 	}
-	// The gob round-trip preserves the gaps: a degraded CPG stays marked
-	// degraded after export and reload.
-	var buf bytes.Buffer
-	if err := g.EncodeGob(&buf); err != nil {
+	// The .cpg round-trip preserves the gaps: a degraded CPG stays marked
+	// degraded after export and reload, in the header and in the graph.
+	path := filepath.Join(t.TempDir(), "degraded.cpg")
+	if err := cpgfile.Write(path, a, cpgfile.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.DecodeGob(&buf)
+	back, hdr, err := cpgfile.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bc := back.Completeness()
-	if !back.Degraded() || bc.GapThreads != comp.GapThreads ||
+	if !hdr.Degraded || !back.Degraded() || bc.GapThreads != comp.GapThreads ||
 		bc.GapIntervals != comp.GapIntervals || bc.LostBytes != comp.LostBytes {
-		t.Errorf("gob round-trip lost gaps: %+v vs %+v", bc, comp)
+		t.Errorf(".cpg round-trip lost gaps: %+v vs %+v", bc, comp)
 	}
 }
 

@@ -54,22 +54,6 @@ func (c *Cursor) Fail(field, reason string) {
 	}
 }
 
-// Rest returns the unread bytes, aliasing the body: for a field codec
-// that parses them in place and then calls Skip.
-func (c *Cursor) Rest() []byte {
-	if c.err != nil {
-		return nil
-	}
-	return c.b[c.off:]
-}
-
-// Skip advances past n bytes a field codec consumed from Rest.
-func (c *Cursor) Skip(n int) {
-	if c.err == nil {
-		c.off += n
-	}
-}
-
 // Uvarint reads one uvarint.
 func (c *Cursor) Uvarint(field string) uint64 {
 	if c.err != nil {

@@ -311,11 +311,11 @@ func TestCursorRejections(t *testing.T) {
 		}
 	}
 
-	// The first failure latches: later reads return zero and do not move.
+	// The first failure latches: later reads return zero.
 	c := NewCursor([]byte{0x80})
 	c.Uvarint("first")
-	if v := c.Uvarint("second"); v != 0 || len(c.Rest()) != 0 {
-		t.Errorf("read after failure = %d, rest %d bytes", v, len(c.Rest()))
+	if v := c.Byte("second", 9); v != 0 {
+		t.Errorf("read after failure = %d", v)
 	}
 	var pe *PayloadError
 	if !errors.As(c.Done(), &pe) || pe.Field != "first" {

@@ -18,7 +18,7 @@ go build -o "$workdir/inspector-run" ./cmd/inspector-run
 go build -o "$workdir/inspector-serve" ./cmd/inspector-serve
 go build -o "$workdir/cpg-query" ./cmd/cpg-query
 
-cpg="$workdir/histogram.gob"
+cpg="$workdir/histogram.cpg"
 "$workdir/inspector-run" -app histogram -threads 1 -size small -seed 1 -cpg "$cpg" >/dev/null
 
 # Bind an OS-assigned port (no collisions on shared runners); the
@@ -215,7 +215,7 @@ epoch=$(echo "$summary" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p')
 }
 
 "$workdir/inspector-recover" -journal "$jkill" -q \
-  -analysis "$workdir/killed-analysis.json" -cpg "$workdir/recovered.gob"
+  -analysis "$workdir/killed-analysis.json" -cpg "$workdir/recovered.cpg"
 "$workdir/inspector-recover" -journal "$jref" -q -epoch "$epoch" \
   -analysis "$workdir/ref-analysis.json"
 diff -u "$workdir/ref-analysis.json" "$workdir/killed-analysis.json" || {
@@ -243,17 +243,18 @@ grep -q 'torn tail\|unsealed' "$workdir/journal.log" || {
 }
 
 # Remote answers over the recovered journal match the local engine over
-# the recovered artifact. (stats embeds the analysis epoch, which the
-# post-mortem gob load resets — compare the structural query kinds.)
+# the recovered artifact — stats included: the .cpg carries the
+# recovered analysis itself, epoch and gap marks with it.
 jcheck() {
   echo "serve-smoke: journal cpg-query $*"
-  "$workdir/cpg-query" -cpg "$workdir/recovered.gob" "$@" >"$workdir/local.out"
+  "$workdir/cpg-query" -cpg "$workdir/recovered.cpg" "$@" >"$workdir/local.out"
   "$workdir/cpg-query" -remote "http://$addr" "$@" >"$workdir/remote.out"
   diff -u "$workdir/local.out" "$workdir/remote.out" || {
     echo "serve-smoke: journal remote output diverges for: $*" >&2
     exit 1
   }
 }
+jcheck stats
 jcheck edges
 jcheck edges data
 jcheck slice T0.0
@@ -265,16 +266,16 @@ kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-# CPG-file round: convert artifacts to the columnar on-disk format, serve
-# the directory lazily under a deliberately tiny resident budget, and hold
-# the bounded-memory store to the same byte-identical contract as the
-# eager gob engine — then repeat a query and assert the content-addressed
-# result cache answered it.
+# CPG-directory round: serve a directory of recorded .cpg files lazily
+# under a deliberately tiny resident budget, and hold the bounded-memory
+# store to the same byte-identical contract as the eager -cpg engine —
+# then repeat a query and assert the content-addressed result cache
+# answered it.
 cpgdir="$workdir/cpgdir"
 mkdir -p "$cpgdir"
-"$workdir/cpg-query" -cpg "$cpg" export "$cpgdir/histogram.cpg" >/dev/null
+cp "$cpg" "$cpgdir/histogram.cpg"
 "$workdir/inspector-run" -app word_count -threads 1 -size small -seed 2 \
-  -cpgfile "$cpgdir/word_count.cpg" >/dev/null
+  -cpg "$cpgdir/word_count.cpg" >/dev/null
 
 "$workdir/inspector-serve" -cpgdir "$cpgdir" -resident-budget 4096 \
   -addr 127.0.0.1:0 >"$workdir/cpgdir.log" 2>&1 &
