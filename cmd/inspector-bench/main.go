@@ -116,7 +116,7 @@ func run(args []string) (err error) {
 		}
 	}
 
-	size, err := parseSize(*sizeFlag)
+	size, err := workloads.ParseSize(*sizeFlag)
 	if err != nil {
 		return err
 	}
@@ -202,19 +202,6 @@ func writeHeapProfile(path string) error {
 		return fmt.Errorf("memprofile: %w", err)
 	}
 	return nil
-}
-
-func parseSize(s string) (workloads.Size, error) {
-	switch s {
-	case "small":
-		return workloads.Small, nil
-	case "medium":
-		return workloads.Medium, nil
-	case "large":
-		return workloads.Large, nil
-	default:
-		return 0, fmt.Errorf("unknown size %q", s)
-	}
 }
 
 func parseThreads(s string) ([]int, error) {

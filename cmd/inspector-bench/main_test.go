@@ -1,24 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"github.com/repro/inspector/internal/workloads"
-)
-
-func TestParseSize(t *testing.T) {
-	for in, want := range map[string]workloads.Size{
-		"small": workloads.Small, "medium": workloads.Medium, "large": workloads.Large,
-	} {
-		got, err := parseSize(in)
-		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseSize("huge"); err == nil {
-		t.Error("bad size accepted")
-	}
-}
+import "testing"
 
 func TestParseThreads(t *testing.T) {
 	got, err := parseThreads("2, 4,8")

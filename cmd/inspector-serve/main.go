@@ -16,8 +16,10 @@
 //	POST /v1/cpgs/{id}/query   run a provenance/v1 Query (JSON body)
 //
 // Each -cpg file is decoded at startup and served under the id of its
-// base name without the extension (run.cpg -> "run"); -workload serves
-// under the workload name. -cpgdir serves every *.cpg file in a
+// base name without the extension (run.cpg -> "run"); -workload records
+// through the library (its flags fill an inspector.Options, and
+// inspector.New assembles the pipeline) and serves under the workload
+// name. -cpgdir serves every *.cpg file in a
 // directory without loading them up front: files are mmapped, listed
 // from their stats
 // sections, decoded only when queried, and evicted LRU once the decoded
@@ -46,7 +48,8 @@
 // own live CPG served under the same query API; GET /v1/ingest/{source}
 // reports the resume offset a reconnecting recorder continues from, and
 // GET /v1/cpgs/{id}/epochs?min=N&wait=30s long-polls the epoch push
-// (cpg-query watch consumes it). A source that sends a malformed delta
+// (cpg-query watch consumes it; the server caps one wait at 30s). The
+// hub tracks at most 256 sources. A source that sends a malformed delta
 // is latched degraded: the forged epoch is refused atomically and the
 // last good epoch keeps serving, gap-marked.
 //
@@ -78,10 +81,10 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/journal"
-	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
@@ -99,42 +102,56 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
+// config is everything buildServer assembles a Server from; run's flags
+// fill it field by field.
+type config struct {
+	cpgPaths, journalDirs multiFlag
+	cpgDir                string
+	residentBudget        int64
+	resultCache           int
+	lenient               bool
+
+	// -workload records through the library: rec is what inspector.New
+	// takes, workload what the workload itself does.
+	rec          inspector.Options
+	workload     workloads.Config
+	size         string
+	liveSlowdown time.Duration
+
+	ingest bool
+	server provenance.ServerOptions
+	engine provenance.EngineOptions
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("inspector-serve", flag.ContinueOnError)
-	var cpgPaths multiFlag
-	fs.Var(&cpgPaths, "cpg", ".cpg file to decode at startup and serve (repeatable)")
-	var journalDirs multiFlag
-	fs.Var(&journalDirs, "journal", "write-ahead journal directory to recover and serve (repeatable; id = directory basename)")
-	cpgDir := fs.String("cpgdir", "", "directory of columnar .cpg files to serve lazily with bounded memory (id = file basename)")
-	residentBudget := fs.Int64("resident-budget", 64<<20, "with -cpgdir: max estimated bytes of decoded graphs resident at once (0 = unlimited)")
-	resultCache := fs.Int("result-cache", 0, "with -cpgdir: query result cache capacity in entries (0 = default 1024, negative = disabled)")
-	workload := fs.String("workload", "", "record this workload at startup and serve its CPG")
-	threads := fs.Int("threads", 4, "worker thread count for -workload")
-	sizeFlag := fs.String("size", "small", "input size for -workload: small|medium|large")
-	seed := fs.Int64("seed", 1, "input generation seed for -workload")
+	var c config
+	fs.Var(&c.cpgPaths, "cpg", ".cpg file to decode at startup and serve (repeatable)")
+	fs.Var(&c.journalDirs, "journal", "write-ahead journal directory to recover and serve (repeatable; id = directory basename)")
+	fs.StringVar(&c.cpgDir, "cpgdir", "", "directory of columnar .cpg files to serve lazily with bounded memory (id = file basename)")
+	fs.Int64Var(&c.residentBudget, "resident-budget", 64<<20, "with -cpgdir: max estimated bytes of decoded graphs resident at once (0 = unlimited)")
+	fs.IntVar(&c.resultCache, "result-cache", 0, "with -cpgdir: query result cache capacity in entries (0 = default 1024, negative = disabled)")
+	fs.StringVar(&c.rec.AppName, "workload", "", "record this workload at startup and serve its CPG")
+	fs.IntVar(&c.workload.Threads, "threads", 4, "worker thread count for -workload")
+	fs.StringVar(&c.size, "size", "small", "input size for -workload: small|medium|large")
+	fs.Int64Var(&c.workload.Seed, "seed", 1, "input generation seed for -workload")
 	addr := fs.String("addr", ":7070", "listen address")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request query deadline (0 = none)")
-	maxResults := fs.Int("max-results", 10000, "result page cap; clients page with cursors (0 = unlimited)")
-	live := fs.Bool("live", false, "with -workload: serve the CPG while it records (epoch-based incremental analysis)")
-	foldWorkers := fs.Int("fold-workers", 0, "with -live: fan the fold's data-edge derivation across this many workers (0 = GOMAXPROCS, 1 = serial)")
-	liveSlowdown := fs.Duration("live-slowdown", 0, "with -live: sleep this long at every commit boundary (stretches short workloads for demos/tests)")
-	lenient := fs.Bool("lenient", false, "skip unreadable -cpg files (log and serve the rest) instead of refusing to start")
-	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing /v1/ requests; excess shed with 503 + Retry-After (0 = unlimited)")
+	fs.DurationVar(&c.server.Timeout, "timeout", 30*time.Second, "per-request query deadline (0 = none)")
+	fs.IntVar(&c.engine.MaxResults, "max-results", 10000, "result page cap; clients page with cursors (0 = unlimited)")
+	fs.BoolVar(&c.rec.Live, "live", false, "with -workload: serve the CPG while it records (epoch-based incremental analysis)")
+	fs.DurationVar(&c.liveSlowdown, "live-slowdown", 0, "with -live: sleep this long at every commit boundary (stretches short workloads for demos/tests)")
+	fs.BoolVar(&c.lenient, "lenient", false, "skip unreadable -cpg files (log and serve the rest) instead of refusing to start")
+	fs.IntVar(&c.server.MaxInflight, "max-inflight", 0, "max concurrently executing /v1/ requests; excess shed with 503 + Retry-After (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight requests before exiting (0 = wait forever)")
-	ingest := fs.Bool("ingest", false, "aggregator mode: accept streamed epoch deltas on POST /v1/ingest/{source} (from inspector-run -stream) and serve each source's live CPG")
-	ingestSources := fs.Int("ingest-sources", 0, "with -ingest: max distinct sources (0 = default 256)")
-	watchTimeout := fs.Duration("watch-timeout", 0, "cap on the epochs long-poll wait (0 = default 30s)")
+	fs.BoolVar(&c.ingest, "ingest", false, "aggregator mode: accept streamed epoch deltas on POST /v1/ingest/{source} (from inspector-run -stream) and serve each source's live CPG")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *live && *workload == "" {
+	if c.rec.Live && c.rec.AppName == "" {
 		return fmt.Errorf("-live needs -workload (post-mortem -cpg graphs are already complete)")
-	}
-	if *foldWorkers < 0 {
-		return fmt.Errorf("-fold-workers must be >= 0 (got %d)", *foldWorkers)
 	}
 
 	// Bind before loading anything: /healthz answers (and /readyz says
@@ -148,19 +165,7 @@ func run(args []string) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sig)
-	sopts := provenance.ServerOptions{Timeout: *timeout, MaxInflight: *maxInflight, WatchTimeout: *watchTimeout}
-	eopts := provenance.EngineOptions{MaxResults: *maxResults, FoldWorkers: *foldWorkers}
-	if *ingest {
-		sopts.Ingest = provenance.NewIngestHub(provenance.IngestOptions{
-			Engine:     eopts,
-			MaxSources: *ingestSources,
-		})
-	}
-	build := func() (*provenance.Server, func(), error) {
-		return buildServer(cpgPaths, journalDirs, *cpgDir, *residentBudget, *resultCache,
-			*workload, *threads, *sizeFlag, *seed, *live, *liveSlowdown, *lenient,
-			sopts, eopts)
-	}
+	build := func() (*provenance.Server, func(), error) { return buildServer(c) }
 	return serve(ln, build, sig, *drainTimeout, os.Stdout)
 }
 
@@ -242,17 +247,18 @@ func serve(ln net.Listener, build func() (*provenance.Server, func(), error),
 // A file that does not decode — torn, flipped, or not a .cpg at all —
 // fails startup with the offending path and section named; with lenient
 // it is logged and skipped so the healthy graphs still serve.
-func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget int64, resultCache int,
-	workload string, threads int, sizeFlag string, seed int64,
-	live bool, liveSlowdown time.Duration, lenient bool,
-	sopts provenance.ServerOptions, eopts provenance.EngineOptions) (*provenance.Server, func(), error) {
+func buildServer(c config) (*provenance.Server, func(), error) {
+	sopts, eopts := c.server, c.engine
+	if c.ingest {
+		sopts.Ingest = provenance.NewIngestHub(provenance.IngestOptions{Engine: eopts})
+	}
 	sources := map[string]provenance.Source{}
-	if cpgDir != "" {
-		store, err := provenance.OpenDir(cpgDir, provenance.StoreOptions{
-			ResidentBudget:      residentBudget,
-			ResultCacheCapacity: resultCache,
+	if c.cpgDir != "" {
+		store, err := provenance.OpenDir(c.cpgDir, provenance.StoreOptions{
+			ResidentBudget:      c.residentBudget,
+			ResultCacheCapacity: c.resultCache,
 			Engine:              eopts,
-			Lenient:             lenient,
+			Lenient:             c.lenient,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "inspector-serve: "+format+"\n", args...)
 			},
@@ -262,22 +268,22 @@ func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget i
 		}
 		for id, src := range store.Sources() {
 			if _, dup := sources[id]; dup {
-				return nil, nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, cpgDir)
+				return nil, nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, c.cpgDir)
 			}
 			sources[id] = src
 		}
 		sopts.Store = store
 		fmt.Fprintf(os.Stderr, "inspector-serve: cpgdir %s: serving %d CPG files lazily (resident budget %d bytes)\n",
-			cpgDir, store.Len(), residentBudget)
+			c.cpgDir, store.Len(), c.residentBudget)
 	}
-	for _, dir := range journalDirs {
+	for _, dir := range c.journalDirs {
 		id := filepath.Base(filepath.Clean(dir))
 		if _, dup := sources[id]; dup {
 			return nil, nil, fmt.Errorf("duplicate journal id %q (from %s)", id, dir)
 		}
 		rep, err := journal.Recover(dir, journal.RecoverOptions{})
 		if err != nil {
-			if lenient {
+			if c.lenient {
 				fmt.Fprintf(os.Stderr, "inspector-serve: skipping journal %s: %v (-lenient)\n", dir, err)
 				continue
 			}
@@ -295,14 +301,14 @@ func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget i
 		}
 		sources[id] = provenance.StaticSource(provenance.NewEngine(rep.Analysis, eopts))
 	}
-	for _, path := range cpgPaths {
+	for _, path := range c.cpgPaths {
 		id := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 		if _, dup := sources[id]; dup {
 			return nil, nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, path)
 		}
 		a, _, err := cpgfile.Load(path)
 		if err != nil {
-			if lenient {
+			if c.lenient {
 				fmt.Fprintf(os.Stderr, "inspector-serve: skipping cpg %v (-lenient)\n", err)
 				continue
 			}
@@ -311,41 +317,45 @@ func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget i
 		sources[id] = provenance.StaticSource(provenance.NewEngine(a, eopts))
 	}
 	var start func()
-	if workload != "" {
-		if _, dup := sources[workload]; dup {
-			return nil, nil, fmt.Errorf("duplicate cpg id %q (from -workload)", workload)
+	if app := c.rec.AppName; app != "" {
+		if _, dup := sources[app]; dup {
+			return nil, nil, fmt.Errorf("duplicate cpg id %q (from -workload)", app)
 		}
-		rt, w, cfg, err := workloadRuntime(workload, threads, sizeFlag, seed)
+		w, err := workloads.Get(app)
 		if err != nil {
 			return nil, nil, err
 		}
-		if live {
-			eng := provenance.NewLiveEngine(rt.Graph(), eopts)
-			rt.RegisterCommitHook(func(core.SubID) {
-				if liveSlowdown > 0 {
-					time.Sleep(liveSlowdown)
-				}
-				eng.Notify()
-			})
-			sources[workload] = eng
+		cfg := c.workload
+		if cfg.Size, err = workloads.ParseSize(c.size); err != nil {
+			return nil, nil, err
+		}
+		c.rec.MaxThreads = w.MaxThreads(cfg)
+		rec, err := inspector.New(c.rec)
+		if err != nil {
+			return nil, nil, err
+		}
+		if c.rec.Live {
+			if c.liveSlowdown > 0 {
+				rec.Unwrap().RegisterCommitHook(func(core.SubID) { time.Sleep(c.liveSlowdown) })
+			}
 			start = func() {
-				err := w.Run(rt, cfg)
-				if cerr := eng.Close(); err == nil {
+				err := w.Run(rec.Unwrap(), cfg)
+				if cerr := rec.Close(); err == nil {
 					err = cerr
 				}
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "inspector-serve: live workload %s failed: %v (serving the recorded prefix)\n", workload, err)
+					fmt.Fprintf(os.Stderr, "inspector-serve: live workload %s failed: %v (serving the recorded prefix)\n", app, err)
 					return
 				}
 				fmt.Printf("inspector-serve: live workload %s finished (epoch %d, final graph served)\n",
-					workload, eng.Epoch())
+					app, rec.Epoch())
 			}
-		} else {
-			if err := w.Run(rt, cfg); err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", workload, err)
-			}
-			sources[workload] = provenance.StaticSource(provenance.NewEngine(rt.Graph().Analyze(), eopts))
+		} else if err := w.Run(rec.Unwrap(), cfg); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", app, err)
 		}
+		// Live, this is the feed of folded epochs; recorded up front, the
+		// completed graph.
+		sources[app] = pageCapped{rec.Source(), eopts.MaxResults}
 	}
 	if len(sources) == 0 && sopts.Ingest == nil {
 		return nil, nil, fmt.Errorf("nothing to serve (need -cpg, -cpgdir, -journal, -workload, or -ingest)")
@@ -353,32 +363,17 @@ func buildServer(cpgPaths, journalDirs []string, cpgDir string, residentBudget i
 	return provenance.NewServerSources(sources, sopts), start, nil
 }
 
-// workloadRuntime prepares (but does not run) one workload under
-// INSPECTOR.
-func workloadRuntime(app string, threads int, sizeFlag string, seed int64) (*threading.Runtime, workloads.Workload, workloads.Config, error) {
-	w, err := workloads.Get(app)
-	if err != nil {
-		return nil, nil, workloads.Config{}, err
+// pageCapped applies -max-results to a source whose engines the library
+// built: clamping the query's limit is what an engine's own MaxResults
+// does.
+type pageCapped struct {
+	provenance.Source
+	max int
+}
+
+func (p pageCapped) Query(ctx context.Context, q provenance.Query) (*provenance.Result, error) {
+	if p.max > 0 && (q.Limit == 0 || q.Limit > p.max) {
+		q.Limit = p.max
 	}
-	var size workloads.Size
-	switch sizeFlag {
-	case "small":
-		size = workloads.Small
-	case "medium":
-		size = workloads.Medium
-	case "large":
-		size = workloads.Large
-	default:
-		return nil, nil, workloads.Config{}, fmt.Errorf("unknown size %q", sizeFlag)
-	}
-	cfg := workloads.Config{Size: size, Threads: threads, Seed: seed}
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName:    app,
-		Mode:       threading.ModeInspector,
-		MaxThreads: w.MaxThreads(cfg),
-	})
-	if err != nil {
-		return nil, nil, workloads.Config{}, err
-	}
-	return rt, w, cfg, nil
+	return p.Source.Query(ctx, q)
 }

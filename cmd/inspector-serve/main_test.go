@@ -16,11 +16,22 @@ import (
 	"testing"
 	"time"
 
+	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/journal"
+	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
+
+// workloadConfig is what -workload app -threads N -size S fills.
+func workloadConfig(app string, threads int, size string) config {
+	return config{
+		rec:      inspector.Options{AppName: app},
+		workload: workloads.Config{Threads: threads, Seed: 1},
+		size:     size,
+	}
+}
 
 // writeCPG records a tiny two-thread execution and writes its .cpg file.
 func writeCPG(t *testing.T, path string) {
@@ -68,8 +79,7 @@ func TestBuildServerFromCPGFiles(t *testing.T) {
 	writeCPG(t, a)
 	writeCPG(t, b)
 
-	srv, _, err := buildServer([]string{a, b}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{})
+	srv, _, err := buildServer(config{cpgPaths: multiFlag{a, b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +113,7 @@ func TestBuildServerFromCPGDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv, _, err := buildServer(nil, nil, dir, 1<<20, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{})
+	srv, _, err := buildServer(config{cpgDir: dir, residentBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +158,7 @@ func TestBuildServerErrors(t *testing.T) {
 	a := filepath.Join(dir, "x.cpg")
 	writeCPG(t, a)
 
-	if _, _, err := buildServer(nil, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
+	if _, _, err := buildServer(config{}); err == nil {
 		t.Error("empty server accepted")
 	}
 	// Two files with the same base name collide.
@@ -160,22 +168,18 @@ func TestBuildServerErrors(t *testing.T) {
 	}
 	b := filepath.Join(sub, "x.cpg")
 	writeCPG(t, b)
-	if _, _, err := buildServer([]string{a, b}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
+	if _, _, err := buildServer(config{cpgPaths: multiFlag{a, b}}); err == nil {
 		t.Error("duplicate ids accepted")
 	}
 	// Missing file.
-	if _, _, err := buildServer([]string{filepath.Join(dir, "absent.cpg")}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
+	if _, _, err := buildServer(config{cpgPaths: multiFlag{filepath.Join(dir, "absent.cpg")}}); err == nil {
 		t.Error("missing file accepted")
 	}
 	// Unknown workload and size.
-	if _, _, err := buildServer(nil, nil, "", 0, 0, "not-a-workload", 1, "small", 1, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
+	if _, _, err := buildServer(workloadConfig("not-a-workload", 1, "small")); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, _, err := buildServer(nil, nil, "", 0, 0, "histogram", 1, "gigantic", 1, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
+	if _, _, err := buildServer(workloadConfig("histogram", 1, "gigantic")); err == nil {
 		t.Error("unknown size accepted")
 	}
 }
@@ -184,9 +188,10 @@ func TestBuildServerFromWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records a workload")
 	}
-	srv, start, err := buildServer(nil, nil, "", 0, 0, "histogram", 2, "small", 1, false, 0, false,
-		provenance.ServerOptions{Timeout: 10 * time.Second},
-		provenance.EngineOptions{MaxResults: 100})
+	cfg := workloadConfig("histogram", 2, "small")
+	cfg.server.Timeout = 10 * time.Second
+	cfg.engine.MaxResults = 100
+	srv, start, err := buildServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +238,11 @@ func TestBuildServerLiveWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records a workload")
 	}
-	srv, start, err := buildServer(nil, nil, "", 0, 0, "histogram", 2, "small", 1, true, 500*time.Microsecond, false,
-		provenance.ServerOptions{Timeout: 10 * time.Second},
-		provenance.EngineOptions{})
+	cfg := workloadConfig("histogram", 2, "small")
+	cfg.rec.Live = true
+	cfg.liveSlowdown = 500 * time.Microsecond
+	cfg.server.Timeout = 10 * time.Second
+	srv, start, err := buildServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +296,7 @@ func TestBuildServerLiveWorkload(t *testing.T) {
 	}
 	// The final epoch must agree with a post-mortem rebuild of the same
 	// deterministic workload.
-	post, _, err := buildServer(nil, nil, "", 0, 0, "histogram", 2, "small", 1, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{})
+	post, _, err := buildServer(workloadConfig("histogram", 2, "small"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,20 +338,17 @@ func TestCorruptGobRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = buildServer([]string{good, bad}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{})
+	_, _, err = buildServer(config{cpgPaths: multiFlag{good, bad}})
 	var ce *cpgfile.CorruptError
 	if !errors.As(err, &ce) || ce.Section != "stats" || !strings.Contains(err.Error(), bad) {
 		t.Errorf("flipped .cpg: err = %v, want a *cpgfile.CorruptError for the stats section naming %s", err, bad)
 	}
-	_, _, err = buildServer([]string{good, stale}, nil, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{})
+	_, _, err = buildServer(config{cpgPaths: multiFlag{good, stale}})
 	if !errors.Is(err, cpgfile.ErrBadMagic) || !strings.Contains(err.Error(), stale) {
 		t.Errorf("gob file: err = %v, want ErrBadMagic naming %s", err, stale)
 	}
 
-	srv, _, err := buildServer([]string{good, bad, stale}, nil, "", 0, 0, "", 0, "", 0, false, 0, true,
-		provenance.ServerOptions{}, provenance.EngineOptions{})
+	srv, _, err := buildServer(config{cpgPaths: multiFlag{good, bad, stale}, lenient: true})
 	if err != nil {
 		t.Fatalf("-lenient still refused: %v", err)
 	}
@@ -542,8 +545,7 @@ func TestBuildServerFromJournal(t *testing.T) {
 	jdir := filepath.Join(dir, "crashed-run")
 	writeJournalDir(t, jdir)
 
-	srv, _, err := buildServer(nil, []string{jdir}, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{})
+	srv, _, err := buildServer(config{journalDirs: multiFlag{jdir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,12 +566,10 @@ func TestBuildServerFromJournal(t *testing.T) {
 	}
 
 	// A bad journal dir fails startup strictly, and is skipped leniently.
-	if _, _, err := buildServer(nil, []string{jdir, t.TempDir()}, "", 0, 0, "", 0, "", 0, false, 0, false,
-		provenance.ServerOptions{}, provenance.EngineOptions{}); err == nil {
+	if _, _, err := buildServer(config{journalDirs: multiFlag{jdir, t.TempDir()}}); err == nil {
 		t.Error("unrecoverable journal accepted without -lenient")
 	}
-	if srv2, _, err := buildServer(nil, []string{jdir, t.TempDir()}, "", 0, 0, "", 0, "", 0, false, 0, true,
-		provenance.ServerOptions{}, provenance.EngineOptions{}); err != nil {
+	if srv2, _, err := buildServer(config{journalDirs: multiFlag{jdir, t.TempDir()}, lenient: true}); err != nil {
 		t.Errorf("-lenient did not skip the bad journal: %v", err)
 	} else if len(srv2.IDs()) != 1 {
 		t.Errorf("lenient server ids = %v", srv2.IDs())

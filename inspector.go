@@ -50,15 +50,20 @@
 package inspector
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
+	"syscall"
+	"time"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/epoch"
+	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/mem"
 	"github.com/repro/inspector/internal/perf"
@@ -149,15 +154,15 @@ type Options struct {
 	// Query answers against the newest completed epoch *during* Run
 	// instead of only after it returns — the paper's online-provenance
 	// property. Epoch and WaitEpoch expose the fold progress. On its own
-	// it folds on a background goroutine; with Journal set it publishes
-	// the journal's folds.
+	// it folds on a background goroutine; with Journal or Stream set it
+	// publishes their folds.
 	// Incompatible with Native (there is no graph to fold).
 	Live bool
 	// FoldWorkers caps the worker goroutines each incremental fold (the
-	// epochs Live and Journal share) fans data-edge derivation across. 0
-	// means GOMAXPROCS, 1 forces serial folds; negative values are
-	// rejected. Small epochs use fewer workers regardless. Meaningless
-	// without Live or Journal.
+	// epochs Live, Journal and Stream share) fans data-edge derivation
+	// across. 0 means GOMAXPROCS, 1 forces serial folds; negative values
+	// are rejected. Small epochs use fewer workers regardless.
+	// Meaningless without Live, Journal or Stream.
 	FoldWorkers int
 	// Journal, when set, makes recording crash-durable: every sealed
 	// epoch is appended to a write-ahead journal in this directory as a
@@ -174,26 +179,52 @@ type Options struct {
 	// or "none" (leave flushing to the OS; a machine crash may lose the
 	// tail, a process crash does not). Empty means "interval".
 	JournalFsync string
-	// JournalEverySeals is the epoch cadence of a journaled run: one
-	// epoch each N sealed sub-computations (default 1: every commit
-	// boundary journals an epoch — the tightest recovery point at the
-	// highest write rate). It paces Live too when both are set.
+	// JournalEverySeals is the epoch cadence of a journaled or streamed
+	// run: one epoch each N sealed sub-computations (default 1: every
+	// commit boundary seals an epoch — the tightest recovery point at
+	// the highest write rate). Journal, Stream and Live share it: record
+	// k, frame k and live epoch k are the same cut.
 	JournalEverySeals int
+	// Stream, when set, is the base URL of a provenance aggregator
+	// (inspector-serve -ingest): every sealed epoch's delta is queued on
+	// the commit path and uploaded asynchronously, so the aggregator
+	// serves the run's CPG remotely while it executes. A dead aggregator
+	// costs queue memory, never workload progress; with Journal also
+	// set, inspector-recover -stream re-feeds what it missed. Needs
+	// RunID; incompatible with Native.
+	Stream string
+	// StreamID names the run's CPG on the aggregator (default RunID).
+	StreamID string
+	// RunID is the run's one identity: the journal header, the stream
+	// hello and the .cpg header all carry it, which is what lets a
+	// journal re-feed an aggregator after a crash. Empty means a random
+	// id for a journal and none otherwise.
+	RunID string
+	// Faults, when set, executes the run under a deterministic
+	// fault-injection schedule (internal/faultinject): lossy PT sinks,
+	// slowed fold workers, and a panic or SIGKILL at a commit boundary
+	// — after that commit's epoch has reached the journal.
+	Faults *faultinject.Injector
 }
 
 // Runtime is one provenance-recording execution context.
 type Runtime struct {
 	rt    *threading.Runtime
 	app   string
+	runID string
 	snaps *snapshot.Snapshotter
 
 	// feed publishes the epoch pipeline's folds (Options.Live); when
 	// set, Query serves the newest epoch instead of the lazy post-Run
 	// engine.
 	feed *provenance.Feed
+	// drv is the sealing-thread pipeline (Options.Journal, Stream), up
+	// its stream sink.
+	drv *epoch.Driver
+	up  *provenance.Uploader
 
-	// closeEpochs ends the epoch pipeline (Options.Live, Journal) after
-	// the workload: the final fold, the journal's seal.
+	// closeEpochs ends the epoch pipeline (Options.Live, Journal,
+	// Stream) after the workload: the final fold, each sink's finish.
 	closeEpochs func() error
 
 	engineOnce sync.Once
@@ -234,10 +265,11 @@ func (o Options) validate() error {
 	if o.Journal != "" && o.Native {
 		return fmt.Errorf("%w: Journal requires provenance tracking (drop Native)", ErrBadOptions)
 	}
-	if o.JournalFsync != "" {
-		if _, _, err := journal.ParsePolicy(o.JournalFsync); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
+	if o.Stream != "" && o.Native {
+		return fmt.Errorf("%w: Stream requires provenance tracking (drop Native)", ErrBadOptions)
+	}
+	if o.Stream != "" && o.RunID == "" {
+		return fmt.Errorf("%w: Stream requires a RunID (the aggregator binds the source to it)", ErrBadOptions)
 	}
 	if o.JournalEverySeals < 0 {
 		return fmt.Errorf("%w: JournalEverySeals %d is negative (0 means every seal)",
@@ -249,38 +281,59 @@ func (o Options) validate() error {
 // New creates a runtime. Options are validated up front: a negative
 // MaxThreads or SnapshotSlots, or a PageSize that is set but below 64
 // or not a power of two, fail with an error wrapping ErrBadOptions.
+//
+// New is the one assembly of the recording pipeline: the sealing
+// threads' epoch.Driver feeding journal, live feed and stream in that
+// order (an epoch is durable before it is observable, here or on the
+// aggregator), or an off-thread LiveEngine when nothing durable needs
+// the fold on the commit path. The CLIs bind their flags to Options and
+// call it.
 func New(opts Options) (*Runtime, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	mode := threading.ModeInspector
-	if opts.Native {
-		mode = threading.ModeNative
+	policy, syncEvery, err := journal.ParsePolicy(opts.JournalFsync)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
-	traceMode := perf.ModeFullTrace
-	if opts.SnapshotMode {
-		traceMode = perf.ModeSnapshot
-	}
-	inner, err := threading.NewRuntime(threading.Options{
+	topts := threading.Options{
 		AppName:    opts.AppName,
-		Mode:       mode,
+		Mode:       threading.ModeInspector,
 		MaxThreads: opts.MaxThreads,
 		PageSize:   opts.PageSize,
-		TraceMode:  traceMode,
-	})
+		TraceMode:  perf.ModeFullTrace,
+	}
+	if opts.Native {
+		topts.Mode = threading.ModeNative
+	}
+	if opts.SnapshotMode {
+		topts.TraceMode = perf.ModeSnapshot
+	}
+	eopts := provenance.EngineOptions{FoldWorkers: opts.FoldWorkers}
+	faults := opts.Faults
+	if faults != nil {
+		topts.WrapTraceSink = faults.WrapSink
+		// The slow-fold point fires inside the fold's derivation workers
+		// (one hit per worker per fold), so an injected delay stalls the
+		// parallel path itself, not just the fold entry.
+		eopts.FoldWorkerHook = func(int) {
+			if faults.Fire(faultinject.SlowFold) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	inner, err := threading.NewRuntime(topts)
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{rt: inner, app: opts.AppName}
-	switch {
-	case opts.Journal != "":
-		policy, syncEvery, err := journal.ParsePolicy(opts.JournalFsync)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
+	rt := &Runtime{rt: inner, app: opts.AppName, runID: opts.RunID}
+	g := inner.Graph()
+	var sinks []epoch.Sink
+	if opts.Journal != "" {
 		w, err := journal.Create(journal.Options{
 			Dir:       opts.Journal,
-			Threads:   inner.Graph().Threads(),
+			Threads:   g.Threads(),
+			RunID:     opts.RunID,
 			App:       opts.AppName,
 			Fsync:     policy,
 			SyncEvery: syncEvery,
@@ -288,30 +341,62 @@ func New(opts Options) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		// One fold per epoch, on the sealing thread (the journal's
-		// durability contract), feeds the journal and then the live feed:
-		// durable before observable.
-		sinks := []epoch.Sink{w}
-		if opts.Live {
-			rt.feed = provenance.NewFeed(inner.Graph().Threads(), provenance.EngineOptions{})
-			sinks = append(sinks, rt.feed.Sink())
+		rt.runID = w.RunID()
+		sinks = append(sinks, w)
+	}
+	if opts.Live && (opts.Journal != "" || opts.Stream != "") {
+		rt.feed = provenance.NewFeed(g.Threads(), eopts)
+		sinks = append(sinks, rt.feed.Sink())
+	}
+	if opts.Stream != "" {
+		rt.up, err = provenance.NewUploader(&provenance.Client{
+			BaseURL:    opts.Stream,
+			MaxRetries: 8,
+		}, g.Threads(), provenance.StreamOptions{
+			Source: cmp.Or(opts.StreamID, rt.runID),
+			RunID:  rt.runID,
+			App:    opts.AppName,
+		})
+		if err != nil {
+			return nil, err
 		}
-		drv := epoch.NewDriver(inner.Graph(), epoch.Options{
+		sinks = append(sinks, rt.up)
+	}
+	switch {
+	case len(sinks) > 0:
+		// A journal or stream keeps the fold on the sealing thread (the
+		// durability contract: the epoch sealed by a crashing commit is
+		// already appended and queued).
+		rt.drv = epoch.NewDriver(g, epoch.Options{
 			Every:       uint64(opts.JournalEverySeals),
 			FoldWorkers: opts.FoldWorkers,
+			WorkerHook:  eopts.FoldWorkerHook,
 		}, sinks...)
-		// Registered first: an epoch must be durable before any later
-		// hook (fault injection in the harness kills the process from a
-		// commit hook) can observe its seal.
-		inner.RegisterCommitHook(drv.CommitHook())
-		rt.closeEpochs = drv.Close
+		// Registered before the fault hook on purpose: commit hooks run in
+		// registration order, so by the time an injected crash kills the
+		// process, the epoch sealed by this very commit is already on the
+		// journal — the kill-recover sweep's determinism anchor.
+		inner.RegisterCommitHook(rt.drv.CommitHook())
+		rt.closeEpochs = rt.drv.Close
 	case opts.Live:
 		// Nothing needs the fold on the sealing thread: keep it off.
-		live := provenance.NewLiveEngine(inner.Graph(), provenance.EngineOptions{
-			FoldWorkers: opts.FoldWorkers,
-		})
+		live := provenance.NewLiveEngine(g, eopts)
 		inner.RegisterCommitHook(func(core.SubID) { live.Notify() })
 		rt.feed, rt.closeEpochs = live.Feed, live.Close
+	}
+	if faults != nil {
+		inner.RegisterCommitHook(func(id core.SubID) {
+			if faults.Fire(faultinject.Crash) {
+				// A real crash, not a panic: no deferred handlers, no
+				// exports, no journal seal. Only what the journal
+				// already holds survives.
+				syscall.Kill(os.Getpid(), syscall.SIGKILL)
+				select {} // unreachable: wait for the signal
+			}
+			if faults.Fire(faultinject.WorkloadPanic) {
+				panic(fmt.Sprintf("injected workload panic after %v", id))
+			}
+		})
 	}
 	if opts.SnapshotMode && !opts.Native {
 		every := opts.SnapshotEverySyncs
@@ -332,19 +417,42 @@ func New(opts Options) (*Runtime, error) {
 }
 
 // Run executes main as the program's first thread and returns the run
-// report. Run may be called once per Runtime. Under Options.Live the
-// final analysis epoch is folded before Run returns, so queries issued
-// afterwards always see the complete graph.
+// report. Run may be called once per Runtime. The epoch pipeline is
+// closed before Run returns (Close, then WaitStream bounded to 30 s),
+// so queries issued afterwards always see the complete graph, the
+// journal is sealed, and the aggregator holds every epoch.
 func (r *Runtime) Run(main func(*Thread)) (*Report, error) {
 	rep, err := r.rt.Run(main)
-	if r.closeEpochs != nil {
-		// A clean close folds the final epoch and seals the journal;
-		// recovery then reads it as complete rather than cut short.
-		if cerr := r.closeEpochs(); cerr != nil && err == nil {
-			err = cerr
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if cerr := errors.Join(r.Close(), r.WaitStream(ctx)); err == nil {
+		err = cerr
 	}
 	return rep, err
+}
+
+// Close ends the epoch pipeline once recording has quiesced: the final
+// fold, then each sink's finish (journal seal, closed feed, stream seal
+// queued). Recovery reads a closed journal as complete rather than cut
+// short. Run calls it; front ends that drive the workload through
+// Unwrap call it themselves. Idempotent.
+func (r *Runtime) Close() error {
+	if r.closeEpochs == nil {
+		return nil
+	}
+	return r.closeEpochs()
+}
+
+// WaitStream flushes the Options.Stream upload queue, seal included,
+// and stops the sender; call it after Close. ctx bounds the flush. The
+// error is the sender's first terminal one, or names how many epochs
+// stayed unshipped — the journal, when there is one, still holds them.
+// Without Options.Stream it returns nil.
+func (r *Runtime) WaitStream(ctx context.Context) error {
+	if r.up == nil {
+		return nil
+	}
+	return r.up.Wait(ctx)
 }
 
 // MapInput maps input data into the tracked address space (the mmap'd
@@ -390,29 +498,49 @@ func (r *Runtime) CPG() *CPG { return r.rt.Graph() }
 // carry the epoch id (QueryResult.Epoch). Cursors are valid against the
 // epoch that issued them; WaitEpoch subscribes to fold progress.
 func (r *Runtime) Query(ctx context.Context, q Query) (*QueryResult, error) {
+	return r.Source().Query(ctx, q)
+}
+
+// Source is the runtime's CPG as inspector-serve serves it: under
+// Options.Live the feed of folded epochs, usable while Run executes;
+// otherwise the completed graph, analyzed on first use — call it after
+// Run returns.
+func (r *Runtime) Source() provenance.Source {
 	if r.feed != nil {
-		return r.feed.Query(ctx, q)
+		return r.feed
 	}
+	return provenance.StaticSource(r.postRunEngine())
+}
+
+// postRunEngine analyzes the recorded graph once, in batch.
+func (r *Runtime) postRunEngine() *provenance.Engine {
 	r.engineOnce.Do(func() {
 		r.engine = provenance.NewEngine(r.rt.Graph().Analyze(), provenance.EngineOptions{})
 	})
-	return r.engine.Execute(ctx, q)
+	return r.engine
 }
+
+// Analysis returns the batch analysis of the recorded CPG, computed once
+// and shared with Query (without Options.Live) and WriteCPG. Call it
+// after Run returns.
+func (r *Runtime) Analysis() *Analysis { return r.postRunEngine().Analysis() }
 
 // ErrNotLive tags live-only calls on a runtime built without
 // Options.Live.
 var ErrNotLive = errors.New("inspector: runtime not in live mode (set Options.Live)")
 
-// Epoch returns the newest completed analysis epoch (≥ 1 once the
-// runtime exists — the pipeline folds epoch 1 eagerly — unless
-// Options.Journal is also set: then epoch k is journal record k, 0
-// until the first seal). It requires Options.Live and returns 0
-// otherwise.
+// Epoch returns the newest completed epoch. Under Options.Live alone it
+// is ≥ 1 once the runtime exists (the pipeline folds epoch 1 eagerly);
+// with Options.Journal or Stream epoch k is journal record k and wire
+// frame k, 0 until the first seal. It returns 0 with none of the three.
 func (r *Runtime) Epoch() uint64 {
-	if r.feed == nil {
-		return 0
+	switch {
+	case r.feed != nil:
+		return r.feed.Epoch()
+	case r.drv != nil:
+		return r.drv.Epoch()
 	}
-	return r.feed.Epoch()
+	return 0
 }
 
 // WaitEpoch blocks until the live analysis has folded epoch min (or
@@ -433,9 +561,11 @@ func (r *Runtime) WriteDOT(w io.Writer) error { return r.rt.Graph().WriteDOT(w) 
 
 // WriteCPG analyzes the recorded CPG and serializes it in the columnar
 // .cpg format (internal/cpgfile) — the file cpg-query -cpg and
-// inspector-serve -cpg/-cpgdir read. Call it after Run returns.
+// inspector-serve -cpg/-cpgdir read. The header names the run
+// (Options.RunID, or the journal's generated id). Call it after Run
+// returns.
 func (r *Runtime) WriteCPG(w io.Writer) error {
-	return cpgfile.Encode(w, r.rt.Graph().Analyze(), cpgfile.Meta{App: r.app})
+	return cpgfile.Encode(w, r.Analysis(), cpgfile.Meta{RunID: r.runID, App: r.app})
 }
 
 // DecodeTraces decodes every thread's PT trace against the program image,

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 // netRecorder is a server that logs every delivered body.
@@ -59,14 +60,26 @@ func TestNetDisconnectDeliversPrefixThenErrors(t *testing.T) {
 	if err := post(t, c, ts.URL, body); err != nil {
 		t.Fatal(err)
 	}
-	got := nr.deliveries()
+	// The server records a body only once its read returns, and the cut
+	// connection's read may return after the retry's handler has finished:
+	// wait for both, and take them in either order.
+	var got [][]byte
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got = nr.deliveries(); len(got) >= 2 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if len(got) != 2 {
 		t.Fatalf("server saw %d deliveries, want 2 (cut prefix + retry)", len(got))
 	}
-	if len(got[0]) >= len(body) || !bytes.Equal(got[0], body[:len(got[0])]) {
-		t.Fatalf("cut delivery carried %d bytes, want a strict prefix of %d", len(got[0]), len(body))
+	cut, whole := got[0], got[1]
+	if len(cut) > len(whole) {
+		cut, whole = whole, cut
 	}
-	if !bytes.Equal(got[1], body) {
+	if len(cut) >= len(body) || !bytes.HasPrefix(body, cut) {
+		t.Fatalf("cut delivery carried %d bytes, want a strict prefix of %d", len(cut), len(body))
+	}
+	if !bytes.Equal(whole, body) {
 		t.Fatal("retry body corrupted")
 	}
 }

@@ -8,7 +8,9 @@ package harness
 // deliveries, reordering, slow sinks), and as a kill+resume (a prefix
 // upload, then a full journal-style resend from epoch 1) — and the
 // aggregator's export must be byte-identical to the recorder's own
-// incremental fold at the same epoch in all three.
+// incremental fold at the same epoch in all three. A fourth input is
+// the product assembly itself: the same workload recorded through
+// inspector.New with Options.Stream, the way inspector-run -stream does.
 
 import (
 	"bytes"
@@ -18,11 +20,15 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
@@ -44,15 +50,21 @@ func (fc *fabricCapture) finalEpoch() uint64 {
 	return fc.deltas[len(fc.deltas)-1].Epoch
 }
 
-// fabricRuntime prepares one small workload under INSPECTOR and the
-// stream identity its run goes by.
-func fabricRuntime(t *testing.T, app string, threads int) (*threading.Runtime, func() error, wire.Hello) {
+// fabricWorkload is one small workload of the sweep.
+func fabricWorkload(t *testing.T, app string, threads int) (workloads.Workload, workloads.Config) {
 	t.Helper()
 	w, err := workloads.Get(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workloads.Config{Size: workloads.Small, Threads: threads, Seed: 1}
+	return w, workloads.Config{Size: workloads.Small, Threads: threads, Seed: 1}
+}
+
+// fabricRuntime prepares one small workload under INSPECTOR and the
+// stream identity its run goes by.
+func fabricRuntime(t *testing.T, app string, threads int) (*threading.Runtime, func() error, wire.Hello) {
+	t.Helper()
+	w, cfg := fabricWorkload(t, app, threads)
 	rt, err := threading.NewRuntime(threading.Options{
 		AppName:    app,
 		Mode:       threading.ModeInspector,
@@ -122,8 +134,86 @@ func aggregatorExport(t *testing.T, c *provenance.Client, fc *fabricCapture, bat
 	return got
 }
 
+// libraryStreamMatches records the workload through inspector.New with
+// a journal, a live feed and a stream attached — the assembly
+// inspector-run binds its flags to — and checks what the hand-fed
+// scenarios check: the aggregator's export is the recorder's own fold,
+// byte for byte. One run id must name the run everywhere it is written:
+// journal header, wire hello (as the aggregator bound it) and the .cpg
+// header. At one thread the run is deterministic, so the fold must also
+// equal the captured reference's.
+func libraryStreamMatches(t *testing.T, app string, threads int, fc *fabricCapture) {
+	t.Helper()
+	w, cfg := fabricWorkload(t, app, threads)
+	ts := newAggregator(t)
+	dir := t.TempDir()
+	rec, err := inspector.New(inspector.Options{
+		AppName:           app,
+		MaxThreads:        w.MaxThreads(cfg),
+		Live:              true,
+		Journal:           filepath.Join(dir, "journal"),
+		JournalFsync:      "none",
+		JournalEverySeals: 4,
+		Stream:            ts.URL,
+		StreamID:          "w",
+		RunID:             fc.hello.RunID,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(rec.Unwrap(), cfg); err != nil {
+		t.Fatalf("%s: %v", app, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := errors.Join(rec.Close(), rec.WaitStream(ctx)); err != nil {
+		t.Fatalf("library: close: %v", err)
+	}
+	want := exportAnalysisJSON(t, rec.Source().Engine().Analysis())
+	c := &provenance.Client{BaseURL: ts.URL}
+	got, err := c.Export(ctx, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("library: aggregator export != the runtime's own fold")
+	}
+	if threads == 1 && !bytes.Equal(want, fc.export) {
+		t.Fatal("library: inspector.New folded a different graph than the hand-assembled driver")
+	}
+
+	rep, err := journal.Recover(filepath.Join(dir, "journal"), journal.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Sealed || rep.Epoch != rec.Epoch() {
+		t.Fatalf("library: journal sealed=%v at epoch %d, run folded %d", rep.Sealed, rep.Epoch, rec.Epoch())
+	}
+	st, found, err := c.IngestOffset(ctx, "w")
+	if err != nil || !found || !st.Sealed {
+		t.Fatalf("library: aggregator status %+v found=%v err=%v, want sealed", st, found, err)
+	}
+	cpg := filepath.Join(dir, "run.cpg")
+	f, err := os.Create(cpg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(rec.WriteCPG(f), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	_, hdr, err := cpgfile.Load(cpg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := fc.hello.RunID; rep.Header.RunID != id || st.RunID != id || hdr.RunID != id {
+		t.Fatalf("library: run id %q is %q in the journal header, %q in the wire hello, %q in the .cpg header",
+			id, rep.Header.RunID, st.RunID, hdr.RunID)
+	}
+}
+
 // TestFabricAggregatorMatchesLocalFold is the sweep: every workload at
-// 1 and 4 threads, three delivery scenarios, zero byte drift allowed.
+// 1 and 4 threads, three delivery scenarios plus the library's own
+// streaming, zero byte drift allowed.
 func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 	for _, app := range workloads.Names() {
 		for _, threads := range []int{1, 4} {
@@ -185,6 +275,8 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 				if !bytes.Equal(got, fc.export) {
 					t.Fatal("kill+resume: aggregator export != local fold")
 				}
+
+				libraryStreamMatches(t, app, threads, fc)
 			})
 		}
 	}

@@ -79,9 +79,6 @@ type Options struct {
 	AuxSize int
 	// TraceMode selects full-trace or snapshot AUX rings.
 	TraceMode perf.Mode
-	// AutoDrain drains AUX rings into the trace store (default true via
-	// NewRuntime; set DisableAutoDrain to exercise overruns).
-	DisableAutoDrain bool
 	// PSBPeriod is the PT sync-point interval in bytes (default 4096).
 	PSBPeriod int
 	// WrapTraceSink, when set, wraps each thread's PT byte sink before
@@ -203,7 +200,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		Filter:    cg,
 		Mode:      opts.TraceMode,
 		AuxSize:   opts.AuxSize,
-		AutoDrain: !opts.DisableAutoDrain,
+		AutoDrain: true,
 		Clock:     func() uint64 { return uint64(rt.acct.MaxNow()) },
 	})
 	return rt, nil

@@ -58,6 +58,16 @@ func (s Size) String() string {
 	}
 }
 
+// ParseSize is String's inverse: the -size flag of every CLI.
+func ParseSize(s string) (Size, error) {
+	for _, size := range []Size{Small, Medium, Large} {
+		if s == size.String() {
+			return size, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown size %q", s)
+}
+
 // scale returns a multiplier for input sizes: S=1, M=2, L=4 (the paper's
 // datasets roughly double per step; Figure 8's right axis).
 func (s Size) scale() int {

@@ -24,6 +24,19 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+func TestParseSize(t *testing.T) {
+	for _, want := range []Size{Small, Medium, Large} {
+		if got, err := ParseSize(want.String()); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v", want, got, err)
+		}
+	}
+	for _, bad := range []string{"", "huge", "unknown", "Small"} {
+		if _, err := ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) accepted", bad)
+		}
+	}
+}
+
 func TestGet(t *testing.T) {
 	w, err := Get("histogram")
 	if err != nil || w.Name() != "histogram" {

@@ -232,6 +232,45 @@ func TestIngestRefusesMalformedPayloads(t *testing.T) {
 	}
 }
 
+// TestIngestSourceTableBound pins the hub's one capacity limit. Sources
+// are never evicted, so once maxIngestSources names are bound the hello
+// of one more is refused — 400, "retrying cannot help" — and binds
+// nothing, while a source bound earlier keeps ingesting to its seal.
+func TestIngestSourceTableBound(t *testing.T) {
+	hub, ts := newFabricServer(t, IngestOptions{})
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	run := recordFabric(t, 2, 24, 9)
+
+	if _, err := post(t, c, "first", run.hello, run.deltas[:1], nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < maxIngestSources; i++ {
+		if _, err := post(t, c, fmt.Sprintf("filler-%d", i), run.hello, nil, nil); err != nil {
+			t.Fatalf("source %d of %d refused: %v", i+1, maxIngestSources, err)
+		}
+	}
+	_, err := post(t, c, "one-too-many", run.hello, run.deltas[:1], nil)
+	if serverStatus(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "source limit reached (256)") {
+		t.Fatalf("hello of source %d: err = %v, want HTTP 400 naming the 256-source limit", maxIngestSources+1, err)
+	}
+	if _, bound := hub.Source("one-too-many"); bound || len(hub.IDs()) != maxIngestSources {
+		t.Fatalf("the refused hello bound a source (table holds %d)", len(hub.IDs()))
+	}
+	if _, found, err := c.IngestOffset(ctx, "one-too-many"); err != nil || found {
+		t.Fatalf("offset of the refused source: found=%v err=%v, want 404", found, err)
+	}
+
+	// A full table refuses new names only.
+	st, err := post(t, c, "first", run.hello, run.deltas[1:], &wire.Seal{FinalEpoch: run.finalEpoch()})
+	if err != nil || !st.Sealed || st.Accepted != len(run.deltas)-1 {
+		t.Fatalf("bound source under a full table: %+v err=%v, want the rest applied and sealed", st, err)
+	}
+	if got, err := c.Export(ctx, "first"); err != nil || !bytes.Equal(got, run.finalExport()) {
+		t.Fatalf("bound source's export diverges from the local fold (err=%v)", err)
+	}
+}
+
 // TestIngestExportMatchesLocalFold streams a full run (with seal) and
 // requires the aggregator's export to be byte-identical to the
 // recorder's local fold at the same epoch.

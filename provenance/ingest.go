@@ -82,8 +82,6 @@ type IngestOptions struct {
 	// Engine configures the per-source query engines (result caps, fold
 	// worker fan-out).
 	Engine EngineOptions
-	// MaxSources bounds concurrently tracked sources (default 256).
-	MaxSources int
 	// MaxFrameBytes bounds one frame's payload (default
 	// wire.DefaultMaxFrameBytes). The length prefix is untrusted.
 	MaxFrameBytes int64
@@ -94,12 +92,9 @@ type IngestOptions struct {
 	MaxThreads int
 }
 
-func (o IngestOptions) maxSources() int {
-	if o.MaxSources > 0 {
-		return o.MaxSources
-	}
-	return 256
-}
+// maxIngestSources bounds the sources one hub tracks. Sources are never
+// evicted, so the hello that would bind one more is refused.
+const maxIngestSources = 256
 
 func (o IngestOptions) maxFrame() uint32 {
 	if o.MaxFrameBytes > 0 {
@@ -177,8 +172,8 @@ func (h *IngestHub) bind(name string, hello wire.Hello) (*IngestSource, error) {
 		}
 		return src, nil
 	}
-	if len(h.sources) >= h.opts.maxSources() {
-		return nil, fmt.Errorf("provenance: ingest source limit reached (%d)", h.opts.maxSources())
+	if len(h.sources) >= maxIngestSources {
+		return nil, fmt.Errorf("provenance: ingest source limit reached (%d)", maxIngestSources)
 	}
 	src := newIngestSource(name, hello, h.opts.Engine)
 	h.sources[name] = src

@@ -74,11 +74,6 @@ type ServerOptions struct {
 	// resulting per-source live CPGs are served alongside the static
 	// sources (listing, stats, queries, epochs, export).
 	Ingest *IngestHub
-	// WatchTimeout caps how long GET /v1/cpgs/{id}/epochs may hold a
-	// long-poll open, whatever the client asked for (default 30s). A
-	// timed-out poll answers 200 with the current epoch, so re-polling
-	// is idempotent.
-	WatchTimeout time.Duration
 }
 
 // Source is one served CPG. A request resolves its source once and asks

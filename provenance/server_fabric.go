@@ -22,8 +22,9 @@ import (
 // Ingest routes register only when ServerOptions.Ingest is set; epochs
 // and export serve every source kind (static, live, ingested).
 
-// defaultWatchTimeout caps the epochs long-poll when
-// ServerOptions.WatchTimeout is unset.
+// defaultWatchTimeout caps how long GET /v1/cpgs/{id}/epochs may hold
+// a long-poll open, whatever the client asked for. A timed-out poll
+// answers 200 with the current epoch, so re-polling is idempotent.
 const defaultWatchTimeout = 30 * time.Second
 
 // handleEpochs is the push wire: block (bounded) until the source
@@ -52,12 +53,8 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	maxWait := s.opts.WatchTimeout
-	if maxWait <= 0 {
-		maxWait = defaultWatchTimeout
-	}
-	if wait > maxWait {
-		wait = maxWait
+	if wait > defaultWatchTimeout {
+		wait = defaultWatchTimeout
 	}
 
 	// A zero wait is an already-expired deadline: WaitEpoch never parks.

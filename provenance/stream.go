@@ -103,10 +103,11 @@ type StreamOptions struct {
 	// failures before the sender latches a terminal error (default 8).
 	// A successful upload resets the count.
 	MaxResyncs int
-	// RequestTimeout bounds one upload attempt including the client's
-	// internal retries (default 60s).
-	RequestTimeout time.Duration
 }
+
+// requestTimeout bounds one upload attempt (or offset re-read)
+// including the client's internal retries.
+const requestTimeout = 60 * time.Second
 
 // Uploader is the stream sink. Upload errors latch in its sender and
 // surface from Wait, never from Emit: a dead aggregator must not stop
@@ -142,9 +143,6 @@ func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) 
 	}
 	if opts.MaxResyncs <= 0 {
 		opts.MaxResyncs = 8
-	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 60 * time.Second
 	}
 	u := &Uploader{
 		c:          c,
@@ -288,7 +286,7 @@ func (u *Uploader) drain(seal *wire.Seal) {
 
 // resync re-reads the resume offset and reconciles the queue with it.
 func (u *Uploader) resync() error {
-	ctx, cancel := context.WithTimeout(u.ctx, u.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(u.ctx, requestTimeout)
 	defer cancel()
 	st, found, err := u.c.IngestOffset(ctx, u.opts.Source)
 	if err != nil {
@@ -326,7 +324,7 @@ func (u *Uploader) ship(batch []*core.EpochDelta, seal *wire.Seal) (*IngestStatu
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(u.ctx, u.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(u.ctx, requestTimeout)
 	defer cancel()
 	return u.c.Ingest(ctx, u.opts.Source, frames)
 }

@@ -26,8 +26,7 @@ go build -o "$workdir/inspector-serve" ./cmd/inspector-serve
 go build -o "$workdir/inspector-recover" ./cmd/inspector-recover
 go build -o "$workdir/cpg-query" ./cmd/cpg-query
 
-"$workdir/inspector-serve" -ingest -ingest-sources $((recorders + 4)) \
-  -addr 127.0.0.1:0 >"$workdir/serve.log" 2>&1 &
+"$workdir/inspector-serve" -ingest -addr 127.0.0.1:0 >"$workdir/serve.log" 2>&1 &
 serve_pid=$!
 
 addr=""
