@@ -345,33 +345,6 @@ func (g *Graph) syncEdgeTail(t, from int) []syncEdgeRec {
 	return out
 }
 
-// prefixSubs returns the vertices of the prefix bounded by lens, ordered
-// by (thread, alpha).
-func (g *Graph) prefixSubs(lens []int) []*SubComputation {
-	total := 0
-	for _, n := range lens {
-		total += n
-	}
-	out := make([]*SubComputation, 0, total)
-	for t, n := range lens {
-		out = append(out, g.threadTail(t, 0, n)...)
-	}
-	return out
-}
-
-// threadLens returns the per-shard sequence lengths (the dense-index
-// layout the Analysis CSR uses).
-func (g *Graph) threadLens() []int {
-	out := make([]int, len(g.shards))
-	for t := range g.shards {
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		out[t] = len(sh.seq)
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // ControlEdges derives the intra-thread program-order edges, ordered by
 // (thread, alpha) by construction.
 func (g *Graph) ControlEdges() []Edge {

@@ -359,6 +359,125 @@ func TestConcurrentDetection(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDegenerateGraphs pins Analyze's contract on the shapes the
+// one-fold path has to go out of its way for: the result is stamped
+// epoch 0, covers every recorded vertex, and exports exactly what the
+// flat builder makes of the spec derivation over the same prefix.
+func TestAnalyzeDegenerateGraphs(t *testing.T) {
+	// handSub appends a hand-built vertex: clock as given, reading and
+	// writing the given pages.
+	handSub := func(t *testing.T, g *Graph, id SubID, clock []uint64, reads, writes []uint64) {
+		t.Helper()
+		sc := &SubComputation{ID: id, Clock: clock}
+		for _, p := range reads {
+			sc.ReadSet.Add(p)
+		}
+		for _, p := range writes {
+			sc.WriteSet.Add(p)
+		}
+		if err := g.AppendSub(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		build     func(t *testing.T) *Graph
+		lens      []int
+		dataEdges int
+		syncEdges int
+		complete  bool
+	}{
+		{
+			// Also journal.Recover's zero-record case: a fresh replay graph.
+			name:     "empty",
+			build:    func(t *testing.T) *Graph { return NewGraph(3) },
+			lens:     []int{0, 0, 0},
+			complete: true,
+		},
+		{
+			// Trace-loss gaps (one reaching past the prefix) and a thread
+			// slot that never recorded.
+			name: "gaps",
+			build: func(t *testing.T) *Graph {
+				g := NewGraph(3)
+				handSub(t, g, SubID{Thread: 0, Alpha: 0}, []uint64{1, 0, 0}, nil, []uint64{7})
+				handSub(t, g, SubID{Thread: 2, Alpha: 0}, []uint64{1, 0, 1}, []uint64{7}, nil)
+				g.RestoreSyncEdge(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 2, Alpha: 0}, g.InternObject("m"))
+				g.AddGap(0, Gap{FromAlpha: 0, ToAlpha: 4, Kind: GapAuxLoss, Bytes: 64})
+				g.AddGap(2, Gap{FromAlpha: 3, ToAlpha: 5, Kind: GapTruncated})
+				return g
+			},
+			lens:      []int{1, 0, 1},
+			dataEdges: 1,
+			syncEdges: 1,
+		},
+		{
+			// T0.0's clock claims five thread-1 vertices, the shard holds
+			// one: the cut clamps to what was published and the reader
+			// binds to the latest writer that exists.
+			name: "clock ahead of its shard",
+			build: func(t *testing.T) *Graph {
+				g := NewGraph(2)
+				handSub(t, g, SubID{Thread: 0, Alpha: 0}, []uint64{1, 5}, []uint64{7}, nil)
+				handSub(t, g, SubID{Thread: 1, Alpha: 0}, []uint64{0, 1}, nil, []uint64{7})
+				return g
+			},
+			lens:      []int{1, 1},
+			dataEdges: 1,
+			complete:  true,
+		},
+		{
+			// Sync-log entries naming vertices that never sealed, or a
+			// thread slot that does not exist, stay out of the analysis.
+			name: "sync log past the prefix",
+			build: func(t *testing.T) *Graph {
+				g := NewGraph(2)
+				handSub(t, g, SubID{Thread: 0, Alpha: 0}, []uint64{1, 0}, nil, []uint64{7})
+				m := g.InternObject("m")
+				g.RestoreSyncEdge(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 1, Alpha: 3}, m)
+				g.RestoreSyncEdge(SubID{Thread: 9, Alpha: 0}, SubID{Thread: 0, Alpha: 0}, m)
+				return g
+			},
+			lens:     []int{1, 0},
+			complete: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.build(t)
+			a := g.Analyze()
+			if a.Epoch() != 0 {
+				t.Errorf("epoch = %d, want 0", a.Epoch())
+			}
+			if !reflect.DeepEqual(a.ThreadLens(), tc.lens) {
+				t.Errorf("lens = %v, want %v", a.ThreadLens(), tc.lens)
+			}
+			syncEdges, dataEdges := a.EdgeSections()
+			if len(syncEdges) != tc.syncEdges || len(dataEdges) != tc.dataEdges {
+				t.Errorf("%d sync / %d data edges, want %d / %d",
+					len(syncEdges), len(dataEdges), tc.syncEdges, tc.dataEdges)
+			}
+			if got := a.Completeness().Complete; got != tc.complete {
+				t.Errorf("complete = %v, want %v", got, tc.complete)
+			}
+			syncRef, dataRef := ReferenceSections(a)
+			flat := FlatAnalysis(a, syncRef, dataRef)
+			var got, want bytes.Buffer
+			if err := a.ExportJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := flat.ExportJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("export diverges from the flat reference:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+			}
+			if !edgesEqual(g.DataEdges(), dataEdges) {
+				t.Error("DataEdges disagrees with Analyze's data section")
+			}
+		})
+	}
+}
+
 func TestExportJSONRoundTrip(t *testing.T) {
 	g, _ := buildFigure1(t)
 	var buf bytes.Buffer

@@ -1,13 +1,17 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file is the storage layer behind Analysis: two append-only edge
 // arenas (sync, data) plus a sealed-base + per-epoch-delta adjacency
-// overlay. The batch Analyze seals everything into one base; the
-// incremental fold appends each epoch's edges to the shared arenas and
-// stacks a small overlay layer on top, so sealing an epoch costs
-// O(delta) instead of re-materializing O(graph) flat state. Compaction
+// overlay. The flat builder (newAnalysis: .cpg loads, the reference
+// fold) seals everything into one base; the fold — Graph.Analyze is one
+// fold — appends each epoch's edges to the shared arenas and stacks a
+// small overlay layer on top, so sealing an epoch costs O(delta) instead
+// of re-materializing O(graph) flat state. Compaction
 // (collapse layers, reseal the base) runs on geometric thresholds,
 // keeping the per-epoch cost amortized O(delta · log) while every
 // already-published Analysis keeps its own immutable view.
@@ -305,12 +309,14 @@ func newIncStore(threads int) *incStore {
 	return st
 }
 
-// extend appends one epoch's new edges (each slice canonically sorted)
-// and returns the epoch's immutable Analysis view.
+// extend appends one epoch's new edges (each slice canonically sorted
+// and handed over: the first epoch's slices become the arenas, which for
+// a one-fold Analyze is the whole store) and returns the epoch's
+// immutable Analysis view.
 func (st *incStore) extend(g *Graph, newSync, newData []Edge, lens, prevLens []int, epoch uint64) *Analysis {
 	syncLo, dataLo := len(st.ar.sync), len(st.ar.data)
-	st.ar.sync = append(st.ar.sync, newSync...)
-	st.ar.data = append(st.ar.data, newData...)
+	st.ar.sync = appendOrAdopt(st.ar.sync, newSync)
+	st.ar.data = appendOrAdopt(st.ar.data, newData)
 	layer := succLayer{
 		syncSeq: refSeq(syncLo, len(newSync), false),
 		dataSeq: refSeq(dataLo, len(newData), true),
@@ -322,6 +328,15 @@ func (st *incStore) extend(g *Graph, newSync, newData []Edge, lens, prevLens []i
 	st.appendPreds(newSync, newData, edgeRef(syncLo), edgeRef(dataLo)|dataRefBit, lens, prevLens)
 	st.compact(lens)
 	return st.view(g, lens, epoch)
+}
+
+// appendOrAdopt appends a freshly built slice the caller hands over; an
+// empty destination takes it as is instead of copying it.
+func appendOrAdopt[T any](dst, fresh []T) []T {
+	if len(dst) == 0 {
+		return fresh
+	}
+	return append(dst, fresh...)
 }
 
 // appendPreds writes the epoch's edges into their To vertices'
@@ -352,40 +367,36 @@ func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef,
 		to := newData[i].To
 		counts[to.Thread][to.Alpha-uint64(prevLens[to.Thread])]++
 	}
-	fill := make([][]int32, len(lens))
+	// Turn each count into its vertex's fill cursor while extending the
+	// offsets (Grow keeps a one-fold Analyze's arrays exactly sized).
 	for t := range lens {
 		if counts[t] == nil {
 			continue
 		}
-		off := st.predOff[t]
+		off := slices.Grow(st.predOff[t], len(counts[t]))
 		last := off[len(off)-1]
-		for _, c := range counts[t] {
+		for i, c := range counts[t] {
+			counts[t][i] = last
 			last += c
 			off = append(off, last)
 		}
 		st.predOff[t] = off
 		if need := int(last) - len(st.predRef[t]); need > 0 {
-			st.predRef[t] = append(st.predRef[t], make([]edgeRef, need)...)
-		}
-		fill[t] = make([]int32, len(counts[t]))
-		for i := range fill[t] {
-			fill[t][i] = st.predOff[t][prevLens[t]+i]
+			st.predRef[t] = slices.Grow(st.predRef[t], need)[:last]
 		}
 	}
 	// Sync before data per vertex, each section scanned in canonical
 	// order: the slots come out [sync From-asc][data From-asc].
-	for i := range newSync {
-		to := newSync[i].To
-		k := to.Alpha - uint64(prevLens[to.Thread])
-		st.predRef[to.Thread][fill[to.Thread][k]] = syncLo + edgeRef(i)
-		fill[to.Thread][k]++
+	place := func(edges []Edge, lo edgeRef) {
+		for i := range edges {
+			to := edges[i].To
+			cur := &counts[to.Thread][to.Alpha-uint64(prevLens[to.Thread])]
+			st.predRef[to.Thread][*cur] = lo + edgeRef(i)
+			*cur++
+		}
 	}
-	for i := range newData {
-		to := newData[i].To
-		k := to.Alpha - uint64(prevLens[to.Thread])
-		st.predRef[to.Thread][fill[to.Thread][k]] = dataLo + edgeRef(i)
-		fill[to.Thread][k]++
-	}
+	place(newSync, syncLo)
+	place(newData, dataLo)
 }
 
 // compact bounds the overlay: reseal the base when the overlay has

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/repro/inspector/internal/vclock"
 )
@@ -16,30 +13,22 @@ import (
 // excluded, so each edge names a write that may actually have produced
 // the value read.
 //
-// Three structural facts make this fast on sync-heavy executions with
-// tens of thousands of vertices: (1) a thread's writers of a page are
-// totally ordered by program order, so at most the *latest* one that
-// happens-before n can be maximal — earlier ones are hidden by it;
-// (2) "happens-before n" is monotone along a thread's sequence, so the
-// boundary — the latest sub-computation of thread t ordered before n —
-// is found by binary search; and (3) that boundary is independent of the
-// page, so it is computed once per (reader, thread) and every per-page
-// writer lookup reduces to an integer binary search within the page's
-// writer run. Vector-clock comparisons thus drop from one search per
-// (reader, page, thread) to one per (reader, thread).
-//
-// The derivation is indexed and parallel: one pass builds a page →
-// writer-runs index (each run is one thread's writers of the page in
-// program order), then a bounded worker pool derives every reader's
-// edges independently. dataEdgesReference retains the original
+// There is one derivation, the incremental fold's (incremental.go:
+// deriveNewData over the page → writer-runs index); DataEdges and
+// Analyze take a single cut of the whole graph through a throw-away
+// IncrementalAnalyzer. dataEdgesReference retains the original
 // map-of-maps single-threaded derivation as the executable
 // specification; property tests assert the two never diverge.
-func (g *Graph) DataEdges() []Edge {
-	return deriveDataEdges(g.Subs(), runtimeWorkers())
-}
+func (g *Graph) DataEdges() []Edge { return deriveDataEdges(g, 0) }
 
-// runtimeWorkers is the derivation worker-pool bound.
-func runtimeWorkers() int { return runtime.GOMAXPROCS(0) }
+// deriveDataEdges derives every data edge of g's current (causally
+// closed) prefix with up to workers goroutines (0 = GOMAXPROCS). The
+// output is independent of the worker count.
+func deriveDataEdges(g *Graph, workers int) []Edge {
+	inc := NewIncrementalAnalyzer(g)
+	inc.SetFoldWorkers(workers)
+	return inc.deriveNewData(inc.captureCut())
+}
 
 // hbSubs is the happens-before relation over materialized vertices.
 func hbSubs(a, b *SubComputation) bool {
@@ -49,225 +38,9 @@ func hbSubs(a, b *SubComputation) bool {
 	return a.Clock.Compare(b.Clock) == vclock.Before
 }
 
-// writerRun is one thread's writers of one page, ascending by alpha
-// (values are indices into the subs slice).
-type writerRun struct {
-	thread int32
-	subs   []int32
-}
-
-// buildWriterIndex builds the page → writer-runs index in one pass. subs
-// is (thread, alpha)-ordered, so appends land grouped by thread and
-// ascending within each run.
-func buildWriterIndex(subs []*SubComputation) map[uint64][]writerRun {
-	index := make(map[uint64][]writerRun)
-	for i, sc := range subs {
-		th := int32(sc.ID.Thread)
-		for _, p := range sc.WriteSet.view() {
-			runs := index[p]
-			if k := len(runs) - 1; k >= 0 && runs[k].thread == th {
-				runs[k].subs = append(runs[k].subs, int32(i))
-			} else {
-				runs = append(runs, writerRun{thread: th, subs: []int32{int32(i)}})
-			}
-			index[p] = runs
-		}
-	}
-	return index
-}
-
-// threadRange is one thread's contiguous index range in the subs slice.
-type threadRange struct{ start, end int32 }
-
-// threadRanges maps thread slot -> index range (subs is (thread, alpha)-
-// ordered, so ranges are contiguous).
-func threadRanges(subs []*SubComputation) []threadRange {
-	maxT := -1
-	for _, sc := range subs {
-		if sc.ID.Thread > maxT {
-			maxT = sc.ID.Thread
-		}
-	}
-	out := make([]threadRange, maxT+1)
-	for i := range out {
-		out[i] = threadRange{start: -1, end: -1}
-	}
-	for i, sc := range subs {
-		t := sc.ID.Thread
-		if out[t].start < 0 {
-			out[t].start = int32(i)
-		}
-		out[t].end = int32(i) + 1
-	}
-	return out
-}
-
-// dataWorker is one derivation worker's reusable scratch state.
-//
-// It exploits the standard vector-clock theorem the recording discipline
-// guarantees (every sub-computation ticks its own component at start, and
-// components only flow through synchronization): for a sub-computation m
-// on thread t, m happens-before n exactly when n's clock has seen m's
-// tick — n.Clock[t] ≥ m.Clock[t]. Thread t's sub α carries clock[t] =
-// α+1, so "the latest writer of thread t ordered before n" is a pure
-// integer threshold read off one component of the reader's clock: alpha ≤
-// n.Clock[t]-1 (same-thread: program order). No O(threads) clock
-// comparison appears anywhere in the derivation; dataEdgesReference keeps
-// the full-comparison form and the property tests hold the two equal.
-type dataWorker struct {
-	subs   []*SubComputation
-	index  map[uint64][]writerRun
-	ranges []threadRange
-
-	cands []int32
-	// accFrom/accPages accumulate pages per maximal writer for one
-	// reader; accFrom is reused, the page slices escape into edges.
-	accFrom  []int32
-	accPages [][]uint64
-}
-
-func newDataWorker(subs []*SubComputation, index map[uint64][]writerRun, ranges []threadRange) *dataWorker {
-	return &dataWorker{subs: subs, index: index, ranges: ranges}
-}
-
-// hbLimitIdx returns the largest subs index within thread t whose
-// sub-computation happens-before reader n (at index ni), or
-// ranges[t].start-1 if none.
-func (w *dataWorker) hbLimitIdx(t int32, n *SubComputation, ni int32) int32 {
-	if int(t) == n.ID.Thread {
-		return ni - 1
-	}
-	r := w.ranges[t]
-	seen := int32(n.Clock.Get(int(t))) // α+1 of the latest sub of t seen by n
-	lim := r.start + seen - 1
-	if lim >= r.end {
-		lim = r.end - 1
-	}
-	return lim
-}
-
-// readerEdges derives reader ni's incoming data edges.
-func (w *dataWorker) readerEdges(ni int32) []Edge {
-	n := w.subs[ni]
-	w.accFrom = w.accFrom[:0]
-	w.accPages = w.accPages[:0]
-	for _, p := range n.ReadSet.view() {
-		runs := w.index[p]
-		if runs == nil {
-			continue
-		}
-		w.cands = w.cands[:0]
-		for _, run := range runs {
-			// The candidate is the last writer at or below the
-			// happens-before limit — an integer search; n itself sits
-			// above its own limit, so self-writes are excluded.
-			lim := w.hbLimitIdx(run.thread, n, ni)
-			seq := run.subs
-			if seq[0] > lim {
-				continue
-			}
-			lo, hi := 1, len(seq)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if seq[mid] <= lim {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			w.cands = append(w.cands, seq[lo-1])
-		}
-		for _, m := range w.cands {
-			// m (on thread tm) is hidden iff some other candidate m2 has
-			// seen m's tick: m2.Clock[tm] ≥ m.Clock[tm] = alpha(m)+1.
-			mSub := w.subs[m]
-			mTick := m - w.ranges[mSub.ID.Thread].start + 1
-			hidden := false
-			for _, m2 := range w.cands {
-				if m2 != m && int32(w.subs[m2].Clock.Get(mSub.ID.Thread)) >= mTick {
-					hidden = true
-					break
-				}
-			}
-			if hidden {
-				continue
-			}
-			slot := -1
-			for k, f := range w.accFrom {
-				if f == m {
-					slot = k
-					break
-				}
-			}
-			if slot < 0 {
-				w.accFrom = append(w.accFrom, m)
-				w.accPages = append(w.accPages, nil)
-				slot = len(w.accFrom) - 1
-			}
-			// The outer loop visits pages ascending, so each list comes
-			// out sorted without a final sort.
-			w.accPages[slot] = append(w.accPages[slot], p)
-		}
-	}
-	if len(w.accFrom) == 0 {
-		return nil
-	}
-	out := make([]Edge, len(w.accFrom))
-	for k, m := range w.accFrom {
-		out[k] = Edge{From: w.subs[m].ID, To: n.ID, Kind: EdgeData, Pages: w.accPages[k]}
-	}
-	return out
-}
-
-// deriveDataEdges runs the indexed derivation with up to workers
-// goroutines. The output is independent of worker count: every reader's
-// edges are derived in isolation and the final sort imposes the total
-// (From, To, Kind) order, under which data-edge keys are unique.
-func deriveDataEdges(subs []*SubComputation, workers int) []Edge {
-	index := buildWriterIndex(subs)
-	ranges := threadRanges(subs)
-	perReader := make([][]Edge, len(subs))
-	if workers > len(subs)/256 {
-		workers = len(subs) / 256 // keep chunks coarse enough to matter
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := newDataWorker(subs, index, ranges)
-				for {
-					ni := int(next.Add(1)) - 1
-					if ni >= len(subs) {
-						return
-					}
-					perReader[ni] = w.readerEdges(int32(ni))
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		w := newDataWorker(subs, index, ranges)
-		for ni := range subs {
-			perReader[ni] = w.readerEdges(int32(ni))
-		}
-	}
-	total := 0
-	for _, es := range perReader {
-		total += len(es)
-	}
-	out := make([]Edge, 0, total)
-	for _, es := range perReader {
-		out = append(out, es...)
-	}
-	sortEdges(out)
-	return out
-}
-
 // dataEdgesReference is the retained pre-columnar derivation: the
-// executable specification deriveDataEdges is property-tested against.
+// executable specification the fold's derivation is property-tested
+// against.
 func dataEdgesReference(subs []*SubComputation) []Edge {
 	// writersByPage[p][t] = thread t's writers of p in program order.
 	writersByPage := make(map[uint64]map[int][]*SubComputation)

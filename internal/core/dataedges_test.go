@@ -26,9 +26,10 @@ func edgesEqual(a, b []Edge) bool {
 	return true
 }
 
-// TestQuickDataEdgesMatchReference pins the indexed parallel derivation
-// to the retained reference implementation: identical edges (including
-// page lists) on random executions, at every worker count.
+// TestQuickDataEdgesMatchReference pins the fold's derivation, taken as
+// one cut of the whole graph, to the retained reference implementation:
+// identical edges (including page lists) on random executions, at every
+// worker count.
 func TestQuickDataEdgesMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -36,7 +37,7 @@ func TestQuickDataEdgesMatchReference(t *testing.T) {
 		subs := g.Subs()
 		want := dataEdgesReference(subs)
 		for _, workers := range []int{1, 2, 8} {
-			if !edgesEqual(deriveDataEdges(subs, workers), want) {
+			if !edgesEqual(deriveDataEdges(g, workers), want) {
 				return false
 			}
 		}
@@ -47,16 +48,23 @@ func TestQuickDataEdgesMatchReference(t *testing.T) {
 	}
 }
 
-// TestDataEdgesParallelDeterministic re-derives the same large graph
-// repeatedly with the production worker count and asserts byte-stable
-// output (the worker pool must not leak scheduling into results).
+// TestDataEdgesParallelDeterministic re-derives the same large graph —
+// large enough that the derivation really fans out — repeatedly at 8
+// workers and asserts byte-stable output equal to the serial derivation
+// and to the reference (the worker pool must not leak scheduling into
+// results).
 func TestDataEdgesParallelDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	g := randomExecution(t, r, 6, 2, 2000)
-	subs := g.Subs()
-	want := deriveDataEdges(subs, 1)
+	g := randomExecution(t, r, 6, 2, 10000)
+	if n := g.NumSubs(); n < 2*foldWorkerGrain {
+		t.Fatalf("%d vertices never fan out at grain %d", n, foldWorkerGrain)
+	}
+	want := deriveDataEdges(g, 1)
+	if !edgesEqual(want, dataEdgesReference(g.Subs())) {
+		t.Fatal("serial derivation diverges from the reference")
+	}
 	for i := 0; i < 4; i++ {
-		if !edgesEqual(deriveDataEdges(subs, 8), want) {
+		if !edgesEqual(deriveDataEdges(g, 8), want) {
 			t.Fatalf("parallel derivation diverged on round %d", i)
 		}
 	}

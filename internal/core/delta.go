@@ -5,8 +5,8 @@ import "fmt"
 // An EpochDelta is the serializable difference between two consecutive
 // fold epochs: exactly what FoldDelta consumed that the previous
 // FoldDelta had not yet emitted. It is the unit the crash-durability
-// journal appends per epoch, and — by design — the epoch-delta wire
-// format a future distributed fabric would stream: self-contained,
+// journal appends per epoch and the frame a recorder streams to an
+// aggregator (provenance.Uploader → IngestSource): self-contained,
 // order-dependent, and replayable.
 //
 // Interned refs inside Subs and Sync are journal-scoped: they resolve

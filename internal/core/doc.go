@@ -35,13 +35,16 @@
 // reader: Graph accessors copy under per-shard read locks, and the two
 // analysis paths build immutable queryable views —
 //
-//   - Graph.Analyze derives every edge of the current prefix from
-//     scratch (the post-mortem path, and the executable reference the
-//     incremental path is property-tested against);
 //   - IncrementalAnalyzer.Fold extends the previous epoch's state with
-//     only the newly sealed vertices, over a causally consistent cut,
-//     and is guaranteed to produce an Analysis equivalent to a batch
-//     Analyze over the same prefix (ExportJSON byte-identical).
+//     only the newly sealed vertices, over a causally consistent cut —
+//     the package's one data-edge derivation;
+//   - Graph.Analyze (the post-mortem path) is one fold of a throw-away
+//     analyzer over the whole graph, stamped epoch 0, so k folds and one
+//     fold agree by construction (ExportJSON byte-identical).
+//
+// The oracles the property tests hold both to are independent of the
+// fold: dataEdgesReference specifies the derivation, and the flat
+// newAnalysis (through NewReferenceAnalyzer) the store.
 //
 // See DESIGN.md, sections "The columnar CPG core" (store layout, CSR
 // adjacency, derivation fast paths) and "The live pipeline" (epoch

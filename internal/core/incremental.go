@@ -1,8 +1,8 @@
 package core
 
 import (
+	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -13,15 +13,13 @@ import (
 // vertices and sync edges sealed since the previous epoch and extends
 // the accumulated analysis state instead of re-deriving it:
 //
-//   - the page → writer-runs index (the structure DataEdges builds from
-//     scratch on every batch run) persists across epochs and only the new
-//     writers are appended to it;
-//   - data edges are derived only for the epoch's new readers — fanned
-//     out across fold workers with the same work-stealing pattern the
-//     batch DataEdges uses (SetFoldWorkers) — using the same
-//     per-(reader, thread) happens-before thresholds: a vertex already
-//     analyzed can never gain a new *incoming* edge (see the cut
-//     argument below), so earlier epochs' derivations are final;
+//   - the page → writer-runs index persists across epochs and only the
+//     new writers are appended to it;
+//   - data edges are derived only for the epoch's new readers, fanned
+//     out across fold workers on an atomic work counter (SetFoldWorkers):
+//     a vertex already analyzed can never gain a new *incoming* edge
+//     (see the cut argument below), so earlier epochs' derivations are
+//     final;
 //   - sync edges arrive as sorted runs that each epoch merges into the
 //     store, deferring entries whose acquiring sub-computation has not
 //     sealed yet (the deferred backlog stays sorted, so an epoch costs
@@ -34,11 +32,13 @@ import (
 //   - the interned symbol table is the graph's own append-only interner,
 //     so materialized names never need recomputing.
 //
-// The result is observably identical to what Graph.Analyze would build
-// over the same prefix; the equivalence property tests pin the two
-// byte-identical. NewReferenceAnalyzer retains the serial
-// full-rebuild-per-epoch fold as the executable reference those tests
-// (and the benchmarks) compare against.
+// This is the package's only data-edge derivation: Graph.Analyze and
+// Graph.DataEdges are one fold of a throw-away analyzer over the whole
+// graph, so k folds and one fold are the same code and the equivalence
+// property tests pin them byte-identical. The oracles are independent
+// of it: dataEdgesReference (dataedges.go) specifies the derivation,
+// and NewReferenceAnalyzer retains the serial full-rebuild-per-epoch
+// fold through the flat newAnalysis as the reference for the store.
 //
 // # Why folding is sound: causally consistent cuts
 //
@@ -65,8 +65,8 @@ type IncrementalAnalyzer struct {
 
 	epoch uint64
 	// lens is the folded prefix: thread t's vertices [0, lens[t]) are
-	// analyzed; prevLens is the previous epoch's prefix, snapshotted at
-	// the top of each fold.
+	// analyzed; prevLens is the previous epoch's prefix, snapshotted by
+	// each captureCut.
 	lens     []int
 	prevLens []int
 	// seqs mirrors the folded prefix per thread (append-only, so slices
@@ -209,7 +209,6 @@ func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
 }
 
 func (inc *IncrementalAnalyzer) fold(capture bool) (*Analysis, *EpochDelta) {
-	inc.prevLens = append(inc.prevLens[:0], inc.lens...)
 	newSubs := inc.captureCut()
 	var d *EpochDelta
 	if capture {
@@ -223,27 +222,6 @@ func (inc *IncrementalAnalyzer) fold(capture bool) (*Analysis, *EpochDelta) {
 				d.Gaps = append(d.Gaps, DeltaGap{Thread: t, Gap: gp})
 			}
 			inc.gapsSeen[t] = len(gaps)
-		}
-	}
-
-	// Extend the writer index with every new vertex before deriving any
-	// reader: a new reader's writers may be new vertices of this same
-	// epoch.
-	for _, sc := range newSubs {
-		th := int32(sc.ID.Thread)
-		for _, p := range sc.WriteSet.view() {
-			runs := inc.writers[p]
-			found := false
-			for i := range runs {
-				if runs[i].thread == th {
-					runs[i].alphas = append(runs[i].alphas, int32(sc.ID.Alpha))
-					found = true
-					break
-				}
-			}
-			if !found {
-				inc.writers[p] = append(runs, incRun{thread: th, alphas: []int32{int32(sc.ID.Alpha)}})
-			}
 		}
 	}
 
@@ -320,24 +298,43 @@ func partitionSyncReady(entries []Edge, lens []int) (ready, deferred []Edge) {
 	return ready, deferred
 }
 
-// foldWorkerGrain is the number of new readers that justifies one fold
-// worker: epochs with fewer than two grains derive serially, and the
-// fan-out never exceeds ceil(new readers / grain) regardless of the
-// configured worker count.
-const foldWorkerGrain = 64
+// foldWorkerGrain is the number of new readers that justifies one
+// derivation worker: cuts with fewer than two grains derive serially,
+// and the fan-out never exceeds ceil(new readers / grain) regardless of
+// the configured worker count.
+const foldWorkerGrain = 256
 
-// deriveNewData derives the epoch's new readers' incoming data edges,
-// returned canonically sorted. With more than one effective worker the
-// readers fan out across goroutines on an atomic work counter — the
-// same pattern batch deriveDataEdges uses — with per-worker scratch;
-// per-reader results land in a fixed slot each, so the assembled
-// sequence is deterministic whatever the interleaving. A worker panic
-// (the workload's or an injected one) is re-raised on the calling
-// goroutine after all workers drain.
+// deriveNewData indexes the cut's new writers and derives its new
+// readers' incoming data edges, returned canonically sorted. The index
+// is extended with every new vertex before any reader is derived: a new
+// reader's writers may be new vertices of the same cut. With more than
+// one effective worker the readers fan out across goroutines on an
+// atomic work counter with per-worker scratch; per-reader results land
+// in a fixed slot each, so the assembled sequence is deterministic
+// whatever the interleaving. A worker panic (the workload's or an
+// injected one) is re-raised on the calling goroutine after all workers
+// drain.
 func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge {
+	for _, sc := range newSubs {
+		th := int32(sc.ID.Thread)
+		for _, p := range sc.WriteSet.view() {
+			runs := inc.writers[p]
+			found := false
+			for i := range runs {
+				if runs[i].thread == th {
+					runs[i].alphas = append(runs[i].alphas, int32(sc.ID.Alpha))
+					found = true
+					break
+				}
+			}
+			if !found {
+				inc.writers[p] = append(runs, incRun{thread: th, alphas: []int32{int32(sc.ID.Alpha)}})
+			}
+		}
+	}
 	workers := inc.workers
 	if workers <= 0 {
-		workers = runtimeWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if inc.reference {
 		workers = 1
@@ -405,77 +402,84 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 }
 
 // captureCut advances inc.lens to a causally closed snapshot of the
-// shard lengths, pulls the newly covered vertices into inc.seqs, and
-// returns them sorted by (thread, alpha).
+// shard lengths (keeping the previous prefix in inc.prevLens), pulls the
+// newly covered vertices into inc.seqs, and returns them in (thread,
+// alpha) order.
 func (inc *IncrementalAnalyzer) captureCut() []*SubComputation {
+	inc.prevLens = append(inc.prevLens[:0], inc.lens...)
 	target := make([]int, len(inc.lens))
 	for t := range target {
-		target[t] = inc.g.shardLen(t)
-		if target[t] < inc.lens[t] {
-			target[t] = inc.lens[t]
-		}
+		target[t] = max(inc.g.shardLen(t), inc.lens[t])
 	}
-	var newSubs []*SubComputation
-	for {
-		grew := false
+	for grew := true; grew; {
+		grew = false
 		for t := range inc.seqs {
 			have := len(inc.seqs[t])
 			if have >= target[t] {
 				continue
 			}
 			tail := inc.g.threadTail(t, have, target[t])
-			if len(tail) < target[t]-have {
-				// threadTail clamps to the live shard; shrink the target
-				// so a hand-built graph that never publishes the wanted
-				// vertices cannot spin this loop.
-				target[t] = have + len(tail)
-			}
-			inc.seqs[t] = append(inc.seqs[t], tail...)
-			newSubs = append(newSubs, tail...)
-			if len(tail) > 0 {
-				grew = true
-			}
-			for _, sc := range tail {
+			// threadTail clamps to the live shard; shrink the target so a
+			// hand-built graph that never publishes the wanted vertices
+			// cannot spin this loop.
+			target[t] = have + len(tail)
+			grew = grew || len(tail) > 0
+			for i, sc := range tail {
+				// The fold names and indexes vertices by their recorded ID;
+				// one that disagrees with its slot (only a hand-mutated
+				// graph — Verify reports it) is folded under its slot
+				// instead, so it cannot index outside the prefix.
+				if slot := (SubID{Thread: t, Alpha: uint64(have + i)}); sc.ID != slot {
+					cp := *sc
+					cp.ID = slot
+					tail[i] = &cp
+				}
 				for u := range target {
-					need := int(sc.Clock.Get(u))
-					if need <= target[u] {
-						continue
-					}
 					// The recording discipline publishes a vertex before
 					// its clock flows anywhere, so the needed vertices
 					// are already in the shard; the clamp only guards
 					// hand-built graphs that break that discipline.
-					if n := inc.g.shardLen(u); need > n {
-						need = n
-					}
-					if need > target[u] {
-						target[u] = need
+					if need := int(sc.Clock.Get(u)); need > target[u] {
+						target[u] = max(target[u], min(need, inc.g.shardLen(u)))
 					}
 				}
 			}
-		}
-		if !grew {
-			break
+			inc.seqs[t] = appendOrAdopt(inc.seqs[t], tail)
 		}
 	}
-	for t := range target {
-		// threadTail clamps to the live shard, so seqs can trail a
-		// hand-built target; the folded prefix is what was actually
-		// pulled.
+	total := 0
+	for t := range inc.seqs {
+		total += len(inc.seqs[t]) - inc.lens[t]
+	}
+	newSubs := make([]*SubComputation, 0, total)
+	for t := range inc.seqs {
+		newSubs = append(newSubs, inc.seqs[t][inc.lens[t]:]...)
 		inc.lens[t] = len(inc.seqs[t])
 	}
-	sort.Slice(newSubs, func(i, j int) bool { return newSubs[i].ID.Less(newSubs[j].ID) })
 	return newSubs
 }
 
 // readerEdges derives reader n's incoming data edges against the folded
-// prefix — the incremental counterpart of dataWorker.readerEdges, with
-// the identical threshold logic: thread u's candidate writer is the
-// latest one with alpha ≤ n.Clock[u]-1 (program order for n's own
-// thread), and a candidate m is hidden iff another candidate has seen
-// m's tick. The analyzer state it reads (writers, seqs) is frozen for
-// the duration of the derivation, so any number of workers can share
-// it; all mutable state lives in the scratch.
+// prefix. Three structural facts keep it cheap on sync-heavy executions:
+// (1) a thread's writers of a page are totally ordered by program order,
+// so at most the *latest* one that happens-before n can be maximal —
+// earlier ones are hidden by it; (2) "happens-before n" is monotone
+// along a thread's sequence, so that latest writer is found by binary
+// search within the page's writer run; and (3) the search key is a pure
+// integer threshold. The recording discipline guarantees the standard
+// vector-clock theorem (every sub-computation ticks its own component at
+// start, and components only flow through synchronization): thread u's
+// sub α carries clock[u] = α+1, so m on thread u happens-before n
+// exactly when n.Clock[u] ≥ α(m)+1. Thread u's candidate is therefore
+// the latest writer with alpha ≤ n.Clock[u]-1 (program order on n's own
+// thread, which also excludes self-writes), and a candidate m is hidden
+// iff another candidate has seen m's tick. No O(threads) clock
+// comparison appears anywhere; dataEdgesReference keeps the
+// full-comparison form and the property tests hold the two equal.
+//
+// The analyzer state read here (writers, seqs) is frozen for the
+// duration of the derivation, so any number of workers can share it; all
+// mutable state lives in the scratch.
 func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, n *SubComputation) []Edge {
 	sc.accFrom = sc.accFrom[:0]
 	sc.accPages = sc.accPages[:0]

@@ -7,10 +7,18 @@ package core_test
 // workload prefixes, fold points, and thread counts. That equivalence is
 // what lets every query surface (Runtime.Query, cpg-query,
 // inspector-serve) swap between the batch and live paths freely.
+//
+// Graph.Analyze is itself one fold of a fresh analyzer, so "matches
+// batch" proves k folds = one fold (deferred acquires, compaction and
+// all); TestIncrementalMatchesSpecOverRandomPrefixes anchors the same
+// corpus on the independent oracles: dataEdgesReference for the
+// derivation, the flat newAnalysis for the store.
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -91,7 +99,7 @@ func exportBytes(t *testing.T, a *core.Analysis) []byte {
 // TestIncrementalMatchesBatchOverRandomPrefixes is the equivalence
 // property: fold at random prefixes of random executions and require the
 // epoch Analysis to export byte-identically to a from-scratch Analyze of
-// the same prefix, across 1 and 4 threads.
+// the same prefix (k folds = one fold), across 1 and 4 threads.
 func TestIncrementalMatchesBatchOverRandomPrefixes(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		for seed := int64(0); seed < 8; seed++ {
@@ -125,6 +133,48 @@ func TestIncrementalMatchesBatchOverRandomPrefixes(t *testing.T) {
 			}
 			if final.Epoch() != uint64(folds+1) {
 				t.Fatalf("threads=%d seed=%d: epoch = %d after %d folds", threads, seed, final.Epoch(), folds+1)
+			}
+		}
+	}
+}
+
+// TestIncrementalMatchesSpecOverRandomPrefixes anchors the fold on the
+// spec over the same corpus: at every epoch the data section must equal
+// dataEdgesReference over the epoch's vertices, and the export must be
+// byte-identical to a flat newAnalysis over the reference sections —
+// across 1 and 4 threads and fold workers {1, 4, GOMAXPROCS}. The one
+// fold Graph.Analyze takes is held to the same oracle at the end.
+func TestIncrementalMatchesSpecOverRandomPrefixes(t *testing.T) {
+	check := func(a *core.Analysis, where string) {
+		t.Helper()
+		syncRef, dataRef := core.ReferenceSections(a)
+		if _, data := a.EdgeSections(); len(data)+len(dataRef) > 0 && !reflect.DeepEqual(data, dataRef) {
+			t.Fatalf("%s: epoch %d data section diverges from dataEdgesReference", where, a.Epoch())
+		}
+		if got, want := exportBytes(t, a), exportBytes(t, core.FlatAnalysis(a, syncRef, dataRef)); !bytes.Equal(got, want) {
+			t.Fatalf("%s: epoch %d export diverges from the flat reference analysis", where, a.Epoch())
+		}
+	}
+	for _, threads := range []int{1, 4} {
+		for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS
+			for seed := int64(0); seed < 8; seed++ {
+				lr := newLiveRecording(t, threads, 48, seed)
+				inc := core.NewIncrementalAnalyzer(lr.g)
+				inc.SetFoldWorkers(workers)
+				foldR := rand.New(rand.NewSource(seed * 7731))
+				where := func(s int) string {
+					return fmt.Sprintf("threads=%d workers=%d seed=%d step=%d", threads, workers, seed, s)
+				}
+				steps := 60 + int(seed)*17
+				for s := 0; s < steps; s++ {
+					lr.step(t, 48)
+					if foldR.Intn(9) == 0 {
+						check(inc.Fold(), where(s))
+					}
+				}
+				lr.finish(t)
+				check(inc.Fold(), where(steps))
+				check(lr.g.Analyze(), where(steps)+" (Analyze)")
 			}
 		}
 	}
@@ -253,5 +303,70 @@ func TestIncrementalFoldDuringConcurrentRecording(t *testing.T) {
 	final := inc.Fold()
 	if got, want := exportBytes(t, final), exportBytes(t, g.Analyze()); !bytes.Equal(got, want) {
 		t.Fatal("final fold diverges from batch after quiesce")
+	}
+}
+
+// TestAnalyzeDuringConcurrentRecording races Graph.Analyze against live
+// recorder appends (run under -race in CI). Analyze takes the fold's
+// causally closed cut, so every included vertex's clock must lie inside
+// the analyzed prefix — a reader never appears without the writers it
+// has seen — and every mid-run analysis must verify. Measuring the
+// shard lengths one by one instead (the pre-fold Analyze) admits a
+// reader sealed after its writer's shard was measured, and with it an
+// edge from an older, hidden writer.
+func TestAnalyzeDuringConcurrentRecording(t *testing.T) {
+	const threads = 4
+	g := core.NewGraph(threads)
+	lock := g.NewSyncObject("l", false)
+
+	var wg sync.WaitGroup
+	for slot := 0; slot < threads; slot++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			rec, err := core.NewRecorder(g, slot, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 300; i++ {
+				rec.OnRead(uint64((slot*31 + i) % 64))
+				rec.OnWrite(uint64((slot*17 + i) % 64))
+				sc, err := rec.EndSub(core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rec.Release(lock, sc)
+				rec.Acquire(lock)
+			}
+			if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
+				t.Error(err)
+			}
+		}(slot)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for alive := true; alive; {
+		select {
+		case <-done:
+			alive = false
+		default:
+		}
+		a := g.Analyze()
+		if a.Epoch() != 0 {
+			t.Fatalf("Analyze stamped epoch %d, want 0", a.Epoch())
+		}
+		lens := a.ThreadLens()
+		for _, sc := range a.Subs() {
+			for u, n := range lens {
+				if seen := int(sc.Clock.Get(u)); seen > n {
+					t.Fatalf("%v has seen %d vertices of thread %d, the analyzed prefix holds %d", sc.ID, seen, u, n)
+				}
+			}
+		}
+		if err := a.Verify(); err != nil {
+			t.Fatalf("mid-run Analyze over prefix %v invalid: %v", lens, err)
+		}
 	}
 }

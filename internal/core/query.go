@@ -35,10 +35,10 @@ const cancelCheckEvery = 64
 // base[thread] + alpha. Derived edges live in two shared append-only
 // arenas (csr.go); adjacency is a sealed CSR base plus small per-epoch
 // overlay layers, so an incremental fold publishes a new epoch in time
-// proportional to the delta while batch analyses seal everything into
-// the base outright. Control edges are never stored: they are fully
-// determined by the prefix lens and synthesized during traversal and
-// export.
+// proportional to the delta, and a one-fold Analyze seals everything
+// into the base once it clears the compaction floor. Control edges are
+// never stored: they are fully determined by the prefix lens and
+// synthesized during traversal and export.
 type Analysis struct {
 	g *Graph
 	// epoch numbers the fold that produced this Analysis: 0 for a batch
@@ -68,43 +68,18 @@ type Analysis struct {
 }
 
 // Analyze derives all edges over the graph's current vertex prefix and
-// builds the adjacency indexes. Sync-edge log entries whose endpoints
-// are not yet recorded vertices (an acquire logs its edge before the
-// acquiring sub-computation seals, so mid-run graphs contain such
-// entries) are left out: the analysis covers exactly the recorded prefix,
-// the same contract the incremental fold maintains per epoch. After a
-// completed Run no such entries remain, so post-mortem analyses see every
-// logged edge.
+// builds the adjacency indexes: one fold of a throw-away
+// IncrementalAnalyzer over the whole graph, stamped epoch 0. The prefix
+// is therefore the same causally closed cut every fold takes (a mid-run
+// Analyze never includes a reader without its writers), and sync-edge
+// log entries whose endpoints are not yet recorded vertices (an acquire
+// logs its edge before the acquiring sub-computation seals, so mid-run
+// graphs contain such entries) are left out. After a completed Run no
+// such entries remain, so post-mortem analyses see every logged edge.
 func (g *Graph) Analyze() *Analysis {
-	lens := g.threadLens()
-	syncEdges, dataEdges := g.prefixSections(lens)
-	return newAnalysis(g, syncEdges, dataEdges, lens, 0)
-}
-
-// prefixSections derives the canonical sync and data edge sections of
-// the vertex prefix bounded by lens: sync edges with both endpoints
-// inside the prefix (sorted), and data edges derived over the prefix
-// vertices (sorted). Together with the synthesized control edges these
-// form the canonical edge sequence; the incremental fold produces the
-// identical sequence by extension, and the equivalence property tests
-// hold the two byte-identical.
-func (g *Graph) prefixSections(lens []int) (syncEdges, dataEdges []Edge) {
-	for t := range lens {
-		for _, rec := range g.syncEdgeTail(t, 0) {
-			if !subInPrefix(rec.From, lens) || !subInPrefix(rec.To, lens) {
-				continue
-			}
-			syncEdges = append(syncEdges, Edge{
-				From:   rec.From,
-				To:     rec.To,
-				Kind:   EdgeSync,
-				Object: g.ObjectName(rec.Object),
-			})
-		}
-	}
-	sortEdges(syncEdges)
-	dataEdges = deriveDataEdges(g.prefixSubs(lens), runtimeWorkers())
-	return syncEdges, dataEdges
+	a := NewIncrementalAnalyzer(g).Fold()
+	a.epoch = 0
+	return a
 }
 
 // controlEdgesFor generates the program-order edges of a vertex prefix.
@@ -129,10 +104,11 @@ func subInPrefix(id SubID, lens []int) bool {
 
 // newAnalysis builds a fully sealed analysis over already-derived sync
 // and data sections (each canonically sorted): the whole edge set goes
-// into one sealed successor base with no overlay. The batch Analyze and
-// the incremental reference fold land here; the live incremental fold
-// builds structurally equivalent analyses through incStore.view, and
-// the equivalence property tests pin the two byte-identical.
+// into one sealed successor base with no overlay. NewAnalysisFromSections
+// (the .cpg load path) and the incremental reference fold land here; the
+// fold proper — Analyze included — builds structurally equivalent
+// analyses through incStore.view, and the equivalence property tests pin
+// the two byte-identical.
 func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
 	a := &Analysis{g: g, epoch: epoch, lens: lens}
 	a.comp = summarizeGaps(g.gapsForPrefix(lens))

@@ -150,7 +150,7 @@ func TestQueryCancellationStopsTraversal(t *testing.T) {
 func TestConcurrentReadOnlyQueries(t *testing.T) {
 	g := buildHandoffWeb(t, 4, 64)
 	a := g.Analyze()
-	lastU := SubID{Thread: 0, Alpha: uint64(g.threadLens()[0] - 1)}
+	lastU := SubID{Thread: 0, Alpha: uint64(g.shardLen(0) - 1)}
 
 	wantSlice := a.Slice(lastU)
 	wantTaint := a.TaintedBy(SubID{Thread: 1, Alpha: 0})

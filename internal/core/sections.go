@@ -6,8 +6,9 @@ package core
 // surface that makes the round trip possible from outside the package:
 // extracting the canonical sections of an Analysis, appending restored
 // vertices and sync-edge log entries to a Graph, and assembling an
-// Analysis directly over pre-derived sections (the load-side mirror of
-// newAnalysis, which batch Analyze and the incremental fold share).
+// Analysis directly over pre-derived sections (a checked front for the
+// flat builder newAnalysis, which the reference fold shares; Analyze and
+// the live fold derive their sections and build through incStore).
 
 import "fmt"
 

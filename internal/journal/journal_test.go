@@ -252,6 +252,32 @@ func TestUnsealedJournalMarkedTruncated(t *testing.T) {
 	}
 }
 
+// TestRecoverHeaderOnlyJournal pins the zero-record case: a process that
+// died before its first epoch leaves a header and nothing else, and
+// recovery answers with the empty graph's batch analysis — epoch 0, no
+// vertices, byte-identical to analyzing a fresh graph.
+func TestRecoverHeaderOnlyJournal(t *testing.T) {
+	dir := t.TempDir()
+	w, err := journal.Create(journal.Options{Dir: dir, Threads: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.Recover(dir, journal.RecoverOptions{})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rep.Records != 0 || rep.Epoch != 0 || rep.Analysis.Epoch() != 0 || rep.Analysis.NumVertices() != 0 {
+		t.Fatalf("header-only journal: %d records, epoch %d, analysis epoch %d over %d vertices",
+			rep.Records, rep.Epoch, rep.Analysis.Epoch(), rep.Analysis.NumVertices())
+	}
+	if got, want := exportBytes(t, rep.Analysis), exportBytes(t, core.NewGraph(3).Analyze()); !bytes.Equal(got, want) {
+		t.Fatalf("header-only recovery exports\n%s\nwant the empty graph's\n%s", got, want)
+	}
+}
+
 // corrupt recovers a clean journal's segment list, applies mutate to the
 // files, and returns the recovery of the damaged journal.
 func damage(t testing.TB, dir string, mutate func(t testing.TB, segs []string)) *journal.Recovery {

@@ -42,9 +42,10 @@ type Engine struct {
 	statsVal  *Stats
 }
 
-// NewEngine wraps a completed Analysis. The Analysis must not be
-// mutated afterwards (graphs still being recorded should be analyzed
-// again per query instead).
+// NewEngine wraps an Analysis, which is immutable: it answers for the
+// prefix it was built over and never sees later recording. A graph still
+// being recorded is served through a Feed that publishes one Engine per
+// folded epoch (NewLiveEngine), not by re-analyzing per query.
 func NewEngine(a *core.Analysis, opts EngineOptions) *Engine {
 	return &Engine{a: a, opts: opts}
 }
