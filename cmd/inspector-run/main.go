@@ -23,8 +23,8 @@
 // -live-stats turns on the live analysis pipeline for the run: the CPG
 // is folded into queryable epochs while the workload executes, progress
 // lines ("live: epoch N ...") stream during execution, and the final
-// line summarizes what the online analysis saw — the same machinery
-// inspector-serve -live serves over HTTP.
+// line summarizes what the online analysis saw. To query the run over
+// HTTP while it records, -stream it to an inspector-serve -ingest.
 //
 // -faults executes the run under a deterministic fault-injection
 // schedule (internal/faultinject): "aux-loss" truncates PT sink writes

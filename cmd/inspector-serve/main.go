@@ -1,27 +1,26 @@
-// Command inspector-serve is the provenance query daemon: it loads one
-// or more Concurrent Provenance Graphs (.cpg files written by
-// inspector-run -cpg, or a workload recorded on the spot with -workload)
-// and serves the provenance/v1 HTTP API to any number of concurrent
-// clients off a shared immutable analysis.
+// Command inspector-serve is the provenance query daemon: it serves
+// Concurrent Provenance Graphs from two kinds of source — .cpg files
+// (written by inspector-run -cpg or inspector-recover -cpg) and epoch
+// streams (pushed by inspector-run -stream) — over the provenance/v1
+// HTTP API to any number of concurrent clients. It records nothing
+// itself: the recorder is a different binary.
 //
 // Usage:
 //
 //	inspector-serve -cpg run.cpg [-cpg other.cpg] [-addr :7070]
 //	inspector-serve -cpgdir cpgs/ [-resident-budget 67108864] [-result-cache 1024]
-//	inspector-serve -workload histogram [-threads 4] [-size small] [-seed 1]
-//	inspector-serve -workload histogram -live [-live-slowdown 10ms]
+//	inspector-serve -ingest [-addr :7070]
 //
 //	GET  /v1/cpgs              list the served graphs
 //	GET  /v1/cpgs/{id}/stats   summary of one graph
 //	POST /v1/cpgs/{id}/query   run a provenance/v1 Query (JSON body)
 //
 // Each -cpg file is decoded at startup and served under the id of its
-// base name without the extension (run.cpg -> "run"); -workload records
-// through the library (its flags fill an inspector.Options, and
-// inspector.New assembles the pipeline) and serves under the workload
-// name. -cpgdir serves every *.cpg file in a
-// directory without loading them up front: files are mmapped, listed
-// from their stats
+// base name without the extension (run.cpg -> "run"). A crashed run is
+// served the same way: inspector-recover -journal DIR -cpg f.cpg writes
+// the durable prefix with its epoch and gap marks, so the listing says
+// degraded. -cpgdir serves every *.cpg file in a directory without
+// loading them up front: files are mmapped, listed from their stats
 // sections, decoded only when queried, and evicted LRU once the decoded
 // graphs exceed -resident-budget bytes — thousands of CPGs serve under
 // a fixed memory ceiling. Repeated queries are answered from a
@@ -32,20 +31,14 @@
 // -max-results caps any single result page — clients follow the
 // next_cursor contract for the rest.
 //
-// With -live the daemon does not wait for the workload: recording and
-// serving start together, the CPG is folded into successive analysis
-// epochs as sub-computations seal, and every response carries the epoch
-// it was answered from (each request pins one epoch, so cursors stay
-// valid within it). Once the workload finishes, the final epoch serves
-// the complete graph — the daemon degrades gracefully into the
-// post-mortem form. -live-slowdown stretches the recording by sleeping
-// at every commit boundary, which keeps short demo workloads alive long
-// enough to watch epochs advance.
-//
-// With -ingest the daemon is the fabric's aggregator: recorders running
-// elsewhere (inspector-run -stream URL) POST their CRC-checksummed
-// epoch-delta frames to /v1/ingest/{source}. Each source folds into its
-// own live CPG served under the same query API; GET /v1/ingest/{source}
+// With -ingest the daemon is the fabric's aggregator, and the way to
+// serve a run while it records: recorders running elsewhere
+// (inspector-run -stream URL) POST their CRC-checksummed epoch-delta
+// frames to /v1/ingest/{source}. Each source folds into its own live
+// CPG served under the same query API: every response carries the
+// epoch it was answered from (each request pins one epoch, so cursors
+// stay valid within it), and once the stream seals the final epoch
+// serves the complete graph. GET /v1/ingest/{source}
 // reports the resume offset a reconnecting recorder continues from, and
 // GET /v1/cpgs/{id}/epochs?min=N&wait=30s long-polls the epoch push
 // (cpg-query watch consumes it; the server caps one wait at 30s). The
@@ -81,11 +74,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/repro/inspector"
-	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
-	"github.com/repro/inspector/internal/journal"
-	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -105,18 +94,11 @@ func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 // config is everything buildServer assembles a Server from; run's flags
 // fill it field by field.
 type config struct {
-	cpgPaths, journalDirs multiFlag
-	cpgDir                string
-	residentBudget        int64
-	resultCache           int
-	lenient               bool
-
-	// -workload records through the library: rec is what inspector.New
-	// takes, workload what the workload itself does.
-	rec          inspector.Options
-	workload     workloads.Config
-	size         string
-	liveSlowdown time.Duration
+	cpgPaths       multiFlag
+	cpgDir         string
+	residentBudget int64
+	resultCache    int
+	lenient        bool
 
 	ingest bool
 	server provenance.ServerOptions
@@ -127,19 +109,12 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("inspector-serve", flag.ContinueOnError)
 	var c config
 	fs.Var(&c.cpgPaths, "cpg", ".cpg file to decode at startup and serve (repeatable)")
-	fs.Var(&c.journalDirs, "journal", "write-ahead journal directory to recover and serve (repeatable; id = directory basename)")
 	fs.StringVar(&c.cpgDir, "cpgdir", "", "directory of columnar .cpg files to serve lazily with bounded memory (id = file basename)")
 	fs.Int64Var(&c.residentBudget, "resident-budget", 64<<20, "with -cpgdir: max estimated bytes of decoded graphs resident at once (0 = unlimited)")
 	fs.IntVar(&c.resultCache, "result-cache", 0, "with -cpgdir: query result cache capacity in entries (0 = default 1024, negative = disabled)")
-	fs.StringVar(&c.rec.AppName, "workload", "", "record this workload at startup and serve its CPG")
-	fs.IntVar(&c.workload.Threads, "threads", 4, "worker thread count for -workload")
-	fs.StringVar(&c.size, "size", "small", "input size for -workload: small|medium|large")
-	fs.Int64Var(&c.workload.Seed, "seed", 1, "input generation seed for -workload")
 	addr := fs.String("addr", ":7070", "listen address")
 	fs.DurationVar(&c.server.Timeout, "timeout", 30*time.Second, "per-request query deadline (0 = none)")
 	fs.IntVar(&c.engine.MaxResults, "max-results", 10000, "result page cap; clients page with cursors (0 = unlimited)")
-	fs.BoolVar(&c.rec.Live, "live", false, "with -workload: serve the CPG while it records (epoch-based incremental analysis)")
-	fs.DurationVar(&c.liveSlowdown, "live-slowdown", 0, "with -live: sleep this long at every commit boundary (stretches short workloads for demos/tests)")
 	fs.BoolVar(&c.lenient, "lenient", false, "skip unreadable -cpg files (log and serve the rest) instead of refusing to start")
 	fs.IntVar(&c.server.MaxInflight, "max-inflight", 0, "max concurrently executing /v1/ requests; excess shed with 503 + Retry-After (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight requests before exiting (0 = wait forever)")
@@ -149,9 +124,6 @@ func run(args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	if c.rec.Live && c.rec.AppName == "" {
-		return fmt.Errorf("-live needs -workload (post-mortem -cpg graphs are already complete)")
 	}
 
 	// Bind before loading anything: /healthz answers (and /readyz says
@@ -165,13 +137,14 @@ func run(args []string) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sig)
-	build := func() (*provenance.Server, func(), error) { return buildServer(c) }
+	build := func() (*provenance.Server, error) { return buildServer(c) }
 	return serve(ln, build, sig, *drainTimeout, os.Stdout)
 }
 
 // bootHandler answers during startup: /healthz reports liveness as soon
-// as the listener is up; everything else (including /readyz) answers 503
-// until the fully built Server is installed.
+// as the listener is up; everything else answers 503 until the fully
+// built Server is installed — /readyz with the provenance.ReadyStatus
+// body the built server's own not-ready answer carries.
 type bootHandler struct {
 	real atomic.Pointer[provenance.Server]
 }
@@ -187,9 +160,13 @@ func (b *bootHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"ok":true}`)
 		return
 	}
+	body := `{"error":"starting up"}`
+	if r.URL.Path == "/readyz" {
+		body = `{"ready":false}`
+	}
 	w.Header().Set("Retry-After", "1")
 	w.WriteHeader(http.StatusServiceUnavailable)
-	fmt.Fprintln(w, `{"error":"starting up"}`)
+	fmt.Fprintln(w, body)
 }
 
 // serve is the daemon loop: listener up first, then CPGs loaded and the
@@ -197,23 +174,20 @@ func (b *bootHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // signal — on signal, in-flight requests drain (bounded by drainTimeout)
 // and the daemon exits cleanly. Factored out of run so tests drive it
 // with their own listener and signal channel.
-func serve(ln net.Listener, build func() (*provenance.Server, func(), error),
+func serve(ln net.Listener, build func() (*provenance.Server, error),
 	sig <-chan os.Signal, drainTimeout time.Duration, out *os.File) error {
 	boot := &bootHandler{}
 	hs := &http.Server{Handler: boot}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	srv, start, err := build()
+	srv, err := build()
 	if err != nil {
 		hs.Close()
 		return err
 	}
 	boot.real.Store(srv)
 	srv.SetReady(true)
-	if start != nil {
-		go start()
-	}
 	fmt.Fprintf(out, "inspector-serve: serving %v on %s\n", srv.IDs(), ln.Addr())
 
 	select {
@@ -237,17 +211,16 @@ func serve(ln net.Listener, build func() (*provenance.Server, func(), error),
 	}
 }
 
-// buildServer assembles the engine sources from .cpg files and/or a
-// recorded workload. The post-mortem sources are immutable; a live
-// source publishes a new immutable epoch per fold, and each request pins
-// one epoch — either way the handler is safe for arbitrary client
-// concurrency. The returned start function (nil unless live) launches
-// the workload recording; call it once the listener is up.
+// buildServer assembles the engine sources from .cpg files and, with
+// -ingest, the hub that recorders stream into. File sources are
+// immutable; an ingested source publishes a new immutable epoch per
+// fold, and each request pins one epoch — either way the handler is
+// safe for arbitrary client concurrency.
 //
 // A file that does not decode — torn, flipped, or not a .cpg at all —
 // fails startup with the offending path and section named; with lenient
 // it is logged and skipped so the healthy graphs still serve.
-func buildServer(c config) (*provenance.Server, func(), error) {
+func buildServer(c config) (*provenance.Server, error) {
 	sopts, eopts := c.server, c.engine
 	if c.ingest {
 		sopts.Ingest = provenance.NewIngestHub(provenance.IngestOptions{Engine: eopts})
@@ -264,11 +237,11 @@ func buildServer(c config) (*provenance.Server, func(), error) {
 			},
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for id, src := range store.Sources() {
 			if _, dup := sources[id]; dup {
-				return nil, nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, c.cpgDir)
+				return nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, c.cpgDir)
 			}
 			sources[id] = src
 		}
@@ -276,35 +249,10 @@ func buildServer(c config) (*provenance.Server, func(), error) {
 		fmt.Fprintf(os.Stderr, "inspector-serve: cpgdir %s: serving %d CPG files lazily (resident budget %d bytes)\n",
 			c.cpgDir, store.Len(), c.residentBudget)
 	}
-	for _, dir := range c.journalDirs {
-		id := filepath.Base(filepath.Clean(dir))
-		if _, dup := sources[id]; dup {
-			return nil, nil, fmt.Errorf("duplicate journal id %q (from %s)", id, dir)
-		}
-		rep, err := journal.Recover(dir, journal.RecoverOptions{})
-		if err != nil {
-			if c.lenient {
-				fmt.Fprintf(os.Stderr, "inspector-serve: skipping journal %s: %v (-lenient)\n", dir, err)
-				continue
-			}
-			return nil, nil, fmt.Errorf("journal %s: %w", dir, err)
-		}
-		switch {
-		case rep.Sealed:
-			fmt.Fprintf(os.Stderr, "inspector-serve: journal %s: recovered %d epochs (sealed)\n", id, rep.Epoch)
-		case rep.Torn != nil:
-			fmt.Fprintf(os.Stderr, "inspector-serve: journal %s: recovered %d epochs, torn tail at %s (serving degraded prefix)\n",
-				id, rep.Epoch, rep.Torn)
-		default:
-			fmt.Fprintf(os.Stderr, "inspector-serve: journal %s: recovered %d epochs (unsealed: run never closed; serving degraded prefix)\n",
-				id, rep.Epoch)
-		}
-		sources[id] = provenance.StaticSource(provenance.NewEngine(rep.Analysis, eopts))
-	}
 	for _, path := range c.cpgPaths {
 		id := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 		if _, dup := sources[id]; dup {
-			return nil, nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, path)
+			return nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, path)
 		}
 		a, _, err := cpgfile.Load(path)
 		if err != nil {
@@ -312,68 +260,12 @@ func buildServer(c config) (*provenance.Server, func(), error) {
 				fmt.Fprintf(os.Stderr, "inspector-serve: skipping cpg %v (-lenient)\n", err)
 				continue
 			}
-			return nil, nil, fmt.Errorf("cpg %w", err)
+			return nil, fmt.Errorf("cpg %w", err)
 		}
 		sources[id] = provenance.StaticSource(provenance.NewEngine(a, eopts))
 	}
-	var start func()
-	if app := c.rec.AppName; app != "" {
-		if _, dup := sources[app]; dup {
-			return nil, nil, fmt.Errorf("duplicate cpg id %q (from -workload)", app)
-		}
-		w, err := workloads.Get(app)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := c.workload
-		if cfg.Size, err = workloads.ParseSize(c.size); err != nil {
-			return nil, nil, err
-		}
-		c.rec.MaxThreads = w.MaxThreads(cfg)
-		rec, err := inspector.New(c.rec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if c.rec.Live {
-			if c.liveSlowdown > 0 {
-				rec.Unwrap().RegisterCommitHook(func(core.SubID) { time.Sleep(c.liveSlowdown) })
-			}
-			start = func() {
-				err := w.Run(rec.Unwrap(), cfg)
-				if cerr := rec.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "inspector-serve: live workload %s failed: %v (serving the recorded prefix)\n", app, err)
-					return
-				}
-				fmt.Printf("inspector-serve: live workload %s finished (epoch %d, final graph served)\n",
-					app, rec.Epoch())
-			}
-		} else if err := w.Run(rec.Unwrap(), cfg); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", app, err)
-		}
-		// Live, this is the feed of folded epochs; recorded up front, the
-		// completed graph.
-		sources[app] = pageCapped{rec.Source(), eopts.MaxResults}
-	}
 	if len(sources) == 0 && sopts.Ingest == nil {
-		return nil, nil, fmt.Errorf("nothing to serve (need -cpg, -cpgdir, -journal, -workload, or -ingest)")
+		return nil, fmt.Errorf("nothing to serve (need -cpg, -cpgdir, or -ingest)")
 	}
-	return provenance.NewServerSources(sources, sopts), start, nil
-}
-
-// pageCapped applies -max-results to a source whose engines the library
-// built: clamping the query's limit is what an engine's own MaxResults
-// does.
-type pageCapped struct {
-	provenance.Source
-	max int
-}
-
-func (p pageCapped) Query(ctx context.Context, q provenance.Query) (*provenance.Result, error) {
-	if p.max > 0 && (q.Limit == 0 || q.Limit > p.max) {
-		q.Limit = p.max
-	}
-	return p.Source.Query(ctx, q)
+	return provenance.NewServerSources(sources, sopts), nil
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -19,19 +20,9 @@ import (
 	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
-	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
-
-// workloadConfig is what -workload app -threads N -size S fills.
-func workloadConfig(app string, threads int, size string) config {
-	return config{
-		rec:      inspector.Options{AppName: app},
-		workload: workloads.Config{Threads: threads, Seed: 1},
-		size:     size,
-	}
-}
 
 // writeCPG records a tiny two-thread execution and writes its .cpg file.
 func writeCPG(t *testing.T, path string) {
@@ -79,7 +70,7 @@ func TestBuildServerFromCPGFiles(t *testing.T) {
 	writeCPG(t, a)
 	writeCPG(t, b)
 
-	srv, _, err := buildServer(config{cpgPaths: multiFlag{a, b}})
+	srv, err := buildServer(config{cpgPaths: multiFlag{a, b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +104,7 @@ func TestBuildServerFromCPGDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv, _, err := buildServer(config{cpgDir: dir, residentBudget: 1 << 20})
+	srv, err := buildServer(config{cpgDir: dir, residentBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +149,7 @@ func TestBuildServerErrors(t *testing.T) {
 	a := filepath.Join(dir, "x.cpg")
 	writeCPG(t, a)
 
-	if _, _, err := buildServer(config{}); err == nil {
+	if _, err := buildServer(config{}); err == nil {
 		t.Error("empty server accepted")
 	}
 	// Two files with the same base name collide.
@@ -168,147 +159,134 @@ func TestBuildServerErrors(t *testing.T) {
 	}
 	b := filepath.Join(sub, "x.cpg")
 	writeCPG(t, b)
-	if _, _, err := buildServer(config{cpgPaths: multiFlag{a, b}}); err == nil {
+	if _, err := buildServer(config{cpgPaths: multiFlag{a, b}}); err == nil {
 		t.Error("duplicate ids accepted")
 	}
 	// Missing file.
-	if _, _, err := buildServer(config{cpgPaths: multiFlag{filepath.Join(dir, "absent.cpg")}}); err == nil {
+	if _, err := buildServer(config{cpgPaths: multiFlag{filepath.Join(dir, "absent.cpg")}}); err == nil {
 		t.Error("missing file accepted")
 	}
-	// Unknown workload and size.
-	if _, _, err := buildServer(workloadConfig("not-a-workload", 1, "small")); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if _, _, err := buildServer(workloadConfig("histogram", 1, "gigantic")); err == nil {
-		t.Error("unknown size accepted")
-	}
 }
 
-func TestBuildServerFromWorkload(t *testing.T) {
+// TestBuildServerIngestStream is the acceptance check for serving a run
+// while it records: the recorder streams to a daemon built with -ingest,
+// the source is queryable mid-run (every response carries an epoch, the
+// vertex count grows), the sealed stream serves the same stats as the
+// run's own .cpg served by -cpg, and -max-results caps an ingested
+// source's pages.
+func TestBuildServerIngestStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records a workload")
 	}
-	cfg := workloadConfig("histogram", 2, "small")
+	const id, pageCap = "histogram-t2-s1", 3
+	cfg := config{ingest: true}
 	cfg.server.Timeout = 10 * time.Second
-	cfg.engine.MaxResults = 100
-	srv, start, err := buildServer(cfg)
+	cfg.engine.MaxResults = pageCap
+	srv, err := buildServer(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if start != nil {
-		t.Fatal("non-live build returned a start function")
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &provenance.Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
-	cpgs, err := c.List(ctx)
+	w, err := workloads.Get("histogram")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cpgs) != 1 || cpgs[0].ID != "histogram" || cpgs[0].SubComputations == 0 {
-		t.Fatalf("list = %+v", cpgs)
-	}
-	st, err := c.Stats(ctx, "histogram")
+	wcfg := workloads.Config{Threads: 2, Size: workloads.Small, Seed: 1}
+	rec, err := inspector.New(inspector.Options{
+		AppName: "histogram", MaxThreads: w.MaxThreads(wcfg), Stream: ts.URL, RunID: id,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats == nil || st.Stats.SubComputations != cpgs[0].SubComputations {
-		t.Errorf("stats disagree with listing: %+v vs %+v", st.Stats, cpgs[0])
-	}
-	// The page cap holds.
-	res, err := c.Query(ctx, "histogram", provenance.Query{Kind: provenance.KindEdges})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Edges) > 100 {
-		t.Errorf("page cap exceeded: %d edges", len(res.Edges))
-	}
-	if res.Total > 100 && res.NextCursor == "" {
-		t.Error("truncated page without cursor")
-	}
-}
+	// Park the first committing thread until the mid-run stats are in:
+	// the epoch its commit sealed is already queued (the driver's hook is
+	// registered first), and the thread still has sub-computations to
+	// seal, so the final graph is strictly larger than the mid-run one.
+	observed := make(chan struct{})
+	var park sync.Once
+	rec.Unwrap().RegisterCommitHook(func(core.SubID) { park.Do(func() { <-observed }) })
+	recorded := make(chan error, 1)
+	go func() {
+		err := w.Run(rec.Unwrap(), wcfg)
+		recorded <- errors.Join(err, rec.Close(), rec.WaitStream(ctx))
+	}()
 
-// TestBuildServerLiveWorkload is the acceptance check for the daemon's
-// live mode: the server is queryable while the workload records (every
-// response carries an epoch), and after the workload finishes the final
-// epoch serves the complete graph.
-func TestBuildServerLiveWorkload(t *testing.T) {
-	if testing.Short() {
-		t.Skip("records a workload")
-	}
-	cfg := workloadConfig("histogram", 2, "small")
-	cfg.rec.Live = true
-	cfg.liveSlowdown = 500 * time.Microsecond
-	cfg.server.Timeout = 10 * time.Second
-	srv, start, err := buildServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start == nil {
-		t.Fatal("live build returned no start function")
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := &provenance.Client{BaseURL: ts.URL}
-	ctx := context.Background()
-
-	// Queryable before the workload even starts: the initial epoch is an
-	// empty-but-valid graph.
-	st, err := c.Stats(ctx, "histogram")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Epoch == 0 {
-		t.Fatal("live stats carry no epoch before the workload starts")
-	}
-
-	workloadDone := make(chan struct{})
-	go func() { start(); close(workloadDone) }()
-
-	// Mid-run: wait for an epoch with sealed sub-computations; the
-	// slowdown keeps the recording alive while we poll.
 	var mid *provenance.Result
 	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		mid, err = c.Stats(ctx, "histogram")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mid.Stats.SubComputations > 0 {
+	for {
+		// The source 404s until the recorder's hello arrives.
+		mid, err = c.Stats(ctx, id)
+		if err == nil && mid.Stats.SubComputations > 0 {
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatalf("no sealed sub-computations observable during the streamed run (last: %+v, %v)", mid, err)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if mid.Stats.SubComputations == 0 {
-		t.Fatal("no sealed sub-computations observable during the live run")
+	if mid.Epoch == 0 {
+		t.Error("mid-run stats carry no epoch")
+	}
+	close(observed)
+	if err := <-recorded; err != nil {
+		t.Fatal(err)
 	}
 
-	<-workloadDone
-	final, err := c.Stats(ctx, "histogram")
+	final, err := c.Stats(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Epoch < mid.Epoch || final.Stats.SubComputations < mid.Stats.SubComputations {
-		t.Fatalf("final epoch %d/%d subs regressed from mid-run %d/%d",
+	if final.Epoch <= mid.Epoch || final.Stats.SubComputations <= mid.Stats.SubComputations {
+		t.Fatalf("final epoch %d/%d subs did not grow past mid-run %d/%d",
 			final.Epoch, final.Stats.SubComputations, mid.Epoch, mid.Stats.SubComputations)
 	}
-	// The final epoch must agree with a post-mortem rebuild of the same
-	// deterministic workload.
-	post, _, err := buildServer(workloadConfig("histogram", 2, "small"))
+
+	// The page cap holds on an ingested source.
+	res, err := c.Query(ctx, id, provenance.Query{Kind: provenance.KindEdges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total <= pageCap {
+		t.Fatalf("only %d edges: the page cap is not exercised", res.Total)
+	}
+	if len(res.Edges) != pageCap || res.NextCursor == "" {
+		t.Errorf("capped page has %d edges (want %d), cursor %q", len(res.Edges), pageCap, res.NextCursor)
+	}
+
+	// The sealed stream must agree with the same recording's .cpg served
+	// post-mortem, listing included.
+	path := filepath.Join(t.TempDir(), id+".cpg")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(rec.WriteCPG(f), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	post, err := buildServer(config{cpgPaths: multiFlag{path}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := httptest.NewServer(post)
 	defer pts.Close()
 	pc := &provenance.Client{BaseURL: pts.URL}
-	want, err := pc.Stats(ctx, "histogram")
+	want, err := pc.Stats(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *final.Stats != *want.Stats {
-		t.Fatalf("live final stats %+v != post-mortem stats %+v", final.Stats, want.Stats)
+		t.Fatalf("streamed final stats %+v != post-mortem stats %+v", final.Stats, want.Stats)
+	}
+	cpgs, err := pc.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cpgs) != 1 || cpgs[0].ID != id || cpgs[0].SubComputations != want.Stats.SubComputations {
+		t.Fatalf("post-mortem list = %+v, stats %+v", cpgs, want.Stats)
 	}
 }
 
@@ -338,17 +316,17 @@ func TestCorruptGobRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = buildServer(config{cpgPaths: multiFlag{good, bad}})
+	_, err = buildServer(config{cpgPaths: multiFlag{good, bad}})
 	var ce *cpgfile.CorruptError
 	if !errors.As(err, &ce) || ce.Section != "stats" || !strings.Contains(err.Error(), bad) {
 		t.Errorf("flipped .cpg: err = %v, want a *cpgfile.CorruptError for the stats section naming %s", err, bad)
 	}
-	_, _, err = buildServer(config{cpgPaths: multiFlag{good, stale}})
+	_, err = buildServer(config{cpgPaths: multiFlag{good, stale}})
 	if !errors.Is(err, cpgfile.ErrBadMagic) || !strings.Contains(err.Error(), stale) {
 		t.Errorf("gob file: err = %v, want ErrBadMagic naming %s", err, stale)
 	}
 
-	srv, _, err := buildServer(config{cpgPaths: multiFlag{good, bad, stale}, lenient: true})
+	srv, err := buildServer(config{cpgPaths: multiFlag{good, bad, stale}, lenient: true})
 	if err != nil {
 		t.Fatalf("-lenient still refused: %v", err)
 	}
@@ -392,7 +370,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- serve(ln, func() (*provenance.Server, func(), error) { return srv, nil, nil },
+		serveDone <- serve(ln, func() (*provenance.Server, error) { return srv, nil },
 			sig, 30*time.Second, out)
 	}()
 	base := "http://" + ln.Addr().String()
@@ -436,7 +414,8 @@ func TestServeGracefulDrain(t *testing.T) {
 
 // TestServeNotReadyWhileLoading checks the startup window: with the
 // listener up but CPGs still loading, /healthz answers 200 and /readyz
-// answers 503; once loading finishes, /readyz flips to 200.
+// answers 503 with {"ready":false}; once loading finishes, /readyz flips
+// to 200 with {"ready":true}.
 func TestServeNotReadyWhileLoading(t *testing.T) {
 	loading := make(chan struct{})
 	srv := provenance.NewServer(map[string]*provenance.Engine{
@@ -454,24 +433,40 @@ func TestServeNotReadyWhileLoading(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- serve(ln, func() (*provenance.Server, func(), error) {
+		serveDone <- serve(ln, func() (*provenance.Server, error) {
 			<-loading // a big .cpg decoding
-			return srv, nil, nil
+			return srv, nil
 		}, sig, time.Second, out)
 	}()
 	base := "http://" + ln.Addr().String()
 
-	waitStatus(t, base+"/healthz", 200)
-	resp, err := http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	// readyz answers with the documented ReadyStatus body on both sides
+	// of the flip.
+	readyz := func() (int, provenance.ReadyStatus) {
+		t.Helper()
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		rs := provenance.ReadyStatus{Ready: true} // a body without "ready" must not pass for not-ready
+		dec := json.NewDecoder(resp.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&rs); err != nil {
+			t.Errorf("readyz body (status %d) is not a ReadyStatus: %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, rs
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz while loading = %d, want 503", resp.StatusCode)
+
+	waitStatus(t, base+"/healthz", 200)
+	if code, rs := readyz(); code != http.StatusServiceUnavailable || rs.Ready {
+		t.Errorf("readyz while loading = %d %+v, want 503 and ready=false", code, rs)
 	}
 	close(loading)
 	waitStatus(t, base+"/readyz", 200)
+	if code, rs := readyz(); code != http.StatusOK || !rs.Ready {
+		t.Errorf("readyz once loaded = %d %+v, want 200 and ready=true", code, rs)
+	}
 	sig <- syscall.SIGTERM
 	if err := <-serveDone; err != nil {
 		t.Errorf("serve returned %v", err)
@@ -494,84 +489,5 @@ func waitStatus(t *testing.T, url string, want int) {
 			t.Fatalf("%s never answered %d (last: %v %v)", url, want, resp, err)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// writeJournalDir journals the same tiny two-thread execution
-// buildGraph records, into dir/<id>.
-func writeJournalDir(t *testing.T, dir string) {
-	t.Helper()
-	w, err := journal.Create(journal.Options{Dir: dir, Threads: 2, App: "serve-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := core.NewGraph(2)
-	jr := journal.NewRecorder(g, w, 1)
-	hook := jr.CommitHook()
-	lock := g.NewSyncObject("lock", false)
-	rel := core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}
-	r0, err := core.NewRecorder(g, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := core.NewRecorder(g, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0.OnWrite(100)
-	s0, err := r0.EndSub(rel, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0.Release(lock, s0)
-	hook(core.SubID{})
-	r1.Acquire(lock)
-	r1.OnRead(100)
-	if _, err := r1.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
-		t.Fatal(err)
-	}
-	hook(core.SubID{})
-	if _, err := r0.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
-		t.Fatal(err)
-	}
-	hook(core.SubID{})
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuildServerFromJournal(t *testing.T) {
-	dir := t.TempDir()
-	jdir := filepath.Join(dir, "crashed-run")
-	writeJournalDir(t, jdir)
-
-	srv, _, err := buildServer(config{journalDirs: multiFlag{jdir}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids := srv.IDs(); len(ids) != 1 || ids[0] != "crashed-run" {
-		t.Fatalf("ids = %v", ids)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := &provenance.Client{BaseURL: ts.URL}
-	res, err := c.Query(context.Background(), "crashed-run", provenance.Query{
-		Kind: provenance.KindTaint, Target: "T0.0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.IDs) == 0 {
-		t.Error("no taint flow served from journal-recovered graph")
-	}
-
-	// A bad journal dir fails startup strictly, and is skipped leniently.
-	if _, _, err := buildServer(config{journalDirs: multiFlag{jdir, t.TempDir()}}); err == nil {
-		t.Error("unrecoverable journal accepted without -lenient")
-	}
-	if srv2, _, err := buildServer(config{journalDirs: multiFlag{jdir, t.TempDir()}, lenient: true}); err != nil {
-		t.Errorf("-lenient did not skip the bad journal: %v", err)
-	} else if len(srv2.IDs()) != 1 {
-		t.Errorf("lenient server ids = %v", srv2.IDs())
 	}
 }

@@ -158,12 +158,6 @@ type Options struct {
 	// publishes their folds.
 	// Incompatible with Native (there is no graph to fold).
 	Live bool
-	// FoldWorkers caps the worker goroutines each incremental fold (the
-	// epochs Live, Journal and Stream share) fans data-edge derivation
-	// across. 0 means GOMAXPROCS, 1 forces serial folds; negative values
-	// are rejected. Small epochs use fewer workers regardless.
-	// Meaningless without Live, Journal or Stream.
-	FoldWorkers int
 	// Journal, when set, makes recording crash-durable: every sealed
 	// epoch is appended to a write-ahead journal in this directory as a
 	// length-prefixed, CRC-checksummed delta, synchronously at the
@@ -258,10 +252,6 @@ func (o Options) validate() error {
 	if o.Live && o.Native {
 		return fmt.Errorf("%w: Live requires provenance tracking (drop Native)", ErrBadOptions)
 	}
-	if o.FoldWorkers < 0 {
-		return fmt.Errorf("%w: FoldWorkers %d is negative (0 means GOMAXPROCS)",
-			ErrBadOptions, o.FoldWorkers)
-	}
 	if o.Journal != "" && o.Native {
 		return fmt.Errorf("%w: Journal requires provenance tracking (drop Native)", ErrBadOptions)
 	}
@@ -309,7 +299,7 @@ func New(opts Options) (*Runtime, error) {
 	if opts.SnapshotMode {
 		topts.TraceMode = perf.ModeSnapshot
 	}
-	eopts := provenance.EngineOptions{FoldWorkers: opts.FoldWorkers}
+	var eopts provenance.EngineOptions
 	faults := opts.Faults
 	if faults != nil {
 		topts.WrapTraceSink = faults.WrapSink
@@ -368,9 +358,8 @@ func New(opts Options) (*Runtime, error) {
 		// durability contract: the epoch sealed by a crashing commit is
 		// already appended and queued).
 		rt.drv = epoch.NewDriver(g, epoch.Options{
-			Every:       uint64(opts.JournalEverySeals),
-			FoldWorkers: opts.FoldWorkers,
-			WorkerHook:  eopts.FoldWorkerHook,
+			Every:      uint64(opts.JournalEverySeals),
+			WorkerHook: eopts.FoldWorkerHook,
 		}, sinks...)
 		// Registered before the fault hook on purpose: commit hooks run in
 		// registration order, so by the time an injected crash kills the

@@ -18,7 +18,6 @@ package cgroup
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -59,13 +58,6 @@ func NewHierarchy() *Hierarchy {
 	root := &Group{h: h, path: "/", procs: make(map[int32]struct{})}
 	h.groups["/"] = root
 	return h
-}
-
-// Root returns the root group.
-func (h *Hierarchy) Root() *Group {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.groups["/"]
 }
 
 // normalize validates and canonicalizes a group path.
@@ -182,18 +174,6 @@ func (g *Group) AddProcess(pid int32) {
 	g.mu.Unlock()
 }
 
-// Procs returns the PIDs directly in this group, sorted.
-func (g *Group) Procs() []int32 {
-	g.mu.Lock()
-	out := make([]int32, 0, len(g.procs))
-	for pid := range g.procs {
-		out = append(out, pid)
-	}
-	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Contains reports whether pid belongs to this group or any descendant —
 // the matching rule perf uses for cgroup-scoped events.
 func (g *Group) Contains(pid int32) bool {
@@ -207,16 +187,6 @@ func (g *Group) Contains(pid int32) bool {
 	return false
 }
 
-// IsDescendantOf reports whether g is anc or below it.
-func (g *Group) IsDescendantOf(anc *Group) bool {
-	for cur := g; cur != nil; cur = cur.parent {
-		if cur == anc {
-			return true
-		}
-	}
-	return false
-}
-
 // ChargeCPU adds CPU usage to this group and all ancestors (cpuacct is
 // hierarchical).
 func (g *Group) ChargeCPU(c vtime.Cycles) {
@@ -225,11 +195,4 @@ func (g *Group) ChargeCPU(c vtime.Cycles) {
 		cur.usage += c
 		cur.mu.Unlock()
 	}
-}
-
-// CPUUsage returns the hierarchical usage (cpuacct.usage equivalent).
-func (g *Group) CPUUsage() vtime.Cycles {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.usage
 }

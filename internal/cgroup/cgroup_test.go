@@ -8,8 +8,8 @@ import (
 
 func TestRootExists(t *testing.T) {
 	h := NewHierarchy()
-	if h.Root() == nil || h.Root().Path() != "/" {
-		t.Fatal("root group missing")
+	if root, err := h.Lookup("/"); err != nil || root.Path() != "/" {
+		t.Fatalf("root group missing: %v", err)
 	}
 }
 
@@ -37,15 +37,10 @@ func TestCreateNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.IsDescendantOf(h.Root()) {
-		t.Error("b not descendant of root")
-	}
 	a, _ := h.Lookup("/a")
-	if !b.IsDescendantOf(a) {
-		t.Error("b not descendant of a")
-	}
-	if a.IsDescendantOf(b) {
-		t.Error("a wrongly descendant of b")
+	root, _ := h.Lookup("/")
+	if b.parent != a || a.parent != root {
+		t.Errorf("parents: b under %v, a under %v", b.parent.Path(), a.parent.Path())
 	}
 }
 
@@ -83,17 +78,17 @@ func TestProcessMembership(t *testing.T) {
 		t.Errorf("GroupOf(100) = %v", got.Path())
 	}
 	// Unknown process defaults to root.
-	if got := h.GroupOf(999); got != h.Root() {
+	if got := h.GroupOf(999); got.Path() != "/" {
 		t.Errorf("GroupOf(999) = %v", got.Path())
 	}
 	// Moving between groups removes from the old one.
 	g2, _ := h.Create("/other")
 	g2.AddProcess(100)
-	if len(g.Procs()) != 0 {
-		t.Errorf("old group still holds %v", g.Procs())
+	if len(g.procs) != 0 {
+		t.Errorf("old group still holds %v", g.procs)
 	}
-	if got := g2.Procs(); len(got) != 1 || got[0] != 100 {
-		t.Errorf("new group procs = %v", got)
+	if _, ok := g2.procs[100]; !ok || len(g2.procs) != 1 {
+		t.Errorf("new group procs = %v", g2.procs)
 	}
 }
 
@@ -139,10 +134,10 @@ func TestExit(t *testing.T) {
 	g, _ := h.Create("/app")
 	g.AddProcess(7)
 	h.Exit(7)
-	if len(g.Procs()) != 0 {
-		t.Errorf("procs after exit = %v", g.Procs())
+	if len(g.procs) != 0 {
+		t.Errorf("procs after exit = %v", g.procs)
 	}
-	if h.GroupOf(7) != h.Root() {
+	if h.GroupOf(7).Path() != "/" {
 		t.Error("exited process should default to root")
 	}
 	// Exiting an unknown pid is harmless.
@@ -155,26 +150,14 @@ func TestCPUAccountingHierarchical(t *testing.T) {
 	b, _ := h.Create("/a/b")
 	b.ChargeCPU(100)
 	a.ChargeCPU(50)
-	if got := b.CPUUsage(); got != 100 {
+	if got := b.usage; got != 100 {
 		t.Errorf("b usage = %d, want 100", got)
 	}
-	if got := a.CPUUsage(); got != 150 {
+	if got := a.usage; got != 150 {
 		t.Errorf("a usage = %d, want 150 (hierarchical)", got)
 	}
-	if got := h.Root().CPUUsage(); got != 150 {
+	if got := a.parent.usage; got != 150 {
 		t.Errorf("root usage = %d, want 150", got)
-	}
-}
-
-func TestProcsSorted(t *testing.T) {
-	h := NewHierarchy()
-	g, _ := h.Create("/app")
-	for _, pid := range []int32{30, 10, 20} {
-		g.AddProcess(pid)
-	}
-	got := g.Procs()
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Errorf("Procs = %v, want sorted", got)
 	}
 }
 
@@ -194,10 +177,10 @@ func TestConcurrentUse(t *testing.T) {
 		}(int32(i))
 	}
 	wg.Wait()
-	if got := len(g.Procs()); got != 33 {
+	if got := len(g.procs); got != 33 {
 		t.Errorf("procs = %d, want 33", got)
 	}
-	if got := g.CPUUsage(); got != 320 {
+	if got := g.usage; got != 320 {
 		t.Errorf("usage = %d, want 320", got)
 	}
 }

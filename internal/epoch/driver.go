@@ -28,10 +28,8 @@ type Sink interface {
 type Options struct {
 	// Every folds one epoch each N commit seals (minimum and default 1).
 	Every uint64
-	// FoldWorkers and WorkerHook are the analyzer's SetFoldWorkers and
-	// SetWorkerHook (derivation fan-out; fault injection).
-	FoldWorkers int
-	WorkerHook  func(worker int)
+	// WorkerHook is the analyzer's SetWorkerHook (fault injection).
+	WorkerHook func(worker int)
 }
 
 // Driver owns a graph's one IncrementalAnalyzer. Every fold is a
@@ -56,7 +54,6 @@ type Driver struct {
 // first fold.
 func NewDriver(g *core.Graph, opts Options, sinks ...Sink) *Driver {
 	inc := core.NewIncrementalAnalyzer(g)
-	inc.SetFoldWorkers(opts.FoldWorkers)
 	inc.SetWorkerHook(opts.WorkerHook)
 	return &Driver{every: max(opts.Every, 1), inc: inc, sinks: sinks, errs: make([]error, len(sinks)), alive: len(sinks)}
 }

@@ -13,13 +13,10 @@ type Replayer struct {
 	lens []int
 }
 
-// NewReplayer prepares an empty replay of a threads-wide graph
-// (foldWorkers: the folds' derivation fan-out, 0 = GOMAXPROCS).
-func NewReplayer(threads, foldWorkers int) *Replayer {
+// NewReplayer prepares an empty replay of a threads-wide graph.
+func NewReplayer(threads int) *Replayer {
 	g := core.NewGraph(threads)
-	inc := core.NewIncrementalAnalyzer(g)
-	inc.SetFoldWorkers(foldWorkers)
-	return &Replayer{g: g, inc: inc}
+	return &Replayer{g: g, inc: core.NewIncrementalAnalyzer(g)}
 }
 
 // Graph returns the graph being rebuilt.

@@ -73,8 +73,7 @@ func foldChaosRun(t *testing.T, seed int, panicky bool) foldChaosResult {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	eng := provenance.NewLiveEngine(rt.Graph(),
-		provenance.EngineOptions{FoldWorkers: 4, FoldWorkerHook: hook})
+	eng := provenance.NewLiveEngine(rt.Graph(), provenance.EngineOptions{FoldWorkerHook: hook})
 	rt.RegisterCommitHook(func(core.SubID) { eng.Notify() })
 
 	// A waiter asking for an unreachable epoch proves the close path

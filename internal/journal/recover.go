@@ -292,7 +292,7 @@ scan:
 	// which record is the last good one *before* folding it, and an
 	// unsealed or torn journal gets its truncated gap under that final
 	// fold rather than in an extra epoch.
-	rp := epoch.NewReplayer(rep.Header.Threads, 0)
+	rp := epoch.NewReplayer(rep.Header.Threads)
 	n := 0
 	for ; n < len(recs); n++ {
 		r := recs[n]

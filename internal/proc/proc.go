@@ -45,7 +45,6 @@ type Table struct {
 	nextPID int32
 	procs   map[int32]*Process
 	spawned uint64
-	exited  uint64
 }
 
 // NewTable creates a table; PIDs start at firstPID (conventionally 1000,
@@ -95,10 +94,7 @@ func (t *Table) Spawn(cfg SpawnConfig) *Process {
 func (t *Table) Exit(pid int32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.procs[pid]; ok {
-		delete(t.procs, pid)
-		t.exited++
-	}
+	delete(t.procs, pid)
 }
 
 // Get returns the process with the given pid.
@@ -122,13 +118,6 @@ func (t *Table) Spawned() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.spawned
-}
-
-// Exited returns the cumulative exit count.
-func (t *Table) Exited() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.exited
 }
 
 // PIDs returns live PIDs in ascending order.

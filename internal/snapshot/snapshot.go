@@ -24,7 +24,6 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/perf"
-	"github.com/repro/inspector/internal/vtime"
 )
 
 // DefaultSlotSize is the per-slot PT window budget (the paper's 4 MB).
@@ -35,8 +34,6 @@ const DefaultSlotSize = 4 << 20
 type Cut struct {
 	// Seq is the synchronization sequence number that triggered the cut.
 	Seq uint64
-	// Time is the virtual time of capture.
-	Time vtime.Cycles
 	// Frontier maps thread slot -> included prefix length.
 	Frontier map[int]uint64
 }
@@ -132,7 +129,6 @@ type Snapshotter struct {
 	ring  []*Snapshot
 	next  int
 	taken uint64
-	clock func() vtime.Cycles
 }
 
 // ErrNoSource is returned when constructing without a runtime.
@@ -157,9 +153,6 @@ func New(src Source, opts Options) (*Snapshotter, error) {
 	}, nil
 }
 
-// SetClock installs a virtual-time source for snapshot timestamps.
-func (s *Snapshotter) SetClock(fn func() vtime.Cycles) { s.clock = fn }
-
 // Hook returns the callback to register with the runtime's snapshot
 // hooks: it captures automatically every EverySyncs boundaries.
 func (s *Snapshotter) Hook() func() {
@@ -179,9 +172,6 @@ func (s *Snapshotter) TakeSnapshot() *Snapshot {
 	g := s.src.Graph()
 	cut := ComputeCut(g)
 	cut.Seq = s.src.SyncSeq()
-	if s.clock != nil {
-		cut.Time = s.clock()
-	}
 
 	snap := &Snapshot{Cut: cut, Symbols: g.Symbols(), PTWindows: make(map[int32][]byte)}
 	for _, sc := range g.Subs() {

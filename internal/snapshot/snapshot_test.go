@@ -8,7 +8,6 @@ import (
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/perf"
 	"github.com/repro/inspector/internal/threading"
-	"github.com/repro/inspector/internal/vtime"
 )
 
 // fakeSource drives the snapshotter without a full runtime.
@@ -224,7 +223,6 @@ func TestEndToEndWithRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetClock(func() vtime.Cycles { return 0 })
 	rt.RegisterSnapshotHook(s.Hook())
 
 	base := rt.GlobalsBase()

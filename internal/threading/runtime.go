@@ -221,9 +221,6 @@ func (rt *Runtime) Image() *image.Image { return rt.img }
 // Session returns the perf trace session.
 func (rt *Runtime) Session() *perf.Session { return rt.sess }
 
-// Cgroup returns the runtime's control group.
-func (rt *Runtime) Cgroup() *cgroup.Group { return rt.cg }
-
 // PageSize returns the tracking granularity.
 func (rt *Runtime) PageSize() int { return rt.opts.PageSize }
 

@@ -534,19 +534,6 @@ func TestWorkExceedsTimeWithParallelism(t *testing.T) {
 	}
 }
 
-func TestCgroupAccountsWork(t *testing.T) {
-	rt := newRT(t, ModeInspector)
-	rep, err := rt.Run(func(main *Thread) {
-		main.Compute(1000)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.Cgroup().CPUUsage(); got != rep.Work {
-		t.Errorf("cgroup usage %v != work %v", got, rep.Work)
-	}
-}
-
 func TestSnapshotHookFires(t *testing.T) {
 	rt := newRT(t, ModeInspector)
 	var fired int

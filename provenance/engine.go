@@ -15,11 +15,6 @@ type EngineOptions struct {
 	// cursor.
 	MaxResults int
 
-	// FoldWorkers caps the worker goroutines a LiveEngine's epoch folds
-	// fan data-edge derivation across: 0 means GOMAXPROCS, 1 forces the
-	// serial path. Engines over completed analyses ignore it.
-	FoldWorkers int
-
 	// FoldWorkerHook, when set, runs at the start of every fold
 	// derivation worker of a LiveEngine with the worker's index (fault
 	// injection: the slow-fold point fires here). A panic escaping the

@@ -203,7 +203,7 @@ func newIngestSource(name string, hello wire.Hello, eopts EngineOptions) *Ingest
 		Feed:  NewFeed(hello.Threads, eopts),
 		name:  name,
 		hello: hello,
-		rp:    epoch.NewReplayer(hello.Threads, eopts.FoldWorkers),
+		rp:    epoch.NewReplayer(hello.Threads),
 	}
 }
 

@@ -150,10 +150,7 @@ func NewLiveEngine(g *core.Graph, opts EngineOptions, foldHooks ...func()) *Live
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
-	l.drv = epoch.NewDriver(g, epoch.Options{
-		FoldWorkers: opts.FoldWorkers,
-		WorkerHook:  opts.FoldWorkerHook,
-	}, l.Sink())
+	l.drv = epoch.NewDriver(g, epoch.Options{WorkerHook: opts.FoldWorkerHook}, l.Sink())
 	// A panicking first fold (only reachable through an injected hook)
 	// leaves the feed's empty epoch 0 served until a later fold succeeds.
 	l.fold(l.drv.Fold)

@@ -7,9 +7,9 @@
 set -euo pipefail
 
 workdir=$(mktemp -d)
-serve_pid=""
+serve_pid="" run_pid="" watch_pid=""
 cleanup() {
-  [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
+  kill $serve_pid $run_pid $watch_pid 2>/dev/null || true
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -21,21 +21,36 @@ go build -o "$workdir/cpg-query" ./cmd/cpg-query
 cpg="$workdir/histogram.cpg"
 "$workdir/inspector-run" -app histogram -threads 1 -size small -seed 1 -cpg "$cpg" >/dev/null
 
-# Bind an OS-assigned port (no collisions on shared runners); the
-# daemon prints the actual address once it is listening.
-"$workdir/inspector-serve" -cpg "$cpg" -addr 127.0.0.1:0 >"$workdir/serve.log" 2>&1 &
-serve_pid=$!
+# start_serve NAME PROBE ARGS...: launch the daemon on an OS-assigned
+# port (no collisions on shared runners), read the actual address from
+# its announce line, and wait until PROBE ("stats" through cpg-query, or
+# an HTTP path for curl) answers. Sets $serve_pid and $addr.
+start_serve() {
+  local name=$1 probe=$2 log="$workdir/$1.log"
+  shift 2
+  "$workdir/inspector-serve" "$@" -addr 127.0.0.1:0 >"$log" 2>&1 &
+  serve_pid=$!
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$log" | head -n 1)
+    if [ -n "$addr" ]; then
+      case $probe in
+        /*) curl -fsS "http://$addr$probe" >/dev/null 2>&1 && return ;;
+        *) "$workdir/cpg-query" -remote "http://$addr" $probe >/dev/null 2>&1 && return ;;
+      esac
+    fi
+    sleep 0.1
+  done
+  echo "serve-smoke: $name daemon never became ready" >&2
+  cat "$log" >&2
+  exit 1
+}
+stop_serve() {
+  kill "$serve_pid" 2>/dev/null || true
+  wait "$serve_pid" 2>/dev/null || true
+  serve_pid=""
+}
 
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$workdir/serve.log")
-  if [ -n "$addr" ] && "$workdir/cpg-query" -remote "http://$addr" stats >/dev/null 2>&1; then
-    break
-  fi
-  addr=""
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve-smoke: daemon never became ready" >&2; cat "$workdir/serve.log" >&2; exit 1; }
+start_serve serve stats -cpg "$cpg"
 
 # Deterministic query targets from the single-thread run: the slice and
 # path target is thread 0's last sub-computation, the lineage probe is
@@ -72,85 +87,11 @@ check -format json slice "$last"
 
 echo "serve-smoke: all query kinds byte-identical local vs remote"
 
-# Live round: serve a workload WHILE it records (-live), query mid-run,
-# and assert the analysis epoch advances — the provenance/v1 liveness
-# contract. -live-slowdown stretches the recording so the mid-run window
-# is comfortably wider than the polling interval.
-kill "$serve_pid" 2>/dev/null || true
-wait "$serve_pid" 2>/dev/null || true
-"$workdir/inspector-serve" -workload histogram -threads 4 -size small -seed 1 \
-  -live -live-slowdown 25ms -addr 127.0.0.1:0 >"$workdir/live.log" 2>&1 &
-serve_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$workdir/live.log" | head -n 1)
-  if [ -n "$addr" ] && "$workdir/cpg-query" -remote "http://$addr" -format json stats >/dev/null 2>&1; then
-    break
-  fi
-  addr=""
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve-smoke: live daemon never became ready" >&2; cat "$workdir/live.log" >&2; exit 1; }
-
-live_epoch() {
-  "$workdir/cpg-query" -remote "http://$addr" -format json stats |
-    sed -n 's/.*"epoch": \([0-9]*\).*/\1/p'
-}
-live_subs() {
-  "$workdir/cpg-query" -remote "http://$addr" -format json stats |
-    sed -n 's/.*"sub_computations": \([0-9]*\).*/\1/p'
-}
-
-e1=$(live_epoch)
-s1=$(live_subs)
-[ -n "$e1" ] && [ "$e1" -ge 1 ] || {
-  echo "serve-smoke: live response carries no epoch (got '$e1')" >&2; exit 1;
-}
-advanced=""
-for _ in $(seq 1 200); do
-  e2=$(live_epoch)
-  if [ -n "$e2" ] && [ "$e2" -gt "$e1" ]; then
-    advanced=yes
-    break
-  fi
-  sleep 0.05
-done
-[ -n "$advanced" ] || {
-  echo "serve-smoke: live epoch never advanced past $e1 while the workload ran" >&2
-  cat "$workdir/live.log" >&2
-  exit 1
-}
-s2=$(live_subs)
-[ "$s2" -ge "$s1" ] || {
-  echo "serve-smoke: sub-computation count regressed mid-run: $s1 -> $s2" >&2; exit 1;
-}
-echo "serve-smoke: live epoch advanced $e1 -> $e2 mid-run (subs $s1 -> $s2)"
-
-# The live graph answers every query kind mid-run or post-run alike.
-"$workdir/cpg-query" -remote "http://$addr" verify >/dev/null
-"$workdir/cpg-query" -remote "http://$addr" slice T0.0 >/dev/null
-echo "serve-smoke: live round passed"
-
-kill "$serve_pid" 2>/dev/null || true
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 
 # Graceful-shutdown round: SIGTERM must drain and exit 0, and the
 # health endpoints must report the documented states while serving.
-"$workdir/inspector-serve" -cpg "$cpg" -addr 127.0.0.1:0 >"$workdir/drain.log" 2>&1 &
-serve_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$workdir/drain.log" | head -n 1)
-  if [ -n "$addr" ] && curl -fsS "http://$addr/readyz" >/dev/null 2>&1; then
-    break
-  fi
-  addr=""
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve-smoke: drain daemon never became ready" >&2; cat "$workdir/drain.log" >&2; exit 1; }
+start_serve drain /readyz -cpg "$cpg"
 
 curl -fsS "http://$addr/healthz" | grep -q '"ok": true' || {
   echo "serve-smoke: /healthz did not report ok" >&2; exit 1;
@@ -184,11 +125,11 @@ grep -q 'draining' "$workdir/drain.log" || {
 echo "serve-smoke: graceful shutdown round passed (SIGTERM drained, exit 0)"
 
 # Journal round: record with a write-ahead journal, SIGKILL a twin run
-# mid-recording, recover the orphaned journal, and serve the recovery.
-# The recovered prefix must match the uninterrupted run's journal
-# replayed to the same epoch byte-for-byte, the recovery must say it is
-# degraded, and the served graph must answer queries with the same bytes
-# as the local engine over the recovered artifact.
+# mid-recording, recover the orphaned journal to a .cpg, and serve that
+# artifact. The recovered prefix must match the uninterrupted run's
+# journal replayed to the same epoch byte-for-byte, the recovery and the
+# daemon's listing must both say degraded, and the served graph must
+# answer queries with the same bytes as the local engine over the file.
 go build -o "$workdir/inspector-recover" ./cmd/inspector-recover
 
 jref="$workdir/jref"
@@ -223,28 +164,16 @@ diff -u "$workdir/ref-analysis.json" "$workdir/killed-analysis.json" || {
   exit 1
 }
 
-"$workdir/inspector-serve" -journal "$jkill" -addr 127.0.0.1:0 >"$workdir/journal.log" 2>&1 &
-serve_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$workdir/journal.log" | head -n 1)
-  if [ -n "$addr" ] && "$workdir/cpg-query" -remote "http://$addr" stats >/dev/null 2>&1; then
-    break
-  fi
-  addr=""
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve-smoke: journal daemon never became ready" >&2; cat "$workdir/journal.log" >&2; exit 1; }
-grep -q 'torn tail\|unsealed' "$workdir/journal.log" || {
-  echo "serve-smoke: daemon log never announced the degraded recovery" >&2
-  cat "$workdir/journal.log" >&2
+start_serve journal stats -cpg "$workdir/recovered.cpg"
+curl -fsS "http://$addr/v1/cpgs" | grep -q '"degraded": true' || {
+  echo "serve-smoke: listing does not mark the recovered .cpg degraded" >&2
+  curl -fsS "http://$addr/v1/cpgs" >&2 || true
   exit 1
 }
 
-# Remote answers over the recovered journal match the local engine over
-# the recovered artifact — stats included: the .cpg carries the
-# recovered analysis itself, epoch and gap marks with it.
+# Remote answers match the local engine over the same artifact — stats
+# included: the .cpg carries the recovered analysis itself, epoch and
+# gap marks with it.
 jcheck() {
   echo "serve-smoke: journal cpg-query $*"
   "$workdir/cpg-query" -cpg "$workdir/recovered.cpg" "$@" >"$workdir/local.out"
@@ -260,11 +189,9 @@ jcheck edges data
 jcheck slice T0.0
 jcheck taint T0.0
 jcheck verify
-echo "serve-smoke: journal round passed (killed at epoch $epoch, recovered, served, byte-identical)"
+echo "serve-smoke: journal round passed (killed at epoch $epoch, recovered, served degraded, byte-identical)"
 
-kill "$serve_pid" 2>/dev/null || true
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 
 # CPG-directory round: serve a directory of recorded .cpg files lazily
 # under a deliberately tiny resident budget, and hold the bounded-memory
@@ -277,20 +204,7 @@ cp "$cpg" "$cpgdir/histogram.cpg"
 "$workdir/inspector-run" -app word_count -threads 1 -size small -seed 2 \
   -cpg "$cpgdir/word_count.cpg" >/dev/null
 
-"$workdir/inspector-serve" -cpgdir "$cpgdir" -resident-budget 4096 \
-  -addr 127.0.0.1:0 >"$workdir/cpgdir.log" 2>&1 &
-serve_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$workdir/cpgdir.log" | head -n 1)
-  if [ -n "$addr" ] && "$workdir/cpg-query" -remote "http://$addr" -id histogram stats >/dev/null 2>&1; then
-    break
-  fi
-  addr=""
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "serve-smoke: cpgdir daemon never became ready" >&2; cat "$workdir/cpgdir.log" >&2; exit 1; }
+start_serve cpgdir "-id histogram stats" -cpgdir "$cpgdir" -resident-budget 4096
 
 dcheck() {
   echo "serve-smoke: cpgdir cpg-query $*"
@@ -324,28 +238,87 @@ cpgs=$(curl -fsS "http://$addr/v1/store" | sed -n 's/.*"cpgs": \([0-9]*\).*/\1/p
 }
 echo "serve-smoke: cpgdir round passed (lazy store byte-identical, $hits cache hits)"
 
-kill "$serve_pid" 2>/dev/null || true
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 
 # Ingest round: the distributed fabric. An aggregator accepts streamed
-# epoch-delta frames; a clean 4-thread journaled + streamed run must
-# leave it holding the byte-identical analysis of that run's journal,
-# and a SIGKILLed one resumed via inspector-recover -stream must
-# converge on its journal's bytes at the durable epoch.
-"$workdir/inspector-serve" -ingest -addr 127.0.0.1:0 >"$workdir/ingest.log" 2>&1 &
-serve_pid=$!
+# epoch-delta frames. First a run is served WHILE it records: watch must
+# see the epoch advance and end when the stream seals, every query kind
+# must answer mid-run, and the sealed source must answer with the bytes
+# of the run's own .cpg. Then a clean 4-thread journaled + streamed run
+# must leave the aggregator holding the byte-identical analysis of that
+# run's journal, and a SIGKILLed one resumed via inspector-recover
+# -stream must converge on its journal's bytes at the durable epoch.
+start_serve ingest /readyz -ingest
 
-addr=""
+# slow-fold fires inside every epoch's fold (1 ms each, ~4.8k epochs),
+# so the mid-run window is seconds wide.
+own="$workdir/own.cpg"
+live=canneal-t2-s1
+"$workdir/inspector-run" -app canneal -threads 2 -size medium -seed 1 -cpg "$own" \
+  -stream "http://$addr" -faults "slow-fold:every=1" >"$workdir/live-run.out" 2>&1 &
+run_pid=$!
+lq() { "$workdir/cpg-query" -remote "http://$addr" -id "$live" "$@"; }
+# Empty until the recorder's hello has created the source.
+live_epoch() { { lq -format json stats 2>/dev/null || true; } | sed -n 's/.*"epoch": \([0-9]*\).*/\1/p'; }
+
+e1=""
 for _ in $(seq 1 100); do
-  addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$workdir/ingest.log" | head -n 1)
-  if [ -n "$addr" ] && curl -fsS "http://$addr/readyz" >/dev/null 2>&1; then
-    break
-  fi
-  addr=""
-  sleep 0.1
+  e1=$(live_epoch)
+  [ -n "$e1" ] && [ "$e1" -ge 1 ] && break
+  sleep 0.05
 done
-[ -n "$addr" ] || { echo "serve-smoke: ingest daemon never became ready" >&2; cat "$workdir/ingest.log" >&2; exit 1; }
+[ -n "$e1" ] && [ "$e1" -ge 1 ] || {
+  echo "serve-smoke: streamed source never answered with an epoch (got '$e1')" >&2
+  cat "$workdir/live-run.out" >&2
+  exit 1
+}
+lq watch >"$workdir/watch.out" &
+watch_pid=$!
+lq verify >/dev/null
+lq edges >/dev/null
+lq edges data >"$workdir/live-data-edges.out"
+lq slice T0.1 >/dev/null
+lq taint T0.0 >/dev/null
+lq path T0.0 T0.1 >/dev/null
+live_edge=$(head -n 1 "$workdir/live-data-edges.out")
+[ -z "$live_edge" ] || lq lineage "$(echo "$live_edge" | sed -n 's/.*pages=\[\([0-9]*\).*/\1/p')" \
+  "$(echo "$live_edge" | awk '{print $3}')" >/dev/null
+e2=$(live_epoch)
+kill -0 "$run_pid" 2>/dev/null || {
+  echo "serve-smoke: the streamed run ended before the mid-run queries did" >&2; exit 1;
+}
+[ "$e2" -gt "$e1" ] || {
+  echo "serve-smoke: epoch never advanced past $e1 while the run streamed" >&2; exit 1;
+}
+wait "$run_pid" || { echo "serve-smoke: streamed run failed" >&2; cat "$workdir/live-run.out" >&2; exit 1; }
+wait "$watch_pid" || { echo "serve-smoke: watch did not exit 0 when the stream sealed" >&2; exit 1; }
+sed -n 's/^epoch \([0-9]*\)$/\1/p' "$workdir/watch.out" >"$workdir/watch-epochs.out"
+[ "$(wc -l <"$workdir/watch-epochs.out")" -ge 2 ] && sort -n -c -u "$workdir/watch-epochs.out" &&
+  tail -n 1 "$workdir/watch.out" | grep -q '^closed (final epoch' || {
+  echo "serve-smoke: watch did not print increasing epochs and a close" >&2
+  cat "$workdir/watch.out" >&2
+  exit 1
+}
+echo "serve-smoke: epoch advanced $e1 -> $e2 mid-run, every query kind answered, watch followed $(wc -l <"$workdir/watch-epochs.out") epochs to the seal"
+
+# Sealed, the source answers with the bytes of the run's own .cpg; only
+# the stats epoch line tells a stream from a file.
+fcheck() {
+  echo "serve-smoke: sealed stream cpg-query $*"
+  "$workdir/cpg-query" -cpg "$own" "$@" | grep -v '^epoch:' >"$workdir/local.out"
+  lq "$@" | grep -v '^epoch:' >"$workdir/remote.out"
+  diff -u "$workdir/local.out" "$workdir/remote.out" || {
+    echo "serve-smoke: sealed stream diverges from the run's own .cpg for: $*" >&2
+    exit 1
+  }
+}
+fcheck stats
+fcheck verify
+fcheck edges
+fcheck edges data
+fcheck slice T0.300
+fcheck taint T0.0
+echo "serve-smoke: fabric live round passed (sealed stream = the run's own .cpg)"
 
 # Clean 4-thread run with journal, stream and live stats all on: they
 # are sinks of one fold, so the run reports one epoch count for all
@@ -420,6 +393,4 @@ diff -u "$workdir/ref-at-kill.json" "$workdir/agg-resumed.json" || {
 }
 echo "serve-smoke: ingest round passed (clean stream byte-identical; SIGKILL at epoch $skill_epoch resumed byte-identical)"
 
-kill "$serve_pid" 2>/dev/null || true
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
