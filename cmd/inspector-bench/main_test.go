@@ -15,8 +15,17 @@ func TestParseThreads(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-experiment", "fig99"}); err == nil {
-		t.Error("unknown experiment accepted")
+	// mem, pt, cpg and fabric were the BENCH_*.json snapshot drivers;
+	// those suites are go-test benchmarks now and have no alias here.
+	for _, exp := range []string{"fig99", "mem", "pt", "cpg", "fabric"} {
+		if err := run([]string{"-experiment", exp}); err == nil {
+			t.Errorf("experiment %q accepted", exp)
+		}
+	}
+	for _, gone := range []string{"-out", "-baseline", "-cpuprofile", "-memprofile"} {
+		if err := run([]string{gone, "x"}); err == nil {
+			t.Errorf("flag %s accepted", gone)
+		}
 	}
 	if err := run([]string{"-size", "zzz"}); err == nil {
 		t.Error("bad size accepted")

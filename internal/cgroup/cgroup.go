@@ -1,18 +1,15 @@
-// Package cgroup simulates the two Linux control-group controllers
-// INSPECTOR depends on (§V-B, §VII):
-//
-//   - perf_event: the paper creates a cgroup exclusively for the traced
-//     application because the threading library turns threads into
-//     processes whose PIDs are not known in advance; membership is
-//     inherited across fork, so every forked "thread" is captured by the
-//     same PT trace session.
-//   - cpuacct: the paper measures its "work" metric (total CPU
-//     utilization over all threads) with the CPU accounting controller.
+// Package cgroup simulates the Linux perf_event control-group
+// controller INSPECTOR depends on (§V-B): the paper creates a cgroup
+// exclusively for the traced application because the threading library
+// turns threads into processes whose PIDs are not known in advance;
+// membership is inherited across fork, so every forked "thread" is
+// captured by the same PT trace session. (The paper reads its "work"
+// metric from cpuacct, §VII; here vtime.Accounting sums it from the
+// per-thread virtual clocks, so no accounting controller is modelled.)
 //
 // The simulation keeps the same semantics: a hierarchy of named groups,
 // processes that belong to exactly one group, children inheriting the
-// parent's group at fork, hierarchical usage accounting, and descendant
-// matching for event filters.
+// parent's group at fork, and descendant matching for event filters.
 package cgroup
 
 import (
@@ -20,8 +17,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"github.com/repro/inspector/internal/vtime"
 )
 
 // Errors returned by hierarchy operations.
@@ -45,7 +40,6 @@ type Group struct {
 	parent *Group
 
 	mu    sync.Mutex
-	usage vtime.Cycles // cpuacct.usage, hierarchical
 	procs map[int32]struct{}
 }
 
@@ -185,14 +179,4 @@ func (g *Group) Contains(pid int32) bool {
 		cur = cur.parent
 	}
 	return false
-}
-
-// ChargeCPU adds CPU usage to this group and all ancestors (cpuacct is
-// hierarchical).
-func (g *Group) ChargeCPU(c vtime.Cycles) {
-	for cur := g; cur != nil; cur = cur.parent {
-		cur.mu.Lock()
-		cur.usage += c
-		cur.mu.Unlock()
-	}
 }

@@ -1,64 +1,28 @@
-// Package cpgbench is the shared CPG-core benchmark harness: one set of
-// scenario bodies consumed both by internal/core's go-test suite and by
-// `inspector-bench -experiment cpg`, so the committed BENCH_cpg.json
-// snapshot measures exactly what `go test -bench` measures and the two
-// can never drift apart. Everything drives the public core API only, so
-// the same scenarios remain valid across store rewrites — the baseline
-// section of BENCH_cpg.json was produced by running these scenario
-// shapes against the pre-columnar (global-RWMutex, map-backed) core.
+// Package cpgbench generates the deterministic random executions that
+// benchmarks and tests across the repo record into a core.Graph:
+// BuildRandomGraph for a finished graph, Schedule for an execution
+// replayed in chunks with an analysis between them (internal/core's
+// live-fold benchmarks and its large-schedule equivalence test).
+// Everything drives the public core API only, so the same executions
+// remain valid across store rewrites.
 package cpgbench
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
-	"testing"
 
 	"github.com/repro/inspector/internal/core"
 )
 
-const (
-	// endSubBatch is the sub-computations recorded per op in the EndSub
-	// scenarios; batching keeps the graph (which retains every vertex)
-	// freshly rebuilt each op so memory stays bounded at any b.N.
-	endSubBatch = 1000
-	// endSubWorkers is the recording-thread count of the parallel
-	// scenario. Serial and parallel record the same total work per op,
-	// so their ns/op are directly comparable: the gap is pure
-	// contention on the vertex-append path.
-	endSubWorkers = 8
-)
-
-func newRecorder(g *core.Graph, slot int) *core.Recorder {
-	r, err := core.NewRecorder(g, slot, 0)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// endSubs drives n sub-computations through one recorder: 4 reads, 4
-// writes, 2 branches, then the sync boundary.
-func endSubs(g *core.Graph, rec *core.Recorder, n int, pageBase uint64) {
-	sa := g.InternSite("bench.a")
-	sb := g.InternSite("bench.b")
-	ev := core.SyncEvent{Kind: core.SyncRelease, Object: g.InternObject("l")}
-	for i := 0; i < n; i++ {
-		p := pageBase + uint64(i%29)
-		rec.OnRead(p)
-		rec.OnRead(p + 3)
-		rec.OnRead(p + 7)
-		rec.OnRead(p + 11)
-		rec.OnWrite(p + 1)
-		rec.OnWrite(p + 5)
-		rec.OnWrite(p + 9)
-		rec.OnWrite(p + 13)
-		rec.OnBranch(sa, i%2 == 0)
-		rec.OnBranch(sb, i%3 == 0)
-		if _, err := rec.EndSub(ev, 0); err != nil {
+func newRecorders(g *core.Graph) []*core.Recorder {
+	recs := make([]*core.Recorder, g.Threads())
+	for i := range recs {
+		r, err := core.NewRecorder(g, i, 0)
+		if err != nil {
 			panic(err)
 		}
+		recs[i] = r
 	}
+	return recs
 }
 
 // BuildRandomGraph records a deterministic random execution: steps
@@ -68,10 +32,7 @@ func endSubs(g *core.Graph, rec *core.Recorder, n int, pageBase uint64) {
 func BuildRandomGraph(threads, steps, pageRange, rw int, seed int64) *core.Graph {
 	r := rand.New(rand.NewSource(seed))
 	g := core.NewGraph(threads)
-	recs := make([]*core.Recorder, threads)
-	for i := range recs {
-		recs[i] = newRecorder(g, i)
-	}
+	recs := newRecorders(g)
 	lock := g.NewSyncObject("l", false)
 	ev := core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}
 	for s := 0; s < steps; s++ {
@@ -90,30 +51,10 @@ func BuildRandomGraph(threads, steps, pageRange, rw int, seed int64) *core.Graph
 	return g
 }
 
-// pageSetInput is the PageSet/add workload: 96 draws over 1024 pages
-// (duplicates included, as fault streams produce them).
-var pageSetInput = func() []uint64 {
-	r := rand.New(rand.NewSource(7))
-	out := make([]uint64, 96)
-	for i := range out {
-		out[i] = uint64(r.Intn(1024))
-	}
-	return out
-}()
-
-// Case is one benchmark scenario.
-type Case struct {
-	// Name follows the BENCH_cpg.json row naming ("EndSub/serial", ...).
-	Name string
-	// Bytes, when non-zero, is the payload size per op for MB/s.
-	Bytes int64
-	Fn    func(b *testing.B)
-}
-
-// liveSchedule is one deterministic pre-drawn recording schedule, so
-// the incremental-analysis scenarios replay identical executions per op
-// without re-seeding rand inside the timed region.
-type liveSchedule struct {
+// Schedule is one deterministic pre-drawn recording schedule, so
+// scenarios that analyze an execution while it grows replay identical
+// executions without re-seeding rand inside a timed region.
+type Schedule struct {
 	threads int
 	// thread[i], pages[i] drive step i: thread[i] reads pages[i][0..rw)
 	// and writes pages[i][rw..2rw), then transfers the mutex.
@@ -121,9 +62,10 @@ type liveSchedule struct {
 	pages  [][]uint64
 }
 
-func drawSchedule(threads, steps, pageRange, rw int, seed int64) *liveSchedule {
+// DrawSchedule draws steps steps of the BuildRandomGraph shape.
+func DrawSchedule(threads, steps, pageRange, rw int, seed int64) *Schedule {
 	r := rand.New(rand.NewSource(seed))
-	s := &liveSchedule{threads: threads}
+	s := &Schedule{threads: threads}
 	for i := 0; i < steps; i++ {
 		s.thread = append(s.thread, r.Intn(threads))
 		ps := make([]uint64, 2*rw)
@@ -135,12 +77,32 @@ func drawSchedule(threads, steps, pageRange, rw int, seed int64) *liveSchedule {
 	return s
 }
 
-// replay records schedule steps [lo, hi) into g.
-func (s *liveSchedule) replay(g *core.Graph, recs []*core.Recorder, lock *core.SyncObject, lo, hi int) {
-	ev := core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}
-	for i := lo; i < hi; i++ {
-		rec := recs[s.thread[i]]
-		ps := s.pages[i]
+// Steps returns the schedule's length.
+func (s *Schedule) Steps() int { return len(s.thread) }
+
+// Replay is one recording of a Schedule into a fresh graph, advanced in
+// chunks.
+type Replay struct {
+	Graph *core.Graph
+
+	s    *Schedule
+	recs []*core.Recorder
+	lock *core.SyncObject
+	done int
+}
+
+// NewReplay starts a recording of s at step 0.
+func (s *Schedule) NewReplay() *Replay {
+	g := core.NewGraph(s.threads)
+	return &Replay{Graph: g, s: s, recs: newRecorders(g), lock: g.NewSyncObject("l", false)}
+}
+
+// To records the schedule's steps up to (excluding) step upto.
+func (r *Replay) To(upto int) {
+	ev := core.SyncEvent{Kind: core.SyncRelease, Object: r.lock.Ref()}
+	for ; r.done < upto; r.done++ {
+		rec := r.recs[r.s.thread[r.done]]
+		ps := r.s.pages[r.done]
 		for j := 0; j < len(ps)/2; j++ {
 			rec.OnRead(ps[j])
 			rec.OnWrite(ps[len(ps)/2+j])
@@ -149,209 +111,7 @@ func (s *liveSchedule) replay(g *core.Graph, recs []*core.Recorder, lock *core.S
 		if err != nil {
 			panic(err)
 		}
-		rec.Release(lock, sc)
-		rec.Acquire(lock)
+		rec.Release(r.lock, sc)
+		rec.Acquire(r.lock)
 	}
-}
-
-// runLive replays the schedule in `epochs` evenly sized chunks, calling
-// analyze after each chunk. Recording happens off the clock
-// (b.StopTimer), so the measured cost is purely the analysis work — the
-// number the live pipeline pays per run at a given epoch cadence.
-func (s *liveSchedule) runLive(b *testing.B, epochs int, analyze func(g *core.Graph) *core.Analysis) {
-	steps := len(s.thread)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := core.NewGraph(s.threads)
-		recs := make([]*core.Recorder, s.threads)
-		for t := range recs {
-			recs[t] = newRecorder(g, t)
-		}
-		lock := g.NewSyncObject("l", false)
-		done := 0
-		for e := 1; e <= epochs; e++ {
-			upto := steps * e / epochs
-			s.replay(g, recs, lock, done, upto)
-			done = upto
-			b.StartTimer()
-			analyze(g)
-			b.StopTimer()
-		}
-		b.StartTimer()
-	}
-}
-
-// Cases returns the CPG-core scenarios: the EndSub append path serial
-// and contended, the data-edge derivation sparse and dense, analysis
-// construction, a wide backward slice (the sortSubIDs regression), the
-// full invariant check, the PageSet hot path, and the live pipeline's
-// epoch folds (IncrementalAnalyze vs. the naive full re-Analyze at the
-// same cadence).
-func Cases() []Case {
-	sparse := BuildRandomGraph(8, 2000, 64, 1, 42)
-	dense := BuildRandomGraph(8, 2000, 24, 4, 43)
-	wide := BuildRandomGraph(4, 4000, 16, 1, 44)
-	wideA := wide.Analyze()
-	var wideTarget core.SubID
-	for _, sc := range wide.Subs() {
-		if sc.ID.Thread == 0 {
-			wideTarget = sc.ID
-		}
-	}
-	sparseA := sparse.Analyze()
-
-	return []Case{
-		{Name: "EndSub/serial", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := core.NewGraph(endSubWorkers)
-				endSubs(g, newRecorder(g, 0), endSubBatch, 0)
-			}
-		}},
-		{Name: "EndSub/parallel8", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := core.NewGraph(endSubWorkers)
-				var wg sync.WaitGroup
-				for w := 0; w < endSubWorkers; w++ {
-					wg.Add(1)
-					go func(slot int) {
-						defer wg.Done()
-						endSubs(g, newRecorder(g, slot), endSubBatch/endSubWorkers, uint64(slot)*64)
-					}(w)
-				}
-				wg.Wait()
-			}
-		}},
-		{Name: "DataEdges/sparse", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sparse.DataEdges()
-			}
-		}},
-		{Name: "DataEdges/dense", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dense.DataEdges()
-			}
-		}},
-		{Name: "Analyze/sparse", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sparse.Analyze()
-			}
-		}},
-		{Name: "Slice/wide", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				wideA.Slice(wideTarget)
-			}
-		}},
-		{Name: "Verify/sparse", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := sparseA.Verify(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{Name: "PageSet/add", Fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := core.NewPageSet()
-				for _, p := range pageSetInput {
-					s.Add(p)
-				}
-			}
-		}},
-	}
-}
-
-// incAnalyzeFn returns a runLive analyze callback that folds each epoch
-// with one analyzer per graph. reference selects the retained serial
-// full-rebuild fold (NewReferenceAnalyzer, the pre-incremental
-// implementation and the equivalence oracle); otherwise workers pins
-// the fold's data-edge derivation fan-out (0 = GOMAXPROCS).
-func incAnalyzeFn(workers int, reference bool) func(g *core.Graph) *core.Analysis {
-	var inc *core.IncrementalAnalyzer
-	var last *core.Graph
-	return func(g *core.Graph) *core.Analysis {
-		if g != last {
-			if reference {
-				inc = core.NewReferenceAnalyzer(g)
-			} else {
-				inc = core.NewIncrementalAnalyzer(g)
-				inc.SetFoldWorkers(workers)
-			}
-			last = g
-		}
-		return inc.Fold()
-	}
-}
-
-// LiveCases returns the live-pipeline scenarios: the same 2000-step
-// 8-thread execution as DataEdges/sparse, recorded off the clock and
-// analyzed at a 1/8/64-epoch cadence. IncrementalAnalyze/* folds each
-// epoch with one shared IncrementalAnalyzer (default worker fan-out);
-// IncrementalAnalyzeParallel/* pins the fold's derivation fan-out to 8
-// workers; ReAnalyze/* runs the post-mortem batch Analyze at every
-// epoch boundary instead — the naive way to serve queries mid-run,
-// quadratic in total graph size. The per-op number is the cumulative
-// analysis cost of the whole run at that cadence.
-func LiveCases() []Case {
-	sched := drawSchedule(8, 2000, 64, 1, 42)
-	cases := []Case{}
-	for _, epochs := range []int{1, 8, 64} {
-		epochs := epochs
-		cases = append(cases,
-			Case{Name: fmt.Sprintf("IncrementalAnalyze/epochs%d", epochs), Fn: func(b *testing.B) {
-				sched.runLive(b, epochs, incAnalyzeFn(0, false))
-			}},
-			Case{Name: fmt.Sprintf("ReAnalyze/epochs%d", epochs), Fn: func(b *testing.B) {
-				sched.runLive(b, epochs, func(g *core.Graph) *core.Analysis {
-					return g.Analyze()
-				})
-			}},
-		)
-	}
-	for _, epochs := range []int{8, 64} {
-		epochs := epochs
-		cases = append(cases, Case{
-			Name: fmt.Sprintf("IncrementalAnalyzeParallel/epochs%d", epochs),
-			Fn: func(b *testing.B) {
-				sched.runLive(b, epochs, incAnalyzeFn(8, false))
-			},
-		})
-	}
-	return cases
-}
-
-// largeEpochs is the fold cadence of the large-graph scenarios.
-const largeEpochs = 64
-
-// largeSchedule draws the large-graph execution lazily (and at most
-// once), so benchmark runs that filter the Large rows out never pay the
-// 2^20-step draw or its memory.
-var largeSchedule = sync.OnceValue(func() *liveSchedule {
-	return drawSchedule(8, 1<<20, 4096, 2, 46)
-})
-
-// LargeCases returns the large-graph live scenarios: a 2^20-step
-// 8-thread execution (>=10^6 vertices) folded at a 64-epoch cadence.
-// "serial" is the retained full-rebuild reference fold — per epoch it
-// re-derives nothing but rebuilds the whole CSR from scratch, which is
-// what every fold cost before the incremental store; workers1 and
-// workers8 run the incremental delta-overlay fold with the data-edge
-// derivation fan-out pinned to 1 and 8 workers. The per-op number is
-// the cumulative analysis cost of the whole run.
-func LargeCases() []Case {
-	rows := []struct {
-		name      string
-		workers   int
-		reference bool
-	}{
-		{"IncrementalAnalyzeLarge/serial", 1, true},
-		{"IncrementalAnalyzeLarge/workers1", 1, false},
-		{"IncrementalAnalyzeLarge/workers8", 8, false},
-	}
-	var cases []Case
-	for _, r := range rows {
-		r := r
-		cases = append(cases, Case{Name: r.name, Fn: func(b *testing.B) {
-			largeSchedule().runLive(b, largeEpochs, incAnalyzeFn(r.workers, r.reference))
-		}})
-	}
-	return cases
 }

@@ -7,14 +7,14 @@ import (
 
 // This file is the storage layer behind Analysis: two append-only edge
 // arenas (sync, data) plus a sealed-base + per-epoch-delta adjacency
-// overlay. The flat builder (newAnalysis: .cpg loads, the reference
-// fold) seals everything into one base; the fold — Graph.Analyze is one
-// fold — appends each epoch's edges to the shared arenas and stacks a
-// small overlay layer on top, so sealing an epoch costs O(delta) instead
-// of re-materializing O(graph) flat state. Compaction
-// (collapse layers, reseal the base) runs on geometric thresholds,
-// keeping the per-epoch cost amortized O(delta · log) while every
-// already-published Analysis keeps its own immutable view.
+// overlay. The flat builder (newAnalysis: .cpg loads, the tests'
+// reference fold) seals everything into one base; the fold —
+// Graph.Analyze is one fold — appends each epoch's edges to the shared
+// arenas and stacks a small overlay layer on top, so sealing an epoch
+// costs O(delta) instead of re-materializing O(graph) flat state.
+// Compaction (collapse layers, reseal the base) runs on geometric
+// thresholds, keeping the per-epoch cost amortized O(delta · log) while
+// every already-published Analysis keeps its own immutable view.
 //
 // Why an overlay works at all: every edge materialized in an epoch has
 // its To among that epoch's new vertices (control edges by
@@ -456,22 +456,32 @@ func (st *incStore) view(g *Graph, lens []int, epoch uint64) *Analysis {
 	return a
 }
 
+// visitScratch is one traversal's reusable visit state: the run-list
+// scratch of the k-way section merge, and the Edge the synthesized
+// control edges are handed to the callback in. The callback is an
+// indirect call, so an Edge declared per visit would escape — one heap
+// Edge per visited vertex; declared per traversal it is one.
+type visitScratch struct {
+	runs [][]edgeRef
+	ctrl Edge
+}
+
 // visitSuccs walks id's outgoing edges in the canonical per-vertex
 // order — the synthesized control edge first, then the sync section,
 // then the data section, each section k-way merged across the base and
 // the overlay layers. fn returning false stops the walk; visitSuccs
 // reports whether it ran to completion. The Edge pointer is valid only
-// for the duration of the callback. scratch is per-traversal run-list
-// scratch, reused across visits.
-func (a *Analysis) visitSuccs(id SubID, scratch *[][]edgeRef, fn func(ref edgeRef, e *Edge) bool) bool {
+// for the duration of the callback. sc is per-traversal scratch, reused
+// across visits.
+func (a *Analysis) visitSuccs(id SubID, sc *visitScratch, fn func(ref edgeRef, e *Edge) bool) bool {
 	if int(id.Alpha)+1 < a.lens[id.Thread] {
-		ctrl := Edge{From: id, To: SubID{Thread: id.Thread, Alpha: id.Alpha + 1}, Kind: EdgeControl}
-		if !fn(ctrlRef, &ctrl) {
+		sc.ctrl = Edge{From: id, To: SubID{Thread: id.Thread, Alpha: id.Alpha + 1}, Kind: EdgeControl}
+		if !fn(ctrlRef, &sc.ctrl) {
 			return false
 		}
 	}
-	return a.visitSuccSection(id, false, scratch, fn) &&
-		a.visitSuccSection(id, true, scratch, fn)
+	return a.visitSuccSection(id, false, &sc.runs, fn) &&
+		a.visitSuccSection(id, true, &sc.runs, fn)
 }
 
 func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, fn func(ref edgeRef, e *Edge) bool) bool {
@@ -524,10 +534,10 @@ func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, f
 // visitPreds walks id's incoming edges in the canonical per-vertex
 // order — control first, then the stored [sync][data] slot. Same
 // callback contract as visitSuccs.
-func (a *Analysis) visitPreds(id SubID, fn func(ref edgeRef, e *Edge) bool) bool {
+func (a *Analysis) visitPreds(id SubID, sc *visitScratch, fn func(ref edgeRef, e *Edge) bool) bool {
 	if id.Alpha > 0 {
-		ctrl := Edge{From: SubID{Thread: id.Thread, Alpha: id.Alpha - 1}, To: id, Kind: EdgeControl}
-		if !fn(ctrlRef, &ctrl) {
+		sc.ctrl = Edge{From: SubID{Thread: id.Thread, Alpha: id.Alpha - 1}, To: id, Kind: EdgeControl}
+		if !fn(ctrlRef, &sc.ctrl) {
 			return false
 		}
 	}

@@ -426,3 +426,26 @@ func BenchmarkDeltaCodec(b *testing.B) {
 		}
 	})
 }
+
+// TestAllocsDeltaCodecEncode pins BenchmarkDeltaCodec/encode's 0
+// allocs/op: AppendWire into a buffer that has reached its working size
+// allocates nothing. (Named Allocs*, so the -race -run TestDeltaCodec
+// pattern does not select it: the race detector allocates.)
+func TestAllocsDeltaCodecEncode(t *testing.T) {
+	deltas, _ := codecDeltas(t, 2, 7)
+	var buf []byte
+	i := 0
+	encode := func() {
+		var err error
+		if buf, err = deltas[i%len(deltas)].AppendWire(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range deltas {
+		encode()
+	}
+	if got := testing.AllocsPerRun(len(deltas), encode); got != 0 {
+		t.Errorf("AppendWire: %v allocs per delta, want 0", got)
+	}
+}

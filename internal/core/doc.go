@@ -43,8 +43,9 @@
 //     fold agree by construction (ExportJSON byte-identical).
 //
 // The oracles the property tests hold both to are independent of the
-// fold: dataEdgesReference specifies the derivation, and the flat
-// newAnalysis (through NewReferenceAnalyzer) the store.
+// fold and compiled only into the tests: dataEdgesReference specifies
+// the derivation, and the flat newAnalysis (through the tests'
+// ReferenceAnalyzer, export_test.go) the store.
 //
 // See DESIGN.md, sections "The columnar CPG core" (store layout, CSR
 // adjacency, derivation fast paths) and "The live pipeline" (epoch

@@ -1,8 +1,10 @@
 package core
 
+import "slices"
+
 // Test-only exports: the external (core_test) equivalence tests reach
-// the package's oracles — the spec derivation and the flat builder —
-// through these.
+// the package's oracles — the spec derivation, the flat builder and the
+// full-rebuild fold — through these.
 
 // ReferenceSections derives a's canonical edge sections from the spec:
 // the graph's sync-edge log restricted to a's prefix, and
@@ -21,4 +23,32 @@ func ReferenceSections(a *Analysis) (syncEdges, dataEdges []Edge) {
 // a's prefix and epoch over the given sections.
 func FlatAnalysis(a *Analysis, syncEdges, dataEdges []Edge) *Analysis {
 	return newAnalysis(a.g, syncEdges, dataEdges, a.ThreadLens(), a.epoch)
+}
+
+// ReferenceAnalyzer is the serial full-rebuild-per-epoch fold — what
+// every fold cost before the overlay store — kept as the executable
+// spec the equivalence tests and BenchmarkIncrementalAnalyzeLarge
+// measure incStore against. It shares the fold's cut, derivation and
+// sync-log steps and replaces only the store: each epoch re-merges the
+// flat sections and rebuilds the whole Analysis through newAnalysis.
+type ReferenceAnalyzer struct {
+	inc                  *IncrementalAnalyzer
+	syncEdges, dataEdges []Edge
+}
+
+// NewReferenceAnalyzer prepares an empty reference fold over g.
+func NewReferenceAnalyzer(g *Graph) *ReferenceAnalyzer {
+	inc := NewIncrementalAnalyzer(g)
+	inc.SetFoldWorkers(1)
+	return &ReferenceAnalyzer{inc: inc}
+}
+
+// Fold seals one epoch, O(graph).
+func (r *ReferenceAnalyzer) Fold() *Analysis {
+	inc := r.inc
+	newSubs := inc.captureCut()
+	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(newSubs))
+	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.consumeSyncLogs(nil))
+	inc.epoch++
+	return newAnalysis(inc.g, r.syncEdges, r.dataEdges, slices.Clone(inc.lens), inc.epoch)
 }

@@ -36,9 +36,10 @@ import (
 // Graph.DataEdges are one fold of a throw-away analyzer over the whole
 // graph, so k folds and one fold are the same code and the equivalence
 // property tests pin them byte-identical. The oracles are independent
-// of it: dataEdgesReference (dataedges.go) specifies the derivation,
-// and NewReferenceAnalyzer retains the serial full-rebuild-per-epoch
-// fold through the flat newAnalysis as the reference for the store.
+// of it and live with the tests: dataEdgesReference specifies the
+// derivation, and the tests' ReferenceAnalyzer (export_test.go) re-merges
+// flat sections and rebuilds through the flat newAnalysis every epoch as
+// the spec for the store.
 //
 // # Why folding is sound: causally consistent cuts
 //
@@ -82,12 +83,7 @@ type IncrementalAnalyzer struct {
 	writers map[uint64][]incRun
 
 	// st accumulates the arenas and the adjacency overlay across epochs.
-	// The reference analyzer instead re-merges flat sections per epoch
-	// (syncEdges/dataEdges) and rebuilds everything through newAnalysis.
-	st        *incStore
-	reference bool
-	syncEdges []Edge
-	dataEdges []Edge
+	st *incStore
 
 	// workers caps the fold's data-edge derivation fan-out (0 =
 	// GOMAXPROCS); workerHook, when set, runs at the start of every
@@ -144,24 +140,12 @@ func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 	}
 }
 
-// NewReferenceAnalyzer prepares a fold state that derives serially and
-// rebuilds the full flat Analysis every epoch — the pre-overlay fold,
-// kept as the executable reference the equivalence property tests and
-// the IncrementalAnalyzeLarge benchmarks measure the incremental path
-// against. Its per-epoch cost is O(graph); do not use it live.
-func NewReferenceAnalyzer(g *Graph) *IncrementalAnalyzer {
-	inc := NewIncrementalAnalyzer(g)
-	inc.reference = true
-	inc.st = nil
-	return inc
-}
-
 // SetFoldWorkers caps the number of worker goroutines Fold fans the
 // data-edge derivation across: 0 (the default) means GOMAXPROCS,
 // negative values are treated as 0, 1 forces the serial path. Small
 // epochs use fewer workers regardless (one per foldWorkerGrain new
 // readers). Takes effect at the next Fold; not safe to call
-// concurrently with Fold. Reference analyzers always derive serially.
+// concurrently with Fold.
 func (inc *IncrementalAnalyzer) SetFoldWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -231,14 +215,7 @@ func (inc *IncrementalAnalyzer) fold(capture bool) (*Analysis, *EpochDelta) {
 	newSync := inc.consumeSyncLogs(d)
 
 	inc.epoch++
-	var a *Analysis
-	if inc.reference {
-		inc.dataEdges = mergeSortedEdges(inc.dataEdges, newData)
-		inc.syncEdges = mergeSortedEdges(inc.syncEdges, newSync)
-		a = newAnalysis(inc.g, inc.syncEdges, inc.dataEdges, slices.Clone(inc.lens), inc.epoch)
-	} else {
-		a = inc.st.extend(inc.g, newSync, newData, inc.lens, inc.prevLens, inc.epoch)
-	}
+	a := inc.st.extend(inc.g, newSync, newData, inc.lens, inc.prevLens, inc.epoch)
 	if capture {
 		// The interner tail comes last: every ref the captured vertices
 		// and sync edges use was interned before its user sealed, so
@@ -335,9 +312,6 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 	workers := inc.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if inc.reference {
-		workers = 1
 	}
 	if maxw := (len(newSubs) + foldWorkerGrain - 1) / foldWorkerGrain; workers > maxw {
 		workers = maxw

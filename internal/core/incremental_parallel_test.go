@@ -2,8 +2,9 @@ package core_test
 
 // Tests of the parallel fold path: SetFoldWorkers fans the fold's
 // data-edge derivation across workers, and nothing about the result may
-// depend on the fan-out. The equivalence oracle is NewReferenceAnalyzer
-// — the retained serial full-rebuild fold — plus the batch Analyze.
+// depend on the fan-out. The equivalence oracle is the test-only
+// ReferenceAnalyzer (export_test.go) — the serial full-rebuild fold —
+// plus the batch Analyze.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/core/cpgbench"
 )
 
 // TestIncrementalParallelMatchesReferenceOverRandomPrefixes folds the
@@ -283,5 +285,56 @@ func TestIncrementalDeferredAcquirerManyEpochs(t *testing.T) {
 	}
 	if got, want := exportBytes(t, a), exportBytes(t, g.Analyze()); !bytes.Equal(got, want) {
 		t.Fatal("final fold diverges from batch")
+	}
+}
+
+// TestIncrementalLargeScheduleEquivalence is the reduced-size cut of
+// BenchmarkIncrementalAnalyzeLarge, run as a test (and in CI's -race
+// sweep): the benchmarks compare the full-rebuild reference fold against
+// the incremental delta-overlay fold, which is only meaningful if they
+// compute the same thing. It replays the large-schedule shape (same
+// threads/pageRange/rw/seed, fewer steps) at a 16-epoch cadence through
+// the reference fold and the incremental fold at 1 and 8 workers,
+// requiring byte-identical exports per epoch, and a final export
+// identical to the post-mortem batch Analyze.
+func TestIncrementalLargeScheduleEquivalence(t *testing.T) {
+	steps, epochs := 20000, 16
+	if testing.Short() {
+		steps, epochs = 4000, 8
+	}
+	sched := cpgbench.DrawSchedule(8, steps, 4096, 2, 46)
+
+	replayFolds := func(mk func(g *core.Graph) func() *core.Analysis,
+		onEpoch func(e int, a *core.Analysis)) *core.Graph {
+		rp := sched.NewReplay()
+		fold := mk(rp.Graph)
+		for e := 1; e <= epochs; e++ {
+			rp.To(steps * e / epochs)
+			onEpoch(e, fold())
+		}
+		return rp.Graph
+	}
+
+	want := make([][]byte, 0, epochs)
+	g := replayFolds(func(g *core.Graph) func() *core.Analysis {
+		return core.NewReferenceAnalyzer(g).Fold
+	}, func(_ int, a *core.Analysis) {
+		want = append(want, exportBytes(t, a))
+	})
+
+	for _, workers := range []int{1, 8} {
+		replayFolds(func(g *core.Graph) func() *core.Analysis {
+			inc := core.NewIncrementalAnalyzer(g)
+			inc.SetFoldWorkers(workers)
+			return inc.Fold
+		}, func(e int, a *core.Analysis) {
+			if got := exportBytes(t, a); !bytes.Equal(got, want[e-1]) {
+				t.Fatalf("workers=%d: epoch %d export differs from reference fold", workers, e)
+			}
+		})
+	}
+
+	if got := exportBytes(t, g.Analyze()); !bytes.Equal(got, want[epochs-1]) {
+		t.Fatalf("batch Analyze export differs from final fold")
 	}
 }

@@ -105,7 +105,7 @@ func subInPrefix(id SubID, lens []int) bool {
 // newAnalysis builds a fully sealed analysis over already-derived sync
 // and data sections (each canonically sorted): the whole edge set goes
 // into one sealed successor base with no overlay. NewAnalysisFromSections
-// (the .cpg load path) and the incremental reference fold land here; the
+// (the .cpg load path) and the tests' reference fold land here; the
 // fold proper — Analyze included — builds structurally equivalent
 // analyses through incStore.view, and the equivalence property tests pin
 // the two byte-identical.
@@ -276,7 +276,7 @@ func (a *Analysis) closure(ctx context.Context, id SubID, kinds []EdgeKind, forw
 	seen[start] = true
 	stack := []SubID{id}
 	var out []SubID
-	var runs [][]edgeRef
+	var scratch visitScratch
 	popped := 0
 	visit := func(_ edgeRef, e *Edge) bool {
 		if !kindIn(e.Kind, kinds) {
@@ -304,9 +304,9 @@ func (a *Analysis) closure(ctx context.Context, id SubID, kinds []EdgeKind, forw
 			}
 		}
 		if forward {
-			a.visitSuccs(cur, &runs, visit)
+			a.visitSuccs(cur, &scratch, visit)
 		} else {
-			a.visitPreds(cur, visit)
+			a.visitPreds(cur, &scratch, visit)
 		}
 	}
 	sortSubIDs(out)
@@ -367,7 +367,8 @@ func (a *Analysis) PageLineageCtx(ctx context.Context, p uint64, at SubID) ([]Li
 	}
 	var out []Lineage
 	var walkErr error
-	a.visitPreds(at, func(_ edgeRef, e *Edge) bool {
+	var scratch visitScratch
+	a.visitPreds(at, &scratch, func(_ edgeRef, e *Edge) bool {
 		if e.Kind != EdgeData {
 			return true
 		}
@@ -453,7 +454,7 @@ func (a *Analysis) PathCtx(ctx context.Context, from, to SubID, kinds ...EdgeKin
 		parent[i] = pathUnset
 	}
 	queue := []SubID{from}
-	var runs [][]edgeRef
+	var scratch visitScratch
 	found := false
 	popped := 0
 	for len(queue) > 0 && !found {
@@ -464,7 +465,7 @@ func (a *Analysis) PathCtx(ctx context.Context, from, to SubID, kinds ...EdgeKin
 				return nil, err
 			}
 		}
-		a.visitSuccs(cur, &runs, func(ref edgeRef, e *Edge) bool {
+		a.visitSuccs(cur, &scratch, func(ref edgeRef, e *Edge) bool {
 			if !kindIn(e.Kind, kinds) {
 				return true
 			}
@@ -617,7 +618,7 @@ func (a *Analysis) checkAcyclic(ctx context.Context) error {
 			queue = append(queue, int32(i))
 		}
 	}
-	var runs [][]edgeRef
+	var scratch visitScratch
 	removed := 0
 	var ctxErr error
 	for len(queue) > 0 {
@@ -629,7 +630,7 @@ func (a *Analysis) checkAcyclic(ctx context.Context) error {
 				return ctxErr
 			}
 		}
-		a.visitSuccs(a.idAt(cur), &runs, func(_ edgeRef, e *Edge) bool {
+		a.visitSuccs(a.idAt(cur), &scratch, func(_ edgeRef, e *Edge) bool {
 			vi, ok := a.vertexIndex(e.To)
 			if !ok {
 				return true

@@ -7,8 +7,9 @@ package core
 // extracting the canonical sections of an Analysis, appending restored
 // vertices and sync-edge log entries to a Graph, and assembling an
 // Analysis directly over pre-derived sections (a checked front for the
-// flat builder newAnalysis, which the reference fold shares; Analyze and
-// the live fold derive their sections and build through incStore).
+// flat builder newAnalysis, which the tests' reference fold shares;
+// Analyze and the live fold derive their sections and build through
+// incStore).
 
 import "fmt"
 

@@ -4,8 +4,7 @@
 // throughput: zero dropped epochs (every source sealed exactly at its
 // recorder's final epoch) and byte-identical exports (aggregator fold ==
 // recorder fold for every source). The report carries ingest and query
-// throughput plus query latency quantiles for inspector-bench
-// -experiment fabric.
+// throughput plus query latency quantiles for BenchmarkFabric.
 package loadtest
 
 import (

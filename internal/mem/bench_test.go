@@ -7,23 +7,22 @@ import (
 // The substrate benchmark suite. Every tracked access in the system funnels
 // through Space.Read/Write and every synchronization boundary through
 // Space.Commit, so these microbenchmarks bound the reproduction's Figure 5/6
-// overhead numbers. cmd/inspector-bench re-runs the same scenarios
-// (self-timed) to emit the BENCH_mem.json perf snapshot.
+// overhead numbers. TestAllocsHotPaths pins the allocation-free paths.
 
 const benchRegionBase = 0x4000_0000
 
-func benchBacking(b *testing.B) *Backing {
-	b.Helper()
+func benchBacking(tb testing.TB) *Backing {
+	tb.Helper()
 	bk, err := NewBacking("heap", benchRegionBase, 64<<20, DefaultPageSize)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return bk
 }
 
-func benchSpace(b *testing.B) *Space {
-	b.Helper()
-	return NewSpace(1, []*Backing{benchBacking(b)}, nil, true)
+func benchSpace(tb testing.TB) *Space {
+	tb.Helper()
+	return NewSpace(1, []*Backing{benchBacking(tb)}, nil, true)
 }
 
 // diffPage builds a 4 KiB priv/twin pair with the given mutation pattern.
@@ -145,5 +144,89 @@ func BenchmarkReadClean(b *testing.B) {
 			b.Fatal(err)
 		}
 		a = (a + 8) % (pages * DefaultPageSize)
+	}
+}
+
+// TestAllocsHotPaths pins what the benchmarks above report as 0
+// allocs/op: the tracked read/write fast path (same-page and
+// page-hopping), clean reads, the diff of an unmodified page, and
+// BenchmarkCommit's steady state — fault, twin and diff 16 pages out of
+// the page pool; once its 32 line offsets are all written the rewrites
+// change no byte, so the one allocation a publishing commit makes
+// (Diff's range slice) is not in it. (Named Allocs*, not after the
+// paths, so -race -run patterns never select it: the race detector
+// allocates.)
+func TestAllocsHotPaths(t *testing.T) {
+	const pages = 16
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// warm faults every page in by reading it (clean) or storing to it
+	// (private and writable), as the benchmarks' set-up does.
+	warm := func(store bool) *Space {
+		s := benchSpace(t)
+		for p := 0; p < pages; p++ {
+			a := Addr(benchRegionBase + p*DefaultPageSize)
+			if store {
+				_, err := s.StoreU64(a, 1)
+				check(err)
+			} else {
+				_, err := s.LoadU64(a)
+				check(err)
+			}
+		}
+		return s
+	}
+	readWrite := func(stride Addr) func() {
+		s := warm(true)
+		var a Addr
+		return func() {
+			addr := Addr(benchRegionBase) + a
+			v, err := s.LoadU64(addr)
+			check(err)
+			_, err = s.StoreU64(addr, v+1)
+			check(err)
+			a = (a + stride) % (pages * DefaultPageSize)
+		}
+	}
+	clean := warm(false)
+	var cleanAt Addr
+	var line [64]byte
+	for i := range line {
+		line[i] = byte(i + 1)
+	}
+	commit := benchSpace(t)
+	i := 0
+	commitOnce := func() {
+		for p := 0; p < pages; p++ {
+			_, err := commit.Write(Addr(benchRegionBase+p*DefaultPageSize+(i%32)*64), line[:])
+			check(err)
+		}
+		commit.Commit()
+		i++
+	}
+	for i < 32 {
+		commitOnce()
+	}
+	priv, twin := diffPage("identical")
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ReadWrite/seq", readWrite(8)},
+		{"ReadWrite/strided", readWrite(DefaultPageSize)},
+		{"ReadClean", func() {
+			_, err := clean.LoadU64(Addr(benchRegionBase) + cleanAt)
+			check(err)
+			cleanAt = (cleanAt + DefaultPageSize + 8) % (pages * DefaultPageSize)
+		}},
+		{"Diff/identical", func() { Diff(priv, twin, 8) }},
+		{"Commit", commitOnce},
+	} {
+		if got := testing.AllocsPerRun(200, c.fn); got != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", c.name, got)
+		}
 	}
 }

@@ -27,7 +27,8 @@ type DiffRange struct {
 // The scan compares eight bytes at a time (the word-wise coalescing of the
 // DSM lineage this design borrows from) with byte-precise fixups at run
 // boundaries; the ranges returned are identical to the byte-at-a-time
-// reference implementation diffReference, which the property tests verify.
+// reference implementation diffReference (diff_test.go), which the
+// property tests verify.
 func Diff(priv, twin []byte, minGap int) []DiffRange {
 	if len(priv) != len(twin) {
 		// Caller bug; diffing different-sized buffers has no meaning.
@@ -138,48 +139,6 @@ func Diff(priv, twin []byte, minGap int) []DiffRange {
 			// One right-sized allocation covers typical range counts
 			// instead of growing through the tiny append size classes.
 			out = make([]DiffRange, 0, 16)
-		}
-		out = append(out, DiffRange{Off: start, Len: end - start})
-		i = end + gap
-	}
-	return out
-}
-
-// diffReference is the original byte-at-a-time diff, retained as the
-// executable specification for Diff: the property tests assert the
-// word-wise scan produces identical ranges for arbitrary pages and gaps.
-func diffReference(priv, twin []byte, minGap int) []DiffRange {
-	if len(priv) != len(twin) {
-		n := len(priv)
-		if len(twin) < n {
-			n = len(twin)
-		}
-		if n == 0 {
-			return nil
-		}
-		return []DiffRange{{Off: 0, Len: n}}
-	}
-	var out []DiffRange
-	i := 0
-	n := len(priv)
-	for i < n {
-		if priv[i] == twin[i] {
-			i++
-			continue
-		}
-		start := i
-		end := i + 1
-		gap := 0
-		for j := end; j < n; j++ {
-			if priv[j] != twin[j] {
-				end = j + 1
-				gap = 0
-				continue
-			}
-			gap++
-			if gap >= minGap {
-				break
-			}
 		}
 		out = append(out, DiffRange{Off: start, Len: end - start})
 		i = end + gap

@@ -265,3 +265,45 @@ func BenchmarkDiffDense(b *testing.B) {
 		Diff(priv, twin, 8)
 	}
 }
+
+// diffReference is the original byte-at-a-time diff, retained as the
+// executable specification for Diff: the property tests assert the
+// word-wise scan produces identical ranges for arbitrary pages and gaps.
+func diffReference(priv, twin []byte, minGap int) []DiffRange {
+	if len(priv) != len(twin) {
+		n := len(priv)
+		if len(twin) < n {
+			n = len(twin)
+		}
+		if n == 0 {
+			return nil
+		}
+		return []DiffRange{{Off: 0, Len: n}}
+	}
+	var out []DiffRange
+	i := 0
+	n := len(priv)
+	for i < n {
+		if priv[i] == twin[i] {
+			i++
+			continue
+		}
+		start := i
+		end := i + 1
+		gap := 0
+		for j := end; j < n; j++ {
+			if priv[j] != twin[j] {
+				end = j + 1
+				gap = 0
+				continue
+			}
+			gap++
+			if gap >= minGap {
+				break
+			}
+		}
+		out = append(out, DiffRange{Off: start, Len: end - start})
+		i = end + gap
+	}
+	return out
+}

@@ -76,20 +76,6 @@ func (p Packet) TNTBit(i int) bool {
 	return p.TNT>>uint(p.TNTLen-1-i)&1 == 1
 }
 
-// TNTBits materializes the packed TNT payload as a []bool, oldest
-// first — the reference representation, used by dump tooling and tests;
-// hot paths consume TNT/TNTLen directly.
-func (p Packet) TNTBits() []bool {
-	if p.TNTLen == 0 {
-		return nil
-	}
-	bits := make([]bool, p.TNTLen)
-	for i := range bits {
-		bits[i] = p.TNTBit(i)
-	}
-	return bits
-}
-
 // Opcode bytes and TIP-family sub-opcodes.
 const (
 	opPad        = 0x00
@@ -226,19 +212,6 @@ func appendTNT(dst []byte, v uint64, n int) ([]byte, error) {
 	return dst, nil
 }
 
-// appendTNTBools is the reference []bool form of appendTNT, retained for
-// the representation-equivalence property tests.
-func appendTNTBools(dst []byte, bits []bool) ([]byte, error) {
-	var v uint64
-	for _, b := range bits {
-		v <<= 1
-		if b {
-			v |= 1
-		}
-	}
-	return appendTNT(dst, v, len(bits))
-}
-
 // tntUnpack splits the wire payload value (stop bit above oldest) into
 // the packed bits and their count.
 func tntUnpack(v uint64) (bits uint64, n int) {
@@ -247,24 +220,6 @@ func tntUnpack(v uint64) (bits uint64, n int) {
 		return 0, 0
 	}
 	return v &^ (1 << uint(top)), top
-}
-
-// tntBitsRef extracts TNT bits (oldest first) from the packed payload
-// value as a []bool — the reference decoder form, used by property tests
-// to pin the packed representation.
-func tntBitsRef(v uint64) []bool {
-	if v == 0 {
-		return nil
-	}
-	top := 63
-	for top > 0 && v>>(uint(top))&1 == 0 {
-		top--
-	}
-	bits := make([]bool, top)
-	for i := 0; i < top; i++ {
-		bits[i] = v>>(uint(top-1-i))&1 == 1
-	}
-	return bits
 }
 
 // appendPSB appends the 16-byte PSB pattern.

@@ -312,3 +312,48 @@ func TestPacketTypeString(t *testing.T) {
 		t.Error("unknown type should render UNKNOWN")
 	}
 }
+
+// TNTBits materializes the packed TNT payload as a []bool, oldest
+// first — the reference representation; hot paths consume TNT/TNTLen
+// directly.
+func (p Packet) TNTBits() []bool {
+	if p.TNTLen == 0 {
+		return nil
+	}
+	bits := make([]bool, p.TNTLen)
+	for i := range bits {
+		bits[i] = p.TNTBit(i)
+	}
+	return bits
+}
+
+// appendTNTBools is the reference []bool form of appendTNT, retained for
+// the representation-equivalence property tests.
+func appendTNTBools(dst []byte, bits []bool) ([]byte, error) {
+	var v uint64
+	for _, b := range bits {
+		v <<= 1
+		if b {
+			v |= 1
+		}
+	}
+	return appendTNT(dst, v, len(bits))
+}
+
+// tntBitsRef extracts TNT bits (oldest first) from the packed payload
+// value as a []bool — the reference decoder form, used by property tests
+// to pin the packed representation.
+func tntBitsRef(v uint64) []bool {
+	if v == 0 {
+		return nil
+	}
+	top := 63
+	for top > 0 && v>>(uint(top))&1 == 0 {
+		top--
+	}
+	bits := make([]bool, top)
+	for i := 0; i < top; i++ {
+		bits[i] = v>>(uint(top-1-i))&1 == 1
+	}
+	return bits
+}

@@ -605,7 +605,6 @@ func (t *Thread) finish() {
 		t.charge(CatApp, t.rt.model.SyncOp)
 	}
 	t.joinVT.Release(t.clk.Now())
-	t.rt.cg.ChargeCPU(t.clk.Work())
 	t.rt.hier.Exit(t.p.PID)
 	t.rt.table.Exit(t.p.PID)
 	close(t.joinCh)

@@ -1,46 +1,103 @@
 package provenance_test
 
-// The query-engine benchmark suite. Scenario bodies live in
-// provenance/enginebench — shared verbatim with `inspector-bench
-// -experiment cpg`, which snapshots them into the committed
-// BENCH_cpg.json next to the core scenarios. This file is an external
-// test package because enginebench imports provenance.
+// The query-engine benchmark suite: slice and taint — the two
+// closure-heavy query kinds — against the dense cpgbench execution (24
+// pages, 4 accesses per sub-computation over 8 threads: a rich
+// happens-before web; the same graph as internal/core's
+// BenchmarkDataEdgesDense), serially and 8-way parallel. Serial and
+// parallel perform the same per-op work, so their ratio exposes how well
+// concurrent clients share one immutable Analysis — given idle cores to
+// run them on.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
-	"github.com/repro/inspector/provenance/enginebench"
+	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/core/cpgbench"
+	"github.com/repro/inspector/provenance"
 )
 
-// cases memoizes enginebench.Cases(): the fixture (one dense graph and
-// its analysis) is read-only across scenarios.
-var cases = sync.OnceValue(enginebench.Cases)
+// queryWorkers is the fan-out of the parallel benchmarks.
+const queryWorkers = 8
 
-func runCase(b *testing.B, name string) {
-	b.Helper()
-	for _, c := range cases() {
-		if c.Name == name {
-			b.ReportAllocs()
-			b.ResetTimer()
-			c.Fn(b)
-			return
+// benchEngine memoizes the fixture (read-only across benchmarks): the
+// engine over the dense graph and a slice of thread 0's last vertex.
+var benchEngine = sync.OnceValues(func() (*provenance.Engine, provenance.Query) {
+	g := cpgbench.BuildRandomGraph(8, 2000, 24, 4, 43)
+	var target core.SubID
+	for _, sc := range g.Subs() {
+		if sc.ID.Thread == 0 {
+			target = sc.ID
 		}
 	}
-	b.Fatalf("no enginebench case %q", name)
+	return provenance.NewEngine(g.Analyze(), provenance.EngineOptions{}),
+		provenance.Query{Kind: provenance.KindSlice, Target: target.String()}
+})
+
+var taintQuery = provenance.Query{Kind: provenance.KindTaint, Target: "T1.0"}
+
+func benchSerial(b *testing.B, eng *provenance.Engine, q provenance.Query) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Execute(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchParallel runs queryWorkers concurrent executions per op (the same
+// total work as queryWorkers serial ops), so ns/op divided by the serial
+// benchmark measures scaling, not a smaller workload.
+func benchParallel(b *testing.B, eng *provenance.Engine, q provenance.Query) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, queryWorkers)
+		for w := 0; w < queryWorkers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := eng.Execute(ctx, q); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkQueryEngine measures one backward slice through the Engine
-// (query validation, closure traversal, wire conversion) on the dense
-// cpgbench scenario.
-func BenchmarkQueryEngine(b *testing.B) { runCase(b, "QueryEngine/slice") }
+// (query validation, closure traversal, wire conversion).
+func BenchmarkQueryEngine(b *testing.B) {
+	eng, sliceQuery := benchEngine()
+	benchSerial(b, eng, sliceQuery)
+}
 
 // BenchmarkQueryEngineParallel runs 8 concurrent slices per op against
 // the shared engine — the inspector-serve concurrency story.
-func BenchmarkQueryEngineParallel(b *testing.B) { runCase(b, "QueryEngine/slice-par8") }
+func BenchmarkQueryEngineParallel(b *testing.B) {
+	eng, sliceQuery := benchEngine()
+	benchParallel(b, eng, sliceQuery)
+}
 
 // BenchmarkQueryEngineTaint measures forward taint through the Engine.
-func BenchmarkQueryEngineTaint(b *testing.B) { runCase(b, "QueryEngine/taint") }
+func BenchmarkQueryEngineTaint(b *testing.B) {
+	eng, _ := benchEngine()
+	benchSerial(b, eng, taintQuery)
+}
 
 // BenchmarkQueryEngineTaintParallel is the 8-way taint variant.
-func BenchmarkQueryEngineTaintParallel(b *testing.B) { runCase(b, "QueryEngine/taint-par8") }
+func BenchmarkQueryEngineTaintParallel(b *testing.B) {
+	eng, _ := benchEngine()
+	benchParallel(b, eng, taintQuery)
+}

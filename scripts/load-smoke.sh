@@ -133,6 +133,6 @@ done
 
 # Throughput/latency numbers come from the in-process soak, which holds
 # itself to the same contract on every iteration.
-go run ./cmd/inspector-bench -experiment fabric -out - | tail -n 40
+go test ./internal/harness/loadtest -run '^$' -bench BenchmarkFabric -benchtime=3x | grep '^Benchmark'
 
 echo "load-smoke: $recorders recorders x $clients clients passed (zero dropped epochs, byte-identical exports)"
