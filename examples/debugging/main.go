@@ -60,7 +60,8 @@ func main() {
 
 	fmt.Printf("final balance: %d (1400 if the fee ran first, 1350 if the deposit ran first)\n\n", final)
 
-	// Live snapshots are a separate facility: TakeSnapshot's ok result
+	// A live snapshot is a retained epoch of the recording's fold, kept
+	// only under Options.SnapshotMode: TakeSnapshot's ok result
 	// distinguishes "snapshot mode is off" (this run) from "an empty
 	// capture" (possible early in a SnapshotMode run).
 	if _, ok := rt.TakeSnapshot(); !ok {

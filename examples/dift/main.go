@@ -2,12 +2,13 @@
 // tracking over the CPG. A taint seeded on sensitive input propagates
 // along data-dependence edges; a policy checker at the output boundary
 // refuses to emit data whose provenance reaches the sensitive source —
-// the paper's proposed glibc-wrapper policy check, built on TaintedBy.
+// the paper's proposed glibc-wrapper policy check, built on DescendantsCtx.
 //
 // Run with: go run ./examples/dift
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -88,7 +89,11 @@ func main() {
 	for _, sc := range rt.CPG().Subs() {
 		if sc.ReadSet.Contains(secretPage) {
 			taint[sc.ID] = true
-			for _, id := range analysis.Descendants(sc.ID, inspector.EdgeData, inspector.EdgeControl) {
+			flows, err := analysis.DescendantsCtx(context.Background(), sc.ID, inspector.EdgeData, inspector.EdgeControl)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, id := range flows {
 				taint[id] = true
 			}
 		}

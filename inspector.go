@@ -142,11 +142,15 @@ type Options struct {
 	// 4096, the paper's choice; the ablation benchmarks vary it).
 	PageSize int
 	// SnapshotMode bounds trace space with an overwriting AUX ring and
-	// enables the live snapshot facility (§VI). Without it the full
-	// trace is retained.
+	// enables the live snapshot facility (§VI): a ring of retained
+	// epochs, one more sink of the epoch pipeline. It folds on the
+	// sealing thread — once per snapshot on its own, at
+	// JournalEverySeals beside Journal, Stream or Live. Without it the
+	// full trace is retained.
 	SnapshotMode bool
-	// SnapshotEverySyncs takes an automatic consistent cut each N
-	// synchronization boundaries when SnapshotMode is set (default 64).
+	// SnapshotEverySyncs retains the first epoch whose cut covers each
+	// further N sealed sub-computations (one per synchronization
+	// boundary) when SnapshotMode is set (default 64).
 	SnapshotEverySyncs uint64
 	// SnapshotSlots is the snapshot ring capacity (default 4).
 	SnapshotSlots int
@@ -154,8 +158,8 @@ type Options struct {
 	// Query answers against the newest completed epoch *during* Run
 	// instead of only after it returns — the paper's online-provenance
 	// property. Epoch and WaitEpoch expose the fold progress. On its own
-	// it folds on a background goroutine; with Journal or Stream set it
-	// publishes their folds.
+	// it folds on a background goroutine; with Journal, Stream or
+	// SnapshotMode set it publishes their folds.
 	// Incompatible with Native (there is no graph to fold).
 	Live bool
 	// Journal, when set, makes recording crash-durable: every sealed
@@ -206,19 +210,19 @@ type Runtime struct {
 	rt    *threading.Runtime
 	app   string
 	runID string
-	snaps *snapshot.Snapshotter
+	snaps *snapshot.Ring
 
 	// feed publishes the epoch pipeline's folds (Options.Live); when
 	// set, Query serves the newest epoch instead of the lazy post-Run
 	// engine.
 	feed *provenance.Feed
-	// drv is the sealing-thread pipeline (Options.Journal, Stream), up
-	// its stream sink.
+	// drv is the sealing-thread pipeline (Options.Journal, Stream,
+	// SnapshotMode), up its stream sink.
 	drv *epoch.Driver
 	up  *provenance.Uploader
 
-	// closeEpochs ends the epoch pipeline (Options.Live, Journal,
-	// Stream) after the workload: the final fold, each sink's finish.
+	// closeEpochs ends the epoch pipeline, whichever option built it,
+	// after the workload: the final fold, each sink's finish.
 	closeEpochs func() error
 
 	engineOnce sync.Once
@@ -261,6 +265,10 @@ func (o Options) validate() error {
 	if o.Stream != "" && o.RunID == "" {
 		return fmt.Errorf("%w: Stream requires a RunID (the aggregator binds the source to it)", ErrBadOptions)
 	}
+	if name := cmp.Or(o.StreamID, o.RunID); o.Stream != "" && !provenance.ValidSourceName(name) {
+		return fmt.Errorf("%w: stream source name %q (StreamID, else RunID) must be 1-128 chars of [A-Za-z0-9._-]",
+			ErrBadOptions, name)
+	}
 	if o.JournalEverySeals < 0 {
 		return fmt.Errorf("%w: JournalEverySeals %d is negative (0 means every seal)",
 			ErrBadOptions, o.JournalEverySeals)
@@ -273,11 +281,12 @@ func (o Options) validate() error {
 // or not a power of two, fail with an error wrapping ErrBadOptions.
 //
 // New is the one assembly of the recording pipeline: the sealing
-// threads' epoch.Driver feeding journal, live feed and stream in that
-// order (an epoch is durable before it is observable, here or on the
-// aggregator), or an off-thread LiveEngine when nothing durable needs
-// the fold on the commit path. The CLIs bind their flags to Options and
-// call it.
+// threads' epoch.Driver feeding journal, live feed, snapshot ring and
+// stream in that order (an epoch is durable before it is observable,
+// here or on the aggregator), or an off-thread LiveEngine when nothing
+// needs the fold on the commit path. The CLIs bind their flags to
+// Options and call it. A failing New leaves nothing behind: no journal
+// segment, no sender goroutine.
 func New(opts Options) (*Runtime, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -319,8 +328,9 @@ func New(opts Options) (*Runtime, error) {
 	rt := &Runtime{rt: inner, app: opts.AppName, runID: opts.RunID}
 	g := inner.Graph()
 	var sinks []epoch.Sink
+	var jw *journal.Writer
 	if opts.Journal != "" {
-		w, err := journal.Create(journal.Options{
+		jw, err = journal.Create(journal.Options{
 			Dir:       opts.Journal,
 			Threads:   g.Threads(),
 			RunID:     opts.RunID,
@@ -331,12 +341,21 @@ func New(opts Options) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.runID = w.RunID()
-		sinks = append(sinks, w)
+		rt.runID = jw.RunID()
+		sinks = append(sinks, jw)
 	}
-	if opts.Live && (opts.Journal != "" || opts.Stream != "") {
+	snapshots := opts.SnapshotMode && !opts.Native
+	snapEvery := cmp.Or(opts.SnapshotEverySyncs, 64)
+	if opts.Live && (opts.Journal != "" || opts.Stream != "" || snapshots) {
 		rt.feed = provenance.NewFeed(g.Threads(), eopts)
 		sinks = append(sinks, rt.feed.Sink())
+	}
+	if snapshots {
+		rt.snaps = snapshot.New(inner.Session(), snapshot.Options{
+			Slots:      opts.SnapshotSlots,
+			EverySeals: snapEvery,
+		})
+		sinks = append(sinks, rt.snaps)
 	}
 	if opts.Stream != "" {
 		rt.up, err = provenance.NewUploader(&provenance.Client{
@@ -348,17 +367,26 @@ func New(opts Options) (*Runtime, error) {
 			App:    opts.AppName,
 		})
 		if err != nil {
+			// Left behind, the journal would refuse the corrected retry.
+			if jw != nil {
+				err = errors.Join(err, jw.Discard())
+			}
 			return nil, err
 		}
 		sinks = append(sinks, rt.up)
 	}
 	switch {
 	case len(sinks) > 0:
-		// A journal or stream keeps the fold on the sealing thread (the
-		// durability contract: the epoch sealed by a crashing commit is
-		// already appended and queued).
+		// A journal, stream or snapshot ring keeps the fold on the sealing
+		// thread (the durability contract: the epoch sealed by a crashing
+		// commit is already appended and queued).
+		every := uint64(opts.JournalEverySeals)
+		if rt.snaps != nil && len(sinks) == 1 {
+			// The ring is the fold's only consumer: fold once per snapshot.
+			every = snapEvery
+		}
 		rt.drv = epoch.NewDriver(g, epoch.Options{
-			Every:      uint64(opts.JournalEverySeals),
+			Every:      every,
 			WorkerHook: eopts.FoldWorkerHook,
 		}, sinks...)
 		// Registered before the fault hook on purpose: commit hooks run in
@@ -386,21 +414,6 @@ func New(opts Options) (*Runtime, error) {
 				panic(fmt.Sprintf("injected workload panic after %v", id))
 			}
 		})
-	}
-	if opts.SnapshotMode && !opts.Native {
-		every := opts.SnapshotEverySyncs
-		if every == 0 {
-			every = 64
-		}
-		s, err := snapshot.New(inner, snapshot.Options{
-			Slots:      opts.SnapshotSlots,
-			EverySyncs: every,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rt.snaps = s
-		inner.RegisterSnapshotHook(s.Hook())
 	}
 	return rt, nil
 }
@@ -520,8 +533,9 @@ var ErrNotLive = errors.New("inspector: runtime not in live mode (set Options.Li
 
 // Epoch returns the newest completed epoch. Under Options.Live alone it
 // is ≥ 1 once the runtime exists (the pipeline folds epoch 1 eagerly);
-// with Options.Journal or Stream epoch k is journal record k and wire
-// frame k, 0 until the first seal. It returns 0 with none of the three.
+// with Options.Journal, Stream or SnapshotMode epoch k is journal
+// record k, wire frame k and Snapshot.Cut.Epoch k, 0 until the first
+// fold. It returns 0 with none of the four.
 func (r *Runtime) Epoch() uint64 {
 	switch {
 	case r.feed != nil:
@@ -564,13 +578,17 @@ func (r *Runtime) WriteCPG(w io.Writer) error {
 func (r *Runtime) DecodeTraces() (map[int32]int, error) { return r.rt.DecodeTraces() }
 
 // Snapshots returns the retained consistent-cut snapshots, oldest first.
+// Each is a retained epoch of the fold journal, stream and live feed
+// share: Cut.Epoch names it, Cut.Frontier is its per-thread prefix, and
+// Analysis covers exactly that prefix — provenance.NewEngine answers
+// every query kind against it, cpgfile.Encode takes it out of the
+// process.
 //
 // The snapshot facility only exists when the runtime was created with
 // Options.SnapshotMode set (and not Native): without it, Snapshots
 // always returns nil — indistinguishable from "snapshot mode is on but
-// nothing has been captured yet". Callers that need to tell the two
-// apart should check the ok result of TakeSnapshot, which reports
-// whether the facility is available at all.
+// nothing has been captured yet". TakeSnapshot's ok result tells the
+// two apart.
 func (r *Runtime) Snapshots() []*Snapshot {
 	if r.snaps == nil {
 		return nil
@@ -579,7 +597,10 @@ func (r *Runtime) Snapshots() []*Snapshot {
 }
 
 // TakeSnapshot forces an immediate consistent cut (the SIGUSR2 trigger
-// of the paper's perf integration) and stores it in the snapshot ring.
+// of the paper's perf integration) and stores it in the snapshot ring:
+// it folds one epoch now — the other sinks see it too — and the ring
+// retains it whatever its cadence. After Close it returns the final
+// epoch.
 //
 // The ok result reports whether the snapshot facility exists: it is
 // false — with a nil snapshot — when the runtime was created without
@@ -591,7 +612,7 @@ func (r *Runtime) TakeSnapshot() (*Snapshot, bool) {
 	if r.snaps == nil {
 		return nil, false
 	}
-	return r.snaps.TakeSnapshot(), true
+	return r.snaps.Take(r.drv.Fold), true
 }
 
 // Unwrap exposes the underlying threading runtime for advanced use

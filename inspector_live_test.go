@@ -15,7 +15,18 @@ import (
 // sub-computations sealed so far; after Run returns the final epoch
 // matches the batch analysis of the complete graph.
 func TestLiveQueryDuringRun(t *testing.T) {
-	rt, err := inspector.New(inspector.Options{AppName: "live-test", Live: true})
+	t.Run("off-thread", func(t *testing.T) {
+		liveQueryDuringRun(t, inspector.Options{AppName: "live-test", Live: true})
+	})
+	// With a snapshot ring the fold stays on the sealing thread and the
+	// feed publishes the driver's epochs, as it does beside a journal.
+	t.Run("beside-snapshots", func(t *testing.T) {
+		liveQueryDuringRun(t, inspector.Options{AppName: "live-test", Live: true, SnapshotMode: true, SnapshotEverySyncs: 4})
+	})
+}
+
+func liveQueryDuringRun(t *testing.T, opts inspector.Options) {
+	rt, err := inspector.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +74,14 @@ func TestLiveQueryDuringRun(t *testing.T) {
 	}
 	midSubs := res.Stats.SubComputations
 	midEpoch := res.Epoch
+	if opts.SnapshotMode {
+		// 16 seals at one snapshot per 4: the ring is full of epochs the
+		// feed has already published.
+		snaps := rt.Snapshots()
+		if len(snaps) != 4 || snaps[3].Cut.Epoch > rt.Epoch() || snaps[3].Cut.Size() != 16 {
+			t.Fatalf("mid-run ring = %d snapshots at live epoch %d, want 4 with the newest covering 16 subs", len(snaps), rt.Epoch())
+		}
+	}
 
 	close(release)
 	if err := <-runDone; err != nil {

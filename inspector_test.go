@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -227,7 +228,10 @@ func TestRuntimeQuery(t *testing.T) {
 
 	// The same engine answers concurrent queries; results agree with the
 	// direct core API.
-	want := rt.CPG().Analyze().TaintedBy(inspector.SubID{Thread: 1, Alpha: 0})
+	want, err := rt.CPG().Analyze().TaintedByCtx(ctx, inspector.SubID{Thread: 1, Alpha: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -294,6 +298,40 @@ func TestPublicAPIJournal(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("recovered graph diverges from the runtime's CPG")
 	}
+}
+
+// TestFailingNewLeavesNothingBehind: an assembly that fails must not
+// poison its journal directory — a segment left behind makes
+// journal.Create turn the corrected retry away as "mixing runs".
+func TestFailingNewLeavesNothingBehind(t *testing.T) {
+	dir := t.TempDir()
+	opts := inspector.Options{
+		Journal:  dir,
+		Stream:   "http://127.0.0.1:1", // nothing listens: the retry's flush is cancelled below
+		RunID:    "r",
+		StreamID: "bad name!",
+	}
+	rt, err := inspector.New(opts)
+	if rt != nil || err == nil {
+		t.Fatalf("New with a bad stream source name = %v, %v", rt, err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("failed New left %v in the journal directory (err %v)", left, err)
+	}
+	if !errors.Is(err, inspector.ErrBadOptions) {
+		t.Errorf("New with a bad stream source name: %v does not wrap ErrBadOptions", err)
+	}
+	opts.StreamID = "good-name"
+	rt, err = inspector.New(opts)
+	if err != nil {
+		t.Fatalf("corrected retry on the same directory: %v", err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rt.WaitStream(ctx) // stops the sender
 }
 
 func TestJournalOptionsValidation(t *testing.T) {

@@ -10,6 +10,7 @@ package core_test
 // TestAllocsSliceVerifyPerVertex bounds the traversals' allocations.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -57,6 +58,9 @@ func endSubs(g *core.Graph, slot, n int, pageBase uint64) {
 		}
 	}
 }
+
+// bg is the context of the queries this package's tests never cancel.
+var bg = context.Background()
 
 // The fixtures are read-only across benchmarks, so each — and the CI
 // 1-iteration smoke — pays the setup once.
@@ -150,7 +154,7 @@ func BenchmarkSliceWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Slice(target)
+		a.SliceCtx(bg, target)
 	}
 }
 
@@ -295,8 +299,8 @@ func TestAllocsSliceVerifyPerVertex(t *testing.T) {
 		vertices int
 		fn       func()
 	}{
-		{"Slice/wide", wide.NumVertices(), func() { wide.Slice(target) }},
-		{"Path/wide", wide.NumVertices(), func() { wide.Path(core.SubID{Thread: 0, Alpha: 0}, target) }},
+		{"Slice/wide", wide.NumVertices(), func() { wide.SliceCtx(bg, target) }},
+		{"Path/wide", wide.NumVertices(), func() { wide.PathCtx(bg, core.SubID{Thread: 0, Alpha: 0}, target) }},
 		{"Verify/sparse", sparse.NumVertices(), func() {
 			if err := sparse.Verify(); err != nil {
 				t.Fatal(err)

@@ -151,7 +151,7 @@ type syncEdgeRec struct {
 // whose acquiring side is that thread. Both are appended only by the
 // owning thread's Recorder, so the shard mutex is uncontended on the
 // recording path; it exists to order appends against concurrent readers
-// (queries, the snapshot facility). The trailing pad keeps adjacent
+// (queries, the epoch fold). The trailing pad keeps adjacent
 // shards off each other's cache lines.
 type graphShard struct {
 	mu        sync.RWMutex
@@ -201,8 +201,8 @@ func (g *Graph) InternObject(name string) ObjRef { return ObjRef(g.interner.Inte
 // ObjectName returns the name for an interned object ref.
 func (g *Graph) ObjectName(ref ObjRef) string { return g.interner.Name(uint32(ref)) }
 
-// Symbols returns the graph's symbol table in ref order (snapshots embed
-// it so offline consumers can resolve refs without the live graph).
+// Symbols returns the graph's symbol table in ref order (the .cpg file
+// embeds it so offline consumers can resolve refs without the graph).
 func (g *Graph) Symbols() []string { return g.interner.Snapshot() }
 
 // shard returns the shard for thread t, or nil if out of range.

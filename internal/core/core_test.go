@@ -229,14 +229,14 @@ func TestFigure1Queries(t *testing.T) {
 	t1b := SubID{Thread: 0, Alpha: 1}
 
 	// Slice of T1.b must include everything that precedes it.
-	slice := a.Slice(t1b)
+	slice := must(a.SliceCtx(bg, t1b))
 	if len(slice) != 2 {
 		t.Fatalf("slice = %v, want 2 ancestors", slice)
 	}
 
 	// Lineage of page 101 (y) at T1.b: writer T2.a, whose own upstream
 	// includes T1.a (T2.a read x written by T1.a).
-	lin := a.PageLineage(101, t1b)
+	lin := must(a.PageLineageCtx(bg, 101, t1b))
 	if len(lin) != 1 {
 		t.Fatalf("lineage = %+v", lin)
 	}
@@ -248,7 +248,7 @@ func TestFigure1Queries(t *testing.T) {
 	}
 
 	// Taint: data written by T1.a flows to T2.a and then T1.b.
-	taint := a.TaintedBy(SubID{Thread: 0, Alpha: 0})
+	taint := must(a.TaintedByCtx(bg, SubID{Thread: 0, Alpha: 0}))
 	if len(taint) != 2 {
 		t.Errorf("taint set = %v", taint)
 	}

@@ -126,16 +126,16 @@ func TestQuickAnalysisClosureMatchesMapAdjacency(t *testing.T) {
 			return true
 		}
 		for _, sc := range g.Subs() {
-			if !idsEqual(a.Ancestors(sc.ID), refClosure(sc.ID, false)) {
+			if !idsEqual(must(a.AncestorsCtx(bg, sc.ID)), refClosure(sc.ID, false)) {
 				return false
 			}
-			if !idsEqual(a.Descendants(sc.ID), refClosure(sc.ID, true)) {
+			if !idsEqual(must(a.DescendantsCtx(bg, sc.ID)), refClosure(sc.ID, true)) {
 				return false
 			}
-			if !idsEqual(a.TaintedBy(sc.ID), refClosure(sc.ID, true, EdgeData)) {
+			if !idsEqual(must(a.TaintedByCtx(bg, sc.ID)), refClosure(sc.ID, true, EdgeData)) {
 				return false
 			}
-			if !idsEqual(a.Ancestors(sc.ID, EdgeControl, EdgeSync), refClosure(sc.ID, false, EdgeControl, EdgeSync)) {
+			if !idsEqual(must(a.AncestorsCtx(bg, sc.ID, EdgeControl, EdgeSync)), refClosure(sc.ID, false, EdgeControl, EdgeSync)) {
 				return false
 			}
 		}

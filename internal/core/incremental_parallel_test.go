@@ -168,11 +168,11 @@ func TestIncrementalParallelFoldRacedQueries(t *testing.T) {
 				target := subs[(q*13+i)%len(subs)].ID
 				switch (q + i) % 3 {
 				case 0:
-					a.Slice(target)
+					a.SliceCtx(bg, target)
 				case 1:
-					a.TaintedBy(target)
+					a.TaintedByCtx(bg, target)
 				case 2:
-					a.PageLineage(uint64(i%64), target)
+					a.PageLineageCtx(bg, uint64(i%64), target)
 				}
 			}
 		}(q)

@@ -143,7 +143,7 @@ func TestQuickHappensBeforeMatchesEdgeReachability(t *testing.T) {
 		reach := make(map[SubID]map[SubID]bool)
 		for _, sc := range subs {
 			reach[sc.ID] = make(map[SubID]bool)
-			for _, d := range a.Descendants(sc.ID, EdgeControl, EdgeSync) {
+			for _, d := range must(a.DescendantsCtx(bg, sc.ID, EdgeControl, EdgeSync)) {
 				reach[sc.ID][d] = true
 			}
 		}
@@ -171,12 +171,12 @@ func TestQuickSliceContainsDataAncestors(t *testing.T) {
 		g := randomExecution(t, r, 3, 2, 120)
 		a := g.Analyze()
 		for _, sc := range g.Subs() {
-			slice := a.Slice(sc.ID)
+			slice := must(a.SliceCtx(bg, sc.ID))
 			inSlice := make(map[SubID]bool, len(slice))
 			for _, id := range slice {
 				inSlice[id] = true
 			}
-			for _, anc := range a.Ancestors(sc.ID, EdgeData) {
+			for _, anc := range must(a.AncestorsCtx(bg, sc.ID, EdgeData)) {
 				if !inSlice[anc] {
 					return false
 				}

@@ -313,54 +313,32 @@ func (a *Analysis) closure(ctx context.Context, id SubID, kinds []EdgeKind, forw
 	return out, nil
 }
 
-// Ancestors returns the backward closure of id over the selected edge
+// AncestorsCtx returns the backward closure of id over the selected edge
 // kinds (all kinds if none given), excluding id itself, ordered by
-// (thread, alpha).
-func (a *Analysis) Ancestors(id SubID, kinds ...EdgeKind) []SubID {
-	out, _ := a.closure(context.Background(), id, kinds, false)
-	return out
-}
-
-// AncestorsCtx is Ancestors with cancellation: it stops the traversal and
-// returns ctx's error once the context is done.
+// (thread, alpha). It stops the traversal and returns ctx's error once
+// the context is done.
 func (a *Analysis) AncestorsCtx(ctx context.Context, id SubID, kinds ...EdgeKind) ([]SubID, error) {
 	return a.closure(ctx, id, kinds, false)
 }
 
-// Descendants returns the forward closure of id over the selected edge
-// kinds, excluding id itself.
-func (a *Analysis) Descendants(id SubID, kinds ...EdgeKind) []SubID {
-	out, _ := a.closure(context.Background(), id, kinds, true)
-	return out
-}
-
-// DescendantsCtx is Descendants with cancellation.
+// DescendantsCtx returns the forward closure of id over the selected
+// edge kinds, excluding id itself, with AncestorsCtx's cancellation.
 func (a *Analysis) DescendantsCtx(ctx context.Context, id SubID, kinds ...EdgeKind) ([]SubID, error) {
 	return a.closure(ctx, id, kinds, true)
 }
 
-// Slice returns the backward program slice of id: every sub-computation
-// whose execution may have affected id, through any dependency kind. This
-// is the query the paper's debugging case study builds on (§VIII).
-func (a *Analysis) Slice(id SubID) []SubID {
-	return a.Ancestors(id)
-}
-
-// SliceCtx is Slice with cancellation.
+// SliceCtx returns the backward program slice of id: every
+// sub-computation whose execution may have affected id, through any
+// dependency kind. This is the query the paper's debugging case study
+// builds on (§VIII).
 func (a *Analysis) SliceCtx(ctx context.Context, id SubID) ([]SubID, error) {
 	return a.AncestorsCtx(ctx, id)
 }
 
-// PageLineage explains where the contents of page p seen by reader `at`
-// may have come from: the maximal writers of p that happen-before `at`,
-// each paired with its own data-dependency ancestors.
-func (a *Analysis) PageLineage(p uint64, at SubID) []Lineage {
-	out, _ := a.PageLineageCtx(context.Background(), p, at)
-	return out
-}
-
-// PageLineageCtx is PageLineage with cancellation: the upstream-closure
-// walks stop once the context is done.
+// PageLineageCtx explains where the contents of page p seen by reader
+// `at` may have come from: the maximal writers of p that happen-before
+// `at`, each paired with its own data-dependency ancestors. The
+// upstream-closure walks stop once the context is done.
 func (a *Analysis) PageLineageCtx(ctx context.Context, p uint64, at SubID) ([]Lineage, error) {
 	if _, ok := a.vertexIndex(at); !ok {
 		return nil, nil
@@ -408,33 +386,22 @@ type Lineage struct {
 	ViaObject string
 }
 
-// TaintedBy computes forward information flow: all sub-computations that
-// transitively consumed data written by source (the DIFT case study's
-// primitive, §VIII). Flow propagates over data edges.
-func (a *Analysis) TaintedBy(source SubID) []SubID {
-	return a.Descendants(source, EdgeData)
-}
-
-// TaintedByCtx is TaintedBy with cancellation.
+// TaintedByCtx computes forward information flow: all sub-computations
+// that transitively consumed data written by source (the DIFT case
+// study's primitive, §VIII). Flow propagates over data edges.
 func (a *Analysis) TaintedByCtx(ctx context.Context, source SubID) ([]SubID, error) {
 	return a.DescendantsCtx(ctx, source, EdgeData)
-}
-
-// Path returns one dependency chain from `from` to `to` — the "why does B
-// depend on A" debugging query (§VIII) — as the sequence of edges of a
-// shortest such chain over the selected kinds (all kinds if none given).
-// It returns nil if no chain exists.
-func (a *Analysis) Path(from, to SubID, kinds ...EdgeKind) []Edge {
-	out, _ := a.PathCtx(context.Background(), from, to, kinds...)
-	return out
 }
 
 // pathUnset marks a vertex BFS has not reached; any other parent value
 // is the edgeRef that first reached it (ctrlRef for a control edge).
 const pathUnset edgeRef = -1
 
-// PathCtx is Path with cancellation: the BFS stops and returns ctx's
-// error once the context is done.
+// PathCtx returns one dependency chain from `from` to `to` — the "why
+// does B depend on A" debugging query (§VIII) — as the sequence of edges
+// of a shortest such chain over the selected kinds (all kinds if none
+// given). It returns nil if no chain exists; the BFS stops and returns
+// ctx's error once the context is done.
 func (a *Analysis) PathCtx(ctx context.Context, from, to SubID, kinds ...EdgeKind) ([]Edge, error) {
 	src, ok := a.vertexIndex(from)
 	if !ok {
@@ -655,7 +622,7 @@ func (a *Analysis) checkAcyclic(ctx context.Context) error {
 }
 
 // sortSubIDs orders ids by (thread, alpha). The pre-columnar core used an
-// insertion sort here, which made Slice/TaintedBy quadratic on wide
+// insertion sort here, which made SliceCtx/TaintedByCtx quadratic on wide
 // closures (BenchmarkSliceWide pins the fix).
 func sortSubIDs(ids []SubID) {
 	slices.SortFunc(ids, func(a, b SubID) int {

@@ -27,7 +27,7 @@ func TestPathEdgeCases(t *testing.T) {
 	// from == to: no chain, by definition.
 	g, _ := buildFigure1(t)
 	a := g.Analyze()
-	if got := a.Path(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 0, Alpha: 0}); got != nil {
+	if got := must(a.PathCtx(bg, SubID{Thread: 0, Alpha: 0}, SubID{Thread: 0, Alpha: 0})); got != nil {
 		t.Errorf("self path = %+v", got)
 	}
 
@@ -40,7 +40,7 @@ func TestPathEdgeCases(t *testing.T) {
 		endSub(t, r, SyncEvent{Kind: SyncNone})
 	}
 	ia := iso.Analyze()
-	if got := ia.Path(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 2, Alpha: 0}); got != nil {
+	if got := must(ia.PathCtx(bg, SubID{Thread: 0, Alpha: 0}, SubID{Thread: 2, Alpha: 0})); got != nil {
 		t.Errorf("path across disconnected threads = %+v", got)
 	}
 
@@ -49,10 +49,10 @@ func TestPathEdgeCases(t *testing.T) {
 	// nothing even though a chain exists unrestricted.
 	chain := buildChain(t, 3).Analyze()
 	from, to := SubID{Thread: 0, Alpha: 0}, SubID{Thread: 0, Alpha: 2}
-	if got := chain.Path(from, to); len(got) == 0 {
+	if got := must(chain.PathCtx(bg, from, to)); len(got) == 0 {
 		t.Fatal("unrestricted path missing on a control chain")
 	}
-	if got := chain.Path(from, to, EdgeSync); got != nil {
+	if got := must(chain.PathCtx(bg, from, to, EdgeSync)); got != nil {
 		t.Errorf("sync-only path on a syncless chain = %+v", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestQueryCancellationStopsTraversal(t *testing.T) {
 	last := SubID{Thread: 0, Alpha: n - 1}
 
 	// The full closure visits every ancestor.
-	if got := a.Slice(last); len(got) != n-1 {
+	if got := must(a.SliceCtx(bg, last)); len(got) != n-1 {
 		t.Fatalf("full slice = %d ids, want %d", len(got), n-1)
 	}
 
@@ -152,8 +152,8 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 	a := g.Analyze()
 	lastU := SubID{Thread: 0, Alpha: uint64(g.shardLen(0) - 1)}
 
-	wantSlice := a.Slice(lastU)
-	wantTaint := a.TaintedBy(SubID{Thread: 1, Alpha: 0})
+	wantSlice := must(a.SliceCtx(bg, lastU))
+	wantTaint := must(a.TaintedByCtx(bg, SubID{Thread: 1, Alpha: 0}))
 
 	const goroutines = 32
 	const iters = 8
@@ -166,21 +166,21 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 			for j := 0; j < iters; j++ {
 				switch (i + j) % 5 {
 				case 0:
-					got := a.Slice(lastU)
+					got := must(a.SliceCtx(bg, lastU))
 					if len(got) != len(wantSlice) {
 						errs <- errors.New("concurrent slice diverged")
 						return
 					}
 				case 1:
-					got := a.TaintedBy(SubID{Thread: 1, Alpha: 0})
+					got := must(a.TaintedByCtx(bg, SubID{Thread: 1, Alpha: 0}))
 					if len(got) != len(wantTaint) {
 						errs <- errors.New("concurrent taint diverged")
 						return
 					}
 				case 2:
-					a.PageLineage(uint64(i%8), lastU)
+					a.PageLineageCtx(bg, uint64(i%8), lastU)
 				case 3:
-					a.Path(SubID{Thread: 1, Alpha: 0}, lastU)
+					a.PathCtx(bg, SubID{Thread: 1, Alpha: 0}, lastU)
 				default:
 					if err := a.Verify(); err != nil {
 						errs <- err

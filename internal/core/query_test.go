@@ -1,9 +1,21 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// bg is the context of the queries tests never cancel, and must unwraps
+// their answers: an uncancelled traversal cannot fail.
+var bg = context.Background()
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func TestAnalysisPath(t *testing.T) {
 	g, _ := buildFigure1(t)
@@ -14,13 +26,13 @@ func TestAnalysisPath(t *testing.T) {
 
 	// T1.a reaches T1.b both directly (program order) and through T2.a;
 	// BFS returns a shortest chain, which is the single control edge.
-	chain := a.Path(t1a, t1b)
+	chain := must(a.PathCtx(bg, t1a, t1b))
 	if len(chain) != 1 || chain[0].From != t1a || chain[0].To != t1b {
 		t.Fatalf("path T1.a -> T1.b = %+v", chain)
 	}
 
 	// Restricted to sync edges the chain must route through T2.a.
-	chain = a.Path(t1a, t1b, EdgeSync)
+	chain = must(a.PathCtx(bg, t1a, t1b, EdgeSync))
 	if len(chain) != 2 || chain[0].To != t2a || chain[1].From != t2a {
 		t.Fatalf("sync-only path = %+v", chain)
 	}
@@ -31,7 +43,7 @@ func TestAnalysisPath(t *testing.T) {
 	}
 
 	// Chain continuity: each edge starts where the previous ended.
-	chain = a.Path(t1a, t1b, EdgeData)
+	chain = must(a.PathCtx(bg, t1a, t1b, EdgeData))
 	for i := 1; i < len(chain); i++ {
 		if chain[i].From != chain[i-1].To {
 			t.Fatalf("discontinuous chain: %+v", chain)
@@ -39,14 +51,14 @@ func TestAnalysisPath(t *testing.T) {
 	}
 
 	// No backward chain exists in a DAG.
-	if got := a.Path(t1b, t1a); got != nil {
+	if got := must(a.PathCtx(bg, t1b, t1a)); got != nil {
 		t.Errorf("path against the DAG = %+v", got)
 	}
 	// Unknown endpoints return nil.
-	if got := a.Path(SubID{Thread: 9, Alpha: 0}, t1b); got != nil {
+	if got := must(a.PathCtx(bg, SubID{Thread: 9, Alpha: 0}, t1b)); got != nil {
 		t.Errorf("path from unknown vertex = %+v", got)
 	}
-	if got := a.Path(t1a, t1a); got != nil {
+	if got := must(a.PathCtx(bg, t1a, t1a)); got != nil {
 		t.Errorf("self path = %+v", got)
 	}
 }

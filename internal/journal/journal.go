@@ -397,3 +397,11 @@ func (w *Writer) Close() error {
 	w.f = nil
 	return w.err
 }
+
+// Discard undoes Create for an assembly that fails before recording
+// starts: it closes the journal and deletes its segment, so the
+// directory accepts a fresh Create.
+func (w *Writer) Discard() error {
+	w.Close() // its error is about bytes the Remove deletes
+	return os.Remove(segName(w.opts.Dir, w.seg))
+}

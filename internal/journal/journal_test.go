@@ -463,6 +463,21 @@ func TestCreateRefusesExistingJournal(t *testing.T) {
 	if _, err := journal.Create(journal.Options{Dir: dir, Threads: 1}); err == nil {
 		t.Error("Create over an existing journal accepted")
 	}
+	// Discard is Create's undo: nothing stays, and the directory takes a
+	// fresh journal.
+	fresh := t.TempDir()
+	for range 2 {
+		w, err := journal.Create(journal.Options{Dir: fresh, Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Discard(); err != nil {
+			t.Fatal(err)
+		}
+		if left, err := os.ReadDir(fresh); err != nil || len(left) != 0 {
+			t.Fatalf("Discard left %v behind (err %v)", left, err)
+		}
+	}
 }
 
 // syncCounter counts Sync calls through the OpenFile hook.

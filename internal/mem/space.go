@@ -12,8 +12,8 @@ import (
 //
 // Life cycle per sub-computation:
 //
-//  1. ProtectAll: every known page drops to PROT_NONE (the paper calls
-//     mprotect(PROT_NONE) at the start of each sub-computation).
+//  1. Every page starts at PROT_NONE (the paper's mprotect(PROT_NONE) at
+//     the start of each sub-computation): Commit forgets every page.
 //  2. Accesses fault on first read / first write per page; the FaultHandler
 //     records the access, then the Space upgrades protection. First write
 //     also materializes a private copy-on-write page plus a twin snapshot.
@@ -400,14 +400,6 @@ func (s *Space) Commit() CommitResult {
 	s.stats.CommittedBytes += uint64(res.CommittedBytes)
 	s.stats.DiffedBytes += uint64(res.DiffedBytes)
 	return res
-}
-
-// ProtectAll drops every materialized page to PROT_NONE without committing
-// (used by tests and by the snapshot facility to force re-faulting).
-func (s *Space) ProtectAll() {
-	for _, sp := range s.pages {
-		sp.prot = ProtNone
-	}
 }
 
 // TrackedPages returns the number of pages this space currently tracks.

@@ -194,9 +194,6 @@ func (st *Stream) Lost() uint64 { return st.aux.Lost() }
 // Aux exposes the underlying ring (snapshot capture needs it).
 func (st *Stream) Aux() *AuxBuffer { return st.aux }
 
-// PID returns the traced process id.
-func (st *Stream) PID() int32 { return st.pid }
-
 // TotalTraceBytes sums stored trace bytes over all streams — the size of
 // the provenance log perf would have written (Table 9's "Size" column).
 func (s *Session) TotalTraceBytes() uint64 {

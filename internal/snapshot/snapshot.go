@@ -3,13 +3,15 @@
 // bounded ring of slots, so provenance can be analyzed on-the-fly while
 // the program runs and the trace's space footprint stays bounded.
 //
-// A cut selects, for each thread, a prefix of its completed
-// sub-computations. The cut is *consistent* (Chandy-Lamport [15]) iff for
-// every synchronization edge release -> acquire, inclusion of the acquire
-// implies inclusion of the release. Each thread nominates its latest
-// completed synchronization event; the cut then retreats acquires whose
-// releases are missing until the property holds (a monotone fixpoint, so
-// it terminates).
+// A snapshot is a retained epoch. The Ring is a sink of the epoch
+// pipeline: every fold already captures, per thread, a prefix of its
+// completed sub-computations closed under happens-before
+// (core.IncrementalAnalyzer), and the Ring keeps the folds its cadence
+// or a forced Take selects. A cut is *consistent* (Chandy-Lamport [15])
+// iff for every synchronization edge release -> acquire, inclusion of
+// the acquire implies inclusion of the release; a happens-before-closed
+// prefix is, a fortiori, and Cut.Validate states the property so tests
+// hold the fold's frontier to it.
 //
 // The PT side mirrors the paper's perf integration: in snapshot mode the
 // AUX ring constantly overwrites old data, and the facility captures the
@@ -18,8 +20,8 @@
 package snapshot
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
@@ -32,163 +34,144 @@ const DefaultSlotSize = 4 << 20
 // Cut is a consistent frontier: Frontier[t] = number of included
 // sub-computations of thread t (a prefix length, not an index).
 type Cut struct {
-	// Seq is the synchronization sequence number that triggered the cut.
-	Seq uint64
+	// Epoch is the fold whose cut this is; journal record Epoch and wire
+	// frame Epoch of the same run carry the same prefix.
+	Epoch uint64
 	// Frontier maps thread slot -> included prefix length.
-	Frontier map[int]uint64
+	Frontier []int
 }
 
 // Contains reports whether the cut includes sub-computation id.
 func (c *Cut) Contains(id core.SubID) bool {
-	return id.Alpha < c.Frontier[id.Thread]
+	return id.Thread < len(c.Frontier) && id.Alpha < uint64(c.Frontier[id.Thread])
 }
 
 // Size returns the number of included sub-computations.
 func (c *Cut) Size() int {
-	var n uint64
+	n := 0
 	for _, f := range c.Frontier {
 		n += f
 	}
-	return int(n)
+	return n
 }
 
-// Snapshot is one captured slot: the consistent cut plus the PT windows.
+// Validate checks the Chandy-Lamport property of a cut against the
+// graph: every included acquire's release is included.
+func (c *Cut) Validate(g *core.Graph) error {
+	for _, e := range g.SyncEdges() {
+		if c.Contains(e.To) && !c.Contains(e.From) {
+			return fmt.Errorf("snapshot: inconsistent cut: %v in cut but its release %v (object %s) is not",
+				e.To, e.From, e.Object)
+		}
+	}
+	return nil
+}
+
+// Snapshot is one captured slot: a retained epoch plus the PT windows.
 type Snapshot struct {
 	Cut Cut
-	// Subs are the included sub-computations (copies of graph vertices).
-	Subs []*core.SubComputation
-	// SyncEdges are the schedule edges fully inside the cut.
-	SyncEdges []core.Edge
-	// Symbols is the graph's interned symbol table at capture time, so an
-	// offline consumer can resolve the SiteRef/ObjRef fields the vertices
-	// carry without the live graph.
-	Symbols []string
+	// Analysis is the epoch's immutable analysis over exactly the cut:
+	// provenance.NewEngine queries it, cpgfile.Encode exports it.
+	Analysis *core.Analysis
 	// PTWindows holds the captured AUX window per process.
 	PTWindows map[int32][]byte
 	// TruncatedPT reports PT bytes dropped to fit the slot budget.
 	TruncatedPT uint64
 }
 
-// SiteName resolves an interned site ref against the captured symbols.
-func (s *Snapshot) SiteName(ref core.SiteRef) string {
-	if int(ref) >= len(s.Symbols) {
-		return ""
-	}
-	return s.Symbols[ref]
-}
-
-// ObjectName resolves an interned object ref against the captured symbols.
-func (s *Snapshot) ObjectName(ref core.ObjRef) string {
-	if int(ref) >= len(s.Symbols) {
-		return ""
-	}
-	return s.Symbols[ref]
-}
-
-// Bytes estimates the slot's storage footprint.
-func (s *Snapshot) Bytes() int {
-	n := 0
-	for _, w := range s.PTWindows {
-		n += len(w)
-	}
-	// Sub-computation metadata is small relative to PT data; count the
-	// page sets at 8 bytes per page entry.
-	for _, sc := range s.Subs {
-		n += 8 * (sc.ReadSet.Len() + sc.WriteSet.Len())
-	}
-	return n
-}
-
-// Options configure a Snapshotter.
+// Options configure a Ring.
 type Options struct {
 	// Slots is the ring capacity (number of retained snapshots).
 	// Default 4.
 	Slots int
 	// SlotSize caps PT bytes per snapshot. Default 4 MiB.
 	SlotSize int
-	// EverySyncs triggers an automatic snapshot each N synchronization
-	// boundaries; 0 disables automatic capture (manual TakeSnapshot
-	// only).
-	EverySyncs uint64
+	// EverySeals retains an epoch each N sealed sub-computations; 0
+	// disables automatic capture (forced Take only).
+	EverySeals uint64
 }
 
-// Source is the runtime surface the snapshotter needs; implemented by
-// *threading.Runtime.
-type Source interface {
-	Graph() *core.Graph
-	Session() *perf.Session
-	SyncSeq() uint64
-}
-
-// Snapshotter owns the snapshot ring for one runtime.
-type Snapshotter struct {
-	src  Source
+// Ring owns the snapshot ring of one recording. It is an epoch.Sink:
+// list it among the recording's epoch.Driver sinks.
+type Ring struct {
+	sess *perf.Session
 	opts Options
 
-	mu    sync.Mutex
-	ring  []*Snapshot
-	next  int
-	taken uint64
+	mu   sync.Mutex
+	ring []*Snapshot // oldest first
+	// due is the cut size of the next automatic capture: the first
+	// multiple of EverySeals no retained cut has reached.
+	due uint64
+	// force makes the next emitted epoch a snapshot whatever its size.
+	force bool
+	// last is the newest epoch emitted, for a Take after the final one;
+	// newest the latest snapshot retained.
+	last   *core.Analysis
+	newest *Snapshot
 }
 
-// ErrNoSource is returned when constructing without a runtime.
-var ErrNoSource = errors.New("snapshot: nil source")
-
-// New creates a snapshotter over the runtime. Pass the runtime's
-// RegisterSnapshotHook output through Hook to enable automatic capture.
-func New(src Source, opts Options) (*Snapshotter, error) {
-	if src == nil {
-		return nil, ErrNoSource
-	}
+// New creates the ring of a recording whose PT streams live in sess.
+func New(sess *perf.Session, opts Options) *Ring {
 	if opts.Slots <= 0 {
 		opts.Slots = 4
 	}
 	if opts.SlotSize <= 0 {
 		opts.SlotSize = DefaultSlotSize
 	}
-	return &Snapshotter{
-		src:  src,
-		opts: opts,
-		ring: make([]*Snapshot, 0, opts.Slots),
-	}, nil
+	return &Ring{sess: sess, opts: opts, ring: make([]*Snapshot, 0, opts.Slots), due: opts.EverySeals}
 }
 
-// Hook returns the callback to register with the runtime's snapshot
-// hooks: it captures automatically every EverySyncs boundaries.
-func (s *Snapshotter) Hook() func() {
-	return func() {
-		if s.opts.EverySyncs == 0 {
-			return
-		}
-		if s.src.SyncSeq()%s.opts.EverySyncs == 0 {
-			s.TakeSnapshot()
-		}
+// Emit retains the epoch if a Take forced it or its cut has reached the
+// next multiple of EverySeals: every synchronization boundary seals one
+// sub-computation, so the cut's size is the paper's sync-point count.
+func (r *Ring) Emit(a *core.Analysis, d *core.EpochDelta) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.last = a
+	cut := Cut{Epoch: d.Epoch, Frontier: d.Lens}
+	size := uint64(cut.Size())
+	periodic := r.opts.EverySeals != 0 && size >= r.due
+	if periodic {
+		r.due = size - size%r.opts.EverySeals + r.opts.EverySeals
 	}
+	if periodic || r.force {
+		r.force = false
+		r.retain(cut, a)
+	}
+	return nil
 }
 
-// TakeSnapshot captures a consistent cut now and stores it in the ring,
-// overwriting the oldest slot when full (the paper's reusable-slot ring).
-func (s *Snapshotter) TakeSnapshot() *Snapshot {
-	g := s.src.Graph()
-	cut := ComputeCut(g)
-	cut.Seq = s.src.SyncSeq()
+// Finish is a no-op: the ring outlives the pipeline.
+func (r *Ring) Finish(uint64) error { return nil }
 
-	snap := &Snapshot{Cut: cut, Symbols: g.Symbols(), PTWindows: make(map[int32][]byte)}
-	for _, sc := range g.Subs() {
-		if cut.Contains(sc.ID) {
-			snap.Subs = append(snap.Subs, sc)
+// Take forces a snapshot now (the SIGUSR2 trigger) and returns it: fold
+// is the driver's Fold, whose epoch Emit retains whatever the cadence.
+// A closed pipeline folds no more; Take then retains the final epoch,
+// once.
+func (r *Ring) Take(fold func()) *Snapshot {
+	r.mu.Lock()
+	r.force = true
+	r.mu.Unlock()
+	fold()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.force {
+		r.force = false
+		if n := r.newest; r.last != nil && (n == nil || n.Cut.Epoch != r.last.Epoch()) {
+			r.retain(Cut{Epoch: r.last.Epoch(), Frontier: r.last.ThreadLens()}, r.last)
 		}
 	}
-	for _, e := range g.SyncEdges() {
-		if cut.Contains(e.From) && cut.Contains(e.To) {
-			snap.SyncEdges = append(snap.SyncEdges, e)
-		}
-	}
+	return r.newest
+}
+
+// retain stores the epoch with the current PT windows, overwriting the
+// oldest slot when full (the paper's reusable-slot ring). Needs r.mu.
+func (r *Ring) retain(cut Cut, a *core.Analysis) {
+	snap := &Snapshot{Cut: cut, Analysis: a, PTWindows: make(map[int32][]byte)}
 	// Capture PT windows within the slot budget.
-	budget := s.opts.SlotSize
-	sess := s.src.Session()
-	for _, pid := range sess.PIDs() {
-		stream, ok := sess.Stream(pid)
+	budget := r.opts.SlotSize
+	for _, pid := range r.sess.PIDs() {
+		stream, ok := r.sess.Stream(pid)
 		if !ok {
 			continue
 		}
@@ -203,75 +186,16 @@ func (s *Snapshotter) TakeSnapshot() *Snapshot {
 			break
 		}
 	}
-
-	s.mu.Lock()
-	if len(s.ring) < s.opts.Slots {
-		s.ring = append(s.ring, snap)
-	} else {
-		s.ring[s.next%len(s.ring)] = snap
-		s.next++
+	if len(r.ring) == r.opts.Slots {
+		r.ring = append(r.ring[:0], r.ring[1:]...)
 	}
-	s.taken++
-	s.mu.Unlock()
-	return snap
+	r.ring = append(r.ring, snap)
+	r.newest = snap
 }
 
 // Snapshots returns the current ring contents, oldest first.
-func (s *Snapshotter) Snapshots() []*Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Snapshot, 0, len(s.ring))
-	if len(s.ring) < s.opts.Slots {
-		out = append(out, s.ring...)
-		return out
-	}
-	for i := 0; i < len(s.ring); i++ {
-		out = append(out, s.ring[(s.next+i)%len(s.ring)])
-	}
-	return out
-}
-
-// Taken returns the cumulative snapshot count (including overwritten).
-func (s *Snapshotter) Taken() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.taken
-}
-
-// ComputeCut builds a consistent cut from the graph's current state:
-// start from every thread's full completed prefix, then retreat any
-// acquire whose release lies outside the cut until the closure property
-// holds.
-func ComputeCut(g *core.Graph) Cut {
-	frontier := make(map[int]uint64)
-	for _, sc := range g.Subs() {
-		if sc.ID.Alpha+1 > frontier[sc.ID.Thread] {
-			frontier[sc.ID.Thread] = sc.ID.Alpha + 1
-		}
-	}
-	edges := g.SyncEdges()
-	for changed := true; changed; {
-		changed = false
-		for _, e := range edges {
-			// Acquire included but release missing: retreat the
-			// acquirer's frontier to exclude the acquire.
-			if e.To.Alpha < frontier[e.To.Thread] && e.From.Alpha >= frontier[e.From.Thread] {
-				frontier[e.To.Thread] = e.To.Alpha
-				changed = true
-			}
-		}
-	}
-	return Cut{Frontier: frontier}
-}
-
-// Validate checks the Chandy-Lamport property of a cut against the
-// graph: every included acquire's release is included.
-func (c *Cut) Validate(g *core.Graph) error {
-	for _, e := range g.SyncEdges() {
-		if c.Contains(e.To) && !c.Contains(e.From) {
-			return fmt.Errorf("snapshot: inconsistent cut: %v in cut but its release %v (object %s) is not",
-				e.To, e.From, e.Object)
-		}
-	}
-	return nil
+func (r *Ring) Snapshots() []*Snapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.ring)
 }

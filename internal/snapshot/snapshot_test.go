@@ -6,20 +6,28 @@ import (
 	"testing/quick"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/perf"
 	"github.com/repro/inspector/internal/threading"
 )
 
-// fakeSource drives the snapshotter without a full runtime.
-type fakeSource struct {
-	g    *core.Graph
-	sess *perf.Session
-	seq  uint64
+// pipeline lists a fresh ring as the only sink of a driver over g, the
+// way inspector.New assembles a snapshot-only run.
+func pipeline(g *core.Graph, sess *perf.Session, every uint64, opts Options) (*Ring, *epoch.Driver) {
+	r := New(sess, opts)
+	return r, epoch.NewDriver(g, epoch.Options{Every: every}, r)
 }
 
-func (f *fakeSource) Graph() *core.Graph     { return f.g }
-func (f *fakeSource) Session() *perf.Session { return f.sess }
-func (f *fakeSource) SyncSeq() uint64        { return f.seq }
+// seal ends one sub-computation on rec and runs the driver's commit
+// hook for it, as threading's sync boundary does.
+func seal(t *testing.T, rec *core.Recorder, hook func(core.SubID)) {
+	t.Helper()
+	sc, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook(sc.ID)
+}
 
 // buildGraph makes a graph with a lock handoff T0 -> T1.
 func buildGraph(t *testing.T) *core.Graph {
@@ -52,91 +60,52 @@ func buildGraph(t *testing.T) *core.Graph {
 	return g
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
-		t.Error("nil source accepted")
-	}
-}
-
+// TestComputeCutConsistent: the fold's frontier over a lock handoff is a
+// Chandy-Lamport cut, and with recording quiesced it is the whole graph.
 func TestComputeCutConsistent(t *testing.T) {
 	g := buildGraph(t)
-	cut := ComputeCut(g)
-	if err := cut.Validate(g); err != nil {
+	r, drv := pipeline(g, perf.NewSession(perf.SessionOptions{}), 1, Options{})
+	snap := r.Take(drv.Fold)
+	if err := snap.Cut.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	// Full graph is itself consistent here: everything included.
-	if cut.Size() != g.NumSubs() {
-		t.Errorf("cut size %d, want %d", cut.Size(), g.NumSubs())
+	if snap.Cut.Size() != g.NumSubs() {
+		t.Errorf("cut size %d, want %d", snap.Cut.Size(), g.NumSubs())
+	}
+	if snap.Cut.Epoch != 1 || snap.Analysis.Epoch() != 1 || len(snap.Analysis.Subs()) != g.NumSubs() {
+		t.Errorf("snapshot is epoch %d with analysis epoch %d over %d subs, want epoch 1 over %d",
+			snap.Cut.Epoch, snap.Analysis.Epoch(), len(snap.Analysis.Subs()), g.NumSubs())
+	}
+	if err := snap.Analysis.Verify(); err != nil {
+		t.Error(err)
 	}
 }
 
-func TestCutRetreatsDanglingAcquire(t *testing.T) {
-	// Build a graph where the acquirer's sub is recorded but the
-	// releaser's is NOT (simulates capture racing a slow thread):
-	// the cut must exclude the acquire.
-	g := core.NewGraph(2)
-	lock := g.NewSyncObject("lock", false)
-	r1, err := core.NewRecorder(g, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Forge a release from a sub-computation that is never added to the
-	// graph (thread 0 hasn't completed it yet).
-	ghost := &core.SubComputation{ID: core.SubID{Thread: 0, Alpha: 5}, Clock: nil}
-	lockRelease(lock, ghost)
-	if _, err := r1.EndSub(core.SyncEvent{Kind: core.SyncAcquire, Object: g.InternObject("lock")}, 0); err != nil {
-		t.Fatal(err)
-	}
-	r1.Acquire(lock)
-	if _, err := r1.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
-		t.Fatal(err)
-	}
-	cut := ComputeCut(g)
-	if err := cut.Validate(g); err != nil {
-		t.Fatalf("cut not repaired: %v", err)
-	}
-	// The acquire at T1.1 must be excluded (its release T0.5 missing).
-	if cut.Contains(core.SubID{Thread: 1, Alpha: 1}) {
-		t.Error("dangling acquire included in cut")
-	}
-}
-
-// lockRelease releases with a recorder-independent sub (test helper for
-// forging incomplete release state).
-func lockRelease(s *core.SyncObject, sub *core.SubComputation) {
-	// Use a scratch recorder on a scratch graph to drive the release.
-	g := core.NewGraph(8)
-	r, err := core.NewRecorder(g, sub.ID.Thread, 0)
-	if err != nil {
-		panic(err)
-	}
-	if sub.Clock == nil {
-		sub.Clock = r.Clock().Copy()
-	}
-	r.Release(s, sub)
-}
-
+// TestSnapshotterRing: forced takes fill the ring, overwrite the oldest
+// slot once it is full, and read back oldest first by epoch.
 func TestSnapshotterRing(t *testing.T) {
-	g := buildGraph(t)
-	src := &fakeSource{g: g, sess: perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot})}
-	s, err := New(src, Options{Slots: 2})
+	g := core.NewGraph(1)
+	rec, err := core.NewRecorder(g, 0, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	r, drv := pipeline(g, perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot}), 1, Options{Slots: 2})
+	if got := r.Snapshots(); len(got) != 0 {
+		t.Fatalf("fresh ring holds %d snapshots", len(got))
 	}
 	for i := 0; i < 5; i++ {
-		src.seq = uint64(i)
-		s.TakeSnapshot()
+		seal(t, rec, func(core.SubID) {}) // sealed but not folded: the take folds it
+		if snap := r.Take(drv.Fold); snap.Cut.Epoch != uint64(i+1) || snap.Cut.Size() != i+1 {
+			t.Fatalf("take %d: epoch %d over %d subs", i, snap.Cut.Epoch, snap.Cut.Size())
+		}
 	}
-	snaps := s.Snapshots()
+	snaps := r.Snapshots()
 	if len(snaps) != 2 {
 		t.Fatalf("ring holds %d, want 2", len(snaps))
 	}
-	// Oldest-first: seqs 3, 4 after five captures into two slots.
-	if snaps[0].Cut.Seq != 3 || snaps[1].Cut.Seq != 4 {
-		t.Errorf("ring seqs = %d, %d; want 3, 4", snaps[0].Cut.Seq, snaps[1].Cut.Seq)
-	}
-	if s.Taken() != 5 {
-		t.Errorf("Taken = %d", s.Taken())
+	// Oldest-first: epochs 4, 5 after five captures into two slots.
+	if snaps[0].Cut.Epoch != 4 || snaps[1].Cut.Epoch != 5 {
+		t.Errorf("ring epochs = %d, %d; want 4, 5", snaps[0].Cut.Epoch, snaps[1].Cut.Epoch)
 	}
 }
 
@@ -147,20 +116,13 @@ func TestSnapshotCapturesPTWindows(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		st.WriteTrace([]byte{byte(i), byte(i + 1)})
 	}
-	src := &fakeSource{g: g, sess: sess}
-	s, err := New(src, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := s.TakeSnapshot()
+	r, drv := pipeline(g, sess, 1, Options{})
+	snap := r.Take(drv.Fold)
 	if len(snap.PTWindows[1]) == 0 {
 		t.Error("no PT window captured")
 	}
 	if len(snap.PTWindows[1]) > 64 {
 		t.Errorf("window exceeds ring size: %d", len(snap.PTWindows[1]))
-	}
-	if snap.Bytes() == 0 {
-		t.Error("zero snapshot size")
 	}
 }
 
@@ -169,12 +131,8 @@ func TestSnapshotSlotBudgetTruncates(t *testing.T) {
 	sess := perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot, AuxSize: 1024})
 	st, _ := sess.Attach(1)
 	st.WriteTrace(make([]byte, 1024))
-	src := &fakeSource{g: g, sess: sess}
-	s, err := New(src, Options{SlotSize: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := s.TakeSnapshot()
+	r, drv := pipeline(g, sess, 1, Options{SlotSize: 100})
+	snap := r.Take(drv.Fold)
 	if snap.TruncatedPT == 0 {
 		t.Error("expected truncation with tiny slot")
 	}
@@ -183,32 +141,54 @@ func TestSnapshotSlotBudgetTruncates(t *testing.T) {
 	}
 }
 
+// TestHookPeriodicCapture: the cadence counts sealed sub-computations on
+// the epoch's cut, whatever the driver's own fold cadence.
 func TestHookPeriodicCapture(t *testing.T) {
-	g := buildGraph(t)
-	src := &fakeSource{g: g, sess: perf.NewSession(perf.SessionOptions{})}
-	s, err := New(src, Options{EverySyncs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook := s.Hook()
-	for i := 1; i <= 6; i++ {
-		src.seq = uint64(i)
-		hook()
-	}
-	if s.Taken() != 3 {
-		t.Errorf("hook captured %d snapshots, want 3 (every 2 of 6)", s.Taken())
+	for _, foldEvery := range []uint64{1, 2} { // a journaled run's cadence; a snapshot-only run's
+		g := core.NewGraph(1)
+		rec, err := core.NewRecorder(g, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, drv := pipeline(g, perf.NewSession(perf.SessionOptions{}), foldEvery, Options{Slots: 8, EverySeals: 2})
+		hook := drv.CommitHook()
+		for i := 0; i < 6; i++ {
+			seal(t, rec, hook)
+		}
+		if n := len(r.Snapshots()); n != 3 {
+			t.Errorf("fold every %d: ring retained %d snapshots, want 3 (every 2 of 6 seals)", foldEvery, n)
+		}
+		for i, snap := range r.Snapshots() {
+			if want := 2 * (i + 1); snap.Cut.Size() != want {
+				t.Errorf("fold every %d: snapshot %d covers %d subs, want %d", foldEvery, i, snap.Cut.Size(), want)
+			}
+		}
+		// A forced take does not shift the cadence: the next automatic
+		// capture still falls on the next multiple.
+		seal(t, rec, hook)
+		r.Take(drv.Fold)
+		seal(t, rec, hook)
+		if snaps := r.Snapshots(); len(snaps) != 5 || snaps[3].Cut.Size() != 7 || snaps[4].Cut.Size() != 8 {
+			t.Errorf("fold every %d: after a forced take at 7 and a seal the ring holds %d snapshots, want 5 ending in cuts of 7 and 8",
+				foldEvery, len(snaps))
+		}
 	}
 	// Disabled automatic capture:
-	s2, err := New(src, Options{})
+	g := core.NewGraph(1)
+	rec, err := core.NewRecorder(g, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.Hook()()
-	if s2.Taken() != 0 {
-		t.Error("hook captured despite EverySyncs=0")
+	r, drv := pipeline(g, perf.NewSession(perf.SessionOptions{}), 1, Options{})
+	seal(t, rec, drv.CommitHook())
+	if len(r.Snapshots()) != 0 {
+		t.Error("ring captured despite EverySeals=0")
 	}
 }
 
+// TestEndToEndWithRuntime drives the ring as inspector.New does, under
+// the real threading runtime: forced takes before the first seal and
+// after Close, periodic ones in between, every cut consistent.
 func TestEndToEndWithRuntime(t *testing.T) {
 	rt, err := threading.NewRuntime(threading.Options{
 		AppName:    "snaptest",
@@ -219,11 +199,11 @@ func TestEndToEndWithRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(rt, Options{Slots: 3, EverySyncs: 2})
-	if err != nil {
-		t.Fatal(err)
+	r, drv := pipeline(rt.Graph(), rt.Session(), 2, Options{Slots: 3, EverySeals: 2})
+	rt.RegisterCommitHook(drv.CommitHook())
+	if snap := r.Take(drv.Fold); snap == nil || snap.Cut.Size() != 0 || snap.Cut.Epoch != 1 {
+		t.Fatalf("take before the first seal = %+v, want the empty epoch 1", snap)
 	}
-	rt.RegisterSnapshotHook(s.Hook())
 
 	base := rt.GlobalsBase()
 	m := rt.NewMutex("m")
@@ -244,21 +224,47 @@ func TestEndToEndWithRuntime(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Taken() == 0 {
-		t.Fatal("no snapshots during run")
+	if len(r.Snapshots()) != 3 {
+		t.Fatalf("ring holds %d snapshots after the run, want all 3 slots in use", len(r.Snapshots()))
+	}
+	if err := drv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// After Close a take keeps the final epoch, once.
+	final := r.Take(drv.Fold)
+	if final == nil || final.Cut.Epoch != drv.Epoch() || final.Cut.Size() != rt.Graph().NumSubs() {
+		t.Fatalf("take after Close = %+v, want final epoch %d over %d subs", final, drv.Epoch(), rt.Graph().NumSubs())
+	}
+	if oldest := r.Snapshots()[0]; r.Take(drv.Fold) != final || r.Snapshots()[0] != oldest {
+		t.Error("a second take after Close retained the final epoch again")
 	}
 	// Every retained snapshot's cut must be consistent against the final
-	// graph.
-	for i, snap := range s.Snapshots() {
+	// graph, its analysis a valid CPG over exactly the cut, and the ring
+	// ordered oldest first.
+	snaps := r.Snapshots()
+	if len(snaps) != 3 || snaps[2] != final {
+		t.Fatalf("ring holds %d snapshots, want 3 ending in the final epoch", len(snaps))
+	}
+	for i, snap := range snaps {
 		if err := snap.Cut.Validate(rt.Graph()); err != nil {
 			t.Errorf("snapshot %d: %v", i, err)
+		}
+		if err := snap.Analysis.Verify(); err != nil {
+			t.Errorf("snapshot %d: %v", i, err)
+		}
+		if len(snap.Analysis.Subs()) != snap.Cut.Size() {
+			t.Errorf("snapshot %d: analysis over %d subs, cut over %d", i, len(snap.Analysis.Subs()), snap.Cut.Size())
+		}
+		if i > 0 && snaps[i-1].Cut.Epoch >= snap.Cut.Epoch {
+			t.Errorf("ring not oldest first: epoch %d before %d", snaps[i-1].Cut.Epoch, snap.Cut.Epoch)
 		}
 	}
 }
 
 func TestQuickCutAlwaysConsistent(t *testing.T) {
-	// Random executions, cuts taken at random prefixes of the recording:
-	// ComputeCut must always produce a valid cut.
+	// Random executions, folds forced at random prefixes of the
+	// recording: the frontier must always be a valid cut, then and
+	// against the final graph.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := core.NewGraph(3)
@@ -271,6 +277,7 @@ func TestQuickCutAlwaysConsistent(t *testing.T) {
 			recs[i] = rec
 		}
 		lock := g.NewSyncObject("l", false)
+		ring, drv := pipeline(g, perf.NewSession(perf.SessionOptions{}), 1, Options{Slots: 64})
 		held := -1
 		for step := 0; step < 60; step++ {
 			th := r.Intn(3)
@@ -293,15 +300,20 @@ func TestQuickCutAlwaysConsistent(t *testing.T) {
 				rec.OnWrite(uint64(r.Intn(8)))
 			}
 			// Take a cut at random points mid-execution.
-			if r.Intn(10) == 0 {
-				cut := ComputeCut(g)
-				if cut.Validate(g) != nil {
-					return false
-				}
+			if r.Intn(10) == 0 && ring.Take(drv.Fold).Cut.Validate(g) != nil {
+				return false
 			}
 		}
-		cut := ComputeCut(g)
-		return cut.Validate(g) == nil
+		final := ring.Take(drv.Fold)
+		if final.Cut.Size() != g.NumSubs() {
+			return false
+		}
+		for _, snap := range ring.Snapshots() {
+			if snap.Cut.Validate(g) != nil {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

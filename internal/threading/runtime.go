@@ -124,10 +124,8 @@ type Runtime struct {
 	ptStats    pt.Stats
 	lastReport *Report
 
-	snapMu      sync.Mutex
-	snapHooks   []func()
+	hookMu      sync.Mutex
 	commitHooks []func(core.SubID)
-	syncSeq     uint64
 
 	errMu   sync.Mutex
 	runErrs []error
@@ -368,52 +366,26 @@ func (rt *Runtime) runErr() error {
 // finishes). Harnesses use it when the workload owns the Run call.
 func (rt *Runtime) LastReport() *Report { return rt.lastReport }
 
-// RegisterSnapshotHook adds a callback invoked by the snapshot facility
-// at consistent-cut points (used by internal/snapshot).
-func (rt *Runtime) RegisterSnapshotHook(fn func()) {
-	rt.snapMu.Lock()
-	rt.snapHooks = append(rt.snapHooks, fn)
-	rt.snapMu.Unlock()
-}
-
 // RegisterCommitHook adds a callback invoked after every sub-computation
 // is sealed and published to the graph — the commit boundary of §V-A,
 // which is also the publication point of the live analysis pipeline: by
 // the time the hook fires, the vertex is visible to Graph readers, so a
 // fold triggered by it will observe the vertex. Hooks run on the
-// recording thread's goroutine and must be cheap (the live pipeline just
-// pokes a buffered channel). Register hooks before Run.
+// recording thread's goroutine, in registration order, and the workload
+// pays for them at every seal (the epoch driver folds right here; an
+// off-thread consumer pokes a buffered channel). Register hooks before Run.
 func (rt *Runtime) RegisterCommitHook(fn func(id core.SubID)) {
-	rt.snapMu.Lock()
+	rt.hookMu.Lock()
 	rt.commitHooks = append(rt.commitHooks, fn)
-	rt.snapMu.Unlock()
+	rt.hookMu.Unlock()
 }
 
 // notifyCommit runs commit hooks for one sealed sub-computation.
 func (rt *Runtime) notifyCommit(id core.SubID) {
-	rt.snapMu.Lock()
+	rt.hookMu.Lock()
 	hooks := rt.commitHooks
-	rt.snapMu.Unlock()
+	rt.hookMu.Unlock()
 	for _, fn := range hooks {
 		fn(id)
 	}
-}
-
-// notifySyncPoint runs snapshot hooks; called at every synchronization
-// boundary (the points at which a consistent cut may be taken, §VI).
-func (rt *Runtime) notifySyncPoint() {
-	rt.snapMu.Lock()
-	rt.syncSeq++
-	hooks := rt.snapHooks
-	rt.snapMu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
-// SyncSeq returns the number of synchronization boundaries crossed so far.
-func (rt *Runtime) SyncSeq() uint64 {
-	rt.snapMu.Lock()
-	defer rt.snapMu.Unlock()
-	return rt.syncSeq
 }

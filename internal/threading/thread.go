@@ -471,7 +471,6 @@ func (t *Thread) Free(addr mem.Addr) {
 func (t *Thread) syncBoundary(ev core.SyncEvent) *core.SubComputation {
 	t.charge(CatApp, t.rt.model.SyncOp)
 	if t.rec == nil {
-		t.rt.notifySyncPoint()
 		return nil
 	}
 	res := t.p.Space.Commit()
@@ -487,7 +486,6 @@ func (t *Thread) syncBoundary(ev core.SyncEvent) *core.SubComputation {
 		panic(fmt.Sprintf("thread %d: %v", t.p.Slot, err))
 	}
 	t.rt.notifyCommit(sub.ID)
-	t.rt.notifySyncPoint()
 	return sub
 }
 

@@ -533,23 +533,3 @@ func TestWorkExceedsTimeWithParallelism(t *testing.T) {
 		t.Errorf("time %v below single thread's work", rep.Time)
 	}
 }
-
-func TestSnapshotHookFires(t *testing.T) {
-	rt := newRT(t, ModeInspector)
-	var fired int
-	rt.RegisterSnapshotHook(func() { fired++ })
-	m := rt.NewMutex("m")
-	_, err := rt.Run(func(main *Thread) {
-		m.Lock(main)
-		m.Unlock(main)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired == 0 {
-		t.Error("snapshot hook never fired")
-	}
-	if rt.SyncSeq() == 0 {
-		t.Error("sync seq not counted")
-	}
-}

@@ -38,11 +38,6 @@ const (
 	KindVerify Kind = "verify"
 )
 
-// Kinds lists every query kind, in the order the docs present them.
-func Kinds() []Kind {
-	return []Kind{KindEdges, KindSlice, KindTaint, KindLineage, KindPath, KindStats, KindVerify}
-}
-
 // ErrBadQuery tags validation failures: the query itself is malformed
 // (unknown kind, missing target, bad cursor). The HTTP server maps it to
 // 400; everything else is an execution error.

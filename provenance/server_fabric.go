@@ -82,9 +82,9 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	_ = eng.Analysis().ExportJSON(w)
 }
 
-// validSourceName keeps ingest source names usable as CPG ids and URL
+// ValidSourceName keeps ingest source names usable as CPG ids and URL
 // segments: 1-128 chars of [A-Za-z0-9._-].
-func validSourceName(name string) bool {
+func ValidSourceName(name string) bool {
 	if len(name) == 0 || len(name) > 128 {
 		return false
 	}
@@ -131,7 +131,7 @@ func (s *Server) handleIngestOffset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	hub := s.opts.Ingest
 	name := r.PathValue("source")
-	if !validSourceName(name) {
+	if !ValidSourceName(name) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad source name " + strconv.Quote(name)})
 		return
 	}

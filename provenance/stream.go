@@ -132,7 +132,7 @@ type Uploader struct {
 // deltas to c's aggregator and starts its sender goroutine (Wait stops
 // it).
 func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) {
-	if !validSourceName(opts.Source) {
+	if !ValidSourceName(opts.Source) {
 		return nil, fmt.Errorf("provenance: bad stream source name %q", opts.Source)
 	}
 	if opts.RunID == "" {
