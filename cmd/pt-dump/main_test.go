@@ -12,10 +12,7 @@ func TestRunOnGeneratedSession(t *testing.T) {
 	// Build a session with a few records and a raw trace, serialize it,
 	// and make sure pt-dump walks it without error.
 	sess := perf.NewSession(perf.SessionOptions{AutoDrain: true})
-	st, ok := sess.Attach(7)
-	if !ok {
-		t.Fatal("attach failed")
-	}
+	st := sess.Attach(7)
 	sess.RecordComm(7, "demo")
 	sess.RecordMMAP(7, 0x400000, 4096, "demo.text")
 	// A short TNT packet (0b0101100 -> bits) plus a PAD.

@@ -148,8 +148,16 @@ func TestIncrementalMatchesSpecOverRandomPrefixes(t *testing.T) {
 	check := func(a *core.Analysis, where string) {
 		t.Helper()
 		syncRef, dataRef := core.ReferenceSections(a)
-		if _, data := a.EdgeSections(); len(data)+len(dataRef) > 0 && !reflect.DeepEqual(data, dataRef) {
+		sync, data := a.EdgeSections()
+		if len(data)+len(dataRef) > 0 && !reflect.DeepEqual(data, dataRef) {
 			t.Fatalf("%s: epoch %d data section diverges from dataEdgesReference", where, a.Epoch())
+		}
+		// Stats counts edges by arithmetic over the layered index; the
+		// materialized sequence is the definition.
+		if st := a.Stats(); st.SyncEdges != len(sync) || st.DataEdges != len(data) ||
+			st.ControlEdges+st.SyncEdges+st.DataEdges != len(a.Edges()) {
+			t.Fatalf("%s: epoch %d Stats counts %d control, %d sync, %d data edges; Edges holds %d, %d sync, %d data",
+				where, a.Epoch(), st.ControlEdges, st.SyncEdges, st.DataEdges, len(a.Edges()), len(sync), len(data))
 		}
 		if got, want := exportBytes(t, a), exportBytes(t, core.FlatAnalysis(a, syncRef, dataRef)); !bytes.Equal(got, want) {
 			t.Fatalf("%s: epoch %d export diverges from the flat reference analysis", where, a.Epoch())

@@ -22,6 +22,59 @@ func (a *Analysis) ThreadLens() []int {
 	return out
 }
 
+// Stats is the eleven-counter summary of an analyzed prefix: what the
+// stats query answers, what the .cpg stats section stores and what a
+// listing entry is read from.
+type Stats struct {
+	SubComputations int
+	Threads         int
+	Thunks          int
+	ReadSetPages    int
+	WriteSetPages   int
+	ControlEdges    int
+	SyncEdges       int
+	DataEdges       int
+	GapThreads      int
+	GapIntervals    int
+	LostTraceBytes  uint64
+}
+
+// Stats summarizes the analyzed prefix — not Graph.Subs: during a live
+// run the graph may already hold vertices this epoch does not cover.
+// Threads counts the threads with a vertex in the prefix; the edge
+// counts are those of Edges, by arithmetic: control edges are
+// Σ max(0, len−1) and the sync and data sections are counted where they
+// lie, so nothing is materialized.
+func (a *Analysis) Stats() Stats {
+	st := Stats{
+		SubComputations: a.NumVertices(),
+		GapThreads:      a.comp.GapThreads,
+		GapIntervals:    a.comp.GapIntervals,
+		LostTraceBytes:  a.comp.LostBytes,
+	}
+	for t, n := range a.lens {
+		if n > 0 {
+			st.Threads++
+			st.ControlEdges += n - 1
+		}
+		for i := 0; i < n; i++ {
+			sc, _ := a.g.Sub(SubID{Thread: t, Alpha: uint64(i)})
+			st.Thunks += len(sc.Thunks)
+			st.ReadSetPages += sc.ReadSet.Len()
+			st.WriteSetPages += sc.WriteSet.Len()
+		}
+	}
+	if a.succ != nil {
+		st.SyncEdges += len(a.succ.syncSeq)
+		st.DataEdges += len(a.succ.dataSeq)
+	}
+	for i := range a.layers {
+		st.SyncEdges += len(a.layers[i].syncSeq)
+		st.DataEdges += len(a.layers[i].dataSeq)
+	}
+	return st
+}
+
 // EdgeSections returns the canonical sync and data edge sections of the
 // analysis, each in the canonical sorted order. Together with the
 // control edges (fully determined by ThreadLens and never stored) they

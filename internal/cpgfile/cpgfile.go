@@ -44,6 +44,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"github.com/repro/inspector/internal/core"
 )
 
 // Magic identifies a CPG file: 7 format bytes + the major version
@@ -118,22 +120,9 @@ type Header struct {
 }
 
 // Stats is the precomputed summary stored in the stats section, so a
-// server can list and describe a CPG without materializing it. The
-// numbers are computed at write time from the same analysis the file
-// serializes, with the same definitions the query engine uses.
-type Stats struct {
-	SubComputations int
-	Threads         int
-	Thunks          int
-	ReadSetPages    int
-	WriteSetPages   int
-	ControlEdges    int
-	SyncEdges       int
-	DataEdges       int
-	GapThreads      int
-	GapIntervals    int
-	LostTraceBytes  uint64
-}
+// server can list and describe a CPG without materializing it: the
+// serialized analysis's own Stats, computed at write time.
+type Stats = core.Stats
 
 // Sentinel errors. Every corruption-shaped failure from this package
 // matches errors.Is(err, ErrCorrupt); magic and version mismatches are

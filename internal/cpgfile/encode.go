@@ -123,8 +123,8 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	sections = append(sections, b)
 
 	// Section 9: precomputed stats, so listing a CPG never costs a
-	// decode. Definitions match the query engine's stats exactly.
-	st := statsOf(subs, lens, len(syncEdges), len(dataEdges), comp)
+	// decode — the numbers the query engine's stats answers with.
+	st := a.Stats()
 	b = nil
 	for _, v := range []uint64{
 		uint64(st.SubComputations), uint64(st.Threads), uint64(st.Thunks),
@@ -174,29 +174,4 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 		}
 	}
 	return nil
-}
-
-// statsOf computes the stats section's numbers with the query engine's
-// definitions: prefix vertices, distinct threads, and derived-edge
-// counts (control edges are Σ max(0, len−1), never stored).
-func statsOf(subs []*core.SubComputation, lens []int, syncEdges, dataEdges int, comp core.Completeness) Stats {
-	st := Stats{SyncEdges: syncEdges, DataEdges: dataEdges}
-	threads := map[int]bool{}
-	for _, sc := range subs {
-		st.SubComputations++
-		threads[sc.ID.Thread] = true
-		st.Thunks += len(sc.Thunks)
-		st.ReadSetPages += sc.ReadSet.Len()
-		st.WriteSetPages += sc.WriteSet.Len()
-	}
-	st.Threads = len(threads)
-	for _, n := range lens {
-		if n > 1 {
-			st.ControlEdges += n - 1
-		}
-	}
-	st.GapThreads = comp.GapThreads
-	st.GapIntervals = comp.GapIntervals
-	st.LostTraceBytes = comp.LostBytes
-	return st
 }

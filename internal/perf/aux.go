@@ -1,7 +1,8 @@
 // Package perf simulates the Linux perf_event machinery INSPECTOR uses to
 // expose Intel PT to user space (§V-B): per-process AUX ring buffers in
 // full-trace and snapshot modes, the perf.data-style record stream (MMAP,
-// COMM, AUX, LOST, ITRACE_START), and cgroup-scoped trace sessions.
+// COMM, AUX, LOST, ITRACE_START), and the trace session every process of
+// one run attaches to.
 //
 // Two properties of the real interface matter to the paper and are
 // preserved here:

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"github.com/repro/inspector/internal/cgroup"
 )
 
 func TestAuxFullTraceBasic(t *testing.T) {
@@ -171,6 +171,46 @@ func TestReadRecordsTruncated(t *testing.T) {
 	}
 }
 
+// forgedCount is a header whose record count no 12-byte file can hold.
+// Under the version-1 magic, where the four bytes were a fixed-width
+// count, it made ReadRecords ask for a 25 GB slice.
+var forgedCount = slices.Concat(fileMagic[:], []byte{0xff, 0xff, 0xff, 0x0f})
+
+// TestReadRecordsRejectsForgedLengths: a count or length the bytes that
+// arrived cannot back is an error, decided before anything that size is
+// allocated.
+func TestReadRecordsRejectsForgedLengths(t *testing.T) {
+	// field is a one-record file that ends in a length of 4 GiB - 1 with
+	// no payload behind it.
+	field := func(record ...byte) []byte {
+		return slices.Concat(fileMagic[:], []byte{1}, record, []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	}
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want error
+	}{
+		{"record count", forgedCount, ErrBadRecord},
+		{"version 1 header", []byte("PERFSIM\x01\xff\xff\xff\x0f"), ErrBadMagic},
+		{"comm length", field(byte(RecordCOMM), 1, 0), ErrBadRecord},
+		{"mmap filename length", field(byte(RecordMMAP), 1, 0, 0, 0), ErrBadRecord},
+		{"aux data length", field(byte(RecordAUX), 1, 0), ErrBadRecord},
+		{"unknown type", field(0, 1, 0), ErrBadRecord},
+		{"trailing bytes", slices.Concat(fileMagic[:], []byte{0, 0}), ErrBadRecord},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadRecords(bytes.NewReader(tc.file))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte file allocated %d bytes", tc.name, len(tc.file), got)
+		}
+	}
+}
+
 func TestRecordTypeString(t *testing.T) {
 	for _, ty := range []RecordType{RecordMMAP, RecordCOMM, RecordAUX, RecordLOST, RecordITraceStart, RecordExit} {
 		if ty.String() == "UNKNOWN" {
@@ -185,36 +225,9 @@ func TestRecordTypeString(t *testing.T) {
 	}
 }
 
-func TestSessionCgroupFilter(t *testing.T) {
-	h := cgroup.NewHierarchy()
-	g, err := h.Create("/inspector")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.AddProcess(100)
-	h.Fork(100, 101) // forked thread inherits the group
-
-	s := NewSession(SessionOptions{Filter: g, AutoDrain: true})
-	if _, ok := s.Attach(100); !ok {
-		t.Error("group member rejected")
-	}
-	if _, ok := s.Attach(101); !ok {
-		t.Error("forked child rejected — cgroup inheritance broken")
-	}
-	if _, ok := s.Attach(999); ok {
-		t.Error("outsider attached despite filter")
-	}
-	if got := len(s.PIDs()); got != 2 {
-		t.Errorf("PIDs = %d, want 2", got)
-	}
-}
-
 func TestSessionStreamStoreAndDrain(t *testing.T) {
 	s := NewSession(SessionOptions{AuxSize: 64, AutoDrain: true})
-	st, ok := s.Attach(1)
-	if !ok {
-		t.Fatal("attach failed")
-	}
+	st := s.Attach(1)
 	// Write more than the ring size: auto-drain must prevent loss.
 	var want []byte
 	for i := 0; i < 50; i++ {
@@ -237,7 +250,7 @@ func TestSessionStreamStoreAndDrain(t *testing.T) {
 
 func TestSessionNoAutoDrainOverruns(t *testing.T) {
 	s := NewSession(SessionOptions{AuxSize: 16, AutoDrain: false})
-	st, _ := s.Attach(1)
+	st := s.Attach(1)
 	for i := 0; i < 10; i++ {
 		st.WriteTrace([]byte("abcdefgh"))
 	}
@@ -251,8 +264,8 @@ func TestSessionNoAutoDrainOverruns(t *testing.T) {
 
 func TestSessionAttachIdempotent(t *testing.T) {
 	s := NewSession(SessionOptions{})
-	a, _ := s.Attach(5)
-	b, _ := s.Attach(5)
+	a := s.Attach(5)
+	b := s.Attach(5)
 	if a != b {
 		t.Error("re-attach returned a different stream")
 	}
@@ -265,10 +278,57 @@ func TestSessionAttachIdempotent(t *testing.T) {
 	}
 }
 
+// TestSessionStreamsAscendByPID: whatever order processes attach and log
+// in, every per-process walk is ascending by PID — PIDs, and the file
+// Serialize writes, which groups each process's records in the order it
+// logged them with its AUX record last — so two serializations of one
+// session are the same bytes.
+func TestSessionStreamsAscendByPID(t *testing.T) {
+	s := NewSession(SessionOptions{AutoDrain: true})
+	order := []int32{1003, 1001, 1002, 1000}
+	for _, pid := range order {
+		s.Attach(pid).WriteTrace([]byte{byte(pid)})
+	}
+	for _, pid := range order {
+		s.RecordComm(pid, "w")
+	}
+	want := []int32{1000, 1001, 1002, 1003}
+	if got := s.PIDs(); !slices.Equal(got, want) {
+		t.Errorf("PIDs() = %v, want %v", got, want)
+	}
+	var first, second bytes.Buffer
+	if err := s.Serialize(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serialize(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("two serializations of one session differ")
+	}
+	recs, err := ReadRecords(&first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3*len(want) {
+		t.Fatalf("%d records, want %d", len(recs), 3*len(want))
+	}
+	for i, pid := range want {
+		for j, ty := range []RecordType{RecordITraceStart, RecordCOMM, RecordAUX} {
+			if r := recs[3*i+j]; r.Type != ty || r.PID != pid {
+				t.Errorf("record %d is %s of pid %d, want %s of pid %d", 3*i+j, r.Type, r.PID, ty, pid)
+			}
+		}
+		if aux := recs[3*i+2]; !bytes.Equal(aux.Data, []byte{byte(pid)}) {
+			t.Errorf("pid %d: AUX data %v is another stream's", pid, aux.Data)
+		}
+	}
+}
+
 func TestSessionRecordsAndSerialize(t *testing.T) {
 	var now uint64
 	s := NewSession(SessionOptions{AutoDrain: true, Clock: func() uint64 { now += 5; return now }})
-	st, _ := s.Attach(1)
+	st := s.Attach(1)
 	s.RecordComm(1, "histogram")
 	s.RecordMMAP(1, 0x400000, 8192, "histogram.bin")
 	st.WriteTrace([]byte{0xAA, 0xBB})

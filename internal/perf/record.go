@@ -1,11 +1,12 @@
 package perf
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+
+	"github.com/repro/inspector/internal/wire"
 )
 
 // RecordType enumerates the perf event record kinds this model emits,
@@ -73,8 +74,13 @@ type Record struct {
 	LostBytes uint64
 }
 
-// File format constants.
-var fileMagic = [8]byte{'P', 'E', 'R', 'F', 'S', 'I', 'M', 1}
+// fileMagic opens a .perf file; its last byte is the format version (2
+// since the fields are uvarints read through wire.Cursor; 1 was
+// fixed-width and is refused as ErrBadMagic, not read).
+var fileMagic = [8]byte{'P', 'E', 'R', 'F', 'S', 'I', 'M', 2}
+
+// minRecordBytes is the smallest record: type byte, PID, time.
+const minRecordBytes = 3
 
 // Errors for the file layer.
 var (
@@ -82,165 +88,82 @@ var (
 	ErrBadRecord = errors.New("perf: malformed record")
 )
 
-// WriteRecords serializes records in a compact perf.data-like layout.
+// WriteRecords serializes records in a compact perf.data-like layout:
+// the magic, a record count, then per record its type byte, PID, time
+// and the type's own fields, as uvarints and length-prefixed bytes.
 func WriteRecords(w io.Writer, records []Record) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(fileMagic[:]); err != nil {
-		return fmt.Errorf("perf: write magic: %w", err)
-	}
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(records)))
-	if _, err := bw.Write(scratch[:4]); err != nil {
-		return fmt.Errorf("perf: write count: %w", err)
-	}
+	b := append([]byte(nil), fileMagic[:]...)
+	b = binary.AppendUvarint(b, uint64(len(records)))
 	for i := range records {
-		if err := writeRecord(bw, &records[i]); err != nil {
-			return fmt.Errorf("perf: record %d: %w", i, err)
+		r := &records[i]
+		b = append(b, byte(r.Type))
+		b = binary.AppendUvarint(b, uint64(uint32(r.PID)))
+		b = binary.AppendUvarint(b, r.Time)
+		switch r.Type {
+		case RecordMMAP:
+			b = binary.AppendUvarint(b, r.Addr)
+			b = binary.AppendUvarint(b, r.MapLen)
+			b = wire.AppendString(b, r.Filename)
+		case RecordCOMM:
+			b = wire.AppendString(b, r.Comm)
+		case RecordAUX:
+			b = binary.AppendUvarint(b, uint64(len(r.Data)))
+			b = append(b, r.Data...)
+		case RecordLOST:
+			b = binary.AppendUvarint(b, r.LostBytes)
+		case RecordITraceStart, RecordExit:
+		default:
+			return fmt.Errorf("perf: record %d: %w: unknown type %d", i, ErrBadRecord, r.Type)
 		}
 	}
-	return bw.Flush()
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("perf: write records: %w", err)
+	}
+	return nil
 }
 
-func writeString(w io.Writer, s string) error {
-	var n [2]byte
-	if len(s) > 0xFFFF {
-		return fmt.Errorf("%w: string too long", ErrBadRecord)
-	}
-	binary.LittleEndian.PutUint16(n[:], uint16(len(s)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func writeBytes(w io.Writer, b []byte) error {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-func writeRecord(w io.Writer, r *Record) error {
-	var hdr [13]byte
-	hdr[0] = byte(r.Type)
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(r.PID))
-	binary.LittleEndian.PutUint64(hdr[5:13], r.Time)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var scratch [16]byte
-	switch r.Type {
-	case RecordMMAP:
-		binary.LittleEndian.PutUint64(scratch[:8], r.Addr)
-		binary.LittleEndian.PutUint64(scratch[8:16], r.MapLen)
-		if _, err := w.Write(scratch[:16]); err != nil {
-			return err
-		}
-		return writeString(w, r.Filename)
-	case RecordCOMM:
-		return writeString(w, r.Comm)
-	case RecordAUX:
-		return writeBytes(w, r.Data)
-	case RecordLOST:
-		binary.LittleEndian.PutUint64(scratch[:8], r.LostBytes)
-		_, err := w.Write(scratch[:8])
-		return err
-	case RecordITraceStart, RecordExit:
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown type %d", ErrBadRecord, r.Type)
-	}
-}
-
-// ReadRecords parses a stream produced by WriteRecords.
+// ReadRecords parses a file produced by WriteRecords. The file is
+// untrusted (pt-dump opens whatever it is given): it is read once and
+// parsed through a wire.Cursor, so the record count and every length are
+// checked against the bytes that arrived before anything is allocated.
+// A file that does not open with the magic is ErrBadMagic; every other
+// rejection wraps ErrBadRecord.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("perf: read magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("perf: read records: %w", err)
 	}
-	if magic != fileMagic {
+	if len(data) < len(fileMagic) || [len(fileMagic)]byte(data) != fileMagic {
 		return nil, ErrBadMagic
 	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("perf: read count: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(cnt[:])
-	out := make([]Record, 0, n)
-	for i := uint32(0); i < n; i++ {
-		rec, err := readRecord(br)
-		if err != nil {
-			return nil, fmt.Errorf("perf: record %d: %w", i, err)
+	c := wire.NewCursor(data[len(fileMagic):])
+	out := make([]Record, c.Count("record count", minRecordBytes))
+	for i := range out {
+		rec := &out[i]
+		rec.Type = RecordType(c.Byte("record.type", byte(RecordExit)))
+		rec.PID = int32(c.Uint32("record.pid"))
+		rec.Time = c.Uvarint("record.time")
+		switch rec.Type {
+		case RecordMMAP:
+			rec.Addr = c.Uvarint("mmap.addr")
+			rec.MapLen = c.Uvarint("mmap.len")
+			rec.Filename = c.String("mmap.filename")
+		case RecordCOMM:
+			rec.Comm = c.String("comm")
+		case RecordAUX:
+			rec.Data = []byte(c.String("aux.data"))
+		case RecordLOST:
+			rec.LostBytes = c.Uvarint("lost.bytes")
+		case RecordITraceStart, RecordExit:
+		default:
+			c.Fail("record.type", "unknown type 0")
 		}
-		out = append(out, rec)
+		if c.Err() != nil {
+			return nil, fmt.Errorf("perf: record %d: %w: %v", i, ErrBadRecord, c.Err())
+		}
+	}
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
 	return out, nil
-}
-
-func readString(r io.Reader) (string, error) {
-	var n [2]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return "", err
-	}
-	buf := make([]byte, binary.LittleEndian.Uint16(n[:]))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func readBytes(r io.Reader) ([]byte, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, binary.LittleEndian.Uint32(n[:]))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func readRecord(r io.Reader) (Record, error) {
-	var hdr [13]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Record{}, err
-	}
-	rec := Record{
-		Type: RecordType(hdr[0]),
-		PID:  int32(binary.LittleEndian.Uint32(hdr[1:5])),
-		Time: binary.LittleEndian.Uint64(hdr[5:13]),
-	}
-	var scratch [16]byte
-	var err error
-	switch rec.Type {
-	case RecordMMAP:
-		if _, err = io.ReadFull(r, scratch[:16]); err != nil {
-			return Record{}, err
-		}
-		rec.Addr = binary.LittleEndian.Uint64(scratch[:8])
-		rec.MapLen = binary.LittleEndian.Uint64(scratch[8:16])
-		rec.Filename, err = readString(r)
-	case RecordCOMM:
-		rec.Comm, err = readString(r)
-	case RecordAUX:
-		rec.Data, err = readBytes(r)
-	case RecordLOST:
-		if _, err = io.ReadFull(r, scratch[:8]); err != nil {
-			return Record{}, err
-		}
-		rec.LostBytes = binary.LittleEndian.Uint64(scratch[:8])
-	case RecordITraceStart, RecordExit:
-	default:
-		return Record{}, fmt.Errorf("%w: type %d", ErrBadRecord, hdr[0])
-	}
-	if err != nil {
-		return Record{}, err
-	}
-	return rec, nil
 }

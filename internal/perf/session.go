@@ -1,19 +1,14 @@
 package perf
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sync"
-
-	"github.com/repro/inspector/internal/cgroup"
 )
 
 // SessionOptions configure a trace session.
 type SessionOptions struct {
-	// Filter restricts tracing to processes inside this cgroup (and its
-	// descendants). Nil traces everything, but INSPECTOR always filters:
-	// the threading library forks processes whose PIDs are unknown in
-	// advance, so the paper creates a dedicated cgroup for the app.
-	Filter *cgroup.Group
 	// Mode selects full-trace or snapshot AUX buffers.
 	Mode Mode
 	// AuxSize is the per-process AUX ring size in bytes (default 4 MiB,
@@ -30,14 +25,19 @@ type SessionOptions struct {
 // DefaultAuxSize is the default per-process AUX ring size.
 const DefaultAuxSize = 4 << 20
 
-// Session is one perf tracing session over a set of processes, the
-// equivalent of a `perf record -e intel_pt//` invocation scoped to a
-// cgroup.
+// Session is one perf tracing session over the processes of one run,
+// the equivalent of a `perf record -e intel_pt//` invocation. The paper
+// scopes it with a dedicated cgroup because the forked PIDs are not
+// known in advance; here every process the runtime forks attaches at
+// creation, and nothing outside the run exists to filter out.
 type Session struct {
 	opts SessionOptions
 
-	mu      sync.Mutex
-	streams map[int32]*Stream
+	mu sync.Mutex
+	// streams is ascending by PID, whatever order the processes attached
+	// in: every per-process walk (PIDs, Serialize, the totals) visits
+	// them in that one order.
+	streams []*Stream
 	records []Record
 }
 
@@ -60,10 +60,7 @@ func NewSession(opts SessionOptions) *Session {
 	if opts.Mode == 0 {
 		opts.Mode = ModeFullTrace
 	}
-	return &Session{
-		opts:    opts,
-		streams: make(map[int32]*Stream),
-	}
+	return &Session{opts: opts}
 }
 
 // now returns the session timestamp.
@@ -74,43 +71,55 @@ func (s *Session) now() uint64 {
 	return 0
 }
 
-// Attach creates (or returns) the trace stream for pid. It returns false
-// if the session's cgroup filter excludes the process — the event simply
-// does not count for it, as with real cgroup-scoped perf events.
-func (s *Session) Attach(pid int32) (*Stream, bool) {
-	if s.opts.Filter != nil && !s.opts.Filter.Contains(pid) {
-		return nil, false
-	}
+// find returns pid's position in streams and whether it is attached.
+// Needs s.mu.
+func (s *Session) find(pid int32) (int, bool) {
+	return slices.BinarySearchFunc(s.streams, pid, func(st *Stream, pid int32) int {
+		return cmp.Compare(st.pid, pid)
+	})
+}
+
+// Attach creates (or returns) the trace stream for pid.
+func (s *Session) Attach(pid int32) *Stream {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, ok := s.streams[pid]; ok {
-		return st, true
+	i, ok := s.find(pid)
+	if ok {
+		return s.streams[i]
 	}
 	st := &Stream{
 		sess: s,
 		pid:  pid,
 		aux:  NewAuxBuffer(s.opts.AuxSize, s.opts.Mode),
 	}
-	s.streams[pid] = st
+	s.streams = slices.Insert(s.streams, i, st)
 	s.records = append(s.records, Record{Type: RecordITraceStart, PID: pid, Time: s.now()})
-	return st, true
+	return st
 }
 
 // Stream returns the stream for pid if attached.
 func (s *Session) Stream(pid int32) (*Stream, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.streams[pid]
-	return st, ok
+	if i, ok := s.find(pid); ok {
+		return s.streams[i], true
+	}
+	return nil, false
 }
 
-// PIDs returns the attached process IDs (unordered).
-func (s *Session) PIDs() []int32 {
+// attached returns the streams in ascending PID order.
+func (s *Session) attached() []*Stream {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]int32, 0, len(s.streams))
-	for pid := range s.streams {
-		out = append(out, pid)
+	return slices.Clone(s.streams)
+}
+
+// PIDs returns the attached process IDs in ascending order.
+func (s *Session) PIDs() []int32 {
+	streams := s.attached()
+	out := make([]int32, len(streams))
+	for i, st := range streams {
+		out[i] = st.pid
 	}
 	return out
 }
@@ -197,14 +206,8 @@ func (st *Stream) Aux() *AuxBuffer { return st.aux }
 // TotalTraceBytes sums stored trace bytes over all streams — the size of
 // the provenance log perf would have written (Table 9's "Size" column).
 func (s *Session) TotalTraceBytes() uint64 {
-	s.mu.Lock()
-	streams := make([]*Stream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
-	s.mu.Unlock()
 	var total uint64
-	for _, st := range streams {
+	for _, st := range s.attached() {
 		total += uint64(st.StoredBytes())
 	}
 	return total
@@ -212,31 +215,26 @@ func (s *Session) TotalTraceBytes() uint64 {
 
 // TotalLost sums dropped bytes over all streams.
 func (s *Session) TotalLost() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var total uint64
-	for _, st := range s.streams {
-		total += st.aux.Lost()
+	for _, st := range s.attached() {
+		total += st.Lost()
 	}
 	return total
 }
 
-// Serialize writes the session — meta records followed by one AUX
-// record per stream (plus LOST records where the ring overran) — in the
-// perf.data-like format.
+// Serialize writes the session in the perf.data-like format. The record
+// log arrives in the scheduler's order; the file groups it by process,
+// ascending by PID — each process's records in the order it logged them,
+// then its AUX record (and a LOST record where the ring overran) — which
+// is the one layout every run of a program repeats.
 func (s *Session) Serialize(w io.Writer) error {
 	recs := s.Records()
-	s.mu.Lock()
-	streams := make([]*Stream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
-	s.mu.Unlock()
-	for _, st := range streams {
+	for _, st := range s.attached() {
 		recs = append(recs, Record{Type: RecordAUX, PID: st.pid, Time: s.now(), Data: st.Trace()})
 		if lost := st.Lost(); lost > 0 {
 			recs = append(recs, Record{Type: RecordLOST, PID: st.pid, Time: s.now(), LostBytes: lost})
 		}
 	}
+	slices.SortStableFunc(recs, func(a, b Record) int { return cmp.Compare(a.PID, b.PID) })
 	return WriteRecords(w, recs)
 }

@@ -75,7 +75,8 @@ type Snapshot struct {
 	Analysis *core.Analysis
 	// PTWindows holds the captured AUX window per process.
 	PTWindows map[int32][]byte
-	// TruncatedPT reports PT bytes dropped to fit the slot budget.
+	// TruncatedPT reports PT bytes dropped to fit the slot budget, over
+	// all processes.
 	TruncatedPT uint64
 }
 
@@ -165,14 +166,22 @@ func (r *Ring) Take(fold func()) *Snapshot {
 }
 
 // retain stores the epoch with the current PT windows, overwriting the
-// oldest slot when full (the paper's reusable-slot ring). Needs r.mu.
+// oldest slot when full (the paper's reusable-slot ring). The slot budget
+// is spent in thread-slot order (ascending PID): the lowest slots keep
+// their windows whole, the one the budget runs out in keeps its newest
+// bytes, and TruncatedPT counts every byte of every window not retained.
+// Needs r.mu.
 func (r *Ring) retain(cut Cut, a *core.Analysis) {
 	snap := &Snapshot{Cut: cut, Analysis: a, PTWindows: make(map[int32][]byte)}
-	// Capture PT windows within the slot budget.
 	budget := r.opts.SlotSize
 	for _, pid := range r.sess.PIDs() {
 		stream, ok := r.sess.Stream(pid)
 		if !ok {
+			continue
+		}
+		if budget == 0 {
+			// Spent: the whole window is dropped, counted uncopied.
+			snap.TruncatedPT += uint64(stream.Aux().Len())
 			continue
 		}
 		win := stream.Aux().SnapshotWindow()
@@ -182,9 +191,6 @@ func (r *Ring) retain(cut Cut, a *core.Analysis) {
 		}
 		budget -= len(win)
 		snap.PTWindows[pid] = win
-		if budget <= 0 {
-			break
-		}
 	}
 	if len(r.ring) == r.opts.Slots {
 		r.ring = append(r.ring[:0], r.ring[1:]...)

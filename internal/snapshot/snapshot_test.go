@@ -112,7 +112,7 @@ func TestSnapshotterRing(t *testing.T) {
 func TestSnapshotCapturesPTWindows(t *testing.T) {
 	g := buildGraph(t)
 	sess := perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot, AuxSize: 64})
-	st, _ := sess.Attach(1)
+	st := sess.Attach(1)
 	for i := 0; i < 30; i++ {
 		st.WriteTrace([]byte{byte(i), byte(i + 1)})
 	}
@@ -126,18 +126,26 @@ func TestSnapshotCapturesPTWindows(t *testing.T) {
 	}
 }
 
+// TestSnapshotSlotBudgetTruncates: the slot budget is spent in ascending
+// PID order, the same stream survives every take, and TruncatedPT is
+// every byte of every window that was not retained.
 func TestSnapshotSlotBudgetTruncates(t *testing.T) {
 	g := buildGraph(t)
-	sess := perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot, AuxSize: 1024})
-	st, _ := sess.Attach(1)
-	st.WriteTrace(make([]byte, 1024))
-	r, drv := pipeline(g, sess, 1, Options{SlotSize: 100})
-	snap := r.Take(drv.Fold)
-	if snap.TruncatedPT == 0 {
-		t.Error("expected truncation with tiny slot")
-	}
-	if len(snap.PTWindows[1]) != 100 {
-		t.Errorf("window = %d bytes, want 100", len(snap.PTWindows[1]))
+	for _, pids := range [][]int32{{1}, {4, 2, 3, 1}} {
+		for take := 0; take < 20; take++ {
+			sess := perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot, AuxSize: 1024})
+			for _, pid := range pids {
+				sess.Attach(pid).WriteTrace(make([]byte, 1024))
+			}
+			r, drv := pipeline(g, sess, 1, Options{SlotSize: 100})
+			snap := r.Take(drv.Fold)
+			if want := uint64(len(pids)*1024 - 100); snap.TruncatedPT != want {
+				t.Fatalf("%d streams, take %d: TruncatedPT = %d, want %d", len(pids), take, snap.TruncatedPT, want)
+			}
+			if len(snap.PTWindows) != 1 || len(snap.PTWindows[1]) != 100 {
+				t.Fatalf("%d streams, take %d: windows = %v, want 100 bytes of pid 1 only", len(pids), take, snap.PTWindows)
+			}
+		}
 	}
 }
 

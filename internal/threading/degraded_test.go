@@ -158,21 +158,30 @@ func TestWorkloadPanicRecovered(t *testing.T) {
 // healthy body — must still surface as ErrWorkloadPanic with a
 // GapPanic mark, not as an unclassified teardown error.
 func TestCommitHookPanicAtTeardownIsWorkloadPanic(t *testing.T) {
-	rt := newRT(t, ModeInspector)
-	rt.RegisterCommitHook(func(core.SubID) { panic("hook bug") })
-	// No sync boundaries in the body: the only seal (and so the only
-	// hook invocation) is the teardown one.
-	_, err := rt.Run(func(main *Thread) {
-		main.Store64(rt.GlobalsBase(), 1)
-	})
-	if !errors.Is(err, ErrWorkloadPanic) {
-		t.Fatalf("Run() = %v, want ErrWorkloadPanic", err)
-	}
-	if !strings.Contains(err.Error(), "hook bug") {
-		t.Errorf("panic value lost from the error: %v", err)
-	}
-	if !rt.Graph().Degraded() {
-		t.Error("teardown hook panic left the graph unmarked")
+	for name, body := range map[string]func(*Thread){
+		// No sync boundaries in the body: the only seal (and so the only
+		// hook invocation) is the teardown one.
+		"teardown": func(main *Thread) { main.Store64(main.rt.GlobalsBase(), 1) },
+		// The hook also panics on the parent's release inside Spawn,
+		// after slot 1 was reserved and before its thread exists: the
+		// report is built over a slot that never got a thread.
+		"spawn": func(main *Thread) { main.Spawn(func(*Thread) {}) },
+	} {
+		rt := newRT(t, ModeInspector)
+		rt.RegisterCommitHook(func(core.SubID) { panic("hook bug") })
+		rep, err := rt.Run(body)
+		if !errors.Is(err, ErrWorkloadPanic) {
+			t.Fatalf("%s: Run() = %v, want ErrWorkloadPanic", name, err)
+		}
+		if !strings.Contains(err.Error(), "hook bug") {
+			t.Errorf("%s: panic value lost from the error: %v", name, err)
+		}
+		if !rt.Graph().Degraded() {
+			t.Errorf("%s: hook panic left the graph unmarked", name)
+		}
+		if rep == nil {
+			t.Errorf("%s: no partial report beside the error", name)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/pt"
@@ -96,12 +97,16 @@ func (rt *Runtime) buildReport(main *Thread) (*Report, error) {
 		Work: rt.acct.Work(),
 	}
 	rt.threadsMu.Lock()
-	threads := make([]*Thread, len(rt.threads))
-	copy(threads, rt.threads)
+	threads := slices.Clone(rt.threads)
 	rt.threadsMu.Unlock()
 	rep.Threads = len(threads)
 
 	for _, t := range threads {
+		if t == nil {
+			// The slot's spawn panicked (a commit hook, on the parent's
+			// release) before it created the thread.
+			continue
+		}
 		rep.AppCycles += t.appCycles
 		rep.ThreadingCycles += t.threadingCycles
 		rep.PTCycles += t.ptCycles
@@ -109,7 +114,7 @@ func (rt *Runtime) buildReport(main *Thread) (*Report, error) {
 		rep.Stores += t.stores
 		rep.Branches += t.branches
 		rep.ALU += t.alu
-		st := t.p.Space.Stats()
+		st := t.space.Stats()
 		rep.ReadFaults += st.ReadFaults
 		rep.WriteFaults += st.WriteFaults
 		rep.TwinCopies += st.TwinCopies
@@ -122,17 +127,17 @@ func (rt *Runtime) buildReport(main *Thread) (*Report, error) {
 	}
 	rep.TraceBytes = rt.sess.TotalTraceBytes()
 	rep.LostTraceBytes = rt.sess.TotalLost()
-	rep.ProcessesSpawned = rt.table.Spawned()
+	rep.ProcessesSpawned = uint64(len(threads))
 	rep.SubComputations = rt.graph.NumSubs()
 	rt.ptStats = rep.PT
 	return rep, nil
 }
 
-// DecodeTraces decodes every process's PT trace against the program image
-// and returns per-PID event counts — the `perf script` + decoder-library
-// step that turns raw packets back into control flow. It verifies the
-// trace is decodable end to end, streaming events through Decoder.Next
-// rather than materializing every event in memory.
+// DecodeTraces decodes every process's PT trace against the program image,
+// in slot order, and returns per-PID event counts — the `perf script` +
+// decoder-library step that turns raw packets back into control flow. It
+// verifies the trace is decodable end to end, streaming events through
+// Decoder.Next rather than materializing every event in memory.
 func (rt *Runtime) DecodeTraces() (map[int32]int, error) {
 	out := make(map[int32]int)
 	for _, pid := range rt.sess.PIDs() {

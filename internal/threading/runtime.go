@@ -7,14 +7,21 @@
 //   - shared memory backings for globals, heap and mapped input, with each
 //     "thread" running as a simulated process holding a private
 //     copy-on-write view (threads-as-processes, clone());
-//   - a cgroup that every forked process inherits, used both to scope the
-//     perf/PT trace session and for cpuacct-style work accounting;
-//   - one perf session with a per-process AUX ring receiving each
+//   - one perf session every forked process attaches to at creation (all
+//     the paper's dedicated cgroup buys: its forked PIDs are not known in
+//     advance, these are), with a per-process AUX ring receiving each
 //     process's Intel-PT-style branch trace;
 //   - the CPG under construction (internal/core) and the program image
 //     the PT decoder will need (internal/image);
 //   - the deterministic virtual-time cost model standing in for the
-//     paper's Xeon D-1540 wall clock.
+//     paper's Xeon D-1540 wall clock, whose per-thread clocks also sum to
+//     the "work" metric the paper reads from cpuacct.
+//
+// A thread has one identity, its slot: the dense index its vector-clock
+// component, CPG shard and exit site are named by. The PID perf records
+// carry is a rendering of it (firstPID + slot), so every per-thread
+// artefact — .perf record order, snapshot PT windows, DecodeTraces —
+// comes out in slot order.
 //
 // The same Runtime also runs workloads in native mode — the pthreads
 // baseline of the evaluation — where all tracking is disabled, threads
@@ -27,12 +34,10 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/repro/inspector/internal/cgroup"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/image"
 	"github.com/repro/inspector/internal/mem"
 	"github.com/repro/inspector/internal/perf"
-	"github.com/repro/inspector/internal/proc"
 	"github.com/repro/inspector/internal/pt"
 	"github.com/repro/inspector/internal/vtime"
 )
@@ -102,9 +107,6 @@ type Runtime struct {
 
 	img   *image.Image
 	graph *core.Graph
-	table *proc.Table
-	hier  *cgroup.Hierarchy
-	cg    *cgroup.Group
 	sess  *perf.Session
 	acct  vtime.Accounting
 
@@ -113,9 +115,9 @@ type Runtime struct {
 	inputMu  sync.Mutex
 	inputOff mem.Addr
 
-	slotMu   sync.Mutex
-	nextSlot int
-
+	// threads is indexed by slot: allocSlot reserves the next entry and
+	// newThread fills it, so an entry is nil only while (or because) its
+	// spawn has not got as far as creating the thread.
 	threadsMu sync.Mutex
 	threads   []*Thread
 	wg        sync.WaitGroup
@@ -173,11 +175,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("threading: input region: %w", err)
 	}
-	hier := cgroup.NewHierarchy()
-	cg, err := hier.Create("/inspector-" + opts.AppName)
-	if err != nil {
-		return nil, fmt.Errorf("threading: cgroup: %w", err)
-	}
 	rt := &Runtime{
 		opts:     opts,
 		model:    model,
@@ -188,14 +185,10 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		backings: []*mem.Backing{globals, heap, input},
 		img:      image.New(),
 		graph:    core.NewGraph(opts.MaxThreads),
-		table:    proc.NewTable(1000),
-		hier:     hier,
-		cg:       cg,
 		heapNext: layout.HeapBase,
 		inputOff: layout.InputBase,
 	}
 	rt.sess = perf.NewSession(perf.SessionOptions{
-		Filter:    cg,
 		Mode:      opts.TraceMode,
 		AuxSize:   opts.AuxSize,
 		AutoDrain: true,
@@ -260,16 +253,15 @@ func (rt *Runtime) InputBytes() uint64 {
 	return uint64(rt.inputOff - rt.layout.InputBase)
 }
 
-// allocSlot reserves a thread slot.
+// allocSlot reserves the next thread slot.
 func (rt *Runtime) allocSlot() (int, error) {
-	rt.slotMu.Lock()
-	defer rt.slotMu.Unlock()
-	if rt.nextSlot >= rt.opts.MaxThreads {
+	rt.threadsMu.Lock()
+	defer rt.threadsMu.Unlock()
+	if len(rt.threads) >= rt.opts.MaxThreads {
 		return 0, ErrTooManyThreads
 	}
-	s := rt.nextSlot
-	rt.nextSlot++
-	return s, nil
+	rt.threads = append(rt.threads, nil)
+	return len(rt.threads) - 1, nil
 }
 
 // Run executes main as thread slot 0 and waits for every spawned thread
@@ -314,7 +306,7 @@ func (rt *Runtime) runBody(t *Thread, fn func(*Thread)) {
 			cur := t.rec.Alpha()
 			t.rec.MarkGap(core.Gap{FromAlpha: cur, ToAlpha: cur, Kind: core.GapPanic})
 		}
-		rt.noteErr(fmt.Errorf("%w: thread %d: %v", ErrWorkloadPanic, t.p.Slot, r))
+		rt.noteErr(fmt.Errorf("%w: thread %d: %v", ErrWorkloadPanic, t.slot, r))
 	}()
 	fn(t)
 }
@@ -337,7 +329,7 @@ func (rt *Runtime) finishThread(t *Thread) {
 					t.rec.MarkGap(core.Gap{FromAlpha: cur, ToAlpha: cur, Kind: core.GapPanic})
 				}()
 			}
-			rt.noteErr(fmt.Errorf("%w: thread %d teardown: %v", ErrWorkloadPanic, t.p.Slot, r))
+			rt.noteErr(fmt.Errorf("%w: thread %d teardown: %v", ErrWorkloadPanic, t.slot, r))
 			select {
 			case <-t.joinCh:
 			default:

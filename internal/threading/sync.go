@@ -134,7 +134,7 @@ func (b *Barrier) Wait(t *Thread) {
 		departs := *departedRef
 		b.mu.Unlock()
 		for _, from := range departs {
-			if from.Thread == t.p.Slot {
+			if from.Thread == t.slot {
 				continue
 			}
 			t.rec.AddScheduleEdge(from, b.obj.Ref())

@@ -180,13 +180,7 @@ func TestThunksMatchPTDecode(t *testing.T) {
 			}
 		}
 		// Decode the same thread's PT stream.
-		var pid int32 = -1
-		for _, thr := range rt.threads {
-			if thr.p.Slot == slot {
-				pid = thr.p.PID
-			}
-		}
-		stream, ok := rt.Session().Stream(pid)
+		stream, ok := rt.Session().Stream(rt.threads[slot].PID())
 		if !ok {
 			t.Fatalf("no stream for slot %d", slot)
 		}

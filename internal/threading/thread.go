@@ -6,7 +6,6 @@ import (
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/image"
 	"github.com/repro/inspector/internal/mem"
-	"github.com/repro/inspector/internal/proc"
 	"github.com/repro/inspector/internal/pt"
 	"github.com/repro/inspector/internal/vtime"
 )
@@ -28,16 +27,22 @@ const (
 	CatPT
 )
 
+// firstPID is slot 0's process id; 1000 keeps PIDs visually distinct from
+// thread slots in perf records.
+const firstPID = 1000
+
 // Thread is one application thread — under INSPECTOR, a forked process
-// with a private address space. All methods must be called from the
-// goroutine running the thread's function.
+// (clone(): shared descriptors and signal handlers, private address
+// space). All methods must be called from the goroutine running the
+// thread's function.
 type Thread struct {
 	rt     *Runtime
-	p      *proc.Process
+	slot   int            // dense index 0..T-1: vector-clock component, CPG shard
+	space  *mem.Space     // private view of the shared backings
+	clk    *vtime.Clock   // virtual time, started at the parent's spawn point
 	rec    *core.Recorder // nil in native mode
 	enc    *pt.Encoder    // nil in native mode
 	tracer *pt.Tracer     // nil in native mode
-	clk    *vtime.Clock
 
 	lastPTBytes uint64
 	// lastLostBytes is the encoder loss counter observed at the previous
@@ -97,42 +102,27 @@ func (f faultSink) OnFault(ft mem.Fault) {
 	}
 }
 
-// newThread creates the process, recorder, and PT plumbing for one thread.
-// parent is nil for the main thread.
+// newThread creates the process (address space, clock), recorder, and PT
+// plumbing for the thread of a reserved slot. parent is nil for the main
+// thread.
 func (rt *Runtime) newThread(parent *Thread, slot int, name string) (*Thread, error) {
-	t := &Thread{rt: rt}
+	t := &Thread{rt: rt, slot: slot}
 	tracking := rt.opts.Mode == ModeInspector
 
 	var origin vtime.Cycles
-	var parentPID int32
 	if parent != nil {
 		origin = parent.clk.Now()
-		parentPID = parent.p.PID
 	}
 	var handler mem.FaultHandler
 	if tracking {
 		handler = faultSink{t: t}
 	}
-	t.p = rt.table.Spawn(proc.SpawnConfig{
-		Parent:      parentPID,
-		Name:        name,
-		Slot:        slot,
-		Backings:    rt.backings,
-		Handler:     handler,
-		Tracking:    tracking,
-		ClockOrigin: origin,
-	})
-	t.clk = t.p.Clock
+	t.space = mem.NewSpace(t.PID(), rt.backings, handler, tracking)
+	t.clk = vtime.NewClock(origin)
 	rt.acct.Register(t.clk)
-
-	// cgroup membership: the main thread joins the app group; children
-	// inherit through fork, which is what keeps the PT session's filter
-	// matching every process the threading library creates.
-	if parent == nil {
-		rt.cg.AddProcess(t.p.PID)
-	} else {
-		rt.hier.Fork(parentPID, t.p.PID)
-	}
+	rt.threadsMu.Lock()
+	rt.threads[slot] = t
+	rt.threadsMu.Unlock()
 
 	if tracking {
 		rec, err := core.NewRecorder(rt.graph, slot, t.clk.Now())
@@ -140,12 +130,9 @@ func (rt *Runtime) newThread(parent *Thread, slot int, name string) (*Thread, er
 			return nil, err
 		}
 		t.rec = rec
-		stream, ok := rt.sess.Attach(t.p.PID)
-		if !ok {
-			return nil, fmt.Errorf("threading: perf filter rejected pid %d", t.p.PID)
-		}
-		rt.sess.RecordComm(t.p.PID, name)
-		rt.sess.RecordMMAP(t.p.PID, image.CodeBase, uint64(rt.img.Len()*image.SiteSpacing), rt.opts.AppName+".text")
+		stream := rt.sess.Attach(t.PID())
+		rt.sess.RecordComm(t.PID(), name)
+		rt.sess.RecordMMAP(t.PID(), image.CodeBase, uint64(rt.img.Len()*image.SiteSpacing), rt.opts.AppName+".text")
 		var sink pt.ByteSink = stream
 		if rt.opts.WrapTraceSink != nil {
 			sink = rt.opts.WrapTraceSink(stream)
@@ -166,10 +153,6 @@ func (rt *Runtime) newThread(parent *Thread, slot int, name string) (*Thread, er
 	t.joinObj = rt.graph.NewSyncObject(fmt.Sprintf("join:t%d", slot), false)
 	t.joinVT = &vtime.SyncPoint{}
 	t.joinCh = make(chan struct{})
-
-	rt.threadsMu.Lock()
-	rt.threads = append(rt.threads, t)
-	rt.threadsMu.Unlock()
 	return t, nil
 }
 
@@ -228,10 +211,10 @@ func (t *Thread) chargePTBytes() {
 }
 
 // Slot returns the thread's dense slot index.
-func (t *Thread) Slot() int { return t.p.Slot }
+func (t *Thread) Slot() int { return t.slot }
 
-// PID returns the backing process id.
-func (t *Thread) PID() int32 { return t.p.PID }
+// PID returns the backing process id: the slot as perf records render it.
+func (t *Thread) PID() int32 { return firstPID + int32(t.slot) }
 
 // Runtime returns the owning runtime.
 func (t *Thread) Runtime() *Runtime { return t.rt }
@@ -243,13 +226,13 @@ func (t *Thread) Now() vtime.Cycles { return t.clk.Now() }
 // The real library would deliver a fatal signal; a workload touching
 // unmapped memory is a bug in the workload, not a recoverable condition.
 func (t *Thread) segv(op string, addr mem.Addr, err error) {
-	panic(fmt.Sprintf("thread %d: %s at %#x: %v", t.p.Slot, op, uint64(addr), err))
+	panic(fmt.Sprintf("thread %d: %s at %#x: %v", t.slot, op, uint64(addr), err))
 }
 
 // Load8 reads one byte of tracked memory.
 func (t *Thread) Load8(a mem.Addr) uint8 {
 	t.onLoad()
-	v, err := t.p.Space.LoadU8(a)
+	v, err := t.space.LoadU8(a)
 	if err != nil {
 		t.segv("load8", a, err)
 	}
@@ -259,7 +242,7 @@ func (t *Thread) Load8(a mem.Addr) uint8 {
 // Load32 reads a uint32.
 func (t *Thread) Load32(a mem.Addr) uint32 {
 	t.onLoad()
-	v, err := t.p.Space.LoadU32(a)
+	v, err := t.space.LoadU32(a)
 	if err != nil {
 		t.segv("load32", a, err)
 	}
@@ -269,7 +252,7 @@ func (t *Thread) Load32(a mem.Addr) uint32 {
 // Load64 reads a uint64.
 func (t *Thread) Load64(a mem.Addr) uint64 {
 	t.onLoad()
-	v, err := t.p.Space.LoadU64(a)
+	v, err := t.space.LoadU64(a)
 	if err != nil {
 		t.segv("load64", a, err)
 	}
@@ -279,7 +262,7 @@ func (t *Thread) Load64(a mem.Addr) uint64 {
 // LoadF64 reads a float64.
 func (t *Thread) LoadF64(a mem.Addr) float64 {
 	t.onLoad()
-	v, err := t.p.Space.LoadF64(a)
+	v, err := t.space.LoadF64(a)
 	if err != nil {
 		t.segv("loadf64", a, err)
 	}
@@ -289,7 +272,7 @@ func (t *Thread) LoadF64(a mem.Addr) float64 {
 // Store8 writes one byte.
 func (t *Thread) Store8(a mem.Addr, v uint8) {
 	t.onStore()
-	conflicts, err := t.p.Space.StoreU8(a, v)
+	conflicts, err := t.space.StoreU8(a, v)
 	if err != nil {
 		t.segv("store8", a, err)
 	}
@@ -299,7 +282,7 @@ func (t *Thread) Store8(a mem.Addr, v uint8) {
 // Store32 writes a uint32.
 func (t *Thread) Store32(a mem.Addr, v uint32) {
 	t.onStore()
-	conflicts, err := t.p.Space.StoreU32(a, v)
+	conflicts, err := t.space.StoreU32(a, v)
 	if err != nil {
 		t.segv("store32", a, err)
 	}
@@ -309,7 +292,7 @@ func (t *Thread) Store32(a mem.Addr, v uint32) {
 // Store64 writes a uint64.
 func (t *Thread) Store64(a mem.Addr, v uint64) {
 	t.onStore()
-	conflicts, err := t.p.Space.StoreU64(a, v)
+	conflicts, err := t.space.StoreU64(a, v)
 	if err != nil {
 		t.segv("store64", a, err)
 	}
@@ -319,7 +302,7 @@ func (t *Thread) Store64(a mem.Addr, v uint64) {
 // StoreF64 writes a float64.
 func (t *Thread) StoreF64(a mem.Addr, v float64) {
 	t.onStore()
-	conflicts, err := t.p.Space.StoreF64(a, v)
+	conflicts, err := t.space.StoreF64(a, v)
 	if err != nil {
 		t.segv("storef64", a, err)
 	}
@@ -332,7 +315,7 @@ func (t *Thread) Read(a mem.Addr, buf []byte) {
 	t.loads += words
 	t.countInstr(words)
 	t.charge(CatApp, vtime.Cycles(words)*t.rt.model.Load)
-	if err := t.p.Space.Read(a, buf); err != nil {
+	if err := t.space.Read(a, buf); err != nil {
 		t.segv("read", a, err)
 	}
 }
@@ -343,7 +326,7 @@ func (t *Thread) Write(a mem.Addr, data []byte) {
 	t.stores += words
 	t.countInstr(words)
 	t.charge(CatApp, vtime.Cycles(words)*t.rt.model.Store)
-	conflicts, err := t.p.Space.Write(a, data)
+	conflicts, err := t.space.Write(a, data)
 	if err != nil {
 		t.segv("write", a, err)
 	}
@@ -446,7 +429,7 @@ func (t *Thread) Malloc(size int) mem.Addr {
 	t.charge(cat, rt.model.MallocOp)
 	// Header write through tracked space (allocation size bookkeeping).
 	t.stores++
-	conflicts, err := t.p.Space.StoreU64(base, uint64(size))
+	conflicts, err := t.space.StoreU64(base, uint64(size))
 	if err != nil {
 		t.segv("malloc header", base, err)
 	}
@@ -473,7 +456,7 @@ func (t *Thread) syncBoundary(ev core.SyncEvent) *core.SubComputation {
 	if t.rec == nil {
 		return nil
 	}
-	res := t.p.Space.Commit()
+	res := t.space.Commit()
 	m := t.rt.model
 	t.charge(CatThreading,
 		vtime.Cycles(res.DiffedBytes)*m.DiffPerByte+
@@ -483,7 +466,7 @@ func (t *Thread) syncBoundary(ev core.SyncEvent) *core.SubComputation {
 	sub, err := t.rec.EndSub(ev, t.clk.Now())
 	if err != nil {
 		// An out-of-order alpha is an internal invariant violation.
-		panic(fmt.Sprintf("thread %d: %v", t.p.Slot, err))
+		panic(fmt.Sprintf("thread %d: %v", t.slot, err))
 	}
 	t.rt.notifyCommit(sub.ID)
 	return sub
@@ -516,7 +499,7 @@ func (t *Thread) Spawn(fn func(*Thread)) *Thread {
 	rt := t.rt
 	slot, err := rt.allocSlot()
 	if err != nil {
-		panic(fmt.Sprintf("thread %d: spawn: %v", t.p.Slot, err))
+		panic(fmt.Sprintf("thread %d: spawn: %v", t.slot, err))
 	}
 	spawnObj := rt.graph.NewSyncObject(fmt.Sprintf("spawn:t%d", slot), false)
 	spawnVT := &vtime.SyncPoint{}
@@ -533,7 +516,7 @@ func (t *Thread) Spawn(fn func(*Thread)) *Thread {
 
 	child, err := rt.newThread(t, slot, fmt.Sprintf("%s-w%d", rt.opts.AppName, slot))
 	if err != nil {
-		panic(fmt.Sprintf("thread %d: spawn: %v", t.p.Slot, err))
+		panic(fmt.Sprintf("thread %d: spawn: %v", t.slot, err))
 	}
 
 	rt.wg.Add(1)
@@ -595,15 +578,13 @@ func (t *Thread) finish() {
 			})
 			t.lastLostBytes = lost
 		}
-		if stream, ok := t.rt.sess.Stream(t.p.PID); ok {
+		if stream, ok := t.rt.sess.Stream(t.PID()); ok {
 			stream.Drain()
 		}
-		t.rt.sess.RecordExit(t.p.PID)
+		t.rt.sess.RecordExit(t.PID())
 	} else {
 		t.charge(CatApp, t.rt.model.SyncOp)
 	}
 	t.joinVT.Release(t.clk.Now())
-	t.rt.hier.Exit(t.p.PID)
-	t.rt.table.Exit(t.p.PID)
 	close(t.joinCh)
 }

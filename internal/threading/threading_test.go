@@ -1,11 +1,15 @@
 package threading
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/repro/inspector/internal/mem"
+	"github.com/repro/inspector/internal/perf"
 )
 
 func newRT(t *testing.T, mode Mode) *Runtime {
@@ -97,7 +101,11 @@ func TestSpawnChildSeesParentWrites(t *testing.T) {
 	base := rt.GlobalsBase()
 	_, err := rt.Run(func(main *Thread) {
 		main.Store64(base, 99)
+		before := main.Now()
 		child := main.Spawn(func(w *Thread) {
+			if w.Now() < before {
+				t.Errorf("child clock starts at %d, before its parent's spawn point %d", w.Now(), before)
+			}
 			if got := w.Load64(base); got != 99 {
 				t.Errorf("child sees %d, want 99 (spawn is a release)", got)
 			}
@@ -220,6 +228,91 @@ func TestPTTraceDecodes(t *testing.T) {
 	// 100 main branches + 50+1+1 child events.
 	if total != 152 {
 		t.Errorf("decoded %d events, want 152 (per-pid: %v)", total, counts)
+	}
+}
+
+// TestThreadIdentityIsSlot: a thread's PID is its slot rendered for perf,
+// however spawns from different parents interleave, so every per-thread
+// artefact of the run comes out in slot order.
+func TestThreadIdentityIsSlot(t *testing.T) {
+	rt, err := NewRuntime(Options{AppName: "ident", MaxThreads: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPID := func(w *Thread) {
+		w.Branch("ident.body", true)
+		if w.PID() != 1000+int32(w.Slot()) {
+			t.Errorf("slot %d has PID %d, want %d", w.Slot(), w.PID(), 1000+w.Slot())
+		}
+	}
+	// Four parents spawn two children each, racing one another for slots:
+	// eight threads created concurrently from different parents.
+	if _, err := rt.Run(func(main *Thread) {
+		checkPID(main)
+		var parents []*Thread
+		for i := 0; i < 4; i++ {
+			parents = append(parents, main.Spawn(func(p *Thread) {
+				checkPID(p)
+				a, b := p.Spawn(checkPID), p.Spawn(checkPID)
+				p.Join(a)
+				p.Join(b)
+			}))
+		}
+		for _, p := range parents {
+			main.Join(p)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int32, 13)
+	for i := range want {
+		want[i] = 1000 + int32(i)
+	}
+	if got := rt.Session().PIDs(); !slices.Equal(got, want) {
+		t.Errorf("Session.PIDs() = %v, want ascending %v", got, want)
+	}
+
+	counts, err := rt.DecodeTraces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != len(want) {
+		t.Errorf("DecodeTraces has %d PIDs, want %d", len(counts), len(want))
+	}
+	for _, pid := range want {
+		if counts[pid] != 1 {
+			t.Errorf("pid %d decoded %d events, want its one branch", pid, counts[pid])
+		}
+	}
+
+	var first, second bytes.Buffer
+	if err := rt.Session().Serialize(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Session().Serialize(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("two serializations of one finished run differ")
+	}
+	// The file groups each process's records, ascending by PID, in the
+	// order the process logged them and with its trace last: the same
+	// (type, PID) sequence on every run, whatever the schedule was.
+	recs, err := perf.ReadRecords(&first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, layout []string
+	for _, r := range recs {
+		got = append(got, fmt.Sprintf("%s/%d", r.Type, r.PID))
+	}
+	for _, pid := range want {
+		for _, ty := range []perf.RecordType{perf.RecordITraceStart, perf.RecordCOMM, perf.RecordMMAP, perf.RecordExit, perf.RecordAUX} {
+			layout = append(layout, fmt.Sprintf("%s/%d", ty, pid))
+		}
+	}
+	if !slices.Equal(got, layout) {
+		t.Errorf("record sequence\n %v\nwant\n %v", got, layout)
 	}
 }
 

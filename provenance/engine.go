@@ -34,7 +34,7 @@ type Engine struct {
 	// repeated stats queries (monitoring clients poll them) cost O(1)
 	// after the first.
 	statsOnce sync.Once
-	statsVal  *Stats
+	statsVal  Stats
 }
 
 // NewEngine wraps an Analysis, which is immutable: it answers for the
@@ -68,7 +68,7 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 
 	switch q.Kind {
 	case KindStats:
-		st := *e.stats() // copy: callers must not reach the cache
+		st := e.stats() // a copy: callers must not reach the cache
 		res.Stats = &st
 		res.Total = 1
 
@@ -191,40 +191,9 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 // stats summarizes the wrapped graph (the same aggregation the stats
 // subcommand always printed), computed once and cached — the Analysis
 // never changes.
-func (e *Engine) stats() *Stats {
-	e.statsOnce.Do(func() { e.statsVal = e.computeStats() })
+func (e *Engine) stats() Stats {
+	e.statsOnce.Do(func() { e.statsVal = Stats(e.a.Stats()) })
 	return e.statsVal
-}
-
-func (e *Engine) computeStats() *Stats {
-	st := &Stats{}
-	threads := map[int]bool{}
-	// The analysis prefix, not Graph.Subs: during a live run the graph
-	// may already hold vertices this epoch does not cover, and the stats
-	// must describe the epoch the response's cursors refer to.
-	for _, sc := range e.a.Subs() {
-		st.SubComputations++
-		threads[sc.ID.Thread] = true
-		st.Thunks += len(sc.Thunks)
-		st.ReadSetPages += sc.ReadSet.Len()
-		st.WriteSetPages += sc.WriteSet.Len()
-	}
-	st.Threads = len(threads)
-	comp := e.a.Completeness()
-	st.GapThreads = comp.GapThreads
-	st.GapIntervals = comp.GapIntervals
-	st.LostTraceBytes = comp.LostBytes
-	for _, edge := range e.a.Edges() {
-		switch edge.Kind {
-		case core.EdgeControl:
-			st.ControlEdges++
-		case core.EdgeSync:
-			st.SyncEdges++
-		case core.EdgeData:
-			st.DataEdges++
-		}
-	}
-	return st
 }
 
 // pageLimit resolves a query's limit against the engine cap. 0 means

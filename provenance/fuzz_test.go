@@ -52,7 +52,7 @@ func FuzzIngestFrames(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		hub := NewIngestHub(IngestOptions{MaxFrameBytes: 1 << 20, MaxBodyBytes: 1 << 20})
+		hub := NewIngestHub(IngestOptions{})
 		srv := NewServer(nil, ServerOptions{Ingest: hub})
 		req := httptest.NewRequest("POST", "/v1/ingest/src", bytes.NewReader(body))
 		w := httptest.NewRecorder()

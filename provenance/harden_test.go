@@ -200,7 +200,7 @@ func TestMaxInflightSheds(t *testing.T) {
 	gate := make(chan struct{})
 	srv := NewServerSources(map[string]Source{
 		"slow": gateSource{Source: StaticSource(NewEngine(figure1(t), EngineOptions{})), gate: gate},
-	}, ServerOptions{MaxInflight: 1, RetryAfter: 2 * time.Second})
+	}, ServerOptions{MaxInflight: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -228,8 +228,8 @@ func TestMaxInflightSheds(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusServiceUnavailable {
-			if ra := resp.Header.Get("Retry-After"); ra != "2" {
-				t.Errorf("Retry-After = %q, want \"2\"", ra)
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Errorf("Retry-After = %q, want \"1\"", ra)
 			}
 			break
 		}

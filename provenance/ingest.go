@@ -79,43 +79,23 @@ type EpochStatus struct {
 
 // IngestOptions configure an IngestHub.
 type IngestOptions struct {
-	// Engine configures the per-source query engines (result caps, fold
-	// worker fan-out).
+	// Engine configures the per-source query engines (result caps).
 	Engine EngineOptions
-	// MaxFrameBytes bounds one frame's payload (default
-	// wire.DefaultMaxFrameBytes). The length prefix is untrusted.
-	MaxFrameBytes int64
-	// MaxBodyBytes bounds one ingest request body (default 1 GiB).
-	MaxBodyBytes int64
-	// MaxThreads bounds a hello's thread-slot capacity (default 1024);
-	// the aggregator allocates a graph that wide per source.
-	MaxThreads int
 }
 
-// maxIngestSources bounds the sources one hub tracks. Sources are never
-// evicted, so the hello that would bind one more is refused.
-const maxIngestSources = 256
-
-func (o IngestOptions) maxFrame() uint32 {
-	if o.MaxFrameBytes > 0 {
-		return uint32(o.MaxFrameBytes)
-	}
-	return wire.DefaultMaxFrameBytes
-}
-
-func (o IngestOptions) maxBody() int64 {
-	if o.MaxBodyBytes > 0 {
-		return o.MaxBodyBytes
-	}
-	return 1 << 30
-}
-
-func (o IngestOptions) maxThreads() int {
-	if o.MaxThreads > 0 {
-		return o.MaxThreads
-	}
-	return 1024
-}
+// Bounds on what a recorder may ask of the aggregator, beside
+// wire.DefaultMaxFrameBytes on each frame: every length and count in an
+// ingest body is untrusted.
+const (
+	// maxIngestSources bounds the sources one hub tracks. Sources are
+	// never evicted, so the hello that would bind one more is refused.
+	maxIngestSources = 256
+	// maxIngestBodyBytes bounds one ingest request body.
+	maxIngestBodyBytes = 1 << 30
+	// maxIngestThreads bounds a hello's thread-slot capacity; the
+	// aggregator allocates a graph that wide per source.
+	maxIngestThreads = 1024
+)
 
 // IngestHub tracks the sources an aggregating Server has accepted
 // streams for. Sources appear dynamically (the first hello creates
@@ -160,8 +140,8 @@ func (h *IngestHub) bind(name string, hello wire.Hello) (*IngestSource, error) {
 	if hello.RunID == "" {
 		return nil, fmt.Errorf("provenance: hello carries no run id")
 	}
-	if hello.Threads < 1 || hello.Threads > h.opts.maxThreads() {
-		return nil, fmt.Errorf("provenance: hello thread capacity %d out of range [1,%d]", hello.Threads, h.opts.maxThreads())
+	if hello.Threads < 1 || hello.Threads > maxIngestThreads {
+		return nil, fmt.Errorf("provenance: hello thread capacity %d out of range [1,%d]", hello.Threads, maxIngestThreads)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

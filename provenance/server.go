@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -55,13 +54,10 @@ type ServerOptions struct {
 	// deadline (client disconnects still cancel).
 	Timeout time.Duration
 	// MaxInflight bounds concurrently executing /v1/ requests; excess
-	// requests are shed with 503 and a Retry-After hint instead of
+	// requests are shed with 503 and a one-second Retry-After instead of
 	// queueing until the process falls over. 0 means unlimited. Health
 	// probes (/healthz, /readyz) always bypass the limit.
 	MaxInflight int
-	// RetryAfter is the hint (in whole seconds, minimum 1) sent with
-	// shed requests. 0 defaults to 1s.
-	RetryAfter time.Duration
 	// Logf receives panic-recovery log lines (nil = log.Printf).
 	Logf func(format string, args ...any)
 	// Store, when the server fronts a directory-backed CPG store,
@@ -119,13 +115,17 @@ func StaticSource(e *Engine) Source { return staticSource{e: e} }
 // info describes the engine's analysis for the listing (stats are
 // cached, so repeated listings of one epoch stay O(1)).
 func (e *Engine) info() CPGInfo {
-	st := e.stats()
+	return infoOf(e.stats(), e.Epoch(), e.a.Degraded())
+}
+
+// infoOf is the listing entry of an analysis with these stats.
+func infoOf(st Stats, epoch uint64, degraded bool) CPGInfo {
 	return CPGInfo{
 		SubComputations: st.SubComputations,
 		Threads:         st.Threads,
 		Edges:           st.ControlEdges + st.SyncEdges + st.DataEdges,
-		Epoch:           e.Epoch(),
-		Degraded:        e.a.Degraded(),
+		Epoch:           epoch,
+		Degraded:        degraded,
 	}
 }
 
@@ -222,11 +222,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case s.inflight <- struct{}{}:
 			defer func() { <-s.inflight }()
 		default:
-			retry := s.opts.RetryAfter
-			if retry < time.Second {
-				retry = time.Second
-			}
-			sw.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
+			sw.Header().Set("Retry-After", "1")
 			writeJSON(sw, http.StatusServiceUnavailable, apiError{Error: "server at capacity"})
 			return
 		}

@@ -139,7 +139,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: "source name " + name + " is served statically"})
 		return
 	}
-	fr := wire.NewReader(http.MaxBytesReader(w, r.Body, hub.opts.maxBody()), hub.opts.maxFrame())
+	fr := wire.NewReader(http.MaxBytesReader(w, r.Body, maxIngestBodyBytes), wire.DefaultMaxFrameBytes)
 	kind, body, err := fr.Next()
 	if err != nil {
 		msg := "empty ingest body"

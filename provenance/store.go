@@ -349,16 +349,11 @@ func (ss storeSource) Query(ctx context.Context, q Query) (*Result, error) {
 // header — no graph decode.
 func (ss storeSource) Info() CPGInfo {
 	hdr := ss.e.m.Header()
-	info := CPGInfo{Epoch: hdr.Epoch, Degraded: hdr.Degraded}
 	st, err := ss.e.m.Stats()
 	if err != nil {
 		ss.s.logf("provenance: %s: stats section unreadable: %v", ss.e.m.Path(), err)
-		return info
 	}
-	info.SubComputations = st.SubComputations
-	info.Threads = st.Threads
-	info.Edges = st.ControlEdges + st.SyncEdges + st.DataEdges
-	return info
+	return infoOf(Stats(st), hdr.Epoch, hdr.Degraded)
 }
 
 // Epoch reports the file's epoch from the header alone.

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -171,6 +172,33 @@ func TestStoreListingMatchesEagerListing(t *testing.T) {
 	lb, eb := get(lazy.URL), get(eager.URL)
 	if !bytes.Equal(lb, eb) {
 		t.Fatalf("listings differ:\nlazy:  %s\neager: %s", lb, eb)
+	}
+
+	// One definition of the counters: for a loaded .cpg the file's stats
+	// section, the stats query and the listing entry are all the
+	// analysis's own Stats.
+	for id, src := range store.Sources() {
+		a := analyses[id]
+		want := a.Stats()
+		m, err := cpgfile.Open(filepath.Join(dir, id+".cpg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := m.Stats()
+		m.Close()
+		if err != nil || file != want {
+			t.Errorf("%s: file stats section = %+v (err %v), want %+v", id, file, err, want)
+		}
+		res, err := src.Query(context.Background(), Query{Kind: KindStats})
+		if err != nil {
+			t.Fatalf("%s: stats query: %v", id, err)
+		}
+		if got := core.Stats(*res.Stats); got != want {
+			t.Errorf("%s: stats query = %+v, want %+v", id, got, want)
+		}
+		if got := src.Info(); got != infoOf(Stats(want), a.Epoch(), a.Degraded()) || got.Edges != len(a.Edges()) {
+			t.Errorf("%s: listing entry = %+v, want the entry of %+v with %d edges", id, got, want, len(a.Edges()))
+		}
 	}
 }
 
