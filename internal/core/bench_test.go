@@ -3,17 +3,21 @@ package core_test
 // The CPG-core benchmark suite: the EndSub append path serial and
 // contended, the data-edge derivation sparse and dense, analysis
 // construction, a wide backward slice, the full invariant check, the
-// PageSet hot path, and the live pipeline's epoch folds against the
-// naive full re-Analyze at the same cadence. Everything drives the
-// public core API only (plus the test-only ReferenceAnalyzer), so the
-// scenarios stay valid across store rewrites.
-// TestAllocsSliceVerifyPerVertex bounds the traversals' allocations.
+// PageSet hot path, the live pipeline's epoch folds against the naive
+// full re-Analyze at the same cadence, and the fold at the cadence the
+// recorder runs it (one epoch per seal). Everything drives the public
+// core API only (plus the test-only ReferenceAnalyzer), so the scenarios
+// stay valid across store rewrites.
+// TestAllocsSliceVerifyPerVertex bounds the traversals' allocations,
+// TestAllocsFoldPerSeal the per-seal fold's.
 
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
@@ -283,6 +287,72 @@ func BenchmarkIncrementalAnalyzeLargeWorkers1(b *testing.B) {
 }
 func BenchmarkIncrementalAnalyzeLargeWorkers8(b *testing.B) {
 	benchLive(b, largeSchedule(), largeEpochs, incrementalFold(8))
+}
+
+// foldPerSeal replays sched one step at a time, sealing an epoch through
+// FoldDelta after every step when fold is set. It returns the time spent
+// inside the folds and the objects the whole replay allocated: the
+// recording is deterministic, so a folding replay's count minus a plain
+// one's is exactly what the folds allocated.
+func foldPerSeal(sched *cpgbench.Schedule, fold bool) (folding time.Duration, mallocs uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rp := sched.NewReplay()
+	inc := core.NewIncrementalAnalyzer(rp.Graph)
+	for s := 1; s <= sched.Steps(); s++ {
+		rp.To(s)
+		if fold {
+			start := time.Now()
+			inc.FoldDelta()
+			folding += time.Since(start)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return folding, after.Mallocs - before.Mallocs
+}
+
+// BenchmarkFoldPerSeal measures the fold at the recorder's cadence — one
+// FoldDelta per sealed sub-computation, which is what a journaled or
+// streamed run pays — over the DataEdges/sparse execution (2000 epochs)
+// and, unless -short, the 2^20-step one. ns/epoch and allocs/epoch are
+// the fold's own; ns/op also covers recording the execution.
+func BenchmarkFoldPerSeal(b *testing.B) {
+	run := func(sched func() *cpgbench.Schedule) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := sched()
+			_, recording := foldPerSeal(s, false)
+			b.ResetTimer()
+			var folding time.Duration
+			var mallocs uint64
+			for i := 0; i < b.N; i++ {
+				d, m := foldPerSeal(s, true)
+				folding += d
+				mallocs += m - recording
+			}
+			epochs := float64(b.N * s.Steps())
+			b.ReportMetric(float64(folding.Nanoseconds())/epochs, "ns/epoch")
+			b.ReportMetric(float64(mallocs)/epochs, "allocs/epoch")
+		}
+	}
+	b.Run("live", run(liveSchedule))
+	if !testing.Short() {
+		b.Run("large", run(largeSchedule))
+	}
+}
+
+// TestAllocsFoldPerSeal pins the per-seal fold's allocation diet: an
+// epoch that seals one sub-computation allocates what it hands out (the
+// delta and its slices, the Analysis view, the derived edges, the
+// overlay layer) and amortized growth, nothing per-epoch besides.
+func TestAllocsFoldPerSeal(t *testing.T) {
+	sched := liveSchedule()
+	_, recording := foldPerSeal(sched, false)
+	_, folded := foldPerSeal(sched, true)
+	perEpoch := float64(folded-recording) / float64(sched.Steps())
+	t.Logf("%.2f allocs per epoch", perEpoch)
+	if perEpoch > 10 {
+		t.Errorf("per-seal FoldDelta allocates %.2f objects per epoch, want at most 10", perEpoch)
+	}
 }
 
 // TestAllocsSliceVerifyPerVertex bounds what the closure, path and

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/repro/inspector/internal/vclock"
@@ -306,13 +307,13 @@ func (g *Graph) shardLen(t int) int {
 	return n
 }
 
-// threadTail copies thread t's sub-computations with alpha in [lo, hi),
-// clamped to the shard's current length. The incremental fold uses it to
-// pull exactly the vertices sealed since the previous epoch.
-func (g *Graph) threadTail(t, lo, hi int) []*SubComputation {
+// threadTail appends thread t's sub-computations with alpha in [lo, hi),
+// clamped to the shard's current length, to dst. The incremental fold
+// uses it to pull exactly the vertices sealed since the previous epoch.
+func (g *Graph) threadTail(dst []*SubComputation, t, lo, hi int) []*SubComputation {
 	sh := g.shard(t)
 	if sh == nil {
-		return nil
+		return dst
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -320,29 +321,25 @@ func (g *Graph) threadTail(t, lo, hi int) []*SubComputation {
 		hi = len(sh.seq)
 	}
 	if lo >= hi {
-		return nil
+		return dst
 	}
-	out := make([]*SubComputation, hi-lo)
-	copy(out, sh.seq[lo:hi])
-	return out
+	return append(dst, sh.seq[lo:hi]...)
 }
 
-// syncEdgeTail copies thread t's sync-edge log entries from index `from`
-// on. Logs are append-only, so successive calls with the previous return
-// length see each entry exactly once.
-func (g *Graph) syncEdgeTail(t, from int) []syncEdgeRec {
+// syncEdgeTail appends thread t's sync-edge log entries from index `from`
+// on to dst. Logs are append-only, so successive calls with the previous
+// return length see each entry exactly once.
+func (g *Graph) syncEdgeTail(dst []syncEdgeRec, t, from int) []syncEdgeRec {
 	sh := g.shard(t)
 	if sh == nil {
-		return nil
+		return dst
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if from >= len(sh.syncEdges) {
-		return nil
+		return dst
 	}
-	out := make([]syncEdgeRec, len(sh.syncEdges)-from)
-	copy(out, sh.syncEdges[from:])
-	return out
+	return append(dst, sh.syncEdges[from:]...)
 }
 
 // ControlEdges derives the intra-thread program-order edges, ordered by
@@ -428,22 +425,37 @@ func (g *Graph) Edges() []Edge {
 // sortEdges orders edges by (From, To, Kind, Object). The object
 // tiebreaker is unreachable for edges derived from one graph (a single
 // acquire binds to one fresh sub-computation, so (From, To, Kind) is
-// unique) but keeps the order total for hand-built inputs.
+// unique) but keeps the order total for hand-built inputs. A per-seal
+// fold sorts zero or one edge almost every epoch, hence the early out.
 func sortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool { return edgeLess(edges[i], edges[j]) })
+	if len(edges) < 2 {
+		return
+	}
+	slices.SortFunc(edges, func(a, b Edge) int { return edgeCmp(&a, &b) })
 }
 
-// edgeLess is the canonical edge order shared by sortEdges and the
-// incremental fold's sorted-run merge.
-func edgeLess(a, b Edge) bool {
-	if a.From != b.From {
-		return a.From.Less(b.From)
+// edgeCmp is the canonical edge order shared by sortEdges and the
+// sorted-run merges of the fold and the store. It takes pointers: an
+// Edge is 80 bytes, and the merges compare arena entries in place.
+func edgeCmp(a, b *Edge) int {
+	switch {
+	case a.From != b.From:
+		return lessToCmp(a.From.Less(b.From))
+	case a.To != b.To:
+		return lessToCmp(a.To.Less(b.To))
+	case a.Kind != b.Kind:
+		return cmp.Compare(a.Kind, b.Kind)
 	}
-	if a.To != b.To {
-		return a.To.Less(b.To)
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.Object < b.Object
+	return cmp.Compare(a.Object, b.Object)
 }
+
+// lessToCmp turns a strict-order answer about two unequal keys into a
+// three-way result.
+func lessToCmp(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
+}
+
+func edgeLess(a, b *Edge) bool { return edgeCmp(a, b) < 0 }

@@ -12,9 +12,13 @@ import (
 // Graph.Analyze is one fold — appends each epoch's edges to the shared
 // arenas and stacks a small overlay layer on top, so sealing an epoch
 // costs O(delta) instead of re-materializing O(graph) flat state.
-// Compaction (collapse layers, reseal the base) runs on geometric
-// thresholds, keeping the per-epoch cost amortized O(delta · log) while
-// every already-published Analysis keeps its own immutable view.
+// Compaction is size-tiered (incStore.push): a new layer absorbs its
+// neighbour while the neighbour is at most twice its size, and the base
+// reseals once the overlay reaches half of it. Every ref is merged
+// O(log overlay) times per base generation whatever the fold cadence —
+// one epoch per sealed sub-computation included — so the per-epoch cost
+// is amortized O(delta · log) while every already-published Analysis
+// keeps its own immutable view.
 //
 // Why an overlay works at all: every edge materialized in an epoch has
 // its To among that epoch's new vertices (control edges by
@@ -53,71 +57,44 @@ func (ar arenaPair) edge(r edgeRef) *Edge {
 	return &ar.sync[r]
 }
 
-// refSeq builds the identity ref sequence [lo, lo+n) over one arena.
-func refSeq(lo, n int, data bool) []edgeRef {
-	if n == 0 {
-		return nil
-	}
-	out := make([]edgeRef, n)
-	for i := range out {
-		out[i] = edgeRef(lo + i)
-		if data {
-			out[i] |= dataRefBit
-		}
-	}
-	return out
-}
-
 // vertexRange returns the subrange of a canonically sorted ref sequence
-// whose edges leave id.
+// whose edges leave id: one binary search for its start, then a scan to
+// its end — the caller walks the run anyway, and a traversal probes
+// every overlay layer for every vertex it visits.
 func (ar arenaPair) vertexRange(seq []edgeRef, id SubID) []edgeRef {
 	lo := sort.Search(len(seq), func(i int) bool {
 		return !ar.edge(seq[i]).From.Less(id)
 	})
-	hi := lo + sort.Search(len(seq)-lo, func(i int) bool {
-		return id.Less(ar.edge(seq[lo+i]).From)
-	})
+	hi := lo
+	for hi < len(seq) && ar.edge(seq[hi]).From == id {
+		hi++
+	}
 	return seq[lo:hi]
 }
 
-// mergeRefSeqs k-way merges canonically sorted ref sequences into one.
-// Ties keep input order (earlier sequence first); equal-comparing edges
-// are byte-identical under the derivation, so any tie order exports the
-// same bytes. With at most one non-empty input the slice is returned as
-// is (callers treat the result as read-only or copy it).
-func (ar arenaPair) mergeRefSeqs(seqs ...[]edgeRef) []edgeRef {
-	live := seqs[:0]
-	total := 0
-	for _, s := range seqs {
-		if len(s) > 0 {
-			live = append(live, s)
-			total += len(s)
-		}
+// appendMerged appends the merge of two canonically sorted ref sequences
+// to dst, comparing arena entries in place. Ties keep a before b; equal-
+// comparing edges are byte-identical under the derivation, so any tie
+// order exports the same bytes. Neither input is written.
+func (ar arenaPair) appendMerged(dst, a, b []edgeRef) []edgeRef {
+	if len(a) == 0 || len(b) == 0 {
+		return append(append(dst, a...), b...)
 	}
-	if len(live) == 0 {
-		return nil
-	}
-	if len(live) == 1 {
-		return live[0]
-	}
-	out := make([]edgeRef, 0, total)
+	ea, eb := ar.edge(a[0]), ar.edge(b[0])
 	for {
-		best := -1
-		var bestE *Edge
-		for i, s := range live {
-			if len(s) == 0 {
-				continue
+		if edgeLess(eb, ea) {
+			dst = append(dst, b[0])
+			if b = b[1:]; len(b) == 0 {
+				return append(dst, a...)
 			}
-			e := ar.edge(s[0])
-			if best < 0 || edgeLess(*e, *bestE) {
-				best, bestE = i, e
+			eb = ar.edge(b[0])
+		} else {
+			dst = append(dst, a[0])
+			if a = a[1:]; len(a) == 0 {
+				return append(dst, b...)
 			}
+			ea = ar.edge(a[0])
 		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, live[best][0])
-		live[best] = live[best][1:]
 	}
 }
 
@@ -191,6 +168,11 @@ func (idx *succIndex) run(id SubID, data bool) []edgeRef {
 // refCount is the total adjacency size of the sealed index.
 func (idx *succIndex) refCount() int { return len(idx.syncSeq) + len(idx.dataSeq) }
 
+// layer views the sealed index's sorted sequences as a layer, for merging.
+func (idx *succIndex) layer() succLayer {
+	return succLayer{syncSeq: idx.syncSeq, dataSeq: idx.dataSeq}
+}
+
 // succLayer is one unsealed overlay: the refs of edges appended since
 // the base was sealed, each section in canonical order. A fresh layer
 // covers one epoch (a contiguous arena range); collapsed layers merge
@@ -209,51 +191,90 @@ func (l *succLayer) seq(data bool) []edgeRef {
 
 func (l *succLayer) refCount() int { return len(l.syncSeq) + len(l.dataSeq) }
 
+// freshLayer builds the layer of one arena extension: the identity ref
+// sequences [syncLo, syncLo+nSync) and [dataLo, dataLo+nData), which are
+// canonically sorted because the appended edges were. Both sections
+// share one allocation.
+func freshLayer(syncLo, nSync, dataLo, nData int) succLayer {
+	refs := make([]edgeRef, nSync+nData)
+	for i := range nSync {
+		refs[i] = edgeRef(syncLo + i)
+	}
+	for i := range nData {
+		refs[nSync+i] = edgeRef(dataLo+i) | dataRefBit
+	}
+	return succLayer{syncSeq: refs[:nSync:nSync], dataSeq: refs[nSync:]}
+}
+
+// merge collapses a newer layer into l (the older one, which wins
+// ties) and returns the result, both sections in one allocation; neither
+// operand is written, and an empty one returns the other as is (layers
+// are read-only once built).
+func (l succLayer) merge(ar arenaPair, newer succLayer) succLayer {
+	if newer.refCount() == 0 {
+		return l
+	}
+	if l.refCount() == 0 {
+		return newer
+	}
+	nSync := len(l.syncSeq) + len(newer.syncSeq)
+	refs := make([]edgeRef, 0, nSync+len(l.dataSeq)+len(newer.dataSeq))
+	refs = ar.appendMerged(refs, l.syncSeq, newer.syncSeq)
+	refs = ar.appendMerged(refs, l.dataSeq, newer.dataSeq)
+	return succLayer{syncSeq: refs[:nSync:nSync], dataSeq: refs[nSync:]}
+}
+
 // canonicalRefSeqs merges a base + overlay stack back into one globally
 // sorted ref sequence per section — the lazy flat view and the
-// compactor share it.
+// compactor share it. The stack is folded newest first: layer sizes
+// grow geometrically towards the base (see incStore.push), so the
+// two-way merges copy at most twice the overlay before the one pass
+// over the base.
 func canonicalRefSeqs(ar arenaPair, succ *succIndex, layers []succLayer) (syncSeq, dataSeq []edgeRef) {
-	var syncs, datas [][]edgeRef
+	var all succLayer
+	for i := len(layers) - 1; i >= 0; i-- {
+		all = layers[i].merge(ar, all)
+	}
 	if succ != nil {
-		syncs = append(syncs, succ.syncSeq)
-		datas = append(datas, succ.dataSeq)
+		all = succ.layer().merge(ar, all)
 	}
-	for i := range layers {
-		syncs = append(syncs, layers[i].syncSeq)
-		datas = append(datas, layers[i].dataSeq)
-	}
-	return ar.mergeRefSeqs(syncs...), ar.mergeRefSeqs(datas...)
+	return all.syncSeq, all.dataSeq
+}
+
+// threadPreds is one thread's predecessor arrays: off holds len+1
+// offsets into ref, and each vertex's refs are [sync From-ascending][data
+// From-ascending] — exactly the order the canonical full edge sequence
+// delivers incoming edges in.
+type threadPreds struct {
+	off []int32
+	ref []edgeRef
 }
 
 // buildPredIndex counting-sorts canonical ref sequences by To into
-// per-thread predecessor arrays: predOff[t] has lens[t]+1 offsets into
-// predRef[t], and each vertex's refs are [sync From-ascending][data
-// From-ascending] — exactly the order the canonical full edge sequence
-// delivers incoming edges in. Refs whose To lies outside the prefix are
-// left out, as in the sealed successor index.
-func buildPredIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) ([][]int32, [][]edgeRef) {
-	predOff := make([][]int32, len(lens))
-	predRef := make([][]edgeRef, len(lens))
+// per-thread predecessor arrays. Refs whose To lies outside the prefix
+// are left out, as in the sealed successor index.
+func buildPredIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) []threadPreds {
+	preds := make([]threadPreds, len(lens))
 	fill := make([][]int32, len(lens))
 	for t, n := range lens {
-		predOff[t] = make([]int32, n+1)
+		preds[t].off = make([]int32, n+1)
 		fill[t] = make([]int32, n)
 	}
 	count := func(seq []edgeRef) {
 		for _, r := range seq {
 			if to := ar.edge(r).To; subInPrefix(to, lens) {
-				predOff[to.Thread][to.Alpha+1]++
+				preds[to.Thread].off[to.Alpha+1]++
 			}
 		}
 	}
 	count(syncSeq)
 	count(dataSeq)
 	for t, n := range lens {
-		off := predOff[t]
+		off := preds[t].off
 		for i := 0; i < n; i++ {
 			off[i+1] += off[i]
 		}
-		predRef[t] = make([]edgeRef, off[n])
+		preds[t].ref = make([]edgeRef, off[n])
 	}
 	place := func(seq []edgeRef) {
 		for _, r := range seq {
@@ -262,49 +283,51 @@ func buildPredIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) ([][]i
 				continue
 			}
 			t, i := to.Thread, to.Alpha
-			predRef[t][predOff[t][i]+fill[t][i]] = r
+			preds[t].ref[preds[t].off[i]+fill[t][i]] = r
 			fill[t][i]++
 		}
 	}
 	place(syncSeq)
 	place(dataSeq)
-	return predOff, predRef
+	return preds
 }
 
-// Compaction thresholds. Layers collapse into one once maxSuccLayers
-// stack up (bounds the per-lookup merge width); the base reseals once
-// the overlay both clears succCompactFloor refs and reaches half the
+// succCompactFloor is the overlay size below which the base never
+// reseals; above it the base reseals once the overlay reaches half the
 // base's size (geometric cadence: total reseal work over N edges is
-// O(N log N), so the per-epoch amortized cost stays proportional to the
-// delta).
-const (
-	maxSuccLayers    = 8
-	succCompactFloor = 1024
-)
+// O(N)).
+const succCompactFloor = 1024
 
 // incStore is the shared edge store an IncrementalAnalyzer grows across
 // epochs. All state is append-only or replaced wholesale, so the view
 // captured for an earlier epoch never observes later extension.
 type incStore struct {
 	ar arenaPair
-	// predOff[t]/predRef[t] are the per-thread predecessor arrays; a
-	// vertex's slot is written once, at its seal epoch.
-	predOff [][]int32
-	predRef [][]edgeRef
+	// preds[t] are thread t's predecessor arrays; a vertex's slot is
+	// written once, at its seal epoch.
+	preds []threadPreds
 	// succ is the sealed successor base (nil until first reseal);
-	// layers are the unsealed epochs on top of it.
+	// layers are the unsealed epochs on top of it, oldest first, each
+	// more than twice the size of the next (push keeps it so).
 	succ      *succIndex
 	layers    []succLayer
 	layerRefs int
+	// mergedRefs tallies the refs compaction has passed through a merge:
+	// the work TestCompactionWorkIsLogLinear bounds.
+	mergedRefs int
+	// cursors and cursorBuf are appendPreds' scratch: cursors[t] is carved
+	// from cursorBuf every epoch, one fill cursor per new vertex.
+	cursors   [][]int32
+	cursorBuf []int32
 }
 
 func newIncStore(threads int) *incStore {
 	st := &incStore{
-		predOff: make([][]int32, threads),
-		predRef: make([][]edgeRef, threads),
+		preds:   make([]threadPreds, threads),
+		cursors: make([][]int32, threads),
 	}
-	for t := range st.predOff {
-		st.predOff[t] = []int32{0}
+	for t := range st.preds {
+		st.preds[t].off = []int32{0}
 	}
 	return st
 }
@@ -317,16 +340,10 @@ func (st *incStore) extend(g *Graph, newSync, newData []Edge, lens, prevLens []i
 	syncLo, dataLo := len(st.ar.sync), len(st.ar.data)
 	st.ar.sync = appendOrAdopt(st.ar.sync, newSync)
 	st.ar.data = appendOrAdopt(st.ar.data, newData)
-	layer := succLayer{
-		syncSeq: refSeq(syncLo, len(newSync), false),
-		dataSeq: refSeq(dataLo, len(newData), true),
-	}
-	if n := layer.refCount(); n > 0 {
-		st.layers = append(st.layers, layer)
-		st.layerRefs += n
+	if len(newSync)+len(newData) > 0 {
+		st.push(freshLayer(syncLo, len(newSync), dataLo, len(newData)), lens)
 	}
 	st.appendPreds(newSync, newData, edgeRef(syncLo), edgeRef(dataLo)|dataRefBit, lens, prevLens)
-	st.compact(lens)
 	return st.view(g, lens, epoch)
 }
 
@@ -349,15 +366,21 @@ func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef,
 	for i := range newSync {
 		if newSync[i].To.Alpha < uint64(prevLens[newSync[i].To.Thread]) {
 			syncSeq, dataSeq := canonicalRefSeqs(st.ar, st.succ, st.layers)
-			st.predOff, st.predRef = buildPredIndex(st.ar, syncSeq, dataSeq, lens)
+			st.preds = buildPredIndex(st.ar, syncSeq, dataSeq, lens)
 			return
 		}
 	}
-	counts := make([][]int32, len(lens))
+	newVertices := 0
 	for t := range lens {
-		if n := lens[t] - prevLens[t]; n > 0 {
-			counts[t] = make([]int32, n)
-		}
+		newVertices += lens[t] - prevLens[t]
+	}
+	buf := slices.Grow(st.cursorBuf[:0], newVertices)[:newVertices]
+	clear(buf)
+	st.cursorBuf = buf
+	counts := st.cursors
+	for t := range lens {
+		n := lens[t] - prevLens[t]
+		counts[t], buf = buf[:n:n], buf[n:]
 	}
 	for i := range newSync {
 		to := newSync[i].To
@@ -370,19 +393,20 @@ func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef,
 	// Turn each count into its vertex's fill cursor while extending the
 	// offsets (Grow keeps a one-fold Analyze's arrays exactly sized).
 	for t := range lens {
-		if counts[t] == nil {
+		if len(counts[t]) == 0 {
 			continue
 		}
-		off := slices.Grow(st.predOff[t], len(counts[t]))
+		p := &st.preds[t]
+		off := slices.Grow(p.off, len(counts[t]))
 		last := off[len(off)-1]
 		for i, c := range counts[t] {
 			counts[t][i] = last
 			last += c
 			off = append(off, last)
 		}
-		st.predOff[t] = off
-		if need := int(last) - len(st.predRef[t]); need > 0 {
-			st.predRef[t] = slices.Grow(st.predRef[t], need)[:last]
+		p.off = off
+		if need := int(last) - len(p.ref); need > 0 {
+			p.ref = slices.Grow(p.ref, need)[:last]
 		}
 	}
 	// Sync before data per vertex, each section scanned in canonical
@@ -391,7 +415,7 @@ func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef,
 		for i := range edges {
 			to := edges[i].To
 			cur := &counts[to.Thread][to.Alpha-uint64(prevLens[to.Thread])]
-			st.predRef[to.Thread][*cur] = lo + edgeRef(i)
+			st.preds[to.Thread].ref[*cur] = lo + edgeRef(i)
 			*cur++
 		}
 	}
@@ -399,60 +423,66 @@ func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef,
 	place(newData, dataLo)
 }
 
-// compact bounds the overlay: reseal the base when the overlay has
-// grown to a constant fraction of it, otherwise collapse the layer
-// stack when it gets too deep. Published views hold the old base
-// pointer and their own copy of the layer list, so both operations are
-// invisible to earlier epochs.
-func (st *incStore) compact(lens []int) {
+// push stacks one epoch's layer on the overlay and compacts, size-tiered
+// like a binary counter: the new layer absorbs its neighbour for as long
+// as the neighbour is at most twice its size. Every ref is therefore
+// merged O(log overlay) times between base reseals and the stack stays
+// at most log₂(overlay refs) + 1 deep, which bounds the per-lookup merge
+// width. The base reseals — everything merges into one new sealed index
+// — once the overlay both clears succCompactFloor and reaches half the
+// base's size.
+//
+// Published views hold the old base pointer and alias the layer list up
+// to their own length. Appending past that length is invisible to them;
+// rewriting an entry would not be, so a merge continues on a fresh list.
+func (st *incStore) push(layer succLayer, lens []int) {
+	st.layerRefs += layer.refCount()
 	baseRefs := 0
 	if st.succ != nil {
 		baseRefs = st.succ.refCount()
 	}
-	if st.layerRefs > succCompactFloor && st.layerRefs*2 > baseRefs {
-		syncSeq, dataSeq := canonicalRefSeqs(st.ar, st.succ, st.layers)
-		st.succ = buildSuccIndex(st.ar, syncSeq, dataSeq, lens)
-		st.layers = nil
-		st.layerRefs = 0
+	reseal := st.layerRefs > succCompactFloor && st.layerRefs*2 > baseRefs
+	keep := len(st.layers)
+	for keep > 0 && (reseal || st.layers[keep-1].refCount() <= 2*layer.refCount()) {
+		keep--
+		layer = st.layers[keep].merge(st.ar, layer)
+		st.mergedRefs += layer.refCount()
+	}
+	if reseal {
+		if st.succ != nil {
+			layer = st.succ.layer().merge(st.ar, layer)
+			st.mergedRefs += layer.refCount()
+		}
+		st.succ = buildSuccIndex(st.ar, layer.syncSeq, layer.dataSeq, lens)
+		st.layers, st.layerRefs = nil, 0
 		return
 	}
-	if len(st.layers) >= maxSuccLayers {
-		merged := succLayer{
-			syncSeq: st.ar.mergeRefSeqs(layerSeqs(st.layers, false)...),
-			dataSeq: st.ar.mergeRefSeqs(layerSeqs(st.layers, true)...),
-		}
-		st.layers = []succLayer{merged}
+	if keep < len(st.layers) {
+		st.layers = st.layers[:keep:keep] // the append below must copy
 	}
-}
-
-func layerSeqs(layers []succLayer, data bool) [][]edgeRef {
-	out := make([][]edgeRef, len(layers))
-	for i := range layers {
-		out[i] = layers[i].seq(data)
-	}
-	return out
+	st.layers = append(st.layers, layer)
 }
 
 // view captures the current store state as an epoch's immutable
-// Analysis: arena slice-header snapshots, per-thread predecessor prefix
-// views, the sealed base pointer, and a copy of the layer stack.
+// Analysis: arena and layer-list slice-header snapshots, per-thread
+// predecessor prefix views and the sealed base pointer. lens and base
+// share one allocation.
 func (st *incStore) view(g *Graph, lens []int, epoch uint64) *Analysis {
-	a := &Analysis{g: g, epoch: epoch, lens: append([]int(nil), lens...)}
+	n := len(lens)
+	ints := make([]int, 2*n+1)
+	a := &Analysis{
+		g: g, epoch: epoch, lens: ints[:n:n], base: ints[n:],
+		ar: st.ar, succ: st.succ, layers: st.layers[:len(st.layers):len(st.layers)],
+	}
+	copy(a.lens, lens)
 	a.comp = summarizeGaps(g.gapsForPrefix(lens))
-	a.base = make([]int32, len(lens)+1)
-	for t, n := range lens {
-		a.base[t+1] = a.base[t] + int32(n)
+	a.preds = make([]threadPreds, n)
+	for t, ln := range lens {
+		a.base[t+1] = a.base[t] + ln
+		p := st.preds[t]
+		end := p.off[ln]
+		a.preds[t] = threadPreds{off: p.off[: ln+1 : ln+1], ref: p.ref[:end:end]}
 	}
-	a.ar = st.ar
-	a.predOff = make([][]int32, len(lens))
-	a.predRef = make([][]edgeRef, len(lens))
-	for t, n := range lens {
-		off := st.predOff[t]
-		a.predOff[t] = off[: n+1 : n+1]
-		a.predRef[t] = st.predRef[t][:off[n]:off[n]]
-	}
-	a.succ = st.succ
-	a.layers = append([]succLayer(nil), st.layers...)
 	return a
 }
 
@@ -516,7 +546,7 @@ func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, f
 				continue
 			}
 			e := a.ar.edge(run[0])
-			if best < 0 || edgeLess(*e, *bestE) {
+			if best < 0 || edgeLess(e, bestE) {
 				best, bestE = i, e
 			}
 		}
@@ -541,8 +571,8 @@ func (a *Analysis) visitPreds(id SubID, sc *visitScratch, fn func(ref edgeRef, e
 			return false
 		}
 	}
-	off := a.predOff[id.Thread]
-	for _, r := range a.predRef[id.Thread][off[id.Alpha]:off[id.Alpha+1]] {
+	p := a.preds[id.Thread]
+	for _, r := range p.ref[p.off[id.Alpha]:p.off[id.Alpha+1]] {
 		if !fn(r, a.ar.edge(r)) {
 			return false
 		}

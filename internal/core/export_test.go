@@ -52,3 +52,14 @@ func (r *ReferenceAnalyzer) Fold() *Analysis {
 	inc.epoch++
 	return newAnalysis(inc.g, r.syncEdges, r.dataEdges, slices.Clone(inc.lens), inc.epoch)
 }
+
+// OverlayShape reports the store's live compaction state: the layer
+// count and ref total of the overlay, the sealed base's ref count, and
+// the running tally of refs compaction has merged.
+func (inc *IncrementalAnalyzer) OverlayShape() (layers, layerRefs, baseRefs, mergedRefs int) {
+	st := inc.st
+	if st.succ != nil {
+		baseRefs = st.succ.refCount()
+	}
+	return len(st.layers), st.layerRefs, baseRefs, st.mergedRefs
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -26,9 +25,10 @@ import (
 //     one linear partition + merge, never a re-sort of the backlog);
 //   - the epoch's Analysis is built by appending the new edges to the
 //     shared arenas and stacking one overlay layer on the adjacency
-//     (csr.go) — per-epoch sealing cost is proportional to the delta,
-//     with geometric compaction bounding lookup fan-in, instead of the
-//     O(graph) flat rebuild the pre-overlay fold paid;
+//     (csr.go) — per-epoch sealing cost is proportional to the delta
+//     at any cadence, with size-tiered compaction keeping the stack
+//     logarithmic in the overlay, instead of the O(graph) flat rebuild
+//     the pre-overlay fold paid;
 //   - the interned symbol table is the graph's own append-only interner,
 //     so materialized names never need recomputing.
 //
@@ -99,8 +99,11 @@ type IncrementalAnalyzer struct {
 	symSeen  int
 
 	// scratch serves the serial derivation path; parallel workers carry
-	// their own.
-	scratch incScratch
+	// their own. cutTarget and syncTail are captureCut's and
+	// consumeSyncLogs' reusable buffers.
+	scratch   incScratch
+	cutTarget []int
+	syncTail  []syncEdgeRec
 }
 
 // incRun is one thread's writers of one page, alphas ascending.
@@ -224,7 +227,8 @@ func (inc *IncrementalAnalyzer) fold(capture bool) (*Analysis, *EpochDelta) {
 		d.SymBase = uint32(inc.symSeen)
 		inc.symSeen += len(d.Symbols)
 		d.Epoch = inc.epoch
-		d.Lens = slices.Clone(inc.lens)
+		// The view's own copy of the prefix: both are immutable from here.
+		d.Lens = a.lens
 	}
 	return a, d
 }
@@ -240,9 +244,9 @@ func (inc *IncrementalAnalyzer) fold(capture bool) (*Analysis, *EpochDelta) {
 func (inc *IncrementalAnalyzer) consumeSyncLogs(d *EpochDelta) []Edge {
 	var fresh []Edge
 	for t := range inc.syncSeen {
-		tail := inc.g.syncEdgeTail(t, inc.syncSeen[t])
-		inc.syncSeen[t] += len(tail)
-		for _, rec := range tail {
+		inc.syncTail = inc.g.syncEdgeTail(inc.syncTail[:0], t, inc.syncSeen[t])
+		inc.syncSeen[t] += len(inc.syncTail)
+		for _, rec := range inc.syncTail {
 			if d != nil {
 				d.Sync = append(d.Sync, DeltaSyncEdge{From: rec.From, To: rec.To, Object: rec.Object})
 			}
@@ -261,15 +265,19 @@ func (inc *IncrementalAnalyzer) consumeSyncLogs(d *EpochDelta) []Edge {
 	return mergeSortedEdges(backlogReady, freshReady)
 }
 
-// partitionSyncReady splits a sorted entry run into the entries whose
-// endpoints are both inside the prefix and the still-deferred rest,
-// preserving order (so both halves stay sorted).
+// partitionSyncReady splits a sorted entry run the fold owns (the
+// backlog, the epoch's fresh entries — never a slice an Analysis holds)
+// into the entries whose endpoints are both inside the prefix and the
+// still-deferred rest, preserving order (so both halves stay sorted).
+// The ready entries move to a fresh slice, which the store adopts; the
+// deferred ones are compacted in place.
 func partitionSyncReady(entries []Edge, lens []int) (ready, deferred []Edge) {
-	for _, e := range entries {
-		if subInPrefix(e.From, lens) && subInPrefix(e.To, lens) {
-			ready = append(ready, e)
+	deferred = entries[:0]
+	for i := range entries {
+		if e := &entries[i]; subInPrefix(e.From, lens) && subInPrefix(e.To, lens) {
+			ready = append(ready, *e)
 		} else {
-			deferred = append(deferred, e)
+			deferred = append(deferred, *e)
 		}
 	}
 	return ready, deferred
@@ -322,7 +330,7 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 		}
 		var out []Edge
 		for _, sc := range newSubs {
-			out = append(out, inc.scratch.readerEdges(inc, sc)...)
+			out = appendOrAdopt(out, inc.scratch.readerEdges(inc, sc))
 		}
 		sortEdges(out)
 		return out
@@ -381,7 +389,8 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 // alpha) order.
 func (inc *IncrementalAnalyzer) captureCut() []*SubComputation {
 	inc.prevLens = append(inc.prevLens[:0], inc.lens...)
-	target := make([]int, len(inc.lens))
+	target := append(inc.cutTarget[:0], inc.lens...)
+	inc.cutTarget = target
 	for t := range target {
 		target[t] = max(inc.g.shardLen(t), inc.lens[t])
 	}
@@ -392,7 +401,8 @@ func (inc *IncrementalAnalyzer) captureCut() []*SubComputation {
 			if have >= target[t] {
 				continue
 			}
-			tail := inc.g.threadTail(t, have, target[t])
+			inc.seqs[t] = inc.g.threadTail(inc.seqs[t], t, have, target[t])
+			tail := inc.seqs[t][have:]
 			// threadTail clamps to the live shard; shrink the target so a
 			// hand-built graph that never publishes the wanted vertices
 			// cannot spin this loop.
@@ -418,16 +428,16 @@ func (inc *IncrementalAnalyzer) captureCut() []*SubComputation {
 					}
 				}
 			}
-			inc.seqs[t] = appendOrAdopt(inc.seqs[t], tail)
 		}
 	}
-	total := 0
+	// The first advanced thread's run is handed out as a capped view of
+	// its append-only sequence — a per-seal cut advances one thread, so
+	// that is usually the whole result — and further threads' runs append
+	// to a copy (the cap forces it).
+	var newSubs []*SubComputation
 	for t := range inc.seqs {
-		total += len(inc.seqs[t]) - inc.lens[t]
-	}
-	newSubs := make([]*SubComputation, 0, total)
-	for t := range inc.seqs {
-		newSubs = append(newSubs, inc.seqs[t][inc.lens[t]:]...)
+		tail := inc.seqs[t][inc.lens[t]:]
+		newSubs = appendOrAdopt(newSubs, tail[:len(tail):len(tail)])
 		inc.lens[t] = len(inc.seqs[t])
 	}
 	return newSubs
@@ -542,7 +552,7 @@ func mergeSortedEdges(a, b []Edge) []Edge {
 	out := make([]Edge, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if edgeLess(b[j], a[i]) {
+		if edgeLess(&b[j], &a[i]) {
 			out = append(out, b[j])
 			j++
 		} else {

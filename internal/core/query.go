@@ -46,7 +46,7 @@ type Analysis struct {
 	epoch uint64
 	// base[t] is thread t's first dense index; lens[t] its sequence
 	// length.
-	base []int32
+	base []int
 	lens []int
 	// comp snapshots the trace-loss gaps visible inside the analyzed
 	// prefix at construction time, so completeness answers stay
@@ -55,11 +55,10 @@ type Analysis struct {
 
 	// Edge storage and adjacency (csr.go): arena views, per-thread
 	// predecessor arrays, sealed successor base + overlay layers.
-	ar      arenaPair
-	predOff [][]int32
-	predRef [][]edgeRef
-	succ    *succIndex
-	layers  []succLayer
+	ar     arenaPair
+	preds  []threadPreds
+	succ   *succIndex
+	layers []succLayer
 
 	// flat is the lazily materialized canonical edge sequence (control,
 	// sync, data) — built on first Edges() call, shared by all readers.
@@ -112,15 +111,14 @@ func subInPrefix(id SubID, lens []int) bool {
 func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
 	a := &Analysis{g: g, epoch: epoch, lens: lens}
 	a.comp = summarizeGaps(g.gapsForPrefix(lens))
-	a.base = make([]int32, len(a.lens)+1)
+	a.base = make([]int, len(a.lens)+1)
 	for t, n := range a.lens {
-		a.base[t+1] = a.base[t] + int32(n)
+		a.base[t+1] = a.base[t] + n
 	}
 	a.ar = arenaPair{sync: syncEdges, data: dataEdges}
-	syncSeq := refSeq(0, len(syncEdges), false)
-	dataSeq := refSeq(0, len(dataEdges), true)
-	a.succ = buildSuccIndex(a.ar, syncSeq, dataSeq, lens)
-	a.predOff, a.predRef = buildPredIndex(a.ar, syncSeq, dataSeq, lens)
+	all := freshLayer(0, len(syncEdges), 0, len(dataEdges))
+	a.succ = buildSuccIndex(a.ar, all.syncSeq, all.dataSeq, lens)
+	a.preds = buildPredIndex(a.ar, all.syncSeq, all.dataSeq, lens)
 	return a
 }
 
@@ -129,20 +127,18 @@ func (a *Analysis) vertexIndex(id SubID) (int32, bool) {
 	if id.Thread < 0 || id.Thread >= len(a.lens) || id.Alpha >= uint64(a.lens[id.Thread]) {
 		return 0, false
 	}
-	return a.base[id.Thread] + int32(id.Alpha), true
+	return int32(a.base[id.Thread]) + int32(id.Alpha), true
 }
 
 // idAt is vertexIndex's inverse: the SubID at dense index vi.
 func (a *Analysis) idAt(vi int32) SubID {
-	t, _ := slices.BinarySearchFunc(a.base[1:], vi, func(b, v int32) int {
-		return int(b) - int(v)
-	})
+	t, _ := slices.BinarySearch(a.base[1:], int(vi))
 	// BinarySearch finds the first t with base[t+1] >= vi; an exact hit
 	// means vi starts the next thread's range.
-	for a.base[t+1] == vi {
+	for a.base[t+1] == int(vi) {
 		t++
 	}
-	return SubID{Thread: t, Alpha: uint64(vi - a.base[t])}
+	return SubID{Thread: t, Alpha: uint64(int(vi) - a.base[t])}
 }
 
 // Graph returns the underlying CPG.
@@ -175,7 +171,7 @@ func (a *Analysis) Edges() []Edge {
 func (a *Analysis) Epoch() uint64 { return a.epoch }
 
 // NumVertices returns the vertex count of the analyzed prefix.
-func (a *Analysis) NumVertices() int { return int(a.base[len(a.lens)]) }
+func (a *Analysis) NumVertices() int { return a.base[len(a.lens)] }
 
 // Completeness returns the trace-loss summary of the analyzed prefix,
 // snapshotted at construction. Complete=true is the common case.
@@ -566,7 +562,7 @@ func (a *Analysis) checkAcyclic(ctx context.Context) error {
 	indeg := make([]int32, n)
 	for t, ln := range a.lens {
 		for i := 1; i < ln; i++ {
-			indeg[a.base[t]+int32(i)]++
+			indeg[a.base[t]+i]++
 		}
 	}
 	for i := range a.ar.sync {

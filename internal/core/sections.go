@@ -57,8 +57,10 @@ func (a *Analysis) Stats() Stats {
 			st.Threads++
 			st.ControlEdges += n - 1
 		}
-		for i := 0; i < n; i++ {
-			sc, _ := a.g.Sub(SubID{Thread: t, Alpha: uint64(i)})
+		// One shard lock per thread, not one per vertex: a stats query on
+		// a live source must not trade lock round-trips with the thread
+		// that is appending.
+		for _, sc := range a.g.threadTail(nil, t, 0, n) {
 			st.Thunks += len(sc.Thunks)
 			st.ReadSetPages += sc.ReadSet.Len()
 			st.WriteSetPages += sc.WriteSet.Len()
@@ -108,7 +110,7 @@ func (g *Graph) RestoreSyncEdge(from, to SubID, object ObjRef) {
 // EdgeCanonicalLess reports the canonical edge order — (From, To,
 // Kind, Object) — exported so section decoders can validate stored
 // order themselves and name the offending section in their errors.
-func EdgeCanonicalLess(a, b Edge) bool { return edgeLess(a, b) }
+func EdgeCanonicalLess(a, b Edge) bool { return edgeLess(&a, &b) }
 
 // NewAnalysisFromSections assembles a sealed Analysis over pre-derived
 // canonical edge sections, skipping derivation entirely — the load path
@@ -150,7 +152,7 @@ func checkSection(name string, edges []Edge, kind EdgeKind, lens []int) error {
 			return fmt.Errorf("core: %s section edge %d (%v -> %v) outside the vertex prefix",
 				name, i, e.From, e.To)
 		}
-		if i > 0 && edgeLess(*e, edges[i-1]) {
+		if i > 0 && edgeLess(e, &edges[i-1]) {
 			return fmt.Errorf("core: %s section out of canonical order at edge %d", name, i)
 		}
 	}

@@ -96,6 +96,24 @@ func BenchmarkQueryEngineTaint(b *testing.B) {
 	benchSerial(b, eng, taintQuery)
 }
 
+// BenchmarkQueryEngineTaintPerSeal is the taint query over an execution
+// of the same shape, but through the analysis a live source serves:
+// folded once per sealed sub-computation, so the forward traversal
+// merges each vertex's successor runs across the sealed base and
+// whatever overlay layers the last epochs left, where the batch Analyze
+// above reads one base.
+func BenchmarkQueryEngineTaintPerSeal(b *testing.B) {
+	sched := cpgbench.DrawSchedule(8, 2000, 24, 4, 43)
+	rp := sched.NewReplay()
+	inc := core.NewIncrementalAnalyzer(rp.Graph)
+	var a *core.Analysis
+	for s := 1; s <= sched.Steps(); s++ {
+		rp.To(s)
+		a = inc.Fold()
+	}
+	benchSerial(b, provenance.NewEngine(a, provenance.EngineOptions{}), taintQuery)
+}
+
 // BenchmarkQueryEngineTaintParallel is the 8-way taint variant.
 func BenchmarkQueryEngineTaintParallel(b *testing.B) {
 	eng, _ := benchEngine()
