@@ -1,7 +1,8 @@
-// Benchmarks regenerating the paper's evaluation (one per table/figure)
-// plus ablations of the design decisions DESIGN.md calls out.
+// Ablations of the design decisions DESIGN.md calls out. The paper's
+// figures and tables are regenerated by cmd/inspector-bench (the code is
+// internal/harness/experiments.go, gated by its TestFigure*/TestTable*).
 //
-// The figures report *virtual-time overhead factors* via b.ReportMetric;
+// The ablations report virtual-time and byte counts via b.ReportMetric;
 // wall-clock ns/op measures the simulator itself, not the paper's claim.
 // Run with:
 //
@@ -12,155 +13,12 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/repro/inspector/internal/harness"
-	"github.com/repro/inspector/internal/lz4"
 	"github.com/repro/inspector/internal/mem"
 	"github.com/repro/inspector/internal/perf"
 	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/vtime"
 	"github.com/repro/inspector/internal/workloads"
 )
-
-// benchApps is the subset exercised per-app in figure benchmarks; the
-// full 12-app sweep lives in cmd/inspector-bench (it is minutes of work,
-// too slow for go test -bench defaults).
-var benchApps = []string{"blackscholes", "canneal", "histogram", "linear_regression", "reverse_index"}
-
-// runCfg runs one workload/mode/threads configuration and returns the
-// report.
-func runCfg(b *testing.B, app string, mode threading.Mode, threads int, size workloads.Size) *threading.Report {
-	b.Helper()
-	w, err := workloads.Get(app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := workloads.Config{Size: size, Threads: threads, Seed: 1}
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName: app, Mode: mode, MaxThreads: w.MaxThreads(cfg),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Run(rt, cfg); err != nil {
-		b.Fatal(err)
-	}
-	return rt.LastReport()
-}
-
-// BenchmarkFig5 regenerates Figure 5: provenance overhead w.r.t. native
-// execution for threads in {2, 4, 8, 16}.
-func BenchmarkFig5(b *testing.B) {
-	for _, app := range benchApps {
-		for _, th := range []int{2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/threads=%d", app, th), func(b *testing.B) {
-				var overhead float64
-				for i := 0; i < b.N; i++ {
-					nat := runCfg(b, app, threading.ModeNative, th, workloads.Small)
-					insp := runCfg(b, app, threading.ModeInspector, th, workloads.Small)
-					overhead = float64(insp.Time) / float64(nat.Time)
-				}
-				b.ReportMetric(overhead, "overhead-x")
-			})
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6: the overhead breakdown between the
-// threading library and the OS support for PT at 16 threads.
-func BenchmarkFig6(b *testing.B) {
-	for _, app := range benchApps {
-		b.Run(app, func(b *testing.B) {
-			var tl, pt float64
-			for i := 0; i < b.N; i++ {
-				insp := runCfg(b, app, threading.ModeInspector, 16, workloads.Small)
-				tl = float64(insp.ThreadingCycles)
-				pt = float64(insp.PTCycles)
-			}
-			b.ReportMetric(tl/1e6, "threading-Mcy")
-			b.ReportMetric(pt/1e6, "pt-Mcy")
-		})
-	}
-}
-
-// BenchmarkTable7 regenerates Table 7 (the paper's Figure 7): page fault
-// counts and rates at 16 threads.
-func BenchmarkTable7(b *testing.B) {
-	for _, app := range benchApps {
-		b.Run(app, func(b *testing.B) {
-			var faults, rate float64
-			for i := 0; i < b.N; i++ {
-				insp := runCfg(b, app, threading.ModeInspector, 16, workloads.Small)
-				faults = float64(insp.Faults())
-				rate = insp.FaultsPerSec()
-			}
-			b.ReportMetric(faults, "faults")
-			b.ReportMetric(rate, "faults/vsec")
-		})
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: overhead versus input size for the
-// four applications the paper sweeps.
-func BenchmarkFig8(b *testing.B) {
-	for _, app := range harness.Fig8Apps {
-		for _, size := range []workloads.Size{workloads.Small, workloads.Medium, workloads.Large} {
-			b.Run(fmt.Sprintf("%s/size=%v", app, size), func(b *testing.B) {
-				var overhead float64
-				for i := 0; i < b.N; i++ {
-					nat := runCfg(b, app, threading.ModeNative, 8, size)
-					insp := runCfg(b, app, threading.ModeInspector, 8, size)
-					overhead = float64(insp.Time) / float64(nat.Time)
-				}
-				b.ReportMetric(overhead, "overhead-x")
-			})
-		}
-	}
-}
-
-// BenchmarkTable9 regenerates Table 9 (the paper's Figure 9): provenance
-// log size, lz4 compressibility, bandwidth, and branch rate.
-func BenchmarkTable9(b *testing.B) {
-	for _, app := range benchApps {
-		b.Run(app, func(b *testing.B) {
-			var sizeMB, ratio, bw, br float64
-			for i := 0; i < b.N; i++ {
-				w, err := workloads.Get(app)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := workloads.Config{Size: workloads.Small, Threads: 8, Seed: 1}
-				rt, err := threading.NewRuntime(threading.Options{
-					AppName: app, Mode: threading.ModeInspector, MaxThreads: w.MaxThreads(cfg),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Run(rt, cfg); err != nil {
-					b.Fatal(err)
-				}
-				rep := rt.LastReport()
-				var raw, comp int
-				for _, pid := range rt.Session().PIDs() {
-					if st, ok := rt.Session().Stream(pid); ok {
-						trace := st.Trace()
-						raw += len(trace)
-						comp += len(lz4.Compress(nil, trace))
-					}
-				}
-				sizeMB = float64(raw) / 1e6
-				if comp > 0 {
-					ratio = float64(raw) / float64(comp)
-				}
-				bw = rep.TraceBandwidthMBps()
-				br = rep.BranchesPerSec()
-			}
-			b.ReportMetric(sizeMB, "logMB")
-			b.ReportMetric(ratio, "lz4-ratio")
-			b.ReportMetric(bw, "MB/vsec")
-			b.ReportMetric(br, "branches/vsec")
-		})
-	}
-}
 
 // BenchmarkAblationGranularity ablates design decision 1: read/write-set
 // tracking granularity. Smaller pages mean more faults but finer

@@ -140,8 +140,9 @@ func run(args []string) error {
 	if opts.Native && (opts.Journal != "" || opts.Stream != "") {
 		return fmt.Errorf("-journal and -stream record the provenance pipeline; they need INSPECTOR mode (drop -native)")
 	}
-	if opts.Native && (*cpgOut != "" || *jsonOut != "" || *dotOut != "") {
-		return fmt.Errorf("-cpg, -json and -dot export the recorded CPG; they need INSPECTOR mode (drop -native)")
+	if opts.Native && (*cpgOut != "" || *jsonOut != "" || *dotOut != "" ||
+		*perfOut != "" || *imageOut != "" || *decode || *verify) {
+		return fmt.Errorf("-cpg, -json, -dot, -perfdata, -imageout, -decode and -verify read the recorded CPG and PT traces; they need INSPECTOR mode (drop -native)")
 	}
 	// -live-stats is meaningless on the baseline, not an error.
 	opts.Live = opts.Live && !opts.Native
@@ -246,7 +247,7 @@ func run(args []string) error {
 	}
 
 	// One batch analysis (rec.Analysis) serves both the check and the file.
-	if *verify && !opts.Native {
+	if *verify {
 		switch err := rec.Analysis().Verify(); {
 		case err == nil:
 			fmt.Println("CPG verified:    happens-before DAG, edge pages contained in recorded sets")
@@ -259,7 +260,7 @@ func run(args []string) error {
 		}
 	}
 
-	if *decode && !opts.Native {
+	if *decode {
 		counts, err := rec.DecodeTraces()
 		if err != nil {
 			return fmt.Errorf("decode traces: %w", err)
@@ -291,13 +292,13 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote JSON:       %s\n", *jsonOut)
 	}
-	if *perfOut != "" && !opts.Native {
+	if *perfOut != "" {
 		if err := atomicio.WriteFile(*perfOut, rt.Session().Serialize); err != nil {
 			return err
 		}
 		fmt.Printf("wrote perf data:  %s\n", *perfOut)
 	}
-	if *imageOut != "" && !opts.Native {
+	if *imageOut != "" {
 		err := atomicio.WriteFile(*imageOut, func(w io.Writer) error {
 			_, err := rt.Image().WriteTo(w)
 			return err

@@ -53,18 +53,21 @@ func TestRunEndToEndWithArtifacts(t *testing.T) {
 	}
 }
 
-// TestRunNativeRefusesCPGExports: a native run records no CPG, so asking
-// for one is refused like -journal and -stream are, not answered with a
-// valid file holding an empty graph.
+// TestRunNativeRefusesCPGExports: a native run records no CPG and no PT
+// trace, so asking for either is refused like -journal and -stream are,
+// not answered with a valid file holding an empty graph or with silence.
 func TestRunNativeRefusesCPGExports(t *testing.T) {
-	for _, flag := range []string{"-cpg", "-json", "-dot"} {
-		out := filepath.Join(t.TempDir(), "out")
-		err := run([]string{"-app", "histogram", "-threads", "2", "-size", "small", "-native", flag, out})
+	out := filepath.Join(t.TempDir(), "out")
+	for _, flags := range [][]string{
+		{"-cpg", out}, {"-json", out}, {"-dot", out},
+		{"-perfdata", out}, {"-imageout", out}, {"-decode"}, {"-verify"},
+	} {
+		err := run(append([]string{"-app", "histogram", "-threads", "2", "-size", "small", "-native"}, flags...))
 		if err == nil || !strings.Contains(err.Error(), "need INSPECTOR mode (drop -native)") {
-			t.Errorf("-native %s: err = %v, want it refused", flag, err)
+			t.Errorf("-native %s: err = %v, want it refused", flags[0], err)
 		}
 		if _, serr := os.Stat(out); serr == nil {
-			t.Errorf("-native %s still wrote %s", flag, out)
+			t.Errorf("-native %s still wrote %s", flags[0], out)
 		}
 	}
 }

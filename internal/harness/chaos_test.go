@@ -2,16 +2,17 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
-	"fmt"
 	"os"
 	"strconv"
 	"testing"
 
+	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/threading"
-	"github.com/repro/inspector/internal/workloads"
 )
 
 // chaosResult captures everything the chaos invariants assert over.
@@ -23,32 +24,20 @@ type chaosResult struct {
 	comp       core.Completeness
 }
 
-// chaosRun executes one workload under a fault schedule and returns the
-// observable outcome. Panics are injected at commit boundaries; AUX loss
-// through the lossy sink wrapper. It never lets a fault crash the test
-// process — that escape is itself the failure the suite exists to catch.
+// chaosRun executes one workload under a fault schedule, through the
+// product assembly, and returns the observable outcome. Panics are
+// injected at commit boundaries; AUX loss through the lossy sink
+// wrapper. It never lets a fault crash the test process — that escape
+// is itself the failure the suite exists to catch.
 func chaosRun(t *testing.T, app string, threads int, sched faultinject.Schedule) chaosResult {
 	t.Helper()
-	w, err := workloads.Get(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := workloads.Config{Size: workloads.Small, Threads: threads, Seed: 1}
+	w, cfg := smallWorkload(t, app, threads)
 	in := faultinject.New(sched)
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName:       app,
-		Mode:          threading.ModeInspector,
-		MaxThreads:    w.MaxThreads(cfg),
-		WrapTraceSink: in.WrapSink,
-	})
+	rec, err := inspector.New(inspector.Options{AppName: app, MaxThreads: w.MaxThreads(cfg), Faults: in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RegisterCommitHook(func(id core.SubID) {
-		if in.Fire(faultinject.WorkloadPanic) {
-			panic(fmt.Sprintf("chaos: injected panic after %v", id))
-		}
-	})
+	rt := rec.Unwrap()
 	res := chaosResult{runErr: w.Run(rt, cfg)}
 	var buf bytes.Buffer
 	if err := rt.Graph().EncodeJSON(&buf); err != nil {
@@ -125,28 +114,9 @@ func TestChaosLosslessIsByteIdenticalToSeed(t *testing.T) {
 		t.Fatalf("empty schedule still faulted: %+v %q", empty.comp, empty.summary)
 	}
 
-	w, err := workloads.Get("histogram")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := workloads.Config{Size: workloads.Small, Threads: 1, Seed: 1}
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName:    "histogram",
-		Mode:       threading.ModeInspector,
-		MaxThreads: w.MaxThreads(cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(rt, cfg); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rt.Graph().EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), empty.jsonExport) {
-		t.Error("wrapped-but-lossless run differs from the bare run")
+	sum := sha256.Sum256(empty.jsonExport)
+	if hex.EncodeToString(sum[:]) != corpus.get(t, "histogram", 1).jsonSHA {
+		t.Error("wrapped-but-lossless run differs from the corpus's recording")
 	}
 }
 

@@ -28,8 +28,6 @@ package harness
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -37,9 +35,7 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
-	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/workloads"
 )
 
@@ -68,41 +64,6 @@ type driftFile struct {
 	Entries []driftEntry `json:"entries"`
 }
 
-// exportCPG runs one configuration under INSPECTOR and returns the two
-// rendered exports plus the recorded graph.
-func exportCPG(t *testing.T, app string, threads int) (jsonB, dotB []byte, g *core.Graph) {
-	t.Helper()
-	w, err := workloads.Get(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := workloads.Config{Size: workloads.Small, Threads: threads, Seed: 1}
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName:    app,
-		Mode:       threading.ModeInspector,
-		MaxThreads: w.MaxThreads(cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(rt, cfg); err != nil {
-		t.Fatalf("%s t=%d: %v", app, threads, err)
-	}
-	var jw, dw bytes.Buffer
-	if err := rt.Graph().EncodeJSON(&jw); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Graph().WriteDOT(&dw); err != nil {
-		t.Fatal(err)
-	}
-	return jw.Bytes(), dw.Bytes(), rt.Graph()
-}
-
-func sha(b []byte) string {
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
-}
-
 func updateDriftFile(t *testing.T) {
 	df := driftFile{
 		Note: "SHA-256 of CPG exports as produced by the pre-refactor (seed) core; " +
@@ -115,8 +76,10 @@ func updateDriftFile(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			ent := driftEntry{App: app, Threads: threads, Stable: true}
 			for rep := 0; rep < 3; rep++ {
-				jsonB, dotB, g := exportCPG(t, app, threads)
-				js, ds, subs := sha(jsonB), sha(dotB), g.NumSubs()
+				// Fresh runs, not the corpus's one: stability is what
+				// three of them agreeing means.
+				r := record(t, newAggregator(t).URL, app, threads)
+				js, ds, subs := r.jsonSHA, r.dotSHA, r.analysis.Graph().NumSubs()
 				if rep == 0 {
 					ent.JSONSHA, ent.DOTSHA, ent.Subs = js, ds, subs
 					continue
@@ -175,45 +138,38 @@ func TestCPGExportDriftAgainstSeed(t *testing.T) {
 	for _, want := range df.Entries {
 		want := want
 		t.Run(want.App+"/t"+strconv.Itoa(want.Threads), func(t *testing.T) {
-			jsonB, dotB, g := exportCPG(t, want.App, want.Threads)
-			if subs := g.NumSubs(); subs != want.Subs {
+			r := corpus.get(t, want.App, want.Threads)
+			if subs := r.analysis.Graph().NumSubs(); subs != want.Subs {
 				t.Errorf("sub-computations = %d, seed recorded %d", subs, want.Subs)
 			}
 			if want.Stable {
-				if got := sha(jsonB); got != want.JSONSHA {
-					t.Errorf("JSON export drifted from seed: sha %s, want %s", got, want.JSONSHA)
+				if r.jsonSHA != want.JSONSHA {
+					t.Errorf("JSON export drifted from seed: sha %s, want %s", r.jsonSHA, want.JSONSHA)
 				}
-				if got := sha(dotB); got != want.DOTSHA {
-					t.Errorf("DOT export drifted from seed: sha %s, want %s", got, want.DOTSHA)
+				if r.dotSHA != want.DOTSHA {
+					t.Errorf("DOT export drifted from seed: sha %s, want %s", r.dotSHA, want.DOTSHA)
 				}
 			}
-			// The .cpg file must load back to exactly this run's content...
-			var file bytes.Buffer
-			if err := cpgfile.Encode(&file, g.Analyze(), cpgfile.Meta{App: want.App}); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "run.cpg")
-			if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			loaded, _, err := cpgfile.Load(path)
+			// The run's .cpg file must load back to exactly this run's
+			// content...
+			loaded, hdr, err := cpgfile.Load(r.cpg)
 			if err != nil {
 				t.Fatalf("load .cpg: %v", err)
 			}
-			var rejson bytes.Buffer
-			if err := loaded.Graph().EncodeJSON(&rejson); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rejson.Bytes(), jsonB) {
+			if renderSHA(t, loaded.Graph().EncodeJSON) != r.jsonSHA {
 				t.Errorf(".cpg round-trip disagrees with the JSON export")
 			}
 			// ...and be deterministic: re-encoding the loaded analysis
 			// reproduces the file exactly.
-			var again bytes.Buffer
-			if err := cpgfile.Encode(&again, loaded, cpgfile.Meta{App: want.App}); err != nil {
+			file, err := os.ReadFile(r.cpg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(file.Bytes(), again.Bytes()) {
+			var again bytes.Buffer
+			if err := cpgfile.Encode(&again, loaded, cpgfile.Meta{RunID: hdr.RunID, App: hdr.App}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(file, again.Bytes()) {
 				t.Error(".cpg export is not byte-deterministic")
 			}
 		})

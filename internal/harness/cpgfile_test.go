@@ -79,9 +79,16 @@ func TestCPGFileRoundTripAcrossWorkloads(t *testing.T) {
 	for _, app := range workloads.Names() {
 		for _, threads := range []int{1, 4} {
 			t.Run(app+"/t"+strconv.Itoa(threads), func(t *testing.T) {
-				_, _, g := exportCPG(t, app, threads)
-				roundTripCPGFile(t, g.Analyze(), app)
+				r := corpus.get(t, app, threads)
+				roundTripCPGFile(t, r.analysis, app)
 
+				// The gap goes on a private copy of the graph: the run's
+				// own .cpg, loaded.
+				loaded, _, err := cpgfile.Load(r.cpg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := loaded.Graph()
 				g.AddGap(0, core.Gap{FromAlpha: 0, ToAlpha: 1, Kind: core.GapAuxLoss, Bytes: 64})
 				degraded := g.Analyze()
 				if !degraded.Degraded() {
@@ -117,8 +124,7 @@ func writeCPGThrough(t *testing.T, path string, a *core.Analysis, in *faultinjec
 // engines built directly from the source analyses.
 func TestChaosCPGFileLenientSkipsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
-	_, _, g := exportCPG(t, "histogram", 1)
-	a := g.Analyze()
+	a := corpus.get(t, "histogram", 1).analysis
 
 	healthy := []string{"run-a", "run-b", "run-c"}
 	for _, id := range healthy {

@@ -1,16 +1,15 @@
 package harness
 
-// Cross-workload fabric conformance sweep — the tentpole's correctness
-// anchor. Every workload, single- and multi-thread, is recorded once
-// with its epoch-delta stream captured; the stream is then fed to an
-// aggregator (inspector-serve -ingest machinery) three ways — clean,
-// through a fault-injected network (disconnects mid-body, duplicate
-// deliveries, reordering, slow sinks), and as a kill+resume (a prefix
-// upload, then a full journal-style resend from epoch 1) — and the
-// aggregator's export must be byte-identical to the recorder's own
-// incremental fold at the same epoch in all three. A fourth input is
-// the product assembly itself: the same workload recorded through
-// inspector.New with Options.Stream, the way inspector-run -stream does.
+// Cross-workload fabric conformance sweep. Every workload, single- and
+// multi-thread, is recorded once (the corpus) through inspector.New with
+// a journal and a stream attached, the way inspector-run -journal
+// -stream does; the aggregator that run streamed to must hold the
+// recorder's own fold, byte for byte. The journal's deltas are then fed
+// to fresh aggregators (inspector-serve -ingest machinery) three more
+// ways — clean, through a fault-injected network (disconnects mid-body,
+// duplicate deliveries, reordering, slow sinks), and as a kill+resume
+// (a prefix upload, then a full journal-style resend from epoch 1) —
+// with the same export demanded of all three.
 
 import (
 	"bytes"
@@ -20,89 +19,18 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/repro/inspector"
-	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
-	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/wire"
 	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
-
-// fabricCapture is one recorded run: its stream identity, delta
-// sequence, and the recorder-side reference export.
-type fabricCapture struct {
-	hello  wire.Hello
-	deltas []*core.EpochDelta
-	export []byte
-}
-
-func (fc *fabricCapture) finalEpoch() uint64 {
-	return fc.deltas[len(fc.deltas)-1].Epoch
-}
-
-// fabricWorkload is one small workload of the sweep.
-func fabricWorkload(t *testing.T, app string, threads int) (workloads.Workload, workloads.Config) {
-	t.Helper()
-	w, err := workloads.Get(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w, workloads.Config{Size: workloads.Small, Threads: threads, Seed: 1}
-}
-
-// fabricRuntime prepares one small workload under INSPECTOR and the
-// stream identity its run goes by.
-func fabricRuntime(t *testing.T, app string, threads int) (*threading.Runtime, func() error, wire.Hello) {
-	t.Helper()
-	w, cfg := fabricWorkload(t, app, threads)
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName:    app,
-		Mode:       threading.ModeInspector,
-		MaxThreads: w.MaxThreads(cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello := wire.Hello{RunID: fmt.Sprintf("%s-t%d-s1", app, threads), App: app, Threads: rt.Graph().Threads()}
-	return rt, func() error { return w.Run(rt, cfg) }, hello
-}
-
-// deltaCapture is an epoch.Sink that keeps the delta stream.
-type deltaCapture struct{ deltas []*core.EpochDelta }
-
-func (c *deltaCapture) Emit(_ *core.Analysis, d *core.EpochDelta) error {
-	c.deltas = append(c.deltas, d)
-	return nil
-}
-func (c *deltaCapture) Finish(uint64) error { return nil }
-
-// captureFabricRun executes one workload under the product epoch driver
-// at a fold-every-4-seals cadence, with a sink that keeps the delta
-// stream, plus the final fold's export bytes.
-func captureFabricRun(t *testing.T, app string, threads int) *fabricCapture {
-	t.Helper()
-	rt, run, hello := fabricRuntime(t, app, threads)
-	var sink deltaCapture
-	drv := epoch.NewDriver(rt.Graph(), epoch.Options{Every: 4}, &sink)
-	rt.RegisterCommitHook(drv.CommitHook())
-	if err := run(); err != nil {
-		t.Fatalf("%s: %v", app, err)
-	}
-	if err := drv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return &fabricCapture{hello: hello, deltas: sink.deltas, export: exportAnalysisJSON(t, drv.Analysis())}
-}
 
 // newAggregator stands up an ingest-mode server.
 func newAggregator(t *testing.T) *httptest.Server {
@@ -113,19 +41,18 @@ func newAggregator(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// aggregatorExport uploads with the given client and fetches the final
-// export bytes.
-func aggregatorExport(t *testing.T, c *provenance.Client, fc *fabricCapture, batch int) []byte {
+// aggregatorExport uploads the recovered journal's deltas with the given
+// client, seals, and fetches the final export bytes.
+func aggregatorExport(t *testing.T, c *provenance.Client, hello wire.Hello, rep *journal.Recovery, batch int) []byte {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := provenance.UploadDeltas(ctx, c, "w", fc.hello, fc.deltas, batch,
-		&wire.Seal{FinalEpoch: fc.finalEpoch()})
+	st, err := provenance.UploadDeltas(ctx, c, "w", hello, rep.Deltas, batch, &wire.Seal{FinalEpoch: rep.Epoch})
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
-	if !st.Sealed || st.NextEpoch != fc.finalEpoch()+1 {
-		t.Fatalf("final status = %+v, want sealed at next=%d", st, fc.finalEpoch()+1)
+	if !st.Sealed || st.NextEpoch != rep.Epoch+1 {
+		t.Fatalf("final status = %+v, want sealed at next=%d", st, rep.Epoch+1)
 	}
 	got, err := c.Export(ctx, "w")
 	if err != nil {
@@ -134,96 +61,69 @@ func aggregatorExport(t *testing.T, c *provenance.Client, fc *fabricCapture, bat
 	return got
 }
 
-// libraryStreamMatches records the workload through inspector.New with
-// a journal, a live feed and a stream attached — the assembly
-// inspector-run binds its flags to — and checks what the hand-fed
-// scenarios check: the aggregator's export is the recorder's own fold,
-// byte for byte. One run id must name the run everywhere it is written:
-// journal header, wire hello (as the aggregator bound it) and the .cpg
-// header. At one thread the run is deterministic, so the fold must also
-// equal the captured reference's.
-func libraryStreamMatches(t *testing.T, app string, threads int, fc *fabricCapture) {
+// recordingMatchesItsSinks checks the recording itself, which is the
+// product assembly's delivery: the aggregator inspector.New streamed to
+// holds the recorder's own fold, byte for byte, and the journal beside
+// it recovers to the uninterrupted run — sealed, not degraded, at the
+// run's epoch, the same graph. One run id must name the run everywhere
+// it is written: journal header, wire hello (as the aggregator bound
+// it) and the .cpg header.
+func recordingMatchesItsSinks(t *testing.T, r *recording, rep *journal.Recovery) {
 	t.Helper()
-	w, cfg := fabricWorkload(t, app, threads)
-	ts := newAggregator(t)
-	dir := t.TempDir()
-	rec, err := inspector.New(inspector.Options{
-		AppName:           app,
-		MaxThreads:        w.MaxThreads(cfg),
-		Live:              true,
-		Journal:           filepath.Join(dir, "journal"),
-		JournalFsync:      "none",
-		JournalEverySeals: 4,
-		Stream:            ts.URL,
-		StreamID:          "w",
-		RunID:             fc.hello.RunID,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(rec.Unwrap(), cfg); err != nil {
-		t.Fatalf("%s: %v", app, err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := errors.Join(rec.Close(), rec.WaitStream(ctx)); err != nil {
-		t.Fatalf("library: close: %v", err)
-	}
-	want := exportAnalysisJSON(t, rec.Source().Engine().Analysis())
-	c := &provenance.Client{BaseURL: ts.URL}
-	got, err := c.Export(ctx, "w")
+	id := r.hello.RunID
+	c := &provenance.Client{BaseURL: corpus.agg.URL}
+	got, err := c.Export(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got, r.fold) {
 		t.Fatal("library: aggregator export != the runtime's own fold")
 	}
-	if threads == 1 && !bytes.Equal(want, fc.export) {
-		t.Fatal("library: inspector.New folded a different graph than the hand-assembled driver")
-	}
-
-	rep, err := journal.Recover(filepath.Join(dir, "journal"), journal.RecoverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Sealed || rep.Epoch != rec.Epoch() {
-		t.Fatalf("library: journal sealed=%v at epoch %d, run folded %d", rep.Sealed, rep.Epoch, rec.Epoch())
-	}
-	st, found, err := c.IngestOffset(ctx, "w")
+	st, found, err := c.IngestOffset(ctx, id)
 	if err != nil || !found || !st.Sealed {
 		t.Fatalf("library: aggregator status %+v found=%v err=%v, want sealed", st, found, err)
 	}
-	cpg := filepath.Join(dir, "run.cpg")
-	f, err := os.Create(cpg)
+
+	if !rep.Sealed || rep.Degraded() || rep.Epoch != r.epoch {
+		t.Fatalf("library: journal sealed=%v degraded=%v at epoch %d, run folded %d",
+			rep.Sealed, rep.Degraded(), rep.Epoch, r.epoch)
+	}
+	if renderSHA(t, rep.Graph.EncodeJSON) != r.jsonSHA {
+		t.Fatal("library: full recovery diverges from the runtime's graph")
+	}
+
+	m, err := cpgfile.Open(r.cpg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := errors.Join(rec.WriteCPG(f), f.Close()); err != nil {
-		t.Fatal(err)
-	}
-	_, hdr, err := cpgfile.Load(cpg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id := fc.hello.RunID; rep.Header.RunID != id || st.RunID != id || hdr.RunID != id {
+	hdr := m.Header()
+	m.Close()
+	if rep.Header.RunID != id || st.RunID != id || hdr.RunID != id {
 		t.Fatalf("library: run id %q is %q in the journal header, %q in the wire hello, %q in the .cpg header",
 			id, rep.Header.RunID, st.RunID, hdr.RunID)
 	}
 }
 
 // TestFabricAggregatorMatchesLocalFold is the sweep: every workload at
-// 1 and 4 threads, three delivery scenarios plus the library's own
-// streaming, zero byte drift allowed.
+// 1 and 4 threads, the library's own streaming plus three delivery
+// scenarios, zero byte drift allowed.
 func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 	for _, app := range workloads.Names() {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s-t%d", app, threads), func(t *testing.T) {
-				fc := captureFabricRun(t, app, threads)
+				r := corpus.get(t, app, threads)
+				rep, err := journal.Recover(r.journal, journal.RecoverOptions{KeepDeltas: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				recordingMatchesItsSinks(t, r, rep)
 
 				// Clean delivery.
 				ts := newAggregator(t)
-				got := aggregatorExport(t, &provenance.Client{BaseURL: ts.URL}, fc, 7)
-				if !bytes.Equal(got, fc.export) {
+				got := aggregatorExport(t, &provenance.Client{BaseURL: ts.URL}, r.hello, rep, 7)
+				if !bytes.Equal(got, r.fold) {
 					t.Fatal("clean: aggregator export != local fold")
 				}
 
@@ -237,14 +137,14 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 					{Point: faultinject.NetSlow, Every: 4},
 				}})
 				ts = newAggregator(t)
-				fc2 := &provenance.Client{
+				faulted := &provenance.Client{
 					BaseURL:    ts.URL,
 					HTTPClient: &http.Client{Transport: in.WrapRoundTripper(nil)},
 					MaxRetries: 12,
 					RetryBase:  time.Millisecond,
 				}
-				got = aggregatorExport(t, fc2, fc, 3)
-				if !bytes.Equal(got, fc.export) {
+				got = aggregatorExport(t, faulted, r.hello, rep, 3)
+				if !bytes.Equal(got, r.fold) {
 					t.Fatalf("faulted (%s): aggregator export != local fold", in.Summary())
 				}
 
@@ -254,14 +154,14 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 				ts = newAggregator(t)
 				c := &provenance.Client{BaseURL: ts.URL}
 				ctx := context.Background()
-				prefix := len(fc.deltas) / 2
+				prefix := len(rep.Deltas) / 2
 				if prefix > 0 {
-					if _, err := provenance.UploadDeltas(ctx, c, "w", fc.hello, fc.deltas[:prefix], 5, nil); err != nil {
+					if _, err := provenance.UploadDeltas(ctx, c, "w", r.hello, rep.Deltas[:prefix], 5, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
 				st, err := provenance.UploadDeltas(ctx, &provenance.Client{BaseURL: ts.URL}, "w",
-					fc.hello, fc.deltas, 5, &wire.Seal{FinalEpoch: fc.finalEpoch()})
+					r.hello, rep.Deltas, 5, &wire.Seal{FinalEpoch: rep.Epoch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,11 +172,9 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, fc.export) {
+				if !bytes.Equal(got, r.fold) {
 					t.Fatal("kill+resume: aggregator export != local fold")
 				}
-
-				libraryStreamMatches(t, app, threads, fc)
 			})
 		}
 	}
@@ -310,7 +208,10 @@ func TestFabricKillRefeedMultiThread(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for _, threads := range []int{2, 4} {
 		t.Run(fmt.Sprintf("word_count-t%d", threads), func(t *testing.T) {
-			rt, run, hello := fabricRuntime(t, "word_count", threads)
+			// Twelve uploaders on one fold, each behind its own kill switch:
+			// inspector.Options has one Stream, so this is wired by hand.
+			rt, run := bareRuntime(t, "word_count", threads)
+			hello := wire.Hello{RunID: runID("word_count", threads), App: "word_count", Threads: rt.Graph().Threads()}
 			ts := newAggregator(t)
 			dir := t.TempDir()
 			jw, err := journal.Create(journal.Options{

@@ -20,8 +20,6 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/faultinject"
-	"github.com/repro/inspector/internal/threading"
-	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -42,19 +40,9 @@ type foldChaosResult struct {
 // timeout here, not a hung suite.
 func foldChaosRun(t *testing.T, seed int, panicky bool) foldChaosResult {
 	t.Helper()
-	w, err := workloads.Get("histogram")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := workloads.Config{Size: workloads.Small, Threads: 2, Seed: 1}
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName:    "histogram",
-		Mode:       threading.ModeInspector,
-		MaxThreads: w.MaxThreads(cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The hook panics on its own schedule — more than Options.Faults'
+	// slow-fold delay — so the live engine is wired by hand.
+	rt, run := bareRuntime(t, "histogram", 2)
 
 	in := faultinject.New(faultinject.Schedule{Rules: []faultinject.Rule{
 		// After stays at 0/1: folds coalesce, so a fast run may only hit
@@ -87,7 +75,7 @@ func foldChaosRun(t *testing.T, seed int, panicky bool) foldChaosResult {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res.runErr = w.Run(rt, cfg)
+		res.runErr = run()
 		res.closeErr = eng.Close()
 	}()
 	select {

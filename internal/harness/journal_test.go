@@ -10,29 +10,16 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/journal"
-	"github.com/repro/inspector/internal/threading"
-	"github.com/repro/inspector/internal/workloads"
 )
 
 // journaledRun executes one workload with a journal recorder attached,
-// capturing the per-epoch in-process analysis exports, and returns the
-// runtime's graph plus those exports. When seal is false the journal is
-// abandoned without a seal record, as a killed process would leave it.
-func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) (*core.Graph, [][]byte) {
+// capturing the per-epoch in-process analysis exports (the OnEpoch seam
+// inspector.Options does not have), and returns those exports. When
+// seal is false the journal is abandoned without a seal record, as a
+// killed process would leave it.
+func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) [][]byte {
 	t.Helper()
-	w, err := workloads.Get(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := workloads.Config{Size: workloads.Small, Threads: threads, Seed: 1}
-	rt, err := threading.NewRuntime(threading.Options{
-		AppName:    app,
-		Mode:       threading.ModeInspector,
-		MaxThreads: w.MaxThreads(cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, run := bareRuntime(t, app, threads)
 	jw, err := journal.Create(journal.Options{
 		Dir: dir, Threads: rt.Graph().Threads(), App: app, Fsync: journal.PolicyNone,
 	})
@@ -50,7 +37,7 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 		exports = append(exports, buf.Bytes())
 	}
 	rt.RegisterCommitHook(rec.CommitHook())
-	if err := w.Run(rt, cfg); err != nil {
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	if seal {
@@ -60,20 +47,19 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 	} else if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return rt.Graph(), exports
+	return exports
 }
 
-// TestJournalReplayMatchesInProcessFold is the tentpole property at the
-// workload level: for real multithreaded recordings, replaying the
-// journal reproduces the in-process incremental analysis byte for byte —
-// the full recovery equals the runtime's final graph, and recovery
+// TestJournalReplayMatchesInProcessFold is the per-epoch property at
+// the workload level: for real multithreaded recordings, recovery
 // stopped at any epoch equals the fold the run itself produced at that
-// epoch.
+// epoch. (That the full recovery equals the runtime's final graph is
+// checked for every corpus configuration by the fabric sweep.)
 func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			dir := t.TempDir()
-			g, exports := journaledRun(t, "histogram", threads, dir, true)
+			exports := journaledRun(t, "histogram", threads, dir, true)
 
 			rep, err := journal.Recover(dir, journal.RecoverOptions{})
 			if err != nil {
@@ -84,16 +70,6 @@ func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 			}
 			if rep.Epoch != uint64(len(exports)) {
 				t.Fatalf("recovered %d epochs, journaled %d", rep.Epoch, len(exports))
-			}
-			var want, got bytes.Buffer
-			if err := g.EncodeJSON(&want); err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.Graph.EncodeJSON(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatal("full recovery diverges from the runtime's graph")
 			}
 
 			// Random prefixes: replay-at-epoch == the run's own fold.
@@ -122,7 +98,7 @@ func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 // impersonating a complete run.
 func TestJournalUnsealedRunRecoversDegraded(t *testing.T) {
 	dir := t.TempDir()
-	_, exports := journaledRun(t, "histogram", 2, dir, false)
+	exports := journaledRun(t, "histogram", 2, dir, false)
 
 	rep, err := journal.Recover(dir, journal.RecoverOptions{})
 	if err != nil {

@@ -3,27 +3,12 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"syscall"
 	"testing"
 )
-
-// buildTool compiles one command into dir and returns the binary path.
-func buildTool(t *testing.T, dir, name string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "github.com/repro/inspector/cmd/"+name)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build %s: %v\n%s", name, err, out)
-	}
-	return bin
-}
 
 // recoverSummary runs inspector-recover -summary-json and decodes it.
 type recoverSummary struct {
@@ -34,13 +19,9 @@ type recoverSummary struct {
 	Torn     string `json:"torn"`
 }
 
-func recoverJSON(t *testing.T, bin, dir string, extra ...string) recoverSummary {
+func recoverJSON(t *testing.T, dir string) recoverSummary {
 	t.Helper()
-	args := append([]string{"-journal", dir, "-summary-json"}, extra...)
-	out, err := exec.Command(bin, args...).Output()
-	if err != nil {
-		t.Fatalf("inspector-recover %v: %v", args, err)
-	}
+	out := tool(t, "inspector-recover", "-journal", dir, "-summary-json")
 	var s recoverSummary
 	if err := json.Unmarshal(out, &s); err != nil {
 		t.Fatalf("summary JSON: %v\n%s", err, out)
@@ -63,21 +44,12 @@ func TestKillRecoverSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and forks children")
 	}
-	binDir := t.TempDir()
-	runBin := buildTool(t, binDir, "inspector-run")
-	recoverBin := buildTool(t, binDir, "inspector-recover")
-
-	// kmeans seals ~50 single-thread commits at the small size — enough
-	// boundaries for a meaningful sweep while each child stays fast.
-	workArgs := []string{"-app", "kmeans", "-threads", "1", "-size", "small", "-seed", "1"}
-
-	// Reference: the same workload, uninterrupted.
+	// Reference: the workload, uninterrupted. kmeans seals ~50
+	// single-thread commits at the small size — enough boundaries for a
+	// meaningful sweep while each child stays fast.
 	refDir := filepath.Join(t.TempDir(), "ref")
-	refCmd := exec.Command(runBin, append(workArgs, "-journal", refDir, "-journal-fsync", "none")...)
-	if out, err := refCmd.CombinedOutput(); err != nil {
-		t.Fatalf("reference run: %v\n%s", err, out)
-	}
-	ref := recoverJSON(t, recoverBin, refDir)
+	tool(t, "inspector-run", smallRun("kmeans", 1, "-journal", refDir, "-journal-fsync", "none")...)
+	ref := recoverJSON(t, refDir)
 	if !ref.Sealed || ref.Degraded {
 		t.Fatalf("reference journal: %+v", ref)
 	}
@@ -102,20 +74,14 @@ func TestKillRecoverSweep(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("crash-after-%d", k), func(t *testing.T) {
 			killDir := filepath.Join(t.TempDir(), "killed")
-			cmd := exec.Command(runBin, append(workArgs,
+			out, err := exec.Command(buildTool(t, "inspector-run"), smallRun("kmeans", 1,
 				"-journal", killDir, "-journal-fsync", "none",
-				"-faults", "crash:after="+strconv.Itoa(k)+",count=1")...)
-			out, err := cmd.CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) {
+				"-faults", "crash:after="+strconv.Itoa(k)+",count=1")...).CombinedOutput()
+			if !sigkilled(err) {
 				t.Fatalf("killed run exited with %v (SIGKILL expected)\n%s", err, out)
 			}
-			ws, ok := exit.Sys().(syscall.WaitStatus)
-			if !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-				t.Fatalf("child died with %v, want SIGKILL\n%s", exit, out)
-			}
 
-			got := recoverJSON(t, recoverBin, killDir)
+			got := recoverJSON(t, killDir)
 			if got.Sealed || !got.Degraded {
 				t.Fatalf("killed journal summary: %+v (want unsealed + degraded)", got)
 			}
@@ -125,25 +91,7 @@ func TestKillRecoverSweep(t *testing.T) {
 
 			// Byte-level oracle: the killed run's recovery equals the
 			// reference journal replayed to the same epoch.
-			killedOut := filepath.Join(t.TempDir(), "killed.json")
-			refOut := filepath.Join(t.TempDir(), "ref.json")
-			if out, err := exec.Command(recoverBin,
-				"-journal", killDir, "-q", "-analysis", killedOut).CombinedOutput(); err != nil {
-				t.Fatalf("recover killed: %v\n%s", err, out)
-			}
-			if out, err := exec.Command(recoverBin,
-				"-journal", refDir, "-q", "-epoch", strconv.Itoa(k+1), "-analysis", refOut).CombinedOutput(); err != nil {
-				t.Fatalf("recover reference prefix: %v\n%s", err, out)
-			}
-			a, err := os.ReadFile(killedOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(refOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
+			if !bytes.Equal(recoveredAnalysis(t, killDir), recoveredAnalysis(t, refDir, "-epoch", strconv.Itoa(k+1))) {
 				t.Fatalf("kill at commit %d: recovered analysis diverges from the uninterrupted run's epoch %d", k+1, k+1)
 			}
 		})

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -17,17 +16,11 @@ func TestPerfDataEventsMatchDecode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and forks children")
 	}
-	binDir := t.TempDir()
-	runBin := buildTool(t, binDir, "inspector-run")
-	dumpBin := buildTool(t, binDir, "pt-dump")
-	perfdata := filepath.Join(binDir, "run.perfdata")
-	img := filepath.Join(binDir, "run.image")
+	dir := t.TempDir()
+	perfdata := filepath.Join(dir, "run.perfdata")
+	img := filepath.Join(dir, "run.image")
 
-	out, err := exec.Command(runBin, "-app", "histogram", "-threads", "2", "-size", "small",
-		"-decode", "-perfdata", perfdata, "-imageout", img).Output()
-	if err != nil {
-		t.Fatalf("inspector-run: %v\n%s", err, out)
-	}
+	out := tool(t, "inspector-run", smallRun("histogram", 2, "-decode", "-perfdata", perfdata, "-imageout", img)...)
 	m := regexp.MustCompile(`decoded branches: (\d+) events across (\d+) traces`).FindSubmatch(out)
 	if m == nil {
 		t.Fatalf("no -decode line in the run report:\n%s", out)
@@ -38,10 +31,7 @@ func TestPerfDataEventsMatchDecode(t *testing.T) {
 		t.Fatalf("-decode reported %d events across %d traces; want a real multi-trace run", wantEvents, wantTraces)
 	}
 
-	out, err = exec.Command(dumpBin, "-events", "-image", img, perfdata).Output()
-	if err != nil {
-		t.Fatalf("pt-dump -events: %v\n%s", err, out)
-	}
+	out = tool(t, "pt-dump", "-events", "-image", img, perfdata)
 	totals := regexp.MustCompile(`(?m)^  (\d+) events, (\d+) gaps$`).FindAllSubmatch(out, -1)
 	if len(totals) != wantTraces {
 		t.Fatalf("pt-dump reconstructed %d traces, -decode saw %d", len(totals), wantTraces)

@@ -26,7 +26,8 @@ func TestSnapshotIsJournalPrefix(t *testing.T) {
 	for _, app := range []string{"canneal", "histogram", "word_count"} {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s-t%d", app, threads), func(t *testing.T) {
-				w, cfg := fabricWorkload(t, app, threads)
+				// SnapshotMode changes the trace mode, so the corpus cannot serve.
+				w, cfg := smallWorkload(t, app, threads)
 				dir := t.TempDir()
 				rec, err := inspector.New(inspector.Options{
 					AppName:            app,

@@ -84,8 +84,6 @@ type Options struct {
 	AuxSize int
 	// TraceMode selects full-trace or snapshot AUX rings.
 	TraceMode perf.Mode
-	// PSBPeriod is the PT sync-point interval in bytes (default 4096).
-	PSBPeriod int
 	// WrapTraceSink, when set, wraps each thread's PT byte sink before
 	// the encoder attaches. Fault injection uses it to interpose a lossy
 	// sink (internal/faultinject); loss shows up exactly as a real AUX

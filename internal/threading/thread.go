@@ -138,8 +138,7 @@ func (rt *Runtime) newThread(parent *Thread, slot int, name string) (*Thread, er
 			sink = rt.opts.WrapTraceSink(stream)
 		}
 		t.enc = pt.NewEncoder(sink, pt.EncoderOptions{
-			PSBPeriod: rt.opts.PSBPeriod,
-			TSC:       func() uint64 { return uint64(t.clk.Now()) },
+			TSC: func() uint64 { return uint64(t.clk.Now()) },
 		})
 		tracer, err := pt.NewTracer(t.enc, rt.img, fmt.Sprintf("__exit_t%d__", slot))
 		if err != nil {
