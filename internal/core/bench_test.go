@@ -151,8 +151,9 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 // BenchmarkSliceWide measures a backward slice whose closure spans
-// nearly the whole 4000-vertex graph — the regression guard for the
-// quadratic insertion sort that used to live in sortSubIDs.
+// nearly the whole 4000-vertex graph — the regression guard for how a
+// closure orders its result (a quadratic insertion sort once; a scan of
+// the visited bitmap now).
 func BenchmarkSliceWide(b *testing.B) {
 	a, target := wideA()
 	b.ReportAllocs()

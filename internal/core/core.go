@@ -3,7 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
+	"strconv"
 	"sync"
 
 	"github.com/repro/inspector/internal/vclock"
@@ -17,8 +17,15 @@ type SubID struct {
 	Alpha  uint64
 }
 
-// String renders like "T2.5".
-func (id SubID) String() string { return fmt.Sprintf("T%d.%d", id.Thread, id.Alpha) }
+// String renders like "T2.5". Query results render one per vertex they
+// name, so it appends into a stack buffer instead of going through fmt.
+func (id SubID) String() string {
+	var buf [48]byte
+	b := append(buf[:0], 'T')
+	b = strconv.AppendInt(b, int64(id.Thread), 10)
+	b = append(b, '.')
+	return string(strconv.AppendUint(b, id.Alpha, 10))
+}
 
 // Less orders SubIDs lexicographically (thread, then alpha).
 func (id SubID) Less(other SubID) bool {
@@ -379,7 +386,7 @@ func (g *Graph) SyncEdges() []Edge {
 		}
 		sh.mu.RUnlock()
 	}
-	sortEdges(out)
+	sortEdges(out, nil)
 	return out
 }
 
@@ -422,21 +429,13 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// sortEdges orders edges by (From, To, Kind, Object). The object
-// tiebreaker is unreachable for edges derived from one graph (a single
-// acquire binds to one fresh sub-computation, so (From, To, Kind) is
-// unique) but keeps the order total for hand-built inputs. A per-seal
-// fold sorts zero or one edge almost every epoch, hence the early out.
-func sortEdges(edges []Edge) {
-	if len(edges) < 2 {
-		return
-	}
-	slices.SortFunc(edges, func(a, b Edge) int { return edgeCmp(&a, &b) })
-}
-
-// edgeCmp is the canonical edge order shared by sortEdges and the
-// sorted-run merges of the fold and the store. It takes pointers: an
-// Edge is 80 bytes, and the merges compare arena entries in place.
+// edgeCmp is the canonical edge order: (From, To, Kind, Object). The
+// object tiebreaker is unreachable for edges derived from one graph (a
+// single acquire binds to one fresh sub-computation, so (From, To, Kind)
+// is unique) but keeps the order total for hand-built inputs. sortEdges
+// (edgesort.go) and the sorted-run merges of the fold and the store all
+// implement it. It takes pointers: an Edge is 80 bytes, and the merges
+// compare arena entries in place.
 func edgeCmp(a, b *Edge) int {
 	switch {
 	case a.From != b.From:

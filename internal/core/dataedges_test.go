@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -219,6 +221,17 @@ func dataEdgesReference(subs []*SubComputation) []Edge {
 		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
 		out = append(out, Edge{From: k.from, To: k.to, Kind: EdgeData, Pages: ps})
 	}
-	sortEdges(out)
+	sortEdges(out, nil)
 	return out
+}
+
+// sortSubIDs orders ids by (thread, alpha): the reference closures' sort.
+// The closure itself emits in that order by reading its visited bitmap.
+func sortSubIDs(ids []SubID) {
+	slices.SortFunc(ids, func(a, b SubID) int {
+		if c := cmp.Compare(a.Thread, b.Thread); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Alpha, b.Alpha)
+	})
 }

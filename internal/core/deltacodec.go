@@ -69,8 +69,8 @@ func (d *EpochDelta) AppendWire(b []byte) ([]byte, error) {
 		}
 		b = AppendSubID(b, sc.ID)
 		b = AppendVertex(b, sc)
-		b = AppendPages(b, sc.ReadSet.view())
-		b = AppendPages(b, sc.WriteSet.view())
+		b = AppendPageSet(b, &sc.ReadSet)
+		b = AppendPageSet(b, &sc.WriteSet)
 		b = AppendThunks(b, sc.Thunks)
 	}
 	b = binary.AppendUvarint(b, uint64(len(d.Sync)))

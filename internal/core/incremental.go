@@ -100,10 +100,11 @@ type IncrementalAnalyzer struct {
 
 	// scratch serves the serial derivation path; parallel workers carry
 	// their own. cutTarget and syncTail are captureCut's and
-	// consumeSyncLogs' reusable buffers.
+	// consumeSyncLogs' reusable buffers, edgeSort every sortEdges call's.
 	scratch   incScratch
 	cutTarget []int
 	syncTail  []syncEdgeRec
+	edgeSort  edgeSortScratch
 }
 
 // incRun is one thread's writers of one page, alphas ascending.
@@ -258,7 +259,7 @@ func (inc *IncrementalAnalyzer) consumeSyncLogs(d *EpochDelta) []Edge {
 			})
 		}
 	}
-	sortEdges(fresh)
+	sortEdges(fresh, &inc.edgeSort)
 	backlogReady, backlogDefer := partitionSyncReady(inc.pendingSync, inc.lens)
 	freshReady, freshDefer := partitionSyncReady(fresh, inc.lens)
 	inc.pendingSync = mergeSortedEdges(backlogDefer, freshDefer)
@@ -332,7 +333,7 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 		for _, sc := range newSubs {
 			out = appendOrAdopt(out, inc.scratch.readerEdges(inc, sc))
 		}
-		sortEdges(out)
+		sortEdges(out, &inc.edgeSort)
 		return out
 	}
 	perReader := make([][]Edge, len(newSubs))
@@ -379,7 +380,7 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 	for _, es := range perReader {
 		out = append(out, es...)
 	}
-	sortEdges(out)
+	sortEdges(out, &inc.edgeSort)
 	return out
 }
 

@@ -224,6 +224,11 @@ func ParsePages(c *wire.Cursor, field string, dst []uint64) []uint64 {
 	return dst
 }
 
+// AppendPageSet appends s in the AppendPages form without copying its
+// pages out first: the .cpg read/write-set columns and the delta records
+// both write vertex page sets through it.
+func AppendPageSet(b []byte, s *PageSet) []byte { return AppendPages(b, s.view()) }
+
 // ParsePageSet reads one page list into a set that owns its storage:
 // inline up to pageSetInline pages (no allocation), spilled beyond.
 func ParsePageSet(c *wire.Cursor, field string) PageSet {

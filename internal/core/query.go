@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -217,10 +218,7 @@ func (a *Analysis) gapVerdict(err error, ids ...SubID) error {
 func (a *Analysis) Subs() []*SubComputation {
 	out := make([]*SubComputation, 0, a.NumVertices())
 	for t, n := range a.lens {
-		for i := 0; i < n; i++ {
-			sc, _ := a.g.Sub(SubID{Thread: t, Alpha: uint64(i)})
-			out = append(out, sc)
-		}
+		out = a.g.threadTail(out, t, 0, n)
 	}
 	return out
 }
@@ -260,7 +258,9 @@ func kindIn(k EdgeKind, kinds []EdgeKind) bool {
 
 // closure runs a DFS from id over the selected edge kinds, following
 // either predecessor or successor edges, and returns the visited vertex
-// ids (excluding id), ordered by (thread, alpha). It checks ctx every
+// ids (excluding id), ordered by (thread, alpha). Dense index order is
+// (thread, alpha) order, so the result is read off the visited bitmap
+// in index order instead of being sorted. It checks ctx every
 // cancelCheckEvery visited vertices and returns ctx's error (with the
 // partial result discarded) once the context is done.
 func (a *Analysis) closure(ctx context.Context, id SubID, kinds []EdgeKind, forward bool) ([]SubID, error) {
@@ -268,10 +268,10 @@ func (a *Analysis) closure(ctx context.Context, id SubID, kinds []EdgeKind, forw
 	if !ok {
 		return nil, nil
 	}
-	seen := make([]bool, a.NumVertices())
-	seen[start] = true
+	seen := make([]uint64, (a.NumVertices()+63)/64)
+	seen[start/64] |= 1 << (start % 64)
 	stack := []SubID{id}
-	var out []SubID
+	found := 0
 	var scratch visitScratch
 	popped := 0
 	visit := func(_ edgeRef, e *Edge) bool {
@@ -283,11 +283,11 @@ func (a *Analysis) closure(ctx context.Context, id SubID, kinds []EdgeKind, forw
 			next = e.To
 		}
 		ni, ok := a.vertexIndex(next)
-		if !ok || seen[ni] {
+		if !ok || seen[ni/64]&(1<<(ni%64)) != 0 {
 			return true
 		}
-		seen[ni] = true
-		out = append(out, next)
+		seen[ni/64] |= 1 << (ni % 64)
+		found++
 		stack = append(stack, next)
 		return true
 	}
@@ -305,7 +305,22 @@ func (a *Analysis) closure(ctx context.Context, id SubID, kinds []EdgeKind, forw
 			a.visitPreds(cur, &scratch, visit)
 		}
 	}
-	sortSubIDs(out)
+	if found == 0 {
+		return nil, nil
+	}
+	seen[start/64] &^= 1 << (start % 64)
+	out := make([]SubID, 0, found)
+	t := 0
+	for w, word := range seen {
+		for word != 0 {
+			vi := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for vi >= a.base[t+1] {
+				t++
+			}
+			out = append(out, SubID{Thread: t, Alpha: uint64(vi - a.base[t])})
+		}
+	}
 	return out, nil
 }
 
@@ -615,23 +630,4 @@ func (a *Analysis) checkAcyclic(ctx context.Context) error {
 		return err
 	}
 	return nil
-}
-
-// sortSubIDs orders ids by (thread, alpha). The pre-columnar core used an
-// insertion sort here, which made SliceCtx/TaintedByCtx quadratic on wide
-// closures (BenchmarkSliceWide pins the fix).
-func sortSubIDs(ids []SubID) {
-	slices.SortFunc(ids, func(a, b SubID) int {
-		if a.Thread != b.Thread {
-			return a.Thread - b.Thread
-		}
-		switch {
-		case a.Alpha < b.Alpha:
-			return -1
-		case a.Alpha > b.Alpha:
-			return 1
-		default:
-			return 0
-		}
-	})
 }

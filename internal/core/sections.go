@@ -77,22 +77,41 @@ func (a *Analysis) Stats() Stats {
 	return st
 }
 
-// EdgeSections returns the canonical sync and data edge sections of the
-// analysis, each in the canonical sorted order. Together with the
+// EdgeSeq is a read-only view of one canonical edge section: At returns
+// the analysis's own stored edge, which the caller must not modify.
+type EdgeSeq struct {
+	ar   arenaPair
+	refs []edgeRef
+}
+
+// Len returns the number of edges in the section.
+func (s EdgeSeq) Len() int { return len(s.refs) }
+
+// At returns the i'th edge of the section.
+func (s EdgeSeq) At(i int) *Edge { return s.ar.edge(s.refs[i]) }
+
+// EdgeSeqs returns views of the canonical sync and data edge sections
+// of the analysis, each in the canonical sorted order. Together with the
 // control edges (fully determined by ThreadLens and never stored) they
-// reproduce exactly the sequence Edges returns. Both slices are fresh
-// copies the caller may keep.
-func (a *Analysis) EdgeSections() (syncEdges, dataEdges []Edge) {
+// reproduce exactly the sequence Edges returns. Nothing is copied: a
+// one-fold analysis hands out its sealed base as is.
+func (a *Analysis) EdgeSeqs() (syncEdges, dataEdges EdgeSeq) {
 	syncSeq, dataSeq := canonicalRefSeqs(a.ar, a.succ, a.layers)
-	syncEdges = make([]Edge, 0, len(syncSeq))
-	for _, r := range syncSeq {
-		syncEdges = append(syncEdges, *a.ar.edge(r))
+	return EdgeSeq{a.ar, syncSeq}, EdgeSeq{a.ar, dataSeq}
+}
+
+// EdgeSections returns EdgeSeqs as fresh copies the caller may keep.
+func (a *Analysis) EdgeSections() (syncEdges, dataEdges []Edge) {
+	syncSeq, dataSeq := a.EdgeSeqs()
+	return syncSeq.copyOut(), dataSeq.copyOut()
+}
+
+func (s EdgeSeq) copyOut() []Edge {
+	out := make([]Edge, s.Len())
+	for i := range out {
+		out[i] = *s.At(i)
 	}
-	dataEdges = make([]Edge, 0, len(dataSeq))
-	for _, r := range dataSeq {
-		dataEdges = append(dataEdges, *a.ar.edge(r))
-	}
-	return syncEdges, dataEdges
+	return out
 }
 
 // AppendSub appends a restored sub-computation to its thread's shard —
@@ -109,8 +128,10 @@ func (g *Graph) RestoreSyncEdge(from, to SubID, object ObjRef) {
 
 // EdgeCanonicalLess reports the canonical edge order — (From, To,
 // Kind, Object) — exported so section decoders can validate stored
-// order themselves and name the offending section in their errors.
-func EdgeCanonicalLess(a, b Edge) bool { return edgeLess(&a, &b) }
+// order themselves and name the offending section in their errors. It
+// takes pointers: decoders check every edge of a section against its
+// predecessor in place.
+func EdgeCanonicalLess(a, b *Edge) bool { return edgeLess(a, b) }
 
 // NewAnalysisFromSections assembles a sealed Analysis over pre-derived
 // canonical edge sections, skipping derivation entirely — the load path

@@ -327,7 +327,12 @@ func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, rest fun
 		if c.Err() != nil {
 			break
 		}
-		if i > 0 && core.EdgeCanonicalLess(*e, edges[i-1]) {
+		// This check is the one that names the section: a stored order
+		// violation is reported here as corruption of this section.
+		// NewAnalysisFromSections checks the order again for every
+		// caller, but its error cannot say which section of which file
+		// it read, so decodeAnalysis can only blame the vertex layout.
+		if i > 0 && core.EdgeCanonicalLess(e, &edges[i-1]) {
 			c.Fail("edge", fmt.Sprintf("edge %d out of canonical order", i))
 		}
 	}

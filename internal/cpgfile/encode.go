@@ -37,17 +37,22 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	g := a.Graph()
 	lens := a.ThreadLens()
 	subs := a.Subs()
-	syncEdges, dataEdges := a.EdgeSections()
+	syncEdges, dataEdges := a.EdgeSeqs()
 	comp := a.Completeness()
+	st := a.Stats()
 
 	// Resolve sync-edge object refs before snapshotting the symbol
 	// table, so a ref can never point past the serialized table.
-	syncObjRefs := make([]core.ObjRef, len(syncEdges))
-	for i := range syncEdges {
-		syncObjRefs[i] = g.InternObject(syncEdges[i].Object)
+	syncObjRefs := make([]core.ObjRef, syncEdges.Len())
+	for i := range syncObjRefs {
+		syncObjRefs[i] = g.InternObject(syncEdges.At(i).Object)
 	}
+	syms := g.Symbols()
 
-	sections := make([][]byte, 0, numSections)
+	// The sections are built back to back in one buffer, sized up front
+	// from the counts at hand; ends[i] is where section i+1 stops.
+	var ends [numSections]int
+	b := make([]byte, 0, sizeHint(syms, st, len(lens)))
 
 	// Every field below is spelled by internal/core's field codecs, the
 	// ones the epoch delta uses row-wise; this file only chooses the
@@ -55,11 +60,11 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 
 	// Section 1: symbols — the interner snapshot in ref order, so a
 	// serialized ref r names the r'th string of this table.
-	sections = append(sections, core.AppendSymbols(nil, g.Symbols()))
+	b = core.AppendSymbols(b, syms)
+	ends[0] = len(b)
 
 	// Section 2: vertices — the per-thread layout, then each vertex's
 	// scalar columns in (thread, alpha) order.
-	var b []byte
 	b = binary.AppendUvarint(b, uint64(len(lens)))
 	for _, n := range lens {
 		b = binary.AppendUvarint(b, uint64(n))
@@ -67,51 +72,47 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	for _, sc := range subs {
 		b = core.AppendVertex(b, sc)
 	}
-	sections = append(sections, b)
+	ends[1] = len(b)
 
 	// Sections 3 and 4: read and write sets, one canonical
 	// uvarint-delta PageSet per vertex in the same order.
-	b = nil
 	for _, sc := range subs {
-		b = core.AppendPages(b, sc.ReadSet.Sorted())
+		b = core.AppendPageSet(b, &sc.ReadSet)
 	}
-	sections = append(sections, b)
-	b = nil
+	ends[2] = len(b)
 	for _, sc := range subs {
-		b = core.AppendPages(b, sc.WriteSet.Sorted())
+		b = core.AppendPageSet(b, &sc.WriteSet)
 	}
-	sections = append(sections, b)
+	ends[3] = len(b)
 
 	// Section 5: thunks — the control-path column.
-	b = nil
 	for _, sc := range subs {
 		b = core.AppendThunks(b, sc.Thunks)
 	}
-	sections = append(sections, b)
+	ends[4] = len(b)
 
-	// Section 6: sync edges, already in canonical order.
-	b = nil
-	b = binary.AppendUvarint(b, uint64(len(syncEdges)))
-	for i := range syncEdges {
-		b = core.AppendSubID(b, syncEdges[i].From)
-		b = core.AppendSubID(b, syncEdges[i].To)
-		b = binary.AppendUvarint(b, uint64(syncObjRefs[i]))
+	// Section 6: sync edges, read in canonical order where they lie.
+	b = binary.AppendUvarint(b, uint64(syncEdges.Len()))
+	for i, ref := range syncObjRefs {
+		e := syncEdges.At(i)
+		b = core.AppendSubID(b, e.From)
+		b = core.AppendSubID(b, e.To)
+		b = binary.AppendUvarint(b, uint64(ref))
 	}
-	sections = append(sections, b)
+	ends[5] = len(b)
 
 	// Section 7: data edges — the derived adjacency, stored so the
 	// load path never re-runs derivation.
-	b = nil
-	b = binary.AppendUvarint(b, uint64(len(dataEdges)))
-	for i := range dataEdges {
-		b = core.AppendSubID(b, dataEdges[i].From)
-		b = core.AppendSubID(b, dataEdges[i].To)
-		b = core.AppendPages(b, dataEdges[i].Pages)
+	b = binary.AppendUvarint(b, uint64(dataEdges.Len()))
+	for i := range dataEdges.Len() {
+		e := dataEdges.At(i)
+		b = core.AppendSubID(b, e.From)
+		b = core.AppendSubID(b, e.To)
+		b = core.AppendPages(b, e.Pages)
 	}
-	sections = append(sections, b)
+	ends[6] = len(b)
 
 	// Section 8: gap intervals, per thread.
-	b = nil
 	b = binary.AppendUvarint(b, uint64(len(comp.Gaps)))
 	for _, tg := range comp.Gaps {
 		b = binary.AppendUvarint(b, uint64(tg.Thread))
@@ -120,12 +121,10 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 			b = core.AppendGap(b, gp)
 		}
 	}
-	sections = append(sections, b)
+	ends[7] = len(b)
 
 	// Section 9: precomputed stats, so listing a CPG never costs a
 	// decode — the numbers the query engine's stats answers with.
-	st := a.Stats()
-	b = nil
 	for _, v := range []uint64{
 		uint64(st.SubComputations), uint64(st.Threads), uint64(st.Thunks),
 		uint64(st.ReadSetPages), uint64(st.WriteSetPages),
@@ -134,7 +133,7 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	} {
 		b = binary.AppendUvarint(b, v)
 	}
-	sections = append(sections, b)
+	ends[8] = len(b)
 
 	// Header payload: identity fields, then the fixed-width section
 	// table with absolute offsets.
@@ -149,12 +148,15 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	}
 	hdr = binary.AppendUvarint(hdr, numSections)
 	offset := uint64(preambleLen + len(hdr) + numSections*tableEntryLen)
-	for i, sec := range sections {
+	start := 0
+	for i, end := range ends {
+		sec := b[start:end]
 		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(i+1))
 		hdr = binary.LittleEndian.AppendUint64(hdr, offset)
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(sec)))
 		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(sec, castagnoli))
 		offset += uint64(len(sec))
+		start = end
 	}
 
 	var pre []byte
@@ -168,10 +170,23 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	for _, sec := range sections {
-		if _, err := w.Write(sec); err != nil {
-			return err
-		}
+	_, err := w.Write(b)
+	return err
+}
+
+// sizeHint estimates the sections' total size from the counts Encode
+// already holds, a little high, so the one buffer is allocated once: a
+// vertex costs about two bytes per clock entry plus its cycle counts
+// and one count byte in each per-vertex column, a page up to three bytes
+// of delta, a thunk its five fields, an edge its two ids plus an object
+// ref or a short page list.
+func sizeHint(syms []string, st core.Stats, threads int) int {
+	n := 128
+	for _, s := range syms {
+		n += len(s) + 2
 	}
-	return nil
+	n += st.SubComputations * (11 + 2*threads)
+	n += 3 * (st.ReadSetPages + st.WriteSetPages)
+	n += 8 * st.Thunks
+	return n + 10*(st.SyncEdges+st.DataEdges)
 }
