@@ -52,7 +52,9 @@
 //
 // However many of -journal, -stream and -live-stats are on, the run
 // folds each epoch once, every -epoch-every sealed sub-computations:
-// journal record k, wire frame k and live epoch k are the same cut.
+// journal record k, wire frame k and live epoch k are the same cut. The
+// aggregator folds once per uploaded batch and publishes the epoch of
+// its last delta, so a watcher sees a subset of these epochs.
 package main
 
 import (

@@ -535,7 +535,9 @@ var ErrNotLive = errors.New("inspector: runtime not in live mode (set Options.Li
 // is ≥ 1 once the runtime exists (the pipeline folds epoch 1 eagerly);
 // with Options.Journal, Stream or SnapshotMode epoch k is journal
 // record k, wire frame k and Snapshot.Cut.Epoch k, 0 until the first
-// fold. It returns 0 with none of the four.
+// fold. An aggregator publishes a subset of these numbers (one per
+// ingest batch, named by its last delta), each the same cut as here. It
+// returns 0 with none of the four.
 func (r *Runtime) Epoch() uint64 {
 	switch {
 	case r.feed != nil:

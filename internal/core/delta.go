@@ -53,12 +53,12 @@ type DeltaGap struct {
 	Gap    Gap
 }
 
-// ValidateDelta checks that d is a well-formed extension of g without
+// validateDelta checks that d is a well-formed extension of g without
 // mutating either: symbol continuity against the interner, interned-ref
 // range, thread range, per-thread alpha density, and the final shard
 // lengths against Lens. A nil error means ApplyDelta on the same graph
 // state cannot fail.
-func ValidateDelta(g *Graph, d *EpochDelta) error {
+func validateDelta(g *Graph, d *EpochDelta) error {
 	if d == nil {
 		return fmt.Errorf("core: nil epoch delta")
 	}
@@ -144,7 +144,7 @@ func ValidateDelta(g *Graph, d *EpochDelta) error {
 // single IncrementalAnalyzer reproduces the recording's per-epoch
 // Analyses byte-for-byte.
 //
-// The apply is atomic: ValidateDelta runs to completion before the
+// The apply is atomic: validateDelta runs to completion before the
 // first mutation, so a rejected delta leaves g byte-for-byte untouched.
 // That matters on trust boundaries — journal recovery and the network
 // ingest path both feed ApplyDelta records that passed a CRC check but
@@ -152,7 +152,7 @@ func ValidateDelta(g *Graph, d *EpochDelta) error {
 // aggregator keeps serving the last good epoch from the same graph. The
 // caller serializes ApplyDelta against other mutators of g.
 func ApplyDelta(g *Graph, d *EpochDelta) error {
-	if err := ValidateDelta(g, d); err != nil {
+	if err := validateDelta(g, d); err != nil {
 		return err
 	}
 	for _, s := range d.Symbols {

@@ -27,7 +27,7 @@ import (
 //	len(Gaps), {thread, FromAlpha, ToAlpha, Kind byte, Bytes}...
 //
 // A record carries everything needed to parse it; what it means is
-// checked afterwards, against the graph, by ValidateDelta. ParseWire is
+// checked afterwards, against the graph, by validateDelta. ParseWire is
 // the trust boundary for shape: counts are checked against the bytes
 // that remain before anything is allocated, nothing parsed aliases the
 // body, and — because exports render nil and empty slices differently

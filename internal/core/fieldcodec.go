@@ -18,7 +18,7 @@ import (
 // many elements are allocated — the one rule for how far untrusted
 // input may drive an allocation — nothing parsed aliases the input, and
 // a zero-length list parses to nil. Refs stay as stored: what table
-// they index is the caller's to check (ValidateDelta, cpgfile's remap).
+// they index is the caller's to check (validateDelta, cpgfile's remap).
 
 // Least bytes one element of each counted field can occupy.
 const (

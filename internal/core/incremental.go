@@ -84,6 +84,10 @@ type IncrementalAnalyzer struct {
 
 	// st accumulates the arenas and the adjacency overlay across epochs.
 	st *incStore
+	// totals sums the folded prefix's per-vertex counters; each fold adds
+	// its new vertices and every view copies the sums, so Stats never
+	// walks the prefix.
+	totals vertexTotals
 
 	// workers caps the fold's data-edge derivation fan-out (0 =
 	// GOMAXPROCS); workerHook, when set, runs at the start of every
@@ -170,16 +174,25 @@ func (inc *IncrementalAnalyzer) SetWorkerHook(h func(worker int)) {
 // Graph returns the graph being folded.
 func (inc *IncrementalAnalyzer) Graph() *Graph { return inc.g }
 
-// Epoch returns the number of completed folds.
+// Epoch returns the newest fold's epoch number (0 before the first
+// fold): the number of completed folds, unless FoldAs named them.
 func (inc *IncrementalAnalyzer) Epoch() uint64 { return inc.epoch }
 
-// Fold seals one epoch: it captures everything recorded since the last
-// fold, extends the analysis state, and returns the new epoch's
-// Analysis. Calling Fold with nothing new still produces a (cheap) new
-// epoch over the unchanged prefix. Fold must not be called concurrently
-// with itself; recording threads may keep appending throughout.
-func (inc *IncrementalAnalyzer) Fold() *Analysis {
-	a, _ := inc.fold(false)
+// Fold seals one epoch, numbered one past the previous: it captures
+// everything recorded since the last fold, extends the analysis state,
+// and returns the new epoch's Analysis. Calling Fold with nothing new
+// still produces a (cheap) new epoch over the unchanged prefix. Fold
+// must not be called concurrently with itself; recording threads may
+// keep appending throughout.
+func (inc *IncrementalAnalyzer) Fold() *Analysis { return inc.FoldAs(inc.epoch + 1) }
+
+// FoldAs is Fold numbering the sealed epoch e, which must exceed
+// Epoch(). The apply side (epoch.Replayer) folds a batch of deltas once
+// and names the epoch by the last delta: everything but the number is
+// independent of how many folds the prefix took, so k appended deltas
+// folded once are the Analysis k folds produce.
+func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
+	a, _ := inc.fold(false, e)
 	return a
 }
 
@@ -193,10 +206,10 @@ func (inc *IncrementalAnalyzer) Fold() *Analysis {
 // state out of every delta; drive a journaled analyzer through
 // FoldDelta exclusively.
 func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
-	return inc.fold(true)
+	return inc.fold(true, inc.epoch+1)
 }
 
-func (inc *IncrementalAnalyzer) fold(capture bool) (*Analysis, *EpochDelta) {
+func (inc *IncrementalAnalyzer) fold(capture bool, epoch uint64) (*Analysis, *EpochDelta) {
 	newSubs := inc.captureCut()
 	var d *EpochDelta
 	if capture {
@@ -218,8 +231,10 @@ func (inc *IncrementalAnalyzer) fold(capture bool) (*Analysis, *EpochDelta) {
 	newData := inc.deriveNewData(newSubs)
 	newSync := inc.consumeSyncLogs(d)
 
-	inc.epoch++
+	inc.epoch = epoch
+	inc.totals.add(newSubs)
 	a := inc.st.extend(inc.g, newSync, newData, inc.lens, inc.prevLens, inc.epoch)
+	a.totals = inc.totals
 	if capture {
 		// The interner tail comes last: every ref the captured vertices
 		// and sync edges use was interned before its user sealed, so

@@ -43,7 +43,8 @@ const cancelCheckEvery = 64
 type Analysis struct {
 	g *Graph
 	// epoch numbers the fold that produced this Analysis: 0 for a batch
-	// Analyze, 1.. for successive IncrementalAnalyzer folds.
+	// Analyze, 1.. for successive IncrementalAnalyzer folds (FoldAs names
+	// its own).
 	epoch uint64
 	// base[t] is thread t's first dense index; lens[t] its sequence
 	// length.
@@ -65,6 +66,44 @@ type Analysis struct {
 	// sync, data) — built on first Edges() call, shared by all readers.
 	flatOnce sync.Once
 	flat     []Edge
+
+	// totals are the prefix's per-vertex sums Stats reports. A fold
+	// carries them forward; a flat construction (the .cpg load path)
+	// sets walkTotals and leaves them to Stats's first call, so loading
+	// never walks the vertices.
+	totals     vertexTotals
+	walkTotals bool
+	totalsOnce sync.Once
+}
+
+// vertexTotals sums the per-vertex counters of a prefix.
+type vertexTotals struct {
+	thunks, readSetPages, writeSetPages int
+}
+
+// add counts subs into the totals.
+func (vt *vertexTotals) add(subs []*SubComputation) {
+	for _, sc := range subs {
+		vt.thunks += len(sc.Thunks)
+		vt.readSetPages += sc.ReadSet.Len()
+		vt.writeSetPages += sc.WriteSet.Len()
+	}
+}
+
+// vertexTotals returns the prefix's per-vertex sums, walking the prefix
+// once if no fold carried them.
+func (a *Analysis) vertexTotals() vertexTotals {
+	if a.walkTotals {
+		a.totalsOnce.Do(func() {
+			// One shard lock per thread, not one per vertex: a stats query
+			// on a live graph must not trade lock round-trips with the
+			// thread that is appending.
+			for t, n := range a.lens {
+				a.totals.add(a.g.threadTail(nil, t, 0, n))
+			}
+		})
+	}
+	return a.totals
 }
 
 // Analyze derives all edges over the graph's current vertex prefix and
@@ -110,7 +149,7 @@ func subInPrefix(id SubID, lens []int) bool {
 // analyses through incStore.view, and the equivalence property tests pin
 // the two byte-identical.
 func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
-	a := &Analysis{g: g, epoch: epoch, lens: lens}
+	a := &Analysis{g: g, epoch: epoch, lens: lens, walkTotals: true}
 	a.comp = summarizeGaps(g.gapsForPrefix(lens))
 	a.base = make([]int, len(a.lens)+1)
 	for t, n := range a.lens {
@@ -165,8 +204,9 @@ func (a *Analysis) Edges() []Edge {
 	return a.flat
 }
 
-// Epoch returns the fold number that produced this Analysis: 0 for a
-// batch Analyze, 1.. for successive IncrementalAnalyzer folds. Query
+// Epoch returns the epoch number of the fold that produced this
+// Analysis: 0 for a batch Analyze, 1.. for successive IncrementalAnalyzer
+// folds (a replayed fold takes its last delta's epoch). Query
 // results carry it so clients can tell which prefix of a still-running
 // execution they are looking at.
 func (a *Analysis) Epoch() uint64 { return a.epoch }

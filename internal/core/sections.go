@@ -44,26 +44,23 @@ type Stats struct {
 // Threads counts the threads with a vertex in the prefix; the edge
 // counts are those of Edges, by arithmetic: control edges are
 // Σ max(0, len−1) and the sync and data sections are counted where they
-// lie, so nothing is materialized.
+// lie, so nothing is materialized. The per-vertex sums are the ones the
+// fold carried, so a query costs O(threads + overlay layers).
 func (a *Analysis) Stats() Stats {
+	vt := a.vertexTotals()
 	st := Stats{
 		SubComputations: a.NumVertices(),
+		Thunks:          vt.thunks,
+		ReadSetPages:    vt.readSetPages,
+		WriteSetPages:   vt.writeSetPages,
 		GapThreads:      a.comp.GapThreads,
 		GapIntervals:    a.comp.GapIntervals,
 		LostTraceBytes:  a.comp.LostBytes,
 	}
-	for t, n := range a.lens {
+	for _, n := range a.lens {
 		if n > 0 {
 			st.Threads++
 			st.ControlEdges += n - 1
-		}
-		// One shard lock per thread, not one per vertex: a stats query on
-		// a live source must not trade lock round-trips with the thread
-		// that is appending.
-		for _, sc := range a.g.threadTail(nil, t, 0, n) {
-			st.Thunks += len(sc.Thunks)
-			st.ReadSetPages += sc.ReadSet.Len()
-			st.WriteSetPages += sc.WriteSet.Len()
 		}
 	}
 	if a.succ != nil {

@@ -2,8 +2,12 @@
 // hangs off: a Driver folds the live graph once per epoch into an
 // ordered list of sinks (journal, live feed, stream queue), and a
 // Replayer is its mirror image on the apply side (journal recovery, the
-// aggregator's ingest). One fold per epoch means one epoch numbering:
-// journal record k, wire frame k and published epoch k are the same cut.
+// aggregator's ingest). There is one epoch numbering: the Driver folds
+// once per epoch, so journal record k, wire frame k and the recorder's
+// epoch k are the same cut. The apply side folds once per batch of
+// deltas and numbers each fold by its last delta, so the epochs it
+// publishes are a subset of the delta epochs, each the same cut as the
+// recorder's epoch of that number.
 package epoch
 
 import (

@@ -3,14 +3,17 @@ package epoch
 import "github.com/repro/inspector/internal/core"
 
 // Replayer rebuilds a recording from its epoch deltas: a fresh graph,
-// the analyzer folding it, and the last appended lens. One Fold per
-// Append keeps analyzer epochs and delta epochs in step, which is why a
-// replay reproduces the recording's per-epoch Analyses byte for byte.
-// Methods are not goroutine-safe; callers serialize.
+// the analyzer folding it, and the last appended delta's lens and epoch.
+// Appends and folds need not alternate: a fold seals everything appended
+// since the previous one and is numbered by the last appended delta, so
+// any batching of the same deltas reaches the recording's Analysis at
+// that epoch byte for byte. Methods are not goroutine-safe; callers
+// serialize.
 type Replayer struct {
 	g    *core.Graph
 	inc  *core.IncrementalAnalyzer
 	lens []int
+	last uint64
 }
 
 // NewReplayer prepares an empty replay of a threads-wide graph.
@@ -29,20 +32,26 @@ func (r *Replayer) Append(d *core.EpochDelta) error {
 	if err := core.ApplyDelta(r.g, d); err != nil {
 		return err
 	}
-	r.lens = d.Lens
+	r.lens, r.last = d.Lens, d.Epoch
 	return nil
 }
 
-// Fold seals everything appended since the last fold into one epoch.
-func (r *Replayer) Fold() *core.Analysis { return r.inc.Fold() }
+// Pending reports whether deltas were appended since the last fold.
+func (r *Replayer) Pending() bool { return r.last > r.inc.Epoch() }
+
+// Fold seals everything appended since the last fold into one epoch,
+// numbered by the last appended delta — or, when nothing was appended
+// since, one past the previous fold.
+func (r *Replayer) Fold() *core.Analysis { return r.inc.FoldAs(max(r.last, r.inc.Epoch()+1)) }
 
 // Truncate is the fold that ends a replay cut short: it first marks, on
 // every thread that has vertices, that an arbitrary suffix may be
 // missing after the last appended delta (anchored on the last replayed
 // vertex so prefix-scoped completeness retains the interval), so the
 // epoch it returns reports degraded. Journal recovery truncates instead
-// of folding its last delta; a poisoned ingest source, which already
-// published that epoch, truncates into one more.
+// of folding its pending records, so the degraded epoch is the last
+// record's; a poisoned ingest source, which already published its
+// applied prefix, truncates into one more epoch.
 func (r *Replayer) Truncate() *core.Analysis {
 	for t, n := range r.lens {
 		if n > 0 {

@@ -285,28 +285,21 @@ scan:
 		return nil, fmt.Errorf("journal: %s has no usable header: %s", dir, reason)
 	}
 
-	// Replay: one fold per record, so the Analysis epoch counter lands
-	// exactly on the recovered epoch. A record that passed its CRC can
-	// still be forged or stale, so each is validated against the graph
-	// while its predecessor's fold is still pending: the replay learns
-	// which record is the last good one *before* folding it, and an
-	// unsealed or torn journal gets its truncated gap under that final
-	// fold rather than in an extra epoch.
+	// Replay: append every record, then fold once — the fold is numbered
+	// by the last appended record, so the Analysis lands exactly on the
+	// recovered epoch. A record that passed its CRC can still be forged or
+	// stale; the append validates it against the graph before mutating
+	// anything, so the replay learns which record is the last good one
+	// before it folds, and an unsealed or torn journal gets its truncated
+	// gap under that one fold rather than in an extra epoch.
 	rp := epoch.NewReplayer(rep.Header.Threads)
 	n := 0
 	for ; n < len(recs); n++ {
 		r := recs[n]
-		if err := core.ValidateDelta(rp.Graph(), r.delta); err != nil {
+		if err := rp.Append(r.delta); err != nil {
 			torn(r.seg, r.off, fmt.Sprintf("invalid delta: %v", err))
 			rep.Torn.Epoch, rep.Sealed = uint64(n), false
 			break
-		}
-		if n > 0 {
-			rp.Fold()
-		}
-		if err := rp.Append(r.delta); err != nil {
-			// Validation just passed; failing here is a bug.
-			return nil, fmt.Errorf("journal: replay diverged from validation: %w", err)
 		}
 		if opts.KeepDeltas {
 			rep.Deltas = append(rep.Deltas, r.delta)

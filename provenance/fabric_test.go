@@ -471,6 +471,100 @@ func TestWaitEpochPush(t *testing.T) {
 	}
 }
 
+// TestIngestPublishesOncePerBatch pins the apply side's batching: a POST
+// body is folded and published once, as the epoch of its last applied
+// delta, whichever way the body ends — at its end, at a bad frame (the
+// applied prefix is published before the 400), or at a poisoning delta
+// (the prefix, then the degraded republish one epoch past it). Every
+// published epoch is the recorder's epoch of that number, export for
+// export.
+func TestIngestPublishesOncePerBatch(t *testing.T) {
+	run := recordFabric(t, 2, 48, 11)
+	if len(run.deltas) < 12 {
+		t.Fatalf("fixture folded %d epochs, want >= 12", len(run.deltas))
+	}
+	hub, ts := newFabricServer(t, IngestOptions{})
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	if _, err := post(t, c, "w", run.hello, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	src, _ := hub.Source("w")
+	seen := src.publishes.Load()
+	if seen != 0 {
+		t.Fatalf("a hello-only body published %d epochs, want 0", seen)
+	}
+	// expect checks the publishes since the last call and that the newest
+	// one is the recorder's epoch at deltas[last].
+	expect := func(what string, publishes uint64, last int) {
+		t.Helper()
+		if got := src.publishes.Load() - seen; got != publishes {
+			t.Fatalf("%s: %d publishes, want %d", what, got, publishes)
+		}
+		seen = src.publishes.Load()
+		if e, want := src.Epoch(), run.deltas[last].Epoch; e != want {
+			t.Fatalf("%s: published epoch %d, want %d", what, e, want)
+		}
+		got, err := c.Export(ctx, "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, run.exports[last]) {
+			t.Fatalf("%s: export at epoch %d diverges from the recorder's", what, src.Epoch())
+		}
+	}
+
+	// One body of five deltas: one publish, at the last delta's epoch. A
+	// watcher parked at an intermediate epoch wakes with the batch's.
+	woke := make(chan uint64, 1)
+	go func() {
+		e, err := src.WaitEpoch(ctx, run.deltas[2].Epoch)
+		if err != nil {
+			t.Error(err)
+		}
+		woke <- e
+	}()
+	time.Sleep(20 * time.Millisecond)
+	if st, err := post(t, c, "w", run.hello, run.deltas[:5], nil); err != nil || st.Accepted != 5 {
+		t.Fatalf("five-delta post = %+v err=%v, want 5 accepted", st, err)
+	}
+	expect("five-delta body", 1, 4)
+	if e := <-woke; e != run.deltas[4].Epoch {
+		t.Fatalf("watcher parked at epoch %d woke with %d, want the batch's %d", run.deltas[2].Epoch, e, run.deltas[4].Epoch)
+	}
+
+	// A body that fails at its fourth delta with a bad frame: the three
+	// before it are applied and published.
+	body, err := EncodeFrames(run.hello, run.deltas[5:9], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[len(body)-1] ^= 0xff // the last payload byte: deltas[8] fails its CRC
+	if _, err := c.Ingest(ctx, "w", body); serverStatus(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "bad CRC") {
+		t.Fatalf("bad-frame body err = %v, want HTTP 400 naming the CRC", err)
+	}
+	expect("body cut at a bad frame", 1, 7)
+
+	// A body that fails at its third delta with a poisoning one: the two
+	// before it are published, then the degraded fold one epoch past them.
+	forged := *run.deltas[10]
+	forged.Lens = append([]int(nil), forged.Lens...)
+	forged.Lens[0]++
+	if _, err := post(t, c, "w", run.hello, []*core.EpochDelta{run.deltas[8], run.deltas[9], &forged}, nil); serverStatus(err) != http.StatusBadRequest {
+		t.Fatalf("poisoning body err = %v, want HTTP 400", err)
+	}
+	applied := run.deltas[9].Epoch
+	if got := src.publishes.Load() - seen; got != 2 {
+		t.Fatalf("poisoning body: %d publishes, want 2 (the prefix, then the degraded fold)", got)
+	}
+	if st := src.Status(); st.NextEpoch != applied+1 || !st.Degraded {
+		t.Fatalf("status after poison = %+v, want next epoch %d, degraded", st, applied+1)
+	}
+	if e := src.Epoch(); e != applied+1 || !src.Engine().Analysis().Degraded() {
+		t.Fatalf("published epoch after poison = %d (degraded %v), want %d degraded", e, src.Engine().Analysis().Degraded(), applied+1)
+	}
+}
+
 // driveStream replays a deterministic workload through a live graph with
 // the StreamRecorder's commit hook attached, mirroring what
 // inspector-run -stream does.

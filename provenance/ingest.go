@@ -18,7 +18,9 @@ import (
 // epoch.Replayer, shared with journal recovery). The correctness anchor
 // is replay equivalence: the per-source CPG served here is
 // byte-for-byte the one the recorder's own fold produced at the same
-// epoch.
+// epoch. The aggregator folds once per POST body, not once per delta:
+// it publishes the epoch of each body's last applied delta, a subset of
+// the recorder's epochs.
 //
 // The resume contract, pinned by the conformance tests:
 //
@@ -161,8 +163,9 @@ func (h *IngestHub) bind(name string, hello wire.Hello) (*IngestSource, error) {
 }
 
 // IngestSource is one recorder's CPG as the aggregator rebuilds it: an
-// epoch.Replayer fed one delta at a time, each applied epoch published
-// through the embedded Feed (which makes it a Source).
+// epoch.Replayer fed one delta at a time and folded once per ingest
+// batch, each fold published through the embedded Feed (which makes it
+// a Source) under the epoch of the batch's last delta.
 type IngestSource struct {
 	*Feed
 	name  string
@@ -170,9 +173,9 @@ type IngestSource struct {
 
 	mu sync.Mutex
 	rp *epoch.Replayer
-	// applied is the last applied delta epoch — the resume offset. It is
-	// the published epoch too, until a poisoning delta: the degraded
-	// republish is one more fold, so it carries applied+1.
+	// applied is the last applied delta epoch — the resume offset. Once
+	// flushed it is the published epoch too, until a poisoning delta:
+	// the degraded republish is one more fold, so it carries applied+1.
 	applied uint64
 	sealed  bool
 	poison  error
@@ -201,9 +204,10 @@ func (s *IngestSource) Status() IngestStatus {
 	}
 }
 
-// apply ingests one delta under the resume contract. It reports whether
-// the delta advanced the source (false = duplicate, acknowledged and
-// skipped). A validation failure poisons the source and is returned.
+// apply ingests one delta under the resume contract: validated and
+// appended, folded by the batch's flush. It reports whether the delta
+// advanced the source (false = duplicate, acknowledged and skipped). A
+// validation failure poisons the source and is returned.
 func (s *IngestSource) apply(d *core.EpochDelta) (applied bool, err error) {
 	if d == nil {
 		return false, fmt.Errorf("core: nil epoch delta")
@@ -225,22 +229,38 @@ func (s *IngestSource) apply(d *core.EpochDelta) (applied bool, err error) {
 		return false, fmt.Errorf("%w: got epoch %d, want %d", ErrEpochGap, d.Epoch, s.applied+1)
 	}
 	if err := s.rp.Append(d); err != nil {
-		// The append is atomic, so the graph still holds exactly the last
-		// good epoch. Latch the poison, mark the loss the way journal
-		// recovery marks a torn tail, and publish the degraded fold as
-		// the source's final epoch so queries stop claiming completeness.
+		// The append is atomic, so the graph still holds exactly the
+		// applied prefix. Publish it, latch the poison, mark the loss the
+		// way journal recovery marks a torn tail, and publish the
+		// degraded fold as the source's final epoch so queries stop
+		// claiming completeness.
+		s.flushLocked()
 		s.poison = err
 		s.publish(s.rp.Truncate())
 		s.shut()
 		return false, err
 	}
 	s.applied = d.Epoch
-	s.publish(s.rp.Fold())
 	return true, nil
 }
 
-// seal records the clean end of the stream. Sealing is idempotent for a
-// matching final epoch.
+// flush folds and publishes the deltas applied since the last fold, as
+// the epoch of the last one. The ingest handler calls it once per body,
+// on every exit path, before it answers.
+func (s *IngestSource) flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flushLocked()
+}
+
+func (s *IngestSource) flushLocked() {
+	if s.rp.Pending() {
+		s.publish(s.rp.Fold())
+	}
+}
+
+// seal records the clean end of the stream, publishing the applied
+// prefix first. Sealing is idempotent for a matching final epoch.
 func (s *IngestSource) seal(finalEpoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -250,6 +270,7 @@ func (s *IngestSource) seal(finalEpoch uint64) error {
 	if finalEpoch != s.applied {
 		return fmt.Errorf("%w: seal names epoch %d, source is at %d", ErrEpochGap, finalEpoch, s.applied)
 	}
+	s.flushLocked()
 	s.sealed = true
 	s.shut()
 	return nil

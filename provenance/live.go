@@ -34,6 +34,9 @@ type Feed struct {
 	watch    chan struct{}
 	closed   chan struct{}
 	shutOnce sync.Once
+
+	// publishes counts publish calls: what a batching producer is held to.
+	publishes atomic.Uint64
 }
 
 // NewFeed builds a feed for a threads-wide graph; its engines take opts.
@@ -46,6 +49,7 @@ func NewFeed(threads int, opts EngineOptions) *Feed {
 // publish installs the engine for a freshly folded epoch and wakes
 // waiters.
 func (f *Feed) publish(a *core.Analysis) {
+	f.publishes.Add(1)
 	f.cur.Store(NewEngine(a, f.opts))
 	f.mu.Lock()
 	close(f.watch)

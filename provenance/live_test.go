@@ -131,10 +131,12 @@ func TestFeedWaitEpochContract(t *testing.T) {
 		"IngestSource": func(t *testing.T) subject {
 			run := recordFabric(t, 2, 24, 7)
 			src := newIngestSource("w", run.hello, EngineOptions{})
+			// A one-delta batch: applied, then folded and published.
 			apply := func() {
 				if _, err := src.apply(run.deltas[src.Epoch()]); err != nil {
 					t.Error(err)
 				}
+				src.flush()
 			}
 			apply()
 			return subject{

@@ -3,6 +3,7 @@ package provenance
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -124,10 +125,13 @@ func (s *Server) handleIngestOffset(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIngest consumes one POST body of frames: a hello, then deltas,
-// optionally a seal. Deltas apply as they stream, so a connection cut
-// mid-body retains the applied prefix — the client re-reads the offset
-// and resumes. Any error stops the read and reports it; everything
-// already applied stays durable.
+// optionally a seal. Deltas are validated and appended as they stream,
+// so a connection cut mid-body retains the applied prefix — the client
+// re-reads the offset and resumes. The body is folded and published
+// once, as the epoch of its last applied delta, whichever way it ends
+// and before the response: an answered POST is queryable. Any error
+// stops the read and reports it; everything already applied stays
+// durable.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	hub := s.opts.Ingest
 	name := r.PathValue("source")
@@ -164,27 +168,37 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var accepted, dups int
+	accepted, dups, err := ingestFrames(fr, src)
+	src.flush()
+	if err != nil {
+		writeJSON(w, ingestStatusCode(err), apiError{Error: err.Error()})
+		return
+	}
+	st := src.Status()
+	st.Accepted, st.Duplicates = accepted, dups
+	writeJSON(w, http.StatusOK, st)
+}
+
+// ingestFrames applies the frames after the hello until the body ends
+// or one fails, counting the applied and the duplicate deltas.
+func ingestFrames(fr *wire.Reader, src *IngestSource) (accepted, dups int, err error) {
 	for {
 		kind, body, err := fr.Next()
 		if err == io.EOF {
-			break
+			return accepted, dups, nil
 		}
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "frame: " + err.Error()})
-			return
+			return accepted, dups, fmt.Errorf("frame: %w", err)
 		}
 		switch kind {
 		case wire.KindDelta:
 			d := new(core.EpochDelta)
 			if err := wire.Decode(body, d); err != nil {
-				writeJSON(w, http.StatusBadRequest, apiError{Error: "delta decode: " + err.Error()})
-				return
+				return accepted, dups, fmt.Errorf("delta decode: %w", err)
 			}
 			applied, err := src.apply(d)
 			if err != nil {
-				writeJSON(w, ingestStatusCode(err), apiError{Error: err.Error()})
-				return
+				return accepted, dups, err
 			}
 			if applied {
 				accepted++
@@ -194,19 +208,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case wire.KindSeal:
 			var seal wire.Seal
 			if err := wire.Decode(body, &seal); err != nil {
-				writeJSON(w, http.StatusBadRequest, apiError{Error: "seal decode: " + err.Error()})
-				return
+				return accepted, dups, fmt.Errorf("seal decode: %w", err)
 			}
 			if err := src.seal(seal.FinalEpoch); err != nil {
-				writeJSON(w, ingestStatusCode(err), apiError{Error: err.Error()})
-				return
+				return accepted, dups, err
 			}
 		default:
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "unknown frame kind " + strconv.Itoa(int(kind))})
-			return
+			return accepted, dups, fmt.Errorf("unknown frame kind %d", kind)
 		}
 	}
-	st := src.Status()
-	st.Accepted, st.Duplicates = accepted, dups
-	writeJSON(w, http.StatusOK, st)
 }
