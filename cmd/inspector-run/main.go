@@ -30,7 +30,8 @@
 // schedule (internal/faultinject): "aux-loss" truncates PT sink writes
 // like an overrunning AUX ring, "panic" crashes the workload at a commit
 // boundary, "slow-fold" delays the epoch folds from inside the fold
-// workers (the fan-out follows GOMAXPROCS). The run completes
+// workers (the fan-out follows GOMAXPROCS; only -live-stats folds while
+// the run records, so without it there is nothing to slow). The run completes
 // (artifacts are still exported), the report names the faults that
 // fired, and the recorded CPG carries its trace gaps and completeness —
 // the same schedule reproduces the same faults run after run. The
@@ -43,7 +44,7 @@
 // inspector-recover replays the journal up to the last durable epoch.
 //
 // -stream URL attaches the run to a provenance aggregator
-// (inspector-serve -ingest): sealed epochs fold into deltas on the
+// (inspector-serve -ingest): sealed epochs are cut into deltas on the
 // commit path and upload asynchronously, so the aggregator serves the
 // run's live CPG remotely while it executes. The run id is
 // deterministic (app-tN-sSEED) and shared with -journal, so after a
@@ -51,8 +52,9 @@
 // and the aggregator converges on the identical graph.
 //
 // However many of -journal, -stream and -live-stats are on, the run
-// folds each epoch once, every -epoch-every sealed sub-computations:
-// journal record k, wire frame k and live epoch k are the same cut. The
+// cuts each epoch once, every -epoch-every sealed sub-computations, and
+// folds it only for -live-stats: journal record k, wire frame k and
+// live epoch k are the same cut. The
 // aggregator folds once per uploaded batch and publishes the epoch of
 // its last delta, so a watcher sees a subset of these epochs.
 package main

@@ -143,10 +143,10 @@ type Options struct {
 	PageSize int
 	// SnapshotMode bounds trace space with an overwriting AUX ring and
 	// enables the live snapshot facility (§VI): a ring of retained
-	// epochs, one more sink of the epoch pipeline. It folds on the
+	// epochs, one more sink of the epoch pipeline. It cuts on the
 	// sealing thread — once per snapshot on its own, at
-	// JournalEverySeals beside Journal, Stream or Live. Without it the
-	// full trace is retained.
+	// JournalEverySeals beside Journal, Stream or Live — and folds only
+	// the epochs it retains. Without it the full trace is retained.
 	SnapshotMode bool
 	// SnapshotEverySyncs retains the first epoch whose cut covers each
 	// further N sealed sub-computations (one per synchronization
@@ -159,7 +159,8 @@ type Options struct {
 	// instead of only after it returns — the paper's online-provenance
 	// property. Epoch and WaitEpoch expose the fold progress. On its own
 	// it folds on a background goroutine; with Journal, Stream or
-	// SnapshotMode set it publishes their folds.
+	// SnapshotMode set it publishes their epochs, asking for each one's
+	// analysis (a fold per epoch on the sealing thread).
 	// Incompatible with Native (there is no graph to fold).
 	Live bool
 	// Journal, when set, makes recording crash-durable: every sealed
@@ -200,8 +201,10 @@ type Options struct {
 	RunID string
 	// Faults, when set, executes the run under a deterministic
 	// fault-injection schedule (internal/faultinject): lossy PT sinks,
-	// slowed fold workers, and a panic or SIGKILL at a commit boundary
-	// — after that commit's epoch has reached the journal.
+	// slowed fold workers (folds run only for Live or SnapshotMode: a
+	// journal or stream alone derives nothing to slow), and a panic or
+	// SIGKILL at a commit boundary — after that commit's epoch has
+	// reached the journal.
 	Faults *faultinject.Injector
 }
 
@@ -222,7 +225,7 @@ type Runtime struct {
 	up  *provenance.Uploader
 
 	// closeEpochs ends the epoch pipeline, whichever option built it,
-	// after the workload: the final fold, each sink's finish.
+	// after the workload: the final cut, each sink's finish.
 	closeEpochs func() error
 
 	engineOnce sync.Once
@@ -281,12 +284,16 @@ func (o Options) validate() error {
 // or not a power of two, fail with an error wrapping ErrBadOptions.
 //
 // New is the one assembly of the recording pipeline: the sealing
-// threads' epoch.Driver feeding journal, live feed, snapshot ring and
-// stream in that order (an epoch is durable before it is observable,
-// here or on the aggregator), or an off-thread LiveEngine when nothing
-// needs the fold on the commit path. The CLIs bind their flags to
-// Options and call it. A failing New leaves nothing behind: no journal
-// segment, no sender goroutine.
+// threads' epoch.Driver cutting epochs for journal, live feed, snapshot
+// ring and stream in that order (an epoch is durable before it is
+// observable, here or on the aggregator), or an off-thread LiveEngine
+// when nothing needs the cut on the commit path. A cut is the epoch's
+// delta only; its analysis is folded when a sink asks for it — the
+// feed for every epoch, the ring for the ones it retains, journal and
+// stream never — so a journaled or streamed run without Live or
+// SnapshotMode derives nothing while it records. The CLIs bind their
+// flags to Options and call it. A failing New leaves nothing behind: no
+// journal segment, no sender goroutine.
 func New(opts Options) (*Runtime, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -377,12 +384,13 @@ func New(opts Options) (*Runtime, error) {
 	}
 	switch {
 	case len(sinks) > 0:
-		// A journal, stream or snapshot ring keeps the fold on the sealing
+		// A journal, stream or snapshot ring keeps the cut on the sealing
 		// thread (the durability contract: the epoch sealed by a crashing
-		// commit is already appended and queued).
+		// commit is already appended and queued); a fold runs there only
+		// for a sink that asks.
 		every := uint64(opts.JournalEverySeals)
 		if rt.snaps != nil && len(sinks) == 1 {
-			// The ring is the fold's only consumer: fold once per snapshot.
+			// The ring is the cut's only consumer: cut once per snapshot.
 			every = snapEvery
 		}
 		rt.drv = epoch.NewDriver(g, epoch.Options{
@@ -434,7 +442,7 @@ func (r *Runtime) Run(main func(*Thread)) (*Report, error) {
 }
 
 // Close ends the epoch pipeline once recording has quiesced: the final
-// fold, then each sink's finish (journal seal, closed feed, stream seal
+// cut, then each sink's finish (journal seal, closed feed, stream seal
 // queued). Recovery reads a closed journal as complete rather than cut
 // short. Run calls it; front ends that drive the workload through
 // Unwrap call it themselves. Idempotent.
@@ -535,7 +543,7 @@ var ErrNotLive = errors.New("inspector: runtime not in live mode (set Options.Li
 // is ≥ 1 once the runtime exists (the pipeline folds epoch 1 eagerly);
 // with Options.Journal, Stream or SnapshotMode epoch k is journal
 // record k, wire frame k and Snapshot.Cut.Epoch k, 0 until the first
-// fold. An aggregator publishes a subset of these numbers (one per
+// cut. An aggregator publishes a subset of these numbers (one per
 // ingest batch, named by its last delta), each the same cut as here. It
 // returns 0 with none of the four.
 func (r *Runtime) Epoch() uint64 {
@@ -600,7 +608,7 @@ func (r *Runtime) Snapshots() []*Snapshot {
 
 // TakeSnapshot forces an immediate consistent cut (the SIGUSR2 trigger
 // of the paper's perf integration) and stores it in the snapshot ring:
-// it folds one epoch now — the other sinks see it too — and the ring
+// it cuts one epoch now — the other sinks see it too — and the ring
 // retains it whatever its cadence. After Close it returns the final
 // epoch.
 //
@@ -614,7 +622,7 @@ func (r *Runtime) TakeSnapshot() (*Snapshot, bool) {
 	if r.snaps == nil {
 		return nil, false
 	}
-	return r.snaps.Take(r.drv.Fold), true
+	return r.snaps.Take(r.drv), true
 }
 
 // Unwrap exposes the underlying threading runtime for advanced use

@@ -290,48 +290,55 @@ func BenchmarkIncrementalAnalyzeLargeWorkers8(b *testing.B) {
 	benchLive(b, largeSchedule(), largeEpochs, incrementalFold(8))
 }
 
-// foldPerSeal replays sched one step at a time, sealing an epoch through
-// FoldDelta after every step when fold is set. It returns the time spent
-// inside the folds and the objects the whole replay allocated: the
-// recording is deterministic, so a folding replay's count minus a plain
-// one's is exactly what the folds allocated.
-func foldPerSeal(sched *cpgbench.Schedule, fold bool) (folding time.Duration, mallocs uint64) {
+// Per-seal epochs: what a recorder runs after every sealed
+// sub-computation. foldDelta is a sink that asks for every analysis (the
+// journal recorder's OnEpoch, the live feed), cutOnly one that asks for
+// none (the journal writer, the stream uploader).
+var (
+	foldDelta = func(inc *core.IncrementalAnalyzer) { inc.FoldDelta() }
+	cutOnly   = func(inc *core.IncrementalAnalyzer) { inc.Cut() }
+)
+
+// perSeal replays sched one step at a time, running epoch after every
+// step when it is non-nil. It returns the time spent inside epoch and
+// the objects the whole replay allocated: the recording is
+// deterministic, so an epoch-running replay's count minus a plain one's
+// is exactly what the epochs allocated.
+func perSeal(sched *cpgbench.Schedule, epoch func(*core.IncrementalAnalyzer)) (spent time.Duration, mallocs uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rp := sched.NewReplay()
 	inc := core.NewIncrementalAnalyzer(rp.Graph)
 	for s := 1; s <= sched.Steps(); s++ {
 		rp.To(s)
-		if fold {
+		if epoch != nil {
 			start := time.Now()
-			inc.FoldDelta()
-			folding += time.Since(start)
+			epoch(inc)
+			spent += time.Since(start)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return folding, after.Mallocs - before.Mallocs
+	return spent, after.Mallocs - before.Mallocs
 }
 
-// BenchmarkFoldPerSeal measures the fold at the recorder's cadence — one
-// FoldDelta per sealed sub-computation, which is what a journaled or
-// streamed run pays — over the DataEdges/sparse execution (2000 epochs)
-// and, unless -short, the 2^20-step one. ns/epoch and allocs/epoch are
-// the fold's own; ns/op also covers recording the execution.
-func BenchmarkFoldPerSeal(b *testing.B) {
+// benchPerSeal reports epoch's own ns/epoch and allocs/epoch over the
+// DataEdges/sparse execution (2000 epochs) and, unless -short, the
+// 2^20-step one; ns/op also covers recording the execution.
+func benchPerSeal(b *testing.B, epoch func(*core.IncrementalAnalyzer)) {
 	run := func(sched func() *cpgbench.Schedule) func(b *testing.B) {
 		return func(b *testing.B) {
 			s := sched()
-			_, recording := foldPerSeal(s, false)
+			_, recording := perSeal(s, nil)
 			b.ResetTimer()
-			var folding time.Duration
+			var spent time.Duration
 			var mallocs uint64
 			for i := 0; i < b.N; i++ {
-				d, m := foldPerSeal(s, true)
-				folding += d
+				d, m := perSeal(s, epoch)
+				spent += d
 				mallocs += m - recording
 			}
 			epochs := float64(b.N * s.Steps())
-			b.ReportMetric(float64(folding.Nanoseconds())/epochs, "ns/epoch")
+			b.ReportMetric(float64(spent.Nanoseconds())/epochs, "ns/epoch")
 			b.ReportMetric(float64(mallocs)/epochs, "allocs/epoch")
 		}
 	}
@@ -341,18 +348,44 @@ func BenchmarkFoldPerSeal(b *testing.B) {
 	}
 }
 
+// BenchmarkFoldPerSeal measures the fold at the recorder's cadence — one
+// FoldDelta per sealed sub-computation, which is what a run pays whose
+// sinks ask for every epoch's analysis.
+func BenchmarkFoldPerSeal(b *testing.B) { benchPerSeal(b, foldDelta) }
+
+// BenchmarkCutPerSeal measures the cut alone at the same cadence — what
+// a journaled or streamed run pays when no sink asks for an analysis.
+func BenchmarkCutPerSeal(b *testing.B) { benchPerSeal(b, cutOnly) }
+
+// allocsPerSeal returns what epoch allocates per per-seal step of the
+// DataEdges/sparse execution.
+func allocsPerSeal(epoch func(*core.IncrementalAnalyzer)) float64 {
+	sched := liveSchedule()
+	_, recording := perSeal(sched, nil)
+	_, ran := perSeal(sched, epoch)
+	return float64(ran-recording) / float64(sched.Steps())
+}
+
 // TestAllocsFoldPerSeal pins the per-seal fold's allocation diet: an
 // epoch that seals one sub-computation allocates what it hands out (the
 // delta and its slices, the Analysis view, the derived edges, the
 // overlay layer) and amortized growth, nothing per-epoch besides.
 func TestAllocsFoldPerSeal(t *testing.T) {
-	sched := liveSchedule()
-	_, recording := foldPerSeal(sched, false)
-	_, folded := foldPerSeal(sched, true)
-	perEpoch := float64(folded-recording) / float64(sched.Steps())
+	perEpoch := allocsPerSeal(foldDelta)
 	t.Logf("%.2f allocs per epoch", perEpoch)
 	if perEpoch > 10 {
 		t.Errorf("per-seal FoldDelta allocates %.2f objects per epoch, want at most 10", perEpoch)
+	}
+}
+
+// TestAllocsCutPerSeal pins the per-seal cut's: the delta, its lens (with
+// the base a later view shares) and its sync tail, plus amortized
+// growth. A cut derives nothing, so nothing else may allocate.
+func TestAllocsCutPerSeal(t *testing.T) {
+	perEpoch := allocsPerSeal(cutOnly)
+	t.Logf("%.2f allocs per epoch", perEpoch)
+	if perEpoch > 3 {
+		t.Errorf("per-seal Cut allocates %.2f objects per epoch, want at most 3", perEpoch)
 	}
 }
 

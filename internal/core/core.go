@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/repro/inspector/internal/vclock"
 	"github.com/repro/inspector/internal/vtime"
@@ -168,7 +169,11 @@ type graphShard struct {
 	// gaps records intervals of trace loss on this thread (see gaps.go);
 	// empty for complete recordings.
 	gaps []Gap
-	_    [56]byte
+	// nSeq, nSync and nGaps publish the three lengths, stored after each
+	// append under mu: an epoch cut reads them without taking the lock
+	// and locks only a shard that has something new to copy.
+	nSeq, nSync, nGaps atomic.Int64
+	_                  [32]byte
 }
 
 // Graph is the Concurrent Provenance Graph under construction or analysis.
@@ -236,6 +241,7 @@ func (g *Graph) add(sc *SubComputation) error {
 			sc.ID.Thread, sc.ID.Alpha, len(sh.seq))
 	}
 	sh.seq = append(sh.seq, sc)
+	sh.nSeq.Store(int64(len(sh.seq)))
 	return nil
 }
 
@@ -248,6 +254,7 @@ func (g *Graph) addSyncEdge(from, to SubID, object ObjRef) {
 	}
 	sh.mu.Lock()
 	sh.syncEdges = append(sh.syncEdges, syncEdgeRec{From: from, To: to, Object: object})
+	sh.nSync.Store(int64(len(sh.syncEdges)))
 	sh.mu.Unlock()
 }
 
@@ -308,10 +315,7 @@ func (g *Graph) shardLen(t int) int {
 	if sh == nil {
 		return 0
 	}
-	sh.mu.RLock()
-	n := len(sh.seq)
-	sh.mu.RUnlock()
-	return n
+	return int(sh.nSeq.Load())
 }
 
 // threadTail appends thread t's sub-computations with alpha in [lo, hi),
@@ -333,20 +337,47 @@ func (g *Graph) threadTail(dst []*SubComputation, t, lo, hi int) []*SubComputati
 	return append(dst, sh.seq[lo:hi]...)
 }
 
-// syncEdgeTail appends thread t's sync-edge log entries from index `from`
-// on to dst. Logs are append-only, so successive calls with the previous
-// return length see each entry exactly once.
-func (g *Graph) syncEdgeTail(dst []syncEdgeRec, t, from int) []syncEdgeRec {
+// logTails reads thread t's sync-edge log and gap-list lengths — what
+// an epoch cut records. With d set it also appends the log entries from
+// index syncFrom on and the gaps from gapFrom on to the delta, as stored
+// (no name lookup), taking the shard lock only if there are any. Logs
+// are append-only, so successive calls with the previous lengths see
+// each entry exactly once.
+func (g *Graph) logTails(t int, d *EpochDelta, syncFrom, gapFrom int) (syncLen, gapLen int) {
+	sh := g.shard(t)
+	if sh == nil {
+		return 0, 0
+	}
+	syncLen, gapLen = int(sh.nSync.Load()), int(sh.nGaps.Load())
+	if d == nil || (syncLen <= syncFrom && gapLen <= gapFrom) {
+		return syncLen, gapLen
+	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, rec := range sh.syncEdges[min(syncFrom, syncLen):syncLen] {
+		d.Sync = append(d.Sync, DeltaSyncEdge(rec))
+	}
+	for _, gp := range sh.gaps[min(gapFrom, gapLen):gapLen] {
+		d.Gaps = append(d.Gaps, DeltaGap{Thread: t, Gap: gp})
+	}
+	return syncLen, gapLen
+}
+
+// appendSyncEdges appends thread t's sync-edge log entries [from, to) to
+// dst as edges with materialized object names. The bounds come from an
+// earlier logTails, so entries appended since are not read.
+func (g *Graph) appendSyncEdges(dst []Edge, t, from, to int) []Edge {
 	sh := g.shard(t)
 	if sh == nil {
 		return dst
 	}
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if from >= len(sh.syncEdges) {
-		return dst
+	recs := sh.syncEdges[from:to]
+	sh.mu.RUnlock()
+	for _, rec := range recs {
+		dst = append(dst, Edge{From: rec.From, To: rec.To, Kind: EdgeSync, Object: g.ObjectName(rec.Object)})
 	}
-	return append(dst, sh.syncEdges[from:]...)
+	return dst
 }
 
 // ControlEdges derives the intra-thread program-order edges, ordered by

@@ -335,8 +335,9 @@ func newIncStore(threads int) *incStore {
 // extend appends one epoch's new edges (each slice canonically sorted
 // and handed over: the first epoch's slices become the arenas, which for
 // a one-fold Analyze is the whole store) and returns the epoch's
-// immutable Analysis view.
-func (st *incStore) extend(g *Graph, newSync, newData []Edge, lens, prevLens []int, epoch uint64) *Analysis {
+// immutable Analysis view over the prefix lens (whose dense-index base
+// the caller has computed; the view shares both) with completeness comp.
+func (st *incStore) extend(g *Graph, newSync, newData []Edge, lens, prevLens, base []int, comp Completeness, epoch uint64) *Analysis {
 	syncLo, dataLo := len(st.ar.sync), len(st.ar.data)
 	st.ar.sync = appendOrAdopt(st.ar.sync, newSync)
 	st.ar.data = appendOrAdopt(st.ar.data, newData)
@@ -344,7 +345,7 @@ func (st *incStore) extend(g *Graph, newSync, newData []Edge, lens, prevLens []i
 		st.push(freshLayer(syncLo, len(newSync), dataLo, len(newData)), lens)
 	}
 	st.appendPreds(newSync, newData, edgeRef(syncLo), edgeRef(dataLo)|dataRefBit, lens, prevLens)
-	return st.view(g, lens, epoch)
+	return st.view(g, lens, base, comp, epoch)
 }
 
 // appendOrAdopt appends a freshly built slice the caller hands over; an
@@ -466,19 +467,14 @@ func (st *incStore) push(layer succLayer, lens []int) {
 // view captures the current store state as an epoch's immutable
 // Analysis: arena and layer-list slice-header snapshots, per-thread
 // predecessor prefix views and the sealed base pointer. lens and base
-// share one allocation.
-func (st *incStore) view(g *Graph, lens []int, epoch uint64) *Analysis {
-	n := len(lens)
-	ints := make([]int, 2*n+1)
+// are the cut's own immutable slices, shared, not copied.
+func (st *incStore) view(g *Graph, lens, base []int, comp Completeness, epoch uint64) *Analysis {
 	a := &Analysis{
-		g: g, epoch: epoch, lens: ints[:n:n], base: ints[n:],
+		g: g, epoch: epoch, lens: lens, base: base, comp: comp,
 		ar: st.ar, succ: st.succ, layers: st.layers[:len(st.layers):len(st.layers)],
 	}
-	copy(a.lens, lens)
-	a.comp = summarizeGaps(g.gapsForPrefix(lens))
-	a.preds = make([]threadPreds, n)
+	a.preds = make([]threadPreds, len(lens))
 	for t, ln := range lens {
-		a.base[t+1] = a.base[t] + ln
 		p := st.preds[t]
 		end := p.off[ln]
 		a.preds[t] = threadPreds{off: p.off[: ln+1 : ln+1], ref: p.ref[:end:end]}

@@ -21,5 +21,6 @@ func (g *Graph) DataEdges() []Edge { return deriveDataEdges(g, 0) }
 func deriveDataEdges(g *Graph, workers int) []Edge {
 	inc := NewIncrementalAnalyzer(g)
 	inc.SetFoldWorkers(workers)
-	return inc.deriveNewData(inc.captureCut())
+	inc.cut(nil)
+	return inc.deriveNewData(inc.subsBetween(inc.lens, inc.cutLens))
 }

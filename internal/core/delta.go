@@ -3,8 +3,8 @@ package core
 import "fmt"
 
 // An EpochDelta is the serializable difference between two consecutive
-// fold epochs: exactly what FoldDelta consumed that the previous
-// FoldDelta had not yet emitted. It is the unit the crash-durability
+// epochs: exactly what an IncrementalAnalyzer's Cut captured that the
+// previous Cut had not yet emitted. It is the unit the crash-durability
 // journal appends per epoch and the frame a recorder streams to an
 // aggregator (provenance.Uploader → IngestSource): self-contained,
 // order-dependent, and replayable.
@@ -15,10 +15,10 @@ import "fmt"
 // replay detects reordered, skipped, or cross-run records instead of
 // silently mis-resolving names.
 type EpochDelta struct {
-	// Epoch is the fold epoch this delta seals (1 for the first fold).
+	// Epoch is the epoch this delta seals (1 for the first cut).
 	Epoch uint64
-	// Lens is the folded prefix after this epoch: thread t's vertices
-	// [0, Lens[t]) are analyzed. On replay the shard lengths must land
+	// Lens is the cut prefix after this epoch: thread t's vertices
+	// [0, Lens[t]) are covered. On replay the shard lengths must land
 	// exactly here, which cross-checks the vertex payload.
 	Lens []int
 	// SymBase is the interner length the Symbols extend (ref of
@@ -138,8 +138,7 @@ func validateDelta(g *Graph, d *EpochDelta) error {
 	return nil
 }
 
-// ApplyDelta appends one epoch delta to g — the replay half of
-// FoldDelta. Deltas must be applied in epoch order against a graph
+// ApplyDelta appends one epoch delta to g — the replay half of Cut. Deltas must be applied in epoch order against a graph
 // built from them alone; following each ApplyDelta with one Fold on a
 // single IncrementalAnalyzer reproduces the recording's per-epoch
 // Analyses byte-for-byte.

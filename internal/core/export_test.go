@@ -46,12 +46,19 @@ func NewReferenceAnalyzer(g *Graph) *ReferenceAnalyzer {
 // Fold seals one epoch, O(graph).
 func (r *ReferenceAnalyzer) Fold() *Analysis {
 	inc := r.inc
-	newSubs := inc.captureCut()
-	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(newSubs))
-	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.consumeSyncLogs(nil))
+	inc.cut(nil)
+	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(inc.subsBetween(inc.lens, inc.cutLens)))
+	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.foldSync(inc.cutLens))
+	inc.lens = inc.cutLens
 	inc.epoch++
 	return newAnalysis(inc.g, r.syncEdges, r.dataEdges, slices.Clone(inc.lens), inc.epoch)
 }
+
+// LogSyncEdge appends a sync-edge log entry the way an Acquire does,
+// but with any endpoints: the lazy-fold test logs entries whose
+// acquiring vertex already sealed, which only a deferred fold reading
+// past its cut's log lengths would pick up early.
+func (g *Graph) LogSyncEdge(from, to SubID, object ObjRef) { g.addSyncEdge(from, to, object) }
 
 // OverlayShape reports the store's live compaction state: the layer
 // count and ref total of the overlay, the sealed base's ref count, and

@@ -85,6 +85,7 @@ func (g *Graph) AddGap(t int, gp Gap) {
 	}
 	sh.mu.Lock()
 	sh.gaps = append(sh.gaps, gp)
+	sh.nGaps.Store(int64(len(sh.gaps)))
 	sh.mu.Unlock()
 }
 
@@ -168,12 +169,28 @@ func (g *Graph) Completeness() Completeness {
 // bounded by lens, clamping intervals to the prefix. Gaps recorded
 // entirely beyond the prefix belong to a later epoch's analysis and are
 // excluded, so live folds report completeness consistent with the
-// prefix their cursors refer to.
-func (g *Graph) gapsForPrefix(lens []int) []ThreadGaps {
-	var out []ThreadGaps
+// prefix their cursors refer to. A non-nil gapLens bounds how much of
+// each thread's list is read (a fold sees the gaps its cut saw, not
+// later ones); threads whose bound is 0 are not locked at all. final
+// reports that no read gap reaches past the prefix, so a longer prefix
+// would clamp and exclude nothing differently.
+func (g *Graph) gapsForPrefix(lens, gapLens []int) (out []ThreadGaps, final bool) {
+	final = true
 	for t := 0; t < len(lens) && t < len(g.shards); t++ {
+		if gapLens != nil && gapLens[t] == 0 {
+			continue
+		}
 		var kept []Gap
-		for _, gp := range g.ThreadGapList(t) {
+		sh := &g.shards[t]
+		sh.mu.RLock()
+		gaps := sh.gaps
+		if gapLens != nil {
+			gaps = gaps[:gapLens[t]]
+		}
+		for _, gp := range gaps {
+			if gp.FromAlpha >= uint64(lens[t]) || gp.ToAlpha >= uint64(lens[t]) {
+				final = false
+			}
 			if gp.FromAlpha >= uint64(lens[t]) {
 				continue
 			}
@@ -182,9 +199,10 @@ func (g *Graph) gapsForPrefix(lens []int) []ThreadGaps {
 			}
 			kept = append(kept, gp)
 		}
+		sh.mu.RUnlock()
 		if len(kept) > 0 {
 			out = append(out, ThreadGaps{Thread: t, Gaps: kept})
 		}
 	}
-	return out
+	return out, final
 }

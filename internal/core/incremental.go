@@ -2,15 +2,20 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // IncrementalAnalyzer folds a still-growing CPG into successive immutable
 // Analyses — the live half of the paper's claim that provenance is
-// usable *while* the traced program runs. Each Fold call captures the
-// vertices and sync edges sealed since the previous epoch and extends
-// the accumulated analysis state instead of re-deriving it:
+// usable *while* the traced program runs. An epoch has two halves, the
+// paper's record/build split: Cut advances a causally closed frontier
+// and captures what was recorded since the previous cut (the epoch's
+// delta; no derivation), and FoldAs derives everything cut since the
+// previous fold, extending the accumulated analysis state instead of
+// re-deriving it. A recorder cuts every epoch and folds only when a
+// consumer asks; Fold is the two back to back. The fold:
 //
 //   - the page → writer-runs index persists across epochs and only the
 //     new writers are appended to it;
@@ -45,7 +50,7 @@ import (
 //
 // A fold must not analyze a reader before all its potential writers are
 // visible, or it would derive an update-use edge from a hidden (stale)
-// writer and freeze it into every later epoch. Fold therefore closes the
+// writer and freeze it into every later epoch. A cut therefore closes the
 // captured per-thread lengths under happens-before: a sealed
 // sub-computation's clock component Ct[u] names the latest thread-u
 // vertex it has observed, and the recording discipline publishes a
@@ -58,23 +63,32 @@ import (
 // already-included reader — which is exactly what makes per-epoch
 // derivations final.
 //
-// An IncrementalAnalyzer is safe to drive from one goroutine while any
-// number of recording threads append to the graph; Fold itself is
-// serialized internally.
+// An IncrementalAnalyzer is safe to drive from one goroutine (or under
+// one lock, as epoch.Driver does) while any number of recording threads
+// append to the graph.
 type IncrementalAnalyzer struct {
 	g *Graph
 
 	epoch uint64
 	// lens is the folded prefix: thread t's vertices [0, lens[t]) are
-	// analyzed; prevLens is the previous epoch's prefix, snapshotted by
-	// each captureCut.
-	lens     []int
-	prevLens []int
-	// seqs mirrors the folded prefix per thread (append-only, so slices
+	// analyzed. cutLens is the last cut's frontier, lens[t] ≤ cutLens[t];
+	// the vertices in between are cut but not yet folded. Both are
+	// immutable once set (a cut allocates a fresh slice), so deltas and
+	// views share them; cutBase is the dense-index base of cutLens, from
+	// the same allocation.
+	lens    []int
+	cutLens []int
+	cutBase []int
+	// cuts numbers the last Cut's delta.
+	cuts uint64
+	// seqs mirrors the cut prefix per thread (append-only, so slices
 	// handed to earlier epochs stay valid).
 	seqs [][]*SubComputation
-	// syncSeen counts the consumed entries of each shard's sync-edge log.
-	syncSeen []int
+	// syncCut is each shard's sync-edge log length at the last cut,
+	// syncFolded how much of it a fold has consumed: a fold reads
+	// entries [syncFolded, syncCut) and nothing a later append added.
+	syncCut    []int
+	syncFolded []int
 	// pendingSync holds materialized log entries seen before their
 	// endpoints sealed, in canonical sorted order.
 	pendingSync []Edge
@@ -95,19 +109,29 @@ type IncrementalAnalyzer struct {
 	workers    int
 	workerHook func(worker int)
 
+	// gapCut is each shard's gap-list length at the last cut (gapTotal
+	// their sum): the only gaps a fold may see. comp is the last view's
+	// completeness, built from compGaps gaps; compFinal says no gap of it
+	// reaches past the folded prefix, so a longer prefix clamps nothing
+	// differently and the next view may reuse comp while no gap is new.
+	gapCut    []int
+	gapTotal  int
+	comp      Completeness
+	compGaps  int
+	compFinal bool
+
 	// gapsSeen and symSeen track how much of the gap lists and the
-	// interner the delta capture (FoldDelta) has already emitted. Plain
-	// Fold leaves them untouched, so an analyzer driven by FoldDelta
-	// emits every item exactly once.
+	// interner Cut has already emitted. Fold's own cut leaves them
+	// untouched, so an analyzer driven by Cut emits every item exactly
+	// once.
 	gapsSeen []int
 	symSeen  int
 
 	// scratch serves the serial derivation path; parallel workers carry
-	// their own. cutTarget and syncTail are captureCut's and
-	// consumeSyncLogs' reusable buffers, edgeSort every sortEdges call's.
+	// their own. cutTarget is advanceCut's reusable buffer, edgeSort
+	// every sortEdges call's.
 	scratch   incScratch
 	cutTarget []int
-	syncTail  []syncEdgeRec
 	edgeSort  edgeSortScratch
 }
 
@@ -134,14 +158,21 @@ type incScratch struct {
 // exists until the first Fold.
 func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 	n := g.Threads()
+	empty := make([]int, n)
 	return &IncrementalAnalyzer{
-		g:        g,
-		lens:     make([]int, n),
-		seqs:     make([][]*SubComputation, n),
-		syncSeen: make([]int, n),
-		writers:  make(map[uint64][]incRun),
-		st:       newIncStore(n),
-		gapsSeen: make([]int, n),
+		g:          g,
+		lens:       empty,
+		cutLens:    empty,
+		cutBase:    make([]int, n+1),
+		seqs:       make([][]*SubComputation, n),
+		syncCut:    make([]int, n),
+		syncFolded: make([]int, n),
+		gapCut:     make([]int, n),
+		gapsSeen:   make([]int, n),
+		writers:    make(map[uint64][]incRun),
+		st:         newIncStore(n),
+		comp:       Completeness{Complete: true},
+		compFinal:  true,
 		// Ref 0 is the "" every NewGraph interns; deltas never carry it,
 		// so replay against a fresh graph starts aligned.
 		symSeen: 1,
@@ -178,105 +209,153 @@ func (inc *IncrementalAnalyzer) Graph() *Graph { return inc.g }
 // fold): the number of completed folds, unless FoldAs named them.
 func (inc *IncrementalAnalyzer) Epoch() uint64 { return inc.epoch }
 
-// Fold seals one epoch, numbered one past the previous: it captures
-// everything recorded since the last fold, extends the analysis state,
-// and returns the new epoch's Analysis. Calling Fold with nothing new
-// still produces a (cheap) new epoch over the unchanged prefix. Fold
-// must not be called concurrently with itself; recording threads may
-// keep appending throughout.
-func (inc *IncrementalAnalyzer) Fold() *Analysis { return inc.FoldAs(inc.epoch + 1) }
+// Fold seals one epoch, numbered one past the previous: it cuts
+// everything recorded since the last cut, folds everything cut since
+// the last fold, and returns the new epoch's Analysis. Calling Fold with
+// nothing new still produces a (cheap) new epoch over the unchanged
+// prefix. Fold must not be called concurrently with itself; recording
+// threads may keep appending throughout.
+func (inc *IncrementalAnalyzer) Fold() *Analysis {
+	inc.cut(nil)
+	return inc.FoldAs(inc.epoch + 1)
+}
 
-// FoldAs is Fold numbering the sealed epoch e, which must exceed
-// Epoch(). The apply side (epoch.Replayer) folds a batch of deltas once
-// and names the epoch by the last delta: everything but the number is
-// independent of how many folds the prefix took, so k appended deltas
-// folded once are the Analysis k folds produce.
+// Cut advances the causally closed frontier over everything recorded
+// since the previous cut and returns the epoch's delta — the cut's new
+// vertices, the sync-edge log and gap-list tails, and the interner
+// additions — without deriving anything: the recorder's whole per-epoch
+// cost when no consumer asks for the analysis. The delta is numbered one
+// past the newer of the previous cut and the previous fold. Replaying
+// the delta sequence with ApplyDelta on a fresh graph and folding there
+// rebuilds byte-identical Analyses (journal recovery, the aggregator).
+//
+// Cut and Fold both advance the frontier, and only Cut emits what it
+// passes: mixing them on one analyzer would leave Fold's vertices out of
+// every delta, so drive a journaled analyzer through Cut (and FoldAs)
+// exclusively.
+func (inc *IncrementalAnalyzer) Cut() *EpochDelta {
+	d := &EpochDelta{Epoch: max(inc.cuts, inc.epoch) + 1, SymBase: uint32(inc.symSeen)}
+	inc.cuts = d.Epoch
+	inc.cut(d)
+	return d
+}
+
+// FoldAs derives everything cut since the last fold — the vertices
+// between the folded prefix and the cut frontier, the sync-log entries
+// and gaps the cuts saw — and seals it as epoch e, which must exceed
+// Epoch(). It reads the graph only up to the lengths the last cut
+// captured, so however long the fold is deferred, and whatever is
+// recorded meanwhile, it returns the Analysis an immediate fold would
+// have. The epoch pipeline numbers it by the last cut; the apply side
+// (epoch.Replayer) folds a batch of deltas once and names the epoch by
+// the last delta. Everything but the number is independent of how many
+// folds the prefix took, so k cuts folded once are the Analysis k folds
+// produce.
 func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
-	a, _ := inc.fold(false, e)
-	return a
-}
-
-// FoldDelta seals one epoch exactly like Fold and additionally captures
-// the epoch's delta: everything the fold consumed that the previous
-// FoldDelta had not yet emitted — the cut's new vertices, the sync-edge
-// log tails, the gap-list tails, and the interner additions. Replaying
-// the delta sequence with ApplyDelta + Fold on a fresh graph rebuilds
-// byte-identical per-epoch Analyses (the journal recovery path). Mixing
-// Fold and FoldDelta on one analyzer would leave the skipped epochs'
-// state out of every delta; drive a journaled analyzer through
-// FoldDelta exclusively.
-func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
-	return inc.fold(true, inc.epoch+1)
-}
-
-func (inc *IncrementalAnalyzer) fold(capture bool, epoch uint64) (*Analysis, *EpochDelta) {
-	newSubs := inc.captureCut()
-	var d *EpochDelta
-	if capture {
-		d = &EpochDelta{Subs: newSubs}
-		// Gap tails ride in the epoch that first folds after they were
-		// recorded; they carry no interned refs, so order within the
-		// delta does not matter.
-		for t := range inc.gapsSeen {
-			gaps := inc.g.ThreadGapList(t)
-			for _, gp := range gaps[inc.gapsSeen[t]:] {
-				d.Gaps = append(d.Gaps, DeltaGap{Thread: t, Gap: gp})
-			}
-			inc.gapsSeen[t] = len(gaps)
-		}
-	}
-
+	prev, lens := inc.lens, inc.cutLens
+	newSubs := inc.subsBetween(prev, lens)
 	// Derive the new readers' incoming data edges; everything older is
 	// final (closed cut: no new writer can happen-before an old reader).
 	newData := inc.deriveNewData(newSubs)
-	newSync := inc.consumeSyncLogs(d)
+	newSync := inc.foldSync(lens)
 
-	inc.epoch = epoch
+	inc.epoch, inc.lens = e, lens
 	inc.totals.add(newSubs)
-	a := inc.st.extend(inc.g, newSync, newData, inc.lens, inc.prevLens, inc.epoch)
+	a := inc.st.extend(inc.g, newSync, newData, lens, prev, inc.cutBase, inc.completeness(lens), e)
 	a.totals = inc.totals
-	if capture {
+	return a
+}
+
+// FoldDelta is Cut followed by FoldAs at the delta's epoch: the
+// per-seal journal path of a recorder whose consumer wants every
+// epoch's Analysis.
+func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
+	d := inc.Cut()
+	return inc.FoldAs(d.Epoch), d
+}
+
+// cut advances the frontier (advanceCut), snapshots it as cutLens and
+// records each shard's sync-log and gap-list lengths. With d set it also
+// captures the delta's payload: the new vertices, the log tails past
+// what earlier cuts emitted, and the interner tail.
+func (inc *IncrementalAnalyzer) cut(d *EpochDelta) {
+	prev := inc.cutLens
+	inc.advanceCut()
+	n := len(inc.seqs)
+	ints := make([]int, 2*n+1)
+	lens, base := ints[:n:n], ints[n:]
+	for t := range inc.seqs {
+		lens[t] = len(inc.seqs[t])
+		base[t+1] = base[t] + lens[t]
+	}
+	inc.cutLens, inc.cutBase = lens, base
+	// The logs are read after the frontier is closed: an acquire logs its
+	// edge before its acquiring vertex seals, so every vertex inside the
+	// cut has its incoming sync entries in these lengths.
+	for t := range inc.syncCut {
+		syncLen, gapLen := inc.g.logTails(t, d, inc.syncCut[t], inc.gapsSeen[t])
+		inc.syncCut[t] = syncLen
+		inc.gapTotal += gapLen - inc.gapCut[t]
+		inc.gapCut[t] = gapLen
+		if d != nil {
+			inc.gapsSeen[t] = gapLen
+		}
+	}
+	if d != nil {
+		d.Subs = inc.subsBetween(prev, lens)
+		d.Lens = lens
 		// The interner tail comes last: every ref the captured vertices
 		// and sync edges use was interned before its user sealed, so
 		// capturing the table after the cut guarantees coverage.
 		d.Symbols = inc.g.interner.Tail(inc.symSeen)
-		d.SymBase = uint32(inc.symSeen)
 		inc.symSeen += len(d.Symbols)
-		d.Epoch = inc.epoch
-		// The view's own copy of the prefix: both are immutable from here.
-		d.Lens = a.lens
 	}
-	return a, d
 }
 
-// consumeSyncLogs folds the shards' sync-edge logs: entries whose
-// endpoints are both sealed join the epoch (returned sorted), the rest
-// are deferred (an acquire logs its edge before the acquiring
-// sub-computation seals). Both the fresh tail and the deferred backlog
-// are sorted runs, so one epoch costs a sort of the fresh entries plus
-// linear partitions and merges — the backlog is never re-sorted,
-// however many epochs it survives (the deferred-acquirer regression
-// test pins this path).
-func (inc *IncrementalAnalyzer) consumeSyncLogs(d *EpochDelta) []Edge {
+// subsBetween returns the cut vertices between two prefixes of seqs in
+// (thread, alpha) order. The first advanced thread's run is handed out
+// as a capped view of its append-only sequence — a per-seal cut advances
+// one thread, so that is usually the whole result — and further
+// threads' runs append to a copy (the cap forces it).
+func (inc *IncrementalAnalyzer) subsBetween(from, to []int) []*SubComputation {
+	var subs []*SubComputation
+	for t := range inc.seqs {
+		run := inc.seqs[t][from[t]:to[t]]
+		subs = appendOrAdopt(subs, run[:len(run):len(run)])
+	}
+	return subs
+}
+
+// completeness returns the trace-loss summary of the prefix lens over
+// the gaps the last cut saw, reusing the previous view's summary while
+// no gap is new and none of them reached past the previous prefix.
+func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
+	if inc.gapTotal != inc.compGaps || !inc.compFinal {
+		gaps, final := inc.g.gapsForPrefix(lens, inc.gapCut)
+		inc.comp, inc.compGaps, inc.compFinal = summarizeGaps(gaps), inc.gapTotal, final
+	}
+	return inc.comp
+}
+
+// foldSync folds the sync-edge log entries the cuts since the last fold
+// saw: entries whose endpoints are both inside the prefix join the
+// epoch (returned sorted), the rest are deferred (an acquire logs its
+// edge before the acquiring sub-computation seals). Both the fresh
+// entries and the deferred backlog are sorted runs, so one epoch costs a
+// sort of the fresh entries plus linear partitions and merges — the
+// backlog is never re-sorted, however many epochs it survives (the
+// deferred-acquirer regression test pins this path).
+func (inc *IncrementalAnalyzer) foldSync(lens []int) []Edge {
 	var fresh []Edge
-	for t := range inc.syncSeen {
-		inc.syncTail = inc.g.syncEdgeTail(inc.syncTail[:0], t, inc.syncSeen[t])
-		inc.syncSeen[t] += len(inc.syncTail)
-		for _, rec := range inc.syncTail {
-			if d != nil {
-				d.Sync = append(d.Sync, DeltaSyncEdge{From: rec.From, To: rec.To, Object: rec.Object})
-			}
-			fresh = append(fresh, Edge{
-				From:   rec.From,
-				To:     rec.To,
-				Kind:   EdgeSync,
-				Object: inc.g.ObjectName(rec.Object),
-			})
+	for t, c := range inc.syncCut {
+		if from := inc.syncFolded[t]; from < c {
+			fresh = inc.g.appendSyncEdges(fresh, t, from, c)
+			inc.syncFolded[t] = c
 		}
 	}
 	sortEdges(fresh, &inc.edgeSort)
-	backlogReady, backlogDefer := partitionSyncReady(inc.pendingSync, inc.lens)
-	freshReady, freshDefer := partitionSyncReady(fresh, inc.lens)
+	backlogReady, backlogDefer := partitionSyncReady(inc.pendingSync, lens)
+	freshReady, freshDefer := partitionSyncReady(fresh, lens)
 	inc.pendingSync = mergeSortedEdges(backlogDefer, freshDefer)
 	return mergeSortedEdges(backlogReady, freshReady)
 }
@@ -399,16 +478,13 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 	return out
 }
 
-// captureCut advances inc.lens to a causally closed snapshot of the
-// shard lengths (keeping the previous prefix in inc.prevLens), pulls the
-// newly covered vertices into inc.seqs, and returns them in (thread,
-// alpha) order.
-func (inc *IncrementalAnalyzer) captureCut() []*SubComputation {
-	inc.prevLens = append(inc.prevLens[:0], inc.lens...)
-	target := append(inc.cutTarget[:0], inc.lens...)
+// advanceCut extends inc.seqs to a causally closed snapshot of the shard
+// lengths, pulling in the newly covered vertices.
+func (inc *IncrementalAnalyzer) advanceCut() {
+	target := slices.Grow(inc.cutTarget[:0], len(inc.seqs))[:len(inc.seqs)]
 	inc.cutTarget = target
 	for t := range target {
-		target[t] = max(inc.g.shardLen(t), inc.lens[t])
+		target[t] = max(inc.g.shardLen(t), len(inc.seqs[t]))
 	}
 	for grew := true; grew; {
 		grew = false
@@ -446,17 +522,6 @@ func (inc *IncrementalAnalyzer) captureCut() []*SubComputation {
 			}
 		}
 	}
-	// The first advanced thread's run is handed out as a capped view of
-	// its append-only sequence — a per-seal cut advances one thread, so
-	// that is usually the whole result — and further threads' runs append
-	// to a copy (the cap forces it).
-	var newSubs []*SubComputation
-	for t := range inc.seqs {
-		tail := inc.seqs[t][inc.lens[t]:]
-		newSubs = appendOrAdopt(newSubs, tail[:len(tail):len(tail)])
-		inc.lens[t] = len(inc.seqs[t])
-	}
-	return newSubs
 }
 
 // readerEdges derives reader n's incoming data edges against the folded

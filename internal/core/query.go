@@ -150,7 +150,8 @@ func subInPrefix(id SubID, lens []int) bool {
 // the two byte-identical.
 func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
 	a := &Analysis{g: g, epoch: epoch, lens: lens, walkTotals: true}
-	a.comp = summarizeGaps(g.gapsForPrefix(lens))
+	gaps, _ := g.gapsForPrefix(lens, nil)
+	a.comp = summarizeGaps(gaps)
 	a.base = make([]int, len(a.lens)+1)
 	for t, n := range a.lens {
 		a.base[t+1] = a.base[t] + n

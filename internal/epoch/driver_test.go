@@ -9,16 +9,21 @@ import (
 )
 
 // logSink records every call it receives into a log shared with the
-// other sinks of its driver, and fails Emit from epoch failAt on.
+// other sinks of its driver, asks for the analysis when ask is set, and
+// fails Emit from epoch failAt on.
 type logSink struct {
 	name   string
 	log    *[]string
 	failAt uint64
+	ask    bool
 }
 
-func (s logSink) Emit(a *core.Analysis, d *core.EpochDelta) error {
-	if a.Epoch() != d.Epoch {
-		return fmt.Errorf("analysis epoch %d handed out with delta epoch %d", a.Epoch(), d.Epoch)
+func (s logSink) Emit(e Epoch) error {
+	d := e.Delta
+	if s.ask {
+		if a := e.Analysis(); a.Epoch() != d.Epoch || !reflect.DeepEqual(a.ThreadLens(), d.Lens) {
+			return fmt.Errorf("analysis epoch %d over %v handed out with delta epoch %d over %v", a.Epoch(), a.ThreadLens(), d.Epoch, d.Lens)
+		}
 	}
 	*s.log = append(*s.log, fmt.Sprintf("%s:emit %d", s.name, d.Epoch))
 	if s.failAt != 0 && d.Epoch >= s.failAt {
@@ -45,7 +50,7 @@ func TestDriverFeedsSinksInOrderAndLatchesEach(t *testing.T) {
 	var log []string
 	d := NewDriver(g, Options{Every: 2},
 		logSink{name: "journal", log: &log, failAt: 2},
-		logSink{name: "feed", log: &log})
+		logSink{name: "feed", log: &log, ask: true})
 	hook := d.CommitHook()
 	for i := 0; i < 5; i++ {
 		rec.OnWrite(uint64(i))
@@ -77,7 +82,7 @@ func TestDriverFeedsSinksInOrderAndLatchesEach(t *testing.T) {
 	// Closed is closed: no more folds, no second Finish, the same error.
 	hook(core.SubID{})
 	hook(core.SubID{})
-	d.Fold()
+	d.Cut()
 	if again := d.Close(); !reflect.DeepEqual(log, want) || again == nil || again.Error() != cerr.Error() || d.Epoch() != 3 {
 		t.Fatalf("after Close: epoch %d, Close = %v, calls %q", d.Epoch(), again, log)
 	}

@@ -41,8 +41,13 @@ func (r *Replayer) Pending() bool { return r.last > r.inc.Epoch() }
 
 // Fold seals everything appended since the last fold into one epoch,
 // numbered by the last appended delta — or, when nothing was appended
-// since, one past the previous fold.
-func (r *Replayer) Fold() *core.Analysis { return r.inc.FoldAs(max(r.last, r.inc.Epoch()+1)) }
+// since, one past the previous fold. It cuts the rebuilt graph first;
+// the delta that cut re-captures is what was just appended, so it is
+// dropped.
+func (r *Replayer) Fold() *core.Analysis {
+	r.inc.Cut()
+	return r.inc.FoldAs(max(r.last, r.inc.Epoch()+1))
+}
 
 // Truncate is the fold that ends a replay cut short: it first marks, on
 // every thread that has vertices, that an arbitrary suffix may be

@@ -6,7 +6,10 @@
 // the other.
 package intern
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Interner is the intern table. Intern order — and therefore the numeric
 // value of an id — may differ between runs of a multithreaded program;
@@ -15,6 +18,8 @@ type Interner struct {
 	mu   sync.RWMutex
 	strs []string
 	ids  map[string]uint32
+	// n publishes len(strs), so a Tail with nothing new takes no lock.
+	n atomic.Int64
 }
 
 // New returns an empty interner.
@@ -38,6 +43,7 @@ func (in *Interner) Intern(s string) uint32 {
 	id = uint32(len(in.strs))
 	in.strs = append(in.strs, s)
 	in.ids[s] = id
+	in.n.Store(int64(len(in.strs)))
 	return id
 }
 
@@ -70,6 +76,9 @@ func (in *Interner) Len() int {
 // order. Incremental consumers (the epoch-delta capture) call it with
 // the previous Len to see each interned string exactly once.
 func (in *Interner) Tail(from int) []string {
+	if int64(from) >= in.n.Load() {
+		return nil
+	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	if from < 0 {

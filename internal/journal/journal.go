@@ -26,7 +26,7 @@
 // reader for it.
 //
 // Epoch-delta payloads are core.EpochDelta values — exactly what
-// IncrementalAnalyzer.FoldDelta emits — and recovery replays them
+// IncrementalAnalyzer.Cut emits — and recovery replays them
 // through core.ApplyDelta + Fold, reproducing the recording's per-epoch
 // Analyses byte-for-byte up to the last durable record (see
 // delta_test.go in internal/core for the property). A clean close

@@ -23,13 +23,14 @@ func BenchmarkTake(b *testing.B) {
 			r, drv := pipeline(rep.Graph, perf.NewSession(perf.SessionOptions{Mode: perf.ModeSnapshot}), every, Options{})
 			for done := every; done <= n; done += every {
 				rep.To(done)
-				drv.Fold()
+				drv.Cut()
 			}
+			drv.Analysis() // the ring asks only when it retains: fold the prefix here
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep.To(n + every*(i+1))
-				r.Take(drv.Fold)
+				r.Take(drv)
 			}
 		})
 	}

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/perf"
 )
 
@@ -105,9 +106,7 @@ type Ring struct {
 	due uint64
 	// force makes the next emitted epoch a snapshot whatever its size.
 	force bool
-	// last is the newest epoch emitted, for a Take after the final one;
-	// newest the latest snapshot retained.
-	last   *core.Analysis
+	// newest is the latest snapshot retained.
 	newest *Snapshot
 }
 
@@ -125,11 +124,11 @@ func New(sess *perf.Session, opts Options) *Ring {
 // Emit retains the epoch if a Take forced it or its cut has reached the
 // next multiple of EverySeals: every synchronization boundary seals one
 // sub-computation, so the cut's size is the paper's sync-point count.
-func (r *Ring) Emit(a *core.Analysis, d *core.EpochDelta) error {
+// Only a retained epoch's analysis is asked for.
+func (r *Ring) Emit(e epoch.Epoch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.last = a
-	cut := Cut{Epoch: d.Epoch, Frontier: d.Lens}
+	cut := Cut{Epoch: e.Delta.Epoch, Frontier: e.Delta.Lens}
 	size := uint64(cut.Size())
 	periodic := r.opts.EverySeals != 0 && size >= r.due
 	if periodic {
@@ -137,7 +136,7 @@ func (r *Ring) Emit(a *core.Analysis, d *core.EpochDelta) error {
 	}
 	if periodic || r.force {
 		r.force = false
-		r.retain(cut, a)
+		r.retain(cut, e.Analysis())
 	}
 	return nil
 }
@@ -145,22 +144,28 @@ func (r *Ring) Emit(a *core.Analysis, d *core.EpochDelta) error {
 // Finish is a no-op: the ring outlives the pipeline.
 func (r *Ring) Finish(uint64) error { return nil }
 
-// Take forces a snapshot now (the SIGUSR2 trigger) and returns it: fold
-// is the driver's Fold, whose epoch Emit retains whatever the cadence.
-// A closed pipeline folds no more; Take then retains the final epoch,
-// once.
-func (r *Ring) Take(fold func()) *Snapshot {
+// Take forces a snapshot now (the SIGUSR2 trigger) and returns it: it
+// cuts an epoch on the recording's driver d, which Emit retains
+// whatever the cadence. A closed pipeline cuts no more; Take then
+// retains the final epoch, once.
+func (r *Ring) Take(d *epoch.Driver) *Snapshot {
 	r.mu.Lock()
 	r.force = true
 	r.mu.Unlock()
-	fold()
+	d.Cut()
+	r.mu.Lock()
+	forced := r.force
+	r.force = false
+	r.mu.Unlock()
+	var final *core.Analysis
+	if forced {
+		// Asked outside r.mu: the driver's lock is taken before the ring's.
+		final = d.Analysis()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.force {
-		r.force = false
-		if n := r.newest; r.last != nil && (n == nil || n.Cut.Epoch != r.last.Epoch()) {
-			r.retain(Cut{Epoch: r.last.Epoch(), Frontier: r.last.ThreadLens()}, r.last)
-		}
+	if n := r.newest; final != nil && (n == nil || n.Cut.Epoch != final.Epoch()) {
+		r.retain(Cut{Epoch: final.Epoch(), Frontier: final.ThreadLens()}, final)
 	}
 	return r.newest
 }

@@ -65,7 +65,7 @@ func buildGraph(t *testing.T) *core.Graph {
 func TestComputeCutConsistent(t *testing.T) {
 	g := buildGraph(t)
 	r, drv := pipeline(g, perf.NewSession(perf.SessionOptions{}), 1, Options{})
-	snap := r.Take(drv.Fold)
+	snap := r.Take(drv)
 	if err := snap.Cut.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSnapshotterRing(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		seal(t, rec, func(core.SubID) {}) // sealed but not folded: the take folds it
-		if snap := r.Take(drv.Fold); snap.Cut.Epoch != uint64(i+1) || snap.Cut.Size() != i+1 {
+		if snap := r.Take(drv); snap.Cut.Epoch != uint64(i+1) || snap.Cut.Size() != i+1 {
 			t.Fatalf("take %d: epoch %d over %d subs", i, snap.Cut.Epoch, snap.Cut.Size())
 		}
 	}
@@ -117,7 +117,7 @@ func TestSnapshotCapturesPTWindows(t *testing.T) {
 		st.WriteTrace([]byte{byte(i), byte(i + 1)})
 	}
 	r, drv := pipeline(g, sess, 1, Options{})
-	snap := r.Take(drv.Fold)
+	snap := r.Take(drv)
 	if len(snap.PTWindows[1]) == 0 {
 		t.Error("no PT window captured")
 	}
@@ -138,7 +138,7 @@ func TestSnapshotSlotBudgetTruncates(t *testing.T) {
 				sess.Attach(pid).WriteTrace(make([]byte, 1024))
 			}
 			r, drv := pipeline(g, sess, 1, Options{SlotSize: 100})
-			snap := r.Take(drv.Fold)
+			snap := r.Take(drv)
 			if want := uint64(len(pids)*1024 - 100); snap.TruncatedPT != want {
 				t.Fatalf("%d streams, take %d: TruncatedPT = %d, want %d", len(pids), take, snap.TruncatedPT, want)
 			}
@@ -174,7 +174,7 @@ func TestHookPeriodicCapture(t *testing.T) {
 		// A forced take does not shift the cadence: the next automatic
 		// capture still falls on the next multiple.
 		seal(t, rec, hook)
-		r.Take(drv.Fold)
+		r.Take(drv)
 		seal(t, rec, hook)
 		if snaps := r.Snapshots(); len(snaps) != 5 || snaps[3].Cut.Size() != 7 || snaps[4].Cut.Size() != 8 {
 			t.Errorf("fold every %d: after a forced take at 7 and a seal the ring holds %d snapshots, want 5 ending in cuts of 7 and 8",
@@ -209,7 +209,7 @@ func TestEndToEndWithRuntime(t *testing.T) {
 	}
 	r, drv := pipeline(rt.Graph(), rt.Session(), 2, Options{Slots: 3, EverySeals: 2})
 	rt.RegisterCommitHook(drv.CommitHook())
-	if snap := r.Take(drv.Fold); snap == nil || snap.Cut.Size() != 0 || snap.Cut.Epoch != 1 {
+	if snap := r.Take(drv); snap == nil || snap.Cut.Size() != 0 || snap.Cut.Epoch != 1 {
 		t.Fatalf("take before the first seal = %+v, want the empty epoch 1", snap)
 	}
 
@@ -239,11 +239,11 @@ func TestEndToEndWithRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After Close a take keeps the final epoch, once.
-	final := r.Take(drv.Fold)
+	final := r.Take(drv)
 	if final == nil || final.Cut.Epoch != drv.Epoch() || final.Cut.Size() != rt.Graph().NumSubs() {
 		t.Fatalf("take after Close = %+v, want final epoch %d over %d subs", final, drv.Epoch(), rt.Graph().NumSubs())
 	}
-	if oldest := r.Snapshots()[0]; r.Take(drv.Fold) != final || r.Snapshots()[0] != oldest {
+	if oldest := r.Snapshots()[0]; r.Take(drv) != final || r.Snapshots()[0] != oldest {
 		t.Error("a second take after Close retained the final epoch again")
 	}
 	// Every retained snapshot's cut must be consistent against the final
@@ -308,11 +308,11 @@ func TestQuickCutAlwaysConsistent(t *testing.T) {
 				rec.OnWrite(uint64(r.Intn(8)))
 			}
 			// Take a cut at random points mid-execution.
-			if r.Intn(10) == 0 && ring.Take(drv.Fold).Cut.Validate(g) != nil {
+			if r.Intn(10) == 0 && ring.Take(drv).Cut.Validate(g) != nil {
 				return false
 			}
 		}
-		final := ring.Take(drv.Fold)
+		final := ring.Take(drv)
 		if final.Cut.Size() != g.NumSubs() {
 			return false
 		}

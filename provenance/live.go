@@ -60,14 +60,14 @@ func (f *Feed) publish(a *core.Analysis) {
 // shut marks the newest epoch final. Idempotent.
 func (f *Feed) shut() { f.shutOnce.Do(func() { close(f.closed) }) }
 
-// Sink adapts the feed to an epoch.Driver: every folded epoch is
-// published, and the feed closes with the pipeline.
+// Sink adapts the feed to an epoch.Driver: every epoch's analysis is
+// asked for and published, and the feed closes with the pipeline.
 func (f *Feed) Sink() epoch.Sink { return feedSink{f} }
 
 type feedSink struct{ f *Feed }
 
-func (s feedSink) Emit(a *core.Analysis, _ *core.EpochDelta) error { s.f.publish(a); return nil }
-func (s feedSink) Finish(uint64) error                             { s.f.shut(); return nil }
+func (s feedSink) Emit(e epoch.Epoch) error { s.f.publish(e.Analysis()); return nil }
+func (s feedSink) Finish(uint64) error      { s.f.shut(); return nil }
 
 // Engine returns the newest published epoch's engine, an ordinary
 // read-only Engine any number of goroutines may share.
@@ -116,8 +116,9 @@ func (f *Feed) WaitEpoch(ctx context.Context, min uint64) (uint64, error) {
 
 // LiveEngine serves provenance queries against a CPG that is still
 // being recorded, off the recording path: an epoch.Driver with the
-// embedded Feed as its only sink, folded by an analysis goroutine
-// instead of the commit hook. Notify — wired to the threading runtime's
+// embedded Feed as its only sink, cut by an analysis goroutine instead
+// of the commit hook (the feed asks for every epoch's analysis, so each
+// cut is folded there too). Notify — wired to the threading runtime's
 // commit hook — wakes the goroutine whenever new sub-computations seal;
 // however fast the workload commits, at most one fold is in flight, and
 // each fold sweeps everything sealed since the last.
@@ -157,7 +158,7 @@ func NewLiveEngine(g *core.Graph, opts EngineOptions, foldHooks ...func()) *Live
 	l.drv = epoch.NewDriver(g, epoch.Options{WorkerHook: opts.FoldWorkerHook}, l.Sink())
 	// A panicking first fold (only reachable through an injected hook)
 	// leaves the feed's empty epoch 0 served until a later fold succeeds.
-	l.fold(l.drv.Fold)
+	l.fold(l.drv.Cut)
 	go l.loop()
 	return l
 }
@@ -171,7 +172,7 @@ func (l *LiveEngine) loop() {
 	for {
 		select {
 		case <-l.notify:
-			l.fold(l.drv.Fold)
+			l.fold(l.drv.Cut)
 		case <-l.done:
 			// Recording has quiesced: the driver's final fold covers the
 			// complete graph (anything a pending notify announced too).

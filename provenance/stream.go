@@ -157,10 +157,11 @@ func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) 
 	return u, nil
 }
 
-// Emit queues one epoch's delta and wakes the sender (epoch.Sink).
-func (u *Uploader) Emit(_ *core.Analysis, d *core.EpochDelta) error {
+// Emit queues one epoch's delta and wakes the sender (epoch.Sink). It
+// never asks for the epoch's analysis: a stream costs its run no fold.
+func (u *Uploader) Emit(e epoch.Epoch) error {
 	u.mu.Lock()
-	u.pending = append(u.pending, d)
+	u.pending = append(u.pending, e.Delta)
 	u.mu.Unlock()
 	select {
 	case u.notify <- struct{}{}:
