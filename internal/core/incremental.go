@@ -126,6 +126,9 @@ type IncrementalAnalyzer struct {
 	// once.
 	gapsSeen []int
 	symSeen  int
+	// cutSyms is the interner length the last cut saw: the symbol table
+	// of every Analysis folded from it.
+	cutSyms int
 
 	// scratch serves the serial derivation path; parallel workers carry
 	// their own. cutTarget is advanceCut's reusable buffer, edgeSort
@@ -262,7 +265,7 @@ func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	inc.epoch, inc.lens = e, lens
 	inc.totals.add(newSubs)
 	a := inc.st.extend(inc.g, newSync, newData, lens, prev, inc.cutBase, inc.completeness(lens), e)
-	a.totals = inc.totals
+	a.totals, a.syms = inc.totals, inc.cutSyms
 	return a
 }
 
@@ -277,7 +280,9 @@ func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
 // cut advances the frontier (advanceCut), snapshots it as cutLens and
 // records each shard's sync-log and gap-list lengths. With d set it also
 // captures the delta's payload: the new vertices, the log tails past
-// what earlier cuts emitted, and the interner tail.
+// what earlier cuts emitted, and the interner tail. Either way it records
+// the interner length, read after the logs for the same reason as the
+// tail.
 func (inc *IncrementalAnalyzer) cut(d *EpochDelta) {
 	prev := inc.cutLens
 	inc.advanceCut()
@@ -309,6 +314,9 @@ func (inc *IncrementalAnalyzer) cut(d *EpochDelta) {
 		// capturing the table after the cut guarantees coverage.
 		d.Symbols = inc.g.interner.Tail(inc.symSeen)
 		inc.symSeen += len(d.Symbols)
+		inc.cutSyms = inc.symSeen
+	} else {
+		inc.cutSyms = inc.g.interner.Len()
 	}
 }
 

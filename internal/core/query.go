@@ -62,6 +62,10 @@ type Analysis struct {
 	succ   *succIndex
 	layers []succLayer
 
+	// syms is the length of the graph's interner prefix this Analysis
+	// names its symbols from: what the cut saw, or the whole loaded table.
+	syms int
+
 	// flat is the lazily materialized canonical edge sequence (control,
 	// sync, data) — built on first Edges() call, shared by all readers.
 	flatOnce sync.Once
@@ -149,7 +153,7 @@ func subInPrefix(id SubID, lens []int) bool {
 // analyses through incStore.view, and the equivalence property tests pin
 // the two byte-identical.
 func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
-	a := &Analysis{g: g, epoch: epoch, lens: lens, walkTotals: true}
+	a := &Analysis{g: g, epoch: epoch, lens: lens, syms: g.interner.Len(), walkTotals: true}
 	gaps, _ := g.gapsForPrefix(lens, nil)
 	a.comp = summarizeGaps(gaps)
 	a.base = make([]int, len(a.lens)+1)
@@ -184,6 +188,18 @@ func (a *Analysis) idAt(vi int32) SubID {
 
 // Graph returns the underlying CPG.
 func (a *Analysis) Graph() *Graph { return a.g }
+
+// Symbols returns the analysis's symbol table in ref order: the graph's
+// interner as the cut that produced it saw it, so strings a still-running
+// recording interns later never appear (the .cpg file embeds it).
+func (a *Analysis) Symbols() []string { return a.g.interner.Prefix(a.syms) }
+
+// ObjectRef looks name up in the analysis's symbol table without
+// interning it.
+func (a *Analysis) ObjectRef(name string) (ObjRef, bool) {
+	id, ok := a.g.interner.Find(name)
+	return ObjRef(id), ok && int(id) < a.syms
+}
 
 // Edges returns all derived edges in the canonical order (control, then
 // sync, then data, each section sorted). The flat sequence is

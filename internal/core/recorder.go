@@ -20,16 +20,16 @@ type SyncObject struct {
 	mu        sync.Mutex
 	clock     vclock.Clock
 	releasers []SubID
-	// accumulate keeps earlier releasers in the set (barriers, condition
-	// variables, semaphores); mutexes replace, since an acquire of a
-	// mutex synchronizes only with the previous release.
+	// accumulate keeps earlier releasers in the set (condition variables,
+	// semaphores); mutexes replace, since an acquire of a mutex
+	// synchronizes only with the previous release.
 	accumulate bool
 }
 
 // NewSyncObject creates the provenance state for object name, interned
 // into the graph's symbol table, with the graph's vector-clock width.
-// accumulate selects whether successive releases pile up (barrier/cond/
-// sem semantics) or replace (mutex semantics).
+// accumulate selects whether successive releases pile up (cond/sem
+// semantics) or replace (mutex semantics).
 func (g *Graph) NewSyncObject(name string, accumulate bool) *SyncObject {
 	return &SyncObject{
 		name:       name,
@@ -69,13 +69,6 @@ func (s *SyncObject) acquire(threadClock vclock.Clock) []SubID {
 	out := make([]SubID, len(s.releasers))
 	copy(out, s.releasers)
 	return out
-}
-
-// ResetReleasers clears the releaser set (barrier generation roll-over).
-func (s *SyncObject) ResetReleasers() {
-	s.mu.Lock()
-	s.releasers = s.releasers[:0]
-	s.mu.Unlock()
 }
 
 // Recorder is the per-thread state of the provenance algorithm: the thread
@@ -279,7 +272,7 @@ func (r *Recorder) Acquire(s *SyncObject) {
 // releaser bookkeeping. Barriers use it together with AddScheduleEdge:
 // the barrier implementation tracks per-generation arrival sets itself, so
 // edges come from the captured generation rather than the object's
-// accumulated releaser list.
+// releaser set.
 func (r *Recorder) MergeAcquire(s *SyncObject) {
 	s.acquire(r.clock)
 	r.cur.Clock = r.clock.Copy()

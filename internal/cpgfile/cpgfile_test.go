@@ -439,3 +439,68 @@ func restamp(t *testing.T, file []byte, lay *fileLayout, kind uint32, sec []byte
 	}
 	return out
 }
+
+// TestEncodeIgnoresLaterInterning: an epoch's bytes are a function of the
+// epoch. A thread that keeps recording interns new symbols after the cut,
+// and neither that nor encoding itself may change what the same Analysis
+// encodes to.
+func TestEncodeIgnoresLaterInterning(t *testing.T) {
+	g := core.NewGraph(2)
+	lock := g.NewSyncObject("mutex:m", false)
+	r0, err := core.NewRecorder(g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := core.NewRecorder(g, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0.OnBranch(g.InternSite("main.loop"), true)
+	s0, err := r0.EndSub(core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0.Release(lock, s0)
+	r1.Acquire(lock)
+	if _, err := r1.EndSub(core.SyncEvent{Kind: core.SyncNone}, 20); err != nil {
+		t.Fatal(err)
+	}
+	a := core.NewIncrementalAnalyzer(g).Fold()
+	if a.Stats().SyncEdges != 1 {
+		t.Fatalf("epoch has %d sync edges, want 1", a.Stats().SyncEdges)
+	}
+	encode := func() []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := Encode(&buf, a, Meta{RunID: "r", App: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	first := encode()
+	syms := len(g.Symbols())
+	if again := encode(); !bytes.Equal(first, again) {
+		t.Fatal("two encodes of one analysis differ")
+	}
+	if got := len(g.Symbols()); got != syms {
+		t.Fatalf("Encode grew the graph's symbol table %d -> %d", syms, got)
+	}
+	g.InternSite("worker.loop")
+	g.InternObject("mutex:late")
+	if later := encode(); !bytes.Equal(first, later) {
+		t.Fatalf("encode after later interning: %d bytes, first encode %d", len(later), len(first))
+	}
+
+	loaded, _, err := decodeFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re bytes.Buffer
+	if err := Encode(&re, loaded, Meta{RunID: "r", App: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, re.Bytes()) {
+		t.Fatal("loaded epoch re-encodes differently")
+	}
+}

@@ -2,6 +2,7 @@ package cpgfile
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 
@@ -41,13 +42,19 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	comp := a.Completeness()
 	st := a.Stats()
 
-	// Resolve sync-edge object refs before snapshotting the symbol
-	// table, so a ref can never point past the serialized table.
+	// The symbol table is the one the analysis's cut saw, and sync-edge
+	// objects resolve against it by lookup: Encode never interns, so the
+	// bytes do not depend on when the analysis is encoded.
+	syms := a.Symbols()
 	syncObjRefs := make([]core.ObjRef, syncEdges.Len())
 	for i := range syncObjRefs {
-		syncObjRefs[i] = g.InternObject(syncEdges.At(i).Object)
+		name := syncEdges.At(i).Object
+		ref, ok := a.ObjectRef(name)
+		if !ok {
+			return fmt.Errorf("cpgfile: sync-edge object %q is not in the analysis's symbol table", name)
+		}
+		syncObjRefs[i] = ref
 	}
-	syms := g.Symbols()
 
 	// The sections are built back to back in one buffer, sized up front
 	// from the counts at hand; ends[i] is where section i+1 stops.

@@ -7,6 +7,7 @@
 package intern
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -93,10 +94,14 @@ func (in *Interner) Tail(from int) []string {
 }
 
 // Snapshot returns a copy of the table in id order.
-func (in *Interner) Snapshot() []string {
+func (in *Interner) Snapshot() []string { return in.Prefix(math.MaxInt) }
+
+// Prefix returns a copy of the first n table entries (fewer if the
+// table is shorter), in id order.
+func (in *Interner) Prefix(n int) []string {
 	in.mu.RLock()
-	out := make([]string, len(in.strs))
+	defer in.mu.RUnlock()
+	out := make([]string, min(n, len(in.strs)))
 	copy(out, in.strs)
-	in.mu.RUnlock()
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/pt"
 	"github.com/repro/inspector/internal/vtime"
 )
@@ -89,7 +88,7 @@ func (r *Report) String() string {
 }
 
 // buildReport aggregates all per-thread and per-substrate statistics.
-func (rt *Runtime) buildReport(main *Thread) (*Report, error) {
+func (rt *Runtime) buildReport(main *Thread) *Report {
 	rep := &Report{
 		App:  rt.opts.AppName,
 		Mode: rt.opts.Mode,
@@ -129,8 +128,7 @@ func (rt *Runtime) buildReport(main *Thread) (*Report, error) {
 	rep.LostTraceBytes = rt.sess.TotalLost()
 	rep.ProcessesSpawned = uint64(len(threads))
 	rep.SubComputations = rt.graph.NumSubs()
-	rt.ptStats = rep.PT
-	return rep, nil
+	return rep
 }
 
 // DecodeTraces decodes every process's PT trace against the program image,
@@ -160,15 +158,4 @@ func (rt *Runtime) DecodeTraces() (map[int32]int, error) {
 		out[pid] = n
 	}
 	return out, nil
-}
-
-// ThreadSubs returns the completed sub-computation count per thread slot,
-// a convenience for tests.
-func (rt *Runtime) ThreadSubs(slot int) []*core.SubComputation {
-	return rt.graph.ThreadSeq(slot)
-}
-
-// decodeEvents decodes one raw PT trace against the runtime's image.
-func decodeEvents(rt *Runtime, trace []byte) ([]pt.Event, error) {
-	return pt.DecodeAll(rt.img, trace)
 }

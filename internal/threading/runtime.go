@@ -121,7 +121,6 @@ type Runtime struct {
 	wg        sync.WaitGroup
 
 	finished   bool
-	ptStats    pt.Stats
 	lastReport *Report
 
 	hookMu      sync.Mutex
@@ -287,9 +286,8 @@ func (rt *Runtime) Run(main func(*Thread)) (*Report, error) {
 	// process would reap them at exit).
 	rt.wg.Wait()
 	rt.finished = true
-	rep, rerr := rt.buildReport(t)
-	rt.lastReport = rep
-	return rep, errors.Join(rt.runErr(), rerr)
+	rt.lastReport = rt.buildReport(t)
+	return rt.lastReport, rt.runErr()
 }
 
 // runBody executes one thread's workload function, converting a panic

@@ -7,53 +7,72 @@ import (
 	"github.com/repro/inspector/internal/vtime"
 )
 
+// syncPoint is one synchronization object as both clocks see it: the
+// CPG's vector clock and releaser set (Algorithm 2's CS) and the virtual
+// time of its latest release.
+type syncPoint struct {
+	obj *core.SyncObject
+	vt  vtime.SyncPoint
+}
+
+// release is Algorithm 2's release(S): seal the current sub-computation
+// at the release, publish it to p's vector clock, then publish the
+// thread's virtual time. It returns the sealed sub-computation (nil in
+// native mode, where the seal is just the sync op's charge).
+func (t *Thread) release(p *syncPoint) *core.SubComputation {
+	sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: p.obj.Ref()})
+	if sub != nil {
+		t.rec.Release(p.obj, sub)
+	}
+	p.vt.Release(t.clk.Now())
+	return sub
+}
+
+// acquire is Algorithm 2's acquire(S): seal the current sub-computation
+// at the acquire, block in wait (nil when the object is already held),
+// then merge p's clocks into the fresh sub-computation.
+func (t *Thread) acquire(p *syncPoint, wait func()) {
+	t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: p.obj.Ref()})
+	if wait != nil {
+		wait()
+	}
+	t.acquired(p)
+}
+
+// acquired merges p's clocks into the thread's: virtual time waits for
+// the latest release, and the vector clock takes CS with a schedule edge
+// from each releaser the acquire synchronizes with.
+func (t *Thread) acquired(p *syncPoint) {
+	p.vt.Acquire(t.clk)
+	if t.rec != nil {
+		t.rec.Acquire(p.obj)
+	}
+}
+
 // Mutex is the pthread_mutex replacement. Each Lock/Unlock is a
 // sub-computation boundary under INSPECTOR: the current sub-computation
 // commits its dirty pages and closes, the operation's acquire/release
 // semantics update vector clocks, and a fresh sub-computation begins.
 type Mutex struct {
-	rt   *Runtime
 	name string
 	mu   sync.Mutex
-	obj  *core.SyncObject
-	vt   vtime.SyncPoint
+	p    syncPoint
 }
 
 // NewMutex creates a named mutex.
 func (rt *Runtime) NewMutex(name string) *Mutex {
-	return &Mutex{
-		rt:   rt,
-		name: name,
-		obj:  rt.graph.NewSyncObject("mutex:"+name, false),
-	}
+	return &Mutex{name: name, p: syncPoint{obj: rt.graph.NewSyncObject("mutex:"+name, false)}}
 }
 
 // Name returns the mutex's name.
 func (m *Mutex) Name() string { return m.name }
 
 // Lock acquires the mutex (an acquire operation in the RC model).
-func (m *Mutex) Lock(t *Thread) {
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: m.obj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	m.mu.Lock()
-	m.vt.Acquire(t.clk)
-	if t.rec != nil {
-		t.rec.Acquire(m.obj)
-	}
-}
+func (m *Mutex) Lock(t *Thread) { t.acquire(&m.p, m.mu.Lock) }
 
 // Unlock releases the mutex (a release operation in the RC model).
 func (m *Mutex) Unlock(t *Thread) {
-	if t.rec != nil {
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: m.obj.Ref()})
-		t.rec.Release(m.obj, sub)
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	m.vt.Release(t.clk.Now())
+	t.release(&m.p)
 	m.mu.Unlock()
 }
 
@@ -61,32 +80,31 @@ func (m *Mutex) Unlock(t *Thread) {
 // a departure is an acquire that synchronizes with every arrival of the
 // same generation.
 type Barrier struct {
-	rt    *Runtime
-	name  string
-	n     int
-	obj   *core.SyncObject
-	vt    vtime.SyncPoint
-	mu    sync.Mutex
-	count int
-	gen   uint64
-	gate  chan struct{}
-	// arrivals collects the releasing sub-computations of the current
-	// generation for explicit schedule edges.
-	arrivals []core.SubID
-	departed []core.SubID
+	name string
+	n    int
+	p    syncPoint
+	mu   sync.Mutex
+	cur  *barrierGen
+}
+
+// barrierGen is one generation of a barrier: its arrivals so far, the
+// releasing sub-computations among them (for explicit schedule edges),
+// and the gate its last arrival opens.
+type barrierGen struct {
+	count    int
+	releases []core.SubID
+	gate     chan struct{}
 }
 
 // NewBarrier creates a barrier for n participants.
 func (rt *Runtime) NewBarrier(name string, n int) *Barrier {
-	if n < 1 {
-		n = 1
-	}
+	// The object carries only the vector clock: departures take their
+	// edges from their own generation, never from the releaser set.
 	return &Barrier{
-		rt:   rt,
 		name: name,
-		n:    n,
-		obj:  rt.graph.NewSyncObject("barrier:"+name, true),
-		gate: make(chan struct{}),
+		n:    max(n, 1),
+		p:    syncPoint{obj: rt.graph.NewSyncObject("barrier:"+name, false)},
+		cur:  &barrierGen{gate: make(chan struct{})},
 	}
 }
 
@@ -95,49 +113,31 @@ func (b *Barrier) Name() string { return b.name }
 
 // Wait blocks until n threads arrive, then releases them all.
 func (b *Barrier) Wait(t *Thread) {
-	// Arrival: release.
-	var sub *core.SubComputation
-	if t.rec != nil {
-		sub = t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: b.obj.Ref()})
-		t.rec.Release(b.obj, sub)
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	b.vt.Release(t.clk.Now())
+	sub := t.release(&b.p)
 
 	b.mu.Lock()
+	gen := b.cur
 	if sub != nil {
-		b.arrivals = append(b.arrivals, sub.ID)
+		gen.releases = append(gen.releases, sub.ID)
 	}
-	b.count++
-	gate := b.gate
-	if b.count == b.n {
-		// Last arrival: capture this generation and open the gate.
-		b.departed = b.arrivals
-		b.arrivals = nil
-		b.count = 0
-		b.gen++
-		b.gate = make(chan struct{})
-		b.obj.ResetReleasers()
-		close(gate)
+	gen.count++
+	if gen.count == b.n {
+		b.cur = &barrierGen{gate: make(chan struct{})}
+		close(gen.gate)
 	}
-	departedRef := &b.departed
 	b.mu.Unlock()
 
-	<-gate
+	<-gen.gate
 
-	// Departure: acquire, synchronizing with the whole generation.
-	b.vt.Acquire(t.clk)
+	// Departure: an acquire synchronizing with the whole generation, not
+	// with the object's last releaser.
+	b.p.vt.Acquire(t.clk)
 	if t.rec != nil {
-		t.rec.MergeAcquire(b.obj)
-		b.mu.Lock()
-		departs := *departedRef
-		b.mu.Unlock()
-		for _, from := range departs {
-			if from.Thread == t.slot {
-				continue
+		t.rec.MergeAcquire(b.p.obj)
+		for _, from := range gen.releases {
+			if from.Thread != t.slot {
+				t.rec.AddScheduleEdge(from, b.p.obj.Ref())
 			}
-			t.rec.AddScheduleEdge(from, b.obj.Ref())
 		}
 		t.charge(CatThreading, vtime.Cycles(t.rt.opts.MaxThreads)*t.rt.model.VectorClockPerSlot)
 	}
@@ -145,20 +145,17 @@ func (b *Barrier) Wait(t *Thread) {
 
 // Semaphore is the sem_t replacement: Post is a release, Wait an acquire.
 type Semaphore struct {
-	rt   *Runtime
 	name string
 	ch   chan struct{}
-	obj  *core.SyncObject
-	vt   vtime.SyncPoint
+	p    syncPoint
 }
 
 // NewSemaphore creates a counting semaphore with the given initial value.
 func (rt *Runtime) NewSemaphore(name string, initial int) *Semaphore {
 	s := &Semaphore{
-		rt:   rt,
 		name: name,
 		ch:   make(chan struct{}, 1<<20),
-		obj:  rt.graph.NewSyncObject("sem:"+name, true),
+		p:    syncPoint{obj: rt.graph.NewSyncObject("sem:"+name, true)},
 	}
 	for i := 0; i < initial; i++ {
 		s.ch <- struct{}{}
@@ -171,48 +168,28 @@ func (s *Semaphore) Name() string { return s.name }
 
 // Post increments the semaphore (release).
 func (s *Semaphore) Post(t *Thread) {
-	if t.rec != nil {
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: s.obj.Ref()})
-		t.rec.Release(s.obj, sub)
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	s.vt.Release(t.clk.Now())
+	t.release(&s.p)
 	s.ch <- struct{}{}
 }
 
 // Wait decrements the semaphore, blocking at zero (acquire).
-func (s *Semaphore) Wait(t *Thread) {
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: s.obj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	<-s.ch
-	s.vt.Acquire(t.clk)
-	if t.rec != nil {
-		t.rec.Acquire(s.obj)
-	}
-}
+func (s *Semaphore) Wait(t *Thread) { t.acquire(&s.p, func() { <-s.ch }) }
 
 // Cond is the pthread_cond replacement, always used with a Mutex held.
 type Cond struct {
-	rt   *Runtime
 	name string
 	m    *Mutex
 	c    *sync.Cond
-	obj  *core.SyncObject
-	vt   vtime.SyncPoint
+	p    syncPoint
 }
 
 // NewCond creates a condition variable tied to m.
 func (rt *Runtime) NewCond(name string, m *Mutex) *Cond {
 	return &Cond{
-		rt:   rt,
 		name: name,
 		m:    m,
 		c:    sync.NewCond(&m.mu),
-		obj:  rt.graph.NewSyncObject("cond:"+name, true),
+		p:    syncPoint{obj: rt.graph.NewSyncObject("cond:"+name, true)},
 	}
 }
 
@@ -222,21 +199,14 @@ func (c *Cond) Name() string { return c.name }
 // Wait atomically releases the mutex and blocks until signalled, then
 // re-acquires the mutex: release(m); ...; acquire(c); acquire(m).
 func (c *Cond) Wait(t *Thread) {
-	if t.rec != nil {
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: c.m.obj.Ref()})
-		t.rec.Release(c.m.obj, sub)
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	c.m.vt.Release(t.clk.Now())
-
+	t.release(&c.m.p)
 	c.c.Wait() // releases m.mu while blocked, re-acquires on wake
-
-	c.vt.Acquire(t.clk)
-	c.m.vt.Acquire(t.clk)
+	t.acquired(&c.p)
+	// The mutex comes back inside the wait, without a boundary of its own:
+	// it merges clocks but adds no schedule edge.
+	c.m.p.vt.Acquire(t.clk)
 	if t.rec != nil {
-		t.rec.Acquire(c.obj)
-		t.rec.MergeAcquire(c.m.obj)
+		t.rec.MergeAcquire(c.m.p.obj)
 	}
 }
 
@@ -244,24 +214,12 @@ func (c *Cond) Wait(t *Thread) {
 // signalling with or without the mutex held; the provenance semantics are
 // the same.
 func (c *Cond) Signal(t *Thread) {
-	if t.rec != nil {
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: c.obj.Ref()})
-		t.rec.Release(c.obj, sub)
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	c.vt.Release(t.clk.Now())
+	t.release(&c.p)
 	c.c.Signal()
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast(t *Thread) {
-	if t.rec != nil {
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: c.obj.Ref()})
-		t.rec.Release(c.obj, sub)
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	c.vt.Release(t.clk.Now())
+	t.release(&c.p)
 	c.c.Broadcast()
 }

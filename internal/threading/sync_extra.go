@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
-	"github.com/repro/inspector/internal/vtime"
 )
 
 // RWMutex is the pthread_rwlock replacement. Writers are acquire+release
@@ -12,76 +11,38 @@ import (
 // reader's sub-computation happens-after the write it observes) and
 // their own unlocks do not publish new causality to later readers.
 type RWMutex struct {
-	rt   *Runtime
 	name string
 	mu   sync.RWMutex
-	obj  *core.SyncObject
-	vt   vtime.SyncPoint
+	p    syncPoint
 }
 
 // NewRWMutex creates a named reader/writer lock.
 func (rt *Runtime) NewRWMutex(name string) *RWMutex {
-	return &RWMutex{
-		rt:   rt,
-		name: name,
-		obj:  rt.graph.NewSyncObject("rwlock:"+name, false),
-	}
+	return &RWMutex{name: name, p: syncPoint{obj: rt.graph.NewSyncObject("rwlock:"+name, false)}}
 }
 
 // Name returns the lock's name.
 func (rw *RWMutex) Name() string { return rw.name }
 
 // Lock acquires the lock exclusively (write side).
-func (rw *RWMutex) Lock(t *Thread) {
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: rw.obj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	rw.mu.Lock()
-	rw.vt.Acquire(t.clk)
-	if t.rec != nil {
-		t.rec.Acquire(rw.obj)
-	}
-}
+func (rw *RWMutex) Lock(t *Thread) { t.acquire(&rw.p, rw.mu.Lock) }
 
 // Unlock releases the exclusive lock.
 func (rw *RWMutex) Unlock(t *Thread) {
-	if t.rec != nil {
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: rw.obj.Ref()})
-		t.rec.Release(rw.obj, sub)
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	rw.vt.Release(t.clk.Now())
+	t.release(&rw.p)
 	rw.mu.Unlock()
 }
 
 // RLock acquires the lock shared (read side): an acquire with no release
 // publication.
-func (rw *RWMutex) RLock(t *Thread) {
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: rw.obj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	rw.mu.RLock()
-	rw.vt.Acquire(t.clk)
-	if t.rec != nil {
-		t.rec.Acquire(rw.obj)
-	}
-}
+func (rw *RWMutex) RLock(t *Thread) { t.acquire(&rw.p, rw.mu.RLock) }
 
 // RUnlock releases the shared lock. Readers still commit their
 // sub-computation (they may have written private data elsewhere), but do
 // not publish causality into the lock object.
 func (rw *RWMutex) RUnlock(t *Thread) {
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: rw.obj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	rw.vt.Release(t.clk.Now())
+	t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: rw.p.obj.Ref()})
+	rw.p.vt.Release(t.clk.Now())
 	rw.mu.RUnlock()
 }
 
@@ -94,62 +55,42 @@ func (m *Mutex) TryLock(t *Thread) bool {
 		t.charge(CatApp, t.rt.model.SyncOp)
 		return false
 	}
-	// Locked: now record the boundary and acquire semantics. The real
-	// sub-computation split happens after the successful CAS, which is
-	// safe because no blocking occurred.
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: m.obj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	m.vt.Acquire(t.clk)
-	if t.rec != nil {
-		t.rec.Acquire(m.obj)
-	}
+	// Locked: the sub-computation split happens after the successful CAS,
+	// which is safe because no blocking occurred.
+	t.acquire(&m.p, nil)
 	return true
 }
 
 // Once is the pthread_once replacement: the winner's initialization
 // happens-before every other caller's return.
 type Once struct {
-	rt   *Runtime
 	name string
 	mu   sync.Mutex
 	done bool
-	obj  *core.SyncObject
-	vt   vtime.SyncPoint
+	p    syncPoint
 }
 
 // NewOnce creates a named once-control.
 func (rt *Runtime) NewOnce(name string) *Once {
-	return &Once{
-		rt:   rt,
-		name: name,
-		obj:  rt.graph.NewSyncObject("once:"+name, false),
-	}
+	return &Once{name: name, p: syncPoint{obj: rt.graph.NewSyncObject("once:"+name, false)}}
 }
 
 // Do runs fn exactly once across all threads; every caller synchronizes
 // with the initializer's completion.
 func (o *Once) Do(t *Thread, fn func(*Thread)) {
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: o.obj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	o.mu.Lock()
-	if !o.done {
-		fn(t)
-		o.done = true
-		if t.rec != nil {
-			sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: o.obj.Ref()})
-			t.rec.Release(o.obj, sub)
+	t.acquire(&o.p, func() {
+		o.mu.Lock()
+		if !o.done {
+			fn(t)
+			o.done = true
+			if t.rec != nil {
+				t.release(&o.p)
+			} else {
+				// Native pthread_once pays one sync op per call, so the
+				// initializer's release is free.
+				o.p.vt.Release(t.clk.Now())
+			}
 		}
-		o.vt.Release(t.clk.Now())
-	}
-	o.mu.Unlock()
-	o.vt.Acquire(t.clk)
-	if t.rec != nil {
-		t.rec.Acquire(o.obj)
-	}
+		o.mu.Unlock()
+	})
 }

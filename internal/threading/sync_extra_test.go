@@ -3,7 +3,14 @@ package threading
 import (
 	"sync/atomic"
 	"testing"
+
+	"github.com/repro/inspector/internal/pt"
 )
+
+// decodeEvents decodes one raw PT trace against the runtime's image.
+func decodeEvents(rt *Runtime, trace []byte) ([]pt.Event, error) {
+	return pt.DecodeAll(rt.img, trace)
+}
 
 func TestRWMutexWriteVisibility(t *testing.T) {
 	rt := newRT(t, ModeInspector)

@@ -67,10 +67,8 @@ type Thread struct {
 
 	loads, stores, branches, alu uint64
 
-	joinObj  *core.SyncObject
-	joinVT   *vtime.SyncPoint
+	join     syncPoint // released once, at exit; Join acquires it
 	joinCh   chan struct{}
-	joinSub  core.SubID
 	finished bool
 }
 
@@ -149,8 +147,7 @@ func (rt *Runtime) newThread(parent *Thread, slot int, name string) (*Thread, er
 		t.indSites = make(map[string]cachedSite)
 	}
 
-	t.joinObj = rt.graph.NewSyncObject(fmt.Sprintf("join:t%d", slot), false)
-	t.joinVT = &vtime.SyncPoint{}
+	t.join.obj = rt.graph.NewSyncObject(fmt.Sprintf("join:t%d", slot), false)
 	t.joinCh = make(chan struct{})
 	return t, nil
 }
@@ -500,18 +497,17 @@ func (t *Thread) Spawn(fn func(*Thread)) *Thread {
 	if err != nil {
 		panic(fmt.Sprintf("thread %d: spawn: %v", t.slot, err))
 	}
-	spawnObj := rt.graph.NewSyncObject(fmt.Sprintf("spawn:t%d", slot), false)
-	spawnVT := &vtime.SyncPoint{}
+	spawn := &syncPoint{obj: rt.graph.NewSyncObject(fmt.Sprintf("spawn:t%d", slot), false)}
 
 	// Parent side: the spawn is a release to the child.
-	if rt.opts.Mode == ModeInspector {
+	if t.rec != nil {
 		t.charge(CatThreading, rt.model.ProcessSpawn)
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: spawnObj.Ref()})
-		t.rec.Release(spawnObj, sub)
+		t.release(spawn)
 	} else {
+		// A native pthread_create costs a thread spawn, not a sync op.
 		t.charge(CatApp, rt.model.ThreadSpawn)
+		spawn.vt.Release(t.clk.Now())
 	}
-	spawnVT.Release(t.clk.Now())
 
 	child, err := rt.newThread(t, slot, fmt.Sprintf("%s-w%d", rt.opts.AppName, slot))
 	if err != nil {
@@ -525,10 +521,9 @@ func (t *Thread) Spawn(fn func(*Thread)) *Thread {
 		// Under INSPECTOR the child also pays its own process setup
 		// (perf attach, address-space init) on its own clock, so sibling
 		// setups overlap — only the parent's clone() calls serialize.
-		spawnVT.Acquire(child.clk)
+		child.acquired(spawn)
 		if child.rec != nil {
 			child.charge(CatThreading, rt.model.ProcessSpawn)
-			child.rec.Acquire(spawnObj)
 		}
 		// A panicking child degrades the recording (gap + error on the
 		// runtime) instead of crashing the process; finishThread still
@@ -540,18 +535,7 @@ func (t *Thread) Spawn(fn func(*Thread)) *Thread {
 }
 
 // Join blocks until the child thread finishes — the pthread_join wrapper.
-func (t *Thread) Join(child *Thread) {
-	if t.rec != nil {
-		t.syncBoundary(core.SyncEvent{Kind: core.SyncAcquire, Object: child.joinObj.Ref()})
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
-	}
-	<-child.joinCh
-	child.joinVT.Acquire(t.clk)
-	if t.rec != nil {
-		t.rec.Acquire(child.joinObj)
-	}
-}
+func (t *Thread) Join(child *Thread) { t.acquire(&child.join, func() { <-child.joinCh }) }
 
 // finish closes the thread: final sub-computation, join release, PT trace
 // termination, perf exit record.
@@ -560,10 +544,9 @@ func (t *Thread) finish() {
 		return
 	}
 	t.finished = true
-	if t.rec != nil {
-		sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: t.joinObj.Ref()})
-		t.rec.Release(t.joinObj, sub)
-		t.joinSub = sub.ID
+	sub := t.syncBoundary(core.SyncEvent{Kind: core.SyncRelease, Object: t.join.obj.Ref()})
+	if sub != nil {
+		t.rec.Release(t.join.obj, sub)
 		t.tracer.Close()
 		t.chargePTBytes()
 		// Trace bytes flushed by the tracer teardown can still be refused
@@ -581,9 +564,9 @@ func (t *Thread) finish() {
 			stream.Drain()
 		}
 		t.rt.sess.RecordExit(t.PID())
-	} else {
-		t.charge(CatApp, t.rt.model.SyncOp)
 	}
-	t.joinVT.Release(t.clk.Now())
+	// Virtual time is published after the trace teardown, so a joiner
+	// also waits for the final trace flush.
+	t.join.vt.Release(t.clk.Now())
 	close(t.joinCh)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/mem"
 	"github.com/repro/inspector/internal/perf"
 )
@@ -19,6 +20,11 @@ func newRT(t *testing.T, mode Mode) *Runtime {
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// ThreadSubs returns thread slot's completed sub-computations.
+func (rt *Runtime) ThreadSubs(slot int) []*core.SubComputation {
+	return rt.graph.ThreadSeq(slot)
 }
 
 func TestModeString(t *testing.T) {
