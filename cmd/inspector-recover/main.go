@@ -179,7 +179,7 @@ func restream(rep *journal.Recovery, url, source string) (*provenance.IngestStat
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	return provenance.UploadDeltas(ctx, c, source, hello, rep.Deltas, 64, seal)
+	return provenance.UploadDeltas(ctx, c, source, hello, rep.Deltas, 0, seal)
 }
 
 func appOrUnknown(app string) string {

@@ -101,6 +101,10 @@ func checkVersion(res *Result) (*Result, error) {
 	return res, nil
 }
 
+// maxResponseBytes bounds one response body the client reads. A longer
+// one is an error, never a silently truncated answer.
+const maxResponseBytes = 64 << 20
+
 // do issues a request with bounded retries and decodes the JSON
 // response, surfacing the server's error body on non-2xx statuses.
 // Retryable failures (transport errors, 502/503/504) back off
@@ -165,9 +169,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, c
 		return err, 0, ctx.Err() == nil
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return err, 0, ctx.Err() == nil
+	}
+	if len(data) > maxResponseBytes {
+		return fmt.Errorf("provenance: %s %s: response exceeds the client's %d MiB cap", method, path, maxResponseBytes>>20), 0, false
 	}
 	if resp.StatusCode != http.StatusOK {
 		if s := resp.Header.Get("Retry-After"); s != "" {

@@ -418,3 +418,42 @@ func TestClientBackoffHonorsCancel(t *testing.T) {
 		t.Fatal("client still sleeping 5s after cancellation (Retry-After hint won over ctx.Done)")
 	}
 }
+
+// TestClientResponseCap pins the client's response bound: a body of
+// exactly maxResponseBytes is read whole, and one byte more is an error
+// naming the cap — never the truncated prefix with a nil error, which
+// would let a "remote = local bytes" check pass on a prefix.
+func TestClientResponseCap(t *testing.T) {
+	chunk := make([]byte, 1<<20)
+	for i := range chunk {
+		chunk[i] = byte('a' + i%26)
+	}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := maxResponseBytes
+		if r.PathValue("id") == "over" {
+			n++
+		}
+		for n > 0 {
+			k, err := w.Write(chunk[:min(n, len(chunk))])
+			if err != nil {
+				return
+			}
+			n -= k
+		}
+	})
+	mux := http.NewServeMux()
+	mux.Handle("GET /v1/cpgs/{id}/export", h)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+
+	got, err := c.Export(ctx, "exact")
+	if err != nil || len(got) != maxResponseBytes {
+		t.Fatalf("export of exactly %d bytes: got %d bytes, err=%v", maxResponseBytes, len(got), err)
+	}
+	got, err = c.Export(ctx, "over")
+	if err == nil || !strings.Contains(err.Error(), "64 MiB cap") {
+		t.Fatalf("export of %d bytes: got %d bytes, err=%v; want an error naming the 64 MiB cap", maxResponseBytes+1, len(got), err)
+	}
+}

@@ -14,8 +14,7 @@ import (
 	"github.com/repro/inspector/provenance"
 )
 
-// ingestBatch is the deltas per POST of BenchmarkIngestBatch: the
-// uploader's default batch.
+// ingestBatch is the deltas per POST of BenchmarkIngestBatch.
 const ingestBatch = 64
 
 // BenchmarkIngestBatch measures the aggregator's apply side: one POST of

@@ -3,6 +3,7 @@ package provenance
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
@@ -17,66 +18,76 @@ import (
 // stream sink — it ships each folded epoch's delta to an aggregator
 // instead of (or, listed after it, alongside) a local journal.
 // Recording never blocks on the network: epochs enqueue, a sender
-// goroutine batches uploads, and a dead aggregator costs queue memory,
-// not workload progress. The journal stays the durability anchor: it is
-// fed the very same deltas, so after a recorder SIGKILL
-// inspector-recover -stream replays them and the aggregator's dedup
-// makes the resend converge.
+// goroutine ships the whole backlog per POST, and a dead aggregator
+// costs queue memory, not workload progress. The journal stays the
+// durability anchor: it is fed the very same deltas, so after a
+// recorder SIGKILL inspector-recover -stream replays them and the
+// aggregator's dedup makes the resend converge.
+
+// maxUploadBytes is the byte budget of one ingest POST: a body stops
+// after the delta whose frame takes it to the budget or past it, so no
+// body exceeds the budget by more than one frame, and a body with a
+// delta to take always takes one, whatever its size. It sits far below
+// the aggregator's body cap (maxIngestBodyBytes).
+const maxUploadBytes = 16 << 20
 
 // EncodeFrames builds one ingest request body: the hello, then the
 // deltas in epoch order, then the optional seal. BaseEpoch is stamped
 // from the first delta.
 func EncodeFrames(hello wire.Hello, deltas []*core.EpochDelta, seal *wire.Seal) ([]byte, error) {
+	body, _, err := encodeBody(hello, deltas, 0, math.MaxInt, seal)
+	return body, err
+}
+
+// encodeBody builds one ingest request body the way EncodeFrames does,
+// but takes deltas only until it holds limit of them (limit <= 0: no
+// count cap) or its length reaches budget, and appends the seal only if
+// it took them all. It returns the body and the count of deltas taken.
+func encodeBody(hello wire.Hello, deltas []*core.EpochDelta, limit, budget int, seal *wire.Seal) (body []byte, n int, err error) {
 	if len(deltas) > 0 {
 		hello.BaseEpoch = deltas[0].Epoch
 	}
-	buf, err := wire.AppendFrame(nil, wire.KindHeader, &hello)
-	if err != nil {
-		return nil, err
+	if body, err = wire.AppendFrame(nil, wire.KindHeader, &hello); err != nil {
+		return nil, 0, err
 	}
-	for _, d := range deltas {
-		if buf, err = wire.AppendFrame(buf, wire.KindDelta, d); err != nil {
-			return nil, err
+	for n < len(deltas) && (limit <= 0 || n < limit) && (n == 0 || len(body) < budget) {
+		if body, err = wire.AppendFrame(body, wire.KindDelta, deltas[n]); err != nil {
+			return nil, 0, err
+		}
+		n++
+	}
+	if seal != nil && n == len(deltas) {
+		if body, err = wire.AppendFrame(body, wire.KindSeal, seal); err != nil {
+			return nil, 0, err
 		}
 	}
-	if seal != nil {
-		if buf, err = wire.AppendFrame(buf, wire.KindSeal, seal); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return body, n, nil
 }
 
-// UploadDeltas streams a recorded delta sequence to an aggregator in
-// batches — the journal-replay resume path. The server's dedup skips
-// epochs it already holds, so uploading from epoch 1 after a partial
-// earlier stream is safe and cheap. The returned status is the final
-// batch's, with Accepted and Duplicates accumulated across the whole
-// upload.
+// UploadDeltas streams a recorded delta sequence to an aggregator — the
+// journal-replay resume path. Each POST carries as many deltas as the
+// byte budget admits (at most batch of them when batch > 0), and the
+// last one carries the seal, so a whole journal usually costs one POST.
+// The server's dedup skips epochs it already holds, so uploading from
+// epoch 1 after a partial earlier stream is safe and cheap. The returned
+// status is the final POST's, with Accepted and Duplicates accumulated
+// across the whole upload.
 func UploadDeltas(ctx context.Context, c *Client, source string, hello wire.Hello, deltas []*core.EpochDelta, batch int, seal *wire.Seal) (*IngestStatus, error) {
-	if batch <= 0 {
-		batch = 64
-	}
 	var accepted, dups int
-	for start := 0; ; start += batch {
-		// The last batch (the only one, possibly empty, when there are no
+	for {
+		// The last body (the only one, possibly empty, when there are no
 		// deltas) carries the seal.
-		end := min(start+batch, len(deltas))
-		var s *wire.Seal
-		if end == len(deltas) {
-			s = seal
-		}
-		frames, err := EncodeFrames(hello, deltas[start:end], s)
+		body, n, err := encodeBody(hello, deltas, batch, maxUploadBytes, seal)
 		if err != nil {
 			return nil, err
 		}
-		st, err := c.Ingest(ctx, source, frames)
+		st, err := c.Ingest(ctx, source, body)
 		if err != nil {
 			return nil, err
 		}
 		accepted += st.Accepted
 		dups += st.Duplicates
-		if end == len(deltas) {
+		if deltas = deltas[n:]; len(deltas) == 0 {
 			st.Accepted, st.Duplicates = accepted, dups
 			return st, nil
 		}
@@ -97,7 +108,9 @@ type StreamOptions struct {
 	// Every is a stand-alone StreamRecorder's cadence: one epoch every N
 	// commit seals (default 1). A shared driver's Uploader follows it.
 	Every uint64
-	// Batch bounds deltas per POST (default 64).
+	// Batch caps the deltas per POST (default 0: no count cap). Each
+	// POST otherwise carries every pending delta up to the uploader's
+	// byte budget; the cap is for tests that want many POSTs.
 	Batch int
 	// MaxResyncs bounds consecutive offset re-reads after upload
 	// failures before the sender latches a terminal error (default 8).
@@ -137,9 +150,6 @@ func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) 
 	}
 	if opts.RunID == "" {
 		return nil, fmt.Errorf("provenance: stream needs a run id")
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = 64
 	}
 	if opts.MaxResyncs <= 0 {
 		opts.MaxResyncs = 8
@@ -193,17 +203,18 @@ func (u *Uploader) Pending() int {
 	return len(u.pending)
 }
 
-// sender is the upload goroutine: batch, POST, prune acknowledged.
+// sender is the upload goroutine: it drains the queue at each wake-up
+// and exits once the seal has shipped or a terminal error latched.
 func (u *Uploader) sender() {
 	defer close(u.senderDone)
-	for {
+	var seal *wire.Seal
+	for seal == nil {
 		select {
 		case <-u.notify:
-			u.drain(nil)
 		case final := <-u.done:
-			u.drain(&wire.Seal{FinalEpoch: final})
-			return
+			seal = &wire.Seal{FinalEpoch: final}
 		}
+		seal = u.drain(seal)
 	}
 }
 
@@ -216,11 +227,11 @@ func (u *Uploader) latch(err error) {
 	u.mu.Unlock()
 }
 
-// snapshot copies up to one batch of pending deltas.
+// snapshot copies the pending deltas.
 func (u *Uploader) snapshot() []*core.EpochDelta {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return slices.Clone(u.pending[:min(len(u.pending), u.opts.Batch)])
+	return slices.Clone(u.pending)
 }
 
 // ack drops pending deltas the aggregator acknowledged (epoch <
@@ -235,36 +246,47 @@ func (u *Uploader) ack(nextEpoch uint64) {
 	u.pending = u.pending[keep:]
 }
 
-// drain ships pending batches until the queue is empty (then the seal,
-// if any) or a terminal error latches. Upload failures trigger
-// an offset resync: re-read the aggregator's next expected epoch, drop
-// what it already holds, and try again — a reconnecting recorder never
-// re-sends an acknowledged epoch and never skips one.
-func (u *Uploader) drain(seal *wire.Seal) {
+// drain group-commits the queue: each POST carries every pending delta
+// up to the byte budget (and opts.Batch), until the queue is empty or a
+// terminal error latches. A Finish that arrives mid-drain joins it:
+// Finish follows the final Emit, so from then on the queue is the
+// stream's tail and the seal rides its last body. drain returns the seal
+// once it has shipped or been given up on, nil while the stream is open.
+// Upload failures trigger an offset resync: re-read the aggregator's
+// next expected epoch, drop what it already holds, and try again — a
+// reconnecting recorder never re-sends an acknowledged epoch and never
+// skips one.
+func (u *Uploader) drain(seal *wire.Seal) *wire.Seal {
 	resyncs := 0
-	for {
-		if u.Err() != nil {
-			return
-		}
-		batch := u.snapshot()
-		if len(batch) == 0 {
-			if seal != nil {
-				// The stream is cleanly finished.
-				if _, err := u.ship(nil, seal); err != nil {
-					u.latch(fmt.Errorf("provenance: seal upload: %w", err))
-				}
+	for u.Err() == nil {
+		if seal == nil {
+			select {
+			case final := <-u.done:
+				seal = &wire.Seal{FinalEpoch: final}
+			default:
 			}
-			return
 		}
-		st, err := u.ship(batch, nil)
+		pending := u.snapshot()
+		if len(pending) == 0 && seal == nil {
+			return nil
+		}
+		body, n, err := encodeBody(u.hello, pending, u.opts.Batch, maxUploadBytes, seal)
+		if err != nil {
+			u.latch(err)
+			break
+		}
+		st, err := u.ship(body)
 		if err == nil {
 			resyncs = 0
 			u.ack(st.NextEpoch)
+			if seal != nil && n == len(pending) {
+				return seal // the body carried it: the stream is cleanly finished
+			}
 			continue
 		}
 		if u.ctx.Err() != nil {
 			u.latch(err)
-			return
+			break
 		}
 		// Conflicts (the aggregator is ahead, or bound to another run)
 		// and transport-class failures resync against the offset; bad
@@ -272,17 +294,18 @@ func (u *Uploader) drain(seal *wire.Seal) {
 		if code := serverStatus(err); code != 0 && code != http.StatusConflict &&
 			code != http.StatusBadGateway && code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout {
 			u.latch(err)
-			return
+			break
 		}
 		if resyncs++; resyncs > u.opts.MaxResyncs {
 			u.latch(fmt.Errorf("provenance: stream upload failed after %d resyncs: %w", resyncs-1, err))
-			return
+			break
 		}
 		if rerr := u.resync(); rerr != nil {
 			u.latch(rerr)
-			return
+			break
 		}
 	}
+	return seal
 }
 
 // resync re-reads the resume offset and reconciles the queue with it.
@@ -319,15 +342,11 @@ func (u *Uploader) resync() error {
 	return nil
 }
 
-// ship uploads one batch (and/or seal) under the per-request timeout.
-func (u *Uploader) ship(batch []*core.EpochDelta, seal *wire.Seal) (*IngestStatus, error) {
-	frames, err := EncodeFrames(u.hello, batch, seal)
-	if err != nil {
-		return nil, err
-	}
+// ship uploads one body under the per-request timeout.
+func (u *Uploader) ship(body []byte) (*IngestStatus, error) {
 	ctx, cancel := context.WithTimeout(u.ctx, requestTimeout)
 	defer cancel()
-	return u.c.Ingest(ctx, u.opts.Source, frames)
+	return u.c.Ingest(ctx, u.opts.Source, body)
 }
 
 // Wait flushes the queue (seal included) and stops the sender. Call it
