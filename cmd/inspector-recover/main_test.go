@@ -12,12 +12,17 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
 )
 
-// record journals a small deterministic single-thread recording,
-// capturing the per-epoch in-process analysis exports, and leaves the
-// journal sealed (sealed=true) or abandoned mid-run (sealed=false).
+// record journals a small deterministic two-thread recording, leaves
+// the journal sealed (sealed=true) or abandoned mid-run (sealed=false),
+// and returns the per-epoch exports of the live analyzer's own fold: a
+// bare epoch.Driver over the same graph whose sink asks for every
+// epoch's analysis. The recording is sequential, so both drivers cut
+// the same prefix at every seal; the recorder's OnEpoch (its follower's
+// replay) must match the live fold at every journaled epoch.
 func record(t *testing.T, dir string, steps int, sealed bool) [][]byte {
 	t.Helper()
 	w, err := journal.Create(journal.Options{Dir: dir, Threads: 2, App: "recover-test"})
@@ -35,15 +40,22 @@ func record(t *testing.T, dir string, steps int, sealed bool) [][]byte {
 	}
 	lock := g.NewSyncObject("m", false)
 	jr := journal.NewRecorder(g, w, 1)
-	var exports [][]byte
-	jr.OnEpoch = func(a *core.Analysis, _ *core.EpochDelta) {
+	var followed, live [][]byte
+	jr.OnEpoch = func(a *core.Analysis, d *core.EpochDelta) {
+		// The follower's goroutine: report and return, never Fatal.
 		var buf bytes.Buffer
 		if err := a.ExportJSON(&buf); err != nil {
-			t.Fatal(err)
+			t.Errorf("followed epoch %d export: %v", d.Epoch, err)
+			return
 		}
-		exports = append(exports, buf.Bytes())
+		followed = append(followed, buf.Bytes())
 	}
-	hook := jr.CommitHook()
+	drv := epoch.NewDriver(g, epoch.Options{}, liveFold{&live})
+	jrHook, liveHook := jr.CommitHook(), drv.CommitHook()
+	hook := func() {
+		jrHook(core.SubID{})
+		liveHook(core.SubID{})
+	}
 	r := rand.New(rand.NewSource(42))
 	for s := 0; s < steps; s++ {
 		rec := recs[r.Intn(len(recs))]
@@ -55,23 +67,56 @@ func record(t *testing.T, dir string, steps int, sealed bool) [][]byte {
 		}
 		rec.Release(lock, sc)
 		rec.Acquire(lock)
-		hook(core.SubID{})
+		hook()
 	}
 	if sealed {
 		for _, rec := range recs {
 			if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
 				t.Fatal(err)
 			}
-			hook(core.SubID{})
+			hook()
 		}
 		if err := jr.Close(); err != nil {
 			t.Fatal(err)
 		}
-	} else if err := w.Close(); err != nil {
-		t.Fatal(err)
+		if err := drv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Stop the follower: the final cut finds the journal closed, so
+		// it is neither journaled nor followed, and nothing is sealed.
+		if err := jr.Close(); err == nil {
+			t.Fatal("closing a recorder over a closed journal reported nothing")
+		}
 	}
-	return exports
+	if len(followed) != len(live) {
+		t.Fatalf("followed %d epochs, the live analyzer folded %d", len(followed), len(live))
+	}
+	for i := range live {
+		if !bytes.Equal(followed[i], live[i]) {
+			t.Fatalf("epoch %d: the recorder's follower differs from the live fold", i+1)
+		}
+	}
+	return live
 }
+
+// liveFold is an epoch.Sink that asks for every epoch's analysis and
+// keeps its export.
+type liveFold struct{ exports *[][]byte }
+
+func (s liveFold) Emit(e epoch.Epoch) error {
+	var buf bytes.Buffer
+	if err := e.Analysis().ExportJSON(&buf); err != nil {
+		return err
+	}
+	*s.exports = append(*s.exports, buf.Bytes())
+	return nil
+}
+
+func (liveFold) Finish(uint64) error { return nil }
 
 func TestRecoverExportsMatchInProcessFold(t *testing.T) {
 	jdir := t.TempDir()

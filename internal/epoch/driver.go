@@ -3,14 +3,16 @@
 // cut to an ordered list of sinks (journal, live feed, snapshot ring,
 // stream queue), and a Replayer is its mirror image on the apply side
 // (journal recovery, the aggregator's ingest). A cut is the epoch's
-// delta and nothing more; the epoch's Analysis is derived only when a
-// sink asks for it, so a run whose sinks only persist or ship deltas
-// derives nothing while it records. There is one epoch numbering: the
-// Driver cuts once per epoch, so journal record k, wire frame k and the
-// recorder's epoch k are the same cut. The apply side folds once per
-// batch of deltas and numbers each fold by its last delta, so the
-// epochs it publishes are a subset of the delta epochs, each the same
-// cut as the recorder's epoch of that number.
+// delta and nothing more. A sink that wants the epoch's Analysis either
+// asks the driver for it, folding on the sealing thread, or is a
+// Follower, which replays the delta and folds on its own goroutine; a
+// run whose sinks only persist or ship deltas derives nothing while it
+// records. There is one epoch numbering: the Driver cuts once per
+// epoch, so journal record k, wire frame k and the recorder's epoch k
+// are the same cut. The apply side folds once per batch of deltas and
+// numbers each fold by its last delta, so the epochs it publishes are a
+// subset of the delta epochs, each the same cut as the recorder's epoch
+// of that number.
 package epoch
 
 import (

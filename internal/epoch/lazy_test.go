@@ -30,7 +30,8 @@ func aggregator(t *testing.T) string {
 // TestLazySinksDeriveNothing records a workload through
 // inspector.New{Journal, Stream} — no Live, no snapshot ring — with the
 // slow-fold fault armed on every fold worker: the run cuts an epoch per
-// seal, and not one derivation may start.
+// seal, and not one derivation may start. Then a driver whose only
+// analysis consumer is a Follower: the follower folds, the driver not.
 func TestLazySinksDeriveNothing(t *testing.T) {
 	w, err := workloads.Get("canneal")
 	if err != nil {
@@ -60,6 +61,23 @@ func TestLazySinksDeriveNothing(t *testing.T) {
 	if n := faults.Fired(faultinject.SlowFold); n != 0 {
 		t.Fatalf("a journal- and stream-only run started %d fold workers over %d epochs, want none", n, rt.Epoch())
 	}
+
+	// A follower folds every epoch on its own analyzer; the driver's,
+	// with no sink asking, still folds nothing.
+	g := core.NewGraph(2)
+	var driverFolds, followerFolds atomic.Int64
+	f := epoch.NewFollower(g.Threads(), func(int) { followerFolds.Add(1) }, func(*core.Analysis, *core.EpochDelta) {})
+	d := epoch.NewDriver(g, epoch.Options{WorkerHook: func(int) { driverFolds.Add(1) }}, f)
+	recordPingPong(t, g, d.CommitHook(), 200)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := driverFolds.Load(); n != 0 {
+		t.Fatalf("beside a follower the driver started %d fold workers over %d epochs, want none", n, d.Epoch())
+	}
+	if n := followerFolds.Load(); n < int64(d.Epoch()) {
+		t.Fatalf("the follower started %d fold workers over %d epochs, want one fold per epoch", n, d.Epoch())
+	}
 }
 
 // TestLazyDriverFoldsOnAsk drives a journal writer and a stream uploader
@@ -79,26 +97,7 @@ func TestLazyDriverFoldsOnAsk(t *testing.T) {
 	}
 	var folds atomic.Int64
 	d := epoch.NewDriver(g, epoch.Options{WorkerHook: func(int) { folds.Add(1) }}, jw, up)
-	hook := d.CommitHook()
-	recs := make([]*core.Recorder, 2)
-	for i := range recs {
-		if recs[i], err = core.NewRecorder(g, i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lock := g.NewSyncObject("m", false)
-	for i := 0; i < 200; i++ {
-		rec := recs[i%2]
-		rec.OnRead(uint64(i % 7))
-		rec.OnWrite(uint64(i % 5))
-		sc, err := rec.EndSub(core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Release(lock, sc)
-		hook(sc.ID)
-		recs[(i+1)%2].Acquire(lock)
-	}
+	recordPingPong(t, g, d.CommitHook(), 200)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

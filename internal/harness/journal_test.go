@@ -9,14 +9,19 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
 )
 
-// journaledRun executes one workload with a journal recorder attached,
-// capturing the per-epoch in-process analysis exports (the OnEpoch seam
-// inspector.Options does not have), and returns those exports. When
-// seal is false the journal is abandoned without a seal record, as a
-// killed process would leave it.
+// journaledRun executes one workload journaled through a bare
+// epoch.Driver whose sinks are the journal writer, a liveFold — asking
+// for every epoch's analysis on the sealing thread, the live analyzer's
+// own fold (the seam inspector.Options does not have) — and an
+// epoch.Follower, the replay every-epoch consumers run. One driver, so
+// all three see the same cuts even at 4 threads; the follower must
+// match the live fold at every epoch, and the live exports are
+// returned. When seal is false the journal is abandoned without a seal
+// record, as a killed process would leave it.
 func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) [][]byte {
 	t.Helper()
 	rt, run := bareRuntime(t, app, threads)
@@ -26,34 +31,65 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := journal.NewRecorder(rt.Graph(), jw, 1)
-	var exports [][]byte
-	rec.OnEpoch = func(a *core.Analysis, _ *core.EpochDelta) {
+	var followed, live [][]byte
+	f := epoch.NewFollower(rt.Graph().Threads(), nil, func(a *core.Analysis, d *core.EpochDelta) {
+		// The follower's goroutine: report and return, never Fatal.
 		var buf bytes.Buffer
 		if err := a.ExportJSON(&buf); err != nil {
-			t.Errorf("epoch export: %v", err)
+			t.Errorf("followed epoch %d export: %v", d.Epoch, err)
 			return
 		}
-		exports = append(exports, buf.Bytes())
-	}
-	rt.RegisterCommitHook(rec.CommitHook())
+		followed = append(followed, buf.Bytes())
+	})
+	drv := epoch.NewDriver(rt.Graph(), epoch.Options{}, jw, liveFold{&live}, f)
+	rt.RegisterCommitHook(drv.CommitHook())
 	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	if seal {
-		if err := rec.Close(); err != nil {
+		if err := drv.Close(); err != nil {
 			t.Fatal(err)
 		}
-	} else if err := jw.Close(); err != nil {
-		t.Fatal(err)
+	} else {
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The driver is never closed, as in a killed process; drain the
+		// follower by hand.
+		if err := f.Finish(drv.Epoch()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return exports
+	if len(followed) != len(live) {
+		t.Fatalf("followed %d epochs, the live analyzer folded %d", len(followed), len(live))
+	}
+	for i := range live {
+		if !bytes.Equal(followed[i], live[i]) {
+			t.Fatalf("epoch %d: the follower's replay differs from the live fold", i+1)
+		}
+	}
+	return live
 }
+
+// liveFold is an epoch.Sink that asks for every epoch's analysis and
+// keeps its export.
+type liveFold struct{ exports *[][]byte }
+
+func (s liveFold) Emit(e epoch.Epoch) error {
+	var buf bytes.Buffer
+	if err := e.Analysis().ExportJSON(&buf); err != nil {
+		return err
+	}
+	*s.exports = append(*s.exports, buf.Bytes())
+	return nil
+}
+
+func (liveFold) Finish(uint64) error { return nil }
 
 // TestJournalReplayMatchesInProcessFold is the per-epoch property at
 // the workload level: for real multithreaded recordings, recovery
-// stopped at any epoch equals the fold the run itself produced at that
-// epoch. (That the full recovery equals the runtime's final graph is
+// stopped at any epoch equals the live analyzer's fold of that epoch
+// (and journaledRun holds the follower's epochs to the same). (That the full recovery equals the runtime's final graph is
 // checked for every corpus configuration by the fabric sweep.)
 func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 	for _, threads := range []int{1, 4} {

@@ -39,6 +39,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -192,6 +193,13 @@ type Options struct {
 func segName(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("journal-%06d.isj", seq))
 }
+
+// errSealed and errClosed latch a finished writer, so an Append or Seal
+// after Seal or Close fails instead of touching a closed file.
+var (
+	errSealed = errors.New("journal: writer sealed")
+	errClosed = errors.New("journal: writer closed")
+)
 
 // Writer appends epoch deltas to a journal. Methods are not
 // goroutine-safe; the Recorder serializes access. The first write or
@@ -377,24 +385,30 @@ func (w *Writer) Seal(finalEpoch uint64) error {
 		w.err = fmt.Errorf("journal: segment %d close: %w", w.seg, err)
 		return w.err
 	}
-	w.f = nil
+	w.f, w.err = nil, errSealed
 	return nil
 }
 
 // Close closes the journal without sealing it (the error path: the
 // journal reads as cut short, which is the truth). Best-effort sync
 // first; a latched error is returned but does not block the close.
+// Closing a sealed or closed writer returns nil.
 func (w *Writer) Close() error {
-	if w.f == nil {
-		return w.err
+	if w.f != nil {
+		if w.err == nil && w.opts.Fsync != PolicyNone {
+			w.sync()
+		}
+		if err := w.f.Close(); err != nil && w.err == nil {
+			w.err = fmt.Errorf("journal: segment %d close: %w", w.seg, err)
+		}
+		w.f = nil
+		if w.err == nil {
+			w.err = errClosed
+		}
 	}
-	if w.err == nil && w.opts.Fsync != PolicyNone {
-		w.sync()
+	if w.err == errSealed || w.err == errClosed {
+		return nil
 	}
-	if err := w.f.Close(); err != nil && w.err == nil {
-		w.err = fmt.Errorf("journal: segment %d close: %w", w.seg, err)
-	}
-	w.f = nil
 	return w.err
 }
 

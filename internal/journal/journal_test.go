@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/wire"
@@ -87,9 +88,67 @@ func dumpJSON(t testing.TB, g *core.Graph) []byte {
 	return buf.Bytes()
 }
 
-// writeJournal records `steps` random steps with a fold every `foldEvery`
-// seals, seals the journal, and returns the original graph plus the
-// per-epoch in-process exports.
+// liveFold is an epoch.Sink that asks for every epoch's analysis on the
+// sealing thread and keeps its export: the live analyzer's own fold,
+// which the journal recorder's follower and recovery are both held to.
+type liveFold struct {
+	t       testing.TB
+	exports *[][]byte
+}
+
+func (s liveFold) Emit(e epoch.Epoch) error {
+	*s.exports = append(*s.exports, exportBytes(s.t, e.Analysis()))
+	return nil
+}
+
+func (liveFold) Finish(uint64) error { return nil }
+
+// followExports is an OnEpoch keeping each followed epoch's export. It
+// runs on the follower's goroutine, so it reports with Errorf, never
+// Fatalf.
+func followExports(t testing.TB, dst *[][]byte) func(*core.Analysis, *core.EpochDelta) {
+	return func(a *core.Analysis, d *core.EpochDelta) {
+		var buf bytes.Buffer
+		if err := a.ExportJSON(&buf); err != nil {
+			t.Errorf("followed epoch %d export: %v", d.Epoch, err)
+			return
+		}
+		*dst = append(*dst, buf.Bytes())
+	}
+}
+
+// tracedRecorder attaches a journal recorder whose OnEpoch keeps the
+// followed exports, plus a bare driver with a liveFold sink over the
+// same graph, and returns the commit hook that seals both. Both cut at
+// every seal, so their epoch k is the same cut.
+func tracedRecorder(t testing.TB, g *core.Graph, w *journal.Writer, followed, live *[][]byte) (*journal.Recorder, *epoch.Driver, func()) {
+	rec := journal.NewRecorder(g, w, 1)
+	rec.OnEpoch = followExports(t, followed)
+	drv := epoch.NewDriver(g, epoch.Options{}, liveFold{t, live})
+	recHook, liveHook := rec.CommitHook(), drv.CommitHook()
+	return rec, drv, func() {
+		recHook(core.SubID{})
+		liveHook(core.SubID{})
+	}
+}
+
+// sameAsLive fails unless every followed epoch is the live fold of that
+// epoch byte for byte.
+func sameAsLive(t testing.TB, followed, live [][]byte) {
+	t.Helper()
+	if len(followed) > len(live) {
+		t.Fatalf("followed %d epochs, the live analyzer folded %d", len(followed), len(live))
+	}
+	for i := range followed {
+		if !bytes.Equal(followed[i], live[i]) {
+			t.Fatalf("epoch %d: the recorder's follower differs from the live fold", i+1)
+		}
+	}
+}
+
+// writeJournal records `steps` random steps with an epoch per seal,
+// seals the journal, and returns the original graph plus the per-epoch
+// exports of the live fold (which the recorder's OnEpoch matched).
 func writeJournal(t testing.TB, dir string, threads, steps int, seed int64, opts journal.Options) (*core.Graph, [][]byte) {
 	t.Helper()
 	opts.Dir = dir
@@ -99,24 +158,27 @@ func writeJournal(t testing.TB, dir string, threads, steps int, seed int64, opts
 		t.Fatalf("Create: %v", err)
 	}
 	lr := newLiveRecording(t, threads, seed)
-	rec := journal.NewRecorder(lr.g, w, 1)
-	var exports [][]byte
-	rec.OnEpoch = func(a *core.Analysis, _ *core.EpochDelta) {
-		exports = append(exports, exportBytes(t, a))
-	}
-	hook := rec.CommitHook()
+	var followed, live [][]byte
+	rec, drv, seal := tracedRecorder(t, lr.g, w, &followed, &live)
 	for s := 0; s < steps; s++ {
 		lr.step(t)
-		hook(core.SubID{})
+		seal()
 	}
 	lr.finish(t)
 	for range lr.recs {
-		hook(core.SubID{})
+		seal()
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatalf("recorder close: %v", err)
 	}
-	return lr.g, exports
+	if err := drv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(followed) != len(live) {
+		t.Fatalf("followed %d epochs, the live analyzer folded %d", len(followed), len(live))
+	}
+	sameAsLive(t, followed, live)
+	return lr.g, live
 }
 
 // segmentBytesFor returns a roll threshold that splits the journal
@@ -572,8 +634,8 @@ func injectedOpts(in *faultinject.Injector) journal.Options {
 }
 
 // recordWithFaults records steps through a faulty journal file and
-// returns the recorder's latched error plus the per-epoch exports that
-// succeeded before it.
+// returns the recorder's latched error plus the live fold's exports of
+// the epochs journaled before it.
 func recordWithFaults(t testing.TB, dir string, steps int, in *faultinject.Injector) (error, [][]byte) {
 	t.Helper()
 	opts := injectedOpts(in)
@@ -583,19 +645,22 @@ func recordWithFaults(t testing.TB, dir string, steps int, in *faultinject.Injec
 		t.Fatalf("Create: %v", err)
 	}
 	lr := newLiveRecording(t, 1, 11)
-	rec := journal.NewRecorder(lr.g, w, 1)
-	var exports [][]byte
-	rec.OnEpoch = func(a *core.Analysis, _ *core.EpochDelta) {
-		exports = append(exports, exportBytes(t, a))
-	}
-	hook := rec.CommitHook()
+	var followed, live [][]byte
+	rec, drv, seal := tracedRecorder(t, lr.g, w, &followed, &live)
 	for s := 0; s < steps; s++ {
 		lr.step(t)
-		hook(core.SubID{})
+		seal()
 	}
 	lr.finish(t)
-	hook(core.SubID{})
-	return rec.Close(), exports
+	seal()
+	closeErr := rec.Close()
+	if err := drv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The follower stops with the writer: it saw exactly the clean
+	// appends, each the live fold of its epoch.
+	sameAsLive(t, followed, live)
+	return closeErr, live[:len(followed)]
 }
 
 func TestInjectedTornRecord(t *testing.T) {
@@ -735,5 +800,51 @@ func TestWriterErrorLatches(t *testing.T) {
 	}
 	if err := w.Close(); err != first {
 		t.Fatalf("Close = %v, want latched %v", err, first)
+	}
+}
+
+// TestWriterRefusesUseAfterSealOrClose: a finished writer fails every
+// later Append or Seal with an error instead of writing to a closed file
+// (an Append after Seal used to dereference a nil File), and the journal
+// on disk is left as the first Seal or Close made it.
+func TestWriterRefusesUseAfterSealOrClose(t *testing.T) {
+	delta := func(w *journal.Writer) error { return w.Append(&core.EpochDelta{Epoch: 1, Lens: []int{0}}) }
+	for _, c := range []struct {
+		name   string
+		finish func(w *journal.Writer) error
+		then   func(w *journal.Writer) error
+		want   string
+		sealed bool
+	}{
+		{"append after seal", func(w *journal.Writer) error { return w.Seal(0) }, delta, "journal: writer sealed", true},
+		{"seal twice", func(w *journal.Writer) error { return w.Seal(0) }, func(w *journal.Writer) error { return w.Seal(0) }, "journal: writer sealed", true},
+		{"append after close", func(w *journal.Writer) error { return w.Close() }, delta, "journal: writer closed", false},
+		{"seal after close", func(w *journal.Writer) error { return w.Close() }, func(w *journal.Writer) error { return w.Seal(0) }, "journal: writer closed", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := journal.Create(journal.Options{Dir: dir, Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.finish(w); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := c.then(w); err == nil || err.Error() != c.want {
+					t.Fatalf("call %d on a finished writer = %v, want %q", i+1, err, c.want)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("Close of a finished writer = %v, want nil", err)
+			}
+			rep, err := journal.Recover(dir, journal.RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Sealed != c.sealed || rep.Records != 0 || rep.Torn != nil {
+				t.Fatalf("journal after misuse: sealed=%v records=%d torn=%v, want sealed=%v and untouched", rep.Sealed, rep.Records, rep.Torn, c.sealed)
+			}
+		})
 	}
 }

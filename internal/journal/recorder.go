@@ -28,39 +28,52 @@ func (w *Writer) Finish(final uint64) error {
 }
 
 // Recorder is the stand-alone journaling pipeline: an epoch.Driver
-// (CommitHook, Epoch, Close) whose only sink is its Writer plus the
-// OnEpoch observer.
+// (CommitHook, Epoch, Close) whose sinks are its Writer and, when
+// OnEpoch is set, an epoch.Follower calling it.
 type Recorder struct {
 	// OnEpoch, when set before recording starts, observes every
-	// journaled epoch (tests use it to capture the in-process analyses
-	// the recovery property compares against). Setting it makes the
-	// recorder fold every epoch, on the sealing thread with the driver's
-	// lock held; unset, the recorder only cuts.
+	// journaled epoch with its analysis (tests and the benchmark use it
+	// to capture the analyses the recovery property compares against).
+	// It runs on the follower's goroutine — never the sealing thread,
+	// never the caller's — once per epoch in epoch order, and Close
+	// returns only after its last call. An epoch the writer failed to
+	// journal is not observed. Unset, the recorder only cuts.
 	OnEpoch func(*core.Analysis, *core.EpochDelta)
 
 	*epoch.Driver
-	w *Writer
+	w       *Writer
+	threads int
+	f       *epoch.Follower
 }
 
 // NewRecorder prepares a recorder cutting g into w every `every` seals
 // (minimum 1: every seal journals an epoch).
 func NewRecorder(g *core.Graph, w *Writer, every int) *Recorder {
-	r := &Recorder{w: w}
-	r.Driver = epoch.NewDriver(g, epoch.Options{Every: uint64(max(every, 1))}, r)
+	r := &Recorder{w: w, threads: g.Threads()}
+	r.Driver = epoch.NewDriver(g, epoch.Options{Every: uint64(max(every, 1))}, w, follow{r})
 	return r
 }
 
-// Emit appends the epoch and, when OnEpoch is set, reports it with its
-// analysis (epoch.Sink).
-func (r *Recorder) Emit(e epoch.Epoch) error {
-	if err := r.w.Append(e.Delta); err != nil {
-		return err
+// follow is the Recorder's second sink: it hands each epoch the writer
+// journaled to a Follower built at the first epoch, when OnEpoch is
+// set. Once the writer has latched it follows no further, so OnEpoch
+// sees exactly the journaled prefix.
+type follow struct{ r *Recorder }
+
+func (s follow) Emit(e epoch.Epoch) error {
+	r := s.r
+	if r.OnEpoch == nil || r.w.err != nil {
+		return nil
 	}
-	if r.OnEpoch != nil {
-		r.OnEpoch(e.Analysis(), e.Delta)
+	if r.f == nil {
+		r.f = epoch.NewFollower(r.threads, nil, r.OnEpoch)
 	}
-	return nil
+	return r.f.Emit(e)
 }
 
-// Finish is the Writer's (epoch.Sink).
-func (r *Recorder) Finish(final uint64) error { return r.w.Finish(final) }
+func (s follow) Finish(final uint64) error {
+	if s.r.f == nil {
+		return nil
+	}
+	return s.r.f.Finish(final)
+}
