@@ -14,7 +14,13 @@
 //
 //	inspector-recover -journal DIR [-epoch N] [-truncate]
 //	                  [-cpg out.cpg] [-json out.json] [-dot out.dot]
-//	                  [-analysis out.json] [-q]
+//	                  [-q | -summary-json] [-stream URL [-stream-id NAME]]
+//
+// -cpg is the recovery artifact: the recovered graph at its epoch, the
+// file cpg-query -cpg and inspector-serve -cpg read. Its header names
+// the journal's run id and app; re-encoded without them, it is byte for
+// byte what an aggregator serves at GET /v1/cpgs/{id}/export for the
+// same epoch. -json and -dot are renders nothing reads back.
 //
 // -epoch stops the replay at epoch N (a time-travel debugging aid; the
 // result is not marked degraded — the cut was asked for). -truncate
@@ -61,7 +67,6 @@ func run(args []string, out io.Writer) error {
 	cpgOut := fs.String("cpg", "", "write the recovered CPG in the columnar .cpg format (for cpg-query and inspector-serve) to this file")
 	jsonOut := fs.String("json", "", "write the recovered CPG (JSON) to this file")
 	dotOut := fs.String("dot", "", "write the recovered CPG (Graphviz DOT) to this file")
-	analysisOut := fs.String("analysis", "", "write the recovered analysis (JSON: thread lens + edges) to this file")
 	quiet := fs.Bool("q", false, "suppress the recovery summary")
 	sumJSON := fs.Bool("summary-json", false, "print the recovery summary as one JSON object instead of human lines")
 	streamURL := fs.String("stream", "", "re-feed the recovered epochs to a provenance aggregator (inspector-serve -ingest) at this base URL")
@@ -141,11 +146,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *dotOut != "" {
 		if err := write(out, *dotOut, "DOT", *quiet, rep.Graph.WriteDOT); err != nil {
-			return err
-		}
-	}
-	if *analysisOut != "" {
-		if err := write(out, *analysisOut, "analysis", *quiet, rep.Analysis.ExportJSON); err != nil {
 			return err
 		}
 	}

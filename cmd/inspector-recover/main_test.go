@@ -12,18 +12,20 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
 )
 
 // record journals a small deterministic two-thread recording, leaves
 // the journal sealed (sealed=true) or abandoned mid-run (sealed=false),
-// and returns the per-epoch exports of the live analyzer's own fold: a
+// and returns the per-epoch analyses of the live analyzer's own fold: a
 // bare epoch.Driver over the same graph whose sink asks for every
 // epoch's analysis. The recording is sequential, so both drivers cut
 // the same prefix at every seal; the recorder's OnEpoch (its follower's
-// replay) must match the live fold at every journaled epoch.
-func record(t *testing.T, dir string, steps int, sealed bool) [][]byte {
+// replay) must match the live fold's .cpg bytes at every journaled
+// epoch.
+func record(t *testing.T, dir string, steps int, sealed bool) []*core.Analysis {
 	t.Helper()
 	w, err := journal.Create(journal.Options{Dir: dir, Threads: 2, App: "recover-test"})
 	if err != nil {
@@ -40,12 +42,13 @@ func record(t *testing.T, dir string, steps int, sealed bool) [][]byte {
 	}
 	lock := g.NewSyncObject("m", false)
 	jr := journal.NewRecorder(g, w, 1)
-	var followed, live [][]byte
+	var followed [][]byte
+	var live []*core.Analysis
 	jr.OnEpoch = func(a *core.Analysis, d *core.EpochDelta) {
 		// The follower's goroutine: report and return, never Fatal.
 		var buf bytes.Buffer
-		if err := a.ExportJSON(&buf); err != nil {
-			t.Errorf("followed epoch %d export: %v", d.Epoch, err)
+		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
+			t.Errorf("followed epoch %d encode: %v", d.Epoch, err)
 			return
 		}
 		followed = append(followed, buf.Bytes())
@@ -96,7 +99,7 @@ func record(t *testing.T, dir string, steps int, sealed bool) [][]byte {
 		t.Fatalf("followed %d epochs, the live analyzer folded %d", len(followed), len(live))
 	}
 	for i := range live {
-		if !bytes.Equal(followed[i], live[i]) {
+		if !bytes.Equal(followed[i], cpgtest.Bytes(t, live[i])) {
 			t.Fatalf("epoch %d: the recorder's follower differs from the live fold", i+1)
 		}
 	}
@@ -104,97 +107,81 @@ func record(t *testing.T, dir string, steps int, sealed bool) [][]byte {
 }
 
 // liveFold is an epoch.Sink that asks for every epoch's analysis and
-// keeps its export.
-type liveFold struct{ exports *[][]byte }
+// keeps it.
+type liveFold struct{ folds *[]*core.Analysis }
 
 func (s liveFold) Emit(e epoch.Epoch) error {
-	var buf bytes.Buffer
-	if err := e.Analysis().ExportJSON(&buf); err != nil {
-		return err
-	}
-	*s.exports = append(*s.exports, buf.Bytes())
+	*s.folds = append(*s.folds, e.Analysis())
 	return nil
 }
 
 func (liveFold) Finish(uint64) error { return nil }
 
+// TestRecoverExportsMatchInProcessFold: the -cpg artifact is the run's
+// graph at the recovered epoch — byte for byte, header included, the
+// final in-process fold encoded under the journal's run identity.
 func TestRecoverExportsMatchInProcessFold(t *testing.T) {
 	jdir := t.TempDir()
-	exports := record(t, jdir, 12, true)
+	live := record(t, jdir, 12, true)
 	outDir := t.TempDir()
-	analysis := filepath.Join(outDir, "a.json")
 	cpg := filepath.Join(outDir, "g.cpg")
 	dot := filepath.Join(outDir, "g.dot")
 	jsn := filepath.Join(outDir, "g.json")
 
 	var out bytes.Buffer
-	err := run([]string{
-		"-journal", jdir, "-analysis", analysis, "-cpg", cpg, "-dot", dot, "-json", jsn,
-	}, &out)
+	err := run([]string{"-journal", jdir, "-cpg", cpg, "-dot", dot, "-json", jsn}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "sealed (clean close)") {
 		t.Errorf("summary missing seal line:\n%s", out.String())
 	}
-	got, err := os.ReadFile(analysis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, exports[len(exports)-1]) {
-		t.Fatal("-analysis export diverges from the final in-process fold")
-	}
 	for _, p := range []string{dot, jsn} {
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Errorf("artifact %s: %v", p, err)
 		}
 	}
-	// -cpg holds the recovered analysis itself, under the journal's run
-	// identity: it reloads to the final fold without re-deriving it.
 	rep, err := journal.Recover(jdir, journal.RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, hdr, err := cpgfile.Load(cpg)
+	got, err := os.ReadFile(cpg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.RunID != rep.Header.RunID || hdr.App != rep.Header.App || hdr.Epoch != rep.Epoch {
-		t.Errorf("-cpg header = %+v, journal header %+v at epoch %d", hdr, rep.Header, rep.Epoch)
-	}
-	var reloaded bytes.Buffer
-	if err := loaded.ExportJSON(&reloaded); err != nil {
+	var want bytes.Buffer
+	final := live[len(live)-1]
+	if err := cpgfile.Encode(&want, final, cpgfile.Meta{RunID: rep.Header.RunID, App: rep.Header.App}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(reloaded.Bytes(), exports[len(exports)-1]) {
-		t.Fatal("-cpg reloads to something other than the final in-process fold")
+	if rep.Epoch != final.Epoch() || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("-cpg at epoch %d diverges from the final in-process fold (epoch %d) under run %q",
+			rep.Epoch, final.Epoch(), rep.Header.RunID)
 	}
 
-	err = run([]string{"-journal", jdir, "-q", "-cpgfile", filepath.Join(outDir, "h.cpg")}, &out)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("-cpgfile: err = %v, want it rejected as an unknown flag", err)
+	for _, gone := range []string{"-cpgfile", "-analysis"} {
+		path := filepath.Join(outDir, "gone")
+		err = run([]string{"-journal", jdir, "-q", gone, path}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+gone) {
+			t.Errorf("%s: err = %v, want it rejected as an unknown flag", gone, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: a rejected flag still wrote %s (%v)", gone, path, err)
+		}
 	}
 }
 
 func TestRecoverEpochPrefixMatchesEveryFold(t *testing.T) {
 	jdir := t.TempDir()
-	exports := record(t, jdir, 10, true)
-	outDir := t.TempDir()
-	for e := 1; e <= len(exports); e++ {
-		analysis := filepath.Join(outDir, "a.json")
+	live := record(t, jdir, 10, true)
+	cpg := filepath.Join(t.TempDir(), "g.cpg")
+	for e := 1; e <= len(live); e++ {
 		var out bytes.Buffer
-		err := run([]string{
-			"-journal", jdir, "-epoch", strconv.Itoa(e), "-q", "-analysis", analysis,
-		}, &out)
-		if err != nil {
+		if err := run([]string{"-journal", jdir, "-epoch", strconv.Itoa(e), "-q", "-cpg", cpg}, &out); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
-		got, err := os.ReadFile(analysis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, exports[e-1]) {
-			t.Fatalf("epoch %d export diverges from the in-process fold", e)
+		if !bytes.Equal(cpgtest.File(t, cpg), cpgtest.Bytes(t, live[e-1])) {
+			t.Fatalf("epoch %d -cpg diverges from the in-process fold", e)
 		}
 	}
 }

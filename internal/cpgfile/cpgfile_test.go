@@ -29,12 +29,12 @@ func buildAnalysis(t *testing.T, seed int64, degraded bool) *core.Analysis {
 	return g.Analyze()
 }
 
-// exportJSON renders the canonical analysis document.
-func exportJSON(t *testing.T, a *core.Analysis) []byte {
+// encoded is the analysis's identity: its encoding under an empty Meta.
+func encoded(t *testing.T, a *core.Analysis) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := a.ExportJSON(&buf); err != nil {
-		t.Fatalf("ExportJSON: %v", err)
+	if err := Encode(&buf, a, Meta{}); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -65,8 +65,8 @@ func TestRoundTripLoad(t *testing.T) {
 		if hdr.Threads != 4 || hdr.Epoch != a.Epoch() || hdr.Degraded != degraded {
 			t.Fatalf("header = %+v", hdr)
 		}
-		if want, have := exportJSON(t, a), exportJSON(t, got); !bytes.Equal(want, have) {
-			t.Fatalf("degraded=%v: loaded analysis exports different document", degraded)
+		if want, have := encoded(t, a), encoded(t, got); !bytes.Equal(want, have) {
+			t.Fatalf("degraded=%v: loaded analysis encodes differently", degraded)
 		}
 		if got.Degraded() != degraded {
 			t.Fatalf("loaded Degraded = %v, want %v", got.Degraded(), degraded)
@@ -112,9 +112,9 @@ func TestMappedLazyAndDrop(t *testing.T) {
 	if got2, n2, _ := m.Analysis(); got2 != got || n2 != n {
 		t.Fatal("second Analysis call did not return the cached value")
 	}
-	want := exportJSON(t, a)
-	if !bytes.Equal(want, exportJSON(t, got)) {
-		t.Fatal("mapped analysis exports different document")
+	want := encoded(t, a)
+	if !bytes.Equal(want, encoded(t, got)) {
+		t.Fatal("mapped analysis encodes differently")
 	}
 	// Stats section must agree with the engine-visible counts.
 	if st.SubComputations != got.NumVertices() {
@@ -133,24 +133,24 @@ func TestMappedLazyAndDrop(t *testing.T) {
 	if got3 == got {
 		t.Fatal("Drop did not discard the cached analysis")
 	}
-	if !bytes.Equal(want, exportJSON(t, got3)) {
-		t.Fatal("re-materialized analysis exports different document")
+	if !bytes.Equal(want, encoded(t, got3)) {
+		t.Fatal("re-materialized analysis encodes differently")
 	}
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !bytes.Equal(want, exportJSON(t, got)) {
+	if !bytes.Equal(want, encoded(t, got)) {
 		t.Fatal("analysis invalidated by Close")
 	}
 }
 
 // TestMappedConcurrentReaders shares one Mapped across goroutines that
-// materialize, export, and drop concurrently (meaningful under -race).
+// materialize, encode, and drop concurrently (meaningful under -race).
 // Every reader must see a complete, correct analysis no matter how Drop
 // interleaves with Analysis.
 func TestMappedConcurrentReaders(t *testing.T) {
 	a := buildAnalysis(t, 5, true)
-	want := exportJSON(t, a)
+	want := encoded(t, a)
 	path := writeTemp(t, a, Meta{RunID: "r"})
 	m, err := Open(path)
 	if err != nil {
@@ -175,12 +175,12 @@ func TestMappedConcurrentReaders(t *testing.T) {
 					return
 				}
 				var buf bytes.Buffer
-				if err := got.ExportJSON(&buf); err != nil {
+				if err := Encode(&buf, got, Meta{}); err != nil {
 					errc <- err
 					return
 				}
 				if !bytes.Equal(want, buf.Bytes()) {
-					errc <- fmt.Errorf("worker %d iter %d: export drifted", w, i)
+					errc <- fmt.Errorf("worker %d iter %d: encoding drifted", w, i)
 					return
 				}
 				if i%3 == w%3 {

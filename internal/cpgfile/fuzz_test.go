@@ -93,8 +93,8 @@ func FuzzCPGFileSections(f *testing.F) {
 			// A file that decodes must also serve the lazy path with
 			// identical content.
 			var want bytes.Buffer
-			if err := a.ExportJSON(&want); err != nil {
-				t.Fatalf("ExportJSON on loaded analysis: %v", err)
+			if err := Encode(&want, a, Meta{}); err != nil {
+				t.Fatalf("Encode of loaded analysis: %v", err)
 			}
 			m, err := Open(path)
 			if err != nil {
@@ -109,8 +109,8 @@ func FuzzCPGFileSections(f *testing.F) {
 				t.Fatalf("Mapped analysis after successful Load: %v", err)
 			}
 			var got bytes.Buffer
-			if err := ma.ExportJSON(&got); err != nil {
-				t.Fatalf("ExportJSON on mapped analysis: %v", err)
+			if err := Encode(&got, ma, Meta{}); err != nil {
+				t.Fatalf("Encode of mapped analysis: %v", err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
 				t.Fatal("Load and Mapped disagree on the same file")

@@ -11,20 +11,21 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
 )
 
-// askSink exports every epoch's analysis as the driver's own fold: the
-// asking form every follower epoch is held to.
-type askSink struct{ exports *[][]byte }
+// askSink keeps the .cpg bytes of every epoch's analysis as the
+// driver's own fold: the asking form every follower epoch is held to.
+type askSink struct{ cpgs *[][]byte }
 
 func (s askSink) Emit(e epoch.Epoch) error {
 	var buf bytes.Buffer
-	if err := e.Analysis().ExportJSON(&buf); err != nil {
+	if err := cpgfile.Encode(&buf, e.Analysis(), cpgfile.Meta{}); err != nil {
 		return err
 	}
-	*s.exports = append(*s.exports, buf.Bytes())
+	*s.cpgs = append(*s.cpgs, buf.Bytes())
 	return nil
 }
 
@@ -48,8 +49,8 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 							t.Errorf("follower analysis epoch %d handed out with delta %d", a.Epoch(), d.Epoch)
 						}
 						var buf bytes.Buffer
-						if err := a.ExportJSON(&buf); err != nil {
-							t.Errorf("epoch %d export: %v", d.Epoch, err)
+						if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
+							t.Errorf("epoch %d encode: %v", d.Epoch, err)
 							return
 						}
 						epochs = append(epochs, d.Epoch)

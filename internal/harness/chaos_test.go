@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"os"
 	"strconv"
@@ -11,17 +8,19 @@ import (
 
 	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/threading"
 )
 
 // chaosResult captures everything the chaos invariants assert over.
 type chaosResult struct {
-	runErr     error
-	jsonExport []byte
-	summary    string
-	dropped    uint64
-	comp       core.Completeness
+	runErr  error
+	graph   *core.Graph
+	cpgSHA  string // of the recorded graph's analysis, which covers all of it
+	summary string
+	dropped uint64
+	comp    core.Completeness
 }
 
 // chaosRun executes one workload under a fault schedule, through the
@@ -38,15 +37,13 @@ func chaosRun(t *testing.T, app string, threads int, sched faultinject.Schedule)
 		t.Fatal(err)
 	}
 	rt := rec.Unwrap()
-	res := chaosResult{runErr: w.Run(rt, cfg)}
-	var buf bytes.Buffer
-	if err := rt.Graph().EncodeJSON(&buf); err != nil {
-		t.Fatalf("degraded graph failed to export: %v", err)
-	}
-	res.jsonExport = buf.Bytes()
+	res := chaosResult{runErr: w.Run(rt, cfg), graph: rt.Graph()}
+	a := res.graph.Analyze()
+	coversGraph(t, "chaos run", a, res.graph)
+	res.cpgSHA = cpgtest.SHA(t, a)
 	res.summary = in.Summary()
 	res.dropped = in.DroppedBytes()
-	res.comp = rt.Graph().Completeness()
+	res.comp = res.graph.Completeness()
 	return res
 }
 
@@ -71,7 +68,7 @@ func chaosSchedules() int {
 //  2. the graph's completeness accounting matches the injected loss
 //     byte-for-byte;
 //  3. the same schedule reproduces the same faults, the same summary,
-//     and a byte-identical CPG export.
+//     and a byte-identical CPG (its .cpg bytes).
 func TestChaosRandomizedSchedules(t *testing.T) {
 	n := chaosSchedules()
 	for seed := 0; seed < n; seed++ {
@@ -95,8 +92,8 @@ func TestChaosRandomizedSchedules(t *testing.T) {
 		if again.summary != res.summary {
 			t.Errorf("seed %d: fault sequence not reproducible: %q vs %q", seed, again.summary, res.summary)
 		}
-		if !bytes.Equal(again.jsonExport, res.jsonExport) {
-			t.Errorf("seed %d: same schedule produced different CPG exports", seed)
+		if again.cpgSHA != res.cpgSHA {
+			t.Errorf("seed %d: same schedule produced different CPGs", seed)
 		}
 	}
 }
@@ -114,8 +111,7 @@ func TestChaosLosslessIsByteIdenticalToSeed(t *testing.T) {
 		t.Fatalf("empty schedule still faulted: %+v %q", empty.comp, empty.summary)
 	}
 
-	sum := sha256.Sum256(empty.jsonExport)
-	if hex.EncodeToString(sum[:]) != corpus.get(t, "histogram", 1).jsonSHA {
+	if renderSHA(t, empty.graph.EncodeJSON) != corpus.get(t, "histogram", 1).jsonSHA {
 		t.Error("wrapped-but-lossless run differs from the corpus's recording")
 	}
 }

@@ -27,6 +27,7 @@ import (
 
 	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/threading"
 	"github.com/repro/inspector/internal/wire"
 	"github.com/repro/inspector/internal/workloads"
@@ -42,12 +43,16 @@ type recording struct {
 	hello    wire.Hello
 	analysis *core.Analysis // batch analysis of the recorded graph
 	// jsonSHA and dotSHA are the SHA-256 of the graph's two renders (the
-	// JSON one runs to 50 MB; 24 of them are not kept).
+	// JSON one runs to 50 MB; 24 of them are not kept). They are what
+	// pins the recording against the seed, once per configuration.
 	jsonSHA, dotSHA string
 	epoch           uint64 // epochs the run folded
-	fold            []byte // analysis document of the run's own last fold
-	journal         string // sealed journal directory, one record per epoch
-	cpg             string // the run's own .cpg file
+	// foldSHA is the SHA-256 of the .cpg (cpgtest.Bytes) of the run's
+	// own last fold, which covers the whole recorded graph: every link
+	// to the recording compares against it.
+	foldSHA string
+	journal string // sealed journal directory, one record per epoch
+	cpg     string // the run's own .cpg file
 }
 
 // recordedCorpus memoises recordings per process.
@@ -163,7 +168,9 @@ func record(t *testing.T, aggURL, app string, threads int) *recording {
 	}
 	r.analysis, r.epoch = rec.Analysis(), rec.Epoch()
 	r.hello = wire.Hello{RunID: id, App: app, Threads: rec.CPG().Threads()}
-	r.fold = exportAnalysisJSON(t, rec.Source().Engine().Analysis())
+	fold := rec.Source().Engine().Analysis()
+	coversGraph(t, id+" fold", fold, rec.CPG())
+	r.foldSHA = cpgtest.SHA(t, fold)
 	r.jsonSHA, r.dotSHA = renderSHA(t, rec.CPG().EncodeJSON), renderSHA(t, rec.CPG().WriteDOT)
 	f, err := os.Create(r.cpg)
 	if err != nil {
@@ -173,6 +180,16 @@ func record(t *testing.T, aggURL, app string, threads int) *recording {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// coversGraph fails unless a is all of g — every vertex and every
+// sync-log entry — so a's .cpg stands for everything g's renders show.
+func coversGraph(t *testing.T, what string, a *core.Analysis, g *core.Graph) {
+	t.Helper()
+	if n, syncs := g.NumSubs(), len(g.SyncEdges()); a.NumVertices() != n || a.Stats().SyncEdges != syncs {
+		t.Fatalf("%s: analysis covers %d vertices and %d sync edges of the graph's %d and %d",
+			what, a.NumVertices(), a.Stats().SyncEdges, n, syncs)
+	}
 }
 
 // renderSHA is the SHA-256 of what render writes.

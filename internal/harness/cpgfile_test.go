@@ -2,8 +2,8 @@ package harness
 
 // Round-trip property tests for the on-disk columnar CPG format: for
 // every workload the file must describe the graph the run recorded —
-// Analyze -> cpgfile.Write -> {Load, Mapped} must export an analysis
-// document byte-identical to the in-memory analysis's. The
+// Analyze -> cpgfile.Write -> {Load, Mapped} must re-encode to the
+// in-memory analysis's .cpg bytes. The
 // chaos round proves the serving path's -lenient contract against files
 // damaged through the faultinject cpgfile points.
 
@@ -18,26 +18,17 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
 
-// exportAnalysisJSON renders the canonical analysis document.
-func exportAnalysisJSON(t *testing.T, a *core.Analysis) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := a.ExportJSON(&buf); err != nil {
-		t.Fatalf("ExportJSON: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // roundTripCPGFile writes the analysis as a columnar file and asserts
-// both read paths reproduce the reference document byte for byte.
+// both read paths reproduce it: re-encoded, the bytes of the source.
 func roundTripCPGFile(t *testing.T, a *core.Analysis, label string) {
 	t.Helper()
-	want := exportAnalysisJSON(t, a)
+	want := cpgtest.Bytes(t, a)
 	path := filepath.Join(t.TempDir(), "run.cpg")
 	if err := cpgfile.Write(path, a, cpgfile.Meta{RunID: label}); err != nil {
 		t.Fatalf("%s: Write: %v", label, err)
@@ -50,8 +41,8 @@ func roundTripCPGFile(t *testing.T, a *core.Analysis, label string) {
 	if hdr.RunID != label || hdr.Degraded != a.Degraded() {
 		t.Fatalf("%s: header = %+v", label, hdr)
 	}
-	if got := exportAnalysisJSON(t, loaded); !bytes.Equal(want, got) {
-		t.Fatalf("%s: Load export differs from source analysis", label)
+	if got := cpgtest.Bytes(t, loaded); !bytes.Equal(want, got) {
+		t.Fatalf("%s: Load differs from source analysis", label)
 	}
 
 	m, err := cpgfile.Open(path)
@@ -63,8 +54,8 @@ func roundTripCPGFile(t *testing.T, a *core.Analysis, label string) {
 	if err != nil {
 		t.Fatalf("%s: Mapped analysis: %v", label, err)
 	}
-	if got := exportAnalysisJSON(t, mapped); !bytes.Equal(want, got) {
-		t.Fatalf("%s: Mapped export differs from source analysis", label)
+	if got := cpgtest.Bytes(t, mapped); !bytes.Equal(want, got) {
+		t.Fatalf("%s: Mapped differs from source analysis", label)
 	}
 }
 
@@ -181,13 +172,9 @@ func TestChaosCPGFileLenientSkipsCorruptFiles(t *testing.T) {
 	}
 
 	// Survivors answer byte-identically to an engine built from source.
-	want := exportAnalysisJSON(t, a)
+	want := cpgtest.Bytes(t, a)
 	for _, id := range healthy {
-		loaded, _, err := cpgfile.Load(filepath.Join(dir, id+".cpg"))
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if got := exportAnalysisJSON(t, loaded); !bytes.Equal(want, got) {
+		if got := cpgtest.File(t, filepath.Join(dir, id+".cpg")); !bytes.Equal(want, got) {
 			t.Fatalf("%s: survivor drifted from source analysis", id)
 		}
 	}

@@ -9,7 +9,8 @@ package harness
 // ways — clean, through a fault-injected network (disconnects mid-body,
 // duplicate deliveries, reordering, slow sinks), and as a kill+resume
 // (a prefix upload, then a full journal-style resend from epoch 1) —
-// with the same export demanded of all three.
+// with the same export, the .cpg bytes of the recorder's fold, demanded
+// of all three.
 
 import (
 	"bytes"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
@@ -65,7 +67,8 @@ func aggregatorExport(t *testing.T, c *provenance.Client, hello wire.Hello, rep 
 // product assembly's delivery: the aggregator inspector.New streamed to
 // holds the recorder's own fold, byte for byte, and the journal beside
 // it recovers to the uninterrupted run — sealed, not degraded, at the
-// run's epoch, the same graph. One run id must name the run everywhere
+// run's epoch, the same graph (the fold's .cpg bytes, covering every
+// vertex and sync-log entry of the recovered graph). One run id must name the run everywhere
 // it is written: journal header, wire hello (as the aggregator bound
 // it) and the .cpg header.
 func recordingMatchesItsSinks(t *testing.T, r *recording, rep *journal.Recovery) {
@@ -78,7 +81,7 @@ func recordingMatchesItsSinks(t *testing.T, r *recording, rep *journal.Recovery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, r.fold) {
+	if cpgtest.Sum(got) != r.foldSHA {
 		t.Fatal("library: aggregator export != the runtime's own fold")
 	}
 	st, found, err := c.IngestOffset(ctx, id)
@@ -90,7 +93,8 @@ func recordingMatchesItsSinks(t *testing.T, r *recording, rep *journal.Recovery)
 		t.Fatalf("library: journal sealed=%v degraded=%v at epoch %d, run folded %d",
 			rep.Sealed, rep.Degraded(), rep.Epoch, r.epoch)
 	}
-	if renderSHA(t, rep.Graph.EncodeJSON) != r.jsonSHA {
+	coversGraph(t, "library: full recovery", rep.Analysis, rep.Graph)
+	if cpgtest.SHA(t, rep.Analysis) != r.foldSHA {
 		t.Fatal("library: full recovery diverges from the runtime's graph")
 	}
 
@@ -123,7 +127,7 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 				// Clean delivery.
 				ts := newAggregator(t)
 				got := aggregatorExport(t, &provenance.Client{BaseURL: ts.URL}, r.hello, rep, 7)
-				if !bytes.Equal(got, r.fold) {
+				if cpgtest.Sum(got) != r.foldSHA {
 					t.Fatal("clean: aggregator export != local fold")
 				}
 
@@ -144,7 +148,7 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 					RetryBase:  time.Millisecond,
 				}
 				got = aggregatorExport(t, faulted, r.hello, rep, 3)
-				if !bytes.Equal(got, r.fold) {
+				if cpgtest.Sum(got) != r.foldSHA {
 					t.Fatalf("faulted (%s): aggregator export != local fold", in.Summary())
 				}
 
@@ -172,7 +176,7 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, r.fold) {
+				if cpgtest.Sum(got) != r.foldSHA {
 					t.Fatal("kill+resume: aggregator export != local fold")
 				}
 			})
@@ -243,7 +247,7 @@ func TestFabricKillRefeedMultiThread(t *testing.T) {
 			if err := drv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			want := exportAnalysisJSON(t, drv.Analysis())
+			want := cpgtest.Bytes(t, drv.Analysis())
 			rep, err := journal.Recover(dir, journal.RecoverOptions{KeepDeltas: true})
 			if err != nil {
 				t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
 )
@@ -19,9 +21,9 @@ import (
 // own fold (the seam inspector.Options does not have) — and an
 // epoch.Follower, the replay every-epoch consumers run. One driver, so
 // all three see the same cuts even at 4 threads; the follower must
-// match the live fold at every epoch, and the live exports are
-// returned. When seal is false the journal is abandoned without a seal
-// record, as a killed process would leave it.
+// match the live fold's .cpg bytes at every epoch, and the live fold's
+// are returned. When seal is false the journal is abandoned without a
+// seal record, as a killed process would leave it.
 func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) [][]byte {
 	t.Helper()
 	rt, run := bareRuntime(t, app, threads)
@@ -35,8 +37,8 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 	f := epoch.NewFollower(rt.Graph().Threads(), nil, func(a *core.Analysis, d *core.EpochDelta) {
 		// The follower's goroutine: report and return, never Fatal.
 		var buf bytes.Buffer
-		if err := a.ExportJSON(&buf); err != nil {
-			t.Errorf("followed epoch %d export: %v", d.Epoch, err)
+		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
+			t.Errorf("followed epoch %d encode: %v", d.Epoch, err)
 			return
 		}
 		followed = append(followed, buf.Bytes())
@@ -72,15 +74,15 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 }
 
 // liveFold is an epoch.Sink that asks for every epoch's analysis and
-// keeps its export.
-type liveFold struct{ exports *[][]byte }
+// keeps its .cpg bytes.
+type liveFold struct{ cpgs *[][]byte }
 
 func (s liveFold) Emit(e epoch.Epoch) error {
 	var buf bytes.Buffer
-	if err := e.Analysis().ExportJSON(&buf); err != nil {
+	if err := cpgfile.Encode(&buf, e.Analysis(), cpgfile.Meta{}); err != nil {
 		return err
 	}
-	*s.exports = append(*s.exports, buf.Bytes())
+	*s.cpgs = append(*s.cpgs, buf.Bytes())
 	return nil
 }
 
@@ -95,7 +97,7 @@ func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			dir := t.TempDir()
-			exports := journaledRun(t, "histogram", threads, dir, true)
+			folds := journaledRun(t, "histogram", threads, dir, true)
 
 			rep, err := journal.Recover(dir, journal.RecoverOptions{})
 			if err != nil {
@@ -104,23 +106,19 @@ func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 			if !rep.Sealed || rep.Degraded() {
 				t.Fatalf("clean run journal: sealed=%v degraded=%v", rep.Sealed, rep.Degraded())
 			}
-			if rep.Epoch != uint64(len(exports)) {
-				t.Fatalf("recovered %d epochs, journaled %d", rep.Epoch, len(exports))
+			if rep.Epoch != uint64(len(folds)) {
+				t.Fatalf("recovered %d epochs, journaled %d", rep.Epoch, len(folds))
 			}
 
 			// Random prefixes: replay-at-epoch == the run's own fold.
 			r := rand.New(rand.NewSource(int64(threads)))
 			for i := 0; i < 8; i++ {
-				e := 1 + r.Intn(len(exports))
+				e := 1 + r.Intn(len(folds))
 				at, err := journal.Recover(dir, journal.RecoverOptions{MaxEpoch: uint64(e)})
 				if err != nil {
 					t.Fatalf("epoch %d: %v", e, err)
 				}
-				var buf bytes.Buffer
-				if err := at.Analysis.ExportJSON(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), exports[e-1]) {
+				if !bytes.Equal(cpgtest.Bytes(t, at.Analysis), folds[e-1]) {
 					t.Fatalf("threads=%d epoch %d: replay diverges from in-process fold", threads, e)
 				}
 			}
@@ -134,7 +132,7 @@ func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 // impersonating a complete run.
 func TestJournalUnsealedRunRecoversDegraded(t *testing.T) {
 	dir := t.TempDir()
-	exports := journaledRun(t, "histogram", 2, dir, false)
+	folds := journaledRun(t, "histogram", 2, dir, false)
 
 	rep, err := journal.Recover(dir, journal.RecoverOptions{})
 	if err != nil {
@@ -146,8 +144,8 @@ func TestJournalUnsealedRunRecoversDegraded(t *testing.T) {
 	if !rep.Degraded() {
 		t.Fatal("unsealed journal not marked degraded")
 	}
-	if rep.Epoch != uint64(len(exports)) {
-		t.Fatalf("recovered %d epochs, journaled %d", rep.Epoch, len(exports))
+	if rep.Epoch != uint64(len(folds)) {
+		t.Fatalf("recovered %d epochs, journaled %d", rep.Epoch, len(folds))
 	}
 	var sawTrunc bool
 	for _, tg := range rep.Graph.Gaps() {
@@ -160,14 +158,10 @@ func TestJournalUnsealedRunRecoversDegraded(t *testing.T) {
 	if !sawTrunc {
 		t.Fatal("no truncated-tail gap on the recovered graph")
 	}
-	// Degradation marking must not bend the analysis itself: the export
-	// still matches the run's final fold.
-	var buf bytes.Buffer
-	if err := rep.Analysis.ExportJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), exports[len(exports)-1]) {
-		t.Fatal("degraded recovery diverges from the last journaled fold")
+	// Degradation marking must not bend the analysis itself: it is the
+	// run's final fold plus the truncated-tail gaps, nothing else.
+	if !bytes.Equal(cpgtest.Bytes(t, rep.Analysis), cpgtest.Truncated(t, folds[len(folds)-1])) {
+		t.Fatal("degraded recovery diverges from the last journaled fold, cut short")
 	}
 }
 

@@ -2,9 +2,10 @@
 // recorders and N query/watch clients against one aggregator, all in
 // process. The pass criteria are the fabric's contract, not vague
 // throughput: zero dropped epochs (every source sealed exactly at its
-// recorder's final epoch) and byte-identical exports (aggregator fold ==
-// recorder fold for every source). The report carries ingest and query
-// throughput plus query latency quantiles for BenchmarkFabric.
+// recorder's final epoch) and byte-identical exports (the aggregator's
+// GET /export is the .cpg of the recorder's own fold for every source).
+// The report carries ingest and query throughput plus query latency
+// quantiles for BenchmarkFabric.
 package loadtest
 
 import (
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -92,7 +94,7 @@ type Report struct {
 type recorderResult struct {
 	source string
 	epoch  uint64
-	export []byte
+	cpg    []byte // the .cpg of the recorder's own final fold
 	err    error
 }
 
@@ -161,11 +163,11 @@ func driveRecorder(baseURL, source string, opts Options, seed int64) recorderRes
 	}
 	res.epoch = sr.Epoch()
 	var buf bytes.Buffer
-	if err := sr.Analysis().ExportJSON(&buf); err != nil {
+	if err := cpgfile.Encode(&buf, sr.Analysis(), cpgfile.Meta{}); err != nil {
 		res.err = err
 		return res
 	}
-	res.export = buf.Bytes()
+	res.cpg = buf.Bytes()
 	return res
 }
 
@@ -271,7 +273,7 @@ func Run(opts Options) (*Report, error) {
 		if err != nil {
 			return rep, fmt.Errorf("export %s: %w", res.source, err)
 		}
-		if !bytes.Equal(got, res.export) {
+		if !bytes.Equal(got, res.cpg) {
 			rep.Mismatched++
 		}
 	}

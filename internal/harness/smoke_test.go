@@ -33,6 +33,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -98,17 +99,14 @@ func smallRun(app string, threads int, extra ...string) []string {
 	return append([]string{"-app", app, "-threads", strconv.Itoa(threads), "-size", "small", "-seed", "1"}, extra...)
 }
 
-// recoveredAnalysis is the analysis document inspector-recover replays a
-// journal to.
-func recoveredAnalysis(t *testing.T, dir string, extra ...string) []byte {
+// recoveredCPG is the identity (cpgtest.File) of the .cpg
+// inspector-recover replays a journal to: what an aggregator's GET
+// /export serves for the same epoch.
+func recoveredCPG(t *testing.T, dir string, extra ...string) []byte {
 	t.Helper()
-	out := filepath.Join(t.TempDir(), "analysis.json")
-	tool(t, "inspector-recover", append([]string{"-journal", dir, "-q", "-analysis", out}, extra...)...)
-	doc, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return doc
+	out := filepath.Join(t.TempDir(), "recovered.cpg")
+	tool(t, "inspector-recover", append([]string{"-journal", dir, "-q", "-cpg", out}, extra...)...)
+	return cpgtest.File(t, out)
 }
 
 // httpGet fetches one URL that must answer 200.
@@ -406,7 +404,7 @@ func ingestRounds(t *testing.T, d *daemon) {
 
 	// Journal, stream and live stats are sinks of one fold: the run
 	// reports one epoch count for all three, and the aggregator holds
-	// the byte-identical analysis of the run's own journal. (At >1
+	// the .cpg bytes of the run's own journal, recovered. (At >1
 	// thread two runs never cut the same epochs, so the run's own
 	// journal is the only reference.)
 	clean := filepath.Join(tmp, "clean")
@@ -423,7 +421,7 @@ func ingestRounds(t *testing.T, d *daemon) {
 	if counts[0] != counts[1] || counts[1] != counts[2] {
 		t.Fatalf("live stats, journal and stream disagree on the epoch count: %v\n%s", counts, report)
 	}
-	if !bytes.Equal(export("clean"), recoveredAnalysis(t, clean)) {
+	if !bytes.Equal(export("clean"), recoveredCPG(t, clean)) {
 		t.Fatal("clean stream's aggregator export diverges from the journal replay")
 	}
 
@@ -445,7 +443,7 @@ func ingestRounds(t *testing.T, d *daemon) {
 	if out := tool(t, "inspector-recover", "-journal", killed, "-stream", d.url); !bytes.Contains(out, []byte("aggregator at epoch")) {
 		t.Fatalf("recover -stream never reported the aggregator offset:\n%s", out)
 	}
-	if !bytes.Equal(export(sum.RunID), recoveredAnalysis(t, killed, "-epoch", strconv.FormatUint(sum.Epoch, 10))) {
+	if !bytes.Equal(export(sum.RunID), recoveredCPG(t, killed, "-epoch", strconv.FormatUint(sum.Epoch, 10))) {
 		t.Fatalf("resumed stream diverges from the journal at epoch %d", sum.Epoch)
 	}
 }
@@ -453,7 +451,7 @@ func ingestRounds(t *testing.T, d *daemon) {
 // TestLoadSmokeProcesses is scripts/load-smoke.sh: recorder processes
 // stream at one aggregator while client processes watch and query it;
 // every source must end sealed at its journal's final epoch (no dropped
-// epochs) with the journal's analysis, byte for byte. The in-process
+// epochs) with the .cpg bytes its journal recovers to. The in-process
 // soak (internal/harness/loadtest) has the numbers.
 func TestLoadSmokeProcesses(t *testing.T) {
 	smoke(t)
@@ -537,7 +535,7 @@ func TestLoadSmokeProcesses(t *testing.T) {
 			t.Fatalf("source %s: status %+v found=%v err=%v, want sealed at next=%d (no dropped epochs)",
 				r.source, st, found, err, sum.Epoch+1)
 		}
-		if !bytes.Equal(httpGet(t, d.url+"/v1/cpgs/"+r.source+"/export"), recoveredAnalysis(t, r.journal)) {
+		if !bytes.Equal(httpGet(t, d.url+"/v1/cpgs/"+r.source+"/export"), recoveredCPG(t, r.journal)) {
 			t.Fatalf("source %s: aggregator export diverges from its journal", r.source)
 		}
 	}

@@ -10,13 +10,14 @@ import (
 
 	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/provenance"
 )
 
 // TestSnapshotIsJournalPrefix is the snapshot link of the equivalence
 // chain: a §VI snapshot is a retained epoch of the one fold, so with a
-// journal beside the ring, snapshot k exports byte-identically to the
+// journal beside the ring, snapshot k encodes to the .cpg bytes of the
 // journal replayed up to record k, answers queries as that replay does,
 // survives the .cpg round trip, and its cut is Chandy-Lamport
 // consistent against the finished graph. One take is forced from a
@@ -75,8 +76,8 @@ func TestSnapshotIsJournalPrefix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: Recover: %v", label, err)
 					}
-					if rep.Epoch != snap.Cut.Epoch || !bytes.Equal(exportAnalysisJSON(t, snap.Analysis), exportAnalysisJSON(t, rep.Analysis)) {
-						t.Fatalf("%s: export differs from the journal replayed to epoch %d", label, rep.Epoch)
+					if rep.Epoch != snap.Cut.Epoch || !bytes.Equal(cpgtest.Bytes(t, snap.Analysis), cpgtest.Bytes(t, rep.Analysis)) {
+						t.Fatalf("%s: .cpg differs from the journal replayed to epoch %d", label, rep.Epoch)
 					}
 					roundTripCPGFile(t, snap.Analysis, label)
 

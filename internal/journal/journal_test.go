@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/faultinject"
 	"github.com/repro/inspector/internal/journal"
@@ -70,15 +72,6 @@ func (lr *liveRecording) finish(t testing.TB) {
 	}
 }
 
-func exportBytes(t testing.TB, a *core.Analysis) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := a.ExportJSON(&buf); err != nil {
-		t.Fatalf("ExportJSON: %v", err)
-	}
-	return buf.Bytes()
-}
-
 func dumpJSON(t testing.TB, g *core.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -89,7 +82,7 @@ func dumpJSON(t testing.TB, g *core.Graph) []byte {
 }
 
 // liveFold is an epoch.Sink that asks for every epoch's analysis on the
-// sealing thread and keeps its export: the live analyzer's own fold,
+// sealing thread and keeps its .cpg bytes: the live analyzer's own fold,
 // which the journal recorder's follower and recovery are both held to.
 type liveFold struct {
 	t       testing.TB
@@ -97,20 +90,20 @@ type liveFold struct {
 }
 
 func (s liveFold) Emit(e epoch.Epoch) error {
-	*s.exports = append(*s.exports, exportBytes(s.t, e.Analysis()))
+	*s.exports = append(*s.exports, cpgtest.Bytes(s.t, e.Analysis()))
 	return nil
 }
 
 func (liveFold) Finish(uint64) error { return nil }
 
-// followExports is an OnEpoch keeping each followed epoch's export. It
-// runs on the follower's goroutine, so it reports with Errorf, never
+// followExports is an OnEpoch keeping each followed epoch's .cpg bytes.
+// It runs on the follower's goroutine, so it reports with Errorf, never
 // Fatalf.
 func followExports(t testing.TB, dst *[][]byte) func(*core.Analysis, *core.EpochDelta) {
 	return func(a *core.Analysis, d *core.EpochDelta) {
 		var buf bytes.Buffer
-		if err := a.ExportJSON(&buf); err != nil {
-			t.Errorf("followed epoch %d export: %v", d.Epoch, err)
+		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
+			t.Errorf("followed epoch %d encode: %v", d.Epoch, err)
 			return
 		}
 		*dst = append(*dst, buf.Bytes())
@@ -118,9 +111,9 @@ func followExports(t testing.TB, dst *[][]byte) func(*core.Analysis, *core.Epoch
 }
 
 // tracedRecorder attaches a journal recorder whose OnEpoch keeps the
-// followed exports, plus a bare driver with a liveFold sink over the
-// same graph, and returns the commit hook that seals both. Both cut at
-// every seal, so their epoch k is the same cut.
+// followed epochs' .cpg bytes, plus a bare driver with a liveFold sink
+// over the same graph, and returns the commit hook that seals both.
+// Both cut at every seal, so their epoch k is the same cut.
 func tracedRecorder(t testing.TB, g *core.Graph, w *journal.Writer, followed, live *[][]byte) (*journal.Recorder, *epoch.Driver, func()) {
 	rec := journal.NewRecorder(g, w, 1)
 	rec.OnEpoch = followExports(t, followed)
@@ -148,7 +141,7 @@ func sameAsLive(t testing.TB, followed, live [][]byte) {
 
 // writeJournal records `steps` random steps with an epoch per seal,
 // seals the journal, and returns the original graph plus the per-epoch
-// exports of the live fold (which the recorder's OnEpoch matched).
+// .cpg bytes of the live fold (which the recorder's OnEpoch matched).
 func writeJournal(t testing.TB, dir string, threads, steps int, seed int64, opts journal.Options) (*core.Graph, [][]byte) {
 	t.Helper()
 	opts.Dir = dir
@@ -224,7 +217,7 @@ func TestRoundTripSealed(t *testing.T) {
 	if got, want := dumpJSON(t, rep.Graph), dumpJSON(t, g); !bytes.Equal(got, want) {
 		t.Fatal("recovered dump diverges from original graph")
 	}
-	if got, want := exportBytes(t, rep.Analysis), exports[len(exports)-1]; !bytes.Equal(got, want) {
+	if got, want := cpgtest.Bytes(t, rep.Analysis), exports[len(exports)-1]; !bytes.Equal(got, want) {
 		t.Fatal("recovered analysis diverges from final in-process fold")
 	}
 	if rep.Degraded() {
@@ -246,7 +239,7 @@ func TestRecoverMaxEpochMatchesEveryPrefix(t *testing.T) {
 		if e < len(exports) && !rep.Stopped {
 			t.Fatalf("MaxEpoch=%d not marked stopped", e)
 		}
-		if got, want := exportBytes(t, rep.Analysis), exports[e-1]; !bytes.Equal(got, want) {
+		if got, want := cpgtest.Bytes(t, rep.Analysis), exports[e-1]; !bytes.Equal(got, want) {
 			t.Fatalf("epoch %d replay diverges from in-process fold", e)
 		}
 		if rep.Stopped && rep.Degraded() {
@@ -335,8 +328,8 @@ func TestRecoverHeaderOnlyJournal(t *testing.T) {
 		t.Fatalf("header-only journal: %d records, epoch %d, analysis epoch %d over %d vertices",
 			rep.Records, rep.Epoch, rep.Analysis.Epoch(), rep.Analysis.NumVertices())
 	}
-	if got, want := exportBytes(t, rep.Analysis), exportBytes(t, core.NewGraph(3).Analyze()); !bytes.Equal(got, want) {
-		t.Fatalf("header-only recovery exports\n%s\nwant the empty graph's\n%s", got, want)
+	if got, want := cpgtest.Bytes(t, rep.Analysis), cpgtest.Bytes(t, core.NewGraph(3).Analyze()); !bytes.Equal(got, want) {
+		t.Fatal("header-only recovery diverges from the empty graph's batch analysis")
 	}
 }
 
@@ -381,8 +374,8 @@ func TestTornTailTruncatedAtFirstBadByte(t *testing.T) {
 	if rep.Epoch == 0 || rep.Epoch >= uint64(len(exports)) {
 		t.Fatalf("recovered epoch %d of %d", rep.Epoch, len(exports))
 	}
-	if got, want := exportBytes(t, rep.Analysis), exports[rep.Epoch-1]; !bytes.Equal(got, want) {
-		t.Fatal("torn-tail recovery diverges from the fold at the same epoch")
+	if got, want := cpgtest.Bytes(t, rep.Analysis), cpgtest.Truncated(t, exports[rep.Epoch-1]); !bytes.Equal(got, want) {
+		t.Fatal("torn-tail recovery diverges from the fold at the same epoch, cut short")
 	}
 	if !rep.Degraded() {
 		t.Fatal("torn journal not marked degraded")
@@ -425,8 +418,8 @@ func TestBitFlipStopsReplayAtCorruptRecord(t *testing.T) {
 	if rep.Epoch == 0 || rep.Epoch >= uint64(len(exports)) {
 		t.Fatalf("recovered epoch %d of %d", rep.Epoch, len(exports))
 	}
-	if got, want := exportBytes(t, rep.Analysis), exports[rep.Epoch-1]; !bytes.Equal(got, want) {
-		t.Fatal("bit-flip recovery diverges from the fold at the same epoch")
+	if got, want := cpgtest.Bytes(t, rep.Analysis), cpgtest.Truncated(t, exports[rep.Epoch-1]); !bytes.Equal(got, want) {
+		t.Fatal("bit-flip recovery diverges from the fold at the same epoch, cut short")
 	}
 	if !rep.Degraded() {
 		t.Fatal("bit-flipped journal not marked degraded")
@@ -476,7 +469,7 @@ func TestTruncateRemovesTornTailPhysically(t *testing.T) {
 	if rep2.Epoch != rep.Epoch {
 		t.Fatalf("re-recovery epoch %d, want %d", rep2.Epoch, rep.Epoch)
 	}
-	if got, want := exportBytes(t, rep2.Analysis), exportBytes(t, rep.Analysis); !bytes.Equal(got, want) {
+	if got, want := cpgtest.Bytes(t, rep2.Analysis), cpgtest.Bytes(t, rep.Analysis); !bytes.Equal(got, want) {
 		t.Fatal("re-recovery diverges after truncation")
 	}
 }
@@ -634,7 +627,7 @@ func injectedOpts(in *faultinject.Injector) journal.Options {
 }
 
 // recordWithFaults records steps through a faulty journal file and
-// returns the recorder's latched error plus the live fold's exports of
+// returns the recorder's latched error plus the live fold's .cpg bytes of
 // the epochs journaled before it.
 func recordWithFaults(t testing.TB, dir string, steps int, in *faultinject.Injector) (error, [][]byte) {
 	t.Helper()
@@ -692,8 +685,8 @@ func TestInjectedTornRecord(t *testing.T) {
 				t.Fatalf("recovered epoch %d, %d clean appends", rep.Epoch, len(exports))
 			}
 			if rep.Epoch > 0 {
-				if got, want := exportBytes(t, rep.Analysis), exports[rep.Epoch-1]; !bytes.Equal(got, want) {
-					t.Fatal("recovery diverges from last clean epoch")
+				if got, want := cpgtest.Bytes(t, rep.Analysis), cpgtest.Truncated(t, exports[rep.Epoch-1]); !bytes.Equal(got, want) {
+					t.Fatal("recovery diverges from last clean epoch, cut short")
 				}
 			}
 			if !rep.Degraded() {
@@ -727,8 +720,8 @@ func TestInjectedBitFlip(t *testing.T) {
 	if rep.Epoch == 0 || rep.Epoch >= uint64(len(exports)) {
 		t.Fatalf("recovered epoch %d of %d: the flip must cut mid-journal", rep.Epoch, len(exports))
 	}
-	if got, want := exportBytes(t, rep.Analysis), exports[rep.Epoch-1]; !bytes.Equal(got, want) {
-		t.Fatal("recovery diverges from the last epoch before the flip")
+	if got, want := cpgtest.Bytes(t, rep.Analysis), cpgtest.Truncated(t, exports[rep.Epoch-1]); !bytes.Equal(got, want) {
+		t.Fatal("recovery diverges from the last epoch before the flip, cut short")
 	}
 }
 
@@ -759,7 +752,7 @@ func TestInjectedFsyncError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := exportBytes(t, at.Analysis), exports[len(exports)-1]; !bytes.Equal(got, want) {
+	if got, want := cpgtest.Bytes(t, at.Analysis), exports[len(exports)-1]; !bytes.Equal(got, want) {
 		t.Fatal("acknowledged prefix diverges after fsync failure")
 	}
 }

@@ -245,8 +245,9 @@ func (c *Client) Ingest(ctx context.Context, source string, frames []byte) (*Ing
 	return &st, nil
 }
 
-// Export fetches a CPG's full deterministic analysis export — the
-// fabric's byte-comparison surface.
+// Export fetches a CPG's pinned epoch as .cpg file bytes (cpgfile
+// format, no run metadata in the header) — the fabric's
+// byte-comparison surface.
 func (c *Client) Export(ctx context.Context, id string) ([]byte, error) {
 	var raw []byte
 	if err := c.do(ctx, http.MethodGet, "/v1/cpgs/"+id+"/export", nil, "", &raw); err != nil {

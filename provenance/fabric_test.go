@@ -14,6 +14,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -23,11 +24,14 @@ import (
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/core/cpgbench"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
 
 // fabricRun is a recorded workload: its hello, the epoch-delta stream,
-// and the reference export bytes after each epoch.
+// and the reference .cpg bytes after each epoch.
 type fabricRun struct {
 	hello   wire.Hello
 	deltas  []*core.EpochDelta
@@ -67,11 +71,7 @@ func recordFabric(t *testing.T, threads, steps int, seed int64) *fabricRun {
 	fold := func() {
 		a, d := inc.FoldDelta()
 		run.deltas = append(run.deltas, d)
-		var buf bytes.Buffer
-		if err := a.ExportJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		run.exports = append(run.exports, buf.Bytes())
+		run.exports = append(run.exports, cpgtest.Bytes(t, a))
 	}
 	for s := 0; s < steps; s++ {
 		rec := recs[r.Intn(threads)]
@@ -402,13 +402,12 @@ func TestIngestDegradedSource(t *testing.T) {
 	if err != nil || !res.Degraded || res.Epoch != published {
 		t.Fatalf("stats after poison = %+v err=%v, want degraded result at epoch %d", res, err, published)
 	}
-	resp, err := http.Get(ts.URL + "/v1/cpgs/w/export")
+	cpg, err := c.Export(ctx, "w")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("export after poison: %v", err)
 	}
-	resp.Body.Close()
-	if got := resp.Header.Get("Inspector-Epoch"); resp.StatusCode != http.StatusOK || got != fmt.Sprint(published) {
-		t.Fatalf("export after poison: status %d, Inspector-Epoch %q, want 200 at epoch %d", resp.StatusCode, got, published)
+	if _, hdr := cpgtest.Decode(t, cpg); hdr.Epoch != published || !hdr.Degraded {
+		t.Fatalf("export after poison: .cpg header %+v, want degraded at epoch %d", hdr, published)
 	}
 	// The push wire reports the source closed at that epoch, asked
 	// without a wait or parked above it.
@@ -418,7 +417,7 @@ func TestIngestDegradedSource(t *testing.T) {
 			t.Fatalf("watch (wait %v) after poison = %+v err=%v, want epoch %d, closed once parked", wait, est, err, published)
 		}
 	}
-	resp, err = http.Get(ts.URL + "/readyz")
+	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,11 +651,7 @@ func TestStreamRecorderMidStream503Resume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := sr.Analysis().ExportJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
+	if !bytes.Equal(got, cpgtest.Bytes(t, sr.Analysis())) {
 		t.Fatal("aggregator export != recorder's local fold after 503 storm")
 	}
 }
@@ -726,5 +721,93 @@ func TestStreamRecorderLatchesOnLostEpochs(t *testing.T) {
 	}
 	if !strings.Contains(closeErr.Error(), "re-feed from the journal") {
 		t.Fatalf("close err = %v, want the lost-epochs diagnosis", closeErr)
+	}
+}
+
+// TestExportServesCPGForEverySourceKind is GET /export's contract over
+// the four source kinds — a static engine, a live feed a driver
+// publishes to, an ingested stream and a lazily decoded Store file:
+// 200 with a loadable .cpg that is the source's pinned analysis encoded
+// without run metadata, its header at the source's epoch. An analysis
+// the encoder refuses is a 500 naming the error, never a partial file.
+func TestExportServesCPGForEverySourceKind(t *testing.T) {
+	run := recordFabric(t, 2, 24, 17)
+	f := newLiveFixture(t)
+	feed := NewFeed(f.g.Threads(), EngineOptions{})
+	drv := epoch.NewDriver(f.g, epoch.Options{}, feed.Sink())
+	hook := drv.CommitHook()
+	for page := range uint64(3) {
+		f.seal(t, page)
+		hook(core.SubID{})
+	}
+	t.Cleanup(func() { drv.Close() })
+	dir, _ := writeStoreDir(t, 1)
+	store, err := OpenDir(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+
+	served := map[string]Source{
+		"static": StaticSource(NewEngine(cpgbench.BuildRandomGraph(2, 40, 24, 4, 5).Analyze(), EngineOptions{})),
+		"live":   feed,
+	}
+	maps.Copy(served, store.Sources())
+	hub := NewIngestHub(IngestOptions{})
+	ts := httptest.NewServer(NewServerSources(served, ServerOptions{Ingest: hub}))
+	t.Cleanup(ts.Close)
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	if _, err := post(t, c, "ingested", run.hello, run.deltas[:5], nil); err != nil {
+		t.Fatal(err)
+	}
+	sources := maps.Clone(served)
+	sources["ingested"], _ = hub.Source("ingested")
+	if len(sources) != 4 {
+		t.Fatalf("%d sources, want one of each kind", len(sources))
+	}
+	for id, src := range sources {
+		got, err := c.Export(ctx, id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		_, hdr := cpgtest.Decode(t, got)
+		if hdr.Epoch != src.Epoch() {
+			t.Errorf("%s: .cpg header at epoch %d, source at %d", id, hdr.Epoch, src.Epoch())
+		}
+		if !bytes.Equal(got, cpgtest.Bytes(t, src.Engine().Analysis())) {
+			t.Errorf("%s: export is not the source's pinned analysis", id)
+		}
+	}
+
+	// Encode refuses a sync edge whose object is outside the analysis's
+	// symbol table.
+	g := core.NewGraph(1)
+	rec, err := core.NewRecorder(g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ghost := []core.Edge{{From: core.SubID{Alpha: 0}, To: core.SubID{Alpha: 1}, Kind: core.EdgeSync, Object: "ghost"}}
+	bad, err := core.NewAnalysisFromSections(g, []int{2}, 1, ghost, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts = httptest.NewServer(NewServer(map[string]*Engine{"bad": NewEngine(bad, EngineOptions{})}, ServerOptions{}))
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/v1/cpgs/bad/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body apiError
+	if err := json.NewDecoder(resp.Body).Decode(&body); resp.StatusCode != http.StatusInternalServerError ||
+		err != nil || !strings.Contains(body.Error, `sync-edge object "ghost"`) {
+		t.Fatalf("export of an unencodable analysis: status %d, body %+v (%v), want 500 naming the ghost object",
+			resp.StatusCode, body, err)
 	}
 }

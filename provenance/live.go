@@ -21,8 +21,8 @@ var ErrLiveClosed = errors.New("provenance: live analysis closed")
 // can arrive. LiveEngine and IngestSource embed one (which makes them
 // Sources); a run that folds on the sealing thread lists Sink() among
 // its driver's sinks. The published number is the engine's analysis
-// epoch: Epoch, WaitEpoch, every result's epoch field and the export
-// header read the same pointer, so they cannot disagree. Engine never
+// epoch: Epoch, WaitEpoch, every result's epoch field and the
+// exported .cpg's header read the same pointer, so they cannot disagree. Engine never
 // returns nil — before the first publish it serves an empty epoch 0.
 type Feed struct {
 	opts EngineOptions

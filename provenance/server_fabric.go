@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/wire"
 )
 
@@ -18,7 +20,7 @@ import (
 //	POST /v1/ingest/{source}            stream epoch-delta frames in
 //	GET  /v1/ingest/{source}            resume offset (next expected epoch)
 //	GET  /v1/cpgs/{id}/epochs?min=&wait=  long-poll epoch push
-//	GET  /v1/cpgs/{id}/export           the pinned epoch's full analysis export
+//	GET  /v1/cpgs/{id}/export           the pinned epoch as a .cpg file
 //
 // Ingest routes register only when ServerOptions.Ingest is set; epochs
 // and export serve every source kind (static, live, ingested).
@@ -67,20 +69,26 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleExport streams the pinned epoch's deterministic analysis
-// export — the byte-comparison surface the fabric's correctness anchor
-// rests on: these bytes must equal the recorder's own fold at the same
-// epoch (inspector-recover -analysis produces the reference).
+// handleExport serves the pinned epoch as a .cpg file — what cpg-query
+// -cpg and inspector-serve -cpgdir read, and the byte-comparison
+// surface the fabric's correctness anchor rests on: these bytes are the
+// recorder's own fold at the same epoch, encoded without run metadata.
+// The file's header carries the epoch and the degraded flag. It is
+// encoded into memory first, so a failed encode is a 500 with the
+// error, never a truncated 200.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	src, ok := s.resolve(w, r)
 	if !ok {
 		return
 	}
-	eng := src.Engine()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Inspector-Epoch", strconv.FormatUint(eng.Epoch(), 10))
-	// A mid-stream write error has no recourse; the status line is out.
-	_ = eng.Analysis().ExportJSON(w)
+	var buf bytes.Buffer
+	if err := cpgfile.Encode(&buf, src.Engine().Analysis(), cpgfile.Meta{}); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	_, _ = w.Write(buf.Bytes()) // the status line is out; a write error has no recourse
 }
 
 // ValidSourceName keeps ingest source names usable as CPG ids and URL

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
@@ -120,16 +121,6 @@ func (a *gatedAggregator) awaitFirst(tb testing.TB) {
 	}
 }
 
-// exportOf renders an analysis the way the aggregator's export does.
-func exportOf(tb testing.TB, a *core.Analysis) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := a.ExportJSON(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // sealOne records one sub-computation on rec touching page and seals it.
 func sealOne(tb testing.TB, rec *core.Recorder, page uint64) core.SubID {
 	tb.Helper()
@@ -193,7 +184,7 @@ func TestUploaderShipsBacklogInFewPosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, exportOf(t, sr.Analysis())) {
+	if !bytes.Equal(got, cpgtest.Bytes(t, sr.Analysis())) {
 		t.Fatal("aggregator export != the recorder's fold")
 	}
 }
@@ -322,7 +313,7 @@ func cutRun(t *testing.T, steps int, seed int64) (wire.Hello, []*core.EpochDelta
 	var deltas []*core.EpochDelta
 	driveStream(t, g, 2, steps, seed, func(core.SubID) { deltas = append(deltas, inc.Cut()) })
 	hello := wire.Hello{RunID: fmt.Sprintf("cut-%d", seed), App: "fabric-test", Threads: 2}
-	return hello, deltas, exportOf(t, inc.FoldAs(deltas[len(deltas)-1].Epoch))
+	return hello, deltas, cpgtest.Bytes(t, inc.FoldAs(deltas[len(deltas)-1].Epoch))
 }
 
 // TestUploadDeltasRefeedIsOnePost pins the journal re-feed's cost: a
