@@ -16,6 +16,9 @@
 //	                  [-cpg out.cpg] [-json out.json] [-dot out.dot]
 //	                  [-q | -summary-json] [-stream URL [-stream-id NAME]]
 //
+// DIR is the directory the run journaled into; the journal is its one
+// file, DIR/journal.isj.
+//
 // -cpg is the recovery artifact: the recovered graph at its epoch, the
 // file cpg-query -cpg and inspector-serve -cpg read. Its header names
 // the journal's run id and app; re-encoded without them, it is byte for
@@ -24,8 +27,8 @@
 //
 // -epoch stops the replay at epoch N (a time-travel debugging aid; the
 // result is not marked degraded — the cut was asked for). -truncate
-// physically removes the torn tail so later tools read the journal
-// cleanly. Exit status is 0 even when a tear was found — a recovered
+// cuts journal.isj back to the end of its last good frame, so later
+// tools read the journal cleanly. Exit status is 0 even when a tear was found — a recovered
 // prefix is a success; only an unusable journal (no readable header,
 // no directory) fails.
 //
@@ -63,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("inspector-recover", flag.ContinueOnError)
 	dir := fs.String("journal", "", "journal directory to recover (required)")
 	epoch := fs.Uint64("epoch", 0, "stop the replay at this epoch (0 = replay everything durable)")
-	truncate := fs.Bool("truncate", false, "physically remove the torn tail after recovery")
+	truncate := fs.Bool("truncate", false, "after recovery, truncate journal.isj where its torn tail starts")
 	cpgOut := fs.String("cpg", "", "write the recovered CPG in the columnar .cpg format (for cpg-query and inspector-serve) to this file")
 	jsonOut := fs.String("json", "", "write the recovered CPG (JSON) to this file")
 	dotOut := fs.String("dot", "", "write the recovered CPG (Graphviz DOT) to this file")
@@ -109,7 +112,7 @@ func run(args []string, out io.Writer) error {
 	if !*quiet {
 		fmt.Fprintf(out, "run:              %s (%s, %d threads)\n",
 			rep.Header.RunID, appOrUnknown(rep.Header.App), rep.Header.Threads)
-		fmt.Fprintf(out, "recovered:        %d epochs from %d segments\n", rep.Epoch, len(rep.Segments))
+		fmt.Fprintf(out, "recovered:        %d epochs\n", rep.Epoch)
 		switch {
 		case rep.Sealed:
 			fmt.Fprintln(out, "journal:          sealed (clean close)")
@@ -172,14 +175,13 @@ func restream(rep *journal.Recovery, url, source string) (*provenance.IngestStat
 		source = rep.Header.RunID
 	}
 	c := &provenance.Client{BaseURL: url, MaxRetries: 8}
-	hello := wire.Hello{RunID: rep.Header.RunID, App: rep.Header.App, Threads: rep.Header.Threads}
 	var seal *wire.Seal
 	if rep.Sealed && !rep.Stopped {
 		seal = &wire.Seal{FinalEpoch: rep.Epoch}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	return provenance.UploadDeltas(ctx, c, source, hello, rep.Deltas, 0, seal)
+	return provenance.UploadDeltas(ctx, c, source, rep.Header, rep.Deltas, 0, seal)
 }
 
 func appOrUnknown(app string) string {

@@ -190,15 +190,12 @@ func TestRecoverTornJournalSummaryJSON(t *testing.T) {
 	jdir := t.TempDir()
 	record(t, jdir, 10, false)
 	// Tear the tail.
-	segs, err := filepath.Glob(filepath.Join(jdir, "journal-*.isj"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments: %v %v", segs, err)
-	}
-	data, err := os.ReadFile(segs[0])
+	path := journal.Path(jdir)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(segs[0], data[:len(data)-7], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 

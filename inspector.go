@@ -174,7 +174,7 @@ type Options struct {
 	Journal string
 	// JournalFsync selects the journal's fsync policy: "always" (fsync
 	// every record — the strongest durability, one fsync per epoch),
-	// "interval" or "interval:N" (fsync every N records, default 16),
+	// "interval" or "interval:N" (fsync every N records, default 32),
 	// or "none" (leave flushing to the OS; a machine crash may lose the
 	// tail, a process crash does not). Empty means "interval".
 	JournalFsync string
@@ -293,7 +293,7 @@ func (o Options) validate() error {
 // stream never — so a journaled or streamed run without Live or
 // SnapshotMode derives nothing while it records. The CLIs bind their
 // flags to Options and call it. A failing New leaves nothing behind: no
-// journal segment, no sender goroutine.
+// journal file, no sender goroutine.
 func New(opts Options) (*Runtime, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

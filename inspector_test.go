@@ -301,7 +301,7 @@ func TestPublicAPIJournal(t *testing.T) {
 }
 
 // TestFailingNewLeavesNothingBehind: an assembly that fails must not
-// poison its journal directory — a segment left behind makes
+// poison its journal directory — a journal file left behind makes
 // journal.Create turn the corrected retry away as "mixing runs".
 func TestFailingNewLeavesNothingBehind(t *testing.T) {
 	dir := t.TempDir()

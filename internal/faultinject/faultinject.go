@@ -55,7 +55,7 @@ const (
 	// JournalBitFlip flips one byte mid-frame but reports the write as
 	// fully successful — silent media corruption a CRC must catch.
 	JournalBitFlip Point = "journal-bit-flip"
-	// JournalFsyncError fails a journal segment fsync.
+	// JournalFsyncError fails a journal file fsync.
 	JournalFsyncError Point = "journal-fsync-error"
 	// CPGFileTorn cuts a columnar CPG file write in half and fails it —
 	// the truncated artifact a crash mid-export leaves behind.
@@ -345,9 +345,9 @@ func (f *failingWriter) Write(b []byte) (int, error) {
 	return f.inner.Write(b)
 }
 
-// WrapJournalFile interposes the journal crash points on a journal
-// segment file. The Writer issues each record as one Write call, so
-// the wrappers model real crash shapes precisely:
+// WrapJournalFile interposes the journal crash points on the journal
+// file. The Writer issues each record as one Write call, so the
+// wrappers model real crash shapes precisely:
 //
 //   - journal-torn: write half the frame, then fail (a crash mid-write
 //     leaves a prefix whose CRC cannot match);

@@ -2,7 +2,6 @@ package journal_test
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/repro/inspector/internal/journal"
@@ -14,8 +13,8 @@ type rawBody []byte
 
 func (r rawBody) AppendWire(b []byte) ([]byte, error) { return append(b, r...), nil }
 
-// FuzzJournalRecords throws arbitrary bytes at the segment decoder as a
-// lone journal-000001.isj. The contract under attack: Recover never
+// FuzzJournalRecords throws arbitrary bytes at the decoder as a
+// journal.isj. The contract under attack: Recover never
 // panics, and on any input it either fails cleanly (nothing to recover)
 // or returns a Recovery whose invariants hold — epoch equals replayed
 // records, a tear or missing seal always reads as unsealed, and asking
@@ -25,11 +24,7 @@ func FuzzJournalRecords(f *testing.F) {
 	// starts inside the format rather than rediscovering the magic.
 	seedDir := f.TempDir()
 	writeJournal(&testing.T{}, seedDir, 2, 12, 99, journal.Options{})
-	segs, err := filepath.Glob(filepath.Join(seedDir, "journal-*.isj"))
-	if err != nil || len(segs) == 0 {
-		f.Fatalf("seed journal: %v (%d segments)", err, len(segs))
-	}
-	valid, err := os.ReadFile(segs[0])
+	valid, err := os.ReadFile(journal.Path(seedDir))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -42,8 +37,8 @@ func FuzzJournalRecords(f *testing.F) {
 	f.Add([]byte("INSPISJ1"))
 	f.Add([]byte{})
 	// Well-framed delta records whose bodies claim counts nothing backs
-	// (lens, then vertices), after the genuine preamble and header.
-	_, _, hdrLen, err := wire.ParseFrame(valid[wire.PreambleLen:], 0)
+	// (lens, then vertices), after the genuine preamble and hello.
+	_, _, helloLen, err := wire.ParseFrame(valid[wire.PreambleLen:], 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -51,16 +46,16 @@ func FuzzJournalRecords(f *testing.F) {
 		{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
 		{1, 2, 0, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
 	} {
-		seg := append([]byte(nil), valid[:wire.PreambleLen+int(hdrLen)]...)
-		if seg, err = wire.AppendFrame(seg, wire.KindDelta, body); err != nil {
+		rec := append([]byte(nil), valid[:wire.PreambleLen+int(helloLen)]...)
+		if rec, err = wire.AppendFrame(rec, wire.KindDelta, body); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seg)
+		f.Add(rec)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "journal-000001.isj"), data, 0o644); err != nil {
+		if err := os.WriteFile(journal.Path(dir), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := journal.Recover(dir, journal.RecoverOptions{})

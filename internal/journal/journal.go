@@ -3,27 +3,24 @@
 // so a SIGKILL, OOM kill, or power cut loses at most the epochs after
 // the last durable record instead of the whole run.
 //
-// A journal is a directory of segment files (journal-000001.isj,
-// journal-000002.isj, ...). Each segment starts with an 8-byte magic
-// and a little-endian uint32 format version, followed by a sequence of
-// frames:
+// A journal is one file, journal.isj, in the directory it is given. It
+// opens with an 8-byte magic and a little-endian uint32 format version,
+// then carries the ingest stream's frame sequence (internal/wire): the
+// run's hello (random run id, app, thread capacity, base epoch 1), one
+// frame per epoch delta, and the seal on a clean close. A frame is
 //
 //	[uint32 payload length | uint32 CRC-32C of payload | payload]
 //
-// The payload's first byte is the record kind (header, epoch delta,
-// seal); the rest is the record's own binary form (format version 2:
-// uvarint fields, see internal/wire and core.EpochDelta.AppendWire).
-// A record refers to nothing outside itself, so records stay
-// independently decodable and a torn tail never poisons the frames
-// before it. The first frame of every segment is a header naming the
-// run (random run id, app, thread capacity, segment sequence number,
-// first epoch), so recovery detects mixed, reordered, or missing
-// segments instead of splicing unrelated runs together.
+// whose first payload byte is the record kind; the rest is the record's
+// own binary form (format version 2: uvarint fields, see internal/wire
+// and core.EpochDelta.AppendWire). A record refers to nothing outside
+// itself, so records stay independently decodable and a torn tail never
+// poisons the frames before it.
 //
 // A journal is a per-run crash artifact, written and recovered by the
-// same build: Recover refuses a segment of another format version by
-// name (version 1 payloads were gob) rather than carrying a second
-// reader for it.
+// same build: Recover refuses a file of another format version by name
+// (version 1 payloads were gob) rather than carrying a second reader
+// for it.
 //
 // Epoch-delta payloads are core.EpochDelta values — exactly what
 // IncrementalAnalyzer.Cut emits — and recovery replays them
@@ -37,7 +34,6 @@ package journal
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -51,29 +47,31 @@ import (
 	"github.com/repro/inspector/internal/wire"
 )
 
-// The frame codec (length/CRC framing, record kinds, segment preamble)
+// The frame codec (length/CRC framing, record kinds, file preamble)
 // lives in internal/wire, shared with the network ingest stream. The
 // journal keeps local aliases for readability.
 const (
-	recHeader = wire.KindHeader
-	recDelta  = wire.KindDelta
-	recSeal   = wire.KindSeal
+	recHello = wire.KindHeader
+	recDelta = wire.KindDelta
+	recSeal  = wire.KindSeal
 
-	frameOverhead = wire.FrameOverhead
-
-	// DefaultSegmentBytes is the segment roll threshold.
-	DefaultSegmentBytes = 64 << 20
 	// DefaultSyncEvery is PolicyInterval's records-per-fsync.
 	DefaultSyncEvery = 32
 )
+
+// fileName is the journal file's name in its directory.
+const fileName = "journal.isj"
+
+// Path returns the journal file's path in dir.
+func Path(dir string) string { return filepath.Join(dir, fileName) }
 
 // Policy selects when appended records are fsynced to stable storage.
 type Policy uint8
 
 // Fsync policies.
 const (
-	// PolicyInterval fsyncs every SyncEvery records, at segment rolls,
-	// and at seal — bounded loss, amortized cost. The default.
+	// PolicyInterval fsyncs every SyncEvery records and at seal —
+	// bounded loss, amortized cost. The default.
 	PolicyInterval Policy = iota
 	// PolicyAlways fsyncs after every record: an epoch is durable
 	// before the workload proceeds past it.
@@ -125,73 +123,25 @@ type File interface {
 	Close() error
 }
 
-// Header is the first record of every segment.
-type Header struct {
-	// RunID ties a run's segments together (random hex unless the
-	// caller pins one).
-	RunID string
-	// App names the recorded workload (informational).
-	App string
-	// Threads is the graph's thread-slot capacity; recovery rebuilds
-	// the graph with it.
-	Threads int
-	// Segment is this file's 1-based sequence number.
-	Segment uint64
-	// BaseEpoch is the first epoch this segment records (the previous
-	// segments' record count plus one).
-	BaseEpoch uint64
-}
-
-// AppendWire appends the header's binary form (a wire.AppendFrame
-// payload): RunID, App, Threads, Segment, BaseEpoch.
-func (h *Header) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendString(b, h.RunID)
-	b = wire.AppendString(b, h.App)
-	b = binary.AppendUvarint(b, uint64(h.Threads))
-	b = binary.AppendUvarint(b, h.Segment)
-	return binary.AppendUvarint(b, h.BaseEpoch), nil
-}
-
-// ParseWire reads the AppendWire form.
-func (h *Header) ParseWire(body []byte) error {
-	c := wire.NewCursor(body)
-	*h = Header{
-		RunID:     c.String("header.run_id"),
-		App:       c.String("header.app"),
-		Threads:   c.Int("header.threads"),
-		Segment:   c.Uvarint("header.segment"),
-		BaseEpoch: c.Uvarint("header.base_epoch"),
-	}
-	return c.Done()
-}
-
 // Options configures a Writer.
 type Options struct {
 	// Dir is the journal directory (created if absent; must not
-	// already contain journal segments).
+	// already hold a journal).
 	Dir string
 	// Threads is the recorded graph's thread-slot capacity (required).
 	Threads int
 	// RunID overrides the generated run identity (tests).
 	RunID string
-	// App names the workload (informational, lands in headers).
+	// App names the workload (informational, lands in the hello).
 	App string
 	// Fsync is the durability policy.
 	Fsync Policy
 	// SyncEvery is PolicyInterval's records-per-fsync (default
 	// DefaultSyncEvery).
 	SyncEvery int
-	// SegmentBytes rolls segments at this size (default
-	// DefaultSegmentBytes).
-	SegmentBytes int64
-	// OpenFile creates segment files; the default is an exclusive
+	// OpenFile creates the journal file; the default is an exclusive
 	// os.OpenFile. Tests and the fault injector interpose here.
 	OpenFile func(name string) (File, error)
-}
-
-// segName returns the path of segment seq under dir.
-func segName(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("journal-%06d.isj", seq))
 }
 
 // errSealed and errClosed latch a finished writer, so an Append or Seal
@@ -209,22 +159,17 @@ var (
 type Writer struct {
 	opts      Options
 	f         File
-	seg       uint64
-	segBytes  int64
 	sinceSync int
 	epoch     uint64
 	err       error
 	buf       []byte
 }
 
-// Create opens a fresh journal in opts.Dir and writes segment 1's
-// header.
+// Create opens a fresh journal in opts.Dir and writes its preamble and
+// the run's hello. A Create that fails leaves no file behind.
 func Create(opts Options) (*Writer, error) {
 	if opts.Threads < 1 {
 		return nil, fmt.Errorf("journal: Threads must be positive, got %d", opts.Threads)
-	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
@@ -244,44 +189,27 @@ func Create(opts Options) (*Writer, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if segs, err := listSegments(opts.Dir); err != nil {
-		return nil, err
-	} else if len(segs) > 0 {
-		return nil, fmt.Errorf("journal: %s already contains %d segment(s); refusing to mix runs", opts.Dir, len(segs))
+	if _, err := os.Lstat(Path(opts.Dir)); err == nil {
+		return nil, fmt.Errorf("journal: %s already holds a journal; refusing to mix runs", opts.Dir)
 	}
-	w := &Writer{opts: opts}
-	if err := w.openSegment(1, 1); err != nil {
-		return nil, err
+	f, err := opts.OpenFile(Path(opts.Dir))
+	if err != nil {
+		return nil, fmt.Errorf("journal: create: %w", err)
+	}
+	w := &Writer{opts: opts, f: f}
+	if _, err := f.Write(wire.Preamble()); err != nil {
+		w.err = fmt.Errorf("journal: preamble: %w", err)
+	} else {
+		w.appendRecord(recHello, wire.Hello{RunID: opts.RunID, App: opts.App, Threads: opts.Threads, BaseEpoch: 1})
+	}
+	if w.err != nil {
+		return nil, errors.Join(w.err, w.Discard())
 	}
 	return w, nil
 }
 
 // RunID returns the journal's run identity.
 func (w *Writer) RunID() string { return w.opts.RunID }
-
-// openSegment creates segment seq and writes magic, version, and the
-// header record.
-func (w *Writer) openSegment(seq, baseEpoch uint64) error {
-	f, err := w.opts.OpenFile(segName(w.opts.Dir, seq))
-	if err != nil {
-		w.err = fmt.Errorf("journal: open segment %d: %w", seq, err)
-		return w.err
-	}
-	w.f, w.seg, w.segBytes, w.sinceSync = f, seq, 0, 0
-	pre := wire.Preamble()
-	if _, err := f.Write(pre); err != nil {
-		w.err = fmt.Errorf("journal: segment %d preamble: %w", seq, err)
-		return w.err
-	}
-	w.segBytes += int64(len(pre))
-	return w.appendRecord(recHeader, &Header{
-		RunID:     w.opts.RunID,
-		App:       w.opts.App,
-		Threads:   w.opts.Threads,
-		Segment:   seq,
-		BaseEpoch: baseEpoch,
-	})
-}
 
 // appendRecord frames and writes one record via the shared codec, then
 // issues the whole frame as a single Write (so an injected short write
@@ -297,28 +225,15 @@ func (w *Writer) appendRecord(kind byte, payload any) error {
 	}
 	w.buf = buf
 	if _, err := w.f.Write(w.buf); err != nil {
-		w.err = fmt.Errorf("journal: segment %d append: %w", w.seg, err)
+		w.err = fmt.Errorf("journal: append: %w", err)
 		return w.err
 	}
-	w.segBytes += int64(len(w.buf))
 	return nil
 }
 
-// Append journals one epoch delta, rolling the segment and applying the
-// fsync policy as configured.
+// Append journals one epoch delta, applying the fsync policy as
+// configured.
 func (w *Writer) Append(d *core.EpochDelta) error {
-	if w.err != nil {
-		return w.err
-	}
-	// Roll before the append when the segment has content and this
-	// record would cross the threshold. The estimate uses the previous
-	// record sizes only through segBytes; an oversized single record
-	// simply lands in its own segment.
-	if w.segBytes >= w.opts.SegmentBytes {
-		if err := w.roll(d.Epoch); err != nil {
-			return err
-		}
-	}
 	if err := w.appendRecord(recDelta, d); err != nil {
 		return err
 	}
@@ -335,27 +250,13 @@ func (w *Writer) Append(d *core.EpochDelta) error {
 	return nil
 }
 
-// roll syncs and closes the current segment and opens the next.
-func (w *Writer) roll(baseEpoch uint64) error {
-	if w.opts.Fsync != PolicyNone {
-		if err := w.sync(); err != nil {
-			return err
-		}
-	}
-	if err := w.f.Close(); err != nil {
-		w.err = fmt.Errorf("journal: segment %d close: %w", w.seg, err)
-		return w.err
-	}
-	return w.openSegment(w.seg+1, baseEpoch)
-}
-
-// sync fsyncs the current segment.
+// sync fsyncs the journal file.
 func (w *Writer) sync() error {
 	if w.err != nil {
 		return w.err
 	}
 	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("journal: segment %d fsync: %w", w.seg, err)
+		w.err = fmt.Errorf("journal: fsync: %w", err)
 		return w.err
 	}
 	w.sinceSync = 0
@@ -382,7 +283,7 @@ func (w *Writer) Seal(finalEpoch uint64) error {
 		}
 	}
 	if err := w.f.Close(); err != nil {
-		w.err = fmt.Errorf("journal: segment %d close: %w", w.seg, err)
+		w.err = fmt.Errorf("journal: close: %w", err)
 		return w.err
 	}
 	w.f, w.err = nil, errSealed
@@ -399,7 +300,7 @@ func (w *Writer) Close() error {
 			w.sync()
 		}
 		if err := w.f.Close(); err != nil && w.err == nil {
-			w.err = fmt.Errorf("journal: segment %d close: %w", w.seg, err)
+			w.err = fmt.Errorf("journal: close: %w", err)
 		}
 		w.f = nil
 		if w.err == nil {
@@ -413,9 +314,9 @@ func (w *Writer) Close() error {
 }
 
 // Discard undoes Create for an assembly that fails before recording
-// starts: it closes the journal and deletes its segment, so the
-// directory accepts a fresh Create.
+// starts: it closes the journal and deletes its file, so the directory
+// accepts a fresh Create.
 func (w *Writer) Discard() error {
 	w.Close() // its error is about bytes the Remove deletes
-	return os.Remove(segName(w.opts.Dir, w.seg))
+	return os.Remove(Path(w.opts.Dir))
 }

@@ -174,29 +174,6 @@ func writeJournal(t testing.TB, dir string, threads, steps int, seed int64, opts
 	return lr.g, live
 }
 
-// segmentBytesFor returns a roll threshold that splits the journal
-// writeJournal(threads, steps, seed) produces into at least n segments.
-// It is measured from an unrolled recording of the same (seeded,
-// deterministic) run, so the rolling tests do not depend on what a
-// record happens to weigh in the current format.
-func segmentBytesFor(t testing.TB, threads, steps int, seed int64, n int) int64 {
-	t.Helper()
-	dir := t.TempDir()
-	writeJournal(t, dir, threads, steps, seed, journal.Options{})
-	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.isj"))
-	if len(segs) != 1 {
-		t.Fatalf("unrolled reference journal has %d segments, want 1", len(segs))
-	}
-	st, err := os.Stat(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A segment rolls at the first append past the threshold, so every
-	// closed segment holds at least that much: size/(n+1) leaves room
-	// for the records that straddle a threshold.
-	return st.Size() / int64(n+1)
-}
-
 func TestRoundTripSealed(t *testing.T) {
 	dir := t.TempDir()
 	g, exports := writeJournal(t, dir, 2, 40, 1, journal.Options{App: "unit"})
@@ -245,25 +222,6 @@ func TestRecoverMaxEpochMatchesEveryPrefix(t *testing.T) {
 		if rep.Stopped && rep.Degraded() {
 			t.Fatalf("deliberate prefix replay at epoch %d marked degraded", e)
 		}
-	}
-}
-
-func TestSegmentRolling(t *testing.T) {
-	dir := t.TempDir()
-	threshold := segmentBytesFor(t, 2, 60, 3, 3)
-	g, exports := writeJournal(t, dir, 2, 60, 3, journal.Options{SegmentBytes: threshold})
-	rep, err := journal.Recover(dir, journal.RecoverOptions{})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if len(rep.Segments) < 3 {
-		t.Fatalf("only %d segments with a %d-byte threshold", len(rep.Segments), threshold)
-	}
-	if !rep.Sealed || rep.Epoch != uint64(len(exports)) {
-		t.Fatalf("sealed=%v epoch=%d, want true/%d", rep.Sealed, rep.Epoch, len(exports))
-	}
-	if got, want := dumpJSON(t, rep.Graph), dumpJSON(t, g); !bytes.Equal(got, want) {
-		t.Fatal("multi-segment recovery diverges from original graph")
 	}
 }
 
@@ -333,15 +291,11 @@ func TestRecoverHeaderOnlyJournal(t *testing.T) {
 	}
 }
 
-// corrupt recovers a clean journal's segment list, applies mutate to the
-// files, and returns the recovery of the damaged journal.
-func damage(t testing.TB, dir string, mutate func(t testing.TB, segs []string)) *journal.Recovery {
+// damage applies mutate to a clean journal's file and returns the
+// recovery of the damaged journal.
+func damage(t testing.TB, dir string, mutate func(t testing.TB, path string)) *journal.Recovery {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.isj"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate(t, segs)
+	mutate(t, journal.Path(dir))
 	rep, err := journal.Recover(dir, journal.RecoverOptions{})
 	if err != nil {
 		t.Fatalf("Recover after damage: %v", err)
@@ -353,15 +307,15 @@ func TestTornTailTruncatedAtFirstBadByte(t *testing.T) {
 	dir := t.TempDir()
 	_, exports := writeJournal(t, dir, 2, 30, 5, journal.Options{})
 
-	// Chop the single segment mid-way: recovery must stop at the torn
+	// Chop the journal mid-way: recovery must stop at the torn
 	// frame, report the cut, and still replay every complete record
 	// byte-identically.
-	rep := damage(t, dir, func(t testing.TB, segs []string) {
-		data, err := os.ReadFile(segs[0])
+	rep := damage(t, dir, func(t testing.TB, path string) {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(segs[0], data[:len(data)*2/3], 0o644); err != nil {
+		if err := os.WriteFile(path, data[:len(data)*2/3], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -395,14 +349,14 @@ func TestBitFlipStopsReplayAtCorruptRecord(t *testing.T) {
 	// Flip one byte ~60% in: everything before must replay, everything
 	// after — even though well-formed — must be dropped.
 	var flipAt int
-	rep := damage(t, dir, func(t testing.TB, segs []string) {
-		data, err := os.ReadFile(segs[0])
+	rep := damage(t, dir, func(t testing.TB, path string) {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flipAt = len(data) * 3 / 5
 		data[flipAt] ^= 0x01
-		if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -428,19 +382,14 @@ func TestBitFlipStopsReplayAtCorruptRecord(t *testing.T) {
 
 func TestTruncateRemovesTornTailPhysically(t *testing.T) {
 	dir := t.TempDir()
-	writeJournal(t, dir, 2, 40, 7, journal.Options{SegmentBytes: segmentBytesFor(t, 2, 40, 7, 3)})
-
-	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.isj"))
-	if len(segs) < 3 {
-		t.Fatalf("want >=3 segments, have %d", len(segs))
-	}
-	// Corrupt segment 2 mid-file; segments 3+ become unreachable.
-	data, err := os.ReadFile(segs[1])
+	writeJournal(t, dir, 2, 40, 7, journal.Options{})
+	path := journal.Path(dir)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(segs[1], data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -451,9 +400,8 @@ func TestTruncateRemovesTornTailPhysically(t *testing.T) {
 	if rep.Torn == nil {
 		t.Fatal("no tear reported")
 	}
-	left, _ := filepath.Glob(filepath.Join(dir, "journal-*.isj"))
-	if len(left) != 2 {
-		t.Fatalf("%d segments left after truncation, want 2", len(left))
+	if st, err := os.Stat(path); err != nil || st.Size() != rep.Torn.Offset {
+		t.Fatalf("journal after truncation: %v (err %v), want %d bytes", st, err, rep.Torn.Offset)
 	}
 	// The truncated journal re-recovers cleanly (still unsealed).
 	rep2, err := journal.Recover(dir, journal.RecoverOptions{})
@@ -474,41 +422,133 @@ func TestTruncateRemovesTornTailPhysically(t *testing.T) {
 	}
 }
 
+// TestTrailingDataAfterSeal: bytes after the seal were never written by
+// the writer. They read as a tear at the seal's end, the sealed graph
+// still recovers complete, and Truncate restores a clean sealed journal.
+func TestTrailingDataAfterSeal(t *testing.T) {
+	dir := t.TempDir()
+	_, exports := writeJournal(t, dir, 2, 20, 12, journal.Options{})
+	path := journal.Path(dir)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(clean, "stray bytes"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.Recover(dir, journal.RecoverOptions{Truncate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Sealed || rep.Torn == nil || rep.Torn.Reason != "trailing data after seal" || rep.Torn.Offset != int64(len(clean)) {
+		t.Fatalf("sealed=%v torn=%v, want sealed with a tear at 0x%x", rep.Sealed, rep.Torn, len(clean))
+	}
+	if got, want := cpgtest.Bytes(t, rep.Analysis), exports[len(exports)-1]; !bytes.Equal(got, want) {
+		t.Fatal("sealed graph behind trailing data diverges from the final fold")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("Truncate left %d bytes (err %v), want the %d-byte sealed journal", len(got), err, len(clean))
+	}
+	rep2, err := journal.Recover(dir, journal.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep2.Sealed || rep2.Torn != nil || rep2.Degraded() {
+		t.Fatalf("truncated journal: sealed=%v torn=%v degraded=%v, want clean and sealed", rep2.Sealed, rep2.Torn, rep2.Degraded())
+	}
+}
+
+// TestJournalOpensWithTheStreamsHello: after the preamble, the first
+// frame is the run's wire.Hello — the frame an ingest body opens with —
+// at base epoch 1, and the directory holds nothing but journal.isj.
+func TestJournalOpensWithTheStreamsHello(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir, 3, 5, 13, journal.Options{RunID: "run-7", App: "hello-test"})
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 1 || left[0].Name() != "journal.isj" {
+		t.Fatalf("journal directory holds %v (err %v), want journal.isj alone", left, err)
+	}
+	data, err := os.ReadFile(journal.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data[:wire.PreambleLen], wire.Preamble()) {
+		t.Fatalf("preamble = %x", data[:wire.PreambleLen])
+	}
+	kind, body, _, err := wire.ParseFrame(data[wire.PreambleLen:], 0)
+	if err != nil || kind != wire.KindHeader {
+		t.Fatalf("first frame: kind %d, err %v", kind, err)
+	}
+	var h wire.Hello
+	if err := wire.Decode(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if want := (wire.Hello{RunID: "run-7", App: "hello-test", Threads: 3, BaseEpoch: 1}); h != want {
+		t.Fatalf("hello = %+v, want %+v", h, want)
+	}
+	rep, err := journal.Recover(dir, journal.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Header != h {
+		t.Fatalf("Recovery.Header = %+v, want the hello %+v", rep.Header, h)
+	}
+}
+
+// TestRecoverRefusesTheSegmentLayout: a directory holding only a
+// journal-000001.isj (the old multi-file layout) is refused with an
+// error naming journal.isj. The segment is a valid journal, so the
+// refusal shows it was never parsed.
+func TestRecoverRefusesTheSegmentLayout(t *testing.T) {
+	src := t.TempDir()
+	writeJournal(t, src, 1, 5, 14, journal.Options{})
+	data, err := os.ReadFile(journal.Path(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal-000001.isj"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := journal.Recover(dir, journal.RecoverOptions{}); err == nil || !strings.Contains(err.Error(), "journal.isj") {
+		t.Fatalf("Recover of a segment-only directory: err = %v, want a refusal naming journal.isj", err)
+	}
+}
+
 func TestRecoverRejectsGarbage(t *testing.T) {
 	if _, err := journal.Recover(t.TempDir(), journal.RecoverOptions{}); err == nil {
 		t.Error("empty directory accepted")
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "journal-000001.isj"), []byte("not a journal at all"), 0o644); err != nil {
+	if err := os.WriteFile(journal.Path(dir), []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := journal.Recover(dir, journal.RecoverOptions{}); err == nil {
-		t.Error("garbage segment 1 accepted")
+		t.Error("garbage journal accepted")
 	}
 }
 
 // TestRecoverRefusesOtherFormatVersions pins the version policy on
-// disk: a segment of another format version is refused by name — the
+// disk: a journal of another format version is refused by name — the
 // preamble says which version wrote it, the error says which this build
 // reads — and is never handed to the record decoder.
 func TestRecoverRefusesOtherFormatVersions(t *testing.T) {
 	dir := t.TempDir()
 	writeJournal(t, dir, 1, 5, 8, journal.Options{})
-	seg := filepath.Join(dir, "journal-000001.isj")
-	data, err := os.ReadFile(seg)
+	path := journal.Path(dir)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != wire.Version {
-		t.Fatalf("fresh segment carries version %d, want %d", v, wire.Version)
+		t.Fatalf("fresh journal carries version %d, want %d", v, wire.Version)
 	}
 	binary.LittleEndian.PutUint32(data[8:], 1)
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = journal.Recover(dir, journal.RecoverOptions{})
 	if err == nil || !strings.Contains(err.Error(), "format version 1, want 2") {
-		t.Fatalf("Recover of a version-1 segment: err = %v, want it to name versions 1 and 2", err)
+		t.Fatalf("Recover of a version-1 journal: err = %v, want it to name versions 1 and 2", err)
 	}
 }
 
@@ -532,6 +572,40 @@ func TestCreateRefusesExistingJournal(t *testing.T) {
 		if left, err := os.ReadDir(fresh); err != nil || len(left) != 0 {
 			t.Fatalf("Discard left %v behind (err %v)", left, err)
 		}
+	}
+}
+
+// failingFile fails every Write.
+type failingFile struct{ journal.File }
+
+func (failingFile) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestFailedCreateLeavesNothingBehind: a Create whose first write fails
+// closes and removes the file it made, so the directory is empty and
+// the corrected retry is not refused as mixing runs.
+func TestFailedCreateLeavesNothingBehind(t *testing.T) {
+	dir := t.TempDir()
+	var opened journal.File
+	_, err := journal.Create(journal.Options{Dir: dir, Threads: 1, OpenFile: func(name string) (journal.File, error) {
+		f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		opened = f
+		return failingFile{f}, err
+	}})
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Create over a failing file: err = %v, want the write error", err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("failed Create left %v behind (err %v)", left, err)
+	}
+	if err := opened.Close(); err == nil {
+		t.Error("failed Create left its file handle open")
+	}
+	w, err := journal.Create(journal.Options{Dir: dir, Threads: 1})
+	if err != nil {
+		t.Fatalf("retry after a failed Create: %v", err)
+	}
+	if err := w.Seal(0); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -612,7 +686,7 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// injected builds Options whose segment files run through the fault
+// injected builds Options whose journal file runs through the fault
 // injector's journal wrapper.
 func injectedOpts(in *faultinject.Injector) journal.Options {
 	return journal.Options{

@@ -23,12 +23,13 @@
 //
 // The package is a leaf (stdlib only): it knows the Hello and Seal
 // records and dispatches every other payload on the two one-method
-// interfaces AppendFrame and Decode document. The journal writes frames
-// into segment files behind a magic/version preamble; the ingest path
-// writes the same frames into an HTTP request body with no preamble —
-// the URL names the source, and every body restates its wire version
-// and run identity in a header frame, so a reconnecting recorder's next
-// POST is self-describing.
+// interfaces AppendFrame and Decode document. Journal and ingest carry
+// one frame sequence: a Hello, the epoch deltas, an optional Seal. An
+// ingest request body is exactly that sequence — the URL names the
+// source, and every body restates its wire version and run identity in
+// its hello, so a reconnecting recorder's next POST is self-describing.
+// A journal is one file holding the whole run's sequence behind a
+// magic/version preamble.
 package wire
 
 import (
@@ -42,15 +43,15 @@ import (
 )
 
 const (
-	// Magic opens every journal segment file. "ISJ" = inspector
-	// journal. Network streams do not carry it; HTTP already frames the
+	// Magic opens every journal file. "ISJ" = inspector journal.
+	// Network streams do not carry it; HTTP already frames the
 	// conversation.
 	Magic = "INSPISJ1"
 	// Version is the frame format version: 2 since payloads are the
 	// records' own binary forms (1 was gob).
 	Version = 2
-	// PreambleLen is the segment preamble size: magic + LE uint32
-	// version.
+	// PreambleLen is the journal file preamble size: magic + LE
+	// uint32 version.
 	PreambleLen = 12
 
 	// Record kinds (first payload byte).
@@ -76,7 +77,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // CRC checksums a frame payload.
 func CRC(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) }
 
-// Preamble returns the segment file preamble: magic plus version.
+// Preamble returns the journal file preamble: magic plus version.
 func Preamble() []byte {
 	pre := make([]byte, PreambleLen)
 	copy(pre, Magic)
@@ -227,12 +228,13 @@ func (fr *Reader) Next() (kind byte, body []byte, err error) {
 // ErrVersion reports a header frame written in another format version.
 var ErrVersion = errors.New("wire: unsupported format version")
 
-// Hello is the first frame of every ingest request body: the stream
-// analogue of the journal segment header. It binds the request to a run
-// identity so the aggregator detects a different run re-using a source
-// name instead of splicing unrelated runs together. On the wire it
-// opens with the format version — a request body has no preamble to
-// carry it — then RunID, App, Threads, BaseEpoch.
+// Hello is the first frame of every ingest request body and of every
+// journal file. It binds what follows to a run identity, so the
+// aggregator detects a different run re-using a source name instead of
+// splicing unrelated runs together, and journal recovery rebuilds the
+// graph with the run's thread capacity. On the wire it opens with the
+// format version — a request body has no preamble to carry it — then
+// RunID, App, Threads, BaseEpoch.
 type Hello struct {
 	// RunID ties a run's uploads together. The aggregator rejects a
 	// hello whose RunID differs from the source's bound identity.
@@ -242,8 +244,9 @@ type Hello struct {
 	// Threads is the graph's thread-slot capacity; the aggregator
 	// rebuilds the per-source graph with it.
 	Threads int
-	// BaseEpoch is the first epoch this request carries (informational;
-	// the server's dedup keys on each delta's own epoch).
+	// BaseEpoch is the first epoch the frames after the hello carry: 1
+	// in a journal (informational; the server's dedup and journal
+	// recovery key on each delta's own epoch).
 	BaseEpoch uint64
 }
 
