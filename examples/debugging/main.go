@@ -15,22 +15,45 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	inspector "github.com/repro/inspector"
 )
 
 func main() {
-	rt, err := inspector.New(inspector.Options{AppName: "debugging"})
+	f, err := investigate()
 	if err != nil {
 		log.Fatal(err)
+	}
+	f.print(os.Stdout)
+}
+
+// finding is what the investigation prints: the final balance, the
+// sub-computation that read it last, where that value came from, the
+// lock's hand-offs and the read's backward slice.
+type finding struct {
+	final                   uint64
+	depositor, feeCollector int // thread slots
+	snapshots               bool
+	lastReader              inspector.SubID
+	lineage, sync, slice    *inspector.QueryResult
+}
+
+// investigate runs the buggy program and asks the CPG why the balance
+// ended where it did.
+func investigate() (*finding, error) {
+	rt, err := inspector.New(inspector.Options{AppName: "debugging"})
+	if err != nil {
+		return nil, err
 	}
 	m := rt.NewMutex("account")
 
 	var balanceAddr inspector.Addr
-	var final uint64
+	f := &finding{}
 
-	report, err := rt.Run(func(main *inspector.Thread) {
+	_, err = rt.Run(func(main *inspector.Thread) {
 		balanceAddr = main.Malloc(8)
 		main.Store64(balanceAddr, 1000) // opening balance
 
@@ -46,27 +69,23 @@ func main() {
 			w.Store64(balanceAddr, bal-bal/10)
 			m.Unlock(w)
 		})
+		f.depositor, f.feeCollector = depositor.Slot(), feeCollector.Slot()
 		main.Join(depositor)
 		main.Join(feeCollector)
 
 		m.Lock(main)
-		final = main.Load64(balanceAddr)
+		f.final = main.Load64(balanceAddr)
 		m.Unlock(main)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	_ = report
-
-	fmt.Printf("final balance: %d (1400 if the fee ran first, 1350 if the deposit ran first)\n\n", final)
 
 	// A live snapshot is a retained epoch of the recording's fold, kept
 	// only under Options.SnapshotMode: TakeSnapshot's ok result
 	// distinguishes "snapshot mode is off" (this run) from "an empty
 	// capture" (possible early in a SnapshotMode run).
-	if _, ok := rt.TakeSnapshot(); !ok {
-		fmt.Println("(no live snapshots: set Options.SnapshotMode to capture consistent cuts mid-run)")
-	}
+	_, f.snapshots = rt.TakeSnapshot()
 
 	// Post-mortem through the versioned query API — the same queries
 	// cpg-query and inspector-serve answer. The data edges name the
@@ -74,60 +93,64 @@ func main() {
 	// sync edges expose the schedule.
 	ctx := context.Background()
 	if res, err := rt.Query(ctx, inspector.Query{Kind: inspector.QueryVerify}); err != nil {
-		log.Fatal(err)
+		return nil, err
 	} else if !*res.Valid {
-		log.Fatalf("CPG invalid: %s", res.Detail)
+		return nil, fmt.Errorf("CPG invalid: %s", res.Detail)
 	}
 
 	// Find the main thread's final balance-reading sub-computation.
 	page := uint64(balanceAddr) / 4096
-	var lastReader inspector.SubID
 	for _, sc := range rt.CPG().Subs() {
 		if sc.ID.Thread == 0 && sc.ReadSet.Contains(page) {
-			lastReader = sc.ID
+			f.lastReader = sc.ID
 		}
 	}
-	fmt.Printf("the final read of the balance page happened in %v\n", lastReader)
-
-	lineage, err := rt.Query(ctx, inspector.Query{
+	if f.lineage, err = rt.Query(ctx, inspector.Query{
 		Kind:   inspector.QueryLineage,
-		Target: lastReader.String(),
+		Target: f.lastReader.String(),
 		Page:   &page,
-	})
-	if err != nil {
-		log.Fatal(err)
+	}); err != nil {
+		return nil, err
 	}
-	for _, lin := range lineage.Lineages {
-		fmt.Printf("value came from a write in %v", lin.Writer)
-		if len(lin.Upstream) > 0 {
-			fmt.Printf(", which itself consumed data from %v", lin.Upstream)
-		}
-		fmt.Println()
-	}
-
-	fmt.Println("\nschedule dependencies through the account lock:")
-	edges, err := rt.Query(ctx, inspector.Query{
+	if f.sync, err = rt.Query(ctx, inspector.Query{
 		Kind:      inspector.QueryEdges,
 		EdgeKinds: []string{"sync"},
-	})
-	if err != nil {
-		log.Fatal(err)
+	}); err != nil {
+		return nil, err
 	}
-	for _, e := range edges.Edges {
+	if f.slice, err = rt.Query(ctx, inspector.Query{
+		Kind:   inspector.QuerySlice,
+		Target: f.lastReader.String(),
+	}); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// print writes the finding as the case study reports it.
+func (f *finding) print(w io.Writer) {
+	fmt.Fprintf(w, "final balance: %d (1400 if the fee ran first, 1350 if the deposit ran first)\n\n", f.final)
+	if !f.snapshots {
+		fmt.Fprintln(w, "(no live snapshots: set Options.SnapshotMode to capture consistent cuts mid-run)")
+	}
+	fmt.Fprintf(w, "the final read of the balance page happened in %v\n", f.lastReader)
+	for _, lin := range f.lineage.Lineages {
+		fmt.Fprintf(w, "value came from a write in %v", lin.Writer)
+		if len(lin.Upstream) > 0 {
+			fmt.Fprintf(w, ", which itself consumed data from %v", lin.Upstream)
+		}
+		fmt.Fprintln(w)
+	}
+
+	fmt.Fprintln(w, "\nschedule dependencies through the account lock:")
+	for _, e := range f.sync.Edges {
 		if e.Object == "mutex:account" {
-			fmt.Printf("  %v released the lock to %v\n", e.From, e.To)
+			fmt.Fprintf(w, "  %v released the lock to %v\n", e.From, e.To)
 		}
 	}
 
-	fmt.Println("\nbackward slice of the final read (everything that may have affected it):")
-	slice, err := rt.Query(ctx, inspector.Query{
-		Kind:   inspector.QuerySlice,
-		Target: lastReader.String(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, id := range slice.IDs {
-		fmt.Printf("  %v\n", id)
+	fmt.Fprintln(w, "\nbackward slice of the final read (everything that may have affected it):")
+	for _, id := range f.slice.IDs {
+		fmt.Fprintf(w, "  %v\n", id)
 	}
 }

@@ -10,25 +10,51 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	inspector "github.com/repro/inspector"
 )
 
 func main() {
-	rt, err := inspector.New(inspector.Options{AppName: "dift"})
+	a, err := audit()
 	if err != nil {
 		log.Fatal(err)
+	}
+	a.print(os.Stdout)
+}
+
+// decision is the output policy's verdict on one write() call.
+type decision struct {
+	from   inspector.SubID
+	secret bool // it emits the secret-derived result, not the public one
+	allow  bool
+}
+
+// findings is what the audit prints: the tainted sub-computations, and a
+// verdict per output call.
+type findings struct {
+	tainted   []inspector.SubID
+	decisions []decision
+}
+
+// audit records the program, propagates the taint from the sensitive
+// input and judges each output call.
+func audit() (*findings, error) {
+	rt, err := inspector.New(inspector.Options{AppName: "dift"})
+	if err != nil {
+		return nil, err
 	}
 
 	// Two inputs: a public dataset and a sensitive credentials blob.
 	publicAddr, err := rt.MapInput("public.csv", []byte("price,qty\n10,3\n20,7\n"))
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	secretAddr, err := rt.MapInput("credentials.txt", []byte("api-key: hunter2"))
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 
 	m := rt.NewMutex("results")
@@ -73,7 +99,7 @@ func main() {
 		m.Unlock(main)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 
 	analysis := rt.CPG().Analyze()
@@ -91,23 +117,22 @@ func main() {
 			taint[sc.ID] = true
 			flows, err := analysis.DescendantsCtx(context.Background(), sc.ID, inspector.EdgeData, inspector.EdgeControl)
 			if err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
 			for _, id := range flows {
 				taint[id] = true
 			}
 		}
 	}
-	fmt.Printf("tainted sub-computations (touched data derived from credentials.txt):\n")
+	f := &findings{}
 	for _, sc := range rt.CPG().Subs() {
 		if taint[sc.ID] {
-			fmt.Printf("  %v\n", sc.ID)
+			f.tainted = append(f.tainted, sc.ID)
 		}
 	}
 
 	// Policy check at the "output" boundary: an emit is allowed only if
 	// the emitting sub-computation is untainted.
-	fmt.Println("\npolicy decisions for the output syscalls:")
 	pubPage, secPage := uint64(pubOut)/4096, uint64(secOut)/4096
 	for _, sc := range rt.CPG().Subs() {
 		if sc.ID.Thread != 0 {
@@ -118,10 +143,23 @@ func main() {
 		if !emitsPub && !emitsSec {
 			continue
 		}
+		f.decisions = append(f.decisions, decision{from: sc.ID, secret: emitsSec, allow: !taint[sc.ID]})
+	}
+	return f, nil
+}
+
+// print writes the tainted sub-computations and the policy's verdicts.
+func (f *findings) print(w io.Writer) {
+	fmt.Fprintf(w, "tainted sub-computations (touched data derived from credentials.txt):\n")
+	for _, id := range f.tainted {
+		fmt.Fprintf(w, "  %v\n", id)
+	}
+	fmt.Fprintln(w, "\npolicy decisions for the output syscalls:")
+	for _, d := range f.decisions {
 		verdict := "ALLOW"
-		if taint[sc.ID] {
+		if !d.allow {
 			verdict = "DENY (tainted by sensitive input)"
 		}
-		fmt.Printf("  write() from %v -> %s\n", sc.ID, verdict)
+		fmt.Fprintf(w, "  write() from %v -> %s\n", d.from, verdict)
 	}
 }

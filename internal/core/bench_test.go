@@ -123,6 +123,50 @@ func BenchmarkEndSubParallel(b *testing.B) {
 	}
 }
 
+// recordBranches is the branch count one BenchmarkRecordBranches op
+// records: 2^18 thunks, 8 MiB of control path.
+const recordBranches = 1 << 18
+
+// BenchmarkRecordBranches measures the per-branch thunk path (OnBranch
+// and the thunk storage EndSub publishes): one op records recordBranches
+// branches into a fresh graph, as one sub-computation (one-sub, the
+// record-branchy shape) or as subs of 4 branches (small-subs). Reports
+// ns/branch and B/branch; allocs/op counts per op.
+func BenchmarkRecordBranches(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		perSub int
+	}{{"one-sub", recordBranches}, {"small-subs", 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				g := core.NewGraph(1)
+				rec, err := core.NewRecorder(g, 0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				site := g.InternSite("bench.loop")
+				for j := 1; j <= recordBranches; j++ {
+					rec.OnInstructions(3)
+					rec.OnBranch(site, j%3 != 0)
+					if j%c.perSub == 0 {
+						if _, err := rec.EndSub(core.SyncEvent{}, 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			branches := float64(b.N) * recordBranches
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/branches, "ns/branch")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/branches, "B/branch")
+		})
+	}
+}
+
 func benchDataEdges(b *testing.B, g *core.Graph) {
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -86,14 +86,17 @@ type Recorder struct {
 
 	cur          *SubComputation
 	instructions uint64 // current thunk's instruction count
-	// thunkCap predicts the next sub-computation's thunk count from the
-	// last completed one, so the Thunks slice is sized once up front
-	// instead of re-growing (and re-copying) on the per-branch path.
-	// Completed sub-computations keep their slices forever in the graph,
-	// so true pooling is impossible; right-sized single allocation is
-	// the next best thing.
-	thunkCap int
+	// Thunks are written once, into chunks the recorder owns. The open
+	// sub-computation's thunks are filled[0][start:], the rest of filled,
+	// then chunk; with filled empty, just chunk[start:]. Published slices
+	// alias chunk prefixes, so a chunk shared with one is only appended to.
+	chunk  []Thunk
+	start  int
+	filled [][]Thunk
 }
+
+// Thunk chunks double from minThunkChunk to maxThunkChunk thunks.
+const minThunkChunk, maxThunkChunk = 64, 4096
 
 // NewRecorder initializes a thread recorder (initThread(t) in Algorithm 2:
 // α <- 0, Ct <- 0) and opens the first sub-computation at virtual time
@@ -148,9 +151,6 @@ func (r *Recorder) startSub(now vtime.Cycles) {
 		Clock: r.clock.Copy(),
 		Start: now,
 	}
-	if r.thunkCap > 0 {
-		r.cur.Thunks = make([]Thunk, 0, r.thunkCap)
-	}
 }
 
 // OnRead records a load's page into the read set (onMemoryAccess). The
@@ -177,9 +177,51 @@ func (r *Recorder) closeThunk(th Thunk) {
 	th.Index = r.beta
 	th.Instructions = r.instructions
 	r.cur.Instructions += r.instructions
-	r.cur.Thunks = append(r.cur.Thunks, th)
+	if len(r.chunk) == cap(r.chunk) {
+		r.nextChunk()
+	}
+	r.chunk = append(r.chunk, th)
 	r.beta++
 	r.instructions = 0
+}
+
+// nextChunk opens a new chunk in place of the full one, which stays in
+// filled if it holds thunks of the open sub-computation.
+func (r *Recorder) nextChunk() {
+	if len(r.filled) > 0 || r.start < len(r.chunk) {
+		r.filled = append(r.filled, r.chunk)
+	} else {
+		r.start = 0
+	}
+	r.chunk = make([]Thunk, 0, min(max(2*cap(r.chunk), minThunkChunk), maxThunkChunk))
+}
+
+// thunks returns the open sub-computation's thunks with cap == len, so an
+// append to a published slice never writes into a chunk: nil if there are
+// none, a sub-slice of chunk if they fit in it, else one copy.
+func (r *Recorder) thunks() []Thunk {
+	if r.beta == 0 {
+		return nil
+	} else if len(r.filled) == 0 {
+		return r.chunk[r.start:len(r.chunk):len(r.chunk)]
+	}
+	out := append(make([]Thunk, 0, r.beta), r.filled[0][r.start:]...)
+	for _, c := range r.filled[1:] {
+		out = append(out, c...)
+	}
+	return append(out, r.chunk...)
+}
+
+// consumeThunks moves the open position past the published sub-computation.
+// A spilled one was copied out, so nothing published aliases the open
+// chunk, which starts over; the filled chunks are left to the collector.
+func (r *Recorder) consumeThunks() {
+	if len(r.filled) == 0 {
+		r.start = len(r.chunk)
+		return
+	}
+	clear(r.filled)
+	r.filled, r.chunk, r.start = r.filled[:0], r.chunk[:0], 0
 }
 
 // OnBranch closes the current thunk with the (interned) branch site that
@@ -206,20 +248,15 @@ func (r *Recorder) EndSub(ev SyncEvent, now vtime.Cycles) (*SubComputation, erro
 	r.cur.End = ev
 	r.cur.Finish = now
 	done := r.cur
-	r.thunkCap = len(done.Thunks)
-	// The graph retains every completed sub-computation, so a slice
-	// whose prediction badly overshot would pin its oversized backing
-	// array forever; copy-shrink before publishing. Branchless subs
-	// publish nil, exactly as they did before pre-sizing existed (the
-	// CPG JSON encodes nil as null, and drift checks byte-compare it).
-	if len(done.Thunks) == 0 {
-		done.Thunks = nil
-	} else if c := cap(done.Thunks); c > 16 && c > 4*len(done.Thunks) {
-		done.Thunks = append([]Thunk(nil), done.Thunks...)
-	}
+	// Branchless subs publish nil: the CPG JSON encodes it as null, and
+	// drift checks byte-compare it. The thunk state moves on only once the
+	// graph holds the sub-computation.
+	done.Thunks = r.thunks()
 	if err := r.graph.add(done); err != nil {
+		done.Thunks = nil
 		return nil, err
 	}
+	r.consumeThunks()
 	r.alpha++
 	r.startSub(now)
 	return done, nil
