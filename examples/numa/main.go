@@ -10,31 +10,65 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	inspector "github.com/repro/inspector"
 )
+
+// pagesPerThread is the size of each thread's private region, in pages.
+const pagesPerThread = 8
 
 // nodeOf models a two-socket machine: even thread slots on node 0, odd
 // on node 1.
 func nodeOf(thread int) int { return thread % 2 }
 
 func main() {
-	rt, err := inspector.New(inspector.Options{AppName: "numa"})
+	f, err := advise()
 	if err != nil {
 		log.Fatal(err)
 	}
+	f.print(os.Stdout)
+}
+
+// placement is the advice for one page: bind it to its dominant
+// consumer's node — exclusive when no other thread touched it — or, when
+// no thread holds a majority of its touches, interleave it (thread -1).
+type placement struct {
+	page        uint64
+	thread      int
+	exclusive   bool
+	touches, of int // the dominant consumer's touches, all touches
+}
+
+// findings is what the case study prints — one placement per touched
+// page, in page order — and the layout it was derived from: the page
+// every worker polls and each thread's private region.
+type findings struct {
+	placements []placement
+	sharedPage uint64
+	regions    []inspector.Addr
+}
+
+// advise records the mixed-affinity program and derives a placement for
+// every page it touched.
+func advise() (*findings, error) {
+	rt, err := inspector.New(inspector.Options{AppName: "numa"})
+	if err != nil {
+		return nil, err
+	}
 
 	const threads = 4
-	const pagesPerThread = 8
 	bar := rt.NewBarrier("phase", threads)
 
+	var shared inspector.Addr
+	regions := make([]inspector.Addr, threads)
 	_, err = rt.Run(func(main *inspector.Thread) {
 		// Each worker owns a private region but also polls one shared
 		// page — the classic mixed-affinity layout.
-		shared := main.Malloc(8)
-		regions := make([]inspector.Addr, threads)
+		shared = main.Malloc(8)
 		for i := range regions {
 			regions[i] = main.Malloc(pagesPerThread * 4096)
 		}
@@ -51,25 +85,17 @@ func main() {
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 
 	// Aggregate page affinity from the CPG's access sets.
-	type affinity struct {
-		touches map[int]int // thread -> touch count
-	}
-	pages := map[uint64]*affinity{}
+	pages := map[uint64]map[int]int{} // page -> thread -> touch count
 	for _, sc := range rt.CPG().Subs() {
-		for _, set := range []inspector.SubID{} {
-			_ = set
-		}
 		record := func(p uint64) {
-			a := pages[p]
-			if a == nil {
-				a = &affinity{touches: map[int]int{}}
-				pages[p] = a
+			if pages[p] == nil {
+				pages[p] = map[int]int{}
 			}
-			a.touches[sc.ID.Thread]++
+			pages[p][sc.ID.Thread]++
 		}
 		for _, p := range sc.ReadSet.Sorted() {
 			record(p)
@@ -85,45 +111,56 @@ func main() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	fmt.Println("page      dominant-thread  node  advice")
-	var local, remote, contended int
+	f := &findings{sharedPage: uint64(shared) / 4096, regions: regions}
 	for _, p := range ids {
-		a := pages[p]
+		touches := pages[p]
 		best, bestN, total := -1, 0, 0
-		for th, n := range a.touches {
+		for th, n := range touches {
 			total += n
 			if n > bestN {
 				best, bestN = th, n
 			}
 		}
+		pl := placement{page: p, thread: best, exclusive: len(touches) == 1, touches: bestN, of: total}
+		if bestN*2 <= total {
+			pl.thread, pl.exclusive = -1, false
+		}
+		f.placements = append(f.placements, pl)
+	}
+	return f, nil
+}
+
+// print writes the placement table and its summary.
+func (f *findings) print(w io.Writer) {
+	fmt.Fprintln(w, "page      dominant-thread  node  advice")
+	var local, remote, contended int
+	for _, pl := range f.placements {
 		switch {
-		case bestN*2 > total && len(a.touches) == 1:
-			local++
-			fmt.Printf("%-9d T%-15d %-5d bind to node %d (exclusive)\n", p, best, nodeOf(best), nodeOf(best))
-		case bestN*2 > total:
-			remote++
-			fmt.Printf("%-9d T%-15d %-5d bind to node %d (dominant: %d/%d touches)\n",
-				p, best, nodeOf(best), nodeOf(best), bestN, total)
-		default:
+		case pl.thread < 0:
 			contended++
-			fmt.Printf("%-9d -%-15s %-5s interleave (no dominant consumer)\n", p, "", "-")
+			fmt.Fprintf(w, "%-9d -%-15s %-5s interleave (no dominant consumer)\n", pl.page, "", "-")
+		case pl.exclusive:
+			local++
+			fmt.Fprintf(w, "%-9d T%-15d %-5d bind to node %d (exclusive)\n", pl.page, pl.thread, nodeOf(pl.thread), nodeOf(pl.thread))
+		default:
+			remote++
+			fmt.Fprintf(w, "%-9d T%-15d %-5d bind to node %d (dominant: %d/%d touches)\n",
+				pl.page, pl.thread, nodeOf(pl.thread), nodeOf(pl.thread), pl.touches, pl.of)
 		}
 	}
-	fmt.Printf("\nsummary: %d exclusive pages, %d dominant pages, %d contended pages\n",
+	fmt.Fprintf(w, "\nsummary: %d exclusive pages, %d dominant pages, %d contended pages\n",
 		local, remote, contended)
 }
 
 // work touches the private region heavily and the shared page lightly.
 func work(w *inspector.Thread, region, shared inspector.Addr, bar *inspector.Barrier) {
 	for round := 0; round < 3; round++ {
-		for p := 0; p < pagesPerThreadConst; p++ {
+		for p := 0; p < pagesPerThread; p++ {
 			addr := region + inspector.Addr(p*4096)
 			w.Store64(addr, w.Load64(addr)+1)
-			w.Branch("numa.page", p+1 < pagesPerThreadConst)
+			w.Branch("numa.page", p+1 < pagesPerThread)
 		}
 		_ = w.Load64(shared)
 		bar.Wait(w)
 	}
 }
-
-const pagesPerThreadConst = 8

@@ -5,7 +5,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -13,16 +15,38 @@ import (
 )
 
 func main() {
-	rt, err := inspector.New(inspector.Options{AppName: "quickstart"})
+	f, err := record()
 	if err != nil {
 		log.Fatal(err)
 	}
+	f.print(os.Stdout)
+}
+
+// findings is what the quickstart prints: the program's result, the
+// run's statistics, the CPG's edges, the branch events the PT traces
+// reconstruct, and the Graphviz render.
+type findings struct {
+	finalY           uint64
+	report           *inspector.Report
+	subs             int
+	edges            []inspector.Edge
+	branches, traces int
+	dot              []byte
+}
+
+// record runs the Figure-1 execution and reads its provenance back.
+func record() (*findings, error) {
+	rt, err := inspector.New(inspector.Options{AppName: "quickstart"})
+	if err != nil {
+		return nil, err
+	}
 
 	m := rt.NewMutex("shared")
+	f := &findings{}
 
 	// The classic Figure-1 execution from the paper: two threads update
 	// shared variables x and y under a lock.
-	report, err := rt.Run(func(main *inspector.Thread) {
+	f.report, err = rt.Run(func(main *inspector.Thread) {
 		x := main.Malloc(8)
 		y := main.Malloc(8)
 
@@ -50,14 +74,11 @@ func main() {
 		main.Store64(y, main.Load64(y)/2)
 		m.Unlock(main)
 
-		fmt.Printf("final y = %d\n", main.Load64(y))
+		f.finalY = main.Load64(y)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-
-	fmt.Printf("run: time=%v work=%v faults=%d trace=%dB\n",
-		report.Time, report.Work, report.Faults(), report.TraceBytes)
 
 	// The CPG records what happened: sub-computations per thread, the
 	// schedule dependencies through the lock, and the data flow between
@@ -65,26 +86,38 @@ func main() {
 	cpg := rt.CPG()
 	analysis := cpg.Analyze()
 	if err := analysis.Verify(); err != nil {
-		log.Fatalf("invalid CPG: %v", err)
+		return nil, fmt.Errorf("invalid CPG: %w", err)
 	}
-	fmt.Printf("CPG: %d sub-computations\n", cpg.NumSubs())
-	for _, e := range analysis.Edges() {
-		fmt.Printf("  %v -> %v (%v %s)\n", e.From, e.To, e.Kind, e.Object)
-	}
+	f.subs, f.edges = cpg.NumSubs(), analysis.Edges()
 
 	// The PT traces reconstruct the exact control flow.
 	counts, err := rt.DecodeTraces()
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	total := 0
 	for _, n := range counts {
-		total += n
+		f.branches += n
 	}
-	fmt.Printf("PT: %d branch events reconstructed from %d traces\n", total, len(counts))
+	f.traces = len(counts)
 
 	// Export for cpg-query / Graphviz.
-	if err := rt.WriteDOT(os.Stdout); err != nil {
-		log.Fatal(err)
+	var dot bytes.Buffer
+	if err := rt.WriteDOT(&dot); err != nil {
+		return nil, err
 	}
+	f.dot = dot.Bytes()
+	return f, nil
+}
+
+// print writes the findings in the order the run produced them.
+func (f *findings) print(w io.Writer) {
+	fmt.Fprintf(w, "final y = %d\n", f.finalY)
+	fmt.Fprintf(w, "run: time=%v work=%v faults=%d trace=%dB\n",
+		f.report.Time, f.report.Work, f.report.Faults(), f.report.TraceBytes)
+	fmt.Fprintf(w, "CPG: %d sub-computations\n", f.subs)
+	for _, e := range f.edges {
+		fmt.Fprintf(w, "  %v -> %v (%v %s)\n", e.From, e.To, e.Kind, e.Object)
+	}
+	fmt.Fprintf(w, "PT: %d branch events reconstructed from %d traces\n", f.branches, f.traces)
+	w.Write(f.dot)
 }

@@ -184,6 +184,9 @@ type Graph struct {
 	threads  int
 	interner *Interner
 	shards   []graphShard
+	// column is a restored graph's control path, kept encoded
+	// (RestoreThunkColumn); nil while vertices carry their own Thunks.
+	column *thunkColumn
 }
 
 // NewGraph creates an empty CPG for up to threads thread slots.
@@ -233,6 +236,9 @@ func (g *Graph) add(sc *SubComputation) error {
 	sh := g.shard(sc.ID.Thread)
 	if sh == nil {
 		return fmt.Errorf("core: thread slot %d out of range [0,%d)", sc.ID.Thread, g.threads)
+	}
+	if g.column != nil {
+		return fmt.Errorf("core: %v appended to a graph whose thunk column is sealed", sc.ID)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -485,7 +485,11 @@ func TestExportJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if want := g.Dump(); !reflect.DeepEqual(&got, want) {
+	want, err := g.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, want) {
 		t.Errorf("JSON render lost detail:\n got %+v\nwant %+v", &got, want)
 	}
 }

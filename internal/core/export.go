@@ -8,6 +8,7 @@ import (
 
 	"github.com/repro/inspector/internal/vclock"
 	"github.com/repro/inspector/internal/vtime"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // MarshalJSON renders a PageSet as a sorted array of page IDs.
@@ -66,9 +67,16 @@ type Dump struct {
 	Gaps []ThreadGaps `json:",omitempty"`
 }
 
-// Dump extracts the graph's full state in wire form.
-func (g *Graph) Dump() *Dump {
+// Dump extracts the graph's full state in wire form. A restored graph's
+// thunk column is decoded here, one vertex's list at a time, into this
+// Dump only: nothing is cached on the graph, so concurrent renders share
+// no state. The error reports a column that does not parse.
+func (g *Graph) Dump() (*Dump, error) {
 	subs := g.Subs()
+	var col wire.Cursor
+	if g.column != nil {
+		col = wire.NewCursor(g.column.b)
+	}
 	out := make([]*wireSub, len(subs))
 	for i, sc := range subs {
 		ws := &wireSub{
@@ -81,9 +89,13 @@ func (g *Graph) Dump() *Dump {
 			Finish:       sc.Finish,
 			Instructions: sc.Instructions,
 		}
-		if len(sc.Thunks) > 0 {
-			ws.Thunks = make([]wireThunk, len(sc.Thunks))
-			for j, th := range sc.Thunks {
+		thunks := sc.Thunks
+		if g.column != nil {
+			thunks = ParseThunks(&col)
+		}
+		if len(thunks) > 0 {
+			ws.Thunks = make([]wireThunk, len(thunks))
+			for j, th := range thunks {
 				ws.Thunks[j] = wireThunk{
 					Index:        th.Index,
 					Site:         g.SiteName(th.Site),
@@ -96,20 +108,29 @@ func (g *Graph) Dump() *Dump {
 		}
 		out[i] = ws
 	}
+	if g.column != nil {
+		if err := col.Done(); err != nil {
+			return nil, fmt.Errorf("core: restored thunk column: %w", err)
+		}
+	}
 	return &Dump{
 		Threads:   g.Threads(),
 		Subs:      out,
 		SyncEdges: g.SyncEdges(),
 		Gaps:      g.Gaps(),
-	}
+	}, nil
 }
 
 // EncodeJSON renders the graph as JSON (for debugging and downstream
 // tools).
 func (g *Graph) EncodeJSON(w io.Writer) error {
+	d, err := g.Dump()
+	if err != nil {
+		return err
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(g.Dump()); err != nil {
+	if err := enc.Encode(d); err != nil {
 		return fmt.Errorf("core: encode CPG json: %w", err)
 	}
 	return nil

@@ -124,15 +124,33 @@ func ParseThunks(c *wire.Cursor) []Thunk {
 	}
 	thunks := make([]Thunk, n)
 	for i := range thunks {
-		th := &thunks[i]
-		th.Index = c.Uvarint("thunk.index")
-		th.Site = SiteRef(c.Uint32("thunk.site"))
-		flags := c.Byte("thunk.flags", 3)
-		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
-		th.Target = SiteRef(c.Uint32("thunk.target"))
-		th.Instructions = c.Uvarint("thunk.instructions")
+		parseThunk(c, &thunks[i])
 	}
 	return thunks
+}
+
+// WalkThunks reads an AppendThunks list with ParseThunks's checks but
+// keeps nothing: each thunk is read into one scratch value, handed to
+// visit (which may fail c on it), and overwritten by the next. It
+// returns the list's length.
+func WalkThunks(c *wire.Cursor, visit func(*Thunk)) int {
+	n := c.Count("thunks", MinThunkBytes)
+	var th Thunk
+	for i := 0; i < n && c.Err() == nil; i++ {
+		parseThunk(c, &th)
+		visit(&th)
+	}
+	return n
+}
+
+// parseThunk reads one AppendThunks element into th.
+func parseThunk(c *wire.Cursor, th *Thunk) {
+	th.Index = c.Uvarint("thunk.index")
+	th.Site = SiteRef(c.Uint32("thunk.site"))
+	flags := c.Byte("thunk.flags", 3)
+	th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
+	th.Target = SiteRef(c.Uint32("thunk.target"))
+	th.Instructions = c.Uvarint("thunk.instructions")
 }
 
 // AppendGap appends one trace-loss interval (its thread is the

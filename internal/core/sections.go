@@ -50,7 +50,7 @@ func (a *Analysis) Stats() Stats {
 	vt := a.vertexTotals()
 	st := Stats{
 		SubComputations: a.NumVertices(),
-		Thunks:          vt.thunks,
+		Thunks:          vt.thunks + a.g.column.count(),
 		ReadSetPages:    vt.readSetPages,
 		WriteSetPages:   vt.writeSetPages,
 		GapThreads:      a.comp.GapThreads,
@@ -115,6 +115,56 @@ func (s EdgeSeq) copyOut() []Edge {
 // the deserialization mirror of the EndSub append path. Alphas must
 // arrive dense and in order per thread.
 func (g *Graph) AppendSub(sc *SubComputation) error { return g.add(sc) }
+
+// thunkColumn is a control path kept in its encoded form: the
+// AppendThunks lists of every vertex of a graph, back to back in
+// (thread, alpha) order — the .cpg thunks section — and how many thunks
+// they hold.
+type thunkColumn struct {
+	b     []byte
+	total int
+}
+
+// count returns the column's thunk total (0 for no column).
+func (c *thunkColumn) count() int {
+	if c == nil {
+		return 0
+	}
+	return c.total
+}
+
+// RestoreThunkColumn hands a restored graph its control path in encoded
+// form instead of per-vertex Thunks: col is the AppendThunks list of
+// each of the graph's vertices in (thread, alpha) order, total the
+// thunks they hold, and every site and target ref is already this
+// graph's own. The caller vouches for col — it has walked and
+// checksummed it — and the graph keeps it, so col must not be modified
+// afterwards. Call it once, after the last AppendSub and before the
+// graph is shared: the column seals the vertex set, so later appends
+// fail. Stats counts the column, AppendThunkColumn copies it and Dump
+// decodes it; vertices keep nil Thunks, so an epoch delta cut from the
+// graph would carry none — a restored graph is read, never cut.
+func (g *Graph) RestoreThunkColumn(col []byte, total int) error {
+	if g.column != nil {
+		return fmt.Errorf("core: graph already holds a thunk column")
+	}
+	g.column = &thunkColumn{b: col, total: total}
+	return nil
+}
+
+// AppendThunkColumn appends the control-path column of subs, a prefix
+// of this graph's vertices in (thread, alpha) order: their AppendThunks
+// lists back to back. A graph holding a restored column appends it
+// verbatim — it covers every vertex, which is every prefix it has.
+func (g *Graph) AppendThunkColumn(b []byte, subs []*SubComputation) []byte {
+	if g.column != nil {
+		return append(b, g.column.b...)
+	}
+	for _, sc := range subs {
+		b = AppendThunks(b, sc.Thunks)
+	}
+	return b
+}
 
 // RestoreSyncEdge re-records a release -> acquire schedule dependency in
 // the acquiring thread's edge log (deserialization path; the object ref

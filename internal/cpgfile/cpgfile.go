@@ -22,11 +22,15 @@
 // (fieldcodec.go, the ones the epoch delta writes row-wise) column by
 // column, and every section is read through a wire.Cursor, which owns
 // the rule for how an untrusted count may allocate. Two read paths
-// share one parser: Load fully
-// decodes a file into a core.Analysis, and Mapped keeps the file
-// mmapped, answering header/stats queries straight from their sections
-// and materializing the full analysis only on demand (and dropping it
-// again under memory pressure — see provenance.Store).
+// share one parser: Load fully decodes a file into a core.Analysis, and
+// Mapped keeps the file mmapped, answering header/stats queries straight
+// from their sections and materializing the analysis only on demand
+// (and dropping it again under memory pressure — see provenance.Store).
+// A materialization keeps the thunks section — the control path, which
+// no query reads and which dominates a branchy file — as one owned,
+// CRC-checked byte column on the graph instead of decoding it: the
+// column is walked once per mapping, and decoded only by the JSON
+// render.
 //
 // Integrity is per section: every read path verifies the CRC of each
 // section it touches before decoding it, and every decode error is a

@@ -145,11 +145,12 @@ func TestMappedLazyAndDrop(t *testing.T) {
 }
 
 // TestMappedConcurrentReaders shares one Mapped across goroutines that
-// materialize, encode, and drop concurrently (meaningful under -race).
-// Every reader must see a complete, correct analysis no matter how Drop
-// interleaves with Analysis.
+// materialize, encode, render, count and drop concurrently (meaningful
+// under -race). Every reader must see a complete, correct analysis no
+// matter how Drop interleaves with Analysis, and the readers of the
+// deferred thunks column must not race each other.
 func TestMappedConcurrentReaders(t *testing.T) {
-	a := buildAnalysis(t, 5, true)
+	a := thunkyGraph(24, 50).Analyze()
 	want := encoded(t, a)
 	path := writeTemp(t, a, Meta{RunID: "r"})
 	m, err := Open(path)
@@ -157,6 +158,14 @@ func TestMappedConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	wantStats, err := m.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantJSON bytes.Buffer
+	if err := a.Graph().EncodeJSON(&wantJSON); err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
@@ -181,6 +190,19 @@ func TestMappedConcurrentReaders(t *testing.T) {
 				}
 				if !bytes.Equal(want, buf.Bytes()) {
 					errc <- fmt.Errorf("worker %d iter %d: encoding drifted", w, i)
+					return
+				}
+				buf.Reset()
+				if err := got.Graph().EncodeJSON(&buf); err != nil {
+					errc <- err
+					return
+				}
+				if !bytes.Equal(wantJSON.Bytes(), buf.Bytes()) {
+					errc <- fmt.Errorf("worker %d iter %d: JSON render drifted", w, i)
+					return
+				}
+				if st := got.Stats(); st != wantStats {
+					errc <- fmt.Errorf("worker %d iter %d: Stats() = %+v, want %+v", w, i, st, wantStats)
 					return
 				}
 				if i%3 == w%3 {
@@ -320,6 +342,8 @@ func TestCorruptionIsTypedAndNamed(t *testing.T) {
 			{"data edge count", secDataEdges, 0},
 			{"gap thread count", secGaps, 0},
 			{"gap interval count", secGaps, 2},
+			{"stored sub-computation count", secStats, 0},
+			{"stored thunk total", secStats, 2},
 		}
 		// What refusing a forged file may cost: the file read plus the
 		// sections decoded before the lie, which an intact load of this

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"unsafe"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/wire"
@@ -30,10 +31,11 @@ const (
 // Rough per-object resident sizes used for the decoded-footprint
 // estimate the serving layer budgets against. Estimates, not
 // accounting: the budget bounds order-of-magnitude memory, and these
-// deliberately round up (struct + pointer + container slot).
+// deliberately round up (struct + pointer + container slot). A deferred
+// thunks column is charged its bytes exactly; a decoded one the size of
+// its structs.
 const (
 	fpPerSub    = 208
-	fpPerThunk  = 40
 	fpPerEdge   = 80
 	fpPerWord   = 8
 	fpPerSymbol = 48
@@ -144,6 +146,17 @@ func (lay *fileLayout) section(data []byte, kind uint32) (wire.Cursor, error) {
 	return wire.NewCursor(b), nil
 }
 
+// ownedSection copies one section out of data and verifies the copy's
+// CRC, so the bytes checked are the bytes kept.
+func (lay *fileLayout) ownedSection(data []byte, kind uint32) ([]byte, error) {
+	s := lay.secs[kind]
+	b := append([]byte(nil), data[s.off:s.off+s.length]...)
+	if got := crc32.Checksum(b, castagnoli); got != s.crc {
+		return nil, corruptf(kind, "CRC mismatch: stored %08x, computed %08x", s.crc, got)
+	}
+	return b, nil
+}
+
 // Load fully decodes the CPG file at path. The returned analysis owns
 // all of its memory — nothing aliases the file. A file that does not
 // decode is reported with its path.
@@ -165,21 +178,34 @@ func decodeFile(data []byte) (*core.Analysis, Header, error) {
 	if err != nil {
 		return nil, Header{}, err
 	}
-	a, _, err := decodeAnalysis(data, lay)
+	a, _, err := decodeAnalysis(data, lay, nil)
 	if err != nil {
-		return nil, Header{}, err
-	}
-	// The graph decode never touches the stats section; verify it too,
-	// so a successful Load vouches for every byte of the file.
-	if _, err := decodeStats(data, lay); err != nil {
 		return nil, Header{}, err
 	}
 	return a, lay.hdr, nil
 }
 
+// thunkWalk is what a mapping remembers of its first materialization:
+// that it succeeded — the thunks column walked clean and the stats
+// section matched the graph — and the thunk total the walk counted.
+type thunkWalk struct {
+	done  bool
+	total int
+}
+
 // decodeAnalysis materializes the full analysis from a parsed file,
 // returning it with the estimated resident footprint of the decode.
-func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error) {
+//
+// walk is nil for Load, which decodes every thunk into its vertex. A
+// Mapped passes its own: when the file's symbol table re-interns to the
+// identity (every file Encode writes: ref 0 is "", then the table in
+// ref order) the thunks section stays encoded — copied into memory the
+// analysis owns, CRC-checked, walked only if no earlier materialization
+// has, and handed to the graph as its column. Any other file takes the
+// eager path. The first successful materialization of either path, and
+// every Load, also checks the stats section against the graph, and
+// records itself in walk.
+func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analysis, int64, error) {
 	var footprint int64
 
 	// Symbols: re-intern through a remap table. Refs in the file index
@@ -194,8 +220,10 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 	}
 	g := core.NewGraph(lay.hdr.Threads)
 	remap := make([]uint32, len(syms))
+	identity := true
 	for i, s := range syms {
 		remap[i] = uint32(g.InternSite(s))
+		identity = identity && remap[i] == uint32(i)
 		footprint += fpPerSymbol + int64(len(s))
 	}
 	// mapRef resolves a stored ref, failing the cursor it was read from
@@ -207,28 +235,42 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 		}
 		return remap[ref]
 	}
+	deferred := walk != nil && identity
 
-	// Vertices + per-vertex columns: four cursors advance in lockstep,
-	// one vertex at a time, in (thread, alpha) order.
-	columns := [...]struct {
+	// Vertices + per-vertex columns: the cursors advance in lockstep,
+	// one vertex at a time, in (thread, alpha) order. A deferred thunks
+	// column is not among them.
+	columns := []struct {
 		kind uint32
 		c    wire.Cursor
 	}{{kind: secVertices}, {kind: secReadSets}, {kind: secWriteSets}, {kind: secThunks}}
+	if deferred {
+		columns = columns[:3]
+	}
 	for i := range columns {
 		if columns[i].c, err = lay.section(data, columns[i].kind); err != nil {
 			return nil, 0, err
 		}
 	}
-	cv, cr, cw, ct := &columns[0].c, &columns[1].c, &columns[2].c, &columns[3].c
-	intact := func() bool { return cv.Err() == nil && cr.Err() == nil && cw.Err() == nil && ct.Err() == nil }
+	cv, cr, cw := &columns[0].c, &columns[1].c, &columns[2].c
+	intact := func() bool {
+		for i := range columns {
+			if columns[i].c.Err() != nil {
+				return false
+			}
+		}
+		return true
+	}
 
 	nthreads := cv.Count("layout.threads", 1)
 	if cv.Err() == nil && nthreads != lay.hdr.Threads {
 		cv.Fail("layout.threads", fmt.Sprintf("vertex layout covers %d threads, header says %d", nthreads, lay.hdr.Threads))
 	}
 	lens := make([]int, nthreads)
+	vertices := 0
 	for t := range lens {
 		lens[t] = cv.Count("layout.len", core.MinVertexBytes)
+		vertices += lens[t]
 	}
 	for t, n := range lens {
 		for alpha := 0; alpha < n && intact(); alpha++ {
@@ -237,17 +279,20 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 			sc.End.Object = core.ObjRef(mapRef(cv, "vertex.end.object", uint32(sc.End.Object)))
 			sc.ReadSet = core.ParsePageSet(cr, "read_set")
 			sc.WriteSet = core.ParsePageSet(cw, "write_set")
-			sc.Thunks = core.ParseThunks(ct)
-			for i := range sc.Thunks {
-				th := &sc.Thunks[i]
-				th.Site = core.SiteRef(mapRef(ct, "thunk.site", uint32(th.Site)))
-				th.Target = core.SiteRef(mapRef(ct, "thunk.target", uint32(th.Target)))
+			if !deferred {
+				ct := &columns[3].c
+				sc.Thunks = core.ParseThunks(ct)
+				for i := range sc.Thunks {
+					th := &sc.Thunks[i]
+					th.Site = core.SiteRef(mapRef(ct, "thunk.site", uint32(th.Site)))
+					th.Target = core.SiteRef(mapRef(ct, "thunk.target", uint32(th.Target)))
+				}
+				footprint += int64(unsafe.Sizeof(core.Thunk{})) * int64(len(sc.Thunks))
 			}
 			if !intact() {
 				break
 			}
-			footprint += fpPerWord * int64(len(sc.Clock)+sc.ReadSet.Len()+sc.WriteSet.Len())
-			footprint += fpPerSub + fpPerThunk*int64(len(sc.Thunks))
+			footprint += fpPerSub + fpPerWord*int64(len(sc.Clock)+sc.ReadSet.Len()+sc.WriteSet.Len())
 			if err := g.AppendSub(sc); err != nil {
 				cv.Fail("vertex", fmt.Sprintf("%v rejected: %v", sc.ID, err))
 			}
@@ -264,6 +309,22 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 		if err := columns[i].c.Done(); err != nil {
 			return nil, 0, inSection(columns[i].kind, err)
 		}
+	}
+	if deferred {
+		col, err := lay.ownedSection(data, secThunks)
+		if err != nil {
+			return nil, 0, err
+		}
+		total := walk.total
+		if !walk.done {
+			if total, err = walkThunks(col, vertices, mapRef); err != nil {
+				return nil, 0, err
+			}
+		}
+		if err := g.RestoreThunkColumn(col, total); err != nil {
+			return nil, 0, corruptf(secThunks, "%v", err)
+		}
+		footprint += int64(len(col))
 	}
 
 	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge) {
@@ -301,7 +362,39 @@ func decodeAnalysis(data []byte, lay *fileLayout) (*core.Analysis, int64, error)
 	}
 	// The CSR + indexes roughly double the edge storage.
 	footprint += fpPerEdge * int64(len(syncEdges)+len(dataEdges))
+
+	// The stats section is what listings answer from without a decode;
+	// it must describe this graph, counter for counter.
+	if walk == nil || !walk.done {
+		stored, err := decodeStats(data, lay)
+		if err != nil {
+			return nil, 0, err
+		}
+		got := a.Stats()
+		if stored != got {
+			return nil, 0, corruptf(secStats, "stored counters %+v, the graph has %+v", stored, got)
+		}
+		if walk != nil {
+			*walk = thunkWalk{done: true, total: got.Thunks}
+		}
+	}
 	return a, footprint, nil
+}
+
+// walkThunks is the structural check of a deferred thunks column: one
+// AppendThunks list per vertex, every field read as ParseThunks reads
+// it, every site and target ref inside the symbol table (mapRef's
+// check), and no byte past the last list. It returns the thunk total.
+func walkThunks(col []byte, vertices int, mapRef func(*wire.Cursor, string, uint32) uint32) (int, error) {
+	c := wire.NewCursor(col)
+	total := 0
+	for ; vertices > 0 && c.Err() == nil; vertices-- {
+		total += core.WalkThunks(&c, func(th *core.Thunk) {
+			mapRef(&c, "thunk.site", uint32(th.Site))
+			mapRef(&c, "thunk.target", uint32(th.Target))
+		})
+	}
+	return total, inSection(secThunks, c.Done())
 }
 
 // decodeEdges reads one canonical edge section — sync or data: a count,

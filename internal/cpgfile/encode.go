@@ -92,10 +92,9 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	}
 	ends[3] = len(b)
 
-	// Section 5: thunks — the control-path column.
-	for _, sc := range subs {
-		b = core.AppendThunks(b, sc.Thunks)
-	}
+	// Section 5: thunks — the control-path column; a graph that was
+	// materialized from a file still holds it encoded, and it is copied.
+	b = g.AppendThunkColumn(b, subs)
 	ends[4] = len(b)
 
 	// Section 6: sync edges, read in canonical order where they lie.

@@ -12,8 +12,8 @@ import (
 )
 
 // fuzzSeeds returns a few valid encodings to seed the corpus: small,
-// multi-thread, and degraded graphs, so mutations start from inputs
-// that reach deep into every section decoder.
+// multi-thread, degraded and branchy graphs, so mutations start from
+// inputs that reach deep into every section decoder.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	var seeds [][]byte
@@ -25,6 +25,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 			g.AddGap(0, core.Gap{FromAlpha: 1, ToAlpha: 3, Kind: core.GapAuxLoss, Bytes: 64})
 			return g.Analyze()
 		},
+		func() *core.Analysis { return thunkyGraph(8, 12).Analyze() },
 	} {
 		var buf bytes.Buffer
 		if err := Encode(&buf, build(), Meta{RunID: "seed", App: "fuzz"}); err != nil {
@@ -75,7 +76,8 @@ func FuzzCPGFileHeader(f *testing.F) {
 }
 
 // FuzzCPGFileSections drives the full decode paths — Load, Mapped
-// stats, and analysis materialization — over mutated files. Whatever
+// stats, analysis materialization and the JSON render of a deferred
+// thunks column — over mutated files. Whatever
 // the damage, the result is a decoded analysis or a typed error
 // naming the bad section.
 func FuzzCPGFileSections(f *testing.F) {
@@ -114,6 +116,19 @@ func FuzzCPGFileSections(f *testing.F) {
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
 				t.Fatal("Load and Mapped disagree on the same file")
+			}
+			// The JSON render is the one reader that decodes a deferred
+			// thunks column.
+			want.Reset()
+			got.Reset()
+			if err := a.Graph().EncodeJSON(&want); err != nil {
+				t.Fatalf("EncodeJSON of loaded graph: %v", err)
+			}
+			if err := ma.Graph().EncodeJSON(&got); err != nil {
+				t.Fatalf("EncodeJSON of mapped graph: %v", err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatal("Load and Mapped render different JSON for the same file")
 			}
 			return
 		}

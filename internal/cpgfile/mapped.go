@@ -15,10 +15,12 @@ import (
 // thousands of Mapped CPGs cost pages of mapped file, while the
 // resident-bytes budget governs how many carry a decoded analysis.
 //
-// Decoded values never alias the mapping (every string and slice is
-// copied out), so an analysis obtained from Analysis remains valid
-// after Drop and even after Close. Methods are safe for concurrent
-// use; Close must not race other calls.
+// A materialization decodes every section but one: the thunks section
+// stays encoded, copied as one byte column the analysis owns (see
+// Analysis). Decoded values and that column never alias the mapping, so
+// an analysis obtained from Analysis remains valid after Drop and even
+// after Close. Methods are safe for concurrent use; Close must not race
+// other calls.
 type Mapped struct {
 	path  string
 	data  []byte
@@ -28,6 +30,7 @@ type Mapped struct {
 	mu        sync.Mutex
 	a         *core.Analysis
 	footprint int64
+	walk      thunkWalk
 	hash      [sha256.Size]byte
 	hashed    bool
 }
@@ -93,18 +96,29 @@ func (m *Mapped) ContentHash() [sha256.Size]byte {
 	return m.hash
 }
 
-// Analysis materializes the full analysis, decoding every section on
-// first call and returning the cached value afterwards. The second
-// result is the estimated resident footprint of the decoded analysis
-// in bytes — what a budget-keeping caller accounts for, and what Drop
-// gives back.
+// Analysis materializes the full analysis on first call and returns
+// the cached value afterwards. Every section is decoded except the
+// thunks section: it is copied into memory the analysis owns and its
+// CRC checked on that copy, so the bytes checked are the bytes kept,
+// and the graph carries it as its control-path column — vertices hold
+// nil Thunks; Stats counts the column, Encode copies it and the JSON
+// render decodes it. The column's structure (counts, fields, symbol
+// refs, trailing bytes) is walked on the mapping's first successful
+// materialization only, which also checks the stats section against
+// the graph; after a Drop the mapping remembers both. A file whose
+// symbol table does not re-intern to the identity, which Encode never
+// writes, decodes its thunks eagerly as Load does.
+//
+// The second result is the estimated resident footprint of the decoded
+// analysis in bytes — the column charged at its length — what a
+// budget-keeping caller accounts for, and what Drop gives back.
 func (m *Mapped) Analysis() (*core.Analysis, int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.a != nil {
 		return m.a, m.footprint, nil
 	}
-	a, footprint, err := decodeAnalysis(m.data, m.lay)
+	a, footprint, err := decodeAnalysis(m.data, m.lay, &m.walk)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -21,8 +21,11 @@ type StoreOptions struct {
 	// kept resident at once. When a decode pushes the total past the
 	// budget, least-recently-used analyses are dropped (the mmap
 	// stays; the file re-materializes on its next query). 0 means
-	// unlimited. The budget governs decoded graphs, not mapped file
-	// bytes — mappings are the cheap part the kernel pages on demand.
+	// unlimited. The budget governs materialized graphs, not mapped
+	// file bytes — mappings are the cheap part the kernel pages on
+	// demand. A materialized graph keeps its thunks section encoded,
+	// as an owned copy of the file's bytes, and is charged that
+	// section's length for it (cpgfile.Mapped.Analysis).
 	ResidentBudget int64
 	// ResultCacheCapacity bounds the content-addressed query-result
 	// cache, in entries. 0 means the default (1024); negative disables
