@@ -34,9 +34,11 @@
 //
 // -stream URL re-feeds the recovered epochs to a provenance aggregator
 // (inspector-serve -ingest) under the journal's own run identity — the
-// resume path after a streaming recorder died. The aggregator's dedup
-// skips epochs it already holds, so replaying from epoch 1 is always
-// safe; if the journal was sealed the stream is sealed too.
+// resume path after a streaming recorder died. It posts the journal's
+// own frames, up to the last one recovered, without decoding them. The
+// aggregator's dedup skips epochs it already holds, so replaying from
+// epoch 1 is always safe; if the journal was sealed the stream is
+// sealed too.
 package main
 
 import (
@@ -51,7 +53,6 @@ import (
 	"github.com/repro/inspector/internal/atomicio"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/journal"
-	"github.com/repro/inspector/internal/wire"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -81,11 +82,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("missing -journal DIR")
 	}
 
-	rep, err := journal.Recover(*dir, journal.RecoverOptions{
-		MaxEpoch:   *epoch,
-		Truncate:   *truncate,
-		KeepDeltas: *streamURL != "",
-	})
+	rep, err := journal.Recover(*dir, journal.RecoverOptions{MaxEpoch: *epoch, Truncate: *truncate})
 	if err != nil {
 		return err
 	}
@@ -96,7 +93,7 @@ func run(args []string, out io.Writer) error {
 			App:      rep.Header.App,
 			Threads:  rep.Header.Threads,
 			Epoch:    rep.Epoch,
-			Records:  rep.Records,
+			Records:  rep.Epoch,
 			Sealed:   rep.Sealed,
 			Degraded: rep.Degraded(),
 		}
@@ -153,7 +150,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *streamURL != "" {
-		st, err := restream(rep, *streamURL, *streamID)
+		st, err := restream(rep, *streamURL, *streamID, 0)
 		if err != nil {
 			return fmt.Errorf("stream: %w", err)
 		}
@@ -165,23 +162,23 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// restream re-feeds the recovered delta sequence under the journal's
-// run identity. Replaying from epoch 1 is deliberate: the aggregator's
-// dedup acknowledges everything it already applied, so the upload is
-// correct whether the earlier stream died at epoch 0 or one short of
-// the end.
-func restream(rep *journal.Recovery, url, source string) (*provenance.IngestStatus, error) {
+// restream posts the replayed frames under the journal's run identity.
+// Replaying from epoch 1 is deliberate: the aggregator's dedup
+// acknowledges everything it already applied. batch caps the deltas per
+// POST (0: the byte budget only; tests set it to split bodies).
+func restream(rep *journal.Recovery, url, source string, batch int) (*provenance.IngestStatus, error) {
 	if source == "" {
 		source = rep.Header.RunID
 	}
-	c := &provenance.Client{BaseURL: url, MaxRetries: 8}
-	var seal *wire.Seal
-	if rep.Sealed && !rep.Stopped {
-		seal = &wire.Seal{FinalEpoch: rep.Epoch}
+	frames, err := rep.Frames()
+	if err != nil {
+		return nil, err
 	}
+	defer frames.Close()
+	c := &provenance.Client{BaseURL: url, MaxRetries: 8}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	return provenance.UploadDeltas(ctx, c, source, rep.Header, rep.Deltas, 0, seal)
+	return provenance.Refeed(ctx, c, source, frames, batch)
 }
 
 func appOrUnknown(app string) string {
@@ -211,7 +208,7 @@ type summaryJSON struct {
 	App      string `json:"app,omitempty"`
 	Threads  int    `json:"threads"`
 	Epoch    uint64 `json:"epoch"`
-	Records  int    `json:"records"`
+	Records  uint64 `json:"records"` // always Epoch: replay is sequential
 	Sealed   bool   `json:"sealed"`
 	Degraded bool   `json:"degraded"`
 	Torn     string `json:"torn,omitempty"`

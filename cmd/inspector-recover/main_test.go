@@ -2,12 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
@@ -15,6 +22,8 @@ import (
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
+	"github.com/repro/inspector/internal/wire"
+	"github.com/repro/inspector/provenance"
 )
 
 // record journals a small deterministic two-thread recording, leaves
@@ -222,5 +231,190 @@ func TestRecoverErrors(t *testing.T) {
 	}
 	if err := run([]string{"-journal", t.TempDir()}, &out); err == nil {
 		t.Error("empty journal dir accepted")
+	}
+}
+
+// aggregator is an in-process ingest daemon that logs the frame kinds
+// of every POST body it serves.
+type aggregator struct {
+	c *provenance.Client
+
+	mu     sync.Mutex
+	bodies [][]byte // frame kinds per POST body
+}
+
+func newAggregator(t *testing.T) *aggregator {
+	t.Helper()
+	srv := provenance.NewServer(nil, provenance.ServerOptions{Ingest: provenance.NewIngestHub(provenance.IngestOptions{})})
+	a := &aggregator{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			var kinds []byte
+			for off := 0; off < len(body); {
+				kind, _, n, err := wire.ParseFrame(body[off:], 0)
+				if err != nil {
+					t.Errorf("posted body, frame at %d: %v", off, err)
+					break
+				}
+				kinds = append(kinds, kind)
+				off += int(n)
+			}
+			a.mu.Lock()
+			a.bodies = append(a.bodies, kinds)
+			a.mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	a.c = &provenance.Client{BaseURL: ts.URL}
+	return a
+}
+
+// posts returns the POST bodies' frame kinds so far, and whether any
+// body carried a seal.
+func (a *aggregator) posts() (bodies [][]byte, sealed bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, kinds := range a.bodies {
+		sealed = sealed || bytes.IndexByte(kinds, wire.KindSeal) >= 0
+	}
+	return slices.Clone(a.bodies), sealed
+}
+
+// refeed runs inspector-recover -stream against a and returns the
+// aggregator's offset after it and the counts the summary line reports.
+func (a *aggregator) refeed(t *testing.T, args ...string) (st *provenance.IngestStatus, replayed, held int) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(append(args, "-stream", a.c.BaseURL, "-stream-id", "w"), &out); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	var epoch uint64
+	var sealed bool
+	i := strings.Index(out.String(), "stream:")
+	if i < 0 {
+		t.Fatalf("no stream line in\n%s", out.String())
+	}
+	if _, err := fmt.Sscanf(out.String()[i:], "stream: aggregator at epoch %d (%d replayed, %d already held, sealed=%t)",
+		&epoch, &replayed, &held, &sealed); err != nil {
+		t.Fatalf("stream line: %v\n%s", err, out.String())
+	}
+	st, found, err := a.c.IngestOffset(context.Background(), "w")
+	if err != nil || !found || st.NextEpoch != epoch+1 || st.Sealed != sealed {
+		t.Fatalf("offset %+v found=%v err=%v, the summary said epoch %d sealed=%v", st, found, err, epoch, sealed)
+	}
+	return st, replayed, held
+}
+
+// TestStreamRefeedsTheJournal drives -stream in process: a sealed
+// journal is one POST that seals the source at the -cpg file's bytes;
+// -epoch k stops the re-feed at k and sends no seal; a second re-feed
+// over a held prefix acknowledges exactly the prefix and leaves the
+// export as it was.
+func TestStreamRefeedsTheJournal(t *testing.T) {
+	jdir := t.TempDir()
+	live := record(t, jdir, 12, true)
+	final := uint64(len(live))
+	cpg := filepath.Join(t.TempDir(), "g.cpg")
+
+	a := newAggregator(t)
+	st, replayed, held := a.refeed(t, "-journal", jdir, "-cpg", cpg)
+	bodies, sealed := a.posts()
+	if len(bodies) != 1 || !sealed || !st.Sealed || st.NextEpoch != final+1 || replayed != int(final) || held != 0 {
+		t.Fatalf("sealed journal: %d POSTs (sealed %v), status %+v, %d replayed / %d held; want one sealing POST of %d epochs",
+			len(bodies), sealed, st, replayed, held, final)
+	}
+	want := cpgtest.File(t, cpg)
+	export := func(agg *aggregator, what string) {
+		t.Helper()
+		got, err := agg.c.Export(context.Background(), "w")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: export differs from the -cpg file after Load and Encode (err=%v)", what, err)
+		}
+	}
+	export(a, "sealed re-feed")
+	if _, _, held := a.refeed(t, "-journal", jdir); held != int(final) {
+		t.Fatalf("re-feed of a held journal acknowledged %d duplicates, want %d", held, final)
+	}
+	export(a, "second re-feed")
+
+	const k = 5
+	b := newAggregator(t)
+	if st, replayed, _ := b.refeed(t, "-journal", jdir, "-epoch", fmt.Sprint(k)); st.Sealed || st.NextEpoch != k+1 || replayed != k {
+		t.Fatalf("-epoch %d: status %+v, %d replayed; want unsealed at next epoch %d", k, st, replayed, k+1)
+	}
+	if _, sealed := b.posts(); sealed {
+		t.Fatalf("-epoch %d sent a seal", k)
+	}
+	if st, replayed, held := b.refeed(t, "-journal", jdir); !st.Sealed || held != k || replayed != int(final)-k {
+		t.Fatalf("re-feed over a %d-epoch prefix: status %+v, %d replayed / %d held", k, st, replayed, held)
+	}
+	export(b, "re-feed over a prefix")
+}
+
+// TestStreamStopsAtTheTear: a torn journal re-feeds the epochs it
+// recovered and no seal, and the aggregator holds the recovery's graph
+// before it was marked truncated.
+func TestStreamStopsAtTheTear(t *testing.T) {
+	jdir := t.TempDir()
+	live := record(t, jdir, 10, true)
+	path := journal.Path(jdir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut into the last delta: the seal and that delta are lost.
+	if err := os.WriteFile(path, data[:len(data)-20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.Recover(jdir, journal.RecoverOptions{})
+	if err != nil || rep.Torn == nil || rep.Epoch != uint64(len(live))-1 {
+		t.Fatalf("torn journal recovered %+v (%v), want a tear after epoch %d", rep, err, len(live)-1)
+	}
+	a := newAggregator(t)
+	st, _, _ := a.refeed(t, "-journal", jdir)
+	if _, sealed := a.posts(); sealed || st.Sealed || st.NextEpoch != rep.Epoch+1 {
+		t.Fatalf("torn journal: status %+v (a seal sent: %v), want unsealed at next epoch %d", st, sealed, rep.Epoch+1)
+	}
+	got, err := a.c.Export(context.Background(), "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cpgtest.Truncated(t, got), cpgtest.Bytes(t, rep.Analysis)) {
+		t.Fatal("the re-fed aggregator, truncated, differs from the torn journal's recovery")
+	}
+}
+
+// TestStreamSplitsBodiesUnderACap: restream under a small delta cap
+// still converges, in bodies of at most that many deltas.
+func TestStreamSplitsBodiesUnderACap(t *testing.T) {
+	jdir := t.TempDir()
+	live := record(t, jdir, 12, true)
+	rep, err := journal.Recover(jdir, journal.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newAggregator(t)
+	st, err := restream(rep, a.c.BaseURL, "w", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies, sealed := a.posts()
+	if len(bodies) < len(live)/3 || !sealed || !st.Sealed || st.Accepted != len(live) {
+		t.Fatalf("capped re-feed: %d POSTs, status %+v", len(bodies), st)
+	}
+	for i, kinds := range bodies {
+		if kinds[0] != wire.KindHeader || bytes.Count(kinds, []byte{wire.KindDelta}) > 3 {
+			t.Fatalf("body %d carried frames of kinds %v, want a hello and at most 3 deltas", i, kinds)
+		}
+	}
+	got, err := a.c.Export(context.Background(), "w")
+	if err != nil || !bytes.Equal(got, cpgtest.Bytes(t, live[len(live)-1])) {
+		t.Fatalf("capped re-feed export differs from the final fold (err=%v)", err)
 	}
 }

@@ -7,13 +7,17 @@ import "github.com/repro/inspector/internal/core"
 // Appends and folds need not alternate: a fold seals everything appended
 // since the previous one and is numbered by the last appended delta, so
 // any batching of the same deltas reaches the recording's Analysis at
-// that epoch byte for byte. Methods are not goroutine-safe; callers
-// serialize.
+// that epoch byte for byte. A replay of a frame stream (Bind) also
+// reads the stream's frames (Apply, stream.go). Methods are not
+// goroutine-safe; callers serialize.
 type Replayer struct {
 	g    *core.Graph
 	inc  *core.IncrementalAnalyzer
 	lens []int
 	last uint64
+
+	sealed  bool
+	invalid error
 }
 
 // NewReplayer prepares an empty replay of a threads-wide graph.

@@ -4,13 +4,14 @@ package harness
 // multi-thread, is recorded once (the corpus) through inspector.New with
 // a journal and a stream attached, the way inspector-run -journal
 // -stream does; the aggregator that run streamed to must hold the
-// recorder's own fold, byte for byte. The journal's deltas are then fed
-// to fresh aggregators (inspector-serve -ingest machinery) three more
-// ways — clean, through a fault-injected network (disconnects mid-body,
-// duplicate deliveries, reordering, slow sinks), and as a kill+resume
-// (a prefix upload, then a full journal-style resend from epoch 1) —
+// recorder's own fold, byte for byte. The journal's own frames are then
+// re-fed to fresh aggregators (inspector-serve -ingest machinery) three
+// more ways — clean, through a fault-injected network (disconnects
+// mid-body, duplicate deliveries, reordering, slow sinks), and as a
+// kill+resume (a prefix re-feed, then the whole journal from epoch 1) —
 // with the same export, the .cpg bytes of the recorder's fold, demanded
-// of all three.
+// of all three. Recovery and the aggregator read the frames with one
+// applier, so the sweep checks the two transports around it.
 
 import (
 	"bytes"
@@ -43,20 +44,33 @@ func newAggregator(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// aggregatorExport uploads the recovered journal's deltas with the given
-// client, seals, and fetches the final export bytes.
-func aggregatorExport(t *testing.T, c *provenance.Client, hello wire.Hello, rep *journal.Recovery, batch int) []byte {
+// refeed posts a recovered journal's own frames to source through c,
+// as inspector-recover -stream does, at most batch deltas per POST
+// (0: the byte budget only).
+func refeed(t *testing.T, c *provenance.Client, source string, rep *journal.Recovery, batch int) *provenance.IngestStatus {
 	t.Helper()
+	frames, err := rep.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frames.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := provenance.UploadDeltas(ctx, c, "w", hello, rep.Deltas, batch, &wire.Seal{FinalEpoch: rep.Epoch})
+	st, err := provenance.Refeed(ctx, c, source, frames, batch)
 	if err != nil {
-		t.Fatalf("upload: %v", err)
+		t.Fatalf("re-feed of %s: %v", source, err)
 	}
-	if !st.Sealed || st.NextEpoch != rep.Epoch+1 {
+	return st
+}
+
+// aggregatorExport re-feeds the sealed journal with the given client
+// and fetches the final export bytes.
+func aggregatorExport(t *testing.T, c *provenance.Client, rep *journal.Recovery, batch int) []byte {
+	t.Helper()
+	if st := refeed(t, c, "w", rep, batch); !st.Sealed || st.NextEpoch != rep.Epoch+1 {
 		t.Fatalf("final status = %+v, want sealed at next=%d", st, rep.Epoch+1)
 	}
-	got, err := c.Export(ctx, "w")
+	got, err := c.Export(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +132,7 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s-t%d", app, threads), func(t *testing.T) {
 				r := corpus.get(t, app, threads)
-				rep, err := journal.Recover(r.journal, journal.RecoverOptions{KeepDeltas: true})
+				rep, err := journal.Recover(r.journal, journal.RecoverOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +140,7 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 
 				// Clean delivery.
 				ts := newAggregator(t)
-				got := aggregatorExport(t, &provenance.Client{BaseURL: ts.URL}, r.hello, rep, 7)
+				got := aggregatorExport(t, &provenance.Client{BaseURL: ts.URL}, rep, 7)
 				if cpgtest.Sum(got) != r.foldSHA {
 					t.Fatal("clean: aggregator export != local fold")
 				}
@@ -147,7 +161,7 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 					MaxRetries: 12,
 					RetryBase:  time.Millisecond,
 				}
-				got = aggregatorExport(t, faulted, r.hello, rep, 3)
+				got = aggregatorExport(t, faulted, rep, 3)
 				if cpgtest.Sum(got) != r.foldSHA {
 					t.Fatalf("faulted (%s): aggregator export != local fold", in.Summary())
 				}
@@ -157,22 +171,21 @@ func TestFabricAggregatorMatchesLocalFold(t *testing.T) {
 				// prefix dedups, the tail applies, the bytes match.
 				ts = newAggregator(t)
 				c := &provenance.Client{BaseURL: ts.URL}
-				ctx := context.Background()
-				prefix := len(rep.Deltas) / 2
+				prefix := rep.Epoch / 2
 				if prefix > 0 {
-					if _, err := provenance.UploadDeltas(ctx, c, "w", r.hello, rep.Deltas[:prefix], 5, nil); err != nil {
+					pre, err := journal.Recover(r.journal, journal.RecoverOptions{MaxEpoch: prefix})
+					if err != nil {
 						t.Fatal(err)
 					}
+					if st := refeed(t, c, "w", pre, 5); st.Sealed || st.NextEpoch != prefix+1 {
+						t.Fatalf("prefix re-feed status = %+v, want unsealed at next=%d", st, prefix+1)
+					}
 				}
-				st, err := provenance.UploadDeltas(ctx, &provenance.Client{BaseURL: ts.URL}, "w",
-					r.hello, rep.Deltas, 5, &wire.Seal{FinalEpoch: rep.Epoch})
-				if err != nil {
-					t.Fatal(err)
+				st := refeed(t, &provenance.Client{BaseURL: ts.URL}, "w", rep, 5)
+				if uint64(st.Duplicates) != prefix || !st.Sealed {
+					t.Fatalf("resume = %+v, want %d duplicates, sealed", st, prefix)
 				}
-				if st.Duplicates != prefix {
-					t.Fatalf("resume acknowledged %d duplicates, want %d", st.Duplicates, prefix)
-				}
-				got, err = c.Export(ctx, "w")
+				got, err = c.Export(context.Background(), "w")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -248,7 +261,7 @@ func TestFabricKillRefeedMultiThread(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := cpgtest.Bytes(t, drv.Analysis())
-			rep, err := journal.Recover(dir, journal.RecoverOptions{KeepDeltas: true})
+			rep, err := journal.Recover(dir, journal.RecoverOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,10 +285,7 @@ func TestFabricKillRefeedMultiThread(t *testing.T) {
 				if prefix == 0 || uint64(prefix) >= rep.Epoch {
 					t.Fatalf("%s: stream died with %d of %d epochs on the aggregator; want a proper prefix", source, prefix, rep.Epoch)
 				}
-				st, err := provenance.UploadDeltas(ctx, c, source, hello, rep.Deltas, 64, &wire.Seal{FinalEpoch: rep.Epoch})
-				if err != nil {
-					t.Fatalf("%s: re-feed from epoch 1 over a %d-epoch prefix: %v", source, prefix, err)
-				}
+				st := refeed(t, c, source, rep, 64)
 				if st.Duplicates != prefix || st.Degraded || !st.Sealed || st.NextEpoch != rep.Epoch+1 {
 					t.Fatalf("%s: re-feed status = %+v, want %d duplicates, sealed at next=%d, not degraded",
 						source, st, prefix, rep.Epoch+1)

@@ -1,6 +1,7 @@
 package journal_test
 
 import (
+	"encoding/binary"
 	"os"
 	"testing"
 
@@ -13,12 +14,29 @@ type rawBody []byte
 
 func (r rawBody) AppendWire(b []byte) ([]byte, error) { return append(b, r...), nil }
 
+// helloFrame frames a hello body built by hand, so a test can name a
+// width Hello.AppendWire refuses to write.
+func helloFrame(t testing.TB, threads uint64) []byte {
+	t.Helper()
+	body := binary.AppendUvarint(nil, wire.Version)
+	body = wire.AppendString(body, "wide-run")
+	body = wire.AppendString(body, "")
+	body = binary.AppendUvarint(body, threads)
+	body = binary.AppendUvarint(body, 1)
+	frame, err := wire.AppendFrame(nil, wire.KindHeader, rawBody(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 // FuzzJournalRecords throws arbitrary bytes at the decoder as a
 // journal.isj. The contract under attack: Recover never
 // panics, and on any input it either fails cleanly (nothing to recover)
-// or returns a Recovery whose invariants hold — epoch equals replayed
-// records, a tear or missing seal always reads as unsealed, and asking
-// again for the epoch it just recovered reproduces the same answer.
+// or returns a Recovery whose invariants hold — the replayed frames end
+// inside the file and a tear sits exactly there, a sealed recovery is
+// not degraded, and asking again for the epoch it just recovered
+// reproduces the same answer.
 func FuzzJournalRecords(f *testing.F) {
 	// Seed with a real journal and characteristic damage so the fuzzer
 	// starts inside the format rather than rediscovering the magic.
@@ -52,6 +70,9 @@ func FuzzJournalRecords(f *testing.F) {
 		}
 		f.Add(rec)
 	}
+	// A CRC-valid hello naming 2^26 threads: refused before any graph
+	// that wide is allocated.
+	f.Add(append(wire.Preamble(), helloFrame(f, 1<<26)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -65,8 +86,8 @@ func FuzzJournalRecords(f *testing.F) {
 		if rep.Graph == nil || rep.Analysis == nil {
 			t.Fatalf("accepted input yielded nil graph/analysis")
 		}
-		if rep.Epoch != uint64(rep.Records) {
-			t.Fatalf("epoch %d != %d replayed records", rep.Epoch, rep.Records)
+		if rep.End < wire.PreambleLen || rep.End > int64(len(data)) || (rep.Torn != nil && rep.Torn.Offset != rep.End) {
+			t.Fatalf("replayed frames end at %d in a %d-byte file, torn %v", rep.End, len(data), rep.Torn)
 		}
 		if rep.Sealed && rep.Degraded() {
 			t.Fatal("sealed recovery marked degraded")

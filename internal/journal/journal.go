@@ -23,13 +23,11 @@
 // for it.
 //
 // Epoch-delta payloads are core.EpochDelta values — exactly what
-// IncrementalAnalyzer.Cut emits — and recovery replays them
-// through core.ApplyDelta + Fold, reproducing the recording's per-epoch
-// Analyses byte-for-byte up to the last durable record (see
-// delta_test.go in internal/core for the property). A clean close
-// appends a seal record; its absence tells recovery the run was cut
-// short, and the result is marked degraded with a truncated gap rather
-// than passed off as complete.
+// IncrementalAnalyzer.Cut emits. Recovery reads the file with the
+// frame-stream applier an aggregator reads an ingest body with
+// (recover.go), reproducing the recording's per-epoch Analyses byte for
+// byte up to the last durable record; without the seal the result is
+// marked degraded rather than passed off as complete.
 package journal
 
 import (
@@ -47,17 +45,8 @@ import (
 	"github.com/repro/inspector/internal/wire"
 )
 
-// The frame codec (length/CRC framing, record kinds, file preamble)
-// lives in internal/wire, shared with the network ingest stream. The
-// journal keeps local aliases for readability.
-const (
-	recHello = wire.KindHeader
-	recDelta = wire.KindDelta
-	recSeal  = wire.KindSeal
-
-	// DefaultSyncEvery is PolicyInterval's records-per-fsync.
-	DefaultSyncEvery = 32
-)
+// DefaultSyncEvery is PolicyInterval's records-per-fsync.
+const DefaultSyncEvery = 32
 
 // fileName is the journal file's name in its directory.
 const fileName = "journal.isj"
@@ -128,7 +117,8 @@ type Options struct {
 	// Dir is the journal directory (created if absent; must not
 	// already hold a journal).
 	Dir string
-	// Threads is the recorded graph's thread-slot capacity (required).
+	// Threads is the recorded graph's thread-slot capacity (required,
+	// at most wire.MaxThreads).
 	Threads int
 	// RunID overrides the generated run identity (tests).
 	RunID string
@@ -168,8 +158,10 @@ type Writer struct {
 // Create opens a fresh journal in opts.Dir and writes its preamble and
 // the run's hello. A Create that fails leaves no file behind.
 func Create(opts Options) (*Writer, error) {
-	if opts.Threads < 1 {
-		return nil, fmt.Errorf("journal: Threads must be positive, got %d", opts.Threads)
+	if opts.Threads < 1 || opts.Threads > wire.MaxThreads {
+		// Recover would refuse the hello: no run writes a journal it
+		// cannot recover.
+		return nil, fmt.Errorf("journal: Threads %d out of range [1,%d]", opts.Threads, wire.MaxThreads)
 	}
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
@@ -200,7 +192,7 @@ func Create(opts Options) (*Writer, error) {
 	if _, err := f.Write(wire.Preamble()); err != nil {
 		w.err = fmt.Errorf("journal: preamble: %w", err)
 	} else {
-		w.appendRecord(recHello, wire.Hello{RunID: opts.RunID, App: opts.App, Threads: opts.Threads, BaseEpoch: 1})
+		w.appendRecord(wire.KindHeader, wire.Hello{RunID: opts.RunID, App: opts.App, Threads: opts.Threads, BaseEpoch: 1})
 	}
 	if w.err != nil {
 		return nil, errors.Join(w.err, w.Discard())
@@ -234,7 +226,7 @@ func (w *Writer) appendRecord(kind byte, payload any) error {
 // Append journals one epoch delta, applying the fsync policy as
 // configured.
 func (w *Writer) Append(d *core.EpochDelta) error {
-	if err := w.appendRecord(recDelta, d); err != nil {
+	if err := w.appendRecord(wire.KindDelta, d); err != nil {
 		return err
 	}
 	w.epoch = d.Epoch
@@ -274,7 +266,7 @@ func (w *Writer) Seal(finalEpoch uint64) error {
 		w.err = fmt.Errorf("journal: seal epoch %d, last appended %d", finalEpoch, w.epoch)
 		return w.err
 	}
-	if err := w.appendRecord(recSeal, wire.Seal{FinalEpoch: finalEpoch}); err != nil {
+	if err := w.appendRecord(wire.KindSeal, wire.Seal{FinalEpoch: finalEpoch}); err != nil {
 		return err
 	}
 	if w.opts.Fsync != PolicyNone {

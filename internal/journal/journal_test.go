@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
@@ -185,8 +187,8 @@ func TestRoundTripSealed(t *testing.T) {
 	if !rep.Sealed || rep.Torn != nil || rep.Stopped {
 		t.Fatalf("clean journal reads sealed=%v torn=%v stopped=%v", rep.Sealed, rep.Torn, rep.Stopped)
 	}
-	if rep.Epoch != uint64(len(exports)) || rep.Records != len(exports) {
-		t.Fatalf("recovered %d records epoch %d, want %d", rep.Records, rep.Epoch, len(exports))
+	if rep.Epoch != uint64(len(exports)) {
+		t.Fatalf("recovered epoch %d, want %d", rep.Epoch, len(exports))
 	}
 	if rep.Header.App != "unit" || rep.Header.Threads != 2 || rep.Header.RunID == "" {
 		t.Fatalf("header = %+v", rep.Header)
@@ -282,9 +284,9 @@ func TestRecoverHeaderOnlyJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if rep.Records != 0 || rep.Epoch != 0 || rep.Analysis.Epoch() != 0 || rep.Analysis.NumVertices() != 0 {
-		t.Fatalf("header-only journal: %d records, epoch %d, analysis epoch %d over %d vertices",
-			rep.Records, rep.Epoch, rep.Analysis.Epoch(), rep.Analysis.NumVertices())
+	if rep.Epoch != 0 || rep.Analysis.Epoch() != 0 || rep.Analysis.NumVertices() != 0 {
+		t.Fatalf("header-only journal: epoch %d, analysis epoch %d over %d vertices",
+			rep.Epoch, rep.Analysis.Epoch(), rep.Analysis.NumVertices())
 	}
 	if got, want := cpgtest.Bytes(t, rep.Analysis), cpgtest.Bytes(t, core.NewGraph(3).Analyze()); !bytes.Equal(got, want) {
 		t.Fatal("header-only recovery diverges from the empty graph's batch analysis")
@@ -525,6 +527,98 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 	if _, err := journal.Recover(dir, journal.RecoverOptions{}); err == nil {
 		t.Error("garbage journal accepted")
 	}
+}
+
+// TestRecoverRefusesWideHello pins the one width bound on a hello: a
+// journal whose CRC-valid hello names more than wire.MaxThreads thread
+// slots has no usable hello, and is refused before a graph that wide
+// exists — a forged 2^26-thread hello costs nothing.
+func TestRecoverRefusesWideHello(t *testing.T) {
+	for _, threads := range []uint64{wire.MaxThreads + 1, 1 << 26} {
+		dir := t.TempDir()
+		if err := os.WriteFile(journal.Path(dir), append(wire.Preamble(), helloFrame(t, threads)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err := journal.Recover(dir, journal.RecoverOptions{})
+		if err == nil || !strings.Contains(err.Error(), "hello.threads") {
+			t.Fatalf("%d-thread hello: err = %v, want a refusal naming hello.threads", threads, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%d-thread hello: refused after %v, want under 1s", threads, d)
+		}
+	}
+}
+
+// TestCreateRefusesWideJournal: no run writes a journal Recover would
+// refuse. The widest readable hello is written and recovered.
+func TestCreateRefusesWideJournal(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := journal.Create(journal.Options{Dir: dir, Threads: wire.MaxThreads + 1}); err == nil {
+		t.Fatalf("Create with %d threads accepted", wire.MaxThreads+1)
+	}
+	if _, err := os.Lstat(journal.Path(dir)); !os.IsNotExist(err) {
+		t.Fatalf("a refused Create left %s behind (%v)", journal.Path(dir), err)
+	}
+	w, err := journal.Create(journal.Options{Dir: dir, Threads: wire.MaxThreads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.Recover(dir, journal.RecoverOptions{})
+	if err != nil || rep.Header.Threads != wire.MaxThreads {
+		t.Fatalf("Recover of a %d-thread journal: %+v, %v", wire.MaxThreads, rep, err)
+	}
+}
+
+// TestRecoveryEndAndFrames pins what a re-feed posts: End is the offset
+// just past the last frame replayed — the seal when the journal is
+// sealed, the delta MaxEpoch stopped at, the tear when there is one —
+// and Frames reads the file from the hello up to End.
+func TestRecoveryEndAndFrames(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir, 2, 12, 5, journal.Options{})
+	path := journal.Path(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64 // ends[i]: the offset past frame i (0 is the hello)
+	for off := int64(wire.PreambleLen); off < int64(len(data)); {
+		_, _, n, err := wire.ParseFrame(data[off:], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += n
+		ends = append(ends, off)
+	}
+	check := func(what string, opts journal.RecoverOptions, want int64) {
+		t.Helper()
+		rep, err := journal.Recover(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.End != want || (rep.Torn != nil && rep.Torn.Offset != rep.End) {
+			t.Fatalf("%s: End %d (torn %v), want %d", what, rep.End, rep.Torn, want)
+		}
+		fr, err := rep.Frames()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fr.Close()
+		got, err := io.ReadAll(fr)
+		if err != nil || !bytes.Equal(got, data[wire.PreambleLen:want]) {
+			t.Fatalf("%s: Frames read %d bytes (%v), want the %d after the preamble", what, len(got), err, want-wire.PreambleLen)
+		}
+	}
+	check("sealed", journal.RecoverOptions{}, int64(len(data)))
+	check("stopped at epoch 3", journal.RecoverOptions{MaxEpoch: 3}, ends[3])
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("torn seal", journal.RecoverOptions{}, ends[len(ends)-2])
 }
 
 // TestRecoverRefusesOtherFormatVersions pins the version policy on
@@ -909,8 +1003,8 @@ func TestWriterRefusesUseAfterSealOrClose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Sealed != c.sealed || rep.Records != 0 || rep.Torn != nil {
-				t.Fatalf("journal after misuse: sealed=%v records=%d torn=%v, want sealed=%v and untouched", rep.Sealed, rep.Records, rep.Torn, c.sealed)
+			if rep.Sealed != c.sealed || rep.Epoch != 0 || rep.Torn != nil {
+				t.Fatalf("journal after misuse: sealed=%v epoch=%d torn=%v, want sealed=%v and untouched", rep.Sealed, rep.Epoch, rep.Torn, c.sealed)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,16 +12,17 @@ import (
 	"github.com/repro/inspector/internal/wire"
 )
 
-// Recovery semantics: replay everything durable, stop at the first
-// frame that fails its CRC, decodes badly, or breaks the epoch chain,
-// and *truncate* there — every frame after a bad one is unreachable by
-// design, because a tear means the writer latched an error and stopped,
-// while a mid-file flip means the medium lied and nothing later can be
-// trusted against this run's sequence. The recovered graph is never
-// silently short: unless the journal carries its seal record (clean
-// close) the result is marked degraded with a core.GapTruncated
-// interval, so PR 6's completeness machinery — wire fields included —
-// reports the cut to every downstream consumer.
+// Recovery semantics: journal.isj after its preamble is a frame
+// stream, read by the applier the aggregator reads an ingest body with
+// (epoch.Replayer.Apply); recovery is its file transport. It replays
+// everything durable and stops at the first frame the file cannot
+// deliver or the applier refuses — a bad CRC, a short read, a repeated
+// or skipped epoch, a delta that fails validation — and truncates
+// there: a tear means the writer latched an error and stopped, and a
+// mid-file flip means nothing later can be trusted against this run's
+// sequence. Unless the journal carries its seal the result is marked
+// degraded with a core.GapTruncated interval, so the recovered graph is
+// never silently short.
 
 // TornInfo describes where and why replay stopped early.
 type TornInfo struct {
@@ -50,10 +50,6 @@ type RecoverOptions struct {
 	// journal, unsealed unless the tail was trailing data after the
 	// seal.
 	Truncate bool
-	// KeepDeltas retains the replayed delta records on Recovery.Deltas,
-	// in epoch order — the re-streaming path: feeding a recovered
-	// journal back to an aggregator after the recorder died.
-	KeepDeltas bool
 }
 
 // Recovery is the result of replaying a journal.
@@ -67,8 +63,6 @@ type Recovery struct {
 	Analysis *core.Analysis
 	// Epoch is the last recovered epoch (0 when none).
 	Epoch uint64
-	// Records counts replayed delta records.
-	Records int
 	// Sealed reports a clean close: the journal ends with a seal
 	// record matching the final epoch.
 	Sealed bool
@@ -76,30 +70,24 @@ type Recovery struct {
 	Stopped bool
 	// Torn is non-nil when replay cut a corrupt or half-written tail.
 	Torn *TornInfo
-	// Deltas holds the replayed records when RecoverOptions.KeepDeltas
-	// was set (nil otherwise).
-	Deltas []*core.EpochDelta
+	// End is the file offset just past the last frame replayed: the
+	// seal when the journal is sealed, Torn.Offset whenever there is a
+	// tear. Frames opens the replayed frames up to it.
+	End int64
+
+	path string
 }
 
 // Degraded reports whether the recovered graph is marked incomplete —
 // true for any unsealed journal that recovered at least one vertex.
 func (r *Recovery) Degraded() bool { return r.Graph.Degraded() }
 
-// rawRecord is one parsed delta record with its byte offset.
-type rawRecord struct {
-	delta *core.EpochDelta
-	off   int64
-}
-
-// frameLen is the on-disk size of the frame whose body Reader.Next
-// returned: the length/CRC prefix, the kind byte, the body.
-func frameLen(body []byte) int64 { return int64(wire.FrameOverhead + 1 + len(body)) }
-
 // Recover replays the journal in dir. It returns an error only when
 // there is nothing to recover (no journal file, a bad preamble, no
 // usable hello); any corruption past that point is reported through
 // Recovery.Torn, never as a failure — a torn journal is the expected
-// input after a crash. The file is streamed one frame at a time.
+// input after a crash. The file is streamed one frame at a time, each
+// frame applied as it arrives, and folded once at the end.
 func Recover(dir string, opts RecoverOptions) (*Recovery, error) {
 	path := Path(dir)
 	f, err := os.Open(path)
@@ -107,10 +95,6 @@ func Recover(dir string, opts RecoverOptions) (*Recovery, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
 	var pre [wire.PreambleLen]byte
 	if _, err := io.ReadFull(f, pre[:]); err != nil || string(pre[:len(wire.Magic)]) != wire.Magic {
 		return nil, fmt.Errorf("journal: %s is not a journal (bad magic)", path)
@@ -122,97 +106,54 @@ func Recover(dir string, opts RecoverOptions) (*Recovery, error) {
 	// The writer bounds no record, so neither does the reader; it holds
 	// one frame at a time and grows only as the bytes arrive.
 	rd := wire.NewReader(f, math.MaxUint32)
-	rep := &Recovery{}
-	kind, body, err := rd.Next()
-	switch {
-	case err == io.EOF:
-		err = errors.New("empty journal")
-	case err == nil && kind != recHello:
-		err = fmt.Errorf("first record has kind %d, want the hello", kind)
-	case err == nil:
-		if err = wire.Decode(body, &rep.Header); err == nil && rep.Header.Threads < 1 {
-			err = fmt.Errorf("hello names %d threads", rep.Header.Threads)
-		}
-	}
+	hello, err := epoch.ReadHello(rd)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %s has no usable hello: %w", path, err)
 	}
-
-	var recs []rawRecord
-	torn := func(off int64, reason string) {
-		rep.Torn = &TornInfo{Offset: off, Reason: reason, Epoch: uint64(len(recs))}
+	rp := epoch.Bind(hello)
+	rep := &Recovery{Header: hello, path: path}
+	// End advances past each frame as it is replayed, so a tear is
+	// always at End.
+	end := func() int64 { return wire.PreambleLen + rd.Offset() }
+	rep.End = end()
+	torn := func(reason string) {
+		rep.Torn = &TornInfo{Offset: rep.End, Reason: reason, Epoch: rp.Applied()}
 	}
-scan:
-	for off := wire.PreambleLen + frameLen(body); ; off += frameLen(body) {
-		kind, body, err = rd.Next()
+	for rep.Torn == nil && !rep.Sealed && !rep.Stopped {
+		kind, body, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			torn(off, err.Error())
-			break
+		var o epoch.Outcome
+		if err == nil {
+			o, err = rp.Apply(kind, body)
 		}
-		switch kind {
-		case recDelta:
-			d := new(core.EpochDelta)
-			if err := wire.Decode(body, d); err != nil {
-				torn(off, fmt.Sprintf("record decode: %v", err))
-				break scan
-			}
-			if want := uint64(len(recs)) + 1; d.Epoch != want {
-				torn(off, fmt.Sprintf("epoch %d out of sequence (want %d)", d.Epoch, want))
-				break scan
-			}
-			recs = append(recs, rawRecord{delta: d, off: off})
-			if opts.MaxEpoch > 0 && d.Epoch == opts.MaxEpoch {
-				rep.Stopped = true
-				break scan
-			}
-		case recSeal:
-			var s wire.Seal
-			if err := wire.Decode(body, &s); err != nil {
-				torn(off, fmt.Sprintf("seal decode: %v", err))
-				break scan
-			}
-			if s.FinalEpoch != uint64(len(recs)) {
-				torn(off, fmt.Sprintf("seal names epoch %d, journal ends at %d", s.FinalEpoch, len(recs)))
-				break scan
-			}
-			rep.Sealed = true
-			// The seal must be the journal's last byte; anything after
-			// it was never supposed to be written.
-			if end := off + frameLen(body); end != st.Size() {
-				torn(end, "trailing data after seal")
-			}
-			break scan
+		switch {
+		case err != nil:
+			torn(err.Error())
+		case o == epoch.Duplicate:
+			torn(fmt.Sprintf("delta repeats an applied epoch (at %d)", rp.Applied()))
 		default:
-			torn(off, fmt.Sprintf("unknown record kind %d", kind))
-			break scan
+			rep.End = end()
+			rep.Sealed = o == epoch.Sealed
+			rep.Stopped = opts.MaxEpoch > 0 && rp.Applied() == opts.MaxEpoch
+		}
+	}
+	// The seal must be the journal's last byte; anything after it was
+	// never supposed to be written.
+	if rep.Sealed {
+		if _, _, err := rd.Next(); err != io.EOF {
+			torn("trailing data after seal")
 		}
 	}
 
-	// Replay: append every record, then fold once — the fold is numbered
-	// by the last appended record, so the Analysis lands exactly on the
-	// recovered epoch. A record that passed its CRC can still be forged or
-	// stale; the append validates it against the graph before mutating
-	// anything, so the replay learns which record is the last good one
-	// before it folds, and an unsealed or torn journal gets its truncated
-	// gap under that one fold rather than in an extra epoch.
-	rp := epoch.NewReplayer(rep.Header.Threads)
-	n := 0
-	for ; n < len(recs); n++ {
-		r := recs[n]
-		if err := rp.Append(r.delta); err != nil {
-			rep.Torn = &TornInfo{Offset: r.off, Reason: fmt.Sprintf("invalid delta: %v", err), Epoch: uint64(n)}
-			rep.Sealed = false
-			break
-		}
-		if opts.KeepDeltas {
-			rep.Deltas = append(rep.Deltas, r.delta)
-		}
-	}
+	// Fold once: the fold is numbered by the last appended delta, so the
+	// Analysis lands exactly on the recovered epoch, and an unsealed or
+	// torn journal gets its truncated gap under that one fold rather
+	// than in an extra epoch.
+	rep.Graph, rep.Epoch = rp.Graph(), rp.Applied()
 	switch {
-	case n == 0:
+	case rep.Epoch == 0:
 		rep.Analysis = rp.Graph().Analyze()
 	case !rep.Sealed && (rep.Torn != nil || !rep.Stopped):
 		rep.Analysis = rp.Truncate()
@@ -224,6 +165,20 @@ scan:
 			return nil, fmt.Errorf("journal: truncate: %w", err)
 		}
 	}
-	rep.Graph, rep.Records, rep.Epoch = rp.Graph(), n, uint64(n)
 	return rep, nil
+}
+
+// Frames opens the replayed stream: journal.isj after its preamble, up
+// to End — the hello, every replayed delta, and the seal when the
+// journal is sealed. It is an ingest body as the journal holds it, what
+// a re-feed posts.
+func (rep *Recovery) Frames() (io.ReadCloser, error) {
+	f, err := os.Open(rep.path)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.NewSectionReader(f, wire.PreambleLen, rep.End-wire.PreambleLen), f}, nil
 }

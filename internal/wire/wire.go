@@ -173,6 +173,7 @@ type Reader struct {
 	r   *bufio.Reader
 	max uint32
 	buf []byte
+	off int64
 }
 
 // NewReader wraps r. maxPayload 0 means DefaultMaxFrameBytes.
@@ -222,8 +223,13 @@ func (fr *Reader) Next() (kind byte, body []byte, err error) {
 	if CRC(payload) != wantCRC {
 		return 0, nil, ErrBadCRC
 	}
+	fr.off += FrameOverhead + int64(plen)
 	return payload[0], payload[1:], nil
 }
+
+// Offset returns the stream offset just past the last frame Next
+// returned — where the next frame starts, good or bad.
+func (fr *Reader) Offset() int64 { return fr.off }
 
 // ErrVersion reports a header frame written in another format version.
 var ErrVersion = errors.New("wire: unsupported format version")
@@ -241,8 +247,8 @@ type Hello struct {
 	RunID string
 	// App names the recorded workload (informational).
 	App string
-	// Threads is the graph's thread-slot capacity; the aggregator
-	// rebuilds the per-source graph with it.
+	// Threads is the graph's thread-slot capacity, 1 to MaxThreads; the
+	// aggregator and journal recovery rebuild a graph this wide.
 	Threads int
 	// BaseEpoch is the first epoch the frames after the hello carry: 1
 	// in a journal (informational; the server's dedup and journal
@@ -250,10 +256,16 @@ type Hello struct {
 	BaseEpoch uint64
 }
 
+// MaxThreads bounds a hello's thread-slot capacity. A reader allocates
+// a graph that wide before any delta arrives, so the bound is what
+// keeps a few forged bytes from demanding gigabytes; a hello past it is
+// neither written nor parsed.
+const MaxThreads = 1024
+
 // AppendWire appends the hello's binary form.
 func (h Hello) AppendWire(b []byte) ([]byte, error) {
-	if h.Threads < 0 {
-		return b, fmt.Errorf("hello: negative thread capacity %d", h.Threads)
+	if h.Threads < 1 || h.Threads > MaxThreads {
+		return b, fmt.Errorf("hello: thread capacity %d out of range [1,%d]", h.Threads, MaxThreads)
 	}
 	b = binary.AppendUvarint(b, Version)
 	b = AppendString(b, h.RunID)
@@ -265,19 +277,22 @@ func (h Hello) AppendWire(b []byte) ([]byte, error) {
 // ParseWire reads the AppendWire form. A body that does not open with
 // this build's Version is refused with ErrVersion before anything else
 // is read: a version-1 recorder's gob stream opens with its first
-// message's length, which is never 2.
+// message's length, which is never 2. A thread capacity outside
+// [1, MaxThreads] is a *PayloadError.
 func (h *Hello) ParseWire(body []byte) error {
 	c := NewCursor(body)
 	if v := c.Uvarint("hello.version"); c.Err() == nil && v != Version {
 		return fmt.Errorf("%w: hello opens with %d, this build speaks version %d (version 1 was gob-framed and is refused, not read)",
 			ErrVersion, v, Version)
 	}
-	*h = Hello{
-		RunID:     c.String("hello.run_id"),
-		App:       c.String("hello.app"),
-		Threads:   c.Int("hello.threads"),
-		BaseEpoch: c.Uvarint("hello.base_epoch"),
+	h.RunID = c.String("hello.run_id")
+	h.App = c.String("hello.app")
+	at := c.off
+	if h.Threads = int(c.bounded("hello.threads", MaxThreads)); h.Threads == 0 && c.err == nil {
+		c.off = at
+		c.Fail("hello.threads", "a graph needs at least one thread slot")
 	}
+	h.BaseEpoch = c.Uvarint("hello.base_epoch")
 	return c.Done()
 }
 

@@ -46,7 +46,7 @@ func (fr *fabricRun) finalExport() []byte {
 // recordFabric drives a deterministic random multithreaded workload,
 // folding an epoch every few seals, and captures deltas plus reference
 // exports.
-func recordFabric(t *testing.T, threads, steps int, seed int64) *fabricRun {
+func recordFabric(t testing.TB, threads, steps int, seed int64) *fabricRun {
 	t.Helper()
 	g := core.NewGraph(threads)
 	recs := make([]*core.Recorder, threads)
@@ -229,6 +229,33 @@ func TestIngestRefusesMalformedPayloads(t *testing.T) {
 	}
 	if st, err := post(t, c, "w", run.hello, run.deltas[2:3], nil); err != nil || st.Accepted != 1 || st.Degraded {
 		t.Fatalf("genuine delta after the refused one = %+v err=%v, want it applied to a healthy source", st, err)
+	}
+}
+
+// TestIngestRefusesWideHello: the aggregator's width bound is the one
+// wire.Hello.ParseWire enforces for every reader — a hello naming no
+// thread slot or more than wire.MaxThreads of them is a 400 that binds
+// nothing, before a graph that wide exists.
+func TestIngestRefusesWideHello(t *testing.T) {
+	hub, ts := newFabricServer(t, IngestOptions{})
+	c := &Client{BaseURL: ts.URL}
+	for _, threads := range []uint64{0, wire.MaxThreads + 1, 1 << 26} {
+		body := binary.AppendUvarint(nil, wire.Version)
+		body = wire.AppendString(body, "wide-run")
+		body = wire.AppendString(body, "")
+		body = binary.AppendUvarint(body, threads)
+		body = binary.AppendUvarint(body, 1)
+		hello, err := wire.AppendFrame(nil, wire.KindHeader, rawBody(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Ingest(context.Background(), "wide", hello)
+		if serverStatus(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "hello.threads") {
+			t.Fatalf("%d-thread hello: err = %v, want HTTP 400 naming hello.threads", threads, err)
+		}
+	}
+	if _, bound := hub.Source("wide"); bound {
+		t.Fatal("a refused hello bound a source")
 	}
 }
 

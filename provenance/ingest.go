@@ -3,10 +3,10 @@ package provenance
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
-	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
@@ -14,13 +14,13 @@ import (
 // The ingest side of the distributed fabric: recorder processes stream
 // CRC-checksummed epoch-delta frames (the journal's record format, see
 // internal/wire) over HTTP, and the aggregator folds each source's
-// deltas through the same incremental fold a local recording uses (an
-// epoch.Replayer, shared with journal recovery). The correctness anchor
-// is replay equivalence: the per-source CPG served here is
-// byte-for-byte the one the recorder's own fold produced at the same
-// epoch. The aggregator folds once per POST body, not once per delta:
-// it publishes the epoch of each body's last applied delta, a subset of
-// the recorder's epochs.
+// deltas through the frame-stream applier journal recovery reads a
+// journal with (epoch.Replayer.Apply), adding dedup and a lock per
+// source. The correctness anchor is replay equivalence: the per-source
+// CPG served here is byte-for-byte the one the recorder's own fold
+// produced at the same epoch. The aggregator folds once per POST body,
+// not once per delta: it publishes the epoch of each body's last
+// applied delta, a subset of the recorder's epochs.
 //
 // The resume contract, pinned by the conformance tests:
 //
@@ -37,14 +37,14 @@ import (
 
 // Ingest error classes, surfaced as typed errors so the HTTP layer maps
 // them to distinct statuses (and clients can tell retryable from
-// fatal).
+// fatal). The first three are the frame-stream applier's own.
 var (
 	// ErrEpochGap reports a delta beyond the next expected epoch.
-	ErrEpochGap = errors.New("provenance: delta skips ahead of the next expected epoch")
-	// ErrSourceSealed reports ingest after a seal frame.
-	ErrSourceSealed = errors.New("provenance: source is sealed")
+	ErrEpochGap = epoch.ErrGap
+	// ErrSourceSealed reports a new delta after a seal frame.
+	ErrSourceSealed = epoch.ErrAfterSeal
 	// ErrSourceDegraded reports ingest after a poisoning delta.
-	ErrSourceDegraded = errors.New("provenance: source is degraded")
+	ErrSourceDegraded = epoch.ErrDegraded
 	// ErrRunConflict reports a hello whose run identity does not match
 	// the source's bound run.
 	ErrRunConflict = errors.New("provenance: run identity conflict")
@@ -86,17 +86,14 @@ type IngestOptions struct {
 }
 
 // Bounds on what a recorder may ask of the aggregator, beside
-// wire.DefaultMaxFrameBytes on each frame: every length and count in an
-// ingest body is untrusted.
+// wire.DefaultMaxFrameBytes on each frame and wire.MaxThreads on a
+// hello's width: every length and count in an ingest body is untrusted.
 const (
 	// maxIngestSources bounds the sources one hub tracks. Sources are
 	// never evicted, so the hello that would bind one more is refused.
 	maxIngestSources = 256
 	// maxIngestBodyBytes bounds one ingest request body.
 	maxIngestBodyBytes = 1 << 30
-	// maxIngestThreads bounds a hello's thread-slot capacity; the
-	// aggregator allocates a graph that wide per source.
-	maxIngestThreads = 1024
 )
 
 // IngestHub tracks the sources an aggregating Server has accepted
@@ -142,9 +139,6 @@ func (h *IngestHub) bind(name string, hello wire.Hello) (*IngestSource, error) {
 	if hello.RunID == "" {
 		return nil, fmt.Errorf("provenance: hello carries no run id")
 	}
-	if hello.Threads < 1 || hello.Threads > maxIngestThreads {
-		return nil, fmt.Errorf("provenance: hello thread capacity %d out of range [1,%d]", hello.Threads, maxIngestThreads)
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if src, ok := h.sources[name]; ok {
@@ -157,15 +151,35 @@ func (h *IngestHub) bind(name string, hello wire.Hello) (*IngestSource, error) {
 	if len(h.sources) >= maxIngestSources {
 		return nil, fmt.Errorf("provenance: ingest source limit reached (%d)", maxIngestSources)
 	}
-	src := newIngestSource(name, hello, h.opts.Engine)
+	src := &IngestSource{Feed: NewFeed(hello.Threads, h.opts.Engine), name: name, hello: hello, rp: epoch.Bind(hello)}
 	h.sources[name] = src
 	return src, nil
 }
 
-// IngestSource is one recorder's CPG as the aggregator rebuilds it: an
-// epoch.Replayer fed one delta at a time and folded once per ingest
-// batch, each fold published through the embedded Feed (which makes it
-// a Source) under the epoch of the batch's last delta.
+// ingest consumes one ingest body for the named source. The status
+// counts the body's applied and duplicate deltas however it ended.
+func (h *IngestHub) ingest(name string, body io.Reader) (IngestStatus, error) {
+	fr := wire.NewReader(body, wire.DefaultMaxFrameBytes)
+	hello, err := epoch.ReadHello(fr)
+	if err != nil {
+		return IngestStatus{}, err
+	}
+	src, err := h.bind(name, hello)
+	if err != nil {
+		return IngestStatus{}, err
+	}
+	accepted, dups, err := src.ingest(fr)
+	st := src.Status()
+	st.Accepted, st.Duplicates = accepted, dups
+	return st, err
+}
+
+// IngestSource is one recorder's CPG as the aggregator rebuilds it: the
+// replay of its frame stream, folded once per ingest body, each fold
+// published through the embedded Feed (which makes it a Source). The
+// replay's applied epoch is the resume offset and, once flushed, the
+// published epoch — until a poisoning delta, whose degraded republish
+// is one more fold.
 type IngestSource struct {
 	*Feed
 	name  string
@@ -173,21 +187,6 @@ type IngestSource struct {
 
 	mu sync.Mutex
 	rp *epoch.Replayer
-	// applied is the last applied delta epoch — the resume offset. Once
-	// flushed it is the published epoch too, until a poisoning delta:
-	// the degraded republish is one more fold, so it carries applied+1.
-	applied uint64
-	sealed  bool
-	poison  error
-}
-
-func newIngestSource(name string, hello wire.Hello, eopts EngineOptions) *IngestSource {
-	return &IngestSource{
-		Feed:  NewFeed(hello.Threads, eopts),
-		name:  name,
-		hello: hello,
-		rp:    epoch.NewReplayer(hello.Threads),
-	}
 }
 
 // Status summarizes the source for the offset endpoint.
@@ -198,55 +197,59 @@ func (s *IngestSource) Status() IngestStatus {
 		Version:   Version,
 		Source:    s.name,
 		RunID:     s.hello.RunID,
-		NextEpoch: s.applied + 1,
-		Sealed:    s.sealed,
-		Degraded:  s.poison != nil,
+		NextEpoch: s.rp.Applied() + 1,
+		Sealed:    s.rp.Sealed(),
+		Degraded:  s.rp.Invalid() != nil,
 	}
 }
 
-// apply ingests one delta under the resume contract: validated and
-// appended, folded by the batch's flush. It reports whether the delta
-// advanced the source (false = duplicate, acknowledged and skipped). A
-// validation failure poisons the source and is returned.
-func (s *IngestSource) apply(d *core.EpochDelta) (applied bool, err error) {
-	if d == nil {
-		return false, fmt.Errorf("core: nil epoch delta")
+// ingest applies the frames after a body's hello until the body ends
+// or one is refused, then folds and publishes what it applied — once,
+// whichever way the body ended. The lock is taken per frame, never
+// across a read from the network.
+func (s *IngestSource) ingest(fr *wire.Reader) (accepted, dups int, err error) {
+	defer s.flush()
+	for {
+		kind, body, err := fr.Next()
+		if err == io.EOF {
+			return accepted, dups, nil
+		}
+		if err != nil {
+			return accepted, dups, fmt.Errorf("frame: %w", err)
+		}
+		switch o, err := s.apply(kind, body); {
+		case err != nil:
+			return accepted, dups, err
+		case o == epoch.Advanced:
+			accepted++
+		case o == epoch.Duplicate:
+			dups++
+		}
 	}
+}
+
+// apply reads one frame under the lock. A seal publishes the applied
+// prefix and closes the feed; so does a poisoning delta — the append is
+// atomic, so the graph holds exactly that prefix — after publishing it
+// truncated, the way journal recovery marks a torn tail, as the final
+// epoch.
+func (s *IngestSource) apply(kind byte, body []byte) (epoch.Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.poison != nil {
-		return false, fmt.Errorf("%w: %v", ErrSourceDegraded, s.poison)
-	}
-	if d.Epoch <= s.applied {
-		// Duplicate delivery (a replayed prefix, a retried batch): the
-		// epoch is already durable here; first write wins.
-		return false, nil
-	}
-	if s.sealed {
-		return false, fmt.Errorf("%w: source %q sealed at epoch %d", ErrSourceSealed, s.name, s.applied)
-	}
-	if d.Epoch != s.applied+1 {
-		return false, fmt.Errorf("%w: got epoch %d, want %d", ErrEpochGap, d.Epoch, s.applied+1)
-	}
-	if err := s.rp.Append(d); err != nil {
-		// The append is atomic, so the graph still holds exactly the
-		// applied prefix. Publish it, latch the poison, mark the loss the
-		// way journal recovery marks a torn tail, and publish the
-		// degraded fold as the source's final epoch so queries stop
-		// claiming completeness.
+	o, err := s.rp.Apply(kind, body)
+	switch {
+	case errors.Is(err, epoch.ErrInvalid):
 		s.flushLocked()
-		s.poison = err
 		s.publish(s.rp.Truncate())
 		s.shut()
-		return false, err
+	case o == epoch.Sealed:
+		s.flushLocked()
+		s.shut()
 	}
-	s.applied = d.Epoch
-	return true, nil
+	return o, err
 }
 
-// flush folds and publishes the deltas applied since the last fold, as
-// the epoch of the last one. The ingest handler calls it once per body,
-// on every exit path, before it answers.
+// flush publishes the deltas applied since the last fold.
 func (s *IngestSource) flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,21 +260,4 @@ func (s *IngestSource) flushLocked() {
 	if s.rp.Pending() {
 		s.publish(s.rp.Fold())
 	}
-}
-
-// seal records the clean end of the stream, publishing the applied
-// prefix first. Sealing is idempotent for a matching final epoch.
-func (s *IngestSource) seal(finalEpoch uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.poison != nil {
-		return fmt.Errorf("%w: %v", ErrSourceDegraded, s.poison)
-	}
-	if finalEpoch != s.applied {
-		return fmt.Errorf("%w: seal names epoch %d, source is at %d", ErrEpochGap, finalEpoch, s.applied)
-	}
-	s.flushLocked()
-	s.sealed = true
-	s.shut()
-	return nil
 }

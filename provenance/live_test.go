@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // liveFixture records sub-computations on demand so tests control
@@ -130,24 +132,30 @@ func TestFeedWaitEpochContract(t *testing.T) {
 		},
 		"IngestSource": func(t *testing.T) subject {
 			run := recordFabric(t, 2, 24, 7)
-			src := newIngestSource("w", run.hello, EngineOptions{})
-			// A one-delta batch: applied, then folded and published.
-			apply := func() {
-				if _, err := src.apply(run.deltas[src.Epoch()]); err != nil {
+			hub := NewIngestHub(IngestOptions{})
+			// post ingests a one-delta body, sealed or not: applied, then
+			// folded and published.
+			posted := 0
+			post := func(sealed bool) {
+				var seal *wire.Seal
+				if sealed {
+					seal = &wire.Seal{FinalEpoch: run.deltas[posted].Epoch}
+				}
+				body, err := EncodeFrames(run.hello, run.deltas[posted:posted+1], seal)
+				if err == nil {
+					_, err = hub.ingest("w", bytes.NewReader(body))
+				}
+				if err != nil {
 					t.Error(err)
 				}
-				src.flush()
+				posted++
 			}
-			apply()
+			post(false)
+			src, _ := hub.Source("w")
 			return subject{
 				feed:    src.Feed,
-				advance: apply,
-				finish: func() {
-					apply()
-					if err := src.seal(src.Epoch()); err != nil {
-						t.Error(err)
-					}
-				},
+				advance: func() { post(false) },
+				finish:  func() { post(true) },
 			}
 		},
 	}

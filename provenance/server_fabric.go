@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
-	"github.com/repro/inspector/internal/wire"
+	"github.com/repro/inspector/internal/epoch"
 )
 
 // The distributed-fabric endpoints:
@@ -110,10 +107,10 @@ func ValidSourceName(name string) bool {
 
 // ingestStatusCode maps an ingest error to its HTTP status: conflicts a
 // client can reconcile (offset re-read, different run) are 409;
-// malformed input is 400.
+// malformed or invalid input is 400.
 func ingestStatusCode(err error) int {
 	switch {
-	case errors.Is(err, ErrEpochGap), errors.Is(err, ErrSourceSealed),
+	case errors.Is(err, ErrEpochGap), errors.Is(err, epoch.ErrSealMismatch), errors.Is(err, ErrSourceSealed),
 		errors.Is(err, ErrSourceDegraded), errors.Is(err, ErrRunConflict):
 		return http.StatusConflict
 	default:
@@ -132,16 +129,12 @@ func (s *Server) handleIngestOffset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusNotFound, apiError{Error: "unknown ingest source " + name})
 }
 
-// handleIngest consumes one POST body of frames: a hello, then deltas,
-// optionally a seal. Deltas are validated and appended as they stream,
-// so a connection cut mid-body retains the applied prefix — the client
-// re-reads the offset and resumes. The body is folded and published
-// once, as the epoch of its last applied delta, whichever way it ends
-// and before the response: an answered POST is queryable. Any error
-// stops the read and reports it; everything already applied stays
-// durable.
+// handleIngest consumes one POST body of frames (IngestHub.ingest).
+// Deltas apply as they stream, so a connection cut mid-body retains the
+// applied prefix, and the body is published before the response: an
+// answered POST is queryable. Any error stops the read and reports it;
+// everything already applied stays durable.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	hub := s.opts.Ingest
 	name := r.PathValue("source")
 	if !ValidSourceName(name) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad source name " + strconv.Quote(name)})
@@ -151,78 +144,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: "source name " + name + " is served statically"})
 		return
 	}
-	fr := wire.NewReader(http.MaxBytesReader(w, r.Body, maxIngestBodyBytes), wire.DefaultMaxFrameBytes)
-	kind, body, err := fr.Next()
-	if err != nil {
-		msg := "empty ingest body"
-		if err != io.EOF {
-			msg = "hello frame: " + err.Error()
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{Error: msg})
-		return
-	}
-	if kind != wire.KindHeader {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "first frame must be a header (hello)"})
-		return
-	}
-	var hello wire.Hello
-	if err := wire.Decode(body, &hello); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "hello decode: " + err.Error()})
-		return
-	}
-	src, err := hub.bind(name, hello)
+	st, err := s.opts.Ingest.ingest(name, http.MaxBytesReader(w, r.Body, maxIngestBodyBytes))
 	if err != nil {
 		writeJSON(w, ingestStatusCode(err), apiError{Error: err.Error()})
 		return
 	}
-
-	accepted, dups, err := ingestFrames(fr, src)
-	src.flush()
-	if err != nil {
-		writeJSON(w, ingestStatusCode(err), apiError{Error: err.Error()})
-		return
-	}
-	st := src.Status()
-	st.Accepted, st.Duplicates = accepted, dups
 	writeJSON(w, http.StatusOK, st)
-}
-
-// ingestFrames applies the frames after the hello until the body ends
-// or one fails, counting the applied and the duplicate deltas.
-func ingestFrames(fr *wire.Reader, src *IngestSource) (accepted, dups int, err error) {
-	for {
-		kind, body, err := fr.Next()
-		if err == io.EOF {
-			return accepted, dups, nil
-		}
-		if err != nil {
-			return accepted, dups, fmt.Errorf("frame: %w", err)
-		}
-		switch kind {
-		case wire.KindDelta:
-			d := new(core.EpochDelta)
-			if err := wire.Decode(body, d); err != nil {
-				return accepted, dups, fmt.Errorf("delta decode: %w", err)
-			}
-			applied, err := src.apply(d)
-			if err != nil {
-				return accepted, dups, err
-			}
-			if applied {
-				accepted++
-			} else {
-				dups++
-			}
-		case wire.KindSeal:
-			var seal wire.Seal
-			if err := wire.Decode(body, &seal); err != nil {
-				return accepted, dups, fmt.Errorf("seal decode: %w", err)
-			}
-			if err := src.seal(seal.FinalEpoch); err != nil {
-				return accepted, dups, err
-			}
-		default:
-			return accepted, dups, fmt.Errorf("unknown frame kind %d", kind)
-		}
-	}
 }

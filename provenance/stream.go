@@ -1,8 +1,12 @@
 package provenance
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -21,8 +25,8 @@ import (
 // goroutine ships the whole backlog per POST, and a dead aggregator
 // costs queue memory, not workload progress. The journal stays the
 // durability anchor: it is fed the very same deltas, so after a
-// recorder SIGKILL inspector-recover -stream replays them and the
-// aggregator's dedup makes the resend converge.
+// recorder SIGKILL inspector-recover -stream posts the journal's own
+// frames (Refeed) and the aggregator's dedup makes the resend converge.
 
 // maxUploadBytes is the byte budget of one ingest POST: a body stops
 // after the delta whose frame takes it to the budget or past it, so no
@@ -64,33 +68,57 @@ func encodeBody(hello wire.Hello, deltas []*core.EpochDelta, limit, budget int, 
 	return body, n, nil
 }
 
-// UploadDeltas streams a recorded delta sequence to an aggregator — the
-// journal-replay resume path. Each POST carries as many deltas as the
-// byte budget admits (at most batch of them when batch > 0), and the
-// last one carries the seal, so a whole journal usually costs one POST.
-// The server's dedup skips epochs it already holds, so uploading from
-// epoch 1 after a partial earlier stream is safe and cheap. The returned
-// status is the final POST's, with Accepted and Duplicates accumulated
-// across the whole upload.
-func UploadDeltas(ctx context.Context, c *Client, source string, hello wire.Hello, deltas []*core.EpochDelta, batch int, seal *wire.Seal) (*IngestStatus, error) {
+// Refeed posts a recorded frame stream — a journal after its preamble,
+// as journal.Recovery.Frames reads it — to an aggregator: the resume
+// path after a streaming recorder died. The frames after the hello go
+// verbatim, undecoded, in POSTs of whole frames up to the byte budget
+// (at most batch deltas when batch > 0), each behind a copy of the
+// hello whose BaseEpoch is its first delta's; a whole journal usually
+// costs one POST. The aggregator's dedup makes re-feeding from epoch 1
+// safe. The status returned is the last POST's, with Accepted and
+// Duplicates summed over the re-feed.
+func Refeed(ctx context.Context, c *Client, source string, stream io.Reader, batch int) (*IngestStatus, error) {
+	// One bufio.Reader under both: wire.NewReader adopts it as is, so the
+	// raw frame copies below continue where the hello ended.
+	br := bufio.NewReader(stream)
+	hello, err := epoch.ReadHello(wire.NewReader(br, 0))
+	if err != nil {
+		return nil, err
+	}
 	var accepted, dups int
 	for {
-		// The last body (the only one, possibly empty, when there are no
-		// deltas) carries the seal.
-		body, n, err := encodeBody(hello, deltas, batch, maxUploadBytes, seal)
+		frame, err := wire.AppendFrame(nil, wire.KindHeader, &hello)
 		if err != nil {
 			return nil, err
 		}
-		st, err := c.Ingest(ctx, source, body)
+		body, n := bytes.NewBuffer(frame), 0
+		for (batch <= 0 || n < batch) && (n == 0 || body.Len() < maxUploadBytes) {
+			hdr, err := br.Peek(wire.FrameOverhead + 1)
+			if len(hdr) == 0 && err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("provenance: re-feed: %w", wire.ErrShortHeader)
+			}
+			if hdr[wire.FrameOverhead] == wire.KindDelta {
+				n++
+			}
+			// hdr aliases br's buffer: read it before the copy.
+			if _, err := io.CopyN(body, br, wire.FrameOverhead+int64(binary.LittleEndian.Uint32(hdr))); err != nil {
+				return nil, fmt.Errorf("provenance: re-feed: %w", wire.ErrShortFrame)
+			}
+		}
+		st, err := c.Ingest(ctx, source, body.Bytes())
 		if err != nil {
 			return nil, err
 		}
 		accepted += st.Accepted
 		dups += st.Duplicates
-		if deltas = deltas[n:]; len(deltas) == 0 {
+		if _, err := br.Peek(1); err == io.EOF {
 			st.Accepted, st.Duplicates = accepted, dups
 			return st, nil
 		}
+		hello.BaseEpoch += uint64(n)
 	}
 }
 

@@ -30,6 +30,9 @@ type postedBody struct {
 	lastDelta int
 	epochs    []uint64
 	sealed    bool
+	// base is the hello's BaseEpoch; frames the body after the hello.
+	base   uint64
+	frames []byte
 }
 
 // gatedAggregator is an in-process aggregator whose first ingest POST
@@ -89,6 +92,12 @@ func (a *gatedAggregator) log(body []byte) error {
 			return fmt.Errorf("posted body, frame at %d: %w", off, err)
 		}
 		switch kind {
+		case wire.KindHeader:
+			var h wire.Hello
+			if err := wire.Decode(payload, &h); err != nil {
+				return fmt.Errorf("posted body, hello: %w", err)
+			}
+			pb.base, pb.frames = h.BaseEpoch, body[off+int(n):]
 		case wire.KindDelta:
 			e, _ := binary.Uvarint(payload) // a delta's binary form opens with its epoch
 			pb.epochs = append(pb.epochs, e)
@@ -316,38 +325,88 @@ func cutRun(t *testing.T, steps int, seed int64) (wire.Hello, []*core.EpochDelta
 	return hello, deltas, cpgtest.Bytes(t, inc.FoldAs(deltas[len(deltas)-1].Epoch))
 }
 
-// TestUploadDeltasRefeedIsOnePost pins the journal re-feed's cost: a
-// 10^4-epoch sequence whose first half the aggregator already holds
-// ships, with the seal, in one POST that acknowledges the held half as
-// duplicates and converges on the recorder's bytes.
-func TestUploadDeltasRefeedIsOnePost(t *testing.T) {
+// refeed posts a journal's frame stream — the hello, deltas, the
+// optional seal, which EncodeFrames spells byte for byte as a journal
+// holds them after its preamble — through Refeed.
+func refeed(t *testing.T, c *Client, hello wire.Hello, deltas []*core.EpochDelta, seal *wire.Seal, batch int) *IngestStatus {
+	t.Helper()
+	stream, err := EncodeFrames(hello, deltas, seal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Refeed(context.Background(), c, "w", bytes.NewReader(stream), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestRefeedIsOnePost pins the journal re-feed's cost: a 10^4-epoch
+// sequence whose first half the aggregator already holds ships, with
+// the seal, in one POST that acknowledges the held half as duplicates
+// and converges on the recorder's bytes.
+func TestRefeedIsOnePost(t *testing.T) {
 	hello, deltas, want := cutRun(t, 9_998, 23) // + two final seals: 10^4 epochs
 	if len(deltas) != 10_000 {
 		t.Fatalf("recorded %d epochs, want 10000", len(deltas))
 	}
 	agg := newGatedAggregator(t)
 	agg.open()
-	ctx := context.Background()
-	if _, err := UploadDeltas(ctx, agg.c, "w", hello, deltas[:5_000], 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	refeed(t, agg.c, hello, deltas[:5_000], nil, 0)
 	held := len(agg.posted())
 	seal := &wire.Seal{FinalEpoch: deltas[len(deltas)-1].Epoch}
-	st, err := UploadDeltas(ctx, agg.c, "w", hello, deltas, 0, seal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := refeed(t, agg.c, hello, deltas, seal, 0)
 	if posts := len(agg.posted()) - held; posts != 1 {
 		t.Fatalf("re-feed took %d POSTs, want 1", posts)
 	}
 	if st.Duplicates != 5_000 || st.Accepted != 5_000 || !st.Sealed || st.NextEpoch != seal.FinalEpoch+1 {
 		t.Fatalf("re-feed status = %+v, want 5000 accepted, 5000 duplicates, sealed at epoch %d", st, seal.FinalEpoch)
 	}
-	got, err := agg.c.Export(ctx, "w")
+	got, err := agg.c.Export(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("aggregator export after the re-feed != the recorder's fold")
+	}
+}
+
+// TestRefeedSplitsAtFrameBoundaries pins the body split: under a count
+// cap every body carries whole frames behind a hello whose BaseEpoch is
+// its first delta's, the frames after the hello are the stream's own
+// bytes in order, and the seal rides the last body.
+func TestRefeedSplitsAtFrameBoundaries(t *testing.T) {
+	hello, deltas, want := cutRun(t, 40, 31)
+	agg := newGatedAggregator(t)
+	agg.open()
+	seal := &wire.Seal{FinalEpoch: deltas[len(deltas)-1].Epoch}
+	st := refeed(t, agg.c, hello, deltas, seal, 4)
+	bodies := agg.posted()
+	if wantPosts := (len(deltas) + 3) / 4; len(bodies) != wantPosts {
+		t.Fatalf("re-feed of %d deltas at 4 per POST took %d POSTs, want %d", len(deltas), len(bodies), wantPosts)
+	}
+	stream, err := EncodeFrames(hello, deltas, seal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, helloLen, err := wire.ParseFrame(stream, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []byte
+	for i, b := range bodies {
+		if len(b.epochs) == 0 || b.base != uint64(4*i+1) || b.epochs[0] != b.base || b.sealed != (i == len(bodies)-1) {
+			t.Fatalf("body %d: hello base epoch %d, carried epochs %v sealed=%v", i, b.base, b.epochs, b.sealed)
+		}
+		frames = append(frames, b.frames...)
+	}
+	if !bytes.Equal(frames, stream[helloLen:]) {
+		t.Fatal("the bodies' frames after their hellos are not the stream's own bytes")
+	}
+	if !st.Sealed || st.Accepted != len(deltas) || st.NextEpoch != seal.FinalEpoch+1 {
+		t.Fatalf("re-feed status = %+v, want %d accepted, sealed", st, len(deltas))
+	}
+	if got, err := agg.c.Export(context.Background(), "w"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("aggregator export after a split re-feed != the recorder's fold (err=%v)", err)
 	}
 }
