@@ -28,12 +28,12 @@ import (
 
 // record journals a small deterministic two-thread recording, leaves
 // the journal sealed (sealed=true) or abandoned mid-run (sealed=false),
-// and returns the per-epoch analyses of the live analyzer's own fold: a
-// bare epoch.Driver over the same graph whose sink asks for every
-// epoch's analysis. The recording is sequential, so both drivers cut
-// the same prefix at every seal; the recorder's OnEpoch (its follower's
-// replay) must match the live fold's .cpg bytes at every journaled
-// epoch.
+// and returns the per-epoch analyses of the live graph's own fold: a
+// bare epoch.Driver over the same graph whose sink folds a second
+// analyzer at every cut. The recording is sequential, so both drivers
+// cut the same prefix at every seal; the recorder's OnEpoch (its
+// follower's replay) must match the live fold's .cpg bytes at every
+// journaled epoch.
 func record(t *testing.T, dir string, steps int, sealed bool) []*core.Analysis {
 	t.Helper()
 	w, err := journal.Create(journal.Options{Dir: dir, Threads: 2, App: "recover-test"})
@@ -62,7 +62,7 @@ func record(t *testing.T, dir string, steps int, sealed bool) []*core.Analysis {
 		}
 		followed = append(followed, buf.Bytes())
 	}
-	drv := epoch.NewDriver(g, epoch.Options{}, liveFold{&live})
+	drv := epoch.NewDriver(g, epoch.Options{}, liveFold{core.NewIncrementalAnalyzer(g), &live})
 	jrHook, liveHook := jr.CommitHook(), drv.CommitHook()
 	hook := func() {
 		jrHook(core.SubID{})
@@ -115,12 +115,16 @@ func record(t *testing.T, dir string, steps int, sealed bool) []*core.Analysis {
 	return live
 }
 
-// liveFold is an epoch.Sink that asks for every epoch's analysis and
-// keeps it.
-type liveFold struct{ folds *[]*core.Analysis }
+// liveFold is an epoch.Sink that folds a second analyzer over the live
+// graph at every cut (FoldDelta) and keeps each analysis.
+type liveFold struct {
+	inc   *core.IncrementalAnalyzer
+	folds *[]*core.Analysis
+}
 
-func (s liveFold) Emit(e epoch.Epoch) error {
-	*s.folds = append(*s.folds, e.Analysis())
+func (s liveFold) Emit(*core.EpochDelta) error {
+	a, _ := s.inc.FoldDelta()
+	*s.folds = append(*s.folds, a)
 	return nil
 }
 

@@ -20,18 +20,23 @@
 //	              [-journal DIR] [-journal-fsync always] [-epoch-every 1]
 //	              [-stream URL] [-stream-id NAME] [-seed 1]
 //
-// -live-stats turns on the live analysis pipeline for the run: the CPG
-// is folded into queryable epochs while the workload executes, progress
-// lines ("live: epoch N ...") stream during execution, and the final
-// line summarizes what the online analysis saw. To query the run over
+// -live-stats turns on the live analysis pipeline for the run: a
+// follower folds the cut epochs into queryable analyses off the
+// recording threads while the workload executes, progress lines
+// ("live: epoch N ...") stream during execution, and the final line
+// summarizes what the online analysis saw. To query the run over
 // HTTP while it records, -stream it to an inspector-serve -ingest.
 //
 // -faults executes the run under a deterministic fault-injection
 // schedule (internal/faultinject): "aux-loss" truncates PT sink writes
 // like an overrunning AUX ring, "panic" crashes the workload at a commit
-// boundary, "slow-fold" delays the epoch folds from inside the fold
-// workers (the fan-out follows GOMAXPROCS; only -live-stats folds while
-// the run records, so without it there is nothing to slow). The run completes
+// boundary, "slow-fold" delays the follower's folds from inside the fold
+// workers, once per epoch each fold covers (only -live-stats folds while
+// the run records, so without it there is nothing to slow; once the
+// follower's queue is full the slowed folds pace the run), "slow-seal"
+// sleeps 1 ms at a commit boundary ("slow-seal:every=1" stretches
+// canneal medium at 2 threads to ~3 s, long enough to query its stream
+// mid-run). The run completes
 // (artifacts are still exported), the report names the faults that
 // fired, and the recorded CPG carries its trace gaps and completeness —
 // the same schedule reproduces the same faults run after run. The
@@ -53,10 +58,10 @@
 //
 // However many of -journal, -stream and -live-stats are on, the run
 // cuts each epoch once, every -epoch-every sealed sub-computations, and
-// folds it only for -live-stats: journal record k, wire frame k and
-// live epoch k are the same cut. The
-// aggregator folds once per uploaded batch and publishes the epoch of
-// its last delta, so a watcher sees a subset of these epochs.
+// folds only for -live-stats, off the recording threads: journal record
+// k, wire frame k and live epoch k are the same cut. The follower and
+// the aggregator fold once per batch of deltas and publish the epoch
+// of its last delta, so a watcher sees a subset of these epochs.
 package main
 
 import (
@@ -110,7 +115,7 @@ func run(args []string) error {
 	fs.StringVar(&opts.JournalFsync, "journal-fsync", "always", `journal fsync policy: always|interval[:N]|none`)
 	fs.StringVar(&opts.Stream, "stream", "", "stream sealed epochs to a provenance aggregator (inspector-serve -ingest) at this base URL")
 	fs.StringVar(&opts.StreamID, "stream-id", "", "aggregator source name (default: the run id, app-tN-sSEED)")
-	fs.IntVar(&opts.JournalEverySeals, "epoch-every", 1, "with -journal or -stream: fold one epoch each N sealed sub-computations (journal, stream and live stats share it)")
+	fs.IntVar(&opts.JournalEverySeals, "epoch-every", 1, "cut one epoch each N sealed sub-computations (journal, stream and live stats share it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -143,10 +143,10 @@ type Options struct {
 	PageSize int
 	// SnapshotMode bounds trace space with an overwriting AUX ring and
 	// enables the live snapshot facility (§VI): a ring of retained
-	// epochs, one more sink of the epoch pipeline. It cuts on the
-	// sealing thread — once per snapshot on its own, at
-	// JournalEverySeals beside Journal, Stream or Live — and folds only
-	// the epochs it retains. Without it the full trace is retained.
+	// epochs. The ring picks the epochs it retains and copies their PT
+	// windows on the sealing thread; the recording's follower folds
+	// those epochs off it and completes the slots. Without it the full
+	// trace is retained.
 	SnapshotMode bool
 	// SnapshotEverySyncs retains the first epoch whose cut covers each
 	// further N sealed sub-computations (one per synchronization
@@ -157,10 +157,9 @@ type Options struct {
 	// Live folds the CPG incrementally while the workload executes, so
 	// Query answers against the newest completed epoch *during* Run
 	// instead of only after it returns — the paper's online-provenance
-	// property. Epoch and WaitEpoch expose the fold progress. On its own
-	// it folds on a background goroutine; with Journal, Stream or
-	// SnapshotMode set it publishes their epochs, asking for each one's
-	// analysis (a fold per epoch on the sealing thread).
+	// property. Epoch and WaitEpoch expose the fold progress. The
+	// sealing thread only cuts; the recording's follower folds off it,
+	// once per drained queue of cut epochs, and publishes each fold.
 	// Incompatible with Native (there is no graph to fold).
 	Live bool
 	// Journal, when set, makes recording crash-durable: every sealed
@@ -178,11 +177,12 @@ type Options struct {
 	// or "none" (leave flushing to the OS; a machine crash may lose the
 	// tail, a process crash does not). Empty means "interval".
 	JournalFsync string
-	// JournalEverySeals is the epoch cadence of a journaled or streamed
-	// run: one epoch each N sealed sub-computations (default 1: every
-	// commit boundary seals an epoch — the tightest recovery point at
-	// the highest write rate). Journal, Stream and Live share it: record
-	// k, frame k and live epoch k are the same cut.
+	// JournalEverySeals is the epoch cadence of a recording with any
+	// consumer: one epoch cut each N sealed sub-computations (default 1:
+	// every commit boundary cuts an epoch — the tightest recovery point
+	// at the highest write rate). Journal, Stream, Live and SnapshotMode
+	// share it: record k, frame k, live epoch k and snapshot epoch k are
+	// the same cut.
 	JournalEverySeals int
 	// Stream, when set, is the base URL of a provenance aggregator
 	// (inspector-serve -ingest): every sealed epoch's delta is queued on
@@ -201,10 +201,9 @@ type Options struct {
 	RunID string
 	// Faults, when set, executes the run under a deterministic
 	// fault-injection schedule (internal/faultinject): lossy PT sinks,
-	// slowed fold workers (folds run only for Live or SnapshotMode: a
-	// journal or stream alone derives nothing to slow), and a panic or
-	// SIGKILL at a commit boundary — after that commit's epoch has
-	// reached the journal.
+	// slowed folds (once per epoch folded, so only with Live or
+	// SnapshotMode), and a delay, a panic or a SIGKILL at a commit
+	// boundary — after that commit's epoch has reached the journal.
 	Faults *faultinject.Injector
 }
 
@@ -215,18 +214,13 @@ type Runtime struct {
 	runID string
 	snaps *snapshot.Ring
 
-	// feed publishes the epoch pipeline's folds (Options.Live); when
-	// set, Query serves the newest epoch instead of the lazy post-Run
-	// engine.
+	// feed publishes the follower's folds (Options.Live); when set,
+	// Query serves the newest epoch instead of the lazy post-Run engine.
 	feed *provenance.Feed
-	// drv is the sealing-thread pipeline (Options.Journal, Stream,
-	// SnapshotMode), up its stream sink.
+	// drv cuts the epochs of every consumer (Options.Live, Journal,
+	// Stream, SnapshotMode), up is its stream sink.
 	drv *epoch.Driver
 	up  *provenance.Uploader
-
-	// closeEpochs ends the epoch pipeline, whichever option built it,
-	// after the workload: the final cut, each sink's finish.
-	closeEpochs func() error
 
 	engineOnce sync.Once
 	engine     *provenance.Engine
@@ -283,17 +277,16 @@ func (o Options) validate() error {
 // MaxThreads or SnapshotSlots, or a PageSize that is set but below 64
 // or not a power of two, fail with an error wrapping ErrBadOptions.
 //
-// New is the one assembly of the recording pipeline: the sealing
-// threads' epoch.Driver cutting epochs for journal, live feed, snapshot
-// ring and stream in that order (an epoch is durable before it is
-// observable, here or on the aggregator), or an off-thread LiveEngine
-// when nothing needs the cut on the commit path. A cut is the epoch's
-// delta only; its analysis is folded when a sink asks for it — the
-// feed for every epoch, the ring for the ones it retains, journal and
-// stream never — so a journaled or streamed run without Live or
-// SnapshotMode derives nothing while it records. The CLIs bind their
-// flags to Options and call it. A failing New leaves nothing behind: no
-// journal file, no sender goroutine.
+// New is the one assembly of the recording pipeline: one epoch.Driver,
+// built whenever any consumer is set, only cuts, on the sealing thread,
+// and hands each delta to the journal, the snapshot ring's seal-time
+// half, at most one epoch.Follower and the stream, in that order (an
+// epoch is durable before it is observable, here or on the aggregator).
+// The follower, built for Live or SnapshotMode, is the only place an
+// analysis is built while the run records; it hands each fold to the
+// live feed, then the ring, so a snapshot is never newer than the
+// published epoch. The CLIs bind their flags to Options and call it. A
+// failing New leaves nothing behind: no journal file, no goroutine.
 func New(opts Options) (*Runtime, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -315,18 +308,9 @@ func New(opts Options) (*Runtime, error) {
 	if opts.SnapshotMode {
 		topts.TraceMode = perf.ModeSnapshot
 	}
-	var eopts provenance.EngineOptions
 	faults := opts.Faults
 	if faults != nil {
 		topts.WrapTraceSink = faults.WrapSink
-		// The slow-fold point fires inside the fold's derivation workers
-		// (one hit per worker per fold), so an injected delay stalls the
-		// parallel path itself, not just the fold entry.
-		eopts.FoldWorkerHook = func(int) {
-			if faults.Fire(faultinject.SlowFold) {
-				time.Sleep(time.Millisecond)
-			}
-		}
 	}
 	inner, err := threading.NewRuntime(topts)
 	if err != nil {
@@ -334,8 +318,8 @@ func New(opts Options) (*Runtime, error) {
 	}
 	rt := &Runtime{rt: inner, app: opts.AppName, runID: opts.RunID}
 	g := inner.Graph()
-	var sinks []epoch.Sink
 	var jw *journal.Writer
+	var sinks []epoch.Sink
 	if opts.Journal != "" {
 		jw, err = journal.Create(journal.Options{
 			Dir:       opts.Journal,
@@ -350,19 +334,6 @@ func New(opts Options) (*Runtime, error) {
 		}
 		rt.runID = jw.RunID()
 		sinks = append(sinks, jw)
-	}
-	snapshots := opts.SnapshotMode && !opts.Native
-	snapEvery := cmp.Or(opts.SnapshotEverySyncs, 64)
-	if opts.Live && (opts.Journal != "" || opts.Stream != "" || snapshots) {
-		rt.feed = provenance.NewFeed(g.Threads(), eopts)
-		sinks = append(sinks, rt.feed.Sink())
-	}
-	if snapshots {
-		rt.snaps = snapshot.New(inner.Session(), snapshot.Options{
-			Slots:      opts.SnapshotSlots,
-			EverySeals: snapEvery,
-		})
-		sinks = append(sinks, rt.snaps)
 	}
 	if opts.Stream != "" {
 		rt.up, err = provenance.NewUploader(&provenance.Client{
@@ -380,34 +351,43 @@ func New(opts Options) (*Runtime, error) {
 			}
 			return nil, err
 		}
+	}
+	var observers []epoch.Observer
+	if opts.Live {
+		rt.feed = provenance.NewFeed(g.Threads(), provenance.EngineOptions{})
+		observers = append(observers, rt.feed.Observer())
+	}
+	if opts.SnapshotMode && !opts.Native {
+		rt.snaps = snapshot.New(inner.Session(), snapshot.Options{
+			Slots:      opts.SnapshotSlots,
+			EverySeals: cmp.Or(opts.SnapshotEverySyncs, 64),
+		})
+		sinks = append(sinks, rt.snaps)
+		observers = append(observers, rt.snaps)
+	}
+	if len(observers) > 0 {
+		var hook func(worker int)
+		if faults != nil {
+			// Worker 0 runs in every fold: a schedule's slow-fold hits are
+			// the epochs folded, however the follower batches them.
+			hook = func(worker int) {
+				if worker == 0 && faults.Fire(faultinject.SlowFold) {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		sinks = append(sinks, epoch.NewFollower(g.Threads(), hook, observers...))
+	}
+	if rt.up != nil {
 		sinks = append(sinks, rt.up)
 	}
-	switch {
-	case len(sinks) > 0:
-		// A journal, stream or snapshot ring keeps the cut on the sealing
-		// thread (the durability contract: the epoch sealed by a crashing
-		// commit is already appended and queued); a fold runs there only
-		// for a sink that asks.
-		every := uint64(opts.JournalEverySeals)
-		if rt.snaps != nil && len(sinks) == 1 {
-			// The ring is the cut's only consumer: cut once per snapshot.
-			every = snapEvery
-		}
-		rt.drv = epoch.NewDriver(g, epoch.Options{
-			Every:      every,
-			WorkerHook: eopts.FoldWorkerHook,
-		}, sinks...)
+	if len(sinks) > 0 {
+		rt.drv = epoch.NewDriver(g, epoch.Options{Every: uint64(opts.JournalEverySeals)}, sinks...)
 		// Registered before the fault hook on purpose: commit hooks run in
 		// registration order, so by the time an injected crash kills the
 		// process, the epoch sealed by this very commit is already on the
 		// journal — the kill-recover sweep's determinism anchor.
 		inner.RegisterCommitHook(rt.drv.CommitHook())
-		rt.closeEpochs = rt.drv.Close
-	case opts.Live:
-		// Nothing needs the fold on the sealing thread: keep it off.
-		live := provenance.NewLiveEngine(g, eopts)
-		inner.RegisterCommitHook(func(core.SubID) { live.Notify() })
-		rt.feed, rt.closeEpochs = live.Feed, live.Close
 	}
 	if faults != nil {
 		inner.RegisterCommitHook(func(id core.SubID) {
@@ -420,6 +400,9 @@ func New(opts Options) (*Runtime, error) {
 			}
 			if faults.Fire(faultinject.WorkloadPanic) {
 				panic(fmt.Sprintf("injected workload panic after %v", id))
+			}
+			if faults.Fire(faultinject.SlowSeal) {
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}
@@ -447,10 +430,10 @@ func (r *Runtime) Run(main func(*Thread)) (*Report, error) {
 // short. Run calls it; front ends that drive the workload through
 // Unwrap call it themselves. Idempotent.
 func (r *Runtime) Close() error {
-	if r.closeEpochs == nil {
+	if r.drv == nil {
 		return nil
 	}
-	return r.closeEpochs()
+	return r.drv.Close()
 }
 
 // WaitStream flushes the Options.Stream upload queue, seal included,
@@ -539,13 +522,12 @@ func (r *Runtime) Analysis() *Analysis { return r.postRunEngine().Analysis() }
 // Options.Live.
 var ErrNotLive = errors.New("inspector: runtime not in live mode (set Options.Live)")
 
-// Epoch returns the newest completed epoch. Under Options.Live alone it
-// is ≥ 1 once the runtime exists (the pipeline folds epoch 1 eagerly);
-// with Options.Journal, Stream or SnapshotMode epoch k is journal
-// record k, wire frame k and Snapshot.Cut.Epoch k, 0 until the first
-// cut. An aggregator publishes a subset of these numbers (one per
-// ingest batch, named by its last delta), each the same cut as here. It
-// returns 0 with none of the four.
+// Epoch returns the newest completed epoch: under Options.Live the
+// newest published fold, otherwise the newest cut, 0 until the first.
+// Epoch k is journal record k, wire frame k and Snapshot.Cut.Epoch k.
+// The live feed and an aggregator publish a subset of these numbers
+// (one per fold, named by its last delta), each the same cut as here.
+// It returns 0 with none of Live, Journal, Stream and SnapshotMode.
 func (r *Runtime) Epoch() uint64 {
 	switch {
 	case r.feed != nil:
@@ -608,9 +590,9 @@ func (r *Runtime) Snapshots() []*Snapshot {
 
 // TakeSnapshot forces an immediate consistent cut (the SIGUSR2 trigger
 // of the paper's perf integration) and stores it in the snapshot ring:
-// it cuts one epoch now — the other sinks see it too — and the ring
-// retains it whatever its cadence. After Close it returns the final
-// epoch.
+// it cuts one epoch now — the other sinks see it too —, the ring
+// retains it whatever its cadence, and TakeSnapshot returns once the
+// follower has folded it. After Close it returns the final epoch.
 //
 // The ok result reports whether the snapshot facility exists: it is
 // false — with a nil snapshot — when the runtime was created without

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	inspector "github.com/repro/inspector"
+	"github.com/repro/inspector/internal/faultinject"
 )
 
 // TestLiveQueryDuringRun is the acceptance check for the live pipeline's
@@ -18,8 +19,8 @@ func TestLiveQueryDuringRun(t *testing.T) {
 	t.Run("off-thread", func(t *testing.T) {
 		liveQueryDuringRun(t, inspector.Options{AppName: "live-test", Live: true})
 	})
-	// With a snapshot ring the fold stays on the sealing thread and the
-	// feed publishes the driver's epochs, as it does beside a journal.
+	// With a snapshot ring the feed and the ring observe the same
+	// follower, feed first.
 	t.Run("beside-snapshots", func(t *testing.T) {
 		liveQueryDuringRun(t, inspector.Options{AppName: "live-test", Live: true, SnapshotMode: true, SnapshotEverySyncs: 4})
 	})
@@ -122,5 +123,37 @@ func TestLiveOptionValidation(t *testing.T) {
 	}
 	if _, err := rt.WaitEpoch(context.Background(), 1); !errors.Is(err, inspector.ErrNotLive) {
 		t.Fatalf("WaitEpoch without Live = %v, want ErrNotLive", err)
+	}
+}
+
+// TestFaultsCountEpochsAndSeals: under Options.Faults the follower
+// keeps its batched fold cadence, yet slow-fold fires once per epoch
+// folded (the seals outpace the slowed folds, so they batch) and
+// slow-seal counts commits, so a schedule's hits do not depend on how
+// the folds were batched.
+func TestFaultsCountEpochsAndSeals(t *testing.T) {
+	faults := faultinject.New(faultinject.Schedule{Rules: []faultinject.Rule{
+		{Point: faultinject.SlowFold}, {Point: faultinject.SlowSeal, Every: 8},
+	}})
+	rt, err := inspector.New(inspector.Options{AppName: "faults", Live: true, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rt.NewMutex("m")
+	if _, err := rt.Run(func(main *inspector.Thread) {
+		for i := 0; i < 40; i++ {
+			m.Lock(main)
+			m.Unlock(main)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Every seal cuts an epoch and Close cuts the final one.
+	epochs := rt.Epoch()
+	if got := faults.Fired(faultinject.SlowFold); got != epochs || epochs < 80 {
+		t.Fatalf("slow-fold fired %d times over %d epochs, want once per epoch", got, epochs)
+	}
+	if got, seals := faults.Fired(faultinject.SlowSeal), epochs-1; got != (seals+7)/8 {
+		t.Fatalf("slow-seal fired %d times over %d seals, want every 8th", got, seals)
 	}
 }

@@ -99,6 +99,50 @@ func TestIncrementalParallelWorkerFanOut(t *testing.T) {
 	}
 }
 
+// TestIncrementalFoldRetriesAfterPanic: a worker panic escapes the
+// fold it hit, and the next fold — covering the failed fold's vertices
+// too — is the fold that never failed, byte for byte, at every fan-out.
+func TestIncrementalFoldRetriesAfterPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for seed := int64(0); seed < 2; seed++ {
+			lr := newLiveRecording(t, 4, 48, seed)
+			ref := core.NewIncrementalAnalyzer(lr.g)
+			inc := core.NewIncrementalAnalyzer(lr.g)
+			inc.SetFoldWorkers(workers)
+			var boom atomic.Bool
+			inc.SetWorkerHook(func(int) {
+				if boom.Load() {
+					panic("injected")
+				}
+			})
+			for round := 0; round < 4; round++ {
+				for s := 0; s < 300; s++ {
+					lr.step(t, 48)
+				}
+				d := inc.Cut()
+				ref.Cut()
+				if round%2 == 0 {
+					boom.Store(true)
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("workers=%d seed=%d round %d: the armed fold did not panic", workers, seed, round)
+							}
+						}()
+						inc.FoldAs(d.Epoch)
+					}()
+					boom.Store(false)
+					continue
+				}
+				got, want := inc.FoldAs(d.Epoch), ref.FoldAs(d.Epoch)
+				if !bytes.Equal(exportBytes(t, got), exportBytes(t, want)) || got.Stats() != want.Stats() {
+					t.Fatalf("workers=%d seed=%d epoch %d: the fold after a panic differs from the fold that never failed", workers, seed, d.Epoch)
+				}
+			}
+		}
+	}
+}
+
 // TestIncrementalParallelFoldRacedQueries races concurrent recorders,
 // parallel folds, and mixed queries against published epochs (run under
 // -race in CI): every published Analysis must stay internally

@@ -3,27 +3,25 @@ package epoch
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
 )
 
 // logSink records every call it receives into a log shared with the
-// other sinks of its driver, asks for the analysis when ask is set, and
-// fails Emit from epoch failAt on.
+// other sinks of its driver, keeps the last delta it saw when last is
+// set, and fails Emit from epoch failAt on.
 type logSink struct {
 	name   string
 	log    *[]string
 	failAt uint64
-	ask    bool
+	last   **core.EpochDelta
 }
 
-func (s logSink) Emit(e Epoch) error {
-	d := e.Delta
-	if s.ask {
-		if a := e.Analysis(); a.Epoch() != d.Epoch || !reflect.DeepEqual(a.ThreadLens(), d.Lens) {
-			return fmt.Errorf("analysis epoch %d over %v handed out with delta epoch %d over %v", a.Epoch(), a.ThreadLens(), d.Epoch, d.Lens)
-		}
+func (s logSink) Emit(d *core.EpochDelta) error {
+	if s.last != nil {
+		*s.last = d
 	}
 	*s.log = append(*s.log, fmt.Sprintf("%s:emit %d", s.name, d.Epoch))
 	if s.failAt != 0 && d.Epoch >= s.failAt {
@@ -38,9 +36,9 @@ func (s logSink) Finish(final uint64) error {
 }
 
 // TestDriverFeedsSinksInOrderAndLatchesEach pins the pipeline's
-// contract: one fold per Every seals, every epoch offered to the sinks
+// contract: one cut per Every seals, every epoch offered to the sinks
 // in list order, a failing sink dropped alone while the rest carry on,
-// and Close = final fold + every sink's Finish + the latched errors.
+// and Close = final cut + every sink's Finish + the latched errors.
 func TestDriverFeedsSinksInOrderAndLatchesEach(t *testing.T) {
 	g := core.NewGraph(1)
 	rec, err := core.NewRecorder(g, 0, 0)
@@ -48,9 +46,10 @@ func TestDriverFeedsSinksInOrderAndLatchesEach(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log []string
+	var last *core.EpochDelta
 	d := NewDriver(g, Options{Every: 2},
 		logSink{name: "journal", log: &log, failAt: 2},
-		logSink{name: "feed", log: &log, ask: true})
+		logSink{name: "feed", log: &log, last: &last})
 	hook := d.CommitHook()
 	for i := 0; i < 5; i++ {
 		rec.OnWrite(uint64(i))
@@ -70,16 +69,16 @@ func TestDriverFeedsSinksInOrderAndLatchesEach(t *testing.T) {
 	want := []string{
 		"journal:emit 1", "feed:emit 1",
 		"journal:emit 2", "feed:emit 2",
-		"feed:emit 3", // the final fold: seal 5
+		"feed:emit 3", // the final cut: seal 5
 		"journal:finish 3", "feed:finish 3",
 	}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("sink calls:\n got %q\nwant %q", log, want)
 	}
-	if a := d.Analysis(); a.Epoch() != 3 || len(a.Subs()) != 5 {
-		t.Fatalf("final analysis: epoch %d with %d subs, want epoch 3 with 5", a.Epoch(), len(a.Subs()))
+	if last.Epoch != 3 || !slices.Equal(last.Lens, []int{5}) {
+		t.Fatalf("final cut: epoch %d over %v, want epoch 3 over [5]", last.Epoch, last.Lens)
 	}
-	// Closed is closed: no more folds, no second Finish, the same error.
+	// Closed is closed: no more cuts, no second Finish, the same error.
 	hook(core.SubID{})
 	hook(core.SubID{})
 	d.Cut()
@@ -89,7 +88,7 @@ func TestDriverFeedsSinksInOrderAndLatchesEach(t *testing.T) {
 }
 
 // TestDriverStopsFoldingWithNoSinkLeft: once every sink has latched
-// there is nobody to fold for, and the epoch count stays where the last
+// there is nobody to cut for, and the epoch count stays where the last
 // delivered epoch left it.
 func TestDriverStopsFoldingWithNoSinkLeft(t *testing.T) {
 	var log []string

@@ -1,7 +1,9 @@
 package epoch
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
@@ -13,41 +15,74 @@ import (
 // that run 7–30 % of its wall time in blocked seals.
 const followQueue = 4096
 
-// Follower is a sink that builds every epoch's analysis off the sealing
-// thread. Emit only enqueues the epoch's delta; one goroutine appends
-// each delta, in epoch order, to its own Replayer — the apply path
-// journal recovery and the aggregator run, byte-identical to the
-// driver's fold — folds it, and hands the epoch's Analysis and delta to
-// the observer. The driver's analyzer never folds for a follower, so
-// while one thread's epoch is folded the other threads keep sealing.
-//
-// A fold or observer that panics (or exits its goroutine) stops the
-// follower: the failure is latched, later Emits return it without
-// blocking, and Finish returns it.
-type Follower struct {
-	rp      *Replayer
-	observe func(*core.Analysis, *core.EpochDelta)
+// Observer consumes a Follower's folds on its goroutine.
+type Observer interface {
+	// Wants reports whether epoch e must be folded on its own rather
+	// than together with the epochs queued behind it.
+	Wants(e uint64) bool
+	// Observe receives each fold in epoch order: the last delta it
+	// covers and its analysis, nil if the fold panicked (the next fold
+	// covers its deltas too).
+	Observe(a *core.Analysis, d *core.EpochDelta)
+	// Stop runs once, after the last Observe.
+	Stop()
+}
 
-	q      chan *core.EpochDelta
-	failed chan struct{} // closed once err is set
-	done   chan struct{} // closed when the goroutine has exited
-	err    error
-	once   sync.Once
+// ObserverFunc is an Observer that wants every epoch on its own and
+// ignores Stop.
+type ObserverFunc func(a *core.Analysis, d *core.EpochDelta)
+
+func (ObserverFunc) Wants(uint64) bool                              { return true }
+func (f ObserverFunc) Observe(a *core.Analysis, d *core.EpochDelta) { f(a, d) }
+func (ObserverFunc) Stop()                                          {}
+
+// Follower is the sink that builds a recording's analyses off the
+// sealing thread. Emit only enqueues the delta; one goroutine appends
+// the deltas in order to its own Replayer (over a graph sharing the
+// recorder's sub-computations) and folds once the queue has drained or
+// at an epoch an observer wants on its own, handing each fold to the
+// observers in order. The Replayer makes any batching byte-identical.
+//
+// A fold that panics costs only itself: Finish reports the first such
+// panic with its epoch, the observers see that fold without an
+// analysis, and the next fold covers its deltas. An observer that
+// panics (or exits the goroutine) stops the follower: later Emits
+// return the latched failure at once, every observer's Stop runs, and
+// Finish returns it.
+type Follower struct {
+	rp  *Replayer
+	obs []Observer
+	// span is how many epochs the fold in flight covers.
+	span uint64
+
+	q       chan *core.EpochDelta
+	failed  chan struct{} // closed once err is set
+	done    chan struct{} // closed when the goroutine has exited
+	err     error         // what stopped the follower
+	foldErr error         // the first fold panic
+	once    sync.Once
 }
 
 // NewFollower starts a follower over a threads-wide recording. hook,
-// when set, is the replay analyzer's SetWorkerHook (fault injection);
-// observe runs on the follower's goroutine, once per epoch, in order.
-// Finish must be called to stop the goroutine.
-func NewFollower(threads int, hook func(worker int), observe func(*core.Analysis, *core.EpochDelta)) *Follower {
+// when set, runs at the start of every derivation worker of every fold
+// (the replay analyzer's SetWorkerHook, for fault injection), once per
+// epoch the fold covers: how often it fires does not depend on how the
+// follower batches. Finish must be called to stop the goroutine.
+func NewFollower(threads int, hook func(worker int), observers ...Observer) *Follower {
 	f := &Follower{
-		rp:      NewReplayer(threads),
-		observe: observe,
-		q:       make(chan *core.EpochDelta, followQueue),
-		failed:  make(chan struct{}),
-		done:    make(chan struct{}),
+		rp:     NewReplayer(threads),
+		obs:    observers,
+		q:      make(chan *core.EpochDelta, followQueue),
+		failed: make(chan struct{}),
+		done:   make(chan struct{}),
 	}
-	f.rp.inc.SetWorkerHook(hook)
+	if hook != nil {
+		f.rp.inc.SetWorkerHook(func(worker int) {
+			for range f.span {
+				hook(worker)
+			}
+		})
+	}
 	go f.run()
 	return f
 }
@@ -57,14 +92,14 @@ func NewFollower(threads int, hook func(worker int), observe func(*core.Analysis
 // stalls every sealing thread until the follower catches up; the
 // follower's goroutine never takes that lock, so it cannot deadlock.
 // After a failure Emit returns the latched error at once.
-func (f *Follower) Emit(e Epoch) error {
+func (f *Follower) Emit(d *core.EpochDelta) error {
 	select {
 	case <-f.failed:
 		return f.err
 	default:
 	}
 	select {
-	case f.q <- e.Delta:
+	case f.q <- d:
 		return nil
 	case <-f.failed:
 		return f.err
@@ -72,14 +107,16 @@ func (f *Follower) Emit(e Epoch) error {
 }
 
 // Finish returns once every enqueued epoch has been folded and observed
-// (epoch.Sink), with the latched failure if there was one.
+// and the observers have stopped (epoch.Sink), with the first fold
+// panic and the latched failure.
 func (f *Follower) Finish(uint64) error {
 	f.once.Do(func() { close(f.q) })
 	<-f.done
-	return f.err
+	return errors.Join(f.foldErr, f.err)
 }
 
-// run folds and observes each delta in order until the queue closes.
+// run appends each delta in order until the queue closes, folding when
+// the queue is empty or an observer wants the epoch.
 func (f *Follower) run() {
 	var at uint64
 	clean := false
@@ -92,6 +129,9 @@ func (f *Follower) run() {
 			f.err = fmt.Errorf("epoch: follower stopped at epoch %d: %v", at, r)
 			close(f.failed)
 		}
+		for _, o := range f.obs {
+			o.Stop()
+		}
 		close(f.done)
 	}()
 	for d := range f.q {
@@ -99,7 +139,25 @@ func (f *Follower) run() {
 		if err := f.rp.Append(d); err != nil {
 			panic(err)
 		}
-		f.observe(f.rp.Fold(), d)
+		if len(f.q) > 0 && !slices.ContainsFunc(f.obs, func(o Observer) bool { return o.Wants(d.Epoch) }) {
+			continue
+		}
+		a := f.fold(d.Epoch)
+		for _, o := range f.obs {
+			o.Observe(a, d)
+		}
 	}
 	clean = true
+}
+
+// fold folds everything appended since the last fold; after a panic it
+// records the first one and returns nil.
+func (f *Follower) fold(at uint64) (a *core.Analysis) {
+	f.span = at - f.rp.inc.Epoch()
+	defer func() {
+		if r := recover(); r != nil && f.foldErr == nil {
+			f.foldErr = fmt.Errorf("epoch: fold panicked at epoch %d: %v", at, r)
+		}
+	}()
+	return f.rp.Fold()
 }

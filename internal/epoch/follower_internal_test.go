@@ -11,8 +11,8 @@ import (
 // countSink counts the epochs the driver hands out.
 type countSink struct{ n *atomic.Uint64 }
 
-func (s countSink) Emit(Epoch) error    { s.n.Add(1); return nil }
-func (s countSink) Finish(uint64) error { return nil }
+func (s countSink) Emit(*core.EpochDelta) error { s.n.Add(1); return nil }
+func (s countSink) Finish(uint64) error         { return nil }
 
 // TestFollowerBackpressure gates the observer at epoch 1 while another
 // goroutine cuts three queues' worth of epochs: the sealing side stalls
@@ -21,12 +21,12 @@ func (s countSink) Finish(uint64) error { return nil }
 func TestFollowerBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var seen []uint64
-	f := NewFollower(1, nil, func(_ *core.Analysis, d *core.EpochDelta) {
+	f := NewFollower(1, nil, ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
 		if d.Epoch == 1 {
 			<-gate
 		}
 		seen = append(seen, d.Epoch)
-	})
+	}))
 	var cut atomic.Uint64
 	d := NewDriver(core.NewGraph(1), Options{}, countSink{&cut}, f)
 	n := 3 * followQueue

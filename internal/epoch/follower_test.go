@@ -16,25 +16,39 @@ import (
 	"github.com/repro/inspector/internal/journal"
 )
 
-// askSink keeps the .cpg bytes of every epoch's analysis as the
-// driver's own fold: the asking form every follower epoch is held to.
-type askSink struct{ cpgs *[][]byte }
+// twinSink folds a second analyzer over the driver's graph at every
+// epoch (FoldDelta) and keeps each analysis's .cpg bytes: the live
+// graph's own fold, which every follower epoch is held to. The
+// recordings here seal from one goroutine, so the twin's cut is the
+// driver's.
+type twinSink struct {
+	inc  *core.IncrementalAnalyzer
+	cpgs *[][]byte
+}
 
-func (s askSink) Emit(e epoch.Epoch) error {
+func newTwin(g *core.Graph, cpgs *[][]byte) twinSink {
+	return twinSink{core.NewIncrementalAnalyzer(g), cpgs}
+}
+
+func (s twinSink) Emit(d *core.EpochDelta) error {
+	a, td := s.inc.FoldDelta()
+	if td.Epoch != d.Epoch {
+		return fmt.Errorf("twin cut epoch %d beside the driver's %d", td.Epoch, d.Epoch)
+	}
 	var buf bytes.Buffer
-	if err := cpgfile.Encode(&buf, e.Analysis(), cpgfile.Meta{}); err != nil {
+	if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
 		return err
 	}
 	*s.cpgs = append(*s.cpgs, buf.Bytes())
 	return nil
 }
 
-func (askSink) Finish(uint64) error { return nil }
+func (twinSink) Finish(uint64) error { return nil }
 
 // TestFollowerMatchesAskedFoldEveryEpoch records random executions with
-// sinks [asking sink, Follower] at every-1 and every-3 cadences: the
+// sinks [twin fold, Follower] at every-1 and every-3 cadences: the
 // follower observes every epoch exactly once, in order, and each is the
-// driver's own fold of that epoch byte for byte.
+// live graph's FoldDelta of that epoch byte for byte.
 func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		for _, every := range []uint64{1, 3} {
@@ -44,7 +58,7 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 					rp := sched.NewReplay()
 					var asked, followed [][]byte
 					var epochs []uint64
-					f := epoch.NewFollower(threads, nil, func(a *core.Analysis, d *core.EpochDelta) {
+					f := epoch.NewFollower(threads, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
 						if a.Epoch() != d.Epoch {
 							t.Errorf("follower analysis epoch %d handed out with delta %d", a.Epoch(), d.Epoch)
 						}
@@ -55,8 +69,8 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 						}
 						epochs = append(epochs, d.Epoch)
 						followed = append(followed, buf.Bytes())
-					})
-					d := epoch.NewDriver(rp.Graph, epoch.Options{Every: every}, askSink{&asked}, f)
+					}))
+					d := epoch.NewDriver(rp.Graph, epoch.Options{Every: every}, newTwin(rp.Graph, &asked), f)
 					hook := d.CommitHook()
 					for s := 1; s <= sched.Steps(); s++ {
 						rp.To(s)
@@ -66,14 +80,14 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 						t.Fatal(err)
 					}
 					if len(epochs) != int(d.Epoch()) || len(asked) != len(epochs) {
-						t.Fatalf("driver cut %d epochs, asking sink saw %d, follower %d", d.Epoch(), len(asked), len(epochs))
+						t.Fatalf("driver cut %d epochs, twin folded %d, follower %d", d.Epoch(), len(asked), len(epochs))
 					}
 					for i, e := range epochs {
 						if e != uint64(i+1) {
 							t.Fatalf("follower observed epochs %v, want 1..%d in order", epochs, len(epochs))
 						}
 						if !bytes.Equal(followed[i], asked[i]) {
-							t.Fatalf("epoch %d: follower's replay fold differs from the driver's fold", e)
+							t.Fatalf("epoch %d: follower's replay fold differs from the live graph's fold", e)
 						}
 					}
 				})
@@ -82,10 +96,21 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 	}
 }
 
-// TestFollowerPanicLatches: a fold that panics at epoch k stops the
-// follower alone. Close reports it by epoch, the journal listed first
-// still holds and seals every epoch, Emit after the failure returns at
-// once, and the follower leaves no goroutine behind.
+// stopLog is an observer that counts its Stop calls.
+type stopLog struct {
+	epoch.ObserverFunc
+	stops *atomic.Int64
+}
+
+func (s stopLog) Stop() { s.stops.Add(1) }
+
+// TestFollowerPanicLatches: a fold that panics at epoch k costs epoch k
+// only — the follower observes it without an analysis, the next fold
+// covers its delta and is the live graph's fold of that epoch, Close
+// reports the panic by epoch, and the journal listed first seals every
+// epoch. An observer that panics stops the follower instead: Close
+// reports it, Emit after the failure returns at once, every observer's
+// Stop runs, and no goroutine is left behind.
 func TestFollowerPanicLatches(t *testing.T) {
 	const k = 7
 	dir := t.TempDir()
@@ -97,26 +122,74 @@ func TestFollowerPanicLatches(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var folds atomic.Int64
 	var observed []uint64
+	var followed, twin [][]byte
 	f := epoch.NewFollower(g.Threads(), func(int) {
 		if folds.Add(1) == k {
 			panic("injected fold panic")
 		}
-	}, func(_ *core.Analysis, d *core.EpochDelta) { observed = append(observed, d.Epoch) })
-	d := epoch.NewDriver(g, epoch.Options{}, jw, f)
+	}, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
+		if a == nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
+			t.Errorf("epoch %d encode: %v", d.Epoch, err)
+			return
+		}
+		observed = append(observed, d.Epoch)
+		followed = append(followed, buf.Bytes())
+	}))
+	d := epoch.NewDriver(g, epoch.Options{}, jw, newTwin(g, &twin), f)
 	recordPingPong(t, g, d.CommitHook(), 40)
 	cerr := d.Close()
 	if cerr == nil || !strings.Contains(cerr.Error(), fmt.Sprintf("epoch %d:", k)) || !strings.Contains(cerr.Error(), "injected fold panic") {
 		t.Fatalf("Close = %v, want the fold panic at epoch %d", cerr, k)
 	}
-	if want := []uint64{1, 2, 3, 4, 5, 6}; fmt.Sprint(observed) != fmt.Sprint(want) {
+	var want []uint64
+	for e := uint64(1); e <= d.Epoch(); e++ {
+		if e != k {
+			want = append(want, e)
+		}
+	}
+	if fmt.Sprint(observed) != fmt.Sprint(want) {
 		t.Fatalf("observed epochs %v, want %v", observed, want)
 	}
+	for i, e := range observed {
+		if !bytes.Equal(followed[i], twin[e-1]) {
+			t.Fatalf("epoch %d: the follower's fold differs from the live graph's FoldDelta", e)
+		}
+	}
+	rep, err := journal.Recover(dir, journal.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Sealed || rep.Degraded() || rep.Epoch != d.Epoch() {
+		t.Fatalf("journal: sealed=%v degraded=%v epoch %d, driver cut %d", rep.Sealed, rep.Degraded(), rep.Epoch, d.Epoch())
+	}
 
+	var stops atomic.Int64
+	panicky := stopLog{epoch.ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
+		if d.Epoch == k {
+			panic("injected observer panic")
+		}
+	}), &stops}
+	f = epoch.NewFollower(g.Threads(), nil, panicky, stopLog{epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}), &stops})
+	d = epoch.NewDriver(core.NewGraph(2), epoch.Options{}, f)
+	for i := 0; i < 2*k; i++ {
+		d.Cut()
+	}
+	cerr = d.Close()
+	if cerr == nil || !strings.Contains(cerr.Error(), fmt.Sprintf("stopped at epoch %d:", k)) || !strings.Contains(cerr.Error(), "injected observer panic") {
+		t.Fatalf("Close = %v, want the observer panic at epoch %d", cerr, k)
+	}
+	if n := stops.Load(); n != 2 {
+		t.Fatalf("%d observers stopped, want 2", n)
+	}
 	emitted := make(chan error, 1)
 	go func() {
 		var err error
 		for i := 0; i < 2*4096+1 && err == nil; i++ {
-			if e := f.Emit(epoch.Epoch{Delta: &core.EpochDelta{Epoch: uint64(100 + i)}}); e == nil {
+			if e := f.Emit(&core.EpochDelta{Epoch: uint64(100 + i)}); e == nil {
 				err = fmt.Errorf("Emit %d after the failure returned nil", i)
 			}
 		}
@@ -131,18 +204,10 @@ func TestFollowerPanicLatches(t *testing.T) {
 		t.Fatal("Emit after the failure blocked")
 	}
 
-	rep, err := journal.Recover(dir, journal.RecoverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Sealed || rep.Degraded() || rep.Epoch != d.Epoch() {
-		t.Fatalf("journal: sealed=%v degraded=%v epoch %d, driver cut %d", rep.Sealed, rep.Degraded(), rep.Epoch, d.Epoch())
-	}
-
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, %d before the follower", runtime.NumGoroutine(), before)
+			t.Fatalf("%d goroutines after Close, %d before the followers", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -40,9 +40,15 @@ const (
 	// WorkloadPanic panics on the recording thread at a commit boundary.
 	WorkloadPanic Point = "panic"
 	// SlowFold delays a live analysis fold. It fires inside the fold's
-	// data-edge derivation workers (one hit per worker per fold), so a
-	// parallel fold can stall on any subset of its workers.
+	// data-edge derivation workers, once per epoch the fold covers:
+	// inspector.New fires it in worker 0, which every fold runs, so the
+	// hits are the epochs folded; a hook firing it in every worker can
+	// stall a parallel fold on any subset of them.
 	SlowFold Point = "slow-fold"
+	// SlowSeal delays the recording thread 1 ms at a commit boundary,
+	// after that commit's epoch is cut: it paces a run without changing
+	// what the run records or folds.
+	SlowSeal Point = "slow-seal"
 	// Crash SIGKILLs the process at a commit boundary (inspector-run
 	// wires it behind -faults; the kill-recover chaos sweep drives it).
 	Crash Point = "crash"
@@ -65,15 +71,16 @@ const (
 	CPGFileBitFlip Point = "cpgfile-bit-flip"
 )
 
-// Points lists every defined fault point. The network points stay at
-// the end: Randomized draws per point in this order, so appending keeps
-// every existing seed's schedule for the older points unchanged.
+// Points lists every defined fault point. Randomized draws per point in
+// this order, so a new point is appended: every existing seed's
+// schedule for the older points stays unchanged.
 func Points() []Point {
 	return []Point{
 		AuxLoss, SinkError, WorkloadPanic, SlowFold,
 		Crash, JournalTorn, JournalShortPrefix, JournalBitFlip, JournalFsyncError,
 		CPGFileTorn, CPGFileBitFlip,
 		NetDisconnect, NetDuplicate, NetReorder, NetSlow,
+		SlowSeal,
 	}
 }
 

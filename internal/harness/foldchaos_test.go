@@ -61,7 +61,7 @@ func foldChaosRun(t *testing.T, seed int, panicky bool) foldChaosResult {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	eng := provenance.NewLiveEngine(rt.Graph(), provenance.EngineOptions{FoldWorkerHook: hook})
+	eng := provenance.NewLiveEngine(rt.Graph(), provenance.EngineOptions{}, hook)
 	rt.RegisterCommitHook(func(core.SubID) { eng.Notify() })
 
 	// A waiter asking for an unreachable epoch proves the close path

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -16,34 +17,38 @@ import (
 )
 
 // journaledRun executes one workload journaled through a bare
-// epoch.Driver whose sinks are the journal writer, a liveFold — asking
-// for every epoch's analysis on the sealing thread, the live analyzer's
-// own fold (the seam inspector.Options does not have) — and an
-// epoch.Follower, the replay every-epoch consumers run. One driver, so
-// all three see the same cuts even at 4 threads; the follower must
-// match the live fold's .cpg bytes at every epoch, and the live fold's
-// are returned. When seal is false the journal is abandoned without a
-// seal record, as a killed process would leave it.
+// epoch.Driver whose sinks are the journal writer, a liveFold — a
+// second analyzer folding the live graph itself at every cut — and an
+// epoch.Follower, the replay every in-process consumer runs. At every
+// epoch where the live fold's cut is the driver's (always on one
+// thread; at more, wherever no other thread sealed between the two
+// cuts) the follower must match its .cpg bytes, and journaledRun
+// returns those live folds, nil at the other epochs. The final epoch
+// always has one: no thread seals after the last cut. When seal is
+// false the journal is abandoned without a seal
+// record, as a killed process would leave it.
 func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) [][]byte {
 	t.Helper()
 	rt, run := bareRuntime(t, app, threads)
+	g := rt.Graph()
 	jw, err := journal.Create(journal.Options{
-		Dir: dir, Threads: rt.Graph().Threads(), App: app, Fsync: journal.PolicyNone,
+		Dir: dir, Threads: g.Threads(), App: app, Fsync: journal.PolicyNone,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var followed, live [][]byte
-	f := epoch.NewFollower(rt.Graph().Threads(), nil, func(a *core.Analysis, d *core.EpochDelta) {
+	var followed [][]byte
+	f := epoch.NewFollower(g.Threads(), nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
 		// The follower's goroutine: report and return, never Fatal.
 		var buf bytes.Buffer
 		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
-			t.Errorf("followed epoch %d encode: %v", d.Epoch, err)
+			t.Error(err)
 			return
 		}
 		followed = append(followed, buf.Bytes())
-	})
-	drv := epoch.NewDriver(rt.Graph(), epoch.Options{}, jw, liveFold{&live}, f)
+	}))
+	lf := &liveFold{inc: core.NewIncrementalAnalyzer(g)}
+	drv := epoch.NewDriver(g, epoch.Options{}, jw, lf, f)
 	rt.RegisterCommitHook(drv.CommitHook())
 	if err := run(); err != nil {
 		t.Fatal(err)
@@ -62,37 +67,76 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 			t.Fatal(err)
 		}
 	}
-	if len(followed) != len(live) {
-		t.Fatalf("followed %d epochs, the live analyzer folded %d", len(followed), len(live))
+	live := lf.cpgs
+	if len(followed) != int(drv.Epoch()) || len(live) != len(followed) {
+		t.Fatalf("driver cut %d epochs, the follower folded %d, the live analyzer %d", drv.Epoch(), len(followed), len(live))
 	}
-	for i := range live {
-		if !bytes.Equal(followed[i], live[i]) {
+	matched := 0
+	for i, want := range live {
+		if want == nil {
+			continue
+		}
+		matched++
+		if !bytes.Equal(followed[i], want) {
 			t.Fatalf("epoch %d: the follower's replay differs from the live fold", i+1)
 		}
 	}
+	if matched < len(live)/4 || (threads == 1 && matched != len(live)) || live[len(live)-1] == nil {
+		t.Fatalf("the live fold reproduced %d of %d cuts (final: %v), want every cut on one thread, a quarter at more, and the final cut",
+			matched, len(live), live[len(live)-1] != nil)
+	}
+	t.Logf("the live fold reproduced %d of %d cuts", matched, len(live))
 	return live
 }
 
-// liveFold is an epoch.Sink that asks for every epoch's analysis and
-// keeps its .cpg bytes.
-type liveFold struct{ cpgs *[][]byte }
+// liveFold is an epoch.Sink that folds a second analyzer over the live
+// graph at every cut (FoldDelta) and keeps the .cpg bytes of the
+// epochs whose cut is the driver's — the same thread lengths, symbol
+// table and trace gaps —, nil where another thread sealed, interned or
+// lost trace between the driver's cut and its own.
+type liveFold struct {
+	inc           *core.IncrementalAnalyzer
+	cpgs          [][]byte
+	gaps, ownGaps int // trace gaps the driver's and its own deltas carried
+}
 
-func (s liveFold) Emit(e epoch.Epoch) error {
-	var buf bytes.Buffer
-	if err := cpgfile.Encode(&buf, e.Analysis(), cpgfile.Meta{}); err != nil {
-		return err
+func (s *liveFold) Emit(d *core.EpochDelta) error {
+	a, own := s.inc.FoldDelta()
+	if own.Epoch != d.Epoch {
+		return fmt.Errorf("live fold at epoch %d, the driver at %d", own.Epoch, d.Epoch)
 	}
-	*s.cpgs = append(*s.cpgs, buf.Bytes())
+	s.gaps, s.ownGaps = s.gaps+len(d.Gaps), s.ownGaps+len(own.Gaps)
+	var cpg []byte
+	if slices.Equal(own.Lens, d.Lens) && symbols(own) == symbols(d) && s.ownGaps == s.gaps {
+		var buf bytes.Buffer
+		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
+			return err
+		}
+		cpg = buf.Bytes()
+	}
+	s.cpgs = append(s.cpgs, cpg)
 	return nil
 }
 
-func (liveFold) Finish(uint64) error { return nil }
+// symbols is the length of the symbol table after d's cut.
+func symbols(d *core.EpochDelta) int { return int(d.SymBase) + len(d.Symbols) }
+
+func (*liveFold) Finish(uint64) error { return nil }
+
+// finalFold is a quiesced graph's fold, numbered as the given epoch.
+func finalFold(g *core.Graph, epoch uint64) *core.Analysis {
+	inc := core.NewIncrementalAnalyzer(g)
+	inc.Cut()
+	return inc.FoldAs(epoch)
+}
 
 // TestJournalReplayMatchesInProcessFold is the per-epoch property at
 // the workload level: for real multithreaded recordings, recovery
-// stopped at any epoch equals the live analyzer's fold of that epoch
-// (and journaledRun holds the follower's epochs to the same). (That the full recovery equals the runtime's final graph is
-// checked for every corpus configuration by the fabric sweep.)
+// stopped at any epoch the live fold reproduced equals the live
+// analyzer's fold of that epoch (and journaledRun holds the follower's
+// epochs to the same). (That the full recovery equals the runtime's
+// final graph is checked for every corpus configuration by the fabric
+// sweep.)
 func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
@@ -111,9 +155,15 @@ func TestJournalReplayMatchesInProcessFold(t *testing.T) {
 			}
 
 			// Random prefixes: replay-at-epoch == the run's own fold.
+			var epochs []int
+			for i, f := range folds {
+				if f != nil {
+					epochs = append(epochs, i+1)
+				}
+			}
 			r := rand.New(rand.NewSource(int64(threads)))
 			for i := 0; i < 8; i++ {
-				e := 1 + r.Intn(len(folds))
+				e := epochs[r.Intn(len(epochs))]
 				at, err := journal.Recover(dir, journal.RecoverOptions{MaxEpoch: uint64(e)})
 				if err != nil {
 					t.Fatalf("epoch %d: %v", e, err)

@@ -324,14 +324,12 @@ func ingestRounds(t *testing.T, d *daemon) {
 	c := &provenance.Client{BaseURL: d.url}
 	export := func(source string) []byte { return httpGet(t, d.url+"/v1/cpgs/"+source+"/export") }
 
-	// slow-fold sleeps 1 ms inside every epoch's fold (~4.8k epochs), so
-	// the mid-run window is seconds wide. A stream alone only cuts; the
-	// -live-stats feed asks for every epoch's analysis, which is the
-	// fold that the fault slows.
+	// slow-seal sleeps 1 ms at every commit (~4.8k), so the mid-run
+	// window is seconds wide.
 	const live = "canneal-t2-s1"
 	own := filepath.Join(tmp, "own.cpg")
 	run := exec.Command(buildTool(t, "inspector-run"), "-app", "canneal", "-threads", "2", "-size", "medium", "-seed", "1",
-		"-cpg", own, "-stream", d.url, "-live-stats", "-faults", "slow-fold:every=1")
+		"-cpg", own, "-stream", d.url, "-live-stats", "-faults", "slow-seal:every=1")
 	var runOut bytes.Buffer
 	run.Stdout, run.Stderr = &runOut, &runOut
 	if err := run.Start(); err != nil {

@@ -83,16 +83,20 @@ func dumpJSON(t testing.TB, g *core.Graph) []byte {
 	return buf.Bytes()
 }
 
-// liveFold is an epoch.Sink that asks for every epoch's analysis on the
-// sealing thread and keeps its .cpg bytes: the live analyzer's own fold,
-// which the journal recorder's follower and recovery are both held to.
+// liveFold is an epoch.Sink that folds a second analyzer over the live
+// graph at every cut (FoldDelta) and keeps its .cpg bytes: the live
+// graph's own fold, which the journal recorder's follower and recovery
+// are both held to. The recordings here are sequential, so its cut is
+// the driver's.
 type liveFold struct {
 	t       testing.TB
+	inc     *core.IncrementalAnalyzer
 	exports *[][]byte
 }
 
-func (s liveFold) Emit(e epoch.Epoch) error {
-	*s.exports = append(*s.exports, cpgtest.Bytes(s.t, e.Analysis()))
+func (s liveFold) Emit(*core.EpochDelta) error {
+	a, _ := s.inc.FoldDelta()
+	*s.exports = append(*s.exports, cpgtest.Bytes(s.t, a))
 	return nil
 }
 
@@ -119,7 +123,7 @@ func followExports(t testing.TB, dst *[][]byte) func(*core.Analysis, *core.Epoch
 func tracedRecorder(t testing.TB, g *core.Graph, w *journal.Writer, followed, live *[][]byte) (*journal.Recorder, *epoch.Driver, func()) {
 	rec := journal.NewRecorder(g, w, 1)
 	rec.OnEpoch = followExports(t, followed)
-	drv := epoch.NewDriver(g, epoch.Options{}, liveFold{t, live})
+	drv := epoch.NewDriver(g, epoch.Options{}, liveFold{t, core.NewIncrementalAnalyzer(g), live})
 	recHook, liveHook := rec.CommitHook(), drv.CommitHook()
 	return rec, drv, func() {
 		recHook(core.SubID{})

@@ -6,15 +6,14 @@ import (
 )
 
 // Emit appends the epoch's delta: with Finish it makes a Writer an
-// epoch.Sink. It never asks for the epoch's analysis, so a journal
-// costs its run no fold. List it first, so an epoch is on the journal
+// epoch.Sink. List it first, so an epoch is on the journal
 // before any later sink can observe it. The driver calls Emit
 // synchronously on the sealing thread, which is the durability
 // contract: under PolicyAlways a workload cannot proceed past a seal
 // whose epoch is not on stable storage. A write error latches the sink
 // only (the journal observes the workload, never gates it) and surfaces
 // from the driver's Close.
-func (w *Writer) Emit(e epoch.Epoch) error { return w.Append(e.Delta) }
+func (w *Writer) Emit(d *core.EpochDelta) error { return w.Append(d) }
 
 // Finish seals the journal after the final epoch — the clean-close
 // marker recovery uses to tell a finished run from a killed one. After
@@ -32,12 +31,10 @@ func (w *Writer) Finish(final uint64) error {
 // OnEpoch is set, an epoch.Follower calling it.
 type Recorder struct {
 	// OnEpoch, when set before recording starts, observes every
-	// journaled epoch with its analysis (tests and the benchmark use it
-	// to capture the analyses the recovery property compares against).
-	// It runs on the follower's goroutine — never the sealing thread,
-	// never the caller's — once per epoch in epoch order, and Close
-	// returns only after its last call. An epoch the writer failed to
-	// journal is not observed. Unset, the recorder only cuts.
+	// journaled epoch with its analysis, on the follower's goroutine, in
+	// epoch order; Close returns after its last call. An epoch the
+	// writer failed to journal is not observed. Unset, the recorder
+	// only cuts.
 	OnEpoch func(*core.Analysis, *core.EpochDelta)
 
 	*epoch.Driver
@@ -60,15 +57,15 @@ func NewRecorder(g *core.Graph, w *Writer, every int) *Recorder {
 // sees exactly the journaled prefix.
 type follow struct{ r *Recorder }
 
-func (s follow) Emit(e epoch.Epoch) error {
+func (s follow) Emit(d *core.EpochDelta) error {
 	r := s.r
 	if r.OnEpoch == nil || r.w.err != nil {
 		return nil
 	}
 	if r.f == nil {
-		r.f = epoch.NewFollower(r.threads, nil, r.OnEpoch)
+		r.f = epoch.NewFollower(r.threads, nil, epoch.ObserverFunc(r.OnEpoch))
 	}
-	return r.f.Emit(e)
+	return r.f.Emit(d)
 }
 
 func (s follow) Finish(final uint64) error {

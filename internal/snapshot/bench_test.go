@@ -9,9 +9,10 @@ import (
 )
 
 // BenchmarkTake times one forced take over a graph of n vertices: four
-// recorders, the n-vertex prefix recorded and folded every 64 seals
-// outside the timer (a snapshot-only run's cadence), then per timed
-// iteration 64 more seals — a few percent of the time — and a take.
+// recorders, the n-vertex prefix recorded and cut every 64 seals
+// outside the timer, then per timed iteration 64 more seals — a few
+// percent of the time — and a take, which waits for the follower to
+// fold both cuts.
 // Run it with -benchtime=300x: the graph grows under the timer. It
 // profiles a layer; compare it only with a same-hour run of another
 // commit.
@@ -25,7 +26,7 @@ func BenchmarkTake(b *testing.B) {
 				rep.To(done)
 				drv.Cut()
 			}
-			drv.Analysis() // the ring asks only when it retains: fold the prefix here
+			r.Take(drv) // the follower has folded the prefix
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

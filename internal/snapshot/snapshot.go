@@ -3,15 +3,15 @@
 // bounded ring of slots, so provenance can be analyzed on-the-fly while
 // the program runs and the trace's space footprint stays bounded.
 //
-// A snapshot is a retained epoch. The Ring is a sink of the epoch
-// pipeline: every fold already captures, per thread, a prefix of its
-// completed sub-computations closed under happens-before
-// (core.IncrementalAnalyzer), and the Ring keeps the folds its cadence
-// or a forced Take selects. A cut is *consistent* (Chandy-Lamport [15])
-// iff for every synchronization edge release -> acquire, inclusion of
-// the acquire implies inclusion of the release; a happens-before-closed
-// prefix is, a fortiori, and Cut.Validate states the property so tests
-// hold the fold's frontier to it.
+// A snapshot is a retained epoch. Every cut of the epoch pipeline
+// captures, per thread, a prefix of its completed sub-computations
+// closed under happens-before (core.IncrementalAnalyzer), and the Ring
+// keeps the epochs its cadence or a forced Take selects, completed by
+// the recording's epoch.Follower. A cut is *consistent*
+// (Chandy-Lamport [15]) iff for every synchronization edge release ->
+// acquire, inclusion of the acquire implies inclusion of the release; a
+// happens-before-closed prefix is, a fortiori, and Cut.Validate states
+// the property so tests hold the fold's frontier to it.
 //
 // The PT side mirrors the paper's perf integration: in snapshot mode the
 // AUX ring constantly overwrites old data, and the facility captures the
@@ -93,21 +93,31 @@ type Options struct {
 	EverySeals uint64
 }
 
-// Ring owns the snapshot ring of one recording. It is an epoch.Sink:
-// list it among the recording's epoch.Driver sinks.
+// Ring owns the snapshot ring of one recording, in two halves. As an
+// epoch.Sink listed before the recording's epoch.Follower, it picks the
+// epochs to retain on the sealing thread and copies their PT windows
+// into a pending slot then; as that follower's observer it completes
+// the slot with the epoch's analysis. However far the follower lags, a
+// slot's windows are its epoch's and the ring holds at most Slots.
 type Ring struct {
 	sess *perf.Session
 	opts Options
 
-	mu   sync.Mutex
-	ring []*Snapshot // oldest first
+	mu     sync.Mutex
+	cond   sync.Cond   // broadcast when seen or stopped changes
+	slots  []*Snapshot // oldest first; a nil Analysis marks a pending slot
+	newest *Snapshot   // the newest complete slot
 	// due is the cut size of the next automatic capture: the first
 	// multiple of EverySeals no retained cut has reached.
 	due uint64
 	// force makes the next emitted epoch a snapshot whatever its size.
 	force bool
-	// newest is the latest snapshot retained.
-	newest *Snapshot
+	// want is the newest epoch retained at seal time, seen the newest the
+	// follower has handled (last its newest analysis); stopped says the
+	// follower handles no more.
+	want, seen uint64
+	last       *core.Analysis
+	stopped    bool
 }
 
 // New creates the ring of a recording whose PT streams live in sess.
@@ -118,25 +128,29 @@ func New(sess *perf.Session, opts Options) *Ring {
 	if opts.SlotSize <= 0 {
 		opts.SlotSize = DefaultSlotSize
 	}
-	return &Ring{sess: sess, opts: opts, ring: make([]*Snapshot, 0, opts.Slots), due: opts.EverySeals}
+	r := &Ring{sess: sess, opts: opts, slots: make([]*Snapshot, 0, opts.Slots), due: opts.EverySeals}
+	r.cond.L = &r.mu
+	return r
 }
 
 // Emit retains the epoch if a Take forced it or its cut has reached the
-// next multiple of EverySeals: every synchronization boundary seals one
-// sub-computation, so the cut's size is the paper's sync-point count.
-// Only a retained epoch's analysis is asked for.
-func (r *Ring) Emit(e epoch.Epoch) error {
+// next multiple of EverySeals (every synchronization boundary seals one
+// sub-computation, so the cut's size is the paper's sync-point count),
+// copying its PT windows now. Once the follower has stopped nothing is
+// retained.
+func (r *Ring) Emit(d *core.EpochDelta) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cut := Cut{Epoch: e.Delta.Epoch, Frontier: e.Delta.Lens}
+	cut := Cut{Epoch: d.Epoch, Frontier: d.Lens}
 	size := uint64(cut.Size())
 	periodic := r.opts.EverySeals != 0 && size >= r.due
 	if periodic {
 		r.due = size - size%r.opts.EverySeals + r.opts.EverySeals
 	}
-	if periodic || r.force {
+	if (periodic || r.force) && !r.stopped {
 		r.force = false
-		r.retain(cut, e.Analysis())
+		r.add(r.capture(cut))
+		r.want = d.Epoch
 	}
 	return nil
 }
@@ -144,40 +158,80 @@ func (r *Ring) Emit(e epoch.Epoch) error {
 // Finish is a no-op: the ring outlives the pipeline.
 func (r *Ring) Finish(uint64) error { return nil }
 
-// Take forces a snapshot now (the SIGUSR2 trigger) and returns it: it
-// cuts an epoch on the recording's driver d, which Emit retains
-// whatever the cadence. A closed pipeline cuts no more; Take then
-// retains the final epoch, once.
+// Wants reports whether epoch e is pending: it is folded on its own.
+func (r *Ring) Wants(e uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.ContainsFunc(r.slots, func(s *Snapshot) bool { return s.Cut.Epoch == e && s.Analysis == nil })
+}
+
+// Observe completes the pending slots up to d's epoch: the slot of a's
+// epoch gets its analysis, one whose fold panicked is dropped.
+func (r *Ring) Observe(a *core.Analysis, d *core.EpochDelta) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.slots = slices.DeleteFunc(r.slots, func(s *Snapshot) bool {
+		if s.Analysis != nil || s.Cut.Epoch > d.Epoch {
+			return false
+		}
+		if a != nil && s.Cut.Epoch == a.Epoch() {
+			s.Analysis, r.newest = a, s
+			return false
+		}
+		return true
+	})
+	if a != nil {
+		r.last = a
+	}
+	r.seen = d.Epoch
+	r.cond.Broadcast()
+}
+
+// Stop drops the pending slots: the follower completes no more.
+func (r *Ring) Stop() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stopped = true
+	r.slots = slices.DeleteFunc(r.slots, func(s *Snapshot) bool { return s.Analysis == nil })
+	r.cond.Broadcast()
+}
+
+// Take forces a snapshot now (the SIGUSR2 trigger): it cuts an epoch on
+// the recording's driver d, which Emit retains whatever the cadence,
+// and returns once the follower has completed it, or the newest
+// complete slot once the follower has stopped. A closed driver cuts
+// nothing: Take then retains the final epoch, once.
 func (r *Ring) Take(d *epoch.Driver) *Snapshot {
 	r.mu.Lock()
 	r.force = true
 	r.mu.Unlock()
 	d.Cut()
-	r.mu.Lock()
-	forced := r.force
-	r.force = false
-	r.mu.Unlock()
-	var final *core.Analysis
-	if forced {
-		// Asked outside r.mu: the driver's lock is taken before the ring's.
-		final = d.Analysis()
-	}
+	final := d.Epoch() // read before r.mu: the driver's lock comes first
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := r.newest; final != nil && (n == nil || n.Cut.Epoch != final.Epoch()) {
-		r.retain(Cut{Epoch: final.Epoch(), Frontier: final.ThreadLens()}, final)
+	if !r.force {
+		for want := r.want; r.seen < want && !r.stopped; {
+			r.cond.Wait()
+		}
+		return r.newest
+	}
+	// Closed, so the follower has folded what it could of the final epoch.
+	r.force = false
+	if a := r.last; a != nil && a.Epoch() == final && (r.newest == nil || r.newest.Cut.Epoch != final) {
+		s := r.capture(Cut{Epoch: final, Frontier: a.ThreadLens()})
+		s.Analysis, r.newest = a, s
+		r.add(s)
 	}
 	return r.newest
 }
 
-// retain stores the epoch with the current PT windows, overwriting the
-// oldest slot when full (the paper's reusable-slot ring). The slot budget
-// is spent in thread-slot order (ascending PID): the lowest slots keep
-// their windows whole, the one the budget runs out in keeps its newest
-// bytes, and TruncatedPT counts every byte of every window not retained.
-// Needs r.mu.
-func (r *Ring) retain(cut Cut, a *core.Analysis) {
-	snap := &Snapshot{Cut: cut, Analysis: a, PTWindows: make(map[int32][]byte)}
+// capture copies the current PT windows into a new slot for cut. The
+// slot budget is spent in thread-slot order (ascending PID): the lowest
+// slots keep their windows whole, the one the budget runs out in keeps
+// its newest bytes, and TruncatedPT counts every byte of every window
+// not retained.
+func (r *Ring) capture(cut Cut) *Snapshot {
+	snap := &Snapshot{Cut: cut, PTWindows: make(map[int32][]byte)}
 	budget := r.opts.SlotSize
 	for _, pid := range r.sess.PIDs() {
 		stream, ok := r.sess.Stream(pid)
@@ -197,16 +251,26 @@ func (r *Ring) retain(cut Cut, a *core.Analysis) {
 		budget -= len(win)
 		snap.PTWindows[pid] = win
 	}
-	if len(r.ring) == r.opts.Slots {
-		r.ring = append(r.ring[:0], r.ring[1:]...)
-	}
-	r.ring = append(r.ring, snap)
-	r.newest = snap
+	return snap
 }
 
-// Snapshots returns the current ring contents, oldest first.
+// add stores a slot, overwriting the oldest when full (the paper's
+// reusable-slot ring): a complete one while there is one, since pending
+// slots are newer, whose completion would evict it anyway. Needs r.mu.
+func (r *Ring) add(snap *Snapshot) {
+	if len(r.slots) == r.opts.Slots {
+		r.slots = slices.Delete(r.slots, 0, 1)
+	}
+	r.slots = append(r.slots, snap)
+}
+
+// Snapshots returns the complete slots, oldest first, once every slot
+// retained so far is complete (or the follower has stopped).
 func (r *Ring) Snapshots() []*Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return slices.Clone(r.ring)
+	for want := r.want; r.seen < want && !r.stopped; {
+		r.cond.Wait()
+	}
+	return slices.DeleteFunc(slices.Clone(r.slots), func(s *Snapshot) bool { return s.Analysis == nil })
 }

@@ -1,9 +1,13 @@
 package snapshot
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/epoch"
@@ -11,11 +15,12 @@ import (
 	"github.com/repro/inspector/internal/threading"
 )
 
-// pipeline lists a fresh ring as the only sink of a driver over g, the
-// way inspector.New assembles a snapshot-only run.
+// pipeline lists a fresh ring and a follower observing it as the sinks
+// of a driver over g, the way inspector.New assembles a snapshot-only
+// run.
 func pipeline(g *core.Graph, sess *perf.Session, every uint64, opts Options) (*Ring, *epoch.Driver) {
 	r := New(sess, opts)
-	return r, epoch.NewDriver(g, epoch.Options{Every: every}, r)
+	return r, epoch.NewDriver(g, epoch.Options{Every: every}, r, epoch.NewFollower(g.Threads(), nil, r))
 }
 
 // seal ends one sub-computation on rec and runs the driver's commit
@@ -94,7 +99,7 @@ func TestSnapshotterRing(t *testing.T) {
 		t.Fatalf("fresh ring holds %d snapshots", len(got))
 	}
 	for i := 0; i < 5; i++ {
-		seal(t, rec, func(core.SubID) {}) // sealed but not folded: the take folds it
+		seal(t, rec, func(core.SubID) {}) // sealed but not cut: the take cuts it
 		if snap := r.Take(drv); snap.Cut.Epoch != uint64(i+1) || snap.Cut.Size() != i+1 {
 			t.Fatalf("take %d: epoch %d over %d subs", i, snap.Cut.Epoch, snap.Cut.Size())
 		}
@@ -325,5 +330,186 @@ func TestQuickCutAlwaysConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSnapshotWindowsAreTheirEpoch: the ring copies a retained epoch's
+// PT windows on the sealing thread, so with the follower's folds slowed
+// far behind the recording every snapshot's windows are still exactly
+// what a commit hook registered after the driver's saw at that epoch's
+// seal.
+func TestSnapshotWindowsAreTheirEpoch(t *testing.T) {
+	rt, err := threading.NewRuntime(threading.Options{
+		AppName:    "windows",
+		Mode:       threading.ModeInspector,
+		MaxThreads: 2,
+		TraceMode:  perf.ModeSnapshot,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := rt.Session()
+	r := New(sess, Options{Slots: 64, EverySeals: 3})
+	slow := func(int) { time.Sleep(2 * time.Millisecond) }
+	drv := epoch.NewDriver(rt.Graph(), epoch.Options{}, r, epoch.NewFollower(rt.Graph().Threads(), slow, r))
+	rt.RegisterCommitHook(drv.CommitHook())
+	sealed := map[uint64]map[int32][]byte{}
+	rt.RegisterCommitHook(func(core.SubID) {
+		wins := map[int32][]byte{}
+		for _, pid := range sess.PIDs() {
+			if st, ok := sess.Stream(pid); ok {
+				wins[pid] = st.Aux().SnapshotWindow()
+			}
+		}
+		sealed[drv.Epoch()] = wins
+	})
+	m := rt.NewMutex("m")
+	if _, err := rt.Run(func(main *threading.Thread) {
+		for i := 0; i < 60; i++ {
+			m.Lock(main)
+			for j := 0; j < 40; j++ {
+				main.Branch("b", (i*j)%3 == 0)
+			}
+			m.Unlock(main)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := drv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps := r.Snapshots()
+	if len(snaps) < 30 {
+		t.Fatalf("%d snapshots retained, want one per 3 of ~120 seals", len(snaps))
+	}
+	for _, snap := range snaps {
+		want := sealed[snap.Cut.Epoch]
+		if len(snap.PTWindows) != len(want) {
+			t.Fatalf("epoch %d: windows of %d processes, the seal saw %d", snap.Cut.Epoch, len(snap.PTWindows), len(want))
+		}
+		for pid, win := range want {
+			if !bytes.Equal(snap.PTWindows[pid], win) {
+				t.Fatalf("epoch %d, pid %d: %d window bytes, the seal saw %d", snap.Cut.Epoch, pid, len(snap.PTWindows[pid]), len(win))
+			}
+		}
+	}
+	first, last := snaps[0].PTWindows, snaps[len(snaps)-1].PTWindows
+	if fmt.Sprint(first) == fmt.Sprint(last) {
+		t.Fatal("the trace never grew between snapshots; nothing exercised")
+	}
+}
+
+// stopSignal is an observer that closes stopped when the follower stops.
+type stopSignal struct {
+	epoch.ObserverFunc
+	stopped chan struct{}
+}
+
+func (s stopSignal) Stop() { close(s.stopped) }
+
+// TestTakeNeverParks: a take returns a snapshot within a second before
+// the first seal, after Close, and once the follower has stopped at an
+// observer panic.
+func TestTakeNeverParks(t *testing.T) {
+	take := func(r *Ring, drv *epoch.Driver, when string) *Snapshot {
+		t.Helper()
+		got := make(chan *Snapshot, 1)
+		go func() { got <- r.Take(drv) }()
+		select {
+		case snap := <-got:
+			if snap == nil {
+				t.Fatalf("take %s returned nil", when)
+			}
+			return snap
+		case <-time.After(time.Second):
+			t.Fatalf("take %s parked", when)
+			return nil
+		}
+	}
+	g := core.NewGraph(1)
+	rec, err := core.NewRecorder(g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, drv := pipeline(g, perf.NewSession(perf.SessionOptions{}), 1, Options{EverySeals: 1})
+	if snap := take(r, drv, "before the first seal"); snap.Cut.Epoch != 1 || snap.Cut.Size() != 0 {
+		t.Fatalf("take before the first seal: epoch %d over %d subs, want the empty epoch 1", snap.Cut.Epoch, snap.Cut.Size())
+	}
+	seal(t, rec, drv.CommitHook())
+	if err := drv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snap := take(r, drv, "after Close"); snap.Cut.Epoch != drv.Epoch() || snap.Cut.Size() != 1 {
+		t.Fatalf("take after Close: epoch %d over %d subs, want the final epoch %d over 1", snap.Cut.Epoch, snap.Cut.Size(), drv.Epoch())
+	}
+
+	g = core.NewGraph(1)
+	if rec, err = core.NewRecorder(g, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	r = New(perf.NewSession(perf.SessionOptions{}), Options{EverySeals: 1})
+	panicky := epoch.ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
+		if d.Epoch == 2 {
+			panic("injected observer panic")
+		}
+	})
+	stop := stopSignal{epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}), make(chan struct{})}
+	drv = epoch.NewDriver(g, epoch.Options{}, r, epoch.NewFollower(g.Threads(), nil, panicky, r, stop))
+	hook := drv.CommitHook()
+	seal(t, rec, hook)
+	seal(t, rec, hook)
+	<-stop.stopped
+	if snap := take(r, drv, "with the follower stopped"); snap.Cut.Epoch != 1 {
+		t.Fatalf("take with the follower stopped at epoch 2: epoch %d, want the newest complete slot, epoch 1", snap.Cut.Epoch)
+	}
+	if err := drv.Close(); err == nil || !strings.Contains(err.Error(), "injected observer panic") {
+		t.Fatalf("Close = %v, want the observer panic", err)
+	}
+}
+
+// TestRingCopiesBoundedBehindSlowFollower: with the follower's folds
+// slowed far behind the seals, the complete and pending slots together
+// never hold more than Slots window copies, and the ring still ends
+// with the newest retained epochs.
+func TestRingCopiesBoundedBehindSlowFollower(t *testing.T) {
+	const slots = 2
+	g := core.NewGraph(1)
+	rec, err := core.NewRecorder(g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(perf.NewSession(perf.SessionOptions{}), Options{Slots: slots, EverySeals: 1})
+	slow := func(int) { time.Sleep(5 * time.Millisecond) }
+	drv := epoch.NewDriver(g, epoch.Options{}, r, epoch.NewFollower(g.Threads(), slow, r))
+	held := func() (complete, pending int) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, s := range r.slots {
+			if s.Analysis == nil {
+				pending++
+			} else {
+				complete++
+			}
+		}
+		return complete, pending
+	}
+	lagged, last := false, uint64(0)
+	for range 40 {
+		seal(t, rec, drv.CommitHook())
+		complete, pending := held()
+		if complete+pending > slots {
+			t.Fatalf("after epoch %d: %d complete + %d pending slots, want at most %d", drv.Epoch(), complete, pending, slots)
+		}
+		lagged, last = lagged || pending == slots, drv.Epoch()
+	}
+	if !lagged {
+		t.Fatal("the follower never fell a ring behind; nothing exercised")
+	}
+	if err := drv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps := r.Snapshots()
+	if len(snaps) != slots || snaps[slots-1].Cut.Epoch != last {
+		t.Fatalf("ring ends with %d slots, want the newest %d up to epoch %d", len(snaps), slots, last)
 	}
 }

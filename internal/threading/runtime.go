@@ -360,8 +360,8 @@ func (rt *Runtime) LastReport() *Report { return rt.lastReport }
 // the time the hook fires, the vertex is visible to Graph readers, so a
 // fold triggered by it will observe the vertex. Hooks run on the
 // recording thread's goroutine, in registration order, and the workload
-// pays for them at every seal (the epoch driver folds right here; an
-// off-thread consumer pokes a buffered channel). Register hooks before Run.
+// pays for them at every seal (the epoch driver cuts right here and
+// hands the delta to its sinks). Register hooks before Run.
 func (rt *Runtime) RegisterCommitHook(fn func(id core.SubID)) {
 	rt.hookMu.Lock()
 	rt.commitHooks = append(rt.commitHooks, fn)

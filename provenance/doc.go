@@ -32,10 +32,11 @@
 // # Live graphs
 //
 // Queries do not require the traced execution to have finished. The
-// epoch pipeline (internal/epoch) folds a still-recording graph into
-// successive immutable epoch Analyses and a Feed publishes each — a
-// LiveEngine's, folded off the recording path, or an IngestSource's,
-// replayed from a recorder's streamed deltas. Result.Epoch says which
+// epoch pipeline (internal/epoch) cuts a still-recording graph into
+// epoch deltas, a follower folds them off the recording threads into
+// successive immutable epoch Analyses, and a Feed publishes each — a
+// recording's own, or an IngestSource's, replayed from a recorder's
+// streamed deltas. Result.Epoch says which
 // epoch answered, and cursors are valid against exactly that epoch. The
 // Server resolves one engine per request from its Source, so a request
 // is pinned to one epoch however far the fold advances while it

@@ -14,13 +14,6 @@ type EngineOptions struct {
 	// clamped to it; results beyond the page are reachable through the
 	// cursor.
 	MaxResults int
-
-	// FoldWorkerHook, when set, runs at the start of every fold
-	// derivation worker of a LiveEngine with the worker's index (fault
-	// injection: the slow-fold point fires here). A panic escaping the
-	// hook surfaces like any fold panic — the last good epoch stays
-	// served. Engines over completed analyses ignore it.
-	FoldWorkerHook func(worker int)
 }
 
 // Engine executes Queries against one completed Analysis. It performs
@@ -40,7 +33,8 @@ type Engine struct {
 // NewEngine wraps an Analysis, which is immutable: it answers for the
 // prefix it was built over and never sees later recording. A graph still
 // being recorded is served through a Feed that publishes one Engine per
-// folded epoch (NewLiveEngine), not by re-analyzing per query.
+// folded epoch (the recording's epoch.Follower, or an IngestSource's
+// batch fold), not by re-analyzing per query.
 func NewEngine(a *core.Analysis, opts EngineOptions) *Engine {
 	return &Engine{a: a, opts: opts}
 }

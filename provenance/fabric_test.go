@@ -752,7 +752,7 @@ func TestStreamRecorderLatchesOnLostEpochs(t *testing.T) {
 }
 
 // TestExportServesCPGForEverySourceKind is GET /export's contract over
-// the four source kinds — a static engine, a live feed a driver
+// the four source kinds — a static engine, a live feed a follower
 // publishes to, an ingested stream and a lazily decoded Store file:
 // 200 with a loadable .cpg that is the source's pinned analysis encoded
 // without run metadata, its header at the source's epoch. An analysis
@@ -761,13 +761,16 @@ func TestExportServesCPGForEverySourceKind(t *testing.T) {
 	run := recordFabric(t, 2, 24, 17)
 	f := newLiveFixture(t)
 	feed := NewFeed(f.g.Threads(), EngineOptions{})
-	drv := epoch.NewDriver(f.g, epoch.Options{}, feed.Sink())
+	drv := epoch.NewDriver(f.g, epoch.Options{}, epoch.NewFollower(f.g.Threads(), nil, feed.Observer()))
 	hook := drv.CommitHook()
 	for page := range uint64(3) {
 		f.seal(t, page)
 		hook(core.SubID{})
 	}
 	t.Cleanup(func() { drv.Close() })
+	if _, err := feed.WaitEpoch(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
 	dir, _ := writeStoreDir(t, 1)
 	store, err := OpenDir(dir, StoreOptions{})
 	if err != nil {

@@ -321,7 +321,7 @@ func TestLiveEngineFoldPanic(t *testing.T) {
 	g := core.NewGraph(1)
 	var mu sync.Mutex
 	boom := false
-	l := NewLiveEngine(g, EngineOptions{}, func() {
+	l := NewLiveEngine(g, EngineOptions{}, func(int) {
 		mu.Lock()
 		defer mu.Unlock()
 		if boom {

@@ -3,7 +3,6 @@ package provenance
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -19,8 +18,8 @@ var ErrLiveClosed = errors.New("provenance: live analysis closed")
 // still grows: it holds the newest published epoch's Engine, wakes
 // WaitEpoch callers on every publish, and closes once no further epoch
 // can arrive. LiveEngine and IngestSource embed one (which makes them
-// Sources); a run that folds on the sealing thread lists Sink() among
-// its driver's sinks. The published number is the engine's analysis
+// Sources); a recording lists Observer() among its epoch.Follower's
+// observers. The published number is the engine's analysis
 // epoch: Epoch, WaitEpoch, every result's epoch field and the
 // exported .cpg's header read the same pointer, so they cannot disagree. Engine never
 // returns nil — before the first publish it serves an empty epoch 0.
@@ -60,14 +59,21 @@ func (f *Feed) publish(a *core.Analysis) {
 // shut marks the newest epoch final. Idempotent.
 func (f *Feed) shut() { f.shutOnce.Do(func() { close(f.closed) }) }
 
-// Sink adapts the feed to an epoch.Driver: every epoch's analysis is
-// asked for and published, and the feed closes with the pipeline.
-func (f *Feed) Sink() epoch.Sink { return feedSink{f} }
+// Observer adapts the feed to an epoch.Follower: it publishes every
+// fold but a panicked one, wants no epoch on its own, and closes when
+// the follower stops.
+func (f *Feed) Observer() epoch.Observer { return feedObserver{f} }
 
-type feedSink struct{ f *Feed }
+type feedObserver struct{ f *Feed }
 
-func (s feedSink) Emit(e epoch.Epoch) error { s.f.publish(e.Analysis()); return nil }
-func (s feedSink) Finish(uint64) error      { s.f.shut(); return nil }
+func (feedObserver) Wants(uint64) bool { return false }
+func (o feedObserver) Stop()           { o.f.shut() }
+
+func (o feedObserver) Observe(a *core.Analysis, _ *core.EpochDelta) {
+	if a != nil {
+		o.f.publish(a)
+	}
+}
 
 // Engine returns the newest published epoch's engine, an ordinary
 // read-only Engine any number of goroutines may share.
@@ -114,113 +120,50 @@ func (f *Feed) WaitEpoch(ctx context.Context, min uint64) (uint64, error) {
 	}
 }
 
-// LiveEngine serves provenance queries against a CPG that is still
-// being recorded, off the recording path: an epoch.Driver with the
-// embedded Feed as its only sink, cut by an analysis goroutine instead
-// of the commit hook (the feed asks for every epoch's analysis, so each
-// cut is folded there too). Notify — wired to the threading runtime's
-// commit hook — wakes the goroutine whenever new sub-computations seal;
-// however fast the workload commits, at most one fold is in flight, and
-// each fold sweeps everything sealed since the last.
-//
-// Construction folds epoch 1 immediately, even over an empty graph.
-// Close performs the final fold after recording quiesces, so post-run
-// queries see the complete graph.
+// LiveEngine is a Feed over a recording its caller paces: Notify —
+// wired to the threading runtime's commit hook — cuts an epoch on a
+// driver whose only sink is a follower publishing into the Feed.
+// Construction cuts epoch 1 and returns once it is folded; Close cuts
+// the final epoch and returns once it is published.
 type LiveEngine struct {
 	*Feed
 	drv *epoch.Driver
-	// hooks run before every fold, in order. Fault injection and tests
-	// use them to delay or crash a fold deliberately.
-	hooks []func()
-
-	notify    chan struct{}
-	done      chan struct{} // closed by Close: fold once more and stop
-	stopped   chan struct{} // closed when the analysis goroutine has exited
-	closeOnce sync.Once
-
-	// foldErr records the first fold panic.
-	errMu   sync.Mutex
-	foldErr error
 }
 
-// NewLiveEngine starts the analysis pipeline over g. The first epoch is
-// folded synchronously, so the returned LiveEngine is immediately
-// queryable. The optional foldHooks run before every fold (fault
-// injection; tests).
-func NewLiveEngine(g *core.Graph, opts EngineOptions, foldHooks ...func()) *LiveEngine {
-	l := &LiveEngine{
-		Feed:    NewFeed(g.Threads(), opts),
-		hooks:   foldHooks,
-		notify:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		stopped: make(chan struct{}),
+// NewLiveEngine starts the analysis pipeline over g. The optional
+// foldHooks run at the start of every fold's derivation workers.
+func NewLiveEngine(g *core.Graph, opts EngineOptions, foldHooks ...func(worker int)) *LiveEngine {
+	feed := NewFeed(g.Threads(), opts)
+	obs := &firstFold{Observer: feed.Observer(), done: make(chan struct{})}
+	hook := func(worker int) {
+		for _, h := range foldHooks {
+			h(worker)
+		}
 	}
-	l.drv = epoch.NewDriver(g, epoch.Options{WorkerHook: opts.FoldWorkerHook}, l.Sink())
-	// A panicking first fold (only reachable through an injected hook)
-	// leaves the feed's empty epoch 0 served until a later fold succeeds.
-	l.fold(l.drv.Cut)
-	go l.loop()
+	l := &LiveEngine{Feed: feed, drv: epoch.NewDriver(g, epoch.Options{}, epoch.NewFollower(g.Threads(), hook, obs))}
+	l.drv.Cut()
+	<-obs.done
 	return l
 }
 
-// loop is the analysis goroutine: fold on demand until Close.
-func (l *LiveEngine) loop() {
-	defer close(l.stopped)
-	// The feed closes even when the final fold panics, so no WaitEpoch
-	// caller is left parked.
-	defer l.shut()
-	for {
-		select {
-		case <-l.notify:
-			l.fold(l.drv.Cut)
-		case <-l.done:
-			// Recording has quiesced: the driver's final fold covers the
-			// complete graph (anything a pending notify announced too).
-			l.fold(func() { l.drv.Close() })
-			return
-		}
-	}
+// firstFold is the feed's observer, closing done after the first fold,
+// published or not: a panicking one leaves epoch 0 served.
+type firstFold struct {
+	epoch.Observer
+	done chan struct{}
+	once sync.Once
 }
 
-// fold runs the hooks and one fold, recording a panic as the first fold
-// error instead of letting it kill the analysis goroutine. The
-// panicking fold published nothing, so the last good epoch stays
-// servable.
-func (l *LiveEngine) fold(fold func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			l.errMu.Lock()
-			if l.foldErr == nil {
-				l.foldErr = fmt.Errorf("provenance: live analysis fold panicked: %v", r)
-			}
-			l.errMu.Unlock()
-		}
-	}()
-	for _, h := range l.hooks {
-		h()
-	}
-	fold()
+func (o *firstFold) Observe(a *core.Analysis, d *core.EpochDelta) {
+	o.Observer.Observe(a, d)
+	o.once.Do(func() { close(o.done) })
 }
 
-// Notify announces that new sub-computations have sealed. It never
-// blocks; signals coalesce into at most one pending fold.
-func (l *LiveEngine) Notify() {
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-}
+// Notify cuts an epoch covering everything sealed since the last.
+func (l *LiveEngine) Notify() { l.drv.Cut() }
 
-// Close performs the final fold and stops the analysis goroutine. Call
-// it after recording has quiesced (the workload's Run returned); queries
-// issued after Close see the complete graph. Close is idempotent,
-// returns once the final epoch is published, and surfaces the first
-// fold panic (if any) — the last good epoch remained servable
-// throughout, but the caller learns the analysis did not complete.
-func (l *LiveEngine) Close() error {
-	l.closeOnce.Do(func() { close(l.done) })
-	<-l.stopped
-	l.errMu.Lock()
-	defer l.errMu.Unlock()
-	return l.foldErr
-}
+// Close cuts the final epoch once recording has quiesced and returns
+// once it is published. It is idempotent and surfaces the first fold
+// panic: the last good epoch stayed servable, but the analysis did not
+// complete.
+func (l *LiveEngine) Close() error { return l.drv.Close() }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/repro/inspector/internal/core"
@@ -195,11 +196,10 @@ func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) 
 	return u, nil
 }
 
-// Emit queues one epoch's delta and wakes the sender (epoch.Sink). It
-// never asks for the epoch's analysis: a stream costs its run no fold.
-func (u *Uploader) Emit(e epoch.Epoch) error {
+// Emit queues one epoch's delta and wakes the sender (epoch.Sink).
+func (u *Uploader) Emit(d *core.EpochDelta) error {
 	u.mu.Lock()
-	u.pending = append(u.pending, e.Delta)
+	u.pending = append(u.pending, d)
 	u.mu.Unlock()
 	select {
 	case u.notify <- struct{}{}:
@@ -403,12 +403,12 @@ func (u *Uploader) Wait(ctx context.Context) error {
 }
 
 // StreamRecorder is the stand-alone streaming pipeline: an epoch.Driver
-// (CommitHook, Epoch, Analysis) with one Uploader as its only sink.
-// After Close, Analysis() is byte-for-byte what the aggregator serves
-// at the same epoch.
+// (CommitHook, Epoch) with one Uploader as its only sink.
 type StreamRecorder struct {
 	*epoch.Driver
 	*Uploader
+	g      *core.Graph
+	closed atomic.Bool
 }
 
 // NewStreamRecorder builds a recorder streaming g's epoch deltas to c's
@@ -418,12 +418,25 @@ func NewStreamRecorder(g *core.Graph, c *Client, opts StreamOptions) (*StreamRec
 	if err != nil {
 		return nil, err
 	}
-	return &StreamRecorder{epoch.NewDriver(g, epoch.Options{Every: opts.Every}, u), u}, nil
+	return &StreamRecorder{Driver: epoch.NewDriver(g, epoch.Options{Every: opts.Every}, u), Uploader: u, g: g}, nil
 }
 
-// Close folds the final epoch, flushes the queue bounded by ctx (see
+// Analysis folds the recorded graph once, numbered by the final cut:
+// byte for byte what the aggregator serves at that epoch. It is nil
+// before Close, while the graph may still grow past the last cut.
+func (r *StreamRecorder) Analysis() *core.Analysis {
+	if !r.closed.Load() {
+		return nil
+	}
+	inc := core.NewIncrementalAnalyzer(r.g)
+	inc.Cut()
+	return inc.FoldAs(r.Epoch())
+}
+
+// Close cuts the final epoch, flushes the queue bounded by ctx (see
 // Uploader.Wait), and stops the sender.
 func (r *StreamRecorder) Close(ctx context.Context) error {
 	r.Driver.Close()
+	r.closed.Store(true)
 	return r.Wait(ctx)
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
-	"github.com/repro/inspector/internal/epoch"
 )
 
 // drainEpochs is the backlog BenchmarkUploaderDrain queues.
@@ -41,7 +40,7 @@ func BenchmarkUploaderDrain(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j, d := range deltas {
-			if err := u.Emit(epoch.Epoch{Delta: d}); err != nil {
+			if err := u.Emit(d); err != nil {
 				b.Fatal(err)
 			}
 			if j == 0 {

@@ -19,7 +19,6 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
-	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
 
@@ -175,6 +174,9 @@ func TestUploaderShipsBacklogInFewPosts(t *testing.T) {
 		hook(sealOne(t, rec, uint64(i%40)))
 	}
 	sealOne(t, rec, 7) // epoch 512 is Close's final cut
+	if sr.Analysis() != nil {
+		t.Fatal("the recorder folded before Close, past its last cut")
+	}
 	agg.open()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -269,7 +271,7 @@ func TestUploaderBodiesKeepByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	emit := func(d *core.EpochDelta) {
-		if err := u.Emit(epoch.Epoch{Delta: d}); err != nil {
+		if err := u.Emit(d); err != nil {
 			t.Fatal(err)
 		}
 	}
