@@ -15,21 +15,21 @@
 //	GET  /v1/cpgs/{id}/stats   summary of one graph
 //	POST /v1/cpgs/{id}/query   run a provenance/v1 Query (JSON body)
 //
-// Each -cpg file is decoded at startup and served under the id of its
-// base name without the extension (run.cpg -> "run"). A crashed run is
+// Each -cpg file, and every *.cpg file in the -cpgdir directory, is
+// mapped and checksummed at startup, decoded on first query, and served
+// under the id of its base name without the extension (run.cpg ->
+// "run"); two files with one id refuse to start. A crashed run is
 // served the same way: inspector-recover -journal DIR -cpg f.cpg writes
 // the durable prefix with its epoch and gap marks, so the listing says
-// degraded. -cpgdir serves every *.cpg file in a directory without
-// loading them up front: files are mmapped, listed from their stats
-// sections, decoded only when queried, and evicted LRU once the decoded
-// graphs exceed -resident-budget bytes — thousands of CPGs serve under
-// a fixed memory ceiling. Repeated queries are answered from a
-// content-addressed result cache (-result-cache entries); GET /v1/store
-// reports hit/miss/eviction counters. -timeout bounds each request's
-// graph traversal (the deadline
-// cancels the traversal inside the engine, not just the response), and
-// -max-results caps any single result page — clients follow the
-// next_cursor contract for the rest.
+// degraded. All files serve from one store: listed from their stats
+// sections, and evicted LRU once the decoded graphs exceed
+// -resident-budget bytes — thousands of CPGs serve under a fixed memory
+// ceiling. Repeated queries are answered from a content-addressed
+// result cache (-result-cache entries); GET /v1/store reports
+// hit/miss/eviction counters. -timeout bounds each request's graph
+// traversal (the deadline cancels the traversal inside the engine, not
+// just the response), and -max-results caps any single result page —
+// clients follow the next_cursor contract for the rest.
 //
 // With -ingest the daemon is the fabric's aggregator, and the way to
 // serve a run while it records: recorders running elsewhere
@@ -48,12 +48,13 @@
 //
 // The daemon is hardened for unattended operation: GET /healthz answers
 // as soon as the listener is up, GET /readyz answers 503 until every CPG
-// is loaded (and reports live epoch progress once ready), -max-inflight
+// is opened (and reports live epoch progress once ready), -max-inflight
 // sheds excess concurrent queries with 503 + Retry-After, a panicking
 // handler is answered with 500 instead of killing the process, and
 // SIGTERM/SIGINT drain in-flight requests (bounded by -drain-timeout)
-// before exiting 0. -lenient skips unreadable -cpg files instead of
-// refusing to start.
+// before exiting 0. -lenient skips unreadable files instead of refusing
+// to start; a file whose damage only a decode sees starts, and its
+// queries answer 500 naming the file and the section.
 //
 // cpg-query -remote http://host:port is the matching client:
 //
@@ -74,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -108,14 +108,14 @@ type config struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("inspector-serve", flag.ContinueOnError)
 	var c config
-	fs.Var(&c.cpgPaths, "cpg", ".cpg file to decode at startup and serve (repeatable)")
-	fs.StringVar(&c.cpgDir, "cpgdir", "", "directory of columnar .cpg files to serve lazily with bounded memory (id = file basename)")
-	fs.Int64Var(&c.residentBudget, "resident-budget", 64<<20, "with -cpgdir: max estimated bytes of decoded graphs resident at once (0 = unlimited)")
-	fs.IntVar(&c.resultCache, "result-cache", 0, "with -cpgdir: query result cache capacity in entries (0 = default 1024, negative = disabled)")
+	fs.Var(&c.cpgPaths, "cpg", ".cpg file to serve: mapped and checksummed at startup, decoded on first query (repeatable)")
+	fs.StringVar(&c.cpgDir, "cpgdir", "", "directory of .cpg files to serve like -cpg files (id = file basename)")
+	fs.Int64Var(&c.residentBudget, "resident-budget", 64<<20, "max estimated bytes of decoded graphs resident at once (0 = unlimited)")
+	fs.IntVar(&c.resultCache, "result-cache", 0, "query result cache capacity in entries (0 = default 1024, negative = disabled)")
 	addr := fs.String("addr", ":7070", "listen address")
 	fs.DurationVar(&c.server.Timeout, "timeout", 30*time.Second, "per-request query deadline (0 = none)")
 	fs.IntVar(&c.engine.MaxResults, "max-results", 10000, "result page cap; clients page with cursors (0 = unlimited)")
-	fs.BoolVar(&c.lenient, "lenient", false, "skip unreadable -cpg files (log and serve the rest) instead of refusing to start")
+	fs.BoolVar(&c.lenient, "lenient", false, "skip unreadable .cpg files (log and serve the rest) instead of refusing to start")
 	fs.IntVar(&c.server.MaxInflight, "max-inflight", 0, "max concurrently executing /v1/ requests; excess shed with 503 + Retry-After (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight requests before exiting (0 = wait forever)")
 	fs.BoolVar(&c.ingest, "ingest", false, "aggregator mode: accept streamed epoch deltas on POST /v1/ingest/{source} (from inspector-run -stream) and serve each source's live CPG")
@@ -126,10 +126,11 @@ func run(args []string) error {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
-	// Bind before loading anything: /healthz answers (and /readyz says
-	// not-ready) while big CPG files decode, so orchestrators probing the
-	// daemon distinguish "starting" from "dead". -addr :0 (tests, smoke
-	// scripts) still prints the actual port with the announce line.
+	// Bind before opening anything: /healthz answers (and /readyz says
+	// not-ready) while big CPG files are checksummed, so orchestrators
+	// probing the daemon distinguish "starting" from "dead". -addr :0
+	// (tests, smoke scripts) still prints the actual port with the
+	// announce line.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -211,26 +212,35 @@ func serve(ln net.Listener, build func() (*provenance.Server, error),
 	}
 }
 
-// buildServer assembles the engine sources from .cpg files and, with
-// -ingest, the hub that recorders stream into. File sources are
-// immutable; an ingested source publishes a new immutable epoch per
-// fold, and each request pins one epoch — either way the handler is
-// safe for arbitrary client concurrency.
+// buildServer assembles one Store over the -cpg files and the -cpgdir
+// directory's files and, with -ingest, the hub that recorders stream
+// into. File sources are immutable; an ingested source publishes a new
+// immutable epoch per fold, and each request pins one epoch — either
+// way the handler is safe for arbitrary client concurrency.
 //
-// A file that does not decode — torn, flipped, or not a .cpg at all —
-// fails startup with the offending path and section named; with lenient
-// it is logged and skipped so the healthy graphs still serve.
+// A file that fails to open or checksum — torn, flipped, or not a .cpg
+// at all — fails startup with the offending path and section named;
+// with lenient it is logged and skipped so the healthy graphs still
+// serve.
 func buildServer(c config) (*provenance.Server, error) {
-	sopts, eopts := c.server, c.engine
+	sopts := c.server
 	if c.ingest {
-		sopts.Ingest = provenance.NewIngestHub(provenance.IngestOptions{Engine: eopts})
+		sopts.Ingest = provenance.NewIngestHub(provenance.IngestOptions{Engine: c.engine})
 	}
-	sources := map[string]provenance.Source{}
-	if c.cpgDir != "" {
-		store, err := provenance.OpenDir(c.cpgDir, provenance.StoreOptions{
+	var sources map[string]provenance.Source
+	if len(c.cpgPaths) > 0 || c.cpgDir != "" {
+		paths := c.cpgPaths
+		if c.cpgDir != "" {
+			dir, err := filepath.Glob(filepath.Join(c.cpgDir, "*.cpg"))
+			if err != nil {
+				return nil, err
+			}
+			paths = append(paths, dir...)
+		}
+		store, err := provenance.OpenFiles(paths, provenance.StoreOptions{
 			ResidentBudget:      c.residentBudget,
 			ResultCacheCapacity: c.resultCache,
-			Engine:              eopts,
+			Engine:              c.engine,
 			Lenient:             c.lenient,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "inspector-serve: "+format+"\n", args...)
@@ -239,30 +249,9 @@ func buildServer(c config) (*provenance.Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		for id, src := range store.Sources() {
-			if _, dup := sources[id]; dup {
-				return nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, c.cpgDir)
-			}
-			sources[id] = src
-		}
-		sopts.Store = store
-		fmt.Fprintf(os.Stderr, "inspector-serve: cpgdir %s: serving %d CPG files lazily (resident budget %d bytes)\n",
-			c.cpgDir, store.Len(), c.residentBudget)
-	}
-	for _, path := range c.cpgPaths {
-		id := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		if _, dup := sources[id]; dup {
-			return nil, fmt.Errorf("duplicate cpg id %q (from %s)", id, path)
-		}
-		a, _, err := cpgfile.Load(path)
-		if err != nil {
-			if c.lenient {
-				fmt.Fprintf(os.Stderr, "inspector-serve: skipping cpg %v (-lenient)\n", err)
-				continue
-			}
-			return nil, fmt.Errorf("cpg %w", err)
-		}
-		sources[id] = provenance.StaticSource(provenance.NewEngine(a, eopts))
+		sopts.Store, sources = store, store.Sources()
+		fmt.Fprintf(os.Stderr, "inspector-serve: serving %d CPG files (resident budget %d bytes)\n",
+			store.Len(), c.residentBudget)
 	}
 	if len(sources) == 0 && sopts.Ingest == nil {
 		return nil, fmt.Errorf("nothing to serve (need -cpg, -cpgdir, or -ingest)")

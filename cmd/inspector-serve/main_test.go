@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 	"github.com/repro/inspector"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
@@ -95,7 +97,7 @@ func TestBuildServerFromCPGFiles(t *testing.T) {
 
 // TestBuildServerFromCPGDir pins the -cpgdir path: columnar files served
 // lazily through the Store, with /v1/store reporting cache counters and
-// query answers matching the eager -cpg path.
+// query answers matching the -cpg path.
 func TestBuildServerFromCPGDir(t *testing.T) {
 	dir := t.TempDir()
 	a := buildGraph(t).Analyze()
@@ -333,6 +335,118 @@ func TestCorruptGobRefused(t *testing.T) {
 	if ids := srv.IDs(); len(ids) != 1 || ids[0] != "good" {
 		t.Errorf("lenient server ids = %v, want [good]", ids)
 	}
+}
+
+// storeStats reads GET /v1/store.
+func storeStats(t *testing.T, base string) provenance.StoreStats {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st provenance.StoreStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestBuildServerOneStore pins that -cpg files and -cpgdir files serve
+// from one Store: one id space, one /v1/store, one -resident-budget, and
+// the Store's checks — a -cpg file whose damage only a decode sees
+// starts, and its queries answer 500 naming the file and the section
+// while its neighbour serves.
+func TestBuildServerOneStore(t *testing.T) {
+	dir, cpgdir := t.TempDir(), t.TempDir()
+	alpha := filepath.Join(dir, "alpha.cpg")
+	writeCPG(t, alpha)
+	// A run id of its own keeps beta's content hash, and so its result
+	// cache entries, apart from alpha's.
+	if err := cpgfile.Write(filepath.Join(cpgdir, "beta.cpg"), buildGraph(t).Analyze(), cpgfile.Meta{RunID: "beta"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	taint := provenance.Query{Kind: provenance.KindTaint, Target: "T0.0"}
+
+	t.Run("-cpg and -cpgdir", func(t *testing.T) {
+		srv, err := buildServer(config{cpgPaths: multiFlag{alpha}, cpgDir: cpgdir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		c := &provenance.Client{BaseURL: ts.URL}
+		for _, id := range []string{"alpha", "beta"} {
+			if _, err := c.Query(ctx, id, taint); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		}
+		if st := storeStats(t, ts.URL); st.CPGs != 2 || st.Decodes != 2 {
+			t.Errorf("/v1/store = %+v, want 2 cpgs, both decoded", st)
+		}
+	})
+
+	t.Run("duplicate id across -cpg and -cpgdir", func(t *testing.T) {
+		dup := filepath.Join(dir, "beta.cpg")
+		writeCPG(t, dup)
+		defer os.Remove(dup)
+		_, err := buildServer(config{cpgPaths: multiFlag{dup}, cpgDir: cpgdir})
+		if err == nil || !strings.Contains(err.Error(), dup) || !strings.Contains(err.Error(), filepath.Join(cpgdir, "beta.cpg")) {
+			t.Errorf("err = %v, want a duplicate-id error naming both paths", err)
+		}
+	})
+
+	t.Run("-resident-budget below one graph", func(t *testing.T) {
+		srv, err := buildServer(config{cpgPaths: multiFlag{alpha}, residentBudget: 1, resultCache: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		c := &provenance.Client{BaseURL: ts.URL}
+		for i := 0; i < 3; i++ {
+			if _, err := c.Query(ctx, "alpha", taint); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := storeStats(t, ts.URL); st.Decodes != 3 || st.DecodedCPGs != 0 {
+			t.Errorf("/v1/store = %+v, want every query to re-decode and nothing resident", st)
+		}
+	})
+
+	t.Run("forged -cpg file starts and answers 500", func(t *testing.T) {
+		data, err := os.ReadFile(alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := filepath.Join(t.TempDir(), "forged.cpg")
+		data = cpgtest.ForgeStats(data, func(stats []byte) []byte { stats[0]++; return stats }) // one more sub-computation
+		if err := os.WriteFile(forged, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := buildServer(config{cpgPaths: multiFlag{alpha, forged}})
+		if err != nil {
+			t.Fatalf("a CRC-valid file refused at startup: %v", err)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		for i := 0; i < 2; i++ { // a failed decode is not cached
+			resp, err := http.Post(ts.URL+"/v1/cpgs/forged/query", "application/json", strings.NewReader(`{"kind":"stats"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte(forged)) || !bytes.Contains(body, []byte(`section \"stats\"`)) {
+				t.Errorf("query %d = %d %s, want 500 naming %s and the stats section", i, resp.StatusCode, body, forged)
+			}
+		}
+		c := &provenance.Client{BaseURL: ts.URL}
+		if _, err := c.Query(ctx, "alpha", taint); err != nil {
+			t.Errorf("healthy neighbour: %v", err)
+		}
+	})
 }
 
 // gateSource holds queries until released, pinning one request

@@ -36,11 +36,11 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkMappedAnalysis measures what a cold query pays the read
-// path: one Drop and one Analysis of a Mapped whose first
-// materialization is done, so each op is a re-materialization. sparse
-// is encodeFixture's file, whose vertices carry no control path; thunky
-// is a 64-vertex graph of 128 000 thunks, where the thunks section is
-// nearly the whole file and is copied and checksummed, never decoded.
+// path: one Analysis of a Mapped whose first materialization is done,
+// so each op is a re-materialization. sparse is encodeFixture's file,
+// whose vertices carry no control path; thunky is a 64-vertex graph of
+// 128 000 thunks, where the thunks section is nearly the whole file and
+// is copied and checksummed, never decoded.
 func BenchmarkMappedAnalysis(b *testing.B) {
 	for _, fx := range []struct {
 		name string
@@ -63,7 +63,6 @@ func BenchmarkMappedAnalysis(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Drop()
 				if _, _, err := m.Analysis(); err != nil {
 					b.Fatal(err)
 				}

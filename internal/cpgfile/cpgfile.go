@@ -24,13 +24,14 @@
 // the rule for how an untrusted count may allocate. Two read paths
 // share one parser: Load fully decodes a file into a core.Analysis, and
 // Mapped keeps the file mmapped, answering header/stats queries straight
-// from their sections and materializing the analysis only on demand
-// (and dropping it again under memory pressure — see provenance.Store).
-// A materialization keeps the thunks section — the control path, which
-// no query reads and which dominates a branchy file — as one owned,
-// CRC-checked byte column on the graph instead of decoding it: the
-// column is walked once per mapping, and decoded only by the JSON
-// render.
+// from their sections and materializing the analysis on each demand
+// (provenance.Store is what keeps a decoded analysis, under a memory
+// budget). A materialization keeps the thunks section — the control
+// path, which no query reads and which dominates a branchy file — as
+// one owned, CRC-checked byte column on the graph instead of decoding
+// it: the column is walked once per mapping, and decoded only by the
+// JSON render. Load decodes every thunk; it is the reference a mapped
+// analysis is compared against.
 //
 // Integrity is per section: every read path verifies the CRC of each
 // section it touches before decoding it, and every decode error is a
@@ -39,9 +40,10 @@
 //
 // Symbol refs inside a file index the file's own embedded symbol table
 // and nothing else — the in-memory rule that interner refs never leak
-// across runs holds here because the table travels with the refs, and
-// the decoder re-interns through a remap table rather than trusting
-// raw ref values.
+// across runs holds here because the table travels with the refs. The
+// decoder accepts only a table that re-interns to the identity ("" at
+// ref 0, no duplicates — what Encode writes), and checks every ref
+// against the table's bounds.
 package cpgfile
 
 import (

@@ -109,9 +109,6 @@ func TestMappedLazyAndDrop(t *testing.T) {
 	if n <= 0 {
 		t.Fatalf("footprint = %d, want > 0", n)
 	}
-	if got2, n2, _ := m.Analysis(); got2 != got || n2 != n {
-		t.Fatal("second Analysis call did not return the cached value")
-	}
 	want := encoded(t, a)
 	if !bytes.Equal(want, encoded(t, got)) {
 		t.Fatal("mapped analysis encodes differently")
@@ -121,19 +118,19 @@ func TestMappedLazyAndDrop(t *testing.T) {
 		t.Fatalf("stats subs = %d, analysis has %d", st.SubComputations, got.NumVertices())
 	}
 
-	if freed := m.Drop(); freed != n {
-		t.Fatalf("Drop freed %d, footprint was %d", freed, n)
-	}
-	// The old analysis stays valid after Drop and Close; the next
-	// Analysis call re-materializes an equal one.
-	got3, _, err := m.Analysis()
+	// The mapping keeps no analysis: the next Analysis call materializes
+	// a distinct, equal one at the same footprint.
+	got2, n2, err := m.Analysis()
 	if err != nil {
-		t.Fatalf("Analysis after Drop: %v", err)
+		t.Fatalf("second Analysis: %v", err)
 	}
-	if got3 == got {
-		t.Fatal("Drop did not discard the cached analysis")
+	if got2 == got {
+		t.Fatal("second Analysis call returned the first call's analysis")
 	}
-	if !bytes.Equal(want, encoded(t, got3)) {
+	if n2 != n {
+		t.Fatalf("second footprint = %d, first was %d", n2, n)
+	}
+	if !bytes.Equal(want, encoded(t, got2)) {
 		t.Fatal("re-materialized analysis encodes differently")
 	}
 	if err := m.Close(); err != nil {
@@ -145,10 +142,9 @@ func TestMappedLazyAndDrop(t *testing.T) {
 }
 
 // TestMappedConcurrentReaders shares one Mapped across goroutines that
-// materialize, encode, render, count and drop concurrently (meaningful
-// under -race). Every reader must see a complete, correct analysis no
-// matter how Drop interleaves with Analysis, and the readers of the
-// deferred thunks column must not race each other.
+// materialize, encode, render and count concurrently (meaningful under
+// -race). Every reader must see a complete, correct analysis, and the
+// readers of the deferred thunks column must not race each other.
 func TestMappedConcurrentReaders(t *testing.T) {
 	a := thunkyGraph(24, 50).Analyze()
 	want := encoded(t, a)
@@ -204,9 +200,6 @@ func TestMappedConcurrentReaders(t *testing.T) {
 				if st := got.Stats(); st != wantStats {
 					errc <- fmt.Errorf("worker %d iter %d: Stats() = %+v, want %+v", w, i, st, wantStats)
 					return
-				}
-				if i%3 == w%3 {
-					m.Drop()
 				}
 			}
 		}(w)

@@ -5,12 +5,15 @@
 // sync and data edges, the gaps, the epoch — and it is deterministic,
 // so two analyses are the same graph at the same epoch exactly when
 // their bytes are equal. GET /v1/cpgs/{id}/export serves these bytes.
+// ForgeStats makes the damage only a decode sees, for serving tests.
 package cpgtest
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -96,4 +99,25 @@ func Truncated(tb TB, cpg []byte) []byte {
 		tb.Fatal(err)
 	}
 	return Bytes(tb, cut)
+}
+
+// ForgeStats returns cpg with its stats section — the file's last —
+// replaced by edit's result and the checksums restamped: the section's
+// length and CRC-32C in the header's section table (24-byte entries
+// {kind u32, offset u64, length u64, CRC u32}, stats the last), then
+// the header's CRC in the 20-byte preamble. The result passes
+// VerifyChecksums; only decoding the stats section, or checking it
+// against the graph, finds what edit did.
+func ForgeStats(cpg []byte, edit func(stats []byte) []byte) []byte {
+	const preambleLen, entryLen = 20, 24
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	out := append([]byte(nil), cpg...)
+	hdr := out[preambleLen : preambleLen+binary.LittleEndian.Uint32(out[12:])]
+	entry := hdr[len(hdr)-entryLen:]
+	off := binary.LittleEndian.Uint64(entry[4:])
+	stats := edit(append([]byte(nil), out[off:]...))
+	binary.LittleEndian.PutUint64(entry[12:], uint64(len(stats)))
+	binary.LittleEndian.PutUint32(entry[20:], crc32.Checksum(stats, castagnoli))
+	binary.LittleEndian.PutUint32(out[16:], crc32.Checksum(hdr, castagnoli))
+	return append(out[:off], stats...)
 }

@@ -197,19 +197,18 @@ type thunkWalk struct {
 // returning it with the estimated resident footprint of the decode.
 //
 // walk is nil for Load, which decodes every thunk into its vertex. A
-// Mapped passes its own: when the file's symbol table re-interns to the
-// identity (every file Encode writes: ref 0 is "", then the table in
-// ref order) the thunks section stays encoded — copied into memory the
-// analysis owns, CRC-checked, walked only if no earlier materialization
-// has, and handed to the graph as its column. Any other file takes the
-// eager path. The first successful materialization of either path, and
-// every Load, also checks the stats section against the graph, and
-// records itself in walk.
+// Mapped passes its own, and the thunks section stays encoded: copied
+// into memory the analysis owns, CRC-checked, walked only if no earlier
+// materialization has, and handed to the graph as its column. The first
+// successful materialization of a mapping, and every Load, also checks
+// the stats section against the graph, and records itself in walk.
 func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analysis, int64, error) {
 	var footprint int64
 
-	// Symbols: re-intern through a remap table. Refs in the file index
-	// this table; nothing trusts them as in-memory refs directly.
+	// Symbols: the table must re-intern to the identity — ref 0 is "",
+	// then distinct strings in ref order, as Encode writes it — so a
+	// stored ref is its in-memory ref and a deferred thunks column
+	// needs no rewriting. Refs in the file still index this table only.
 	cs, err := lay.section(data, secSymbols)
 	if err != nil {
 		return nil, 0, err
@@ -219,23 +218,20 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 		return nil, 0, inSection(secSymbols, err)
 	}
 	g := core.NewGraph(lay.hdr.Threads)
-	remap := make([]uint32, len(syms))
-	identity := true
 	for i, s := range syms {
-		remap[i] = uint32(g.InternSite(s))
-		identity = identity && remap[i] == uint32(i)
+		if ref := g.InternSite(s); uint32(ref) != uint32(i) {
+			return nil, 0, corruptf(secSymbols, "symbol %d (%q) re-interns to ref %d", i, s, ref)
+		}
 		footprint += fpPerSymbol + int64(len(s))
 	}
-	// mapRef resolves a stored ref, failing the cursor it was read from
-	// when it points outside the table.
-	mapRef := func(c *wire.Cursor, field string, ref uint32) uint32 {
-		if uint64(ref) >= uint64(len(remap)) {
-			c.Fail(field, fmt.Sprintf("symbol ref %d outside the %d-entry table", ref, len(remap)))
-			return 0
+	// checkRef fails the cursor a stored ref was read from when the ref
+	// points outside the table.
+	checkRef := func(c *wire.Cursor, field string, ref uint32) {
+		if uint64(ref) >= uint64(len(syms)) {
+			c.Fail(field, fmt.Sprintf("symbol ref %d outside the %d-entry table", ref, len(syms)))
 		}
-		return remap[ref]
 	}
-	deferred := walk != nil && identity
+	deferred := walk != nil
 
 	// Vertices + per-vertex columns: the cursors advance in lockstep,
 	// one vertex at a time, in (thread, alpha) order. A deferred thunks
@@ -276,16 +272,15 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 		for alpha := 0; alpha < n && intact(); alpha++ {
 			sc := &core.SubComputation{ID: core.SubID{Thread: t, Alpha: uint64(alpha)}}
 			core.ParseVertex(cv, sc)
-			sc.End.Object = core.ObjRef(mapRef(cv, "vertex.end.object", uint32(sc.End.Object)))
+			checkRef(cv, "vertex.end.object", uint32(sc.End.Object))
 			sc.ReadSet = core.ParsePageSet(cr, "read_set")
 			sc.WriteSet = core.ParsePageSet(cw, "write_set")
 			if !deferred {
 				ct := &columns[3].c
 				sc.Thunks = core.ParseThunks(ct)
-				for i := range sc.Thunks {
-					th := &sc.Thunks[i]
-					th.Site = core.SiteRef(mapRef(ct, "thunk.site", uint32(th.Site)))
-					th.Target = core.SiteRef(mapRef(ct, "thunk.target", uint32(th.Target)))
+				for _, th := range sc.Thunks {
+					checkRef(ct, "thunk.site", uint32(th.Site))
+					checkRef(ct, "thunk.target", uint32(th.Target))
 				}
 				footprint += int64(unsafe.Sizeof(core.Thunk{})) * int64(len(sc.Thunks))
 			}
@@ -317,7 +312,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 		}
 		total := walk.total
 		if !walk.done {
-			if total, err = walkThunks(col, vertices, mapRef); err != nil {
+			if total, err = walkThunks(col, vertices, checkRef); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -328,7 +323,8 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 	}
 
 	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge) {
-		obj := core.ObjRef(mapRef(c, "edge.object", c.Uint32("edge.object")))
+		obj := core.ObjRef(c.Uint32("edge.object"))
+		checkRef(c, "edge.object", uint32(obj))
 		if c.Err() == nil {
 			g.RestoreSyncEdge(e.From, e.To, obj)
 			e.Kind, e.Object = core.EdgeSync, g.ObjectName(obj)
@@ -383,15 +379,15 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 
 // walkThunks is the structural check of a deferred thunks column: one
 // AppendThunks list per vertex, every field read as ParseThunks reads
-// it, every site and target ref inside the symbol table (mapRef's
+// it, every site and target ref inside the symbol table (checkRef's
 // check), and no byte past the last list. It returns the thunk total.
-func walkThunks(col []byte, vertices int, mapRef func(*wire.Cursor, string, uint32) uint32) (int, error) {
+func walkThunks(col []byte, vertices int, checkRef func(*wire.Cursor, string, uint32)) (int, error) {
 	c := wire.NewCursor(col)
 	total := 0
 	for ; vertices > 0 && c.Err() == nil; vertices-- {
 		total += core.WalkThunks(&c, func(th *core.Thunk) {
-			mapRef(&c, "thunk.site", uint32(th.Site))
-			mapRef(&c, "thunk.target", uint32(th.Target))
+			checkRef(&c, "thunk.site", uint32(th.Site))
+			checkRef(&c, "thunk.target", uint32(th.Target))
 		})
 	}
 	return total, inSection(secThunks, c.Done())

@@ -10,29 +10,28 @@ import (
 // Mapped is the lazy read path: the file stays memory-mapped and only
 // the sections a caller touches are ever decoded. Header fields and
 // the precomputed stats come straight from their (CRC-verified)
-// sections; the full analysis materializes on first demand and is
-// cached until Drop. The serving layer leans on exactly this split —
-// thousands of Mapped CPGs cost pages of mapped file, while the
-// resident-bytes budget governs how many carry a decoded analysis.
+// sections; the full analysis materializes only when asked for, and
+// every ask decodes afresh — keeping a decoded analysis, and dropping
+// it under memory pressure, is the caller's business (provenance.Store
+// does both). Thousands of Mapped CPGs cost pages of mapped file.
 //
 // A materialization decodes every section but one: the thunks section
 // stays encoded, copied as one byte column the analysis owns (see
 // Analysis). Decoded values and that column never alias the mapping, so
-// an analysis obtained from Analysis remains valid after Drop and even
-// after Close. Methods are safe for concurrent use; Close must not race
-// other calls.
+// an analysis obtained from Analysis remains valid after Close. Methods
+// are safe for concurrent use; Close must not race other calls.
 type Mapped struct {
 	path  string
 	data  []byte
 	unmap func() error
 	lay   *fileLayout
 
-	mu        sync.Mutex
-	a         *core.Analysis
-	footprint int64
-	walk      thunkWalk
-	hash      [sha256.Size]byte
-	hashed    bool
+	// mu guards what the mapping remembers across calls: its first
+	// materialization's thunk walk and the content hash.
+	mu     sync.Mutex
+	walk   thunkWalk
+	hash   [sha256.Size]byte
+	hashed bool
 }
 
 // Open maps the CPG file at path and parses its preamble and header.
@@ -96,54 +95,29 @@ func (m *Mapped) ContentHash() [sha256.Size]byte {
 	return m.hash
 }
 
-// Analysis materializes the full analysis on first call and returns
-// the cached value afterwards. Every section is decoded except the
-// thunks section: it is copied into memory the analysis owns and its
-// CRC checked on that copy, so the bytes checked are the bytes kept,
-// and the graph carries it as its control-path column — vertices hold
-// nil Thunks; Stats counts the column, Encode copies it and the JSON
-// render decodes it. The column's structure (counts, fields, symbol
-// refs, trailing bytes) is walked on the mapping's first successful
-// materialization only, which also checks the stats section against
-// the graph; after a Drop the mapping remembers both. A file whose
-// symbol table does not re-intern to the identity, which Encode never
-// writes, decodes its thunks eagerly as Load does.
+// Analysis materializes the full analysis. Every section is decoded
+// except the thunks section: it is copied into memory the analysis owns
+// and its CRC checked on that copy, so the bytes checked are the bytes
+// kept, and the graph carries it as its control-path column — vertices
+// hold nil Thunks; Stats counts the column, Encode copies it and the
+// JSON render decodes it. The column's structure (counts, fields,
+// symbol refs, trailing bytes) is walked on the mapping's first
+// successful materialization only, which also checks the stats section
+// against the graph; later calls remember both. Each call returns a new
+// analysis; calls on one mapping run one at a time.
 //
 // The second result is the estimated resident footprint of the decoded
 // analysis in bytes — the column charged at its length — what a
-// budget-keeping caller accounts for, and what Drop gives back.
+// budget-keeping caller accounts for.
 func (m *Mapped) Analysis() (*core.Analysis, int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.a != nil {
-		return m.a, m.footprint, nil
-	}
-	a, footprint, err := decodeAnalysis(m.data, m.lay, &m.walk)
-	if err != nil {
-		return nil, 0, err
-	}
-	m.a, m.footprint = a, footprint
-	return a, footprint, nil
-}
-
-// Drop discards the cached decoded analysis, keeping the mapping, and
-// returns the estimated bytes released. Analyses handed out earlier
-// remain valid — they own their memory — so eviction under a budget
-// can never invalidate an in-flight query.
-func (m *Mapped) Drop() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.footprint
-	m.a, m.footprint = nil, 0
-	return n
+	return decodeAnalysis(m.data, m.lay, &m.walk)
 }
 
 // Close unmaps the file. The Mapped must not be used afterwards;
 // previously returned analyses stay valid.
 func (m *Mapped) Close() error {
-	m.mu.Lock()
-	m.a, m.footprint = nil, 0
-	m.mu.Unlock()
 	if m.unmap == nil {
 		return nil
 	}

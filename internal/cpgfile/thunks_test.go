@@ -146,7 +146,7 @@ func decodedThunks(a *core.Analysis) int {
 // and after its first materialization only copies and checksums them —
 // while every reader of thunks (Encode, the renders, Stats) answers as
 // the fully decoded Load does. A file whose symbol table does not
-// re-intern to the identity still materializes, eagerly.
+// re-intern to the identity is refused by both read paths.
 func TestMappedDefersThunks(t *testing.T) {
 	const subs, branches = 64, 2000
 	path, file := encodeFile(t, thunkyGraph(subs, branches).Analyze())
@@ -181,13 +181,11 @@ func TestMappedDefersThunks(t *testing.T) {
 			footprint, want, section, twinFootprint)
 	}
 
-	// The second materialization of each, after a Drop.
-	m.Drop()
+	// The second materialization of each.
 	got := allocatedBy(func() { _, _, err = m.Analysis() })
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin.Drop()
 	twinGot := allocatedBy(func() { twin.Analysis() })
 	t.Logf("thunks section %d B; footprint %d (twin %d); re-materialization allocated %d B (twin %d)",
 		section, footprint, twinFootprint, got, twinGot)
@@ -235,7 +233,7 @@ func TestMappedDefersThunks(t *testing.T) {
 		}
 	})
 
-	t.Run("duplicate symbol takes the eager path", func(t *testing.T) {
+	t.Run("a duplicate symbol is refused", func(t *testing.T) {
 		cs, err := lay.section(file, secSymbols)
 		if err != nil {
 			t.Fatal(err)
@@ -247,14 +245,13 @@ func TestMappedDefersThunks(t *testing.T) {
 		if err := os.WriteFile(path, forged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m := openMapped(t, path)
-		ma, _, err := m.Analysis()
-		if err != nil {
-			t.Fatalf("Mapped analysis of a duplicate-symbol file: %v", err)
+		_, _, lerr := Load(path)
+		_, _, merr := openMapped(t, path).Analysis()
+		for name, err := range map[string]error{"Load": lerr, "Mapped": merr} {
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Section != "symbols" {
+				t.Errorf("%s of a duplicate-symbol file: err = %v, want a *CorruptError naming \"symbols\"", name, err)
+			}
 		}
-		if n := decodedThunks(ma); n != subs*branches {
-			t.Fatalf("eager vertices carry %d decoded thunks, want %d", n, subs*branches)
-		}
-		agreesWithLoad(t, path, m, ma)
 	})
 }

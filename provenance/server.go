@@ -60,7 +60,7 @@ type ServerOptions struct {
 	MaxInflight int
 	// Logf receives panic-recovery log lines (nil = log.Printf).
 	Logf func(format string, args ...any)
-	// Store, when the server fronts a directory-backed CPG store,
+	// Store, when the server fronts a CPG store (OpenFiles, OpenDir),
 	// additionally exposes GET /v1/store with the store's resident-set
 	// and result-cache counters. The store's sources still register
 	// through NewServerSources like any others.

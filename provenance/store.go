@@ -15,7 +15,7 @@ import (
 	"github.com/repro/inspector/internal/cpgfile"
 )
 
-// StoreOptions configure a directory-backed CPG store.
+// StoreOptions configure a CPG store.
 type StoreOptions struct {
 	// ResidentBudget bounds the estimated bytes of decoded analyses
 	// kept resident at once. When a decode pushes the total past the
@@ -33,11 +33,11 @@ type StoreOptions struct {
 	ResultCacheCapacity int
 	// Engine configures every engine the store materializes.
 	Engine EngineOptions
-	// Lenient skips files that fail to open or checksum, logging each
-	// by name, instead of failing OpenDir — one corrupt archive must
-	// not take down the healthy neighbors.
+	// Lenient skips files that fail to open, checksum or list, logging
+	// each by name, instead of failing OpenFiles — one corrupt archive
+	// must not take down the healthy neighbors.
 	Lenient bool
-	// Logf receives lenient-skip and decode-failure lines (nil = none).
+	// Logf receives lenient-skip lines (nil = none).
 	Logf func(format string, args ...any)
 }
 
@@ -71,69 +71,76 @@ type StoreStats struct {
 	ResultCache     ResultCacheStats `json:"result_cache"`
 }
 
-// Store serves a directory of on-disk CPG files with bounded memory.
-// Every file stays cheaply memory-mapped; decoded analyses (the
-// expensive part) live in an LRU governed by the resident-bytes
-// budget, and repeated queries short-circuit through a result cache
-// keyed by (file content hash, epoch, canonical query encoding).
-// That key is sound because a CPG file is immutable and its analysis
-// is immutable per epoch: same bytes, same epoch, same query — same
-// result, forever. All methods are safe for concurrent use.
+// Store serves a set of on-disk CPG files with bounded memory. It is
+// how a process serves a .cpg file. Every file stays cheaply
+// memory-mapped and is listed from the stats section read at open;
+// decoded analyses (the expensive part) live in an LRU governed by the
+// resident-bytes budget — the one place a decoded analysis is kept —
+// and repeated queries short-circuit through a result cache keyed by
+// (file content hash, epoch, canonical query encoding). That key is
+// sound because a CPG file is immutable and its analysis is immutable
+// per epoch: same bytes, same epoch, same query — same result, forever.
+// All methods are safe for concurrent use.
 type Store struct {
-	opts  StoreOptions
-	cache *resultCache
+	opts    StoreOptions
+	entries map[string]*storeEntry
 
-	mu       sync.Mutex
-	entries  map[string]*storeEntry
-	lru      *list.List // entries with a resident engine, most recent in front
-	resident int64
-	decodes  uint64
-	evicted  uint64
+	mu      sync.Mutex // guards engines and decodes
+	engines *lru[*storeEntry, *Engine]
+	decodes uint64
+
+	// resultsMu is the result cache's own lock, so a cache hit never
+	// takes mu. results is nil when the cache is disabled.
+	resultsMu sync.Mutex
+	results   *lru[string, *Result]
 }
 
-// storeEntry is one served file. eng/bytes/elem are guarded by the
-// store mutex; m has its own synchronization.
+// storeEntry is one served file: its mapping and the listing entry read
+// at open.
 type storeEntry struct {
-	m     *cpgfile.Mapped
-	eng   *Engine
-	bytes int64
-	elem  *list.Element
+	m    *cpgfile.Mapped
+	info CPGInfo
+	// decode serializes the entry's materialization, so concurrent cold
+	// queries of one file decode it once.
+	decode sync.Mutex
 	// hashKey caches the hex content hash once a query computes it.
 	hashOnce sync.Once
 	hashKey  string
 }
 
-// OpenDir opens every *.cpg file in dir (the CPG id is the file name
-// without the extension) and verifies all section checksums up front —
-// a sequential read per file, no decoding — so a corrupt file is
-// rejected (or, with Lenient, skipped by name) at startup rather than
-// surfacing mid-query.
+// OpenDir serves every *.cpg file in dir: OpenFiles over the
+// directory's listing.
 func OpenDir(dir string, opts StoreOptions) (*Store, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.cpg"))
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
+	return OpenFiles(paths, opts)
+}
+
+// OpenFiles serves the CPG files at paths, each under the id of its base
+// name without the extension (run.cpg -> "run"); two paths with one id
+// are refused, naming both. Each file is mapped, its header parsed,
+// every section checksum verified — a sequential read, no decoding —
+// and its stats section decoded for the listing, so a damaged file is
+// refused (or, with Lenient, skipped by name) at startup rather than
+// surfacing mid-query. Damage that only a decode sees, behind valid
+// checksums, fails that file's queries, naming the path and the section.
+func OpenFiles(paths []string, opts StoreOptions) (*Store, error) {
 	s := &Store{
 		opts:    opts,
 		entries: make(map[string]*storeEntry, len(paths)),
-		lru:     list.New(),
+		engines: newLRU[*storeEntry, *Engine](opts.ResidentBudget),
 	}
 	switch {
 	case opts.ResultCacheCapacity == 0:
-		s.cache = newResultCache(defaultResultCacheCapacity)
+		s.results = newLRU[string, *Result](defaultResultCacheCapacity)
 	case opts.ResultCacheCapacity > 0:
-		s.cache = newResultCache(opts.ResultCacheCapacity)
+		s.results = newLRU[string, *Result](int64(opts.ResultCacheCapacity))
 	}
 	for _, path := range paths {
-		m, err := cpgfile.Open(path)
-		if err == nil {
-			err = m.VerifyChecksums()
-		}
+		e, err := openEntry(path)
 		if err != nil {
-			if m != nil {
-				m.Close()
-			}
 			if opts.Lenient {
 				s.logf("provenance: skipping %s: %v (-lenient)", path, err)
 				continue
@@ -141,15 +148,35 @@ func OpenDir(dir string, opts StoreOptions) (*Store, error) {
 			s.Close()
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		id := strings.TrimSuffix(filepath.Base(path), ".cpg")
-		if _, dup := s.entries[id]; dup {
-			m.Close()
+		id := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+		if prev, dup := s.entries[id]; dup {
+			e.m.Close()
 			s.Close()
-			return nil, fmt.Errorf("%s: duplicate cpg id %q", path, id)
+			return nil, fmt.Errorf("duplicate cpg id %q: %s and %s", id, prev.m.Path(), path)
 		}
-		s.entries[id] = &storeEntry{m: m}
+		s.entries[id] = e
 	}
 	return s, nil
+}
+
+// openEntry maps one file, verifies its checksums and reads its listing
+// entry.
+func openEntry(path string) (*storeEntry, error) {
+	m, err := cpgfile.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	err = m.VerifyChecksums()
+	var st cpgfile.Stats
+	if err == nil {
+		st, err = m.Stats()
+	}
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	hdr := m.Header()
+	return &storeEntry{m: m, info: infoOf(Stats(st), hdr.Epoch, hdr.Degraded)}, nil
 }
 
 func (s *Store) logf(format string, args ...any) {
@@ -197,15 +224,22 @@ func (s *Store) Stats() StoreStats {
 	st := StoreStats{
 		Version:         Version,
 		CPGs:            len(s.entries),
-		ResidentBytes:   s.resident,
+		ResidentBytes:   s.engines.used,
 		ResidentBudget:  s.opts.ResidentBudget,
-		DecodedCPGs:     s.lru.Len(),
+		DecodedCPGs:     s.engines.len(),
 		Decodes:         s.decodes,
-		EngineEvictions: s.evicted,
+		EngineEvictions: s.engines.evictions,
 	}
 	s.mu.Unlock()
-	if s.cache != nil {
-		st.ResultCache = s.cache.stats()
+	if s.results != nil {
+		s.resultsMu.Lock()
+		st.ResultCache = ResultCacheStats{
+			Entries:   s.results.len(),
+			Hits:      s.results.hits,
+			Misses:    s.results.misses,
+			Evictions: s.results.evictions,
+		}
+		s.resultsMu.Unlock()
 	}
 	return st
 }
@@ -228,65 +262,35 @@ func (s *Store) Close() error {
 // (analyses are immutable and own their memory) — eviction only
 // affects what the *next* request pays.
 func (s *Store) engine(e *storeEntry) (*Engine, error) {
-	s.mu.Lock()
-	if e.eng != nil {
-		eng := e.eng
-		s.touch(e)
-		s.mu.Unlock()
+	if eng, ok := s.resident(e); ok {
 		return eng, nil
 	}
-	s.mu.Unlock()
-
-	// Decode outside the store lock: the Mapped's own mutex serializes
-	// concurrent decoders of the same file, while different files
-	// decode in parallel.
+	// Decode outside the store lock, one decoder per entry: a query
+	// that waited here re-checks, and finds the engine the query it
+	// waited on decoded. Different files decode in parallel.
+	e.decode.Lock()
+	defer e.decode.Unlock()
+	if eng, ok := s.resident(e); ok {
+		return eng, nil
+	}
 	a, n, err := e.m.Analysis()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.m.Path(), err)
 	}
-
+	eng := NewEngine(a, s.opts.Engine)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.eng == nil {
-		e.eng = NewEngine(a, s.opts.Engine)
-		e.bytes = n
-		s.resident += n
-		s.decodes++
-	}
-	eng := e.eng
-	s.touch(e)
-	s.evict()
+	s.engines.put(e, eng, n)
+	s.decodes++
+	s.mu.Unlock()
 	return eng, nil
 }
 
-// touch marks the entry most recently used. Caller holds s.mu.
-func (s *Store) touch(e *storeEntry) {
-	if e.elem != nil {
-		s.lru.MoveToFront(e.elem)
-		return
-	}
-	e.elem = s.lru.PushFront(e)
-}
-
-// evict drops least-recently-used decoded analyses until the resident
-// estimate fits the budget. Caller holds s.mu.
-func (s *Store) evict() {
-	for s.opts.ResidentBudget > 0 && s.resident > s.opts.ResidentBudget {
-		el := s.lru.Back()
-		if el == nil {
-			return
-		}
-		victim := el.Value.(*storeEntry)
-		s.lru.Remove(el)
-		victim.elem = nil
-		if victim.eng != nil {
-			victim.eng = nil
-			s.resident -= victim.bytes
-			victim.bytes = 0
-			victim.m.Drop()
-			s.evicted++
-		}
-	}
+// resident returns the entry's engine if it is resident, marking it
+// most recently used.
+func (s *Store) resident(e *storeEntry) (*Engine, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engines.get(e)
 }
 
 // cacheKey builds the content-addressed result-cache key: file hash,
@@ -295,7 +299,7 @@ func (s *Store) evict() {
 // equally. ok is false when caching is disabled or the query cannot
 // be encoded.
 func (s *Store) cacheKey(e *storeEntry, q Query) (string, bool) {
-	if s.cache == nil {
+	if s.results == nil {
 		return "", false
 	}
 	enc, err := json.Marshal(q)
@@ -310,9 +314,8 @@ func (s *Store) cacheKey(e *storeEntry, q Query) (string, bool) {
 }
 
 // storeSource is one store entry as a Source. Only Engine materializes
-// the graph unconditionally; queries go through the result cache,
-// listing info comes from the stats section and the epoch from the
-// header.
+// the graph unconditionally; queries go through the result cache, and
+// listing info and the epoch come from what open read.
 type storeSource struct {
 	s *Store
 	e *storeEntry
@@ -329,109 +332,98 @@ func (ss storeSource) Engine() *Engine {
 	return eng
 }
 
-// Query executes one query with result caching.
+// Query executes one query with result caching. Cached *Result values
+// are shared read-only — every consumer (the server's JSON encoder)
+// only reads them.
 func (ss storeSource) Query(ctx context.Context, q Query) (*Result, error) {
-	key, cacheable := ss.s.cacheKey(ss.e, q)
+	s := ss.s
+	key, cacheable := s.cacheKey(ss.e, q)
 	if cacheable {
-		if res, ok := ss.s.cache.get(key); ok {
+		s.resultsMu.Lock()
+		res, ok := s.results.get(key)
+		s.resultsMu.Unlock()
+		if ok {
 			return res, nil
 		}
 	}
-	eng, err := ss.s.engine(ss.e)
+	eng, err := s.engine(ss.e)
 	if err != nil {
 		return nil, err
 	}
 	res, err := eng.Execute(ctx, q)
 	if err == nil && cacheable {
-		ss.s.cache.put(key, res)
+		s.resultsMu.Lock()
+		s.results.put(key, res, 1)
+		s.resultsMu.Unlock()
 	}
 	return res, err
 }
 
-// Info describes the CPG from its precomputed stats section and
-// header — no graph decode.
-func (ss storeSource) Info() CPGInfo {
-	hdr := ss.e.m.Header()
-	st, err := ss.e.m.Stats()
-	if err != nil {
-		ss.s.logf("provenance: %s: stats section unreadable: %v", ss.e.m.Path(), err)
-	}
-	return infoOf(Stats(st), hdr.Epoch, hdr.Degraded)
-}
+// Info is the listing entry read from the stats section and header at
+// open — no graph decode.
+func (ss storeSource) Info() CPGInfo { return ss.e.info }
 
 // Epoch reports the file's epoch from the header alone.
-func (ss storeSource) Epoch() uint64 { return ss.e.m.Header().Epoch }
+func (ss storeSource) Epoch() uint64 { return ss.e.info.Epoch }
 
 // WaitEpoch never waits: a file's epoch is final.
 func (ss storeSource) WaitEpoch(context.Context, uint64) (uint64, error) {
 	return ss.Epoch(), ErrLiveClosed
 }
 
-// resultCache is a capacity-bounded LRU of query results. Cached
-// *Result values are shared read-only — every consumer (the server's
-// JSON encoder) only reads them.
-type resultCache struct {
-	capacity int
-
-	mu        sync.Mutex
-	byKey     map[string]*list.Element
-	lru       *list.List // of *cacheSlot
-	hits      uint64
-	misses    uint64
-	evictions uint64
+// lru is a least-recently-used cache whose entries each cost what put
+// says, evicting from the cold end while the total exceeds the budget
+// (0 means unlimited). An entry that alone exceeds the budget is
+// evicted by the put that adds it. It is not synchronized: each user
+// holds its own lock.
+type lru[K comparable, V any] struct {
+	budget, used            int64
+	order                   *list.List // of *lruItem[K, V], most recent in front
+	items                   map[K]*list.Element
+	hits, misses, evictions uint64
 }
 
-type cacheSlot struct {
-	key string
-	res *Result
+type lruItem[K comparable, V any] struct {
+	key  K
+	val  V
+	cost int64
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		capacity: capacity,
-		byKey:    make(map[string]*list.Element, capacity),
-		lru:      list.New(),
-	}
+func newLRU[K comparable, V any](budget int64) *lru[K, V] {
+	return &lru[K, V]{budget: budget, order: list.New(), items: make(map[K]*list.Element)}
 }
 
-func (c *resultCache) get(key string) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+func (c *lru[K, V]) len() int { return c.order.Len() }
+
+// get returns the value under k, marking it most recently used.
+func (c *lru[K, V]) get(k K) (V, bool) {
+	el, ok := c.items[k]
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheSlot).res, true
+	c.order.MoveToFront(el)
+	return el.Value.(*lruItem[K, V]).val, true
 }
 
-func (c *resultCache) put(key string, res *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheSlot).res = res
-		c.lru.MoveToFront(el)
-		return
+// put stores v under k at cost, most recently used, then evicts past
+// the budget.
+func (c *lru[K, V]) put(k K, v V, cost int64) {
+	if el, ok := c.items[k]; ok {
+		it := el.Value.(*lruItem[K, V])
+		c.used += cost - it.cost
+		it.val, it.cost = v, cost
+		c.order.MoveToFront(el)
+	} else {
+		c.items[k] = c.order.PushFront(&lruItem[K, V]{key: k, val: v, cost: cost})
+		c.used += cost
 	}
-	c.byKey[key] = c.lru.PushFront(&cacheSlot{key: key, res: res})
-	for c.lru.Len() > c.capacity {
-		el := c.lru.Back()
-		slot := el.Value.(*cacheSlot)
-		c.lru.Remove(el)
-		delete(c.byKey, slot.key)
+	for c.budget > 0 && c.used > c.budget {
+		it := c.order.Remove(c.order.Back()).(*lruItem[K, V])
+		delete(c.items, it.key)
+		c.used -= it.cost
 		c.evictions++
-	}
-}
-
-func (c *resultCache) stats() ResultCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ResultCacheStats{
-		Entries:   c.lru.Len(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
 	}
 }

@@ -3,6 +3,7 @@ package provenance
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 )
 
 // writeStoreDir writes n deterministic CPG files into a fresh dir and
@@ -204,43 +206,98 @@ func TestStoreListingMatchesEagerListing(t *testing.T) {
 
 // TestStoreOpenDirStrictAndLenient pins corrupt-file handling: strict
 // open fails naming the file; lenient open skips it by name and serves
-// the healthy neighbors.
+// the healthy neighbors. Both a flipped byte and a stats section that
+// does not decode behind a valid checksum are caught at open.
 func TestStoreOpenDirStrictAndLenient(t *testing.T) {
-	dir, _ := writeStoreDir(t, 4)
-	victim := filepath.Join(dir, "cpg-002.cpg")
-	b, err := os.ReadFile(victim)
+	for _, row := range []struct {
+		name  string
+		forge func([]byte) []byte
+	}{
+		{"bit flip", func(b []byte) []byte { b[len(b)-3] ^= 0x20; return b }},
+		{"stats section short a counter", func(b []byte) []byte {
+			return cpgtest.ForgeStats(b, func(stats []byte) []byte { return stats[:len(stats)-1] })
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir, _ := writeStoreDir(t, 4)
+			victim := filepath.Join(dir, "cpg-002.cpg")
+			b, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(victim, row.forge(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := OpenDir(dir, StoreOptions{}); err == nil || !strings.Contains(err.Error(), "cpg-002.cpg") {
+				t.Fatalf("strict OpenDir = %v, want error naming cpg-002.cpg", err)
+			}
+
+			var logs []string
+			store, err := OpenDir(dir, StoreOptions{
+				Lenient: true,
+				Logf:    func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
+			})
+			if err != nil {
+				t.Fatalf("lenient OpenDir: %v", err)
+			}
+			defer store.Close()
+			if got := store.IDs(); len(got) != 3 || got[0] != "cpg-000" || got[1] != "cpg-001" || got[2] != "cpg-003" {
+				t.Fatalf("lenient store ids = %v", got)
+			}
+			if len(logs) != 1 || !strings.Contains(logs[0], "cpg-002.cpg") || !strings.Contains(logs[0], "-lenient") {
+				t.Fatalf("lenient skip log = %q", logs)
+			}
+			// The survivors still answer.
+			ts := httptest.NewServer(NewServerSources(store.Sources(), ServerOptions{Store: store}))
+			defer ts.Close()
+			if status, body := postQuery(t, ts.URL, "cpg-003", `{"kind":"stats"}`); status != http.StatusOK {
+				t.Fatalf("query on healthy neighbor: %d %s", status, body)
+			}
+		})
+	}
+}
+
+// TestStoreDecodesOnceUnderConcurrentColdQueries pins the per-entry
+// single flight: many first queries of one cold file, with no result
+// cache to answer them, decode it once and all get the same answer.
+func TestStoreDecodesOnceUnderConcurrentColdQueries(t *testing.T) {
+	dir, _ := writeStoreDir(t, 1)
+	store, err := OpenDir(dir, StoreOptions{ResultCacheCapacity: -1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	b[len(b)-3] ^= 0x20
-	if err := os.WriteFile(victim, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := OpenDir(dir, StoreOptions{}); err == nil || !strings.Contains(err.Error(), "cpg-002.cpg") {
-		t.Fatalf("strict OpenDir = %v, want error naming cpg-002.cpg", err)
-	}
-
-	var logs []string
-	store, err := OpenDir(dir, StoreOptions{
-		Lenient: true,
-		Logf:    func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
-	})
-	if err != nil {
-		t.Fatalf("lenient OpenDir: %v", err)
 	}
 	defer store.Close()
-	if got := store.IDs(); len(got) != 3 || got[0] != "cpg-000" || got[1] != "cpg-001" || got[2] != "cpg-003" {
-		t.Fatalf("lenient store ids = %v", got)
+
+	const n = 16
+	answers := make([][]byte, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			res, err := store.Query(context.Background(), "cpg-000", Query{Kind: KindSlice, Target: "T0.1"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			answers[i], err = json.Marshal(res)
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "cpg-002.cpg") || !strings.Contains(logs[0], "-lenient") {
-		t.Fatalf("lenient skip log = %q", logs)
+	close(start)
+	wg.Wait()
+	if st := store.Stats(); st.Decodes != 1 {
+		t.Errorf("%d concurrent cold queries decoded %d times, want 1", n, st.Decodes)
 	}
-	// The survivors still answer.
-	ts := httptest.NewServer(NewServerSources(store.Sources(), ServerOptions{Store: store}))
-	defer ts.Close()
-	if status, body := postQuery(t, ts.URL, "cpg-003", `{"kind":"stats"}`); status != http.StatusOK {
-		t.Fatalf("query on healthy neighbor: %d %s", status, body)
+	for i := range answers {
+		if !bytes.Equal(answers[i], answers[0]) {
+			t.Fatalf("answer %d = %s, answer 0 = %s", i, answers[i], answers[0])
+		}
 	}
 }
 
