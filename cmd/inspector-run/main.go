@@ -42,6 +42,10 @@
 // the same schedule reproduces the same faults run after run. The
 // "crash" point SIGKILLs the process outright at a commit boundary —
 // nothing is exported; pair it with -journal and inspector-recover.
+// These five are the points a recording fires; a schedule naming any
+// other internal/faultinject point (the journal, network, .cpg writer
+// and sink-error points, which only wrappers in the chaos tests fire)
+// is refused before the run.
 //
 // -journal DIR makes the recording crash-durable: every sealed epoch is
 // appended to a write-ahead journal, synchronously at the commit
@@ -72,6 +76,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/repro/inspector"
@@ -81,6 +86,13 @@ import (
 	"github.com/repro/inspector/internal/workloads"
 	"github.com/repro/inspector/provenance"
 )
+
+// runFaults are the fault points inspector.New fires in a recording; a
+// schedule naming any other would run fault-free.
+var runFaults = []faultinject.Point{
+	faultinject.AuxLoss, faultinject.WorkloadPanic, faultinject.SlowFold,
+	faultinject.SlowSeal, faultinject.Crash,
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -110,7 +122,7 @@ func run(args []string) error {
 	decode := fs.Bool("decode", false, "decode all PT traces and report event counts")
 	verify := fs.Bool("verify", false, "check the recorded CPG's structural invariants before exporting")
 	fs.BoolVar(&opts.Live, "live-stats", false, "fold the CPG incrementally during the run and stream per-epoch stats")
-	faults := fs.String("faults", "", `deterministic fault-injection schedule, e.g. "aux-loss:after=20,every=7;panic:count=1"`)
+	faults := fs.String("faults", "", `deterministic fault-injection schedule over the points aux-loss, panic, slow-fold, slow-seal and crash, e.g. "aux-loss:after=20,every=7;panic:count=1"`)
 	fs.StringVar(&opts.Journal, "journal", "", "write-ahead journal directory: every sealed epoch is appended crash-durably; recover with inspector-recover")
 	fs.StringVar(&opts.JournalFsync, "journal-fsync", "always", `journal fsync policy: always|interval[:N]|none`)
 	fs.StringVar(&opts.Stream, "stream", "", "stream sealed epochs to a provenance aggregator (inspector-serve -ingest) at this base URL")
@@ -143,6 +155,11 @@ func run(args []string) error {
 		sched, err := faultinject.Parse(*faults)
 		if err != nil {
 			return err
+		}
+		for _, r := range sched.Rules {
+			if !slices.Contains(runFaults, r.Point) {
+				return fmt.Errorf("-faults: point %q never fires in a recording; inspector-run injects %v", r.Point, runFaults)
+			}
 		}
 		opts.Faults = faultinject.New(sched)
 	}

@@ -206,3 +206,34 @@ func TestRunEpochEvery(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFaultsRefusesPointsARecordingNeverFires: -faults takes the five
+// points inspector.New wires into a recording. A schedule naming any
+// other point would run fault-free and say so only after the run, so it
+// is refused up front, naming the point and listing the five.
+func TestRunFaultsRefusesPointsARecordingNeverFires(t *testing.T) {
+	for _, row := range []struct {
+		faults  string
+		refused string // the point named in the error; "" for a schedule that runs
+	}{
+		{"aux-loss:after=20,every=7;journal-torn", "journal-torn"},
+		{"aux-loss:after=20,every=7;slow-seal:count=3", ""},
+	} {
+		out := filepath.Join(t.TempDir(), "run.cpg")
+		err := run([]string{"-app", "histogram", "-threads", "2", "-size", "small", "-faults", row.faults, "-cpg", out})
+		_, serr := os.Stat(out)
+		if row.refused == "" {
+			if err != nil || serr != nil {
+				t.Errorf("-faults %q: err = %v, .cpg %v; want the run to complete", row.faults, err, serr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), `"`+row.refused+`"`) ||
+			!strings.Contains(err.Error(), "[aux-loss panic slow-fold slow-seal crash]") {
+			t.Errorf("-faults %q: err = %v, want %q refused and the five recording points listed", row.faults, err, row.refused)
+		}
+		if serr == nil {
+			t.Errorf("-faults %q: a refused schedule still ran and wrote %s", row.faults, out)
+		}
+	}
+}

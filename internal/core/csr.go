@@ -7,11 +7,12 @@ import (
 
 // This file is the storage layer behind Analysis: two append-only edge
 // arenas (sync, data) plus a sealed-base + per-epoch-delta adjacency
-// overlay. The flat builder (newAnalysis: .cpg loads, the tests'
-// reference fold) seals everything into one base; the fold —
-// Graph.Analyze is one fold — appends each epoch's edges to the shared
-// arenas and stacks a small overlay layer on top, so sealing an epoch
-// costs O(delta) instead of re-materializing O(graph) flat state.
+// overlay. Every Analysis is built here, by incStore: the fold —
+// Graph.Analyze is one fold, a restored .cpg one epoch over an empty
+// store — appends each epoch's edges to the shared arenas and stacks a
+// small overlay layer on top, so sealing an epoch costs O(delta)
+// instead of re-materializing O(graph) flat state. (The flat builder
+// that seals everything into one base, newAnalysis, is the tests' spec.)
 // Compaction is size-tiered (incStore.push): a new layer absorbs its
 // neighbour while the neighbour is at most twice its size, and the base
 // reseals once the overlay reaches half of it. Every ref is merged
@@ -117,7 +118,7 @@ type succIndex struct {
 // buildSuccIndex seals the given canonical ref sequences into a CSR
 // over the prefix bounded by lens. Refs whose From lies outside the
 // prefix (possible only in hand-built graphs; Verify reports them) are
-// left out of the adjacency, matching the pre-overlay newAnalysis.
+// left out of the adjacency.
 func buildSuccIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) *succIndex {
 	idx := &succIndex{lens: append([]int(nil), lens...)}
 	idx.base = make([]int32, len(lens)+1)

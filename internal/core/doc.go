@@ -40,7 +40,9 @@
 //     the package's one data-edge derivation;
 //   - Graph.Analyze (the post-mortem path) is one fold of a throw-away
 //     analyzer over the whole graph, stamped epoch 0, so k folds and one
-//     fold agree by construction (ExportJSON byte-identical).
+//     fold agree by construction (ExportJSON byte-identical), and
+//     NewAnalysisFromSections (a restored .cpg) puts its stored sections
+//     into the same store as one epoch.
 //
 // The oracles the property tests hold both to are independent of the
 // fold and compiled only into the tests: dataEdgesReference specifies

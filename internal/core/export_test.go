@@ -19,6 +19,28 @@ func ReferenceSections(a *Analysis) (syncEdges, dataEdges []Edge) {
 	return syncEdges, dataEdgesReference(a.Subs())
 }
 
+// newAnalysis is the flat builder, the spec for incStore: the whole
+// already-derived sync and data sections (each canonically sorted) go
+// into one sealed successor base with no overlay, and the predecessor
+// arrays are one counting sort. The fold proper — Analyze, the live fold
+// and NewAnalysisFromSections — builds through incStore, and the
+// equivalence property tests pin the two byte-identical.
+func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
+	a := &Analysis{g: g, epoch: epoch, lens: lens, syms: g.interner.Len()}
+	gaps, _ := g.gapsForPrefix(lens, nil)
+	a.comp = summarizeGaps(gaps)
+	a.base = make([]int, len(a.lens)+1)
+	for t, n := range a.lens {
+		a.base[t+1] = a.base[t] + n
+	}
+	a.ar = arenaPair{sync: syncEdges, data: dataEdges}
+	all := freshLayer(0, len(syncEdges), 0, len(dataEdges))
+	a.succ = buildSuccIndex(a.ar, all.syncSeq, all.dataSeq, lens)
+	a.preds = buildPredIndex(a.ar, all.syncSeq, all.dataSeq, lens)
+	a.totals.addPrefix(g, lens)
+	return a
+}
+
 // FlatAnalysis builds the flat (one sealed base, no overlay) analysis of
 // a's prefix and epoch over the given sections.
 func FlatAnalysis(a *Analysis, syncEdges, dataEdges []Edge) *Analysis {
@@ -69,4 +91,17 @@ func (inc *IncrementalAnalyzer) OverlayShape() (layers, layerRefs, baseRefs, mer
 		baseRefs = st.succ.refCount()
 	}
 	return len(st.layers), st.layerRefs, baseRefs, st.mergedRefs
+}
+
+// SuccCompactFloor is the overlay size below which a store never seals
+// a base: a one-epoch store over fewer refs is one overlay layer.
+const SuccCompactFloor = succCompactFloor
+
+// StoreShape reports how a's adjacency is stored: its overlay layer
+// count and the ref count of its sealed successor base (0 for none).
+func StoreShape(a *Analysis) (layers, baseRefs int) {
+	if a.succ != nil {
+		baseRefs = a.succ.refCount()
+	}
+	return len(a.layers), baseRefs
 }

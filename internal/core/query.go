@@ -71,13 +71,10 @@ type Analysis struct {
 	flatOnce sync.Once
 	flat     []Edge
 
-	// totals are the prefix's per-vertex sums Stats reports. A fold
-	// carries them forward; a flat construction (the .cpg load path)
-	// sets walkTotals and leaves them to Stats's first call, so loading
-	// never walks the vertices.
-	totals     vertexTotals
-	walkTotals bool
-	totalsOnce sync.Once
+	// totals are the prefix's per-vertex sums Stats reports, set at
+	// construction: a fold carries them forward, a restored analysis sums
+	// its vertices once.
+	totals vertexTotals
 }
 
 // vertexTotals sums the per-vertex counters of a prefix.
@@ -94,20 +91,15 @@ func (vt *vertexTotals) add(subs []*SubComputation) {
 	}
 }
 
-// vertexTotals returns the prefix's per-vertex sums, walking the prefix
-// once if no fold carried them.
-func (a *Analysis) vertexTotals() vertexTotals {
-	if a.walkTotals {
-		a.totalsOnce.Do(func() {
-			// One shard lock per thread, not one per vertex: a stats query
-			// on a live graph must not trade lock round-trips with the
-			// thread that is appending.
-			for t, n := range a.lens {
-				a.totals.add(a.g.threadTail(nil, t, 0, n))
-			}
-		})
+// addPrefix counts g's vertex prefix lens into the totals under one
+// shard lock per thread, reading each shard in place.
+func (vt *vertexTotals) addPrefix(g *Graph, lens []int) {
+	for t, n := range lens {
+		sh := &g.shards[t]
+		sh.mu.RLock()
+		vt.add(sh.seq[:min(n, len(sh.seq))])
+		sh.mu.RUnlock()
 	}
-	return a.totals
 }
 
 // Analyze derives all edges over the graph's current vertex prefix and
@@ -143,28 +135,6 @@ func controlEdgesFor(lens []int) []Edge {
 // subInPrefix reports whether id lies inside the prefix bounded by lens.
 func subInPrefix(id SubID, lens []int) bool {
 	return id.Thread >= 0 && id.Thread < len(lens) && id.Alpha < uint64(lens[id.Thread])
-}
-
-// newAnalysis builds a fully sealed analysis over already-derived sync
-// and data sections (each canonically sorted): the whole edge set goes
-// into one sealed successor base with no overlay. NewAnalysisFromSections
-// (the .cpg load path) and the tests' reference fold land here; the
-// fold proper — Analyze included — builds structurally equivalent
-// analyses through incStore.view, and the equivalence property tests pin
-// the two byte-identical.
-func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
-	a := &Analysis{g: g, epoch: epoch, lens: lens, syms: g.interner.Len(), walkTotals: true}
-	gaps, _ := g.gapsForPrefix(lens, nil)
-	a.comp = summarizeGaps(gaps)
-	a.base = make([]int, len(a.lens)+1)
-	for t, n := range a.lens {
-		a.base[t+1] = a.base[t] + n
-	}
-	a.ar = arenaPair{sync: syncEdges, data: dataEdges}
-	all := freshLayer(0, len(syncEdges), 0, len(dataEdges))
-	a.succ = buildSuccIndex(a.ar, all.syncSeq, all.dataSeq, lens)
-	a.preds = buildPredIndex(a.ar, all.syncSeq, all.dataSeq, lens)
-	return a
 }
 
 // vertexIndex maps a SubID to its dense index.

@@ -6,10 +6,8 @@ package core
 // surface that makes the round trip possible from outside the package:
 // extracting the canonical sections of an Analysis, appending restored
 // vertices and sync-edge log entries to a Graph, and assembling an
-// Analysis directly over pre-derived sections (a checked front for the
-// flat builder newAnalysis, which the tests' reference fold shares;
-// Analyze and the live fold derive their sections and build through
-// incStore).
+// Analysis over pre-derived sections, which validates them and builds
+// through incStore exactly as a fold of the same edges would.
 
 import "fmt"
 
@@ -44,15 +42,14 @@ type Stats struct {
 // Threads counts the threads with a vertex in the prefix; the edge
 // counts are those of Edges, by arithmetic: control edges are
 // Σ max(0, len−1) and the sync and data sections are counted where they
-// lie, so nothing is materialized. The per-vertex sums are the ones the
-// fold carried, so a query costs O(threads + overlay layers).
+// lie, so nothing is materialized. The per-vertex sums are the ones
+// every construction sets, so a query costs O(threads + overlay layers).
 func (a *Analysis) Stats() Stats {
-	vt := a.vertexTotals()
 	st := Stats{
 		SubComputations: a.NumVertices(),
-		Thunks:          vt.thunks + a.g.column.count(),
-		ReadSetPages:    vt.readSetPages,
-		WriteSetPages:   vt.writeSetPages,
+		Thunks:          a.totals.thunks + a.g.column.count(),
+		ReadSetPages:    a.totals.readSetPages,
+		WriteSetPages:   a.totals.writeSetPages,
 		GapThreads:      a.comp.GapThreads,
 		GapIntervals:    a.comp.GapIntervals,
 		LostTraceBytes:  a.comp.LostBytes,
@@ -186,9 +183,12 @@ func EdgeCanonicalLess(a, b *Edge) bool { return edgeLess(a, b) }
 // lens must cover exactly the graph's recorded prefix, and both edge
 // sections must be canonically sorted with every endpoint inside the
 // prefix; violations are corruption and fail loudly rather than
-// producing an index that silently mis-answers queries. Completeness
-// comes from the graph's recorded gaps, as in every other construction
-// path.
+// producing an index that silently mis-answers queries. The sections
+// then go into an empty store as one epoch, which is what Graph.Analyze
+// builds: a sealed base above succCompactFloor, one overlay layer below
+// it. Completeness comes from the graph's recorded gaps and the
+// per-vertex totals from one walk of the prefix, as in every other
+// construction path.
 func NewAnalysisFromSections(g *Graph, lens []int, epoch uint64, syncEdges, dataEdges []Edge) (*Analysis, error) {
 	if len(lens) != g.Threads() {
 		return nil, fmt.Errorf("core: section lens cover %d threads, graph has %d", len(lens), g.Threads())
@@ -205,7 +205,17 @@ func NewAnalysisFromSections(g *Graph, lens []int, epoch uint64, syncEdges, data
 	if err := checkSection("data", dataEdges, EdgeData, lens); err != nil {
 		return nil, err
 	}
-	return newAnalysis(g, syncEdges, dataEdges, lens, epoch), nil
+	n := len(lens)
+	ints := make([]int, 2*n+1)
+	empty, base := ints[:n:n], ints[n:]
+	for t, ln := range lens {
+		base[t+1] = base[t] + ln
+	}
+	gaps, _ := g.gapsForPrefix(lens, nil)
+	a := newIncStore(n).extend(g, syncEdges, dataEdges, lens, empty, base, summarizeGaps(gaps), epoch)
+	a.syms = g.interner.Len()
+	a.totals.addPrefix(g, lens)
+	return a, nil
 }
 
 // checkSection validates one stored edge section: uniform kind,

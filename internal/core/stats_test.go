@@ -1,11 +1,12 @@
 package core_test
 
-// Analysis.Stats reads its per-vertex sums from the totals the fold
-// carries (or, for a flat construction, from one lazy walk); walkStats
-// recounts every counter from the prefix's vertices and edges, and the
-// tests hold the two equal on every construction path: folds at random
-// prefixes, per-seal folds through the overlay, an epoch.Replayer's
-// batch folds, Graph.Analyze, and a .cpg loaded back.
+// Analysis.Stats reads its per-vertex sums from the totals every
+// construction sets (a fold carries them, a restored analysis sums its
+// vertices once); walkStats recounts every counter from the prefix's
+// vertices and edges, and the tests hold the two equal on every
+// construction path: folds at random prefixes, per-seal folds through
+// the overlay, an epoch.Replayer's batch folds, Graph.Analyze, and a
+// .cpg loaded back.
 
 import (
 	"bytes"
@@ -17,13 +18,17 @@ import (
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/epoch"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // walkStats is the specification of Analysis.Stats: one walk over the
-// prefix's vertices and its materialized edges.
+// prefix's vertices and its materialized edges. The thunks are counted
+// from the prefix's control-path column, which is the vertices' own
+// Thunks for a recorded graph and the stored column for a restored one.
 func walkStats(a *core.Analysis) core.Stats {
 	comp := a.Completeness()
 	st := core.Stats{GapThreads: comp.GapThreads, GapIntervals: comp.GapIntervals, LostTraceBytes: comp.LostBytes}
+	col := wire.NewCursor(a.Graph().AppendThunkColumn(nil, a.Subs()))
 	for t, n := range a.ThreadLens() {
 		if n > 0 {
 			st.Threads++
@@ -34,10 +39,13 @@ func walkStats(a *core.Analysis) core.Stats {
 				panic("prefix vertex missing from the graph")
 			}
 			st.SubComputations++
-			st.Thunks += len(sc.Thunks)
+			st.Thunks += len(core.ParseThunks(&col))
 			st.ReadSetPages += sc.ReadSet.Len()
 			st.WriteSetPages += sc.WriteSet.Len()
 		}
+	}
+	if err := col.Done(); err != nil {
+		panic(err)
 	}
 	for _, e := range a.Edges() {
 		switch e.Kind {

@@ -21,17 +21,18 @@
 // the encoder and decoder lay out internal/core's field codecs
 // (fieldcodec.go, the ones the epoch delta writes row-wise) column by
 // column, and every section is read through a wire.Cursor, which owns
-// the rule for how an untrusted count may allocate. Two read paths
-// share one parser: Load fully decodes a file into a core.Analysis, and
-// Mapped keeps the file mmapped, answering header/stats queries straight
-// from their sections and materializing the analysis on each demand
+// the rule for how an untrusted count may allocate. There is one
+// decode: Load reads a file into memory and decodes it into a
+// core.Analysis, and Mapped keeps the file mmapped, answering
+// header/stats queries straight from their sections and materializing
+// the analysis on each demand through the same decode
 // (provenance.Store is what keeps a decoded analysis, under a memory
-// budget). A materialization keeps the thunks section — the control
-// path, which no query reads and which dominates a branchy file — as
-// one owned, CRC-checked byte column on the graph instead of decoding
-// it: the column is walked once per mapping, and decoded only by the
-// JSON render. Load decodes every thunk; it is the reference a mapped
-// analysis is compared against.
+// budget). The decode keeps the thunks section — the control path,
+// which no query reads and which dominates a branchy file — as one
+// owned, CRC-checked byte column on the graph instead of decoding it:
+// the column is walked once per Load and once per mapping, and decoded
+// only by the JSON render. The per-vertex decode it is held to lives
+// with the tests.
 //
 // Integrity is per section: every read path verifies the CRC of each
 // section it touches before decoding it, and every decode error is a

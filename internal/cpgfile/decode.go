@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"unsafe"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/wire"
@@ -31,9 +30,8 @@ const (
 // Rough per-object resident sizes used for the decoded-footprint
 // estimate the serving layer budgets against. Estimates, not
 // accounting: the budget bounds order-of-magnitude memory, and these
-// deliberately round up (struct + pointer + container slot). A deferred
-// thunks column is charged its bytes exactly; a decoded one the size of
-// its structs.
+// deliberately round up (struct + pointer + container slot). The
+// thunks column is charged its bytes exactly.
 const (
 	fpPerSub    = 208
 	fpPerEdge   = 80
@@ -157,9 +155,13 @@ func (lay *fileLayout) ownedSection(data []byte, kind uint32) ([]byte, error) {
 	return b, nil
 }
 
-// Load fully decodes the CPG file at path. The returned analysis owns
-// all of its memory — nothing aliases the file. A file that does not
-// decode is reported with its path.
+// Load decodes the CPG file at path the way a mapping's first
+// materialization does: the file is read into memory Load owns, the
+// thunks section stays encoded as the graph's column (walked and
+// checked, never decoded per vertex), and the stats section is checked
+// against the graph. The analysis keeps nothing of the read buffer —
+// the column is a CRC-checked copy — so the buffer is garbage once Load
+// returns. A file that does not decode is reported with its path.
 func Load(path string) (*core.Analysis, Header, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -178,14 +180,14 @@ func decodeFile(data []byte) (*core.Analysis, Header, error) {
 	if err != nil {
 		return nil, Header{}, err
 	}
-	a, _, err := decodeAnalysis(data, lay, nil)
+	a, _, err := decodeAnalysis(data, lay, &thunkWalk{})
 	if err != nil {
 		return nil, Header{}, err
 	}
 	return a, lay.hdr, nil
 }
 
-// thunkWalk is what a mapping remembers of its first materialization:
+// thunkWalk is what a read remembers of its first materialization:
 // that it succeeded — the thunks column walked clean and the stats
 // section matched the graph — and the thunk total the walk counted.
 type thunkWalk struct {
@@ -196,19 +198,19 @@ type thunkWalk struct {
 // decodeAnalysis materializes the full analysis from a parsed file,
 // returning it with the estimated resident footprint of the decode.
 //
-// walk is nil for Load, which decodes every thunk into its vertex. A
-// Mapped passes its own, and the thunks section stays encoded: copied
-// into memory the analysis owns, CRC-checked, walked only if no earlier
-// materialization has, and handed to the graph as its column. The first
-// successful materialization of a mapping, and every Load, also checks
-// the stats section against the graph, and records itself in walk.
+// The thunks section stays encoded: copied into memory the analysis
+// owns, CRC-checked, walked only if walk records no earlier
+// materialization, and handed to the graph as its column. Load passes a
+// fresh walk; a Mapped passes its own, so only its first successful
+// materialization walks the column and checks the stats section against
+// the graph, and records itself in walk.
 func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analysis, int64, error) {
 	var footprint int64
 
 	// Symbols: the table must re-intern to the identity — ref 0 is "",
 	// then distinct strings in ref order, as Encode writes it — so a
-	// stored ref is its in-memory ref and a deferred thunks column
-	// needs no rewriting. Refs in the file still index this table only.
+	// stored ref is its in-memory ref and the thunks column needs no
+	// rewriting. Refs in the file still index this table only.
 	cs, err := lay.section(data, secSymbols)
 	if err != nil {
 		return nil, 0, err
@@ -231,18 +233,13 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 			c.Fail(field, fmt.Sprintf("symbol ref %d outside the %d-entry table", ref, len(syms)))
 		}
 	}
-	deferred := walk != nil
 
 	// Vertices + per-vertex columns: the cursors advance in lockstep,
-	// one vertex at a time, in (thread, alpha) order. A deferred thunks
-	// column is not among them.
-	columns := []struct {
+	// one vertex at a time, in (thread, alpha) order.
+	columns := [...]struct {
 		kind uint32
 		c    wire.Cursor
-	}{{kind: secVertices}, {kind: secReadSets}, {kind: secWriteSets}, {kind: secThunks}}
-	if deferred {
-		columns = columns[:3]
-	}
+	}{{kind: secVertices}, {kind: secReadSets}, {kind: secWriteSets}}
 	for i := range columns {
 		if columns[i].c, err = lay.section(data, columns[i].kind); err != nil {
 			return nil, 0, err
@@ -250,12 +247,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 	}
 	cv, cr, cw := &columns[0].c, &columns[1].c, &columns[2].c
 	intact := func() bool {
-		for i := range columns {
-			if columns[i].c.Err() != nil {
-				return false
-			}
-		}
-		return true
+		return cv.Err() == nil && cr.Err() == nil && cw.Err() == nil
 	}
 
 	nthreads := cv.Count("layout.threads", 1)
@@ -275,15 +267,6 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 			checkRef(cv, "vertex.end.object", uint32(sc.End.Object))
 			sc.ReadSet = core.ParsePageSet(cr, "read_set")
 			sc.WriteSet = core.ParsePageSet(cw, "write_set")
-			if !deferred {
-				ct := &columns[3].c
-				sc.Thunks = core.ParseThunks(ct)
-				for _, th := range sc.Thunks {
-					checkRef(ct, "thunk.site", uint32(th.Site))
-					checkRef(ct, "thunk.target", uint32(th.Target))
-				}
-				footprint += int64(unsafe.Sizeof(core.Thunk{})) * int64(len(sc.Thunks))
-			}
 			if !intact() {
 				break
 			}
@@ -305,22 +288,20 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 			return nil, 0, inSection(columns[i].kind, err)
 		}
 	}
-	if deferred {
-		col, err := lay.ownedSection(data, secThunks)
-		if err != nil {
+	col, err := lay.ownedSection(data, secThunks)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := walk.total
+	if !walk.done {
+		if total, err = walkThunks(col, vertices, checkRef); err != nil {
 			return nil, 0, err
 		}
-		total := walk.total
-		if !walk.done {
-			if total, err = walkThunks(col, vertices, checkRef); err != nil {
-				return nil, 0, err
-			}
-		}
-		if err := g.RestoreThunkColumn(col, total); err != nil {
-			return nil, 0, corruptf(secThunks, "%v", err)
-		}
-		footprint += int64(len(col))
 	}
+	if err := g.RestoreThunkColumn(col, total); err != nil {
+		return nil, 0, corruptf(secThunks, "%v", err)
+	}
+	footprint += int64(len(col))
 
 	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge) {
 		obj := core.ObjRef(c.Uint32("edge.object"))
@@ -361,7 +342,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 
 	// The stats section is what listings answer from without a decode;
 	// it must describe this graph, counter for counter.
-	if walk == nil || !walk.done {
+	if !walk.done {
 		stored, err := decodeStats(data, lay)
 		if err != nil {
 			return nil, 0, err
@@ -370,14 +351,12 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 		if stored != got {
 			return nil, 0, corruptf(secStats, "stored counters %+v, the graph has %+v", stored, got)
 		}
-		if walk != nil {
-			*walk = thunkWalk{done: true, total: got.Thunks}
-		}
+		*walk = thunkWalk{done: true, total: got.Thunks}
 	}
 	return a, footprint, nil
 }
 
-// walkThunks is the structural check of a deferred thunks column: one
+// walkThunks is the structural check of a thunks column: one
 // AppendThunks list per vertex, every field read as ParseThunks reads
 // it, every site and target ref inside the symbol table (checkRef's
 // check), and no byte past the last list. It returns the thunk total.

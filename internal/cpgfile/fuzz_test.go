@@ -76,10 +76,10 @@ func FuzzCPGFileHeader(f *testing.F) {
 }
 
 // FuzzCPGFileSections drives the full decode paths — Load, Mapped
-// stats, analysis materialization and the JSON render of a deferred
-// thunks column — over mutated files. Whatever
-// the damage, the result is a decoded analysis or a typed error
-// naming the bad section.
+// stats, analysis materialization and the JSON render of the thunks
+// column — over mutated files, and holds whatever decodes to the eager
+// per-vertex decode of its thunks. Whatever the damage, the result is a
+// decoded analysis or a typed error naming the bad section.
 func FuzzCPGFileSections(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -92,11 +92,18 @@ func FuzzCPGFileSections(f *testing.F) {
 		a, _, err := Load(path)
 		checkDecodeError(t, err)
 		if err == nil {
-			// A file that decodes must also serve the lazy path with
-			// identical content.
-			var want bytes.Buffer
-			if err := Encode(&want, a, Meta{}); err != nil {
-				t.Fatalf("Encode of loaded analysis: %v", err)
+			// A column Load walked clean must decode vertex by vertex, and
+			// every read path must serve what that decode holds.
+			ref, err := eagerDecode(data)
+			if err != nil {
+				t.Fatalf("Load accepted a thunks column the per-vertex decode refuses: %v", err)
+			}
+			var want, wantJSON bytes.Buffer
+			if err := Encode(&want, ref, Meta{}); err != nil {
+				t.Fatalf("Encode of the eager decode: %v", err)
+			}
+			if err := ref.Graph().EncodeJSON(&wantJSON); err != nil {
+				t.Fatalf("EncodeJSON of the eager decode: %v", err)
 			}
 			m, err := Open(path)
 			if err != nil {
@@ -110,25 +117,22 @@ func FuzzCPGFileSections(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Mapped analysis after successful Load: %v", err)
 			}
-			var got bytes.Buffer
-			if err := Encode(&got, ma, Meta{}); err != nil {
-				t.Fatalf("Encode of mapped analysis: %v", err)
-			}
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Fatal("Load and Mapped disagree on the same file")
-			}
-			// The JSON render is the one reader that decodes a deferred
-			// thunks column.
-			want.Reset()
-			got.Reset()
-			if err := a.Graph().EncodeJSON(&want); err != nil {
-				t.Fatalf("EncodeJSON of loaded graph: %v", err)
-			}
-			if err := ma.Graph().EncodeJSON(&got); err != nil {
-				t.Fatalf("EncodeJSON of mapped graph: %v", err)
-			}
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Fatal("Load and Mapped render different JSON for the same file")
+			for name, got := range map[string]*core.Analysis{"loaded": a, "mapped": ma} {
+				var enc, js bytes.Buffer
+				if err := Encode(&enc, got, Meta{}); err != nil {
+					t.Fatalf("Encode of %s analysis: %v", name, err)
+				}
+				if !bytes.Equal(want.Bytes(), enc.Bytes()) {
+					t.Fatalf("the %s analysis and the eager decode disagree on the same file", name)
+				}
+				// The JSON render is the one reader that decodes the
+				// thunks column.
+				if err := got.Graph().EncodeJSON(&js); err != nil {
+					t.Fatalf("EncodeJSON of %s graph: %v", name, err)
+				}
+				if !bytes.Equal(wantJSON.Bytes(), js.Bytes()) {
+					t.Fatalf("the %s graph and the eager decode render different JSON", name)
+				}
 			}
 			return
 		}

@@ -15,9 +15,10 @@ import (
 // it under memory pressure, is the caller's business (provenance.Store
 // does both). Thousands of Mapped CPGs cost pages of mapped file.
 //
-// A materialization decodes every section but one: the thunks section
-// stays encoded, copied as one byte column the analysis owns (see
-// Analysis). Decoded values and that column never alias the mapping, so
+// A materialization is Load's decode over the mapping: every section
+// but the thunks section, which stays encoded, copied as one byte column
+// the analysis owns (see Analysis). Decoded values and that column never
+// alias the mapping, so
 // an analysis obtained from Analysis remains valid after Close. Methods
 // are safe for concurrent use; Close must not race other calls.
 type Mapped struct {
@@ -95,15 +96,16 @@ func (m *Mapped) ContentHash() [sha256.Size]byte {
 	return m.hash
 }
 
-// Analysis materializes the full analysis. Every section is decoded
-// except the thunks section: it is copied into memory the analysis owns
+// Analysis materializes the full analysis, decoding as Load does. Every
+// section is decoded except the thunks section: it is copied into memory the analysis owns
 // and its CRC checked on that copy, so the bytes checked are the bytes
 // kept, and the graph carries it as its control-path column — vertices
 // hold nil Thunks; Stats counts the column, Encode copies it and the
 // JSON render decodes it. The column's structure (counts, fields,
 // symbol refs, trailing bytes) is walked on the mapping's first
 // successful materialization only, which also checks the stats section
-// against the graph; later calls remember both. Each call returns a new
+// against the graph; later calls remember both, where every Load does
+// both. Each call returns a new
 // analysis; calls on one mapping run one at a time.
 //
 // The second result is the estimated resident footprint of the decoded

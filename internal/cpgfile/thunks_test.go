@@ -103,32 +103,91 @@ func openMapped(t *testing.T, path string) *Mapped {
 	return m
 }
 
-// agreesWithLoad checks a mapped analysis of path against Load of the
-// same file: the same encoding, the same JSON and DOT renders, and the
-// stats the file's stats section stores.
-func agreesWithLoad(t *testing.T, path string, m *Mapped, ma *core.Analysis) {
+// eagerDecode is the per-vertex reference decode of a file's control
+// path, the one the thunks column is held to: the file decoded as Load
+// decodes it, then rebuilt over a twin graph whose vertices carry their
+// thunks decoded — one ParseThunks list per vertex in (thread, alpha)
+// order, every site and target ref inside the symbol table, no byte
+// past the last list — with the same symbols, sync-edge log, gaps, edge
+// sections and epoch.
+func eagerDecode(data []byte) (*core.Analysis, error) {
+	a, _, err := decodeFile(data)
+	if err != nil {
+		return nil, err
+	}
+	lay, err := parseFile(data)
+	if err != nil {
+		return nil, err
+	}
+	c, err := lay.section(data, secThunks)
+	if err != nil {
+		return nil, err
+	}
+	src, syms := a.Graph(), a.Symbols()
+	g := core.NewGraph(src.Threads())
+	for _, s := range syms {
+		g.InternSite(s)
+	}
+	for _, sc := range a.Subs() {
+		twin := *sc
+		twin.Thunks = core.ParseThunks(&c)
+		if err := c.Err(); err != nil {
+			return nil, fmt.Errorf("%v: %w", sc.ID, err)
+		}
+		for _, th := range twin.Thunks {
+			if int(th.Site) >= len(syms) || int(th.Target) >= len(syms) {
+				return nil, fmt.Errorf("%v: thunk %d refs outside the %d-entry table", sc.ID, th.Index, len(syms))
+			}
+		}
+		if err := g.AppendSub(&twin); err != nil {
+			return nil, err
+		}
+	}
+	if err := c.Done(); err != nil {
+		return nil, err
+	}
+	syncEdges, dataEdges := a.EdgeSections()
+	for _, e := range syncEdges {
+		g.RestoreSyncEdge(e.From, e.To, g.InternObject(e.Object))
+	}
+	for t := range src.Threads() {
+		for _, gp := range src.ThreadGapList(t) {
+			g.AddGap(t, gp)
+		}
+	}
+	return core.NewAnalysisFromSections(g, a.ThreadLens(), a.Epoch(), syncEdges, dataEdges)
+}
+
+// agreesWithEager checks a mapped analysis of file against the file's
+// eager per-vertex decode and against src, the analysis the file was
+// encoded from: the same encoding, the same JSON and DOT renders, and
+// the stats the file's stats section stores.
+func agreesWithEager(t *testing.T, file []byte, src *core.Analysis, m *Mapped, ma *core.Analysis) {
 	t.Helper()
-	la, _, err := Load(path)
+	ea, err := eagerDecode(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encoded(t, la), encoded(t, ma)) {
-		t.Error("Encode of the mapped analysis differs from Encode of the loaded one")
+	if n, want := decodedThunks(ea), src.Stats().Thunks; n != want {
+		t.Fatalf("the eager decode carries %d thunks, want %d", n, want)
 	}
-	lj, ld := renders(t, la.Graph())
+	if want := encoded(t, src); !bytes.Equal(want, encoded(t, ea)) || !bytes.Equal(want, encoded(t, ma)) {
+		t.Error("Encode of the mapped or eagerly decoded analysis differs from Encode of the source")
+	}
+	ej, ed := renders(t, ea.Graph())
 	mj, md := renders(t, ma.Graph())
-	if !bytes.Equal(lj, mj) {
-		t.Error("EncodeJSON of the mapped graph differs from the loaded graph's")
+	if !bytes.Equal(ej, mj) {
+		t.Error("EncodeJSON of the mapped graph differs from the eagerly decoded graph's")
 	}
-	if !bytes.Equal(ld, md) {
-		t.Error("WriteDOT of the mapped graph differs from the loaded graph's")
+	if !bytes.Equal(ed, md) {
+		t.Error("WriteDOT of the mapped graph differs from the eagerly decoded graph's")
 	}
 	st, err := m.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ma.Stats(); got != st {
-		t.Errorf("mapped Stats() = %+v, stats section %+v", got, st)
+	if got := ma.Stats(); got != st || ea.Stats() != st {
+		t.Errorf("mapped Stats() = %+v, eager %+v, stats section %+v", got, ea.Stats(), st)
 	}
 }
 
@@ -145,11 +204,13 @@ func decodedThunks(a *core.Analysis) int {
 // the section as bytes the analysis owns, charges exactly those bytes,
 // and after its first materialization only copies and checksums them —
 // while every reader of thunks (Encode, the renders, Stats) answers as
-// the fully decoded Load does. A file whose symbol table does not
-// re-intern to the identity is refused by both read paths.
+// the eager per-vertex decode and the source analysis do. A file whose
+// symbol table does not re-intern to the identity is refused by both
+// read paths.
 func TestMappedDefersThunks(t *testing.T) {
 	const subs, branches = 64, 2000
-	path, file := encodeFile(t, thunkyGraph(subs, branches).Analyze())
+	src := thunkyGraph(subs, branches).Analyze()
+	path, file := encodeFile(t, src)
 	twinPath, _ := encodeFile(t, thunkyGraph(subs, 0).Analyze())
 	lay, err := parseFile(file)
 	if err != nil {
@@ -168,7 +229,14 @@ func TestMappedDefersThunks(t *testing.T) {
 	if n := decodedThunks(ma); n != 0 {
 		t.Errorf("mapped vertices carry %d decoded thunks, want the column only", n)
 	}
-	agreesWithLoad(t, path, m, ma)
+	agreesWithEager(t, file, src, m, ma)
+	la, _, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := decodedThunks(la); n != 0 {
+		t.Errorf("loaded vertices carry %d decoded thunks, want the column only", n)
+	}
 
 	twin := openMapped(t, twinPath)
 	_, twinFootprint, err := twin.Analysis()

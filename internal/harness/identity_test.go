@@ -8,17 +8,19 @@ import (
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
+	"github.com/repro/inspector/internal/journal"
 )
 
 // TestCPGIdentityIsStrongerThanDocument is the mutation table behind
 // comparing analyses by their .cpg bytes rather than by the analysis
 // document (Analysis.ExportJSON: thread lengths and edges, which the
 // equivalence links compared before). Each mutation is made on a
-// private cpgfile.Load copy of one corpus recording and rebuilt over
-// the copy's own edge sections. The .cpg must change under every
-// mutation; the document changes only under the edge mutations and is
-// blind to the rest of what a CPG is — its read sets, clocks, thunks,
-// virtual times, gaps and epoch.
+// private cpgfile.Load copy of one corpus recording (the thunk's, on the
+// journal's recovery: a loaded graph keeps its thunks encoded) and
+// rebuilt over the copy's own edge sections. The .cpg must change under
+// every mutation; the document changes only under the edge mutations
+// and is blind to the rest of what a CPG is — its read sets, clocks,
+// thunks, virtual times, gaps and epoch.
 func TestCPGIdentityIsStrongerThanDocument(t *testing.T) {
 	r := corpus.get(t, "word_count", 4)
 	orig := privateCopy(t, r.cpg)
@@ -69,9 +71,22 @@ func TestCPGIdentityIsStrongerThanDocument(t *testing.T) {
 			sc.Clock[0]++
 			return rebuilt(t, a)
 		}},
-		{"one thunk's site", false, func(t *testing.T, a *core.Analysis) *core.Analysis {
-			// The first thunk takes the site of the first thunk that ends
-			// elsewhere, on whichever vertex.
+		{"one thunk's site", false, func(t *testing.T, loaded *core.Analysis) *core.Analysis {
+			// A loaded copy keeps its control path as the file's encoded
+			// column, so this mutation is made on the journal's recovery
+			// instead, stamped with the loaded copy's epoch: the same graph,
+			// its vertices carrying their thunks decoded. The first thunk
+			// takes the site of the first thunk that ends elsewhere, on
+			// whichever vertex.
+			rep, err := journal.Recover(r.journal, journal.RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			syncEdges, dataEdges := rep.Analysis.EdgeSections()
+			a := fromSections(t, rep.Analysis, loaded.Epoch(), syncEdges, dataEdges)
+			if !bytes.Equal(cpgtest.Bytes(t, a), wantCPG) {
+				t.Fatal("the journal's recovery is not the recording's .cpg")
+			}
 			var first *core.SubComputation
 			for _, sc := range a.Subs() {
 				for _, th := range sc.Thunks {

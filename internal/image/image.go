@@ -194,64 +194,23 @@ func (im *Image) Labels() []string {
 	return out
 }
 
-// EdgeKey identifies one outcome of a conditional site for CFG-edge
-// tables: (site, taken) -> successor.
-type EdgeKey struct {
-	Site  SiteID
-	Taken bool
-}
-
-// EdgeMap is the reference control-flow-edge table: a plain map from
-// (site, taken) to successor. The hot paths use the dense EdgeTable
-// below; the map form is retained as the executable specification, and
-// property tests (internal/pt, this package) assert the two never
-// diverge. A checked EdgeTable carries an EdgeMap shadow that
-// cross-validates every operation.
-type EdgeMap map[EdgeKey]SiteID
-
-// Lookup returns the recorded successor, if any.
-func (m EdgeMap) Lookup(site SiteID, taken bool) (SiteID, bool) {
-	id, ok := m[EdgeKey{Site: site, Taken: taken}]
-	return id, ok
-}
-
-// Record stores successor for (site, taken) and reports whether the entry
-// changed (was absent or held a different successor).
-func (m EdgeMap) Record(site SiteID, taken bool, succ SiteID) bool {
-	k := EdgeKey{Site: site, Taken: taken}
-	old, ok := m[k]
-	if ok && old == succ {
-		return false
-	}
-	m[k] = succ
-	return true
-}
-
-// EdgeTable is a per-trace control-flow-edge cache. Both the PT encoder
-// and decoder maintain one incrementally and identically, which is what
-// makes the compressed trace self-describing: a successor present in the
-// table is elided from the trace (a bare TNT bit suffices); a missing or
-// deviating successor is carried in-band by a FUP packet.
+// EdgeTable is a per-trace control-flow-edge cache: (site, taken) ->
+// successor. Both the PT encoder and decoder maintain one incrementally
+// and identically, which is what makes the compressed trace
+// self-describing: a successor present in the table is elided from the
+// trace (a bare TNT bit suffices); a missing or deviating successor is
+// carried in-band by a FUP packet.
 //
 // Site IDs are dense (the Image allocates them sequentially), so the
 // table is a flat slice indexed by SiteID<<1|taken with NoSite marking
 // absent entries — every per-branch lookup is one bounds check and one
-// load, no hashing. The map-based EdgeMap remains the reference
-// implementation.
+// load, no hashing. The tests hold it to a plain map.
 type EdgeTable struct {
 	succ []SiteID
-	// ref, when non-nil, shadows every operation through the reference
-	// EdgeMap and panics on divergence. Property tests enable it; the
-	// production constructors leave it nil.
-	ref EdgeMap
 }
 
 // NewEdgeTable creates an empty dense edge table.
 func NewEdgeTable() *EdgeTable { return &EdgeTable{} }
-
-// NewCheckedEdgeTable creates an edge table that cross-validates every
-// Lookup/Record against the reference EdgeMap, for property tests.
-func NewCheckedEdgeTable() *EdgeTable { return &EdgeTable{ref: make(EdgeMap)} }
 
 // edgeIndex flattens (site, taken) into the dense index.
 func edgeIndex(site SiteID, taken bool) int {
@@ -264,19 +223,10 @@ func edgeIndex(site SiteID, taken bool) int {
 
 // Lookup returns the recorded successor, if any.
 func (t *EdgeTable) Lookup(site SiteID, taken bool) (SiteID, bool) {
-	var id SiteID
-	ok := false
 	if idx := edgeIndex(site, taken); idx < len(t.succ) && t.succ[idx] != NoSite {
-		id, ok = t.succ[idx], true
+		return t.succ[idx], true
 	}
-	if t.ref != nil {
-		refID, refOK := t.ref.Lookup(site, taken)
-		if refID != id || refOK != ok {
-			panic(fmt.Sprintf("image: EdgeTable.Lookup(%d,%v) = (%d,%v), reference says (%d,%v)",
-				site, taken, id, ok, refID, refOK))
-		}
-	}
-	return id, ok
+	return 0, false
 }
 
 // Record stores successor for (site, taken) and reports whether the entry
@@ -288,12 +238,6 @@ func (t *EdgeTable) Record(site SiteID, taken bool, succ SiteID) bool {
 	}
 	changed := t.succ[idx] != succ
 	t.succ[idx] = succ
-	if t.ref != nil {
-		if refChanged := t.ref.Record(site, taken, succ); refChanged != changed {
-			panic(fmt.Sprintf("image: EdgeTable.Record(%d,%v,%d) changed=%v, reference says %v",
-				site, taken, succ, changed, refChanged))
-		}
-	}
 	return changed
 }
 

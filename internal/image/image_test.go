@@ -138,10 +138,38 @@ func TestConcurrentRegistration(t *testing.T) {
 	}
 }
 
+// EdgeKey identifies one outcome of a conditional site for the
+// reference edge table: (site, taken) -> successor.
+type EdgeKey struct {
+	Site  SiteID
+	Taken bool
+}
+
+// EdgeMap is the reference control-flow-edge table, the executable
+// specification the dense EdgeTable is held to: a plain map from
+// (site, taken) to successor.
+type EdgeMap map[EdgeKey]SiteID
+
+// Lookup returns the recorded successor, if any.
+func (m EdgeMap) Lookup(site SiteID, taken bool) (SiteID, bool) {
+	id, ok := m[EdgeKey{Site: site, Taken: taken}]
+	return id, ok
+}
+
+// Record stores successor for (site, taken) and reports whether the entry
+// changed (was absent or held a different successor).
+func (m EdgeMap) Record(site SiteID, taken bool, succ SiteID) bool {
+	k := EdgeKey{Site: site, Taken: taken}
+	old, ok := m[k]
+	if ok && old == succ {
+		return false
+	}
+	m[k] = succ
+	return true
+}
+
 func TestEdgeTable(t *testing.T) {
-	// Checked mode shadows the dense slice with the reference EdgeMap
-	// and panics on any divergence, so this exercises both.
-	tbl := NewCheckedEdgeTable()
+	tbl := NewEdgeTable()
 	if _, ok := tbl.Lookup(1, true); ok {
 		t.Error("empty table lookup succeeded")
 	}
@@ -172,9 +200,18 @@ func TestEdgeTable(t *testing.T) {
 
 // TestQuickEdgeTableMatchesMap drives random operation sequences through
 // the dense table and the reference map independently and requires
-// identical observable behaviour.
+// identical observable behaviour: arbitrary Lookup/Record mixes over 64
+// sites, and the pattern the PT encoder and decoder run per conditional
+// branch — a Lookup, then a Record on a miss or a deviating successor —
+// over 2–10 sites and up to 1 500 branches, the shape of pt's random
+// branch streams.
 func TestQuickEdgeTableMatchesMap(t *testing.T) {
-	f := func(seed int64) bool {
+	lookup := func(dense *EdgeTable, ref EdgeMap, site SiteID, taken bool) (SiteID, bool, bool) {
+		dID, dOK := dense.Lookup(site, taken)
+		rID, rOK := ref.Lookup(site, taken)
+		return dID, dOK, dOK == rOK && (!dOK || dID == rID)
+	}
+	mixed := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dense := NewEdgeTable()
 		ref := make(EdgeMap)
@@ -186,18 +223,33 @@ func TestQuickEdgeTableMatchesMap(t *testing.T) {
 				if dense.Record(site, taken, succ) != ref.Record(site, taken, succ) {
 					return false
 				}
-			} else {
-				dID, dOK := dense.Lookup(site, taken)
-				rID, rOK := ref.Lookup(site, taken)
-				if dOK != rOK || (dOK && dID != rID) {
-					return false
-				}
+			} else if _, _, same := lookup(dense, ref, site, taken); !same {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	branches := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dense := NewEdgeTable()
+		ref := make(EdgeMap)
+		nsites := 2 + r.Intn(9)
+		for i, n := 0, 1+r.Intn(1500); i < n; i++ {
+			site, taken, next := SiteID(r.Intn(nsites)), r.Intn(2) == 1, SiteID(r.Intn(nsites))
+			succ, ok, same := lookup(dense, ref, site, taken)
+			if !same {
+				return false
+			}
+			if (!ok || succ != next) && !(dense.Record(site, taken, next) && ref.Record(site, taken, next)) {
+				return false
+			}
+		}
+		return dense.Len() == len(ref)
+	}
+	for name, f := range map[string]func(int64) bool{"mixed": mixed, "branches": branches} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

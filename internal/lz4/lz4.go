@@ -1,9 +1,10 @@
-// Package lz4 implements the LZ4 block format (compression and
-// decompression) in pure Go. The paper reports that the provenance log
-// "turns out to be highly compressible — we were able to achieve a
-// compression ratio of between 6x and 37x using the lz4 compression
-// algorithm" (§VII-D); Table 9's compressed-size column is regenerated
-// with this package.
+// Package lz4 implements LZ4 block compression in pure Go. The paper
+// reports that the provenance log "turns out to be highly compressible —
+// we were able to achieve a compression ratio of between 6x and 37x
+// using the lz4 compression algorithm" (§VII-D); Table 9's
+// compressed-size column is regenerated with this package. Nothing in
+// the system reads a block back, so the decoder lives with the tests,
+// as the round-trip oracle Compress is held to.
 //
 // The implementation follows the LZ4 block specification: a sequence of
 // tokens, each describing a literal run and a match (offset + length)
@@ -11,17 +12,7 @@
 // uses a real hash-chain matcher, so ratios are representative.
 package lz4
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
-// Errors returned by Decompress.
-var (
-	ErrCorrupt  = errors.New("lz4: corrupt block")
-	ErrTooLarge = errors.New("lz4: decoded size exceeds limit")
-)
+import "encoding/binary"
 
 const (
 	minMatch     = 4
@@ -122,87 +113,4 @@ func Compress(dst, src []byte) []byte {
 	// Final literals-only sequence.
 	emitSequence(anchor, n, 0, 0)
 	return dst
-}
-
-// Decompress appends the decoded bytes of an LZ4 block to dst, refusing
-// to grow beyond maxSize (0 means no limit). It returns the extended dst.
-func Decompress(dst, src []byte, maxSize int) ([]byte, error) {
-	base := len(dst)
-	i := 0
-	n := len(src)
-	if n == 1 && src[0] == 0 {
-		return dst, nil
-	}
-	readLen := func(initial int) (int, error) {
-		v := initial
-		if initial != 15 {
-			return v, nil
-		}
-		for {
-			if i >= n {
-				return 0, fmt.Errorf("%w: truncated length", ErrCorrupt)
-			}
-			b := src[i]
-			i++
-			v += int(b)
-			if b != 255 {
-				return v, nil
-			}
-		}
-	}
-	for i < n {
-		token := src[i]
-		i++
-		litLen, err := readLen(int(token >> 4))
-		if err != nil {
-			return dst, err
-		}
-		if i+litLen > n {
-			return dst, fmt.Errorf("%w: literal run past end", ErrCorrupt)
-		}
-		if maxSize > 0 && len(dst)-base+litLen > maxSize {
-			return dst, ErrTooLarge
-		}
-		dst = append(dst, src[i:i+litLen]...)
-		i += litLen
-		if i >= n {
-			// Final sequence has no match part.
-			break
-		}
-		if i+2 > n {
-			return dst, fmt.Errorf("%w: truncated offset", ErrCorrupt)
-		}
-		offset := int(binary.LittleEndian.Uint16(src[i:]))
-		i += 2
-		if offset == 0 || offset > len(dst)-base {
-			return dst, fmt.Errorf("%w: offset %d out of window", ErrCorrupt, offset)
-		}
-		matchLen, err := readLen(int(token & 0x0F))
-		if err != nil {
-			return dst, err
-		}
-		matchLen += minMatch
-		if maxSize > 0 && len(dst)-base+matchLen > maxSize {
-			return dst, ErrTooLarge
-		}
-		// Byte-by-byte copy: matches may overlap their own output.
-		pos := len(dst) - offset
-		for j := 0; j < matchLen; j++ {
-			dst = append(dst, dst[pos+j])
-		}
-	}
-	return dst, nil
-}
-
-// Ratio compresses data and returns (compressedSize, ratio). A ratio of
-// 10 means the input shrank 10x.
-func Ratio(data []byte) (int, float64) {
-	if len(data) == 0 {
-		return 0, 1
-	}
-	c := Compress(nil, data)
-	if len(c) == 0 {
-		return 0, 1
-	}
-	return len(c), float64(len(data)) / float64(len(c))
 }

@@ -36,7 +36,7 @@ func FuzzDecoderResync(f *testing.F) {
 		{label: "b", taken: false},
 		{label: "a", taken: false},
 	}
-	data := encodeLossy(f, im, events, 16, 0, 0, false)
+	data := encodeLossy(f, im, events, 16, 0, 0)
 	f.Add(data)
 	if len(data) > 4 {
 		f.Add(data[:len(data)/2])

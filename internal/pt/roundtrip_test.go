@@ -2,12 +2,10 @@ package pt
 
 // Round-trip property tests for the packed-bit / dense-edge fast path:
 // random branch streams, PSB periods {256, 4096}, optional injected ring
-// loss. Every stream is decoded twice — once through the production
-// dense representations, once with the checked edge table that shadows
-// every operation through the reference EdgeMap and panics on divergence
-// — and the two event sequences must match exactly (modulo nothing: the
-// resync gaps themselves must agree too, since both decoders walk the
-// same bytes).
+// loss. A lossless stream must decode to its ground truth exactly; a
+// lossy one must decode to the same event/error/gap sequence every time
+// (internal/image's TestQuickEdgeTableMatchesMap holds the dense edge
+// table to the reference map under the same operation pattern).
 
 import (
 	"errors"
@@ -43,9 +41,8 @@ func randomEvents(r *rand.Rand) []traceEvent {
 
 // encodeLossy drives events through a Tracer into a sink that drops
 // dropLen bytes once the trace reaches dropFrom (0 length = lossless),
-// under the given PSB period. checked selects the cross-validating edge
-// table on the encoder side.
-func encodeLossy(t testing.TB, im *image.Image, events []traceEvent, psbPeriod, dropFrom, dropLen int, checked bool) []byte {
+// under the given PSB period.
+func encodeLossy(t testing.TB, im *image.Image, events []traceEvent, psbPeriod, dropFrom, dropLen int) []byte {
 	t.Helper()
 	sink := newMemSink()
 	if dropLen > 0 {
@@ -53,9 +50,6 @@ func encodeLossy(t testing.TB, im *image.Image, events []traceEvent, psbPeriod, 
 		sink.dropLen = dropLen
 	}
 	enc := NewEncoder(sink, EncoderOptions{PSBPeriod: psbPeriod})
-	if checked {
-		enc.edges = image.NewCheckedEdgeTable()
-	}
 	tr, err := NewTracer(enc, im, "__exit__")
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +74,8 @@ type decodeOutcome struct {
 
 // decodeAllOutcomes drains the decoder, recording every event and every
 // recoverable error until EOF or the decoder stops making progress.
-func decodeAllOutcomes(im *image.Image, data []byte, checked bool) decodeOutcome {
+func decodeAllOutcomes(im *image.Image, data []byte) decodeOutcome {
 	d := NewDecoder(im, data)
-	if checked {
-		d.edges = image.NewCheckedEdgeTable()
-	}
 	var out decodeOutcome
 	errStreak := 0
 	for {
@@ -133,21 +124,10 @@ func checkRoundTripProperty(t testing.TB, seed int64, psbPeriod int, withLoss bo
 		dropLen = 1 + r.Intn(96)
 	}
 
-	// Encoding must be byte-identical whichever edge representation the
-	// encoder carries.
-	stream := encodeLossy(t, im, events, psbPeriod, dropFrom, dropLen, false)
-	streamChecked := encodeLossy(t, im, events, psbPeriod, dropFrom, dropLen, true)
-	if string(stream) != string(streamChecked) {
-		return "encoder output differs between dense and checked edge tables"
-	}
-
-	// Decoding must produce the identical event/error/gap sequence under
-	// both representations (the checked run also panics internally if the
-	// dense table ever disagrees with the reference map).
-	plain := decodeAllOutcomes(im, stream, false)
-	checked := decodeAllOutcomes(im, stream, true)
-	if !plain.equal(checked) {
-		return "decode outcome differs between dense and checked edge tables"
+	stream := encodeLossy(t, im, events, psbPeriod, dropFrom, dropLen)
+	plain := decodeAllOutcomes(im, stream)
+	if again := decodeAllOutcomes(im, stream); !plain.equal(again) {
+		return "two decodes of one stream differ"
 	}
 
 	if !withLoss {
