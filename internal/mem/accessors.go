@@ -27,7 +27,7 @@ func (s *Space) fastReadPage(a Addr, n int) (sp *spacePage, po int, err error, o
 		return nil, 0, nil, false
 	}
 	s.stats.Reads++
-	sp, id, err := s.pageFor(a)
+	sp, id, err := s.pageFor(a, AccessRead)
 	if err != nil {
 		return nil, 0, err, true
 	}
@@ -38,7 +38,8 @@ func (s *Space) fastReadPage(a Addr, n int) (sp *spacePage, po int, err error, o
 }
 
 // fastWritePage is fastReadPage for stores: it additionally materializes
-// the private copy and twin, and returns the writable in-page slice.
+// the private copy and twin, logs the words the store is the first to
+// write, and returns the writable in-page slice.
 func (s *Space) fastWritePage(a Addr, n int) (dst []byte, err error, ok bool) {
 	if !s.tracking || !s.uniform {
 		return nil, nil, false
@@ -48,14 +49,22 @@ func (s *Space) fastWritePage(a Addr, n int) (dst []byte, err error, ok bool) {
 		return nil, nil, false
 	}
 	s.stats.Writes++
-	sp, id, err := s.pageFor(a)
+	sp, id, err := s.pageFor(a, AccessWrite)
 	if err != nil {
 		return nil, err, true
 	}
 	if sp.prot&ProtWrite == 0 {
 		s.fault(sp, id, a, AccessWrite)
 	}
-	s.ensurePrivate(sp, id)
+	if sp.priv == nil {
+		s.ensurePrivate(sp, id)
+	}
+	// A store of at most 8 bytes touches at most two words; the usual
+	// case, both already logged, is two bit tests.
+	w0, w1 := po>>3, (po+n-1)>>3
+	if sp.logged[w0>>6]&(1<<(w0&63)) == 0 || sp.logged[w1>>6]&(1<<(w1&63)) == 0 {
+		sp.logRange(w0, w1)
+	}
 	return sp.priv[po : po+n], nil, true
 }
 

@@ -83,7 +83,8 @@ func (b *Backing) pageBase(id PageID) Addr {
 	return Addr(uint64(id) * uint64(b.pageSize))
 }
 
-// getPageRLocked returns the page data if materialized, else nil.
+// getPage returns the page data if materialized, else nil. It takes the
+// read lock for the lookup only.
 func (b *Backing) getPage(id PageID) []byte {
 	b.mu.RLock()
 	p := b.pages[id]
@@ -215,7 +216,7 @@ func (b *Backing) ApplyDiff(id PageID, priv []byte, ranges []DiffRange) {
 // (which must be pageSize long). Unmaterialized pages copy as zeros.
 // Every byte of dst is overwritten — the page pool's reuse safety relies
 // on this. One lock round-trip covers lookup and copy: this runs on every
-// first write of a page (twin materialization), so it stays lean.
+// first write of a page (private copy materialization), so it stays lean.
 func (b *Backing) SnapshotPage(id PageID, dst []byte) {
 	b.mu.RLock()
 	p := b.pages[id]

@@ -25,65 +25,99 @@ func benchSpace(tb testing.TB) *Space {
 	return NewSpace(1, []*Backing{benchBacking(tb)}, nil, true)
 }
 
-// diffPage builds a 4 KiB priv/twin pair with the given mutation pattern.
-func diffPage(pattern string) (priv, twin []byte) {
+// diffPage builds a 4 KiB private page, its twin and its written-word
+// bitmap with the given store pattern: "identical" rewrites every word with
+// the value it holds (a page of silent stores), "sparse" changes two bytes,
+// "words" one byte in every 64-byte line, "dense" every byte.
+func diffPage(pattern string) (priv, twin []byte, logged []uint64) {
 	priv = make([]byte, DefaultPageSize)
 	twin = make([]byte, DefaultPageSize)
+	logged = make([]uint64, DefaultPageSize/512)
+	store := func(i int, v byte) {
+		priv[i] = v
+		logged[i/512] |= 1 << (i / 8 % 64)
+	}
 	switch pattern {
 	case "identical":
+		for i := range priv {
+			store(i, 0)
+		}
 	case "sparse":
-		priv[100] = 1
-		priv[3000] = 2
+		store(100, 1)
+		store(3000, 2)
 	case "words":
 		// One 8-byte word touched in every 64-byte line — pointer-update
 		// style write patterns.
 		for i := 0; i < len(priv); i += 64 {
-			priv[i] = byte(i)
+			store(i, byte(i))
 		}
 	case "dense":
 		for i := range priv {
-			priv[i] = byte(i + 1)
+			store(i, byte(i+1))
 		}
 	default:
 		panic("unknown diff pattern " + pattern)
 	}
-	return priv, twin
+	return priv, twin, logged
 }
 
+// BenchmarkDiff measures the commit's diff of one private page: only its
+// logged words compare against their twin values.
 func BenchmarkDiff(b *testing.B) {
 	for _, pattern := range []string{"identical", "sparse", "words", "dense"} {
 		b.Run(pattern, func(b *testing.B) {
-			priv, twin := diffPage(pattern)
+			priv, twin, logged := diffPage(pattern)
+			ranges := make([]DiffRange, 0, DefaultPageSize/8)
 			b.ReportAllocs()
 			b.SetBytes(DefaultPageSize)
 			for i := 0; i < b.N; i++ {
-				Diff(priv, twin, 8)
+				ranges = loggedDiff(priv, twin, logged, ranges[:0])
 			}
 		})
 	}
 }
 
-// BenchmarkCommit measures one full sub-computation write burst: fault and
-// copy-on-write 16 pages, dirty a cache line in each, then diff and publish
-// at the synchronization boundary. This is the paper's per-sync-point cost.
+// BenchmarkCommit measures the synchronization-point commit. "burst" is
+// one sub-computation's write burst: fault and copy-on-write 16 pages,
+// dirty a cache line in each, then diff and publish — the paper's
+// per-sync-point cost. "after-wide" commits a one-page sub-computation
+// after one that wrote 4 096 pages: a commit that cost what the widest
+// sub-computation so far left behind would show here.
 func BenchmarkCommit(b *testing.B) {
-	const pages = 16
-	s := benchSpace(b)
 	var line [64]byte
 	for i := range line {
 		line[i] = byte(i + 1)
 	}
-	b.ReportAllocs()
-	b.SetBytes(pages * DefaultPageSize)
-	for i := 0; i < b.N; i++ {
+	write := func(b *testing.B, s *Space, pages, i int) {
 		for p := 0; p < pages; p++ {
 			a := Addr(benchRegionBase + p*DefaultPageSize + (i%32)*64)
 			if _, err := s.Write(a, line[:]); err != nil {
 				b.Fatal(err)
 			}
 		}
-		s.Commit()
 	}
+	b.Run("burst", func(b *testing.B) {
+		const pages = 16
+		s := benchSpace(b)
+		b.ReportAllocs()
+		b.SetBytes(pages * DefaultPageSize)
+		for i := 0; i < b.N; i++ {
+			write(b, s, pages, i)
+			s.Commit()
+		}
+	})
+	b.Run("after-wide", func(b *testing.B) {
+		s := benchSpace(b)
+		write(b, s, 4096, 0)
+		s.Commit()
+		b.ReportAllocs()
+		b.SetBytes(DefaultPageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			write(b, s, 1, i)
+			s.Commit()
+		}
+	})
 }
 
 // BenchmarkReadWrite measures the steady-state tracked access fast path:
@@ -149,13 +183,12 @@ func BenchmarkReadClean(b *testing.B) {
 
 // TestAllocsHotPaths pins what the benchmarks above report as 0
 // allocs/op: the tracked read/write fast path (same-page and
-// page-hopping), clean reads, the diff of an unmodified page, and
-// BenchmarkCommit's steady state — fault, twin and diff 16 pages out of
-// the page pool; once its 32 line offsets are all written the rewrites
-// change no byte, so the one allocation a publishing commit makes
-// (Diff's range slice) is not in it. (Named Allocs*, not after the
-// paths, so -race -run patterns never select it: the race detector
-// allocates.)
+// page-hopping), clean reads, the diff of a page of silent stores, and
+// BenchmarkCommit/burst's steady state — fault, twin and diff 16 pages out
+// of the page pool; once its 32 line offsets are all written the rewrites
+// change no byte. (A publishing commit allocates nothing either once its
+// reused range scratch has grown.) (Named Allocs*, not after the paths,
+// so -race -run patterns never select it: the race detector allocates.)
 func TestAllocsHotPaths(t *testing.T) {
 	const pages = 16
 	check := func(err error) {
@@ -210,7 +243,8 @@ func TestAllocsHotPaths(t *testing.T) {
 	for i < 32 {
 		commitOnce()
 	}
-	priv, twin := diffPage("identical")
+	priv, twin, logged := diffPage("identical")
+	var ranges []DiffRange
 	for _, c := range []struct {
 		name string
 		fn   func()
@@ -222,7 +256,7 @@ func TestAllocsHotPaths(t *testing.T) {
 			check(err)
 			cleanAt = (cleanAt + DefaultPageSize + 8) % (pages * DefaultPageSize)
 		}},
-		{"Diff/identical", func() { Diff(priv, twin, 8) }},
+		{"Diff/identical", func() { ranges = loggedDiff(priv, twin, logged, ranges[:0]) }},
 		{"Commit", commitOnce},
 	} {
 		if got := testing.AllocsPerRun(200, c.fn); got != 0 {

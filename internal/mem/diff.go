@@ -6,11 +6,10 @@ import (
 	"math/bits"
 )
 
-// diffChunk is the stride of the bytes.Equal prefix scan. Unchanged spans
-// (the common case: most of a dirty page is untouched) skip at this
-// granularity through the runtime's vectorized memequal before the scan
-// drops to word- and byte-precision at run boundaries.
-const diffChunk = 512
+// commitGap is the coalescing gap of the commit diff: changed bytes
+// separated by fewer unchanged bytes than this publish as one range (real
+// DSM systems coalesce to reduce per-range bookkeeping).
+const commitGap = 8
 
 // DiffRange is one contiguous run of changed bytes within a page.
 type DiffRange struct {
@@ -18,130 +17,53 @@ type DiffRange struct {
 	Len int
 }
 
-// Diff compares a dirty private page against its twin (the copy taken at
-// the first write fault) and returns the changed byte ranges — the
-// byte-level comparison of paper §V-A. Adjacent changed bytes coalesce
-// into one range; runs of unchanged bytes shorter than minGap do not split
-// a range (real DSM systems coalesce to reduce per-range bookkeeping).
+// loggedDiff appends to out the changed byte ranges of a private page — the
+// byte-level comparison of paper §V-A. Bit w of logged marks word w (bytes
+// 8w..8w+7) as written in this sub-computation, and twin holds each logged
+// word's snapshot value at its offset; an unlogged word was never stored
+// to, so it is unchanged and its twin bytes are never read.
 //
-// The scan compares eight bytes at a time (the word-wise coalescing of the
-// DSM lineage this design borrows from) with byte-precise fixups at run
-// boundaries; the ranges returned are identical to the byte-at-a-time
-// reference implementation diffReference (diff_test.go), which the
-// property tests verify.
-func Diff(priv, twin []byte, minGap int) []DiffRange {
-	if len(priv) != len(twin) {
-		// Caller bug; diffing different-sized buffers has no meaning.
-		// Treat everything as changed to stay safe.
-		n := len(priv)
-		if len(twin) < n {
-			n = len(twin)
-		}
-		if n == 0 {
-			return nil
-		}
-		return []DiffRange{{Off: 0, Len: n}}
-	}
-	var out []DiffRange
-	i := 0
-	n := len(priv)
-	for i < n {
-		// Skip the unchanged prefix: chunk-wise, then word-wise, then the
-		// exact first changed byte from the xor of the mismatching word.
-		for i+diffChunk <= n && bytes.Equal(priv[i:i+diffChunk], twin[i:i+diffChunk]) {
-			i += diffChunk
-		}
-		for i+8 <= n {
-			x := binary.LittleEndian.Uint64(priv[i:]) ^ binary.LittleEndian.Uint64(twin[i:])
-			if x != 0 {
-				i += bits.TrailingZeros64(x) >> 3
-				break
+// The ranges are those of a byte-wise diff of priv against the full
+// snapshot with a gap of commitGap (diffReference in diff_test.go, which
+// the property tests hold this to): a changed word's interior unchanged
+// run is at most six bytes and never splits a range, and changed bytes in
+// two different words coalesce exactly when fewer than commitGap unchanged
+// bytes lie between them. A logged word that holds its snapshot value
+// again (a silent store) is unchanged and publishes nothing.
+func loggedDiff(priv, twin []byte, logged []uint64, out []DiffRange) []DiffRange {
+	// [start, end) is the open range; end sits commitGap before the page
+	// so that the first change never coalesces with it.
+	start, end := 0, -commitGap
+	for i, m := range logged {
+		if m == ^uint64(0) {
+			// 64 logged words: a block rewritten whole, often with what it
+			// held. Skip it through the vectorized compare when unchanged.
+			off := i << 9
+			if bytes.Equal(priv[off:off+512], twin[off:off+512]) {
+				continue
 			}
-			i += 8
 		}
-		for i < n && priv[i] == twin[i] {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		// A changed run starts at i. Extend it until minGap consecutive
-		// unchanged bytes terminate it. end tracks one past the last
-		// changed byte seen; gap counts verified-unchanged bytes past end.
-		start := i
-		end := i + 1
-		gap := 0
-		j := end
-		for j+8 <= n && gap < minGap {
-			x := binary.LittleEndian.Uint64(priv[j:]) ^ binary.LittleEndian.Uint64(twin[j:])
+		for m != 0 {
+			off := (i<<6 + bits.TrailingZeros64(m)) << 3
+			m &= m - 1
+			x := binary.LittleEndian.Uint64(priv[off:]) ^ binary.LittleEndian.Uint64(twin[off:])
 			if x == 0 {
-				gap += 8
-				j += 8
 				continue
 			}
-			if minGap >= 7 && x&0xff != 0 && x>>56 != 0 {
-				// Both boundary bytes changed: the run swallows the whole
-				// word (interior unchanged bytes are < minGap) and no gap
-				// carries across either edge. Fast-forward such words —
-				// the steady state of densely rewritten pages.
-				end = j + 8
-				gap = 0
-				j += 8
-				for j+8 <= n {
-					x = binary.LittleEndian.Uint64(priv[j:]) ^ binary.LittleEndian.Uint64(twin[j:])
-					if x == 0 || x&0xff == 0 || x>>56 == 0 {
-						break
-					}
-					end = j + 8
-					j += 8
-				}
+			lo := off + bits.TrailingZeros64(x)>>3
+			hi := off + 8 - bits.LeadingZeros64(x)>>3
+			if lo-end < commitGap {
+				end = hi
 				continue
 			}
-			// Unchanged bytes at the low end of the word extend the gap;
-			// if that completes minGap the run ended before this word's
-			// first change (the extra equal bytes skipped beyond minGap
-			// are unchanged, so the resume below lands identically).
-			if gap+bits.TrailingZeros64(x)>>3 >= minGap {
-				gap += bits.TrailingZeros64(x) >> 3
-				break
+			if end > start {
+				out = append(out, DiffRange{Off: start, Len: end - start})
 			}
-			if minGap >= 7 {
-				// No interior unchanged run of a word (≤6 bytes between
-				// two changed bytes) can reach minGap, so the word's last
-				// change wins: whatever trails it becomes the new gap.
-				lz := bits.LeadingZeros64(x) >> 3
-				end = j + 8 - lz
-				gap = lz
-				j += 8
-				continue
-			}
-			// Small minGap: an unchanged run inside this word could split
-			// the range. Replay the word byte-precise.
-			for k := j; k < j+8 && gap < minGap; k++ {
-				if priv[k] != twin[k] {
-					end = k + 1
-					gap = 0
-				} else {
-					gap++
-				}
-			}
-			j += 8
+			start, end = lo, hi
 		}
-		for ; j < n && gap < minGap; j++ {
-			if priv[j] != twin[j] {
-				end = j + 1
-				gap = 0
-			} else {
-				gap++
-			}
-		}
-		if out == nil {
-			// One right-sized allocation covers typical range counts
-			// instead of growing through the tiny append size classes.
-			out = make([]DiffRange, 0, 16)
-		}
+	}
+	if end > start {
 		out = append(out, DiffRange{Off: start, Len: end - start})
-		i = end + gap
 	}
 	return out
 }

@@ -23,8 +23,23 @@
 // the resolved page id (Fault.Page); layers above must not re-derive it
 // from the address. Space.Read/Write and the typed accessors are the
 // hot path: single-page accesses take a pooled, allocation-free fast
-// path, and Diff is word-wise with the byte-wise reference retained for
-// property tests.
+// path.
+//
+// A twin is word-logged: the first store to each 8-byte word of a private
+// page saves that word's snapshot value and marks it in the page's
+// written-word bitmap, and Commit compares only logged words, coalescing
+// ranges exactly as a byte-level diff with an 8-byte gap over a full twin
+// does (that whole-page diff and its byte-wise reference are the
+// property tests' oracles). Commit walks only the pages the
+// sub-computation touched.
+//
+// # Two clocks
+//
+// The virtual-time model still charges what the paper's mechanism costs:
+// a full-page twin copy per first-written page (SpaceStats.TwinCopies)
+// and a full-page diff per private page (CommitResult.DiffedBytes). The
+// host now copies and compares only logged words. The counters keep the
+// model's meaning, so no cost constant changes with the mechanism.
 //
 // See DESIGN.md, section "The tracked-memory fast path".
 package mem

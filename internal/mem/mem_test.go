@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"testing"
+	"unsafe"
 )
 
 func mustBacking(t *testing.T, name string, base Addr, size, ps int) *Backing {
@@ -298,17 +299,43 @@ func TestSpaceNativeMode(t *testing.T) {
 }
 
 func TestSpaceSegfault(t *testing.T) {
-	s, _, _ := newTestSpace(t, true)
-	err := s.Read(0xdead0000, make([]byte, 1))
-	var seg *SegfaultError
-	if !errors.As(err, &seg) {
-		t.Fatalf("err = %v, want SegfaultError", err)
+	const bad = 0xdead0000
+	for _, c := range []struct {
+		name     string
+		tracking bool
+		access   func(s *Space) error
+		kind     AccessKind
+	}{
+		{"tracked Read", true, func(s *Space) error { return s.Read(bad, make([]byte, 1)) }, AccessRead},
+		{"tracked LoadU64", true, func(s *Space) error { _, err := s.LoadU64(bad); return err }, AccessRead},
+		{"tracked Write", true, func(s *Space) error { _, err := s.Write(bad, make([]byte, 3)); return err }, AccessWrite},
+		{"tracked StoreU64", true, func(s *Space) error { _, err := s.StoreU64(bad, 1); return err }, AccessWrite},
+		{"native Write", false, func(s *Space) error { _, err := s.Write(bad, make([]byte, 3)); return err }, AccessWrite},
+	} {
+		s, _, _ := newTestSpace(t, c.tracking)
+		err := c.access(s)
+		var seg *SegfaultError
+		if !errors.As(err, &seg) {
+			t.Fatalf("%s: err = %v, want SegfaultError", c.name, err)
+		}
+		if seg.Addr != bad {
+			t.Errorf("%s: fault addr = %#x", c.name, uint64(seg.Addr))
+		}
+		if seg.Kind != c.kind {
+			t.Errorf("%s: fault kind = %s, want %s", c.name, seg.Kind, c.kind)
+		}
+		if seg.Error() == "" {
+			t.Errorf("%s: empty error message", c.name)
+		}
 	}
-	if seg.Addr != 0xdead0000 {
-		t.Errorf("fault addr = %#x", uint64(seg.Addr))
-	}
-	if seg.Error() == "" {
-		t.Error("empty error message")
+}
+
+// TestSpaceFillsWholeCacheLines keeps each thread's space on cache lines
+// of its own: spaces are allocated back to back and written by different
+// threads on every tracked access.
+func TestSpaceFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Space{}); n%64 != 0 {
+		t.Errorf("Space is %d bytes, want a multiple of 64; fix its padding", n)
 	}
 }
 

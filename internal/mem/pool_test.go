@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -45,14 +46,16 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 }
 
 // TestPoolRecycledTwinNoLeak pins the pool's safety property: a recycled
-// twin (and priv) is fully overwritten from the backing snapshot before
-// use, so bytes written in a previous sub-computation can never show
-// through into a later diff. A leak would surface as phantom committed
-// bytes: the twin would disagree with the untouched backing page.
+// private buffer is fully overwritten from the backing snapshot before
+// use, and a recycled twin is never scrubbed but is read only at words a
+// store of this sub-computation logged, so bytes written in a previous
+// sub-computation can never show through into a later diff. A leak would
+// surface as phantom committed bytes.
 func TestPoolRecycledTwinNoLeak(t *testing.T) {
 	s := poolTestSpace(t)
 	// Sub-computation 1: poison a full page with 0xAA and commit, leaving
-	// poisoned buffers in the pool.
+	// its buffers in the pool; then poison every pooled buffer outright,
+	// whatever the commit left in it.
 	poison := make([]byte, DefaultPageSize)
 	for i := range poison {
 		poison[i] = 0xAA
@@ -64,11 +67,26 @@ func TestPoolRecycledTwinNoLeak(t *testing.T) {
 	if res.CommittedBytes != DefaultPageSize {
 		t.Fatalf("poison commit = %+v, want full page", res)
 	}
+	if len(s.pool.bufs) != 2 {
+		t.Fatalf("pool buffers after commit = %d, want 2", len(s.pool.bufs))
+	}
+	for _, b := range s.pool.bufs {
+		copy(b, poison)
+	}
 	// Sub-computation 2: one-byte write to a different (zero) page. Its
-	// priv and twin are recycled poisoned buffers; both must re-initialize
-	// from the backing, so exactly one byte diffs.
-	if _, err := s.StoreU8(poolTestBase+DefaultPageSize+5, 1); err != nil {
+	// priv and twin are the poisoned buffers. The priv re-initializes from
+	// the backing; the twin keeps its poison everywhere but the one logged
+	// word, and exactly one byte diffs.
+	const page2 = poolTestBase + DefaultPageSize
+	if _, err := s.StoreU8(page2+5, 1); err != nil {
 		t.Fatal(err)
+	}
+	sp := s.pages[PageID(page2/DefaultPageSize)]
+	if !bytes.Equal(sp.twin[8:], poison[8:]) {
+		t.Fatal("twin beyond the logged word was rewritten; this test no longer shows that only logged words are read")
+	}
+	if sp.logged[0] != 1 || sp.logged[1] != 0 {
+		t.Fatalf("logged bitmap = %b, want only word 0", sp.logged)
 	}
 	res = s.Commit()
 	if res.DirtyPages != 1 || res.CommittedBytes != 1 {
@@ -76,7 +94,7 @@ func TestPoolRecycledTwinNoLeak(t *testing.T) {
 	}
 	// The backing page must hold only that byte.
 	got := make([]byte, DefaultPageSize)
-	if err := s.backingFor(poolTestBase+DefaultPageSize).ReadAt(poolTestBase+DefaultPageSize, got); err != nil {
+	if err := s.backingFor(page2).ReadAt(page2, got); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got {
@@ -91,18 +109,33 @@ func TestPoolRecycledTwinNoLeak(t *testing.T) {
 }
 
 // TestPoolRecycledPageRecordIsCold verifies a recycled spacePage record
-// carries no protection or buffers: the next sub-computation's first
-// access to any page faults exactly as a cold page would.
+// carries no protection, buffers or logged words: the next
+// sub-computation's first access to any page faults exactly as a cold
+// page would, and logs only its own stores.
 func TestPoolRecycledPageRecordIsCold(t *testing.T) {
 	s := poolTestSpace(t)
-	if _, err := s.StoreU64(poolTestBase, 1); err != nil {
-		t.Fatal(err)
+	for w := 0; w < DefaultPageSize/8; w += 9 {
+		if _, err := s.StoreU64(Addr(poolTestBase+8*w), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.Commit()
+	if len(s.pool.metas) != 1 {
+		t.Fatalf("pool page records after commit = %d, want 1", len(s.pool.metas))
+	}
+	rec := s.pool.metas[0]
+	if len(rec.logged) != DefaultPageSize/512 {
+		t.Errorf("recycled record's bitmap has %d words, want %d (kept with the record)", len(rec.logged), DefaultPageSize/512)
+	}
+	for i, m := range rec.logged {
+		if m != 0 {
+			t.Errorf("recycled record's bitmap word %d = %b, want clear", i, m)
+		}
+	}
 	base := s.Stats()
 	// Same page again: must re-fault (write fault + twin copy), proving
 	// the recycled record did not retain prot bits or a private copy.
-	if _, err := s.StoreU64(poolTestBase, 2); err != nil {
+	if _, err := s.StoreU64(poolTestBase+16, 2); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -111,6 +144,9 @@ func TestPoolRecycledPageRecordIsCold(t *testing.T) {
 	}
 	if st.TwinCopies != base.TwinCopies+1 {
 		t.Errorf("twin copies = %d, want %d", st.TwinCopies, base.TwinCopies+1)
+	}
+	if sp := s.pages[PageID(poolTestBase/DefaultPageSize)]; sp != rec || sp.logged[0] != 1<<2 {
+		t.Errorf("page record reused = %v, logged = %b; want the recycled record with only word 2 logged", sp == rec, sp.logged)
 	}
 }
 

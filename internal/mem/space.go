@@ -16,10 +16,15 @@ import (
 //     the start of each sub-computation): Commit forgets every page.
 //  2. Accesses fault on first read / first write per page; the FaultHandler
 //     records the access, then the Space upgrades protection. First write
-//     also materializes a private copy-on-write page plus a twin snapshot.
-//  3. Commit: dirty pages diff against their twins and publish to the
-//     shared backing; private copies drop so the next sub-computation
-//     observes other threads' committed writes (Release Consistency).
+//     also materializes a private copy-on-write page (the page's snapshot)
+//     and an empty word-logged twin.
+//  3. Each store logs the words it is the first to write: their snapshot
+//     values go into the twin and their bits into the page's written-word
+//     bitmap, before the store lands in the private copy.
+//  4. Commit: the logged words of every private page compare against their
+//     twin values and the changed ranges publish to the shared backing;
+//     private copies drop so the next sub-computation observes other
+//     threads' committed writes (Release Consistency).
 //
 // Because every tracked access funnels through here, the lookup path is
 // engineered flat: page ids derive by shift (uniform page size), a one-entry
@@ -27,6 +32,8 @@ import (
 // overwhelmingly common pattern), backings resolve by binary search over a
 // base-sorted slice, and Commit recycles page buffers and spacePage structs
 // through a free list instead of re-allocating ~2 pages per first write.
+// Commit walks only the pages this sub-computation touched, so its cost
+// follows the sub-computation, not the widest one before it.
 type Space struct {
 	pid      int32
 	pageSize int
@@ -41,6 +48,12 @@ type Space struct {
 	tracking  bool
 
 	pages map[PageID]*spacePage
+	// touched lists the keys of pages in insertion order; Commit walks it
+	// and deletes each key rather than ranging over (and clearing) a map
+	// whose capacity is that of the widest sub-computation so far.
+	touched []PageID
+	// ranges is Commit's reused scratch for one page's changed ranges.
+	ranges []DiffRange
 
 	// One-entry page cache: the last page resolved by pageFor. lastSP is
 	// nil whenever the cache is invalid (startup and after Commit).
@@ -53,6 +66,13 @@ type Space struct {
 	pool pagePool
 
 	stats SpaceStats
+
+	// A runtime allocates its threads' spaces back to back, and each
+	// thread bumps its stats on every access while reading its page-size
+	// fields: a space that shared a cache line with the next one
+	// false-shared on every tracked access. The padding rounds the struct
+	// up to five whole lines.
+	_ [320 - 280]byte
 }
 
 // spacePage is the per-process state of one page.
@@ -60,14 +80,22 @@ type spacePage struct {
 	backing *Backing
 	prot    Prot
 	priv    []byte // private CoW copy; nil until first write
-	twin    []byte // snapshot at first write, for diffing
+	// twin holds the snapshot value of each logged word at its offset;
+	// every other word of it is stale and is never read.
+	twin []byte
+	// logged has one bit per 8-byte word of the page, set by the first
+	// store to that word. It is all zero whenever priv is nil, and it
+	// stays with the record through the pool.
+	logged []uint64
 }
 
 // pagePool recycles page buffers and spacePage structs between
 // sub-computations. A Space is single-owner, so plain free lists beat
 // sync.Pool (no atomics); the lists are bounded by the peak per-sub
-// working set. Recycled buffers are fully overwritten before reuse
-// (SnapshotPage writes every byte), which TestPoolRecycledTwinNoLeak pins.
+// working set. A recycled private buffer is fully overwritten before reuse
+// (SnapshotPage writes every byte); a recycled twin is not, and is read
+// only at logged words, each written by the store that logged it. Both
+// rules are pinned by TestPoolRecycledTwinNoLeak.
 type pagePool struct {
 	bufs  [][]byte
 	metas []*spacePage
@@ -104,9 +132,11 @@ func (p *pagePool) getMeta() *spacePage {
 	return new(spacePage)
 }
 
-// putMeta clears and recycles a spacePage.
+// putMeta clears and recycles a spacePage, keeping its (zeroed) bitmap.
 func (p *pagePool) putMeta(sp *spacePage) {
-	*sp = spacePage{}
+	logged := sp.logged
+	clear(logged)
+	*sp = spacePage{logged: logged}
 	p.metas = append(p.metas, sp)
 }
 
@@ -115,12 +145,15 @@ type SpaceStats struct {
 	// ReadFaults and WriteFaults are protection faults taken (Table 7).
 	ReadFaults  uint64
 	WriteFaults uint64
-	// TwinCopies counts pages duplicated for diffing.
+	// TwinCopies counts pages given a twin: one per first write to a page
+	// in a sub-computation. The cost model charges a full-page copy for
+	// each, whatever share of the page the host actually logs.
 	TwinCopies uint64
 	// CommittedPages and CommittedBytes measure shared-memory commits.
 	CommittedPages uint64
 	CommittedBytes uint64
-	// DiffedBytes counts bytes compared during diffing.
+	// DiffedBytes counts bytes diffed at commits: a full page per private
+	// page, as the cost model charges, though only logged words compare.
 	DiffedBytes uint64
 	// Reads/Writes count tracked accesses (not faults).
 	Reads  uint64
@@ -199,8 +232,9 @@ func (s *Space) backingFor(a Addr) *Backing {
 
 // pageFor returns (materializing if needed) the per-process page state.
 // Consecutive accesses to the same page resolve through the one-entry
-// cache without touching the map or the backing list.
-func (s *Space) pageFor(a Addr) (*spacePage, PageID, error) {
+// cache without touching the map or the backing list. kind names the
+// access an unmapped address reports.
+func (s *Space) pageFor(a Addr, kind AccessKind) (*spacePage, PageID, error) {
 	if s.uniform {
 		id := PageID(uint64(a) >> s.pageShift)
 		// The bounds check keeps cache hits from reaching past a backing
@@ -209,20 +243,20 @@ func (s *Space) pageFor(a Addr) (*spacePage, PageID, error) {
 		if sp := s.lastSP; sp != nil && id == s.lastID && sp.backing.Contains(a) {
 			return sp, id, nil
 		}
-		return s.pageForSlow(a, id)
+		return s.pageForSlow(a, id, kind)
 	}
 	b := s.backingFor(a)
 	if b == nil {
-		return nil, 0, &SegfaultError{Addr: a, Kind: AccessRead}
+		return nil, 0, &SegfaultError{Addr: a, Kind: kind}
 	}
 	return s.pageLookup(b, b.PageOf(a))
 }
 
 // pageForSlow handles a one-entry-cache miss on the uniform-page-size path.
-func (s *Space) pageForSlow(a Addr, id PageID) (*spacePage, PageID, error) {
+func (s *Space) pageForSlow(a Addr, id PageID, kind AccessKind) (*spacePage, PageID, error) {
 	b := s.backingFor(a)
 	if b == nil {
-		return nil, 0, &SegfaultError{Addr: a, Kind: AccessRead}
+		return nil, 0, &SegfaultError{Addr: a, Kind: kind}
 	}
 	return s.pageLookup(b, id)
 }
@@ -235,6 +269,7 @@ func (s *Space) pageLookup(b *Backing, id PageID) (*spacePage, PageID, error) {
 		sp.backing = b
 		sp.prot = ProtNone
 		s.pages[id] = sp
+		s.touched = append(s.touched, id)
 	}
 	s.lastID, s.lastSP = id, sp
 	return sp, id, nil
@@ -263,10 +298,11 @@ func (s *Space) fault(sp *spacePage, id PageID, a Addr, kind AccessKind) {
 	}
 }
 
-// ensurePrivate materializes the CoW copy and twin for a page about to be
-// written. Buffers come from the pool; SnapshotPage overwrites every byte
-// of the recycled buffer before it is read, so no bytes can leak from a
-// previous sub-computation.
+// ensurePrivate materializes the CoW copy and the (empty) twin for a page
+// about to be written. Buffers come from the pool; SnapshotPage overwrites
+// every byte of the recycled private buffer before it is read, and the
+// twin is read only at words a store has logged since, so no bytes can
+// leak from a previous sub-computation.
 func (s *Space) ensurePrivate(sp *spacePage, id PageID) {
 	if sp.priv != nil {
 		return
@@ -274,8 +310,36 @@ func (s *Space) ensurePrivate(sp *spacePage, id PageID) {
 	sp.priv = s.pool.getBuf(s.pageSize)
 	sp.backing.SnapshotPage(id, sp.priv)
 	sp.twin = s.pool.getBuf(s.pageSize)
-	copy(sp.twin, sp.priv)
+	// One bit per 8-byte word: pageSize/512 uint64s, at least one.
+	if words := (s.pageSize + 511) >> 9; len(sp.logged) != words {
+		sp.logged = make([]uint64, words)
+	}
 	s.stats.TwinCopies++
+}
+
+// logRange prepares a private page for a store to words w0..w1
+// (inclusive): each run of them that no earlier store of this
+// sub-computation has logged saves its snapshot value from the private
+// page into the twin in one copy, and every bit is set.
+func (sp *spacePage) logRange(w0, w1 int) {
+	for i := w0 >> 6; i <= w1>>6; i++ {
+		mask := ^uint64(0)
+		if i == w0>>6 {
+			mask <<= uint(w0 & 63)
+		}
+		if i == w1>>6 {
+			mask &= ^uint64(0) >> uint(63-w1&63)
+		}
+		fresh := mask &^ sp.logged[i]
+		sp.logged[i] |= mask
+		for fresh != 0 {
+			lo := bits.TrailingZeros64(fresh)
+			run := bits.TrailingZeros64(^(fresh >> uint(lo)))
+			off := (i<<6 + lo) << 3
+			copy(sp.twin[off:off+run<<3], sp.priv[off:])
+			fresh &^= (^uint64(0) >> uint(64-run)) << uint(lo)
+		}
+	}
 }
 
 // Read copies len(dst) bytes from address a into dst, faulting as needed.
@@ -295,7 +359,7 @@ func (s *Space) Read(a Addr, dst []byte) error {
 	off := 0
 	for off < len(dst) {
 		cur := a + Addr(off)
-		sp, id, err := s.pageFor(cur)
+		sp, id, err := s.pageFor(cur, AccessRead)
 		if err != nil {
 			return err
 		}
@@ -339,7 +403,7 @@ func (s *Space) Write(a Addr, src []byte) (conflicts int, err error) {
 	off := 0
 	for off < len(src) {
 		cur := a + Addr(off)
-		sp, id, err := s.pageFor(cur)
+		sp, id, err := s.pageFor(cur, AccessWrite)
 		if err != nil {
 			return 0, err
 		}
@@ -355,6 +419,7 @@ func (s *Space) Write(a Addr, src []byte) (conflicts int, err error) {
 		if n > len(src)-off {
 			n = len(src) - off
 		}
+		sp.logRange(po>>3, (po+n-1)>>3)
 		copy(sp.priv[po:po+n], src[off:off+n])
 		off += n
 	}
@@ -373,6 +438,9 @@ type CommitResult struct {
 // the shared backing (last-writer-wins), and drops all private copies and
 // protections so the next sub-computation starts cold and observes other
 // threads' commits. This is the synchronization-point step of §V-A.
+// Only logged words are compared, and a logged word that holds its
+// snapshot value again (a silent store) is not published, so a commit
+// never overwrites another thread's newer value with a stale one.
 // Dropped page buffers and page records return to the pool for the next
 // sub-computation's first writes.
 func (s *Space) Commit() CommitResult {
@@ -380,12 +448,14 @@ func (s *Space) Commit() CommitResult {
 	if !s.tracking {
 		return res
 	}
-	for id, sp := range s.pages {
+	for _, id := range s.touched {
+		sp := s.pages[id]
+		delete(s.pages, id)
 		if sp.priv != nil {
-			ranges := Diff(sp.priv, sp.twin, 8)
+			s.ranges = loggedDiff(sp.priv, sp.twin, sp.logged, s.ranges[:0])
 			res.DiffedBytes += s.pageSize
-			if n := DiffBytes(ranges); n > 0 {
-				sp.backing.ApplyDiff(id, sp.priv, ranges)
+			if n := DiffBytes(s.ranges); n > 0 {
+				sp.backing.ApplyDiff(id, sp.priv, s.ranges)
 				res.DirtyPages++
 				res.CommittedBytes += n
 			}
@@ -394,7 +464,7 @@ func (s *Space) Commit() CommitResult {
 		}
 		s.pool.putMeta(sp)
 	}
-	clear(s.pages)
+	s.touched = s.touched[:0]
 	s.lastSP = nil
 	s.stats.CommittedPages += uint64(res.DirtyPages)
 	s.stats.CommittedBytes += uint64(res.CommittedBytes)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAuxFullTraceBasic(t *testing.T) {
@@ -121,6 +122,135 @@ func TestQuickAuxFullTraceNeverCorrupts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuickAuxGrowingRingMatchesFixed holds the ring that grows as it
+// fills to one allocated at its full size from the start: over random
+// write, Read and SnapshotWindow sequences in both modes, and sizes on
+// both sides of the initial allocation, both report the same accepted
+// counts, Lost, Len and bytes out, and so does a plain queue model of the
+// ring's contract.
+func TestQuickAuxGrowingRingMatchesFixed(t *testing.T) {
+	sizes := []int{1, 7, 50, auxInitial - 1, auxInitial, auxInitial + 1, 3*auxInitial + 5}
+	src := make([]byte, 2*sizes[len(sizes)-1])
+	rand.New(rand.NewSource(1)).Read(src)
+	for _, mode := range []Mode{ModeFullTrace, ModeSnapshot} {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			size := sizes[r.Intn(len(sizes))]
+			grow := NewAuxBuffer(size, mode)
+			fixed := NewAuxBuffer(size, mode)
+			fixed.data = make([]byte, size)
+			var queue []byte // unread bytes, oldest first
+			var lost uint64
+			for i := 0; i < 60; i++ {
+				switch r.Intn(4) {
+				case 0, 1:
+					n := r.Intn(64)
+					if r.Intn(3) == 0 {
+						n = r.Intn(size + size/2 + 1)
+					}
+					start := r.Intn(len(src) - n + 1)
+					chunk := src[start : start+n]
+					got, want := grow.WriteTrace(chunk), fixed.WriteTrace(chunk)
+					accept := n
+					if mode == ModeFullTrace && accept > size-len(queue) {
+						accept = size - len(queue)
+						lost += uint64(n - accept)
+					}
+					queue = append(queue, chunk[:accept]...)
+					if len(queue) > size {
+						queue = queue[len(queue)-size:]
+					}
+					if got != want || got != accept {
+						t.Logf("%s size %d op %d: WriteTrace(%d) = %d, fixed %d, model %d", mode, size, i, n, got, want, accept)
+						return false
+					}
+				case 2:
+					max := r.Intn(size+1) - 1
+					got, want := grow.Read(max), fixed.Read(max)
+					n := len(queue)
+					if max >= 0 && n > max {
+						n = max
+					}
+					model := queue[:n]
+					queue = queue[n:]
+					if !bytes.Equal(got, want) || !bytes.Equal(got, model) {
+						t.Logf("%s size %d op %d: Read(%d) differs", mode, size, i, max)
+						return false
+					}
+				case 3:
+					got, want := grow.SnapshotWindow(), fixed.SnapshotWindow()
+					if !bytes.Equal(got, want) || !bytes.Equal(got, queue) {
+						t.Logf("%s size %d op %d: SnapshotWindow differs", mode, size, i)
+						return false
+					}
+				}
+				if grow.Lost() != fixed.Lost() || grow.Lost() != lost ||
+					grow.Len() != fixed.Len() || grow.Len() != len(queue) ||
+					grow.Size() != size || len(grow.data) > size {
+					t.Logf("%s size %d op %d: lost %d/%d/%d len %d/%d/%d size %d alloc %d",
+						mode, size, i, grow.Lost(), fixed.Lost(), lost, grow.Len(), fixed.Len(), len(queue), grow.Size(), len(grow.data))
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("%s: %v", mode, err)
+		}
+	}
+}
+
+// TestAuxRingAllocatesAsItFills pins the growing ring's cost: a 4 MiB ring
+// allocates at most auxInitial (64 KiB) before its first write, and grows
+// only as far as the bytes it retains need.
+func TestAuxRingAllocatesAsItFills(t *testing.T) {
+	const size = 4 << 20
+	var before, after runtime.MemStats
+	const n = 16
+	bufs := make([]*AuxBuffer, n)
+	runtime.ReadMemStats(&before)
+	for i := range bufs {
+		bufs[i] = NewAuxBuffer(size, ModeFullTrace)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > auxInitial+256 {
+		t.Errorf("NewAuxBuffer(4 MiB) allocated %d bytes each, want at most %d", per, auxInitial+256)
+	}
+	b := bufs[0]
+	if b.Size() != size || len(b.data) != auxInitial {
+		t.Fatalf("Size() = %d, allocated %d; want %d, %d", b.Size(), len(b.data), size, auxInitial)
+	}
+	chunk := make([]byte, auxInitial/2+1)
+	b.WriteTrace(chunk)
+	if len(b.data) != auxInitial {
+		t.Errorf("after %d bytes: allocated %d, want %d", len(chunk), len(b.data), auxInitial)
+	}
+	b.WriteTrace(chunk)
+	if len(b.data) != 2*auxInitial {
+		t.Errorf("after %d bytes: allocated %d, want %d", 2*len(chunk), len(b.data), 2*auxInitial)
+	}
+	// A consumer that keeps up keeps the ring small.
+	for i := 0; i < 64; i++ {
+		b.Read(-1)
+		b.WriteTrace(chunk)
+	}
+	if len(b.data) != 2*auxInitial {
+		t.Errorf("drained ring grew to %d, want %d", len(b.data), 2*auxInitial)
+	}
+	b.WriteTrace(make([]byte, size))
+	if len(b.data) != size || b.Len() != size {
+		t.Errorf("full ring: allocated %d, Len %d; want %d", len(b.data), b.Len(), size)
+	}
+}
+
+// TestAuxBufferFillsWholeCacheLines keeps each ring on cache lines of its
+// own: rings are allocated back to back and written by different threads.
+func TestAuxBufferFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(AuxBuffer{}); n%64 != 0 {
+		t.Errorf("AuxBuffer is %d bytes, want a multiple of 64; fix its padding", n)
 	}
 }
 

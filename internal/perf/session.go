@@ -12,7 +12,8 @@ type SessionOptions struct {
 	// Mode selects full-trace or snapshot AUX buffers.
 	Mode Mode
 	// AuxSize is the per-process AUX ring size in bytes (default 4 MiB,
-	// the slot size used by the paper's snapshot ring).
+	// the slot size used by the paper's snapshot ring). It is a capacity:
+	// the ring's memory starts at 64 KiB and grows as it fills.
 	AuxSize int
 	// AutoDrain makes full-trace streams move ring contents into the
 	// session store when the ring is half full, emulating the perf

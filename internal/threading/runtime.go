@@ -80,7 +80,10 @@ type Options struct {
 	PageSize int
 	// Model is the virtual-time cost model. Zero value selects defaults.
 	Model vtime.CostModel
-	// AuxSize is the per-process AUX ring size. Default 4 MiB.
+	// AuxSize is the per-process AUX ring capacity: full-trace loss and
+	// the snapshot window are measured against it, while the ring's
+	// memory starts at 64 KiB and grows only as the ring fills. Default
+	// 4 MiB.
 	AuxSize int
 	// TraceMode selects full-trace or snapshot AUX rings.
 	TraceMode perf.Mode
