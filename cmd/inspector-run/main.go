@@ -43,8 +43,8 @@
 // "crash" point SIGKILLs the process outright at a commit boundary —
 // nothing is exported; pair it with -journal and inspector-recover.
 // These five are the points a recording fires; a schedule naming any
-// other internal/faultinject point (the journal, network, .cpg writer
-// and sink-error points, which only wrappers in the chaos tests fire)
+// other internal/faultinject point (the journal, network and .cpg
+// writer points, which only wrappers in the chaos tests fire)
 // is refused before the run.
 //
 // -journal DIR makes the recording crash-durable: every sealed epoch is

@@ -376,7 +376,7 @@ func New(opts Options) (*Runtime, error) {
 				}
 			}
 		}
-		sinks = append(sinks, epoch.NewFollower(g.Threads(), hook, observers...))
+		sinks = append(sinks, epoch.NewFollower(g, hook, observers...))
 	}
 	if rt.up != nil {
 		sinks = append(sinks, rt.up)
@@ -505,17 +505,29 @@ func (r *Runtime) Source() provenance.Source {
 	return provenance.StaticSource(r.postRunEngine())
 }
 
-// postRunEngine analyzes the recorded graph once, in batch.
+// postRunEngine serves the run's final epoch: the feed's final fold
+// once it has published the final cut, else one fold of the recorded
+// graph numbered by that cut (0 for a run that cut none).
 func (r *Runtime) postRunEngine() *provenance.Engine {
 	r.engineOnce.Do(func() {
-		r.engine = provenance.NewEngine(r.rt.Graph().Analyze(), provenance.EngineOptions{})
+		var final uint64
+		if r.drv != nil {
+			final = r.drv.Epoch()
+		}
+		if r.feed != nil && r.feed.Epoch() == final {
+			r.engine = r.feed.Engine()
+		} else {
+			r.engine = provenance.NewEngine(r.rt.Graph().AnalyzeAs(final), provenance.EngineOptions{})
+		}
 	})
 	return r.engine
 }
 
-// Analysis returns the batch analysis of the recorded CPG, computed once
-// and shared with Query (without Options.Live) and WriteCPG. Call it
-// after Run returns.
+// Analysis returns the run's final epoch, numbered Epoch(): under
+// Options.Live the feed's final fold, otherwise one fold of the recorded
+// graph (epoch 0 with none of Journal, Stream and SnapshotMode),
+// computed once and shared with Query and WriteCPG. Call it after Run
+// returns.
 func (r *Runtime) Analysis() *Analysis { return r.postRunEngine().Analysis() }
 
 // ErrNotLive tags live-only calls on a runtime built without
@@ -554,10 +566,10 @@ func (r *Runtime) WaitEpoch(ctx context.Context, min uint64) (uint64, error) {
 // WriteDOT renders the CPG in Graphviz form.
 func (r *Runtime) WriteDOT(w io.Writer) error { return r.rt.Graph().WriteDOT(w) }
 
-// WriteCPG analyzes the recorded CPG and serializes it in the columnar
-// .cpg format (internal/cpgfile) — the file cpg-query -cpg and
-// inspector-serve -cpg/-cpgdir read. The header names the run
-// (Options.RunID, or the journal's generated id). Call it after Run
+// WriteCPG serializes the run's Analysis in the columnar .cpg format
+// (internal/cpgfile) — the file cpg-query -cpg and inspector-serve
+// -cpg/-cpgdir read — whose header names the run (Options.RunID, or the
+// journal's generated id) and its final epoch. Call it after Run
 // returns.
 func (r *Runtime) WriteCPG(w io.Writer) error {
 	return cpgfile.Encode(w, r.Analysis(), cpgfile.Meta{RunID: r.runID, App: r.app})

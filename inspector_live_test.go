@@ -107,6 +107,15 @@ func liveQueryDuringRun(t *testing.T, opts inspector.Options) {
 	if err := rt.CPG().Analyze().Verify(); err != nil {
 		t.Fatalf("final graph invalid: %v", err)
 	}
+	// One graph: the follower folded the recorder's own, and the run's
+	// analysis is the feed's final fold.
+	final := rt.Source().Engine().Analysis()
+	if final.Graph() != rt.CPG() {
+		t.Fatal("the live analysis folds a graph other than the recorder's")
+	}
+	if rt.Analysis() != final || final.Epoch() != rt.Epoch() {
+		t.Fatalf("run analysis at epoch %d is not the feed's final fold (epoch %d)", rt.Analysis().Epoch(), rt.Epoch())
+	}
 }
 
 // TestLiveOptionValidation pins the Options contract around Live.

@@ -11,6 +11,7 @@ import (
 
 	inspector "github.com/repro/inspector"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/journal"
 )
 
@@ -297,6 +298,19 @@ func TestPublicAPIJournal(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("recovered graph diverges from the runtime's CPG")
+	}
+	// The run's .cpg is its final epoch: the recovery's bytes plus the
+	// run metadata, its header at Epoch().
+	var own bytes.Buffer
+	if err := rt.WriteCPG(&own); err != nil {
+		t.Fatal(err)
+	}
+	a, hdr := cpgtest.Decode(t, own.Bytes())
+	if hdr.Epoch != rt.Epoch() || rep.Epoch != rt.Epoch() {
+		t.Fatalf(".cpg header epoch %d, runtime epoch %d, journal epoch %d", hdr.Epoch, rt.Epoch(), rep.Epoch)
+	}
+	if !bytes.Equal(cpgtest.Bytes(t, a), cpgtest.Bytes(t, rep.Analysis)) {
+		t.Fatal("the run's .cpg is not the journal's recovery at the final epoch")
 	}
 }
 

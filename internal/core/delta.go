@@ -139,9 +139,8 @@ func validateDelta(g *Graph, d *EpochDelta) error {
 }
 
 // ApplyDelta appends one epoch delta to g — the replay half of Cut. Deltas must be applied in epoch order against a graph
-// built from them alone; following each ApplyDelta with one Fold on a
-// single IncrementalAnalyzer reproduces the recording's per-epoch
-// Analyses byte-for-byte.
+// built from them alone; an analyzer of g that Adopts each one
+// reproduces the recording's Analyses byte-for-byte.
 //
 // The apply is atomic: validateDelta runs to completion before the
 // first mutation, so a rejected delta leaves g byte-for-byte untouched.

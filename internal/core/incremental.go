@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -15,7 +16,10 @@ import (
 // delta; no derivation), and FoldAs derives everything cut since the
 // previous fold, extending the accumulated analysis state instead of
 // re-deriving it. A recorder cuts every epoch and folds only when a
-// consumer asks; Fold is the two back to back. The fold:
+// consumer asks; Fold is the two back to back. An analyzer that never
+// cuts takes each cut from its delta (Adopt): the recording's follower,
+// over the recorder's graph, and a replay, over one rebuilt from the
+// deltas. The fold:
 //
 //   - the page → writer-runs index persists across epochs and only the
 //     new writers are appended to it;
@@ -75,7 +79,7 @@ type IncrementalAnalyzer struct {
 	// the vertices in between are cut but not yet folded. Both are
 	// immutable once set (a cut allocates a fresh slice), so deltas and
 	// views share them; cutBase is the dense-index base of cutLens, from
-	// the same allocation.
+	// the same allocation (nil after Adopt until the fold needs it).
 	lens    []int
 	cutLens []int
 	cutBase []int
@@ -89,6 +93,10 @@ type IncrementalAnalyzer struct {
 	// entries [syncFolded, syncCut) and nothing a later append added.
 	syncCut    []int
 	syncFolded []int
+	// adoptedSync holds the sync entries adopted since the last fold,
+	// materialized: an adopting analyzer takes them from the deltas, not
+	// from the logs the recording threads append to.
+	adoptedSync []Edge
 	// pendingSync holds materialized log entries seen before their
 	// endpoints sealed, in canonical sorted order.
 	pendingSync []Edge
@@ -120,15 +128,10 @@ type IncrementalAnalyzer struct {
 	compGaps  int
 	compFinal bool
 
-	// gapsSeen and symSeen track how much of the gap lists and the
-	// interner Cut has already emitted. Fold's own cut leaves them
-	// untouched, so an analyzer driven by Cut emits every item exactly
-	// once.
-	gapsSeen []int
-	symSeen  int
-	// cutSyms is the interner length the last cut saw: the symbol table
-	// of every Analysis folded from it.
-	cutSyms int
+	// syms is the interner length the last cut saw: the symbol table of
+	// every Analysis folded from it, and where the next delta's table
+	// extends it.
+	syms int
 
 	// scratch serves the serial derivation path; parallel workers carry
 	// their own. cutTarget is advanceCut's reusable buffer, edgeSort
@@ -171,14 +174,13 @@ func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 		syncCut:    make([]int, n),
 		syncFolded: make([]int, n),
 		gapCut:     make([]int, n),
-		gapsSeen:   make([]int, n),
 		writers:    make(map[uint64][]incRun),
 		st:         newIncStore(n),
 		comp:       Completeness{Complete: true},
 		compFinal:  true,
 		// Ref 0 is the "" every NewGraph interns; deltas never carry it,
 		// so replay against a fresh graph starts aligned.
-		symSeen: 1,
+		syms: 1,
 	}
 }
 
@@ -228,16 +230,17 @@ func (inc *IncrementalAnalyzer) Fold() *Analysis {
 // vertices, the sync-edge log and gap-list tails, and the interner
 // additions — without deriving anything: the recorder's whole per-epoch
 // cost when no consumer asks for the analysis. The delta is numbered one
-// past the newer of the previous cut and the previous fold. Replaying
-// the delta sequence with ApplyDelta on a fresh graph and folding there
-// rebuilds byte-identical Analyses (journal recovery, the aggregator).
+// past the newer of the previous cut and the previous fold. Adopting
+// the deltas on another analyzer of the graph, or of a fresh one they
+// are applied to (ApplyDelta), and folding there rebuilds
+// byte-identical Analyses.
 //
 // Cut and Fold both advance the frontier, and only Cut emits what it
-// passes: mixing them on one analyzer would leave Fold's vertices out of
-// every delta, so drive a journaled analyzer through Cut (and FoldAs)
-// exclusively.
+// passes: mixing them on one analyzer would leave what Fold's cut saw
+// out of every delta, so drive a journaled analyzer through Cut (and
+// FoldAs) exclusively.
 func (inc *IncrementalAnalyzer) Cut() *EpochDelta {
-	d := &EpochDelta{Epoch: max(inc.cuts, inc.epoch) + 1, SymBase: uint32(inc.symSeen)}
+	d := &EpochDelta{Epoch: max(inc.cuts, inc.epoch) + 1, SymBase: uint32(inc.syms)}
 	inc.cuts = d.Epoch
 	inc.cut(d)
 	return d
@@ -249,13 +252,19 @@ func (inc *IncrementalAnalyzer) Cut() *EpochDelta {
 // Epoch(). It reads the graph only up to the lengths the last cut
 // captured, so however long the fold is deferred, and whatever is
 // recorded meanwhile, it returns the Analysis an immediate fold would
-// have. The epoch pipeline numbers it by the last cut; the apply side
-// (epoch.Replayer) folds a batch of deltas once and names the epoch by
-// the last delta. Everything but the number is independent of how many
+// have. The epoch pipeline numbers it by the last cut; an adopting
+// analyzer folds a batch of deltas once and names the epoch by the last
+// delta. Everything but the number is independent of how many
 // folds the prefix took, so k cuts folded once are the Analysis k folds
 // produce.
 func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	prev, lens := inc.lens, inc.cutLens
+	if inc.cutBase == nil {
+		inc.cutBase = make([]int, len(lens)+1)
+		for t, l := range lens {
+			inc.cutBase[t+1] = inc.cutBase[t] + l
+		}
+	}
 	newSubs := inc.subsBetween(prev, lens)
 	// Derive the new readers' incoming data edges; everything older is
 	// final (closed cut: no new writer can happen-before an old reader).
@@ -265,8 +274,38 @@ func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	inc.epoch, inc.lens = e, lens
 	inc.totals.add(newSubs)
 	a := inc.st.extend(inc.g, newSync, newData, lens, prev, inc.cutBase, inc.completeness(lens), e)
-	a.totals, a.syms = inc.totals, inc.cutSyms
+	a.totals, a.syms = inc.totals, inc.syms
 	return a
+}
+
+// Adopt takes the cut another analyzer computed, as Cut would have
+// recorded it: d's vertices extend the mirrored prefix up to d.Lens,
+// d.Sync joins the next fold's sync entries, d.Gaps counts on each
+// thread's gap list, and the symbol table ends d.Symbols on. The next
+// FoldAs folds it, reading the gaps and names back from the graph,
+// which must hold everything d carries: the graph d was cut from, or
+// one d was applied to. A delta that is not the next epoch (one past
+// the newer of the last adopted delta and the last fold) or extends
+// another symbol table is refused, changing nothing. Do not mix Adopt
+// with Cut or Fold on one analyzer.
+func (inc *IncrementalAnalyzer) Adopt(d *EpochDelta) error {
+	if want := max(inc.cuts, inc.epoch) + 1; d.Epoch != want || int(d.SymBase) != inc.syms {
+		return fmt.Errorf("core: adopted epoch %d over symbol base %d, want epoch %d over %d (reordered or cross-run delta)", d.Epoch, d.SymBase, want, inc.syms)
+	}
+	for _, sc := range d.Subs {
+		inc.seqs[sc.ID.Thread] = append(inc.seqs[sc.ID.Thread], sc)
+	}
+	inc.cutLens, inc.cutBase = d.Lens, nil // FoldAs derives the base
+	for _, e := range d.Sync {
+		inc.adoptedSync = append(inc.adoptedSync, Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: inc.g.ObjectName(e.Object)})
+	}
+	for _, dg := range d.Gaps {
+		inc.gapCut[dg.Thread]++
+	}
+	inc.gapTotal += len(d.Gaps)
+	inc.syms += len(d.Symbols)
+	inc.cuts = d.Epoch
+	return nil
 }
 
 // FoldDelta is Cut followed by FoldAs at the delta's epoch: the
@@ -298,13 +337,10 @@ func (inc *IncrementalAnalyzer) cut(d *EpochDelta) {
 	// edge before its acquiring vertex seals, so every vertex inside the
 	// cut has its incoming sync entries in these lengths.
 	for t := range inc.syncCut {
-		syncLen, gapLen := inc.g.logTails(t, d, inc.syncCut[t], inc.gapsSeen[t])
+		syncLen, gapLen := inc.g.logTails(t, d, inc.syncCut[t], inc.gapCut[t])
 		inc.syncCut[t] = syncLen
 		inc.gapTotal += gapLen - inc.gapCut[t]
 		inc.gapCut[t] = gapLen
-		if d != nil {
-			inc.gapsSeen[t] = gapLen
-		}
 	}
 	if d != nil {
 		d.Subs = inc.subsBetween(prev, lens)
@@ -312,11 +348,10 @@ func (inc *IncrementalAnalyzer) cut(d *EpochDelta) {
 		// The interner tail comes last: every ref the captured vertices
 		// and sync edges use was interned before its user sealed, so
 		// capturing the table after the cut guarantees coverage.
-		d.Symbols = inc.g.interner.Tail(inc.symSeen)
-		inc.symSeen += len(d.Symbols)
-		inc.cutSyms = inc.symSeen
+		d.Symbols = inc.g.interner.Tail(inc.syms)
+		inc.syms += len(d.Symbols)
 	} else {
-		inc.cutSyms = inc.g.interner.Len()
+		inc.syms = inc.g.interner.Len()
 	}
 }
 
@@ -354,7 +389,8 @@ func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 // backlog is never re-sorted, however many epochs it survives (the
 // deferred-acquirer regression test pins this path).
 func (inc *IncrementalAnalyzer) foldSync(lens []int) []Edge {
-	var fresh []Edge
+	fresh := inc.adoptedSync
+	inc.adoptedSync = nil
 	for t, c := range inc.syncCut {
 		if from := inc.syncFolded[t]; from < c {
 			fresh = inc.g.appendSyncEdges(fresh, t, from, c)

@@ -27,7 +27,10 @@ import (
 // analysis must equal the eager one at its epoch: export, Stats and
 // Completeness. The eager completeness is also checked against the gaps
 // the test recorded, clamped by hand, so the view's reuse of the
-// previous epoch's summary is held to the spec, not to itself.
+// previous epoch's summary is held to the spec, not to itself. A third
+// analyzer of the graph never cuts: it adopts the lazy one's deltas
+// (refusing each a second time, which must change nothing) and folds at
+// the same points, the follower's path, held to the eager fold too.
 func TestLazyFoldMatchesEagerFold(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -51,6 +54,7 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 	locks := []*core.SyncObject{g.NewSyncObject("m0", false)}
 	eager := core.NewIncrementalAnalyzer(g)
 	lazy := core.NewIncrementalAnalyzer(g)
+	adopter := core.NewIncrementalAnalyzer(g)
 	// gaps mirrors every recorded gap, per thread in recording order.
 	gaps := make([][]core.Gap, threads)
 	addGap := func(th int, gp core.Gap) {
@@ -78,6 +82,12 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 
 		a, ed := eager.FoldDelta()
 		ld := lazy.Cut()
+		if err := adopter.Adopt(ld); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+		if err := adopter.Adopt(ld); err == nil {
+			t.Fatalf("step %d: epoch %d adopted twice", s, ld.Epoch)
+		}
 		eagerA = a
 		ew, err := ed.AppendWire(nil)
 		if err != nil {
@@ -123,6 +133,13 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 		}
 		if got, want := sha256.Sum256(exportBytes(t, la)), sha256.Sum256(exportBytes(t, a)); got != want {
 			t.Fatalf("step %d: epoch %d deferred export differs from the eager one", s, a.Epoch())
+		}
+		aa := adopter.FoldAs(ld.Epoch)
+		if got, want := sha256.Sum256(exportBytes(t, aa)), sha256.Sum256(exportBytes(t, a)); got != want {
+			t.Fatalf("step %d: epoch %d adopted fold's export differs from the eager one", s, a.Epoch())
+		}
+		if got, want := aa.Completeness(), a.Completeness(); !reflect.DeepEqual(got, want) || aa.Stats() != a.Stats() {
+			t.Fatalf("step %d: epoch %d adopted completeness %+v, eager %+v", s, a.Epoch(), got, want)
 		}
 		if got, want := la.Stats(), a.Stats(); got != want {
 			t.Fatalf("step %d: epoch %d deferred Stats %+v, eager %+v", s, a.Epoch(), got, want)

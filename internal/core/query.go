@@ -111,10 +111,14 @@ func (vt *vertexTotals) addPrefix(g *Graph, lens []int) {
 // logs its edge before the acquiring sub-computation seals, so mid-run
 // graphs contain such entries) are left out. After a completed Run no
 // such entries remain, so post-mortem analyses see every logged edge.
-func (g *Graph) Analyze() *Analysis {
-	a := NewIncrementalAnalyzer(g).Fold()
-	a.epoch = 0
-	return a
+func (g *Graph) Analyze() *Analysis { return g.AnalyzeAs(0) }
+
+// AnalyzeAs is Analyze stamped epoch e: a quiesced recording's analysis
+// at its final epoch e, whose cut covers the whole graph.
+func (g *Graph) AnalyzeAs(e uint64) *Analysis {
+	inc := NewIncrementalAnalyzer(g)
+	inc.cut(nil)
+	return inc.FoldAs(e)
 }
 
 // controlEdgesFor generates the program-order edges of a vertex prefix.

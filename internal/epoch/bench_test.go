@@ -21,7 +21,7 @@ func BenchmarkDriverPerSeal(b *testing.B) {
 		var epochs uint64
 		for i := 0; i < b.N; i++ {
 			rp := sched.NewReplay()
-			f := epoch.NewFollower(8, nil, epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}))
+			f := epoch.NewFollower(rp.Graph, nil, epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}))
 			d := epoch.NewDriver(rp.Graph, epoch.Options{}, f)
 			hook := d.CommitHook()
 			start := time.Now()

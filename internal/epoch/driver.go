@@ -2,12 +2,13 @@
 // hangs off: a Driver only cuts the live graph, once per epoch, and
 // hands each delta to an ordered list of sinks (journal, snapshot ring,
 // follower, stream queue); a Follower, off the sealing thread, is the
-// one sink that builds analyses while a run records; a Replayer is the
-// apply side (the follower, journal recovery, the aggregator's ingest).
-// There is one epoch numbering: journal record k, wire frame k and the
-// recorder's epoch k are the same cut. The apply side folds once per
-// batch of deltas and numbers each fold by its last delta, so the
-// epochs it publishes are a subset of the delta epochs.
+// one sink that builds analyses while a run records, folding the
+// recorder's own graph at the driver's cuts; a Replayer applies a frame
+// stream's deltas to a fresh graph and folds at their cuts (journal
+// recovery, the aggregator's ingest). There is one epoch numbering:
+// journal record k, wire frame k and the recorder's epoch k are the
+// same cut. Follower and Replayer fold once per batch of deltas, each
+// fold numbered by its last delta.
 package epoch
 
 import (

@@ -37,11 +37,11 @@ func (f ObserverFunc) Observe(a *core.Analysis, d *core.EpochDelta) { f(a, d) }
 func (ObserverFunc) Stop()                                          {}
 
 // Follower is the sink that builds a recording's analyses off the
-// sealing thread. Emit only enqueues the delta; one goroutine appends
-// the deltas in order to its own Replayer (over a graph sharing the
-// recorder's sub-computations) and folds once the queue has drained or
-// at an epoch an observer wants on its own, handing each fold to the
-// observers in order. The Replayer makes any batching byte-identical.
+// sealing thread. Emit only enqueues the delta; one goroutine adopts
+// the driver's cuts in order on its own analyzer of the recorder's
+// graph and folds once the queue has drained or at an epoch an observer
+// wants on its own, handing each fold to the observers in order. A fold
+// reads the graph only up to its cut, so any batching is byte-identical.
 //
 // A fold that panics costs only itself: Finish reports the first such
 // panic with its epoch, the observers see that fold without an
@@ -50,7 +50,7 @@ func (ObserverFunc) Stop()                                          {}
 // return the latched failure at once, every observer's Stop runs, and
 // Finish returns it.
 type Follower struct {
-	rp  *Replayer
+	inc *core.IncrementalAnalyzer
 	obs []Observer
 	// span is how many epochs the fold in flight covers.
 	span uint64
@@ -63,21 +63,21 @@ type Follower struct {
 	once    sync.Once
 }
 
-// NewFollower starts a follower over a threads-wide recording. hook,
-// when set, runs at the start of every derivation worker of every fold
-// (the replay analyzer's SetWorkerHook, for fault injection), once per
-// epoch the fold covers: how often it fires does not depend on how the
-// follower batches. Finish must be called to stop the goroutine.
-func NewFollower(threads int, hook func(worker int), observers ...Observer) *Follower {
+// NewFollower starts a follower over the recording g. hook, when set,
+// runs at the start of every derivation worker of every fold (the
+// analyzer's SetWorkerHook, for fault injection), once per epoch the
+// fold covers: how often it fires does not depend on how the follower
+// batches. Finish must be called to stop the goroutine.
+func NewFollower(g *core.Graph, hook func(worker int), observers ...Observer) *Follower {
 	f := &Follower{
-		rp:     NewReplayer(threads),
+		inc:    core.NewIncrementalAnalyzer(g),
 		obs:    observers,
 		q:      make(chan *core.EpochDelta, followQueue),
 		failed: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	if hook != nil {
-		f.rp.inc.SetWorkerHook(func(worker int) {
+		f.inc.SetWorkerHook(func(worker int) {
 			for range f.span {
 				hook(worker)
 			}
@@ -115,8 +115,8 @@ func (f *Follower) Finish(uint64) error {
 	return errors.Join(f.foldErr, f.err)
 }
 
-// run appends each delta in order until the queue closes, folding when
-// the queue is empty or an observer wants the epoch.
+// run adopts each delta until the queue closes (one out of order
+// stops it), folding when the queue is empty or an observer wants it.
 func (f *Follower) run() {
 	var at uint64
 	clean := false
@@ -136,7 +136,7 @@ func (f *Follower) run() {
 	}()
 	for d := range f.q {
 		at = d.Epoch
-		if err := f.rp.Append(d); err != nil {
+		if err := f.inc.Adopt(d); err != nil {
 			panic(err)
 		}
 		if len(f.q) > 0 && !slices.ContainsFunc(f.obs, func(o Observer) bool { return o.Wants(d.Epoch) }) {
@@ -150,14 +150,14 @@ func (f *Follower) run() {
 	clean = true
 }
 
-// fold folds everything appended since the last fold; after a panic it
+// fold folds everything adopted since the last fold; after a panic it
 // records the first one and returns nil.
 func (f *Follower) fold(at uint64) (a *core.Analysis) {
-	f.span = at - f.rp.inc.Epoch()
+	f.span = at - f.inc.Epoch()
 	defer func() {
 		if r := recover(); r != nil && f.foldErr == nil {
 			f.foldErr = fmt.Errorf("epoch: fold panicked at epoch %d: %v", at, r)
 		}
 	}()
-	return f.rp.Fold()
+	return f.inc.FoldAs(at)
 }

@@ -21,14 +21,15 @@ func (s countSink) Finish(uint64) error         { return nil }
 func TestFollowerBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var seen []uint64
-	f := NewFollower(1, nil, ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
+	g := core.NewGraph(1)
+	f := NewFollower(g, nil, ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
 		if d.Epoch == 1 {
 			<-gate
 		}
 		seen = append(seen, d.Epoch)
 	}))
 	var cut atomic.Uint64
-	d := NewDriver(core.NewGraph(1), Options{}, countSink{&cut}, f)
+	d := NewDriver(g, Options{}, countSink{&cut}, f)
 	n := 3 * followQueue
 	cutting := make(chan struct{})
 	go func() {

@@ -3,6 +3,7 @@ package epoch_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/journal"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // twinSink folds a second analyzer over the driver's graph at every
@@ -45,10 +47,53 @@ func (s twinSink) Emit(d *core.EpochDelta) error {
 
 func (twinSink) Finish(uint64) error { return nil }
 
+// replaySink appends every delta to a Replayer and folds it at a
+// random batching (always at the final epoch), keeping each fold's .cpg
+// bytes by epoch: the apply side, held to the follower and the twin.
+type replaySink struct {
+	rp   *epoch.Replayer
+	rng  *rand.Rand
+	cpgs map[uint64][]byte
+}
+
+func (s *replaySink) Emit(d *core.EpochDelta) error {
+	body, err := d.AppendWire(nil)
+	if err != nil {
+		return err
+	}
+	if _, err := s.rp.Apply(wire.KindDelta, body); err != nil {
+		return err
+	}
+	if s.rng.Intn(3) == 0 {
+		return s.fold()
+	}
+	return nil
+}
+
+func (s *replaySink) fold() error {
+	a := s.rp.Fold()
+	var buf bytes.Buffer
+	if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
+		return err
+	}
+	s.cpgs[a.Epoch()] = buf.Bytes()
+	return nil
+}
+
+func (s *replaySink) Finish(uint64) error {
+	if s.rp.Pending() {
+		return s.fold()
+	}
+	return nil
+}
+
 // TestFollowerMatchesAskedFoldEveryEpoch records random executions with
-// sinks [twin fold, Follower] at every-1 and every-3 cadences: the
-// follower observes every epoch exactly once, in order, and each is the
-// live graph's FoldDelta of that epoch byte for byte.
+// sinks [twin fold, replay, Follower] at every-1 and every-3 cadences,
+// recording on while the follower folds: the follower observes every
+// epoch exactly once, in order, folding the recorder's own graph, and
+// each is the live graph's FoldDelta of that epoch byte for byte; the
+// replay, folded at a random batching of the same deltas, is too at
+// every epoch it folded, the final one included.
 func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		for _, every := range []uint64{1, 3} {
@@ -58,9 +103,12 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 					rp := sched.NewReplay()
 					var asked, followed [][]byte
 					var epochs []uint64
-					f := epoch.NewFollower(threads, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
+					f := epoch.NewFollower(rp.Graph, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
 						if a.Epoch() != d.Epoch {
 							t.Errorf("follower analysis epoch %d handed out with delta %d", a.Epoch(), d.Epoch)
+						}
+						if a.Graph() != rp.Graph {
+							t.Errorf("epoch %d: the follower folded a graph other than the recorder's", d.Epoch)
 						}
 						var buf bytes.Buffer
 						if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
@@ -70,7 +118,8 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 						epochs = append(epochs, d.Epoch)
 						followed = append(followed, buf.Bytes())
 					}))
-					d := epoch.NewDriver(rp.Graph, epoch.Options{Every: every}, newTwin(rp.Graph, &asked), f)
+					replay := &replaySink{epoch.Bind(wire.Hello{Threads: threads}), rand.New(rand.NewSource(seed)), map[uint64][]byte{}}
+					d := epoch.NewDriver(rp.Graph, epoch.Options{Every: every}, newTwin(rp.Graph, &asked), replay, f)
 					hook := d.CommitHook()
 					for s := 1; s <= sched.Steps(); s++ {
 						rp.To(s)
@@ -87,12 +136,66 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 							t.Fatalf("follower observed epochs %v, want 1..%d in order", epochs, len(epochs))
 						}
 						if !bytes.Equal(followed[i], asked[i]) {
-							t.Fatalf("epoch %d: follower's replay fold differs from the live graph's fold", e)
+							t.Fatalf("epoch %d: follower's fold differs from the live graph's fold", e)
+						}
+					}
+					if replay.cpgs[d.Epoch()] == nil {
+						t.Fatalf("the replay never folded the final epoch %d", d.Epoch())
+					}
+					for e, b := range replay.cpgs {
+						if e == 0 || e > uint64(len(asked)) || !bytes.Equal(b, asked[e-1]) {
+							t.Fatalf("epoch %d: the replay's fold differs from the live graph's fold", e)
 						}
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestFollowerRefusesForeignDelta hands a follower epoch 1 of a
+// recording and then a delta that does not continue it — one that
+// skips an epoch, or epoch 2 of another recording: the follower stops
+// at that delta with the latched error, observes nothing of it, and
+// Finish reports it.
+func TestFollowerRefusesForeignDelta(t *testing.T) {
+	record := func(extra string) (*core.Graph, []*core.EpochDelta) {
+		g := core.NewGraph(2)
+		if extra != "" {
+			g.InternObject(extra)
+		}
+		inc := core.NewIncrementalAnalyzer(g)
+		var ds []*core.EpochDelta
+		recordPingPong(t, g, func(core.SubID) { ds = append(ds, inc.Cut()) }, 6)
+		return g, ds
+	}
+	g, own := record("")
+	_, other := record("another run's object")
+	for _, tc := range []struct {
+		name string
+		bad  *core.EpochDelta
+		want string
+	}{
+		{"skipped", own[2], "adopted epoch 3 over"},
+		{"cross-run", other[1], "want epoch 2 over"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var observed []uint64
+			f := epoch.NewFollower(g, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
+				observed = append(observed, d.Epoch)
+			}))
+			if err := f.Emit(own[0]); err != nil {
+				t.Fatal(err)
+			}
+			f.Emit(tc.bad)
+			err := f.Finish(tc.bad.Epoch)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("stopped at epoch %d:", tc.bad.Epoch)) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Finish = %v, want the follower stopped at epoch %d naming %q", err, tc.bad.Epoch, tc.want)
+			}
+			if fmt.Sprint(observed) != "[1]" {
+				t.Fatalf("observed epochs %v, want [1]: the refused delta must not be folded", observed)
+			}
+		})
 	}
 }
 
@@ -123,7 +226,7 @@ func TestFollowerPanicLatches(t *testing.T) {
 	var folds atomic.Int64
 	var observed []uint64
 	var followed, twin [][]byte
-	f := epoch.NewFollower(g.Threads(), func(int) {
+	f := epoch.NewFollower(g, func(int) {
 		if folds.Add(1) == k {
 			panic("injected fold panic")
 		}
@@ -173,7 +276,7 @@ func TestFollowerPanicLatches(t *testing.T) {
 			panic("injected observer panic")
 		}
 	}), &stops}
-	f = epoch.NewFollower(g.Threads(), nil, panicky, stopLog{epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}), &stops})
+	f = epoch.NewFollower(g, nil, panicky, stopLog{epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}), &stops})
 	d = epoch.NewDriver(core.NewGraph(2), epoch.Options{}, f)
 	for i := 0; i < 2*k; i++ {
 		d.Cut()

@@ -10,7 +10,6 @@
 //   - WrapSink interposes on pt.ByteSink, truncating accepted writes
 //     exactly as an overrunning AUX ring does, so injected loss flows
 //     through the same LostBytes accounting as genuine loss;
-//   - WrapWriter fails io.Writer writes (export sinks);
 //   - Fire is the generic hook for call-site faults (workload panics at
 //     commit boundaries, slowed analysis folds).
 package faultinject
@@ -35,8 +34,6 @@ type Point string
 const (
 	// AuxLoss truncates PT sink writes (AUX ring overrun semantics).
 	AuxLoss Point = "aux-loss"
-	// SinkError fails writes on a wrapped io.Writer.
-	SinkError Point = "sink-error"
 	// WorkloadPanic panics on the recording thread at a commit boundary.
 	WorkloadPanic Point = "panic"
 	// SlowFold delays a live analysis fold. It fires inside the fold's
@@ -76,7 +73,7 @@ const (
 // schedule for the older points stays unchanged.
 func Points() []Point {
 	return []Point{
-		AuxLoss, SinkError, WorkloadPanic, SlowFold,
+		AuxLoss, WorkloadPanic, SlowFold,
 		Crash, JournalTorn, JournalShortPrefix, JournalBitFlip, JournalFsyncError,
 		CPGFileTorn, CPGFileBitFlip,
 		NetDisconnect, NetDuplicate, NetReorder, NetSlow,
@@ -332,24 +329,6 @@ func (s *lossySink) WriteTrace(b []byte) int {
 	s.in.dropped += uint64(len(b) - n)
 	s.in.mu.Unlock()
 	return n
-}
-
-// WrapWriter interposes the sink-error point on an io.Writer: when the
-// point fires, the write fails with an error wrapping ErrInjected.
-func (in *Injector) WrapWriter(w io.Writer) io.Writer {
-	return &failingWriter{inner: w, in: in}
-}
-
-type failingWriter struct {
-	inner io.Writer
-	in    *Injector
-}
-
-func (f *failingWriter) Write(b []byte) (int, error) {
-	if f.in.Fire(SinkError) {
-		return 0, fmt.Errorf("%w: sink write error", ErrInjected)
-	}
-	return f.inner.Write(b)
 }
 
 // WrapJournalFile interposes the journal crash points on the journal

@@ -8,7 +8,7 @@ import (
 )
 
 func TestParseRoundTrip(t *testing.T) {
-	spec := "aux-loss:after=20,every=7;panic:after=500,count=1;sink-error"
+	spec := "aux-loss:after=20,every=7;panic:after=500,count=1;slow-fold"
 	s, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsUnknown(t *testing.T) {
-	for _, spec := range []string{"warp-core-breach", "aux-loss:frequency=3", "aux-loss:after"} {
+	for _, spec := range []string{"warp-core-breach", "sink-error", "aux-loss:frequency=3", "aux-loss:after"} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
 		}
@@ -103,24 +103,6 @@ func TestWrapSinkTruncates(t *testing.T) {
 	}
 	if in.DroppedBytes() != 5 {
 		t.Errorf("DroppedBytes = %d, want 5", in.DroppedBytes())
-	}
-}
-
-func TestWrapWriterFails(t *testing.T) {
-	var out bytes.Buffer
-	in := New(Schedule{Rules: []Rule{{Point: SinkError, After: 1, Count: 1}}})
-	w := in.WrapWriter(&out)
-	if _, err := w.Write([]byte("ok")); err != nil {
-		t.Fatalf("first write failed: %v", err)
-	}
-	if _, err := w.Write([]byte("boom")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("second write error = %v, want ErrInjected", err)
-	}
-	if _, err := w.Write([]byte("ok2")); err != nil {
-		t.Fatalf("third write failed: %v", err)
-	}
-	if out.String() != "okok2" {
-		t.Errorf("inner writer saw %q", out.String())
 	}
 }
 

@@ -179,6 +179,11 @@ func record(t *testing.T, aggURL, app string, threads int) *recording {
 	if err := errors.Join(rec.WriteCPG(f), f.Close()); err != nil {
 		t.Fatal(err)
 	}
+	// The run's .cpg is its final epoch: the fold's bytes plus the run
+	// metadata.
+	if got := cpgtest.Sum(cpgtest.File(t, r.cpg)); got != r.foldSHA {
+		t.Fatalf("%s: the run's .cpg is not its last fold (sha %s, fold %s)", id, got, r.foldSHA)
+	}
 	return r
 }
 

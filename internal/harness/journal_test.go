@@ -38,7 +38,7 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 		t.Fatal(err)
 	}
 	var followed [][]byte
-	f := epoch.NewFollower(g.Threads(), nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
+	f := epoch.NewFollower(g, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
 		// The follower's goroutine: report and return, never Fatal.
 		var buf bytes.Buffer
 		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {

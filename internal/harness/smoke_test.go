@@ -190,17 +190,12 @@ func startServe(t *testing.T, args ...string) *daemon {
 }
 
 // sameAnswers asks every query of two cpg-query targets (a .cpg file, a
-// daemon) and demands byte-identical output, less the lines ignore
-// matches.
-func sameAnswers(t *testing.T, a, b []string, ignore *regexp.Regexp, queries ...string) {
+// daemon) and demands byte-identical output.
+func sameAnswers(t *testing.T, a, b []string, queries ...string) {
 	t.Helper()
 	for _, q := range queries {
 		ask := func(target []string) []byte {
-			out := tool(t, "cpg-query", append(target[:len(target):len(target)], strings.Fields(q)...)...)
-			if ignore != nil {
-				out = ignore.ReplaceAll(out, nil)
-			}
-			return out
+			return tool(t, "cpg-query", append(target[:len(target):len(target)], strings.Fields(q)...)...)
 		}
 		if x, y := ask(a), ask(b); !bytes.Equal(x, y) {
 			t.Fatalf("cpg-query %s: %v answers\n%s\n%v answers\n%s", q, a, x, b, y)
@@ -242,7 +237,7 @@ func TestServeSmoke(t *testing.T) {
 			t.Fatal("histogram recorded no data edge")
 		}
 		d := startServe(t, "-cpg", cpg)
-		sameAnswers(t, []string{"-cpg", cpg}, []string{"-remote", d.url}, nil,
+		sameAnswers(t, []string{"-cpg", cpg}, []string{"-remote", d.url},
 			"stats", "verify", "edges", "edges data", "slice "+last, "taint T0.0", "path T0.0 "+last,
 			lineage, "-format json stats", "-format json slice "+last)
 	})
@@ -285,7 +280,7 @@ func TestServeSmoke(t *testing.T) {
 		if body := httpGet(t, d.url+"/v1/cpgs"); !bytes.Contains(body, []byte(`"degraded": true`)) {
 			t.Fatalf("listing does not mark the recovered .cpg degraded:\n%s", body)
 		}
-		sameAnswers(t, []string{"-cpg", recovered}, []string{"-remote", d.url}, nil,
+		sameAnswers(t, []string{"-cpg", recovered}, []string{"-remote", d.url},
 			"stats", "edges", "edges data", "slice T0.0", "taint T0.0", "verify")
 	})
 
@@ -300,7 +295,7 @@ func TestServeSmoke(t *testing.T) {
 		tool(t, "inspector-run", "-app", "word_count", "-threads", "1", "-size", "small", "-seed", "2",
 			"-cpg", filepath.Join(dir, "word_count.cpg"))
 		d := startServe(t, "-cpgdir", dir, "-resident-budget", "4096")
-		sameAnswers(t, []string{"-cpg", cpg}, []string{"-remote", d.url, "-id", "histogram"}, nil,
+		sameAnswers(t, []string{"-cpg", cpg}, []string{"-remote", d.url, "-id", "histogram"},
 			"stats", "verify", "edges", "edges data", "slice "+last, "taint T0.0", "-format json stats", "stats")
 		var store provenance.StoreStats
 		if err := json.Unmarshal(httpGet(t, d.url+"/v1/store"), &store); err != nil {
@@ -395,9 +390,9 @@ func ingestRounds(t *testing.T, d *daemon) {
 		t.Fatalf("watch did not follow at least two epochs to a close:\n%s", watched.Bytes())
 	}
 
-	// Sealed, the source answers with the bytes of the run's own .cpg;
-	// only the stats epoch line tells a stream from a file.
-	sameAnswers(t, []string{"-cpg", own}, remote, regexp.MustCompile(`(?m)^epoch:.*\n`),
+	// Sealed, the source answers with the bytes of the run's own .cpg,
+	// which is the run's final epoch: the stats epoch line included.
+	sameAnswers(t, []string{"-cpg", own}, remote,
 		"stats", "verify", "edges", "edges data", "slice T0.300", "taint T0.0")
 
 	// Journal, stream and live stats are sinks of one fold: the run

@@ -38,15 +38,15 @@ type Recorder struct {
 	OnEpoch func(*core.Analysis, *core.EpochDelta)
 
 	*epoch.Driver
-	w       *Writer
-	threads int
-	f       *epoch.Follower
+	w *Writer
+	g *core.Graph
+	f *epoch.Follower
 }
 
 // NewRecorder prepares a recorder cutting g into w every `every` seals
 // (minimum 1: every seal journals an epoch).
 func NewRecorder(g *core.Graph, w *Writer, every int) *Recorder {
-	r := &Recorder{w: w, threads: g.Threads()}
+	r := &Recorder{w: w, g: g}
 	r.Driver = epoch.NewDriver(g, epoch.Options{Every: uint64(max(every, 1))}, w, follow{r})
 	return r
 }
@@ -63,7 +63,7 @@ func (s follow) Emit(d *core.EpochDelta) error {
 		return nil
 	}
 	if r.f == nil {
-		r.f = epoch.NewFollower(r.threads, nil, epoch.ObserverFunc(r.OnEpoch))
+		r.f = epoch.NewFollower(r.g, nil, epoch.ObserverFunc(r.OnEpoch))
 	}
 	return r.f.Emit(d)
 }

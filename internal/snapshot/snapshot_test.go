@@ -20,7 +20,7 @@ import (
 // run.
 func pipeline(g *core.Graph, sess *perf.Session, every uint64, opts Options) (*Ring, *epoch.Driver) {
 	r := New(sess, opts)
-	return r, epoch.NewDriver(g, epoch.Options{Every: every}, r, epoch.NewFollower(g.Threads(), nil, r))
+	return r, epoch.NewDriver(g, epoch.Options{Every: every}, r, epoch.NewFollower(g, nil, r))
 }
 
 // seal ends one sub-computation on rec and runs the driver's commit
@@ -351,7 +351,7 @@ func TestSnapshotWindowsAreTheirEpoch(t *testing.T) {
 	sess := rt.Session()
 	r := New(sess, Options{Slots: 64, EverySeals: 3})
 	slow := func(int) { time.Sleep(2 * time.Millisecond) }
-	drv := epoch.NewDriver(rt.Graph(), epoch.Options{}, r, epoch.NewFollower(rt.Graph().Threads(), slow, r))
+	drv := epoch.NewDriver(rt.Graph(), epoch.Options{}, r, epoch.NewFollower(rt.Graph(), slow, r))
 	rt.RegisterCommitHook(drv.CommitHook())
 	sealed := map[uint64]map[int32][]byte{}
 	rt.RegisterCommitHook(func(core.SubID) {
@@ -454,7 +454,7 @@ func TestTakeNeverParks(t *testing.T) {
 		}
 	})
 	stop := stopSignal{epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}), make(chan struct{})}
-	drv = epoch.NewDriver(g, epoch.Options{}, r, epoch.NewFollower(g.Threads(), nil, panicky, r, stop))
+	drv = epoch.NewDriver(g, epoch.Options{}, r, epoch.NewFollower(g, nil, panicky, r, stop))
 	hook := drv.CommitHook()
 	seal(t, rec, hook)
 	seal(t, rec, hook)
@@ -480,7 +480,7 @@ func TestRingCopiesBoundedBehindSlowFollower(t *testing.T) {
 	}
 	r := New(perf.NewSession(perf.SessionOptions{}), Options{Slots: slots, EverySeals: 1})
 	slow := func(int) { time.Sleep(5 * time.Millisecond) }
-	drv := epoch.NewDriver(g, epoch.Options{}, r, epoch.NewFollower(g.Threads(), slow, r))
+	drv := epoch.NewDriver(g, epoch.Options{}, r, epoch.NewFollower(g, slow, r))
 	held := func() (complete, pending int) {
 		r.mu.Lock()
 		defer r.mu.Unlock()

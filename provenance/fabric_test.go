@@ -761,7 +761,7 @@ func TestExportServesCPGForEverySourceKind(t *testing.T) {
 	run := recordFabric(t, 2, 24, 17)
 	f := newLiveFixture(t)
 	feed := NewFeed(f.g.Threads(), EngineOptions{})
-	drv := epoch.NewDriver(f.g, epoch.Options{}, epoch.NewFollower(f.g.Threads(), nil, feed.Observer()))
+	drv := epoch.NewDriver(f.g, epoch.Options{}, epoch.NewFollower(f.g, nil, feed.Observer()))
 	hook := drv.CommitHook()
 	for page := range uint64(3) {
 		f.seal(t, page)

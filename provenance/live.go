@@ -140,7 +140,7 @@ func NewLiveEngine(g *core.Graph, opts EngineOptions, foldHooks ...func(worker i
 			h(worker)
 		}
 	}
-	l := &LiveEngine{Feed: feed, drv: epoch.NewDriver(g, epoch.Options{}, epoch.NewFollower(g.Threads(), hook, obs))}
+	l := &LiveEngine{Feed: feed, drv: epoch.NewDriver(g, epoch.Options{}, epoch.NewFollower(g, hook, obs))}
 	l.drv.Cut()
 	<-obs.done
 	return l

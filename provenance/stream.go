@@ -428,9 +428,7 @@ func (r *StreamRecorder) Analysis() *core.Analysis {
 	if !r.closed.Load() {
 		return nil
 	}
-	inc := core.NewIncrementalAnalyzer(r.g)
-	inc.Cut()
-	return inc.FoldAs(r.Epoch())
+	return r.g.AnalyzeAs(r.Epoch())
 }
 
 // Close cuts the final epoch, flushes the queue bounded by ctx (see
