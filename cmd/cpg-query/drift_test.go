@@ -58,8 +58,8 @@ type cliDriftFile struct {
 }
 
 // recordCPGFile records app single-threaded and writes its .cpg file,
-// returning the file path and the recorded graph for target derivation.
-func recordCPGFile(t *testing.T, dir, app string) (string, *core.Graph) {
+// returning the file path and the written analysis for target derivation.
+func recordCPGFile(t *testing.T, dir, app string) (string, *core.Analysis) {
 	t.Helper()
 	w, err := workloads.Get(app)
 	if err != nil {
@@ -78,15 +78,16 @@ func recordCPGFile(t *testing.T, dir, app string) (string, *core.Graph) {
 		t.Fatalf("%s: %v", app, err)
 	}
 	path := filepath.Join(dir, app+".cpg")
-	if err := cpgfile.Write(path, rt.Graph().Analyze(), cpgfile.Meta{App: app}); err != nil {
+	a := rt.Graph().Analyze()
+	if err := cpgfile.Write(path, a, cpgfile.Meta{App: app}); err != nil {
 		t.Fatal(err)
 	}
-	return path, rt.Graph()
+	return path, a
 }
 
 // driftInvocations derives the deterministic invocation list for one
-// recorded graph.
-func driftInvocations(g *core.Graph) [][]string {
+// recorded analysis.
+func driftInvocations(a *core.Analysis) [][]string {
 	invocations := [][]string{
 		{"stats"},
 		{"-format", "json", "stats"},
@@ -101,7 +102,7 @@ func driftInvocations(g *core.Graph) [][]string {
 		{"-format", "json", "taint", "T0.0"},
 	}
 	last := core.SubID{}
-	for _, sc := range g.Subs() {
+	for _, sc := range a.Subs() {
 		if sc.ID.Thread == 0 && sc.ID.Alpha >= last.Alpha {
 			last = sc.ID
 		}
@@ -116,7 +117,7 @@ func driftInvocations(g *core.Graph) [][]string {
 			[]string{"-format", "json", "path", "T0.0", last.String()},
 		)
 	}
-	for _, e := range g.Edges() {
+	for _, e := range a.Edges() {
 		if e.Kind == core.EdgeData && len(e.Pages) > 0 {
 			page := strconv.FormatUint(e.Pages[0], 10)
 			invocations = append(invocations,
@@ -156,8 +157,8 @@ func TestCLIOutputDriftAgainstSeed(t *testing.T) {
 			Seed:    1,
 		}
 		for _, app := range workloads.Names() {
-			cpgPath, g := recordCPGFile(t, dir, app)
-			for _, args := range driftInvocations(g) {
+			cpgPath, a := recordCPGFile(t, dir, app)
+			for _, args := range driftInvocations(a) {
 				df.Entries = append(df.Entries, cliDriftEntry{
 					App:  app,
 					Args: args,

@@ -23,7 +23,8 @@
 // file cpg-query -cpg and inspector-serve -cpg read. Its header names
 // the journal's run id and app; re-encoded without them, it is byte for
 // byte what an aggregator serves at GET /v1/cpgs/{id}/export for the
-// same epoch. -json and -dot are renders nothing reads back.
+// same epoch. -json and -dot are renders nothing reads back: -json dumps
+// the rebuilt graph, -dot draws the analysis -cpg holds.
 //
 // -epoch stops the replay at epoch N (a time-travel debugging aid; the
 // result is not marked degraded — the cut was asked for). -truncate
@@ -145,7 +146,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *dotOut != "" {
-		if err := write(out, *dotOut, "DOT", *quiet, rep.Graph.WriteDOT); err != nil {
+		if err := write(out, *dotOut, "DOT", *quiet, rep.Analysis.WriteDOT); err != nil {
 			return err
 		}
 	}

@@ -563,8 +563,9 @@ func (r *Runtime) WaitEpoch(ctx context.Context, min uint64) (uint64, error) {
 	return r.feed.WaitEpoch(ctx, min)
 }
 
-// WriteDOT renders the CPG in Graphviz form.
-func (r *Runtime) WriteDOT(w io.Writer) error { return r.rt.Graph().WriteDOT(w) }
+// WriteDOT renders the run's Analysis in Graphviz form: the fold that
+// WriteCPG and Query share. Call it after Run returns.
+func (r *Runtime) WriteDOT(w io.Writer) error { return r.Analysis().WriteDOT(w) }
 
 // WriteCPG serializes the run's Analysis in the columnar .cpg format
 // (internal/cpgfile) — the file cpg-query -cpg and inspector-serve

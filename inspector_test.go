@@ -13,6 +13,7 @@ import (
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/journal"
+	"github.com/repro/inspector/internal/wire"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -346,6 +347,20 @@ func TestFailingNewLeavesNothingBehind(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rt.WaitStream(ctx) // stops the sender
+}
+
+// TestStreamTooWideFailsBeforeRecording pins New refusing a stream whose
+// hello could not carry the graph's width: the run must not record a
+// whole workload and fail at its first upload.
+func TestStreamTooWideFailsBeforeRecording(t *testing.T) {
+	rt, err := inspector.New(inspector.Options{
+		Stream:     "http://127.0.0.1:1", // never contacted: New fails first
+		RunID:      "r",
+		MaxThreads: wire.MaxThreads + 1,
+	})
+	if rt != nil || err == nil {
+		t.Fatalf("New with a %d-thread stream = %v, %v", wire.MaxThreads+1, rt, err)
+	}
 }
 
 func TestJournalOptionsValidation(t *testing.T) {

@@ -171,7 +171,7 @@ func benchDataEdges(b *testing.B, g *core.Graph) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.DataEdges()
+		core.DeriveDataEdges(g, 0)
 	}
 }
 

@@ -386,26 +386,6 @@ func (g *Graph) appendSyncEdges(dst []Edge, t, from, to int) []Edge {
 	return dst
 }
 
-// ControlEdges derives the intra-thread program-order edges, ordered by
-// (thread, alpha) by construction.
-func (g *Graph) ControlEdges() []Edge {
-	var out []Edge
-	for t := range g.shards {
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		n := len(sh.seq)
-		sh.mu.RUnlock()
-		for i := 1; i < n; i++ {
-			out = append(out, Edge{
-				From: SubID{Thread: t, Alpha: uint64(i - 1)},
-				To:   SubID{Thread: t, Alpha: uint64(i)},
-				Kind: EdgeControl,
-			})
-		}
-	}
-	return out
-}
-
 // SyncEdges returns the recorded schedule-dependency edges with
 // materialized object names, sorted by (From, To, Kind, Object).
 func (g *Graph) SyncEdges() []Edge {
@@ -424,45 +404,6 @@ func (g *Graph) SyncEdges() []Edge {
 		sh.mu.RUnlock()
 	}
 	sortEdges(out, nil)
-	return out
-}
-
-// HappensBefore reports whether a happens-before b using the recorded
-// vector clocks (same-thread order included).
-func (g *Graph) HappensBefore(a, b SubID) bool {
-	if a.Thread == b.Thread {
-		return a.Alpha < b.Alpha
-	}
-	sa, ok := g.Sub(a)
-	if !ok {
-		return false
-	}
-	sb, ok := g.Sub(b)
-	if !ok {
-		return false
-	}
-	switch sa.Clock.Compare(sb.Clock) {
-	case vclock.Before:
-		return true
-	case vclock.Equal:
-		// Equal clocks across threads can only happen for initial
-		// zero-clock subs; order them by thread slot for determinism.
-		return false
-	default:
-		return false
-	}
-}
-
-// Concurrent reports whether neither vertex happens-before the other.
-func (g *Graph) Concurrent(a, b SubID) bool {
-	return !g.HappensBefore(a, b) && !g.HappensBefore(b, a) && a != b
-}
-
-// Edges returns control, sync, and data edges combined.
-func (g *Graph) Edges() []Edge {
-	out := g.ControlEdges()
-	out = append(out, g.SyncEdges()...)
-	out = append(out, g.DataEdges()...)
 	return out
 }
 

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/repro/inspector/internal/vclock"
 )
 
 // mustRecorder builds a recorder or fails the test.
@@ -89,7 +91,7 @@ func TestRecorderClockSemantics(t *testing.T) {
 	if got := sc1.Clock.Get(1); got != 2 {
 		t.Errorf("sub 1 clock[1] = %d, want 2", got)
 	}
-	if !sc0.Clock.HappensBefore(sc1.Clock) {
+	if sc0.Clock.Compare(sc1.Clock) != vclock.Before {
 		t.Error("program order not reflected in clocks")
 	}
 }
@@ -149,16 +151,16 @@ func TestFigure1HappensBefore(t *testing.T) {
 	t1b := SubID{Thread: 0, Alpha: 1}
 	t2a := SubID{Thread: 1, Alpha: 0}
 
-	if !g.HappensBefore(t1a, t2a) {
+	if !happensBefore(g, t1a, t2a) {
 		t.Error("T1.a must happen before T2.a (lock transfer)")
 	}
-	if !g.HappensBefore(t2a, t1b) {
+	if !happensBefore(g, t2a, t1b) {
 		t.Error("T2.a must happen before T1.b")
 	}
-	if !g.HappensBefore(t1a, t1b) {
+	if !happensBefore(g, t1a, t1b) {
 		t.Error("program order T1.a -> T1.b missing")
 	}
-	if g.HappensBefore(t2a, t1a) || g.HappensBefore(t1b, t2a) {
+	if happensBefore(g, t2a, t1a) || happensBefore(g, t1b, t2a) {
 		t.Error("happens-before inverted")
 	}
 }
@@ -188,7 +190,7 @@ func TestFigure1SyncEdges(t *testing.T) {
 
 func TestFigure1DataEdges(t *testing.T) {
 	g, _ := buildFigure1(t)
-	edges := g.DataEdges()
+	_, edges := g.Analyze().EdgeSections()
 	// Expected update-use flows:
 	//   T1.a writes y(101) -> T2.a ... wait, T2.a reads x(100): T1.a
 	//   writes x -> T2.a reads x: edge T0.0 -> T1.0 on page 100.
@@ -329,7 +331,7 @@ func TestControlEdges(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		endSub(t, r, SyncEvent{Kind: SyncNone})
 	}
-	edges := g.ControlEdges()
+	edges := g.Analyze().Edges()
 	if len(edges) != 2 {
 		t.Fatalf("control edges = %d, want 2", len(edges))
 	}
@@ -346,11 +348,8 @@ func TestConcurrentDetection(t *testing.T) {
 	r1 := mustRecorder(t, g, 1)
 	a := endSub(t, r0, SyncEvent{Kind: SyncNone})
 	b := endSub(t, r1, SyncEvent{Kind: SyncNone})
-	if !g.Concurrent(a.ID, b.ID) {
-		t.Error("unsynchronized subs must be concurrent")
-	}
-	if g.Concurrent(a.ID, a.ID) {
-		t.Error("a vertex is not concurrent with itself")
+	if ord := a.Clock.Compare(b.Clock); ord != vclock.Concurrent {
+		t.Errorf("unsynchronized subs have clock order %v, want ||", ord)
 	}
 }
 
@@ -466,9 +465,6 @@ func TestAnalyzeDegenerateGraphs(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Errorf("export diverges from the flat reference:\n got %s\nwant %s", got.Bytes(), want.Bytes())
 			}
-			if !edgesEqual(g.DataEdges(), dataEdges) {
-				t.Error("DataEdges disagrees with Analyze's data section")
-			}
 		})
 	}
 }
@@ -504,7 +500,7 @@ func assertGraphsEqual(t *testing.T, a, b *Graph) {
 		if as[i].ID != bs[i].ID {
 			t.Errorf("sub %d id %v vs %v", i, as[i].ID, bs[i].ID)
 		}
-		if !as[i].Clock.Equals(bs[i].Clock) {
+		if as[i].Clock.Compare(bs[i].Clock) != vclock.Equal {
 			t.Errorf("sub %v clock %v vs %v", as[i].ID, as[i].Clock, bs[i].Clock)
 		}
 		if as[i].ReadSet.Len() != bs[i].ReadSet.Len() || as[i].WriteSet.Len() != bs[i].WriteSet.Len() {
@@ -528,7 +524,7 @@ func assertGraphsEqual(t *testing.T, a, b *Graph) {
 func TestWriteDOT(t *testing.T) {
 	g, _ := buildFigure1(t)
 	var buf bytes.Buffer
-	if err := g.WriteDOT(&buf); err != nil {
+	if err := g.Analyze().WriteDOT(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

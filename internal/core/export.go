@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/repro/inspector/internal/vclock"
 	"github.com/repro/inspector/internal/vtime"
@@ -136,10 +135,11 @@ func (g *Graph) EncodeJSON(w io.Writer) error {
 	return nil
 }
 
-// WriteDOT renders the CPG in Graphviz DOT form: one cluster per thread,
-// solid edges for program order, dashed for schedule dependencies,
-// bold for data dependencies.
-func (g *Graph) WriteDOT(w io.Writer) error {
+// WriteDOT renders the analyzed CPG in Graphviz DOT form: one cluster
+// per thread, solid edges for program order, dashed for schedule
+// dependencies, bold for data dependencies. It draws a.Subs() and
+// a.Edges(), the prefix and the edges every query of a sees.
+func (a *Analysis) WriteDOT(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
 		if err == nil {
@@ -147,26 +147,26 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 		}
 	}
 	p("digraph CPG {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n")
-	threads := make(map[int][]*SubComputation)
-	for _, sc := range g.Subs() {
-		threads[sc.ID.Thread] = append(threads[sc.ID.Thread], sc)
-	}
-	var order []int
-	for t := range threads {
-		order = append(order, t)
-	}
-	sort.Ints(order)
-	for _, t := range order {
-		p("  subgraph cluster_t%d {\n    label=\"thread %d\";\n", t, t)
-		for _, sc := range threads[t] {
-			p("    %q [label=\"%s\\nR:%d W:%d\\nend:%s %s\"];\n",
-				sc.ID.String(), sc.ID.String(),
-				sc.ReadSet.Len(), sc.WriteSet.Len(),
-				sc.End.Kind, g.ObjectName(sc.End.Object))
+	// a.Subs() is in (thread, alpha) order: each thread's vertices are
+	// one run, drawn as one cluster.
+	cur := -1
+	for _, sc := range a.Subs() {
+		if t := sc.ID.Thread; t != cur {
+			if cur >= 0 {
+				p("  }\n")
+			}
+			cur = t
+			p("  subgraph cluster_t%d {\n    label=\"thread %d\";\n", t, t)
 		}
+		p("    %q [label=\"%s\\nR:%d W:%d\\nend:%s %s\"];\n",
+			sc.ID.String(), sc.ID.String(),
+			sc.ReadSet.Len(), sc.WriteSet.Len(),
+			sc.End.Kind, a.g.ObjectName(sc.End.Object))
+	}
+	if cur >= 0 {
 		p("  }\n")
 	}
-	for _, e := range g.Edges() {
+	for _, e := range a.Edges() {
 		switch e.Kind {
 		case EdgeControl:
 			p("  %q -> %q;\n", e.From.String(), e.To.String())

@@ -19,6 +19,18 @@ func ReferenceSections(a *Analysis) (syncEdges, dataEdges []Edge) {
 	return syncEdges, dataEdgesReference(a.Subs())
 }
 
+// DeriveDataEdges derives every data edge of g's current (causally
+// closed) prefix with up to workers goroutines (0 = GOMAXPROCS): one
+// cut of a throw-away IncrementalAnalyzer, the fold's own derivation,
+// without building an Analysis. The output is independent of the worker
+// count.
+func DeriveDataEdges(g *Graph, workers int) []Edge {
+	inc := NewIncrementalAnalyzer(g)
+	inc.SetFoldWorkers(workers)
+	inc.cut(nil)
+	return inc.deriveNewData(inc.subsBetween(inc.lens, inc.cutLens))
+}
+
 // newAnalysis is the flat builder, the spec for incStore: the whole
 // already-derived sync and data sections (each canonically sorted) go
 // into one sealed successor base with no overlay, and the predecessor

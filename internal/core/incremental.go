@@ -41,14 +41,23 @@ import (
 //   - the interned symbol table is the graph's own append-only interner,
 //     so materialized names never need recomputing.
 //
-// This is the package's only data-edge derivation: Graph.Analyze and
-// Graph.DataEdges are one fold of a throw-away analyzer over the whole
-// graph, so k folds and one fold are the same code and the equivalence
-// property tests pin them byte-identical. The oracles are independent
-// of it and live with the tests: dataEdgesReference specifies the
-// derivation, and the tests' ReferenceAnalyzer (export_test.go) re-merges
-// flat sections and rebuilds through the flat newAnalysis every epoch as
-// the spec for the store.
+// The data edges are the update-use edges (§IV-A III): for every reader
+// n and page p in its read set, an edge from each maximal writer m
+// (under happens-before) with p in its write set and m -> n. Writers
+// hidden by a later writer of the same page that still precedes the
+// reader are excluded, so each edge names a write that may actually have
+// produced the value read.
+//
+// This is the package's only data-edge derivation (deriveNewData over
+// the page → writer-runs index): Graph.Analyze is one fold of a
+// throw-away analyzer over the whole graph, so k folds and one fold are
+// the same code and the equivalence property tests pin them
+// byte-identical. The oracles are independent of it and live with the
+// tests: dataEdgesReference (dataedges_test.go) retains the original
+// map-of-maps derivation as the executable specification, and the
+// tests' ReferenceAnalyzer (export_test.go) re-merges flat sections and
+// rebuilds through the flat newAnalysis every epoch as the spec for the
+// store.
 //
 // # Why folding is sound: causally consistent cuts
 //

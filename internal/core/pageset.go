@@ -23,9 +23,10 @@ const pageSetInline = 6
 // pageSetInline pages live in a fixed array inside the struct, and larger
 // sets spill to one sorted slice. Both forms are kept in ascending order,
 // so membership is a short scan or binary search, set iteration is already
-// sorted (DataEdges consumes it directly), and serialization is canonical
-// — unlike the map reference form the property tests compare against
-// (PageSetMap, pagesetmap_test.go), whose iteration order is randomized.
+// sorted (the data-edge derivation consumes it directly), and
+// serialization is canonical — unlike the map reference form the property
+// tests compare against (PageSetMap, pagesetmap_test.go), whose iteration
+// order is randomized.
 //
 // Inserting out of ascending order into a spilled set pays a memmove, so
 // a sub-computation touching k pages in random order costs O(k²/2) word

@@ -83,8 +83,8 @@ func TestQuickDataEdgesConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomExecution(t, r, 2+r.Intn(3), 2, 100+r.Intn(150))
-		for _, e := range g.DataEdges() {
-			if !g.HappensBefore(e.From, e.To) {
+		for _, e := range DeriveDataEdges(g, 0) {
+			if !happensBefore(g, e.From, e.To) {
 				return false
 			}
 			sf, _ := g.Sub(e.From)
@@ -112,13 +112,13 @@ func TestQuickMaximalWriterRule(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomExecution(t, r, 3, 1, 150)
 		subs := g.Subs()
-		for _, e := range g.DataEdges() {
+		for _, e := range DeriveDataEdges(g, 0) {
 			for _, p := range e.Pages {
 				for _, w := range subs {
 					if w.ID == e.From || w.ID == e.To || !w.WriteSet.Contains(p) {
 						continue
 					}
-					if g.HappensBefore(e.From, w.ID) && g.HappensBefore(w.ID, e.To) {
+					if happensBefore(g, e.From, w.ID) && happensBefore(g, w.ID, e.To) {
 						return false
 					}
 				}
@@ -152,7 +152,7 @@ func TestQuickHappensBeforeMatchesEdgeReachability(t *testing.T) {
 				if x.ID == y.ID {
 					continue
 				}
-				hb := g.HappensBefore(x.ID, y.ID)
+				hb := happensBefore(g, x.ID, y.ID)
 				if hb != reach[x.ID][y.ID] {
 					return false
 				}

@@ -149,17 +149,6 @@ func (a *Analysis) vertexIndex(id SubID) (int32, bool) {
 	return int32(a.base[id.Thread]) + int32(id.Alpha), true
 }
 
-// idAt is vertexIndex's inverse: the SubID at dense index vi.
-func (a *Analysis) idAt(vi int32) SubID {
-	t, _ := slices.BinarySearch(a.base[1:], int(vi))
-	// BinarySearch finds the first t with base[t+1] >= vi; an exact hit
-	// means vi starts the next thread's range.
-	for a.base[t+1] == int(vi) {
-		t++
-	}
-	return SubID{Thread: t, Alpha: uint64(int(vi) - a.base[t])}
-}
-
 // Graph returns the underlying CPG.
 func (a *Analysis) Graph() *Graph { return a.g }
 
@@ -512,9 +501,12 @@ func (a *Analysis) PathCtx(ctx context.Context, from, to SubID, kinds ...EdgeKin
 
 // Verify checks structural invariants of the recorded CPG:
 //
-//  1. every edge agrees with the vector-clock happens-before order;
-//  2. the combined edge relation is acyclic;
-//  3. read/write sets only appear on recorded vertices: every vertex
+//  1. every edge, control edges included, strictly raises the vector
+//     clock (and an intra-thread edge follows program order). Strict
+//     clock order is a strict partial order, so this also makes the
+//     combined edge relation acyclic: a cycle would need some edge
+//     whose clocks do not rise, and Verify names that edge;
+//  2. read/write sets only appear on recorded vertices: every vertex
 //     occupies the (thread, alpha) slot its ID names, and every data
 //     edge's pages are contained in the writer's write set and the
 //     reader's read set — no edge can smuggle in pages its endpoints
@@ -528,10 +520,10 @@ func (a *Analysis) Verify() error {
 	return a.VerifyCtx(context.Background())
 }
 
-// VerifyCtx is Verify with cancellation: the edge sweep and the
-// acyclicity check stop and return ctx's error once the context is done.
+// VerifyCtx is Verify with cancellation: the edge sweep stops and
+// returns ctx's error once the context is done.
 func (a *Analysis) VerifyCtx(ctx context.Context) error {
-	// Invariant 3a: stored vertices sit at their recorded slots. Only the
+	// Invariant 2a: stored vertices sit at their recorded slots. Only the
 	// analyzed prefix is checked — vertices sealed after the fold belong
 	// to a later epoch's analysis.
 	for t := 0; t < len(a.lens); t++ {
@@ -560,7 +552,7 @@ func (a *Analysis) VerifyCtx(ctx context.Context) error {
 		if !ok {
 			return a.gapVerdict(fmt.Errorf("core: edge to unknown vertex %v", e.To), e.From, e.To)
 		}
-		// Invariant 3b: data-edge pages come from the endpoints' sets.
+		// Invariant 2b: data-edge pages come from the endpoints' sets.
 		if e.Kind == EdgeData {
 			if len(e.Pages) == 0 {
 				return a.gapVerdict(
@@ -582,13 +574,10 @@ func (a *Analysis) VerifyCtx(ctx context.Context) error {
 				}
 			}
 		}
-		if e.From.Thread == e.To.Thread {
-			if e.From.Alpha >= e.To.Alpha {
-				return a.gapVerdict(
-					fmt.Errorf("core: intra-thread edge %v -> %v against program order", e.From, e.To),
-					e.From, e.To)
-			}
-			continue
+		if e.From.Thread == e.To.Thread && e.From.Alpha >= e.To.Alpha {
+			return a.gapVerdict(
+				fmt.Errorf("core: intra-thread edge %v -> %v against program order", e.From, e.To),
+				e.From, e.To)
 		}
 		if ord := sa.Clock.Compare(sb.Clock); ord != vclock.Before {
 			return a.gapVerdict(
@@ -596,69 +585,6 @@ func (a *Analysis) VerifyCtx(ctx context.Context) error {
 					e.Kind, e.From, e.To, ord),
 				e.From, e.To)
 		}
-	}
-	return a.checkAcyclic(ctx)
-}
-
-// checkAcyclic runs Kahn's algorithm over the edge relation: control
-// in-degrees come from the prefix lens, sync and data in-degrees from a
-// direct arena sweep, and the removal wave walks the overlay adjacency.
-func (a *Analysis) checkAcyclic(ctx context.Context) error {
-	n := a.NumVertices()
-	indeg := make([]int32, n)
-	for t, ln := range a.lens {
-		for i := 1; i < ln; i++ {
-			indeg[a.base[t]+i]++
-		}
-	}
-	for i := range a.ar.sync {
-		if vi, ok := a.vertexIndex(a.ar.sync[i].To); ok {
-			indeg[vi]++
-		}
-	}
-	for i := range a.ar.data {
-		if vi, ok := a.vertexIndex(a.ar.data[i].To); ok {
-			indeg[vi]++
-		}
-	}
-	var queue []int32
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	var scratch visitScratch
-	removed := 0
-	var ctxErr error
-	for len(queue) > 0 {
-		cur := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		removed++
-		if removed%cancelCheckEvery == 0 {
-			if ctxErr = ctx.Err(); ctxErr != nil {
-				return ctxErr
-			}
-		}
-		a.visitSuccs(a.idAt(cur), &scratch, func(_ edgeRef, e *Edge) bool {
-			vi, ok := a.vertexIndex(e.To)
-			if !ok {
-				return true
-			}
-			indeg[vi]--
-			if indeg[vi] == 0 {
-				queue = append(queue, vi)
-			}
-			return true
-		})
-	}
-	if removed != n {
-		err := fmt.Errorf("core: CPG contains a cycle (%d of %d vertices sorted)", removed, n)
-		// A cycle has no single implicated vertex; over a degraded
-		// recording it cannot be pinned on observed behaviour.
-		if a.Degraded() {
-			return fmt.Errorf("%w: %v", ErrUnverifiable, err)
-		}
-		return err
 	}
 	return nil
 }

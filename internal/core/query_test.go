@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"github.com/repro/inspector/internal/vclock"
 )
 
 // bg is the context of the queries tests never cancel, and must unwraps
@@ -64,7 +66,7 @@ func TestAnalysisPath(t *testing.T) {
 }
 
 func TestVerifyChecksDataEdgePages(t *testing.T) {
-	// Invariant 3: a data edge whose page list escapes the endpoints'
+	// Invariant 2: a data edge whose page list escapes the endpoints'
 	// recorded read/write sets must be rejected. Derived edges can't
 	// violate this, so tamper with the analysis directly.
 	g, _ := buildFigure1(t)
@@ -91,7 +93,7 @@ func TestVerifyChecksDataEdgePages(t *testing.T) {
 }
 
 func TestVerifyChecksVertexSlots(t *testing.T) {
-	// Invariant 3: a vertex whose recorded ID disagrees with its slot in
+	// Invariant 2: a vertex whose recorded ID disagrees with its slot in
 	// the store must be rejected.
 	g, _ := buildFigure1(t)
 	sc, _ := g.Sub(SubID{Thread: 1, Alpha: 0})
@@ -116,6 +118,49 @@ func TestVerifyRejectsEmptyDataEdge(t *testing.T) {
 	err := a.Verify()
 	if err == nil || !strings.Contains(err.Error(), "carries no pages") {
 		t.Errorf("empty data edge not caught: %v", err)
+	}
+}
+
+// forgedGraph builds a graph of bare vertices with the given clocks,
+// thread by thread, and logs the given sync edges: shapes no recorder
+// produces, for Verify to reject.
+func forgedGraph(t *testing.T, clocks [][]vclock.Clock, syncEdges ...[2]SubID) *Graph {
+	t.Helper()
+	g := NewGraph(len(clocks))
+	for th, seq := range clocks {
+		for alpha, c := range seq {
+			if err := g.add(&SubComputation{ID: SubID{Thread: th, Alpha: uint64(alpha)}, Clock: c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, e := range syncEdges {
+		g.addSyncEdge(e[0], e[1], g.InternObject("lock"))
+	}
+	return g
+}
+
+// TestVerifyRejectsCycleThroughBackwardClock closes a cycle T1.0 -> T1.1
+// -> T0.0 -> T1.0 whose two sync edges each raise the clock: thread 1's
+// clock runs backwards, so its control edge is the one that does not,
+// and Verify names it.
+func TestVerifyRejectsCycleThroughBackwardClock(t *testing.T) {
+	t0, t10, t11 := SubID{Thread: 0}, SubID{Thread: 1}, SubID{Thread: 1, Alpha: 1}
+	g := forgedGraph(t, [][]vclock.Clock{{{1, 1}}, {{1, 2}, {0, 1}}}, [2]SubID{t11, t0}, [2]SubID{t0, t10})
+	err := g.Analyze().Verify()
+	if err == nil || !strings.Contains(err.Error(), "control edge T1.0 -> T1.1 has clock order <-") {
+		t.Errorf("cycle through a backward clock: %v", err)
+	}
+}
+
+// TestVerifyRejectsNonIncreasingThreadClock forges one thread whose
+// consecutive vertices carry one clock: program order without a clock
+// step, rejected at its control edge.
+func TestVerifyRejectsNonIncreasingThreadClock(t *testing.T) {
+	g := forgedGraph(t, [][]vclock.Clock{{{1}, {1}}})
+	err := g.Analyze().Verify()
+	if err == nil || !strings.Contains(err.Error(), "control edge T0.0 -> T0.1 has clock order =") {
+		t.Errorf("non-increasing thread clock: %v", err)
 	}
 }
 

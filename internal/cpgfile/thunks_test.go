@@ -79,14 +79,14 @@ func encodeFile(t testing.TB, a *core.Analysis) (string, []byte) {
 	return path, buf.Bytes()
 }
 
-// renders returns a graph's JSON and DOT renders.
-func renders(t *testing.T, g *core.Graph) (jsonOut, dot []byte) {
+// renders returns an analysis's graph JSON and DOT renders.
+func renders(t *testing.T, a *core.Analysis) (jsonOut, dot []byte) {
 	t.Helper()
 	var j, d bytes.Buffer
-	if err := g.EncodeJSON(&j); err != nil {
+	if err := a.Graph().EncodeJSON(&j); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteDOT(&d); err != nil {
+	if err := a.WriteDOT(&d); err != nil {
 		t.Fatal(err)
 	}
 	return j.Bytes(), d.Bytes()
@@ -174,13 +174,13 @@ func agreesWithEager(t *testing.T, file []byte, src *core.Analysis, m *Mapped, m
 	if want := encoded(t, src); !bytes.Equal(want, encoded(t, ea)) || !bytes.Equal(want, encoded(t, ma)) {
 		t.Error("Encode of the mapped or eagerly decoded analysis differs from Encode of the source")
 	}
-	ej, ed := renders(t, ea.Graph())
-	mj, md := renders(t, ma.Graph())
+	ej, ed := renders(t, ea)
+	mj, md := renders(t, ma)
 	if !bytes.Equal(ej, mj) {
 		t.Error("EncodeJSON of the mapped graph differs from the eagerly decoded graph's")
 	}
 	if !bytes.Equal(ed, md) {
-		t.Error("WriteDOT of the mapped graph differs from the eagerly decoded graph's")
+		t.Error("WriteDOT of the mapped analysis differs from the eagerly decoded analysis's")
 	}
 	st, err := m.Stats()
 	if err != nil {

@@ -171,7 +171,7 @@ func record(t *testing.T, aggURL, app string, threads int) *recording {
 	fold := rec.Source().Engine().Analysis()
 	coversGraph(t, id+" fold", fold, rec.CPG())
 	r.foldSHA = cpgtest.SHA(t, fold)
-	r.jsonSHA, r.dotSHA = renderSHA(t, rec.CPG().EncodeJSON), renderSHA(t, rec.CPG().WriteDOT)
+	r.jsonSHA, r.dotSHA = renderSHA(t, rec.CPG().EncodeJSON), renderSHA(t, rec.Analysis().WriteDOT)
 	f, err := os.Create(r.cpg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,9 @@ import (
 // fastReadPage resolves the page for an n-byte tracked read contained in a
 // single page, bumping stats and faulting exactly as the generic path
 // does. ok is false when the access must take the generic path (native
-// mode, non-uniform page sizes, or a page-straddling access).
+// mode or a page-straddling access).
 func (s *Space) fastReadPage(a Addr, n int) (sp *spacePage, po int, err error, ok bool) {
-	if !s.tracking || !s.uniform {
+	if !s.tracking {
 		return nil, 0, nil, false
 	}
 	po = int(uint64(a) & s.pageMask)
@@ -41,7 +41,7 @@ func (s *Space) fastReadPage(a Addr, n int) (sp *spacePage, po int, err error, o
 // the private copy and twin, logs the words the store is the first to
 // write, and returns the writable in-page slice.
 func (s *Space) fastWritePage(a Addr, n int) (dst []byte, err error, ok bool) {
-	if !s.tracking || !s.uniform {
+	if !s.tracking {
 		return nil, nil, false
 	}
 	po := int(uint64(a) & s.pageMask)

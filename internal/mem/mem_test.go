@@ -339,6 +339,20 @@ func TestSpaceFillsWholeCacheLines(t *testing.T) {
 	}
 }
 
+// TestNewSpaceRefusesMixedPageSizes pins one page size per space: a 4 KiB
+// backing at [0x10000, 0x110000) and an 8 KiB one at 0x200000 would share
+// page ids 256-271, and offsets would use the first backing's size.
+func TestNewSpaceRefusesMixedPageSizes(t *testing.T) {
+	small := mustBacking(t, "small", 0x10000, 1<<20, 4096)
+	large := mustBacking(t, "large", 0x200000, 1<<20, 8192)
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSpace accepted backings of 4096- and 8192-byte pages")
+		}
+	}()
+	NewSpace(1, []*Backing{small, large}, nil, true)
+}
+
 func TestSpaceStatsCounts(t *testing.T) {
 	s, _, _ := newTestSpace(t, true)
 	for i := 0; i < 10; i++ {

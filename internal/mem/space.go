@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -27,7 +28,7 @@ import (
 //     threads' committed writes (Release Consistency).
 //
 // Because every tracked access funnels through here, the lookup path is
-// engineered flat: page ids derive by shift (uniform page size), a one-entry
+// engineered flat: page ids derive by shift (one page size), a one-entry
 // cache short-circuits consecutive accesses to the same page (the
 // overwhelmingly common pattern), backings resolve by binary search over a
 // base-sorted slice, and Commit recycles page buffers and spacePage structs
@@ -35,14 +36,12 @@ import (
 // Commit walks only the pages this sub-computation touched, so its cost
 // follows the sub-computation, not the widest one before it.
 type Space struct {
-	pid      int32
-	pageSize int
-	// pageShift/pageMask replace div/mod on every access; valid only when
-	// uniform (all backings share one page size — the runtime always
-	// configures them that way, but nothing in the API forces it).
+	pid int32
+	// pageSize is every backing's page size (NewSpace refuses mixed
+	// sizes); pageShift/pageMask replace div/mod on every access.
+	pageSize  int
 	pageShift uint
 	pageMask  uint64
-	uniform   bool
 	backings  []*Backing // sorted by base address
 	handler   FaultHandler
 	tracking  bool
@@ -72,7 +71,7 @@ type Space struct {
 	// fields: a space that shared a cache line with the next one
 	// false-shared on every tracked access. The padding rounds the struct
 	// up to five whole lines.
-	_ [320 - 280]byte
+	_ [320 - 272]byte
 }
 
 // spacePage is the per-process state of one page.
@@ -165,7 +164,10 @@ func (s SpaceStats) Faults() uint64 { return s.ReadFaults + s.WriteFaults }
 
 // NewSpace creates a process view over the given backings. If tracking is
 // false the space is a native view: no protection checks, writes go
-// straight to the shared backing (the pthreads baseline).
+// straight to the shared backing (the pthreads baseline). All backings
+// must share one page size: page ids and in-page offsets derive from it,
+// and backings of two sizes could map two pages to one id. NewSpace
+// panics otherwise.
 func NewSpace(pid int32, backings []*Backing, handler FaultHandler, tracking bool) *Space {
 	ps := DefaultPageSize
 	if len(backings) > 0 {
@@ -174,11 +176,10 @@ func NewSpace(pid int32, backings []*Backing, handler FaultHandler, tracking boo
 	sorted := make([]*Backing, len(backings))
 	copy(sorted, backings)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].base < sorted[j].base })
-	uniform := true
 	for _, b := range sorted {
 		if b.PageSize() != ps {
-			uniform = false
-			break
+			panic(fmt.Sprintf("mem: backing %s has page size %d, want %d (one page size per space)",
+				b.Name(), b.PageSize(), ps))
 		}
 	}
 	return &Space{
@@ -186,7 +187,6 @@ func NewSpace(pid int32, backings []*Backing, handler FaultHandler, tracking boo
 		pageSize:  ps,
 		pageShift: uint(bits.TrailingZeros(uint(ps))),
 		pageMask:  uint64(ps) - 1,
-		uniform:   uniform,
 		backings:  sorted,
 		handler:   handler,
 		tracking:  tracking,
@@ -235,24 +235,17 @@ func (s *Space) backingFor(a Addr) *Backing {
 // cache without touching the map or the backing list. kind names the
 // access an unmapped address reports.
 func (s *Space) pageFor(a Addr, kind AccessKind) (*spacePage, PageID, error) {
-	if s.uniform {
-		id := PageID(uint64(a) >> s.pageShift)
-		// The bounds check keeps cache hits from reaching past a backing
-		// whose size is not a page multiple (its tail page extends beyond
-		// the region): such an access must segfault, as the scan path does.
-		if sp := s.lastSP; sp != nil && id == s.lastID && sp.backing.Contains(a) {
-			return sp, id, nil
-		}
-		return s.pageForSlow(a, id, kind)
+	id := PageID(uint64(a) >> s.pageShift)
+	// The bounds check keeps cache hits from reaching past a backing
+	// whose size is not a page multiple (its tail page extends beyond
+	// the region): such an access must segfault, as the scan path does.
+	if sp := s.lastSP; sp != nil && id == s.lastID && sp.backing.Contains(a) {
+		return sp, id, nil
 	}
-	b := s.backingFor(a)
-	if b == nil {
-		return nil, 0, &SegfaultError{Addr: a, Kind: kind}
-	}
-	return s.pageLookup(b, b.PageOf(a))
+	return s.pageForSlow(a, id, kind)
 }
 
-// pageForSlow handles a one-entry-cache miss on the uniform-page-size path.
+// pageForSlow handles a one-entry-cache miss.
 func (s *Space) pageForSlow(a Addr, id PageID, kind AccessKind) (*spacePage, PageID, error) {
 	b := s.backingFor(a)
 	if b == nil {
@@ -367,9 +360,6 @@ func (s *Space) Read(a Addr, dst []byte) error {
 			s.fault(sp, id, cur, AccessRead)
 		}
 		po := int(uint64(cur) & s.pageMask)
-		if !s.uniform {
-			po = int(uint64(cur) % uint64(s.pageSize))
-		}
 		n := s.pageSize - po
 		if n > len(dst)-off {
 			n = len(dst) - off
@@ -412,9 +402,6 @@ func (s *Space) Write(a Addr, src []byte) (conflicts int, err error) {
 		}
 		s.ensurePrivate(sp, id)
 		po := int(uint64(cur) & s.pageMask)
-		if !s.uniform {
-			po = int(uint64(cur) % uint64(s.pageSize))
-		}
 		n := s.pageSize - po
 		if n > len(src)-off {
 			n = len(src) - off

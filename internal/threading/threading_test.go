@@ -176,8 +176,9 @@ func TestCPGStructureForMutexHandoff(t *testing.T) {
 	// There must exist a data edge on the page of `base` from a child
 	// sub-computation (slot 1) to a main sub-computation (slot 0).
 	page := uint64(base) / uint64(rt.PageSize())
+	_, data := g.Analyze().EdgeSections()
 	var found bool
-	for _, e := range g.DataEdges() {
+	for _, e := range data {
 		if e.From.Thread == 1 && e.To.Thread == 0 {
 			for _, p := range e.Pages {
 				if p == page {
@@ -187,7 +188,7 @@ func TestCPGStructureForMutexHandoff(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("no data edge child->main for page %d; edges: %+v", page, g.DataEdges())
+		t.Errorf("no data edge child->main for page %d; edges: %+v", page, data)
 	}
 	// Sync edges must mention the mutex and the join object.
 	var sawMutex, sawJoin bool

@@ -13,7 +13,6 @@
 package vclock
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -35,12 +34,6 @@ func (c Clock) Copy() Clock {
 	out := make(Clock, len(c))
 	copy(out, c)
 	return out
-}
-
-// Tick increments the slot for thread t and returns the new value.
-func (c Clock) Tick(t int) uint64 {
-	c[t]++
-	return c[t]
 }
 
 // Set assigns value v to the slot for thread t.
@@ -73,19 +66,6 @@ func (c Clock) Merge(other Clock) {
 			c[i] = other[i]
 		}
 	}
-}
-
-// Merged returns a fresh clock holding the component-wise maximum of c and
-// other, sized to the wider of the two.
-func Merged(a, b Clock) Clock {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make(Clock, n)
-	copy(out, a)
-	out.Merge(b)
-	return out
 }
 
 // Ordering is the result of comparing two vector clocks.
@@ -147,22 +127,6 @@ func (c Clock) Compare(other Clock) Ordering {
 	}
 }
 
-// HappensBefore reports whether c strictly happens-before other.
-func (c Clock) HappensBefore(other Clock) bool {
-	return c.Compare(other) == Before
-}
-
-// ConcurrentWith reports whether c and other are incomparable.
-func (c Clock) ConcurrentWith(other Clock) bool {
-	return c.Compare(other) == Concurrent
-}
-
-// Equals reports whether the two clocks hold identical values (treating
-// missing slots as zero).
-func (c Clock) Equals(other Clock) bool {
-	return c.Compare(other) == Equal
-}
-
 // String renders the clock as "[v0 v1 ...]".
 func (c Clock) String() string {
 	var sb strings.Builder
@@ -175,27 +139,4 @@ func (c Clock) String() string {
 	}
 	sb.WriteByte(']')
 	return sb.String()
-}
-
-// Parse parses the String representation back into a Clock. It accepts the
-// exact format produced by String.
-func Parse(s string) (Clock, error) {
-	s = strings.TrimSpace(s)
-	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return nil, fmt.Errorf("vclock: parse %q: missing brackets", s)
-	}
-	body := strings.TrimSpace(s[1 : len(s)-1])
-	if body == "" {
-		return Clock{}, nil
-	}
-	fields := strings.Fields(body)
-	out := make(Clock, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("vclock: parse %q: slot %d: %w", s, i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

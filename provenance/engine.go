@@ -2,7 +2,6 @@ package provenance
 
 import (
 	"context"
-	"sync"
 
 	"github.com/repro/inspector/internal/core"
 )
@@ -22,12 +21,6 @@ type EngineOptions struct {
 type Engine struct {
 	a    *core.Analysis
 	opts EngineOptions
-
-	// statsOnce caches the graph summary: the Analysis is immutable, so
-	// repeated stats queries (monitoring clients poll them) cost O(1)
-	// after the first.
-	statsOnce sync.Once
-	statsVal  Stats
 }
 
 // NewEngine wraps an Analysis, which is immutable: it answers for the
@@ -183,12 +176,9 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 }
 
 // stats summarizes the wrapped graph (the same aggregation the stats
-// subcommand always printed), computed once and cached — the Analysis
-// never changes.
-func (e *Engine) stats() Stats {
-	e.statsOnce.Do(func() { e.statsVal = Stats(e.a.Stats()) })
-	return e.statsVal
-}
+// subcommand always printed): Analysis.Stats costs O(threads + overlay
+// layers), so nothing is cached.
+func (e *Engine) stats() Stats { return Stats(e.a.Stats()) }
 
 // pageLimit resolves a query's limit against the engine cap. 0 means
 // unlimited.

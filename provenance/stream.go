@@ -172,8 +172,12 @@ type Uploader struct {
 
 // NewUploader builds the sink streaming a threads-wide graph's epoch
 // deltas to c's aggregator and starts its sender goroutine (Wait stops
-// it).
+// it). A width the hello cannot carry, outside [1, wire.MaxThreads], is
+// refused here, before the run, as journal.Create refuses it.
 func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) {
+	if threads < 1 || threads > wire.MaxThreads {
+		return nil, fmt.Errorf("provenance: stream threads %d out of range [1,%d]", threads, wire.MaxThreads)
+	}
 	if !ValidSourceName(opts.Source) {
 		return nil, fmt.Errorf("provenance: bad stream source name %q", opts.Source)
 	}
