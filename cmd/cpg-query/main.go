@@ -47,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
 	"github.com/repro/inspector/provenance"
 )
@@ -96,23 +95,10 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// edgeJSON is the -format json rendering of one edge.
-type edgeJSON struct {
-	From   string   `json:"from"`
-	To     string   `json:"to"`
-	Kind   string   `json:"kind"`
-	Object string   `json:"object,omitempty"`
-	Pages  []uint64 `json:"pages,omitempty"`
-}
-
 // printEdges renders an edge list in the selected format.
 func printEdges(w io.Writer, edges []provenance.Edge, asJSON bool) error {
 	if asJSON {
-		out := make([]edgeJSON, 0, len(edges))
-		for _, e := range edges {
-			out = append(out, edgeJSON{From: e.From, To: e.To, Kind: e.Kind, Object: e.Object, Pages: e.Pages})
-		}
-		return writeJSON(w, out)
+		return writeJSON(w, append([]provenance.Edge{}, edges...)) // [] when empty
 	}
 	for _, e := range edges {
 		switch e.Kind {
@@ -130,9 +116,7 @@ func printEdges(w io.Writer, edges []provenance.Edge, asJSON bool) error {
 // printIDs renders a sub-computation list in the selected format.
 func printIDs(w io.Writer, ids []string, asJSON bool) error {
 	if asJSON {
-		out := make([]string, 0, len(ids))
-		out = append(out, ids...)
-		return writeJSON(w, out)
+		return writeJSON(w, append([]string{}, ids...)) // [] when empty
 	}
 	for _, id := range ids {
 		fmt.Fprintln(w, id)
@@ -201,7 +185,7 @@ func buildQuery(cmd string, args []string) (provenance.Query, error) {
 		if len(args) < 1 {
 			return provenance.Query{}, usagef("usage: cpg-query %s <subID>", cmd)
 		}
-		if _, err := parseSubID(args[0]); err != nil {
+		if _, err := provenance.ParseSubID(args[0]); err != nil {
 			return provenance.Query{}, &usageError{err: err}
 		}
 		kind := provenance.KindSlice
@@ -217,7 +201,7 @@ func buildQuery(cmd string, args []string) (provenance.Query, error) {
 		if err != nil {
 			return provenance.Query{}, usagef("bad page %q: %v", args[0], err)
 		}
-		if _, err := parseSubID(args[1]); err != nil {
+		if _, err := provenance.ParseSubID(args[1]); err != nil {
 			return provenance.Query{}, &usageError{err: err}
 		}
 		return provenance.Query{Kind: provenance.KindLineage, Page: &page, Target: args[1]}, nil
@@ -235,7 +219,7 @@ func buildQuery(cmd string, args []string) (provenance.Query, error) {
 			return provenance.Query{}, usagef("usage: cpg-query path <fromID> <toID>")
 		}
 		for _, arg := range args[:2] {
-			if _, err := parseSubID(arg); err != nil {
+			if _, err := provenance.ParseSubID(arg); err != nil {
 				return provenance.Query{}, &usageError{err: err}
 			}
 		}
@@ -464,9 +448,4 @@ func render(w io.Writer, q provenance.Query, res *provenance.Result, asJSON bool
 	default:
 		return fmt.Errorf("unexpected result kind %q", res.Kind)
 	}
-}
-
-// parseSubID parses "T<thread>.<alpha>".
-func parseSubID(s string) (core.SubID, error) {
-	return provenance.ParseSubID(s)
 }

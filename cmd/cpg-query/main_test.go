@@ -33,13 +33,13 @@ func TestParseSubID(t *testing.T) {
 		{"", core.SubID{}, true},
 	}
 	for _, tt := range tests {
-		got, err := parseSubID(tt.in)
+		got, err := provenance.ParseSubID(tt.in)
 		if (err != nil) != tt.wantErr {
-			t.Errorf("parseSubID(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
+			t.Errorf("ParseSubID(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
 			continue
 		}
 		if !tt.wantErr && got != tt.want {
-			t.Errorf("parseSubID(%q) = %v, want %v", tt.in, got, tt.want)
+			t.Errorf("ParseSubID(%q) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
 }
@@ -291,7 +291,7 @@ func TestQueryJSONFormat(t *testing.T) {
 		t.Errorf("slice json = %v", ids)
 	}
 
-	var edges []edgeJSON
+	var edges []provenance.Edge
 	if err := json.Unmarshal([]byte(query(t, "-cpg", cpg, "-format", "json", "edges", "data")), &edges); err != nil {
 		t.Fatalf("edges json: %v", err)
 	}
@@ -304,7 +304,7 @@ func TestQueryJSONFormat(t *testing.T) {
 		}
 	}
 
-	var chain []edgeJSON
+	var chain []provenance.Edge
 	if err := json.Unmarshal([]byte(query(t, "-cpg", cpg, "-format", "json", "path", "T0.0", "T1.0")), &chain); err != nil {
 		t.Fatalf("path json: %v", err)
 	}

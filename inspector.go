@@ -69,6 +69,7 @@ import (
 	"github.com/repro/inspector/internal/perf"
 	"github.com/repro/inspector/internal/snapshot"
 	"github.com/repro/inspector/internal/threading"
+	"github.com/repro/inspector/internal/wire"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -259,6 +260,9 @@ func (o Options) validate() error {
 	if o.Stream != "" && o.Native {
 		return fmt.Errorf("%w: Stream requires provenance tracking (drop Native)", ErrBadOptions)
 	}
+	if (o.Journal != "" || o.Stream != "") && o.MaxThreads > wire.MaxThreads {
+		return fmt.Errorf("%w: MaxThreads %d is wider than a journal or stream carries (%d)", ErrBadOptions, o.MaxThreads, wire.MaxThreads)
+	}
 	if o.Stream != "" && o.RunID == "" {
 		return fmt.Errorf("%w: Stream requires a RunID (the aggregator binds the source to it)", ErrBadOptions)
 	}
@@ -274,8 +278,9 @@ func (o Options) validate() error {
 }
 
 // New creates a runtime. Options are validated up front: a negative
-// MaxThreads or SnapshotSlots, or a PageSize that is set but below 64
-// or not a power of two, fail with an error wrapping ErrBadOptions.
+// MaxThreads or SnapshotSlots, a MaxThreads a Journal or Stream cannot
+// carry, or a PageSize that is set but below 64 or not a power of two,
+// fail with an error wrapping ErrBadOptions.
 //
 // New is the one assembly of the recording pipeline: one epoch.Driver,
 // built whenever any consumer is set, only cuts, on the sealing thread,

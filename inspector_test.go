@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -349,17 +350,23 @@ func TestFailingNewLeavesNothingBehind(t *testing.T) {
 	rt.WaitStream(ctx) // stops the sender
 }
 
-// TestStreamTooWideFailsBeforeRecording pins New refusing a stream whose
-// hello could not carry the graph's width: the run must not record a
-// whole workload and fail at its first upload.
+// TestStreamTooWideFailsBeforeRecording pins New refusing a stream or
+// journal whose hello could not carry the graph's width, as bad options:
+// the run must not record a whole workload and fail at its first
+// upload, and a refused journal leaves no file behind.
 func TestStreamTooWideFailsBeforeRecording(t *testing.T) {
-	rt, err := inspector.New(inspector.Options{
-		Stream:     "http://127.0.0.1:1", // never contacted: New fails first
-		RunID:      "r",
-		MaxThreads: wire.MaxThreads + 1,
-	})
-	if rt != nil || err == nil {
-		t.Fatalf("New with a %d-thread stream = %v, %v", wire.MaxThreads+1, rt, err)
+	dir := filepath.Join(t.TempDir(), "j")
+	for _, opts := range []inspector.Options{
+		{Stream: "http://127.0.0.1:1", RunID: "r"}, // never contacted: New fails first
+		{Journal: dir},
+	} {
+		opts.MaxThreads = wire.MaxThreads + 1
+		if rt, err := inspector.New(opts); rt != nil || !errors.Is(err, inspector.ErrBadOptions) {
+			t.Fatalf("New(%+v) = %v, %v; want an error wrapping ErrBadOptions", opts, rt, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "journal.isj")); !os.IsNotExist(err) {
+		t.Errorf("a refused journal left journal.isj behind (stat: %v)", err)
 	}
 }
 

@@ -335,29 +335,40 @@ func BenchmarkIncrementalAnalyzeLargeWorkers8(b *testing.B) {
 }
 
 // Per-seal epochs: what a recorder runs after every sealed
-// sub-computation. foldDelta is a sink that asks for every analysis (the
-// journal recorder's OnEpoch, the live feed), cutOnly one that asks for
-// none (the journal writer, the stream uploader).
+// sub-computation, each made per graph. foldDelta is a sink that asks
+// for every analysis (the journal recorder's OnEpoch, the live feed),
+// cutOnly one that asks for none (the journal writer, the stream
+// uploader): the epoch driver's Cutter alone.
 var (
-	foldDelta = func(inc *core.IncrementalAnalyzer) { inc.FoldDelta() }
-	cutOnly   = func(inc *core.IncrementalAnalyzer) { inc.Cut() }
+	foldDelta = func(g *core.Graph) func() {
+		inc := core.NewIncrementalAnalyzer(g)
+		return func() { inc.FoldDelta() }
+	}
+	cutOnly = func(g *core.Graph) func() {
+		c := core.NewCutter(g)
+		return func() { c.Cut() }
+	}
 )
 
-// perSeal replays sched one step at a time, running epoch after every
-// step when it is non-nil. It returns the time spent inside epoch and
-// the objects the whole replay allocated: the recording is
-// deterministic, so an epoch-running replay's count minus a plain one's
-// is exactly what the epochs allocated.
-func perSeal(sched *cpgbench.Schedule, epoch func(*core.IncrementalAnalyzer)) (spent time.Duration, mallocs uint64) {
+// perSeal replays sched one step at a time, running the epoch newEpoch
+// makes for the replay's graph after every step when it is non-nil. It
+// returns the time spent inside epoch and the objects the whole replay
+// allocated: the recording is deterministic, so an epoch-running
+// replay's count minus a plain one's is exactly what the epochs
+// allocated.
+func perSeal(sched *cpgbench.Schedule, newEpoch func(*core.Graph) func()) (spent time.Duration, mallocs uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rp := sched.NewReplay()
-	inc := core.NewIncrementalAnalyzer(rp.Graph)
+	var epoch func()
+	if newEpoch != nil {
+		epoch = newEpoch(rp.Graph)
+	}
 	for s := 1; s <= sched.Steps(); s++ {
 		rp.To(s)
 		if epoch != nil {
 			start := time.Now()
-			epoch(inc)
+			epoch()
 			spent += time.Since(start)
 		}
 	}
@@ -368,7 +379,7 @@ func perSeal(sched *cpgbench.Schedule, epoch func(*core.IncrementalAnalyzer)) (s
 // benchPerSeal reports epoch's own ns/epoch and allocs/epoch over the
 // DataEdges/sparse execution (2000 epochs) and, unless -short, the
 // 2^20-step one; ns/op also covers recording the execution.
-func benchPerSeal(b *testing.B, epoch func(*core.IncrementalAnalyzer)) {
+func benchPerSeal(b *testing.B, epoch func(*core.Graph) func()) {
 	run := func(sched func() *cpgbench.Schedule) func(b *testing.B) {
 		return func(b *testing.B) {
 			s := sched()
@@ -397,13 +408,14 @@ func benchPerSeal(b *testing.B, epoch func(*core.IncrementalAnalyzer)) {
 // sinks ask for every epoch's analysis.
 func BenchmarkFoldPerSeal(b *testing.B) { benchPerSeal(b, foldDelta) }
 
-// BenchmarkCutPerSeal measures the cut alone at the same cadence — what
-// a journaled or streamed run pays when no sink asks for an analysis.
+// BenchmarkCutPerSeal measures Cutter.Cut alone at the same cadence —
+// what a journaled or streamed run pays when no sink asks for an
+// analysis.
 func BenchmarkCutPerSeal(b *testing.B) { benchPerSeal(b, cutOnly) }
 
 // allocsPerSeal returns what epoch allocates per per-seal step of the
 // DataEdges/sparse execution.
-func allocsPerSeal(epoch func(*core.IncrementalAnalyzer)) float64 {
+func allocsPerSeal(epoch func(*core.Graph) func()) float64 {
 	sched := liveSchedule()
 	_, recording := perSeal(sched, nil)
 	_, ran := perSeal(sched, epoch)

@@ -344,18 +344,18 @@ func (g *Graph) threadTail(dst []*SubComputation, t, lo, hi int) []*SubComputati
 }
 
 // logTails reads thread t's sync-edge log and gap-list lengths — what
-// an epoch cut records. With d set it also appends the log entries from
-// index syncFrom on and the gaps from gapFrom on to the delta, as stored
-// (no name lookup), taking the shard lock only if there are any. Logs
-// are append-only, so successive calls with the previous lengths see
-// each entry exactly once.
+// an epoch cut records — and appends the log entries from index
+// syncFrom on and the gaps from gapFrom on to d, as stored (no name
+// lookup), taking the shard lock only if there are any. Logs are
+// append-only, so successive calls with the previous lengths see each
+// entry exactly once.
 func (g *Graph) logTails(t int, d *EpochDelta, syncFrom, gapFrom int) (syncLen, gapLen int) {
 	sh := g.shard(t)
 	if sh == nil {
 		return 0, 0
 	}
 	syncLen, gapLen = int(sh.nSync.Load()), int(sh.nGaps.Load())
-	if d == nil || (syncLen <= syncFrom && gapLen <= gapFrom) {
+	if syncLen <= syncFrom && gapLen <= gapFrom {
 		return syncLen, gapLen
 	}
 	sh.mu.RLock()
@@ -367,23 +367,6 @@ func (g *Graph) logTails(t int, d *EpochDelta, syncFrom, gapFrom int) (syncLen, 
 		d.Gaps = append(d.Gaps, DeltaGap{Thread: t, Gap: gp})
 	}
 	return syncLen, gapLen
-}
-
-// appendSyncEdges appends thread t's sync-edge log entries [from, to) to
-// dst as edges with materialized object names. The bounds come from an
-// earlier logTails, so entries appended since are not read.
-func (g *Graph) appendSyncEdges(dst []Edge, t, from, to int) []Edge {
-	sh := g.shard(t)
-	if sh == nil {
-		return dst
-	}
-	sh.mu.RLock()
-	recs := sh.syncEdges[from:to]
-	sh.mu.RUnlock()
-	for _, rec := range recs {
-		dst = append(dst, Edge{From: rec.From, To: rec.To, Kind: EdgeSync, Object: g.ObjectName(rec.Object)})
-	}
-	return dst
 }
 
 // SyncEdges returns the recorded schedule-dependency edges with

@@ -3,11 +3,11 @@ package core
 import "fmt"
 
 // An EpochDelta is the serializable difference between two consecutive
-// epochs: exactly what an IncrementalAnalyzer's Cut captured that the
-// previous Cut had not yet emitted. It is the unit the crash-durability
-// journal appends per epoch and the frame a recorder streams to an
-// aggregator (provenance.Uploader → IngestSource): self-contained,
-// order-dependent, and replayable.
+// epochs: exactly what a Cutter's Cut captured that its previous Cut
+// had not yet emitted. It is the unit the crash-durability journal
+// appends per epoch and the frame a recorder streams to an aggregator
+// (provenance.Uploader → IngestSource): self-contained, order-dependent,
+// and replayable.
 //
 // Interned refs inside Subs and Sync are journal-scoped: they resolve
 // against the symbol table built by interning every delta's Symbols in
@@ -38,6 +38,11 @@ type EpochDelta struct {
 	Sync []DeltaSyncEdge
 	// Gaps are the trace-loss intervals first seen by this epoch.
 	Gaps []DeltaGap
+
+	// base is the dense-index base of Lens, from the same allocation:
+	// the Cutter fills it so folding its cut allocates none; a decoded
+	// delta leaves it nil.
+	base []int
 }
 
 // DeltaSyncEdge is the stored form of one schedule-dependency log entry
@@ -138,7 +143,8 @@ func validateDelta(g *Graph, d *EpochDelta) error {
 	return nil
 }
 
-// ApplyDelta appends one epoch delta to g — the replay half of Cut. Deltas must be applied in epoch order against a graph
+// ApplyDelta appends one epoch delta to g — the replay half of
+// Cutter.Cut. Deltas must be applied in epoch order against a graph
 // built from them alone; an analyzer of g that Adopts each one
 // reproduces the recording's Analyses byte-for-byte.
 //

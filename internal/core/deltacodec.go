@@ -32,7 +32,7 @@ import (
 // that remain before anything is allocated, nothing parsed aliases the
 // body, and — because exports render nil and empty slices differently
 // and a replica's export must be byte-identical to the recorder's — a
-// zero-length field parses to nil, the form Cut leaves it in.
+// zero-length field parses to nil, the form Cutter.Cut leaves it in.
 
 // Least bytes one element of each of the delta's own lists can occupy,
 // for wire.Cursor.Count.

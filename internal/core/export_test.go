@@ -27,8 +27,8 @@ func ReferenceSections(a *Analysis) (syncEdges, dataEdges []Edge) {
 func DeriveDataEdges(g *Graph, workers int) []Edge {
 	inc := NewIncrementalAnalyzer(g)
 	inc.SetFoldWorkers(workers)
-	inc.cut(nil)
-	return inc.deriveNewData(inc.subsBetween(inc.lens, inc.cutLens))
+	_ = inc.Adopt(NewCutter(g).Cut()) // a fresh cutter's first cut: never refused
+	return inc.deriveNewData(subsBetween(inc.seqs, inc.lens, inc.cutLens))
 }
 
 // newAnalysis is the flat builder, the spec for incStore: the whole
@@ -66,6 +66,7 @@ func FlatAnalysis(a *Analysis, syncEdges, dataEdges []Edge) *Analysis {
 // sync-log steps and replaces only the store: each epoch re-merges the
 // flat sections and rebuilds the whole Analysis through newAnalysis.
 type ReferenceAnalyzer struct {
+	cutter               *Cutter
 	inc                  *IncrementalAnalyzer
 	syncEdges, dataEdges []Edge
 }
@@ -74,14 +75,16 @@ type ReferenceAnalyzer struct {
 func NewReferenceAnalyzer(g *Graph) *ReferenceAnalyzer {
 	inc := NewIncrementalAnalyzer(g)
 	inc.SetFoldWorkers(1)
-	return &ReferenceAnalyzer{inc: inc}
+	return &ReferenceAnalyzer{cutter: NewCutter(g), inc: inc}
 }
 
 // Fold seals one epoch, O(graph).
 func (r *ReferenceAnalyzer) Fold() *Analysis {
 	inc := r.inc
-	inc.cut(nil)
-	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(inc.subsBetween(inc.lens, inc.cutLens)))
+	if err := inc.Adopt(r.cutter.Cut()); err != nil {
+		panic(err)
+	}
+	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(subsBetween(inc.seqs, inc.lens, inc.cutLens)))
 	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.foldSync(inc.cutLens))
 	inc.lens = inc.cutLens
 	inc.epoch++

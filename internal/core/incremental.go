@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -11,23 +10,23 @@ import (
 // IncrementalAnalyzer folds a still-growing CPG into successive immutable
 // Analyses — the live half of the paper's claim that provenance is
 // usable *while* the traced program runs. An epoch has two halves, the
-// paper's record/build split: Cut advances a causally closed frontier
-// and captures what was recorded since the previous cut (the epoch's
-// delta; no derivation), and FoldAs derives everything cut since the
-// previous fold, extending the accumulated analysis state instead of
-// re-deriving it. A recorder cuts every epoch and folds only when a
-// consumer asks; Fold is the two back to back. An analyzer that never
-// cuts takes each cut from its delta (Adopt): the recording's follower,
-// over the recorder's graph, and a replay, over one rebuilt from the
-// deltas. The fold:
+// paper's record/build split: a Cutter cuts it (cutter.go: a causally
+// closed frontier and the epoch's delta, no derivation), and an
+// analyzer Adopts the cut and FoldAs derives everything adopted since
+// the previous fold, extending the accumulated analysis state instead
+// of re-deriving it. An analyzer only ever folds deltas it adopted: the
+// recording's follower adopts the epoch driver's cuts over the
+// recorder's graph, a replay the deltas it applied to a rebuilt one,
+// and Fold is the analyzer's own Cutter, Adopt and FoldAs back to back.
+// The fold:
 //
 //   - the page → writer-runs index persists across epochs and only the
 //     new writers are appended to it;
 //   - data edges are derived only for the epoch's new readers, fanned
 //     out across fold workers on an atomic work counter (SetFoldWorkers):
 //     a vertex already analyzed can never gain a new *incoming* edge
-//     (see the cut argument below), so earlier epochs' derivations are
-//     final;
+//     (the cuts are causally closed: see Cutter), so earlier epochs'
+//     derivations are final;
 //   - sync edges arrive as sorted runs that each epoch merges into the
 //     store, deferring entries whose acquiring sub-computation has not
 //     sealed yet (the deferred backlog stays sorted, so an epoch costs
@@ -50,8 +49,8 @@ import (
 //
 // This is the package's only data-edge derivation (deriveNewData over
 // the page → writer-runs index): Graph.Analyze is one fold of a
-// throw-away analyzer over the whole graph, so k folds and one fold are
-// the same code and the equivalence property tests pin them
+// throw-away analyzer over one whole-graph cut, so k folds and one fold
+// are the same code and the equivalence property tests pin them
 // byte-identical. The oracles are independent of it and live with the
 // tests: dataEdgesReference (dataedges_test.go) retains the original
 // map-of-maps derivation as the executable specification, and the
@@ -59,52 +58,27 @@ import (
 // rebuilds through the flat newAnalysis every epoch as the spec for the
 // store.
 //
-// # Why folding is sound: causally consistent cuts
-//
-// A fold must not analyze a reader before all its potential writers are
-// visible, or it would derive an update-use edge from a hidden (stale)
-// writer and freeze it into every later epoch. A cut therefore closes the
-// captured per-thread lengths under happens-before: a sealed
-// sub-computation's clock component Ct[u] names the latest thread-u
-// vertex it has observed, and the recording discipline publishes a
-// vertex to its shard (EndSub) before its clock can flow to any other
-// thread (Release → Acquire). So extending the cut until lens[u] ≥
-// Ct[u] for every captured vertex only ever pulls vertices already
-// present in the shards, and the resulting prefix is closed: every
-// happens-before predecessor of an included vertex is included. Under a
-// closed cut, a writer sealed later cannot happen-before an
-// already-included reader — which is exactly what makes per-epoch
-// derivations final.
-//
-// An IncrementalAnalyzer is safe to drive from one goroutine (or under
-// one lock, as epoch.Driver does) while any number of recording threads
-// append to the graph.
+// An IncrementalAnalyzer is driven from one goroutine (or under one
+// lock); recording threads may append to the graph meanwhile.
 type IncrementalAnalyzer struct {
 	g *Graph
 
 	epoch uint64
 	// lens is the folded prefix: thread t's vertices [0, lens[t]) are
-	// analyzed. cutLens is the last cut's frontier, lens[t] ≤ cutLens[t];
-	// the vertices in between are cut but not yet folded. Both are
-	// immutable once set (a cut allocates a fresh slice), so deltas and
-	// views share them; cutBase is the dense-index base of cutLens, from
-	// the same allocation (nil after Adopt until the fold needs it).
+	// analyzed. cutLens is the last adopted cut's frontier, lens[t] ≤
+	// cutLens[t]; the vertices in between are adopted but not yet
+	// folded. Both are immutable once set, so deltas and views share
+	// them; cutBase is the dense-index base of cutLens (the Cutter's,
+	// from the same allocation; nil after a decoded delta until the fold
+	// needs it).
 	lens    []int
 	cutLens []int
 	cutBase []int
-	// cuts numbers the last Cut's delta.
-	cuts uint64
-	// seqs mirrors the cut prefix per thread (append-only, so slices
+	adopted uint64 // the last adopted delta's epoch
+	// seqs mirrors the adopted prefix per thread (append-only, so slices
 	// handed to earlier epochs stay valid).
 	seqs [][]*SubComputation
-	// syncCut is each shard's sync-edge log length at the last cut,
-	// syncFolded how much of it a fold has consumed: a fold reads
-	// entries [syncFolded, syncCut) and nothing a later append added.
-	syncCut    []int
-	syncFolded []int
-	// adoptedSync holds the sync entries adopted since the last fold,
-	// materialized: an adopting analyzer takes them from the deltas, not
-	// from the logs the recording threads append to.
+	// adoptedSync holds the sync entries adopted since the last fold.
 	adoptedSync []Edge
 	// pendingSync holds materialized log entries seen before their
 	// endpoints sealed, in canonical sorted order.
@@ -126,28 +100,28 @@ type IncrementalAnalyzer struct {
 	workers    int
 	workerHook func(worker int)
 
-	// gapCut is each shard's gap-list length at the last cut (gapTotal
-	// their sum): the only gaps a fold may see. comp is the last view's
-	// completeness, built from compGaps gaps; compFinal says no gap of it
-	// reaches past the folded prefix, so a longer prefix clamps nothing
-	// differently and the next view may reuse comp while no gap is new.
+	// gapCut is each thread's gap count through the last adopted cut
+	// (gapTotal their sum): the only gaps a fold may see. comp is the
+	// last view's completeness, built from compGaps gaps; compFinal says
+	// no gap of it reaches past the folded prefix, so a longer prefix
+	// clamps nothing differently and the next view may reuse comp while
+	// no gap is new.
 	gapCut    []int
 	gapTotal  int
 	comp      Completeness
 	compGaps  int
 	compFinal bool
 
-	// syms is the interner length the last cut saw: the symbol table of
-	// every Analysis folded from it, and where the next delta's table
-	// extends it.
+	// syms is the interner length the last adopted cut saw: the symbol
+	// table of every Analysis folded from it, and where the next delta's
+	// table extends it.
 	syms int
 
 	// scratch serves the serial derivation path; parallel workers carry
-	// their own. cutTarget is advanceCut's reusable buffer, edgeSort
-	// every sortEdges call's.
-	scratch   incScratch
-	cutTarget []int
-	edgeSort  edgeSortScratch
+	// their own. edgeSort is every sortEdges call's.
+	scratch  incScratch
+	edgeSort edgeSortScratch
+	cutter   *Cutter // Fold's and FoldDelta's, made by the first of them
 }
 
 // incRun is one thread's writers of one page, alphas ascending.
@@ -170,26 +144,21 @@ type incScratch struct {
 }
 
 // NewIncrementalAnalyzer prepares an empty fold state over g. No epoch
-// exists until the first Fold.
+// exists until the first fold.
 func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 	n := g.Threads()
 	empty := make([]int, n)
 	return &IncrementalAnalyzer{
-		g:          g,
-		lens:       empty,
-		cutLens:    empty,
-		cutBase:    make([]int, n+1),
-		seqs:       make([][]*SubComputation, n),
-		syncCut:    make([]int, n),
-		syncFolded: make([]int, n),
-		gapCut:     make([]int, n),
-		writers:    make(map[uint64][]incRun),
-		st:         newIncStore(n),
-		comp:       Completeness{Complete: true},
-		compFinal:  true,
-		// Ref 0 is the "" every NewGraph interns; deltas never carry it,
-		// so replay against a fresh graph starts aligned.
-		syms: 1,
+		g:         g,
+		lens:      empty,
+		cutLens:   empty,
+		seqs:      make([][]*SubComputation, n),
+		gapCut:    make([]int, n),
+		writers:   make(map[uint64][]incRun),
+		st:        newIncStore(n),
+		comp:      Completeness{Complete: true},
+		compFinal: true,
+		syms:      1, // a Cutter's first symbol base
 	}
 }
 
@@ -223,49 +192,42 @@ func (inc *IncrementalAnalyzer) Graph() *Graph { return inc.g }
 // fold): the number of completed folds, unless FoldAs named them.
 func (inc *IncrementalAnalyzer) Epoch() uint64 { return inc.epoch }
 
-// Fold seals one epoch, numbered one past the previous: it cuts
-// everything recorded since the last cut, folds everything cut since
-// the last fold, and returns the new epoch's Analysis. Calling Fold with
-// nothing new still produces a (cheap) new epoch over the unchanged
-// prefix. Fold must not be called concurrently with itself; recording
-// threads may keep appending throughout.
+// Fold seals one epoch, numbered one past the previous: the analyzer's
+// own Cutter cuts everything recorded since its last cut, and the
+// analyzer adopts and folds it, returning the new epoch's Analysis.
+// Calling Fold with nothing new still produces a (cheap) new epoch over
+// the unchanged prefix. Fold must not be called concurrently with
+// itself; recording threads may keep appending throughout.
 func (inc *IncrementalAnalyzer) Fold() *Analysis {
-	inc.cut(nil)
-	return inc.FoldAs(inc.epoch + 1)
+	a, _ := inc.FoldDelta()
+	return a
 }
 
-// Cut advances the causally closed frontier over everything recorded
-// since the previous cut and returns the epoch's delta — the cut's new
-// vertices, the sync-edge log and gap-list tails, and the interner
-// additions — without deriving anything: the recorder's whole per-epoch
-// cost when no consumer asks for the analysis. The delta is numbered one
-// past the newer of the previous cut and the previous fold. Adopting
-// the deltas on another analyzer of the graph, or of a fresh one they
-// are applied to (ApplyDelta), and folding there rebuilds
-// byte-identical Analyses.
-//
-// Cut and Fold both advance the frontier, and only Cut emits what it
-// passes: mixing them on one analyzer would leave what Fold's cut saw
-// out of every delta, so drive a journaled analyzer through Cut (and
-// FoldAs) exclusively.
-func (inc *IncrementalAnalyzer) Cut() *EpochDelta {
-	d := &EpochDelta{Epoch: max(inc.cuts, inc.epoch) + 1, SymBase: uint32(inc.syms)}
-	inc.cuts = d.Epoch
-	inc.cut(d)
-	return d
+// FoldDelta is Fold that also returns the epoch's delta: the per-seal
+// journal path of a recorder whose consumer wants every epoch's
+// Analysis. It panics on an analyzer that adopted another Cutter's
+// deltas, whose epochs its own cuts would not continue.
+func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
+	if inc.cutter == nil {
+		inc.cutter = NewCutter(inc.g)
+	}
+	d := inc.cutter.Cut()
+	if err := inc.Adopt(d); err != nil {
+		panic(err)
+	}
+	return inc.FoldAs(d.Epoch), d
 }
 
-// FoldAs derives everything cut since the last fold — the vertices
+// FoldAs derives everything adopted since the last fold — the vertices
 // between the folded prefix and the cut frontier, the sync-log entries
-// and gaps the cuts saw — and seals it as epoch e, which must exceed
+// and gaps the cuts carried — and seals it as epoch e, which must exceed
 // Epoch(). It reads the graph only up to the lengths the last cut
 // captured, so however long the fold is deferred, and whatever is
 // recorded meanwhile, it returns the Analysis an immediate fold would
-// have. The epoch pipeline numbers it by the last cut; an adopting
-// analyzer folds a batch of deltas once and names the epoch by the last
-// delta. Everything but the number is independent of how many
-// folds the prefix took, so k cuts folded once are the Analysis k folds
-// produce.
+// have. The epoch pipeline folds a batch of adopted deltas once and
+// names the epoch by the last delta. Everything but the number is
+// independent of how many folds the prefix took, so k cuts folded once
+// are the Analysis k folds produce.
 func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	prev, lens := inc.lens, inc.cutLens
 	if inc.cutBase == nil {
@@ -274,7 +236,7 @@ func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 			inc.cutBase[t+1] = inc.cutBase[t] + l
 		}
 	}
-	newSubs := inc.subsBetween(prev, lens)
+	newSubs := subsBetween(inc.seqs, prev, lens)
 	// Derive the new readers' incoming data edges; everything older is
 	// final (closed cut: no new writer can happen-before an old reader).
 	newData := inc.deriveNewData(newSubs)
@@ -287,24 +249,28 @@ func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	return a
 }
 
-// Adopt takes the cut another analyzer computed, as Cut would have
-// recorded it: d's vertices extend the mirrored prefix up to d.Lens,
-// d.Sync joins the next fold's sync entries, d.Gaps counts on each
-// thread's gap list, and the symbol table ends d.Symbols on. The next
-// FoldAs folds it, reading the gaps and names back from the graph,
+// Adopt takes a Cutter's cut: d's vertices extend the mirrored prefix
+// up to d.Lens, d.Sync joins the next fold's sync entries, d.Gaps counts
+// on each thread's gap list, and the symbol table ends d.Symbols on. The
+// next FoldAs folds it, reading the gaps and names back from the graph,
 // which must hold everything d carries: the graph d was cut from, or
 // one d was applied to. A delta that is not the next epoch (one past
 // the newer of the last adopted delta and the last fold) or extends
-// another symbol table is refused, changing nothing. Do not mix Adopt
-// with Cut or Fold on one analyzer.
+// another symbol table is refused, changing nothing.
 func (inc *IncrementalAnalyzer) Adopt(d *EpochDelta) error {
-	if want := max(inc.cuts, inc.epoch) + 1; d.Epoch != want || int(d.SymBase) != inc.syms {
+	if want := max(inc.adopted, inc.epoch) + 1; d.Epoch != want || int(d.SymBase) != inc.syms {
 		return fmt.Errorf("core: adopted epoch %d over symbol base %d, want epoch %d over %d (reordered or cross-run delta)", d.Epoch, d.SymBase, want, inc.syms)
 	}
-	for _, sc := range d.Subs {
-		inc.seqs[sc.ID.Thread] = append(inc.seqs[sc.ID.Thread], sc)
+	// Each thread's run of d.Subs extends its mirror at once; a first run
+	// is shared, not copied (Analyze adopts one whole-graph cut).
+	for subs := d.Subs; len(subs) > 0; {
+		t, n := subs[0].ID.Thread, 1
+		for n < len(subs) && subs[n].ID.Thread == t {
+			n++
+		}
+		inc.seqs[t], subs = appendOrAdopt(inc.seqs[t], subs[:n:n]), subs[n:]
 	}
-	inc.cutLens, inc.cutBase = d.Lens, nil // FoldAs derives the base
+	inc.cutLens, inc.cutBase = d.Lens, d.base
 	for _, e := range d.Sync {
 		inc.adoptedSync = append(inc.adoptedSync, Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: inc.g.ObjectName(e.Object)})
 	}
@@ -313,69 +279,8 @@ func (inc *IncrementalAnalyzer) Adopt(d *EpochDelta) error {
 	}
 	inc.gapTotal += len(d.Gaps)
 	inc.syms += len(d.Symbols)
-	inc.cuts = d.Epoch
+	inc.adopted = d.Epoch
 	return nil
-}
-
-// FoldDelta is Cut followed by FoldAs at the delta's epoch: the
-// per-seal journal path of a recorder whose consumer wants every
-// epoch's Analysis.
-func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
-	d := inc.Cut()
-	return inc.FoldAs(d.Epoch), d
-}
-
-// cut advances the frontier (advanceCut), snapshots it as cutLens and
-// records each shard's sync-log and gap-list lengths. With d set it also
-// captures the delta's payload: the new vertices, the log tails past
-// what earlier cuts emitted, and the interner tail. Either way it records
-// the interner length, read after the logs for the same reason as the
-// tail.
-func (inc *IncrementalAnalyzer) cut(d *EpochDelta) {
-	prev := inc.cutLens
-	inc.advanceCut()
-	n := len(inc.seqs)
-	ints := make([]int, 2*n+1)
-	lens, base := ints[:n:n], ints[n:]
-	for t := range inc.seqs {
-		lens[t] = len(inc.seqs[t])
-		base[t+1] = base[t] + lens[t]
-	}
-	inc.cutLens, inc.cutBase = lens, base
-	// The logs are read after the frontier is closed: an acquire logs its
-	// edge before its acquiring vertex seals, so every vertex inside the
-	// cut has its incoming sync entries in these lengths.
-	for t := range inc.syncCut {
-		syncLen, gapLen := inc.g.logTails(t, d, inc.syncCut[t], inc.gapCut[t])
-		inc.syncCut[t] = syncLen
-		inc.gapTotal += gapLen - inc.gapCut[t]
-		inc.gapCut[t] = gapLen
-	}
-	if d != nil {
-		d.Subs = inc.subsBetween(prev, lens)
-		d.Lens = lens
-		// The interner tail comes last: every ref the captured vertices
-		// and sync edges use was interned before its user sealed, so
-		// capturing the table after the cut guarantees coverage.
-		d.Symbols = inc.g.interner.Tail(inc.syms)
-		inc.syms += len(d.Symbols)
-	} else {
-		inc.syms = inc.g.interner.Len()
-	}
-}
-
-// subsBetween returns the cut vertices between two prefixes of seqs in
-// (thread, alpha) order. The first advanced thread's run is handed out
-// as a capped view of its append-only sequence — a per-seal cut advances
-// one thread, so that is usually the whole result — and further
-// threads' runs append to a copy (the cap forces it).
-func (inc *IncrementalAnalyzer) subsBetween(from, to []int) []*SubComputation {
-	var subs []*SubComputation
-	for t := range inc.seqs {
-		run := inc.seqs[t][from[t]:to[t]]
-		subs = appendOrAdopt(subs, run[:len(run):len(run)])
-	}
-	return subs
 }
 
 // completeness returns the trace-loss summary of the prefix lens over
@@ -389,8 +294,8 @@ func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 	return inc.comp
 }
 
-// foldSync folds the sync-edge log entries the cuts since the last fold
-// saw: entries whose endpoints are both inside the prefix join the
+// foldSync folds the sync-edge log entries adopted since the last
+// fold: entries whose endpoints are both inside the prefix join the
 // epoch (returned sorted), the rest are deferred (an acquire logs its
 // edge before the acquiring sub-computation seals). Both the fresh
 // entries and the deferred backlog are sorted runs, so one epoch costs a
@@ -400,12 +305,6 @@ func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 func (inc *IncrementalAnalyzer) foldSync(lens []int) []Edge {
 	fresh := inc.adoptedSync
 	inc.adoptedSync = nil
-	for t, c := range inc.syncCut {
-		if from := inc.syncFolded[t]; from < c {
-			fresh = inc.g.appendSyncEdges(fresh, t, from, c)
-			inc.syncFolded[t] = c
-		}
-	}
 	sortEdges(fresh, &inc.edgeSort)
 	backlogReady, backlogDefer := partitionSyncReady(inc.pendingSync, lens)
 	freshReady, freshDefer := partitionSyncReady(fresh, lens)
@@ -529,52 +428,6 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 	}
 	sortEdges(out, &inc.edgeSort)
 	return out
-}
-
-// advanceCut extends inc.seqs to a causally closed snapshot of the shard
-// lengths, pulling in the newly covered vertices.
-func (inc *IncrementalAnalyzer) advanceCut() {
-	target := slices.Grow(inc.cutTarget[:0], len(inc.seqs))[:len(inc.seqs)]
-	inc.cutTarget = target
-	for t := range target {
-		target[t] = max(inc.g.shardLen(t), len(inc.seqs[t]))
-	}
-	for grew := true; grew; {
-		grew = false
-		for t := range inc.seqs {
-			have := len(inc.seqs[t])
-			if have >= target[t] {
-				continue
-			}
-			inc.seqs[t] = inc.g.threadTail(inc.seqs[t], t, have, target[t])
-			tail := inc.seqs[t][have:]
-			// threadTail clamps to the live shard; shrink the target so a
-			// hand-built graph that never publishes the wanted vertices
-			// cannot spin this loop.
-			target[t] = have + len(tail)
-			grew = grew || len(tail) > 0
-			for i, sc := range tail {
-				// The fold names and indexes vertices by their recorded ID;
-				// one that disagrees with its slot (only a hand-mutated
-				// graph — Verify reports it) is folded under its slot
-				// instead, so it cannot index outside the prefix.
-				if slot := (SubID{Thread: t, Alpha: uint64(have + i)}); sc.ID != slot {
-					cp := *sc
-					cp.ID = slot
-					tail[i] = &cp
-				}
-				for u := range target {
-					// The recording discipline publishes a vertex before
-					// its clock flows anywhere, so the needed vertices
-					// are already in the shard; the clamp only guards
-					// hand-built graphs that break that discipline.
-					if need := int(sc.Clock.Get(u)); need > target[u] {
-						target[u] = max(target[u], min(need, inc.g.shardLen(u)))
-					}
-				}
-			}
-		}
-	}
 }
 
 // readerEdges derives reader n's incoming data edges against the folded

@@ -1,7 +1,8 @@
 package core_test
 
-// The cut/fold split: a recorder cuts every epoch and folds only when a
-// consumer asks, so a fold may run many cuts after the epoch it seals.
+// The cut/fold split: a recorder's Cutter cuts every epoch and an
+// analyzer folds the cuts it adopted only when a consumer asks, so a
+// fold may run many cuts after the epoch it seals.
 // These tests hold such deferred folds to the eager FoldDelta at the
 // same points, while the recording keeps appending between a cut and
 // its fold.
@@ -15,22 +16,26 @@ import (
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/cpgfile/cpgtest"
+	"github.com/repro/inspector/internal/epoch"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // TestLazyFoldMatchesEagerFold drives two analyzers over one live graph:
-// one runs FoldDelta after every step, the other Cut after every step
-// and FoldAs at random steps only. Between a cut and the deferred fold
-// the recording goes on — sync-log entries (an Acquire's, and entries
-// into the already-cut prefix), gaps inside and past the prefix, and
-// sync objects interned late — none of which the deferred fold may see.
+// one runs FoldDelta after every step, the other adopts a Cutter's cut
+// after every step and runs FoldAs at random steps only. Between a cut
+// and the deferred fold the recording goes on — sync-log entries (an
+// Acquire's, and entries into the already-cut prefix), gaps inside and
+// past the prefix, and sync objects interned late — none of which the
+// deferred fold may see.
 // The two analyzers' deltas must be the same bytes, and every deferred
 // analysis must equal the eager one at its epoch: export, Stats and
 // Completeness. The eager completeness is also checked against the gaps
 // the test recorded, clamped by hand, so the view's reuse of the
 // previous epoch's summary is held to the spec, not to itself. A third
-// analyzer of the graph never cuts: it adopts the lazy one's deltas
-// (refusing each a second time, which must change nothing) and folds at
-// the same points, the follower's path, held to the eager fold too.
+// analyzer of the graph adopts the same deltas only when it folds
+// (refusing each a second time, which must change nothing), at the same
+// points, a backlogged follower's path, held to the eager fold too.
 func TestLazyFoldMatchesEagerFold(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -53,8 +58,10 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 	}
 	locks := []*core.SyncObject{g.NewSyncObject("m0", false)}
 	eager := core.NewIncrementalAnalyzer(g)
+	cutter := core.NewCutter(g)
 	lazy := core.NewIncrementalAnalyzer(g)
 	adopter := core.NewIncrementalAnalyzer(g)
+	var backlog []*core.EpochDelta
 	// gaps mirrors every recorded gap, per thread in recording order.
 	gaps := make([][]core.Gap, threads)
 	addGap := func(th int, gp core.Gap) {
@@ -81,13 +88,11 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 		}
 
 		a, ed := eager.FoldDelta()
-		ld := lazy.Cut()
-		if err := adopter.Adopt(ld); err != nil {
+		ld := cutter.Cut()
+		if err := lazy.Adopt(ld); err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
-		if err := adopter.Adopt(ld); err == nil {
-			t.Fatalf("step %d: epoch %d adopted twice", s, ld.Epoch)
-		}
+		backlog = append(backlog, ld)
 		eagerA = a
 		ew, err := ed.AppendWire(nil)
 		if err != nil {
@@ -134,6 +139,15 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 		if got, want := sha256.Sum256(exportBytes(t, la)), sha256.Sum256(exportBytes(t, a)); got != want {
 			t.Fatalf("step %d: epoch %d deferred export differs from the eager one", s, a.Epoch())
 		}
+		for _, d := range backlog {
+			if err := adopter.Adopt(d); err != nil {
+				t.Fatalf("step %d: %v", s, err)
+			}
+			if err := adopter.Adopt(d); err == nil {
+				t.Fatalf("step %d: epoch %d adopted twice", s, d.Epoch)
+			}
+		}
+		backlog = backlog[:0]
 		aa := adopter.FoldAs(ld.Epoch)
 		if got, want := sha256.Sum256(exportBytes(t, aa)), sha256.Sum256(exportBytes(t, a)); got != want {
 			t.Fatalf("step %d: epoch %d adopted fold's export differs from the eager one", s, a.Epoch())
@@ -175,4 +189,54 @@ func clampGaps(gaps [][]core.Gap, lens []int) core.Completeness {
 		}
 	}
 	return c
+}
+
+// TestCutsAndFoldsInterleave: a Cutter cuts every seal of a random
+// recording into an epoch.Replayer while an analyzer of the same graph
+// calls Fold at random steps, between a seal and its cut, and neither
+// disturbs the other. Each Fold is the replay's fold after that step's
+// cut (the epoch-free export), and at the end the replay's fold is the
+// whole-graph fold at the final epoch, and the analyzer's the
+// whole-graph fold at its own, as .cpg bytes. When one analyzer both cut
+// and folded, this interleaving (Fold between Cuts) left the vertices
+// each Fold's cut covered out of every later delta, and the replay
+// refused the first delta after a Fold ("thread 0 has 3 vertices after
+// delta, lens say 4").
+func TestCutsAndFoldsInterleave(t *testing.T) {
+	for _, threads := range []int{2, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("threads=%d/seed=%d", threads, seed), func(t *testing.T) {
+				lr := newLiveRecording(t, threads, 32, seed)
+				r := rand.New(rand.NewSource(seed))
+				cutter := core.NewCutter(lr.g)
+				rp := epoch.Bind(wire.Hello{Threads: threads})
+				inc := core.NewIncrementalAnalyzer(lr.g)
+				for s := 0; s < 300; s++ {
+					lr.step(t, 32)
+					var folded *core.Analysis
+					if r.Intn(8) == 0 {
+						folded = inc.Fold()
+					}
+					if err := rp.Append(cutter.Cut()); err != nil {
+						t.Fatalf("step %d: %v", s, err)
+					}
+					if folded != nil && !bytes.Equal(exportBytes(t, folded), exportBytes(t, rp.Fold())) {
+						t.Fatalf("step %d: Fold (epoch %d) differs from the replay's fold of the cuts", s, folded.Epoch())
+					}
+				}
+				lr.finish(t)
+				if err := rp.Append(cutter.Cut()); err != nil {
+					t.Fatal(err)
+				}
+				final := cutter.Epoch()
+				if got, want := cpgtest.Bytes(t, rp.Fold()), cpgtest.Bytes(t, lr.g.AnalyzeAs(final)); !bytes.Equal(got, want) {
+					t.Errorf("the replay's fold of %d cuts is not the whole-graph fold at that epoch", final)
+				}
+				a := inc.Fold()
+				if got, want := cpgtest.Bytes(t, a), cpgtest.Bytes(t, lr.g.AnalyzeAs(a.Epoch())); !bytes.Equal(got, want) || a.Epoch() >= final {
+					t.Errorf("the analyzer's fold at epoch %d (of %d cuts) is not the whole-graph fold", a.Epoch(), final)
+				}
+			})
+		}
+	}
 }

@@ -8,6 +8,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -106,6 +107,7 @@ func TestIncrementalFoldRetriesAfterPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for seed := int64(0); seed < 2; seed++ {
 			lr := newLiveRecording(t, 4, 48, seed)
+			cutter := core.NewCutter(lr.g)
 			ref := core.NewIncrementalAnalyzer(lr.g)
 			inc := core.NewIncrementalAnalyzer(lr.g)
 			inc.SetFoldWorkers(workers)
@@ -119,8 +121,10 @@ func TestIncrementalFoldRetriesAfterPanic(t *testing.T) {
 				for s := 0; s < 300; s++ {
 					lr.step(t, 48)
 				}
-				d := inc.Cut()
-				ref.Cut()
+				d := cutter.Cut()
+				if err := errors.Join(inc.Adopt(d), ref.Adopt(d)); err != nil {
+					t.Fatal(err)
+				}
 				if round%2 == 0 {
 					boom.Store(true)
 					func() {

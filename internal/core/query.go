@@ -103,21 +103,21 @@ func (vt *vertexTotals) addPrefix(g *Graph, lens []int) {
 }
 
 // Analyze derives all edges over the graph's current vertex prefix and
-// builds the adjacency indexes: one fold of a throw-away
-// IncrementalAnalyzer over the whole graph, stamped epoch 0. The prefix
-// is therefore the same causally closed cut every fold takes (a mid-run
-// Analyze never includes a reader without its writers), and sync-edge
-// log entries whose endpoints are not yet recorded vertices (an acquire
-// logs its edge before the acquiring sub-computation seals, so mid-run
-// graphs contain such entries) are left out. After a completed Run no
-// such entries remain, so post-mortem analyses see every logged edge.
+// builds the adjacency indexes: a throw-away IncrementalAnalyzer's fold
+// of one whole-graph cut, stamped epoch 0. The prefix is therefore the
+// same causally closed cut every fold takes (a mid-run Analyze never
+// includes a reader without its writers), and sync-edge log entries
+// whose endpoints are not yet recorded vertices (an acquire logs its
+// edge before the acquiring sub-computation seals, so mid-run graphs
+// contain such entries) are left out. After a completed Run no such
+// entries remain, so post-mortem analyses see every logged edge.
 func (g *Graph) Analyze() *Analysis { return g.AnalyzeAs(0) }
 
 // AnalyzeAs is Analyze stamped epoch e: a quiesced recording's analysis
 // at its final epoch e, whose cut covers the whole graph.
 func (g *Graph) AnalyzeAs(e uint64) *Analysis {
 	inc := NewIncrementalAnalyzer(g)
-	inc.cut(nil)
+	_ = inc.Adopt(NewCutter(g).Cut()) // a fresh cutter's first cut: never refused
 	return inc.FoldAs(e)
 }
 

@@ -152,7 +152,7 @@ func TestThunkStorageConcurrentCut(t *testing.T) {
 		}
 	}()
 	defer func() { <-done }()
-	inc := NewIncrementalAnalyzer(g)
+	cutter := NewCutter(g)
 	seen := 0
 	// Cut until the recorder is done, then once more for the rest.
 	for finished := false; !finished; {
@@ -161,7 +161,7 @@ func TestThunkStorageConcurrentCut(t *testing.T) {
 			finished = true
 		default:
 		}
-		b, err := inc.Cut().AppendWire(nil)
+		b, err := cutter.Cut().AppendWire(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -172,7 +172,7 @@ func TestStatsMatchVertexWalk(t *testing.T) {
 func TestStatsReplayerBatchFolds(t *testing.T) {
 	run := recordStatsRun(t, 3, 400, 7, func(int) bool { return true })
 	r := rand.New(rand.NewSource(7))
-	rp := epoch.NewReplayer(run.g.Threads())
+	rp := epoch.Bind(wire.Hello{Threads: run.g.Threads()})
 	var last *core.Analysis
 	for i := 0; i < len(run.deltas); {
 		end := min(i+1+r.Intn(40), len(run.deltas))

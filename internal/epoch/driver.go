@@ -1,14 +1,15 @@
 // Package epoch is the one epoch pipeline every consumer of a recording
-// hangs off: a Driver only cuts the live graph, once per epoch, and
-// hands each delta to an ordered list of sinks (journal, snapshot ring,
-// follower, stream queue); a Follower, off the sealing thread, is the
-// one sink that builds analyses while a run records, folding the
-// recorder's own graph at the driver's cuts; a Replayer applies a frame
-// stream's deltas to a fresh graph and folds at their cuts (journal
-// recovery, the aggregator's ingest). There is one epoch numbering:
-// journal record k, wire frame k and the recorder's epoch k are the
-// same cut. Follower and Replayer fold once per batch of deltas, each
-// fold numbered by its last delta.
+// hangs off: a Driver only cuts — it holds the live graph's one
+// core.Cutter, no analyzer — once per epoch, and hands each delta to an
+// ordered list of sinks (journal, snapshot ring, follower, stream
+// queue); a Follower, off the sealing thread, is the one sink that
+// builds analyses while a run records, adopting the driver's cuts on an
+// analyzer of the recorder's own graph; a Replayer applies a frame
+// stream's deltas to a fresh graph and folds the cuts it applied
+// (journal recovery, the aggregator's ingest). There is one epoch
+// numbering: journal record k, wire frame k and the recorder's epoch k
+// are the same cut. Follower and Replayer fold once per batch of
+// deltas, each fold numbered by its last delta.
 package epoch
 
 import (
@@ -36,29 +37,26 @@ type Options struct {
 	Every uint64
 }
 
-// Driver owns a graph's one IncrementalAnalyzer and only ever cuts it.
-// Every epoch's delta goes to each unlatched sink in list order, under
-// the Driver's lock: a sink listed earlier is done with an epoch before
-// a later one sees it, so list the journal first and an epoch is
-// durable before it is observable.
+// Driver owns a graph's one Cutter. Every epoch's delta goes to each
+// unlatched sink in list order, under the Driver's lock: a sink listed
+// earlier is done with an epoch before a later one sees it, so list the
+// journal first and an epoch is durable before it is observable.
 type Driver struct {
 	every uint64
 
-	mu    sync.Mutex
-	inc   *core.IncrementalAnalyzer
-	sinks []Sink
-	errs  []error // per sink; non-nil = latched
-	alive int
-	seals uint64
-	// cut is the newest cut's epoch.
-	cut    uint64
+	mu     sync.Mutex
+	cutter *core.Cutter
+	sinks  []Sink
+	errs   []error // per sink; non-nil = latched
+	alive  int
+	seals  uint64
 	closed bool
 }
 
 // NewDriver prepares the pipeline over g. No epoch exists until the
 // first cut.
 func NewDriver(g *core.Graph, opts Options, sinks ...Sink) *Driver {
-	return &Driver{every: max(opts.Every, 1), inc: core.NewIncrementalAnalyzer(g), sinks: sinks, errs: make([]error, len(sinks)), alive: len(sinks)}
+	return &Driver{every: max(opts.Every, 1), cutter: core.NewCutter(g), sinks: sinks, errs: make([]error, len(sinks)), alive: len(sinks)}
 }
 
 // CommitHook returns the threading.Runtime commit hook: it counts seals
@@ -88,8 +86,7 @@ func (d *Driver) cutLocked() {
 	if d.closed || d.alive == 0 {
 		return
 	}
-	delta := d.inc.Cut()
-	d.cut = delta.Epoch
+	delta := d.cutter.Cut()
 	for i, s := range d.sinks {
 		if d.errs[i] != nil {
 			continue
@@ -104,7 +101,7 @@ func (d *Driver) cutLocked() {
 func (d *Driver) Epoch() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.cut
+	return d.cutter.Epoch()
 }
 
 // Close cuts a final epoch covering everything sealed since the last,
@@ -117,7 +114,7 @@ func (d *Driver) Close() error {
 		d.cutLocked()
 		d.closed = true
 		for i, s := range d.sinks {
-			if err := s.Finish(d.cut); d.errs[i] == nil {
+			if err := s.Finish(d.cutter.Epoch()); d.errs[i] == nil {
 				d.errs[i] = err
 			}
 		}

@@ -164,9 +164,9 @@ func TestFollowerRefusesForeignDelta(t *testing.T) {
 		if extra != "" {
 			g.InternObject(extra)
 		}
-		inc := core.NewIncrementalAnalyzer(g)
+		cutter := core.NewCutter(g)
 		var ds []*core.EpochDelta
-		recordPingPong(t, g, func(core.SubID) { ds = append(ds, inc.Cut()) }, 6)
+		recordPingPong(t, g, func(core.SubID) { ds = append(ds, cutter.Cut()) }, 6)
 		return g, ds
 	}
 	g, own := record("")

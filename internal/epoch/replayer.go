@@ -20,12 +20,6 @@ type Replayer struct {
 	invalid error
 }
 
-// NewReplayer prepares an empty replay of a threads-wide graph.
-func NewReplayer(threads int) *Replayer {
-	g := core.NewGraph(threads)
-	return &Replayer{g: g, inc: core.NewIncrementalAnalyzer(g), lens: make([]int, threads)}
-}
-
 // Graph returns the graph being rebuilt.
 func (r *Replayer) Graph() *core.Graph { return r.g }
 

@@ -56,7 +56,10 @@ func ReadHello(fr *wire.Reader) (h wire.Hello, err error) {
 
 // Bind starts the replay of the stream h opens: an empty graph as wide
 // as h names.
-func Bind(h wire.Hello) *Replayer { return NewReplayer(h.Threads) }
+func Bind(h wire.Hello) *Replayer {
+	g := core.NewGraph(h.Threads)
+	return &Replayer{g: g, inc: core.NewIncrementalAnalyzer(g), lens: make([]int, h.Threads)}
+}
 
 // Applied returns the last applied delta's epoch, 0 before the first.
 func (r *Replayer) Applied() uint64 { return r.last }

@@ -20,14 +20,14 @@ func TestApplyOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := core.NewIncrementalAnalyzer(g)
+	cutter := core.NewCutter(g)
 	var deltas [][]byte
 	for i := 0; i < 3; i++ {
 		rec.OnWrite(uint64(i))
 		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
 			t.Fatal(err)
 		}
-		body, err := inc.Cut().AppendWire(nil)
+		body, err := cutter.Cut().AppendWire(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -260,7 +260,7 @@ func TestFabricKillRefeedMultiThread(t *testing.T) {
 			if err := drv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			want := cpgtest.Bytes(t, finalFold(rt.Graph(), drv.Epoch()))
+			want := cpgtest.Bytes(t, rt.Graph().AnalyzeAs(drv.Epoch()))
 			rep, err := journal.Recover(dir, journal.RecoverOptions{})
 			if err != nil {
 				t.Fatal(err)

@@ -123,13 +123,6 @@ func symbols(d *core.EpochDelta) int { return int(d.SymBase) + len(d.Symbols) }
 
 func (*liveFold) Finish(uint64) error { return nil }
 
-// finalFold is a quiesced graph's fold, numbered as the given epoch.
-func finalFold(g *core.Graph, epoch uint64) *core.Analysis {
-	inc := core.NewIncrementalAnalyzer(g)
-	inc.Cut()
-	return inc.FoldAs(epoch)
-}
-
 // TestJournalReplayMatchesInProcessFold is the per-epoch property at
 // the workload level: for real multithreaded recordings, recovery
 // stopped at any epoch the live fold reproduced equals the live

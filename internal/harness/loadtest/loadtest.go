@@ -20,6 +20,7 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/cpgfile"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/provenance"
 )
 
@@ -33,7 +34,7 @@ type Options struct {
 	Steps int
 	// Threads is each recorder's graph width (default 2).
 	Threads int
-	// Every folds one epoch per N seals (default 2).
+	// Every cuts one epoch per N seals (default 2).
 	Every uint64
 	// Batch bounds deltas per upload (default 8).
 	Batch int
@@ -98,23 +99,24 @@ type recorderResult struct {
 	err    error
 }
 
-// driveRecorder runs one synthetic workload through a StreamRecorder.
+// driveRecorder runs one synthetic workload through an epoch driver
+// whose one sink is an uploader.
 func driveRecorder(baseURL, source string, opts Options, seed int64) recorderResult {
 	res := recorderResult{source: source}
 	g := core.NewGraph(opts.Threads)
 	c := &provenance.Client{BaseURL: baseURL, MaxRetries: 8, RetryBase: time.Millisecond}
-	sr, err := provenance.NewStreamRecorder(g, c, provenance.StreamOptions{
+	up, err := provenance.NewUploader(c, opts.Threads, provenance.StreamOptions{
 		Source: source,
 		RunID:  source,
 		App:    "loadtest",
-		Every:  opts.Every,
 		Batch:  opts.Batch,
 	})
 	if err != nil {
 		res.err = err
 		return res
 	}
-	hook := sr.CommitHook()
+	drv := epoch.NewDriver(g, epoch.Options{Every: opts.Every}, up)
+	hook := drv.CommitHook()
 	recs := make([]*core.Recorder, opts.Threads)
 	for i := range recs {
 		if recs[i], err = core.NewRecorder(g, i, 0); err != nil {
@@ -157,13 +159,14 @@ func driveRecorder(baseURL, source string, opts Options, seed int64) recorderRes
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := sr.Close(ctx); err != nil {
+	drv.Close() // the uploader's errors come from Wait
+	if err := up.Wait(ctx); err != nil {
 		res.err = err
 		return res
 	}
-	res.epoch = sr.Epoch()
+	res.epoch = drv.Epoch()
 	var buf bytes.Buffer
-	if err := cpgfile.Encode(&buf, sr.Analysis(), cpgfile.Meta{}); err != nil {
+	if err := cpgfile.Encode(&buf, g.AnalyzeAs(res.epoch), cpgfile.Meta{}); err != nil {
 		res.err = err
 		return res
 	}

@@ -23,7 +23,7 @@
 // for it.
 //
 // Epoch-delta payloads are core.EpochDelta values — exactly what
-// IncrementalAnalyzer.Cut emits. Recovery reads the file with the
+// core.Cutter.Cut emits. Recovery reads the file with the
 // frame-stream applier an aggregator reads an ingest body with
 // (recover.go), reproducing the recording's per-epoch Analyses byte for
 // byte up to the last durable record; without the seal the result is

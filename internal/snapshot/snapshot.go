@@ -5,7 +5,7 @@
 //
 // A snapshot is a retained epoch. Every cut of the epoch pipeline
 // captures, per thread, a prefix of its completed sub-computations
-// closed under happens-before (core.IncrementalAnalyzer), and the Ring
+// closed under happens-before (core.Cutter), and the Ring
 // keeps the epochs its cadence or a forced Take selects, completed by
 // the recording's epoch.Follower. A cut is *consistent*
 // (Chandy-Lamport [15]) iff for every synchronization edge release ->

@@ -652,7 +652,7 @@ func TestStreamRecorderMidStream503Resume(t *testing.T) {
 	c := &Client{BaseURL: ts.URL, MaxRetries: 10, RetryBase: time.Millisecond}
 	g := core.NewGraph(2)
 	sr, err := NewStreamRecorder(g, c, StreamOptions{
-		Source: "w", RunID: "run-503", App: "fabric-test", Every: 2, Batch: 3,
+		Source: "w", RunID: "run-503", App: "fabric-test", Batch: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -707,7 +707,7 @@ func TestStreamRecorderLatchesOnLostEpochs(t *testing.T) {
 
 	c := &Client{BaseURL: ts.URL, MaxRetries: 2, RetryBase: time.Millisecond}
 	g := core.NewGraph(1)
-	sr, err := NewStreamRecorder(g, c, StreamOptions{Source: "w", RunID: "run-lost", Every: 1, MaxResyncs: 2})
+	sr, err := NewStreamRecorder(g, c, StreamOptions{Source: "w", RunID: "run-lost", MaxResyncs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

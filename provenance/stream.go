@@ -134,9 +134,6 @@ type StreamOptions struct {
 	RunID string
 	// App names the workload (informational).
 	App string
-	// Every is a stand-alone StreamRecorder's cadence: one epoch every N
-	// commit seals (default 1). A shared driver's Uploader follows it.
-	Every uint64
 	// Batch caps the deltas per POST (default 0: no count cap). Each
 	// POST otherwise carries every pending delta up to the uploader's
 	// byte budget; the cap is for tests that want many POSTs.
@@ -416,13 +413,13 @@ type StreamRecorder struct {
 }
 
 // NewStreamRecorder builds a recorder streaming g's epoch deltas to c's
-// aggregator, one every opts.Every seals.
+// aggregator, one per commit seal.
 func NewStreamRecorder(g *core.Graph, c *Client, opts StreamOptions) (*StreamRecorder, error) {
 	u, err := NewUploader(c, g.Threads(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamRecorder{Driver: epoch.NewDriver(g, epoch.Options{Every: opts.Every}, u), Uploader: u, g: g}, nil
+	return &StreamRecorder{Driver: epoch.NewDriver(g, epoch.Options{}, u), Uploader: u, g: g}, nil
 }
 
 // Analysis folds the recorded graph once, numbered by the final cut:

@@ -22,11 +22,11 @@ const drainEpochs = 4096
 func BenchmarkUploaderDrain(b *testing.B) {
 	sched := cpgbench.DrawSchedule(2, drainEpochs, 256, 2, 61)
 	rp := sched.NewReplay()
-	inc := core.NewIncrementalAnalyzer(rp.Graph)
+	cutter := core.NewCutter(rp.Graph)
 	deltas := make([]*core.EpochDelta, drainEpochs)
 	for s := range deltas {
 		rp.To(s + 1)
-		deltas[s] = inc.Cut()
+		deltas[s] = cutter.Cut()
 	}
 	ctx := context.Background()
 	var draining time.Duration

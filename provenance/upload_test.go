@@ -148,7 +148,7 @@ func gatedStream(t *testing.T, source string) (*gatedAggregator, *StreamRecorder
 	t.Helper()
 	agg := newGatedAggregator(t)
 	g := core.NewGraph(1)
-	sr, err := NewStreamRecorder(g, agg.c, StreamOptions{Source: source, RunID: "run-" + source, Every: 1})
+	sr, err := NewStreamRecorder(g, agg.c, StreamOptions{Source: source, RunID: "run-" + source})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func bigDeltas(tb testing.TB, n int) []*core.EpochDelta {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	inc := core.NewIncrementalAnalyzer(g)
+	cutter := core.NewCutter(g)
 	deltas := make([]*core.EpochDelta, n)
 	for i := range deltas {
 		for p := uint64(1); p <= bigDeltaPages; p++ {
@@ -254,7 +254,7 @@ func bigDeltas(tb testing.TB, n int) []*core.EpochDelta {
 		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
 			tb.Fatal(err)
 		}
-		deltas[i] = inc.Cut()
+		deltas[i] = cutter.Cut()
 	}
 	return deltas
 }
@@ -316,15 +316,15 @@ func TestUploaderBodiesKeepByteBudget(t *testing.T) {
 }
 
 // cutRun records a random two-thread run, one Cut per seal, and returns
-// its hello, its deltas and the export of its fold.
+// its hello, its deltas and the export of its final epoch.
 func cutRun(t *testing.T, steps int, seed int64) (wire.Hello, []*core.EpochDelta, []byte) {
 	t.Helper()
 	g := core.NewGraph(2)
-	inc := core.NewIncrementalAnalyzer(g)
+	cutter := core.NewCutter(g)
 	var deltas []*core.EpochDelta
-	driveStream(t, g, 2, steps, seed, func(core.SubID) { deltas = append(deltas, inc.Cut()) })
+	driveStream(t, g, 2, steps, seed, func(core.SubID) { deltas = append(deltas, cutter.Cut()) })
 	hello := wire.Hello{RunID: fmt.Sprintf("cut-%d", seed), App: "fabric-test", Threads: 2}
-	return hello, deltas, cpgtest.Bytes(t, inc.FoldAs(deltas[len(deltas)-1].Epoch))
+	return hello, deltas, cpgtest.Bytes(t, g.AnalyzeAs(cutter.Epoch()))
 }
 
 // refeed posts a journal's frame stream — the hello, deltas, the
