@@ -101,14 +101,43 @@ type SubComputation struct {
 	// ReadSet and WriteSet are the page-granularity access sets.
 	ReadSet  PageSet
 	WriteSet PageSet
-	// Thunks is the recorded control path (∆).
-	Thunks []Thunk
+	// path is the recorded control path (∆), kept in the spelling it
+	// travels in: each thunk's AppendThunks element, back to back, with
+	// no count. The recorder writes it once; AppendWire, the .cpg column
+	// and ParseWire copy it, and Thunks decodes it. nThunks counts its
+	// elements and maxRef is the largest site or target ref they name,
+	// so neither a count nor a ref check walks it.
+	path    []byte
+	nThunks int
+	maxRef  SiteRef
 	// End is the synchronization event that terminated it.
 	End SyncEvent
 	// Start and Finish are virtual times bounding the execution.
 	Start, Finish vtime.Cycles
 	// Instructions counts instructions retired.
 	Instructions uint64
+}
+
+// Thunks yields the control path, thunk by thunk, decoded from its
+// bytes: for _, th := range sc.Thunks.
+func (sc *SubComputation) Thunks(yield func(int, Thunk) bool) { thunksIn(sc.path, yield) }
+
+// NumThunks returns the control path's length.
+func (sc *SubComputation) NumThunks() int { return sc.nThunks }
+
+// SetThunks replaces the control path with thunks, encoded — for a
+// vertex built by hand rather than recorded. The recorder numbers a
+// path's thunks 0, 1, 2, …; a path set here that does not is refused by
+// every decoder (ParseWire, the .cpg load).
+func (sc *SubComputation) SetThunks(thunks []Thunk) {
+	var path []byte
+	var maxRef SiteRef
+	for i := range thunks {
+		th := &thunks[i]
+		path = appendThunk(path, th.Index, th.Site, thunkFlags(th.Taken, th.Indirect), th.Target, th.Instructions)
+		maxRef = max(maxRef, th.Site, th.Target)
+	}
+	sc.path, sc.nThunks, sc.maxRef = path, len(thunks), maxRef
 }
 
 // EdgeKind classifies CPG edges.
@@ -184,9 +213,12 @@ type Graph struct {
 	threads  int
 	interner *Interner
 	shards   []graphShard
-	// column is a restored graph's control path, kept encoded
-	// (RestoreThunkColumn); nil while vertices carry their own Thunks.
+	// column is a restored graph's control path, one list for every
+	// vertex (RestoreThunkColumn); nil while vertices carry their own.
 	column *thunkColumn
+	// applyNext is validateDelta's per-thread scratch; ApplyDelta's
+	// callers serialize it.
+	applyNext []uint64
 }
 
 // NewGraph creates an empty CPG for up to threads thread slots.

@@ -47,17 +47,18 @@ func TestRecorderLifecycle(t *testing.T) {
 	if !sc.ReadSet.Contains(10) || !sc.WriteSet.Contains(11) {
 		t.Error("read/write sets not recorded")
 	}
-	if len(sc.Thunks) != 2 {
-		t.Fatalf("thunks = %d, want 2", len(sc.Thunks))
+	thunks := ThunkList(sc)
+	if len(thunks) != 2 || sc.NumThunks() != 2 {
+		t.Fatalf("thunks = %d (NumThunks %d), want 2", len(thunks), sc.NumThunks())
 	}
-	if g.SiteName(sc.Thunks[0].Site) != "loop" || !sc.Thunks[0].Taken || sc.Thunks[0].Index != 0 {
-		t.Errorf("thunk 0 = %+v", sc.Thunks[0])
+	if g.SiteName(thunks[0].Site) != "loop" || !thunks[0].Taken || thunks[0].Index != 0 {
+		t.Errorf("thunk 0 = %+v", thunks[0])
 	}
-	if !sc.Thunks[1].Indirect || g.SiteName(sc.Thunks[1].Target) != "handler" || sc.Thunks[1].Index != 1 {
-		t.Errorf("thunk 1 = %+v", sc.Thunks[1])
+	if !thunks[1].Indirect || g.SiteName(thunks[1].Target) != "handler" || thunks[1].Index != 1 {
+		t.Errorf("thunk 1 = %+v", thunks[1])
 	}
-	if sc.Thunks[0].Instructions != 5 || sc.Thunks[1].Instructions != 3 {
-		t.Errorf("instruction counts = %d, %d", sc.Thunks[0].Instructions, sc.Thunks[1].Instructions)
+	if thunks[0].Instructions != 5 || thunks[1].Instructions != 3 {
+		t.Errorf("instruction counts = %d, %d", thunks[0].Instructions, thunks[1].Instructions)
 	}
 	if sc.Instructions != 8 {
 		t.Errorf("sub instructions = %d", sc.Instructions)
@@ -71,7 +72,7 @@ func TestRecorderLifecycle(t *testing.T) {
 	}
 	r.OnBranch(g.InternSite("x"), false)
 	sc2 := endSub(t, r, SyncEvent{Kind: SyncNone})
-	if sc2.Thunks[0].Index != 0 {
+	if ThunkList(sc2)[0].Index != 0 {
 		t.Error("thunk counter not reset across sub-computations")
 	}
 	if g.NumSubs() != 2 {
@@ -506,7 +507,7 @@ func assertGraphsEqual(t *testing.T, a, b *Graph) {
 		if as[i].ReadSet.Len() != bs[i].ReadSet.Len() || as[i].WriteSet.Len() != bs[i].WriteSet.Len() {
 			t.Errorf("sub %v sets differ", as[i].ID)
 		}
-		if len(as[i].Thunks) != len(bs[i].Thunks) {
+		if as[i].NumThunks() != bs[i].NumThunks() {
 			t.Errorf("sub %v thunks differ", as[i].ID)
 		}
 	}

@@ -94,7 +94,10 @@ func validateDelta(g *Graph, d *EpochDelta) error {
 	badRef := func(r uint32) bool { return r >= nsym }
 	// next tracks where each thread's shard would end up, so density
 	// and the Lens cross-check run against the delta alone.
-	next := make([]uint64, g.threads)
+	if g.applyNext == nil {
+		g.applyNext = make([]uint64, g.threads)
+	}
+	next := g.applyNext
 	for t := range next {
 		next[t] = uint64(g.shardLen(t))
 	}
@@ -105,10 +108,8 @@ func validateDelta(g *Graph, d *EpochDelta) error {
 		if badRef(uint32(sc.End.Object)) {
 			return fmt.Errorf("core: sub %v end-object ref %d out of range [0,%d)", sc.ID, sc.End.Object, nsym)
 		}
-		for _, th := range sc.Thunks {
-			if badRef(uint32(th.Site)) || badRef(uint32(th.Target)) {
-				return fmt.Errorf("core: sub %v thunk %d site/target ref out of range [0,%d)", sc.ID, th.Index, nsym)
-			}
+		if badRef(uint32(sc.maxRef)) {
+			return fmt.Errorf("core: sub %v thunk site/target ref %d out of range [0,%d)", sc.ID, sc.maxRef, nsym)
 		}
 		t := sc.ID.Thread
 		if t < 0 || t >= g.threads {

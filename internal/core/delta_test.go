@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -176,6 +177,11 @@ func TestApplyDeltaRejectsMalformed(t *testing.T) {
 	if err := corrupt(func(d *core.EpochDelta) { d.Subs[0].End.Object = 1 << 20 }); err == nil {
 		t.Error("out-of-range object ref accepted")
 	}
+	for _, th := range []core.Thunk{{Site: 1 << 20}, {Indirect: true, Target: 1 << 20}} {
+		if err := corrupt(func(d *core.EpochDelta) { d.Subs[0].SetThunks([]core.Thunk{th}) }); err == nil {
+			t.Errorf("out-of-range thunk ref accepted: %+v", th)
+		}
+	}
 	if err := corrupt(func(d *core.EpochDelta) { d.Subs[0].ID.Thread = 7 }); err == nil {
 		t.Error("out-of-range thread accepted")
 	}
@@ -273,5 +279,46 @@ func TestApplyDeltaAtomic(t *testing.T) {
 	}
 	if got, want := dumpJSON(t, g), dumpJSON(t, lr.g); !bytes.Equal(got, want) {
 		t.Fatal("final dump diverges after rejected-delta interleaving")
+	}
+}
+
+// TestAllocsApplyDelta pins the apply of a one-vertex delta — the shape
+// every per-seal journal record and ingest frame carries — at no
+// allocation beyond the shard's amortized growth: validation checks a
+// control path's refs in O(1) and keeps its per-thread scratch on the
+// graph. (Named Allocs*, so -race -run patterns never select it.)
+func TestAllocsApplyDelta(t *testing.T) {
+	const n = 4096
+	src := core.NewGraph(2)
+	rec, err := core.NewRecorder(src, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, lock := src.InternSite("loop"), src.InternObject("m")
+	cutter := core.NewCutter(src)
+	deltas := make([]*core.EpochDelta, 0, n+1)
+	deltas = append(deltas, cutter.Cut()) // the symbols
+	for i := range n {
+		rec.OnRead(uint64(i))
+		rec.OnBranch(site, i%2 == 0)
+		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncRelease, Object: lock}, 0); err != nil {
+			t.Fatal(err)
+		}
+		deltas = append(deltas, cutter.Cut())
+	}
+	g := core.NewGraph(2)
+	if err := core.ApplyDelta(g, deltas[0]); err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	allocs := testing.AllocsPerRun(n-1, func() {
+		if err := core.ApplyDelta(g, deltas[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	// The shard's vertex slice doubles: about log2(n) growths in all.
+	if limit := float64(bits.Len(n)+1) / n; allocs > limit {
+		t.Errorf("ApplyDelta of a one-vertex delta: %.4f allocs per apply, want at most %.4f (shard growth)", allocs, limit)
 	}
 }

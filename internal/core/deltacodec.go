@@ -30,7 +30,7 @@ import (
 // checked afterwards, against the graph, by validateDelta. ParseWire is
 // the trust boundary for shape: counts are checked against the bytes
 // that remain before anything is allocated, nothing parsed aliases the
-// body, and — because exports render nil and empty slices differently
+// body (a control path is walked in place, then copied out), and — because exports render nil and empty slices differently
 // and a replica's export must be byte-identical to the recorder's — a
 // zero-length field parses to nil, the form Cutter.Cut leaves it in.
 
@@ -71,7 +71,7 @@ func (d *EpochDelta) AppendWire(b []byte) ([]byte, error) {
 		b = AppendVertex(b, sc)
 		b = AppendPageSet(b, &sc.ReadSet)
 		b = AppendPageSet(b, &sc.WriteSet)
-		b = AppendThunks(b, sc.Thunks)
+		b = AppendThunks(b, sc)
 	}
 	b = binary.AppendUvarint(b, uint64(len(d.Sync)))
 	for i := range d.Sync {
@@ -111,15 +111,28 @@ func (d *EpochDelta) ParseWire(body []byte) error {
 	d.Symbols = ParseSymbols(&c)
 	if n := c.Count("delta.subs", minSubBytes); n > 0 {
 		d.Subs = make([]*SubComputation, n)
+		paths := 0
 		for i := range d.Subs {
 			sc := &SubComputation{ID: ParseSubID(&c, "delta.sub.id")}
 			ParseVertex(&c, sc)
 			sc.ReadSet = ParsePageSet(&c, "delta.sub.read_set")
 			sc.WriteSet = ParsePageSet(&c, "delta.sub.write_set")
-			sc.Thunks = ParseThunks(&c)
+			// The path aliases body until the copy below.
+			sc.path, sc.nThunks, sc.maxRef = walkThunks(&c)
+			paths += len(sc.path)
 			d.Subs[i] = sc
 			if c.Err() != nil {
 				return c.Err()
+			}
+		}
+		// Every path moves out of the body in one copy; an empty one
+		// stays nil.
+		if paths > 0 {
+			buf := make([]byte, paths)
+			for _, sc := range d.Subs {
+				if k := copy(buf, sc.path); k > 0 {
+					sc.path, buf = buf[:k:k], buf[k:]
+				}
 			}
 		}
 	}

@@ -154,9 +154,18 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 				if err := got.ParseWire(body); err != nil {
 					t.Fatalf("threads=%d seed=%d epoch %d: decode: %v", threads, seed, d.Epoch, err)
 				}
-				if want := gobRoundTrip(t, d); !reflect.DeepEqual(got, want) {
+				// gob carries exported fields only, so it is the oracle for
+				// everything but the control paths, which are held to the
+				// recorded ones thunk by thunk.
+				if want := gobRoundTrip(t, d); !reflect.DeepEqual(core.WithoutPaths(got), want) {
 					t.Fatalf("threads=%d seed=%d epoch %d: decoded delta differs from the gob form\n got %+v\nwant %+v",
 						threads, seed, d.Epoch, got, want)
+				}
+				for j, sc := range got.Subs {
+					// DeepEqual tells a nil path from an empty one.
+					if want := d.Subs[j]; !reflect.DeepEqual(core.PathBytes(sc), core.PathBytes(want)) || sc.NumThunks() != want.NumThunks() {
+						t.Fatalf("threads=%d seed=%d epoch %d: %v's decoded path differs from the recorded one", threads, seed, d.Epoch, sc.ID)
+					}
 				}
 				if again, _ := got.AppendWire(nil); !bytes.Equal(again, body) {
 					t.Fatalf("threads=%d seed=%d epoch %d: re-encoding a decoded delta changes its bytes", threads, seed, d.Epoch)
@@ -179,7 +188,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 					covered["spilled page set"] = covered["spilled page set"] || sc.ReadSet.Len() > 6
 					covered["inline page set"] = covered["inline page set"] || (sc.ReadSet.Len() > 0 && sc.ReadSet.Len() <= 6)
 					covered["empty page set"] = covered["empty page set"] || sc.WriteSet.Len() == 0
-					covered["no thunks"] = covered["no thunks"] || sc.Thunks == nil
+					covered["no thunks"] = covered["no thunks"] || sc.NumThunks() == 0
 					for _, th := range sc.Thunks {
 						covered["indirect thunk"] = covered["indirect thunk"] || (th.Indirect && th.Target != 0)
 						covered["taken thunk"] = covered["taken thunk"] || th.Taken
@@ -311,6 +320,9 @@ func TestDeltaCodecRejectsHostileBodies(t *testing.T) {
 		{"thunk flags over 3", "thunk.flags", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{4}, uv(0, 5), tail)},
 		{"thunk site over 32 bits", "thunk.site", cat(head, uv(1), sub, uv(1), uv(0, 1<<32), []byte{1}, uv(0, 5), tail)},
 		{"thunk target over 32 bits", "thunk.target", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{2}, uv(1<<32, 5), tail)},
+		{"first thunk index not 0", "thunk.index", cat(head, uv(1), sub, uv(1), uv(1, 1), []byte{0}, uv(0, 5), tail)},
+		{"thunk index that repeats", "thunk.index", cat(head, uv(1), sub, uv(2), thunk, thunk, tail)},
+		{"thunk index that skips", "thunk.index", cat(head, uv(1), sub, uv(2), thunk, uv(2, 1), []byte{0}, uv(0, 5), tail)},
 		{"sync count beyond the body", "delta.sync", cat(head, uv(0), huge)},
 		{"sync object over 32 bits", "delta.sync.object", cat(head, uv(0), uv(1, 0, 0, 1, 0, 1<<32), uv(0))},
 		{"gap count beyond the body", "delta.gaps", cat(head, uv(0, 0), huge)},
@@ -389,10 +401,159 @@ func FuzzDeltaPayload(f *testing.F) {
 	})
 }
 
+// FuzzControlPath holds the one reader of an AppendThunks list — the
+// in-place walk ParseWire and the .cpg load share — to the reference
+// that reads each field through wire.Cursor into a Thunk: the same
+// accept or reject, the same error (field, offset and reason), the same
+// bytes consumed, and on acceptance the same thunks, count and largest
+// ref.
+func FuzzControlPath(f *testing.F) {
+	// One-byte fields (branchyDelta) and multi-byte refs and counts
+	// (codecDeltas), so both of the walk's ways through an element start
+	// out covered.
+	subs := branchyDelta(f, 3, 40).Subs
+	deltas, _ := codecDeltas(f, 1, 3)
+	for _, d := range deltas[:min(len(deltas), 8)] {
+		subs = append(subs, d.Subs...)
+	}
+	for _, sc := range subs {
+		list := core.AppendThunks(nil, sc)
+		f.Add(list)
+		f.Add(list[:len(list)/2])
+		f.Add(append(list, 0))
+	}
+	f.Add([]byte{})
+	f.Add(uv(0))
+	f.Add([]byte{0x80, 0x00}) // a count of 0 in two bytes
+	f.Add(uv(1 << 40))
+	f.Add(cat(uv(2, 0, 1), []byte{3}, uv(1<<32, 5), uv(1, 1), []byte{0}, uv(0, 1)))
+	f.Add(cat(uv(2, 0, 1), []byte{4}, uv(0, 5)))
+	f.Add(cat(uv(1, 0), bytes.Repeat([]byte{0xff}, 11)))
+	f.Fuzz(func(t *testing.T, list []byte) {
+		walk, ref := wire.NewCursor(list), wire.NewCursor(list)
+		path, n, maxRef := core.WalkPath(&walk)
+		want := core.ParseThunks(&ref)
+		if !reflect.DeepEqual(walk.Err(), ref.Err()) {
+			t.Fatalf("walk err %v, reference err %v", walk.Err(), ref.Err())
+		}
+		if ref.Err() != nil {
+			var pe *wire.PayloadError
+			if !errors.As(walk.Err(), &pe) {
+				t.Fatalf("rejection is not a *wire.PayloadError: %v", walk.Err())
+			}
+			return
+		}
+		if got, wantRest := len(walk.Rest()), len(ref.Rest()); got != wantRest {
+			t.Fatalf("walk left %d bytes, reference %d", got, wantRest)
+		}
+		// The path is the list's elements as they lie: after the count
+		// (in whatever uvarint spelling), up to what the walk left.
+		_, k := binary.Uvarint(list)
+		if elems := list[k : len(list)-len(walk.Rest())]; !bytes.Equal(path, elems) || (len(elems) == 0) != (path == nil) {
+			t.Fatalf("walk returned %d path bytes, want the list's %d element bytes", len(path), len(elems))
+		}
+		var wantMax core.SiteRef
+		for _, th := range want {
+			wantMax = max(wantMax, th.Site, th.Target)
+		}
+		if n != len(want) || maxRef != wantMax {
+			t.Fatalf("walk counted %d thunks up to ref %d, reference %d up to %d", n, maxRef, len(want), wantMax)
+		}
+		if got := core.DecodePath(path); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the walked path decodes to %v, reference %v", got, want)
+		}
+	})
+}
+
+// branchyDelta records subs sub-computations of thunks branches each on
+// one thread through core.Recorder, in string_match's shape — four dozen
+// sites, short thunks, every eighth an indirect transfer — and returns
+// the one delta that cuts them all.
+func branchyDelta(tb testing.TB, subs, thunks int) *core.EpochDelta {
+	tb.Helper()
+	g := core.NewGraph(1)
+	rec, err := core.NewRecorder(g, 0, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	sites := make([]core.SiteRef, 48)
+	for i := range sites {
+		sites[i] = g.InternSite(fmt.Sprintf("match.go:%d", 100+i))
+	}
+	for range subs {
+		for i := range thunks {
+			rec.OnInstructions(uint64(1 + r.Intn(40)))
+			if i%8 == 7 {
+				rec.OnIndirect(sites[r.Intn(len(sites))], sites[r.Intn(len(sites))])
+			} else {
+				rec.OnBranch(sites[r.Intn(len(sites))], r.Intn(2) == 0)
+			}
+		}
+		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return core.NewCutter(g).Cut()
+}
+
+// TestAllocsParseWireBranchy pins what decoding a control-path-heavy
+// delta costs: its paths are copied out of the body once, not decoded,
+// so the decode allocates at most 1.1x the body.
+func TestAllocsParseWireBranchy(t *testing.T) {
+	body, err := branchyDelta(t, 8, 1<<17).AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d core.EpochDelta
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err = d.ParseWire(body)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ParseWire of a %d-byte body of %d thunks allocated %d B (%.2fx)",
+		len(body), 8<<17, allocated, float64(allocated)/float64(len(body)))
+	if float64(allocated) > 1.1*float64(len(body)) {
+		t.Errorf("ParseWire of a %d-byte body allocated %d B, want at most 1.1x", len(body), allocated)
+	}
+}
+
 // BenchmarkDeltaCodec measures one record through each half of the
 // codec, over the deltas of a seeded recording (mostly one small vertex
-// per epoch, the shape the per-epoch path sees).
+// per epoch, the shape the per-epoch path sees), and — under branchy —
+// over one delta of a single 1 M-thunk sub-computation recorded through
+// core.Recorder, where the control path is nearly all of the body.
 func BenchmarkDeltaCodec(b *testing.B) {
+	b.Run("branchy", func(b *testing.B) {
+		d := branchyDelta(b, 1, 1<<20)
+		body, err := d.AppendWire(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			buf := make([]byte, 0, len(body))
+			for i := 0; i < b.N; i++ {
+				if buf, err = d.AppendWire(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if err := new(core.EpochDelta).ParseWire(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 	deltas, _ := codecDeltas(b, 2, 7)
 	bodies := make([][]byte, len(deltas))
 	total := 0

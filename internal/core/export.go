@@ -88,22 +88,23 @@ func (g *Graph) Dump() (*Dump, error) {
 			Finish:       sc.Finish,
 			Instructions: sc.Instructions,
 		}
-		thunks := sc.Thunks
+		path, n := sc.path, sc.nThunks
 		if g.column != nil {
-			thunks = ParseThunks(&col)
+			path, n, _ = walkThunks(&col)
 		}
-		if len(thunks) > 0 {
-			ws.Thunks = make([]wireThunk, len(thunks))
-			for j, th := range thunks {
-				ws.Thunks[j] = wireThunk{
+		if n > 0 {
+			ws.Thunks = make([]wireThunk, 0, n)
+			thunksIn(path, func(_ int, th Thunk) bool {
+				ws.Thunks = append(ws.Thunks, wireThunk{
 					Index:        th.Index,
 					Site:         g.SiteName(th.Site),
 					Taken:        th.Taken,
 					Indirect:     th.Indirect,
 					Target:       g.SiteName(th.Target),
 					Instructions: th.Instructions,
-				}
-			}
+				})
+				return true
+			})
 		}
 		out[i] = ws
 	}

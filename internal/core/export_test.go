@@ -1,6 +1,11 @@
 package core
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+
+	"github.com/repro/inspector/internal/wire"
+)
 
 // Test-only exports: the external (core_test) equivalence tests reach
 // the package's oracles — the spec derivation, the flat builder and the
@@ -119,4 +124,72 @@ func StoreShape(a *Analysis) (layers, baseRefs int) {
 		baseRefs = a.succ.refCount()
 	}
 	return len(a.layers), baseRefs
+}
+
+// ParseThunks is the reference reader of an AppendThunks list, the one
+// walkThunks is held to (FuzzControlPath): the count and every field
+// read through wire.Cursor into a decoded Thunk, with the same
+// dense-index rule. It returns nil for an empty or refused list.
+func ParseThunks(c *wire.Cursor) []Thunk {
+	n := c.Count("thunks", MinThunkBytes)
+	if n == 0 {
+		return nil
+	}
+	thunks := make([]Thunk, n)
+	for i := range thunks {
+		th := &thunks[i]
+		// Read the index on a copy, so a refused one fails where it starts.
+		probe := *c
+		if th.Index = probe.Uvarint("thunk.index"); probe.Err() == nil && th.Index != uint64(i) {
+			c.Fail("thunk.index", fmt.Sprintf("index %d, want %d: a path counts its thunks 0, 1, 2, ...", th.Index, i))
+		}
+		if c.Err() == nil {
+			*c = probe
+		}
+		th.Site = SiteRef(c.Uint32("thunk.site"))
+		flags := c.Byte("thunk.flags", 3)
+		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
+		th.Target = SiteRef(c.Uint32("thunk.target"))
+		th.Instructions = c.Uvarint("thunk.instructions")
+		if c.Err() != nil {
+			return nil
+		}
+	}
+	return thunks
+}
+
+// ThunkList returns sc's control path decoded, nil when it is empty.
+func ThunkList(sc *SubComputation) []Thunk {
+	var out []Thunk
+	for _, th := range sc.Thunks {
+		out = append(out, th)
+	}
+	return out
+}
+
+// DecodePath decodes a run of AppendThunks elements, nil when empty.
+func DecodePath(path []byte) []Thunk {
+	return ThunkList(&SubComputation{path: path})
+}
+
+// PathBytes returns sc's path as it holds it: nil when empty.
+func PathBytes(sc *SubComputation) []byte { return sc.path }
+
+// WalkPath is walkThunks: the elements' bytes (aliasing c's body),
+// their count and the largest ref they name.
+func WalkPath(c *wire.Cursor) ([]byte, int, SiteRef) { return walkThunks(c) }
+
+// WithoutPaths returns a copy of d whose vertices carry no control
+// path: the form gob, which sees only exported fields, round-trips.
+func WithoutPaths(d *EpochDelta) *EpochDelta {
+	out := *d
+	if d.Subs != nil {
+		out.Subs = make([]*SubComputation, len(d.Subs))
+	}
+	for i, sc := range d.Subs {
+		bare := *sc
+		bare.path, bare.nThunks, bare.maxRef = nil, 0, 0
+		out.Subs[i] = &bare
+	}
+	return &out
 }

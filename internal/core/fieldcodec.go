@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 
 	"github.com/repro/inspector/internal/vclock"
 	"github.com/repro/inspector/internal/vtime"
@@ -19,6 +21,9 @@ import (
 // input may drive an allocation — nothing parsed aliases the input, and
 // a zero-length list parses to nil. Refs stay as stored: what table
 // they index is the caller's to check (validateDelta, cpgfile's remap).
+// A control path is never parsed into Thunks on the way in: walkThunks
+// checks it where it lies and hands back its bytes, which ParseWire
+// copies and the .cpg load keeps as the column it walked.
 
 // Least bytes one element of each counted field can occupy.
 const (
@@ -93,64 +98,141 @@ func ParseVertex(c *wire.Cursor, sc *SubComputation) {
 	sc.Instructions = c.Uvarint("vertex.instructions")
 }
 
+// maxThunkBytes is the most bytes one AppendThunks element occupies:
+// two 64-bit and two 32-bit uvarints and the flags byte.
+const maxThunkBytes = 2*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32 + 1
+
+// appendThunk appends one AppendThunks element: index, site, flags byte
+// (1 taken | 2 indirect), target and instruction count.
+func appendThunk(b []byte, index uint64, site SiteRef, flags byte, target SiteRef, instructions uint64) []byte {
+	b = binary.AppendUvarint(b, index)
+	b = binary.AppendUvarint(b, uint64(site))
+	b = append(b, flags)
+	b = binary.AppendUvarint(b, uint64(target))
+	return binary.AppendUvarint(b, instructions)
+}
+
+// thunkFlags is the flags byte of a thunk.
+func thunkFlags(taken, indirect bool) byte {
+	var flags byte
+	if taken {
+		flags |= 1
+	}
+	if indirect {
+		flags |= 2
+	}
+	return flags
+}
+
 // AppendThunks appends a sub-computation's control path: a count, then
 // per thunk its index, site, flags byte (1 taken | 2 indirect), target
-// and instruction count.
-func AppendThunks(b []byte, thunks []Thunk) []byte {
-	b = binary.AppendUvarint(b, uint64(len(thunks)))
-	for i := range thunks {
-		th := &thunks[i]
-		b = binary.AppendUvarint(b, th.Index)
-		b = binary.AppendUvarint(b, uint64(th.Site))
-		var flags byte
-		if th.Taken {
-			flags |= 1
+// and instruction count. The elements are sc's own bytes, copied.
+func AppendThunks(b []byte, sc *SubComputation) []byte {
+	b = binary.AppendUvarint(b, uint64(sc.nThunks))
+	return append(b, sc.path...)
+}
+
+// WalkThunks reads an AppendThunks list and keeps nothing: it returns
+// the list's length and the largest site or target ref it names, for
+// the caller to check against its symbol table. A malformed list fails
+// c as ParseWire would.
+func WalkThunks(c *wire.Cursor) (n int, maxRef SiteRef) {
+	_, n, maxRef = walkThunks(c)
+	return n, maxRef
+}
+
+// walkThunks is the one reader of an AppendThunks list: a count checked
+// against the bytes that remain, then each element in one pass over
+// them — index, site, flags, target, instructions — with the checks and
+// the *wire.PayloadError field and offset the Cursor reads would give,
+// plus one more: the recorder numbers a path's thunks 0, 1, 2, …, so an
+// index that skips or repeats is refused on thunk.index. It returns the
+// elements' bytes (aliasing c's body), their count and the largest ref
+// they name; on failure c holds the error and the results are zero.
+func walkThunks(c *wire.Cursor) (path []byte, n int, maxRef SiteRef) {
+	n = c.Count("thunks", MinThunkBytes)
+	b := c.Rest()
+	off := 0
+	fail := func(at int, field, reason string) ([]byte, int, SiteRef) {
+		c.Skip(at)
+		c.Fail(field, reason)
+		return nil, 0, 0
+	}
+	for i := 0; i < n; i++ {
+		index, k := binary.Uvarint(b[off:])
+		if k <= 0 {
+			return fail(off, "thunk.index", "truncated or overlong uvarint")
 		}
-		if th.Indirect {
-			flags |= 2
+		if index != uint64(i) {
+			return fail(off, "thunk.index", fmt.Sprintf("index %d, want %d: a path counts its thunks 0, 1, 2, ...", index, i))
 		}
-		b = append(b, flags)
-		b = binary.AppendUvarint(b, uint64(th.Target))
-		b = binary.AppendUvarint(b, th.Instructions)
+		off += k
+		// The common thunk spells site, flags, target and instructions
+		// in one byte each.
+		if off+4 <= len(b) && b[off]|b[off+2]|b[off+3] < 0x80 && b[off+1] <= 3 {
+			maxRef = max(maxRef, SiteRef(b[off]), SiteRef(b[off+2]))
+			off += 4
+			continue
+		}
+		site, k := binary.Uvarint(b[off:])
+		if k <= 0 {
+			return fail(off, "thunk.site", "truncated or overlong uvarint")
+		} else if site > math.MaxUint32 {
+			return fail(off, "thunk.site", fmt.Sprintf("value %d exceeds %d", site, uint64(math.MaxUint32)))
+		}
+		off += k
+		if off >= len(b) {
+			return fail(off, "thunk.flags", "truncated")
+		} else if b[off] > 3 {
+			return fail(off, "thunk.flags", fmt.Sprintf("byte %d exceeds %d", b[off], 3))
+		}
+		off++
+		target, k := binary.Uvarint(b[off:])
+		if k <= 0 {
+			return fail(off, "thunk.target", "truncated or overlong uvarint")
+		} else if target > math.MaxUint32 {
+			return fail(off, "thunk.target", fmt.Sprintf("value %d exceeds %d", target, uint64(math.MaxUint32)))
+		}
+		off += k
+		if _, k = binary.Uvarint(b[off:]); k <= 0 {
+			return fail(off, "thunk.instructions", "truncated or overlong uvarint")
+		}
+		off += k
+		maxRef = max(maxRef, SiteRef(site), SiteRef(target))
 	}
-	return b
+	c.Skip(off)
+	if off == 0 {
+		return nil, n, 0
+	}
+	return b[:off:off], n, maxRef
 }
 
-// ParseThunks reads an AppendThunks list.
-func ParseThunks(c *wire.Cursor) []Thunk {
-	n := c.Count("thunks", MinThunkBytes)
-	if n == 0 {
-		return nil
+// thunksIn yields the thunks of path, a run of AppendThunks elements
+// its writer or walkThunks vouched for.
+func thunksIn(path []byte, yield func(int, Thunk) bool) {
+	for i, off := 0, 0; off < len(path); i++ {
+		var th Thunk
+		var site, target uint64
+		var k int
+		th.Index, k = binary.Uvarint(path[off:])
+		off += k
+		site, k = binary.Uvarint(path[off:])
+		off += k
+		flags := path[off]
+		off++
+		target, k = binary.Uvarint(path[off:])
+		off += k
+		th.Instructions, k = binary.Uvarint(path[off:])
+		if k <= 0 {
+			return
+		}
+		off += k
+		th.Site, th.Target = SiteRef(site), SiteRef(target)
+		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
+		if !yield(i, th) {
+			return
+		}
 	}
-	thunks := make([]Thunk, n)
-	for i := range thunks {
-		parseThunk(c, &thunks[i])
-	}
-	return thunks
-}
-
-// WalkThunks reads an AppendThunks list with ParseThunks's checks but
-// keeps nothing: each thunk is read into one scratch value, handed to
-// visit (which may fail c on it), and overwritten by the next. It
-// returns the list's length.
-func WalkThunks(c *wire.Cursor, visit func(*Thunk)) int {
-	n := c.Count("thunks", MinThunkBytes)
-	var th Thunk
-	for i := 0; i < n && c.Err() == nil; i++ {
-		parseThunk(c, &th)
-		visit(&th)
-	}
-	return n
-}
-
-// parseThunk reads one AppendThunks element into th.
-func parseThunk(c *wire.Cursor, th *Thunk) {
-	th.Index = c.Uvarint("thunk.index")
-	th.Site = SiteRef(c.Uint32("thunk.site"))
-	flags := c.Byte("thunk.flags", 3)
-	th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
-	th.Target = SiteRef(c.Uint32("thunk.target"))
-	th.Instructions = c.Uvarint("thunk.instructions")
 }
 
 // AppendGap appends one trace-loss interval (its thread is the

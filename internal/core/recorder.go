@@ -86,17 +86,23 @@ type Recorder struct {
 
 	cur          *SubComputation
 	instructions uint64 // current thunk's instruction count
-	// Thunks are written once, into chunks the recorder owns. The open
-	// sub-computation's thunks are filled[0][start:], the rest of filled,
-	// then chunk; with filled empty, just chunk[start:]. Published slices
-	// alias chunk prefixes, so a chunk shared with one is only appended to.
-	chunk  []Thunk
+	// Thunks are written once, in their AppendThunks element spelling,
+	// into byte chunks the recorder owns. The open sub-computation's
+	// path is filled[0][start:], the rest of filled, then chunk; with
+	// filled empty, just chunk[start:]. Published paths alias chunk
+	// prefixes, so a chunk shared with one is only appended to.
+	chunk  []byte
 	start  int
-	filled [][]Thunk
+	filled [][]byte
 }
 
-// Thunk chunks double from minThunkChunk to maxThunkChunk thunks.
-const minThunkChunk, maxThunkChunk = 64, 4096
+// Thunk chunks double from room for minThunkChunk to room for
+// maxThunkChunk thunks of chunkThunkBytes each, about what a thunk
+// takes; a chunk takes a thunk only while maxThunkBytes of it are free.
+const (
+	minThunkChunk, maxThunkChunk = 64, 4096
+	chunkThunkBytes              = 8
+)
 
 // NewRecorder initializes a thread recorder (initThread(t) in Algorithm 2:
 // α <- 0, Ct <- 0) and opens the first sub-computation at virtual time
@@ -171,16 +177,15 @@ func (r *Recorder) OnInstructions(n uint64) {
 	r.instructions += n
 }
 
-// closeThunk folds the running instruction count into the sub-computation
-// total and appends the completed thunk.
-func (r *Recorder) closeThunk(th Thunk) {
-	th.Index = r.beta
-	th.Instructions = r.instructions
+// closeThunk folds the running instruction count into the
+// sub-computation total and appends the completed thunk's bytes.
+func (r *Recorder) closeThunk(site SiteRef, flags byte, target SiteRef) {
 	r.cur.Instructions += r.instructions
-	if len(r.chunk) == cap(r.chunk) {
+	if cap(r.chunk)-len(r.chunk) < maxThunkBytes {
 		r.nextChunk()
 	}
-	r.chunk = append(r.chunk, th)
+	r.chunk = appendThunk(r.chunk, r.beta, site, flags, target, r.instructions)
+	r.cur.maxRef = max(r.cur.maxRef, site, target)
 	r.beta++
 	r.instructions = 0
 }
@@ -193,19 +198,23 @@ func (r *Recorder) nextChunk() {
 	} else {
 		r.start = 0
 	}
-	r.chunk = make([]Thunk, 0, min(max(2*cap(r.chunk), minThunkChunk), maxThunkChunk))
+	r.chunk = make([]byte, 0, min(max(2*cap(r.chunk), minThunkChunk*chunkThunkBytes), maxThunkChunk*chunkThunkBytes))
 }
 
-// thunks returns the open sub-computation's thunks with cap == len, so an
-// append to a published slice never writes into a chunk: nil if there are
-// none, a sub-slice of chunk if they fit in it, else one copy.
-func (r *Recorder) thunks() []Thunk {
+// path returns the open sub-computation's path with cap == len, so an
+// append to a published path never writes into a chunk: nil if there
+// are no thunks, a sub-slice of chunk if they fit in it, else one copy.
+func (r *Recorder) path() []byte {
 	if r.beta == 0 {
 		return nil
 	} else if len(r.filled) == 0 {
 		return r.chunk[r.start:len(r.chunk):len(r.chunk)]
 	}
-	out := append(make([]Thunk, 0, r.beta), r.filled[0][r.start:]...)
+	n := len(r.filled[0]) - r.start + len(r.chunk)
+	for _, c := range r.filled[1:] {
+		n += len(c)
+	}
+	out := append(make([]byte, 0, n), r.filled[0][r.start:]...)
 	for _, c := range r.filled[1:] {
 		out = append(out, c...)
 	}
@@ -227,14 +236,14 @@ func (r *Recorder) consumeThunks() {
 // OnBranch closes the current thunk with the (interned) branch site that
 // terminated it and opens thunk β+1 (onBranchAccess in Algorithm 2).
 func (r *Recorder) OnBranch(site SiteRef, taken bool) {
-	r.closeThunk(Thunk{Site: site, Taken: taken})
+	r.closeThunk(site, thunkFlags(taken, false), 0)
 }
 
 // OnIndirect is OnBranch for indirect transfers. Target 0 (the empty
 // string) marks an unresolved destination; the PT decoder resolves
 // targets offline from the trace.
 func (r *Recorder) OnIndirect(site, target SiteRef) {
-	r.closeThunk(Thunk{Site: site, Indirect: true, Target: target})
+	r.closeThunk(site, thunkFlags(false, true), target)
 }
 
 // EndSub closes the current sub-computation at a synchronization point
@@ -251,9 +260,9 @@ func (r *Recorder) EndSub(ev SyncEvent, now vtime.Cycles) (*SubComputation, erro
 	// Branchless subs publish nil: the CPG JSON encodes it as null, and
 	// drift checks byte-compare it. The thunk state moves on only once the
 	// graph holds the sub-computation.
-	done.Thunks = r.thunks()
+	done.path, done.nThunks = r.path(), int(r.beta)
 	if err := r.graph.add(done); err != nil {
-		done.Thunks = nil
+		done.path, done.nThunks = nil, 0
 		return nil, err
 	}
 	r.consumeThunks()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -35,20 +37,27 @@ func recordThunks(r *Recorder, k, n int) []Thunk {
 	return want
 }
 
-// checkThunks fails unless got is want, exact-size, and nil when empty.
-func checkThunks(t *testing.T, label string, got, want []Thunk) {
+// checkThunks fails unless sc's path is want in its AppendThunks
+// element spelling, exact-size, and nil when empty.
+func checkThunks(t *testing.T, label string, sc *SubComputation, want []Thunk) {
 	t.Helper()
 	if len(want) == 0 {
-		if got != nil {
-			t.Errorf("%s: branchless sub published %d thunks (nil=%v), want nil", label, len(got), got == nil)
+		if sc.path != nil || sc.nThunks != 0 {
+			t.Errorf("%s: branchless sub published %d thunks in %d bytes (nil=%v), want nil", label, sc.nThunks, len(sc.path), sc.path == nil)
 		}
 		return
 	}
-	if cap(got) != len(got) {
-		t.Errorf("%s: published thunks have len %d cap %d, want cap == len", label, len(got), cap(got))
+	if cap(sc.path) != len(sc.path) {
+		t.Errorf("%s: published path has len %d cap %d, want cap == len", label, len(sc.path), cap(sc.path))
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("%s: published %d thunks, want the %d recorded (first differing: %v)", label, len(got), len(want), firstDiff(got, want))
+	var spelled SubComputation
+	spelled.SetThunks(want)
+	if !bytes.Equal(sc.path, spelled.path) || sc.nThunks != len(want) || sc.maxRef != spelled.maxRef {
+		t.Errorf("%s: published %d thunks in %d bytes (max ref %d), want the %d recorded in %d (max ref %d)",
+			label, sc.nThunks, len(sc.path), sc.maxRef, len(want), len(spelled.path), spelled.maxRef)
+	}
+	if got := ThunkList(sc); !slices.Equal(got, want) {
+		t.Errorf("%s: decoded %d thunks, want the %d recorded (first differing: %v)", label, len(got), len(want), firstDiff(got, want))
 	}
 }
 
@@ -63,7 +72,15 @@ func firstDiff(got, want []Thunk) string {
 
 func TestThunkStorage(t *testing.T) {
 	for _, chunk := range []int{minThunkChunk, maxThunkChunk} {
-		sizes := []int{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 5}
+		// per is how many of recordThunks' thunks (its index's uvarint
+		// and four one-byte fields) a chunk sized for chunk thunks
+		// takes: these sizes fill one to just short of, just at and
+		// just past its end, and spill over several.
+		per, used := 0, 0
+		for ; chunk*chunkThunkBytes-used >= maxThunkBytes; per++ {
+			used += len(binary.AppendUvarint(nil, uint64(per))) + 4
+		}
+		sizes := []int{0, 1, per - 1, per, per + 1, 3*per + 5}
 		// Each size on a fresh recorder (the sub starts a chunk), then
 		// all of them in a row on one recorder, twice, so subs start at
 		// every offset the previous ones leave.
@@ -72,7 +89,7 @@ func TestThunkStorage(t *testing.T) {
 				g := NewGraph(1)
 				r := mustRecorder(t, g, 0)
 				want := recordThunks(r, 0, n)
-				checkThunks(t, fmt.Sprintf("n=%d", n), endSub(t, r, SyncEvent{}).Thunks, want)
+				checkThunks(t, fmt.Sprintf("n=%d", n), endSub(t, r, SyncEvent{}), want)
 			}
 		})
 		t.Run(fmt.Sprintf("chunk=%d/shared", chunk), func(t *testing.T) {
@@ -83,16 +100,16 @@ func TestThunkStorage(t *testing.T) {
 			for k, n := range append(sizes, sizes...) {
 				want := recordThunks(r, k, n)
 				sc := endSub(t, r, SyncEvent{})
-				checkThunks(t, fmt.Sprintf("sub %d n=%d", k, n), sc.Thunks, want)
-				// An append to a published slice must not reach the
+				checkThunks(t, fmt.Sprintf("sub %d n=%d", k, n), sc, want)
+				// An append to a published path must not reach the
 				// recorder's chunk, so it must not show in the next sub.
-				if grown := append(sc.Thunks, Thunk{Index: 1 << 40}); n > 0 && &grown[0] == &sc.Thunks[0] {
-					t.Errorf("sub %d n=%d: an append to the published thunks wrote in place", k, n)
+				if grown := append(sc.path, 0xff); n > 0 && &grown[0] == &sc.path[0] {
+					t.Errorf("sub %d n=%d: an append to the published path wrote in place", k, n)
 				}
 				subs, wants = append(subs, sc), append(wants, want)
 			}
 			for k, sc := range subs {
-				checkThunks(t, fmt.Sprintf("sub %d at the end", k), sc.Thunks, wants[k])
+				checkThunks(t, fmt.Sprintf("sub %d at the end", k), sc, wants[k])
 			}
 		})
 	}
@@ -108,7 +125,7 @@ func TestThunkStorageFailedAdd(t *testing.T) {
 		endSub(t, r, SyncEvent{}) // the failing sub starts mid-chunk
 		want := recordThunks(r, 1, n)
 		type state struct {
-			chunk       *Thunk
+			chunk       *byte
 			chunkLen    int
 			start, nfil int
 			beta        uint64
@@ -121,11 +138,11 @@ func TestThunkStorageFailedAdd(t *testing.T) {
 		if _, err := r.EndSub(SyncEvent{}, 0); err == nil {
 			t.Fatalf("n=%d: EndSub at alpha 2 of a 1-vertex shard succeeded", n)
 		}
-		if after := snap(); after != before || r.cur.Thunks != nil {
-			t.Errorf("n=%d: failed EndSub moved the thunk state %+v -> %+v (cur.Thunks %d)", n, before, after, len(r.cur.Thunks))
+		if after := snap(); after != before || r.cur.path != nil || r.cur.nThunks != 0 {
+			t.Errorf("n=%d: failed EndSub moved the thunk state %+v -> %+v (cur holds %d thunks)", n, before, after, r.cur.nThunks)
 		}
 		r.cur.ID.Alpha = 1
-		checkThunks(t, fmt.Sprintf("n=%d retried", n), endSub(t, r, SyncEvent{}).Thunks, want)
+		checkThunks(t, fmt.Sprintf("n=%d retried", n), endSub(t, r, SyncEvent{}), want)
 	}
 }
 
@@ -171,8 +188,8 @@ func TestThunkStorageConcurrentCut(t *testing.T) {
 		}
 		for _, sc := range back.Subs {
 			k := int(sc.ID.Alpha)
-			if n := sizes[k%len(sizes)]; len(sc.Thunks) != n {
-				t.Fatalf("sub %d crossed the wire with %d thunks, want %d", k, len(sc.Thunks), n)
+			if n := sizes[k%len(sizes)]; sc.NumThunks() != n {
+				t.Fatalf("sub %d crossed the wire with %d thunks, want %d", k, sc.NumThunks(), n)
 			}
 			for i, th := range sc.Thunks {
 				if th.Index != uint64(i) || th.Instructions != uint64(k+i%7+1) {
@@ -189,8 +206,9 @@ func TestThunkStorageConcurrentCut(t *testing.T) {
 
 // TestAllocsThunkPath pins what the per-branch path allocates: thunk
 // storage per chunk, not per sub-computation, and a large sub-computation
-// written once into chunks and copied once at EndSub. (Named Allocs*, so
-// -race -run patterns never select it: the race detector allocates.)
+// written once into chunks and copied once at EndSub — at most 2.5x its
+// path's encoded bytes. (Named Allocs*, so -race -run patterns never
+// select it: the race detector allocates.)
 func TestAllocsThunkPath(t *testing.T) {
 	const subs = 10_000
 	smallSubs := func(branches func(k int) int) func() {
@@ -215,7 +233,7 @@ func TestAllocsThunkPath(t *testing.T) {
 	}
 
 	const branches = 1 << 20
-	oneSub := func(n int) uint64 {
+	oneSub := func(n int) (allocated, path uint64) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -228,12 +246,13 @@ func TestAllocsThunkPath(t *testing.T) {
 		sc := endSub(t, r, SyncEvent{})
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(sc)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, uint64(len(sc.path))
 	}
-	allocated := oneSub(branches) - oneSub(0)
-	final := uint64(branches) * uint64(unsafe.Sizeof(Thunk{}))
-	t.Logf("one %d-branch sub: %d B allocated for %d B of thunks (%.2fx)", branches, allocated, final, float64(allocated)/float64(final))
+	allocated, final := oneSub(branches)
+	empty, _ := oneSub(0)
+	allocated -= empty
+	t.Logf("one %d-branch sub: %d B allocated for its %d-byte path (%.2fx)", branches, allocated, final, float64(allocated)/float64(final))
 	if float64(allocated) > 2.5*float64(final) {
-		t.Errorf("one %d-branch sub allocates %d B, want at most 2.5x its %d B of thunks", branches, allocated, final)
+		t.Errorf("one %d-branch sub allocates %d B, want at most 2.5x its %d-byte path", branches, allocated, final)
 	}
 }

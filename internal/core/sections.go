@@ -130,8 +130,8 @@ func (c *thunkColumn) count() int {
 	return c.total
 }
 
-// RestoreThunkColumn hands a restored graph its control path in encoded
-// form instead of per-vertex Thunks: col is the AppendThunks list of
+// RestoreThunkColumn hands a restored graph its control path as one
+// column instead of per-vertex paths: col is the AppendThunks list of
 // each of the graph's vertices in (thread, alpha) order, total the
 // thunks they hold, and every site and target ref is already this
 // graph's own. The caller vouches for col — it has walked and
@@ -139,7 +139,7 @@ func (c *thunkColumn) count() int {
 // afterwards. Call it once, after the last AppendSub and before the
 // graph is shared: the column seals the vertex set, so later appends
 // fail. Stats counts the column, AppendThunkColumn copies it and Dump
-// decodes it; vertices keep nil Thunks, so an epoch delta cut from the
+// decodes it; vertices keep empty paths, so an epoch delta cut from the
 // graph would carry none — a restored graph is read, never cut.
 func (g *Graph) RestoreThunkColumn(col []byte, total int) error {
 	if g.column != nil {
@@ -158,7 +158,7 @@ func (g *Graph) AppendThunkColumn(b []byte, subs []*SubComputation) []byte {
 		return append(b, g.column.b...)
 	}
 	for _, sc := range subs {
-		b = AppendThunks(b, sc.Thunks)
+		b = AppendThunks(b, sc)
 	}
 	return b
 }

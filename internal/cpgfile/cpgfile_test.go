@@ -15,6 +15,7 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // buildAnalysis produces a deterministic analysis to serialize,
@@ -362,6 +363,42 @@ func TestCorruptionIsTypedAndNamed(t *testing.T) {
 					t.Errorf("%s = %d: refusing allocated %d bytes, limit %d (file %d bytes, intact load %d)",
 						row.name, lie, got, limit, len(forged), intact)
 				}
+			}
+		}
+	})
+	t.Run("a thunk index that is not its position names the thunks section", func(t *testing.T) {
+		// The first vertex's list opens: count, then per thunk index,
+		// site, flags, target, instructions — its second thunk's index
+		// is the section's uvarint 6.
+		var buf bytes.Buffer
+		if err := Encode(&buf, thunkyGraph(8, 12).Analyze(), Meta{RunID: "r"}); err != nil {
+			t.Fatal(err)
+		}
+		file := buf.Bytes()
+		lay, err := parseFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := lay.secs[secThunks]
+		sec := file[s.off : s.off+s.length]
+		if uvarintAt(t, sec, 1) != 0 || uvarintAt(t, sec, 6) != 1 {
+			t.Fatal("the first vertex's thunks are not indexed 0, 1")
+		}
+		for _, row := range []struct {
+			name  string
+			index int
+			v     uint64
+		}{
+			{"the first thunk is not 0", 1, 1},
+			{"the second thunk repeats the first", 6, 0},
+			{"the second thunk skips one", 6, 2},
+		} {
+			off, _ := uvarintSpan(t, sec, row.index)
+			err := load(t, restamp(t, file, lay, secThunks, forgeUvarint(t, sec, row.index, row.v)))
+			var ce *CorruptError
+			var pe *wire.PayloadError
+			if !errors.As(err, &ce) || ce.Section != "thunks" || !errors.As(err, &pe) || pe.Field != "thunk.index" || pe.Offset != off {
+				t.Errorf("%s: err = %v, want a *CorruptError naming \"thunks\" around thunk.index at byte %d", row.name, err, off)
 			}
 		}
 	})

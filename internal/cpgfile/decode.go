@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"unsafe"
+	"weak"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/wire"
@@ -189,17 +191,39 @@ func decodeFile(data []byte) (*core.Analysis, Header, error) {
 
 // thunkWalk is what a read remembers of its first materialization:
 // that it succeeded — the thunks column walked clean and the stats
-// section matched the graph — and the thunk total the walk counted.
+// section matched the graph — the thunk total the walk counted, and,
+// held weakly, the column it kept.
 type thunkWalk struct {
 	done  bool
 	total int
+	// col and n are the last column a successful materialization kept.
+	// The weak pointer keeps nothing alive: while an analysis still
+	// holds the column (or the collector has not yet run), the next
+	// materialization shares it instead of copying the section again.
+	col weak.Pointer[byte]
+	n   int
+}
+
+// column returns the thunks section as a column an analysis may keep:
+// the remembered column if it is still in memory, once the section
+// passes its CRC again — so it is these bytes — else a fresh copy,
+// CRC-checked.
+func (w *thunkWalk) column(lay *fileLayout, data []byte) ([]byte, error) {
+	if p := w.col.Value(); p != nil {
+		if _, err := lay.section(data, secThunks); err != nil {
+			return nil, err
+		}
+		return unsafe.Slice(p, w.n), nil
+	}
+	return lay.ownedSection(data, secThunks)
 }
 
 // decodeAnalysis materializes the full analysis from a parsed file,
 // returning it with the estimated resident footprint of the decode.
 //
 // The thunks section stays encoded: copied into memory the analysis
-// owns, CRC-checked, walked only if walk records no earlier
+// owns (or shared with the analysis walk last kept, while that copy is
+// still in memory), CRC-checked, walked only if walk records no earlier
 // materialization, and handed to the graph as its column. Load passes a
 // fresh walk; a Mapped passes its own, so only its first successful
 // materialization walks the column and checks the stats section against
@@ -288,7 +312,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 			return nil, 0, inSection(columns[i].kind, err)
 		}
 	}
-	col, err := lay.ownedSection(data, secThunks)
+	col, err := walk.column(lay, data)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -351,23 +375,28 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 		if stored != got {
 			return nil, 0, corruptf(secStats, "stored counters %+v, the graph has %+v", stored, got)
 		}
-		*walk = thunkWalk{done: true, total: got.Thunks}
+		walk.done, walk.total = true, got.Thunks
+	}
+	if len(col) > 0 {
+		walk.col, walk.n = weak.Make(&col[0]), len(col)
 	}
 	return a, footprint, nil
 }
 
 // walkThunks is the structural check of a thunks column: one
-// AppendThunks list per vertex, every field read as ParseThunks reads
-// it, every site and target ref inside the symbol table (checkRef's
-// check), and no byte past the last list. It returns the thunk total.
+// AppendThunks list per vertex, walked in place with every check
+// ParseWire makes, the largest site or target ref of each list inside
+// the symbol table (checkRef's check, at the list's end), and no byte
+// past the last list. It returns the thunk total.
 func walkThunks(col []byte, vertices int, checkRef func(*wire.Cursor, string, uint32)) (int, error) {
 	c := wire.NewCursor(col)
 	total := 0
 	for ; vertices > 0 && c.Err() == nil; vertices-- {
-		total += core.WalkThunks(&c, func(th *core.Thunk) {
-			checkRef(&c, "thunk.site", uint32(th.Site))
-			checkRef(&c, "thunk.target", uint32(th.Target))
-		})
+		n, maxRef := core.WalkThunks(&c)
+		if n > 0 {
+			checkRef(&c, "thunks", uint32(maxRef))
+		}
+		total += n
 	}
 	return total, inSection(secThunks, c.Done())
 }

@@ -100,12 +100,14 @@ func (m *Mapped) ContentHash() [sha256.Size]byte {
 // section is decoded except the thunks section: it is copied into memory the analysis owns
 // and its CRC checked on that copy, so the bytes checked are the bytes
 // kept, and the graph carries it as its control-path column — vertices
-// hold nil Thunks; Stats counts the column, Encode copies it and the
+// hold empty paths; Stats counts the column, Encode copies it and the
 // JSON render decodes it. The column's structure (counts, fields,
 // symbol refs, trailing bytes) is walked on the mapping's first
 // successful materialization only, which also checks the stats section
 // against the graph; later calls remember both, where every Load does
-// both. Each call returns a new
+// both. A later call shares the column an earlier one kept while that
+// is still in memory (the mapping holds it weakly), after the section
+// passes its CRC again; otherwise it copies it anew. Each call returns a new
 // analysis; calls on one mapping run one at a time.
 //
 // The second result is the estimated resident footprint of the decoded

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // thunkyGraph records a deterministic execution whose control path
@@ -106,10 +108,10 @@ func openMapped(t *testing.T, path string) *Mapped {
 // eagerDecode is the per-vertex reference decode of a file's control
 // path, the one the thunks column is held to: the file decoded as Load
 // decodes it, then rebuilt over a twin graph whose vertices carry their
-// thunks decoded — one ParseThunks list per vertex in (thread, alpha)
-// order, every site and target ref inside the symbol table, no byte
-// past the last list — with the same symbols, sync-edge log, gaps, edge
-// sections and epoch.
+// own paths — one parseThunks list per vertex in (thread, alpha) order,
+// every site and target ref inside the symbol table, no byte past the
+// last list — with the same symbols, sync-edge log, gaps, edge sections
+// and epoch.
 func eagerDecode(data []byte) (*core.Analysis, error) {
 	a, _, err := decodeFile(data)
 	if err != nil {
@@ -130,15 +132,16 @@ func eagerDecode(data []byte) (*core.Analysis, error) {
 	}
 	for _, sc := range a.Subs() {
 		twin := *sc
-		twin.Thunks = core.ParseThunks(&c)
+		thunks := parseThunks(&c)
 		if err := c.Err(); err != nil {
 			return nil, fmt.Errorf("%v: %w", sc.ID, err)
 		}
-		for _, th := range twin.Thunks {
+		for _, th := range thunks {
 			if int(th.Site) >= len(syms) || int(th.Target) >= len(syms) {
 				return nil, fmt.Errorf("%v: thunk %d refs outside the %d-entry table", sc.ID, th.Index, len(syms))
 			}
 		}
+		twin.SetThunks(thunks)
 		if err := g.AppendSub(&twin); err != nil {
 			return nil, err
 		}
@@ -156,6 +159,24 @@ func eagerDecode(data []byte) (*core.Analysis, error) {
 		}
 	}
 	return core.NewAnalysisFromSections(g, a.ThreadLens(), a.Epoch(), syncEdges, dataEdges)
+}
+
+// parseThunks reads one AppendThunks list field by field through the
+// cursor, thunk indices counting 0, 1, 2, … .
+func parseThunks(c *wire.Cursor) []core.Thunk {
+	thunks := make([]core.Thunk, c.Count("thunks", core.MinThunkBytes))
+	for i := range thunks {
+		th := &thunks[i]
+		if th.Index = c.Uvarint("thunk.index"); th.Index != uint64(i) {
+			c.Fail("thunk.index", "not dense")
+		}
+		th.Site = core.SiteRef(c.Uint32("thunk.site"))
+		flags := c.Byte("thunk.flags", 3)
+		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
+		th.Target = core.SiteRef(c.Uint32("thunk.target"))
+		th.Instructions = c.Uvarint("thunk.instructions")
+	}
+	return thunks
 }
 
 // agreesWithEager checks a mapped analysis of file against the file's
@@ -195,14 +216,15 @@ func agreesWithEager(t *testing.T, file []byte, src *core.Analysis, m *Mapped, m
 func decodedThunks(a *core.Analysis) int {
 	n := 0
 	for _, sc := range a.Subs() {
-		n += len(sc.Thunks)
+		n += sc.NumThunks()
 	}
 	return n
 }
 
 // TestMappedDefersThunks pins the deferred thunks column: a Mapped keeps
 // the section as bytes the analysis owns, charges exactly those bytes,
-// and after its first materialization only copies and checksums them —
+// and after its first materialization only checksums them, and copies
+// them unless a live analysis already holds the copy —
 // while every reader of thunks (Encode, the renders, Stats) answers as
 // the eager per-vertex decode and the source analysis do. A file whose
 // symbol table does not re-intern to the identity is refused by both
@@ -287,18 +309,39 @@ func TestMappedDefersThunks(t *testing.T) {
 		}
 	})
 
+	t.Run("a live analysis's column is shared, not copied again", func(t *testing.T) {
+		m := openMapped(t, path)
+		first, _, err := m.Analysis()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := allocatedBy(func() { _, _, err = m.Analysis() })
+		runtime.KeepAlive(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := uint64(section)/4 + twinGot; got > limit {
+			t.Errorf("a materialization beside a live one allocated %d bytes, limit %d (a quarter of the %d-byte thunks section + thunkless decode %d)",
+				got, limit, section, twinGot)
+		}
+	})
+
 	t.Run("a remembered walk still checks the copy's CRC", func(t *testing.T) {
+		// The first analysis stays alive, so the second materialization
+		// finds its column: the section's CRC must still be checked.
 		data := append([]byte(nil), file...)
 		var walk thunkWalk
-		if _, _, err := decodeAnalysis(data, lay, &walk); err != nil || walk != (thunkWalk{done: true, total: subs * branches}) {
+		first, _, err := decodeAnalysis(data, lay, &walk)
+		if err != nil || !walk.done || walk.total != subs*branches || walk.col.Value() == nil {
 			t.Fatalf("first materialization: walk %+v, err %v", walk, err)
 		}
 		data[lay.secs[secThunks].off+uint64(section)/2] ^= 0x40
-		_, _, err := decodeAnalysis(data, lay, &walk)
+		_, _, err = decodeAnalysis(data, lay, &walk)
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Section != "thunks" {
 			t.Fatalf("err = %v, want a *CorruptError naming \"thunks\"", err)
 		}
+		runtime.KeepAlive(first)
 	})
 
 	t.Run("a duplicate symbol is refused", func(t *testing.T) {

@@ -88,14 +88,18 @@ func TestCPGIdentityIsStrongerThanDocument(t *testing.T) {
 				t.Fatal("the journal's recovery is not the recording's .cpg")
 			}
 			var first *core.SubComputation
+			var path []core.Thunk
 			for _, sc := range a.Subs() {
 				for _, th := range sc.Thunks {
 					switch {
 					case first == nil:
 						first = sc
-					case th.Site != first.Thunks[0].Site:
-						first.Thunks = slices.Clone(first.Thunks)
-						first.Thunks[0].Site = th.Site
+						for _, th := range sc.Thunks {
+							path = append(path, th)
+						}
+					case th.Site != path[0].Site:
+						path[0].Site = th.Site
+						first.SetThunks(path)
 						return rebuilt(t, a)
 					}
 				}

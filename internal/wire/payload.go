@@ -33,7 +33,8 @@ func AppendString(b []byte, s string) []byte {
 // position in one untrusted record body. The first failure latches as a
 // *PayloadError; every later read returns zero, so a ParseWire reads its
 // fields straight through and checks Done once. Nothing a Cursor returns
-// aliases the body.
+// aliases the body, except Rest: a field codec that walks a run of
+// elements in place reads Rest, then Skips what it walked.
 type Cursor struct {
 	b   []byte
 	off int
@@ -51,6 +52,23 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Fail(field, reason string) {
 	if c.err == nil {
 		c.err = &PayloadError{Field: field, Offset: c.off, Reason: reason}
+	}
+}
+
+// Rest returns the bytes not yet read, aliasing the body (nil after a
+// failure). The caller must not modify them.
+func (c *Cursor) Rest() []byte {
+	if c.err != nil {
+		return nil
+	}
+	return c.b[c.off:]
+}
+
+// Skip moves past the first n bytes of Rest; n must not exceed its
+// length.
+func (c *Cursor) Skip(n int) {
+	if c.err == nil {
+		c.off += n
 	}
 }
 
