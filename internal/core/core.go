@@ -106,9 +106,11 @@ type SubComputation struct {
 	// no count. The recorder writes it once; AppendWire, the .cpg column
 	// and ParseWire copy it, and Thunks decodes it. nThunks counts its
 	// elements and maxRef is the largest site or target ref they name,
-	// so neither a count nor a ref check walks it.
-	path    []byte
-	nThunks int
+	// so neither a count nor a ref check walks it. A string, because a
+	// published path never changes; with the two 32-bit words it takes
+	// the 24 bytes a []Thunk header took.
+	path    string
+	nThunks uint32
 	maxRef  SiteRef
 	// End is the synchronization event that terminated it.
 	End SyncEvent
@@ -123,12 +125,13 @@ type SubComputation struct {
 func (sc *SubComputation) Thunks(yield func(int, Thunk) bool) { thunksIn(sc.path, yield) }
 
 // NumThunks returns the control path's length.
-func (sc *SubComputation) NumThunks() int { return sc.nThunks }
+func (sc *SubComputation) NumThunks() int { return int(sc.nThunks) }
 
 // SetThunks replaces the control path with thunks, encoded — for a
 // vertex built by hand rather than recorded. The recorder numbers a
 // path's thunks 0, 1, 2, …; a path set here that does not is refused by
-// every decoder (ParseWire, the .cpg load).
+// every decoder (ParseWire, the .cpg load). A path holds at most 2^32-1
+// thunks.
 func (sc *SubComputation) SetThunks(thunks []Thunk) {
 	var path []byte
 	var maxRef SiteRef
@@ -137,7 +140,7 @@ func (sc *SubComputation) SetThunks(thunks []Thunk) {
 		path = appendThunk(path, th.Index, th.Site, thunkFlags(th.Taken, th.Indirect), th.Target, th.Instructions)
 		maxRef = max(maxRef, th.Site, th.Target)
 	}
-	sc.path, sc.nThunks, sc.maxRef = path, len(thunks), maxRef
+	sc.path, sc.nThunks, sc.maxRef = string(path), uint32(len(thunks)), maxRef
 }
 
 // EdgeKind classifies CPG edges.

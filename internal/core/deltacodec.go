@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"github.com/repro/inspector/internal/wire"
 )
@@ -111,27 +112,31 @@ func (d *EpochDelta) ParseWire(body []byte) error {
 	d.Symbols = ParseSymbols(&c)
 	if n := c.Count("delta.subs", minSubBytes); n > 0 {
 		d.Subs = make([]*SubComputation, n)
-		paths := 0
+		// The paths alias body until the copy below; Count bounds a
+		// path's thunks by the body's bytes, so the count fits 32 bits.
+		var stack [16][]byte
+		paths, total := stack[:0], 0
 		for i := range d.Subs {
 			sc := &SubComputation{ID: ParseSubID(&c, "delta.sub.id")}
 			ParseVertex(&c, sc)
 			sc.ReadSet = ParsePageSet(&c, "delta.sub.read_set")
 			sc.WriteSet = ParsePageSet(&c, "delta.sub.write_set")
-			// The path aliases body until the copy below.
-			sc.path, sc.nThunks, sc.maxRef = walkThunks(&c)
-			paths += len(sc.path)
+			path, k, maxRef := walkThunks(&c)
+			sc.nThunks, sc.maxRef = uint32(k), maxRef
+			paths, total = append(paths, path), total+len(path)
 			d.Subs[i] = sc
 			if c.Err() != nil {
 				return c.Err()
 			}
 		}
-		// Every path moves out of the body in one copy; an empty one
-		// stays nil.
-		if paths > 0 {
-			buf := make([]byte, paths)
-			for _, sc := range d.Subs {
-				if k := copy(buf, sc.path); k > 0 {
-					sc.path, buf = buf[:k:k], buf[k:]
+		// Every path moves out of the body in one copy.
+		if total > 0 {
+			var all strings.Builder
+			all.Grow(total)
+			for i, path := range paths {
+				if len(path) > 0 {
+					all.Write(path)
+					d.Subs[i].path = all.String()[all.Len()-len(path):]
 				}
 			}
 		}

@@ -88,9 +88,11 @@ func (g *Graph) Dump() (*Dump, error) {
 			Finish:       sc.Finish,
 			Instructions: sc.Instructions,
 		}
-		path, n := sc.path, sc.nThunks
+		path, n := sc.path, sc.NumThunks()
 		if g.column != nil {
-			path, n, _ = walkThunks(&col)
+			var b []byte
+			b, n, _ = walkThunks(&col)
+			path = string(b)
 		}
 		if n > 0 {
 			ws.Thunks = make([]wireThunk, 0, n)

@@ -169,11 +169,11 @@ func ThunkList(sc *SubComputation) []Thunk {
 
 // DecodePath decodes a run of AppendThunks elements, nil when empty.
 func DecodePath(path []byte) []Thunk {
-	return ThunkList(&SubComputation{path: path})
+	return ThunkList(&SubComputation{path: string(path)})
 }
 
-// PathBytes returns sc's path as it holds it: nil when empty.
-func PathBytes(sc *SubComputation) []byte { return sc.path }
+// PathBytes returns sc's path as it holds it.
+func PathBytes(sc *SubComputation) string { return sc.path }
 
 // WalkPath is walkThunks: the elements' bytes (aliasing c's body),
 // their count and the largest ref they name.
@@ -188,7 +188,7 @@ func WithoutPaths(d *EpochDelta) *EpochDelta {
 	}
 	for i, sc := range d.Subs {
 		bare := *sc
-		bare.path, bare.nThunks, bare.maxRef = nil, 0, 0
+		bare.path, bare.nThunks, bare.maxRef = "", 0, 0
 		out.Subs[i] = &bare
 	}
 	return &out

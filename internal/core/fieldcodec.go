@@ -209,28 +209,33 @@ func walkThunks(c *wire.Cursor) (path []byte, n int, maxRef SiteRef) {
 
 // thunksIn yields the thunks of path, a run of AppendThunks elements
 // its writer or walkThunks vouched for.
-func thunksIn(path []byte, yield func(int, Thunk) bool) {
+func thunksIn(path string, yield func(int, Thunk) bool) {
 	for i, off := 0, 0; off < len(path); i++ {
 		var th Thunk
 		var site, target uint64
-		var k int
-		th.Index, k = binary.Uvarint(path[off:])
-		off += k
-		site, k = binary.Uvarint(path[off:])
-		off += k
+		th.Index, off = uvarintAt(path, off)
+		site, off = uvarintAt(path, off)
 		flags := path[off]
-		off++
-		target, k = binary.Uvarint(path[off:])
-		off += k
-		th.Instructions, k = binary.Uvarint(path[off:])
-		if k <= 0 {
-			return
-		}
-		off += k
+		target, off = uvarintAt(path, off+1)
+		th.Instructions, off = uvarintAt(path, off)
 		th.Site, th.Target = SiteRef(site), SiteRef(target)
 		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
 		if !yield(i, th) {
 			return
+		}
+	}
+}
+
+// uvarintAt decodes the well-formed uvarint at path[off:] and returns
+// it with the offset just past it.
+func uvarintAt(path string, off int) (uint64, int) {
+	var v uint64
+	for s := 0; ; s += 7 {
+		b := path[off]
+		off++
+		v |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return v, off
 		}
 	}
 }

@@ -85,7 +85,7 @@ type vertexTotals struct {
 // add counts subs into the totals.
 func (vt *vertexTotals) add(subs []*SubComputation) {
 	for _, sc := range subs {
-		vt.thunks += sc.nThunks
+		vt.thunks += int(sc.nThunks)
 		vt.readSetPages += sc.ReadSet.Len()
 		vt.writeSetPages += sc.WriteSet.Len()
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"unsafe"
 
 	"github.com/repro/inspector/internal/vclock"
 	"github.com/repro/inspector/internal/vtime"
@@ -201,24 +203,30 @@ func (r *Recorder) nextChunk() {
 	r.chunk = make([]byte, 0, min(max(2*cap(r.chunk), minThunkChunk*chunkThunkBytes), maxThunkChunk*chunkThunkBytes))
 }
 
-// path returns the open sub-computation's path with cap == len, so an
-// append to a published path never writes into a chunk: nil if there
-// are no thunks, a sub-slice of chunk if they fit in it, else one copy.
-func (r *Recorder) path() []byte {
+// path returns the open sub-computation's path: empty if there are no
+// thunks, the bytes it takes in chunk if they fit in it, else one copy.
+// The string aliases the chunk without copying it: the recorder only
+// appends to a chunk a published path aliases, so the bytes under a
+// path never change.
+func (r *Recorder) path() string {
 	if r.beta == 0 {
-		return nil
-	} else if len(r.filled) == 0 {
-		return r.chunk[r.start:len(r.chunk):len(r.chunk)]
+		return ""
 	}
-	n := len(r.filled[0]) - r.start + len(r.chunk)
-	for _, c := range r.filled[1:] {
-		n += len(c)
+	var b []byte
+	if len(r.filled) == 0 {
+		b = r.chunk[r.start:]
+	} else {
+		n := len(r.filled[0]) - r.start + len(r.chunk)
+		for _, c := range r.filled[1:] {
+			n += len(c)
+		}
+		b = append(make([]byte, 0, n), r.filled[0][r.start:]...)
+		for _, c := range r.filled[1:] {
+			b = append(b, c...)
+		}
+		b = append(b, r.chunk...)
 	}
-	out := append(make([]byte, 0, n), r.filled[0][r.start:]...)
-	for _, c := range r.filled[1:] {
-		out = append(out, c...)
-	}
-	return append(out, r.chunk...)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // consumeThunks moves the open position past the published sub-computation.
@@ -257,12 +265,15 @@ func (r *Recorder) EndSub(ev SyncEvent, now vtime.Cycles) (*SubComputation, erro
 	r.cur.End = ev
 	r.cur.Finish = now
 	done := r.cur
-	// Branchless subs publish nil: the CPG JSON encodes it as null, and
-	// drift checks byte-compare it. The thunk state moves on only once the
-	// graph holds the sub-computation.
-	done.path, done.nThunks = r.path(), int(r.beta)
+	// A branchless sub publishes an empty path (the CPG JSON encodes its
+	// thunks as null, and drift checks byte-compare it). The thunk state
+	// moves on only once the graph holds the sub-computation.
+	if r.beta > math.MaxUint32 {
+		return nil, fmt.Errorf("core: sub %v holds %d thunks, more than a path's %d", done.ID, r.beta, uint32(math.MaxUint32))
+	}
+	done.path, done.nThunks = r.path(), uint32(r.beta)
 	if err := r.graph.add(done); err != nil {
-		done.path, done.nThunks = nil, 0
+		done.path, done.nThunks = "", 0
 		return nil, err
 	}
 	r.consumeThunks()

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"unsafe"
-	"weak"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/wire"
@@ -191,39 +189,17 @@ func decodeFile(data []byte) (*core.Analysis, Header, error) {
 
 // thunkWalk is what a read remembers of its first materialization:
 // that it succeeded — the thunks column walked clean and the stats
-// section matched the graph — the thunk total the walk counted, and,
-// held weakly, the column it kept.
+// section matched the graph — and the thunk total the walk counted.
 type thunkWalk struct {
 	done  bool
 	total int
-	// col and n are the last column a successful materialization kept.
-	// The weak pointer keeps nothing alive: while an analysis still
-	// holds the column (or the collector has not yet run), the next
-	// materialization shares it instead of copying the section again.
-	col weak.Pointer[byte]
-	n   int
-}
-
-// column returns the thunks section as a column an analysis may keep:
-// the remembered column if it is still in memory, once the section
-// passes its CRC again — so it is these bytes — else a fresh copy,
-// CRC-checked.
-func (w *thunkWalk) column(lay *fileLayout, data []byte) ([]byte, error) {
-	if p := w.col.Value(); p != nil {
-		if _, err := lay.section(data, secThunks); err != nil {
-			return nil, err
-		}
-		return unsafe.Slice(p, w.n), nil
-	}
-	return lay.ownedSection(data, secThunks)
 }
 
 // decodeAnalysis materializes the full analysis from a parsed file,
 // returning it with the estimated resident footprint of the decode.
 //
 // The thunks section stays encoded: copied into memory the analysis
-// owns (or shared with the analysis walk last kept, while that copy is
-// still in memory), CRC-checked, walked only if walk records no earlier
+// owns, CRC-checked, walked only if walk records no earlier
 // materialization, and handed to the graph as its column. Load passes a
 // fresh walk; a Mapped passes its own, so only its first successful
 // materialization walks the column and checks the stats section against
@@ -312,7 +288,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 			return nil, 0, inSection(columns[i].kind, err)
 		}
 	}
-	col, err := walk.column(lay, data)
+	col, err := lay.ownedSection(data, secThunks)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -375,10 +351,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 		if stored != got {
 			return nil, 0, corruptf(secStats, "stored counters %+v, the graph has %+v", stored, got)
 		}
-		walk.done, walk.total = true, got.Thunks
-	}
-	if len(col) > 0 {
-		walk.col, walk.n = weak.Make(&col[0]), len(col)
+		*walk = thunkWalk{done: true, total: got.Thunks}
 	}
 	return a, footprint, nil
 }

@@ -105,9 +105,7 @@ func (m *Mapped) ContentHash() [sha256.Size]byte {
 // symbol refs, trailing bytes) is walked on the mapping's first
 // successful materialization only, which also checks the stats section
 // against the graph; later calls remember both, where every Load does
-// both. A later call shares the column an earlier one kept while that
-// is still in memory (the mapping holds it weakly), after the section
-// passes its CRC again; otherwise it copies it anew. Each call returns a new
+// both. Each call returns a new
 // analysis; calls on one mapping run one at a time.
 //
 // The second result is the estimated resident footprint of the decoded
