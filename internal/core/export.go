@@ -69,12 +69,16 @@ type Dump struct {
 // Dump extracts the graph's full state in wire form. A restored graph's
 // thunk column is decoded here, one vertex's list at a time, into this
 // Dump only: nothing is cached on the graph, so concurrent renders share
-// no state. The error reports a column that does not parse.
+// no state. The error reports a column that does not load or parse.
 func (g *Graph) Dump() (*Dump, error) {
 	subs := g.Subs()
 	var col wire.Cursor
 	if g.column != nil {
-		col = wire.NewCursor(g.column.b)
+		b, err := g.column.bytes()
+		if err != nil {
+			return nil, err
+		}
+		col = wire.NewCursor(b)
 	}
 	out := make([]*wireSub, len(subs))
 	for i, sc := range subs {

@@ -9,7 +9,10 @@ package core
 // Analysis over pre-derived sections, which validates them and builds
 // through incStore exactly as a fold of the same edges would.
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // ThreadLens returns the per-thread vertex counts of the analyzed
 // prefix — the dense-index layout serializers persist alongside the
@@ -116,10 +119,14 @@ func (g *Graph) AppendSub(sc *SubComputation) error { return g.add(sc) }
 // thunkColumn is a control path kept in its encoded form: the
 // AppendThunks lists of every vertex of a graph, back to back in
 // (thread, alpha) order — the .cpg thunks section — and how many thunks
-// they hold.
+// they hold. The bytes come from load, called once, when a reader first
+// needs them.
 type thunkColumn struct {
-	b     []byte
 	total int
+	once  sync.Once
+	load  func() ([]byte, error)
+	b     []byte
+	err   error
 }
 
 // count returns the column's thunk total (0 for no column).
@@ -130,37 +137,50 @@ func (c *thunkColumn) count() int {
 	return c.total
 }
 
+// bytes returns the column's bytes, loading them on the first call.
+func (c *thunkColumn) bytes() ([]byte, error) {
+	c.once.Do(func() {
+		c.b, c.err = c.load()
+		c.load = nil
+	})
+	return c.b, c.err
+}
+
 // RestoreThunkColumn hands a restored graph its control path as one
-// column instead of per-vertex paths: col is the AppendThunks list of
-// each of the graph's vertices in (thread, alpha) order, total the
-// thunks they hold, and every site and target ref is already this
-// graph's own. The caller vouches for col — it has walked and
-// checksummed it — and the graph keeps it, so col must not be modified
-// afterwards. Call it once, after the last AppendSub and before the
-// graph is shared: the column seals the vertex set, so later appends
-// fail. Stats counts the column, AppendThunkColumn copies it and Dump
-// decodes it; vertices keep empty paths, so an epoch delta cut from the
-// graph would carry none — a restored graph is read, never cut.
-func (g *Graph) RestoreThunkColumn(col []byte, total int) error {
+// column instead of per-vertex paths: the bytes load returns are the
+// AppendThunks list of each of the graph's vertices in (thread, alpha)
+// order, total the thunks they hold, and every site and target ref is
+// already this graph's own. The caller vouches for those bytes — it has
+// walked and checksummed them, or load checksums them — and the graph
+// keeps them, so they must not be modified afterwards. load runs once,
+// when AppendThunkColumn or Dump first needs the bytes (Stats needs
+// only total), and its error is theirs. Call it once, after the last
+// AppendSub and before the graph is shared: the column seals the vertex
+// set, so later appends fail. Vertices keep empty paths, so an epoch
+// delta cut from the graph would carry none — a restored graph is read,
+// never cut.
+func (g *Graph) RestoreThunkColumn(total int, load func() ([]byte, error)) error {
 	if g.column != nil {
 		return fmt.Errorf("core: graph already holds a thunk column")
 	}
-	g.column = &thunkColumn{b: col, total: total}
+	g.column = &thunkColumn{total: total, load: load}
 	return nil
 }
 
 // AppendThunkColumn appends the control-path column of subs, a prefix
 // of this graph's vertices in (thread, alpha) order: their AppendThunks
 // lists back to back. A graph holding a restored column appends it
-// verbatim — it covers every vertex, which is every prefix it has.
-func (g *Graph) AppendThunkColumn(b []byte, subs []*SubComputation) []byte {
+// verbatim — it covers every vertex, which is every prefix it has — and
+// the error is the column's load error.
+func (g *Graph) AppendThunkColumn(b []byte, subs []*SubComputation) ([]byte, error) {
 	if g.column != nil {
-		return append(b, g.column.b...)
+		col, err := g.column.bytes()
+		return append(b, col...), err
 	}
 	for _, sc := range subs {
 		b = AppendThunks(b, sc)
 	}
-	return b
+	return b, nil
 }
 
 // RestoreSyncEdge re-records a release -> acquire schedule dependency in

@@ -28,7 +28,11 @@ import (
 func walkStats(a *core.Analysis) core.Stats {
 	comp := a.Completeness()
 	st := core.Stats{GapThreads: comp.GapThreads, GapIntervals: comp.GapIntervals, LostTraceBytes: comp.LostBytes}
-	col := wire.NewCursor(a.Graph().AppendThunkColumn(nil, a.Subs()))
+	b, err := a.Graph().AppendThunkColumn(nil, a.Subs())
+	if err != nil {
+		panic(err)
+	}
+	col := wire.NewCursor(b)
 	for t, n := range a.ThreadLens() {
 		if n > 0 {
 			st.Threads++

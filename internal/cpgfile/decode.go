@@ -145,12 +145,17 @@ func (lay *fileLayout) section(data []byte, kind uint32) (wire.Cursor, error) {
 }
 
 // ownedSection copies one section out of data and verifies the copy's
-// CRC, so the bytes checked are the bytes kept.
+// CRC.
 func (lay *fileLayout) ownedSection(data []byte, kind uint32) ([]byte, error) {
 	s := lay.secs[kind]
-	b := append([]byte(nil), data[s.off:s.off+s.length]...)
-	if got := crc32.Checksum(b, castagnoli); got != s.crc {
-		return nil, corruptf(kind, "CRC mismatch: stored %08x, computed %08x", s.crc, got)
+	return lay.checked(kind, append([]byte(nil), data[s.off:s.off+s.length]...))
+}
+
+// checked returns b, a copy of section kind, if its CRC is the
+// section's.
+func (lay *fileLayout) checked(kind uint32, b []byte) ([]byte, error) {
+	if got := crc32.Checksum(b, castagnoli); got != lay.secs[kind].crc {
+		return nil, corruptf(kind, "CRC mismatch: stored %08x, computed %08x", lay.secs[kind].crc, got)
 	}
 	return b, nil
 }
@@ -180,7 +185,7 @@ func decodeFile(data []byte) (*core.Analysis, Header, error) {
 	if err != nil {
 		return nil, Header{}, err
 	}
-	a, _, err := decodeAnalysis(data, lay, &thunkWalk{})
+	a, _, err := decodeAnalysis(data, lay, &thunkWalk{}, nil)
 	if err != nil {
 		return nil, Header{}, err
 	}
@@ -198,13 +203,16 @@ type thunkWalk struct {
 // decodeAnalysis materializes the full analysis from a parsed file,
 // returning it with the estimated resident footprint of the decode.
 //
-// The thunks section stays encoded: copied into memory the analysis
-// owns, CRC-checked, walked only if walk records no earlier
-// materialization, and handed to the graph as its column. Load passes a
-// fresh walk; a Mapped passes its own, so only its first successful
-// materialization walks the column and checks the stats section against
-// the graph, and records itself in walk.
-func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analysis, int64, error) {
+// The thunks section stays encoded, as the graph's column. If walk
+// records no earlier materialization, the section is copied into memory
+// the analysis owns, CRC-checked, walked, and handed to the graph, and
+// the stats section is checked against the graph; walk then records the
+// materialization. Otherwise the section's CRC is checked in place and
+// the graph gets reread, which returns the column's bytes the first time
+// a reader needs them (Encode, the JSON render; Stats needs only the
+// total walk remembers). Load passes a fresh walk and no reread; a
+// Mapped passes its own walk and a reread of its file.
+func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func() ([]byte, error)) (*core.Analysis, int64, error) {
 	var footprint int64
 
 	// Symbols: the table must re-intern to the identity — ref 0 is "",
@@ -288,20 +296,23 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk) (*core.Analys
 			return nil, 0, inSection(columns[i].kind, err)
 		}
 	}
-	col, err := lay.ownedSection(data, secThunks)
-	if err != nil {
-		return nil, 0, err
-	}
-	total := walk.total
+	total, load := walk.total, reread
 	if !walk.done {
+		col, err := lay.ownedSection(data, secThunks)
+		if err != nil {
+			return nil, 0, err
+		}
 		if total, err = walkThunks(col, vertices, checkRef); err != nil {
 			return nil, 0, err
 		}
+		load = func() ([]byte, error) { return col, nil }
+	} else if _, err := lay.section(data, secThunks); err != nil {
+		return nil, 0, err
 	}
-	if err := g.RestoreThunkColumn(col, total); err != nil {
+	if err := g.RestoreThunkColumn(total, load); err != nil {
 		return nil, 0, corruptf(secThunks, "%v", err)
 	}
-	footprint += int64(len(col))
+	footprint += int64(lay.secs[secThunks].length)
 
 	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge) {
 		obj := core.ObjRef(c.Uint32("edge.object"))

@@ -94,7 +94,10 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 
 	// Section 5: thunks — the control-path column; a graph that was
 	// materialized from a file still holds it encoded, and it is copied.
-	b = g.AppendThunkColumn(b, subs)
+	b, err := g.AppendThunkColumn(b, subs)
+	if err != nil {
+		return err
+	}
 	ends[4] = len(b)
 
 	// Section 6: sync edges, read in canonical order where they lie.
@@ -176,7 +179,7 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	_, err := w.Write(b)
+	_, err = w.Write(b)
 	return err
 }
 

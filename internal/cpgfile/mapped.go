@@ -2,6 +2,8 @@ package cpgfile
 
 import (
 	"crypto/sha256"
+	"fmt"
+	"os"
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
@@ -16,11 +18,12 @@ import (
 // does both). Thousands of Mapped CPGs cost pages of mapped file.
 //
 // A materialization is Load's decode over the mapping: every section
-// but the thunks section, which stays encoded, copied as one byte column
-// the analysis owns (see Analysis). Decoded values and that column never
-// alias the mapping, so
-// an analysis obtained from Analysis remains valid after Close. Methods
-// are safe for concurrent use; Close must not race other calls.
+// but the thunks section, which stays encoded as one byte column the
+// analysis owns (see Analysis). Decoded values and that column never
+// alias the mapping, so an analysis obtained from Analysis remains
+// valid after Close; a column it has not read yet is read from the
+// file, so that takes the file staying in place. Methods are safe for
+// concurrent use; Close must not race other calls.
 type Mapped struct {
 	path  string
 	data  []byte
@@ -97,24 +100,47 @@ func (m *Mapped) ContentHash() [sha256.Size]byte {
 }
 
 // Analysis materializes the full analysis, decoding as Load does. Every
-// section is decoded except the thunks section: it is copied into memory the analysis owns
-// and its CRC checked on that copy, so the bytes checked are the bytes
-// kept, and the graph carries it as its control-path column — vertices
-// hold empty paths; Stats counts the column, Encode copies it and the
-// JSON render decodes it. The column's structure (counts, fields,
-// symbol refs, trailing bytes) is walked on the mapping's first
-// successful materialization only, which also checks the stats section
-// against the graph; later calls remember both, where every Load does
-// both. Each call returns a new
-// analysis; calls on one mapping run one at a time.
+// section is decoded except the thunks section, which the graph carries
+// as its control-path column — vertices hold empty paths; Stats counts
+// the column, Encode copies it and the JSON render decodes it. The
+// mapping's first successful materialization copies the section into
+// memory the analysis owns, checks its CRC on that copy, so the bytes
+// checked are the bytes kept, and walks its structure (counts, fields,
+// symbol refs, trailing bytes); it also checks the stats section
+// against the graph, and the mapping remembers both, where every Load
+// does both. A later call checks the section's CRC in place and copies
+// nothing: its analysis reads the section from the file, and checks that
+// copy's CRC, the first time Encode or the JSON render needs it — a
+// query never does. Each call returns a new analysis; calls on one
+// mapping run one at a time.
 //
 // The second result is the estimated resident footprint of the decoded
-// analysis in bytes — the column charged at its length — what a
-// budget-keeping caller accounts for.
+// analysis in bytes — the column charged at its length, read or not —
+// what a budget-keeping caller accounts for.
 func (m *Mapped) Analysis() (*core.Analysis, int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return decodeAnalysis(m.data, m.lay, &m.walk)
+	return decodeAnalysis(m.data, m.lay, &m.walk, m.column)
+}
+
+// column reads the thunks section from the mapping's file into memory
+// the caller owns and checks its CRC: the column of an analysis after
+// the first, read when a reader first needs it, after Close too.
+func (m *Mapped) column() ([]byte, error) {
+	f, err := os.Open(m.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	s := m.lay.secs[secThunks]
+	b := make([]byte, s.length)
+	if _, err := f.ReadAt(b, int64(s.off)); err != nil {
+		return nil, fmt.Errorf("%s: thunks section: %w", m.path, err)
+	}
+	if b, err = m.lay.checked(secThunks, b); err != nil {
+		return nil, fmt.Errorf("%s: %w", m.path, err)
+	}
+	return b, nil
 }
 
 // Close unmaps the file. The Mapped must not be used afterwards;

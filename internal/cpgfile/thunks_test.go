@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -222,7 +223,8 @@ func decodedThunks(a *core.Analysis) int {
 
 // TestMappedDefersThunks pins the deferred thunks column: a Mapped keeps
 // the section as bytes the analysis owns, charges exactly those bytes,
-// and after its first materialization only copies and checksums them —
+// and after its first materialization only checksums them, reading the
+// column from the file when a reader first needs it —
 // while every reader of thunks (Encode, the renders, Stats) answers as
 // the eager per-vertex decode and the source analysis do. A file whose
 // symbol table does not re-intern to the identity is refused by both
@@ -281,6 +283,62 @@ func TestMappedDefersThunks(t *testing.T) {
 		t.Errorf("re-materialization allocated %d bytes, limit %d (1.25 x thunks section %d + thunkless decode %d)",
 			got, limit, section, twinGot)
 	}
+	if limit := uint64(section)/4 + twinGot; got > limit {
+		t.Errorf("re-materialization allocated %d bytes, limit %d (a quarter of the thunks section %d + thunkless decode %d): it copied the column before a reader asked",
+			got, limit, section, twinGot)
+	}
+
+	t.Run("a later analysis reads its column from the file, after Close too", func(t *testing.T) {
+		path, _ := encodeFile(t, src)
+		m, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.Analysis(); err != nil {
+			t.Fatal(err)
+		}
+		later, _, err := m.Analysis()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encoded(t, later), encoded(t, src)) {
+			t.Error("a later analysis encodes differently after Close")
+		}
+	})
+
+	t.Run("a later analysis checks the CRC of the column it reads", func(t *testing.T) {
+		path, _ := encodeFile(t, src)
+		m, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.Analysis(); err != nil {
+			t.Fatal(err)
+		}
+		later, _, err := m.Analysis()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		damaged := append([]byte(nil), file...)
+		damaged[lay.secs[secThunks].off+uint64(section)/2] ^= 0x40
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = Encode(io.Discard, later, Meta{})
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Section != "thunks" {
+			t.Fatalf("Encode: err = %v, want a *CorruptError naming \"thunks\"", err)
+		}
+		if st := later.Stats(); st.Thunks != subs*branches {
+			t.Errorf("Stats().Thunks = %d, want %d: the total needs no column", st.Thunks, subs*branches)
+		}
+	})
 
 	t.Run("the first materialization walks the column and checks the stats", func(t *testing.T) {
 		thunks := file[lay.secs[secThunks].off:][:section]
@@ -308,13 +366,15 @@ func TestMappedDefersThunks(t *testing.T) {
 	})
 
 	t.Run("a remembered walk still checks the copy's CRC", func(t *testing.T) {
+		// A later materialization copies nothing, so it checks the
+		// section's CRC in place.
 		data := append([]byte(nil), file...)
 		var walk thunkWalk
-		if _, _, err := decodeAnalysis(data, lay, &walk); err != nil || walk != (thunkWalk{done: true, total: subs * branches}) {
+		if _, _, err := decodeAnalysis(data, lay, &walk, nil); err != nil || walk != (thunkWalk{done: true, total: subs * branches}) {
 			t.Fatalf("first materialization: walk %+v, err %v", walk, err)
 		}
 		data[lay.secs[secThunks].off+uint64(section)/2] ^= 0x40
-		_, _, err := decodeAnalysis(data, lay, &walk)
+		_, _, err := decodeAnalysis(data, lay, &walk, nil)
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Section != "thunks" {
 			t.Fatalf("err = %v, want a *CorruptError naming \"thunks\"", err)

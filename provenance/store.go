@@ -245,7 +245,8 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Close unmaps every file. In-flight analyses stay valid (they own
-// their memory); the store must not be queried afterwards.
+// their memory, and read a thunks column they have not read yet from
+// its file); the store must not be queried afterwards.
 func (s *Store) Close() error {
 	var first error
 	for _, e := range s.entries {
