@@ -370,7 +370,7 @@ func TestAnalyzeDegenerateGraphs(t *testing.T) {
 		for _, p := range writes {
 			sc.WriteSet.Add(p)
 		}
-		if err := g.AppendSub(sc); err != nil {
+		if err := g.RestoreSubs(id.Thread, []*SubComputation{sc}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,7 +397,7 @@ func TestAnalyzeDegenerateGraphs(t *testing.T) {
 				g := NewGraph(3)
 				handSub(t, g, SubID{Thread: 0, Alpha: 0}, []uint64{1, 0, 0}, nil, []uint64{7})
 				handSub(t, g, SubID{Thread: 2, Alpha: 0}, []uint64{1, 0, 1}, []uint64{7}, nil)
-				g.RestoreSyncEdge(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 2, Alpha: 0}, g.InternObject("m"))
+				g.RestoreSyncLog([]Edge{{From: SubID{Thread: 0, Alpha: 0}, To: SubID{Thread: 2, Alpha: 0}}}, []ObjRef{g.InternObject("m")})
 				g.AddGap(0, Gap{FromAlpha: 0, ToAlpha: 4, Kind: GapAuxLoss, Bytes: 64})
 				g.AddGap(2, Gap{FromAlpha: 3, ToAlpha: 5, Kind: GapTruncated})
 				return g
@@ -429,8 +429,10 @@ func TestAnalyzeDegenerateGraphs(t *testing.T) {
 				g := NewGraph(2)
 				handSub(t, g, SubID{Thread: 0, Alpha: 0}, []uint64{1, 0}, nil, []uint64{7})
 				m := g.InternObject("m")
-				g.RestoreSyncEdge(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 1, Alpha: 3}, m)
-				g.RestoreSyncEdge(SubID{Thread: 9, Alpha: 0}, SubID{Thread: 0, Alpha: 0}, m)
+				g.RestoreSyncLog([]Edge{
+					{From: SubID{Thread: 0, Alpha: 0}, To: SubID{Thread: 1, Alpha: 3}},
+					{From: SubID{Thread: 9, Alpha: 0}, To: SubID{Thread: 0, Alpha: 0}},
+				}, []ObjRef{m, m})
 				return g
 			},
 			lens:     []int{1, 0},

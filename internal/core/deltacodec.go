@@ -118,9 +118,9 @@ func (d *EpochDelta) ParseWire(body []byte) error {
 		paths, total := stack[:0], 0
 		for i := range d.Subs {
 			sc := &SubComputation{ID: ParseSubID(&c, "delta.sub.id")}
-			ParseVertex(&c, sc)
-			sc.ReadSet = ParsePageSet(&c, "delta.sub.read_set")
-			sc.WriteSet = ParsePageSet(&c, "delta.sub.write_set")
+			ParseVertex(&c, sc, nil)
+			sc.ReadSet = ParsePageSet(&c, "delta.sub.read_set", nil)
+			sc.WriteSet = ParsePageSet(&c, "delta.sub.write_set", nil)
 			path, k, maxRef := walkThunks(&c)
 			sc.nThunks, sc.maxRef = uint32(k), maxRef
 			paths, total = append(paths, path), total+len(path)

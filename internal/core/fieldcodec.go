@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/repro/inspector/internal/vclock"
 	"github.com/repro/inspector/internal/vtime"
 	"github.com/repro/inspector/internal/wire"
 )
@@ -83,10 +82,11 @@ func AppendVertex(b []byte, sc *SubComputation) []byte {
 	return binary.AppendUvarint(b, sc.Instructions)
 }
 
-// ParseVertex reads the AppendVertex columns into sc.
-func ParseVertex(c *wire.Cursor, sc *SubComputation) {
+// ParseVertex reads the AppendVertex columns into sc, its clock into
+// words taken from w (see Words).
+func ParseVertex(c *wire.Cursor, sc *SubComputation, w *Words) {
 	if n := c.Count("vertex.clock", 1); n > 0 {
-		sc.Clock = make(vclock.Clock, n)
+		sc.Clock = w.take(n, len(c.Rest()))
 		for i := range sc.Clock {
 			sc.Clock[i] = c.Uvarint("vertex.clock")
 		}

@@ -169,19 +169,6 @@ func (s PageSet) Clone() PageSet {
 	return out
 }
 
-// pageSetFromSorted builds a set from pages already in strictly ascending
-// order (deserialization fast path).
-func pageSetFromSorted(pages []uint64) PageSet {
-	var s PageSet
-	s.n = len(pages)
-	if len(pages) <= pageSetInline {
-		copy(s.inline[:], pages)
-		return s
-	}
-	s.spill = append([]uint64(nil), pages...)
-	return s
-}
-
 // AppendPages appends a strictly ascending page list in the one
 // canonical form every serialization of a page set shares (the .cpg
 // sections, epoch-delta records): a uvarint count, the first page as a
@@ -197,15 +184,62 @@ func AppendPages(b []byte, pages []uint64) []byte {
 	return b
 }
 
-// ParsePages reads one AppendPages list at the cursor, appending the
-// pages to dst (fresh memory when dst is nil; an empty list leaves dst
-// as it was, nil stays nil). It follows the field codecs' rules
+// A Words chunk holds at most maxArenaWords words (32 KiB, one small
+// size class) and at least minArenaWords, unless the input admits fewer.
+const (
+	maxArenaWords = 32 << 10 / 8
+	minArenaWords = 32
+)
+
+// Words is where a decoder puts the words it parses — clocks, spilled
+// page sets, data-edge pages: runs carved from shared pointer-free
+// chunks, so a section's words cost a few allocations the GC never
+// scans, not one per field. A run the current chunk cannot hold starts
+// a new one of twice the last chunk's size, capped at maxArenaWords and
+// at what the bytes that remain in the section can still spell (every
+// word costs at least one); a run longer than maxArenaWords gets its
+// own allocation. So a forged count allocates no more than the
+// section's bytes admit, and a small graph is charged about its size,
+// not a full chunk. The zero value is ready; a nil *Words gives every
+// run its own exact allocation (the epoch delta's path, where a body
+// holds one vertex). Runs are cap-limited: appending to one copies it.
+type Words struct {
+	free  []uint64
+	chunk int // the last chunk's size
+}
+
+// take returns n words carved from the arena; admit bounds the words
+// the rest of the input can still spell.
+func (w *Words) take(n, admit int) []uint64 {
+	if w == nil || n > maxArenaWords {
+		return make([]uint64, n)
+	}
+	if n > len(w.free) {
+		w.chunk = max(n, min(admit, maxArenaWords, max(minArenaWords, 2*w.chunk)))
+		w.free = make([]uint64, w.chunk)
+	}
+	run := w.free[:n:n]
+	w.free = w.free[n:]
+	return run
+}
+
+// ParsePages reads one AppendPages list at the cursor into words taken
+// from w (an empty list is nil). It follows the field codecs' rules
 // (fieldcodec.go): the count is checked against the bytes that remain
-// — every page costs at least one — before dst grows by it, and a zero
-// delta or an overflowing one fails the cursor under field.
-func ParsePages(c *wire.Cursor, field string, dst []uint64) []uint64 {
+// — every page costs at least one — before any words are taken, and a
+// zero delta or an overflowing one fails the cursor under field.
+func ParsePages(c *wire.Cursor, field string, w *Words) []uint64 {
 	n := c.Count(field, 1)
-	dst = slices.Grow(dst, n)
+	if n == 0 {
+		return nil
+	}
+	return parsePageDeltas(c, field, n, w.take(n, len(c.Rest()))[:0])
+}
+
+// parsePageDeltas reads the n page deltas of an AppendPages list whose
+// count is read, appending the pages to dst, which has room for them.
+// On failure it returns nil.
+func parsePageDeltas(c *wire.Cursor, field string, n int, dst []uint64) []uint64 {
 	prev := uint64(0)
 	for i := 0; i < n; i++ {
 		d := c.Uvarint(field)
@@ -230,9 +264,17 @@ func ParsePages(c *wire.Cursor, field string, dst []uint64) []uint64 {
 // both write vertex page sets through it.
 func AppendPageSet(b []byte, s *PageSet) []byte { return AppendPages(b, s.view()) }
 
-// ParsePageSet reads one page list into a set that owns its storage:
-// inline up to pageSetInline pages (no allocation), spilled beyond.
-func ParsePageSet(c *wire.Cursor, field string) PageSet {
-	var scratch [pageSetInline]uint64
-	return pageSetFromSorted(ParsePages(c, field, scratch[:0]))
+// ParsePageSet reads one page list into a set: inline up to
+// pageSetInline pages (no words taken), spilled beyond into words taken
+// from w. A list that fails to parse is the empty set.
+func ParsePageSet(c *wire.Cursor, field string, w *Words) PageSet {
+	n := c.Count(field, 1)
+	if n <= pageSetInline {
+		var scratch [pageSetInline]uint64
+		var s PageSet
+		s.n = copy(s.inline[:], parsePageDeltas(c, field, n, scratch[:0]))
+		return s
+	}
+	spill := parsePageDeltas(c, field, n, w.take(n, len(c.Rest()))[:0])
+	return PageSet{n: len(spill), spill: spill}
 }

@@ -204,15 +204,21 @@ func TestQuickExportRoundTripPreservesEdges(t *testing.T) {
 		for _, s := range g.Symbols() {
 			g2.InternSite(s) // same table, so refs carry over as they are
 		}
-		for _, sc := range a.Subs() {
-			cp := *sc
-			if err := g2.AppendSub(&cp); err != nil {
+		for t, n := range a.ThreadLens() {
+			run := make([]*SubComputation, n)
+			for i, sc := range g.ThreadSeq(t)[:n] {
+				cp := *sc
+				run[i] = &cp
+			}
+			if err := g2.RestoreSubs(t, run); err != nil {
 				return false
 			}
 		}
-		for _, e := range syncEdges {
-			g2.RestoreSyncEdge(e.From, e.To, g2.InternObject(e.Object))
+		objs := make([]ObjRef, len(syncEdges))
+		for i, e := range syncEdges {
+			objs[i] = g2.InternObject(e.Object)
 		}
+		g2.RestoreSyncLog(syncEdges, objs)
 		a2, err := NewAnalysisFromSections(g2, a.ThreadLens(), a.Epoch(), syncEdges, dataEdges)
 		if err != nil {
 			return false

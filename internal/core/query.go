@@ -121,21 +121,6 @@ func (g *Graph) AnalyzeAs(e uint64) *Analysis {
 	return inc.FoldAs(e)
 }
 
-// controlEdgesFor generates the program-order edges of a vertex prefix.
-func controlEdgesFor(lens []int) []Edge {
-	var out []Edge
-	for t, n := range lens {
-		for i := 1; i < n; i++ {
-			out = append(out, Edge{
-				From: SubID{Thread: t, Alpha: uint64(i - 1)},
-				To:   SubID{Thread: t, Alpha: uint64(i)},
-				Kind: EdgeControl,
-			})
-		}
-	}
-	return out
-}
-
 // subInPrefix reports whether id lies inside the prefix bounded by lens.
 func subInPrefix(id SubID, lens []int) bool {
 	return id.Thread >= 0 && id.Thread < len(lens) && id.Alpha < uint64(lens[id.Thread])
@@ -167,21 +152,49 @@ func (a *Analysis) ObjectRef(name string) (ObjRef, bool) {
 // Edges returns all derived edges in the canonical order (control, then
 // sync, then data, each section sorted). The flat sequence is
 // materialized lazily on first call and cached; traversals never touch
-// it — only exports and full-sweep consumers pay for it.
+// it — only exports and full-sweep consumers pay for it. A one-pass
+// consumer that keeps few of the edges ranges over AllEdges instead.
 func (a *Analysis) Edges() []Edge {
 	a.flatOnce.Do(func() {
-		syncSeq, dataSeq := canonicalRefSeqs(a.ar, a.succ, a.layers)
-		out := controlEdgesFor(a.lens)
-		out = slices.Grow(out, len(syncSeq)+len(dataSeq))
-		for _, r := range syncSeq {
-			out = append(out, *a.ar.edge(r))
+		var out []Edge // nil when there are none: ExportJSON prints null
+		if st := a.Stats(); st.ControlEdges+st.SyncEdges+st.DataEdges > 0 {
+			out = make([]Edge, 0, st.ControlEdges+st.SyncEdges+st.DataEdges)
 		}
-		for _, r := range dataSeq {
-			out = append(out, *a.ar.edge(r))
+		for e := range a.AllEdges {
+			out = append(out, *e)
 		}
 		a.flat = out
 	})
 	return a.flat
+}
+
+// AllEdges yields the edges of Edges, in its order, without
+// materializing them: the control edges generated from the prefix
+// lens, then the sync and data sections read from the arenas by ref
+// (the canonical sequences of a one-fold analysis — a restored .cpg, a
+// batch Analyze — are its stored ones; a live fold's overlay is merged
+// first). A yielded edge is the analysis's own, or a control edge
+// reused for the next one: the caller copies what it keeps and modifies
+// nothing.
+func (a *Analysis) AllEdges(yield func(*Edge) bool) {
+	ctrl := Edge{Kind: EdgeControl}
+	for t, n := range a.lens {
+		for i := 1; i < n; i++ {
+			ctrl.From = SubID{Thread: t, Alpha: uint64(i - 1)}
+			ctrl.To = SubID{Thread: t, Alpha: uint64(i)}
+			if !yield(&ctrl) {
+				return
+			}
+		}
+	}
+	syncSeq, dataSeq := canonicalRefSeqs(a.ar, a.succ, a.layers)
+	for _, seq := range [...][]edgeRef{syncSeq, dataSeq} {
+		for _, r := range seq {
+			if !yield(a.ar.edge(r)) {
+				return
+			}
+		}
+	}
 }
 
 // Epoch returns the epoch number of the fold that produced this

@@ -111,10 +111,35 @@ func (s EdgeSeq) copyOut() []Edge {
 	return out
 }
 
-// AppendSub appends a restored sub-computation to its thread's shard —
-// the deserialization mirror of the EndSub append path. Alphas must
-// arrive dense and in order per thread.
-func (g *Graph) AppendSub(sc *SubComputation) error { return g.add(sc) }
+// RestoreSubs appends a restored run of thread t's vertices to its
+// shard — the deserialization mirror of the EndSub append path, taking
+// the shard lock once and publishing the new length once for the whole
+// run. The run must continue the shard: run[i] is T{t}.{len+i}. An
+// empty shard keeps run itself, so the caller must not modify it
+// afterwards.
+func (g *Graph) RestoreSubs(t int, run []*SubComputation) error {
+	sh := g.shard(t)
+	if sh == nil {
+		return fmt.Errorf("core: thread slot %d out of range [0,%d)", t, g.threads)
+	}
+	if g.column != nil {
+		return fmt.Errorf("core: thread %d restored into a graph whose thunk column is sealed", t)
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for i, sc := range run {
+		if want := (SubID{Thread: t, Alpha: uint64(len(sh.seq) + i)}); sc.ID != want {
+			return fmt.Errorf("core: %v restored where %v belongs", sc.ID, want)
+		}
+	}
+	if len(sh.seq) == 0 {
+		sh.seq = run[:len(run):len(run)]
+	} else {
+		sh.seq = append(sh.seq, run...)
+	}
+	sh.nSeq.Store(int64(len(sh.seq)))
+	return nil
+}
 
 // thunkColumn is a control path kept in its encoded form: the
 // AppendThunks lists of every vertex of a graph, back to back in
@@ -183,11 +208,48 @@ func (g *Graph) AppendThunkColumn(b []byte, subs []*SubComputation) ([]byte, err
 	return b, nil
 }
 
-// RestoreSyncEdge re-records a release -> acquire schedule dependency in
-// the acquiring thread's edge log (deserialization path; the object ref
-// must come from this graph's interner).
-func (g *Graph) RestoreSyncEdge(from, to SubID, object ObjRef) {
-	g.addSyncEdge(from, to, object)
+// RestoreSyncLog re-records a decoded sync section in its acquiring
+// threads' edge logs (deserialization path): edges[i] is a release ->
+// acquire dependency on the object objs[i], a ref of this graph's
+// interner. Each thread's entries keep the order given and go into its
+// log presized, under one lock; an entry whose acquiring thread has no
+// slot is dropped, as the recorder drops it.
+func (g *Graph) RestoreSyncLog(edges []Edge, objs []ObjRef) {
+	// Thread t's entries go to recs[off[t]:off[t+1]]: count, sum, then
+	// place each entry at its thread's cursor, which leaves off[t] at the
+	// end of thread t's run.
+	off := make([]int, len(g.shards)+1)
+	for i := range edges {
+		if t := edges[i].To.Thread; g.shard(t) != nil {
+			off[t+1]++
+		}
+	}
+	for t := range g.shards {
+		off[t+1] += off[t]
+	}
+	recs := make([]syncEdgeRec, off[len(g.shards)])
+	for i := range edges {
+		if e := &edges[i]; g.shard(e.To.Thread) != nil {
+			recs[off[e.To.Thread]] = syncEdgeRec{From: e.From, To: e.To, Object: objs[i]}
+			off[e.To.Thread]++
+		}
+	}
+	lo := 0
+	for t := range g.shards {
+		run := recs[lo:off[t]:off[t]]
+		if lo = off[t]; len(run) == 0 {
+			continue
+		}
+		sh := &g.shards[t]
+		sh.mu.Lock()
+		if sh.syncEdges == nil {
+			sh.syncEdges = run
+		} else {
+			sh.syncEdges = append(sh.syncEdges, run...)
+		}
+		sh.nSync.Store(int64(len(sh.syncEdges)))
+		sh.mu.Unlock()
+	}
 }
 
 // EdgeCanonicalLess reports the canonical edge order — (From, To,

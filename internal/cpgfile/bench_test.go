@@ -70,3 +70,28 @@ func BenchmarkMappedAnalysis(b *testing.B) {
 		})
 	}
 }
+
+// TestAllocsMappedAnalysis pins what a re-materialization allocates:
+// vertices from slabs of 128, their words from shared chunks, each
+// thread's run and sync log restored whole, so the count is
+// O(vertices/64 + threads), not one or more per vertex (a decode that
+// allocated per vertex made 6 266 objects of this fixture).
+func TestAllocsMappedAnalysis(t *testing.T) {
+	a := encodeFixture()
+	path, _ := encodeFile(t, a)
+	m := openMapped(t, path)
+	if _, _, err := m.Analysis(); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if _, _, err := m.Analysis(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	vertices, threads := a.NumVertices(), len(a.ThreadLens())
+	limit := float64(vertices/64 + 16*threads + 32)
+	t.Logf("%v allocs per re-materialization of %d vertices on %d threads (limit %v)", got, vertices, threads, limit)
+	if got > limit {
+		t.Errorf("re-materialization allocated %v objects, want at most %v (vertices/64 + 16 x threads + 32)", got, limit)
+	}
+}

@@ -21,6 +21,10 @@ const (
 	maxHeaderLen = 1 << 24
 )
 
+// slabVertices is the most vertices one slab of a materialization
+// holds: 128 SubComputations are 32 KiB, exactly four pages.
+const slabVertices = 128
+
 // Least bytes one element of this file's own lists can occupy.
 const (
 	minEdgeBytes      = 2*core.MinSubIDBytes + 1 // + object ref or page count
@@ -268,20 +272,44 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 		lens[t] = cv.Count("layout.len", core.MinVertexBytes)
 		vertices += lens[t]
 	}
+	// Vertices come from slabs of at most slabVertices, and their words
+	// — clocks, spilled page sets, later the data edges' pages — from
+	// one arena: each slab and chunk sized by what its section's
+	// remaining bytes admit. Each thread's run goes into the graph
+	// whole.
+	var (
+		words  core.Words
+		slab   []core.SubComputation
+		parsed int
+	)
 	for t, n := range lens {
+		if n == 0 {
+			continue
+		}
+		run := make([]*core.SubComputation, 0, min(n, len(cv.Rest())/core.MinVertexBytes))
 		for alpha := 0; alpha < n && intact(); alpha++ {
-			sc := &core.SubComputation{ID: core.SubID{Thread: t, Alpha: uint64(alpha)}}
-			core.ParseVertex(cv, sc)
+			if len(slab) == 0 {
+				slab = make([]core.SubComputation, max(1, min(slabVertices, vertices-parsed, len(cv.Rest())/core.MinVertexBytes)))
+			}
+			sc := &slab[0]
+			slab = slab[1:]
+			sc.ID = core.SubID{Thread: t, Alpha: uint64(alpha)}
+			core.ParseVertex(cv, sc, &words)
 			checkRef(cv, "vertex.end.object", uint32(sc.End.Object))
-			sc.ReadSet = core.ParsePageSet(cr, "read_set")
-			sc.WriteSet = core.ParsePageSet(cw, "write_set")
+			sc.ReadSet = core.ParsePageSet(cr, "read_set", &words)
+			sc.WriteSet = core.ParsePageSet(cw, "write_set", &words)
 			if !intact() {
 				break
 			}
 			footprint += fpPerSub + fpPerWord*int64(len(sc.Clock)+sc.ReadSet.Len()+sc.WriteSet.Len())
-			if err := g.AppendSub(sc); err != nil {
-				cv.Fail("vertex", fmt.Sprintf("%v rejected: %v", sc.ID, err))
-			}
+			run = append(run, sc)
+			parsed++
+		}
+		if !intact() {
+			break
+		}
+		if err := g.RestoreSubs(t, run); err != nil {
+			cv.Fail("vertex", fmt.Sprintf("thread %d rejected: %v", t, err))
 		}
 	}
 	// The column that failed is the damaged one; the others merely
@@ -314,19 +342,26 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 	}
 	footprint += int64(lay.secs[secThunks].length)
 
-	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge) {
-		obj := core.ObjRef(c.Uint32("edge.object"))
-		checkRef(c, "edge.object", uint32(obj))
+	// The sync section is also the graph's sync log, restored in one
+	// call once the section has decoded.
+	var objs []core.ObjRef
+	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge, n int) {
+		obj := c.Uint32("edge.object")
+		checkRef(c, "edge.object", obj)
 		if c.Err() == nil {
-			g.RestoreSyncEdge(e.From, e.To, obj)
-			e.Kind, e.Object = core.EdgeSync, g.ObjectName(obj)
+			if objs == nil {
+				objs = make([]core.ObjRef, 0, n)
+			}
+			objs = append(objs, core.ObjRef(obj))
+			e.Kind, e.Object = core.EdgeSync, syms[obj]
 		}
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	dataEdges, err := decodeEdges(lay, data, secDataEdges, lens, func(c *wire.Cursor, e *core.Edge) {
-		e.Kind, e.Pages = core.EdgeData, core.ParsePages(c, "edge.pages", nil)
+	g.RestoreSyncLog(syncEdges, objs)
+	dataEdges, err := decodeEdges(lay, data, secDataEdges, lens, func(c *wire.Cursor, e *core.Edge, _ int) {
+		e.Kind, e.Pages = core.EdgeData, core.ParsePages(c, "edge.pages", &words)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -387,8 +422,9 @@ func walkThunks(col []byte, vertices int, checkRef func(*wire.Cursor, string, ui
 
 // decodeEdges reads one canonical edge section — sync or data: a count,
 // then per edge its two endpoints (each inside the vertex layout) and
-// the payload that rest reads into it — and checks the stored order.
-func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, rest func(*wire.Cursor, *core.Edge)) ([]core.Edge, error) {
+// the payload that rest reads into it, told the section's edge count —
+// and checks the stored order.
+func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, rest func(c *wire.Cursor, e *core.Edge, n int)) ([]core.Edge, error) {
 	c, err := lay.section(data, kind)
 	if err != nil {
 		return nil, err
@@ -404,7 +440,7 @@ func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, rest fun
 	for i := range edges {
 		e := &edges[i]
 		e.From, e.To = endpoint(), endpoint()
-		rest(&c, e)
+		rest(&c, e, len(edges))
 		if c.Err() != nil {
 			break
 		}

@@ -130,19 +130,23 @@ func eagerDecode(data []byte) (*core.Analysis, error) {
 	for _, s := range syms {
 		g.InternSite(s)
 	}
-	for _, sc := range a.Subs() {
-		twin := *sc
-		thunks := parseThunks(&c)
-		if err := c.Err(); err != nil {
-			return nil, fmt.Errorf("%v: %w", sc.ID, err)
-		}
-		for _, th := range thunks {
-			if int(th.Site) >= len(syms) || int(th.Target) >= len(syms) {
-				return nil, fmt.Errorf("%v: thunk %d refs outside the %d-entry table", sc.ID, th.Index, len(syms))
+	for t, n := range a.ThreadLens() {
+		run := make([]*core.SubComputation, n)
+		for i, sc := range src.ThreadSeq(t)[:n] {
+			twin := *sc
+			thunks := parseThunks(&c)
+			if err := c.Err(); err != nil {
+				return nil, fmt.Errorf("%v: %w", sc.ID, err)
 			}
+			for _, th := range thunks {
+				if int(th.Site) >= len(syms) || int(th.Target) >= len(syms) {
+					return nil, fmt.Errorf("%v: thunk %d refs outside the %d-entry table", sc.ID, th.Index, len(syms))
+				}
+			}
+			twin.SetThunks(thunks)
+			run[i] = &twin
 		}
-		twin.SetThunks(thunks)
-		if err := g.AppendSub(&twin); err != nil {
+		if err := g.RestoreSubs(t, run); err != nil {
 			return nil, err
 		}
 	}
@@ -150,9 +154,11 @@ func eagerDecode(data []byte) (*core.Analysis, error) {
 		return nil, err
 	}
 	syncEdges, dataEdges := a.EdgeSections()
-	for _, e := range syncEdges {
-		g.RestoreSyncEdge(e.From, e.To, g.InternObject(e.Object))
+	objs := make([]core.ObjRef, len(syncEdges))
+	for i, e := range syncEdges {
+		objs[i] = g.InternObject(e.Object)
 	}
+	g.RestoreSyncLog(syncEdges, objs)
 	for t := range src.Threads() {
 		for _, gp := range src.ThreadGapList(t) {
 			g.AddGap(t, gp)

@@ -72,16 +72,16 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 		res.Total = 1
 
 	case KindEdges:
-		// Filter on the core representation and materialize wire form
-		// (string conversions) only for the returned page, so paging
-		// through a huge listing costs one scan per page, not one full
-		// re-materialization.
+		// Filter on the core representation, walking the canonical
+		// order in place, and materialize wire form (string
+		// conversions) only for the returned page: a query allocates
+		// for the edges it matches, not for the graph's, and paging
+		// through a huge listing costs one scan per page.
 		var matched []core.Edge
-		for _, edge := range e.a.Edges() {
-			if !edgeKindIn(edge.Kind, kinds) || !q.matchEdge(edge) {
-				continue
+		for edge := range e.a.AllEdges {
+			if edgeKindIn(edge.Kind, kinds) && q.matchEdge(edge) {
+				matched = append(matched, *edge)
 			}
-			matched = append(matched, edge)
 		}
 		res.Total = len(matched)
 		page, next := paginate(matched, offset, e.pageLimit(q.Limit))
@@ -268,7 +268,7 @@ func (q *Query) matchID(id core.SubID) bool {
 // matchEdge applies the vertex filter (an edge passes when either
 // endpoint does) and the page window (data edges carrying a page inside
 // it; edges without pages drop when a window is set).
-func (q *Query) matchEdge(e core.Edge) bool {
+func (q *Query) matchEdge(e *core.Edge) bool {
 	if q.hasVertexFilter() && !q.matchID(e.From) && !q.matchID(e.To) {
 		return false
 	}

@@ -3,11 +3,14 @@ package provenance
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
+	"github.com/repro/inspector/internal/cpgfile"
 )
 
 // figure1 records the paper's Figure 1 execution (lock handoff
@@ -228,6 +231,46 @@ func TestEnginePagination(t *testing.T) {
 	res = mustExecute(t, capped, Query{Kind: KindSlice, Target: target.String()})
 	if res.Total > 10 && (len(res.IDs) != 10 || res.NextCursor == "") {
 		t.Errorf("slice clamp: %d/%d ids, cursor %q", len(res.IDs), res.Total, res.NextCursor)
+	}
+}
+
+// TestAllocsEdgesQueryRestored pins that an edges query walks the
+// canonical edge order in place: on a restored analysis, which has
+// never built its flat edge list, a query matching a few edges
+// allocates for those, not for every edge of the graph (the flat list
+// alone is 80 bytes an edge, which Execute used to build and keep).
+func TestAllocsEdgesQueryRestored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.cpg")
+	if err := cpgfile.Write(path, cpgbench.BuildRandomGraph(4, 2000, 64, 2, 7).Analyze(), cpgfile.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := cpgfile.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := a.Stats()
+	edges := st.ControlEdges + st.SyncEdges + st.DataEdges
+	thread, lo, hi := 0, uint64(10), uint64(13)
+	q := Query{Kind: KindEdges, Thread: &thread, AlphaMin: &lo, AlphaMax: &hi}
+	e := NewEngine(a, EngineOptions{})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := e.Execute(context.Background(), q)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(1<<10*res.Total + 16<<10)
+	t.Logf("edges query matching %d of %d edges allocated %d B (limit %d)", res.Total, edges, allocated, limit)
+	if res.Total == 0 || uint64(80*edges) < 8*limit {
+		t.Fatalf("scenario degenerate: %d of %d edges matched", res.Total, edges)
+	}
+	if allocated > limit {
+		t.Errorf("edges query allocated %d B for %d matched edges, want at most %d (1 KiB each + 16 KiB): it built a list of all %d edges",
+			allocated, res.Total, limit, edges)
 	}
 }
 

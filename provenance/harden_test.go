@@ -185,21 +185,27 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 }
 
 // gateSource blocks queries until released, pinning a request
-// in-flight for as long as a test needs.
+// in-flight for as long as a test needs. A query that reaches it sends
+// on reached, if that has room.
 type gateSource struct {
 	Source
-	gate chan struct{}
+	gate    chan struct{}
+	reached chan struct{}
 }
 
 func (g gateSource) Query(ctx context.Context, q Query) (*Result, error) {
+	select {
+	case g.reached <- struct{}{}:
+	default:
+	}
 	<-g.gate
 	return g.Source.Query(ctx, q)
 }
 
 func TestMaxInflightSheds(t *testing.T) {
-	gate := make(chan struct{})
+	gate, reached := make(chan struct{}), make(chan struct{}, 1)
 	srv := NewServerSources(map[string]Source{
-		"slow": gateSource{Source: StaticSource(NewEngine(figure1(t), EngineOptions{})), gate: gate},
+		"slow": gateSource{Source: StaticSource(NewEngine(figure1(t), EngineOptions{})), gate: gate, reached: reached},
 	}, ServerOptions{MaxInflight: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -215,28 +221,28 @@ func TestMaxInflightSheds(t *testing.T) {
 		resp.Body.Close()
 		firstDone <- resp.StatusCode
 	}()
-	// Wait until the first request holds the slot (it blocks on the gate
-	// inside the handler, after admission). The poll must not resolve the
-	// gated source itself — an unknown id exercises admission (the /v1
-	// prefix) and answers 404 without touching a source, so it can never
-	// block; once the slot is held it answers 503.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/cpgs/absent/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if ra := resp.Header.Get("Retry-After"); ra != "1" {
-				t.Errorf("Retry-After = %q, want \"1\"", ra)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second /v1 request was never shed")
-		}
-		time.Sleep(time.Millisecond)
+	// The first request holds the slot once it reaches the gated source
+	// (admission comes before the source is resolved). Polling instead
+	// could shed the first request: a poll admitted before it holds the
+	// slot, and the first is the one turned away.
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first /v1 request never reached its source")
+	}
+	// An unknown id exercises admission (the /v1 prefix) without
+	// touching a source, so it can never block: with the slot held it is
+	// shed.
+	resp, err := http.Get(ts.URL + "/v1/cpgs/absent/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("second /v1 request = %d while the slot is held, want 503", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	// Probes bypass the limit. (/readyz shares the same bypass but
 	// resolves every source for epoch reporting, which this test's
@@ -255,7 +261,7 @@ func TestMaxInflightSheds(t *testing.T) {
 		t.Errorf("in-flight request finished with %d", code)
 	}
 	// The slot is free again.
-	resp, err := http.Get(ts.URL + "/v1/cpgs")
+	resp, err = http.Get(ts.URL + "/v1/cpgs")
 	if err != nil {
 		t.Fatal(err)
 	}
