@@ -85,6 +85,36 @@ var (
 		}
 		return g.Analyze(), target
 	})
+	// handoffGraph is the Analyze/handoff fixture: one mutex handed
+	// between 8 threads at random for 2000 steps, each step acquiring
+	// it from the last releaser, so nearly every step logs a
+	// cross-thread sync edge.
+	handoffGraph = sync.OnceValue(func() *core.Graph {
+		r := rand.New(rand.NewSource(45))
+		g := core.NewGraph(8)
+		recs := make([]*core.Recorder, g.Threads())
+		for i := range recs {
+			rec, err := core.NewRecorder(g, i, 0)
+			if err != nil {
+				panic(err)
+			}
+			recs[i] = rec
+		}
+		lock := g.NewSyncObject("l", false)
+		ev := core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}
+		for range 2000 {
+			rec := recs[r.Intn(len(recs))]
+			rec.Acquire(lock)
+			rec.OnRead(uint64(r.Intn(64)))
+			rec.OnWrite(uint64(r.Intn(64)))
+			sc, err := rec.EndSub(ev, 0)
+			if err != nil {
+				panic(err)
+			}
+			rec.Release(lock, sc)
+		}
+		return g
+	})
 	// liveSchedule is the DataEdges/sparse execution, pre-drawn.
 	liveSchedule = sync.OnceValue(func() *cpgbench.Schedule { return cpgbench.DrawSchedule(8, 2000, 64, 1, 42) })
 	// largeSchedule is a 2^20-step 8-thread execution (>=10^6 vertices),
@@ -184,13 +214,21 @@ func BenchmarkDataEdges(b *testing.B) { benchDataEdges(b, sparseGraph()) }
 func BenchmarkDataEdgesDense(b *testing.B) { benchDataEdges(b, denseGraph()) }
 
 // BenchmarkAnalyze measures full analysis construction (edge derivation
-// plus CSR adjacency).
+// plus CSR adjacency) on the sparse fixture, which logs no sync edge,
+// and on handoffGraph, where nearly every vertex acquires one.
 func BenchmarkAnalyze(b *testing.B) {
-	g := sparseGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Analyze()
+	for _, c := range []struct {
+		name string
+		g    func() *core.Graph
+	}{{"sparse", sparseGraph}, {"handoff", handoffGraph}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.g()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Analyze()
+			}
+		})
 	}
 }
 

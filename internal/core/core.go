@@ -42,7 +42,8 @@ func (id SubID) Less(other SubID) bool {
 // (16 bytes of string header replaced by 4 bytes each); Graph.SiteName
 // recovers the labels, and exports materialize them transparently.
 type Thunk struct {
-	// Index is β, the thunk counter within the sub-computation.
+	// Index is β, the thunk counter within the sub-computation: the
+	// thunk's position in its control path, which no encoding spells.
 	Index uint64
 	// Site labels the branch site that ended the thunk.
 	Site SiteRef
@@ -128,16 +129,15 @@ func (sc *SubComputation) Thunks(yield func(int, Thunk) bool) { thunksIn(sc.path
 func (sc *SubComputation) NumThunks() int { return int(sc.nThunks) }
 
 // SetThunks replaces the control path with thunks, encoded — for a
-// vertex built by hand rather than recorded. The recorder numbers a
-// path's thunks 0, 1, 2, …; a path set here that does not is refused by
-// every decoder (ParseWire, the .cpg load). A path holds at most 2^32-1
-// thunks.
+// vertex built by hand rather than recorded. A thunk's index is its
+// position in thunks: Index is not read, and Thunks numbers the path 0,
+// 1, 2, … . A path holds at most 2^32-1 thunks.
 func (sc *SubComputation) SetThunks(thunks []Thunk) {
 	var path []byte
 	var maxRef SiteRef
 	for i := range thunks {
 		th := &thunks[i]
-		path = appendThunk(path, th.Index, th.Site, thunkFlags(th.Taken, th.Indirect), th.Target, th.Instructions)
+		path = appendThunk(path, th.Site, thunkFlags(th.Taken, th.Indirect), th.Target, th.Instructions)
 		maxRef = max(maxRef, th.Site, th.Target)
 	}
 	sc.path, sc.nThunks, sc.maxRef = string(path), uint32(len(thunks)), maxRef

@@ -9,7 +9,7 @@ import (
 )
 
 // The binary form of an EpochDelta — the payload of every journal record
-// and ingest frame (wire format version 2). Fields are written row-wise
+// and ingest frame (wire format version 3). Fields are written row-wise
 // in struct order through the field codecs the .cpg sections lay out
 // column-wise (fieldcodec.go, AppendPages): uvarints, length-prefixed
 // strings, the page-list form, one kind/flags byte where the value is
@@ -23,7 +23,7 @@ import (
 //	    len(Clock), Clock...
 //	    End.Kind byte, End.Object, Start, Finish, Instructions
 //	    ReadSet pages, WriteSet pages
-//	    len(Thunks), {Index, Site, flags byte (1 taken | 2 indirect), Target, Instructions}...
+//	    len(Thunks), {Site<<3 | flags (1 taken | 2 indirect | 4 target), [Target if 4], Instructions}...
 //	len(Sync), {from thread, from alpha, to thread, to alpha, object}...
 //	len(Gaps), {thread, FromAlpha, ToAlpha, Kind byte, Bytes}...
 //

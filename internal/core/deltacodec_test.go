@@ -1,6 +1,6 @@
 package core_test
 
-// Tests of the epoch delta's binary form (wire format version 2): what
+// Tests of the epoch delta's binary form (wire format version 3): what
 // goes in comes out — as the value the version-1 gob payload decoded to,
 // nil-for-empty and inline-or-spilled page sets included — nothing
 // decoded points into the frame body, and every way an untrusted body
@@ -12,6 +12,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -288,7 +289,7 @@ func TestDeltaCodecRejectsHostileBodies(t *testing.T) {
 		sets    = uv(0, 0)                          // empty read and write sets
 		sub     = cat(subID, clock, scalars, sets)  // up to the thunk count
 		tail    = uv(0, 0)                          // no sync edges, no gaps
-		thunk   = cat(uv(0, 1), []byte{3}, uv(0, 300))
+		thunk   = uv(1<<3|3, 300)                   // site 1, taken and indirect, no target
 	)
 	valid := cat(head, uv(1), sub, uv(1), thunk, tail)
 	if err := new(core.EpochDelta).ParseWire(valid); err != nil {
@@ -317,12 +318,12 @@ func TestDeltaCodecRejectsHostileBodies(t *testing.T) {
 		{"page delta overflow", "delta.sub.write_set", cat(head, uv(1), subID, clock, scalars, uv(0), uv(2, 1<<63, 1<<63), uv(0), tail)},
 		{"truncated page list", "delta.sub.write_set", cat(head, uv(1), subID, clock, scalars, uv(0), uv(3, 1, 1))},
 		{"thunk count beyond the body", "thunks", cat(head, uv(1), sub, uv(9), thunk, tail)},
-		{"thunk flags over 3", "thunk.flags", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{4}, uv(0, 5), tail)},
-		{"thunk site over 32 bits", "thunk.site", cat(head, uv(1), sub, uv(1), uv(0, 1<<32), []byte{1}, uv(0, 5), tail)},
-		{"thunk target over 32 bits", "thunk.target", cat(head, uv(1), sub, uv(1), uv(0, 1), []byte{2}, uv(1<<32, 5), tail)},
-		{"first thunk index not 0", "thunk.index", cat(head, uv(1), sub, uv(1), uv(1, 1), []byte{0}, uv(0, 5), tail)},
-		{"thunk index that repeats", "thunk.index", cat(head, uv(1), sub, uv(2), thunk, thunk, tail)},
-		{"thunk index that skips", "thunk.index", cat(head, uv(1), sub, uv(2), thunk, uv(2, 1), []byte{0}, uv(0, 5), tail)},
+		{"overlong thunk head", "thunk.site", cat(head, uv(1), sub, uv(1), overlong, tail)},
+		{"thunk site over 32 bits", "thunk.site", cat(head, uv(1), sub, uv(1), uv(1<<35, 5), tail)},
+		{"flagged thunk target of 0", "thunk.target", cat(head, uv(1), sub, uv(1), uv(1<<3|6, 0, 5), tail)},
+		{"flagged thunk target over 32 bits", "thunk.target", cat(head, uv(1), sub, uv(1), uv(1<<3|6, 1<<32, 5), tail)},
+		{"flagged thunk target cut off", "thunk.target", cat(head, uv(1), sub, uv(1), uv(1<<3|6), []byte{0x80})},
+		{"second thunk's instructions cut off", "thunk.instructions", cat(head, uv(1), sub, uv(2), thunk, uv(2<<3), []byte{0x80})},
 		{"sync count beyond the body", "delta.sync", cat(head, uv(0), huge)},
 		{"sync object over 32 bits", "delta.sync.object", cat(head, uv(0), uv(1, 0, 0, 1, 0, 1<<32), uv(0))},
 		{"gap count beyond the body", "delta.gaps", cat(head, uv(0, 0), huge)},
@@ -331,6 +332,17 @@ func TestDeltaCodecRejectsHostileBodies(t *testing.T) {
 		{"cut mid-uvarint", "thunk.instructions", valid[:len(valid)-len(tail)-1]},
 		{"cut between fields", "thunks", valid[:len(valid)-len(tail)-2]},
 		{"trailing bytes", "end of record", cat(valid, []byte{0})},
+	}
+	// The thunk element rows pin the offset too: where the lying field
+	// starts, past the prefix that ends with the thunk count.
+	elems := len(cat(head, uv(1), sub, uv(1)))
+	at := map[string]int{
+		"overlong thunk head":                 elems,
+		"thunk site over 32 bits":             elems,
+		"flagged thunk target of 0":           elems + 1,
+		"flagged thunk target over 32 bits":   elems + 1,
+		"flagged thunk target cut off":        elems + 1,
+		"second thunk's instructions cut off": elems + len(thunk) + 1,
 	}
 	for _, row := range rows {
 		err := new(core.EpochDelta).ParseWire(row.body)
@@ -341,6 +353,9 @@ func TestDeltaCodecRejectsHostileBodies(t *testing.T) {
 		}
 		if pe.Field != row.field {
 			t.Errorf("%s: error names %q, want %q (%v)", row.name, pe.Field, row.field, err)
+		}
+		if off, ok := at[row.name]; ok && pe.Offset != off {
+			t.Errorf("%s: error at byte %d, want %d (%v)", row.name, pe.Offset, off, err)
 		}
 	}
 
@@ -401,6 +416,66 @@ func FuzzDeltaPayload(f *testing.F) {
 	})
 }
 
+// TestSetThunksRoundTrips: every path SetThunks takes comes back from
+// its bytes as it went in, numbered by position — through Thunks, and
+// through the walk and a delta's wire form — at the edges of each
+// field: site and target 0 and 2^32-1, a conditional thunk with a
+// target, an indirect one without, and 0 and 2^64-1 instructions.
+func TestSetThunksRoundTrips(t *testing.T) {
+	const maxRef = core.SiteRef(math.MaxUint32)
+	edges := []core.Thunk{
+		{},
+		{Site: maxRef, Taken: true, Instructions: math.MaxUint64},
+		{Site: 15, Target: 1, Instructions: 127}, // a conditional thunk with a target
+		{Site: 16, Taken: true, Target: maxRef, Instructions: 128},
+		{Site: 1, Indirect: true}, // unresolved: target 0
+		{Site: 2, Indirect: true, Target: 3, Instructions: 1 << 35},
+		{Site: maxRef, Taken: true, Indirect: true, Target: maxRef, Instructions: math.MaxUint64},
+	}
+	r := rand.New(rand.NewSource(3))
+	random := make([]core.Thunk, 500)
+	for i := range random {
+		random[i] = core.Thunk{
+			Site:         core.SiteRef(r.Uint32() >> r.Intn(32)),
+			Taken:        r.Intn(2) == 0,
+			Indirect:     r.Intn(2) == 0,
+			Instructions: r.Uint64() >> r.Intn(64),
+		}
+		if r.Intn(3) == 0 {
+			random[i].Target = core.SiteRef(r.Uint32() >> r.Intn(32))
+		}
+	}
+	for name, path := range map[string][]core.Thunk{"edges": edges, "random": random, "one": edges[1:2]} {
+		want := make([]core.Thunk, len(path))
+		var wantMax core.SiteRef
+		for i, th := range path {
+			th.Index = uint64(i)
+			want[i] = th
+			wantMax = max(wantMax, th.Site, th.Target)
+		}
+		var sc core.SubComputation
+		sc.SetThunks(path)
+		if got := core.ThunkList(&sc); !reflect.DeepEqual(got, want) || sc.NumThunks() != len(want) {
+			t.Errorf("%s: Thunks decodes %d thunks, want the %d set: %v", name, len(got), len(want), got)
+		}
+		list := core.AppendThunks(nil, &sc)
+		c := wire.NewCursor(list)
+		walked, n, ref := core.WalkPath(&c)
+		if err := c.Done(); err != nil || n != len(want) || ref != wantMax || string(walked) != core.PathBytes(&sc) {
+			t.Errorf("%s: walk err %v, %d thunks up to ref %d, want %d up to %d and the path's own bytes", name, err, n, ref, len(want), wantMax)
+		}
+		ref2 := wire.NewCursor(list)
+		if got := core.ParseThunks(&ref2); ref2.Done() != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the reference reader reads %v (err %v), want the thunks set", name, got, ref2.Err())
+		}
+		d := &core.EpochDelta{Epoch: 1, Lens: []int{1}, SymBase: 1, Subs: []*core.SubComputation{{Clock: []uint64{1}}}}
+		d.Subs[0].SetThunks(path)
+		if back := wireRoundTrip(t, d); !reflect.DeepEqual(core.ThunkList(back.Subs[0]), want) {
+			t.Errorf("%s: the thunks do not survive a delta's wire form", name)
+		}
+	}
+}
+
 // FuzzControlPath holds the one reader of an AppendThunks list — the
 // in-place walk ParseWire and the .cpg load share — to the reference
 // that reads each field through wire.Cursor into a Thunk: the same
@@ -426,8 +501,9 @@ func FuzzControlPath(f *testing.F) {
 	f.Add(uv(0))
 	f.Add([]byte{0x80, 0x00}) // a count of 0 in two bytes
 	f.Add(uv(1 << 40))
-	f.Add(cat(uv(2, 0, 1), []byte{3}, uv(1<<32, 5), uv(1, 1), []byte{0}, uv(0, 1)))
-	f.Add(cat(uv(2, 0, 1), []byte{4}, uv(0, 5)))
+	f.Add(uv(2, 1<<3|6, 1<<32, 5, 2<<3, 1)) // a target over 32 bits
+	f.Add(uv(2, 1<<3|6, 0, 5, 2<<3, 1))     // a flagged target of 0
+	f.Add(uv(1, 1<<35, 5))                  // a site over 32 bits
 	f.Add(cat(uv(1, 0), bytes.Repeat([]byte{0xff}, 11)))
 	f.Fuzz(func(t *testing.T, list []byte) {
 		walk, ref := wire.NewCursor(list), wire.NewCursor(list)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/repro/inspector/internal/wire"
@@ -128,8 +129,8 @@ func StoreShape(a *Analysis) (layers, baseRefs int) {
 
 // ParseThunks is the reference reader of an AppendThunks list, the one
 // walkThunks is held to (FuzzControlPath): the count and every field
-// read through wire.Cursor into a decoded Thunk, with the same
-// dense-index rule. It returns nil for an empty or refused list.
+// read through wire.Cursor into a decoded Thunk, numbered by its
+// position. It returns nil for an empty or refused list.
 func ParseThunks(c *wire.Cursor) []Thunk {
 	n := c.Count("thunks", MinThunkBytes)
 	if n == 0 {
@@ -138,18 +139,25 @@ func ParseThunks(c *wire.Cursor) []Thunk {
 	thunks := make([]Thunk, n)
 	for i := range thunks {
 		th := &thunks[i]
-		// Read the index on a copy, so a refused one fails where it starts.
+		th.Index = uint64(i)
+		// Read the head and the target on a copy, so a refused one
+		// fails where it starts.
 		probe := *c
-		if th.Index = probe.Uvarint("thunk.index"); probe.Err() == nil && th.Index != uint64(i) {
-			c.Fail("thunk.index", fmt.Sprintf("index %d, want %d: a path counts its thunks 0, 1, 2, ...", th.Index, i))
-		}
-		if c.Err() == nil {
+		if head := probe.Uvarint("thunk.site"); probe.Err() == nil && head>>3 > math.MaxUint32 {
+			c.Fail("thunk.site", fmt.Sprintf("value %d exceeds %d", head>>3, uint64(math.MaxUint32)))
+		} else {
 			*c = probe
+			th.Site = SiteRef(head >> 3)
+			th.Taken, th.Indirect = head&1 != 0, head&2 != 0
+			if head&4 != 0 {
+				probe = *c
+				if th.Target = SiteRef(probe.Uint32("thunk.target")); probe.Err() == nil && th.Target == 0 {
+					c.Fail("thunk.target", "flagged target 0: an empty target is spelled by leaving it out")
+				} else {
+					*c = probe
+				}
+			}
 		}
-		th.Site = SiteRef(c.Uint32("thunk.site"))
-		flags := c.Byte("thunk.flags", 3)
-		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
-		th.Target = SiteRef(c.Uint32("thunk.target"))
 		th.Instructions = c.Uvarint("thunk.instructions")
 		if c.Err() != nil {
 			return nil

@@ -28,7 +28,7 @@ import (
 const (
 	MinSubIDBytes  = 2 // thread, alpha
 	MinVertexBytes = 6 // clock count, kind, object, start, finish, instructions
-	MinThunkBytes  = 5 // index, site, flags, target, instructions
+	MinThunkBytes  = 2 // head (site, flags), instructions
 	MinGapBytes    = 4 // from, to, kind, bytes
 )
 
@@ -98,35 +98,49 @@ func ParseVertex(c *wire.Cursor, sc *SubComputation, w *Words) {
 	sc.Instructions = c.Uvarint("vertex.instructions")
 }
 
-// maxThunkBytes is the most bytes one AppendThunks element occupies:
-// two 64-bit and two 32-bit uvarints and the flags byte.
-const maxThunkBytes = 2*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32 + 1
+// Thunk flags: the low three bits of an AppendThunks element's head.
+const (
+	thunkTaken    = 1
+	thunkIndirect = 2
+	thunkTarget   = 4 // a non-zero target follows the head
+)
 
-// appendThunk appends one AppendThunks element: index, site, flags byte
-// (1 taken | 2 indirect), target and instruction count.
-func appendThunk(b []byte, index uint64, site SiteRef, flags byte, target SiteRef, instructions uint64) []byte {
-	b = binary.AppendUvarint(b, index)
-	b = binary.AppendUvarint(b, uint64(site))
-	b = append(b, flags)
-	b = binary.AppendUvarint(b, uint64(target))
+// maxThunkBytes is the most bytes one AppendThunks element occupies: a
+// head of 35 bits (five uvarint bytes), a 32-bit target and a 64-bit
+// instruction count.
+const maxThunkBytes = binary.MaxVarintLen64 + 2*binary.MaxVarintLen32
+
+// appendThunk appends one AppendThunks element: the head uvarint
+// site<<3 | flags, the target only when it is not 0 (flag 4 says it
+// follows), then the instruction count. flags holds only the taken and
+// indirect bits; appendThunk sets the third.
+func appendThunk(b []byte, site SiteRef, flags byte, target SiteRef, instructions uint64) []byte {
+	if target == 0 {
+		b = binary.AppendUvarint(b, uint64(site)<<3|uint64(flags))
+	} else {
+		b = binary.AppendUvarint(b, uint64(site)<<3|uint64(flags|thunkTarget))
+		b = binary.AppendUvarint(b, uint64(target))
+	}
 	return binary.AppendUvarint(b, instructions)
 }
 
-// thunkFlags is the flags byte of a thunk.
+// thunkFlags is the taken and indirect bits of a thunk's head.
 func thunkFlags(taken, indirect bool) byte {
 	var flags byte
 	if taken {
-		flags |= 1
+		flags |= thunkTaken
 	}
 	if indirect {
-		flags |= 2
+		flags |= thunkIndirect
 	}
 	return flags
 }
 
 // AppendThunks appends a sub-computation's control path: a count, then
-// per thunk its index, site, flags byte (1 taken | 2 indirect), target
-// and instruction count. The elements are sc's own bytes, copied.
+// per thunk its head uvarint site<<3 | flags (1 taken, 2 indirect, 4 a
+// target follows), its target when flag 4 says so, and its instruction
+// count. A thunk's index is its position, so no element spells it. The
+// elements are sc's own bytes, copied.
 func AppendThunks(b []byte, sc *SubComputation) []byte {
 	b = binary.AppendUvarint(b, uint64(sc.nThunks))
 	return append(b, sc.path...)
@@ -143,12 +157,13 @@ func WalkThunks(c *wire.Cursor) (n int, maxRef SiteRef) {
 
 // walkThunks is the one reader of an AppendThunks list: a count checked
 // against the bytes that remain, then each element in one pass over
-// them — index, site, flags, target, instructions — with the checks and
-// the *wire.PayloadError field and offset the Cursor reads would give,
-// plus one more: the recorder numbers a path's thunks 0, 1, 2, …, so an
-// index that skips or repeats is refused on thunk.index. It returns the
-// elements' bytes (aliasing c's body), their count and the largest ref
-// they name; on failure c holds the error and the results are zero.
+// them — head, target if flagged, instructions — with the checks and the
+// *wire.PayloadError field and offset the Cursor reads would give: a
+// site above 2^32-1 is refused on thunk.site, and a flagged target must
+// be a non-zero 32-bit ref, since an empty target is spelled by leaving
+// it out. It returns the elements' bytes (aliasing c's body), their
+// count and the largest ref they name; on failure c holds the error and
+// the results are zero.
 func walkThunks(c *wire.Cursor) (path []byte, n int, maxRef SiteRef) {
 	n = c.Count("thunks", MinThunkBytes)
 	b := c.Rest()
@@ -158,47 +173,38 @@ func walkThunks(c *wire.Cursor) (path []byte, n int, maxRef SiteRef) {
 		c.Fail(field, reason)
 		return nil, 0, 0
 	}
-	for i := 0; i < n; i++ {
-		index, k := binary.Uvarint(b[off:])
-		if k <= 0 {
-			return fail(off, "thunk.index", "truncated or overlong uvarint")
-		}
-		if index != uint64(i) {
-			return fail(off, "thunk.index", fmt.Sprintf("index %d, want %d: a path counts its thunks 0, 1, 2, ...", index, i))
-		}
-		off += k
-		// The common thunk spells site, flags, target and instructions
-		// in one byte each.
-		if off+4 <= len(b) && b[off]|b[off+2]|b[off+3] < 0x80 && b[off+1] <= 3 {
-			maxRef = max(maxRef, SiteRef(b[off]), SiteRef(b[off+2]))
-			off += 4
+	for range n {
+		// The common thunk spells a site below 16 with no target and a
+		// count below 128: two bytes.
+		if off+2 <= len(b) && b[off]&(0x80|thunkTarget) == 0 && b[off+1] < 0x80 {
+			maxRef = max(maxRef, SiteRef(b[off]>>3))
+			off += 2
 			continue
 		}
-		site, k := binary.Uvarint(b[off:])
+		head, k := binary.Uvarint(b[off:])
 		if k <= 0 {
 			return fail(off, "thunk.site", "truncated or overlong uvarint")
-		} else if site > math.MaxUint32 {
-			return fail(off, "thunk.site", fmt.Sprintf("value %d exceeds %d", site, uint64(math.MaxUint32)))
+		} else if head>>3 > math.MaxUint32 {
+			return fail(off, "thunk.site", fmt.Sprintf("value %d exceeds %d", head>>3, uint64(math.MaxUint32)))
 		}
 		off += k
-		if off >= len(b) {
-			return fail(off, "thunk.flags", "truncated")
-		} else if b[off] > 3 {
-			return fail(off, "thunk.flags", fmt.Sprintf("byte %d exceeds %d", b[off], 3))
+		maxRef = max(maxRef, SiteRef(head>>3))
+		if head&thunkTarget != 0 {
+			target, k := binary.Uvarint(b[off:])
+			if k <= 0 {
+				return fail(off, "thunk.target", "truncated or overlong uvarint")
+			} else if target == 0 {
+				return fail(off, "thunk.target", "flagged target 0: an empty target is spelled by leaving it out")
+			} else if target > math.MaxUint32 {
+				return fail(off, "thunk.target", fmt.Sprintf("value %d exceeds %d", target, uint64(math.MaxUint32)))
+			}
+			off += k
+			maxRef = max(maxRef, SiteRef(target))
 		}
-		off++
-		target, k := binary.Uvarint(b[off:])
-		if k <= 0 {
-			return fail(off, "thunk.target", "truncated or overlong uvarint")
-		} else if target > math.MaxUint32 {
-			return fail(off, "thunk.target", fmt.Sprintf("value %d exceeds %d", target, uint64(math.MaxUint32)))
-		}
-		off += k
 		if _, k = binary.Uvarint(b[off:]); k <= 0 {
 			return fail(off, "thunk.instructions", "truncated or overlong uvarint")
 		}
 		off += k
-		maxRef = max(maxRef, SiteRef(site), SiteRef(target))
 	}
 	c.Skip(off)
 	if off == 0 {
@@ -208,18 +214,22 @@ func walkThunks(c *wire.Cursor) (path []byte, n int, maxRef SiteRef) {
 }
 
 // thunksIn yields the thunks of path, a run of AppendThunks elements
-// its writer or walkThunks vouched for.
+// its writer or walkThunks vouched for, numbering them by position.
 func thunksIn(path string, yield func(int, Thunk) bool) {
 	for i, off := 0, 0; off < len(path); i++ {
-		var th Thunk
-		var site, target uint64
-		th.Index, off = uvarintAt(path, off)
-		site, off = uvarintAt(path, off)
-		flags := path[off]
-		target, off = uvarintAt(path, off+1)
+		var head, target uint64
+		head, off = uvarintAt(path, off)
+		if head&thunkTarget != 0 {
+			target, off = uvarintAt(path, off)
+		}
+		th := Thunk{
+			Index:    uint64(i),
+			Site:     SiteRef(head >> 3),
+			Taken:    head&thunkTaken != 0,
+			Indirect: head&thunkIndirect != 0,
+			Target:   SiteRef(target),
+		}
 		th.Instructions, off = uvarintAt(path, off)
-		th.Site, th.Target = SiteRef(site), SiteRef(target)
-		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
 		if !yield(i, th) {
 			return
 		}

@@ -316,10 +316,24 @@ func (inc *IncrementalAnalyzer) foldSync(lens []int) []Edge {
 // backlog, the epoch's fresh entries — never a slice an Analysis holds)
 // into the entries whose endpoints are both inside the prefix and the
 // still-deferred rest, preserving order (so both halves stay sorted).
-// The ready entries move to a fresh slice, which the store adopts; the
-// deferred ones are compacted in place.
+// A run that is all ready (every entry of a whole-graph Analyze) is
+// handed over whole, one with none ready stays as it is; otherwise the
+// ready entries move to a fresh slice of their exact size, which the
+// store adopts, and the deferred ones are compacted in place.
 func partitionSyncReady(entries []Edge, lens []int) (ready, deferred []Edge) {
-	deferred = entries[:0]
+	n := 0
+	for i := range entries {
+		if e := &entries[i]; subInPrefix(e.From, lens) && subInPrefix(e.To, lens) {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil, entries
+	case len(entries):
+		return entries, nil
+	}
+	ready, deferred = make([]Edge, 0, n), entries[:0]
 	for i := range entries {
 		if e := &entries[i]; subInPrefix(e.From, lens) && subInPrefix(e.To, lens) {
 			ready = append(ready, *e)

@@ -534,16 +534,19 @@ func (a *Analysis) Verify() error {
 }
 
 // VerifyCtx is Verify with cancellation: the edge sweep stops and
-// returns ctx's error once the context is done.
+// returns ctx's error once the context is done. It reads each thread's
+// run and every edge in place (AllEdges), so a verify allocates per
+// thread, not per edge.
 func (a *Analysis) VerifyCtx(ctx context.Context) error {
 	// Invariant 2a: stored vertices sit at their recorded slots. Only the
 	// analyzed prefix is checked — vertices sealed after the fold belong
-	// to a later epoch's analysis.
-	for t := 0; t < len(a.lens); t++ {
-		seq := a.g.ThreadSeq(t)
-		if len(seq) > a.lens[t] {
-			seq = seq[:a.lens[t]]
-		}
+	// to a later epoch's analysis. A published slot never changes, so
+	// the run is read outside the shard lock.
+	for t, n := range a.lens {
+		sh := &a.g.shards[t]
+		sh.mu.RLock()
+		seq := sh.seq[:min(n, len(sh.seq))]
+		sh.mu.RUnlock()
 		for i, sc := range seq {
 			if want := (SubID{Thread: t, Alpha: uint64(i)}); sc.ID != want {
 				return a.gapVerdict(
@@ -551,53 +554,65 @@ func (a *Analysis) VerifyCtx(ctx context.Context) error {
 			}
 		}
 	}
-	for ei, e := range a.Edges() {
-		if ei%cancelCheckEvery == cancelCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return err
+	var err error
+	ei := 0
+	a.AllEdges(func(e *Edge) bool {
+		if ei++; ei%cancelCheckEvery == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
 			}
 		}
-		sa, ok := a.g.Sub(e.From)
-		if !ok {
-			return a.gapVerdict(fmt.Errorf("core: edge from unknown vertex %v", e.From), e.From, e.To)
+		err = a.verifyEdge(e)
+		return err == nil
+	})
+	return err
+}
+
+// verifyEdge checks one edge against its endpoints: both are recorded
+// vertices, a data edge's pages lie in the writer's write set and the
+// reader's read set, an intra-thread edge follows program order, and
+// the edge strictly raises the vector clock.
+func (a *Analysis) verifyEdge(e *Edge) error {
+	sa, ok := a.g.Sub(e.From)
+	if !ok {
+		return a.gapVerdict(fmt.Errorf("core: edge from unknown vertex %v", e.From), e.From, e.To)
+	}
+	sb, ok := a.g.Sub(e.To)
+	if !ok {
+		return a.gapVerdict(fmt.Errorf("core: edge to unknown vertex %v", e.To), e.From, e.To)
+	}
+	// Invariant 2b: data-edge pages come from the endpoints' sets.
+	if e.Kind == EdgeData {
+		if len(e.Pages) == 0 {
+			return a.gapVerdict(
+				fmt.Errorf("core: data edge %v -> %v carries no pages", e.From, e.To),
+				e.From, e.To)
 		}
-		sb, ok := a.g.Sub(e.To)
-		if !ok {
-			return a.gapVerdict(fmt.Errorf("core: edge to unknown vertex %v", e.To), e.From, e.To)
-		}
-		// Invariant 2b: data-edge pages come from the endpoints' sets.
-		if e.Kind == EdgeData {
-			if len(e.Pages) == 0 {
+		for _, p := range e.Pages {
+			if !sa.WriteSet.Contains(p) {
 				return a.gapVerdict(
-					fmt.Errorf("core: data edge %v -> %v carries no pages", e.From, e.To),
+					fmt.Errorf("core: data edge %v -> %v page %d not in writer's write set",
+						e.From, e.To, p),
 					e.From, e.To)
 			}
-			for _, p := range e.Pages {
-				if !sa.WriteSet.Contains(p) {
-					return a.gapVerdict(
-						fmt.Errorf("core: data edge %v -> %v page %d not in writer's write set",
-							e.From, e.To, p),
-						e.From, e.To)
-				}
-				if !sb.ReadSet.Contains(p) {
-					return a.gapVerdict(
-						fmt.Errorf("core: data edge %v -> %v page %d not in reader's read set",
-							e.From, e.To, p),
-						e.From, e.To)
-				}
+			if !sb.ReadSet.Contains(p) {
+				return a.gapVerdict(
+					fmt.Errorf("core: data edge %v -> %v page %d not in reader's read set",
+						e.From, e.To, p),
+					e.From, e.To)
 			}
 		}
-		if e.From.Thread == e.To.Thread && e.From.Alpha >= e.To.Alpha {
-			return a.gapVerdict(
-				fmt.Errorf("core: intra-thread edge %v -> %v against program order", e.From, e.To),
-				e.From, e.To)
-		}
-		if ord := sa.Clock.Compare(sb.Clock); ord != vclock.Before {
-			return a.gapVerdict(
-				fmt.Errorf("core: %s edge %v -> %v has clock order %v, want ->",
-					e.Kind, e.From, e.To, ord),
-				e.From, e.To)
-		}
+	}
+	if e.From.Thread == e.To.Thread && e.From.Alpha >= e.To.Alpha {
+		return a.gapVerdict(
+			fmt.Errorf("core: intra-thread edge %v -> %v against program order", e.From, e.To),
+			e.From, e.To)
+	}
+	if ord := sa.Clock.Compare(sb.Clock); ord != vclock.Before {
+		return a.gapVerdict(
+			fmt.Errorf("core: %s edge %v -> %v has clock order %v, want ->",
+				e.Kind, e.From, e.To, ord),
+			e.From, e.To)
 	}
 	return nil
 }

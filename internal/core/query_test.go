@@ -74,15 +74,16 @@ func TestVerifyChecksDataEdgePages(t *testing.T) {
 	if err := a.Verify(); err != nil {
 		t.Fatalf("untampered graph: %v", err)
 	}
+	// Verify reads the analysis's own edges (AllEdges), so the tamper
+	// goes there.
 	tampered := false
-	edges := a.Edges()
-	for i := range edges {
-		if edges[i].Kind == EdgeData {
-			edges[i].Pages = append(edges[i].Pages, 999)
+	a.AllEdges(func(e *Edge) bool {
+		if e.Kind == EdgeData {
+			e.Pages = append(e.Pages[:len(e.Pages):len(e.Pages)], 999)
 			tampered = true
-			break
 		}
-	}
+		return !tampered
+	})
 	if !tampered {
 		t.Fatal("no data edge to tamper with")
 	}
@@ -108,13 +109,15 @@ func TestVerifyChecksVertexSlots(t *testing.T) {
 func TestVerifyRejectsEmptyDataEdge(t *testing.T) {
 	g, _ := buildFigure1(t)
 	a := g.Analyze()
-	edges := a.Edges()
-	for i := range edges {
-		if edges[i].Kind == EdgeData {
-			edges[i].Pages = nil
-			break
+	// Verify reads the analysis's own edges (AllEdges), so the tamper
+	// goes there.
+	a.AllEdges(func(e *Edge) bool {
+		if e.Kind == EdgeData {
+			e.Pages = nil
+			return false
 		}
-	}
+		return true
+	})
 	err := a.Verify()
 	if err == nil || !strings.Contains(err.Error(), "carries no pages") {
 		t.Errorf("empty data edge not caught: %v", err)

@@ -99,11 +99,12 @@ type Recorder struct {
 }
 
 // Thunk chunks double from room for minThunkChunk to room for
-// maxThunkChunk thunks of chunkThunkBytes each, about what a thunk
-// takes; a chunk takes a thunk only while maxThunkBytes of it are free.
+// maxThunkChunk thunks of chunkThunkBytes each, what the common thunk
+// takes (a head and a count of one byte each); a chunk takes a thunk
+// only while maxThunkBytes of it are free.
 const (
 	minThunkChunk, maxThunkChunk = 64, 4096
-	chunkThunkBytes              = 8
+	chunkThunkBytes              = 2
 )
 
 // NewRecorder initializes a thread recorder (initThread(t) in Algorithm 2:
@@ -186,7 +187,7 @@ func (r *Recorder) closeThunk(site SiteRef, flags byte, target SiteRef) {
 	if cap(r.chunk)-len(r.chunk) < maxThunkBytes {
 		r.nextChunk()
 	}
-	r.chunk = appendThunk(r.chunk, r.beta, site, flags, target, r.instructions)
+	r.chunk = appendThunk(r.chunk, site, flags, target, r.instructions)
 	r.cur.maxRef = max(r.cur.maxRef, site, target)
 	r.beta++
 	r.instructions = 0

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -62,13 +61,16 @@ func firstDiff(got, want []Thunk) string {
 
 func TestThunkStorage(t *testing.T) {
 	for _, chunk := range []int{minThunkChunk, maxThunkChunk} {
-		// per is how many of recordThunks' thunks (its index's uvarint
-		// and four one-byte fields) a chunk sized for chunk thunks
-		// takes: these sizes fill one to just short of, just at and
-		// just past its end, and spill over several.
+		// per is how many of recordThunks' thunks (a one-byte head and
+		// count, and every fifth a one-byte target) a chunk sized for
+		// chunk thunks takes: these sizes fill one to just short of,
+		// just at and just past its end, and spill over several.
 		per, used := 0, 0
 		for ; chunk*chunkThunkBytes-used >= maxThunkBytes; per++ {
-			used += len(binary.AppendUvarint(nil, uint64(per))) + 4
+			used += 2
+			if per%5 == 4 {
+				used++
+			}
 		}
 		sizes := []int{0, 1, per - 1, per, per + 1, 3*per + 5}
 		// Each size on a fresh recorder (the sub starts a chunk), then

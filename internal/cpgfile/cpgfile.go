@@ -5,7 +5,7 @@
 // checksummed columnar sections behind a small self-describing header:
 //
 //	magic "INSPCPG1"
-//	u32   format version (1)
+//	u32   format version (2)
 //	u32   header length
 //	u32   header CRC-32C
 //	header: run id, app, thread count, epoch, degraded flag,
@@ -59,8 +59,10 @@ import (
 // digit, so incompatible future layouts change the magic itself.
 const Magic = "INSPCPG1"
 
-// Version is the current format version.
-const Version = 1
+// Version is the current format version: 2 since a thunk's element
+// drops its index and its empty target (1 spelled both). A file of
+// another version is refused with ErrBadVersion, not read.
+const Version = 2
 
 // castagnoli is the CRC-32C polynomial table shared by all checksums
 // in the format (hardware-accelerated on the platforms we serve from).

@@ -266,6 +266,13 @@ func TestCorruptionIsTypedAndNamed(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadMagic", err)
 		}
 	})
+	t.Run("version 1, whose thunks spelled their index", func(t *testing.T) {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[len(Magic):], 1)
+		if err := load(t, b); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("err = %v, want ErrBadVersion", err)
+		}
+	})
 	t.Run("future version", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[len(Magic)] = 99
@@ -366,12 +373,14 @@ func TestCorruptionIsTypedAndNamed(t *testing.T) {
 			}
 		}
 	})
-	t.Run("a thunk index that is not its position names the thunks section", func(t *testing.T) {
-		// The first vertex's list opens: count, then per thunk index,
-		// site, flags, target, instructions — its second thunk's index
-		// is the section's uvarint 6.
+	t.Run("a thunk element that lies names the thunks section", func(t *testing.T) {
+		// The first vertex's list opens: count, then per thunk a head
+		// (site<<3 | flags, 4 = a target follows), the target if
+		// flagged, the instruction count (thunk 15 of a thunkyGraph sub
+		// is the first to carry a target). Each row forges one field
+		// and must be refused on that field, where it starts.
 		var buf bytes.Buffer
-		if err := Encode(&buf, thunkyGraph(8, 12).Analyze(), Meta{RunID: "r"}); err != nil {
+		if err := Encode(&buf, thunkyGraph(8, 16).Analyze(), Meta{RunID: "r"}); err != nil {
 			t.Fatal(err)
 		}
 		file := buf.Bytes()
@@ -381,24 +390,43 @@ func TestCorruptionIsTypedAndNamed(t *testing.T) {
 		}
 		s := lay.secs[secThunks]
 		sec := file[s.off : s.off+s.length]
-		if uvarintAt(t, sec, 1) != 0 || uvarintAt(t, sec, 6) != 1 {
-			t.Fatal("the first vertex's thunks are not indexed 0, 1")
+		// The uvarint index of the first vertex's first flagged target,
+		// and the offset of the section's last uvarint: the last
+		// vertex's last instruction count.
+		target := 0
+		for i, n := 1, 0; target == 0 && n < int(uvarintAt(t, sec, 0)); n++ {
+			if uvarintAt(t, sec, i)&4 != 0 {
+				target = i + 1
+			}
+			i += 2 + int(uvarintAt(t, sec, i)>>2&1)
 		}
+		if target == 0 {
+			t.Fatal("the first vertex's thunks carry no target")
+		}
+		last := 0
+		for i := 0; ; i++ {
+			if off, n := uvarintSpan(t, sec, i); off+n == len(sec) {
+				last = off
+				break
+			}
+		}
+		head, _ := uvarintSpan(t, sec, 1)
+		targetOff, _ := uvarintSpan(t, sec, target)
 		for _, row := range []struct {
-			name  string
-			index int
-			v     uint64
+			name, field string
+			sec         []byte
+			off         int
 		}{
-			{"the first thunk is not 0", 1, 1},
-			{"the second thunk repeats the first", 6, 0},
-			{"the second thunk skips one", 6, 2},
+			{"the first thunk's site exceeds 32 bits", "thunk.site", forgeUvarint(t, sec, 1, 1<<35|uvarintAt(t, sec, 1)&7), head},
+			{"a flagged target of 0", "thunk.target", forgeUvarint(t, sec, target, 0), targetOff},
+			{"a flagged target exceeds 32 bits", "thunk.target", forgeUvarint(t, sec, target, 1<<32), targetOff},
+			{"the last thunk's instructions are cut off", "thunk.instructions", sec[:len(sec)-1], last},
 		} {
-			off, _ := uvarintSpan(t, sec, row.index)
-			err := load(t, restamp(t, file, lay, secThunks, forgeUvarint(t, sec, row.index, row.v)))
+			err := load(t, restamp(t, file, lay, secThunks, row.sec))
 			var ce *CorruptError
 			var pe *wire.PayloadError
-			if !errors.As(err, &ce) || ce.Section != "thunks" || !errors.As(err, &pe) || pe.Field != "thunk.index" || pe.Offset != off {
-				t.Errorf("%s: err = %v, want a *CorruptError naming \"thunks\" around thunk.index at byte %d", row.name, err, off)
+			if !errors.As(err, &ce) || ce.Section != "thunks" || !errors.As(err, &pe) || pe.Field != row.field || pe.Offset != row.off {
+				t.Errorf("%s: err = %v, want a *CorruptError naming \"thunks\" around %s at byte %d", row.name, err, row.field, row.off)
 			}
 		}
 	})

@@ -187,8 +187,9 @@ func Encode(w io.Writer, a *core.Analysis, meta Meta) error {
 // already holds, a little high, so the one buffer is allocated once: a
 // vertex costs about two bytes per clock entry plus its cycle counts
 // and one count byte in each per-vertex column, a page up to three bytes
-// of delta, a thunk its five fields, an edge its two ids plus an object
-// ref or a short page list.
+// of delta, a thunk its head and count of a byte each plus a target
+// now and then, an edge its two ids plus an object ref or a short page
+// list.
 func sizeHint(syms []string, st core.Stats, threads int) int {
 	n := 128
 	for _, s := range syms {
@@ -196,6 +197,6 @@ func sizeHint(syms []string, st core.Stats, threads int) int {
 	}
 	n += st.SubComputations * (11 + 2*threads)
 	n += 3 * (st.ReadSetPages + st.WriteSetPages)
-	n += 8 * st.Thunks
+	n += 3 * st.Thunks
 	return n + 10*(st.SyncEdges+st.DataEdges)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -168,18 +169,25 @@ func eagerDecode(data []byte) (*core.Analysis, error) {
 }
 
 // parseThunks reads one AppendThunks list field by field through the
-// cursor, thunk indices counting 0, 1, 2, … .
+// cursor, numbering thunks by position: per thunk the head site<<3 |
+// flags (1 taken, 2 indirect, 4 a non-zero target follows), the
+// target if flagged, the instruction count.
 func parseThunks(c *wire.Cursor) []core.Thunk {
 	thunks := make([]core.Thunk, c.Count("thunks", core.MinThunkBytes))
 	for i := range thunks {
 		th := &thunks[i]
-		if th.Index = c.Uvarint("thunk.index"); th.Index != uint64(i) {
-			c.Fail("thunk.index", "not dense")
+		th.Index = uint64(i)
+		head := c.Uvarint("thunk.site")
+		if head>>3 > math.MaxUint32 {
+			c.Fail("thunk.site", "exceeds 32 bits")
 		}
-		th.Site = core.SiteRef(c.Uint32("thunk.site"))
-		flags := c.Byte("thunk.flags", 3)
-		th.Taken, th.Indirect = flags&1 != 0, flags&2 != 0
-		th.Target = core.SiteRef(c.Uint32("thunk.target"))
+		th.Site = core.SiteRef(head >> 3)
+		th.Taken, th.Indirect = head&1 != 0, head&2 != 0
+		if head&4 != 0 {
+			if th.Target = core.SiteRef(c.Uint32("thunk.target")); th.Target == 0 {
+				c.Fail("thunk.target", "flagged target 0")
+			}
+		}
 		th.Instructions = c.Uvarint("thunk.instructions")
 	}
 	return thunks
@@ -356,7 +364,7 @@ func TestMappedDefersThunks(t *testing.T) {
 		}{
 			{"thunk count", secThunks, forgeUvarint(t, thunks, 0, uvarintAt(t, thunks, 0)+1)},
 			{"trailing byte", secThunks, append(append([]byte(nil), thunks...), 0)},
-			{"site ref outside the table", secThunks, forgeUvarint(t, thunks, 2, 1000)}, // count, index, site
+			{"site ref outside the table", secThunks, forgeUvarint(t, thunks, 1, 1000<<3|uvarintAt(t, thunks, 1)&7)}, // count, head (site<<3 | flags)
 			{"stored thunk total", secStats, forgeUvarint(t, stats, 2, subs*branches-1)},
 		} {
 			path := filepath.Join(t.TempDir(), "forged.cpg")

@@ -12,15 +12,15 @@
 //	[uint32 payload length | uint32 CRC-32C of payload | payload]
 //
 // whose first payload byte is the record kind; the rest is the record's
-// own binary form (format version 2: uvarint fields, see internal/wire
+// own binary form (format version 3: uvarint fields, see internal/wire
 // and core.EpochDelta.AppendWire). A record refers to nothing outside
 // itself, so records stay independently decodable and a torn tail never
 // poisons the frames before it.
 //
 // A journal is a per-run crash artifact, written and recovered by the
 // same build: Recover refuses a file of another format version by name
-// (version 1 payloads were gob) rather than carrying a second reader
-// for it.
+// with wire.ErrVersion (version 1 payloads were gob, version 2 spelled
+// each thunk's index) rather than carrying a second reader for it.
 //
 // Epoch-delta payloads are core.EpochDelta values — exactly what
 // core.Cutter.Cut emits. Recovery reads the file with the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -640,13 +641,15 @@ func TestRecoverRefusesOtherFormatVersions(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(data[8:]); v != wire.Version {
 		t.Fatalf("fresh journal carries version %d, want %d", v, wire.Version)
 	}
-	binary.LittleEndian.PutUint32(data[8:], 1)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = journal.Recover(dir, journal.RecoverOptions{})
-	if err == nil || !strings.Contains(err.Error(), "format version 1, want 2") {
-		t.Fatalf("Recover of a version-1 journal: err = %v, want it to name versions 1 and 2", err)
+	for _, old := range []uint32{1, 2} {
+		binary.LittleEndian.PutUint32(data[8:], old)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = journal.Recover(dir, journal.RecoverOptions{})
+		if want := fmt.Sprintf("format version %d, want 3", old); !errors.Is(err, wire.ErrVersion) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Recover of a version-%d journal: err = %v, want wire.ErrVersion naming versions %d and 3", old, err, old)
+		}
 	}
 }
 

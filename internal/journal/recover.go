@@ -100,7 +100,7 @@ func Recover(dir string, opts RecoverOptions) (*Recovery, error) {
 		return nil, fmt.Errorf("journal: %s is not a journal (bad magic)", path)
 	}
 	if v := binary.LittleEndian.Uint32(pre[len(wire.Magic):]); v != wire.Version {
-		return nil, fmt.Errorf("journal: %s has format version %d, want %d", path, v, wire.Version)
+		return nil, fmt.Errorf("journal: %w: %s has format version %d, want %d", wire.ErrVersion, path, v, wire.Version)
 	}
 
 	// The writer bounds no record, so neither does the reader; it holds

@@ -151,9 +151,16 @@ func (b *AuxBuffer) reserve(need uint64) {
 // the free space and reports how much was accepted; in snapshot mode it
 // accepts everything, advancing the window over the oldest bytes.
 func (b *AuxBuffer) WriteTrace(p []byte) int {
+	n, _ := b.write(p)
+	return n
+}
+
+// write is WriteTrace that also returns the unread length after the
+// write, read under the same lock.
+func (b *AuxBuffer) write(p []byte) (n, unread int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := len(p)
+	n = len(p)
 	size := uint64(b.size)
 	if b.mode == ModeFullTrace {
 		free := size - (b.head - b.tail)
@@ -173,7 +180,7 @@ func (b *AuxBuffer) WriteTrace(p []byte) int {
 	if b.mode == ModeSnapshot && b.head-b.tail > size {
 		b.tail = b.head - size
 	}
-	return n
+	return n, int(b.head - b.tail)
 }
 
 // Read consumes up to max unread bytes (full-trace drain). A negative max

@@ -158,10 +158,12 @@ func (s *Session) Records() []Record {
 	return out
 }
 
-// WriteTrace implements pt.ByteSink for the process's PT encoder.
+// WriteTrace implements pt.ByteSink for the process's PT encoder. The
+// auto-drain check reads the unread length the write returns, so a
+// packet takes the ring's lock once.
 func (st *Stream) WriteTrace(p []byte) int {
-	n := st.aux.WriteTrace(p)
-	if st.sess.opts.AutoDrain && st.aux.Mode() == ModeFullTrace && st.aux.Len() >= st.aux.Size()/2 {
+	n, unread := st.aux.write(p)
+	if st.sess.opts.AutoDrain && st.aux.Mode() == ModeFullTrace && unread >= st.aux.Size()/2 {
 		st.Drain()
 	}
 	return n

@@ -193,17 +193,19 @@ func (t *Thread) onStore() {
 	t.appCycles += c
 }
 
-// chargePTBytes charges the consumer-side cost of trace bytes emitted
-// since the last call.
-func (t *Thread) chargePTBytes() {
+// ptByteCycles returns the consumer-side cost of the trace bytes
+// emitted since the last call, for the caller to charge as CatPT.
+func (t *Thread) ptByteCycles() vtime.Cycles {
 	if t.enc == nil {
-		return
+		return 0
 	}
 	b := t.enc.BytesWritten()
-	if delta := b - t.lastPTBytes; delta > 0 {
-		t.charge(CatPT, vtime.Cycles(delta)*t.rt.model.PTBytePersist)
-		t.lastPTBytes = b
+	delta := b - t.lastPTBytes
+	if delta <= 0 {
+		return 0
 	}
+	t.lastPTBytes = b
+	return vtime.Cycles(delta) * t.rt.model.PTBytePersist
 }
 
 // Slot returns the thread's dense slot index.
@@ -373,8 +375,9 @@ func (t *Thread) Branch(label string, cond bool) bool {
 		}
 		t.rec.OnBranch(cs.ref, cond)
 		t.tracer.OnCond(cs.site, cond)
-		t.charge(CatPT, t.rt.model.PTBranchOverhead)
-		t.chargePTBytes()
+		// One charge for the branch and the bytes it emitted: the same
+		// category, and no clock read between them.
+		t.charge(CatPT, t.rt.model.PTBranchOverhead+t.ptByteCycles())
 	}
 	return cond
 }
@@ -398,8 +401,7 @@ func (t *Thread) Indirect(label string) {
 		// tracer resolves the target from the following event.
 		t.rec.OnIndirect(cs.ref, 0)
 		t.tracer.OnIndirect(cs.site)
-		t.charge(CatPT, t.rt.model.PTBranchOverhead)
-		t.chargePTBytes()
+		t.charge(CatPT, t.rt.model.PTBranchOverhead+t.ptByteCycles())
 	}
 }
 
@@ -548,7 +550,7 @@ func (t *Thread) finish() {
 	if sub != nil {
 		t.rec.Release(t.join.obj, sub)
 		t.tracer.Close()
-		t.chargePTBytes()
+		t.charge(CatPT, t.ptByteCycles())
 		// Trace bytes flushed by the tracer teardown can still be refused
 		// by the ring; that loss belongs to the just-sealed final
 		// sub-computation and marks the stream as truncated.

@@ -4,15 +4,16 @@
 //	[uint32 payload length | uint32 CRC-32C of payload | payload]
 //
 // little-endian, where the payload's first byte is the record kind and
-// the rest is the record's own binary form (format version 2): uvarint
+// the rest is the record's own binary form (format version 3): uvarint
 // and length-prefixed fields written by the payload type's AppendWire
 // and read back, bounds-checked, by its ParseWire through a Cursor.
 // A record refers to nothing outside itself — no shared type table, no
 // dictionary carried across frames — so records stay independently
 // decodable and a torn tail (disk) or a cut connection (network) never
 // poisons the frames before it. Version 1 payloads were self-contained
-// gob streams; this build refuses them by version, it does not read
-// them (DESIGN.md, "Durability").
+// gob streams, and version 2 spelled each thunk's index and empty
+// target; this build refuses both by version, it does not read them
+// (DESIGN.md, "Durability").
 //
 // A frame body is untrusted (a recovered disk, an HTTP request), so the
 // decode rules are the package's contract: every count is checked
@@ -47,9 +48,10 @@ const (
 	// Network streams do not carry it; HTTP already frames the
 	// conversation.
 	Magic = "INSPISJ1"
-	// Version is the frame format version: 2 since payloads are the
-	// records' own binary forms (1 was gob).
-	Version = 2
+	// Version is the frame format version: 3 since a thunk's element
+	// drops its index and its empty target; 2 spelled both, and 1
+	// payloads were gob.
+	Version = 3
 	// PreambleLen is the journal file preamble size: magic + LE
 	// uint32 version.
 	PreambleLen = 12
@@ -277,12 +279,12 @@ func (h Hello) AppendWire(b []byte) ([]byte, error) {
 // ParseWire reads the AppendWire form. A body that does not open with
 // this build's Version is refused with ErrVersion before anything else
 // is read: a version-1 recorder's gob stream opens with its first
-// message's length, which is never 2. A thread capacity outside
+// message's length, which is never 3. A thread capacity outside
 // [1, MaxThreads] is a *PayloadError.
 func (h *Hello) ParseWire(body []byte) error {
 	c := NewCursor(body)
 	if v := c.Uvarint("hello.version"); c.Err() == nil && v != Version {
-		return fmt.Errorf("%w: hello opens with %d, this build speaks version %d (version 1 was gob-framed and is refused, not read)",
+		return fmt.Errorf("%w: hello opens with %d, this build speaks version %d (version 1 was gob-framed and version 2 spelled each thunk's index; both are refused, not read)",
 			ErrVersion, v, Version)
 	}
 	h.RunID = c.String("hello.run_id")

@@ -246,7 +246,8 @@ func TestNoBinaryFormIsAnError(t *testing.T) {
 // TestHelloRefusesOtherVersions pins the version policy on the stream:
 // the hello opens with the format version, and anything else — a
 // version-1 recorder's gob stream opens with its first message's
-// length — is ErrVersion, naming what this build speaks.
+// length, a version-2 one spelled each thunk's index — is ErrVersion,
+// naming what this build speaks and the versions it refuses.
 func TestHelloRefusesOtherVersions(t *testing.T) {
 	good, _ := Hello{RunID: "r", Threads: 1}.AppendWire(nil)
 	var gobHello bytes.Buffer
@@ -256,12 +257,14 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"gob v1 stream": gobHello.Bytes(),
 		"version 1":     append([]byte{1}, good[1:]...),
-		"version 3":     append([]byte{3}, good[1:]...),
+		"version 2":     append([]byte{2}, good[1:]...),
+		"version 4":     append([]byte{4}, good[1:]...),
 	} {
 		var h Hello
 		err := h.ParseWire(body)
-		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 1") {
-			t.Errorf("%s: err = %v, want ErrVersion naming versions 1 and 2", name, err)
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 3") ||
+			!strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("%s: err = %v, want ErrVersion naming versions 1, 2 and 3", name, err)
 		}
 	}
 	var h Hello

@@ -274,6 +274,44 @@ func TestAllocsEdgesQueryRestored(t *testing.T) {
 	}
 }
 
+// TestAllocsVerifyRestored pins what a verify query allocates on a
+// loaded analysis: per thread, not per edge — it walks the edges and
+// each thread's run in place instead of building the flat edge list
+// (80 bytes an edge) or copying a run.
+func TestAllocsVerifyRestored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.cpg")
+	if err := cpgfile.Write(path, cpgbench.BuildRandomGraph(4, 2000, 64, 2, 7).Analyze(), cpgfile.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := cpgfile.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := a.Stats()
+	edges := st.ControlEdges + st.SyncEdges + st.DataEdges
+	e := NewEngine(a, EngineOptions{})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = e.Execute(context.Background(), Query{Kind: KindVerify})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threads := uint64(a.Graph().Threads())
+	mallocs, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	limit, byteLimit := 4*threads+32, 256*threads+4<<10
+	t.Logf("verify of %d edges over %d threads: %d allocations, %d B (limits %d, %d B)", edges, threads, mallocs, allocated, limit, byteLimit)
+	if uint64(80*edges) < 8*byteLimit {
+		t.Fatalf("scenario degenerate: %d edges", edges)
+	}
+	if mallocs > limit || allocated > byteLimit {
+		t.Errorf("verify allocated %d times, %d B, over %d edges; want at most %d times and %d B: per thread, not per edge",
+			mallocs, allocated, edges, limit, byteLimit)
+	}
+}
+
 func TestEngineBadQueries(t *testing.T) {
 	e := NewEngine(figure1(t), EngineOptions{})
 	bad := []Query{

@@ -191,8 +191,8 @@ func gobFrame(t *testing.T, kind byte, v any) []byte {
 }
 
 // TestIngestRefusesMalformedPayloads pins the decode half of the trust
-// boundary, before validation ever sees a delta: a version-1 (gob)
-// recorder is told so by version in a 400 and binds nothing; a delta
+// boundary, before validation ever sees a delta: a version-1 (gob) or
+// version-2 recorder is told so by version in a 400 and binds nothing; a delta
 // body that lies about its shape is a 400 naming the field, and —
 // unlike a delta that parses and then fails validation — leaves the
 // source healthy at its last good epoch.
@@ -209,6 +209,24 @@ func TestIngestRefusesMalformedPayloads(t *testing.T) {
 	}
 	if _, bound := hub.Source("old"); bound {
 		t.Fatal("a refused hello bound a source")
+	}
+	// A version-2 recorder spelled each thunk's index: its hello is
+	// refused by version too.
+	v2, err := run.hello.AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2[0] = 2
+	hello2, err := wire.AppendFrame(nil, wire.KindHeader, rawBody(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Ingest(ctx, "v2", hello2)
+	if serverStatus(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "opens with 2") || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("version-2 hello err = %v, want HTTP 400 naming versions 2 and 3", err)
+	}
+	if _, bound := hub.Source("v2"); bound {
+		t.Fatal("a refused version-2 hello bound a source")
 	}
 
 	if _, err := post(t, c, "w", run.hello, run.deltas[:2], nil); err != nil {
