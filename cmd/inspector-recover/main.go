@@ -28,8 +28,9 @@
 //
 // -epoch stops the replay at epoch N (a time-travel debugging aid; the
 // result is not marked degraded — the cut was asked for). -truncate
-// cuts journal.isj back to the end of its last good frame, so later
-// tools read the journal cleanly. Exit status is 0 even when a tear was found — a recovered
+// cuts journal.isj back to the end of its last good frame — dropping a
+// torn tail, or the zeroed rest of the window a killed run's mapped
+// journal ends in — so later tools read the journal cleanly. Exit status is 0 even when a tear was found — a recovered
 // prefix is a success; only an unusable journal (no readable header,
 // no directory) fails.
 //
@@ -68,7 +69,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("inspector-recover", flag.ContinueOnError)
 	dir := fs.String("journal", "", "journal directory to recover (required)")
 	epoch := fs.Uint64("epoch", 0, "stop the replay at this epoch (0 = replay everything durable)")
-	truncate := fs.Bool("truncate", false, "after recovery, truncate journal.isj where its torn tail starts")
+	truncate := fs.Bool("truncate", false, "after recovery, truncate journal.isj where its torn or zero tail starts")
 	cpgOut := fs.String("cpg", "", "write the recovered CPG in the columnar .cpg format (for cpg-query and inspector-serve) to this file")
 	jsonOut := fs.String("json", "", "write the recovered CPG (JSON) to this file")
 	dotOut := fs.String("dot", "", "write the recovered CPG (Graphviz DOT) to this file")

@@ -380,11 +380,11 @@ func (g *Graph) threadTail(dst []*SubComputation, t, lo, hi int) []*SubComputati
 
 // logTails reads thread t's sync-edge log and gap-list lengths — what
 // an epoch cut records — and appends the log entries from index
-// syncFrom on and the gaps from gapFrom on to d, as stored (no name
-// lookup), taking the shard lock only if there are any. Logs are
+// syncFrom on to sync and the gaps from gapFrom on to d, as stored (no
+// name lookup), taking the shard lock only if there are any. Logs are
 // append-only, so successive calls with the previous lengths see each
 // entry exactly once.
-func (g *Graph) logTails(t int, d *EpochDelta, syncFrom, gapFrom int) (syncLen, gapLen int) {
+func (g *Graph) logTails(t int, d *EpochDelta, sync *runs[DeltaSyncEdge], syncFrom, gapFrom int) (syncLen, gapLen int) {
 	sh := g.shard(t)
 	if sh == nil {
 		return 0, 0
@@ -396,7 +396,7 @@ func (g *Graph) logTails(t int, d *EpochDelta, syncFrom, gapFrom int) (syncLen, 
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	for _, rec := range sh.syncEdges[min(syncFrom, syncLen):syncLen] {
-		d.Sync = append(d.Sync, DeltaSyncEdge(rec))
+		sync.add(DeltaSyncEdge(rec))
 	}
 	for _, gp := range sh.gaps[min(gapFrom, gapLen):gapLen] {
 		d.Gaps = append(d.Gaps, DeltaGap{Thread: t, Gap: gp})

@@ -27,8 +27,10 @@ func newRecorders(g *core.Graph) []*core.Recorder {
 
 // BuildRandomGraph records a deterministic random execution: steps
 // sub-computations spread over threads recorders, each reading/writing rw
-// random pages in [0, pageRange) and transferring one mutex, which gives
-// the derivation a rich happens-before web.
+// random pages in [0, pageRange) while holding one mutex — it acquires
+// the mutex before its sub-computation and releases it after — so the
+// mutex changes hands between threads, which gives the derivation a
+// rich happens-before web of sync edges.
 func BuildRandomGraph(threads, steps, pageRange, rw int, seed int64) *core.Graph {
 	r := rand.New(rand.NewSource(seed))
 	g := core.NewGraph(threads)
@@ -37,6 +39,7 @@ func BuildRandomGraph(threads, steps, pageRange, rw int, seed int64) *core.Graph
 	ev := core.SyncEvent{Kind: core.SyncRelease, Object: lock.Ref()}
 	for s := 0; s < steps; s++ {
 		rec := recs[r.Intn(threads)]
+		rec.Acquire(lock)
 		for i := 0; i < rw; i++ {
 			rec.OnRead(uint64(r.Intn(pageRange)))
 			rec.OnWrite(uint64(r.Intn(pageRange)))
@@ -46,7 +49,6 @@ func BuildRandomGraph(threads, steps, pageRange, rw int, seed int64) *core.Graph
 			panic(err)
 		}
 		rec.Release(lock, sc)
-		rec.Acquire(lock)
 	}
 	return g
 }
@@ -56,8 +58,9 @@ func BuildRandomGraph(threads, steps, pageRange, rw int, seed int64) *core.Graph
 // executions without re-seeding rand inside a timed region.
 type Schedule struct {
 	threads int
-	// thread[i], pages[i] drive step i: thread[i] reads pages[i][0..rw)
-	// and writes pages[i][rw..2rw), then transfers the mutex.
+	// thread[i], pages[i] drive step i: thread[i] acquires the mutex,
+	// reads pages[i][0..rw) and writes pages[i][rw..2rw), then releases
+	// it.
 	thread []int
 	pages  [][]uint64
 }
@@ -103,6 +106,7 @@ func (r *Replay) To(upto int) {
 	for ; r.done < upto; r.done++ {
 		rec := r.recs[r.s.thread[r.done]]
 		ps := r.s.pages[r.done]
+		rec.Acquire(r.lock)
 		for j := 0; j < len(ps)/2; j++ {
 			rec.OnRead(ps[j])
 			rec.OnWrite(ps[len(ps)/2+j])
@@ -112,6 +116,5 @@ func (r *Replay) To(upto int) {
 			panic(err)
 		}
 		rec.Release(r.lock, sc)
-		rec.Acquire(r.lock)
 	}
 }

@@ -42,6 +42,12 @@ type Cutter struct {
 	syncLens, gapLens []int
 	syms              int
 	target            []int // advance's reusable buffer
+	// deltas, ints and sync are what cuts are carved from — each delta,
+	// its lens with their base, and its sync tail (most cuts carry a few
+	// entries) — all immutable once cut.
+	deltas runs[EpochDelta]
+	ints   runs[int]
+	sync   runs[DeltaSyncEdge]
 }
 
 // NewCutter prepares the cuts of g. No epoch exists until the first Cut.
@@ -68,11 +74,12 @@ func (c *Cutter) Epoch() uint64 { return c.epoch }
 // what earlier cuts emitted, and the interner tail.
 func (c *Cutter) Cut() *EpochDelta {
 	c.epoch++
-	d := &EpochDelta{Epoch: c.epoch, SymBase: uint32(c.syms)}
+	d := &c.deltas.alloc(1)[0]
+	d.Epoch, d.SymBase = c.epoch, uint32(c.syms)
 	prev := c.lens
 	c.advance()
 	n := len(c.seqs)
-	ints := make([]int, 2*n+1)
+	ints := c.ints.alloc(2*n + 1)
 	lens, base := ints[:n:n], ints[n:]
 	for t := range c.seqs {
 		lens[t] = len(c.seqs[t])
@@ -83,8 +90,9 @@ func (c *Cutter) Cut() *EpochDelta {
 	// edge before its acquiring vertex seals, so every vertex inside the
 	// cut has its incoming sync entries in these lengths.
 	for t := range c.syncLens {
-		c.syncLens[t], c.gapLens[t] = c.g.logTails(t, d, c.syncLens[t], c.gapLens[t])
+		c.syncLens[t], c.gapLens[t] = c.g.logTails(t, d, &c.sync, c.syncLens[t], c.gapLens[t])
 	}
+	d.Sync = c.sync.take()
 	d.Subs = subsBetween(c.seqs, prev, lens)
 	// The interner tail comes last: every ref the captured vertices and
 	// sync edges use was interned before its user sealed, so capturing

@@ -78,8 +78,9 @@ type IncrementalAnalyzer struct {
 	// seqs mirrors the adopted prefix per thread (append-only, so slices
 	// handed to earlier epochs stay valid).
 	seqs [][]*SubComputation
-	// adoptedSync holds the sync entries adopted since the last fold.
-	adoptedSync []Edge
+	// adoptedSync's open run holds the sync entries adopted since the
+	// last fold.
+	adoptedSync runs[Edge]
 	// pendingSync holds materialized log entries seen before their
 	// endpoints sealed, in canonical sorted order.
 	pendingSync []Edge
@@ -272,7 +273,7 @@ func (inc *IncrementalAnalyzer) Adopt(d *EpochDelta) error {
 	}
 	inc.cutLens, inc.cutBase = d.Lens, d.base
 	for _, e := range d.Sync {
-		inc.adoptedSync = append(inc.adoptedSync, Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: inc.g.ObjectName(e.Object)})
+		inc.adoptedSync.add(Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: inc.g.ObjectName(e.Object)})
 	}
 	for _, dg := range d.Gaps {
 		inc.gapCut[dg.Thread]++
@@ -303,8 +304,7 @@ func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 // backlog is never re-sorted, however many epochs it survives (the
 // deferred-acquirer regression test pins this path).
 func (inc *IncrementalAnalyzer) foldSync(lens []int) []Edge {
-	fresh := inc.adoptedSync
-	inc.adoptedSync = nil
+	fresh := inc.adoptedSync.take()
 	sortEdges(fresh, &inc.edgeSort)
 	backlogReady, backlogDefer := partitionSyncReady(inc.pendingSync, lens)
 	freshReady, freshDefer := partitionSyncReady(fresh, lens)

@@ -2,8 +2,11 @@ package cpgfile
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
@@ -95,3 +98,32 @@ func TestAllocsMappedAnalysis(t *testing.T) {
 		t.Errorf("re-materialization allocated %v objects, want at most %v (vertices/64 + 16 x threads + 32)", got, limit)
 	}
 }
+
+// TestSlabsFillTheirSizeClass pins slabLen's premise, the runtime's size
+// classes: every slab it sizes allocates less than one vertex beyond its
+// vertices and the 8-byte malloc header, and it never sizes one longer
+// than asked.
+func TestSlabsFillTheirSizeClass(t *testing.T) {
+	size := uint64(unsafe.Sizeof(core.SubComputation{}))
+	var before, after runtime.MemStats
+	for want := 1; want <= slabVertices; want++ {
+		n := slabLen(want)
+		if n < 1 || n > want {
+			t.Fatalf("slabLen(%d) = %d", want, n)
+		}
+		// The least of three tries: another goroutine's allocation can
+		// land between the reads.
+		got := uint64(math.MaxUint64)
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			slabSink = make([]core.SubComputation, n)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got >= uint64(n)*size+8+size {
+			t.Errorf("a slab of %d vertices (for %d) allocated %d B, a vertex or more beyond its %d and the header", n, want, got, uint64(n)*size)
+		}
+	}
+}
+
+var slabSink []core.SubComputation

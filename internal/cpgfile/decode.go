@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"unsafe"
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/wire"
@@ -24,6 +25,30 @@ const (
 // slabVertices is the most vertices one slab of a materialization
 // holds: 128 SubComputations are 32 KiB, exactly four pages.
 const slabVertices = 128
+
+// sizeClasses are the Go runtime's small-object size classes above 512
+// bytes (runtime/sizeclasses.go). A pointerful object in one of them
+// carries an 8-byte malloc header; a larger one is whole pages.
+var sizeClasses = [...]int{
+	576, 640, 704, 768, 896, 1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456,
+	4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728, 10240, 10880, 12288, 13568, 14336,
+	16384, 18432, 19072, 20480, 21760, 24576, 27264, 28672, 32768,
+}
+
+// slabLen returns how many of want vertices the next slab holds: the
+// most whose allocation fills its size class to within one vertex, so a
+// slab wastes less than a vertex and the rest go to the next one.
+func slabLen(want int) int {
+	const size, header = int(unsafe.Sizeof(core.SubComputation{})), 8
+	if want*size <= 512 || want*size > sizeClasses[len(sizeClasses)-1]-header {
+		return want
+	}
+	for i := len(sizeClasses) - 1; ; i-- {
+		if n := (sizeClasses[i] - header) / size; n <= want {
+			return n
+		}
+	}
+}
 
 // Least bytes one element of this file's own lists can occupy.
 const (
@@ -272,24 +297,25 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 		lens[t] = cv.Count("layout.len", core.MinVertexBytes)
 		vertices += lens[t]
 	}
-	// Vertices come from slabs of at most slabVertices, and their words
-	// — clocks, spilled page sets, later the data edges' pages — from
-	// one arena: each slab and chunk sized by what its section's
-	// remaining bytes admit. Each thread's run goes into the graph
-	// whole.
+	// Vertices come from slabs of at most slabVertices, each filling its
+	// size class, and their words — clocks, spilled page sets, later the
+	// data edges' pages — from one arena: each slab and chunk sized by
+	// what its section's remaining bytes admit. Each thread's run goes
+	// into the graph whole, every run carved from one slice.
 	var (
 		words  core.Words
 		slab   []core.SubComputation
 		parsed int
 	)
+	runs := make([]*core.SubComputation, 0, min(vertices, len(cv.Rest())/core.MinVertexBytes))
 	for t, n := range lens {
 		if n == 0 {
 			continue
 		}
-		run := make([]*core.SubComputation, 0, min(n, len(cv.Rest())/core.MinVertexBytes))
+		run := runs[len(runs):len(runs):min(len(runs)+n, cap(runs))]
 		for alpha := 0; alpha < n && intact(); alpha++ {
 			if len(slab) == 0 {
-				slab = make([]core.SubComputation, max(1, min(slabVertices, vertices-parsed, len(cv.Rest())/core.MinVertexBytes)))
+				slab = make([]core.SubComputation, max(1, slabLen(min(slabVertices, vertices-parsed, len(cv.Rest())/core.MinVertexBytes))))
 			}
 			sc := &slab[0]
 			slab = slab[1:]
@@ -311,6 +337,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 		if err := g.RestoreSubs(t, run); err != nil {
 			cv.Fail("vertex", fmt.Sprintf("thread %d rejected: %v", t, err))
 		}
+		runs = runs[:min(len(runs)+len(run), cap(runs))]
 	}
 	// The column that failed is the damaged one; the others merely
 	// stopped early. Only an intact walk owes every column its last byte.

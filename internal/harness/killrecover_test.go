@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"testing"
 
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
+	"github.com/repro/inspector/internal/journal"
 )
 
 // recoverSummary runs inspector-recover -summary-json and decodes it.
@@ -89,6 +91,16 @@ func TestKillRecoverSweep(t *testing.T) {
 			}
 			if got.Epoch != uint64(k+1) {
 				t.Fatalf("recovered epoch %d after a kill at commit %d, want %d", got.Epoch, k+1, k+1)
+			}
+			// The kill left the journal's zero tail behind its frames:
+			// the never-written rest of its mapped window, which
+			// recovery read as their clean end.
+			rep, err := journal.Recover(killDir, journal.RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := os.Stat(journal.Path(killDir)); err != nil || st.Size() <= rep.End {
+				t.Fatalf("killed journal: %v (err %v), want longer than the %d bytes of frames recovered", st, err, rep.End)
 			}
 
 			// Byte-level oracle: the killed run's recovery is the

@@ -1,6 +1,7 @@
 package journal_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"testing"
@@ -35,8 +36,11 @@ func helloFrame(t testing.TB, threads uint64) []byte {
 // panics, and on any input it either fails cleanly (nothing to recover)
 // or returns a Recovery whose invariants hold — the replayed frames end
 // inside the file and a tear sits exactly there, a sealed recovery is
-// not degraded, and asking again for the epoch it just recovered
-// reproduces the same answer.
+// not degraded, asking again for the epoch it just recovered
+// reproduces the same answer, and zero bytes appended to it — the
+// never-written rest of a mapped journal's window — recover the same
+// epoch, seal and torn-ness, unless the zeros complete a CRC-valid
+// frame the input cut short.
 func FuzzJournalRecords(f *testing.F) {
 	// Seed with a real journal and characteristic damage so the fuzzer
 	// starts inside the format rather than rediscovering the magic.
@@ -52,6 +56,13 @@ func FuzzJournalRecords(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)*2/3] ^= 0x40
 	f.Add(flipped)
+	// The zero tail a killed mapped journal ends in, after the seal, in
+	// place of the seal, shorter than a frame header, and after a tear.
+	zeros := make([]byte, 100)
+	f.Add(append(bytes.Clone(valid), zeros...))
+	f.Add(append(bytes.Clone(valid[:len(valid)-sealFrameLen(f, valid)]), zeros...))
+	f.Add(append(bytes.Clone(valid), zeros[:5]...))
+	f.Add(append(bytes.Clone(valid[:len(valid)/2]), zeros...))
 	f.Add([]byte("INSPISJ1"))
 	f.Add([]byte{})
 	// Well-framed delta records whose bodies claim counts nothing backs
@@ -101,5 +112,31 @@ func FuzzJournalRecords(f *testing.F) {
 				t.Fatalf("re-recover epoch %d != %d", again.Epoch, rep.Epoch)
 			}
 		}
+		if err := os.WriteFile(journal.Path(dir), append(bytes.Clone(data), make([]byte, 4096)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tailed, err := journal.Recover(dir, journal.RecoverOptions{})
+		if err != nil {
+			t.Fatalf("zero tail refused an accepted input: %v", err)
+		}
+		if tailed.End <= int64(len(data)) && (tailed.Epoch != rep.Epoch || tailed.Sealed != rep.Sealed || (tailed.Torn == nil) != (rep.Torn == nil)) {
+			t.Fatalf("zero tail moved the recovery: epoch %d sealed=%v torn=%v, without it epoch %d sealed=%v torn=%v",
+				tailed.Epoch, tailed.Sealed, tailed.Torn, rep.Epoch, rep.Sealed, rep.Torn)
+		}
 	})
+}
+
+// sealFrameLen returns the length of a sealed journal's last frame.
+func sealFrameLen(f *testing.F, valid []byte) int {
+	rest := valid[wire.PreambleLen:]
+	for {
+		_, _, n, err := wire.ParseFrame(rest, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if int(n) == len(rest) {
+			return int(n)
+		}
+		rest = rest[n:]
+	}
 }

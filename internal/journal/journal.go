@@ -28,6 +28,14 @@
 // (recover.go), reproducing the recording's per-epoch Analyses byte for
 // byte up to the last durable record; without the seal the result is
 // marked degraded rather than passed off as complete.
+//
+// On Linux the file is appended through a shared mapping of it
+// (CreateFile): a record is a copy into the file's page-cache pages, not
+// a write(2). The mapping reserves the file a window at a time, so a
+// journal cut off mid-run ends in the zeroed rest of its last window;
+// Recover reads zeros that run to the end of the file as the clean end
+// of the frames, and Close truncates them away, so a closed journal
+// holds exactly its frames.
 package journal
 
 import (
@@ -67,7 +75,8 @@ const (
 	PolicyAlways
 	// PolicyNone never fsyncs; durability is whatever the OS page
 	// cache provides. Process death (SIGKILL) still loses nothing —
-	// dirty pages belong to the kernel — but a machine crash can.
+	// dirty pages belong to the kernel, whether a write(2) or the
+	// journal's shared mapping dirtied them — but a machine crash can.
 	PolicyNone
 )
 
@@ -104,8 +113,9 @@ func ParsePolicy(s string) (p Policy, every int, err error) {
 	return 0, 0, fmt.Errorf("journal: unknown fsync policy %q (want always, interval[:N], none)", s)
 }
 
-// File is the handle a Writer appends to. *os.File satisfies it; tests
-// and the fault injector substitute wrappers via Options.OpenFile.
+// File is the handle a Writer appends to: CreateFile's by default.
+// *os.File satisfies it; tests and the fault injector substitute
+// wrappers via Options.OpenFile.
 type File interface {
 	io.Writer
 	Sync() error
@@ -129,8 +139,8 @@ type Options struct {
 	// SyncEvery is PolicyInterval's records-per-fsync (default
 	// DefaultSyncEvery).
 	SyncEvery int
-	// OpenFile creates the journal file; the default is an exclusive
-	// os.OpenFile. Tests and the fault injector interpose here.
+	// OpenFile creates the journal file; the default is CreateFile.
+	// Tests and the fault injector interpose here.
 	OpenFile func(name string) (File, error)
 }
 
@@ -167,9 +177,7 @@ func Create(opts Options) (*Writer, error) {
 		opts.SyncEvery = DefaultSyncEvery
 	}
 	if opts.OpenFile == nil {
-		opts.OpenFile = func(name string) (File, error) {
-			return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		}
+		opts.OpenFile = CreateFile
 	}
 	if opts.RunID == "" {
 		var b [8]byte

@@ -465,6 +465,75 @@ func TestTrailingDataAfterSeal(t *testing.T) {
 	}
 }
 
+// TestZeroTailIsTheCleanEnd: a journal appended through its mapping and
+// cut off mid-run ends in the zeroed rest of its last reserved window.
+// Zeros that run to the end of the file are the clean end of the frames,
+// after a seal too, and Truncate trims them; zeros followed by any
+// non-zero byte are a tear at the first zero.
+func TestZeroTailIsTheCleanEnd(t *testing.T) {
+	sealedDir := t.TempDir()
+	_, exports := writeJournal(t, sealedDir, 2, 20, 13, journal.Options{})
+	sealed, err := os.ReadFile(journal.Path(sealedDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An unsealed journal: the sealed one without its seal frame.
+	rep, err := journal.Recover(sealedDir, journal.RecoverOptions{MaxEpoch: uint64(len(exports))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsealed := sealed[:rep.End]
+	if !rep.Stopped || int(rep.End) >= len(sealed) {
+		t.Fatalf("prefix recovery stopped=%v at %d of %d bytes", rep.Stopped, rep.End, len(sealed))
+	}
+	zeros := make([]byte, 3000)
+	for _, c := range []struct {
+		name   string
+		frames []byte
+		sealed bool
+	}{{"sealed", sealed, true}, {"unsealed", unsealed, false}} {
+		for _, n := range []int{1, 7, 8, 9, len(zeros)} {
+			t.Run(fmt.Sprintf("%s+%d", c.name, n), func(t *testing.T) {
+				dir := t.TempDir()
+				path := journal.Path(dir)
+				if err := os.WriteFile(path, append(bytes.Clone(c.frames), zeros[:n]...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := journal.Recover(dir, journal.RecoverOptions{Truncate: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Torn != nil || rep.Sealed != c.sealed || rep.Epoch != uint64(len(exports)) || rep.End != int64(len(c.frames)) {
+					t.Fatalf("torn=%v sealed=%v epoch=%d end=%d, want untorn, sealed=%v, epoch %d, end %d",
+						rep.Torn, rep.Sealed, rep.Epoch, rep.End, c.sealed, len(exports), len(c.frames))
+				}
+				want := exports[len(exports)-1]
+				if !c.sealed {
+					want = cpgtest.Truncated(t, want)
+				}
+				if !bytes.Equal(cpgtest.Bytes(t, rep.Analysis), want) {
+					t.Fatal("recovery before a zero tail diverges from the fold")
+				}
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, c.frames) {
+					t.Fatalf("Truncate left %d bytes (err %v), want the %d bytes of frames", len(got), err, len(c.frames))
+				}
+
+				// One non-zero byte after the zeros makes them a tear.
+				if err := os.WriteFile(path, append(append(bytes.Clone(c.frames), zeros[:n]...), 1), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rep, err = journal.Recover(dir, journal.RecoverOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Torn == nil || rep.Torn.Offset != int64(len(c.frames)) || rep.Sealed != c.sealed || rep.Epoch != uint64(len(exports)) {
+					t.Fatalf("zeros then a byte: torn=%v sealed=%v epoch=%d, want a tear at 0x%x", rep.Torn, rep.Sealed, rep.Epoch, len(c.frames))
+				}
+			})
+		}
+	}
+}
+
 // TestJournalOpensWithTheStreamsHello: after the preamble, the first
 // frame is the run's wire.Hello — the frame an ingest body opens with —
 // at base epoch 1, and the directory holds nothing but journal.isj.
@@ -688,7 +757,7 @@ func TestFailedCreateLeavesNothingBehind(t *testing.T) {
 	dir := t.TempDir()
 	var opened journal.File
 	_, err := journal.Create(journal.Options{Dir: dir, Threads: 1, OpenFile: func(name string) (journal.File, error) {
-		f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err := journal.CreateFile(name)
 		opened = f
 		return failingFile{f}, err
 	}})
@@ -710,7 +779,8 @@ func TestFailedCreateLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// syncCounter counts Sync calls through the OpenFile hook.
+// syncCounter counts Sync calls through the OpenFile hook, on the file
+// production journals to.
 type syncCounter struct {
 	f     journal.File
 	syncs *int
@@ -723,7 +793,7 @@ func (s *syncCounter) Close() error                { return s.f.Close() }
 func countingOpts(syncs *int) journal.Options {
 	return journal.Options{
 		OpenFile: func(name string) (journal.File, error) {
-			f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+			f, err := journal.CreateFile(name)
 			if err != nil {
 				return nil, err
 			}
@@ -787,12 +857,12 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// injected builds Options whose journal file runs through the fault
-// injector's journal wrapper.
+// injectedOpts builds Options whose journal file, the one production
+// journals to, runs through the fault injector's journal wrapper.
 func injectedOpts(in *faultinject.Injector) journal.Options {
 	return journal.Options{
 		OpenFile: func(name string) (journal.File, error) {
-			f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+			f, err := journal.CreateFile(name)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,6 +24,14 @@ import (
 // sequence. Unless the journal carries its seal the result is marked
 // degraded with a core.GapTruncated interval, so the recovered graph is
 // never silently short.
+//
+// The file transport knows one thing the applier does not: a journal
+// appended through its mapping (CreateFile) and cut off mid-run ends in
+// the zeroed, never-written rest of its last reserved window. Zero bytes
+// that run from a frame boundary to the end of the file are therefore
+// the clean end of the frames, after a seal too; zeros followed by any
+// non-zero byte are still a tear at the first zero. An ingest body has
+// no such tail, and the wire reader keeps refusing an empty frame.
 
 // TornInfo describes where and why replay stopped early.
 type TornInfo struct {
@@ -46,9 +55,9 @@ type RecoverOptions struct {
 	// durable). A deliberate prefix replay is not marked truncated.
 	MaxEpoch uint64
 	// Truncate physically removes the torn tail: the first bad frame
-	// and everything after it. A subsequent Recover sees a clean
-	// journal, unsealed unless the tail was trailing data after the
-	// seal.
+	// and everything after it, or the zero tail of a journal cut off
+	// mid-run. A subsequent Recover sees a clean journal, unsealed
+	// unless the tail followed the seal.
 	Truncate bool
 }
 
@@ -72,7 +81,8 @@ type Recovery struct {
 	Torn *TornInfo
 	// End is the file offset just past the last frame replayed: the
 	// seal when the journal is sealed, Torn.Offset whenever there is a
-	// tear. Frames opens the replayed frames up to it.
+	// tear, where a zero tail starts when there is one. Frames opens
+	// the replayed frames up to it.
 	End int64
 
 	path string
@@ -119,9 +129,15 @@ func Recover(dir string, opts RecoverOptions) (*Recovery, error) {
 	torn := func(reason string) {
 		rep.Torn = &TornInfo{Offset: rep.End, Reason: reason, Epoch: rp.Applied()}
 	}
+	// tail records that the frames ended in a zero tail.
+	tail := false
 	for rep.Torn == nil && !rep.Sealed && !rep.Stopped {
 		kind, body, err := rd.Next()
 		if err == io.EOF {
+			break
+		}
+		if err != nil && zeroTail(f, rep.End) {
+			tail = true
 			break
 		}
 		var o epoch.Outcome
@@ -142,7 +158,11 @@ func Recover(dir string, opts RecoverOptions) (*Recovery, error) {
 	// The seal must be the journal's last byte; anything after it was
 	// never supposed to be written.
 	if rep.Sealed {
-		if _, _, err := rd.Next(); err != io.EOF {
+		switch _, _, err := rd.Next(); {
+		case err == io.EOF:
+		case err != nil && zeroTail(f, rep.End):
+			tail = true
+		default:
 			torn("trailing data after seal")
 		}
 	}
@@ -160,12 +180,27 @@ func Recover(dir string, opts RecoverOptions) (*Recovery, error) {
 	default:
 		rep.Analysis = rp.Fold()
 	}
-	if opts.Truncate && rep.Torn != nil {
-		if err := os.Truncate(path, rep.Torn.Offset); err != nil {
+	if opts.Truncate && (rep.Torn != nil || tail) {
+		if err := os.Truncate(path, rep.End); err != nil {
 			return nil, fmt.Errorf("journal: truncate: %w", err)
 		}
 	}
 	return rep, nil
+}
+
+// zeroTail reports whether f holds only zero bytes from off to its end.
+func zeroTail(f *os.File, off int64) bool {
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := f.ReadAt(buf, off)
+		if bytes.Count(buf[:n], []byte{0}) != n {
+			return false
+		}
+		off += int64(n)
+		if err != nil {
+			return err == io.EOF
+		}
+	}
 }
 
 // Frames opens the replayed stream: journal.isj after its preamble, up

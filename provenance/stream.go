@@ -40,19 +40,20 @@ const maxUploadBytes = 16 << 20
 // deltas in epoch order, then the optional seal. BaseEpoch is stamped
 // from the first delta.
 func EncodeFrames(hello wire.Hello, deltas []*core.EpochDelta, seal *wire.Seal) ([]byte, error) {
-	body, _, err := encodeBody(hello, deltas, 0, math.MaxInt, seal)
+	body, _, err := encodeBody(nil, hello, deltas, 0, math.MaxInt, seal)
 	return body, err
 }
 
 // encodeBody builds one ingest request body the way EncodeFrames does,
 // but takes deltas only until it holds limit of them (limit <= 0: no
 // count cap) or its length reaches budget, and appends the seal only if
-// it took them all. It returns the body and the count of deltas taken.
-func encodeBody(hello wire.Hello, deltas []*core.EpochDelta, limit, budget int, seal *wire.Seal) (body []byte, n int, err error) {
+// it took them all. It returns the body, built in dst's array, and the
+// count of deltas taken.
+func encodeBody(dst []byte, hello wire.Hello, deltas []*core.EpochDelta, limit, budget int, seal *wire.Seal) (body []byte, n int, err error) {
 	if len(deltas) > 0 {
 		hello.BaseEpoch = deltas[0].Epoch
 	}
-	if body, err = wire.AppendFrame(nil, wire.KindHeader, &hello); err != nil {
+	if body, err = wire.AppendFrame(dst[:0], wire.KindHeader, &hello); err != nil {
 		return nil, 0, err
 	}
 	for n < len(deltas) && (limit <= 0 || n < limit) && (n == 0 || len(body) < budget) {
@@ -159,6 +160,11 @@ type Uploader struct {
 	mu      sync.Mutex
 	pending []*core.EpochDelta
 	sendErr error
+
+	// body is the sender's POST body buffer, reused for the next body
+	// once a POST of it succeeded: the aggregator read it whole, so the
+	// transport holds no reference to it.
+	body []byte
 
 	notify     chan struct{}
 	done       chan uint64 // Finish sends the seal's epoch, once
@@ -299,13 +305,18 @@ func (u *Uploader) drain(seal *wire.Seal) *wire.Seal {
 		if len(pending) == 0 && seal == nil {
 			return nil
 		}
-		body, n, err := encodeBody(u.hello, pending, u.opts.Batch, maxUploadBytes, seal)
+		body, n, err := encodeBody(u.body, u.hello, pending, u.opts.Batch, maxUploadBytes, seal)
 		if err != nil {
 			u.latch(err)
 			break
 		}
 		st, err := u.ship(body)
+		// A failed POST's body may still be read by the transport after
+		// Ingest returns (a response that came before the body went), so
+		// only a successful one's buffer is reused.
+		u.body = nil
 		if err == nil {
+			u.body = body
 			resyncs = 0
 			u.ack(st.NextEpoch)
 			if seal != nil && n == len(pending) {
