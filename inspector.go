@@ -57,7 +57,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"syscall"
 	"time"
 
 	"github.com/repro/inspector/internal/core"
@@ -399,9 +398,12 @@ func New(opts Options) (*Runtime, error) {
 			if faults.Fire(faultinject.Crash) {
 				// A real crash, not a panic: no deferred handlers, no
 				// exports, no journal seal. Only what the journal
-				// already holds survives.
-				syscall.Kill(os.Getpid(), syscall.SIGKILL)
-				select {} // unreachable: wait for the signal
+				// already holds survives. Kill is SIGKILL on Unix and
+				// TerminateProcess on Windows.
+				if self, err := os.FindProcess(os.Getpid()); err == nil {
+					_ = self.Kill()
+				}
+				select {} // unreachable: wait for the kill
 			}
 			if faults.Fire(faultinject.WorkloadPanic) {
 				panic(fmt.Sprintf("injected workload panic after %v", id))

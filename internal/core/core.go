@@ -3,9 +3,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"github.com/repro/inspector/internal/vclock"
 	"github.com/repro/inspector/internal/vtime"
@@ -172,7 +172,8 @@ func (k EdgeKind) String() string {
 
 // Edge is one CPG edge, in query/export form: Object carries the
 // materialized synchronization-object name. The in-graph sync-edge logs
-// store interned refs (syncEdgeRec); edges are materialized when derived.
+// store interned refs (DeltaSyncEdge); edges are materialized when
+// derived.
 type Edge struct {
 	From, To SubID
 	Kind     EdgeKind
@@ -182,30 +183,15 @@ type Edge struct {
 	Pages []uint64
 }
 
-// syncEdgeRec is the stored form of a schedule-dependency edge.
-type syncEdgeRec struct {
-	From, To SubID
-	Object   ObjRef
-}
-
-// graphShard holds one thread slot's vertex sequence and the sync edges
-// whose acquiring side is that thread. Both are appended only by the
-// owning thread's Recorder, so the shard mutex is uncontended on the
-// recording path; it exists to order appends against concurrent readers
-// (queries, the epoch fold). The trailing pad keeps adjacent
-// shards off each other's cache lines.
+// graphShard holds one thread slot's vertex sequence, the sync edges
+// whose acquiring side is that thread, and its trace-loss gaps (gaps.go)
+// in shardLogs: appended under mu, which only the owning thread's
+// Recorder (or a replay or restore) takes, and read without a lock.
 type graphShard struct {
-	mu        sync.RWMutex
-	seq       []*SubComputation
-	syncEdges []syncEdgeRec
-	// gaps records intervals of trace loss on this thread (see gaps.go);
-	// empty for complete recordings.
-	gaps []Gap
-	// nSeq, nSync and nGaps publish the three lengths, stored after each
-	// append under mu: an epoch cut reads them without taking the lock
-	// and locks only a shard that has something new to copy.
-	nSeq, nSync, nGaps atomic.Int64
-	_                  [32]byte
+	mu        sync.Mutex
+	seq       shardLog[*SubComputation]
+	syncEdges shardLog[DeltaSyncEdge]
+	gaps      shardLog[Gap]
 }
 
 // Graph is the Concurrent Provenance Graph under construction or analysis.
@@ -266,7 +252,7 @@ func (g *Graph) shard(t int) *graphShard {
 
 // add appends a completed sub-computation to its thread's shard. The
 // recorder guarantees alphas are dense per thread. This is the EndSub
-// append path: it takes only the owning shard's (uncontended) lock.
+// append path: it takes only the owning shard's (uncontended) mutex.
 func (g *Graph) add(sc *SubComputation) error {
 	sh := g.shard(sc.ID.Thread)
 	if sh == nil {
@@ -277,12 +263,11 @@ func (g *Graph) add(sc *SubComputation) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if uint64(len(sh.seq)) != sc.ID.Alpha {
+	if n := sh.seq.Len(); uint64(n) != sc.ID.Alpha {
 		return fmt.Errorf("core: thread %d alpha %d out of order (have %d)",
-			sc.ID.Thread, sc.ID.Alpha, len(sh.seq))
+			sc.ID.Thread, sc.ID.Alpha, n)
 	}
-	sh.seq = append(sh.seq, sc)
-	sh.nSeq.Store(int64(len(sh.seq)))
+	sh.seq.push(sc)
 	return nil
 }
 
@@ -294,23 +279,17 @@ func (g *Graph) addSyncEdge(from, to SubID, object ObjRef) {
 		return
 	}
 	sh.mu.Lock()
-	sh.syncEdges = append(sh.syncEdges, syncEdgeRec{From: from, To: to, Object: object})
-	sh.nSync.Store(int64(len(sh.syncEdges)))
+	sh.syncEdges.push(DeltaSyncEdge{From: from, To: to, Object: object})
 	sh.mu.Unlock()
 }
 
 // Sub returns the vertex with the given ID.
 func (g *Graph) Sub(id SubID) (*SubComputation, bool) {
 	sh := g.shard(id.Thread)
-	if sh == nil {
+	if sh == nil || id.Alpha >= uint64(sh.seq.Len()) {
 		return nil, false
 	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if id.Alpha >= uint64(len(sh.seq)) {
-		return nil, false
-	}
-	return sh.seq[id.Alpha], true
+	return sh.seq.at(int(id.Alpha)), true
 }
 
 // ThreadSeq returns thread t's sub-computation sequence Lt.
@@ -319,21 +298,15 @@ func (g *Graph) ThreadSeq(t int) []*SubComputation {
 	if sh == nil {
 		return nil
 	}
-	sh.mu.RLock()
-	out := make([]*SubComputation, len(sh.seq))
-	copy(out, sh.seq)
-	sh.mu.RUnlock()
-	return out
+	n := sh.seq.Len()
+	return sh.seq.appendTo(make([]*SubComputation, 0, n), 0, n)
 }
 
 // Subs returns every vertex, ordered by (thread, alpha).
 func (g *Graph) Subs() []*SubComputation {
 	out := make([]*SubComputation, 0, g.NumSubs())
 	for t := range g.shards {
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		out = append(out, sh.seq...)
-		sh.mu.RUnlock()
+		out = g.shards[t].seq.appendTo(out, 0, g.shards[t].seq.Len())
 	}
 	return out
 }
@@ -342,66 +315,27 @@ func (g *Graph) Subs() []*SubComputation {
 func (g *Graph) NumSubs() int {
 	n := 0
 	for t := range g.shards {
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		n += len(sh.seq)
-		sh.mu.RUnlock()
+		n += g.shards[t].seq.Len()
 	}
 	return n
 }
 
-// shardLen returns thread t's current sequence length.
-func (g *Graph) shardLen(t int) int {
-	sh := g.shard(t)
-	if sh == nil {
-		return 0
+// between yields thread t's vertices [from[t], to[t]) with their slots,
+// thread by thread, read in place; to must not exceed a loaded length.
+func (g *Graph) between(from, to []int) iter.Seq2[SubID, *SubComputation] {
+	return func(yield func(SubID, *SubComputation) bool) {
+		for t := range to {
+			id := SubID{Thread: t, Alpha: uint64(from[t])}
+			for run := range g.shards[t].seq.runs(from[t], to[t]) {
+				for _, sc := range run {
+					if !yield(id, sc) {
+						return
+					}
+					id.Alpha++
+				}
+			}
+		}
 	}
-	return int(sh.nSeq.Load())
-}
-
-// threadTail appends thread t's sub-computations with alpha in [lo, hi),
-// clamped to the shard's current length, to dst. The incremental fold
-// uses it to pull exactly the vertices sealed since the previous epoch.
-func (g *Graph) threadTail(dst []*SubComputation, t, lo, hi int) []*SubComputation {
-	sh := g.shard(t)
-	if sh == nil {
-		return dst
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if hi > len(sh.seq) {
-		hi = len(sh.seq)
-	}
-	if lo >= hi {
-		return dst
-	}
-	return append(dst, sh.seq[lo:hi]...)
-}
-
-// logTails reads thread t's sync-edge log and gap-list lengths — what
-// an epoch cut records — and appends the log entries from index
-// syncFrom on to sync and the gaps from gapFrom on to d, as stored (no
-// name lookup), taking the shard lock only if there are any. Logs are
-// append-only, so successive calls with the previous lengths see each
-// entry exactly once.
-func (g *Graph) logTails(t int, d *EpochDelta, sync *runs[DeltaSyncEdge], syncFrom, gapFrom int) (syncLen, gapLen int) {
-	sh := g.shard(t)
-	if sh == nil {
-		return 0, 0
-	}
-	syncLen, gapLen = int(sh.nSync.Load()), int(sh.nGaps.Load())
-	if syncLen <= syncFrom && gapLen <= gapFrom {
-		return syncLen, gapLen
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, rec := range sh.syncEdges[min(syncFrom, syncLen):syncLen] {
-		sync.add(DeltaSyncEdge(rec))
-	}
-	for _, gp := range sh.gaps[min(gapFrom, gapLen):gapLen] {
-		d.Gaps = append(d.Gaps, DeltaGap{Thread: t, Gap: gp})
-	}
-	return syncLen, gapLen
 }
 
 // SyncEdges returns the recorded schedule-dependency edges with
@@ -409,20 +343,21 @@ func (g *Graph) logTails(t int, d *EpochDelta, sync *runs[DeltaSyncEdge], syncFr
 func (g *Graph) SyncEdges() []Edge {
 	out := []Edge{} // non-nil even when empty: the JSON dump renders []
 	for t := range g.shards {
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		for _, rec := range sh.syncEdges {
-			out = append(out, Edge{
-				From:   rec.From,
-				To:     rec.To,
-				Kind:   EdgeSync,
-				Object: g.ObjectName(rec.Object),
-			})
-		}
-		sh.mu.RUnlock()
+		out = g.appendSyncLog(out, t, 0, g.shards[t].syncEdges.Len())
 	}
 	sortEdges(out, nil)
 	return out
+}
+
+// appendSyncLog appends thread t's sync-edge log entries [lo, hi) to
+// dst as edges, their object names materialized.
+func (g *Graph) appendSyncLog(dst []Edge, t, lo, hi int) []Edge {
+	for run := range g.shards[t].syncEdges.runs(lo, hi) {
+		for _, e := range run {
+			dst = append(dst, Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: g.ObjectName(e.Object)})
+		}
+	}
+	return dst
 }
 
 // edgeCmp is the canonical edge order: (From, To, Kind, Object). The

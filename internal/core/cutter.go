@@ -1,12 +1,11 @@
 package core
 
-import "slices"
-
 // A Cutter computes a recording's epoch cuts, numbered 1, 2, …: the
 // record half of the paper's record/build split, each a §VI consistent
-// snapshot. It derives nothing; an IncrementalAnalyzer that adopts its
-// deltas (on the graph they were cut from, or one they are applied to)
-// folds them.
+// snapshot, kept as lengths: the last cut's frontier and each shard's
+// log lengths and the interner's. It derives nothing; an
+// IncrementalAnalyzer that adopts its deltas (on the graph they were cut
+// from, or one they are applied to) folds them.
 //
 // # Why folding is sound: causally consistent cuts
 //
@@ -25,28 +24,25 @@ import "slices"
 // already-included reader — which is exactly what makes per-epoch
 // derivations final.
 //
-// A Cutter is safe to drive from one goroutine (or under one lock, as
-// epoch.Driver does) while any number of recording threads append to
-// the graph.
+// A cut reads the clocks it closes over and the tails it emits in place
+// in the graph's shard logs, so a Cutter is safe to drive from one
+// goroutine (or under one lock, as epoch.Driver does) while any number
+// of recording threads append to the graph.
 type Cutter struct {
 	g     *Graph
 	epoch uint64
-	// seqs mirrors the cut prefix per thread (append-only, so slices
-	// handed to earlier deltas stay valid); lens is the last cut's
-	// frontier, immutable once set.
-	seqs [][]*SubComputation
-	lens []int
-	// syncLens and gapLens are each shard's sync-edge log and gap-list
-	// lengths at the last cut, syms the interner length: where the next
-	// delta's tails start.
-	syncLens, gapLens []int
-	syms              int
-	target            []int // advance's reusable buffer
-	// deltas, ints and sync are what cuts are carved from — each delta,
-	// its lens with their base, and its sync tail (most cuts carry a few
-	// entries) — all immutable once cut.
+	// lens is the last cut's frontier, immutable once set. syncLens and
+	// gapLens are each shard's sync-edge log and gap-list lengths at the
+	// last cut, syms the interner length: where the next delta's tails
+	// start.
+	lens, syncLens, gapLens []int
+	syms                    int
+	// deltas, ints, subs and sync are what cuts are carved from — each
+	// delta, its lens, its vertices and its sync tail (most cuts carry a
+	// few of each) — all immutable once cut.
 	deltas runs[EpochDelta]
 	ints   runs[int]
+	subs   runs[*SubComputation]
 	sync   runs[DeltaSyncEdge]
 }
 
@@ -55,7 +51,6 @@ func NewCutter(g *Graph) *Cutter {
 	n := g.Threads()
 	return &Cutter{
 		g:        g,
-		seqs:     make([][]*SubComputation, n),
 		lens:     make([]int, n),
 		syncLens: make([]int, n),
 		gapLens:  make([]int, n),
@@ -71,29 +66,44 @@ func (c *Cutter) Epoch() uint64 { return c.epoch }
 // Cut advances the causally closed frontier over everything recorded
 // since the previous cut and returns the next epoch's delta: the
 // vertices it covers that the previous cut did not, the log tails past
-// what earlier cuts emitted, and the interner tail.
+// what earlier cuts emitted, and the interner tail, each copied from
+// the graph.
 func (c *Cutter) Cut() *EpochDelta {
 	c.epoch++
 	d := &c.deltas.alloc(1)[0]
 	d.Epoch, d.SymBase = c.epoch, uint32(c.syms)
-	prev := c.lens
-	c.advance()
-	n := len(c.seqs)
-	ints := c.ints.alloc(2*n + 1)
-	lens, base := ints[:n:n], ints[n:]
-	for t := range c.seqs {
-		lens[t] = len(c.seqs[t])
-		base[t+1] = base[t] + lens[t]
-	}
-	c.lens, d.Lens, d.base = lens, lens, base
+	n := len(c.lens)
+	lens := c.ints.alloc(n)
+	copy(lens, c.lens)
+	c.g.closeCut(c.lens, lens)
 	// The logs are read after the frontier is closed: an acquire logs its
 	// edge before its acquiring vertex seals, so every vertex inside the
 	// cut has its incoming sync entries in these lengths.
-	for t := range c.syncLens {
-		c.syncLens[t], c.gapLens[t] = c.g.logTails(t, d, &c.sync, c.syncLens[t], c.gapLens[t])
+	for slot, sc := range c.g.between(c.lens, lens) {
+		// A vertex whose ID disagrees with its slot (only a hand-mutated
+		// graph — Verify reports it) travels under its slot, so a replay
+		// cannot put it anywhere else.
+		if sc.ID != slot {
+			cp := *sc
+			cp.ID = slot
+			sc = &cp
+		}
+		c.subs.add(sc)
 	}
-	d.Sync = c.sync.take()
-	d.Subs = subsBetween(c.seqs, prev, lens)
+	for t := range lens {
+		sh := &c.g.shards[t]
+		syncLen, gapLen := sh.syncEdges.Len(), sh.gaps.Len()
+		c.sync.reserve(syncLen - c.syncLens[t])
+		c.sync.buf = sh.syncEdges.appendTo(c.sync.buf, c.syncLens[t], syncLen)
+		for run := range sh.gaps.runs(c.gapLens[t], gapLen) {
+			for _, gp := range run {
+				d.Gaps = append(d.Gaps, DeltaGap{Thread: t, Gap: gp})
+			}
+		}
+		c.syncLens[t], c.gapLens[t] = syncLen, gapLen
+	}
+	c.lens, d.Lens = lens, lens
+	d.Subs, d.Sync = c.subs.take(), c.sync.take()
 	// The interner tail comes last: every ref the captured vertices and
 	// sync edges use was interned before its user sealed, so capturing
 	// the table after the cut guarantees coverage.
@@ -102,62 +112,25 @@ func (c *Cutter) Cut() *EpochDelta {
 	return d
 }
 
-// advance extends c.seqs to a causally closed snapshot of the shard
-// lengths, pulling in the newly covered vertices.
-func (c *Cutter) advance() {
-	target := slices.Grow(c.target[:0], len(c.seqs))[:len(c.seqs)]
-	c.target = target
-	for t := range target {
-		target[t] = max(c.g.shardLen(t), len(c.seqs[t]))
+// closeCut extends lens, from a causally closed cut of g at from, over
+// every vertex published since and closes it under happens-before,
+// reading the clocks of the vertices past from in place.
+func (g *Graph) closeCut(from, lens []int) {
+	for t := range lens {
+		lens[t] = max(lens[t], g.shards[t].seq.Len())
 	}
 	for grew := true; grew; {
 		grew = false
-		for t := range c.seqs {
-			have := len(c.seqs[t])
-			if have >= target[t] {
-				continue
-			}
-			c.seqs[t] = c.g.threadTail(c.seqs[t], t, have, target[t])
-			tail := c.seqs[t][have:]
-			// threadTail clamps to the live shard; shrink the target so a
-			// hand-built graph that never publishes the wanted vertices
-			// cannot spin this loop.
-			target[t] = have + len(tail)
-			grew = grew || len(tail) > 0
-			for i, sc := range tail {
-				// The fold names and indexes vertices by their recorded ID;
-				// one that disagrees with its slot (only a hand-mutated
-				// graph — Verify reports it) is cut under its slot
-				// instead, so it cannot index outside the prefix.
-				if slot := (SubID{Thread: t, Alpha: uint64(have + i)}); sc.ID != slot {
-					cp := *sc
-					cp.ID = slot
-					tail[i] = &cp
-				}
-				for u := range target {
-					// The recording discipline publishes a vertex before
-					// its clock flows anywhere, so the needed vertices
-					// are already in the shard; the clamp only guards
-					// hand-built graphs that break that discipline.
-					if need := int(sc.Clock.Get(u)); need > target[u] {
-						target[u] = max(target[u], min(need, c.g.shardLen(u)))
-					}
+		for _, sc := range g.between(from, lens) {
+			for u := range lens {
+				// The recording discipline publishes a vertex before its
+				// clock flows anywhere, so the needed vertices are
+				// already published; the clamp only guards hand-built
+				// graphs that break that discipline.
+				if need := min(int(sc.Clock.Get(u)), g.shards[u].seq.Len()); need > lens[u] {
+					lens[u], grew = need, true
 				}
 			}
 		}
 	}
-}
-
-// subsBetween returns the vertices between two prefixes of seqs in
-// (thread, alpha) order. The first advanced thread's run is handed out
-// as a capped view of its append-only sequence — a per-seal cut advances
-// one thread, so that is usually the whole result — and further
-// threads' runs append to a copy (the cap forces it).
-func subsBetween(seqs [][]*SubComputation, from, to []int) []*SubComputation {
-	var subs []*SubComputation
-	for t := range seqs {
-		run := seqs[t][from[t]:to[t]]
-		subs = appendOrAdopt(subs, run[:len(run):len(run)])
-	}
-	return subs
 }

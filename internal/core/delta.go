@@ -38,15 +38,10 @@ type EpochDelta struct {
 	Sync []DeltaSyncEdge
 	// Gaps are the trace-loss intervals first seen by this epoch.
 	Gaps []DeltaGap
-
-	// base is the dense-index base of Lens, from the same allocation:
-	// the Cutter fills it so folding its cut allocates none; a decoded
-	// delta leaves it nil.
-	base []int
 }
 
-// DeltaSyncEdge is the stored form of one schedule-dependency log entry
-// (the exported mirror of syncEdgeRec).
+// DeltaSyncEdge is the stored form of one schedule-dependency log entry,
+// in a shard's sync-edge log and in a delta.
 type DeltaSyncEdge struct {
 	From, To SubID
 	Object   ObjRef
@@ -99,7 +94,7 @@ func validateDelta(g *Graph, d *EpochDelta) error {
 	}
 	next := g.applyNext
 	for t := range next {
-		next[t] = uint64(g.shardLen(t))
+		next[t] = uint64(g.shards[t].seq.Len())
 	}
 	for _, sc := range d.Subs {
 		if sc == nil {

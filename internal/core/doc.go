@@ -32,8 +32,9 @@
 //
 // Recording threads are the only writers, each through its own Recorder,
 // and a published SubComputation is immutable. Everything else is a
-// reader: Graph accessors copy under per-shard read locks, and the two
-// analysis paths build immutable queryable views —
+// reader, and reads each shard's append-only logs without a lock below
+// the lengths they publish; the two analysis paths build immutable
+// queryable views —
 //
 //   - IncrementalAnalyzer.Fold extends the previous epoch's state with
 //     only the newly sealed vertices, over a causally consistent cut —

@@ -31,10 +31,9 @@ func ReferenceSections(a *Analysis) (syncEdges, dataEdges []Edge) {
 // without building an Analysis. The output is independent of the worker
 // count.
 func DeriveDataEdges(g *Graph, workers int) []Edge {
-	inc := NewIncrementalAnalyzer(g)
+	inc := newWholeAnalyzer(g)
 	inc.SetFoldWorkers(workers)
-	_ = inc.Adopt(NewCutter(g).Cut()) // a fresh cutter's first cut: never refused
-	return inc.deriveNewData(subsBetween(inc.seqs, inc.lens, inc.cutLens))
+	return inc.deriveNewData(inc.lens, inc.cutLens)
 }
 
 // newAnalysis is the flat builder, the spec for incStore: the whole
@@ -55,7 +54,7 @@ func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64
 	all := freshLayer(0, len(syncEdges), 0, len(dataEdges))
 	a.succ = buildSuccIndex(a.ar, all.syncSeq, all.dataSeq, lens)
 	a.preds = buildPredIndex(a.ar, all.syncSeq, all.dataSeq, lens)
-	a.totals.addPrefix(g, lens)
+	a.totals.add(g, make([]int, len(lens)), lens)
 	return a
 }
 
@@ -90,12 +89,19 @@ func (r *ReferenceAnalyzer) Fold() *Analysis {
 	if err := inc.Adopt(r.cutter.Cut()); err != nil {
 		panic(err)
 	}
-	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(subsBetween(inc.seqs, inc.lens, inc.cutLens)))
+	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(inc.lens, inc.cutLens))
 	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.foldSync(inc.cutLens))
 	inc.lens = inc.cutLens
 	inc.epoch++
 	return newAnalysis(inc.g, r.syncEdges, r.dataEdges, slices.Clone(inc.lens), inc.epoch)
 }
+
+// VertexLog is a graph shard's vertex log: TestAllocsApplyDelta
+// measures its growth.
+type VertexLog = shardLog[*SubComputation]
+
+// Push appends v to the log.
+func (l *shardLog[T]) Push(v T) { l.push(v) }
 
 // LogSyncEdge appends a sync-edge log entry the way an Acquire does,
 // but with any endpoints: the lazy-fold test logs entries whose

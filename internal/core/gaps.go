@@ -76,7 +76,7 @@ type ThreadGaps struct {
 }
 
 // AddGap records a trace-loss interval on thread t. Like vertex appends,
-// gaps are recorded by the owning thread, so the shard lock is
+// gaps are recorded by the owning thread, so the shard mutex is
 // uncontended on the recording path.
 func (g *Graph) AddGap(t int, gp Gap) {
 	sh := g.shard(t)
@@ -84,8 +84,7 @@ func (g *Graph) AddGap(t int, gp Gap) {
 		return
 	}
 	sh.mu.Lock()
-	sh.gaps = append(sh.gaps, gp)
-	sh.nGaps.Store(int64(len(sh.gaps)))
+	sh.gaps.push(gp)
 	sh.mu.Unlock()
 }
 
@@ -95,14 +94,7 @@ func (g *Graph) ThreadGapList(t int) []Gap {
 	if sh == nil {
 		return nil
 	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if len(sh.gaps) == 0 {
-		return nil
-	}
-	out := make([]Gap, len(sh.gaps))
-	copy(out, sh.gaps)
-	return out
+	return sh.gaps.appendTo(nil, 0, sh.gaps.Len())
 }
 
 // Gaps returns every thread's gap intervals, thread ascending, omitting
@@ -120,11 +112,7 @@ func (g *Graph) Gaps() []ThreadGaps {
 // Degraded reports whether any trace loss was recorded.
 func (g *Graph) Degraded() bool {
 	for t := range g.shards {
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		n := len(sh.gaps)
-		sh.mu.RUnlock()
-		if n > 0 {
+		if g.shards[t].gaps.Len() > 0 {
 			return true
 		}
 	}
@@ -171,35 +159,28 @@ func (g *Graph) Completeness() Completeness {
 // excluded, so live folds report completeness consistent with the
 // prefix their cursors refer to. A non-nil gapLens bounds how much of
 // each thread's list is read (a fold sees the gaps its cut saw, not
-// later ones); threads whose bound is 0 are not locked at all. final
-// reports that no read gap reaches past the prefix, so a longer prefix
-// would clamp and exclude nothing differently.
+// later ones). final reports that no read gap reaches past the prefix,
+// so a longer prefix would clamp and exclude nothing differently.
 func (g *Graph) gapsForPrefix(lens, gapLens []int) (out []ThreadGaps, final bool) {
 	final = true
 	for t := 0; t < len(lens) && t < len(g.shards); t++ {
-		if gapLens != nil && gapLens[t] == 0 {
-			continue
+		log := &g.shards[t].gaps
+		n := log.Len()
+		if gapLens != nil {
+			n = gapLens[t]
 		}
 		var kept []Gap
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		gaps := sh.gaps
-		if gapLens != nil {
-			gaps = gaps[:gapLens[t]]
+		for run := range log.runs(0, n) {
+			for _, gp := range run {
+				if end := uint64(lens[t]); gp.FromAlpha >= end || gp.ToAlpha >= end {
+					if final = false; gp.FromAlpha >= end {
+						continue
+					}
+					gp.ToAlpha = end - 1
+				}
+				kept = append(kept, gp)
+			}
 		}
-		for _, gp := range gaps {
-			if gp.FromAlpha >= uint64(lens[t]) || gp.ToAlpha >= uint64(lens[t]) {
-				final = false
-			}
-			if gp.FromAlpha >= uint64(lens[t]) {
-				continue
-			}
-			if gp.ToAlpha >= uint64(lens[t]) {
-				gp.ToAlpha = uint64(lens[t]) - 1
-			}
-			kept = append(kept, gp)
-		}
-		sh.mu.RUnlock()
 		if len(kept) > 0 {
 			out = append(out, ThreadGaps{Thread: t, Gaps: kept})
 		}

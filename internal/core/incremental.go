@@ -14,10 +14,11 @@ import (
 // closed frontier and the epoch's delta, no derivation), and an
 // analyzer Adopts the cut and FoldAs derives everything adopted since
 // the previous fold, extending the accumulated analysis state instead
-// of re-deriving it. An analyzer only ever folds deltas it adopted: the
+// of re-deriving it. An analyzer only ever folds cuts it adopted: the
 // recording's follower adopts the epoch driver's cuts over the
 // recorder's graph, a replay the deltas it applied to a rebuilt one,
-// and Fold is the analyzer's own Cutter, Adopt and FoldAs back to back.
+// Fold is the analyzer's own Cutter, Adopt and FoldAs back to back, and
+// Graph.Analyze's throw-away analyzer takes the graph's current lengths.
 // The fold:
 //
 //   - the page → writer-runs index persists across epochs and only the
@@ -48,15 +49,13 @@ import (
 // produced the value read.
 //
 // This is the package's only data-edge derivation (deriveNewData over
-// the page → writer-runs index): Graph.Analyze is one fold of a
-// throw-away analyzer over one whole-graph cut, so k folds and one fold
-// are the same code and the equivalence property tests pin them
-// byte-identical. The oracles are independent of it and live with the
-// tests: dataEdgesReference (dataedges_test.go) retains the original
-// map-of-maps derivation as the executable specification, and the
-// tests' ReferenceAnalyzer (export_test.go) re-merges flat sections and
-// rebuilds through the flat newAnalysis every epoch as the spec for the
-// store.
+// the page → writer-runs index): Graph.Analyze is a throw-away
+// analyzer's one fold, so k folds and one fold are the same code; the
+// oracles the equivalence tests hold it to are in the package doc.
+//
+// An analyzer keeps lengths, not copies: a fold reads what it adopted
+// since the last fold in place in the graph's shard logs, with no lock,
+// and names each vertex by its slot (t, α), never by the ID it records.
 //
 // An IncrementalAnalyzer is driven from one goroutine (or under one
 // lock); recording threads may append to the graph meanwhile.
@@ -68,19 +67,19 @@ type IncrementalAnalyzer struct {
 	// analyzed. cutLens is the last adopted cut's frontier, lens[t] ≤
 	// cutLens[t]; the vertices in between are adopted but not yet
 	// folded. Both are immutable once set, so deltas and views share
-	// them; cutBase is the dense-index base of cutLens (the Cutter's,
-	// from the same allocation; nil after a decoded delta until the fold
-	// needs it).
+	// them. ints is what each view's dense-index base is carved from.
 	lens    []int
 	cutLens []int
-	cutBase []int
+	ints    runs[int]
 	adopted uint64 // the last adopted delta's epoch
-	// seqs mirrors the adopted prefix per thread (append-only, so slices
-	// handed to earlier epochs stay valid).
-	seqs [][]*SubComputation
-	// adoptedSync's open run holds the sync entries adopted since the
-	// last fold.
-	adoptedSync runs[Edge]
+	// syncLens and syncCut are each thread's sync-edge log length folded
+	// and adopted: the entries in between join the next fold.
+	syncLens, syncCut []int
+	// next is Adopt's scratch: the sync and gap counts a delta would
+	// leave, checked before any is taken. freshSync is what each fold's
+	// fresh sync entries are carved from.
+	next      []int
+	freshSync runs[Edge]
 	// pendingSync holds materialized log entries seen before their
 	// endpoints sealed, in canonical sorted order.
 	pendingSync []Edge
@@ -153,7 +152,8 @@ func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 		g:         g,
 		lens:      empty,
 		cutLens:   empty,
-		seqs:      make([][]*SubComputation, n),
+		syncLens:  make([]int, n),
+		syncCut:   make([]int, n),
 		gapCut:    make([]int, n),
 		writers:   make(map[uint64][]incRun),
 		st:        newIncStore(n),
@@ -221,7 +221,7 @@ func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
 
 // FoldAs derives everything adopted since the last fold — the vertices
 // between the folded prefix and the cut frontier, the sync-log entries
-// and gaps the cuts carried — and seals it as epoch e, which must exceed
+// and gaps the cuts counted — and seals it as epoch e, which must exceed
 // Epoch(). It reads the graph only up to the lengths the last cut
 // captured, so however long the fold is deferred, and whatever is
 // recorded meanwhile, it returns the Analysis an immediate fold would
@@ -231,57 +231,83 @@ func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
 // are the Analysis k folds produce.
 func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	prev, lens := inc.lens, inc.cutLens
-	if inc.cutBase == nil {
-		inc.cutBase = make([]int, len(lens)+1)
-		for t, l := range lens {
-			inc.cutBase[t+1] = inc.cutBase[t] + l
-		}
+	base := inc.ints.alloc(len(lens) + 1)
+	for t, l := range lens {
+		base[t+1] = base[t] + l
 	}
-	newSubs := subsBetween(inc.seqs, prev, lens)
 	// Derive the new readers' incoming data edges; everything older is
 	// final (closed cut: no new writer can happen-before an old reader).
-	newData := inc.deriveNewData(newSubs)
+	newData := inc.deriveNewData(prev, lens)
 	newSync := inc.foldSync(lens)
 
 	inc.epoch, inc.lens = e, lens
-	inc.totals.add(newSubs)
-	a := inc.st.extend(inc.g, newSync, newData, lens, prev, inc.cutBase, inc.completeness(lens), e)
+	inc.totals.add(inc.g, prev, lens)
+	a := inc.st.extend(inc.g, newSync, newData, lens, prev, base, inc.completeness(lens), e)
 	a.totals, a.syms = inc.totals, inc.syms
 	return a
 }
 
-// Adopt takes a Cutter's cut: d's vertices extend the mirrored prefix
-// up to d.Lens, d.Sync joins the next fold's sync entries, d.Gaps counts
-// on each thread's gap list, and the symbol table ends d.Symbols on. The
-// next FoldAs folds it, reading the gaps and names back from the graph,
-// which must hold everything d carries: the graph d was cut from, or
-// one d was applied to. A delta that is not the next epoch (one past
-// the newer of the last adopted delta and the last fold) or extends
-// another symbol table is refused, changing nothing.
+// Adopt takes a Cutter's cut as lengths: d.Lens, the sync entries and
+// gaps d carries counted per thread, and the symbols it adds. The next
+// FoldAs folds it, reading everything from the graph, which must hold
+// what d carries: the graph d was cut from, or one d was applied to. A
+// delta that is not the next epoch (one past the newer of the last
+// adopted delta and the last fold), extends another symbol table, ends
+// a thread before the last cut, or reaches past what the graph has
+// published is refused, changing nothing.
 func (inc *IncrementalAnalyzer) Adopt(d *EpochDelta) error {
 	if want := max(inc.adopted, inc.epoch) + 1; d.Epoch != want || int(d.SymBase) != inc.syms {
 		return fmt.Errorf("core: adopted epoch %d over symbol base %d, want epoch %d over %d (reordered or cross-run delta)", d.Epoch, d.SymBase, want, inc.syms)
 	}
-	// Each thread's run of d.Subs extends its mirror at once; a first run
-	// is shared, not copied (Analyze adopts one whole-graph cut).
-	for subs := d.Subs; len(subs) > 0; {
-		t, n := subs[0].ID.Thread, 1
-		for n < len(subs) && subs[n].ID.Thread == t {
-			n++
-		}
-		inc.seqs[t], subs = appendOrAdopt(inc.seqs[t], subs[:n:n]), subs[n:]
-	}
-	inc.cutLens, inc.cutBase = d.Lens, d.base
+	n := len(inc.cutLens)
+	inc.next = append(append(inc.next[:0], inc.syncCut...), inc.gapCut...)
+	syncNext, gapNext := inc.next[:n], inc.next[n:]
 	for _, e := range d.Sync {
-		inc.adoptedSync.add(Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: inc.g.ObjectName(e.Object)})
+		if uint(e.To.Thread) >= uint(n) {
+			return fmt.Errorf("core: adopted sync entry on thread %d of %d", e.To.Thread, n)
+		}
+		syncNext[e.To.Thread]++
 	}
 	for _, dg := range d.Gaps {
-		inc.gapCut[dg.Thread]++
+		if uint(dg.Thread) >= uint(n) {
+			return fmt.Errorf("core: adopted gap on thread %d of %d", dg.Thread, n)
+		}
+		gapNext[dg.Thread]++
 	}
+	if len(d.Lens) != n {
+		return fmt.Errorf("core: adopted cut of %d threads, graph has %d", len(d.Lens), n)
+	}
+	for t, l := range d.Lens {
+		sh := &inc.g.shards[t]
+		if l < inc.cutLens[t] || l > sh.seq.Len() || syncNext[t] > sh.syncEdges.Len() || gapNext[t] > sh.gaps.Len() {
+			return fmt.Errorf("core: adopted cut ends thread %d at %d vertices, %d sync entries and %d gaps: before the last cut's %d vertices, or past the graph's %d, %d and %d (cross-run delta)",
+				t, l, syncNext[t], gapNext[t], inc.cutLens[t], sh.seq.Len(), sh.syncEdges.Len(), sh.gaps.Len())
+		}
+	}
+	copy(inc.syncCut, syncNext)
+	copy(inc.gapCut, gapNext)
 	inc.gapTotal += len(d.Gaps)
+	inc.cutLens = d.Lens
 	inc.syms += len(d.Symbols)
 	inc.adopted = d.Epoch
 	return nil
+}
+
+// newWholeAnalyzer returns an analyzer of g that has taken the cut of
+// everything g has published — the causally closed frontier over every
+// shard's length, then the log lengths and the symbol table read after
+// it — with no Cutter and no delta: Analyze's one fold.
+func newWholeAnalyzer(g *Graph) *IncrementalAnalyzer {
+	inc := NewIncrementalAnalyzer(g)
+	lens := make([]int, len(inc.cutLens))
+	g.closeCut(inc.lens, lens)
+	for t := range lens {
+		sh := &g.shards[t]
+		inc.syncCut[t], inc.gapCut[t] = sh.syncEdges.Len(), sh.gaps.Len()
+		inc.gapTotal += inc.gapCut[t]
+	}
+	inc.cutLens, inc.syms = lens, g.interner.Len()
+	return inc
 }
 
 // completeness returns the trace-loss summary of the prefix lens over
@@ -296,15 +322,24 @@ func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 }
 
 // foldSync folds the sync-edge log entries adopted since the last
-// fold: entries whose endpoints are both inside the prefix join the
-// epoch (returned sorted), the rest are deferred (an acquire logs its
-// edge before the acquiring sub-computation seals). Both the fresh
-// entries and the deferred backlog are sorted runs, so one epoch costs a
-// sort of the fresh entries plus linear partitions and merges — the
-// backlog is never re-sorted, however many epochs it survives (the
-// deferred-acquirer regression test pins this path).
+// fold, each materialized once, from the shard logs, into a run of
+// their exact size: entries whose endpoints are both inside the
+// prefix join the epoch (returned sorted), the rest are deferred (an
+// acquire logs its edge before the acquiring sub-computation seals).
+// Both the fresh entries and the deferred backlog are sorted runs, so
+// one epoch costs a sort of the fresh entries plus linear partitions and
+// merges — the backlog is never re-sorted, however many epochs it
+// survives (the deferred-acquirer regression test pins this path).
 func (inc *IncrementalAnalyzer) foldSync(lens []int) []Edge {
-	fresh := inc.adoptedSync.take()
+	n := 0
+	for t, l := range inc.syncCut {
+		n += l - inc.syncLens[t]
+	}
+	fresh := inc.freshSync.alloc(n)[:0]
+	for t, l := range inc.syncCut {
+		fresh = inc.g.appendSyncLog(fresh, t, inc.syncLens[t], l)
+		inc.syncLens[t] = l
+	}
 	sortEdges(fresh, &inc.edgeSort)
 	backlogReady, backlogDefer := partitionSyncReady(inc.pendingSync, lens)
 	freshReady, freshDefer := partitionSyncReady(fresh, lens)
@@ -350,8 +385,9 @@ func partitionSyncReady(entries []Edge, lens []int) (ready, deferred []Edge) {
 // the configured worker count.
 const foldWorkerGrain = 256
 
-// deriveNewData indexes the cut's new writers and derives its new
-// readers' incoming data edges, returned canonically sorted. The index
+// deriveNewData indexes the new writers — thread t's vertices [prev[t],
+// lens[t]) — and derives the new readers' incoming data edges, returned
+// canonically sorted. The index
 // is extended with every new vertex before any reader is derived: a new
 // reader's writers may be new vertices of the same cut. With more than
 // one effective worker the readers fan out across goroutines on an
@@ -360,21 +396,23 @@ const foldWorkerGrain = 256
 // whatever the interleaving. A worker panic (the workload's or an
 // injected one) is re-raised on the calling goroutine after all workers
 // drain.
-func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge {
-	for _, sc := range newSubs {
-		th := int32(sc.ID.Thread)
+func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) []Edge {
+	total := 0
+	for id, sc := range inc.g.between(prev, lens) {
+		th, alpha := int32(id.Thread), int32(id.Alpha)
+		total++
 		for _, p := range sc.WriteSet.view() {
 			runs := inc.writers[p]
 			found := false
 			for i := range runs {
 				if runs[i].thread == th {
-					runs[i].alphas = append(runs[i].alphas, int32(sc.ID.Alpha))
+					runs[i].alphas = append(runs[i].alphas, alpha)
 					found = true
 					break
 				}
 			}
 			if !found {
-				inc.writers[p] = append(runs, incRun{thread: th, alphas: []int32{int32(sc.ID.Alpha)}})
+				inc.writers[p] = append(runs, incRun{thread: th, alphas: []int32{alpha}})
 			}
 		}
 	}
@@ -382,7 +420,7 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if maxw := (len(newSubs) + foldWorkerGrain - 1) / foldWorkerGrain; workers > maxw {
+	if maxw := (total + foldWorkerGrain - 1) / foldWorkerGrain; workers > maxw {
 		workers = maxw
 	}
 	if workers <= 1 {
@@ -390,13 +428,13 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 			h(0)
 		}
 		var out []Edge
-		for _, sc := range newSubs {
-			out = appendOrAdopt(out, inc.scratch.readerEdges(inc, sc))
+		for id, sc := range inc.g.between(prev, lens) {
+			out = appendOrAdopt(out, inc.scratch.readerEdges(inc, id, sc))
 		}
 		sortEdges(out, &inc.edgeSort)
 		return out
 	}
-	perReader := make([][]Edge, len(newSubs))
+	perReader := make([][]Edge, total)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
@@ -421,10 +459,17 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 			var sc incScratch
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(newSubs) {
+				if i >= len(perReader) {
 					return
 				}
-				perReader[i] = sc.readerEdges(inc, newSubs[i])
+				// Reader i is the i-th new vertex in (thread, alpha) order.
+				t, alpha := 0, i
+				for alpha >= lens[t]-prev[t] {
+					alpha -= lens[t] - prev[t]
+					t++
+				}
+				alpha += prev[t]
+				perReader[i] = sc.readerEdges(inc, SubID{Thread: t, Alpha: uint64(alpha)}, inc.g.shards[t].seq.at(alpha))
 			}
 		}(w)
 	}
@@ -432,11 +477,11 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 	if sawPanic {
 		panic(panicked)
 	}
-	total := 0
+	nEdges := 0
 	for _, es := range perReader {
-		total += len(es)
+		nEdges += len(es)
 	}
-	out := make([]Edge, 0, total)
+	out := make([]Edge, 0, nEdges)
 	for _, es := range perReader {
 		out = append(out, es...)
 	}
@@ -444,14 +489,14 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 	return out
 }
 
-// readerEdges derives reader n's incoming data edges against the folded
-// prefix. Three structural facts keep it cheap on sync-heavy executions:
-// (1) a thread's writers of a page are totally ordered by program order,
-// so at most the *latest* one that happens-before n can be maximal —
-// earlier ones are hidden by it; (2) "happens-before n" is monotone
-// along a thread's sequence, so that latest writer is found by binary
-// search within the page's writer run; and (3) the search key is a pure
-// integer threshold. The recording discipline guarantees the standard
+// readerEdges derives the incoming data edges of reader n, the vertex
+// in slot id, against the folded prefix. Three structural facts keep it
+// cheap on sync-heavy executions: (1) a thread's writers of a page are
+// totally ordered by program order, so at most the *latest* one that
+// happens-before n can be maximal — earlier ones are hidden by it; (2)
+// "happens-before n" is monotone along a thread's sequence, so that
+// latest writer is found by binary search within the page's writer run;
+// and (3) the search key is a pure integer threshold. The recording discipline guarantees the standard
 // vector-clock theorem (every sub-computation ticks its own component at
 // start, and components only flow through synchronization): thread u's
 // sub α carries clock[u] = α+1, so m on thread u happens-before n
@@ -462,10 +507,10 @@ func (inc *IncrementalAnalyzer) deriveNewData(newSubs []*SubComputation) []Edge 
 // comparison appears anywhere; dataEdgesReference keeps the
 // full-comparison form and the property tests hold the two equal.
 //
-// The analyzer state read here (writers, seqs) is frozen for the
-// duration of the derivation, so any number of workers can share it; all
-// mutable state lives in the scratch.
-func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, n *SubComputation) []Edge {
+// The analyzer state read here (writers) and the graph's published
+// vertices are frozen for the duration of the derivation, so any number
+// of workers can share them; all mutable state lives in the scratch.
+func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, id SubID, n *SubComputation) []Edge {
 	sc.accFrom = sc.accFrom[:0]
 	sc.accPages = sc.accPages[:0]
 	for _, p := range n.ReadSet.view() {
@@ -476,8 +521,8 @@ func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, n *SubComputation) [
 		sc.cands = sc.cands[:0]
 		for _, run := range runs {
 			var lim int32
-			if int(run.thread) == n.ID.Thread {
-				lim = int32(n.ID.Alpha) - 1
+			if int(run.thread) == id.Thread {
+				lim = int32(id.Alpha) - 1
 			} else {
 				lim = int32(n.Clock.Get(int(run.thread))) - 1
 			}
@@ -499,7 +544,7 @@ func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, n *SubComputation) [
 		for _, m := range sc.cands {
 			hidden := false
 			for _, m2 := range sc.cands {
-				if m2 != m && int32(inc.seqs[m2.thread][m2.alpha].Clock.Get(int(m.thread))) >= m.alpha+1 {
+				if m2 != m && int32(inc.g.shards[m2.thread].seq.at(int(m2.alpha)).Clock.Get(int(m.thread))) >= m.alpha+1 {
 					hidden = true
 					break
 				}
@@ -531,7 +576,7 @@ func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, n *SubComputation) [
 	for k, m := range sc.accFrom {
 		out[k] = Edge{
 			From:  SubID{Thread: int(m.thread), Alpha: uint64(m.alpha)},
-			To:    n.ID,
+			To:    id,
 			Kind:  EdgeData,
 			Pages: sc.accPages[k],
 		}

@@ -240,3 +240,43 @@ func TestCutsAndFoldsInterleave(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptRefusesCutBeyondGraph adopts a delta cut from another
+// recording — the right epoch and symbol base, but longer lens than the
+// analyzer's graph has published — which a fold would read past the
+// graph's vertices. Adopt must refuse it and change nothing: the
+// graph's own next cut still adopts, and folds to its Analyze.
+func TestAdoptRefusesCutBeyondGraph(t *testing.T) {
+	const threads, pages, seed = 4, 32, 7
+	short := newLiveRecording(t, threads, pages, seed)
+	long := newLiveRecording(t, threads, pages, seed)
+	for range 5 {
+		short.step(t, pages)
+		long.step(t, pages)
+	}
+	shortCut, longCut := core.NewCutter(short.g), core.NewCutter(long.g)
+	inc := core.NewIncrementalAnalyzer(short.g)
+	if err := inc.Adopt(shortCut.Cut()); err != nil {
+		t.Fatal(err)
+	}
+	longCut.Cut()
+	for range 20 {
+		long.step(t, pages)
+	}
+	foreign := longCut.Cut()
+	if err := inc.Adopt(foreign); err == nil {
+		t.Fatalf("adopted a cut of lens %v over a graph of %v vertices per thread", foreign.Lens, short.g.Analyze().ThreadLens())
+	}
+	short.step(t, pages)
+	short.finish(t)
+	own := shortCut.Cut()
+	if own.Epoch != foreign.Epoch || own.SymBase != foreign.SymBase {
+		t.Fatalf("the foreign delta is epoch %d over symbol base %d, the graph's own next one %d over %d", foreign.Epoch, foreign.SymBase, own.Epoch, own.SymBase)
+	}
+	if err := inc.Adopt(own); err != nil {
+		t.Fatalf("the graph's own next cut after a refusal: %v", err)
+	}
+	if got, want := exportBytes(t, inc.FoldAs(own.Epoch)), exportBytes(t, short.g.Analyze()); !bytes.Equal(got, want) {
+		t.Fatal("the fold after a refused delta differs from Analyze")
+	}
+}

@@ -82,44 +82,29 @@ type vertexTotals struct {
 	thunks, readSetPages, writeSetPages int
 }
 
-// add counts subs into the totals.
-func (vt *vertexTotals) add(subs []*SubComputation) {
-	for _, sc := range subs {
+// add counts g's vertices between the prefixes from and to into the
+// totals, reading each shard in place.
+func (vt *vertexTotals) add(g *Graph, from, to []int) {
+	for _, sc := range g.between(from, to) {
 		vt.thunks += int(sc.nThunks)
 		vt.readSetPages += sc.ReadSet.Len()
 		vt.writeSetPages += sc.WriteSet.Len()
 	}
 }
 
-// addPrefix counts g's vertex prefix lens into the totals under one
-// shard lock per thread, reading each shard in place.
-func (vt *vertexTotals) addPrefix(g *Graph, lens []int) {
-	for t, n := range lens {
-		sh := &g.shards[t]
-		sh.mu.RLock()
-		vt.add(sh.seq[:min(n, len(sh.seq))])
-		sh.mu.RUnlock()
-	}
-}
-
 // Analyze derives all edges over the graph's current vertex prefix and
-// builds the adjacency indexes: a throw-away IncrementalAnalyzer's fold
-// of one whole-graph cut, stamped epoch 0. The prefix is therefore the
-// same causally closed cut every fold takes (a mid-run Analyze never
-// includes a reader without its writers), and sync-edge log entries
-// whose endpoints are not yet recorded vertices (an acquire logs its
-// edge before the acquiring sub-computation seals, so mid-run graphs
-// contain such entries) are left out. After a completed Run no such
-// entries remain, so post-mortem analyses see every logged edge.
+// builds the adjacency indexes: a throw-away IncrementalAnalyzer's one
+// fold to the graph's current causally closed cut, stamped epoch 0 (a
+// mid-run Analyze never includes a reader without its writers), with
+// no Cutter and no delta. Sync-edge log entries whose endpoints are not
+// yet recorded vertices (an acquire logs its edge before the acquiring
+// sub-computation seals, so mid-run graphs contain such entries) are
+// left out; after a completed Run none remain.
 func (g *Graph) Analyze() *Analysis { return g.AnalyzeAs(0) }
 
 // AnalyzeAs is Analyze stamped epoch e: a quiesced recording's analysis
 // at its final epoch e, whose cut covers the whole graph.
-func (g *Graph) AnalyzeAs(e uint64) *Analysis {
-	inc := NewIncrementalAnalyzer(g)
-	_ = inc.Adopt(NewCutter(g).Cut()) // a fresh cutter's first cut: never refused
-	return inc.FoldAs(e)
-}
+func (g *Graph) AnalyzeAs(e uint64) *Analysis { return newWholeAnalyzer(g).FoldAs(e) }
 
 // subInPrefix reports whether id lies inside the prefix bounded by lens.
 func subInPrefix(id SubID, lens []int) bool {
@@ -251,7 +236,7 @@ func (a *Analysis) gapVerdict(err error, ids ...SubID) error {
 func (a *Analysis) Subs() []*SubComputation {
 	out := make([]*SubComputation, 0, a.NumVertices())
 	for t, n := range a.lens {
-		out = a.g.threadTail(out, t, 0, n)
+		out = a.g.shards[t].seq.appendTo(out, 0, n)
 	}
 	return out
 }
@@ -540,18 +525,10 @@ func (a *Analysis) Verify() error {
 func (a *Analysis) VerifyCtx(ctx context.Context) error {
 	// Invariant 2a: stored vertices sit at their recorded slots. Only the
 	// analyzed prefix is checked — vertices sealed after the fold belong
-	// to a later epoch's analysis. A published slot never changes, so
-	// the run is read outside the shard lock.
-	for t, n := range a.lens {
-		sh := &a.g.shards[t]
-		sh.mu.RLock()
-		seq := sh.seq[:min(n, len(sh.seq))]
-		sh.mu.RUnlock()
-		for i, sc := range seq {
-			if want := (SubID{Thread: t, Alpha: uint64(i)}); sc.ID != want {
-				return a.gapVerdict(
-					fmt.Errorf("core: vertex at slot %v records ID %v", want, sc.ID), want)
-			}
+	// to a later epoch's analysis.
+	for slot, sc := range a.g.between(make([]int, len(a.lens)), a.lens) {
+		if sc.ID != slot {
+			return a.gapVerdict(fmt.Errorf("core: vertex at slot %v records ID %v", slot, sc.ID), slot)
 		}
 	}
 	var err error

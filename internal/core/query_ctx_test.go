@@ -150,7 +150,7 @@ func TestQueryCancellationStopsTraversal(t *testing.T) {
 func TestConcurrentReadOnlyQueries(t *testing.T) {
 	g := buildHandoffWeb(t, 4, 64)
 	a := g.Analyze()
-	lastU := SubID{Thread: 0, Alpha: uint64(g.shardLen(0) - 1)}
+	lastU := SubID{Thread: 0, Alpha: uint64(g.shards[0].seq.Len() - 1)}
 
 	wantSlice := must(a.SliceCtx(bg, lastU))
 	wantTaint := must(a.TaintedByCtx(bg, SubID{Thread: 1, Alpha: 0}))

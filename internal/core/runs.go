@@ -14,13 +14,14 @@ type runs[T any] struct {
 	start int // where the open run begins in buf
 }
 
-// reserve makes room for n more elements in the open run.
+// reserve makes room for n more elements in the open run: a chunk that
+// doubles the open run, or holds exactly n more when that is larger.
 func (r *runs[T]) reserve(n int) {
 	if cap(r.buf)-len(r.buf) >= n {
 		return
 	}
 	open := r.buf[r.start:]
-	buf := make([]T, len(open), max(runChunk, 2*(len(open)+n)))
+	buf := make([]T, len(open), max(runChunk, 2*len(open)+n))
 	copy(buf, open)
 	r.buf, r.start = buf, 0
 }

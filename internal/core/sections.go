@@ -127,17 +127,13 @@ func (g *Graph) RestoreSubs(t int, run []*SubComputation) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	have := sh.seq.Len()
 	for i, sc := range run {
-		if want := (SubID{Thread: t, Alpha: uint64(len(sh.seq) + i)}); sc.ID != want {
+		if want := (SubID{Thread: t, Alpha: uint64(have + i)}); sc.ID != want {
 			return fmt.Errorf("core: %v restored where %v belongs", sc.ID, want)
 		}
 	}
-	if len(sh.seq) == 0 {
-		sh.seq = run[:len(run):len(run)]
-	} else {
-		sh.seq = append(sh.seq, run...)
-	}
-	sh.nSeq.Store(int64(len(sh.seq)))
+	sh.seq.pushRun(run)
 	return nil
 }
 
@@ -227,10 +223,10 @@ func (g *Graph) RestoreSyncLog(edges []Edge, objs []ObjRef) {
 	for t := range g.shards {
 		off[t+1] += off[t]
 	}
-	recs := make([]syncEdgeRec, off[len(g.shards)])
+	recs := make([]DeltaSyncEdge, off[len(g.shards)])
 	for i := range edges {
 		if e := &edges[i]; g.shard(e.To.Thread) != nil {
-			recs[off[e.To.Thread]] = syncEdgeRec{From: e.From, To: e.To, Object: objs[i]}
+			recs[off[e.To.Thread]] = DeltaSyncEdge{From: e.From, To: e.To, Object: objs[i]}
 			off[e.To.Thread]++
 		}
 	}
@@ -242,12 +238,7 @@ func (g *Graph) RestoreSyncLog(edges []Edge, objs []ObjRef) {
 		}
 		sh := &g.shards[t]
 		sh.mu.Lock()
-		if sh.syncEdges == nil {
-			sh.syncEdges = run
-		} else {
-			sh.syncEdges = append(sh.syncEdges, run...)
-		}
-		sh.nSync.Store(int64(len(sh.syncEdges)))
+		sh.syncEdges.pushRun(run)
 		sh.mu.Unlock()
 	}
 }
@@ -276,9 +267,8 @@ func NewAnalysisFromSections(g *Graph, lens []int, epoch uint64, syncEdges, data
 		return nil, fmt.Errorf("core: section lens cover %d threads, graph has %d", len(lens), g.Threads())
 	}
 	for t, n := range lens {
-		if n < 0 || n != g.shardLen(t) {
-			return nil, fmt.Errorf("core: section len %d for thread %d, graph holds %d vertices",
-				n, t, g.shardLen(t))
+		if have := g.shards[t].seq.Len(); n != have {
+			return nil, fmt.Errorf("core: section len %d for thread %d, graph holds %d vertices", n, t, have)
 		}
 	}
 	if err := checkSection("sync", syncEdges, EdgeSync, lens); err != nil {
@@ -296,7 +286,7 @@ func NewAnalysisFromSections(g *Graph, lens []int, epoch uint64, syncEdges, data
 	gaps, _ := g.gapsForPrefix(lens, nil)
 	a := newIncStore(n).extend(g, syncEdges, dataEdges, lens, empty, base, summarizeGaps(gaps), epoch)
 	a.syms = g.interner.Len()
-	a.totals.addPrefix(g, lens)
+	a.totals.add(g, empty, lens)
 	return a, nil
 }
 

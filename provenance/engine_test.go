@@ -3,6 +3,7 @@ package provenance
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -277,7 +278,9 @@ func TestAllocsEdgesQueryRestored(t *testing.T) {
 // TestAllocsVerifyRestored pins what a verify query allocates on a
 // loaded analysis: per thread, not per edge — it walks the edges and
 // each thread's run in place instead of building the flat edge list
-// (80 bytes an edge) or copying a run.
+// (80 bytes an edge) or copying a run. MemStats counts the whole
+// process, and another goroutine's allocation can only add, so it
+// takes the fewest of three queries.
 func TestAllocsVerifyRestored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.cpg")
 	if err := cpgfile.Write(path, cpgbench.BuildRandomGraph(4, 2000, 64, 2, 7).Analyze(), cpgfile.Meta{}); err != nil {
@@ -291,16 +294,19 @@ func TestAllocsVerifyRestored(t *testing.T) {
 	edges := st.ControlEdges + st.SyncEdges + st.DataEdges
 	e := NewEngine(a, EngineOptions{})
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err = e.Execute(context.Background(), Query{Kind: KindVerify})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	mallocs, allocated := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err = e.Execute(context.Background(), Query{Kind: KindVerify})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mallocs, allocated = min(mallocs, after.Mallocs-before.Mallocs), min(allocated, after.TotalAlloc-before.TotalAlloc)
 	}
 	threads := uint64(a.Graph().Threads())
-	mallocs, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	limit, byteLimit := 4*threads+32, 256*threads+4<<10
 	t.Logf("verify of %d edges over %d threads: %d allocations, %d B (limits %d, %d B)", edges, threads, mallocs, allocated, limit, byteLimit)
 	if uint64(80*edges) < 8*byteLimit {
