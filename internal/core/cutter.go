@@ -34,9 +34,9 @@ type Cutter struct {
 	// lens is the last cut's frontier, immutable once set. syncLens and
 	// gapLens are each shard's sync-edge log and gap-list lengths at the
 	// last cut, syms the interner length: where the next delta's tails
-	// start.
-	lens, syncLens, gapLens []int
-	syms                    int
+	// start. scanned is closeCut's scratch.
+	lens, syncLens, gapLens, scanned []int
+	syms                             int
 	// deltas, ints, subs and sync are what cuts are carved from — each
 	// delta, its lens, its vertices and its sync tail (most cuts carry a
 	// few of each) — all immutable once cut.
@@ -54,6 +54,7 @@ func NewCutter(g *Graph) *Cutter {
 		lens:     make([]int, n),
 		syncLens: make([]int, n),
 		gapLens:  make([]int, n),
+		scanned:  make([]int, n),
 		// Ref 0 is the "" every NewGraph interns; deltas never carry it,
 		// so replay against a fresh graph starts aligned.
 		syms: 1,
@@ -75,7 +76,7 @@ func (c *Cutter) Cut() *EpochDelta {
 	n := len(c.lens)
 	lens := c.ints.alloc(n)
 	copy(lens, c.lens)
-	c.g.closeCut(c.lens, lens)
+	c.g.closeCut(c.lens, lens, c.scanned)
 	// The logs are read after the frontier is closed: an acquire logs its
 	// edge before its acquiring vertex seals, so every vertex inside the
 	// cut has its incoming sync entries in these lengths.
@@ -114,23 +115,27 @@ func (c *Cutter) Cut() *EpochDelta {
 
 // closeCut extends lens, from a causally closed cut of g at from, over
 // every vertex published since and closes it under happens-before,
-// reading the clocks of the vertices past from in place.
-func (g *Graph) closeCut(from, lens []int) {
+// reading each clock past from once, in place. scanned is scratch, one
+// int per thread: how far that thread's clocks have been read.
+func (g *Graph) closeCut(from, lens, scanned []int) {
+	copy(scanned, from)
 	for t := range lens {
 		lens[t] = max(lens[t], g.shards[t].seq.Len())
 	}
 	for grew := true; grew; {
 		grew = false
-		for _, sc := range g.between(from, lens) {
-			for u := range lens {
-				// The recording discipline publishes a vertex before its
-				// clock flows anywhere, so the needed vertices are
-				// already published; the clamp only guards hand-built
-				// graphs that break that discipline.
-				if need := min(int(sc.Clock.Get(u)), g.shards[u].seq.Len()); need > lens[u] {
-					lens[u], grew = need, true
+		for t := range lens {
+			lo, hi := scanned[t], lens[t]
+			for run := range g.shards[t].seq.runs(lo, hi) {
+				for _, sc := range run {
+					for u := range lens {
+						// A vertex is published before its clock flows
+						// anywhere; the clamp guards hand-built graphs.
+						lens[u] = max(lens[u], min(int(sc.Clock.Get(u)), g.shards[u].seq.Len()))
+					}
 				}
 			}
+			scanned[t], grew = hi, grew || lo < hi
 		}
 	}
 }

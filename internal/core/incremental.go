@@ -48,11 +48,6 @@ import (
 // reader are excluded, so each edge names a write that may actually have
 // produced the value read.
 //
-// This is the package's only data-edge derivation (deriveNewData over
-// the page → writer-runs index): Graph.Analyze is a throw-away
-// analyzer's one fold, so k folds and one fold are the same code; the
-// oracles the equivalence tests hold it to are in the package doc.
-//
 // An analyzer keeps lengths, not copies: a fold reads what it adopted
 // since the last fold in place in the graph's shard logs, with no lock,
 // and names each vertex by its slot (t, α), never by the ID it records.
@@ -300,7 +295,7 @@ func (inc *IncrementalAnalyzer) Adopt(d *EpochDelta) error {
 func newWholeAnalyzer(g *Graph) *IncrementalAnalyzer {
 	inc := NewIncrementalAnalyzer(g)
 	lens := make([]int, len(inc.cutLens))
-	g.closeCut(inc.lens, lens)
+	g.closeCut(inc.lens, lens, make([]int, len(lens)))
 	for t := range lens {
 		sh := &g.shards[t]
 		inc.syncCut[t], inc.gapCut[t] = sh.syncEdges.Len(), sh.gaps.Len()

@@ -280,22 +280,26 @@ func TestAllocsEdgesQueryRestored(t *testing.T) {
 // each thread's run in place instead of building the flat edge list
 // (80 bytes an edge) or copying a run. MemStats counts the whole
 // process, and another goroutine's allocation can only add, so it
-// takes the fewest of three queries.
+// takes the fewest of three queries. Each runs on a freshly loaded
+// analysis and a new engine: a list the first query built and cached
+// would make the later ones free, and the fewest would hide it.
 func TestAllocsVerifyRestored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.cpg")
 	if err := cpgfile.Write(path, cpgbench.BuildRandomGraph(4, 2000, 64, 2, 7).Analyze(), cpgfile.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := cpgfile.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := a.Stats()
-	edges := st.ControlEdges + st.SyncEdges + st.DataEdges
-	e := NewEngine(a, EngineOptions{})
-
+	var edges, threads uint64
 	mallocs, allocated := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for range 3 {
+		a, _, err := cpgfile.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := a.Stats()
+		edges = uint64(st.ControlEdges + st.SyncEdges + st.DataEdges)
+		threads = uint64(a.Graph().Threads())
+		e := NewEngine(a, EngineOptions{})
+
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -306,7 +310,6 @@ func TestAllocsVerifyRestored(t *testing.T) {
 		}
 		mallocs, allocated = min(mallocs, after.Mallocs-before.Mallocs), min(allocated, after.TotalAlloc-before.TotalAlloc)
 	}
-	threads := uint64(a.Graph().Threads())
 	limit, byteLimit := 4*threads+32, 256*threads+4<<10
 	t.Logf("verify of %d edges over %d threads: %d allocations, %d B (limits %d, %d B)", edges, threads, mallocs, allocated, limit, byteLimit)
 	if uint64(80*edges) < 8*byteLimit {
