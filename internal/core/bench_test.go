@@ -21,6 +21,7 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
+	"github.com/repro/inspector/internal/vclock"
 )
 
 const (
@@ -508,5 +509,60 @@ func TestAllocsSliceVerifyPerVertex(t *testing.T) {
 		if got := testing.AllocsPerRun(5, c.fn); got > float64(c.vertices)/10 {
 			t.Errorf("%s: %v allocs per run over %d vertices, want at most one per 10", c.name, got, c.vertices)
 		}
+	}
+}
+
+// TestAllocsFoldDataEdges pins that what a fold allocates does not grow
+// with the data edges it derives: each edge is a row appended to the
+// analyzer's buffers and then to the store's arenas, its pages words
+// in the page arena, so an epoch deriving 4 096 data edges allocates
+// what one deriving 64 does plus amortized growth and the base reseal —
+// O(1) objects, where one edge slice per reader and one page slice per
+// edge made it O(k). It measures in a process of its own
+// (measureAlone).
+func TestAllocsFoldDataEdges(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
+	const small, large = 64, 4096
+	// T0.0 writes every page; reader T1.α reads page α after it, so each
+	// reader is one data edge's To.
+	g := core.NewGraph(2)
+	writer := &core.SubComputation{ID: core.SubID{Thread: 0}, Clock: vclock.Clock{1, 0}}
+	for p := range uint64(small + large + small) {
+		writer.WriteSet.Add(p)
+	}
+	if err := g.RestoreSubs(0, []*core.SubComputation{writer}); err != nil {
+		t.Fatal(err)
+	}
+	inc := core.NewIncrementalAnalyzer(g)
+	inc.SetFoldWorkers(1)
+	readers := 0
+	epoch := func(n int) (mallocs uint64) {
+		run := make([]*core.SubComputation, n)
+		for i := range run {
+			alpha := uint64(readers + i)
+			run[i] = &core.SubComputation{ID: core.SubID{Thread: 1, Alpha: alpha}, Clock: vclock.Clock{1, alpha + 1}}
+			run[i].ReadSet.Add(alpha)
+		}
+		if err := g.RestoreSubs(1, run); err != nil {
+			t.Fatal(err)
+		}
+		readers += n
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a := inc.Fold()
+		runtime.ReadMemStats(&after)
+		if got := a.Stats().DataEdges; got != readers {
+			t.Fatalf("epoch %d holds %d data edges, want %d", a.Epoch(), got, readers)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	epoch(small) // the analyzer's first fold sizes its buffers
+	few, many := epoch(small), epoch(large)
+	t.Logf("a fold deriving %d data edges allocates %d objects, one deriving %d allocates %d", small, few, large, many)
+	if many > few+32 {
+		t.Errorf("a fold deriving %d data edges allocated %d objects, one deriving %d allocated %d: want at most 32 more, not O(edges)",
+			large, many, small, few)
 	}
 }

@@ -171,9 +171,10 @@ func (k EdgeKind) String() string {
 }
 
 // Edge is one CPG edge, in query/export form: Object carries the
-// materialized synchronization-object name. The in-graph sync-edge logs
-// store interned refs (DeltaSyncEdge); edges are materialized when
-// derived.
+// materialized synchronization-object name. An Edge is a view at the
+// API boundary: the graph's sync-edge logs store interned refs
+// (DeltaSyncEdge) and an Analysis stores pointer-free rows (csr.go),
+// from which every Edge it hands out is materialized.
 type Edge struct {
 	From, To SubID
 	Kind     EdgeKind
@@ -343,18 +344,23 @@ func (g *Graph) between(from, to []int) iter.Seq2[SubID, *SubComputation] {
 func (g *Graph) SyncEdges() []Edge {
 	out := []Edge{} // non-nil even when empty: the JSON dump renders []
 	for t := range g.shards {
-		out = g.appendSyncLog(out, t, 0, g.shards[t].syncEdges.Len())
+		for run := range g.shards[t].syncEdges.runs(0, g.shards[t].syncEdges.Len()) {
+			for _, e := range run {
+				out = append(out, Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: g.ObjectName(e.Object)})
+			}
+		}
 	}
-	sortEdges(out, nil)
+	sortEdges(out, edgeCmp, nil)
 	return out
 }
 
 // appendSyncLog appends thread t's sync-edge log entries [lo, hi) to
-// dst as edges, their object names materialized.
-func (g *Graph) appendSyncLog(dst []Edge, t, lo, hi int) []Edge {
+// dst as rows. An endpoint no row can spell (see refOf) becomes
+// noVertex, which no prefix holds, so its entry stays deferred.
+func (g *Graph) appendSyncLog(dst []edgeRow, t, lo, hi int) []edgeRow {
 	for run := range g.shards[t].syncEdges.runs(lo, hi) {
 		for _, e := range run {
-			dst = append(dst, Edge{From: e.From, To: e.To, Kind: EdgeSync, Object: g.ObjectName(e.Object)})
+			dst = append(dst, edgeRow{from: refOf(e.From), to: refOf(e.To), obj: e.Object})
 		}
 	}
 	return dst
@@ -365,8 +371,8 @@ func (g *Graph) appendSyncLog(dst []Edge, t, lo, hi int) []Edge {
 // single acquire binds to one fresh sub-computation, so (From, To, Kind)
 // is unique) but keeps the order total for hand-built inputs. sortEdges
 // (edgesort.go) and the sorted-run merges of the fold and the store all
-// implement it. It takes pointers: an Edge is 80 bytes, and the merges
-// compare arena entries in place.
+// implement it, the store's on rows (arenas.cmp). It takes pointers: an
+// Edge is 80 bytes.
 func edgeCmp(a, b *Edge) int {
 	switch {
 	case a.From != b.From:

@@ -397,7 +397,9 @@ func TestAnalyzeDegenerateGraphs(t *testing.T) {
 				g := NewGraph(3)
 				handSub(t, g, SubID{Thread: 0, Alpha: 0}, []uint64{1, 0, 0}, nil, []uint64{7})
 				handSub(t, g, SubID{Thread: 2, Alpha: 0}, []uint64{1, 0, 1}, []uint64{7}, nil)
-				g.RestoreSyncLog([]Edge{{From: SubID{Thread: 0, Alpha: 0}, To: SubID{Thread: 2, Alpha: 0}}}, []ObjRef{g.InternObject("m")})
+				var log EdgeRows
+				log.AppendSync(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 2, Alpha: 0}, g.InternObject("m"))
+				g.RestoreSyncLog(&log)
 				g.AddGap(0, Gap{FromAlpha: 0, ToAlpha: 4, Kind: GapAuxLoss, Bytes: 64})
 				g.AddGap(2, Gap{FromAlpha: 3, ToAlpha: 5, Kind: GapTruncated})
 				return g
@@ -429,10 +431,10 @@ func TestAnalyzeDegenerateGraphs(t *testing.T) {
 				g := NewGraph(2)
 				handSub(t, g, SubID{Thread: 0, Alpha: 0}, []uint64{1, 0}, nil, []uint64{7})
 				m := g.InternObject("m")
-				g.RestoreSyncLog([]Edge{
-					{From: SubID{Thread: 0, Alpha: 0}, To: SubID{Thread: 1, Alpha: 3}},
-					{From: SubID{Thread: 9, Alpha: 0}, To: SubID{Thread: 0, Alpha: 0}},
-				}, []ObjRef{m, m})
+				var log EdgeRows
+				log.AppendSync(SubID{Thread: 0, Alpha: 0}, SubID{Thread: 1, Alpha: 3}, m)
+				log.AppendSync(SubID{Thread: 9, Alpha: 0}, SubID{Thread: 0, Alpha: 0}, m)
+				g.RestoreSyncLog(&log)
 				return g
 			},
 			lens:     []int{1, 0},

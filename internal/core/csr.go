@@ -1,25 +1,42 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
+	"strings"
 )
 
-// This file is the storage layer behind Analysis: two append-only edge
-// arenas (sync, data) plus a sealed-base + per-epoch-delta adjacency
-// overlay. Every Analysis is built here, by incStore: the fold —
-// Graph.Analyze is one fold, a restored .cpg one epoch over an empty
-// store — appends each epoch's edges to the shared arenas and stacks a
-// small overlay layer on top, so sealing an epoch costs O(delta)
-// instead of re-materializing O(graph) flat state. (The flat builder
-// that seals everything into one base, newAnalysis, is the tests' spec.)
+// This file is the storage layer behind Analysis: edge arenas of
+// fixed-width, pointer-free rows plus a sealed-base + per-epoch-delta
+// adjacency overlay. A stored edge is a 32-byte edgeRow in the sync or
+// the data arena (the arena is its kind): its endpoints as (thread, α)
+// pairs of 32-bit words, and a sync row's object ref or a data row's
+// page count and either its one page or the offset of its pages in one
+// append-only []uint64 page arena. The collector never scans the
+// arenas, a decoded .cpg section is one allocation of rows, and a fold
+// appends an epoch's rows and page words without allocating per edge.
+// *Edge exists only at the API boundary: EdgeSeq.At, AllEdges and the
+// traversal callbacks fill one view per traversal from a row — the
+// object's name read from the store's view of the symbol table, the
+// pages as a cap-limited window of the row or the page arena — so
+// reading an edge allocates nothing.
+//
+// Every Analysis is built here, by incStore: the fold — Graph.Analyze
+// is one fold, a restored .cpg one epoch over an empty store — appends
+// each epoch's rows to the shared arenas and stacks a small overlay
+// layer on top, so sealing an epoch costs O(delta) instead of
+// re-materializing O(graph) flat state. (The flat builder that seals
+// everything into one base, newAnalysis, is the tests' spec.)
 // Compaction is size-tiered (incStore.push): a new layer absorbs its
 // neighbour while the neighbour is at most twice its size, and the base
 // reseals once the overlay reaches half of it. Every ref is merged
 // O(log overlay) times per base generation whatever the fold cadence —
 // one epoch per sealed sub-computation included — so the per-epoch cost
 // is amortized O(delta · log) while every already-published Analysis
-// keeps its own immutable view.
+// keeps its own immutable view. Merges and traversals compare rows in
+// place, in the canonical edge order: (From, To), then, for two sync
+// rows that tie, their objects' names.
 //
 // Why an overlay works at all: every edge materialized in an epoch has
 // its To among that epoch's new vertices (control edges by
@@ -31,7 +48,48 @@ import (
 // while only successor lists of old vertices grow, which is exactly
 // what the layered successor index absorbs.
 
-// edgeRef names one derived edge in an Analysis's arenas: an index into
+// vertexRef is a vertex (t, α) as the pair of 32-bit words a row
+// stores, t above α, so refs order like SubIDs. A stored endpoint is
+// always inside an analyzed prefix, whose thread slots and per-thread
+// lengths stay far below 2^32.
+type vertexRef uint64
+
+// noVertex is what refOf makes of an id no pair of 32-bit words spells
+// (a negative thread, a thread or α of 2^32 or more): it lies in no
+// prefix, so a sync-log entry naming such an id is never folded.
+const noVertex = vertexRef(math.MaxUint64)
+
+// refOf packs id.
+func refOf(id SubID) vertexRef {
+	if uint64(id.Thread) > math.MaxUint32 || id.Alpha > math.MaxUint32 {
+		return noVertex
+	}
+	return vertexRef(uint64(id.Thread)<<32 | id.Alpha)
+}
+
+func (v vertexRef) thread() int   { return int(v >> 32) }
+func (v vertexRef) alpha() uint64 { return uint64(uint32(v)) }
+func (v vertexRef) id() SubID     { return SubID{Thread: v.thread(), Alpha: v.alpha()} }
+
+// inPrefix reports whether v lies inside the prefix bounded by lens.
+func (v vertexRef) inPrefix(lens []int) bool {
+	return v.thread() < len(lens) && v.alpha() < uint64(lens[v.thread()])
+}
+
+// edgeRow is one stored sync or data edge: 32 bytes and no pointer, so
+// the arenas holding them are never scanned by the collector. The kind
+// is the arena the row lies in. A sync row names its object by ref. A
+// data row holds n pages: its one page in page itself — most data
+// edges carry a single page, so most take no arena word — or, for more,
+// the offset of their run in the page arena.
+type edgeRow struct {
+	from, to vertexRef
+	obj      ObjRef
+	n        uint32
+	page     [1]uint64
+}
+
+// edgeRef names one stored edge in an Analysis's arenas: an index into
 // the sync arena, or an index into the data arena tagged with
 // dataRefBit. Control edges are never stored — they are fully derived
 // from the prefix lens — and traversals report them as ctrlRef.
@@ -42,59 +100,128 @@ const (
 	ctrlRef    edgeRef = -2
 )
 
-// arenaPair bundles the two edge arenas a ref can point into. Views
-// held by an Analysis are slice-header snapshots: later epochs append
-// beyond the captured lengths (disjoint addresses), never in place.
-type arenaPair struct {
-	sync []Edge
-	data []Edge
+// arenas is where a store's edges live: the sync and data rows, the
+// page arena the data rows of more than one page point into, and the
+// symbol table sync rows' objects resolve against (a view of the
+// graph's interner, or of a table that begins with it). An Analysis
+// holds slice-header snapshots: later epochs append beyond the captured
+// lengths (disjoint addresses), never in place.
+type arenas struct {
+	sync  []edgeRow
+	data  []edgeRow
+	pages []uint64
+	names []string
 }
 
-// edge resolves a ref to its arena entry.
-func (ar arenaPair) edge(r edgeRef) *Edge {
+// row resolves a ref to its arena row.
+func (ar *arenas) row(r edgeRef) *edgeRow {
 	if r&dataRefBit != 0 {
 		return &ar.data[r&^dataRefBit]
 	}
 	return &ar.sync[r]
 }
 
+// name returns the symbol obj names, "" outside the table (as the
+// interner answers).
+func (ar *arenas) name(obj ObjRef) string {
+	if int(obj) < len(ar.names) {
+		return ar.names[obj]
+	}
+	return ""
+}
+
+// pagesOf returns a data row's pages, cap-limited, without a copy: nil,
+// the row's own word, or its run of the page arena.
+func (ar *arenas) pagesOf(row *edgeRow) []uint64 {
+	switch row.n {
+	case 0:
+		return nil
+	case 1:
+		return row.page[:]
+	}
+	off, end := row.page[0], row.page[0]+uint64(row.n)
+	return ar.pages[off:end:end]
+}
+
+// fill materializes the edge r names into e, the caller's view: the
+// endpoints, the kind of r's arena, the object's name or the row's
+// pages (pagesOf). Nothing is allocated, and the view is written field
+// by field: a composite literal would build an 80-byte Edge to copy.
+func (ar *arenas) fill(r edgeRef, e *Edge) {
+	row := ar.row(r)
+	e.From, e.To = row.from.id(), row.to.id()
+	if r&dataRefBit == 0 {
+		e.Kind, e.Object, e.Pages = EdgeSync, ar.name(row.obj), nil
+		return
+	}
+	e.Kind, e.Object, e.Pages = EdgeData, "", ar.pagesOf(row)
+}
+
+// fillControl writes the control edge from -> to into the view e.
+func fillControl(e *Edge, from, to SubID) {
+	e.From, e.To, e.Kind, e.Object, e.Pages = from, to, EdgeControl, "", nil
+}
+
+// edge returns the edge r names as a value.
+func (ar *arenas) edge(r edgeRef) Edge {
+	var e Edge
+	ar.fill(r, &e)
+	return e
+}
+
+// cmp is the canonical edge order (edgeCmp) on two rows of one arena:
+// (From, To), then the objects' names — not their refs, which order by
+// interning — for two sync rows that tie. Data rows carry object 0, so
+// two that tie compare equal, as their edges do.
+func (ar *arenas) cmp(a, b *edgeRow) int {
+	switch {
+	case a.from != b.from:
+		return lessToCmp(a.from < b.from)
+	case a.to != b.to:
+		return lessToCmp(a.to < b.to)
+	case a.obj == b.obj:
+		return 0
+	}
+	return strings.Compare(ar.name(a.obj), ar.name(b.obj))
+}
+
 // vertexRange returns the subrange of a canonically sorted ref sequence
 // whose edges leave id: one binary search for its start, then a scan to
 // its end — the caller walks the run anyway, and a traversal probes
 // every overlay layer for every vertex it visits.
-func (ar arenaPair) vertexRange(seq []edgeRef, id SubID) []edgeRef {
+func (ar *arenas) vertexRange(seq []edgeRef, id vertexRef) []edgeRef {
 	lo := sort.Search(len(seq), func(i int) bool {
-		return !ar.edge(seq[i]).From.Less(id)
+		return ar.row(seq[i]).from >= id
 	})
 	hi := lo
-	for hi < len(seq) && ar.edge(seq[hi]).From == id {
+	for hi < len(seq) && ar.row(seq[hi]).from == id {
 		hi++
 	}
 	return seq[lo:hi]
 }
 
 // appendMerged appends the merge of two canonically sorted ref sequences
-// to dst, comparing arena entries in place. Ties keep a before b; equal-
+// to dst, comparing arena rows in place. Ties keep a before b; equal-
 // comparing edges are byte-identical under the derivation, so any tie
 // order exports the same bytes. Neither input is written.
-func (ar arenaPair) appendMerged(dst, a, b []edgeRef) []edgeRef {
+func (ar *arenas) appendMerged(dst, a, b []edgeRef) []edgeRef {
 	if len(a) == 0 || len(b) == 0 {
 		return append(append(dst, a...), b...)
 	}
-	ea, eb := ar.edge(a[0]), ar.edge(b[0])
+	ea, eb := ar.row(a[0]), ar.row(b[0])
 	for {
-		if edgeLess(eb, ea) {
+		if ar.cmp(eb, ea) < 0 {
 			dst = append(dst, b[0])
 			if b = b[1:]; len(b) == 0 {
 				return append(dst, a...)
 			}
-			eb = ar.edge(b[0])
+			eb = ar.row(b[0])
 		} else {
 			dst = append(dst, a[0])
 			if a = a[1:]; len(a) == 0 {
 				return append(dst, b...)
 			}
-			ea = ar.edge(a[0])
+			ea = ar.row(a[0])
 		}
 	}
 }
@@ -118,8 +245,9 @@ type succIndex struct {
 // buildSuccIndex seals the given canonical ref sequences into a CSR
 // over the prefix bounded by lens. Refs whose From lies outside the
 // prefix (possible only in hand-built graphs; Verify reports them) are
-// left out of the adjacency.
-func buildSuccIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) *succIndex {
+// left out of the adjacency; a sequence that has none is the index's
+// own, shared, not copied (ref sequences are never written once built).
+func buildSuccIndex(ar *arenas, syncSeq, dataSeq []edgeRef, lens []int) *succIndex {
 	idx := &succIndex{lens: append([]int(nil), lens...)}
 	idx.base = make([]int32, len(lens)+1)
 	for t, n := range lens {
@@ -128,15 +256,25 @@ func buildSuccIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) *succI
 	nv := int(idx.base[len(lens)])
 	build := func(seq []edgeRef) ([]int32, []edgeRef) {
 		off := make([]int32, nv+1)
-		kept := make([]edgeRef, 0, len(seq))
+		outside := 0
 		for _, r := range seq {
-			if vi, ok := idx.vi(ar.edge(r).From); ok {
+			if vi, ok := idx.vi(ar.row(r).from); ok {
 				off[vi+1]++
-				kept = append(kept, r)
+			} else {
+				outside++
 			}
 		}
 		for i := 0; i < nv; i++ {
 			off[i+1] += off[i]
+		}
+		if outside == 0 {
+			return off, seq
+		}
+		kept := make([]edgeRef, 0, len(seq)-outside)
+		for _, r := range seq {
+			if _, ok := idx.vi(ar.row(r).from); ok {
+				kept = append(kept, r)
+			}
 		}
 		return off, kept
 	}
@@ -145,17 +283,17 @@ func buildSuccIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) *succI
 	return idx
 }
 
-// vi maps a SubID to the index's own dense numbering (which can trail
+// vi maps a vertex to the index's own dense numbering (which can trail
 // the current analysis prefix).
-func (idx *succIndex) vi(id SubID) (int32, bool) {
-	if id.Thread < 0 || id.Thread >= len(idx.lens) || id.Alpha >= uint64(idx.lens[id.Thread]) {
+func (idx *succIndex) vi(id vertexRef) (int32, bool) {
+	if !id.inPrefix(idx.lens) {
 		return 0, false
 	}
-	return idx.base[id.Thread] + int32(id.Alpha), true
+	return idx.base[id.thread()] + int32(id.alpha()), true
 }
 
 // run returns id's successor refs in the selected section.
-func (idx *succIndex) run(id SubID, data bool) []edgeRef {
+func (idx *succIndex) run(id vertexRef, data bool) []edgeRef {
 	v, ok := idx.vi(id)
 	if !ok {
 		return nil
@@ -211,7 +349,7 @@ func freshLayer(syncLo, nSync, dataLo, nData int) succLayer {
 // ties) and returns the result, both sections in one allocation; neither
 // operand is written, and an empty one returns the other as is (layers
 // are read-only once built).
-func (l succLayer) merge(ar arenaPair, newer succLayer) succLayer {
+func (l succLayer) merge(ar *arenas, newer succLayer) succLayer {
 	if newer.refCount() == 0 {
 		return l
 	}
@@ -231,7 +369,7 @@ func (l succLayer) merge(ar arenaPair, newer succLayer) succLayer {
 // grow geometrically towards the base (see incStore.push), so the
 // two-way merges copy at most twice the overlay before the one pass
 // over the base.
-func canonicalRefSeqs(ar arenaPair, succ *succIndex, layers []succLayer) (syncSeq, dataSeq []edgeRef) {
+func canonicalRefSeqs(ar *arenas, succ *succIndex, layers []succLayer) (syncSeq, dataSeq []edgeRef) {
 	var all succLayer
 	for i := len(layers) - 1; i >= 0; i-- {
 		all = layers[i].merge(ar, all)
@@ -254,7 +392,7 @@ type threadPreds struct {
 // buildPredIndex counting-sorts canonical ref sequences by To into
 // per-thread predecessor arrays. Refs whose To lies outside the prefix
 // are left out, as in the sealed successor index.
-func buildPredIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) []threadPreds {
+func buildPredIndex(ar *arenas, syncSeq, dataSeq []edgeRef, lens []int) []threadPreds {
 	preds := make([]threadPreds, len(lens))
 	fill := make([][]int32, len(lens))
 	for t, n := range lens {
@@ -263,8 +401,8 @@ func buildPredIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) []thre
 	}
 	count := func(seq []edgeRef) {
 		for _, r := range seq {
-			if to := ar.edge(r).To; subInPrefix(to, lens) {
-				preds[to.Thread].off[to.Alpha+1]++
+			if to := ar.row(r).to; to.inPrefix(lens) {
+				preds[to.thread()].off[to.alpha()+1]++
 			}
 		}
 	}
@@ -279,11 +417,11 @@ func buildPredIndex(ar arenaPair, syncSeq, dataSeq []edgeRef, lens []int) []thre
 	}
 	place := func(seq []edgeRef) {
 		for _, r := range seq {
-			to := ar.edge(r).To
-			if !subInPrefix(to, lens) {
+			to := ar.row(r).to
+			if !to.inPrefix(lens) {
 				continue
 			}
-			t, i := to.Thread, to.Alpha
+			t, i := to.thread(), to.alpha()
 			preds[t].ref[preds[t].off[i]+fill[t][i]] = r
 			fill[t][i]++
 		}
@@ -303,7 +441,7 @@ const succCompactFloor = 1024
 // epochs. All state is append-only or replaced wholesale, so the view
 // captured for an earlier epoch never observes later extension.
 type incStore struct {
-	ar arenaPair
+	ar arenas
 	// preds[t] are thread t's predecessor arrays; a vertex's slot is
 	// written once, at its seal epoch.
 	preds []threadPreds
@@ -333,42 +471,33 @@ func newIncStore(threads int) *incStore {
 	return st
 }
 
-// extend appends one epoch's new edges (each slice canonically sorted
-// and handed over: the first epoch's slices become the arenas, which for
-// a one-fold Analyze is the whole store) and returns the epoch's
-// immutable Analysis view over the prefix lens (whose dense-index base
-// the caller has computed; the view shares both) with completeness comp.
-func (st *incStore) extend(g *Graph, newSync, newData []Edge, lens, prevLens, base []int, comp Completeness, epoch uint64) *Analysis {
-	syncLo, dataLo := len(st.ar.sync), len(st.ar.data)
-	st.ar.sync = appendOrAdopt(st.ar.sync, newSync)
-	st.ar.data = appendOrAdopt(st.ar.data, newData)
-	if len(newSync)+len(newData) > 0 {
-		st.push(freshLayer(syncLo, len(newSync), dataLo, len(newData)), lens)
+// extend publishes one epoch: the rows appended to the sync and data
+// arenas since syncLo and dataLo (each run canonically sorted, every
+// data row's run of pages in the page arena) become the epoch's overlay
+// layer and predecessor slots, and extend returns the epoch's immutable
+// Analysis view over the prefix lens (whose dense-index base the caller
+// has computed; the view shares both) with completeness comp.
+func (st *incStore) extend(g *Graph, syncLo, dataLo int, lens, prevLens, base []int, comp Completeness, epoch uint64) *Analysis {
+	if nSync, nData := len(st.ar.sync)-syncLo, len(st.ar.data)-dataLo; nSync+nData > 0 {
+		st.push(freshLayer(syncLo, nSync, dataLo, nData), lens)
 	}
-	st.appendPreds(newSync, newData, edgeRef(syncLo), edgeRef(dataLo)|dataRefBit, lens, prevLens)
+	st.appendPreds(syncLo, dataLo, lens, prevLens)
 	return st.view(g, lens, base, comp, epoch)
 }
 
-// appendOrAdopt appends a freshly built slice the caller hands over; an
-// empty destination takes it as is instead of copying it.
-func appendOrAdopt[T any](dst, fresh []T) []T {
-	if len(dst) == 0 {
-		return fresh
-	}
-	return append(dst, fresh...)
-}
-
-// appendPreds writes the epoch's edges into their To vertices'
-// predecessor slots. The derivation guarantees every To seals this very
-// epoch (see the file comment), so the normal path is pure append;
-// hand-built graphs can violate the discipline through arbitrary sync
-// logs, and then the predecessor arrays are rebuilt from the canonical
-// sequences instead (old views keep their replaced slices).
-func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef, lens, prevLens []int) {
+// appendPreds writes the epoch's rows — the sync arena from syncLo, the
+// data arena from dataLo — into their To vertices' predecessor slots.
+// The derivation guarantees every To seals this very epoch (see the
+// file comment), so the normal path is pure append; hand-built graphs
+// can violate the discipline through arbitrary sync logs, and then the
+// predecessor arrays are rebuilt from the canonical sequences instead
+// (old views keep their replaced slices).
+func (st *incStore) appendPreds(syncLo, dataLo int, lens, prevLens []int) {
+	newSync, newData := st.ar.sync[syncLo:], st.ar.data[dataLo:]
 	for i := range newSync {
-		if newSync[i].To.Alpha < uint64(prevLens[newSync[i].To.Thread]) {
-			syncSeq, dataSeq := canonicalRefSeqs(st.ar, st.succ, st.layers)
-			st.preds = buildPredIndex(st.ar, syncSeq, dataSeq, lens)
+		if to := newSync[i].to; to.alpha() < uint64(prevLens[to.thread()]) {
+			syncSeq, dataSeq := canonicalRefSeqs(&st.ar, st.succ, st.layers)
+			st.preds = buildPredIndex(&st.ar, syncSeq, dataSeq, lens)
 			return
 		}
 	}
@@ -384,13 +513,14 @@ func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef,
 		n := lens[t] - prevLens[t]
 		counts[t], buf = buf[:n:n], buf[n:]
 	}
+	slot := func(to vertexRef) *int32 {
+		return &counts[to.thread()][to.alpha()-uint64(prevLens[to.thread()])]
+	}
 	for i := range newSync {
-		to := newSync[i].To
-		counts[to.Thread][to.Alpha-uint64(prevLens[to.Thread])]++
+		*slot(newSync[i].to)++
 	}
 	for i := range newData {
-		to := newData[i].To
-		counts[to.Thread][to.Alpha-uint64(prevLens[to.Thread])]++
+		*slot(newData[i].to)++
 	}
 	// Turn each count into its vertex's fill cursor while extending the
 	// offsets (Grow keeps a one-fold Analyze's arrays exactly sized).
@@ -413,16 +543,16 @@ func (st *incStore) appendPreds(newSync, newData []Edge, syncLo, dataLo edgeRef,
 	}
 	// Sync before data per vertex, each section scanned in canonical
 	// order: the slots come out [sync From-asc][data From-asc].
-	place := func(edges []Edge, lo edgeRef) {
-		for i := range edges {
-			to := edges[i].To
-			cur := &counts[to.Thread][to.Alpha-uint64(prevLens[to.Thread])]
-			st.preds[to.Thread].ref[*cur] = lo + edgeRef(i)
+	place := func(rows []edgeRow, lo edgeRef) {
+		for i := range rows {
+			to := rows[i].to
+			cur := slot(to)
+			st.preds[to.thread()].ref[*cur] = lo + edgeRef(i)
 			*cur++
 		}
 	}
-	place(newSync, syncLo)
-	place(newData, dataLo)
+	place(newSync, edgeRef(syncLo))
+	place(newData, edgeRef(dataLo)|dataRefBit)
 }
 
 // push stacks one epoch's layer on the overlay and compacts, size-tiered
@@ -447,15 +577,15 @@ func (st *incStore) push(layer succLayer, lens []int) {
 	keep := len(st.layers)
 	for keep > 0 && (reseal || st.layers[keep-1].refCount() <= 2*layer.refCount()) {
 		keep--
-		layer = st.layers[keep].merge(st.ar, layer)
+		layer = st.layers[keep].merge(&st.ar, layer)
 		st.mergedRefs += layer.refCount()
 	}
 	if reseal {
 		if st.succ != nil {
-			layer = st.succ.layer().merge(st.ar, layer)
+			layer = st.succ.layer().merge(&st.ar, layer)
 			st.mergedRefs += layer.refCount()
 		}
-		st.succ = buildSuccIndex(st.ar, layer.syncSeq, layer.dataSeq, lens)
+		st.succ = buildSuccIndex(&st.ar, layer.syncSeq, layer.dataSeq, lens)
 		st.layers, st.layerRefs = nil, 0
 		return
 	}
@@ -484,36 +614,37 @@ func (st *incStore) view(g *Graph, lens, base []int, comp Completeness, epoch ui
 }
 
 // visitScratch is one traversal's reusable visit state: the run-list
-// scratch of the k-way section merge, and the Edge the synthesized
-// control edges are handed to the callback in. The callback is an
-// indirect call, so an Edge declared per visit would escape — one heap
-// Edge per visited vertex; declared per traversal it is one.
+// scratch of the k-way section merge, and the Edge view every edge —
+// stored or synthesized control — is handed to the callback in. The
+// callback is an indirect call, so a view declared per visit would
+// escape — one heap Edge per visited edge; declared per traversal it
+// is one.
 type visitScratch struct {
 	runs [][]edgeRef
-	ctrl Edge
+	view Edge
 }
 
 // visitSuccs walks id's outgoing edges in the canonical per-vertex
 // order — the synthesized control edge first, then the sync section,
 // then the data section, each section k-way merged across the base and
 // the overlay layers. fn returning false stops the walk; visitSuccs
-// reports whether it ran to completion. The Edge pointer is valid only
-// for the duration of the callback. sc is per-traversal scratch, reused
-// across visits.
+// reports whether it ran to completion. The Edge is sc's view, valid
+// only for the duration of the callback. sc is per-traversal scratch,
+// reused across visits.
 func (a *Analysis) visitSuccs(id SubID, sc *visitScratch, fn func(ref edgeRef, e *Edge) bool) bool {
 	if int(id.Alpha)+1 < a.lens[id.Thread] {
-		sc.ctrl = Edge{From: id, To: SubID{Thread: id.Thread, Alpha: id.Alpha + 1}, Kind: EdgeControl}
-		if !fn(ctrlRef, &sc.ctrl) {
+		fillControl(&sc.view, id, SubID{Thread: id.Thread, Alpha: id.Alpha + 1})
+		if !fn(ctrlRef, &sc.view) {
 			return false
 		}
 	}
-	return a.visitSuccSection(id, false, &sc.runs, fn) &&
-		a.visitSuccSection(id, true, &sc.runs, fn)
+	v := refOf(id)
+	return a.visitSuccSection(v, false, sc, fn) && a.visitSuccSection(v, true, sc, fn)
 }
 
-func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, fn func(ref edgeRef, e *Edge) bool) bool {
-	runs := (*scratch)[:0]
-	defer func() { *scratch = runs[:0] }()
+func (a *Analysis) visitSuccSection(id vertexRef, data bool, sc *visitScratch, fn func(ref edgeRef, e *Edge) bool) bool {
+	runs := sc.runs[:0]
+	defer func() { sc.runs = runs[:0] }()
 	if a.succ != nil {
 		if run := a.succ.run(id, data); len(run) > 0 {
 			runs = append(runs, run)
@@ -524,12 +655,16 @@ func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, f
 			runs = append(runs, run)
 		}
 	}
+	visit := func(r edgeRef) bool {
+		a.ar.fill(r, &sc.view)
+		return fn(r, &sc.view)
+	}
 	switch len(runs) {
 	case 0:
 		return true
 	case 1:
 		for _, r := range runs[0] {
-			if !fn(r, a.ar.edge(r)) {
+			if !visit(r) {
 				return false
 			}
 		}
@@ -537,14 +672,13 @@ func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, f
 	}
 	for {
 		best := -1
-		var bestE *Edge
+		var bestRow *edgeRow
 		for i, run := range runs {
 			if len(run) == 0 {
 				continue
 			}
-			e := a.ar.edge(run[0])
-			if best < 0 || edgeLess(e, bestE) {
-				best, bestE = i, e
+			if row := a.ar.row(run[0]); best < 0 || a.ar.cmp(row, bestRow) < 0 {
+				best, bestRow = i, row
 			}
 		}
 		if best < 0 {
@@ -552,7 +686,7 @@ func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, f
 		}
 		r := runs[best][0]
 		runs[best] = runs[best][1:]
-		if !fn(r, bestE) {
+		if !visit(r) {
 			return false
 		}
 	}
@@ -563,14 +697,15 @@ func (a *Analysis) visitSuccSection(id SubID, data bool, scratch *[][]edgeRef, f
 // callback contract as visitSuccs.
 func (a *Analysis) visitPreds(id SubID, sc *visitScratch, fn func(ref edgeRef, e *Edge) bool) bool {
 	if id.Alpha > 0 {
-		sc.ctrl = Edge{From: SubID{Thread: id.Thread, Alpha: id.Alpha - 1}, To: id, Kind: EdgeControl}
-		if !fn(ctrlRef, &sc.ctrl) {
+		fillControl(&sc.view, SubID{Thread: id.Thread, Alpha: id.Alpha - 1}, id)
+		if !fn(ctrlRef, &sc.view) {
 			return false
 		}
 	}
 	p := a.preds[id.Thread]
 	for _, r := range p.ref[p.off[id.Alpha]:p.off[id.Alpha+1]] {
-		if !fn(r, a.ar.edge(r)) {
+		a.ar.fill(r, &sc.view)
+		if !fn(r, &sc.view) {
 			return false
 		}
 	}

@@ -229,7 +229,7 @@ func dataEdgesReference(subs []*SubComputation) []Edge {
 		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
 		out = append(out, Edge{From: k.from, To: k.to, Kind: EdgeData, Pages: ps})
 	}
-	sortEdges(out, nil)
+	sortEdges(out, edgeCmp, nil)
 	return out
 }
 

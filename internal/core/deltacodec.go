@@ -119,8 +119,8 @@ func (d *EpochDelta) ParseWire(body []byte) error {
 		for i := range d.Subs {
 			sc := &SubComputation{ID: ParseSubID(&c, "delta.sub.id")}
 			ParseVertex(&c, sc, nil)
-			sc.ReadSet = ParsePageSet(&c, "delta.sub.read_set", nil)
-			sc.WriteSet = ParsePageSet(&c, "delta.sub.write_set", nil)
+			ParsePageSet(&c, "delta.sub.read_set", nil, &sc.ReadSet)
+			ParsePageSet(&c, "delta.sub.write_set", nil, &sc.WriteSet)
 			path, k, maxRef := walkThunks(&c)
 			sc.nThunks, sc.maxRef = uint32(k), maxRef
 			paths, total = append(paths, path), total+len(path)

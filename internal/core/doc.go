@@ -42,7 +42,7 @@
 //   - Graph.Analyze (the post-mortem path) is one fold of a throw-away
 //     analyzer over the whole graph, stamped epoch 0, so k folds and one
 //     fold agree by construction (ExportJSON byte-identical), and
-//     NewAnalysisFromSections (a restored .cpg) puts its stored sections
+//     NewAnalysisFromRows (a restored .cpg) puts its stored sections
 //     into the same store as one epoch.
 //
 // The oracles the property tests hold both to are independent of the

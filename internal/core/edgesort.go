@@ -6,19 +6,30 @@ import (
 	"slices"
 )
 
-// sortEdges orders edges canonically (edgeCmp) without moving an 80-byte
-// Edge per comparison. It sorts one 16-byte key per edge — the (From,
-// To) pair packed into a word that orders exactly like the pair, plus the
-// edge's position — and then permutes the edges once, in place. Equal
-// pairs fall back to edgeCmp and then to position, so the result is the
-// stable sort by edgeCmp. A batch whose ids do not pack (the pair needs
-// more than 64 bits) keeps all-zero words, which sends every comparison
-// to edgeCmp: slower, same order.
+// sortable is what sortEdges orders: an edge or a stored row, either
+// of which names its endpoints.
+type sortable[E any] interface {
+	*E
+	endpoints() (from, to SubID)
+}
+
+func (e *Edge) endpoints() (from, to SubID)    { return e.From, e.To }
+func (r *edgeRow) endpoints() (from, to SubID) { return r.from.id(), r.to.id() }
+
+// sortEdges orders edges (or rows) canonically, by order — edgeCmp on
+// edges, arenas.cmp on rows — without moving an element per comparison. It sorts one 16-byte key
+// per element — the (From, To) pair packed into a word that orders
+// exactly like the pair, plus the element's position — and then
+// permutes the elements once, in place. Equal pairs fall back to order
+// and then to position, so the result is the stable sort by order. A
+// batch whose ids do not pack (the pair needs more than 64 bits) keeps
+// all-zero words, which sends every comparison to order: slower, same
+// result.
 //
 // sc supplies the key buffers; the fold passes its own so a per-seal
 // epoch allocates nothing here, and nil means fresh buffers. A per-seal
 // fold sorts zero or one edge almost every epoch, hence the early out.
-func sortEdges(edges []Edge, sc *edgeSortScratch) {
+func sortEdges[E any, P sortable[E]](edges []E, order func(a, b *E) int, sc *edgeSortScratch) {
 	if len(edges) < 2 {
 		return
 	}
@@ -27,30 +38,30 @@ func sortEdges(edges []Edge, sc *edgeSortScratch) {
 	}
 	keys := slices.Grow(sc.keys[:0], len(edges))[:len(edges)]
 	sc.keys = keys
-	pk, packs := packingFor(edges)
+	pk, packs := packingFor[E, P](edges)
 	for i := range edges {
 		keys[i] = edgeKey{pos: uint32(i)}
 		if packs {
-			keys[i].pair = pk.pair(&edges[i])
+			keys[i].pair = pk.pair(P(&edges[i]).endpoints())
 		}
 	}
 	if packs && len(keys) >= radixSortMin {
 		sc.tmp = slices.Grow(sc.tmp[:0], len(keys))[:len(keys)]
 		keys = radixSortKeys(keys, sc.tmp, 2*pk.idBits)
 		// Equal pairs (one From and To under several kinds or objects)
-		// come out in position order; edgeCmp decides them.
+		// come out in position order; order decides them.
 		for lo := 0; lo < len(keys); {
 			hi := lo + 1
 			for hi < len(keys) && keys[hi].pair == keys[lo].pair {
 				hi++
 			}
 			if hi-lo > 1 {
-				slices.SortFunc(keys[lo:hi], keyCmp(edges))
+				slices.SortFunc(keys[lo:hi], keyCmp(edges, order))
 			}
 			lo = hi
 		}
 	} else {
-		slices.SortFunc(keys, keyCmp(edges))
+		slices.SortFunc(keys, keyCmp(edges, order))
 	}
 	permuteEdges(edges, keys)
 }
@@ -72,14 +83,14 @@ type edgeSortScratch struct {
 // packed pairs instead of comparison-sorting the keys.
 const radixSortMin = 256
 
-// keyCmp orders keys by pair, then by edgeCmp on the edges they name,
+// keyCmp orders keys by pair, then by order on the elements they name,
 // then by position.
-func keyCmp(edges []Edge) func(a, b edgeKey) int {
+func keyCmp[E any](edges []E, order func(a, b *E) int) func(a, b edgeKey) int {
 	return func(a, b edgeKey) int {
 		if a.pair != b.pair {
 			return cmp.Compare(a.pair, b.pair)
 		}
-		if c := edgeCmp(&edges[a.pos], &edges[b.pos]); c != 0 {
+		if c := order(&edges[a.pos], &edges[b.pos]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.pos, b.pos)
@@ -95,13 +106,13 @@ type idPacking struct {
 // packingFor sizes the packing to the widest thread and alpha of the
 // batch, and reports whether a (From, To) pair of packed ids fits one
 // word. A negative thread reads as a full-width one, so it never packs.
-func packingFor(edges []Edge) (idPacking, bool) {
+func packingFor[E any, P sortable[E]](edges []E) (idPacking, bool) {
 	var threads uint
 	var alphas uint64
 	for i := range edges {
-		e := &edges[i]
-		threads |= uint(e.From.Thread) | uint(e.To.Thread)
-		alphas |= e.From.Alpha | e.To.Alpha
+		from, to := P(&edges[i]).endpoints()
+		threads |= uint(from.Thread) | uint(to.Thread)
+		alphas |= from.Alpha | to.Alpha
 	}
 	pk := idPacking{alphaBits: uint(bits.Len64(alphas))}
 	pk.idBits = uint(bits.Len(threads)) + pk.alphaBits
@@ -110,7 +121,7 @@ func packingFor(edges []Edge) (idPacking, bool) {
 
 func (pk idPacking) id(id SubID) uint64 { return uint64(id.Thread)<<pk.alphaBits | id.Alpha }
 
-func (pk idPacking) pair(e *Edge) uint64 { return pk.id(e.From)<<pk.idBits | pk.id(e.To) }
+func (pk idPacking) pair(from, to SubID) uint64 { return pk.id(from)<<pk.idBits | pk.id(to) }
 
 // radixSortKeys sorts keys by their low `bits` bits of pair, least
 // significant byte first, ping-ponging through tmp (same length); each
@@ -145,7 +156,7 @@ func radixSortKeys(keys, tmp []edgeKey, bits uint) []edgeKey {
 // position i receives edges[keys[i].pos] — following the permutation's
 // cycles in place, so each edge is copied once. It consumes the keys'
 // positions as visited marks.
-func permuteEdges(edges []Edge, keys []edgeKey) {
+func permuteEdges[E any](edges []E, keys []edgeKey) {
 	for i := range keys {
 		if int(keys[i].pos) == i {
 			continue

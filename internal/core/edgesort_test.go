@@ -42,7 +42,7 @@ func checkSortsLikeByValue(t *testing.T, name string, in []Edge, sc *edgeSortScr
 	stable := slices.Clone(in)
 	slices.SortStableFunc(stable, func(a, b Edge) int { return edgeCmp(&a, &b) })
 	got := slices.Clone(in)
-	sortEdges(got, sc)
+	sortEdges(got, edgeCmp, sc)
 	if !reflect.DeepEqual(got, stable) {
 		t.Fatalf("%s: key sort differs from the stable by-value sort over %d edges", name, len(in))
 	}

@@ -144,8 +144,9 @@ func (g *Graph) EncodeJSON(w io.Writer) error {
 
 // WriteDOT renders the analyzed CPG in Graphviz DOT form: one cluster
 // per thread, solid edges for program order, dashed for schedule
-// dependencies, bold for data dependencies. It draws a.Subs() and
-// a.Edges(), the prefix and the edges every query of a sees.
+// dependencies, bold for data dependencies. It draws a.Subs() and the
+// edges AllEdges yields, the prefix and the edges every query of a
+// sees.
 func (a *Analysis) WriteDOT(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -173,7 +174,7 @@ func (a *Analysis) WriteDOT(w io.Writer) error {
 	if cur >= 0 {
 		p("  }\n")
 	}
-	for _, e := range a.Edges() {
+	for e := range a.AllEdges {
 		switch e.Kind {
 		case EdgeControl:
 			p("  %q -> %q;\n", e.From.String(), e.To.String())

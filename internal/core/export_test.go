@@ -33,7 +33,50 @@ func ReferenceSections(a *Analysis) (syncEdges, dataEdges []Edge) {
 func DeriveDataEdges(g *Graph, workers int) []Edge {
 	inc := newWholeAnalyzer(g)
 	inc.SetFoldWorkers(workers)
-	return inc.deriveNewData(inc.lens, inc.cutLens)
+	rows, pages := inc.deriveNewData(inc.lens, inc.cutLens)
+	return inc.edgesOf(rows, pages, EdgeData)
+}
+
+// edgesOf materializes rows the analyzer derived or folded as edges of
+// the given kind, each data edge's pages copied out of pages (the
+// analyzer reuses its buffers).
+func (inc *IncrementalAnalyzer) edgesOf(rows []edgeRow, pages []uint64, kind EdgeKind) []Edge {
+	out := make([]Edge, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		out[i] = Edge{From: r.from.id(), To: r.to.id(), Kind: kind}
+		if kind == EdgeSync {
+			out[i].Object = inc.g.ObjectName(r.obj)
+		} else {
+			out[i].Pages = slices.Clone((&arenas{pages: pages}).pagesOf(r))
+		}
+	}
+	return out
+}
+
+// mergeSortedEdges merges two canonically sorted edge runs into a fresh
+// slice (left-biased on ties, which preserves the multiset order
+// sortEdges would produce). The inputs are never mutated.
+func mergeSortedEdges(a, b []Edge) []Edge {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]Edge, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if edgeLess(&b[j], &a[i]) {
+			out = append(out, b[j])
+			j++
+		} else {
+			out = append(out, a[i])
+			i++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // newAnalysis is the flat builder, the spec for incStore: the whole
@@ -44,16 +87,25 @@ func DeriveDataEdges(g *Graph, workers int) []Edge {
 // equivalence property tests pin the two byte-identical.
 func newAnalysis(g *Graph, syncEdges, dataEdges []Edge, lens []int, epoch uint64) *Analysis {
 	a := &Analysis{g: g, epoch: epoch, lens: lens, syms: g.interner.Len()}
+	a.ar.names = g.interner.View(a.syms)
+	for _, e := range syncEdges {
+		obj, _ := g.interner.Find(e.Object)
+		a.ar.sync = append(a.ar.sync, edgeRow{from: refOf(e.From), to: refOf(e.To), obj: ObjRef(obj)})
+	}
+	var data EdgeRows
+	for _, e := range dataEdges {
+		data.AppendData(e.From, e.To, e.Pages)
+	}
+	a.ar.data, a.ar.pages = data.rows, data.pages
 	gaps, _ := g.gapsForPrefix(lens, nil)
 	a.comp = summarizeGaps(gaps)
 	a.base = make([]int, len(a.lens)+1)
 	for t, n := range a.lens {
 		a.base[t+1] = a.base[t] + n
 	}
-	a.ar = arenaPair{sync: syncEdges, data: dataEdges}
 	all := freshLayer(0, len(syncEdges), 0, len(dataEdges))
-	a.succ = buildSuccIndex(a.ar, all.syncSeq, all.dataSeq, lens)
-	a.preds = buildPredIndex(a.ar, all.syncSeq, all.dataSeq, lens)
+	a.succ = buildSuccIndex(&a.ar, all.syncSeq, all.dataSeq, lens)
+	a.preds = buildPredIndex(&a.ar, all.syncSeq, all.dataSeq, lens)
 	a.totals.add(g, make([]int, len(lens)), lens)
 	return a
 }
@@ -89,8 +141,11 @@ func (r *ReferenceAnalyzer) Fold() *Analysis {
 	if err := inc.Adopt(r.cutter.Cut()); err != nil {
 		panic(err)
 	}
-	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.deriveNewData(inc.lens, inc.cutLens))
-	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.foldSync(inc.cutLens))
+	ar := &inc.st.ar
+	ar.names = inc.g.interner.View(inc.syms)
+	rows, pages := inc.deriveNewData(inc.lens, inc.cutLens)
+	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.edgesOf(rows, pages, EdgeData))
+	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.edgesOf(inc.foldSync(inc.cutLens), nil, EdgeSync))
 	inc.lens = inc.cutLens
 	inc.epoch++
 	return newAnalysis(inc.g, r.syncEdges, r.dataEdges, slices.Clone(inc.lens), inc.epoch)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -71,13 +72,22 @@ type IncrementalAnalyzer struct {
 	// and adopted: the entries in between join the next fold.
 	syncLens, syncCut []int
 	// next is Adopt's scratch: the sync and gap counts a delta would
-	// leave, checked before any is taken. freshSync is what each fold's
-	// fresh sync entries are carved from.
-	next      []int
-	freshSync runs[Edge]
-	// pendingSync holds materialized log entries seen before their
-	// endpoints sealed, in canonical sorted order.
-	pendingSync []Edge
+	// leave, checked before any is taken.
+	next []int
+	// pendingSync holds the log entries, as rows, seen before their
+	// endpoints sealed, in canonical sorted order. freshSync, mergedSync
+	// and readySync are foldSync's scratch: the fold's new entries, the
+	// backlog merged with them, the ones the epoch takes.
+	pendingSync, freshSync, mergedSync, readySync []edgeRow
+	// dataRows and dataPages are deriveNewData's output buffers: the
+	// epoch's data rows, their pages at offsets into dataPages. FoldAs
+	// copies both into the store's arenas, or hands them over while the
+	// arenas are empty (see adopt), so the next fold reuses or regrows
+	// them.
+	dataRows  []edgeRow
+	dataPages []uint64
+	// rowCmp is the store's row order (arenas.cmp), bound once.
+	rowCmp func(a, b *edgeRow) int
 	// writers is the persistent page → writer-runs index: for each page,
 	// one run per writing thread with alphas ascending.
 	writers map[uint64][]incRun
@@ -112,9 +122,10 @@ type IncrementalAnalyzer struct {
 	// table extends it.
 	syms int
 
-	// scratch serves the serial derivation path; parallel workers carry
-	// their own. edgeSort is every sortEdges call's.
+	// scratch serves the serial derivation path; par[w] is parallel
+	// worker w's, kept across folds. edgeSort is every sortEdges call's.
 	scratch  incScratch
+	par      []incScratch
 	edgeSort edgeSortScratch
 	cutter   *Cutter // Fold's and FoldDelta's, made by the first of them
 }
@@ -131,11 +142,23 @@ type incCand struct {
 	alpha  int32
 }
 
-// incScratch is one derivation worker's reusable per-reader scratch.
+// incHit is one page a reader takes from the writer in slot of its
+// scratch's accFrom.
+type incHit struct {
+	slot uint32
+	page uint64
+}
+
+// incScratch is one derivation worker's reusable per-reader scratch,
+// and a parallel worker's output: the rows it derived, their pages at
+// offsets into pages.
 type incScratch struct {
-	cands    []incCand
-	accFrom  []incCand
-	accPages [][]uint64
+	cands   []incCand
+	accFrom []incCand
+	hits    []incHit
+	at      []uint64
+	rows    []edgeRow
+	pages   []uint64
 }
 
 // NewIncrementalAnalyzer prepares an empty fold state over g. No epoch
@@ -143,6 +166,7 @@ type incScratch struct {
 func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 	n := g.Threads()
 	empty := make([]int, n)
+	st := newIncStore(n)
 	return &IncrementalAnalyzer{
 		g:         g,
 		lens:      empty,
@@ -151,7 +175,8 @@ func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 		syncCut:   make([]int, n),
 		gapCut:    make([]int, n),
 		writers:   make(map[uint64][]incRun),
-		st:        newIncStore(n),
+		st:        st,
+		rowCmp:    st.ar.cmp,
 		comp:      Completeness{Complete: true},
 		compFinal: true,
 		syms:      1, // a Cutter's first symbol base
@@ -230,16 +255,50 @@ func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	for t, l := range lens {
 		base[t+1] = base[t] + l
 	}
+	// The names sync rows compare and materialize by: the symbol table
+	// every adopted cut saw.
+	ar := &inc.st.ar
+	if len(ar.names) < inc.syms {
+		ar.names = inc.g.interner.View(inc.syms)
+	}
 	// Derive the new readers' incoming data edges; everything older is
 	// final (closed cut: no new writer can happen-before an old reader).
-	newData := inc.deriveNewData(prev, lens)
-	newSync := inc.foldSync(lens)
+	// The epoch's rows go to the arenas' tails, beyond every published
+	// view's length, each data row's run of pages rebased into the page
+	// arena.
+	syncLo, dataLo := len(ar.sync), len(ar.data)
+	rows, pages := inc.deriveNewData(prev, lens)
+	if pagesLo := uint64(len(ar.pages)); pagesLo > 0 {
+		for i := range rows {
+			if rows[i].n > 1 {
+				rows[i].page[0] += pagesLo
+			}
+		}
+	}
+	ar.pages = adopt(ar.pages, pages, &inc.dataPages)
+	ar.data = adopt(ar.data, rows, &inc.dataRows)
+	ar.sync = adopt(ar.sync, inc.foldSync(lens), &inc.freshSync, &inc.readySync)
 
 	inc.epoch, inc.lens = e, lens
 	inc.totals.add(inc.g, prev, lens)
-	a := inc.st.extend(inc.g, newSync, newData, lens, prev, base, inc.completeness(lens), e)
+	a := inc.st.extend(inc.g, syncLo, dataLo, lens, prev, base, inc.completeness(lens), e)
 	a.totals, a.syms = inc.totals, inc.syms
 	return a
+}
+
+// adopt appends buf, a buffer of the analyzer's, to the arena dst. An
+// empty arena takes buf itself instead of a copy — so a one-fold
+// Analyze's arenas are its derivation's buffers — and the analyzer lets
+// go of every buffer in owners, those buf may be, so that no later fold
+// writes what the store now holds.
+func adopt[T any](dst, buf []T, owners ...*[]T) []T {
+	if len(dst) > 0 || len(buf) == 0 {
+		return append(dst, buf...)
+	}
+	for _, own := range owners {
+		*own = nil
+	}
+	return buf
 }
 
 // Adopt takes a Cutter's cut as lengths: d.Lens, the sync entries and
@@ -317,61 +376,73 @@ func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 }
 
 // foldSync folds the sync-edge log entries adopted since the last
-// fold, each materialized once, from the shard logs, into a run of
-// their exact size: entries whose endpoints are both inside the
-// prefix join the epoch (returned sorted), the rest are deferred (an
-// acquire logs its edge before the acquiring sub-computation seals).
-// Both the fresh entries and the deferred backlog are sorted runs, so
-// one epoch costs a sort of the fresh entries plus linear partitions and
-// merges — the backlog is never re-sorted, however many epochs it
-// survives (the deferred-acquirer regression test pins this path).
-func (inc *IncrementalAnalyzer) foldSync(lens []int) []Edge {
+// fold, read from the shard logs as rows: entries whose endpoints are
+// both inside the prefix join the epoch (returned sorted, in scratch
+// the next fold reuses), the rest are deferred (an acquire logs its
+// edge before the acquiring sub-computation seals). The fresh entries
+// are sorted and merged with the deferred backlog, which is itself a
+// sorted run, and the merge is split in order: one epoch costs a sort
+// of the fresh entries plus a linear merge and partition — the backlog
+// is never re-sorted, however many epochs it survives (the
+// deferred-acquirer regression test pins this path).
+func (inc *IncrementalAnalyzer) foldSync(lens []int) []edgeRow {
 	n := 0
 	for t, l := range inc.syncCut {
 		n += l - inc.syncLens[t]
 	}
-	fresh := inc.freshSync.alloc(n)[:0]
+	fresh := slices.Grow(inc.freshSync[:0], n)
 	for t, l := range inc.syncCut {
 		fresh = inc.g.appendSyncLog(fresh, t, inc.syncLens[t], l)
 		inc.syncLens[t] = l
 	}
-	sortEdges(fresh, &inc.edgeSort)
-	backlogReady, backlogDefer := partitionSyncReady(inc.pendingSync, lens)
-	freshReady, freshDefer := partitionSyncReady(fresh, lens)
-	inc.pendingSync = mergeSortedEdges(backlogDefer, freshDefer)
-	return mergeSortedEdges(backlogReady, freshReady)
+	sortEdges(fresh, inc.rowCmp, &inc.edgeSort)
+	inc.freshSync = fresh
+	all := fresh
+	if len(inc.pendingSync) > 0 {
+		all = inc.st.ar.appendMergedRows(slices.Grow(inc.mergedSync[:0], len(inc.pendingSync)+n), inc.pendingSync, fresh)
+		inc.mergedSync = all
+	} else if allReady(fresh, lens) {
+		return fresh
+	}
+	ready, pending := slices.Grow(inc.readySync[:0], len(all)), inc.pendingSync[:0]
+	for i := range all {
+		if r := &all[i]; r.from.inPrefix(lens) && r.to.inPrefix(lens) {
+			ready = append(ready, *r)
+		} else {
+			pending = append(pending, *r)
+		}
+	}
+	inc.readySync, inc.pendingSync = ready, pending
+	return ready
 }
 
-// partitionSyncReady splits a sorted entry run the fold owns (the
-// backlog, the epoch's fresh entries — never a slice an Analysis holds)
-// into the entries whose endpoints are both inside the prefix and the
-// still-deferred rest, preserving order (so both halves stay sorted).
-// A run that is all ready (every entry of a whole-graph Analyze) is
-// handed over whole, one with none ready stays as it is; otherwise the
-// ready entries move to a fresh slice of their exact size, which the
-// store adopts, and the deferred ones are compacted in place.
-func partitionSyncReady(entries []Edge, lens []int) (ready, deferred []Edge) {
-	n := 0
-	for i := range entries {
-		if e := &entries[i]; subInPrefix(e.From, lens) && subInPrefix(e.To, lens) {
-			n++
+// allReady reports whether every row has both endpoints inside the
+// prefix lens.
+func allReady(rows []edgeRow, lens []int) bool {
+	for i := range rows {
+		if !rows[i].from.inPrefix(lens) || !rows[i].to.inPrefix(lens) {
+			return false
 		}
 	}
-	switch n {
-	case 0:
-		return nil, entries
-	case len(entries):
-		return entries, nil
-	}
-	ready, deferred = make([]Edge, 0, n), entries[:0]
-	for i := range entries {
-		if e := &entries[i]; subInPrefix(e.From, lens) && subInPrefix(e.To, lens) {
-			ready = append(ready, *e)
+	return true
+}
+
+// appendMergedRows appends the merge of two canonically sorted row runs
+// to dst, a ahead of b on ties (which preserves the order sortEdges
+// would produce). Neither input is written.
+func (ar *arenas) appendMergedRows(dst, a, b []edgeRow) []edgeRow {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if ar.cmp(&b[j], &a[i]) < 0 {
+			dst = append(dst, b[j])
+			j++
 		} else {
-			deferred = append(deferred, *e)
+			dst = append(dst, a[i])
+			i++
 		}
 	}
-	return ready, deferred
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // foldWorkerGrain is the number of new readers that justifies one
@@ -382,16 +453,17 @@ const foldWorkerGrain = 256
 
 // deriveNewData indexes the new writers — thread t's vertices [prev[t],
 // lens[t]) — and derives the new readers' incoming data edges, returned
-// canonically sorted. The index
-// is extended with every new vertex before any reader is derived: a new
-// reader's writers may be new vertices of the same cut. With more than
-// one effective worker the readers fan out across goroutines on an
-// atomic work counter with per-worker scratch; per-reader results land
-// in a fixed slot each, so the assembled sequence is deterministic
-// whatever the interleaving. A worker panic (the workload's or an
-// injected one) is re-raised on the calling goroutine after all workers
-// drain.
-func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) []Edge {
+// as canonically sorted rows whose pages lie at their offsets into the
+// returned page run: the analyzer's output buffers, which the next fold
+// reuses. The index is extended with every new vertex before any reader
+// is derived: a new reader's writers may be new vertices of the same
+// cut. With more than one effective worker the readers fan out across
+// goroutines on an atomic work counter with per-worker scratch; each
+// reader's rows are recorded by position, so the assembled sequence is
+// deterministic whatever the interleaving. A worker panic (the
+// workload's or an injected one) is re-raised on the calling goroutine
+// after all workers drain.
+func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) ([]edgeRow, []uint64) {
 	total := 0
 	for id, sc := range inc.g.between(prev, lens) {
 		th, alpha := int32(id.Thread), int32(id.Alpha)
@@ -418,18 +490,26 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) []Edge {
 	if maxw := (total + foldWorkerGrain - 1) / foldWorkerGrain; workers > maxw {
 		workers = maxw
 	}
+	// A reader derives an edge or a few, each of a page or a few: room
+	// for one row and one page per reader saves most regrowths.
+	rows, pages := slices.Grow(inc.dataRows[:0], total), slices.Grow(inc.dataPages[:0], total)
+	defer func() { inc.dataRows, inc.dataPages = rows, pages }()
 	if workers <= 1 {
 		if h := inc.workerHook; h != nil {
 			h(0)
 		}
-		var out []Edge
 		for id, sc := range inc.g.between(prev, lens) {
-			out = appendOrAdopt(out, inc.scratch.readerEdges(inc, id, sc))
+			rows, pages = inc.scratch.readerEdges(inc, id, sc, rows, pages)
 		}
-		sortEdges(out, &inc.edgeSort)
-		return out
+		sortEdges(rows, inc.rowCmp, &inc.edgeSort)
+		return rows, pages
 	}
-	perReader := make([][]Edge, total)
+	// perReader[i] is where reader i's rows lie: [lo, hi) of worker w's.
+	type readerRows struct{ w, lo, hi int32 }
+	perReader := make([]readerRows, total)
+	for len(inc.par) < workers {
+		inc.par = append(inc.par, incScratch{})
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
@@ -451,7 +531,9 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) []Edge {
 			if h := inc.workerHook; h != nil {
 				h(wid)
 			}
-			var sc incScratch
+			sc := &inc.par[wid]
+			share := total/workers + foldWorkerGrain
+			sc.rows, sc.pages = slices.Grow(sc.rows[:0], share), slices.Grow(sc.pages[:0], share)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(perReader) {
@@ -464,7 +546,9 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) []Edge {
 					t++
 				}
 				alpha += prev[t]
-				perReader[i] = sc.readerEdges(inc, SubID{Thread: t, Alpha: uint64(alpha)}, inc.g.shards[t].seq.at(alpha))
+				lo := len(sc.rows)
+				sc.rows, sc.pages = sc.readerEdges(inc, SubID{Thread: t, Alpha: uint64(alpha)}, inc.g.shards[t].seq.at(alpha), sc.rows, sc.pages)
+				perReader[i] = readerRows{w: int32(wid), lo: int32(lo), hi: int32(len(sc.rows))}
 			}
 		}(w)
 	}
@@ -472,20 +556,24 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) []Edge {
 	if sawPanic {
 		panic(panicked)
 	}
-	nEdges := 0
-	for _, es := range perReader {
-		nEdges += len(es)
+	for _, pr := range perReader {
+		sc := &inc.par[pr.w]
+		for _, r := range sc.rows[pr.lo:pr.hi] {
+			if r.n > 1 {
+				from := r.page[0]
+				r.page[0] = uint64(len(pages))
+				pages = append(pages, sc.pages[from:from+uint64(r.n)]...)
+			}
+			rows = append(rows, r)
+		}
 	}
-	out := make([]Edge, 0, nEdges)
-	for _, es := range perReader {
-		out = append(out, es...)
-	}
-	sortEdges(out, &inc.edgeSort)
-	return out
+	sortEdges(rows, inc.rowCmp, &inc.edgeSort)
+	return rows, pages
 }
 
 // readerEdges derives the incoming data edges of reader n, the vertex
-// in slot id, against the folded prefix. Three structural facts keep it
+// in slot id, against the folded prefix, and appends them to rows, one
+// row per writer, its pages to pages. Three structural facts keep it
 // cheap on sync-heavy executions: (1) a thread's writers of a page are
 // totally ordered by program order, so at most the *latest* one that
 // happens-before n can be maximal — earlier ones are hidden by it; (2)
@@ -504,10 +592,11 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) []Edge {
 //
 // The analyzer state read here (writers) and the graph's published
 // vertices are frozen for the duration of the derivation, so any number
-// of workers can share them; all mutable state lives in the scratch.
-func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, id SubID, n *SubComputation) []Edge {
+// of workers can share them; all mutable state lives in the scratch
+// and the caller's rows and pages.
+func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, id SubID, n *SubComputation, rows []edgeRow, pages []uint64) ([]edgeRow, []uint64) {
 	sc.accFrom = sc.accFrom[:0]
-	sc.accPages = sc.accPages[:0]
+	sc.hits = sc.hits[:0]
 	for _, p := range n.ReadSet.view() {
 		runs := inc.writers[p]
 		if runs == nil {
@@ -556,52 +645,41 @@ func (sc *incScratch) readerEdges(inc *IncrementalAnalyzer, id SubID, n *SubComp
 			}
 			if slot < 0 {
 				sc.accFrom = append(sc.accFrom, m)
-				sc.accPages = append(sc.accPages, nil)
 				slot = len(sc.accFrom) - 1
 			}
-			// Pages arrive ascending from the read-set view, so each
-			// list comes out sorted without a final sort.
-			sc.accPages[slot] = append(sc.accPages[slot], p)
+			sc.hits = append(sc.hits, incHit{slot: uint32(slot), page: p})
 		}
 	}
 	if len(sc.accFrom) == 0 {
-		return nil
+		return rows, pages
 	}
-	out := make([]Edge, len(sc.accFrom))
+	// One row per writer: count each writer's hits, lay out a run of
+	// the page arena for each writer of more than one page, then place
+	// the pages, a single one in its row. Pages arrive ascending from the
+	// read-set view, so each run comes out sorted without a final sort.
+	at := slices.Grow(sc.at[:0], len(sc.accFrom))[:len(sc.accFrom)]
+	clear(at)
+	sc.at = at
+	for _, h := range sc.hits {
+		at[h.slot]++
+	}
+	first, to, next := len(rows), refOf(id), uint64(len(pages))
 	for k, m := range sc.accFrom {
-		out[k] = Edge{
-			From:  SubID{Thread: int(m.thread), Alpha: uint64(m.alpha)},
-			To:    id,
-			Kind:  EdgeData,
-			Pages: sc.accPages[k],
+		r := edgeRow{from: vertexRef(uint64(m.thread)<<32 | uint64(uint32(m.alpha))), to: to, n: uint32(at[k])}
+		if r.n > 1 {
+			r.page[0] = next
+			at[k], next = next, next+at[k]
 		}
+		rows = append(rows, r)
 	}
-	return out
-}
-
-// mergeSortedEdges merges two canonically sorted edge runs into a fresh
-// slice (left-biased on ties, which preserves the multiset order
-// sortEdges would produce). The inputs are never mutated, so earlier
-// epochs' analyses keep their views.
-func mergeSortedEdges(a, b []Edge) []Edge {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]Edge, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if edgeLess(&b[j], &a[i]) {
-			out = append(out, b[j])
-			j++
+	pages = slices.Grow(pages, int(next)-len(pages))[:next]
+	for _, h := range sc.hits {
+		if r := &rows[first+int(h.slot)]; r.n == 1 {
+			r.page[0] = h.page
 		} else {
-			out = append(out, a[i])
-			i++
+			pages[at[h.slot]] = h.page
+			at[h.slot]++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return rows, pages
 }

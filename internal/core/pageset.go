@@ -191,8 +191,8 @@ const (
 	minArenaWords = 32
 )
 
-// Words is where a decoder puts the words it parses — clocks, spilled
-// page sets, data-edge pages: runs carved from shared pointer-free
+// Words is where a decoder puts the words it parses — clocks and
+// spilled page sets: runs carved from shared pointer-free
 // chunks, so a section's words cost a few allocations the GC never
 // scans, not one per field. A run the current chunk cannot hold starts
 // a new one of twice the last chunk's size, capped at maxArenaWords and
@@ -223,19 +223,6 @@ func (w *Words) take(n, admit int) []uint64 {
 	return run
 }
 
-// ParsePages reads one AppendPages list at the cursor into words taken
-// from w (an empty list is nil). It follows the field codecs' rules
-// (fieldcodec.go): the count is checked against the bytes that remain
-// — every page costs at least one — before any words are taken, and a
-// zero delta or an overflowing one fails the cursor under field.
-func ParsePages(c *wire.Cursor, field string, w *Words) []uint64 {
-	n := c.Count(field, 1)
-	if n == 0 {
-		return nil
-	}
-	return parsePageDeltas(c, field, n, w.take(n, len(c.Rest()))[:0])
-}
-
 // parsePageDeltas reads the n page deltas of an AppendPages list whose
 // count is read, appending the pages to dst, which has room for them.
 // On failure it returns nil.
@@ -264,17 +251,17 @@ func parsePageDeltas(c *wire.Cursor, field string, n int, dst []uint64) []uint64
 // both write vertex page sets through it.
 func AppendPageSet(b []byte, s *PageSet) []byte { return AppendPages(b, s.view()) }
 
-// ParsePageSet reads one page list into a set: inline up to
-// pageSetInline pages (no words taken), spilled beyond into words taken
-// from w. A list that fails to parse is the empty set.
-func ParsePageSet(c *wire.Cursor, field string, w *Words) PageSet {
+// ParsePageSet reads one page list into the set s, in place: inline up
+// to pageSetInline pages (no words taken), spilled beyond into words
+// taken from w. A list that fails to parse leaves s empty. It fills s
+// where it lies: a PageSet is 80 bytes, and a returned one is copied
+// out and again into its vertex, twice per vertex of a .cpg decode.
+func ParsePageSet(c *wire.Cursor, field string, w *Words, s *PageSet) {
 	n := c.Count(field, 1)
 	if n <= pageSetInline {
-		var scratch [pageSetInline]uint64
-		var s PageSet
-		s.n = copy(s.inline[:], parsePageDeltas(c, field, n, scratch[:0]))
-		return s
+		s.n, s.spill = len(parsePageDeltas(c, field, n, s.inline[:0])), nil
+		return
 	}
 	spill := parsePageDeltas(c, field, n, w.take(n, len(c.Rest()))[:0])
-	return PageSet{n: len(spill), spill: spill}
+	s.n, s.spill = len(spill), spill
 }

@@ -15,6 +15,6 @@ func (s PageSet) GobEncode() ([]byte, error) {
 // GobDecode reads the GobEncode form.
 func (s *PageSet) GobDecode(data []byte) error {
 	c := wire.NewCursor(data)
-	*s = ParsePageSet(&c, "pageset", nil)
+	ParsePageSet(&c, "pageset", nil, s)
 	return c.Done()
 }

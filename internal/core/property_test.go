@@ -214,11 +214,11 @@ func TestQuickExportRoundTripPreservesEdges(t *testing.T) {
 				return false
 			}
 		}
-		objs := make([]ObjRef, len(syncEdges))
-		for i, e := range syncEdges {
-			objs[i] = g2.InternObject(e.Object)
+		var log EdgeRows
+		for _, e := range syncEdges {
+			log.AppendSync(e.From, e.To, g2.InternObject(e.Object))
 		}
-		g2.RestoreSyncLog(syncEdges, objs)
+		g2.RestoreSyncLog(&log)
 		a2, err := NewAnalysisFromSections(g2, a.ThreadLens(), a.Epoch(), syncEdges, dataEdges)
 		if err != nil {
 			return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,6 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"github.com/repro/inspector/internal/vclock"
 )
@@ -33,11 +33,12 @@ const cancelCheckEvery = 64
 // one Analysis serve any number of concurrent readers.
 //
 // Vertices are densely indexed in (thread, alpha) order — index(id) =
-// base[thread] + alpha. Derived edges live in two shared append-only
-// arenas (csr.go); adjacency is a sealed CSR base plus small per-epoch
-// overlay layers, so an incremental fold publishes a new epoch in time
-// proportional to the delta, and a one-fold Analyze seals everything
-// into the base once it clears the compaction floor. Control edges are
+// base[thread] + alpha. Derived edges live as pointer-free rows in
+// shared append-only arenas (csr.go), and every *Edge a caller sees is
+// a view materialized from a row; adjacency is a sealed CSR base plus
+// small per-epoch overlay layers, so an incremental fold publishes a
+// new epoch in time proportional to the delta, and a one-fold Analyze
+// seals everything into the base once it clears the compaction floor. Control edges are
 // never stored: they are fully determined by the prefix lens and
 // synthesized during traversal and export.
 type Analysis struct {
@@ -57,7 +58,7 @@ type Analysis struct {
 
 	// Edge storage and adjacency (csr.go): arena views, per-thread
 	// predecessor arrays, sealed successor base + overlay layers.
-	ar     arenaPair
+	ar     arenas
 	preds  []threadPreds
 	succ   *succIndex
 	layers []succLayer
@@ -65,11 +66,6 @@ type Analysis struct {
 	// syms is the length of the graph's interner prefix this Analysis
 	// names its symbols from: what the cut saw, or the whole loaded table.
 	syms int
-
-	// flat is the lazily materialized canonical edge sequence (control,
-	// sync, data) — built on first Edges() call, shared by all readers.
-	flatOnce sync.Once
-	flat     []Edge
 
 	// totals are the prefix's per-vertex sums Stats reports, set at
 	// construction: a fold carries them forward, a restored analysis sums
@@ -83,12 +79,13 @@ type vertexTotals struct {
 }
 
 // add counts g's vertices between the prefixes from and to into the
-// totals, reading each shard in place.
+// totals, reading each shard in place (the sets' sizes by field: Len
+// has a value receiver, and a PageSet is 80 bytes to copy).
 func (vt *vertexTotals) add(g *Graph, from, to []int) {
 	for _, sc := range g.between(from, to) {
 		vt.thunks += int(sc.nThunks)
-		vt.readSetPages += sc.ReadSet.Len()
-		vt.writeSetPages += sc.WriteSet.Len()
+		vt.readSetPages += sc.ReadSet.n
+		vt.writeSetPages += sc.WriteSet.n
 	}
 }
 
@@ -135,22 +132,22 @@ func (a *Analysis) ObjectRef(name string) (ObjRef, bool) {
 }
 
 // Edges returns all derived edges in the canonical order (control, then
-// sync, then data, each section sorted). The flat sequence is
-// materialized lazily on first call and cached; traversals never touch
-// it — only exports and full-sweep consumers pay for it. A one-pass
-// consumer that keeps few of the edges ranges over AllEdges instead.
+// sync, then data, each section sorted), materialized into a fresh
+// slice (nil when there are none) that the analysis does not keep:
+// each call pays for every edge. A one-pass consumer ranges over
+// AllEdges instead. A data edge's Pages alias the analysis's storage
+// and must not be modified.
 func (a *Analysis) Edges() []Edge {
-	a.flatOnce.Do(func() {
-		var out []Edge // nil when there are none: ExportJSON prints null
-		if st := a.Stats(); st.ControlEdges+st.SyncEdges+st.DataEdges > 0 {
-			out = make([]Edge, 0, st.ControlEdges+st.SyncEdges+st.DataEdges)
-		}
-		for e := range a.AllEdges {
-			out = append(out, *e)
-		}
-		a.flat = out
-	})
-	return a.flat
+	st := a.Stats()
+	n := st.ControlEdges + st.SyncEdges + st.DataEdges
+	if n == 0 {
+		return nil
+	}
+	out := make([]Edge, 0, n)
+	for e := range a.AllEdges {
+		out = append(out, *e)
+	}
+	return out
 }
 
 // AllEdges yields the edges of Edges, in its order, without
@@ -158,24 +155,25 @@ func (a *Analysis) Edges() []Edge {
 // lens, then the sync and data sections read from the arenas by ref
 // (the canonical sequences of a one-fold analysis — a restored .cpg, a
 // batch Analyze — are its stored ones; a live fold's overlay is merged
-// first). A yielded edge is the analysis's own, or a control edge
-// reused for the next one: the caller copies what it keeps and modifies
-// nothing.
+// first). Every edge is yielded in one view, filled afresh for the
+// next: the caller copies what it keeps, and a data edge's Pages alias
+// the analysis's storage, so the caller modifies nothing.
 func (a *Analysis) AllEdges(yield func(*Edge) bool) {
-	ctrl := Edge{Kind: EdgeControl}
+	view := Edge{Kind: EdgeControl}
 	for t, n := range a.lens {
 		for i := 1; i < n; i++ {
-			ctrl.From = SubID{Thread: t, Alpha: uint64(i - 1)}
-			ctrl.To = SubID{Thread: t, Alpha: uint64(i)}
-			if !yield(&ctrl) {
+			view.From = SubID{Thread: t, Alpha: uint64(i - 1)}
+			view.To = SubID{Thread: t, Alpha: uint64(i)}
+			if !yield(&view) {
 				return
 			}
 		}
 	}
-	syncSeq, dataSeq := canonicalRefSeqs(a.ar, a.succ, a.layers)
+	syncSeq, dataSeq := canonicalRefSeqs(&a.ar, a.succ, a.layers)
 	for _, seq := range [...][]edgeRef{syncSeq, dataSeq} {
 		for _, r := range seq {
-			if !yield(a.ar.edge(r)) {
+			a.ar.fill(r, &view)
+			if !yield(&view) {
 				return
 			}
 		}
@@ -247,18 +245,54 @@ func (a *Analysis) Subs() []*SubComputation {
 // they were built, batch or folded — export byte-identical documents;
 // the incremental equivalence property tests pin exactly that. The
 // epoch number is deliberately excluded: it describes how the analysis
-// was reached, not what it contains.
+// was reached, not what it contains. The edges are written one at a
+// time as AllEdges yields them, in the bytes encoding/json's indented
+// encoder gives the document {"thread_lens", "edges"} (edges null when
+// there are none), so an export builds no edge list.
 func (a *Analysis) ExportJSON(w io.Writer) error {
-	doc := struct {
-		ThreadLens []int  `json:"thread_lens"`
-		Edges      []Edge `json:"edges"`
-	}{ThreadLens: a.lens, Edges: a.Edges()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	bw := bufio.NewWriter(w)
+	err := a.writeJSON(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		return fmt.Errorf("core: export analysis: %w", err)
 	}
 	return nil
+}
+
+func (a *Analysis) writeJSON(w *bufio.Writer) error {
+	lens, err := json.MarshalIndent(a.lens, "  ", "  ")
+	if err != nil {
+		return err
+	}
+	w.WriteString("{\n  \"thread_lens\": ")
+	w.Write(lens)
+	w.WriteString(",\n  \"edges\": ")
+	n := 0
+	for e := range a.AllEdges {
+		b, merr := json.MarshalIndent(e, "    ", "  ")
+		if merr != nil {
+			err = merr
+			break
+		}
+		if n++; n == 1 {
+			w.WriteString("[\n    ")
+		} else {
+			w.WriteString(",\n    ")
+		}
+		w.Write(b)
+	}
+	if err != nil {
+		return err
+	}
+	if n == 0 {
+		w.WriteString("null")
+	} else {
+		w.WriteString("\n  ]")
+	}
+	_, err = w.WriteString("\n}\n")
+	return err
 }
 
 // kindIn reports whether k is in kinds (empty kinds means all).
@@ -488,7 +522,7 @@ func (a *Analysis) PathCtx(ctx context.Context, from, to SubID, kinds ...EdgeKin
 		if r := parent[vi]; r == ctrlRef {
 			e = Edge{From: SubID{Thread: cur.Thread, Alpha: cur.Alpha - 1}, To: cur, Kind: EdgeControl}
 		} else {
-			e = *a.ar.edge(r)
+			e = a.ar.edge(r)
 		}
 		chain = append(chain, e)
 		cur = e.From

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,19 +75,16 @@ func TestVerifyChecksDataEdgePages(t *testing.T) {
 	if err := a.Verify(); err != nil {
 		t.Fatalf("untampered graph: %v", err)
 	}
-	// Verify reads the analysis's own edges (AllEdges), so the tamper
-	// goes there.
-	tampered := false
-	a.AllEdges(func(e *Edge) bool {
-		if e.Kind == EdgeData {
-			e.Pages = append(e.Pages[:len(e.Pages):len(e.Pages)], 999)
-			tampered = true
-		}
-		return !tampered
-	})
-	if !tampered {
+	// Verify reads the analysis's own edges (AllEdges), views of its
+	// stored rows, so the tamper goes to a row: its pages move to the
+	// arena's end, one page longer.
+	if len(a.ar.data) == 0 {
 		t.Fatal("no data edge to tamper with")
 	}
+	r := &a.ar.data[0]
+	off := len(a.ar.pages)
+	a.ar.pages = append(append(slices.Clone(a.ar.pages), a.ar.pagesOf(r)...), 999)
+	r.page[0], r.n = uint64(off), r.n+1
 	err := a.Verify()
 	if err == nil || !strings.Contains(err.Error(), "not in writer's write set") {
 		t.Errorf("tampered pages not caught: %v", err)
@@ -109,15 +107,12 @@ func TestVerifyChecksVertexSlots(t *testing.T) {
 func TestVerifyRejectsEmptyDataEdge(t *testing.T) {
 	g, _ := buildFigure1(t)
 	a := g.Analyze()
-	// Verify reads the analysis's own edges (AllEdges), so the tamper
-	// goes there.
-	a.AllEdges(func(e *Edge) bool {
-		if e.Kind == EdgeData {
-			e.Pages = nil
-			return false
-		}
-		return true
-	})
+	// Verify reads the analysis's own edges (AllEdges), views of its
+	// stored rows, so the tamper goes to a row.
+	if len(a.ar.data) == 0 {
+		t.Fatal("no data edge to tamper with")
+	}
+	a.ar.data[0].n = 0
 	err := a.Verify()
 	if err == nil || !strings.Contains(err.Error(), "carries no pages") {
 		t.Errorf("empty data edge not caught: %v", err)

@@ -78,8 +78,12 @@ func BenchmarkMappedAnalysis(b *testing.B) {
 // vertices from slabs of 128, their words from shared chunks, each
 // thread's run and sync log restored whole, so the count is
 // O(vertices/64 + threads), not one or more per vertex (a decode that
-// allocated per vertex made 6 266 objects of this fixture).
+// allocated per vertex made 6 266 objects of this fixture). It measures
+// in a process of its own (measureAlone).
 func TestAllocsMappedAnalysis(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	a := encodeFixture()
 	path, _ := encodeFile(t, a)
 	m := openMapped(t, path)
@@ -127,3 +131,36 @@ func TestSlabsFillTheirSizeClass(t *testing.T) {
 }
 
 var slabSink []core.SubComputation
+
+// TestFootprintTracksRetainedHeap holds decodeAnalysis's footprint
+// estimate, what the serving layer budgets resident analyses by, to
+// within 25 % of the heap a re-materialization of encodeFixture's file
+// keeps live: HeapAlloc after a collection with the analysis live,
+// minus HeapAlloc after one before it. It measures in a process of its
+// own (measureAlone).
+func TestFootprintTracksRetainedHeap(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
+	path, _ := encodeFile(t, encodeFixture())
+	m := openMapped(t, path)
+	if _, _, err := m.Analysis(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	a, estimate, err := m.Analysis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(a)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("estimated %d B, retained %d B (%.2fx) for %d vertices, %d edges", estimate, retained,
+		float64(estimate)/float64(retained), a.NumVertices(), a.Stats().SyncEdges+a.Stats().DataEdges)
+	if diff := estimate - retained; 4*diff > retained || -4*diff > retained {
+		t.Errorf("footprint estimate %d B is more than 25%% off the %d B the analysis retains", estimate, retained)
+	}
+}

@@ -56,16 +56,20 @@ const (
 	minGapThreadBytes = 2                        // thread, interval count
 )
 
-// Rough per-object resident sizes used for the decoded-footprint
-// estimate the serving layer budgets against. Estimates, not
-// accounting: the budget bounds order-of-magnitude memory, and these
-// deliberately round up (struct + pointer + container slot). The
-// thunks column is charged its bytes exactly.
+// Per-object resident sizes of a decoded analysis, the footprint the
+// serving layer budgets against, read off what the decode allocates: a
+// vertex is its slab slot, its run's pointer and its three adjacency
+// offsets (the successor index's two sections and the predecessor
+// array); an edge is its row and the successor and predecessor refs
+// naming it, and a sync edge also its entry in the graph's sync log; a
+// word is a word; a symbol is its string, its interner slot and its map
+// entry. The thunks column is charged its bytes exactly.
 const (
-	fpPerSub    = 208
-	fpPerEdge   = 80
-	fpPerWord   = 8
-	fpPerSymbol = 48
+	fpPerSub     = int64(unsafe.Sizeof(core.SubComputation{}) + unsafe.Sizeof(&core.SubComputation{}) + 3*unsafe.Sizeof(int32(0)))
+	fpPerEdge    = int64(core.EdgeRowBytes + 2*core.EdgeRefBytes)
+	fpPerSyncLog = int64(unsafe.Sizeof(core.DeltaSyncEdge{}))
+	fpPerWord    = 8
+	fpPerSymbol  = 48
 )
 
 // span locates one section inside the file.
@@ -322,8 +326,8 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 			sc.ID = core.SubID{Thread: t, Alpha: uint64(alpha)}
 			core.ParseVertex(cv, sc, &words)
 			checkRef(cv, "vertex.end.object", uint32(sc.End.Object))
-			sc.ReadSet = core.ParsePageSet(cr, "read_set", &words)
-			sc.WriteSet = core.ParsePageSet(cw, "write_set", &words)
+			core.ParsePageSet(cr, "read_set", &words, &sc.ReadSet)
+			core.ParsePageSet(cw, "write_set", &words, &sc.WriteSet)
 			if !intact() {
 				break
 			}
@@ -369,49 +373,39 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 	}
 	footprint += int64(lay.secs[secThunks].length)
 
-	// The sync section is also the graph's sync log, restored in one
-	// call once the section has decoded.
-	var objs []core.ObjRef
-	syncEdges, err := decodeEdges(lay, data, secSyncEdges, lens, func(c *wire.Cursor, e *core.Edge, n int) {
+	// Both edge sections decode straight into rows, a data edge's one
+	// page into its row and a longer list into its section's page
+	// arena. The sync section is also the graph's sync log, restored in
+	// one call once the section has decoded.
+	syncRows, err := decodeEdges(lay, data, secSyncEdges, lens, syms, func(c *wire.Cursor, rows *core.EdgeRows, from, to core.SubID) {
 		obj := c.Uint32("edge.object")
 		checkRef(c, "edge.object", obj)
 		if c.Err() == nil {
-			if objs == nil {
-				objs = make([]core.ObjRef, 0, n)
-			}
-			objs = append(objs, core.ObjRef(obj))
-			e.Kind, e.Object = core.EdgeSync, syms[obj]
+			rows.AppendSync(from, to, core.ObjRef(obj))
 		}
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	g.RestoreSyncLog(syncEdges, objs)
-	dataEdges, err := decodeEdges(lay, data, secDataEdges, lens, func(c *wire.Cursor, e *core.Edge, _ int) {
-		e.Kind, e.Pages = core.EdgeData, core.ParsePages(c, "edge.pages", &words)
+	g.RestoreSyncLog(&syncRows)
+	dataRows, err := decodeEdges(lay, data, secDataEdges, lens, syms, func(c *wire.Cursor, rows *core.EdgeRows, from, to core.SubID) {
+		rows.ParseData(c, "edge.pages", from, to)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, e := range syncEdges {
-		footprint += fpPerEdge + int64(len(e.Object))
-	}
-	for _, e := range dataEdges {
-		footprint += fpPerEdge + fpPerWord*int64(len(e.Pages))
-	}
+	footprint += fpPerEdge*int64(syncRows.Len()+dataRows.Len()) + fpPerSyncLog*int64(syncRows.Len()) + fpPerWord*int64(dataRows.Pages())
 
 	if err := decodeGaps(lay, data, g, lens); err != nil {
 		return nil, 0, err
 	}
 
-	a, err := core.NewAnalysisFromSections(g, lens, lay.hdr.Epoch, syncEdges, dataEdges)
+	a, err := core.NewAnalysisFromRows(g, lens, lay.hdr.Epoch, &syncRows, &dataRows)
 	if err != nil {
 		// The decoder pre-validated order and endpoints per section, so
 		// anything left is a vertex-layout inconsistency.
 		return nil, 0, corruptf(secVertices, "%v", err)
 	}
-	// The CSR + indexes roughly double the edge storage.
-	footprint += fpPerEdge * int64(len(syncEdges)+len(dataEdges))
 
 	// The stats section is what listings answer from without a decode;
 	// it must describe this graph, counter for counter.
@@ -449,12 +443,12 @@ func walkThunks(col []byte, vertices int, checkRef func(*wire.Cursor, string, ui
 
 // decodeEdges reads one canonical edge section — sync or data: a count,
 // then per edge its two endpoints (each inside the vertex layout) and
-// the payload that rest reads into it, told the section's edge count —
-// and checks the stored order.
-func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, rest func(c *wire.Cursor, e *core.Edge, n int)) ([]core.Edge, error) {
+// the payload that rest reads into the row it appends — and checks the
+// stored order, sync objects' ties resolved against names.
+func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, names []string, rest func(c *wire.Cursor, rows *core.EdgeRows, from, to core.SubID)) (core.EdgeRows, error) {
 	c, err := lay.section(data, kind)
 	if err != nil {
-		return nil, err
+		return core.EdgeRows{}, err
 	}
 	endpoint := func() core.SubID {
 		id := core.ParseSubID(&c, "edge.endpoint")
@@ -463,24 +457,26 @@ func decodeEdges(lay *fileLayout, data []byte, kind uint32, lens []int, rest fun
 		}
 		return id
 	}
-	edges := make([]core.Edge, c.Count("edges", minEdgeBytes))
-	for i := range edges {
-		e := &edges[i]
-		e.From, e.To = endpoint(), endpoint()
-		rest(&c, e, len(edges))
+	n := c.Count("edges", minEdgeBytes)
+	rows := core.MakeEdgeRows(n)
+	for i := 0; i < n; i++ {
+		from, to := endpoint(), endpoint()
 		if c.Err() != nil {
+			break
+		}
+		if rest(&c, &rows, from, to); c.Err() != nil {
 			break
 		}
 		// This check is the one that names the section: a stored order
 		// violation is reported here as corruption of this section.
-		// NewAnalysisFromSections checks the order again for every
-		// caller, but its error cannot say which section of which file
-		// it read, so decodeAnalysis can only blame the vertex layout.
-		if i > 0 && core.EdgeCanonicalLess(e, &edges[i-1]) {
+		// NewAnalysisFromRows checks the order again for every caller,
+		// but its error cannot say which section of which file it read,
+		// so decodeAnalysis can only blame the vertex layout.
+		if i > 0 && rows.Less(i, i-1, names) {
 			c.Fail("edge", fmt.Sprintf("edge %d out of canonical order", i))
 		}
 	}
-	return edges, inSection(kind, c.Done())
+	return rows, inSection(kind, c.Done())
 }
 
 // decodeGaps restores the per-thread trace-loss intervals.

@@ -155,11 +155,11 @@ func eagerDecode(data []byte) (*core.Analysis, error) {
 		return nil, err
 	}
 	syncEdges, dataEdges := a.EdgeSections()
-	objs := make([]core.ObjRef, len(syncEdges))
-	for i, e := range syncEdges {
-		objs[i] = g.InternObject(e.Object)
+	log := core.MakeEdgeRows(len(syncEdges))
+	for _, e := range syncEdges {
+		log.AppendSync(e.From, e.To, g.InternObject(e.Object))
 	}
-	g.RestoreSyncLog(syncEdges, objs)
+	g.RestoreSyncLog(&log)
 	for t := range src.Threads() {
 		for _, gp := range src.ThreadGapList(t) {
 			g.AddGap(t, gp)

@@ -73,6 +73,17 @@ func (in *Interner) Len() int {
 	return len(in.strs)
 }
 
+// View returns the first n table entries (fewer if the table is
+// shorter) as a read-only view of the table itself, without a copy: the
+// table only ever appends, beyond every view's capacity, so a view never
+// changes and reading it takes no lock. The caller must not write it.
+func (in *Interner) View(n int) []string {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	n = min(n, len(in.strs))
+	return in.strs[:n:n]
+}
+
 // Tail returns a copy of the table entries with id >= from, in id
 // order. Incremental consumers (the epoch-delta capture) call it with
 // the previous Len to see each interned string exactly once.

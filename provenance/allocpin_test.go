@@ -1,0 +1,38 @@
+package provenance
+
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// allocPinEnv names the one allocation pin a re-executed test binary
+// measures.
+const allocPinEnv = "INSPECTOR_ALLOC_PIN"
+
+// measureAlone reports whether the calling allocation pin is to measure
+// here. It is in the process measureAlone starts for it: this test
+// binary re-executed to run the pin alone, under GOMAXPROCS=1, so that
+// no other test or goroutine allocates inside the pin's window of the
+// process-wide counters. Anywhere else it starts that process, fails
+// the pin with the process's output if it fails, logs its lines and
+// reports false.
+func measureAlone(t *testing.T) bool {
+	t.Helper()
+	if os.Getenv(allocPinEnv) == t.Name() {
+		return true
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^"+t.Name()+"$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), allocPinEnv+"="+t.Name(), "GOMAXPROCS=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s alone: %v\n%s", t.Name(), err, out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if strings.HasPrefix(line, "    ") {
+			t.Log(strings.TrimSpace(line))
+		}
+	}
+	return false
+}

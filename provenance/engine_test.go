@@ -3,7 +3,6 @@ package provenance
 import (
 	"context"
 	"errors"
-	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -240,7 +239,11 @@ func TestEnginePagination(t *testing.T) {
 // never built its flat edge list, a query matching a few edges
 // allocates for those, not for every edge of the graph (the flat list
 // alone is 80 bytes an edge, which Execute used to build and keep).
+// It measures in a process of its own (measureAlone).
 func TestAllocsEdgesQueryRestored(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	path := filepath.Join(t.TempDir(), "g.cpg")
 	if err := cpgfile.Write(path, cpgbench.BuildRandomGraph(4, 2000, 64, 2, 7).Analyze(), cpgfile.Meta{}); err != nil {
 		t.Fatal(err)
@@ -278,38 +281,35 @@ func TestAllocsEdgesQueryRestored(t *testing.T) {
 // TestAllocsVerifyRestored pins what a verify query allocates on a
 // loaded analysis: per thread, not per edge — it walks the edges and
 // each thread's run in place instead of building the flat edge list
-// (80 bytes an edge) or copying a run. MemStats counts the whole
-// process, and another goroutine's allocation can only add, so it
-// takes the fewest of three queries. Each runs on a freshly loaded
-// analysis and a new engine: a list the first query built and cached
-// would make the later ones free, and the fewest would hide it.
+// (80 bytes an edge) or copying a run. It measures one query, on a
+// freshly loaded analysis and a new engine, in a process of its own
+// (measureAlone), so nothing else allocates inside its window.
 func TestAllocsVerifyRestored(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	path := filepath.Join(t.TempDir(), "g.cpg")
 	if err := cpgfile.Write(path, cpgbench.BuildRandomGraph(4, 2000, 64, 2, 7).Analyze(), cpgfile.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	var edges, threads uint64
-	mallocs, allocated := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for range 3 {
-		a, _, err := cpgfile.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := a.Stats()
-		edges = uint64(st.ControlEdges + st.SyncEdges + st.DataEdges)
-		threads = uint64(a.Graph().Threads())
-		e := NewEngine(a, EngineOptions{})
-
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		_, err = e.Execute(context.Background(), Query{Kind: KindVerify})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mallocs, allocated = min(mallocs, after.Mallocs-before.Mallocs), min(allocated, after.TotalAlloc-before.TotalAlloc)
+	a, _, err := cpgfile.Load(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	st := a.Stats()
+	edges := uint64(st.ControlEdges + st.SyncEdges + st.DataEdges)
+	threads := uint64(a.Graph().Threads())
+	e := NewEngine(a, EngineOptions{})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = e.Execute(context.Background(), Query{Kind: KindVerify})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	limit, byteLimit := 4*threads+32, 256*threads+4<<10
 	t.Logf("verify of %d edges over %d threads: %d allocations, %d B (limits %d, %d B)", edges, threads, mallocs, allocated, limit, byteLimit)
 	if uint64(80*edges) < 8*byteLimit {
