@@ -122,7 +122,7 @@ type liveFold struct {
 	folds *[]*core.Analysis
 }
 
-func (s liveFold) Emit(*core.EpochDelta) error {
+func (s liveFold) Emit(*core.EpochDelta, epoch.Frame) error {
 	a, _ := s.inc.FoldDelta()
 	*s.folds = append(*s.folds, a)
 	return nil

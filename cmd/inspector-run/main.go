@@ -49,7 +49,9 @@
 //
 // -journal DIR makes the recording crash-durable: every sealed epoch is
 // appended to a write-ahead journal, synchronously at the commit
-// boundary, under the fsync policy of -journal-fsync. After a crash,
+// boundary, under the fsync policy of -journal-fsync: always by
+// default, where the library's zero value (an empty
+// inspector.Options.JournalFsync) is interval. After a crash,
 // inspector-recover replays the journal up to the last durable epoch.
 //
 // -stream URL attaches the run to a provenance aggregator
@@ -124,7 +126,7 @@ func run(args []string) error {
 	fs.BoolVar(&opts.Live, "live-stats", false, "fold the CPG incrementally during the run and stream per-epoch stats")
 	faults := fs.String("faults", "", `deterministic fault-injection schedule over the points aux-loss, panic, slow-fold, slow-seal and crash, e.g. "aux-loss:after=20,every=7;panic:count=1"`)
 	fs.StringVar(&opts.Journal, "journal", "", "write-ahead journal directory: every sealed epoch is appended crash-durably; recover with inspector-recover")
-	fs.StringVar(&opts.JournalFsync, "journal-fsync", "always", `journal fsync policy: always|interval[:N]|none`)
+	fs.StringVar(&opts.JournalFsync, "journal-fsync", "always", `journal fsync policy: always|interval[:N]|none (the library's default is interval)`)
 	fs.StringVar(&opts.Stream, "stream", "", "stream sealed epochs to a provenance aggregator (inspector-serve -ingest) at this base URL")
 	fs.StringVar(&opts.StreamID, "stream-id", "", "aggregator source name (default: the run id, app-tN-sSEED)")
 	fs.IntVar(&opts.JournalEverySeals, "epoch-every", 1, "cut one epoch each N sealed sub-computations (journal, stream and live stats share it)")

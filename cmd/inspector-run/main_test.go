@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -147,6 +148,32 @@ func TestRunJournal(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatal("journal-recovered CPG diverges from the run's -json export")
+	}
+}
+
+// TestRunJournalFsyncDefaultsToAlways pins the command's default fsync
+// policy, always, where the library's zero value is interval
+// (internal/journal's TestParsePolicy pins that).
+func TestRunJournalFsyncDefaultsToAlways(t *testing.T) {
+	usage, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = usage
+	err = run([]string{"-h"})
+	os.Stderr = stderr
+	if err != flag.ErrHelp {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+	out, err := os.ReadFile(usage.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, entry, _ := strings.Cut(string(out), "-journal-fsync ")
+	entry, _, _ = strings.Cut(entry, "\n  -")
+	if !strings.Contains(entry, `(default "always")`) {
+		t.Fatalf("-journal-fsync usage %q does not default to always", entry)
 	}
 }
 

@@ -175,7 +175,8 @@ type Options struct {
 	// every record — the strongest durability, one fsync per epoch),
 	// "interval" or "interval:N" (fsync every N records, default 32),
 	// or "none" (leave flushing to the OS; a machine crash may lose the
-	// tail, a process crash does not). Empty means "interval".
+	// tail, a process crash does not). Empty, the zero value, means
+	// "interval"; inspector-run's -journal-fsync defaults to "always".
 	JournalFsync string
 	// JournalEverySeals is the epoch cadence of a recording with any
 	// consumer: one epoch cut each N sealed sub-computations (default 1:

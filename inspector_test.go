@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +18,7 @@ import (
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
 	"github.com/repro/inspector/internal/journal"
 	"github.com/repro/inspector/internal/wire"
+	"github.com/repro/inspector/provenance"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -382,4 +386,96 @@ func TestJournalOptionsValidation(t *testing.T) {
 			t.Errorf("New(%+v) error %v does not wrap ErrBadOptions", opts, err)
 		}
 	}
+}
+
+// TestJournalAndStreamCarryOneFrame: with a journal and a stream, every
+// epoch is framed once by the driver, so the delta frames the
+// aggregator is POSTed are byte for byte the journal's records.
+func TestJournalAndStreamCarryOneFrame(t *testing.T) {
+	hub := provenance.NewServer(nil, provenance.ServerOptions{Ingest: provenance.NewIngestHub(provenance.IngestOptions{})})
+	var mu sync.Mutex
+	var bodies [][]byte // every POST body, in order
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			bodies = append(bodies, body)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		hub.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	dir := t.TempDir()
+	rt, err := inspector.New(inspector.Options{
+		AppName:      "one-frame",
+		MaxThreads:   4,
+		Journal:      dir,
+		JournalFsync: "none",
+		Stream:       ts.URL,
+		RunID:        "one-frame-run",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rt.NewMutex("m")
+	if _, err := rt.Run(func(main *inspector.Thread) {
+		out := main.Malloc(8)
+		var kids []*inspector.Thread
+		for range 3 {
+			kids = append(kids, main.Spawn(func(w *inspector.Thread) {
+				for i := range 20 {
+					m.Lock(w)
+					w.Store64(out, w.Load64(out)+uint64(i))
+					m.Unlock(w)
+				}
+			}))
+		}
+		for _, k := range kids {
+			main.Join(k)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	file, err := os.ReadFile(journal.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, n := deltaFrames(t, file[len(wire.Preamble()):])
+	if n < 60 || uint64(n) != rt.Epoch() {
+		t.Fatalf("journal holds %d delta frames over %d epochs, want one per epoch (at least 60)", n, rt.Epoch())
+	}
+	var posted []byte
+	mu.Lock()
+	defer mu.Unlock()
+	for _, body := range bodies {
+		frames, _ := deltaFrames(t, body)
+		posted = append(posted, frames...)
+	}
+	if !bytes.Equal(posted, journaled) {
+		t.Fatalf("the aggregator was POSTed %d bytes of delta frames, the journal holds %d", len(posted), len(journaled))
+	}
+}
+
+// deltaFrames returns the delta frames of a frame stream, concatenated,
+// and their count.
+func deltaFrames(t *testing.T, stream []byte) (frames []byte, n int) {
+	t.Helper()
+	for len(stream) > 0 {
+		kind, _, size, err := wire.ParseFrame(stream, 0)
+		if err != nil {
+			t.Fatalf("frame stream: %v", err)
+		}
+		if kind == wire.KindDelta {
+			frames, n = append(frames, stream[:size]...), n+1
+		}
+		stream = stream[size:]
+	}
+	return frames, n
 }

@@ -464,8 +464,12 @@ func allocsPerSeal(epoch func(*core.Graph) func()) float64 {
 // TestAllocsFoldPerSeal pins the per-seal fold's allocation diet: an
 // epoch that seals one sub-computation allocates what it hands out (the
 // delta and its slices, the Analysis view, the derived edges, the
-// overlay layer) and amortized growth, nothing per-epoch besides.
+// overlay layer) and amortized growth, nothing per-epoch besides. It
+// measures in a process of its own (measureAlone).
 func TestAllocsFoldPerSeal(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	perEpoch := allocsPerSeal(foldDelta)
 	t.Logf("%.2f allocs per epoch", perEpoch)
 	if perEpoch > 10 {
@@ -475,8 +479,12 @@ func TestAllocsFoldPerSeal(t *testing.T) {
 
 // TestAllocsCutPerSeal pins the per-seal cut's: the delta, its lens (with
 // the base a later view shares) and its sync tail, plus amortized
-// growth. A cut derives nothing, so nothing else may allocate.
+// growth. A cut derives nothing, so nothing else may allocate. It
+// measures in a process of its own (measureAlone).
 func TestAllocsCutPerSeal(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	perEpoch := allocsPerSeal(cutOnly)
 	t.Logf("%.2f allocs per epoch", perEpoch)
 	if perEpoch > 3 {
@@ -489,8 +497,12 @@ func TestAllocsCutPerSeal(t *testing.T) {
 // growth only, never a per-visit object (the synthesized control Edge
 // once escaped through the visit callback — 3999 and 2005 allocs/op on
 // these two fixtures). (Named Allocs*, not after the walks, so -race
-// -run patterns never select it: the race detector allocates.)
+// -run patterns never select it: the race detector allocates.) It
+// measures in a process of its own (measureAlone).
 func TestAllocsSliceVerifyPerVertex(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	wide, target := wideA()
 	sparse := sparseA()
 	for _, c := range []struct {

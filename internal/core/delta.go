@@ -4,10 +4,11 @@ import "fmt"
 
 // An EpochDelta is the serializable difference between two consecutive
 // epochs: exactly what a Cutter's Cut captured that its previous Cut
-// had not yet emitted. It is the unit the crash-durability journal
-// appends per epoch and the frame a recorder streams to an aggregator
-// (provenance.Uploader → IngestSource): self-contained, order-dependent,
-// and replayable.
+// had not yet emitted. Framed once per epoch by the epoch driver
+// (internal/epoch), it is the record the crash-durability journal
+// appends and the bytes a recorder streams to an aggregator
+// (provenance.Uploader's queue → IngestSource): self-contained,
+// order-dependent, and replayable.
 //
 // Interned refs inside Subs and Sync are journal-scoped: they resolve
 // against the symbol table built by interning every delta's Symbols in

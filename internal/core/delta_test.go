@@ -9,7 +9,6 @@ package core_test
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -288,10 +287,13 @@ func TestApplyDeltaAtomic(t *testing.T) {
 // allocation beyond the shard's amortized growth: validation checks a
 // control path's refs in O(1) and keeps its per-thread scratch on the
 // graph. The reference is a fresh vertex log's own growth over as many
-// appends. Mallocs is process-wide and another goroutine's allocation
-// can only add to it, so the applies count the fewest of three fresh
-// replays. (Named Allocs*, so -race -run patterns never select it.)
+// appends. It measures in a process of its own (measureAlone), where
+// no other test allocates. (Named Allocs*, so -race -run patterns never
+// select it.)
 func TestAllocsApplyDelta(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	const n = 4096
 	src := core.NewGraph(2)
 	rec, err := core.NewRecorder(src, 1, 0)
@@ -312,20 +314,17 @@ func TestAllocsApplyDelta(t *testing.T) {
 	}
 	// Count every allocation of the n applies (AllocsPerRun would round
 	// the per-apply average down to a whole number).
-	applies := uint64(math.MaxUint64)
-	for range 3 {
-		g := core.NewGraph(2)
-		if err := core.ApplyDelta(g, deltas[0]); err != nil {
-			t.Fatal(err)
-		}
-		applies = min(applies, mallocs(func() {
-			for _, d := range deltas[1:] {
-				if err := core.ApplyDelta(g, d); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}))
+	g := core.NewGraph(2)
+	if err := core.ApplyDelta(g, deltas[0]); err != nil {
+		t.Fatal(err)
 	}
+	applies := mallocs(func() {
+		for _, d := range deltas[1:] {
+			if err := core.ApplyDelta(g, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	log := new(core.VertexLog)
 	growth := mallocs(func() {
 		for range n {

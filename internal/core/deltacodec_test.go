@@ -575,8 +575,12 @@ func branchyDelta(tb testing.TB, subs, thunks int) *core.EpochDelta {
 
 // TestAllocsParseWireBranchy pins what decoding a control-path-heavy
 // delta costs: its paths are copied out of the body once, not decoded,
-// so the decode allocates at most 1.1x the body.
+// so the decode allocates at most 1.1x the body. It measures in a
+// process of its own (measureAlone).
 func TestAllocsParseWireBranchy(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	body, err := branchyDelta(t, 8, 1<<17).AppendWire(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -667,8 +671,12 @@ func BenchmarkDeltaCodec(b *testing.B) {
 // TestAllocsDeltaCodecEncode pins BenchmarkDeltaCodec/encode's 0
 // allocs/op: AppendWire into a buffer that has reached its working size
 // allocates nothing. (Named Allocs*, so the -race -run TestDeltaCodec
-// pattern does not select it: the race detector allocates.)
+// pattern does not select it: the race detector allocates.) It measures
+// in a process of its own (measureAlone).
 func TestAllocsDeltaCodecEncode(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	deltas, _ := codecDeltas(t, 2, 7)
 	var buf []byte
 	i := 0

@@ -1,15 +1,15 @@
 // Package epoch is the one epoch pipeline every consumer of a recording
 // hangs off: a Driver only cuts — it holds the live graph's one
-// core.Cutter, no analyzer — once per epoch, and hands each delta to an
-// ordered list of sinks (journal, snapshot ring, follower, stream
-// queue); a Follower, off the sealing thread, is the one sink that
-// builds analyses while a run records, adopting the driver's cuts on an
-// analyzer of the recorder's own graph; a Replayer applies a frame
-// stream's deltas to a fresh graph and folds the cuts it applied
-// (journal recovery, the aggregator's ingest). There is one epoch
-// numbering: journal record k, wire frame k and the recorder's epoch k
-// are the same cut. Follower and Replayer fold once per batch of
-// deltas, each fold numbered by its last delta.
+// core.Cutter, no analyzer — once per epoch, and hands each delta and
+// its frame to an ordered list of sinks (journal, snapshot ring,
+// follower, stream queue); a Follower, off the sealing thread, is the
+// one sink that builds analyses while a run records, adopting the
+// driver's cuts on an analyzer of the recorder's own graph; a Replayer
+// applies a frame stream's deltas to a fresh graph and folds the cuts
+// it applied (journal recovery, the aggregator's ingest). There is one
+// epoch numbering: journal record k, wire frame k and the recorder's
+// epoch k are the same cut. Follower and Replayer fold once per batch
+// of deltas, each fold numbered by its last delta.
 package epoch
 
 import (
@@ -17,19 +17,27 @@ import (
 	"sync"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // Sink consumes a run's epochs, in epoch order, on whichever goroutine
 // cut them (the sealing thread for commit-hook cuts).
 type Sink interface {
-	// Emit receives one epoch's delta; d.Epoch numbers the epoch. An
-	// error latches this sink only: the Driver stops feeding it and
-	// reports the error from Close.
-	Emit(d *core.EpochDelta) error
+	// Emit receives one epoch: its delta, d.Epoch numbering the epoch,
+	// and its frame. An error latches this sink only: the Driver stops
+	// feeding it and reports the error from Close.
+	Emit(d *core.EpochDelta, frame Frame) error
 	// Finish runs once after the final epoch, latched or not (journal
 	// seal or unsealed close, stream seal frame, drained follower).
 	Finish(final uint64) error
 }
+
+// Frame returns the epoch's delta frame, wire.AppendFrame(nil,
+// wire.KindDelta, d). The Driver encodes it on the first call, into one
+// buffer every epoch reuses: each sink that asks gets those bytes,
+// valid until its Emit returns, and an epoch none asks for is never
+// encoded.
+type Frame func() ([]byte, error)
 
 // Options configure a Driver.
 type Options struct {
@@ -51,12 +59,20 @@ type Driver struct {
 	alive  int
 	seals  uint64
 	closed bool
+
+	// frame is encode, bound once (a method value per Emit would
+	// allocate); buf holds delta's frame once framed.
+	frame Frame
+	delta *core.EpochDelta
+	buf   []byte
 }
 
 // NewDriver prepares the pipeline over g. No epoch exists until the
 // first cut.
 func NewDriver(g *core.Graph, opts Options, sinks ...Sink) *Driver {
-	return &Driver{every: max(opts.Every, 1), cutter: core.NewCutter(g), sinks: sinks, errs: make([]error, len(sinks)), alive: len(sinks)}
+	d := &Driver{every: max(opts.Every, 1), cutter: core.NewCutter(g), sinks: sinks, errs: make([]error, len(sinks)), alive: len(sinks)}
+	d.frame = d.encode
+	return d
 }
 
 // CommitHook returns the threading.Runtime commit hook: it counts seals
@@ -86,15 +102,24 @@ func (d *Driver) cutLocked() {
 	if d.closed || d.alive == 0 {
 		return
 	}
-	delta := d.cutter.Cut()
+	d.delta, d.buf = d.cutter.Cut(), d.buf[:0]
 	for i, s := range d.sinks {
 		if d.errs[i] != nil {
 			continue
 		}
-		if d.errs[i] = s.Emit(delta); d.errs[i] != nil {
+		if d.errs[i] = s.Emit(d.delta, d.frame); d.errs[i] != nil {
 			d.alive--
 		}
 	}
+}
+
+// encode is every epoch's Frame. A frame is never empty, and a failed
+// encoding leaves buf empty.
+func (d *Driver) encode() (_ []byte, err error) {
+	if len(d.buf) == 0 {
+		d.buf, err = wire.AppendFrame(d.buf, wire.KindDelta, d.delta)
+	}
+	return d.buf, err
 }
 
 // Epoch returns the number of epochs cut so far.

@@ -1,12 +1,14 @@
 package epoch
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // logSink records every call it receives into a log shared with the
@@ -19,7 +21,7 @@ type logSink struct {
 	last   **core.EpochDelta
 }
 
-func (s logSink) Emit(d *core.EpochDelta) error {
+func (s logSink) Emit(d *core.EpochDelta, _ Frame) error {
 	if s.last != nil {
 		*s.last = d
 	}
@@ -104,5 +106,93 @@ func TestDriverStopsFoldingWithNoSinkLeft(t *testing.T) {
 	}
 	if d.Close() == nil {
 		t.Fatal("second Close forgot the latched error")
+	}
+}
+
+// sinkFunc is a Sink that emits through a function and finishes at once.
+type sinkFunc func(*core.EpochDelta, Frame) error
+
+func (f sinkFunc) Emit(d *core.EpochDelta, frame Frame) error { return f(d, frame) }
+func (sinkFunc) Finish(uint64) error                          { return nil }
+
+// TestDriverFramesEachEpochOnce pins the driver's one encoding: two
+// sinks that read an epoch's frame get one buffer holding the delta's
+// wire frame, and the second finds the mark the first left in it, so
+// the driver did not encode it again. A sink that reads only the delta
+// between them changes nothing, and a driver whose sinks never ask for
+// a frame encodes nothing.
+func TestDriverFramesEachEpochOnce(t *testing.T) {
+	g := core.NewGraph(2)
+	rec, err := core.NewRecorder(g, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	var want []byte
+	var at *byte
+	mark := sinkFunc(func(d *core.EpochDelta, frame Frame) error {
+		b, err := frame()
+		if err != nil {
+			return err
+		}
+		if want, err = wire.AppendFrame(want[:0], wire.KindDelta, d); err != nil {
+			return err
+		}
+		if !bytes.Equal(b, want) {
+			t.Errorf("epoch %d: the frame is not the delta's wire frame", d.Epoch)
+		}
+		at = &b[0]
+		b[len(b)-1] ^= 0xff
+		return nil
+	})
+	check := sinkFunc(func(d *core.EpochDelta, frame Frame) error {
+		b, err := frame()
+		if err != nil {
+			return err
+		}
+		if &b[0] != at {
+			t.Errorf("epoch %d: the second sink got another buffer", d.Epoch)
+		}
+		b[len(b)-1] ^= 0xff
+		if !bytes.Equal(b, want) {
+			t.Errorf("epoch %d: the driver encoded the frame again", d.Epoch)
+		}
+		return nil
+	})
+	d := NewDriver(g, Options{}, mark, logSink{name: "delta", log: &log}, check)
+	hook := d.CommitHook()
+	for i := range 50 {
+		for j := range i % 4 {
+			rec.OnWrite(uint64(i*8 + j))
+		}
+		sc, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook(sc.ID)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 52 || d.Epoch() != 51 {
+		t.Fatalf("%d epochs, %d delta-sink calls; want 51 epochs, 52 calls", d.Epoch(), len(log))
+	}
+
+	// The follower and a delta-only sink never ask: nothing is framed.
+	lazy := NewDriver(g, Options{}, NewFollower(g, nil, ObserverFunc(func(*core.Analysis, *core.EpochDelta) {})), logSink{name: "delta", log: &log})
+	hook = lazy.CommitHook()
+	for range 20 {
+		rec.OnWrite(7)
+		sc, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook(sc.ID)
+	}
+	if err := lazy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lazy.Epoch() != 21 || lazy.buf != nil {
+		t.Fatalf("a driver whose sinks never ask for a frame: %d epochs, %d frame bytes buffered; want 21 epochs, nothing encoded", lazy.Epoch(), len(lazy.buf))
 	}
 }

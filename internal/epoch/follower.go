@@ -87,12 +87,13 @@ func NewFollower(g *core.Graph, hook func(worker int), observers ...Observer) *F
 	return f
 }
 
-// Emit enqueues the epoch's delta, blocking while followQueue deltas
-// are pending (epoch.Sink). It blocks under the driver's lock, which
-// stalls every sealing thread until the follower catches up; the
-// follower's goroutine never takes that lock, so it cannot deadlock.
-// After a failure Emit returns the latched error at once.
-func (f *Follower) Emit(d *core.EpochDelta) error {
+// Emit enqueues the epoch's delta, never its frame, blocking while
+// followQueue deltas are pending (epoch.Sink). It blocks under the
+// driver's lock, which stalls every sealing thread until the follower
+// catches up; the follower's goroutine never takes that lock, so it
+// cannot deadlock. After a failure Emit returns the latched error at
+// once.
+func (f *Follower) Emit(d *core.EpochDelta, _ Frame) error {
 	select {
 	case <-f.failed:
 		return f.err

@@ -11,8 +11,8 @@ import (
 // countSink counts the epochs the driver hands out.
 type countSink struct{ n *atomic.Uint64 }
 
-func (s countSink) Emit(*core.EpochDelta) error { s.n.Add(1); return nil }
-func (s countSink) Finish(uint64) error         { return nil }
+func (s countSink) Emit(*core.EpochDelta, Frame) error { s.n.Add(1); return nil }
+func (s countSink) Finish(uint64) error                { return nil }
 
 // TestFollowerBackpressure gates the observer at epoch 1 while another
 // goroutine cuts three queues' worth of epochs: the sealing side stalls

@@ -32,7 +32,7 @@ func newTwin(g *core.Graph, cpgs *[][]byte) twinSink {
 	return twinSink{core.NewIncrementalAnalyzer(g), cpgs}
 }
 
-func (s twinSink) Emit(d *core.EpochDelta) error {
+func (s twinSink) Emit(d *core.EpochDelta, _ epoch.Frame) error {
 	a, td := s.inc.FoldDelta()
 	if td.Epoch != d.Epoch {
 		return fmt.Errorf("twin cut epoch %d beside the driver's %d", td.Epoch, d.Epoch)
@@ -56,7 +56,7 @@ type replaySink struct {
 	cpgs map[uint64][]byte
 }
 
-func (s *replaySink) Emit(d *core.EpochDelta) error {
+func (s *replaySink) Emit(d *core.EpochDelta, _ epoch.Frame) error {
 	body, err := d.AppendWire(nil)
 	if err != nil {
 		return err
@@ -184,10 +184,10 @@ func TestFollowerRefusesForeignDelta(t *testing.T) {
 			f := epoch.NewFollower(g, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
 				observed = append(observed, d.Epoch)
 			}))
-			if err := f.Emit(own[0]); err != nil {
+			if err := f.Emit(own[0], nil); err != nil {
 				t.Fatal(err)
 			}
-			f.Emit(tc.bad)
+			f.Emit(tc.bad, nil)
 			err := f.Finish(tc.bad.Epoch)
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("stopped at epoch %d:", tc.bad.Epoch)) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Finish = %v, want the follower stopped at epoch %d naming %q", err, tc.bad.Epoch, tc.want)
@@ -292,7 +292,7 @@ func TestFollowerPanicLatches(t *testing.T) {
 	go func() {
 		var err error
 		for i := 0; i < 2*4096+1 && err == nil; i++ {
-			if e := f.Emit(&core.EpochDelta{Epoch: uint64(100 + i)}); e == nil {
+			if e := f.Emit(&core.EpochDelta{Epoch: uint64(100 + i)}, nil); e == nil {
 				err = fmt.Errorf("Emit %d after the failure returned nil", i)
 			}
 		}

@@ -100,7 +100,7 @@ type liveFold struct {
 	gaps, ownGaps int // trace gaps the driver's and its own deltas carried
 }
 
-func (s *liveFold) Emit(d *core.EpochDelta) error {
+func (s *liveFold) Emit(d *core.EpochDelta, _ epoch.Frame) error {
 	a, own := s.inc.FoldDelta()
 	if own.Epoch != d.Epoch {
 		return fmt.Errorf("live fold at epoch %d, the driver at %d", own.Epoch, d.Epoch)

@@ -22,12 +22,14 @@
 // with wire.ErrVersion (version 1 payloads were gob, version 2 spelled
 // each thunk's index) rather than carrying a second reader for it.
 //
-// Epoch-delta payloads are core.EpochDelta values — exactly what
-// core.Cutter.Cut emits. Recovery reads the file with the
-// frame-stream applier an aggregator reads an ingest body with
-// (recover.go), reproducing the recording's per-epoch Analyses byte for
-// byte up to the last durable record; without the seal the result is
-// marked degraded rather than passed off as complete.
+// An epoch-delta record is the epoch driver's frame of the epoch
+// (epoch.Frame): encoded once from the core.EpochDelta the driver cut,
+// it is also the very bytes a streaming recorder ships. Recovery reads
+// the file with the frame-stream applier an aggregator reads an ingest
+// body with (recover.go), reproducing the recording's per-epoch
+// Analyses byte for byte up to the last durable record; without the
+// seal the result is marked degraded rather than passed off as
+// complete.
 //
 // On Linux the file is appended through a shared mapping of it
 // (CreateFile): a record is a copy into the file's page-cache pages, not
@@ -50,6 +52,7 @@ import (
 	"strings"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
 
@@ -68,7 +71,9 @@ type Policy uint8
 // Fsync policies.
 const (
 	// PolicyInterval fsyncs every SyncEvery records and at seal —
-	// bounded loss, amortized cost. The default.
+	// bounded loss, amortized cost. It is the zero value, so the
+	// library's default (an empty inspector.Options.JournalFsync);
+	// inspector-run's -journal-fsync defaults to always.
 	PolicyInterval Policy = iota
 	// PolicyAlways fsyncs after every record: an epoch is durable
 	// before the workload proceeds past it.
@@ -200,7 +205,7 @@ func Create(opts Options) (*Writer, error) {
 	if _, err := f.Write(wire.Preamble()); err != nil {
 		w.err = fmt.Errorf("journal: preamble: %w", err)
 	} else {
-		w.appendRecord(wire.KindHeader, wire.Hello{RunID: opts.RunID, App: opts.App, Threads: opts.Threads, BaseEpoch: 1})
+		w.write(wire.AppendFrame(nil, wire.KindHeader, wire.Hello{RunID: opts.RunID, App: opts.App, Threads: opts.Threads, BaseEpoch: 1}))
 	}
 	if w.err != nil {
 		return nil, errors.Join(w.err, w.Discard())
@@ -211,30 +216,40 @@ func Create(opts Options) (*Writer, error) {
 // RunID returns the journal's run identity.
 func (w *Writer) RunID() string { return w.opts.RunID }
 
-// appendRecord frames and writes one record via the shared codec, then
-// issues the whole frame as a single Write (so an injected short write
-// models a torn record, not interleaved garbage).
-func (w *Writer) appendRecord(kind byte, payload any) error {
+// write latches the encoding error of a frame (internal/wire's
+// AppendFrame, the shared codec) or issues the whole frame as a single
+// Write (so an injected short write models a torn record, not
+// interleaved garbage).
+func (w *Writer) write(frame []byte, err error) error {
+	if err != nil {
+		w.err = fmt.Errorf("journal: %w", err)
+	} else if _, err := w.f.Write(frame); err != nil {
+		w.err = fmt.Errorf("journal: append: %w", err)
+	}
+	return w.err
+}
+
+// Append journals one epoch delta: Emit, framing the delta itself.
+func (w *Writer) Append(d *core.EpochDelta) error {
+	return w.Emit(d, func() (b []byte, err error) {
+		w.buf, err = wire.AppendFrame(w.buf[:0], wire.KindDelta, d)
+		return w.buf, err
+	})
+}
+
+// Emit journals one epoch, writing the driver's frame of its delta, and
+// applies the fsync policy: with Finish it makes a Writer an
+// epoch.Sink. List it first, so an epoch is on the journal before any
+// later sink can observe it. The driver calls Emit synchronously on the
+// sealing thread, which is the durability contract: under PolicyAlways
+// a workload cannot proceed past a seal whose epoch is not on stable
+// storage. A write error latches the sink only (the journal observes
+// the workload, never gates it) and surfaces from the driver's Close.
+func (w *Writer) Emit(d *core.EpochDelta, frame epoch.Frame) error {
 	if w.err != nil {
 		return w.err
 	}
-	buf, err := wire.AppendFrame(w.buf[:0], kind, payload)
-	if err != nil {
-		w.err = fmt.Errorf("journal: %w", err)
-		return w.err
-	}
-	w.buf = buf
-	if _, err := w.f.Write(w.buf); err != nil {
-		w.err = fmt.Errorf("journal: append: %w", err)
-		return w.err
-	}
-	return nil
-}
-
-// Append journals one epoch delta, applying the fsync policy as
-// configured.
-func (w *Writer) Append(d *core.EpochDelta) error {
-	if err := w.appendRecord(wire.KindDelta, d); err != nil {
+	if err := w.write(frame()); err != nil {
 		return err
 	}
 	w.epoch = d.Epoch
@@ -274,7 +289,7 @@ func (w *Writer) Seal(finalEpoch uint64) error {
 		w.err = fmt.Errorf("journal: seal epoch %d, last appended %d", finalEpoch, w.epoch)
 		return w.err
 	}
-	if err := w.appendRecord(wire.KindSeal, wire.Seal{FinalEpoch: finalEpoch}); err != nil {
+	if err := w.write(wire.AppendFrame(nil, wire.KindSeal, wire.Seal{FinalEpoch: finalEpoch})); err != nil {
 		return err
 	}
 	if w.opts.Fsync != PolicyNone {

@@ -95,7 +95,7 @@ type liveFold struct {
 	exports *[][]byte
 }
 
-func (s liveFold) Emit(*core.EpochDelta) error {
+func (s liveFold) Emit(*core.EpochDelta, epoch.Frame) error {
 	a, _ := s.inc.FoldDelta()
 	*s.exports = append(*s.exports, cpgtest.Bytes(s.t, a))
 	return nil
@@ -827,7 +827,14 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 }
 
+// TestParsePolicy also pins the library's default: the zero Policy and
+// the empty string (an unset inspector.Options.JournalFsync) are
+// interval. inspector-run's -journal-fsync defaults to always
+// (cmd/inspector-run's TestRunJournalFsyncDefaultsToAlways).
 func TestParsePolicy(t *testing.T) {
+	if (journal.Options{}).Fsync != journal.PolicyInterval {
+		t.Errorf("the zero Options.Fsync is %v, want interval", (journal.Options{}).Fsync)
+	}
 	cases := []struct {
 		in    string
 		p     journal.Policy

@@ -5,16 +5,6 @@ import (
 	"github.com/repro/inspector/internal/epoch"
 )
 
-// Emit appends the epoch's delta: with Finish it makes a Writer an
-// epoch.Sink. List it first, so an epoch is on the journal
-// before any later sink can observe it. The driver calls Emit
-// synchronously on the sealing thread, which is the durability
-// contract: under PolicyAlways a workload cannot proceed past a seal
-// whose epoch is not on stable storage. A write error latches the sink
-// only (the journal observes the workload, never gates it) and surfaces
-// from the driver's Close.
-func (w *Writer) Emit(d *core.EpochDelta) error { return w.Append(d) }
-
 // Finish seals the journal after the final epoch — the clean-close
 // marker recovery uses to tell a finished run from a killed one. After
 // a latched error it closes the file without sealing: the journal then
@@ -57,7 +47,7 @@ func NewRecorder(g *core.Graph, w *Writer, every int) *Recorder {
 // sees exactly the journaled prefix.
 type follow struct{ r *Recorder }
 
-func (s follow) Emit(d *core.EpochDelta) error {
+func (s follow) Emit(d *core.EpochDelta, frame epoch.Frame) error {
 	r := s.r
 	if r.OnEpoch == nil || r.w.err != nil {
 		return nil
@@ -65,7 +55,7 @@ func (s follow) Emit(d *core.EpochDelta) error {
 	if r.f == nil {
 		r.f = epoch.NewFollower(r.g, nil, epoch.ObserverFunc(r.OnEpoch))
 	}
-	return r.f.Emit(d)
+	return r.f.Emit(d, frame)
 }
 
 func (s follow) Finish(final uint64) error {

@@ -137,8 +137,8 @@ func New(sess *perf.Session, opts Options) *Ring {
 // next multiple of EverySeals (every synchronization boundary seals one
 // sub-computation, so the cut's size is the paper's sync-point count),
 // copying its PT windows now. Once the follower has stopped nothing is
-// retained.
-func (r *Ring) Emit(d *core.EpochDelta) error {
+// retained. It never asks for the frame.
+func (r *Ring) Emit(d *core.EpochDelta, _ epoch.Frame) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cut := Cut{Epoch: d.Epoch, Frontier: d.Lens}

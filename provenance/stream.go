@@ -7,9 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,54 +18,44 @@ import (
 )
 
 // The recorder side of the fabric: an Uploader is the epoch pipeline's
-// stream sink — it ships each folded epoch's delta to an aggregator
+// stream sink — it ships each cut epoch's frame to an aggregator
 // instead of (or, listed after it, alongside) a local journal.
-// Recording never blocks on the network: epochs enqueue, a sender
-// goroutine ships the whole backlog per POST, and a dead aggregator
-// costs queue memory, not workload progress. The journal stays the
-// durability anchor: it is fed the very same deltas, so after a
-// recorder SIGKILL inspector-recover -stream posts the journal's own
-// frames (Refeed) and the aggregator's dedup makes the resend converge.
+// Recording never blocks on the network: epochs enqueue as bytes, a
+// sender goroutine ships the whole backlog per POST, and a dead
+// aggregator costs queue memory, not workload progress. The journal
+// stays the durability anchor: it writes the very frames the uploader
+// queues, encoded once by the epoch driver, so after a recorder SIGKILL
+// inspector-recover -stream posts the journal's own frames (Refeed) and
+// the aggregator's dedup makes the resend converge.
 
 // maxUploadBytes is the byte budget of one ingest POST: a body stops
-// after the delta whose frame takes it to the budget or past it, so no
+// after the delta frame that takes it to the budget or past it, so no
 // body exceeds the budget by more than one frame, and a body with a
 // delta to take always takes one, whatever its size. It sits far below
 // the aggregator's body cap (maxIngestBodyBytes).
 const maxUploadBytes = 16 << 20
 
+// arenaChunk sizes the chunks the Uploader copies frames into.
+const arenaChunk = 64 << 10
+
 // EncodeFrames builds one ingest request body: the hello, then the
 // deltas in epoch order, then the optional seal. BaseEpoch is stamped
 // from the first delta.
-func EncodeFrames(hello wire.Hello, deltas []*core.EpochDelta, seal *wire.Seal) ([]byte, error) {
-	body, _, err := encodeBody(nil, hello, deltas, 0, math.MaxInt, seal)
-	return body, err
-}
-
-// encodeBody builds one ingest request body the way EncodeFrames does,
-// but takes deltas only until it holds limit of them (limit <= 0: no
-// count cap) or its length reaches budget, and appends the seal only if
-// it took them all. It returns the body, built in dst's array, and the
-// count of deltas taken.
-func encodeBody(dst []byte, hello wire.Hello, deltas []*core.EpochDelta, limit, budget int, seal *wire.Seal) (body []byte, n int, err error) {
+func EncodeFrames(hello wire.Hello, deltas []*core.EpochDelta, seal *wire.Seal) (body []byte, err error) {
 	if len(deltas) > 0 {
 		hello.BaseEpoch = deltas[0].Epoch
 	}
-	if body, err = wire.AppendFrame(dst[:0], wire.KindHeader, &hello); err != nil {
-		return nil, 0, err
+	body, err = wire.AppendFrame(nil, wire.KindHeader, &hello)
+	for i := 0; err == nil && i < len(deltas); i++ {
+		body, err = wire.AppendFrame(body, wire.KindDelta, deltas[i])
 	}
-	for n < len(deltas) && (limit <= 0 || n < limit) && (n == 0 || len(body) < budget) {
-		if body, err = wire.AppendFrame(body, wire.KindDelta, deltas[n]); err != nil {
-			return nil, 0, err
-		}
-		n++
+	if err == nil && seal != nil {
+		body, err = wire.AppendFrame(body, wire.KindSeal, seal)
 	}
-	if seal != nil && n == len(deltas) {
-		if body, err = wire.AppendFrame(body, wire.KindSeal, seal); err != nil {
-			return nil, 0, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	return body, n, nil
+	return body, nil
 }
 
 // Refeed posts a recorded frame stream — a journal after its preamble,
@@ -151,14 +139,18 @@ const requestTimeout = 60 * time.Second
 
 // Uploader is the stream sink. Upload errors latch in its sender and
 // surface from Wait, never from Emit: a dead aggregator must not stop
-// the fold.
+// the recording.
 type Uploader struct {
 	c     *Client
 	opts  StreamOptions
 	hello wire.Hello
 
+	// arena is the chunk Emit copies frames into (only Emit touches it).
+	// A chunk never moves, so the sender reads frames without the lock.
+	arena []byte
+
 	mu      sync.Mutex
-	pending []*core.EpochDelta
+	pending []queued // the unacknowledged epochs, in order
 	sendErr error
 
 	// body is the sender's POST body buffer, reused for the next body
@@ -171,6 +163,12 @@ type Uploader struct {
 	senderDone chan struct{}
 	ctx        context.Context
 	cancel     context.CancelFunc
+}
+
+// queued is one unacknowledged epoch: its number and its frame.
+type queued struct {
+	epoch uint64
+	frame []byte
 }
 
 // NewUploader builds the sink streaming a threads-wide graph's epoch
@@ -203,10 +201,22 @@ func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) 
 	return u, nil
 }
 
-// Emit queues one epoch's delta and wakes the sender (epoch.Sink).
-func (u *Uploader) Emit(d *core.EpochDelta) error {
+// Emit copies the epoch's frame into the queue and wakes the sender
+// (epoch.Sink). A frame that failed to encode latches the sender, as a
+// terminal upload error does: nothing after it can ship.
+func (u *Uploader) Emit(d *core.EpochDelta, frame epoch.Frame) error {
+	b, err := frame()
+	if err != nil {
+		u.latch(err)
+		return err
+	}
+	if cap(u.arena)-len(u.arena) < len(b) {
+		u.arena = make([]byte, 0, max(arenaChunk, len(b)))
+	}
+	at := len(u.arena)
+	u.arena = append(u.arena, b...)
 	u.mu.Lock()
-	u.pending = append(u.pending, d)
+	u.pending = append(u.pending, queued{epoch: d.Epoch, frame: u.arena[at:len(u.arena):len(u.arena)]})
 	u.mu.Unlock()
 	select {
 	case u.notify <- struct{}{}:
@@ -262,26 +272,52 @@ func (u *Uploader) latch(err error) {
 	u.mu.Unlock()
 }
 
-// snapshot copies the pending deltas.
-func (u *Uploader) snapshot() []*core.EpochDelta {
+// queue returns the queued frames' index. Emit only appends past it,
+// and ack, which clears acknowledged entries, runs on the sender only,
+// after their body: the sender reads the frames after the lock.
+func (u *Uploader) queue() []queued {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return slices.Clone(u.pending)
+	return u.pending
 }
 
-// ack drops pending deltas the aggregator acknowledged (epoch <
+// nextBody builds one ingest request body in dst's array: the hello,
+// whole frames of pending until it holds opts.Batch of them (0: no
+// count cap) or its length reaches maxUploadBytes, then the seal if it
+// took them all. It returns the body and the count of frames taken.
+func (u *Uploader) nextBody(dst []byte, pending []queued, seal *wire.Seal) (body []byte, n int, err error) {
+	hello := u.hello
+	if len(pending) > 0 {
+		hello.BaseEpoch = pending[0].epoch
+	}
+	if body, err = wire.AppendFrame(dst[:0], wire.KindHeader, &hello); err != nil {
+		return nil, 0, err
+	}
+	for ; n < len(pending) && (u.opts.Batch <= 0 || n < u.opts.Batch) && (n == 0 || len(body) < maxUploadBytes); n++ {
+		body = append(body, pending[n].frame...)
+	}
+	if seal != nil && n == len(pending) {
+		if body, err = wire.AppendFrame(body, wire.KindSeal, seal); err != nil {
+			return nil, 0, err
+		}
+	}
+	return body, n, nil
+}
+
+// ack drops the queued epochs the aggregator acknowledged (epoch <
 // nextEpoch).
 func (u *Uploader) ack(nextEpoch uint64) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	keep := 0
-	for keep < len(u.pending) && u.pending[keep].Epoch < nextEpoch {
+	for keep < len(u.pending) && u.pending[keep].epoch < nextEpoch {
 		keep++
 	}
+	clear(u.pending[:keep]) // frees the arena chunks only acked frames hold
 	u.pending = u.pending[keep:]
 }
 
-// drain group-commits the queue: each POST carries every pending delta
+// drain group-commits the queue: each POST carries every queued frame
 // up to the byte budget (and opts.Batch), until the queue is empty or a
 // terminal error latches. A Finish that arrives mid-drain joins it:
 // Finish follows the final Emit, so from then on the queue is the
@@ -301,16 +337,18 @@ func (u *Uploader) drain(seal *wire.Seal) *wire.Seal {
 			default:
 			}
 		}
-		pending := u.snapshot()
+		pending := u.queue()
 		if len(pending) == 0 && seal == nil {
 			return nil
 		}
-		body, n, err := encodeBody(u.body, u.hello, pending, u.opts.Batch, maxUploadBytes, seal)
+		body, n, err := u.nextBody(u.body, pending, seal)
 		if err != nil {
 			u.latch(err)
 			break
 		}
-		st, err := u.ship(body)
+		ctx, cancel := context.WithTimeout(u.ctx, requestTimeout)
+		st, err := u.c.Ingest(ctx, u.opts.Source, body)
+		cancel()
 		// A failed POST's body may still be read by the transport after
 		// Ingest returns (a response that came before the body went), so
 		// only a successful one's buffer is reused.
@@ -362,9 +400,9 @@ func (u *Uploader) resync() error {
 		// acknowledged-and-pruned is missing.
 		u.mu.Lock()
 		defer u.mu.Unlock()
-		if len(u.pending) > 0 && u.pending[0].Epoch > 1 {
+		if len(u.pending) > 0 && u.pending[0].epoch > 1 {
 			return fmt.Errorf("provenance: aggregator lost source %s (wants epoch 1, oldest queued is %d); re-feed from the journal",
-				u.opts.Source, u.pending[0].Epoch)
+				u.opts.Source, u.pending[0].epoch)
 		}
 		return nil
 	}
@@ -375,18 +413,11 @@ func (u *Uploader) resync() error {
 	u.ack(st.NextEpoch)
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if len(u.pending) > 0 && u.pending[0].Epoch > st.NextEpoch {
+	if len(u.pending) > 0 && u.pending[0].epoch > st.NextEpoch {
 		return fmt.Errorf("provenance: aggregator lost epochs [%d,%d) of source %s; re-feed from the journal",
-			st.NextEpoch, u.pending[0].Epoch, u.opts.Source)
+			st.NextEpoch, u.pending[0].epoch, u.opts.Source)
 	}
 	return nil
-}
-
-// ship uploads one body under the per-request timeout.
-func (u *Uploader) ship(body []byte) (*IngestStatus, error) {
-	ctx, cancel := context.WithTimeout(u.ctx, requestTimeout)
-	defer cancel()
-	return u.c.Ingest(ctx, u.opts.Source, body)
 }
 
 // Wait flushes the queue (seal included) and stops the sender. Call it

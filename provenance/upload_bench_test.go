@@ -17,8 +17,10 @@ const drainEpochs = 4096
 // loopback aggregator, Finish called, then the release and the drain
 // through the seal — what Close pays when the stream has fallen behind.
 // ns/epoch covers the release to Wait's return, the aggregator's apply,
-// fold and publish included; posts/drain counts the stream's POSTs, the
-// parked one included.
+// fold and publish included; the frames were encoded before, by Emit's
+// frame, outside the timer, as the epoch driver encodes them on the
+// sealing thread. posts/drain counts the stream's POSTs, the parked one
+// included.
 func BenchmarkUploaderDrain(b *testing.B) {
 	sched := cpgbench.DrawSchedule(2, drainEpochs, 256, 2, 61)
 	rp := sched.NewReplay()
@@ -40,7 +42,7 @@ func BenchmarkUploaderDrain(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j, d := range deltas {
-			if err := u.Emit(d); err != nil {
+			if err := emitDelta(u, d); err != nil {
 				b.Fatal(err)
 			}
 			if j == 0 {

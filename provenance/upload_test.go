@@ -13,12 +13,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/repro/inspector/internal/core"
+	"github.com/repro/inspector/internal/core/cpgbench"
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
+	"github.com/repro/inspector/internal/epoch"
 	"github.com/repro/inspector/internal/wire"
 )
 
@@ -32,6 +35,12 @@ type postedBody struct {
 	// base is the hello's BaseEpoch; frames the body after the hello.
 	base   uint64
 	frames []byte
+}
+
+// emitDelta hands u one epoch as the epoch driver does: the delta and
+// its frame.
+func emitDelta(u *Uploader, d *core.EpochDelta) error {
+	return u.Emit(d, func() ([]byte, error) { return wire.AppendFrame(nil, wire.KindDelta, d) })
 }
 
 // gatedAggregator is an in-process aggregator whose first ingest POST
@@ -271,7 +280,7 @@ func TestUploaderBodiesKeepByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	emit := func(d *core.EpochDelta) {
-		if err := u.Emit(d); err != nil {
+		if err := emitDelta(u, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,4 +420,84 @@ func TestRefeedSplitsAtFrameBoundaries(t *testing.T) {
 	if got, err := agg.c.Export(context.Background(), "w"); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("aggregator export after a split re-feed != the recorder's fold (err=%v)", err)
 	}
+}
+
+// TestAllocsUploaderEmit pins what queueing costs the sealing thread:
+// 4 096 per-seal Emits behind a parked first POST copy their frames
+// into the arena and the index, allocating only the chunks the frames
+// fill and the index's amortized growth — nothing per epoch. It
+// measures in a process of its own (measureAlone).
+func TestAllocsUploaderEmit(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
+	sched := cpgbench.DrawSchedule(2, drainEpochs+1, 256, 2, 61)
+	rp := sched.NewReplay()
+	cutter := core.NewCutter(rp.Graph)
+	deltas := make([]*core.EpochDelta, drainEpochs+1)
+	frames := make([]epoch.Frame, len(deltas))
+	size := 0
+	for s := range deltas {
+		rp.To(s + 1)
+		d := cutter.Cut()
+		b, err := wire.AppendFrame(nil, wire.KindDelta, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas[s], frames[s] = d, func() ([]byte, error) { return b, nil }
+		if s > 0 {
+			size += len(b)
+		}
+	}
+	agg := newGatedAggregator(t)
+	defer agg.close()
+	u, err := NewUploader(agg.c, 2, StreamOptions{Source: "emit", RunID: "emit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Emit(deltas[0], frames[0]); err != nil {
+		t.Fatal(err)
+	}
+	agg.awaitFirst(t) // the sender is parked in its POST
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i < len(deltas); i++ {
+		if err := u.Emit(deltas[i], frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	emits := after.Mallocs - before.Mallocs
+	var index []queued
+	growth := mallocs(func() {
+		for range len(deltas) {
+			index = append(index, queued{})
+		}
+	})
+	chunks := uint64(size/arenaChunk + 1)
+	t.Logf("%d per-seal Emits (%d frame bytes): %d allocations; the index's growth %d, the arena's %d chunks",
+		drainEpochs, size, emits, growth, chunks)
+	if emits > growth+chunks {
+		t.Errorf("%d per-seal Emits allocated %d times, want at most %d (the index's growth) + %d (arena chunks)",
+			drainEpochs, emits, growth, chunks)
+	}
+	agg.open()
+	if err := u.Finish(deltas[drainEpochs].Epoch); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := u.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mallocs counts the allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
