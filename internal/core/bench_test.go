@@ -467,7 +467,7 @@ func allocsPerSeal(epoch func(*core.Graph) func()) float64 {
 // overlay layer) and amortized growth, nothing per-epoch besides. It
 // measures in a process of its own (measureAlone).
 func TestAllocsFoldPerSeal(t *testing.T) {
-	if !measureAlone(t) {
+	if !core.MeasureAlone(t) {
 		return
 	}
 	perEpoch := allocsPerSeal(foldDelta)
@@ -482,7 +482,7 @@ func TestAllocsFoldPerSeal(t *testing.T) {
 // growth. A cut derives nothing, so nothing else may allocate. It
 // measures in a process of its own (measureAlone).
 func TestAllocsCutPerSeal(t *testing.T) {
-	if !measureAlone(t) {
+	if !core.MeasureAlone(t) {
 		return
 	}
 	perEpoch := allocsPerSeal(cutOnly)
@@ -500,7 +500,7 @@ func TestAllocsCutPerSeal(t *testing.T) {
 // -run patterns never select it: the race detector allocates.) It
 // measures in a process of its own (measureAlone).
 func TestAllocsSliceVerifyPerVertex(t *testing.T) {
-	if !measureAlone(t) {
+	if !core.MeasureAlone(t) {
 		return
 	}
 	wide, target := wideA()
@@ -533,7 +533,7 @@ func TestAllocsSliceVerifyPerVertex(t *testing.T) {
 // edge made it O(k). It measures in a process of its own
 // (measureAlone).
 func TestAllocsFoldDataEdges(t *testing.T) {
-	if !measureAlone(t) {
+	if !core.MeasureAlone(t) {
 		return
 	}
 	const small, large = 64, 4096

@@ -291,7 +291,7 @@ func TestApplyDeltaAtomic(t *testing.T) {
 // no other test allocates. (Named Allocs*, so -race -run patterns never
 // select it.)
 func TestAllocsApplyDelta(t *testing.T) {
-	if !measureAlone(t) {
+	if !core.MeasureAlone(t) {
 		return
 	}
 	const n = 4096

@@ -578,7 +578,7 @@ func branchyDelta(tb testing.TB, subs, thunks int) *core.EpochDelta {
 // so the decode allocates at most 1.1x the body. It measures in a
 // process of its own (measureAlone).
 func TestAllocsParseWireBranchy(t *testing.T) {
-	if !measureAlone(t) {
+	if !core.MeasureAlone(t) {
 		return
 	}
 	body, err := branchyDelta(t, 8, 1<<17).AppendWire(nil)
@@ -674,7 +674,7 @@ func BenchmarkDeltaCodec(b *testing.B) {
 // pattern does not select it: the race detector allocates.) It measures
 // in a process of its own (measureAlone).
 func TestAllocsDeltaCodecEncode(t *testing.T) {
-	if !measureAlone(t) {
+	if !core.MeasureAlone(t) {
 		return
 	}
 	deltas, _ := codecDeltas(t, 2, 7)

@@ -97,7 +97,7 @@ type IncrementalAnalyzer struct {
 	// totals sums the folded prefix's per-vertex counters; each fold adds
 	// its new vertices and every view copies the sums, so Stats never
 	// walks the prefix.
-	totals vertexTotals
+	totals VertexTotals
 
 	// workers caps the fold's data-edge derivation fan-out (0 =
 	// GOMAXPROCS); workerHook, when set, runs at the start of every
@@ -483,12 +483,16 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) ([]edgeRow, []ui
 			}
 		}
 	}
-	workers := inc.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxw := (total + foldWorkerGrain - 1) / foldWorkerGrain; workers > maxw {
-		workers = maxw
+	// The grain caps the workers first: a fold of fewer than two grains
+	// is serial whatever GOMAXPROCS says, and asking takes the
+	// scheduler's lock.
+	workers := (total + foldWorkerGrain - 1) / foldWorkerGrain
+	if workers > 1 {
+		limit := inc.workers
+		if limit <= 0 {
+			limit = runtime.GOMAXPROCS(0)
+		}
+		workers = min(workers, limit)
 	}
 	// A reader derives an edge or a few, each of a page or a few: room
 	// for one row and one page per reader saves most regrowths.

@@ -70,22 +70,23 @@ type Analysis struct {
 	// totals are the prefix's per-vertex sums Stats reports, set at
 	// construction: a fold carries them forward, a restored analysis sums
 	// its vertices once.
-	totals vertexTotals
+	totals VertexTotals
 }
 
-// vertexTotals sums the per-vertex counters of a prefix.
-type vertexTotals struct {
-	thunks, readSetPages, writeSetPages int
+// VertexTotals sums the per-vertex counters of a prefix: each vertex's
+// NumThunks, ReadSet.Len and WriteSet.Len.
+type VertexTotals struct {
+	Thunks, ReadSetPages, WriteSetPages int
 }
 
 // add counts g's vertices between the prefixes from and to into the
 // totals, reading each shard in place (the sets' sizes by field: Len
 // has a value receiver, and a PageSet is 80 bytes to copy).
-func (vt *vertexTotals) add(g *Graph, from, to []int) {
+func (vt *VertexTotals) add(g *Graph, from, to []int) {
 	for _, sc := range g.between(from, to) {
-		vt.thunks += int(sc.nThunks)
-		vt.readSetPages += sc.ReadSet.n
-		vt.writeSetPages += sc.WriteSet.n
+		vt.Thunks += int(sc.nThunks)
+		vt.ReadSetPages += sc.ReadSet.n
+		vt.WriteSetPages += sc.WriteSet.n
 	}
 }
 

@@ -195,8 +195,12 @@ func TestThunkStorageConcurrentCut(t *testing.T) {
 // storage per chunk, not per sub-computation, and a large sub-computation
 // written once into chunks and copied once at EndSub — at most 2.5x its
 // path's encoded bytes. (Named Allocs*, so -race -run patterns never
-// select it: the race detector allocates.)
+// select it: the race detector allocates.) It measures in a process of
+// its own (measureAlone).
 func TestAllocsThunkPath(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	const subs = 10_000
 	smallSubs := func(branches func(k int) int) func() {
 		return func() {

@@ -54,9 +54,9 @@ type Stats struct {
 func (a *Analysis) Stats() Stats {
 	st := Stats{
 		SubComputations: a.NumVertices(),
-		Thunks:          a.totals.thunks + a.g.column.count(),
-		ReadSetPages:    a.totals.readSetPages,
-		WriteSetPages:   a.totals.writeSetPages,
+		Thunks:          a.totals.Thunks + a.g.column.count(),
+		ReadSetPages:    a.totals.ReadSetPages,
+		WriteSetPages:   a.totals.WriteSetPages,
 		GapThreads:      a.comp.GapThreads,
 		GapIntervals:    a.comp.GapIntervals,
 		LostTraceBytes:  a.comp.LostBytes,
@@ -388,7 +388,7 @@ func NewAnalysisFromSections(g *Graph, lens []int, epoch uint64, syncEdges, data
 		}
 		dataRows.AppendData(e.From, e.To, e.Pages)
 	}
-	return newAnalysisFromRows(g, lens, epoch, &syncRows, &dataRows, names, syms)
+	return newAnalysisFromRows(g, lens, epoch, &syncRows, &dataRows, names, syms, nil)
 }
 
 // checkEdge checks edge i of a section held as edges: its kind, and
@@ -416,17 +416,19 @@ func checkEdge(name string, i int, e *Edge, kind EdgeKind, lens []int) error {
 // above succCompactFloor, one overlay layer below it. The store adopts
 // both sections' rows and data's page arena, so the caller must not
 // modify either afterwards. Completeness comes from the graph's
-// recorded gaps and the per-vertex totals from one walk of the prefix,
-// as in every other construction path.
-func NewAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows *EdgeRows) (*Analysis, error) {
+// recorded gaps. totals are the prefix's per-vertex sums, which the
+// caller counted as it decoded the vertices, so the prefix is not
+// walked again; Stats reports them.
+func NewAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows *EdgeRows, totals VertexTotals) (*Analysis, error) {
 	names := g.interner.View(math.MaxInt)
-	return newAnalysisFromRows(g, lens, epoch, syncRows, dataRows, names, len(names))
+	return newAnalysisFromRows(g, lens, epoch, syncRows, dataRows, names, len(names), &totals)
 }
 
 // newAnalysisFromRows is NewAnalysisFromRows with sync rows' objects
 // resolved against names, whose first syms entries are g's symbol
-// table, the analysis's.
-func newAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows *EdgeRows, names []string, syms int) (*Analysis, error) {
+// table, the analysis's. Nil totals are summed in one walk of the
+// prefix.
+func newAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows *EdgeRows, names []string, syms int, totals *VertexTotals) (*Analysis, error) {
 	if len(lens) != g.Threads() {
 		return nil, fmt.Errorf("core: section lens cover %d threads, graph has %d", len(lens), g.Threads())
 	}
@@ -452,7 +454,11 @@ func newAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows 
 	gaps, _ := g.gapsForPrefix(lens, nil)
 	a := st.extend(g, 0, 0, lens, empty, base, summarizeGaps(gaps), epoch)
 	a.syms = syms
-	a.totals.add(g, empty, lens)
+	if totals != nil {
+		a.totals = *totals
+	} else {
+		a.totals.add(g, empty, lens)
+	}
 	return a, nil
 }
 

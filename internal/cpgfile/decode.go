@@ -310,6 +310,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 		words  core.Words
 		slab   []core.SubComputation
 		parsed int
+		totals core.VertexTotals
 	)
 	runs := make([]*core.SubComputation, 0, min(vertices, len(cv.Rest())/core.MinVertexBytes))
 	for t, n := range lens {
@@ -331,7 +332,11 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 			if !intact() {
 				break
 			}
-			footprint += fpPerSub + fpPerWord*int64(len(sc.Clock)+sc.ReadSet.Len()+sc.WriteSet.Len())
+			rs, ws := sc.ReadSet.Len(), sc.WriteSet.Len()
+			totals.Thunks += sc.NumThunks()
+			totals.ReadSetPages += rs
+			totals.WriteSetPages += ws
+			footprint += fpPerSub + fpPerWord*int64(len(sc.Clock)+rs+ws)
 			run = append(run, sc)
 			parsed++
 		}
@@ -400,7 +405,7 @@ func decodeAnalysis(data []byte, lay *fileLayout, walk *thunkWalk, reread func()
 		return nil, 0, err
 	}
 
-	a, err := core.NewAnalysisFromRows(g, lens, lay.hdr.Epoch, &syncRows, &dataRows)
+	a, err := core.NewAnalysisFromRows(g, lens, lay.hdr.Epoch, &syncRows, &dataRows, totals)
 	if err != nil {
 		// The decoder pre-validated order and endpoints per section, so
 		// anything left is a vertex-layout inconsistency.

@@ -246,10 +246,10 @@ func TestServeSmoke(t *testing.T) {
 	// it is draining and exits 0.
 	t.Run("drain", func(t *testing.T) {
 		d := startServe(t, "-cpg", cpg)
-		if body := httpGet(t, d.url+"/healthz"); !bytes.Contains(body, []byte(`"ok": true`)) {
+		if body := httpGet(t, d.url+"/healthz"); !bytes.Contains(body, []byte(`"ok":true`)) {
 			t.Fatalf("/healthz: %s", body)
 		}
-		if body := httpGet(t, d.url+"/readyz"); !bytes.Contains(body, []byte(`"ready": true`)) {
+		if body := httpGet(t, d.url+"/readyz"); !bytes.Contains(body, []byte(`"ready":true`)) {
 			t.Fatalf("/readyz: %s", body)
 		}
 		if err := d.stop(syscall.SIGTERM); err != nil {
@@ -277,7 +277,7 @@ func TestServeSmoke(t *testing.T) {
 		recovered := filepath.Join(tmp, "recovered.cpg")
 		tool(t, "inspector-recover", "-journal", journal, "-q", "-cpg", recovered)
 		d := startServe(t, "-cpg", recovered)
-		if body := httpGet(t, d.url+"/v1/cpgs"); !bytes.Contains(body, []byte(`"degraded": true`)) {
+		if body := httpGet(t, d.url+"/v1/cpgs"); !bytes.Contains(body, []byte(`"degraded":true`)) {
 			t.Fatalf("listing does not mark the recovered .cpg degraded:\n%s", body)
 		}
 		sameAnswers(t, []string{"-cpg", recovered}, []string{"-remote", d.url},

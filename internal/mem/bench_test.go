@@ -189,7 +189,11 @@ func BenchmarkReadClean(b *testing.B) {
 // change no byte. (A publishing commit allocates nothing either once its
 // reused range scratch has grown.) (Named Allocs*, not after the paths,
 // so -race -run patterns never select it: the race detector allocates.)
+// It measures in a process of its own (measureAlone).
 func TestAllocsHotPaths(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	const pages = 16
 	check := func(err error) {
 		if err != nil {

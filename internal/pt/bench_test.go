@@ -201,8 +201,12 @@ func BenchmarkRoundTrip(b *testing.B) {
 // TestAllocsHotPaths pins what the benchmarks above report as 0
 // allocs/op: steady-state TNT and TIP encode, and the encode → decode
 // round trip. (Named Allocs*, not after the paths, so -race -run
-// patterns never select it: the race detector allocates.)
+// patterns never select it: the race detector allocates.) It measures
+// in a process of its own (measureAlone).
 func TestAllocsHotPaths(t *testing.T) {
+	if !measureAlone(t) {
+		return
+	}
 	trip := roundTrip(t)
 	for _, c := range []struct {
 		name string

@@ -11,7 +11,10 @@ package provenance_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/repro/inspector/internal/core"
@@ -118,4 +121,71 @@ func BenchmarkQueryEngineTaintPerSeal(b *testing.B) {
 func BenchmarkQueryEngineTaintParallel(b *testing.B) {
 	eng, _ := benchEngine()
 	benchParallel(b, eng, taintQuery)
+}
+
+// BenchmarkServeQuery answers one query per op over loopback HTTP: the
+// client's request, the server's decode, execution and answer encoding,
+// and the client's decode of the answer — for each kind of the pipeline
+// benchmark's serving mix, on the dense graph above. B/op counts both
+// sides (one process); resp-B/op is the answer's body.
+func BenchmarkServeQuery(b *testing.B) {
+	eng, slice := benchEngine()
+	srv := provenance.NewServer(map[string]*provenance.Engine{"g": eng}, provenance.ServerOptions{})
+	var written atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(countingWriter{w, &written}, r)
+	}))
+	defer ts.Close()
+	c := &provenance.Client{BaseURL: ts.URL}
+	ctx := context.Background()
+
+	target, err := provenance.ParseSubID(slice.Target)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, ok := eng.Analysis().Graph().Sub(target)
+	if !ok || sc.ReadSet.Len() == 0 {
+		b.Fatalf("%s reads no page", target)
+	}
+	page := sc.ReadSet.Sorted()[0]
+	lo, hi := target.Alpha/2, target.Alpha/2+32
+	for _, k := range []struct {
+		name string
+		q    provenance.Query
+	}{
+		{"slice", slice},
+		{"taint", taintQuery},
+		{"path", provenance.Query{Kind: provenance.KindPath, From: "T1.0", To: slice.Target}},
+		{"lineage", provenance.Query{Kind: provenance.KindLineage, Target: slice.Target, Page: &page}},
+		{"stats", provenance.Query{Kind: provenance.KindStats}},
+		{"edges", provenance.Query{Kind: provenance.KindEdges, EdgeKinds: []string{"data"},
+			Thread: &target.Thread, AlphaMin: &lo, AlphaMax: &hi, Limit: 256}},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			if _, err := c.Query(ctx, "g", k.q); err != nil {
+				b.Fatal(err)
+			}
+			written.Store(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := c.Query(ctx, "g", k.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(written.Load())/float64(b.N), "resp-B/op")
+		})
+	}
+}
+
+// countingWriter counts the body bytes a handler writes.
+type countingWriter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (w countingWriter) Write(p []byte) (int, error) {
+	w.n.Add(int64(len(p)))
+	return w.ResponseWriter.Write(p)
 }

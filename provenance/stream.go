@@ -35,6 +35,15 @@ import (
 // the aggregator's body cap (maxIngestBodyBytes).
 const maxUploadBytes = 16 << 20
 
+// bodyTakes is the one body policy of Refeed and the Uploader: an
+// ingest body that is size bytes long, hello included, and holds n
+// delta frames takes the next frame while it holds fewer than batch
+// (batch ≤ 0: no count cap) and, unless it holds none, is shorter than
+// maxUploadBytes.
+func bodyTakes(size, n, batch int) bool {
+	return (batch <= 0 || n < batch) && (n == 0 || size < maxUploadBytes)
+}
+
 // arenaChunk sizes the chunks the Uploader copies frames into.
 const arenaChunk = 64 << 10
 
@@ -61,12 +70,12 @@ func EncodeFrames(hello wire.Hello, deltas []*core.EpochDelta, seal *wire.Seal) 
 // Refeed posts a recorded frame stream — a journal after its preamble,
 // as journal.Recovery.Frames reads it — to an aggregator: the resume
 // path after a streaming recorder died. The frames after the hello go
-// verbatim, undecoded, in POSTs of whole frames up to the byte budget
-// (at most batch deltas when batch > 0), each behind a copy of the
-// hello whose BaseEpoch is its first delta's; a whole journal usually
-// costs one POST. The aggregator's dedup makes re-feeding from epoch 1
-// safe. The status returned is the last POST's, with Accepted and
-// Duplicates summed over the re-feed.
+// verbatim, undecoded, in POSTs of whole frames cut as the Uploader
+// cuts its queue (bodyTakes, with batch as the count cap), each behind
+// a copy of the hello whose BaseEpoch is its first delta's; a whole
+// journal usually costs one POST. The aggregator's dedup makes
+// re-feeding from epoch 1 safe. The status returned is the last POST's,
+// with Accepted and Duplicates summed over the re-feed.
 func Refeed(ctx context.Context, c *Client, source string, stream io.Reader, batch int) (*IngestStatus, error) {
 	// One bufio.Reader under both: wire.NewReader adopts it as is, so the
 	// raw frame copies below continue where the hello ended.
@@ -82,7 +91,7 @@ func Refeed(ctx context.Context, c *Client, source string, stream io.Reader, bat
 			return nil, err
 		}
 		body, n := bytes.NewBuffer(frame), 0
-		for (batch <= 0 || n < batch) && (n == 0 || body.Len() < maxUploadBytes) {
+		for bodyTakes(body.Len(), n, batch) {
 			hdr, err := br.Peek(wire.FrameOverhead + 1)
 			if len(hdr) == 0 && err == io.EOF {
 				break
@@ -282,8 +291,7 @@ func (u *Uploader) queue() []queued {
 }
 
 // nextBody builds one ingest request body in dst's array: the hello,
-// whole frames of pending until it holds opts.Batch of them (0: no
-// count cap) or its length reaches maxUploadBytes, then the seal if it
+// whole frames of pending while bodyTakes them, then the seal if it
 // took them all. It returns the body and the count of frames taken.
 func (u *Uploader) nextBody(dst []byte, pending []queued, seal *wire.Seal) (body []byte, n int, err error) {
 	hello := u.hello
@@ -293,7 +301,7 @@ func (u *Uploader) nextBody(dst []byte, pending []queued, seal *wire.Seal) (body
 	if body, err = wire.AppendFrame(dst[:0], wire.KindHeader, &hello); err != nil {
 		return nil, 0, err
 	}
-	for ; n < len(pending) && (u.opts.Batch <= 0 || n < u.opts.Batch) && (n == 0 || len(body) < maxUploadBytes); n++ {
+	for ; n < len(pending) && bodyTakes(len(body), n, u.opts.Batch); n++ {
 		body = append(body, pending[n].frame...)
 	}
 	if seal != nil && n == len(pending) {

@@ -422,6 +422,88 @@ func TestRefeedSplitsAtFrameBoundaries(t *testing.T) {
 	}
 }
 
+// TestRefeedAndUploaderCutAlike holds Refeed and the Uploader to their
+// one body policy (bodyTakes): over each stream of delta frames of the
+// given payload sizes, under each batch cap, the bodies Refeed POSTs
+// and the ones nextBody builds from the same frames are the same bytes
+// — one hello, cut at the same frames.
+func TestRefeedAndUploaderCutAlike(t *testing.T) {
+	hello := wire.Hello{RunID: "cut", App: "policy", Threads: 1}
+	first := hello
+	first.BaseEpoch = 1
+	helloFrame, err := wire.AppendFrame(nil, wire.KindHeader, &first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := wire.AppendFrame(nil, wire.KindDelta, rawBody(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fill is the payload of the frame that takes a body to the budget.
+	fill := maxUploadBytes - len(helloFrame) - len(empty)
+	for _, c := range []struct {
+		sizes []int
+		batch int
+	}{
+		{[]int{0}, 0},
+		{[]int{1, 2, 3, 4, 5}, 0},
+		{[]int{1, 2, 3, 4, 5}, 1},
+		{[]int{1, 2, 3, 4, 5}, 2},
+		{[]int{1, 2, 3, 4, 5}, 9},
+		{[]int{fill, 1, 2}, 0},     // at the budget: the frame ships alone
+		{[]int{fill - 1, 1, 2}, 0}, // a byte short: the body takes the next one too
+		{[]int{fill - 1, 1, 2}, 1},
+		{[]int{fill + 9, 1}, 0}, // a frame past the budget still ships
+	} {
+		stream, ends := helloFrame, []int{len(helloFrame)}
+		for _, size := range c.sizes {
+			if stream, err = wire.AppendFrame(stream, wire.KindDelta, rawBody(make([]byte, size))); err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, len(stream))
+		}
+		pending := make([]queued, len(c.sizes))
+		for i := range pending {
+			pending[i] = queued{epoch: uint64(i + 1), frame: stream[ends[i]:ends[i+1]]}
+		}
+
+		var posted [][]byte
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			posted = append(posted, body)
+			writeJSON(w, http.StatusOK, IngestStatus{Version: Version, Source: "w"})
+		}))
+		_, err := Refeed(context.Background(), &Client{BaseURL: ts.URL}, "w", bytes.NewReader(stream), c.batch)
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := &Uploader{hello: hello, opts: StreamOptions{Batch: c.batch}}
+		var built [][]byte
+		for rest := pending; len(rest) > 0; {
+			body, n, err := u.nextBody(nil, rest, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, rest = append(built, body), rest[n:]
+		}
+		lens := func(bodies [][]byte) (l []int) {
+			for _, b := range bodies {
+				l = append(l, len(b))
+			}
+			return l
+		}
+		same := len(posted) == len(built)
+		for i := 0; same && i < len(built); i++ {
+			same = bytes.Equal(posted[i], built[i])
+		}
+		if !same {
+			t.Errorf("sizes %v, batch %d: Refeed posted bodies of %v bytes, the Uploader built %v",
+				c.sizes[:min(len(c.sizes), 3)], c.batch, lens(posted), lens(built))
+		}
+	}
+}
+
 // TestAllocsUploaderEmit pins what queueing costs the sealing thread:
 // 4 096 per-seal Emits behind a parked first POST copy their frames
 // into the arena and the index, allocating only the chunks the frames
