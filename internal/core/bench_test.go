@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/repro/inspector/internal/allocpin"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
 	"github.com/repro/inspector/internal/vclock"
@@ -465,9 +466,9 @@ func allocsPerSeal(epoch func(*core.Graph) func()) float64 {
 // epoch that seals one sub-computation allocates what it hands out (the
 // delta and its slices, the Analysis view, the derived edges, the
 // overlay layer) and amortized growth, nothing per-epoch besides. It
-// measures in a process of its own (measureAlone).
+// measures in a process of its own (allocpin.MeasureAlone).
 func TestAllocsFoldPerSeal(t *testing.T) {
-	if !core.MeasureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	perEpoch := allocsPerSeal(foldDelta)
@@ -480,9 +481,9 @@ func TestAllocsFoldPerSeal(t *testing.T) {
 // TestAllocsCutPerSeal pins the per-seal cut's: the delta, its lens (with
 // the base a later view shares) and its sync tail, plus amortized
 // growth. A cut derives nothing, so nothing else may allocate. It
-// measures in a process of its own (measureAlone).
+// measures in a process of its own (allocpin.MeasureAlone).
 func TestAllocsCutPerSeal(t *testing.T) {
-	if !core.MeasureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	perEpoch := allocsPerSeal(cutOnly)
@@ -498,9 +499,9 @@ func TestAllocsCutPerSeal(t *testing.T) {
 // once escaped through the visit callback — 3999 and 2005 allocs/op on
 // these two fixtures). (Named Allocs*, not after the walks, so -race
 // -run patterns never select it: the race detector allocates.) It
-// measures in a process of its own (measureAlone).
+// measures in a process of its own (allocpin.MeasureAlone).
 func TestAllocsSliceVerifyPerVertex(t *testing.T) {
-	if !core.MeasureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	wide, target := wideA()
@@ -531,9 +532,9 @@ func TestAllocsSliceVerifyPerVertex(t *testing.T) {
 // what one deriving 64 does plus amortized growth and the base reseal —
 // O(1) objects, where one edge slice per reader and one page slice per
 // edge made it O(k). It measures in a process of its own
-// (measureAlone).
+// (allocpin.MeasureAlone).
 func TestAllocsFoldDataEdges(t *testing.T) {
-	if !core.MeasureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	const small, large = 64, 4096

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/repro/inspector/internal/allocpin"
 	"github.com/repro/inspector/internal/core"
 )
 
@@ -287,11 +288,11 @@ func TestApplyDeltaAtomic(t *testing.T) {
 // allocation beyond the shard's amortized growth: validation checks a
 // control path's refs in O(1) and keeps its per-thread scratch on the
 // graph. The reference is a fresh vertex log's own growth over as many
-// appends. It measures in a process of its own (measureAlone), where
+// appends. It measures in a process of its own (allocpin.MeasureAlone), where
 // no other test allocates. (Named Allocs*, so -race -run patterns never
 // select it.)
 func TestAllocsApplyDelta(t *testing.T) {
-	if !core.MeasureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	const n = 4096

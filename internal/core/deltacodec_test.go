@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/repro/inspector/internal/allocpin"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/vtime"
 	"github.com/repro/inspector/internal/wire"
@@ -576,9 +577,9 @@ func branchyDelta(tb testing.TB, subs, thunks int) *core.EpochDelta {
 // TestAllocsParseWireBranchy pins what decoding a control-path-heavy
 // delta costs: its paths are copied out of the body once, not decoded,
 // so the decode allocates at most 1.1x the body. It measures in a
-// process of its own (measureAlone).
+// process of its own (allocpin.MeasureAlone).
 func TestAllocsParseWireBranchy(t *testing.T) {
-	if !core.MeasureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	body, err := branchyDelta(t, 8, 1<<17).AppendWire(nil)
@@ -672,9 +673,9 @@ func BenchmarkDeltaCodec(b *testing.B) {
 // allocs/op: AppendWire into a buffer that has reached its working size
 // allocates nothing. (Named Allocs*, so the -race -run TestDeltaCodec
 // pattern does not select it: the race detector allocates.) It measures
-// in a process of its own (measureAlone).
+// in a process of its own (allocpin.MeasureAlone).
 func TestAllocsDeltaCodecEncode(t *testing.T) {
-	if !core.MeasureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	deltas, _ := codecDeltas(t, 2, 7)

@@ -12,9 +12,6 @@ import (
 // the package's oracles — the spec derivation, the flat builder and the
 // full-rebuild fold — through these.
 
-// MeasureAlone is measureAlone, for the external allocation pins.
-var MeasureAlone = measureAlone
-
 // ReferenceSections derives a's canonical edge sections from the spec:
 // the graph's sync-edge log restricted to a's prefix, and
 // dataEdgesReference over a's vertices. Nothing here shares code with

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"github.com/repro/inspector/internal/allocpin"
 )
 
 // The recorder's thunk storage: every published control path is the
@@ -196,9 +198,9 @@ func TestThunkStorageConcurrentCut(t *testing.T) {
 // written once into chunks and copied once at EndSub — at most 2.5x its
 // path's encoded bytes. (Named Allocs*, so -race -run patterns never
 // select it: the race detector allocates.) It measures in a process of
-// its own (measureAlone).
+// its own (allocpin.MeasureAlone).
 func TestAllocsThunkPath(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	const subs = 10_000

@@ -388,7 +388,12 @@ func NewAnalysisFromSections(g *Graph, lens []int, epoch uint64, syncEdges, data
 		}
 		dataRows.AppendData(e.From, e.To, e.Pages)
 	}
-	return newAnalysisFromRows(g, lens, epoch, &syncRows, &dataRows, names, syms, nil)
+	if err := checkLens(g, lens); err != nil {
+		return nil, err
+	}
+	var totals VertexTotals
+	totals.add(g, make([]int, len(lens)), lens)
+	return newAnalysisFromRows(g, lens, epoch, &syncRows, &dataRows, names, syms, totals)
 }
 
 // checkEdge checks edge i of a section held as edges: its kind, and
@@ -420,23 +425,31 @@ func checkEdge(name string, i int, e *Edge, kind EdgeKind, lens []int) error {
 // caller counted as it decoded the vertices, so the prefix is not
 // walked again; Stats reports them.
 func NewAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows *EdgeRows, totals VertexTotals) (*Analysis, error) {
+	if err := checkLens(g, lens); err != nil {
+		return nil, err
+	}
 	names := g.interner.View(math.MaxInt)
-	return newAnalysisFromRows(g, lens, epoch, syncRows, dataRows, names, len(names), &totals)
+	return newAnalysisFromRows(g, lens, epoch, syncRows, dataRows, names, len(names), totals)
 }
 
-// newAnalysisFromRows is NewAnalysisFromRows with sync rows' objects
-// resolved against names, whose first syms entries are g's symbol
-// table, the analysis's. Nil totals are summed in one walk of the
-// prefix.
-func newAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows *EdgeRows, names []string, syms int, totals *VertexTotals) (*Analysis, error) {
+// checkLens checks that lens is g's whole prefix: one length per
+// thread, each the number of vertices the thread holds.
+func checkLens(g *Graph, lens []int) error {
 	if len(lens) != g.Threads() {
-		return nil, fmt.Errorf("core: section lens cover %d threads, graph has %d", len(lens), g.Threads())
+		return fmt.Errorf("core: section lens cover %d threads, graph has %d", len(lens), g.Threads())
 	}
 	for t, n := range lens {
 		if have := g.shards[t].seq.Len(); n != have {
-			return nil, fmt.Errorf("core: section len %d for thread %d, graph holds %d vertices", n, t, have)
+			return fmt.Errorf("core: section len %d for thread %d, graph holds %d vertices", n, t, have)
 		}
 	}
+	return nil
+}
+
+// newAnalysisFromRows is NewAnalysisFromRows, over lens checkLens
+// accepted, with sync rows' objects resolved against names, whose first
+// syms entries are g's symbol table, the analysis's.
+func newAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows *EdgeRows, names []string, syms int, totals VertexTotals) (*Analysis, error) {
 	n := len(lens)
 	st := newIncStore(n)
 	st.ar = arenas{sync: syncRows.rows, data: dataRows.rows, pages: dataRows.pages, names: names}
@@ -453,12 +466,7 @@ func newAnalysisFromRows(g *Graph, lens []int, epoch uint64, syncRows, dataRows 
 	}
 	gaps, _ := g.gapsForPrefix(lens, nil)
 	a := st.extend(g, 0, 0, lens, empty, base, summarizeGaps(gaps), epoch)
-	a.syms = syms
-	if totals != nil {
-		a.totals = *totals
-	} else {
-		a.totals.add(g, empty, lens)
-	}
+	a.syms, a.totals = syms, totals
 	return a, nil
 }
 

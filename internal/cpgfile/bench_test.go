@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/repro/inspector/internal/allocpin"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
 )
@@ -79,9 +80,9 @@ func BenchmarkMappedAnalysis(b *testing.B) {
 // thread's run and sync log restored whole, so the count is
 // O(vertices/64 + threads), not one or more per vertex (a decode that
 // allocated per vertex made 6 266 objects of this fixture). It measures
-// in a process of its own (measureAlone).
+// in a process of its own (allocpin.MeasureAlone).
 func TestAllocsMappedAnalysis(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	a := encodeFixture()
@@ -137,9 +138,9 @@ var slabSink []core.SubComputation
 // within 25 % of the heap a re-materialization of encodeFixture's file
 // keeps live: HeapAlloc after a collection with the analysis live,
 // minus HeapAlloc after one before it. It measures in a process of its
-// own (measureAlone).
+// own (allocpin.MeasureAlone).
 func TestFootprintTracksRetainedHeap(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	path, _ := encodeFile(t, encodeFixture())

@@ -26,6 +26,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,6 +121,17 @@ func httpGet(t *testing.T, url string) []byte {
 	body, err := io.ReadAll(resp.Body)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: status %d, %v\n%s", url, resp.StatusCode, err, body)
+	}
+	return body
+}
+
+// getJSON GETs url and decodes its JSON body into v; it returns the
+// body for failure messages.
+func getJSON(t *testing.T, url string, v any) []byte {
+	t.Helper()
+	body := httpGet(t, url)
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("GET %s: %v\n%s", url, err, body)
 	}
 	return body
 }
@@ -246,10 +258,14 @@ func TestServeSmoke(t *testing.T) {
 	// it is draining and exits 0.
 	t.Run("drain", func(t *testing.T) {
 		d := startServe(t, "-cpg", cpg)
-		if body := httpGet(t, d.url+"/healthz"); !bytes.Contains(body, []byte(`"ok":true`)) {
+		var health struct {
+			OK bool `json:"ok"`
+		}
+		if body := getJSON(t, d.url+"/healthz", &health); !health.OK {
 			t.Fatalf("/healthz: %s", body)
 		}
-		if body := httpGet(t, d.url+"/readyz"); !bytes.Contains(body, []byte(`"ready":true`)) {
+		var ready provenance.ReadyStatus
+		if body := getJSON(t, d.url+"/readyz", &ready); !ready.Ready {
 			t.Fatalf("/readyz: %s", body)
 		}
 		if err := d.stop(syscall.SIGTERM); err != nil {
@@ -277,7 +293,9 @@ func TestServeSmoke(t *testing.T) {
 		recovered := filepath.Join(tmp, "recovered.cpg")
 		tool(t, "inspector-recover", "-journal", journal, "-q", "-cpg", recovered)
 		d := startServe(t, "-cpg", recovered)
-		if body := httpGet(t, d.url+"/v1/cpgs"); !bytes.Contains(body, []byte(`"degraded":true`)) {
+		var list provenance.CPGList
+		body := getJSON(t, d.url+"/v1/cpgs", &list)
+		if !slices.ContainsFunc(list.CPGs, func(c provenance.CPGInfo) bool { return c.Degraded }) {
 			t.Fatalf("listing does not mark the recovered .cpg degraded:\n%s", body)
 		}
 		sameAnswers(t, []string{"-cpg", recovered}, []string{"-remote", d.url},
@@ -298,9 +316,7 @@ func TestServeSmoke(t *testing.T) {
 		sameAnswers(t, []string{"-cpg", cpg}, []string{"-remote", d.url, "-id", "histogram"},
 			"stats", "verify", "edges", "edges data", "slice "+last, "taint T0.0", "-format json stats", "stats")
 		var store provenance.StoreStats
-		if err := json.Unmarshal(httpGet(t, d.url+"/v1/store"), &store); err != nil {
-			t.Fatal(err)
-		}
+		getJSON(t, d.url+"/v1/store", &store)
 		if store.CPGs != 2 || store.ResultCache.Hits < 1 {
 			t.Fatalf("/v1/store = %+v, want 2 cpgs and the repeated query a cache hit", store)
 		}

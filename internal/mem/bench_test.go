@@ -2,6 +2,8 @@ package mem
 
 import (
 	"testing"
+
+	"github.com/repro/inspector/internal/allocpin"
 )
 
 // The substrate benchmark suite. Every tracked access in the system funnels
@@ -189,9 +191,9 @@ func BenchmarkReadClean(b *testing.B) {
 // change no byte. (A publishing commit allocates nothing either once its
 // reused range scratch has grown.) (Named Allocs*, not after the paths,
 // so -race -run patterns never select it: the race detector allocates.)
-// It measures in a process of its own (measureAlone).
+// It measures in a process of its own (allocpin.MeasureAlone).
 func TestAllocsHotPaths(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	const pages = 16

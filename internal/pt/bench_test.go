@@ -12,6 +12,7 @@ import (
 	"io"
 	"testing"
 
+	"github.com/repro/inspector/internal/allocpin"
 	"github.com/repro/inspector/internal/image"
 	"github.com/repro/inspector/internal/pt"
 )
@@ -202,9 +203,9 @@ func BenchmarkRoundTrip(b *testing.B) {
 // allocs/op: steady-state TNT and TIP encode, and the encode → decode
 // round trip. (Named Allocs*, not after the paths, so -race -run
 // patterns never select it: the race detector allocates.) It measures
-// in a process of its own (measureAlone).
+// in a process of its own (allocpin.MeasureAlone).
 func TestAllocsHotPaths(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	trip := roundTrip(t)

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/repro/inspector/internal/allocpin"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
 	"github.com/repro/inspector/internal/cpgfile"
@@ -239,9 +240,9 @@ func TestEnginePagination(t *testing.T) {
 // never built its flat edge list, a query matching a few edges
 // allocates for those, not for every edge of the graph (the flat list
 // alone is 80 bytes an edge, which Execute used to build and keep).
-// It measures in a process of its own (measureAlone).
+// It measures in a process of its own (allocpin.MeasureAlone).
 func TestAllocsEdgesQueryRestored(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	path := filepath.Join(t.TempDir(), "g.cpg")
@@ -283,9 +284,9 @@ func TestAllocsEdgesQueryRestored(t *testing.T) {
 // each thread's run in place instead of building the flat edge list
 // (80 bytes an edge) or copying a run. It measures one query, on a
 // freshly loaded analysis and a new engine, in a process of its own
-// (measureAlone), so nothing else allocates inside its window.
+// (allocpin.MeasureAlone), so nothing else allocates inside its window.
 func TestAllocsVerifyRestored(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	path := filepath.Join(t.TempDir(), "g.cpg")

@@ -8,9 +8,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -380,7 +378,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, src Source, q Q
 	res, err := src.Query(ctx, q)
 	switch {
 	case err == nil:
-		writeResult(w, res)
+		writeJSON(w, http.StatusOK, res)
 	case errors.Is(err, ErrBadQuery):
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
@@ -400,27 +398,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v) // the status line is out; a write error has no recourse
-}
-
-// maxPooledAnswer is the largest answer buffer kept for reuse; a rarer
-// larger listing's buffer is left to the collector, not held resident.
-const maxPooledAnswer = 256 << 10
-
-// answerBufs holds the buffers query answers are spelled into.
-var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeResult answers 200 with res spelled by appendResult — the bytes
-// writeJSON would write — in one Write of a sized body.
-func writeResult(w http.ResponseWriter, res *Result) {
-	buf := answerBufs.Get().(*[]byte)
-	body := appendResult((*buf)[:0], res)
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // the status line is out; a write error has no recourse
-	if cap(body) <= maxPooledAnswer {
-		*buf = body
-		answerBufs.Put(buf)
-	}
 }

@@ -1,8 +1,12 @@
 package provenance
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +17,7 @@ import (
 
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
+	"github.com/repro/inspector/internal/wire"
 )
 
 // newTestServer serves the Figure 1 graph under id "fig1" and a larger
@@ -214,3 +219,107 @@ func TestServerConcurrentClients(t *testing.T) {
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "concurrent remote result diverged from local" }
+
+// TestServerBodiesAreCompact reads a body from every endpoint but the
+// export (a .cpg, not JSON) and holds it to the re-encoding of what it
+// decodes to: compact, HTML-escaped, one trailing newline — what
+// json.NewEncoder(w).Encode writes.
+func TestServerBodiesAreCompact(t *testing.T) {
+	dir, _ := writeStoreDir(t, 1)
+	store, err := OpenDir(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	sources := map[string]Source{
+		"fig1":   StaticSource(NewEngine(figure1(t), EngineOptions{})),
+		"gapped": StaticSource(NewEngine(degradedGraph(t).Analyze(), EngineOptions{})),
+		"dense":  StaticSource(NewEngine(cpgbench.BuildRandomGraph(4, 200, 24, 2, 9).Analyze(), EngineOptions{})),
+	}
+	maps.Copy(sources, store.Sources())
+	ts := httptest.NewServer(NewServerSources(sources, ServerOptions{Store: store, Ingest: NewIngestHub(IngestOptions{})}))
+	t.Cleanup(ts.Close)
+
+	d := func() *core.EpochDelta {
+		_, d := core.NewIncrementalAnalyzer(core.NewGraph(2)).FoldDelta()
+		return d
+	}()
+	frames, err := EncodeFrames(wire.Hello{RunID: "r", App: "compact", Threads: 2}, []*core.EpochDelta{d}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(q Query) string {
+		body, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	page := uint64(101)
+	type call struct {
+		method, path, body string
+		status             int
+		into               func() any // a new value of the body's type
+	}
+	result := func() any { return new(Result) }
+	apiErr := func() any { return new(apiError) }
+	calls := []call{
+		{"GET", "/healthz", "", 200, func() any {
+			return new(struct {
+				OK bool `json:"ok"`
+			})
+		}},
+		{"GET", "/readyz", "", 200, func() any { return new(ReadyStatus) }},
+		{"GET", "/v1/cpgs", "", 200, func() any { return new(CPGList) }},
+		{"GET", "/v1/store", "", 200, func() any { return new(StoreStats) }},
+		{"GET", "/v1/cpgs/fig1/epochs", "", 200, func() any { return new(EpochStatus) }},
+		{"POST", "/v1/ingest/live", string(frames), 200, func() any { return new(IngestStatus) }},
+		{"GET", "/v1/ingest/live", "", 200, func() any { return new(IngestStatus) }},
+		{"GET", "/v1/cpgs/fig1/stats", "", 200, result},
+		{"GET", "/v1/cpgs/gapped/stats", "", 200, result},
+		{"POST", "/v1/cpgs/fig1/query", query(Query{Kind: KindVerify}), 200, result},
+		{"POST", "/v1/cpgs/fig1/query", query(Query{Kind: KindEdges}), 200, result},
+		{"POST", "/v1/cpgs/fig1/query", query(Query{Kind: KindSlice, Target: "T0.1"}), 200, result},
+		{"POST", "/v1/cpgs/fig1/query", query(Query{Kind: KindTaint, Target: "T0.0"}), 200, result},
+		{"POST", "/v1/cpgs/fig1/query", query(Query{Kind: KindLineage, Target: "T0.1", Page: &page}), 200, result},
+		{"POST", "/v1/cpgs/fig1/query", query(Query{Kind: KindPath, From: "T0.0", To: "T0.1"}), 200, result},
+		{"POST", "/v1/cpgs/dense/query", query(Query{Kind: KindEdges, Limit: 5}), 200, result},
+		{"POST", "/v1/cpgs/gapped/query", query(Query{Kind: KindSlice, Target: "T0.0"}), 200, result},
+		{"GET", "/v1/cpgs/nope/stats", "", 404, apiErr},
+		{"POST", "/v1/cpgs/fig1/query", "{", 400, apiErr},
+		{"POST", "/v1/cpgs/fig1/query", query(Query{Kind: "<bogus>"}), 400, apiErr},
+		{"GET", "/v1/ingest/nope", "", 404, apiErr},
+	}
+	for _, c := range calls {
+		req, err := http.NewRequestWithContext(context.Background(), c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s %s %.40q", c.method, c.path, c.body)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d: %s", name, resp.StatusCode, c.status, body)
+			continue
+		}
+		v := c.into()
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Errorf("%s: %v: %s", name, err, body)
+			continue
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: body is not its compact encoding\n got %q\nwant %q", name, body, want.Bytes())
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/repro/inspector/internal/allocpin"
 	"github.com/repro/inspector/internal/core"
 	"github.com/repro/inspector/internal/core/cpgbench"
 	"github.com/repro/inspector/internal/cpgfile/cpgtest"
@@ -508,9 +509,9 @@ func TestRefeedAndUploaderCutAlike(t *testing.T) {
 // 4 096 per-seal Emits behind a parked first POST copy their frames
 // into the arena and the index, allocating only the chunks the frames
 // fill and the index's amortized growth — nothing per epoch. It
-// measures in a process of its own (measureAlone).
+// measures in a process of its own (allocpin.MeasureAlone).
 func TestAllocsUploaderEmit(t *testing.T) {
-	if !measureAlone(t) {
+	if !allocpin.MeasureAlone(t) {
 		return
 	}
 	sched := cpgbench.DrawSchedule(2, drainEpochs+1, 256, 2, 61)
