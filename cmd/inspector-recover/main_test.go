@@ -116,14 +116,14 @@ func record(t *testing.T, dir string, steps int, sealed bool) []*core.Analysis {
 }
 
 // liveFold is an epoch.Sink that folds a second analyzer over the live
-// graph at every cut (FoldDelta) and keeps each analysis.
+// graph at every cut (Fold) and keeps each analysis.
 type liveFold struct {
 	inc   *core.IncrementalAnalyzer
 	folds *[]*core.Analysis
 }
 
-func (s liveFold) Emit(*core.EpochDelta, epoch.Frame) error {
-	a, _ := s.inc.FoldDelta()
+func (s liveFold) Emit(core.Cut, epoch.Frame) error {
+	a := s.inc.Fold()
 	*s.folds = append(*s.folds, a)
 	return nil
 }

@@ -3,12 +3,15 @@ package core
 import "fmt"
 
 // An EpochDelta is the serializable difference between two consecutive
-// epochs: exactly what a Cutter's Cut captured that its previous Cut
-// had not yet emitted. Framed once per epoch by the epoch driver
-// (internal/epoch), it is the record the crash-durability journal
-// appends and the bytes a recorder streams to an aggregator
-// (provenance.Uploader's queue → IngestSource): self-contained,
-// order-dependent, and replayable.
+// epochs: what a Cutter's newest Cut covers past the one before it,
+// filled from the graph's logs by Cutter.FillDelta. The record side
+// keeps cuts as lengths and fills a delta only to frame it: the epoch
+// driver (internal/epoch) fills one delta, reused every epoch, when a
+// sink asks for the frame, and AppendWire is the one encoder. The frame
+// is the record the crash-durability journal appends and the bytes a
+// recorder streams to an aggregator (provenance.Uploader's queue →
+// IngestSource): self-contained, order-dependent, and replayable; the
+// replay side decodes it and applies it with ApplyDelta.
 //
 // Interned refs inside Subs and Sync are journal-scoped: they resolve
 // against the symbol table built by interning every delta's Symbols in

@@ -304,14 +304,14 @@ func TestAllocsApplyDelta(t *testing.T) {
 	site, lock := src.InternSite("loop"), src.InternObject("m")
 	cutter := core.NewCutter(src)
 	deltas := make([]*core.EpochDelta, 0, n+1)
-	deltas = append(deltas, cutter.Cut()) // the symbols
+	deltas = append(deltas, core.CutDelta(cutter)) // the symbols
 	for i := range n {
 		rec.OnRead(uint64(i))
 		rec.OnBranch(site, i%2 == 0)
 		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncRelease, Object: lock}, 0); err != nil {
 			t.Fatal(err)
 		}
-		deltas = append(deltas, cutter.Cut())
+		deltas = append(deltas, core.CutDelta(cutter))
 	}
 	// Count every allocation of the n applies (AllocsPerRun would round
 	// the per-apply average down to a whole number).

@@ -571,7 +571,7 @@ func branchyDelta(tb testing.TB, subs, thunks int) *core.EpochDelta {
 			tb.Fatal(err)
 		}
 	}
-	return core.NewCutter(g).Cut()
+	return core.CutDelta(core.NewCutter(g))
 }
 
 // TestAllocsParseWireBranchy pins what decoding a control-path-heavy

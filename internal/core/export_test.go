@@ -33,7 +33,7 @@ func ReferenceSections(a *Analysis) (syncEdges, dataEdges []Edge) {
 func DeriveDataEdges(g *Graph, workers int) []Edge {
 	inc := newWholeAnalyzer(g)
 	inc.SetFoldWorkers(workers)
-	rows, pages := inc.deriveNewData(inc.lens, inc.cutLens)
+	rows, pages := inc.deriveNewData(inc.lens, inc.cut.Lens)
 	return inc.edgesOf(rows, pages, EdgeData)
 }
 
@@ -142,13 +142,23 @@ func (r *ReferenceAnalyzer) Fold() *Analysis {
 		panic(err)
 	}
 	ar := &inc.st.ar
-	ar.names = inc.g.interner.View(inc.syms)
-	rows, pages := inc.deriveNewData(inc.lens, inc.cutLens)
+	ar.names = inc.g.interner.View(inc.cut.Syms)
+	rows, pages := inc.deriveNewData(inc.lens, inc.cut.Lens)
 	r.dataEdges = mergeSortedEdges(r.dataEdges, inc.edgesOf(rows, pages, EdgeData))
-	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.edgesOf(inc.foldSync(inc.cutLens), nil, EdgeSync))
-	inc.lens = inc.cutLens
+	r.syncEdges = mergeSortedEdges(r.syncEdges, inc.edgesOf(inc.foldSync(inc.cut.Lens), nil, EdgeSync))
+	inc.lens = inc.cut.Lens
 	inc.epoch++
 	return newAnalysis(inc.g, r.syncEdges, r.dataEdges, slices.Clone(inc.lens), inc.epoch)
+}
+
+// CutDelta cuts the next epoch of c and returns its delta, filled into
+// a new EpochDelta: the cut and fill a framing driver makes, for tests
+// that keep deltas.
+func CutDelta(c *Cutter) *EpochDelta {
+	c.Cut()
+	d := new(EpochDelta)
+	c.FillDelta(d)
+	return d
 }
 
 // VertexLog is a graph shard's vertex log: TestAllocsApplyDelta

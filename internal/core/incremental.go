@@ -12,14 +12,15 @@ import (
 // Analyses — the live half of the paper's claim that provenance is
 // usable *while* the traced program runs. An epoch has two halves, the
 // paper's record/build split: a Cutter cuts it (cutter.go: a causally
-// closed frontier and the epoch's delta, no derivation), and an
-// analyzer Adopts the cut and FoldAs derives everything adopted since
-// the previous fold, extending the accumulated analysis state instead
-// of re-deriving it. An analyzer only ever folds cuts it adopted: the
+// closed frontier kept as lengths, no derivation), and an analyzer
+// Adopts the Cut and FoldAs derives everything adopted since the
+// previous fold, extending the accumulated analysis state instead of
+// re-deriving it. An analyzer only ever folds cuts it adopted: the
 // recording's follower adopts the epoch driver's cuts over the
-// recorder's graph, a replay the deltas it applied to a rebuilt one,
-// Fold is the analyzer's own Cutter, Adopt and FoldAs back to back, and
-// Graph.Analyze's throw-away analyzer takes the graph's current lengths.
+// recorder's graph, a replay the lengths of the graph it applied each
+// delta to, Fold is the analyzer's own Cutter, Adopt and FoldAs back to
+// back, and Graph.Analyze's throw-away analyzer adopts a whole-graph
+// cut.
 // The fold:
 //
 //   - the page → writer-runs index persists across epochs and only the
@@ -59,21 +60,17 @@ type IncrementalAnalyzer struct {
 	g *Graph
 
 	epoch uint64
-	// lens is the folded prefix: thread t's vertices [0, lens[t]) are
-	// analyzed. cutLens is the last adopted cut's frontier, lens[t] ≤
-	// cutLens[t]; the vertices in between are adopted but not yet
-	// folded. Both are immutable once set, so deltas and views share
-	// them. ints is what each view's dense-index base is carved from.
-	lens    []int
-	cutLens []int
-	ints    runs[int]
-	adopted uint64 // the last adopted delta's epoch
-	// syncLens and syncCut are each thread's sync-edge log length folded
-	// and adopted: the entries in between join the next fold.
-	syncLens, syncCut []int
-	// next is Adopt's scratch: the sync and gap counts a delta would
-	// leave, checked before any is taken.
-	next []int
+	// cut is the last adopted cut. lens is the folded prefix: thread t's
+	// vertices [0, lens[t]) are analyzed, lens[t] ≤ cut.Lens[t]; the
+	// vertices in between are adopted but not yet folded. Both are
+	// immutable once set, so cuts and views share them. ints is what
+	// each view's dense-index base is carved from.
+	cut  Cut
+	lens []int
+	ints runs[int]
+	// syncLens is each thread's sync-edge log length folded: the entries
+	// up to cut.Sync join the next fold.
+	syncLens []int
 	// pendingSync holds the log entries, as rows, seen before their
 	// endpoints sealed, in canonical sorted order. freshSync, mergedSync
 	// and readySync are foldSync's scratch: the fold's new entries, the
@@ -105,29 +102,22 @@ type IncrementalAnalyzer struct {
 	workers    int
 	workerHook func(worker int)
 
-	// gapCut is each thread's gap count through the last adopted cut
-	// (gapTotal their sum): the only gaps a fold may see. comp is the
+	// gapTotal sums cut.Gaps: the only gaps a fold may see. comp is the
 	// last view's completeness, built from compGaps gaps; compFinal says
 	// no gap of it reaches past the folded prefix, so a longer prefix
 	// clamps nothing differently and the next view may reuse comp while
 	// no gap is new.
-	gapCut    []int
 	gapTotal  int
 	comp      Completeness
 	compGaps  int
 	compFinal bool
-
-	// syms is the interner length the last adopted cut saw: the symbol
-	// table of every Analysis folded from it, and where the next delta's
-	// table extends it.
-	syms int
 
 	// scratch serves the serial derivation path; par[w] is parallel
 	// worker w's, kept across folds. edgeSort is every sortEdges call's.
 	scratch  incScratch
 	par      []incScratch
 	edgeSort edgeSortScratch
-	cutter   *Cutter // Fold's and FoldDelta's, made by the first of them
+	cutter   *Cutter // Fold's, made by the first
 }
 
 // incRun is one thread's writers of one page, alphas ascending.
@@ -165,21 +155,18 @@ type incScratch struct {
 // exists until the first fold.
 func NewIncrementalAnalyzer(g *Graph) *IncrementalAnalyzer {
 	n := g.Threads()
-	empty := make([]int, n)
+	cut := zeroCut(n)
 	st := newIncStore(n)
 	return &IncrementalAnalyzer{
 		g:         g,
-		lens:      empty,
-		cutLens:   empty,
+		cut:       cut,
+		lens:      cut.Lens,
 		syncLens:  make([]int, n),
-		syncCut:   make([]int, n),
-		gapCut:    make([]int, n),
 		writers:   make(map[uint64][]incRun),
 		st:        st,
 		rowCmp:    st.ar.cmp,
 		comp:      Completeness{Complete: true},
 		compFinal: true,
-		syms:      1, // a Cutter's first symbol base
 	}
 }
 
@@ -218,25 +205,27 @@ func (inc *IncrementalAnalyzer) Epoch() uint64 { return inc.epoch }
 // analyzer adopts and folds it, returning the new epoch's Analysis.
 // Calling Fold with nothing new still produces a (cheap) new epoch over
 // the unchanged prefix. Fold must not be called concurrently with
-// itself; recording threads may keep appending throughout.
+// itself; recording threads may keep appending throughout. It panics on
+// an analyzer that adopted another Cutter's cuts, whose epochs its own
+// would not continue.
 func (inc *IncrementalAnalyzer) Fold() *Analysis {
-	a, _ := inc.FoldDelta()
-	return a
-}
-
-// FoldDelta is Fold that also returns the epoch's delta: the per-seal
-// journal path of a recorder whose consumer wants every epoch's
-// Analysis. It panics on an analyzer that adopted another Cutter's
-// deltas, whose epochs its own cuts would not continue.
-func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
 	if inc.cutter == nil {
 		inc.cutter = NewCutter(inc.g)
 	}
-	d := inc.cutter.Cut()
-	if err := inc.Adopt(d); err != nil {
+	c := inc.cutter.Cut()
+	if err := inc.Adopt(c); err != nil {
 		panic(err)
 	}
-	return inc.FoldAs(d.Epoch), d
+	return inc.FoldAs(c.Epoch)
+}
+
+// FoldDelta is Fold that also returns the epoch's delta, filled into a
+// new EpochDelta: for callers that frame or journal each epoch
+// themselves.
+func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
+	a, d := inc.Fold(), new(EpochDelta)
+	inc.cutter.FillDelta(d)
+	return a, d
 }
 
 // FoldAs derives everything adopted since the last fold — the vertices
@@ -245,12 +234,12 @@ func (inc *IncrementalAnalyzer) FoldDelta() (*Analysis, *EpochDelta) {
 // Epoch(). It reads the graph only up to the lengths the last cut
 // captured, so however long the fold is deferred, and whatever is
 // recorded meanwhile, it returns the Analysis an immediate fold would
-// have. The epoch pipeline folds a batch of adopted deltas once and
-// names the epoch by the last delta. Everything but the number is
-// independent of how many folds the prefix took, so k cuts folded once
-// are the Analysis k folds produce.
+// have. The epoch pipeline folds a batch of adopted cuts once and names
+// the epoch by the last cut. Everything but the number is independent
+// of how many folds the prefix took, so k cuts folded once are the
+// Analysis k folds produce.
 func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
-	prev, lens := inc.lens, inc.cutLens
+	prev, lens := inc.lens, inc.cut.Lens
 	base := inc.ints.alloc(len(lens) + 1)
 	for t, l := range lens {
 		base[t+1] = base[t] + l
@@ -258,8 +247,8 @@ func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	// The names sync rows compare and materialize by: the symbol table
 	// every adopted cut saw.
 	ar := &inc.st.ar
-	if len(ar.names) < inc.syms {
-		ar.names = inc.g.interner.View(inc.syms)
+	if len(ar.names) < inc.cut.Syms {
+		ar.names = inc.g.interner.View(inc.cut.Syms)
 	}
 	// Derive the new readers' incoming data edges; everything older is
 	// final (closed cut: no new writer can happen-before an old reader).
@@ -282,7 +271,7 @@ func (inc *IncrementalAnalyzer) FoldAs(e uint64) *Analysis {
 	inc.epoch, inc.lens = e, lens
 	inc.totals.add(inc.g, prev, lens)
 	a := inc.st.extend(inc.g, syncLo, dataLo, lens, prev, base, inc.completeness(lens), e)
-	a.totals, a.syms = inc.totals, inc.syms
+	a.totals, a.syms = inc.totals, inc.cut.Syms
 	return a
 }
 
@@ -301,66 +290,59 @@ func adopt[T any](dst, buf []T, owners ...*[]T) []T {
 	return buf
 }
 
-// Adopt takes a Cutter's cut as lengths: d.Lens, the sync entries and
-// gaps d carries counted per thread, and the symbols it adds. The next
-// FoldAs folds it, reading everything from the graph, which must hold
-// what d carries: the graph d was cut from, or one d was applied to. A
-// delta that is not the next epoch (one past the newer of the last
-// adopted delta and the last fold), extends another symbol table, ends
-// a thread before the last cut, or reaches past what the graph has
-// published is refused, changing nothing.
-func (inc *IncrementalAnalyzer) Adopt(d *EpochDelta) error {
-	if want := max(inc.adopted, inc.epoch) + 1; d.Epoch != want || int(d.SymBase) != inc.syms {
-		return fmt.Errorf("core: adopted epoch %d over symbol base %d, want epoch %d over %d (reordered or cross-run delta)", d.Epoch, d.SymBase, want, inc.syms)
+// Adopt takes c as the cut the next FoldAs folds to, reading everything
+// from the graph, which must hold what c counts: the graph c was cut
+// from, or a replay of it. A cut that is not the next epoch (one past
+// the newer of the last adopted cut and the last fold), counts fewer of
+// any log or symbols than the last adopted cut, or counts more than the
+// graph has published is refused, changing nothing.
+func (inc *IncrementalAnalyzer) Adopt(c Cut) error {
+	last, g := &inc.cut, inc.g
+	if want := max(last.Epoch, inc.epoch) + 1; c.Epoch != want || c.Syms < last.Syms || c.Syms > g.interner.Len() {
+		return fmt.Errorf("core: adopted epoch %d over %d symbols, want epoch %d over %d to %d (reordered or cross-run cut)", c.Epoch, c.Syms, want, last.Syms, g.interner.Len())
 	}
-	n := len(inc.cutLens)
-	inc.next = append(append(inc.next[:0], inc.syncCut...), inc.gapCut...)
-	syncNext, gapNext := inc.next[:n], inc.next[n:]
-	for _, e := range d.Sync {
-		if uint(e.To.Thread) >= uint(n) {
-			return fmt.Errorf("core: adopted sync entry on thread %d of %d", e.To.Thread, n)
+	n := len(last.Lens)
+	if len(c.Lens) != n || len(c.Sync) != n || len(c.Gaps) != n {
+		return fmt.Errorf("core: adopted cut of %d/%d/%d threads, graph has %d", len(c.Lens), len(c.Sync), len(c.Gaps), n)
+	}
+	gaps := 0
+	for t, l := range c.Lens {
+		sh := &g.shards[t]
+		if l < last.Lens[t] || c.Sync[t] < last.Sync[t] || c.Gaps[t] < last.Gaps[t] ||
+			l > sh.seq.Len() || c.Sync[t] > sh.syncEdges.Len() || c.Gaps[t] > sh.gaps.Len() {
+			return fmt.Errorf("core: adopted cut ends thread %d at %d vertices, %d sync entries and %d gaps: before the last cut's %d, %d and %d, or past the graph's %d, %d and %d (cross-run cut)",
+				t, l, c.Sync[t], c.Gaps[t], last.Lens[t], last.Sync[t], last.Gaps[t], sh.seq.Len(), sh.syncEdges.Len(), sh.gaps.Len())
 		}
-		syncNext[e.To.Thread]++
+		gaps += c.Gaps[t]
 	}
-	for _, dg := range d.Gaps {
-		if uint(dg.Thread) >= uint(n) {
-			return fmt.Errorf("core: adopted gap on thread %d of %d", dg.Thread, n)
-		}
-		gapNext[dg.Thread]++
-	}
-	if len(d.Lens) != n {
-		return fmt.Errorf("core: adopted cut of %d threads, graph has %d", len(d.Lens), n)
-	}
-	for t, l := range d.Lens {
-		sh := &inc.g.shards[t]
-		if l < inc.cutLens[t] || l > sh.seq.Len() || syncNext[t] > sh.syncEdges.Len() || gapNext[t] > sh.gaps.Len() {
-			return fmt.Errorf("core: adopted cut ends thread %d at %d vertices, %d sync entries and %d gaps: before the last cut's %d vertices, or past the graph's %d, %d and %d (cross-run delta)",
-				t, l, syncNext[t], gapNext[t], inc.cutLens[t], sh.seq.Len(), sh.syncEdges.Len(), sh.gaps.Len())
-		}
-	}
-	copy(inc.syncCut, syncNext)
-	copy(inc.gapCut, gapNext)
-	inc.gapTotal += len(d.Gaps)
-	inc.cutLens = d.Lens
-	inc.syms += len(d.Symbols)
-	inc.adopted = d.Epoch
+	inc.cut, inc.gapTotal = c, gaps
 	return nil
 }
 
-// newWholeAnalyzer returns an analyzer of g that has taken the cut of
-// everything g has published — the causally closed frontier over every
-// shard's length, then the log lengths and the symbol table read after
-// it — with no Cutter and no delta: Analyze's one fold.
+// AdoptPublished adopts everything the graph has published, as the cut
+// numbered epoch: each shard's vertex, sync-log and gap-list lengths and
+// the interner's. It closes nothing, so it is for a graph whose every
+// published prefix is a consistent cut — a replay's, built cut by cut
+// by ApplyDelta, which adopts after each.
+func (inc *IncrementalAnalyzer) AdoptPublished(epoch uint64) error {
+	lens := inc.ints.alloc(len(inc.cut.Lens))
+	for t := range lens {
+		lens[t] = inc.g.shards[t].seq.Len()
+	}
+	return inc.Adopt(inc.g.advance(epoch, lens, inc.cut, &inc.ints))
+}
+
+// Adopted returns the last adopted cut (the zero cut before the first).
+func (inc *IncrementalAnalyzer) Adopted() Cut { return inc.cut }
+
+// newWholeAnalyzer returns an analyzer of g that has adopted the cut of
+// everything g has published, a fresh Cutter's first: Analyze's one
+// fold.
 func newWholeAnalyzer(g *Graph) *IncrementalAnalyzer {
 	inc := NewIncrementalAnalyzer(g)
-	lens := make([]int, len(inc.cutLens))
-	g.closeCut(inc.lens, lens, make([]int, len(lens)))
-	for t := range lens {
-		sh := &g.shards[t]
-		inc.syncCut[t], inc.gapCut[t] = sh.syncEdges.Len(), sh.gaps.Len()
-		inc.gapTotal += inc.gapCut[t]
+	if err := inc.Adopt(NewCutter(g).Cut()); err != nil {
+		panic(err) // the graph's own cut
 	}
-	inc.cutLens, inc.syms = lens, g.interner.Len()
 	return inc
 }
 
@@ -369,7 +351,7 @@ func newWholeAnalyzer(g *Graph) *IncrementalAnalyzer {
 // no gap is new and none of them reached past the previous prefix.
 func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 	if inc.gapTotal != inc.compGaps || !inc.compFinal {
-		gaps, final := inc.g.gapsForPrefix(lens, inc.gapCut)
+		gaps, final := inc.g.gapsForPrefix(lens, inc.cut.Gaps)
 		inc.comp, inc.compGaps, inc.compFinal = summarizeGaps(gaps), inc.gapTotal, final
 	}
 	return inc.comp
@@ -387,11 +369,11 @@ func (inc *IncrementalAnalyzer) completeness(lens []int) Completeness {
 // deferred-acquirer regression test pins this path).
 func (inc *IncrementalAnalyzer) foldSync(lens []int) []edgeRow {
 	n := 0
-	for t, l := range inc.syncCut {
+	for t, l := range inc.cut.Sync {
 		n += l - inc.syncLens[t]
 	}
 	fresh := slices.Grow(inc.freshSync[:0], n)
-	for t, l := range inc.syncCut {
+	for t, l := range inc.cut.Sync {
 		fresh = inc.g.appendSyncLog(fresh, t, inc.syncLens[t], l)
 		inc.syncLens[t] = l
 	}
@@ -514,6 +496,9 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) ([]edgeRow, []ui
 	for len(inc.par) < workers {
 		inc.par = append(inc.par, incScratch{})
 	}
+	// Only what the workers read is captured: a variable a goroutine
+	// captures lives on the heap, which the serial path would pay for.
+	share := total/workers + foldWorkerGrain
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
@@ -536,7 +521,6 @@ func (inc *IncrementalAnalyzer) deriveNewData(prev, lens []int) ([]edgeRow, []ui
 				h(wid)
 			}
 			sc := &inc.par[wid]
-			share := total/workers + foldWorkerGrain
 			sc.rows, sc.pages = slices.Grow(sc.rows[:0], share), slices.Grow(sc.pages[:0], share)
 			for {
 				i := int(next.Add(1)) - 1

@@ -61,7 +61,8 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 	cutter := core.NewCutter(g)
 	lazy := core.NewIncrementalAnalyzer(g)
 	adopter := core.NewIncrementalAnalyzer(g)
-	var backlog []*core.EpochDelta
+	var backlog []core.Cut
+	var ld core.EpochDelta
 	// gaps mirrors every recorded gap, per thread in recording order.
 	gaps := make([][]core.Gap, threads)
 	addGap := func(th int, gp core.Gap) {
@@ -88,11 +89,12 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 		}
 
 		a, ed := eager.FoldDelta()
-		ld := cutter.Cut()
-		if err := lazy.Adopt(ld); err != nil {
+		lc := cutter.Cut()
+		if err := lazy.Adopt(lc); err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
-		backlog = append(backlog, ld)
+		backlog = append(backlog, lc)
+		cutter.FillDelta(&ld)
 		eagerA = a
 		ew, err := ed.AppendWire(nil)
 		if err != nil {
@@ -132,7 +134,7 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 			continue
 		}
 		folds++
-		la := lazy.FoldAs(ld.Epoch)
+		la := lazy.FoldAs(lc.Epoch)
 		if la.Epoch() != a.Epoch() {
 			t.Fatalf("step %d: deferred fold is epoch %d, eager %d", s, la.Epoch(), a.Epoch())
 		}
@@ -148,7 +150,7 @@ func lazyMatchesEager(t *testing.T, threads, steps int, r *rand.Rand) {
 			}
 		}
 		backlog = backlog[:0]
-		aa := adopter.FoldAs(ld.Epoch)
+		aa := adopter.FoldAs(lc.Epoch)
 		if got, want := sha256.Sum256(exportBytes(t, aa)), sha256.Sum256(exportBytes(t, a)); got != want {
 			t.Fatalf("step %d: epoch %d adopted fold's export differs from the eager one", s, a.Epoch())
 		}
@@ -217,7 +219,7 @@ func TestCutsAndFoldsInterleave(t *testing.T) {
 					if r.Intn(8) == 0 {
 						folded = inc.Fold()
 					}
-					if err := rp.Append(cutter.Cut()); err != nil {
+					if err := rp.Append(core.CutDelta(cutter)); err != nil {
 						t.Fatalf("step %d: %v", s, err)
 					}
 					if folded != nil && !bytes.Equal(exportBytes(t, folded), exportBytes(t, rp.Fold())) {
@@ -225,7 +227,7 @@ func TestCutsAndFoldsInterleave(t *testing.T) {
 					}
 				}
 				lr.finish(t)
-				if err := rp.Append(cutter.Cut()); err != nil {
+				if err := rp.Append(core.CutDelta(cutter)); err != nil {
 					t.Fatal(err)
 				}
 				final := cutter.Epoch()
@@ -241,8 +243,8 @@ func TestCutsAndFoldsInterleave(t *testing.T) {
 	}
 }
 
-// TestAdoptRefusesCutBeyondGraph adopts a delta cut from another
-// recording — the right epoch and symbol base, but longer lens than the
+// TestAdoptRefusesCutBeyondGraph adopts a cut of another recording —
+// the right epoch and symbol count, but longer lens than the
 // analyzer's graph has published — which a fold would read past the
 // graph's vertices. Adopt must refuse it and change nothing: the
 // graph's own next cut still adopts, and folds to its Analyze.
@@ -270,13 +272,13 @@ func TestAdoptRefusesCutBeyondGraph(t *testing.T) {
 	short.step(t, pages)
 	short.finish(t)
 	own := shortCut.Cut()
-	if own.Epoch != foreign.Epoch || own.SymBase != foreign.SymBase {
-		t.Fatalf("the foreign delta is epoch %d over symbol base %d, the graph's own next one %d over %d", foreign.Epoch, foreign.SymBase, own.Epoch, own.SymBase)
+	if own.Epoch != foreign.Epoch || own.Syms != foreign.Syms {
+		t.Fatalf("the foreign cut is epoch %d over %d symbols, the graph's own next one %d over %d", foreign.Epoch, foreign.Syms, own.Epoch, own.Syms)
 	}
 	if err := inc.Adopt(own); err != nil {
 		t.Fatalf("the graph's own next cut after a refusal: %v", err)
 	}
 	if got, want := exportBytes(t, inc.FoldAs(own.Epoch)), exportBytes(t, short.g.Analyze()); !bytes.Equal(got, want) {
-		t.Fatal("the fold after a refused delta differs from Analyze")
+		t.Fatal("the fold after a refused cut differs from Analyze")
 	}
 }

@@ -167,7 +167,7 @@ func TestThunkStorageConcurrentCut(t *testing.T) {
 			finished = true
 		default:
 		}
-		b, err := cutter.Cut().AppendWire(nil)
+		b, err := CutDelta(cutter).AppendWire(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,16 @@
 // Package epoch is the one epoch pipeline every consumer of a recording
 // hangs off: a Driver only cuts — it holds the live graph's one
-// core.Cutter, no analyzer — once per epoch, and hands each delta and
-// its frame to an ordered list of sinks (journal, snapshot ring,
-// follower, stream queue); a Follower, off the sealing thread, is the
-// one sink that builds analyses while a run records, adopting the
-// driver's cuts on an analyzer of the recorder's own graph; a Replayer
-// applies a frame stream's deltas to a fresh graph and folds the cuts
-// it applied (journal recovery, the aggregator's ingest). There is one
-// epoch numbering: journal record k, wire frame k and the recorder's
-// epoch k are the same cut. Follower and Replayer fold once per batch
-// of deltas, each fold numbered by its last delta.
+// core.Cutter, no analyzer — once per epoch, and hands each cut, a
+// value of lengths, and a way to its frame to an ordered list of sinks
+// (journal, snapshot ring, follower, stream queue); only a sink that
+// frames makes the driver read the epoch's delta. A Follower, off the
+// sealing thread, is the one sink that builds analyses while a run
+// records, adopting the driver's cuts on an analyzer of the recorder's
+// own graph; a Replayer applies a frame stream's deltas to a fresh graph
+// and folds the lengths it applied (journal recovery, the aggregator's
+// ingest). There is one epoch numbering: journal record k, wire frame k
+// and the recorder's epoch k are the same cut. Follower and Replayer
+// fold once per batch of cuts, each fold numbered by its last.
 package epoch
 
 import (
@@ -23,19 +24,20 @@ import (
 // Sink consumes a run's epochs, in epoch order, on whichever goroutine
 // cut them (the sealing thread for commit-hook cuts).
 type Sink interface {
-	// Emit receives one epoch: its delta, d.Epoch numbering the epoch,
-	// and its frame. An error latches this sink only: the Driver stops
+	// Emit receives one epoch: its cut, c.Epoch numbering the epoch, and
+	// its frame. An error latches this sink only: the Driver stops
 	// feeding it and reports the error from Close.
-	Emit(d *core.EpochDelta, frame Frame) error
+	Emit(c core.Cut, frame Frame) error
 	// Finish runs once after the final epoch, latched or not (journal
 	// seal or unsealed close, stream seal frame, drained follower).
 	Finish(final uint64) error
 }
 
 // Frame returns the epoch's delta frame, wire.AppendFrame(nil,
-// wire.KindDelta, d). The Driver encodes it on the first call, into one
-// buffer every epoch reuses: each sink that asks gets those bytes,
-// valid until its Emit returns, and an epoch none asks for is never
+// wire.KindDelta, d) of the delta Cutter.FillDelta reads. The Driver
+// fills and encodes it on the first call, into one delta and one buffer
+// every epoch reuses: each sink that asks gets those bytes, valid until
+// its Emit returns, and an epoch none asks for is neither read nor
 // encoded.
 type Frame func() ([]byte, error)
 
@@ -45,7 +47,7 @@ type Options struct {
 	Every uint64
 }
 
-// Driver owns a graph's one Cutter. Every epoch's delta goes to each
+// Driver owns a graph's one Cutter. Every epoch's cut goes to each
 // unlatched sink in list order, under the Driver's lock: a sink listed
 // earlier is done with an epoch before a later one sees it, so list the
 // journal first and an epoch is durable before it is observable.
@@ -61,9 +63,10 @@ type Driver struct {
 	closed bool
 
 	// frame is encode, bound once (a method value per Emit would
-	// allocate); buf holds delta's frame once framed.
+	// allocate); delta and buf hold the epoch's delta and frame once
+	// framed.
 	frame Frame
-	delta *core.EpochDelta
+	delta core.EpochDelta
 	buf   []byte
 }
 
@@ -102,12 +105,13 @@ func (d *Driver) cutLocked() {
 	if d.closed || d.alive == 0 {
 		return
 	}
-	d.delta, d.buf = d.cutter.Cut(), d.buf[:0]
+	c := d.cutter.Cut()
+	d.buf = d.buf[:0]
 	for i, s := range d.sinks {
 		if d.errs[i] != nil {
 			continue
 		}
-		if d.errs[i] = s.Emit(d.delta, d.frame); d.errs[i] != nil {
+		if d.errs[i] = s.Emit(c, d.frame); d.errs[i] != nil {
 			d.alive--
 		}
 	}
@@ -117,7 +121,8 @@ func (d *Driver) cutLocked() {
 // encoding leaves buf empty.
 func (d *Driver) encode() (_ []byte, err error) {
 	if len(d.buf) == 0 {
-		d.buf, err = wire.AppendFrame(d.buf, wire.KindDelta, d.delta)
+		d.cutter.FillDelta(&d.delta)
+		d.buf, err = wire.AppendFrame(d.buf, wire.KindDelta, &d.delta)
 	}
 	return d.buf, err
 }

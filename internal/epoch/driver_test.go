@@ -12,22 +12,22 @@ import (
 )
 
 // logSink records every call it receives into a log shared with the
-// other sinks of its driver, keeps the last delta it saw when last is
+// other sinks of its driver, keeps the last cut it saw when last is
 // set, and fails Emit from epoch failAt on.
 type logSink struct {
 	name   string
 	log    *[]string
 	failAt uint64
-	last   **core.EpochDelta
+	last   *core.Cut
 }
 
-func (s logSink) Emit(d *core.EpochDelta, _ Frame) error {
+func (s logSink) Emit(c core.Cut, _ Frame) error {
 	if s.last != nil {
-		*s.last = d
+		*s.last = c
 	}
-	*s.log = append(*s.log, fmt.Sprintf("%s:emit %d", s.name, d.Epoch))
-	if s.failAt != 0 && d.Epoch >= s.failAt {
-		return fmt.Errorf("%s full at epoch %d", s.name, d.Epoch)
+	*s.log = append(*s.log, fmt.Sprintf("%s:emit %d", s.name, c.Epoch))
+	if s.failAt != 0 && c.Epoch >= s.failAt {
+		return fmt.Errorf("%s full at epoch %d", s.name, c.Epoch)
 	}
 	return nil
 }
@@ -48,7 +48,7 @@ func TestDriverFeedsSinksInOrderAndLatchesEach(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log []string
-	var last *core.EpochDelta
+	var last core.Cut
 	d := NewDriver(g, Options{Every: 2},
 		logSink{name: "journal", log: &log, failAt: 2},
 		logSink{name: "feed", log: &log, last: &last})
@@ -110,17 +110,17 @@ func TestDriverStopsFoldingWithNoSinkLeft(t *testing.T) {
 }
 
 // sinkFunc is a Sink that emits through a function and finishes at once.
-type sinkFunc func(*core.EpochDelta, Frame) error
+type sinkFunc func(core.Cut, Frame) error
 
-func (f sinkFunc) Emit(d *core.EpochDelta, frame Frame) error { return f(d, frame) }
-func (sinkFunc) Finish(uint64) error                          { return nil }
+func (f sinkFunc) Emit(c core.Cut, frame Frame) error { return f(c, frame) }
+func (sinkFunc) Finish(uint64) error                  { return nil }
 
 // TestDriverFramesEachEpochOnce pins the driver's one encoding: two
-// sinks that read an epoch's frame get one buffer holding the delta's
-// wire frame, and the second finds the mark the first left in it, so
-// the driver did not encode it again. A sink that reads only the delta
-// between them changes nothing, and a driver whose sinks never ask for
-// a frame encodes nothing.
+// sinks that read an epoch's frame get one buffer holding the wire
+// frame of the epoch's delta — a twin Cutter's, cut at the same point —
+// and the second finds the marks the first left in it and in the
+// driver's delta, so the driver did not fill or encode it again. A
+// sink that reads only the cut between them changes nothing.
 func TestDriverFramesEachEpochOnce(t *testing.T) {
 	g := core.NewGraph(2)
 	rec, err := core.NewRecorder(g, 1, 0)
@@ -130,36 +130,46 @@ func TestDriverFramesEachEpochOnce(t *testing.T) {
 	var log []string
 	var want []byte
 	var at *byte
-	mark := sinkFunc(func(d *core.EpochDelta, frame Frame) error {
+	var d *Driver
+	twin, own := core.NewCutter(g), new(core.EpochDelta)
+	mark := sinkFunc(func(c core.Cut, frame Frame) error {
 		b, err := frame()
 		if err != nil {
 			return err
 		}
-		if want, err = wire.AppendFrame(want[:0], wire.KindDelta, d); err != nil {
+		if twin.Cut().Epoch != c.Epoch {
+			t.Fatalf("the twin cut epoch %d beside the driver's %d", twin.Epoch(), c.Epoch)
+		}
+		twin.FillDelta(own)
+		if want, err = wire.AppendFrame(want[:0], wire.KindDelta, own); err != nil {
 			return err
 		}
 		if !bytes.Equal(b, want) {
-			t.Errorf("epoch %d: the frame is not the delta's wire frame", d.Epoch)
+			t.Errorf("epoch %d: the frame is not the delta's wire frame", c.Epoch)
 		}
 		at = &b[0]
 		b[len(b)-1] ^= 0xff
+		d.delta.Epoch = 0
 		return nil
 	})
-	check := sinkFunc(func(d *core.EpochDelta, frame Frame) error {
+	check := sinkFunc(func(c core.Cut, frame Frame) error {
 		b, err := frame()
 		if err != nil {
 			return err
 		}
 		if &b[0] != at {
-			t.Errorf("epoch %d: the second sink got another buffer", d.Epoch)
+			t.Errorf("epoch %d: the second sink got another buffer", c.Epoch)
 		}
 		b[len(b)-1] ^= 0xff
 		if !bytes.Equal(b, want) {
-			t.Errorf("epoch %d: the driver encoded the frame again", d.Epoch)
+			t.Errorf("epoch %d: the driver encoded the frame again", c.Epoch)
+		}
+		if d.delta.Epoch != 0 {
+			t.Errorf("epoch %d: the driver filled the delta again", c.Epoch)
 		}
 		return nil
 	})
-	d := NewDriver(g, Options{}, mark, logSink{name: "delta", log: &log}, check)
+	d = NewDriver(g, Options{}, mark, logSink{name: "delta", log: &log}, check)
 	hook := d.CommitHook()
 	for i := range 50 {
 		for j := range i % 4 {
@@ -175,12 +185,22 @@ func TestDriverFramesEachEpochOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(log) != 52 || d.Epoch() != 51 {
-		t.Fatalf("%d epochs, %d delta-sink calls; want 51 epochs, 52 calls", d.Epoch(), len(log))
+		t.Fatalf("%d epochs, %d cut-sink calls; want 51 epochs, 52 calls", d.Epoch(), len(log))
 	}
+}
 
-	// The follower and a delta-only sink never ask: nothing is framed.
-	lazy := NewDriver(g, Options{}, NewFollower(g, nil, ObserverFunc(func(*core.Analysis, *core.EpochDelta) {})), logSink{name: "delta", log: &log})
-	hook = lazy.CommitHook()
+// TestDriverReadsNoDeltaUnframed: the follower and a cut-only sink
+// never ask for a frame, so the driver neither fills a delta nor
+// encodes one, however many epochs it cuts.
+func TestDriverReadsNoDeltaUnframed(t *testing.T) {
+	g := core.NewGraph(1)
+	rec, err := core.NewRecorder(g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	lazy := NewDriver(g, Options{}, NewFollower(g, nil, ObserverFunc(func(*core.Analysis, uint64) {})), logSink{name: "cut", log: &log})
+	hook := lazy.CommitHook()
 	for range 20 {
 		rec.OnWrite(7)
 		sc, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0)
@@ -192,7 +212,8 @@ func TestDriverFramesEachEpochOnce(t *testing.T) {
 	if err := lazy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if lazy.Epoch() != 21 || lazy.buf != nil {
-		t.Fatalf("a driver whose sinks never ask for a frame: %d epochs, %d frame bytes buffered; want 21 epochs, nothing encoded", lazy.Epoch(), len(lazy.buf))
+	if lazy.Epoch() != 21 || len(log) != 22 || lazy.buf != nil || !reflect.DeepEqual(lazy.delta, core.EpochDelta{}) {
+		t.Fatalf("a driver whose sinks never ask for a frame: %d epochs, %d frame bytes buffered, delta of epoch %d with %d vertices; want 21 epochs, nothing filled or encoded",
+			lazy.Epoch(), len(lazy.buf), lazy.delta.Epoch, len(lazy.delta.Subs))
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"github.com/repro/inspector/internal/core"
 )
 
-// followQueue bounds how many cut deltas a Follower holds before Emit
+// followQueue bounds how many cuts a Follower holds before Emit
 // blocks the sealing thread. A per-seal journaled canneal run falls up
 // to ~2 200 epochs behind on two cores; smaller bounds (64–1024) cost
 // that run 7–30 % of its wall time in blocked seals.
@@ -20,24 +20,24 @@ type Observer interface {
 	// Wants reports whether epoch e must be folded on its own rather
 	// than together with the epochs queued behind it.
 	Wants(e uint64) bool
-	// Observe receives each fold in epoch order: the last delta it
-	// covers and its analysis, nil if the fold panicked (the next fold
-	// covers its deltas too).
-	Observe(a *core.Analysis, d *core.EpochDelta)
+	// Observe receives each fold in epoch order: its analysis, nil if
+	// the fold panicked (the next fold covers its cuts too), and the
+	// epoch of the last cut it covers.
+	Observe(a *core.Analysis, epoch uint64)
 	// Stop runs once, after the last Observe.
 	Stop()
 }
 
 // ObserverFunc is an Observer that wants every epoch on its own and
 // ignores Stop.
-type ObserverFunc func(a *core.Analysis, d *core.EpochDelta)
+type ObserverFunc func(a *core.Analysis, epoch uint64)
 
-func (ObserverFunc) Wants(uint64) bool                              { return true }
-func (f ObserverFunc) Observe(a *core.Analysis, d *core.EpochDelta) { f(a, d) }
-func (ObserverFunc) Stop()                                          {}
+func (ObserverFunc) Wants(uint64) bool                        { return true }
+func (f ObserverFunc) Observe(a *core.Analysis, epoch uint64) { f(a, epoch) }
+func (ObserverFunc) Stop()                                    {}
 
 // Follower is the sink that builds a recording's analyses off the
-// sealing thread. Emit only enqueues the delta; one goroutine adopts
+// sealing thread. Emit only enqueues the cut; one goroutine adopts
 // the driver's cuts in order on its own analyzer of the recorder's
 // graph and folds once the queue has drained or at an epoch an observer
 // wants on its own, handing each fold to the observers in order. A fold
@@ -45,7 +45,7 @@ func (ObserverFunc) Stop()                                          {}
 //
 // A fold that panics costs only itself: Finish reports the first such
 // panic with its epoch, the observers see that fold without an
-// analysis, and the next fold covers its deltas. An observer that
+// analysis, and the next fold covers its cuts. An observer that
 // panics (or exits the goroutine) stops the follower: later Emits
 // return the latched failure at once, every observer's Stop runs, and
 // Finish returns it.
@@ -55,7 +55,7 @@ type Follower struct {
 	// span is how many epochs the fold in flight covers.
 	span uint64
 
-	q       chan *core.EpochDelta
+	q       chan core.Cut
 	failed  chan struct{} // closed once err is set
 	done    chan struct{} // closed when the goroutine has exited
 	err     error         // what stopped the follower
@@ -72,7 +72,7 @@ func NewFollower(g *core.Graph, hook func(worker int), observers ...Observer) *F
 	f := &Follower{
 		inc:    core.NewIncrementalAnalyzer(g),
 		obs:    observers,
-		q:      make(chan *core.EpochDelta, followQueue),
+		q:      make(chan core.Cut, followQueue),
 		failed: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -87,20 +87,20 @@ func NewFollower(g *core.Graph, hook func(worker int), observers ...Observer) *F
 	return f
 }
 
-// Emit enqueues the epoch's delta, never its frame, blocking while
-// followQueue deltas are pending (epoch.Sink). It blocks under the
+// Emit enqueues the epoch's cut, never its frame, blocking while
+// followQueue cuts are pending (epoch.Sink). It blocks under the
 // driver's lock, which stalls every sealing thread until the follower
 // catches up; the follower's goroutine never takes that lock, so it
 // cannot deadlock. After a failure Emit returns the latched error at
 // once.
-func (f *Follower) Emit(d *core.EpochDelta, _ Frame) error {
+func (f *Follower) Emit(c core.Cut, _ Frame) error {
 	select {
 	case <-f.failed:
 		return f.err
 	default:
 	}
 	select {
-	case f.q <- d:
+	case f.q <- c:
 		return nil
 	case <-f.failed:
 		return f.err
@@ -116,8 +116,8 @@ func (f *Follower) Finish(uint64) error {
 	return errors.Join(f.foldErr, f.err)
 }
 
-// run adopts each delta until the queue closes (one out of order
-// stops it), folding when the queue is empty or an observer wants it.
+// run adopts each cut until the queue closes (one out of order stops
+// it), folding when the queue is empty or an observer wants it.
 func (f *Follower) run() {
 	var at uint64
 	clean := false
@@ -135,17 +135,17 @@ func (f *Follower) run() {
 		}
 		close(f.done)
 	}()
-	for d := range f.q {
-		at = d.Epoch
-		if err := f.inc.Adopt(d); err != nil {
+	for c := range f.q {
+		at = c.Epoch
+		if err := f.inc.Adopt(c); err != nil {
 			panic(err)
 		}
-		if len(f.q) > 0 && !slices.ContainsFunc(f.obs, func(o Observer) bool { return o.Wants(d.Epoch) }) {
+		if len(f.q) > 0 && !slices.ContainsFunc(f.obs, func(o Observer) bool { return o.Wants(at) }) {
 			continue
 		}
-		a := f.fold(d.Epoch)
+		a := f.fold(at)
 		for _, o := range f.obs {
-			o.Observe(a, d)
+			o.Observe(a, at)
 		}
 	}
 	clean = true

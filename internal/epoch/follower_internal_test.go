@@ -11,22 +11,22 @@ import (
 // countSink counts the epochs the driver hands out.
 type countSink struct{ n *atomic.Uint64 }
 
-func (s countSink) Emit(*core.EpochDelta, Frame) error { s.n.Add(1); return nil }
-func (s countSink) Finish(uint64) error                { return nil }
+func (s countSink) Emit(core.Cut, Frame) error { s.n.Add(1); return nil }
+func (s countSink) Finish(uint64) error        { return nil }
 
 // TestFollowerBackpressure gates the observer at epoch 1 while another
 // goroutine cuts three queues' worth of epochs: the sealing side stalls
-// with exactly followQueue deltas queued, and once the observer is
+// with exactly followQueue cuts queued, and once the observer is
 // released every epoch arrives, in order, without a deadlock.
 func TestFollowerBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var seen []uint64
 	g := core.NewGraph(1)
-	f := NewFollower(g, nil, ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
-		if d.Epoch == 1 {
+	f := NewFollower(g, nil, ObserverFunc(func(_ *core.Analysis, e uint64) {
+		if e == 1 {
 			<-gate
 		}
-		seen = append(seen, d.Epoch)
+		seen = append(seen, e)
 	}))
 	var cut atomic.Uint64
 	d := NewDriver(g, Options{}, countSink{&cut}, f)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -32,10 +33,10 @@ func newTwin(g *core.Graph, cpgs *[][]byte) twinSink {
 	return twinSink{core.NewIncrementalAnalyzer(g), cpgs}
 }
 
-func (s twinSink) Emit(d *core.EpochDelta, _ epoch.Frame) error {
+func (s twinSink) Emit(c core.Cut, _ epoch.Frame) error {
 	a, td := s.inc.FoldDelta()
-	if td.Epoch != d.Epoch {
-		return fmt.Errorf("twin cut epoch %d beside the driver's %d", td.Epoch, d.Epoch)
+	if td.Epoch != c.Epoch {
+		return fmt.Errorf("twin cut epoch %d beside the driver's %d", td.Epoch, c.Epoch)
 	}
 	var buf bytes.Buffer
 	if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
@@ -47,22 +48,31 @@ func (s twinSink) Emit(d *core.EpochDelta, _ epoch.Frame) error {
 
 func (twinSink) Finish(uint64) error { return nil }
 
-// replaySink appends every delta to a Replayer and folds it at a
-// random batching (always at the final epoch), keeping each fold's .cpg
-// bytes by epoch: the apply side, held to the follower and the twin.
+// replaySink applies every epoch's frame to a Replayer and folds it at
+// a random batching (always at the final epoch), keeping each fold's
+// .cpg bytes by epoch: the apply side, held to the follower and the
+// twin. The cut the replay adopts after each frame must be the
+// recorder's: the same lengths of every log and the same symbol count.
 type replaySink struct {
 	rp   *epoch.Replayer
 	rng  *rand.Rand
 	cpgs map[uint64][]byte
 }
 
-func (s *replaySink) Emit(d *core.EpochDelta, _ epoch.Frame) error {
-	body, err := d.AppendWire(nil)
+func (s *replaySink) Emit(c core.Cut, frame epoch.Frame) error {
+	b, err := frame()
 	if err != nil {
 		return err
 	}
-	if _, err := s.rp.Apply(wire.KindDelta, body); err != nil {
+	kind, body, _, err := wire.ParseFrame(b, 0)
+	if err != nil {
 		return err
+	}
+	if _, err := s.rp.Apply(kind, body); err != nil {
+		return err
+	}
+	if got := s.rp.Adopted(); !reflect.DeepEqual(got, c) {
+		return fmt.Errorf("the replay adopted %+v after epoch %d, the recorder cut %+v", got, c.Epoch, c)
 	}
 	if s.rng.Intn(3) == 0 {
 		return s.fold()
@@ -92,8 +102,9 @@ func (s *replaySink) Finish(uint64) error {
 // recording on while the follower folds: the follower observes every
 // epoch exactly once, in order, folding the recorder's own graph, and
 // each is the live graph's FoldDelta of that epoch byte for byte; the
-// replay, folded at a random batching of the same deltas, is too at
-// every epoch it folded, the final one included.
+// replay adopts the recorder's cut after every frame and, folded at a
+// random batching of the same frames, is the live fold too at every
+// epoch it folded, the final one included.
 func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		for _, every := range []uint64{1, 3} {
@@ -103,19 +114,19 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 					rp := sched.NewReplay()
 					var asked, followed [][]byte
 					var epochs []uint64
-					f := epoch.NewFollower(rp.Graph, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
-						if a.Epoch() != d.Epoch {
-							t.Errorf("follower analysis epoch %d handed out with delta %d", a.Epoch(), d.Epoch)
+					f := epoch.NewFollower(rp.Graph, nil, epoch.ObserverFunc(func(a *core.Analysis, e uint64) {
+						if a.Epoch() != e {
+							t.Errorf("follower analysis epoch %d handed out as epoch %d", a.Epoch(), e)
 						}
 						if a.Graph() != rp.Graph {
-							t.Errorf("epoch %d: the follower folded a graph other than the recorder's", d.Epoch)
+							t.Errorf("epoch %d: the follower folded a graph other than the recorder's", e)
 						}
 						var buf bytes.Buffer
 						if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
-							t.Errorf("epoch %d encode: %v", d.Epoch, err)
+							t.Errorf("epoch %d encode: %v", e, err)
 							return
 						}
-						epochs = append(epochs, d.Epoch)
+						epochs = append(epochs, e)
 						followed = append(followed, buf.Bytes())
 					}))
 					replay := &replaySink{epoch.Bind(wire.Hello{Threads: threads}), rand.New(rand.NewSource(seed)), map[uint64][]byte{}}
@@ -154,26 +165,26 @@ func TestFollowerMatchesAskedFoldEveryEpoch(t *testing.T) {
 }
 
 // TestFollowerRefusesForeignDelta hands a follower epoch 1 of a
-// recording and then a delta that does not continue it — one that
-// skips an epoch, or epoch 2 of another recording: the follower stops
-// at that delta with the latched error, observes nothing of it, and
-// Finish reports it.
+// recording and then a cut that does not continue it — one that skips
+// an epoch, or epoch 2 of another recording: the follower stops at that
+// cut with the latched error, observes nothing of it, and Finish
+// reports it.
 func TestFollowerRefusesForeignDelta(t *testing.T) {
-	record := func(extra string) (*core.Graph, []*core.EpochDelta) {
+	record := func(extra string) (*core.Graph, []core.Cut) {
 		g := core.NewGraph(2)
 		if extra != "" {
 			g.InternObject(extra)
 		}
 		cutter := core.NewCutter(g)
-		var ds []*core.EpochDelta
-		recordPingPong(t, g, func(core.SubID) { ds = append(ds, cutter.Cut()) }, 6)
-		return g, ds
+		var cs []core.Cut
+		recordPingPong(t, g, func(core.SubID) { cs = append(cs, cutter.Cut()) }, 6)
+		return g, cs
 	}
 	g, own := record("")
 	_, other := record("another run's object")
 	for _, tc := range []struct {
 		name string
-		bad  *core.EpochDelta
+		bad  core.Cut
 		want string
 	}{
 		{"skipped", own[2], "adopted epoch 3 over"},
@@ -181,8 +192,8 @@ func TestFollowerRefusesForeignDelta(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var observed []uint64
-			f := epoch.NewFollower(g, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
-				observed = append(observed, d.Epoch)
+			f := epoch.NewFollower(g, nil, epoch.ObserverFunc(func(_ *core.Analysis, e uint64) {
+				observed = append(observed, e)
 			}))
 			if err := f.Emit(own[0], nil); err != nil {
 				t.Fatal(err)
@@ -193,7 +204,7 @@ func TestFollowerRefusesForeignDelta(t *testing.T) {
 				t.Fatalf("Finish = %v, want the follower stopped at epoch %d naming %q", err, tc.bad.Epoch, tc.want)
 			}
 			if fmt.Sprint(observed) != "[1]" {
-				t.Fatalf("observed epochs %v, want [1]: the refused delta must not be folded", observed)
+				t.Fatalf("observed epochs %v, want [1]: the refused cut must not be folded", observed)
 			}
 		})
 	}
@@ -209,7 +220,7 @@ func (s stopLog) Stop() { s.stops.Add(1) }
 
 // TestFollowerPanicLatches: a fold that panics at epoch k costs epoch k
 // only — the follower observes it without an analysis, the next fold
-// covers its delta and is the live graph's fold of that epoch, Close
+// covers its cut and is the live graph's fold of that epoch, Close
 // reports the panic by epoch, and the journal listed first seals every
 // epoch. An observer that panics stops the follower instead: Close
 // reports it, Emit after the failure returns at once, every observer's
@@ -230,16 +241,16 @@ func TestFollowerPanicLatches(t *testing.T) {
 		if folds.Add(1) == k {
 			panic("injected fold panic")
 		}
-	}, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
+	}, epoch.ObserverFunc(func(a *core.Analysis, e uint64) {
 		if a == nil {
 			return
 		}
 		var buf bytes.Buffer
 		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
-			t.Errorf("epoch %d encode: %v", d.Epoch, err)
+			t.Errorf("epoch %d encode: %v", e, err)
 			return
 		}
-		observed = append(observed, d.Epoch)
+		observed = append(observed, e)
 		followed = append(followed, buf.Bytes())
 	}))
 	d := epoch.NewDriver(g, epoch.Options{}, jw, newTwin(g, &twin), f)
@@ -271,12 +282,12 @@ func TestFollowerPanicLatches(t *testing.T) {
 	}
 
 	var stops atomic.Int64
-	panicky := stopLog{epoch.ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
-		if d.Epoch == k {
+	panicky := stopLog{epoch.ObserverFunc(func(_ *core.Analysis, e uint64) {
+		if e == k {
 			panic("injected observer panic")
 		}
 	}), &stops}
-	f = epoch.NewFollower(g, nil, panicky, stopLog{epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}), &stops})
+	f = epoch.NewFollower(g, nil, panicky, stopLog{epoch.ObserverFunc(func(*core.Analysis, uint64) {}), &stops})
 	d = epoch.NewDriver(core.NewGraph(2), epoch.Options{}, f)
 	for i := 0; i < 2*k; i++ {
 		d.Cut()
@@ -292,7 +303,7 @@ func TestFollowerPanicLatches(t *testing.T) {
 	go func() {
 		var err error
 		for i := 0; i < 2*4096+1 && err == nil; i++ {
-			if e := f.Emit(&core.EpochDelta{Epoch: uint64(100 + i)}, nil); e == nil {
+			if e := f.Emit(core.Cut{Epoch: uint64(100 + i)}, nil); e == nil {
 				err = fmt.Errorf("Emit %d after the failure returned nil", i)
 			}
 		}

@@ -65,7 +65,7 @@ func TestLazySinksDeriveNothing(t *testing.T) {
 	// own analyzer.
 	g := core.NewGraph(2)
 	var followerFolds atomic.Int64
-	f := epoch.NewFollower(g, func(int) { followerFolds.Add(1) }, epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}))
+	f := epoch.NewFollower(g, func(int) { followerFolds.Add(1) }, epoch.ObserverFunc(func(*core.Analysis, uint64) {}))
 	d := epoch.NewDriver(g, epoch.Options{}, f)
 	recordPingPong(t, g, d.CommitHook(), 200)
 	if err := d.Close(); err != nil {

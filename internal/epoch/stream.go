@@ -58,7 +58,7 @@ func ReadHello(fr *wire.Reader) (h wire.Hello, err error) {
 // as h names.
 func Bind(h wire.Hello) *Replayer {
 	g := core.NewGraph(h.Threads)
-	return &Replayer{g: g, inc: core.NewIncrementalAnalyzer(g), lens: make([]int, h.Threads)}
+	return &Replayer{g: g, inc: core.NewIncrementalAnalyzer(g)}
 }
 
 // Applied returns the last applied delta's epoch, 0 before the first.

@@ -27,7 +27,7 @@ func TestApplyOutcomes(t *testing.T) {
 		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
 			t.Fatal(err)
 		}
-		body, err := cutter.Cut().AppendWire(nil)
+		body, err := cutDelta(cutter).AppendWire(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,4 +121,13 @@ func TestReadHelloBindsOnlyAHello(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}
 	}
+}
+
+// cutDelta cuts c's next epoch and returns its delta, filled into a new
+// EpochDelta.
+func cutDelta(c *core.Cutter) *core.EpochDelta {
+	c.Cut()
+	d := new(core.EpochDelta)
+	c.FillDelta(d)
+	return d
 }

@@ -38,7 +38,7 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 		t.Fatal(err)
 	}
 	var followed [][]byte
-	f := epoch.NewFollower(g, nil, epoch.ObserverFunc(func(a *core.Analysis, d *core.EpochDelta) {
+	f := epoch.NewFollower(g, nil, epoch.ObserverFunc(func(a *core.Analysis, _ uint64) {
 		// The follower's goroutine: report and return, never Fatal.
 		var buf bytes.Buffer
 		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
@@ -90,24 +90,23 @@ func journaledRun(t *testing.T, app string, threads int, dir string, seal bool) 
 }
 
 // liveFold is an epoch.Sink that folds a second analyzer over the live
-// graph at every cut (FoldDelta) and keeps the .cpg bytes of the
-// epochs whose cut is the driver's — the same thread lengths, symbol
-// table and trace gaps —, nil where another thread sealed, interned or
-// lost trace between the driver's cut and its own.
+// graph at every cut (Fold) and keeps the .cpg bytes of the epochs
+// whose cut is the driver's — the same thread lengths, symbol table and
+// trace gaps —, nil where another thread sealed, interned or lost trace
+// between the driver's cut and its own.
 type liveFold struct {
-	inc           *core.IncrementalAnalyzer
-	cpgs          [][]byte
-	gaps, ownGaps int // trace gaps the driver's and its own deltas carried
+	inc  *core.IncrementalAnalyzer
+	cpgs [][]byte
 }
 
-func (s *liveFold) Emit(d *core.EpochDelta, _ epoch.Frame) error {
-	a, own := s.inc.FoldDelta()
-	if own.Epoch != d.Epoch {
-		return fmt.Errorf("live fold at epoch %d, the driver at %d", own.Epoch, d.Epoch)
+func (s *liveFold) Emit(c core.Cut, _ epoch.Frame) error {
+	a := s.inc.Fold()
+	own := s.inc.Adopted()
+	if own.Epoch != c.Epoch {
+		return fmt.Errorf("live fold at epoch %d, the driver at %d", own.Epoch, c.Epoch)
 	}
-	s.gaps, s.ownGaps = s.gaps+len(d.Gaps), s.ownGaps+len(own.Gaps)
 	var cpg []byte
-	if slices.Equal(own.Lens, d.Lens) && symbols(own) == symbols(d) && s.ownGaps == s.gaps {
+	if slices.Equal(own.Lens, c.Lens) && own.Syms == c.Syms && gaps(own) == gaps(c) {
 		var buf bytes.Buffer
 		if err := cpgfile.Encode(&buf, a, cpgfile.Meta{}); err != nil {
 			return err
@@ -118,8 +117,13 @@ func (s *liveFold) Emit(d *core.EpochDelta, _ epoch.Frame) error {
 	return nil
 }
 
-// symbols is the length of the symbol table after d's cut.
-func symbols(d *core.EpochDelta) int { return int(d.SymBase) + len(d.Symbols) }
+// gaps is the number of trace gaps c covers.
+func gaps(c core.Cut) (n int) {
+	for _, g := range c.Gaps {
+		n += g
+	}
+	return n
+}
 
 func (*liveFold) Finish(uint64) error { return nil }
 

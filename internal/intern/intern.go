@@ -19,7 +19,7 @@ type Interner struct {
 	mu   sync.RWMutex
 	strs []string
 	ids  map[string]uint32
-	// n publishes len(strs), so a Tail with nothing new takes no lock.
+	// n publishes len(strs), so Len takes no lock.
 	n atomic.Int64
 }
 
@@ -67,11 +67,7 @@ func (in *Interner) Name(id uint32) string {
 }
 
 // Len returns the number of interned strings.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.strs)
-}
+func (in *Interner) Len() int { return int(in.n.Load()) }
 
 // View returns the first n table entries (fewer if the table is
 // shorter) as a read-only view of the table itself, without a copy: the
@@ -82,26 +78,6 @@ func (in *Interner) View(n int) []string {
 	defer in.mu.RUnlock()
 	n = min(n, len(in.strs))
 	return in.strs[:n:n]
-}
-
-// Tail returns a copy of the table entries with id >= from, in id
-// order. Incremental consumers (the epoch-delta capture) call it with
-// the previous Len to see each interned string exactly once.
-func (in *Interner) Tail(from int) []string {
-	if int64(from) >= in.n.Load() {
-		return nil
-	}
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(in.strs) {
-		return nil
-	}
-	out := make([]string, len(in.strs)-from)
-	copy(out, in.strs[from:])
-	return out
 }
 
 // Snapshot returns a copy of the table in id order.

@@ -31,41 +31,32 @@ func TestInternRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTail(t *testing.T) {
+// TestView: a view is the table's prefix, capped at the table, and
+// never changes as the table grows; Len counts every intern.
+func TestView(t *testing.T) {
 	in := New()
 	for i := 0; i < 5; i++ {
 		in.Intern(fmt.Sprintf("s%d", i))
 	}
-	if got := in.Tail(0); !reflect.DeepEqual(got, in.Snapshot()) {
-		t.Errorf("Tail(0) = %v, want full snapshot", got)
+	if got := in.View(99); !reflect.DeepEqual(got, in.Snapshot()) || in.Len() != 5 {
+		t.Errorf("View(beyond) = %v, Len %d; want the full table of 5", got, in.Len())
 	}
-	if got := in.Tail(3); !reflect.DeepEqual(got, []string{"s3", "s4"}) {
-		t.Errorf("Tail(3) = %v, want [s3 s4]", got)
+	v := in.View(3)
+	if want := []string{"s0", "s1", "s2"}; !reflect.DeepEqual(v, want) {
+		t.Errorf("View(3) = %v, want %v", v, want)
 	}
-	if got := in.Tail(5); got != nil {
-		t.Errorf("Tail(Len) = %v, want nil", got)
+	in.Intern("s5")
+	if want := []string{"s0", "s1", "s2"}; !reflect.DeepEqual(v, want) || in.Len() != 6 || in.View(6)[5] != "s5" {
+		t.Errorf("after an intern: View(3) = %v, Len %d; want %v and 6", v, in.Len(), want)
 	}
-	if got := in.Tail(99); got != nil {
-		t.Errorf("Tail(beyond) = %v, want nil", got)
-	}
-	if got := in.Tail(-1); !reflect.DeepEqual(got, in.Snapshot()) {
-		t.Errorf("Tail(-1) = %v, want full snapshot", got)
-	}
-	// Tail(prev Len) chunks reassemble the full table.
-	var all []string
-	for from := 0; from < in.Len(); from += 2 {
-		chunk := in.Tail(from)
-		if len(chunk) > 2 {
-			chunk = chunk[:2]
-		}
-		all = append(all, chunk...)
-	}
-	if !reflect.DeepEqual(all, in.Snapshot()) {
-		t.Errorf("chunked tails = %v, want %v", all, in.Snapshot())
+	if cap(v) != 3 {
+		t.Errorf("View(3) has capacity %d: an append to it would write the table", cap(v))
 	}
 }
 
-func TestTailConcurrent(t *testing.T) {
+// TestViewConcurrent interns from several goroutines while each reads
+// views of the length Len reports, which must hold interned strings.
+func TestViewConcurrent(t *testing.T) {
 	in := New()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -74,7 +65,11 @@ func TestTailConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				in.Intern(fmt.Sprintf("w%d-%d", w, i%50))
-				in.Tail(i % 10)
+				n := in.Len()
+				if v := in.View(n); len(v) != n || v[n-1] == "" {
+					t.Errorf("View(Len() = %d) has %d strings, the last %q", n, len(v), v[len(v)-1])
+					return
+				}
 			}
 		}(w)
 	}

@@ -231,13 +231,13 @@ func (w *Writer) write(frame []byte, err error) error {
 
 // Append journals one epoch delta: Emit, framing the delta itself.
 func (w *Writer) Append(d *core.EpochDelta) error {
-	return w.Emit(d, func() (b []byte, err error) {
+	return w.Emit(core.Cut{Epoch: d.Epoch}, func() (b []byte, err error) {
 		w.buf, err = wire.AppendFrame(w.buf[:0], wire.KindDelta, d)
 		return w.buf, err
 	})
 }
 
-// Emit journals one epoch, writing the driver's frame of its delta, and
+// Emit journals epoch c, writing the driver's frame of its delta, and
 // applies the fsync policy: with Finish it makes a Writer an
 // epoch.Sink. List it first, so an epoch is on the journal before any
 // later sink can observe it. The driver calls Emit synchronously on the
@@ -245,14 +245,14 @@ func (w *Writer) Append(d *core.EpochDelta) error {
 // a workload cannot proceed past a seal whose epoch is not on stable
 // storage. A write error latches the sink only (the journal observes
 // the workload, never gates it) and surfaces from the driver's Close.
-func (w *Writer) Emit(d *core.EpochDelta, frame epoch.Frame) error {
+func (w *Writer) Emit(c core.Cut, frame epoch.Frame) error {
 	if w.err != nil {
 		return w.err
 	}
 	if err := w.write(frame()); err != nil {
 		return err
 	}
-	w.epoch = d.Epoch
+	w.epoch = c.Epoch
 	w.sinceSync++
 	switch w.opts.Fsync {
 	case PolicyAlways:

@@ -85,7 +85,7 @@ func dumpJSON(t testing.TB, g *core.Graph) []byte {
 }
 
 // liveFold is an epoch.Sink that folds a second analyzer over the live
-// graph at every cut (FoldDelta) and keeps its .cpg bytes: the live
+// graph at every cut (Fold) and keeps its .cpg bytes: the live
 // graph's own fold, which the journal recorder's follower and recovery
 // are both held to. The recordings here are sequential, so its cut is
 // the driver's.
@@ -95,8 +95,8 @@ type liveFold struct {
 	exports *[][]byte
 }
 
-func (s liveFold) Emit(*core.EpochDelta, epoch.Frame) error {
-	a, _ := s.inc.FoldDelta()
+func (s liveFold) Emit(core.Cut, epoch.Frame) error {
+	a := s.inc.Fold()
 	*s.exports = append(*s.exports, cpgtest.Bytes(s.t, a))
 	return nil
 }

@@ -40,7 +40,10 @@ func branchyDeltas(t *testing.T) func() *core.EpochDelta {
 		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
 			t.Fatal(err)
 		}
-		return cut.Cut()
+		cut.Cut()
+		d := new(core.EpochDelta)
+		cut.FillDelta(d)
+		return d
 	}
 }
 

@@ -22,9 +22,11 @@ func (w *Writer) Finish(final uint64) error {
 type Recorder struct {
 	// OnEpoch, when set before recording starts, observes every
 	// journaled epoch with its analysis, on the follower's goroutine, in
-	// epoch order; Close returns after its last call. An epoch the
-	// writer failed to journal is not observed. Unset, the recorder
-	// only cuts.
+	// epoch order; Close returns after its last call. The delta it gets
+	// carries only its Epoch, valid until the call returns: the follower
+	// folds cuts, which are lengths, and no epoch is copied for it. An
+	// epoch the writer failed to journal is not observed. Unset, the
+	// recorder only cuts.
 	OnEpoch func(*core.Analysis, *core.EpochDelta)
 
 	*epoch.Driver
@@ -47,15 +49,19 @@ func NewRecorder(g *core.Graph, w *Writer, every int) *Recorder {
 // sees exactly the journaled prefix.
 type follow struct{ r *Recorder }
 
-func (s follow) Emit(d *core.EpochDelta, frame epoch.Frame) error {
+func (s follow) Emit(c core.Cut, frame epoch.Frame) error {
 	r := s.r
 	if r.OnEpoch == nil || r.w.err != nil {
 		return nil
 	}
 	if r.f == nil {
-		r.f = epoch.NewFollower(r.g, nil, epoch.ObserverFunc(r.OnEpoch))
+		var d core.EpochDelta
+		r.f = epoch.NewFollower(r.g, nil, epoch.ObserverFunc(func(a *core.Analysis, e uint64) {
+			d.Epoch = e
+			r.OnEpoch(a, &d)
+		}))
 	}
-	return r.f.Emit(d, frame)
+	return r.f.Emit(c, frame)
 }
 
 func (s follow) Finish(final uint64) error {

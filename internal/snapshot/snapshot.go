@@ -138,10 +138,10 @@ func New(sess *perf.Session, opts Options) *Ring {
 // sub-computation, so the cut's size is the paper's sync-point count),
 // copying its PT windows now. Once the follower has stopped nothing is
 // retained. It never asks for the frame.
-func (r *Ring) Emit(d *core.EpochDelta, _ epoch.Frame) error {
+func (r *Ring) Emit(c core.Cut, _ epoch.Frame) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cut := Cut{Epoch: d.Epoch, Frontier: d.Lens}
+	cut := Cut{Epoch: c.Epoch, Frontier: c.Lens}
 	size := uint64(cut.Size())
 	periodic := r.opts.EverySeals != 0 && size >= r.due
 	if periodic {
@@ -150,7 +150,7 @@ func (r *Ring) Emit(d *core.EpochDelta, _ epoch.Frame) error {
 	if (periodic || r.force) && !r.stopped {
 		r.force = false
 		r.add(r.capture(cut))
-		r.want = d.Epoch
+		r.want = c.Epoch
 	}
 	return nil
 }
@@ -165,13 +165,13 @@ func (r *Ring) Wants(e uint64) bool {
 	return slices.ContainsFunc(r.slots, func(s *Snapshot) bool { return s.Cut.Epoch == e && s.Analysis == nil })
 }
 
-// Observe completes the pending slots up to d's epoch: the slot of a's
+// Observe completes the pending slots up to epoch e: the slot of a's
 // epoch gets its analysis, one whose fold panicked is dropped.
-func (r *Ring) Observe(a *core.Analysis, d *core.EpochDelta) {
+func (r *Ring) Observe(a *core.Analysis, e uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.slots = slices.DeleteFunc(r.slots, func(s *Snapshot) bool {
-		if s.Analysis != nil || s.Cut.Epoch > d.Epoch {
+		if s.Analysis != nil || s.Cut.Epoch > e {
 			return false
 		}
 		if a != nil && s.Cut.Epoch == a.Epoch() {
@@ -183,7 +183,7 @@ func (r *Ring) Observe(a *core.Analysis, d *core.EpochDelta) {
 	if a != nil {
 		r.last = a
 	}
-	r.seen = d.Epoch
+	r.seen = e
 	r.cond.Broadcast()
 }
 

@@ -448,12 +448,12 @@ func TestTakeNeverParks(t *testing.T) {
 		t.Fatal(err)
 	}
 	r = New(perf.NewSession(perf.SessionOptions{}), Options{EverySeals: 1})
-	panicky := epoch.ObserverFunc(func(_ *core.Analysis, d *core.EpochDelta) {
-		if d.Epoch == 2 {
+	panicky := epoch.ObserverFunc(func(_ *core.Analysis, e uint64) {
+		if e == 2 {
 			panic("injected observer panic")
 		}
 	})
-	stop := stopSignal{epoch.ObserverFunc(func(*core.Analysis, *core.EpochDelta) {}), make(chan struct{})}
+	stop := stopSignal{epoch.ObserverFunc(func(*core.Analysis, uint64) {}), make(chan struct{})}
 	drv = epoch.NewDriver(g, epoch.Options{}, r, epoch.NewFollower(g, nil, panicky, r, stop))
 	hook := drv.CommitHook()
 	seal(t, rec, hook)

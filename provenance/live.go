@@ -69,7 +69,7 @@ type feedObserver struct{ f *Feed }
 func (feedObserver) Wants(uint64) bool { return false }
 func (o feedObserver) Stop()           { o.f.shut() }
 
-func (o feedObserver) Observe(a *core.Analysis, _ *core.EpochDelta) {
+func (o feedObserver) Observe(a *core.Analysis, _ uint64) {
 	if a != nil {
 		o.f.publish(a)
 	}
@@ -154,8 +154,8 @@ type firstFold struct {
 	once sync.Once
 }
 
-func (o *firstFold) Observe(a *core.Analysis, d *core.EpochDelta) {
-	o.Observer.Observe(a, d)
+func (o *firstFold) Observe(a *core.Analysis, e uint64) {
+	o.Observer.Observe(a, e)
 	o.once.Do(func() { close(o.done) })
 }
 

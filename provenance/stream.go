@@ -213,7 +213,7 @@ func NewUploader(c *Client, threads int, opts StreamOptions) (*Uploader, error) 
 // Emit copies the epoch's frame into the queue and wakes the sender
 // (epoch.Sink). A frame that failed to encode latches the sender, as a
 // terminal upload error does: nothing after it can ship.
-func (u *Uploader) Emit(d *core.EpochDelta, frame epoch.Frame) error {
+func (u *Uploader) Emit(c core.Cut, frame epoch.Frame) error {
 	b, err := frame()
 	if err != nil {
 		u.latch(err)
@@ -225,7 +225,7 @@ func (u *Uploader) Emit(d *core.EpochDelta, frame epoch.Frame) error {
 	at := len(u.arena)
 	u.arena = append(u.arena, b...)
 	u.mu.Lock()
-	u.pending = append(u.pending, queued{epoch: d.Epoch, frame: u.arena[at:len(u.arena):len(u.arena)]})
+	u.pending = append(u.pending, queued{epoch: c.Epoch, frame: u.arena[at:len(u.arena):len(u.arena)]})
 	u.mu.Unlock()
 	select {
 	case u.notify <- struct{}{}:

@@ -28,7 +28,7 @@ func BenchmarkUploaderDrain(b *testing.B) {
 	deltas := make([]*core.EpochDelta, drainEpochs)
 	for s := range deltas {
 		rp.To(s + 1)
-		deltas[s] = cutter.Cut()
+		deltas[s] = cutDelta(cutter)
 	}
 	ctx := context.Background()
 	var draining time.Duration

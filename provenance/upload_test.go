@@ -38,10 +38,19 @@ type postedBody struct {
 	frames []byte
 }
 
-// emitDelta hands u one epoch as the epoch driver does: the delta and
-// its frame.
+// emitDelta hands u one epoch as the epoch driver does: the cut of
+// d's epoch and d's frame.
 func emitDelta(u *Uploader, d *core.EpochDelta) error {
-	return u.Emit(d, func() ([]byte, error) { return wire.AppendFrame(nil, wire.KindDelta, d) })
+	return u.Emit(core.Cut{Epoch: d.Epoch}, func() ([]byte, error) { return wire.AppendFrame(nil, wire.KindDelta, d) })
+}
+
+// cutDelta cuts c's next epoch and returns its delta, filled into a new
+// EpochDelta.
+func cutDelta(c *core.Cutter) *core.EpochDelta {
+	c.Cut()
+	d := new(core.EpochDelta)
+	c.FillDelta(d)
+	return d
 }
 
 // gatedAggregator is an in-process aggregator whose first ingest POST
@@ -264,7 +273,7 @@ func bigDeltas(tb testing.TB, n int) []*core.EpochDelta {
 		if _, err := rec.EndSub(core.SyncEvent{Kind: core.SyncNone}, 0); err != nil {
 			tb.Fatal(err)
 		}
-		deltas[i] = cutter.Cut()
+		deltas[i] = cutDelta(cutter)
 	}
 	return deltas
 }
@@ -332,7 +341,7 @@ func cutRun(t *testing.T, steps int, seed int64) (wire.Hello, []*core.EpochDelta
 	g := core.NewGraph(2)
 	cutter := core.NewCutter(g)
 	var deltas []*core.EpochDelta
-	driveStream(t, g, 2, steps, seed, func(core.SubID) { deltas = append(deltas, cutter.Cut()) })
+	driveStream(t, g, 2, steps, seed, func(core.SubID) { deltas = append(deltas, cutDelta(cutter)) })
 	hello := wire.Hello{RunID: fmt.Sprintf("cut-%d", seed), App: "fabric-test", Threads: 2}
 	return hello, deltas, cpgtest.Bytes(t, g.AnalyzeAs(cutter.Epoch()))
 }
@@ -522,7 +531,7 @@ func TestAllocsUploaderEmit(t *testing.T) {
 	size := 0
 	for s := range deltas {
 		rp.To(s + 1)
-		d := cutter.Cut()
+		d := cutDelta(cutter)
 		b, err := wire.AppendFrame(nil, wire.KindDelta, d)
 		if err != nil {
 			t.Fatal(err)
@@ -538,7 +547,7 @@ func TestAllocsUploaderEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Emit(deltas[0], frames[0]); err != nil {
+	if err := u.Emit(core.Cut{Epoch: deltas[0].Epoch}, frames[0]); err != nil {
 		t.Fatal(err)
 	}
 	agg.awaitFirst(t) // the sender is parked in its POST
@@ -546,7 +555,7 @@ func TestAllocsUploaderEmit(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 1; i < len(deltas); i++ {
-		if err := u.Emit(deltas[i], frames[i]); err != nil {
+		if err := u.Emit(core.Cut{Epoch: deltas[i].Epoch}, frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
