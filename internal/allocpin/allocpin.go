@@ -10,8 +10,16 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"testing"
 )
+
+// T is the part of *testing.T a pin needs. Shipped code does not link
+// the testing package, so the helper names the methods, not the type.
+type T interface {
+	Helper()
+	Name() string
+	Fatalf(format string, args ...any)
+	Log(args ...any)
+}
 
 // env names the one allocation pin a re-executed test binary measures.
 const env = "INSPECTOR_ALLOC_PIN"
@@ -23,7 +31,7 @@ const env = "INSPECTOR_ALLOC_PIN"
 // process-wide counters. Anywhere else it starts that process, fails
 // the pin with the process's output if it fails, logs its lines and
 // reports false.
-func MeasureAlone(t *testing.T) bool {
+func MeasureAlone(t T) bool {
 	t.Helper()
 	if os.Getenv(env) == t.Name() {
 		return true

@@ -18,14 +18,19 @@ type SubID struct {
 	Alpha  uint64
 }
 
-// String renders like "T2.5". Query results render one per vertex they
-// name, so it appends into a stack buffer instead of going through fmt.
+// String renders like "T2.5".
 func (id SubID) String() string {
 	var buf [48]byte
-	b := append(buf[:0], 'T')
+	return string(id.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String spelling to b. Query results spell one per
+// vertex they name, so a page of them can share one buffer.
+func (id SubID) AppendTo(b []byte) []byte {
+	b = append(b, 'T')
 	b = strconv.AppendInt(b, int64(id.Thread), 10)
 	b = append(b, '.')
-	return string(strconv.AppendUint(b, id.Alpha, 10))
+	return strconv.AppendUint(b, id.Alpha, 10)
 }
 
 // Less orders SubIDs lexicographically (thread, then alpha).

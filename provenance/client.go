@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -78,23 +79,35 @@ func (c *Client) Query(ctx context.Context, id string, q Query) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	var res Result
-	if err := c.do(ctx, http.MethodPost, "/v1/cpgs/"+id+"/query", body, "application/json", &res); err != nil {
-		return nil, err
-	}
-	return checkVersion(&res)
+	return c.result(ctx, http.MethodPost, "/v1/cpgs/"+id+"/query", body, "application/json")
 }
 
 // Stats fetches the summary of one CPG.
 func (c *Client) Stats(ctx context.Context, id string) (*Result, error) {
-	var res Result
-	if err := c.do(ctx, http.MethodGet, "/v1/cpgs/"+id+"/stats", nil, "", &res); err != nil {
-		return nil, err
-	}
-	return checkVersion(&res)
+	return c.result(ctx, http.MethodGet, "/v1/cpgs/"+id+"/stats", nil, "")
 }
 
-func checkVersion(res *Result) (*Result, error) {
+// bodies recycles the buffers answers are read into: decodeResult
+// copies out everything an answer keeps. One over maxPooledBody is let go.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// result fetches one answer's body and reads it once (decodeResult).
+func (c *Client) result(ctx context.Context, method, path string, body []byte, contentType string) (*Result, error) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodies.Put(buf)
+		}
+	}()
+	if err := c.do(ctx, method, path, body, contentType, buf); err != nil {
+		return nil, err
+	}
+	res := new(Result)
+	if err := decodeResult(buf.Bytes(), res); err != nil {
+		return nil, err
+	}
 	if res.Version != Version {
 		return nil, fmt.Errorf("provenance: server speaks %q, this client %q", res.Version, Version)
 	}
@@ -106,7 +119,8 @@ func checkVersion(res *Result) (*Result, error) {
 const maxResponseBytes = 64 << 20
 
 // do issues a request with bounded retries and decodes the JSON
-// response, surfacing the server's error body on non-2xx statuses.
+// response into out (a *bytes.Buffer or *[]byte out takes the raw body
+// instead), surfacing the server's error body on non-2xx statuses.
 // Retryable failures (transport errors, 502/503/504) back off
 // exponentially with jitter, honoring the server's Retry-After hint and
 // the context's cancellation; everything else fails immediately. Every
@@ -169,10 +183,15 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, c
 		return err, 0, ctx.Err() == nil
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
-	if err != nil {
+	buf, reuse := out.(*bytes.Buffer)
+	if !reuse {
+		buf = new(bytes.Buffer)
+	}
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes+1)); err != nil {
 		return err, 0, ctx.Err() == nil
 	}
+	data := buf.Bytes()
 	if len(data) > maxResponseBytes {
 		return fmt.Errorf("provenance: %s %s: response exceeds the client's %d MiB cap", method, path, maxResponseBytes>>20), 0, false
 	}
@@ -191,8 +210,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, c
 		}
 		return &ServerError{Status: resp.StatusCode}, retryAfter, retryable
 	}
-	if raw, ok := out.(*[]byte); ok {
-		*raw = data
+	switch out := out.(type) {
+	case *bytes.Buffer:
+		return nil, 0, false
+	case *[]byte:
+		*out = data
 		return nil, 0, false
 	}
 	return json.Unmarshal(data, out), 0, false

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"context"
+	"strings"
 
 	"github.com/repro/inspector/internal/core"
 )
@@ -103,7 +104,7 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		matched := ids[:0:0]
+		matched := ids[:0] // the traversal's own slice, filtered in place
 		for _, id := range ids {
 			if q.matchID(id) {
 				matched = append(matched, id)
@@ -111,14 +112,7 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 		}
 		res.Total = len(matched)
 		page, next := paginate(matched, offset, e.pageLimit(q.Limit))
-		out := make([]string, len(page))
-		for i, id := range page {
-			out[i] = id.String()
-		}
-		if len(out) == 0 {
-			out = nil
-		}
-		res.IDs, res.NextCursor = out, next
+		res.IDs, res.NextCursor = spellIDs(page), next
 
 	case KindLineage:
 		id, err := requireSubID(q.Target, "target")
@@ -134,17 +128,18 @@ func (e *Engine) Execute(ctx context.Context, q Query) (*Result, error) {
 		}
 		res.Total = len(lins)
 		page, next := paginate(lins, offset, e.pageLimit(q.Limit))
+		var ids []core.SubID
+		for _, l := range page {
+			ids = append(append(ids, l.Writer), l.Upstream...)
+		}
+		names := spellIDs(ids)
 		out := make([]LineageEntry, 0, len(page))
 		for _, l := range page {
-			entry := LineageEntry{
-				Page:      l.Page,
-				Reader:    q.Target,
-				Writer:    l.Writer.String(),
-				ViaObject: l.ViaObject,
+			entry := LineageEntry{Page: l.Page, Reader: q.Target, Writer: names[0], ViaObject: l.ViaObject}
+			if n := 1 + len(l.Upstream); n > 1 {
+				entry.Upstream = names[1:n:n]
 			}
-			for _, u := range l.Upstream {
-				entry.Upstream = append(entry.Upstream, u.String())
-			}
+			names = names[1+len(l.Upstream):]
 			out = append(out, entry)
 		}
 		if len(out) == 0 {
@@ -287,26 +282,51 @@ func (q *Query) matchEdge(e *core.Edge) bool {
 	return true
 }
 
-// wireEdge converts a core edge to wire form.
-func wireEdge(e core.Edge) Edge {
-	return Edge{
-		From:   e.From.String(),
-		To:     e.To.String(),
-		Kind:   e.Kind.String(),
-		Object: e.Object,
-		Pages:  e.Pages,
-	}
-}
-
 // wireEdges converts one result page (nil in, nil out, so empty pages
 // keep omitting the field on the wire).
 func wireEdges(edges []core.Edge) []Edge {
 	if len(edges) == 0 {
 		return nil
 	}
+	ids := make([]core.SubID, 0, 2*len(edges))
+	for _, e := range edges {
+		ids = append(ids, e.From, e.To)
+	}
+	names := spellIDs(ids)
 	out := make([]Edge, len(edges))
 	for i, e := range edges {
-		out[i] = wireEdge(e)
+		out[i] = Edge{From: names[2*i], To: names[2*i+1], Kind: e.Kind.String(), Object: e.Object, Pages: e.Pages}
 	}
 	return out
+}
+
+// spellIDs spells ids as substrings of one string of exactly their
+// bytes: a page of n ids costs one allocation, not n (nil in, nil out).
+func spellIDs(ids []core.SubID) []string {
+	if len(ids) == 0 {
+		return nil
+	}
+	size := 0
+	for _, id := range ids {
+		size += 2 + decimalLen(uint64(id.Thread)) + decimalLen(id.Alpha) // over for a negative thread
+	}
+	var arena strings.Builder
+	arena.Grow(size)
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		var buf [48]byte
+		start := arena.Len()
+		arena.Write(id.AppendTo(buf[:0]))
+		out[i] = arena.String()[start:]
+	}
+	return out
+}
+
+// decimalLen is the number of decimal digits of v.
+func decimalLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
